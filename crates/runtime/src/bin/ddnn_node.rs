@@ -35,18 +35,6 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// Parses `<role>@<sample>`, e.g. `gateway@3` or `tier0@5`.
-fn parse_kill(spec: &str) -> Option<(ProcTarget, u64)> {
-    let (role, at) = spec.split_once('@')?;
-    let at = at.parse().ok()?;
-    let role = match role {
-        "devices" => ProcTarget::Devices,
-        "gateway" => ProcTarget::Gateway,
-        tier => ProcTarget::Tier(tier.strip_prefix("tier")?.parse().ok()?),
-    };
-    Some((role, at))
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
@@ -66,7 +54,7 @@ fn demo(args: &[String]) -> ExitCode {
     let mut transport = None;
     let mut samples = 10usize;
     let mut kill: Option<(ProcTarget, u64)> = None;
-    let mut respawn_after = 0u64;
+    let mut respawn_after: Option<u64> = None;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         match flag.as_str() {
@@ -78,12 +66,16 @@ fn demo(args: &[String]) -> ExitCode {
                 Some(Ok(n)) if n > 0 => samples = n,
                 _ => return usage(),
             },
-            "--kill" => match it.next().map(|v| parse_kill(v)) {
-                Some(Some(k)) => kill = Some(k),
-                _ => return usage(),
+            // `<role>@<sample>`, e.g. `gateway@3` or `tier0@5`.
+            "--kill" => match it.next().and_then(|v| v.split_once('@')) {
+                Some((role, at)) => match (role.parse(), at.parse()) {
+                    (Ok(role), Ok(at)) => kill = Some((role, at)),
+                    _ => return usage(),
+                },
+                None => return usage(),
             },
             "--respawn-after" => match it.next().map(|v| v.parse()) {
-                Some(Ok(n)) => respawn_after = n,
+                Some(Ok(n)) if n > 0 => respawn_after = Some(n),
                 _ => return usage(),
             },
             _ => return usage(),
@@ -92,13 +84,16 @@ fn demo(args: &[String]) -> ExitCode {
     let Some(transport) = transport else {
         return usage();
     };
+    if respawn_after.is_some() && kill.is_none() {
+        return usage(); // nothing to respawn
+    }
     let proc_chaos = match kill {
         None => ProcChaosPlan::none(),
         Some((role, at)) => {
             let mut events = vec![ProcChaosEvent { at_sample: at, role, action: ProcAction::Kill }];
-            if respawn_after > 0 {
+            if let Some(after) = respawn_after {
                 events.push(ProcChaosEvent {
-                    at_sample: at + respawn_after,
+                    at_sample: at + after,
                     role,
                     action: ProcAction::Respawn,
                 });

@@ -183,6 +183,27 @@ impl std::fmt::Display for ProcTarget {
     }
 }
 
+/// Parses the display form back (`devices`, `gateway`, `tier<k>`) — the
+/// one spelling of a role on the `ROLE` handshake line, in `proc.{role}.*`
+/// counter names and on the `ddnn-node demo --kill` command line.
+impl std::str::FromStr for ProcTarget {
+    type Err = RuntimeError;
+
+    fn from_str(s: &str) -> Result<Self> {
+        match s {
+            "devices" => Ok(ProcTarget::Devices),
+            "gateway" => Ok(ProcTarget::Gateway),
+            other => other
+                .strip_prefix("tier")
+                .and_then(|k| k.parse().ok())
+                .map(ProcTarget::Tier)
+                .ok_or_else(|| RuntimeError::Protocol {
+                    reason: format!("unknown role {other:?}"),
+                }),
+        }
+    }
+}
+
 /// What happens to the target process at a chaos event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProcAction {

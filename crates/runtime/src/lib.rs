@@ -37,10 +37,19 @@
 //!   default in-process channel, length-prefixed TCP, or UDP datagrams),
 //!   so the same topology runs in one process or as real OS processes
 //!   over localhost sockets ([`multiproc`]);
+//! * `runner` (private; its entry points are re-exported below) — one
+//!   wiring table per [`Topology`] (every link as a row: sender host,
+//!   receiver host, inbox, crash key, report order), one `connect` step
+//!   that binds and opens the rows a set of hosts owns, one `spawn_role`
+//!   that builds a role's nodes, and one orchestrator body that drives,
+//!   shuts down and reports — under [`run_topology`] (every role as
+//!   threads), [`run_cloud_only_baseline`] (a one-tier wiring) and
+//!   [`multiproc`];
 //! * [`multiproc`] — the multi-process launcher and per-role host: the
 //!   hierarchy's roles (devices, gateway, tiers) as separate OS
-//!   processes wired over sockets, folding per-role reports into one
-//!   [`SimReport`];
+//!   processes wired over sockets — spawn, stdio handshake, supervision
+//!   and respawn around that same path — folding per-role reports into
+//!   one [`SimReport`];
 //! * [`clock`] — the simulation clock deadlines are measured against.
 //!
 //! ```no_run

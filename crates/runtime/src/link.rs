@@ -19,18 +19,14 @@
 //! deduplicates retransmissions — invisibly to the node loops.
 
 use crate::error::{Result, RuntimeError};
-use crate::fault::{
-    corrupt_bytes, truncate_len, CrashState, DeadlineConfig, Delivery, FaultPlan, LinkFault,
-    SocketChaosPlan,
-};
+use crate::fault::{corrupt_bytes, truncate_len, CrashState, Delivery, FaultPlan, LinkFault};
 use crate::message::{Frame, NodeId, CHECKED_HEADER_BYTES, HEADER_BYTES};
 use crate::obs::{LinkCounters, ObsEvent, RunObs};
 use crate::reliability::{
     ArqRecvState, ArqSendState, ArqTuning, ReliabilityConfig, ReliabilityMode,
 };
-use crate::transport::{
-    channel_tx, InboxBinding, RedialHandle, TransportConfig, TransportHost, TransportTx,
-};
+use crate::topology::HierarchyConfig;
+use crate::transport::{channel_tx, InboxBinding, RedialHandle, TransportHost, TransportTx};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -376,12 +372,9 @@ impl NodeInbox {
         NodeInbox { rx, format, sources: HashMap::new(), corrupt_discards: 0, obs }
     }
 
-    /// Registers the ARQ receiver state of one inbound link (produced by
-    /// [`LinkFactory::sender`]); no-op for non-ARQ links (`None`).
-    pub(crate) fn register(&mut self, source: Option<(u16, ArqRecvState)>) {
-        if let Some((from, state)) = source {
-            self.sources.insert(from, state);
-        }
+    /// Registers the ARQ receiver state of the inbound link from `from`.
+    pub(crate) fn register(&mut self, from: NodeId, state: ArqRecvState) {
+        self.sources.insert(from.encode(), state);
     }
 
     /// Blocks for the next intact, fresh frame.
@@ -539,9 +532,9 @@ pub(crate) fn attach_faulty_sender(
 
 /// Builds every inbox and sender of a run over one dataplane, with one
 /// consistent fault plan and reliability configuration, collecting the
-/// ARQ send states the run's retransmit pump must tick. Shared by the
-/// topology runner, the cloud-offload baseline and the multi-process
-/// role hosts, so transport and ARQ wiring exist in exactly one place.
+/// ARQ send states the run's retransmit pump must tick. Driven by the
+/// runner's `connect` step only, so transport and ARQ wiring exist in
+/// exactly one place.
 pub(crate) struct LinkFactory<'a> {
     plan: &'a FaultPlan,
     fault_active: bool,
@@ -564,42 +557,25 @@ pub(crate) struct LinkFactory<'a> {
 }
 
 impl<'a> LinkFactory<'a> {
-    pub(crate) fn new(
-        plan: &'a FaultPlan,
-        reliability: &'a ReliabilityConfig,
-        deadlines: Option<&DeadlineConfig>,
-        tolerant: bool,
-        obs: Arc<RunObs>,
-        transport: TransportConfig,
-    ) -> Self {
-        let host = TransportHost::new(transport, &obs);
+    /// A factory for one run of `cfg`. Links tolerate a departed receiver
+    /// exactly when deadlines are on (see [`LinkSender`]); `tseq_base`
+    /// starts every ARQ sender at transport sequence `tseq_base + 1` —
+    /// nonzero only in a respawned role process, which must number its
+    /// frames above its predecessor's range.
+    pub(crate) fn new(cfg: &'a HierarchyConfig, obs: Arc<RunObs>, tseq_base: u32) -> Self {
+        let mut transport = TransportHost::new(cfg.transport, &obs);
+        transport.set_socket_chaos(cfg.socket_chaos);
         LinkFactory {
-            plan,
-            fault_active: plan.is_active(),
-            reliability,
-            tuning: reliability.arq.effective(deadlines),
-            tolerant,
+            plan: &cfg.fault_plan,
+            fault_active: cfg.fault_plan.is_active(),
+            reliability: &cfg.reliability,
+            tuning: cfg.reliability.arq.effective(cfg.deadlines.as_ref()),
+            tolerant: cfg.deadlines.is_some(),
             obs,
-            transport: host,
-            tseq_base: 0,
+            transport,
+            tseq_base,
             arq_states: Vec::new(),
         }
-    }
-
-    /// Seeds the deterministic socket-chaos interposer on this factory's
-    /// dataplane; senders created afterwards roll drop/duplicate/delay
-    /// (UDP) and delay/sever (TCP) fates per the plan. No-op for an
-    /// inactive plan or the in-process channel transport.
-    pub(crate) fn set_socket_chaos(&mut self, plan: SocketChaosPlan) {
-        self.transport.set_socket_chaos(plan);
-    }
-
-    /// Starts every ARQ sender created after this call at transport
-    /// sequence `base + 1` — the respawn path of the multi-process
-    /// launcher, where a restarted role must number its frames above its
-    /// predecessor's range.
-    pub(crate) fn set_tseq_base(&mut self, base: u32) {
-        self.tseq_base = base;
     }
 
     /// A cloneable handle that can re-point this factory's named senders
@@ -635,10 +611,18 @@ impl<'a> LinkFactory<'a> {
         Ok((binding, self.make_inbox(receiver)))
     }
 
+    /// Whether the link named `name` runs ARQ under this run's
+    /// reliability configuration.
+    pub(crate) fn runs_arq(&self, name: &str) -> bool {
+        matches!(self.reliability.mode_for(name), ReliabilityMode::Arq)
+    }
+
     /// Creates an instrumented sender into the inbox at `to`, named
-    /// `name` and owned by node `from`. Returns the sender, its stats
-    /// handle, and — when the link runs ARQ — the receiver-side state to
-    /// [`register`](NodeInbox::register) with the destination inbox.
+    /// `name`. When the link runs ARQ, the reverse ack inbox is bound on
+    /// this factory's transport and its binding returned, so the receiving
+    /// end — in this process ([`recv_state`](LinkFactory::recv_state)) or
+    /// another ([`remote_recv_state`](LinkFactory::remote_recv_state)) —
+    /// can construct the matching receive state against it.
     ///
     /// ARQ links get three derived fault streams: the primary (`name`),
     /// the retransmit path (`retx:name`, sharing the device's crash
@@ -650,31 +634,6 @@ impl<'a> LinkFactory<'a> {
     ///
     /// Returns [`RuntimeError::Transport`] when a socket connect or the
     /// ARQ ack-path bind fails.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn sender(
-        &mut self,
-        to: &InboxBinding,
-        name: &str,
-        from: NodeId,
-        crash: Option<Arc<CrashState>>,
-    ) -> Result<(LinkSender, Arc<LinkCounters>, Option<(u16, ArqRecvState)>)> {
-        let (sender, stats, ack_binding) = self.sender_with_ack_inbox(to, name, crash)?;
-        match ack_binding {
-            None => Ok((sender, stats, None)),
-            Some(binding) => {
-                let recv = self.recv_state(&binding, name, Arc::clone(&stats))?;
-                Ok((sender, stats, Some((from.encode(), recv))))
-            }
-        }
-    }
-
-    /// The sender half alone: when the link runs ARQ, the reverse ack
-    /// inbox is bound on this factory's transport and its binding
-    /// returned *instead of* a recv state, so the receiving process of a
-    /// multi-process run can construct the matching
-    /// [`remote_recv_state`](LinkFactory::remote_recv_state) against it.
-    /// In-process callers use [`sender`](LinkFactory::sender), which
-    /// closes the loop immediately.
     pub(crate) fn sender_with_ack_inbox(
         &mut self,
         to: &InboxBinding,
@@ -724,8 +683,9 @@ impl<'a> LinkFactory<'a> {
     }
 
     /// The receiver-side ARQ state of one inbound link whose sender
-    /// advertised `ack_binding`, pricing delivered acks into `stats`.
-    fn recv_state(
+    /// advertised `ack_binding`, pricing delivered acks into `stats` —
+    /// the sender's own cells when both ends share a process.
+    pub(crate) fn recv_state(
         &mut self,
         ack_binding: &InboxBinding,
         name: &str,
@@ -745,12 +705,11 @@ impl<'a> LinkFactory<'a> {
         &mut self,
         ack_binding: &InboxBinding,
         name: &str,
-        from: NodeId,
-    ) -> Result<(u16, ArqRecvState, Arc<LinkCounters>)> {
+    ) -> Result<(ArqRecvState, Arc<LinkCounters>)> {
         let stats = Arc::new(LinkCounters::default());
         self.obs.registry().register_link(name, Arc::clone(&stats));
         let recv = self.recv_state(ack_binding, name, Arc::clone(&stats))?;
-        Ok((from.encode(), recv, stats))
+        Ok((recv, stats))
     }
 
     /// An uninstrumented, fault-exempt sender in the run's wire format —

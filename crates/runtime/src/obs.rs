@@ -85,6 +85,22 @@ pub struct LinkCounters {
 }
 
 impl LinkCounters {
+    /// Every cell, in [`LinkStats`] field order — the order the
+    /// multi-process `LINK` telemetry line carries them in.
+    pub(crate) fn cells(&self) -> [&Counter; 9] {
+        [
+            &self.frames,
+            &self.payload_bytes,
+            &self.retx_payload_bytes,
+            &self.header_bytes,
+            &self.frames_dropped,
+            &self.frames_duplicated,
+            &self.frames_retransmitted,
+            &self.ack_bytes,
+            &self.frames_corrupted,
+        ]
+    }
+
     /// An immutable [`LinkStats`] view of the current cell values.
     pub fn snapshot(&self) -> LinkStats {
         LinkStats {

@@ -1,20 +1,25 @@
 //! Multi-process deployment: the hierarchy's roles as real OS processes
 //! wired over localhost sockets.
 //!
-//! [`launch`] spawns one `ddnn-node host` process per role — all end
-//! devices together, the gateway, and each feature tier — and plays the
-//! orchestrator itself: it drives the samples, collects the verdicts and
-//! folds every role's link/node telemetry into the same [`SimReport`]
-//! the in-process runner produces. [`host_role`] is the other side: it
-//! reads a role assignment plus a role manifest from stdin, rebuilds its
-//! slice of the seeded model (weights re-derive bit-identically from the
-//! seed in every process), and serves its nodes over the socket
-//! dataplane until the orchestrator shuts the run down.
+//! [`launch`] spawns one `ddnn-node host` process per role of the wiring
+//! table — all end devices together, the gateway, and each feature tier —
+//! and plays the orchestrator itself, through the same `connect` and
+//! orchestrator body as the in-process runner: it drives the samples,
+//! collects the verdicts and folds every role's link/node telemetry into
+//! the same [`SimReport`]. [`host_role`] is the other side: it reads a
+//! role assignment plus a role manifest from stdin, rebuilds the seeded
+//! model (weights re-derive bit-identically from the seed in every
+//! process), connects and builds its role's nodes from the same wiring
+//! table, and serves them over the socket dataplane until the
+//! orchestrator shuts the run down. What is left in this module is what
+//! is about *processes*: spawn, the stdio handshake, supervision,
+//! respawn, telemetry lines and the bounded reap.
 //!
-//! The stdio handshake, line oriented and human readable:
+//! The stdio handshake, line oriented and human readable (a role is
+//! spelled `devices`, `gateway` or `tier<k>` everywhere):
 //!
 //! ```text
-//! launcher -> child   ROLE <devices|gateway|tier:<k>>, manifest, END
+//! launcher -> child   ROLE <role>, manifest, END
 //! child -> launcher   PORT <inbox> <ip:port> ..., BOUND
 //! launcher -> child   ADDR <inbox> <ip:port> ..., SENDERS
 //! child -> launcher   PORT ack:<link> <ip:port> ..., ACKBOUND
@@ -38,35 +43,29 @@
 //!
 //! Scope: multi-process runs cover the closed-loop protocol on the
 //! partition-implied topology. Elastic orchestration, streaming
-//! arrivals, link fault injection and static device failures stay
-//! in-process — their seeded state cannot span OS processes — and
-//! [`launch`] rejects them with typed configuration errors before
-//! spawning anything. Process chaos ([`ProcChaosPlan`](crate::ProcChaosPlan))
-//! and socket chaos ([`SocketChaosPlan`](crate::SocketChaosPlan)) are the
-//! multi-process counterparts of that in-process fault plan.
+//! arrivals, link fault injection and static device failures are
+//! rejected by [`launch`] with typed configuration errors before anything
+//! is spawned — the role manifest does not carry them yet. Process chaos
+//! ([`ProcChaosPlan`](crate::ProcChaosPlan)) and socket chaos
+//! ([`SocketChaosPlan`](crate::SocketChaosPlan)) are the multi-process
+//! counterparts of the in-process fault plan.
 
-use super::orchestrate::{drive_samples, make_policy, validate_run};
-use super::{compute_blanks, PumpStopGuard};
+use super::orchestrate::{host_nodes, orchestrate, validate_run, SampleHook};
+use super::roles::{compute_blanks, spawn_role, RunCtx};
+use super::wiring::{connect, Addrs, Host, Link, Phase, Wiring};
 use crate::clock::SimClock;
 use crate::error::{Result, RuntimeError};
 use crate::fault::{ProcAction, ProcChaosEvent, ProcTarget};
-use crate::link::{LinkFactory, LinkSender, NodeInbox};
+use crate::link::LinkSender;
 use crate::message::{Frame, NodeId, Payload};
-use crate::node::collector::Collector;
-use crate::node::device::device_node;
-use crate::node::report::{assemble_report, NodeReport, RunTallies, SimReport};
-use crate::node::tier::{Escalation, FanIn, FeatureSection, ScoresSection, TierNode};
-use crate::obs::{Counter, LinkCounters, NodeObs, ObsEvent, RunObs};
-use crate::reliability::{run_retransmit_pump, ReliabilityMode};
-use crate::topology::{
-    decode_role_manifest, encode_role_manifest, HierarchyConfig, RoleExtras, TierExitRule, Topology,
-};
+use crate::node::report::{NodeReport, SimReport};
+use crate::obs::{LinkCounters, ObsEvent, RunObs};
+use crate::topology::{decode_role_manifest, encode_role_manifest, HierarchyConfig, Topology};
 use crate::transport::{InboxBinding, RedialHandle, TransportConfig};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
-use ddnn_core::{Ddnn, DdnnConfig, ExitPolicy};
+use ddnn_core::{Ddnn, DdnnConfig};
 use ddnn_tensor::Tensor;
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::SocketAddr;
 use std::path::Path;
@@ -85,6 +84,10 @@ const PHASE_TIMEOUT: Duration = Duration::from_secs(120);
 /// bounded reap kills it and reports a typed error.
 const REAP_GRACE: Duration = Duration::from_secs(15);
 
+/// Milliseconds between a role's `HB` heartbeat lines — the cadence the
+/// role emits at and the supervisor measures staleness against.
+const HEARTBEAT_MS: u64 = 50;
+
 /// Heartbeat staleness (in heartbeat periods) that books a
 /// `proc.{role}.heartbeat_misses` count.
 const MISS_PERIODS: u64 = 4;
@@ -99,163 +102,14 @@ const HEARTBEAT_HANG: Duration = Duration::from_secs(10);
 /// predecessor could have sent (see `ArqRecvState` rebasing).
 const TSEQ_GENERATION_STRIDE: u32 = 1 << 20;
 
-/// Which OS process hosts a node.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Role {
-    /// All end devices (one thread per device, like the in-process run).
-    Devices,
-    /// The score-aggregating gateway.
-    Gateway,
-    /// Feature tier `k` of the chain.
-    Tier(usize),
-}
-
-impl Role {
-    fn token(&self) -> String {
-        match self {
-            Role::Devices => "devices".to_string(),
-            Role::Gateway => "gateway".to_string(),
-            Role::Tier(k) => format!("tier:{k}"),
-        }
-    }
-
-    fn parse(s: &str) -> Result<Role> {
-        match s {
-            "devices" => Ok(Role::Devices),
-            "gateway" => Ok(Role::Gateway),
-            other => match other.strip_prefix("tier:").and_then(|k| k.parse().ok()) {
-                Some(k) => Ok(Role::Tier(k)),
-                None => Err(RuntimeError::Protocol { reason: format!("unknown role {other:?}") }),
-            },
-        }
-    }
-
-    /// The observability label (`devices`, `gateway`, `tier{k}`) —
-    /// matches [`ProcTarget`]'s display form, used in `proc.{role}.*`
-    /// counters, timeline events and [`RuntimeError::Peer`].
-    fn label(&self) -> String {
-        match self {
-            Role::Devices => "devices".to_string(),
-            Role::Gateway => "gateway".to_string(),
-            Role::Tier(k) => format!("tier{k}"),
-        }
-    }
-
-    /// The role a chaos event targets.
-    fn of_target(t: ProcTarget) -> Role {
-        match t {
-            ProcTarget::Devices => Role::Devices,
-            ProcTarget::Gateway => Role::Gateway,
-            ProcTarget::Tier(k) => Role::Tier(k),
-        }
-    }
-}
-
-/// Which endpoint of a link lives where: the launcher (orchestrator) or
-/// one of the spawned roles.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Host {
-    Launcher,
-    Role(Role),
-}
-
-/// One link of the canonical wiring, in report-creation order.
-struct LinkSpec {
-    name: String,
-    /// Sending node's wire identity (receivers key ARQ state by it).
-    from: NodeId,
-    sender: Host,
-    receiver: Host,
-    /// Destination inbox the sender connects to.
-    inbox: String,
-    /// Whether the link appears in the report's per-link stats (the
-    /// sensor feeds never did).
-    tracked: bool,
-}
-
-/// The canonical link table of a partition-implied topology, in the
-/// exact order the in-process runner creates (and reports) them.
-fn link_table(topology: &Topology) -> Vec<LinkSpec> {
-    let n = topology.num_devices();
-    let last = topology.tiers.len() - 1;
-    let mut table = Vec::new();
-    for d in 0..n {
-        table.push(LinkSpec {
-            name: format!("sensor->device{d}"),
-            from: NodeId::Orchestrator,
-            sender: Host::Launcher,
-            receiver: Host::Role(Role::Devices),
-            inbox: format!("device{d}"),
-            tracked: false,
-        });
-        table.push(LinkSpec {
-            name: format!("gateway->device{d}"),
-            from: NodeId::Gateway,
-            sender: Host::Role(Role::Gateway),
-            receiver: Host::Role(Role::Devices),
-            inbox: format!("device{d}"),
-            tracked: true,
-        });
-        table.push(LinkSpec {
-            name: format!("device{d}->gateway"),
-            from: NodeId::Device(d as u8),
-            sender: Host::Role(Role::Devices),
-            receiver: Host::Role(Role::Gateway),
-            inbox: "gateway".to_string(),
-            tracked: true,
-        });
-        table.push(LinkSpec {
-            name: format!("device{d}->{}", topology.tiers[0].name),
-            from: NodeId::Device(d as u8),
-            sender: Host::Role(Role::Devices),
-            receiver: Host::Role(Role::Tier(0)),
-            inbox: topology.tiers[0].name.clone(),
-            tracked: true,
-        });
-    }
-    table.push(LinkSpec {
-        name: "gateway->orchestrator".to_string(),
-        from: NodeId::Gateway,
-        sender: Host::Role(Role::Gateway),
-        receiver: Host::Launcher,
-        inbox: "orchestrator".to_string(),
-        tracked: true,
-    });
-    table.push(LinkSpec {
-        name: format!("{}->orchestrator", topology.tiers[last].name),
-        from: topology.tiers[last].id,
-        sender: Host::Role(Role::Tier(last)),
-        receiver: Host::Launcher,
-        inbox: "orchestrator".to_string(),
-        tracked: true,
-    });
-    for i in 0..last {
-        table.push(LinkSpec {
-            name: format!("{}->{}", topology.tiers[i].name, topology.tiers[i + 1].name),
-            from: topology.tiers[i].id,
-            sender: Host::Role(Role::Tier(i)),
-            receiver: Host::Role(Role::Tier(i + 1)),
-            inbox: topology.tiers[i + 1].name.clone(),
-            tracked: true,
-        });
-        table.push(LinkSpec {
-            name: format!("{}->orchestrator", topology.tiers[i].name),
-            from: topology.tiers[i].id,
-            sender: Host::Role(Role::Tier(i)),
-            receiver: Host::Launcher,
-            inbox: "orchestrator".to_string(),
-            tracked: true,
-        });
-    }
-    table
-}
-
-/// The inboxes a role binds (one per hosted node).
-fn role_inboxes(role: &Role, topology: &Topology) -> Vec<String> {
-    match role {
-        Role::Devices => (0..topology.num_devices()).map(|d| format!("device{d}")).collect(),
-        Role::Gateway => vec!["gateway".to_string()],
-        Role::Tier(k) => vec![topology.tiers[*k].name.clone()],
+/// The protocol words of one handshake phase: the prefix a role
+/// advertises its bindings under and the line that ends them, then the
+/// prefix the launcher relays the whole run's bindings under and the line
+/// that ends those.
+fn words(phase: Phase) -> [&'static str; 4] {
+    match phase {
+        Phase::Inboxes => ["PORT ", "BOUND", "ADDR ", "SENDERS"],
+        Phase::Acks => ["PORT ack:", "ACKBOUND", "ACK ", "GO"],
     }
 }
 
@@ -275,34 +129,25 @@ fn read_lines_until(
     mut f: impl FnMut(&str) -> Result<()>,
 ) -> Result<()> {
     let deadline = Instant::now() + timeout;
+    let gone = |reason: String| RuntimeError::Peer { role: role.to_string(), reason };
     loop {
         match lines.recv_deadline(deadline) {
-            Ok(line) => {
-                if line == stop {
-                    return Ok(());
-                }
-                if let Some(msg) = line.strip_prefix("ERROR ") {
-                    return Err(RuntimeError::Peer { role: role.to_string(), reason: msg.into() });
-                }
-                f(&line)?;
-            }
+            Ok(line) if line == stop => return Ok(()),
+            Ok(line) => match line.strip_prefix("ERROR ") {
+                Some(msg) => return Err(gone(msg.to_string())),
+                None => f(&line)?,
+            },
             Err(RecvTimeoutError::Timeout) => {
-                return Err(RuntimeError::Peer {
-                    role: role.to_string(),
-                    reason: format!("timed out waiting for {stop}"),
-                });
+                return Err(gone(format!("timed out waiting for {stop}")))
             }
             Err(RecvTimeoutError::Disconnected) => {
-                return Err(RuntimeError::Peer {
-                    role: role.to_string(),
-                    reason: format!("exited before sending {stop}"),
-                });
+                return Err(gone(format!("exited before sending {stop}")))
             }
         }
     }
 }
 
-/// Parses an address-exchange line (`<prefix> <key> <ip:port>`).
+/// Parses an address-exchange line (`<prefix><key> <ip:port>`).
 fn parse_addr_line<'l>(
     line: &'l str,
     prefix: &str,
@@ -320,47 +165,27 @@ fn parse_addr_line<'l>(
     Ok(Some((key, InboxBinding::socket(kind, addr)?)))
 }
 
-fn fmt_link_line(name: &str, stats: &LinkCounters) -> String {
-    let s = stats.snapshot();
-    format!(
-        "LINK {name} {} {} {} {} {} {} {} {} {}",
-        s.frames,
-        s.payload_bytes,
-        s.retx_payload_bytes,
-        s.header_bytes,
-        s.frames_dropped,
-        s.frames_duplicated,
-        s.frames_retransmitted,
-        s.ack_bytes,
-        s.frames_corrupted,
-    )
+/// One address-exchange line per socket binding in `book`, then `end`.
+fn addr_lines(prefix: &str, book: &Addrs, end: &str) -> String {
+    let lines = book.iter().filter_map(|(name, b)| Some(format!("{prefix}{name} {}\n", b.addr()?)));
+    lines.chain([format!("{end}\n")]).collect()
 }
 
-/// Adds a `LINK` line's counters into the launcher's folded cell block.
-fn fold_link_line(line: &str, by_name: &HashMap<String, Arc<LinkCounters>>) -> Result<()> {
+fn fmt_link_line(name: &str, stats: &LinkCounters) -> String {
+    let cells: Vec<String> = stats.cells().iter().map(|c| c.get().to_string()).collect();
+    format!("LINK {name} {}", cells.join(" "))
+}
+
+/// Adds a `LINK` line's counters into the launcher's cells of that link.
+fn fold_link_line(line: &str, links: &[(String, Arc<LinkCounters>)]) -> Result<()> {
+    let malformed = || RuntimeError::Protocol { reason: format!("malformed LINK line {line:?}") };
     let mut it = line.split_whitespace().skip(1);
-    let name = it.next().ok_or_else(|| RuntimeError::Protocol {
-        reason: format!("malformed LINK line {line:?}"),
+    let name = it.next().ok_or_else(malformed)?;
+    let (_, cells) = links.iter().find(|(n, _)| n == name).ok_or_else(|| {
+        RuntimeError::Protocol { reason: format!("LINK line for unknown link {name:?}") }
     })?;
-    let cells = by_name.get(name).ok_or_else(|| RuntimeError::Protocol {
-        reason: format!("LINK line for unknown link {name:?}"),
-    })?;
-    let fields = [
-        &cells.frames,
-        &cells.payload_bytes,
-        &cells.retx_payload_bytes,
-        &cells.header_bytes,
-        &cells.frames_dropped,
-        &cells.frames_duplicated,
-        &cells.frames_retransmitted,
-        &cells.ack_bytes,
-        &cells.frames_corrupted,
-    ];
-    for cell in fields {
-        let v: u64 = it.next().and_then(|t| t.parse().ok()).ok_or_else(|| {
-            RuntimeError::Protocol { reason: format!("malformed LINK line {line:?}") }
-        })?;
-        cell.add(v);
+    for cell in cells.cells() {
+        cell.add(it.next().and_then(|t| t.parse().ok()).ok_or_else(malformed)?);
     }
     Ok(())
 }
@@ -400,8 +225,8 @@ fn parse_node_line(line: &str) -> Result<NodeReport> {
     Ok(report)
 }
 
-/// Typed rejection of everything a multi-process run cannot carry across
-/// process boundaries — raised before any process is spawned.
+/// Typed rejection of everything the role manifest cannot carry to the
+/// other processes yet — raised before any process is spawned.
 fn validate_launch(cfg: &HierarchyConfig) -> Result<()> {
     let reject = |reason: String| Err(RuntimeError::Config { reason });
     if !cfg.transport.is_socket() {
@@ -443,7 +268,7 @@ fn validate_launch(cfg: &HierarchyConfig) -> Result<()> {
 /// `REWIRE` control lines), the bridged stdout line stream, and the
 /// liveness state the supervisor polls.
 struct Supervised {
-    role: Role,
+    role: ProcTarget,
     child: Child,
     stdin: ChildStdin,
     /// Non-heartbeat stdout lines, bridged off the reader thread.
@@ -458,14 +283,72 @@ struct Supervised {
 }
 
 impl Supervised {
-    /// SIGKILLs the child and reaps it; the stdout reader drains to EOF.
-    fn kill_now(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
+    /// Spawns one role process, starts its stdout bridge (heartbeat lines
+    /// update `beat`; everything else queues for the supervisor), and
+    /// sends the `ROLE` + manifest preamble.
+    fn spawn(
+        node_exe: &Path,
+        role: ProcTarget,
+        manifest: &str,
+        epoch: Instant,
+        generation: u32,
+    ) -> Result<Supervised> {
+        let label = role.to_string();
+        let mut child = Command::new(node_exe)
+            .arg("host")
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::inherit())
+            .spawn()
+            .map_err(|e| peer_err(&label, format!("spawn failed: {e}")))?;
+        let stdin = child.stdin.take().ok_or_else(|| peer_err(&label, "no stdin pipe"))?;
+        let stdout = child.stdout.take().ok_or_else(|| peer_err(&label, "no stdout"))?;
+        let beat = Arc::new(AtomicU64::new(epoch.elapsed().as_millis() as u64));
+        let (tx, lines) = unbounded();
+        let beat_cell = Arc::clone(&beat);
+        let reader = std::thread::spawn(move || {
+            let mut r = BufReader::new(stdout);
+            let mut line = String::new();
+            loop {
+                line.clear();
+                match r.read_line(&mut line) {
+                    Ok(0) | Err(_) => return,
+                    Ok(_) => {}
+                }
+                let t = line.trim_end();
+                if t.starts_with("HB ") {
+                    beat_cell.store(epoch.elapsed().as_millis() as u64, Ordering::Release);
+                } else if tx.send(t.to_string()).is_err() {
+                    return;
+                }
+            }
+        });
+        let reader = Some(reader);
+        let mut p = Supervised { role, child, stdin, lines, reader, beat, alive: true, generation };
+        p.send(&format!("ROLE {role}\n{manifest}END\n"))?;
+        Ok(p)
+    }
+
+    /// Writes control lines to the child's stdin.
+    fn send(&mut self, msg: &str) -> Result<()> {
+        let written = self.stdin.write_all(msg.as_bytes()).and_then(|()| self.stdin.flush());
+        written.map_err(|e| peer_err(&self.role.to_string(), e))
+    }
+
+    /// Marks the (already exited) child gone; its stdout reader drains to
+    /// EOF.
+    fn retire(&mut self) {
         self.alive = false;
         if let Some(h) = self.reader.take() {
             let _ = h.join();
         }
+    }
+
+    /// SIGKILLs the child and reaps it.
+    fn kill_now(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+        self.retire();
     }
 }
 
@@ -473,201 +356,241 @@ impl Drop for Supervised {
     fn drop(&mut self) {
         // Only reached with a live child on error paths: don't leave
         // orphan processes serving sockets.
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-        if let Some(h) = self.reader.take() {
-            let _ = h.join();
-        }
+        self.kill_now();
     }
 }
 
-/// Spawns one role process, starts its stdout bridge (heartbeat lines
-/// update `beat`; everything else queues for the supervisor), and sends
-/// the `ROLE` + manifest preamble.
-fn spawn_supervised(
-    node_exe: &Path,
-    role: Role,
-    manifest: &str,
-    epoch: Instant,
-    generation: u32,
-) -> Result<Supervised> {
-    let label = role.label();
-    let mut child = Command::new(node_exe)
-        .arg("host")
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::inherit())
-        .spawn()
-        .map_err(|e| peer_err(&label, format!("spawn failed: {e}")))?;
-    let mut stdin = child.stdin.take().ok_or_else(|| peer_err(&label, "no stdin pipe"))?;
-    let stdout = child.stdout.take().ok_or_else(|| peer_err(&label, "no stdout"))?;
-    let beat = Arc::new(AtomicU64::new(epoch.elapsed().as_millis() as u64));
-    let (tx, lines) = unbounded();
-    let beat_cell = Arc::clone(&beat);
-    let reader = std::thread::spawn(move || {
-        let mut r = BufReader::new(stdout);
-        let mut line = String::new();
-        loop {
-            line.clear();
-            match r.read_line(&mut line) {
-                Ok(0) | Err(_) => return,
-                Ok(_) => {}
-            }
-            let t = line.trim_end();
-            if t.starts_with("HB ") {
-                beat_cell.store(epoch.elapsed().as_millis() as u64, Ordering::Release);
-            } else if tx.send(t.to_string()).is_err() {
-                return;
-            }
-        }
-    });
-    write!(stdin, "ROLE {}\n{manifest}END\n", role.token())
-        .and_then(|()| stdin.flush())
-        .map_err(|e| peer_err(&label, e))?;
-    Ok(Supervised {
-        role,
-        child,
-        stdin,
-        lines,
-        reader: Some(reader),
-        beat,
-        alive: true,
-        generation,
-    })
-}
-
-/// The supervisor's per-role death/respawn/staleness counters
-/// (`proc.{role}.kills` / `.respawns` / `.heartbeat_misses`).
-struct RoleCounters {
-    kills: Arc<Counter>,
-    respawns: Arc<Counter>,
-    hb_misses: Arc<Counter>,
-}
-
-impl RoleCounters {
-    fn for_role(obs: &RunObs, label: &str) -> Self {
-        RoleCounters {
-            kills: obs.registry().counter(&format!("proc.{label}.kills")),
-            respawns: obs.registry().counter(&format!("proc.{label}.respawns")),
-            hb_misses: obs.registry().counter(&format!("proc.{label}.heartbeat_misses")),
-        }
-    }
-}
-
-/// Sends one `REWIRE <name> <addr>` control line to a surviving role.
-fn rewire(procs: &mut [Supervised], role: &Role, name: &str, addr: SocketAddr) -> Result<()> {
-    if let Some(p) = procs.iter_mut().find(|p| p.role == *role && p.alive) {
-        writeln!(p.stdin, "REWIRE {name} {addr}")
-            .and_then(|()| p.stdin.flush())
-            .map_err(|e| peer_err(&p.role.label(), e))?;
-    }
-    Ok(())
-}
-
-/// Respawns a dead role: spawn + full re-handshake with the same
-/// manifest (plus a per-generation `tseq_base`), then re-point every
-/// surviving sender — the launcher's own via its [`RedialHandle`], the
-/// other roles' via `REWIRE` lines — at the role's freshly bound ports.
-/// The restarted role rejoins at whatever sample the orchestrator drives
-/// next; samples lost while it was down stay typed as timeouts.
-#[allow(clippy::too_many_arguments)]
-fn respawn_role(
-    node_exe: &Path,
-    role: &Role,
-    base_manifest: &str,
+/// The launcher's role processes and the address books of their mesh.
+struct Fleet<'a> {
+    node_exe: &'a Path,
+    manifest: String,
     epoch: Instant,
     transport: TransportConfig,
-    table: &[LinkSpec],
-    addrs: &mut HashMap<String, InboxBinding>,
-    ack_map: &mut HashMap<String, InboxBinding>,
-    procs: &mut [Supervised],
-    launcher_redial: &RedialHandle,
-) -> Result<()> {
-    let label = role.label();
-    let idx = procs
-        .iter()
-        .position(|p| p.role == *role)
-        .ok_or_else(|| peer_err(&label, "respawn of a role that was never launched"))?;
-    let generation = procs[idx].generation + 1;
-    let tseq_base = generation.wrapping_mul(TSEQ_GENERATION_STRIDE);
-    let manifest = format!("{base_manifest}tseq_base={tseq_base}\n");
-    let mut p = spawn_supervised(node_exe, role.clone(), &manifest, epoch, generation)?;
+    procs: Vec<Supervised>,
+    /// Where every inbox of the run is bound now.
+    addrs: Addrs,
+    /// Where the `ack:` inbox of every cross-process ARQ link is bound now.
+    acks: Addrs,
+}
 
-    // Re-handshake: the same four phases as launch, against live maps.
-    let mut moved: Vec<(String, InboxBinding)> = Vec::new();
-    read_lines_until(&p.lines, &label, "BOUND", PHASE_TIMEOUT, |line| {
-        if let Some((name, binding)) = parse_addr_line(line, "PORT ", transport)? {
-            moved.push((name.to_string(), binding));
+impl Fleet<'_> {
+    /// Runs one handshake phase against the roles `takes_part` selects:
+    /// gathers the bindings they advertise on top of the launcher's own
+    /// `bound`, books them, and relays the whole book to each. Returns
+    /// what was gathered — everything, on the first handshake; what moved,
+    /// on a respawn.
+    fn exchange(
+        &mut self,
+        phase: Phase,
+        takes_part: impl Fn(&Supervised) -> bool,
+        bound: Addrs,
+    ) -> Result<Addrs> {
+        let [advertised, done, relayed, go] = words(phase);
+        let mut gathered = bound;
+        for p in self.procs.iter().filter(|p| takes_part(p)) {
+            read_lines_until(&p.lines, &p.role.to_string(), done, PHASE_TIMEOUT, |line| {
+                if let Some((name, b)) = parse_addr_line(line, advertised, self.transport)? {
+                    gathered.insert(name.to_string(), b);
+                }
+                Ok(())
+            })?;
         }
-        Ok(())
-    })?;
-    for (name, binding) in &moved {
-        addrs.insert(name.clone(), binding.clone());
-    }
-    let mut msg = String::new();
-    for (name, binding) in addrs.iter() {
-        if let Some(addr) = binding.addr() {
-            msg.push_str(&format!("ADDR {name} {addr}\n"));
+        let book = if phase == Phase::Inboxes { &mut self.addrs } else { &mut self.acks };
+        book.extend(gathered.clone());
+        let msg = addr_lines(relayed, book, go);
+        for p in self.procs.iter_mut().filter(|p| takes_part(p)) {
+            p.send(&msg)?;
+            // The handshake (which includes the child's model rebuild)
+            // does not count as heartbeat staleness.
+            p.beat.store(self.epoch.elapsed().as_millis() as u64, Ordering::Release);
         }
+        Ok(gathered)
     }
-    msg.push_str("SENDERS\n");
-    p.stdin
-        .write_all(msg.as_bytes())
-        .and_then(|()| p.stdin.flush())
-        .map_err(|e| peer_err(&label, e))?;
-    let mut moved_acks: Vec<(String, InboxBinding)> = Vec::new();
-    read_lines_until(&p.lines, &label, "ACKBOUND", PHASE_TIMEOUT, |line| {
-        if let Some((name, binding)) = parse_addr_line(line, "PORT ack:", transport)? {
-            moved_acks.push((name.to_string(), binding));
-        }
-        Ok(())
-    })?;
-    for (name, binding) in &moved_acks {
-        ack_map.insert(name.clone(), binding.clone());
-    }
-    let mut msg = String::new();
-    for (name, binding) in ack_map.iter() {
-        if let Some(addr) = binding.addr() {
-            msg.push_str(&format!("ACK {name} {addr}\n"));
-        }
-    }
-    msg.push_str("GO\n");
-    p.stdin
-        .write_all(msg.as_bytes())
-        .and_then(|()| p.stdin.flush())
-        .map_err(|e| peer_err(&label, e))?;
-    p.beat.store(epoch.elapsed().as_millis() as u64, Ordering::Release);
 
-    // Re-point the survivors: data links into the role's moved inboxes,
-    // and the ack return paths of the links the role sends (their
-    // receivers hold the matching `ack:{link}` senders).
-    for spec in table {
-        if let Some((_, binding)) = moved.iter().find(|(n, _)| *n == spec.inbox) {
-            if let Some(addr) = binding.addr() {
-                match &spec.sender {
-                    Host::Launcher => {
-                        launcher_redial.redial(&spec.name, addr);
+    fn alive(&self, role: ProcTarget) -> bool {
+        self.procs.iter().any(|p| p.role == role && p.alive)
+    }
+}
+
+/// The launcher while samples are driven: the per-sample supervision
+/// tick, the chaos schedule, and the sensor feeds.
+struct Supervisor<'a> {
+    fleet: Fleet<'a>,
+    wiring: &'a Wiring,
+    /// Re-points the launcher's own senders at a respawned role.
+    redial: RedialHandle,
+    sensors: Vec<LinkSender>,
+    views: &'a [Tensor],
+    /// The chaos schedule, by sample, and how far it has been applied.
+    events: Vec<ProcChaosEvent>,
+    next_event: usize,
+    obs: Arc<RunObs>,
+}
+
+impl Supervisor<'_> {
+    /// Bumps `proc.{role}.{what}`.
+    fn count(&self, role: ProcTarget, what: &str) {
+        self.obs.registry().counter(&format!("proc.{role}.{what}")).incr();
+    }
+
+    /// Books a role death, however it came about.
+    fn book_kill(&self, role: ProcTarget, at_sample: u64) {
+        self.count(role, "kills");
+        self.obs.emit(|| ObsEvent::ProcKilled { role: role.to_string(), at_sample });
+    }
+
+    /// Fires the chaos events due at sample `seq`, then polls every live
+    /// child's exit status and heartbeat age. Dead roles are not
+    /// special-cased anywhere downstream — their silence folds into the
+    /// same deadline degradation as in-process loss.
+    fn tick(&mut self, seq: u64) -> Result<()> {
+        while let Some(&ev) = self.events.get(self.next_event).filter(|e| e.at_sample <= seq) {
+            self.next_event += 1;
+            match ev.action {
+                ProcAction::Kill => {
+                    if let Some(p) = self.fleet.procs.iter_mut().find(|p| p.role == ev.role) {
+                        if p.alive {
+                            p.kill_now();
+                            self.book_kill(ev.role, seq);
+                        }
                     }
-                    Host::Role(r) if r != role => rewire(procs, r, &spec.name, addr)?,
-                    Host::Role(_) => {}
+                }
+                ProcAction::Respawn => {
+                    self.respawn(ev.role)?;
+                    self.count(ev.role, "respawns");
+                    let role = ev.role.to_string();
+                    self.obs.emit(|| ObsEvent::ProcRespawned { role, at_sample: seq });
                 }
             }
         }
-        if let Some((_, binding)) = moved_acks.iter().find(|(n, _)| *n == spec.name) {
-            if let Some(addr) = binding.addr() {
-                let ack_name = format!("ack:{}", spec.name);
-                match &spec.receiver {
-                    Host::Launcher => {
-                        launcher_redial.redial(&ack_name, addr);
+        let now_ms = self.fleet.epoch.elapsed().as_millis() as u64;
+        for i in 0..self.fleet.procs.len() {
+            let p = &mut self.fleet.procs[i];
+            let role = p.role;
+            if !p.alive {
+                continue;
+            }
+            if let Ok(Some(_)) = p.child.try_wait() {
+                // Died on its own: reap, and degrade like a kill.
+                p.retire();
+                self.book_kill(role, seq);
+                continue;
+            }
+            let stale = now_ms.saturating_sub(p.beat.load(Ordering::Acquire));
+            if stale > HEARTBEAT_HANG.as_millis() as u64 {
+                // Alive but silent for seconds: a wedged process is as
+                // gone as a dead one.
+                p.kill_now();
+                self.count(role, "heartbeat_misses");
+                self.book_kill(role, seq);
+            } else if stale > MISS_PERIODS * HEARTBEAT_MS {
+                self.count(role, "heartbeat_misses");
+            }
+        }
+        Ok(())
+    }
+
+    /// Respawns a dead role: spawn + the same two-phase handshake as
+    /// launch with the same manifest (plus a per-generation `tseq_base`),
+    /// then re-point every surviving sender — the launcher's own via its
+    /// [`RedialHandle`], the other roles' via `REWIRE` lines — at the
+    /// role's freshly bound ports. The restarted role rejoins at whatever
+    /// sample the orchestrator drives next; samples lost while it was
+    /// down stay typed as timeouts.
+    fn respawn(&mut self, role: ProcTarget) -> Result<()> {
+        let fleet = &mut self.fleet;
+        let old = fleet.procs.iter_mut().find(|p| p.role == role).ok_or_else(|| {
+            peer_err(&role.to_string(), "respawn of a role that was never launched")
+        })?;
+        let generation = old.generation + 1;
+        let tseq_base = generation.wrapping_mul(TSEQ_GENERATION_STRIDE);
+        let manifest = format!("{}tseq_base={tseq_base}\n", fleet.manifest);
+        *old = Supervised::spawn(fleet.node_exe, role, &manifest, fleet.epoch, generation)?;
+        let me = |p: &Supervised| p.role == role;
+        let moved = fleet.exchange(Phase::Inboxes, me, Addrs::new())?;
+        let moved_acks = fleet.exchange(Phase::Acks, me, Addrs::new())?;
+
+        // Re-point the survivors: data links into the role's moved
+        // inboxes, and the ack return paths of the links the role sends
+        // (their receivers hold the matching `ack:{link}` senders).
+        for row in &self.wiring.rows {
+            let data = moved.get(&row.inbox).map(|b| (row.sender, row.name.clone(), b));
+            let ack =
+                moved_acks.get(&row.name).map(|b| (row.receiver, format!("ack:{}", row.name), b));
+            for (holder, link, binding) in data.into_iter().chain(ack) {
+                let Some(addr) = binding.addr() else { continue };
+                match holder {
+                    Host::Orchestrator => {
+                        self.redial.redial(&link, addr);
                     }
-                    Host::Role(r) if r != role => rewire(procs, r, &ack_name, addr)?,
-                    Host::Role(_) => {}
+                    Host::Role(r) if r == role => {}
+                    Host::Role(r) => {
+                        if let Some(p) = fleet.procs.iter_mut().find(|p| p.role == r && p.alive) {
+                            p.send(&format!("REWIRE {link} {addr}\n"))?;
+                        }
+                    }
                 }
             }
         }
+        Ok(())
     }
-    procs[idx] = p;
-    Ok(())
+}
+
+impl SampleHook for Supervisor<'_> {
+    /// Each capture round doubles as a supervision tick.
+    fn feed(&mut self, i: usize) -> Result<()> {
+        let seq = i as u64;
+        self.tick(seq)?;
+        for (sensor, views) in self.sensors.iter().zip(self.views) {
+            let view = views.index_axis0(i)?;
+            sensor.send(&Frame::new(seq, NodeId::Orchestrator, Payload::Capture { view }))?;
+        }
+        Ok(())
+    }
+
+    fn locate(&self, role: ProcTarget, name: &str, _: &InboxBinding) -> Option<InboxBinding> {
+        self.fleet.addrs.get(name).filter(|_| self.fleet.alive(role)).cloned()
+    }
+
+    /// Reads every surviving role's telemetry — sender-side counters sum
+    /// into the launcher's cells of the same link — then reaps the
+    /// processes. A killed role's telemetry died with it; its links keep
+    /// their zeroed cells so the report shape is stable.
+    fn collect(&mut self, links: &[(String, Arc<LinkCounters>)]) -> Result<Vec<NodeReport>> {
+        let mut node_reports = Vec::new();
+        for p in self.fleet.procs.iter().filter(|p| p.alive) {
+            read_lines_until(&p.lines, &p.role.to_string(), "DONE", PHASE_TIMEOUT, |line| {
+                if line.starts_with("LINK ") {
+                    fold_link_line(line, links)?;
+                } else if line.starts_with("NODE ") {
+                    node_reports.push(parse_node_line(line)?);
+                }
+                Ok(())
+            })?;
+        }
+        // Bounded reap: a role that printed DONE but will not exit (wedged
+        // destructor, leaked thread) must not hang the launcher forever.
+        for p in self.fleet.procs.iter_mut().filter(|p| p.alive) {
+            let endpoint = p.role.to_string();
+            let reap_deadline = Instant::now() + REAP_GRACE;
+            let status = loop {
+                match p.child.try_wait().map_err(|e| peer_err(&endpoint, e))? {
+                    Some(status) => break status,
+                    None if Instant::now() >= reap_deadline => {
+                        p.kill_now();
+                        let why = format!("did not exit within {REAP_GRACE:?} after DONE; killed");
+                        return Err(peer_err(&endpoint, format!("role process {why}")));
+                    }
+                    None => std::thread::sleep(Duration::from_millis(5)),
+                }
+            };
+            p.retire();
+            if !status.success() {
+                return Err(peer_err(&endpoint, format!("role process exited with {status}")));
+            }
+        }
+        Ok(node_reports)
+    }
 }
 
 /// Runs the hierarchy as real OS processes on localhost: one process per
@@ -699,373 +622,48 @@ pub fn launch(
     cfg: &HierarchyConfig,
 ) -> Result<SimReport> {
     validate_launch(cfg)?;
-    let model = Ddnn::new(model_cfg.clone());
-    let partition = model.partition();
-    let topology = Topology::from_partition(&partition);
-    let num_devices = topology.num_devices();
-    validate_run(num_devices, device_views, labels, cfg)?;
+    let topology = Topology::from_partition(&Ddnn::new(model_cfg.clone()).partition());
+    let live = validate_run(topology.num_devices(), device_views, labels, cfg)?;
     cfg.proc_chaos.validate(topology.tiers.len())?;
-    let n_samples = labels.len();
-    let clock = SimClock::start();
     let obs = Arc::new(RunObs::new(&cfg.obs));
-    let mut factory = LinkFactory::new(
-        &cfg.fault_plan,
-        &cfg.reliability,
-        cfg.deadlines.as_ref(),
-        true,
-        Arc::clone(&obs),
-        cfg.transport,
-    );
-    factory.set_socket_chaos(cfg.socket_chaos);
-    let table = link_table(&topology);
-    let manifest = encode_role_manifest(&topology.config, cfg);
-    let epoch = Instant::now();
+    let ctx = RunCtx { topology: &topology, cfg, live: &live, clock: SimClock::start(), obs };
+    let wiring = Wiring::of(&topology, false);
 
-    // Spawn one supervised process per role.
-    let mut roles = vec![Role::Devices, Role::Gateway];
-    roles.extend((0..topology.tiers.len()).map(Role::Tier));
-    let mut procs: Vec<Supervised> = Vec::new();
-    for role in roles {
-        procs.push(spawn_supervised(node_exe, role, &manifest, epoch, 0)?);
-    }
-
-    // Phase A: collect every role's inbox addresses, add the launcher's.
-    let mut addrs: HashMap<String, InboxBinding> = HashMap::new();
-    for p in &procs {
-        read_lines_until(&p.lines, &p.role.label(), "BOUND", PHASE_TIMEOUT, |line| {
-            if let Some((name, binding)) = parse_addr_line(line, "PORT ", cfg.transport)? {
-                addrs.insert(name.to_string(), binding);
-            }
-            Ok(())
-        })?;
-    }
-    let (orch_binding, mut orch_inbox) = factory.inbox("orchestrator")?;
-    addrs.insert("orchestrator".to_string(), orch_binding);
-
-    // The launcher's own senders: the per-device sensor feeds. Their ack
-    // inboxes (under ARQ) join the ack exchange like any role's.
-    let mut ack_map: HashMap<String, InboxBinding> = HashMap::new();
-    let mut capture_tx: Vec<LinkSender> = Vec::new();
-    for spec in table.iter().filter(|s| s.sender == Host::Launcher) {
-        let to = addrs.get(&spec.inbox).ok_or_else(|| {
-            peer_err(&spec.name, format!("no advertised address for inbox {:?}", spec.inbox))
-        })?;
-        let to = to.clone();
-        let (s, _stats, ack) = factory.sender_with_ack_inbox(&to, &spec.name, None)?;
-        if let Some(binding) = ack {
-            ack_map.insert(spec.name.clone(), binding);
-        }
-        capture_tx.push(s);
-    }
-    for p in &mut procs {
-        let label = p.role.label();
-        let mut msg = String::new();
-        for (name, binding) in &addrs {
-            if let Some(addr) = binding.addr() {
-                msg.push_str(&format!("ADDR {name} {addr}\n"));
-            }
-        }
-        msg.push_str("SENDERS\n");
-        p.stdin
-            .write_all(msg.as_bytes())
-            .and_then(|()| p.stdin.flush())
-            .map_err(|e| peer_err(&label, e))?;
-    }
-
-    // Phase B: collect ack-inbox addresses; wire the launcher's own
-    // inbound ARQ links (the verdict links into the orchestrator inbox).
-    for p in &procs {
-        read_lines_until(&p.lines, &p.role.label(), "ACKBOUND", PHASE_TIMEOUT, |line| {
-            if let Some((name, binding)) = parse_addr_line(line, "PORT ack:", cfg.transport)? {
-                ack_map.insert(name.to_string(), binding);
-            }
-            Ok(())
-        })?;
-    }
-    let mut recv_side_stats: Vec<(String, Arc<LinkCounters>)> = Vec::new();
-    if matches!(cfg.reliability.mode, ReliabilityMode::Arq) {
-        for spec in table.iter().filter(|s| s.receiver == Host::Launcher) {
-            let ack = ack_map.get(&spec.name).ok_or_else(|| {
-                peer_err(&spec.name, "sender advertised no ack inbox for an ARQ link")
-            })?;
-            let ack = ack.clone();
-            let (from, recv, stats) = factory.remote_recv_state(&ack, &spec.name, spec.from)?;
-            orch_inbox.register(Some((from, recv)));
-            recv_side_stats.push((spec.name.clone(), stats));
-        }
-    }
-    for p in &mut procs {
-        let label = p.role.label();
-        let mut msg = String::new();
-        for (name, binding) in &ack_map {
-            if let Some(addr) = binding.addr() {
-                msg.push_str(&format!("ACK {name} {addr}\n"));
-            }
-        }
-        msg.push_str("GO\n");
-        p.stdin
-            .write_all(msg.as_bytes())
-            .and_then(|()| p.stdin.flush())
-            .map_err(|e| peer_err(&label, e))?;
-        // The handshake (which includes the child's model rebuild) does
-        // not count as heartbeat staleness.
-        p.beat.store(epoch.elapsed().as_millis() as u64, Ordering::Release);
-    }
-
-    // Drive the samples exactly like the in-process orchestrator, with
-    // the same analytic latency model.
-    let classes = topology.config.num_classes;
-    let header = factory.wire_format().header_bytes();
-    let summary_bytes = header + 4 + 4 * classes;
-    let map_bytes = header + 6 + 4 + topology.config.device_map_elems().div_ceil(8);
-    let latency_of = |tier: u8| {
-        let mut ms = cfg.local_link.transfer_ms(summary_bytes);
-        for _ in 0..tier {
-            ms += cfg.uplink.transfer_ms(map_bytes);
-        }
-        ms
+    // One supervised process per role; the launcher hosts only the
+    // orchestrator's end of the wiring.
+    let mut fleet = Fleet {
+        node_exe,
+        manifest: encode_role_manifest(&topology.config, cfg),
+        epoch: Instant::now(),
+        transport: cfg.transport,
+        procs: Vec::new(),
+        addrs: Addrs::new(),
+        acks: Addrs::new(),
     };
-    let arq_states = std::mem::take(&mut factory.arq_states);
-    let redial = factory.redial_handle();
-    let mut chaos_events: Vec<ProcChaosEvent> = cfg.proc_chaos.events.clone();
-    chaos_events.sort_by_key(|e| e.at_sample);
-    let counters: HashMap<String, RoleCounters> = procs
-        .iter()
-        .map(|p| {
-            let label = p.role.label();
-            let c = RoleCounters::for_role(&obs, &label);
-            (label, c)
-        })
-        .collect();
-    let hb_ms = RoleExtras::default().heartbeat_ms;
-    let pump_stop = AtomicBool::new(false);
-    let mut tallies: Option<RunTallies> = None;
-    std::thread::scope(|scope| -> Result<()> {
-        let _pump_guard = PumpStopGuard(&pump_stop);
-        if !arq_states.is_empty() {
-            scope.spawn(|| run_retransmit_pump(&arq_states, &pump_stop));
+    for role in wiring.roles() {
+        let p = Supervised::spawn(node_exe, role, &fleet.manifest, fleet.epoch, 0)?;
+        fleet.procs.push(p);
+        for what in ["kills", "respawns", "heartbeat_misses"] {
+            ctx.obs.registry().counter(&format!("proc.{role}.{what}"));
         }
-        // Each capture round doubles as a supervision tick: fire the
-        // chaos events due at this sample, then poll every live child's
-        // exit status and heartbeat age. Dead roles are not special-cased
-        // anywhere downstream — their silence folds into the same
-        // deadline degradation as in-process loss.
-        let mut next_event = 0usize;
-        let send_captures = |i: usize| -> Result<()> {
-            let seq = i as u64;
-            while next_event < chaos_events.len() && chaos_events[next_event].at_sample <= seq {
-                let ev = chaos_events[next_event];
-                next_event += 1;
-                let role = Role::of_target(ev.role);
-                let label = role.label();
-                match ev.action {
-                    ProcAction::Kill => {
-                        if let Some(p) = procs.iter_mut().find(|p| p.role == role && p.alive) {
-                            p.kill_now();
-                            if let Some(c) = counters.get(&label) {
-                                c.kills.incr();
-                            }
-                            obs.emit(|| ObsEvent::ProcKilled {
-                                role: label.clone(),
-                                at_sample: seq,
-                            });
-                        }
-                    }
-                    ProcAction::Respawn => {
-                        respawn_role(
-                            node_exe,
-                            &role,
-                            &manifest,
-                            epoch,
-                            cfg.transport,
-                            &table,
-                            &mut addrs,
-                            &mut ack_map,
-                            &mut procs,
-                            &redial,
-                        )?;
-                        if let Some(c) = counters.get(&label) {
-                            c.respawns.incr();
-                        }
-                        obs.emit(|| ObsEvent::ProcRespawned {
-                            role: label.clone(),
-                            at_sample: seq,
-                        });
-                    }
-                }
-            }
-            let now_ms = epoch.elapsed().as_millis() as u64;
-            for p in procs.iter_mut() {
-                if !p.alive {
-                    continue;
-                }
-                let label = p.role.label();
-                if let Ok(Some(_)) = p.child.try_wait() {
-                    // Died on its own: reap, and degrade like a kill.
-                    p.alive = false;
-                    if let Some(h) = p.reader.take() {
-                        let _ = h.join();
-                    }
-                    if let Some(c) = counters.get(&label) {
-                        c.kills.incr();
-                    }
-                    obs.emit(|| ObsEvent::ProcKilled { role: label.clone(), at_sample: seq });
-                    continue;
-                }
-                let stale = now_ms.saturating_sub(p.beat.load(Ordering::Acquire));
-                if stale > MISS_PERIODS * hb_ms {
-                    if let Some(c) = counters.get(&label) {
-                        c.hb_misses.incr();
-                    }
-                    if stale > HEARTBEAT_HANG.as_millis() as u64 {
-                        // Alive but silent for seconds: a wedged process
-                        // is as gone as a dead one.
-                        p.kill_now();
-                        if let Some(c) = counters.get(&label) {
-                            c.kills.incr();
-                        }
-                        obs.emit(|| ObsEvent::ProcKilled { role: label.clone(), at_sample: seq });
-                    }
-                }
-            }
-            for (d, cap) in capture_tx.iter().enumerate() {
-                let view = device_views[d].index_axis0(i)?;
-                cap.send(&Frame::new(seq, NodeId::Orchestrator, Payload::Capture { view }))?;
-            }
-            Ok(())
-        };
-        let t = drive_samples(
-            n_samples,
-            cfg.deadlines,
-            clock,
-            &mut orch_inbox,
-            send_captures,
-            |tier| topology.exit_point_of(tier),
-            latency_of,
-            &obs,
-            None,
-        )?;
-        pump_stop.store(true, Ordering::Release);
-
-        // Orderly shutdown, devices first — skipping dead roles (a TCP
-        // connect to a killed process's port would error, and nobody is
-        // listening anyway). Real UDP can drop a datagram outright, and a
-        // lost shutdown frame would hang a role forever — repeat it;
-        // extra shutdowns land unread in a dead node's inbox. Under
-        // socket chaos the drop odds compound, so repeat harder.
-        let alive = |role: Role| procs.iter().any(|p| p.role == role && p.alive);
-        let repeats = match (cfg.transport, cfg.socket_chaos.is_active()) {
-            (TransportConfig::Udp, true) => 8,
-            (TransportConfig::Udp, false) => 3,
-            _ => 1,
-        };
-        for _ in 0..repeats {
-            for cap in &capture_tx {
-                cap.send(&Frame::new(0, NodeId::Orchestrator, Payload::Shutdown))?;
-            }
-            if alive(Role::Gateway) {
-                let gw = addrs.get("gateway").ok_or_else(|| {
-                    peer_err("gateway", "no advertised address for the gateway inbox")
-                })?;
-                factory.shutdown_sender(gw, "orchestrator->gateway")?.send(&Frame::new(
-                    0,
-                    NodeId::Orchestrator,
-                    Payload::Shutdown,
-                ))?;
-            }
-            for (k, spec) in topology.tiers.iter().enumerate() {
-                if !alive(Role::Tier(k)) {
-                    continue;
-                }
-                let to = addrs.get(&spec.name).ok_or_else(|| {
-                    peer_err(&spec.name, "no advertised address for a tier inbox")
-                })?;
-                factory
-                    .shutdown_sender(to, &format!("orchestrator->{}", spec.name))?
-                    .send(&Frame::new(0, NodeId::Orchestrator, Payload::Shutdown))?;
-            }
-        }
-        tallies = Some(t);
-        Ok(())
+    }
+    let everyone = |_: &Supervised| true;
+    let plane = connect(&wiring, &[Host::Orchestrator], cfg, &ctx.obs, 0, |phase, bound| {
+        fleet.exchange(phase, everyone, bound)
     })?;
-
-    // Fold every role's telemetry into the canonical report shape: one
-    // counter block per tracked link (sender-side counters and the
-    // receiver's ack accounting sum under the same name), the legacy
-    // zero-stat placeholders, and the node reports in role order.
-    let mut link_stats: Vec<(String, Arc<LinkCounters>)> = table
-        .iter()
-        .filter(|s| s.tracked)
-        .map(|s| (s.name.clone(), Arc::new(LinkCounters::default())))
-        .collect();
-    for name in &topology.placeholder_links {
-        link_stats.push((name.clone(), Arc::new(LinkCounters::default())));
-    }
-    let by_name: HashMap<String, Arc<LinkCounters>> =
-        link_stats.iter().map(|(n, s)| (n.clone(), Arc::clone(s))).collect();
-    let mut node_reports: Vec<NodeReport> = Vec::new();
-    for p in &mut procs {
-        if !p.alive {
-            // A killed role's telemetry died with it; its links keep
-            // their zeroed placeholders so the report shape is stable.
-            continue;
-        }
-        let endpoint = p.role.label();
-        read_lines_until(&p.lines, &endpoint, "DONE", PHASE_TIMEOUT, |line| {
-            if line.starts_with("LINK ") {
-                fold_link_line(line, &by_name)?;
-            } else if line.starts_with("NODE ") {
-                node_reports.push(parse_node_line(line)?);
-            }
-            Ok(())
-        })?;
-    }
-    for (name, stats) in &recv_side_stats {
-        if let Some(cells) = by_name.get(name) {
-            cells.ack_bytes.add(stats.ack_bytes.get());
-        }
-    }
-    // Bounded reap: a role that printed DONE but will not exit (wedged
-    // destructor, leaked thread) must not hang the launcher forever.
-    for p in &mut procs {
-        if !p.alive {
-            continue;
-        }
-        let endpoint = p.role.label();
-        let reap_deadline = Instant::now() + REAP_GRACE;
-        let status = loop {
-            match p.child.try_wait().map_err(|e| peer_err(&endpoint, e))? {
-                Some(status) => break status,
-                None if Instant::now() >= reap_deadline => {
-                    p.kill_now();
-                    return Err(peer_err(
-                        &endpoint,
-                        format!(
-                            "role process did not exit within {REAP_GRACE:?} after DONE; killed"
-                        ),
-                    ));
-                }
-                None => std::thread::sleep(Duration::from_millis(5)),
-            }
-        };
-        p.alive = false;
-        if let Some(h) = p.reader.take() {
-            let _ = h.join();
-        }
-        if !status.success() {
-            return Err(peer_err(&endpoint, format!("role process exited with {status}")));
-        }
-    }
-    factory.shutdown_transport();
-
-    node_reports.push(NodeReport {
-        corrupt_discards: orch_inbox.corrupt_discards(),
-        ..NodeReport::default()
-    });
-    let tallies = tallies.ok_or_else(|| RuntimeError::Topology {
-        reason: "launcher scope finished without producing tallies".to_string(),
-    })?;
-    Ok(assemble_report(tallies, labels, link_stats, node_reports, num_devices, &obs))
+    let mut events = cfg.proc_chaos.events.clone();
+    events.sort_by_key(|e| e.at_sample);
+    let mut supervisor = Supervisor {
+        fleet,
+        wiring: &wiring,
+        redial: plane.factory.redial_handle(),
+        sensors: (0..live.len()).map(|d| plane.sender(Link::Sensor(d))).collect::<Result<_>>()?,
+        views: device_views,
+        events,
+        next_event: 0,
+        obs: Arc::clone(&ctx.obs),
+    };
+    orchestrate(&ctx, &wiring, plane, |_, _| Ok(()), labels, &mut supervisor, None)
 }
 
 /// Serves one role of a multi-process run over stdin/stdout — the body
@@ -1081,18 +679,10 @@ pub fn launch(
 /// Any failure is also written to stdout as an `ERROR <msg>` line (so
 /// the launcher sees it) before being returned.
 pub fn host_role() -> Result<()> {
-    host_role_io(BufReader::new(std::io::stdin()), std::io::stdout())
-}
-
-fn host_role_io<I, O>(input: I, out: O) -> Result<()>
-where
-    I: BufRead + Send + 'static,
-    O: Write + Send + 'static,
-{
     // Stdout is shared between the handshake/telemetry writer and the
     // heartbeat thread; the mutex keeps whole lines atomic.
-    let out = Arc::new(Mutex::new(out));
-    let result = run_role(input, &out);
+    let out = Arc::new(Mutex::new(std::io::stdout()));
+    let result = run_role(BufReader::new(std::io::stdin()), &out);
     if let Err(e) = &result {
         let mut o = out.lock();
         let _ = writeln!(o, "ERROR {e}");
@@ -1135,9 +725,12 @@ where
 
     // Role + manifest.
     let role_line = read_control_line(&mut input)?;
-    let role = Role::parse(role_line.strip_prefix("ROLE ").ok_or_else(|| {
-        RuntimeError::Protocol { reason: format!("expected ROLE line, got {role_line:?}") }
-    })?)?;
+    let role: ProcTarget = role_line
+        .strip_prefix("ROLE ")
+        .ok_or_else(|| RuntimeError::Protocol {
+            reason: format!("expected ROLE line, got {role_line:?}"),
+        })?
+        .parse()?;
     let mut manifest = String::new();
     loop {
         let line = read_control_line(&mut input)?;
@@ -1149,122 +742,47 @@ where
     }
     let (model_cfg, cfg, extras) = decode_role_manifest(&manifest)?;
 
-    // Rebuild this role's slice of the run: same seed, same weights,
-    // same blanks as every other process.
-    let model = Ddnn::new(model_cfg);
-    let partition = model.partition();
-    let topology = Topology::from_partition(&partition);
-    let (blanks, tier_blanks) = compute_blanks(&topology)?;
-    let num_devices = topology.num_devices();
-    let live = vec![true; num_devices];
-    let clock = SimClock::start();
+    // Rebuild the run: same seed, same weights, same blanks, same wiring
+    // table as every other process.
+    let topology = Topology::from_partition(&Ddnn::new(model_cfg).partition());
+    let wiring = Wiring::of(&topology, false);
+    if !wiring.roles().contains(&role) {
+        return Err(RuntimeError::Protocol { reason: format!("no role {role} in this topology") });
+    }
+    let blanks = compute_blanks(&topology)?;
+    let live = vec![true; topology.num_devices()];
     let obs = Arc::new(RunObs::new(&cfg.obs));
-    let mut factory = LinkFactory::new(
-        &cfg.fault_plan,
-        &cfg.reliability,
-        cfg.deadlines.as_ref(),
-        true,
-        Arc::clone(&obs),
-        cfg.transport,
-    );
-    factory.set_socket_chaos(cfg.socket_chaos);
-    // A respawned role numbers its ARQ frames from a fresh generation
-    // base so surviving receivers rebase instead of treating its frames
-    // as ancient duplicates.
-    factory.set_tseq_base(extras.tseq_base);
-    let table = link_table(&topology);
-    let me = Host::Role(role.clone());
+    let ctx = RunCtx { topology: &topology, cfg: &cfg, live: &live, clock: SimClock::start(), obs };
 
-    // Phase A: bind this role's inboxes and advertise their ports.
-    let mut inboxes: HashMap<String, NodeInbox> = HashMap::new();
-    for name in role_inboxes(&role, &topology) {
-        let (binding, inbox) = factory.inbox(&name)?;
-        let addr = binding
-            .addr()
-            .ok_or_else(|| peer_err(&name, "socket transport produced an addressless binding"))?;
-        writeln!(out.lock(), "PORT {name} {addr}").map_err(io_err)?;
-        inboxes.insert(name, inbox);
-    }
-    {
-        let mut o = out.lock();
-        writeln!(o, "BOUND").and_then(|()| o.flush()).map_err(io_err)?;
-    }
-
-    // Learn where every inbox lives.
-    let mut addrs: HashMap<String, InboxBinding> = HashMap::new();
-    loop {
-        let line = read_control_line(&mut input)?;
-        if line == "SENDERS" {
-            break;
+    // Each handshake phase: advertise what this role bound, learn where
+    // everything lives. A respawned role numbers its ARQ frames from a
+    // fresh generation base (`tseq_base`) so surviving receivers rebase
+    // instead of treating its frames as ancient duplicates.
+    let swap = |phase: Phase, bound: Addrs| -> Result<Addrs> {
+        let [advertised, done, relayed, go] = words(phase);
+        {
+            let mut o = out.lock();
+            o.write_all(addr_lines(advertised, &bound, done).as_bytes()).map_err(io_err)?;
+            o.flush().map_err(io_err)?;
         }
-        if let Some((name, binding)) = parse_addr_line(&line, "ADDR ", cfg.transport)? {
-            addrs.insert(name.to_string(), binding);
-        }
-    }
-
-    // Phase B: connect this role's senders (binding ack inboxes for ARQ
-    // links along the way) and advertise the ack ports.
-    let mut senders: HashMap<String, LinkSender> = HashMap::new();
-    let mut reported: Vec<(String, Arc<LinkCounters>)> = Vec::new();
-    for spec in table.iter().filter(|s| s.sender == me) {
-        let to = addrs.get(&spec.inbox).ok_or_else(|| {
-            peer_err(&spec.name, format!("launcher advertised no address for {:?}", spec.inbox))
-        })?;
-        let to = to.clone();
-        let (s, stats, ack) = factory.sender_with_ack_inbox(&to, &spec.name, None)?;
-        if spec.tracked {
-            reported.push((spec.name.clone(), stats));
-        }
-        if let Some(binding) = ack {
-            let addr = binding.addr().ok_or_else(|| {
-                peer_err(&spec.name, "socket transport produced an addressless ack binding")
-            })?;
-            writeln!(out.lock(), "PORT ack:{} {addr}", spec.name).map_err(io_err)?;
-        }
-        senders.insert(spec.name.clone(), s);
-    }
-    {
-        let mut o = out.lock();
-        writeln!(o, "ACKBOUND").and_then(|()| o.flush()).map_err(io_err)?;
-    }
-
-    // Learn the ack inboxes and wire the receive side of inbound ARQ
-    // links before any node starts consuming frames.
-    let mut acks: HashMap<String, InboxBinding> = HashMap::new();
-    loop {
-        let line = read_control_line(&mut input)?;
-        if line == "GO" {
-            break;
-        }
-        if let Some((name, binding)) = parse_addr_line(&line, "ACK ", cfg.transport)? {
-            acks.insert(name.to_string(), binding);
-        }
-    }
-    if matches!(cfg.reliability.mode, ReliabilityMode::Arq) {
-        for spec in table.iter().filter(|s| s.receiver == me) {
-            let ack = acks
-                .get(&spec.name)
-                .ok_or_else(|| peer_err(&spec.name, "no ack inbox advertised for an ARQ link"))?;
-            let ack = ack.clone();
-            let (from, recv, stats) = factory.remote_recv_state(&ack, &spec.name, spec.from)?;
-            let inbox = inboxes.get_mut(&spec.inbox).ok_or_else(|| RuntimeError::Topology {
-                reason: format!(
-                    "inbound link {:?} targets unbound inbox {:?}",
-                    spec.name, spec.inbox
-                ),
-            })?;
-            inbox.register(Some((from, recv)));
-            if spec.tracked {
-                reported.push((spec.name.clone(), stats));
+        let mut book = Addrs::new();
+        loop {
+            let line = read_control_line(&mut input)?;
+            if line == go {
+                return Ok(book);
+            }
+            if let Some((name, b)) = parse_addr_line(&line, relayed, cfg.transport)? {
+                book.insert(name.to_string(), b);
             }
         }
-    }
+    };
+    let mut plane = connect(&wiring, &[Host::Role(role)], &cfg, &ctx.obs, extras.tseq_base, swap)?;
 
     // From here the launcher may send REWIRE lines at any time: hand
     // stdin to a control thread (detached — it dies with the process)
     // and start heartbeating so the launcher can tell a busy role from
     // a dead one.
-    let redial = factory.redial_handle();
+    let redial = plane.factory.redial_handle();
     std::thread::Builder::new()
         .name("ddnn-control".into())
         .spawn(move || control_loop(input, &redial))
@@ -1273,7 +791,6 @@ where
     let hb_thread = {
         let out = Arc::clone(out);
         let stop = Arc::clone(&hb_stop);
-        let period = Duration::from_millis(extras.heartbeat_ms.max(1));
         std::thread::Builder::new()
             .name("ddnn-heartbeat".into())
             .spawn(move || {
@@ -1286,153 +803,23 @@ where
                         }
                     }
                     n += 1;
-                    std::thread::sleep(period);
+                    std::thread::sleep(Duration::from_millis(HEARTBEAT_MS));
                 }
             })
             .map_err(io_err)?
     };
 
     // Run the role's nodes until the orchestrator's shutdown frames.
-    let missing = |what: &str| RuntimeError::Topology {
-        reason: format!("role {} is missing {what}", role.token()),
-    };
-    let arq_states = std::mem::take(&mut factory.arq_states);
-    let pump_stop = AtomicBool::new(false);
-    let mut node_reports: Vec<NodeReport> = Vec::new();
-    let ran = std::thread::scope(|scope| -> Result<()> {
-        let _pump_guard = PumpStopGuard(&pump_stop);
-        if !arq_states.is_empty() {
-            scope.spawn(|| run_retransmit_pump(&arq_states, &pump_stop));
-        }
-        let mut handles = Vec::new();
-        match &role {
-            Role::Devices => {
-                for d in 0..num_devices {
-                    let rx = inboxes
-                        .remove(&format!("device{d}"))
-                        .ok_or_else(|| missing("a device inbox"))?;
-                    let to_gw = senders
-                        .remove(&format!("device{d}->gateway"))
-                        .ok_or_else(|| missing("a gateway link"))?;
-                    let to_upper = senders
-                        .remove(&format!("device{d}->{}", topology.tiers[0].name))
-                        .ok_or_else(|| missing("an uplink"))?;
-                    let part = topology.devices[d].clone();
-                    let dev_obs = Arc::clone(&obs);
-                    handles.push(scope.spawn(move || {
-                        device_node(d, part, rx, to_gw, to_upper, true, 1, dev_obs, None)
-                    }));
-                }
-            }
-            Role::Gateway => {
-                let gateway_to_device: Vec<Option<LinkSender>> = (0..num_devices)
-                    .map(|d| senders.remove(&format!("gateway->device{d}")))
-                    .collect();
-                if gateway_to_device.iter().any(Option::is_none) {
-                    return Err(missing("a device broadcast link"));
-                }
-                let collector = Collector::new(
-                    num_devices,
-                    blanks.iter().map(|b| b.scores.clone()).collect(),
-                    make_policy(cfg.deadlines, clock, &live),
-                    (0..num_devices).map(Some).collect(),
-                );
-                let node = TierNode {
-                    name: "gateway".to_string(),
-                    id: NodeId::Gateway,
-                    exit_tier: 0,
-                    section: ScoresSection { agg: topology.gateway.agg.clone() },
-                    policy: ExitPolicy::Entropy(cfg.local_threshold),
-                    fan_in: FanIn::Devices(num_devices),
-                    inbox: inboxes.remove("gateway").ok_or_else(|| missing("its inbox"))?,
-                    to_orchestrator: senders
-                        .remove("gateway->orchestrator")
-                        .ok_or_else(|| missing("its verdict link"))?,
-                    escalation: Escalation::RequestFromDevices(gateway_to_device),
-                    collector,
-                    obs: NodeObs::for_node(&obs, "gateway"),
-                    elastic: None,
-                    batch_max: 1,
-                };
-                handles.push(scope.spawn(move || node.run()));
-            }
-            Role::Tier(k) => {
-                let k = *k;
-                let spec = topology.tiers.get(k).ok_or_else(|| missing("its tier spec"))?;
-                let last = topology.tiers.len() - 1;
-                let collector = if k == 0 {
-                    Collector::new(
-                        num_devices,
-                        tier_blanks[0].clone(),
-                        make_policy(cfg.deadlines, clock, &live),
-                        (0..num_devices).map(Some).collect(),
-                    )
-                } else {
-                    Collector::new(
-                        1,
-                        tier_blanks[k].clone(),
-                        make_policy(cfg.deadlines, clock, &[true]),
-                        vec![None],
-                    )
-                };
-                let escalation = if k == last {
-                    Escalation::Terminal
-                } else {
-                    Escalation::ForwardMap(
-                        senders
-                            .remove(&format!("{}->{}", spec.name, topology.tiers[k + 1].name))
-                            .ok_or_else(|| missing("its forward link"))?,
-                    )
-                };
-                let node = TierNode {
-                    name: spec.name.clone(),
-                    id: spec.id,
-                    exit_tier: (k + 1).min(usize::from(u8::MAX)) as u8,
-                    section: FeatureSection {
-                        agg: spec.agg.clone(),
-                        convs: spec.convs.clone(),
-                        exit: spec.exit.clone(),
-                    },
-                    policy: match &spec.rule {
-                        TierExitRule::ConfigEdgeThreshold => {
-                            ExitPolicy::Entropy(cfg.edge_threshold)
-                        }
-                        TierExitRule::Fixed(t) => ExitPolicy::Entropy(*t),
-                        TierExitRule::Terminal => ExitPolicy::Terminal,
-                    },
-                    fan_in: if k == 0 {
-                        FanIn::Devices(num_devices)
-                    } else {
-                        FanIn::Tier(topology.tiers[k - 1].id)
-                    },
-                    inbox: inboxes.remove(&spec.name).ok_or_else(|| missing("its inbox"))?,
-                    to_orchestrator: senders
-                        .remove(&format!("{}->orchestrator", spec.name))
-                        .ok_or_else(|| missing("its verdict link"))?,
-                    escalation,
-                    collector,
-                    obs: NodeObs::for_node(&obs, &spec.name),
-                    elastic: None,
-                    batch_max: 1,
-                };
-                handles.push(scope.spawn(move || node.run()));
-            }
-        }
-        for h in handles {
-            node_reports.push(h.join().map_err(|_| RuntimeError::Disconnected {
-                node: "panicked node thread".to_string(),
-            })??);
-        }
-        Ok(())
-    });
+    let arq = std::mem::take(&mut plane.factory.arq_states);
+    let ran = host_nodes(&arq, |spawn, _| spawn_role(role, &ctx, &blanks, None, &mut plane, spawn));
     hb_stop.store(true, Ordering::Release);
     let _ = hb_thread.join();
-    ran?;
-    factory.shutdown_transport();
+    let ((), node_reports) = ran?;
+    plane.factory.shutdown_transport();
 
     // Report what this role measured.
     let mut o = out.lock();
-    for (name, stats) in &reported {
+    for (name, stats) in &plane.stats {
         writeln!(o, "{}", fmt_link_line(name, stats)).map_err(io_err)?;
     }
     for report in &node_reports {

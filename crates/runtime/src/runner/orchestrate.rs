@@ -1,20 +1,27 @@
-//! Shared run plumbing: input validation, the collector aggregation
-//! policy, and the orchestrator's sample-driving loop (strict legacy path
-//! without deadlines, watchdog path with them) — used identically by the
-//! topology runner and the cloud-offload baseline.
+//! The orchestrator's side of a run, shared by every runner: input
+//! validation, the closed-loop sample driver (strict legacy path without
+//! deadlines, watchdog path with them), and [`orchestrate`] — the one
+//! body that drives the samples beside whatever nodes this process hosts,
+//! shuts the run down and assembles the report.
 
+use super::roles::{RunCtx, Spawn};
+use super::streaming::drive_stream;
+use super::wiring::{Host, Link, Plane, Wiring};
 use crate::clock::SimClock;
 use crate::error::{Result, RuntimeError};
-use crate::fault::DeadlineConfig;
+use crate::fault::{DeadlineConfig, ProcTarget};
 use crate::link::NodeInbox;
-use crate::message::Payload;
-use crate::node::collector::AggPolicy;
-use crate::node::report::{RunTallies, SampleOutcome};
-use crate::obs::{ObsEvent, RunObs};
+use crate::message::{Frame, NodeId, Payload};
+use crate::node::report::{assemble_report, NodeReport, RunTallies, SampleOutcome, SimReport};
+use crate::obs::{LinkCounters, ObsEvent, RunObs};
 use crate::orchestrator::ElasticDriver;
-use crate::topology::HierarchyConfig;
+use crate::reliability::{run_retransmit_pump, ArqSendState};
+use crate::topology::{HierarchyConfig, Shape};
+use crate::transport::{InboxBinding, TransportConfig};
 use ddnn_core::ExitPoint;
 use ddnn_tensor::Tensor;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// Shared input validation (identical checks and ordering for the
 /// topology runner and the baseline), returning the per-device live mask.
@@ -99,9 +106,7 @@ pub(super) fn validate_run(
                 ),
             });
         }
-        if cfg.transport == crate::transport::TransportConfig::Udp
-            && !cfg.reliability.mode.is_checked()
-        {
+        if cfg.transport == TransportConfig::Udp && !cfg.reliability.mode.is_checked() {
             return Err(RuntimeError::Config {
                 reason: "the udp transport requires a checked wire format \
                          (ReliabilityConfig::crc or ::arq); legacy frames carry no \
@@ -113,27 +118,9 @@ pub(super) fn validate_run(
     Ok(live)
 }
 
-/// Aggregation policy shared by every collector: static waits for the
-/// precomputed live count; dynamic waits up to the deadline.
-pub(super) fn make_policy(
-    deadlines: Option<DeadlineConfig>,
-    clock: SimClock,
-    live: &[bool],
-) -> AggPolicy {
-    match deadlines {
-        None => AggPolicy::Static { required: live.iter().filter(|&&l| l).count() },
-        Some(dl) => AggPolicy::Deadline {
-            aggregation_ms: dl.aggregation_ms,
-            suspect_after: dl.suspect_after,
-            clock,
-        },
-    }
-}
-
-/// The orchestrator's sample-driving loop, shared by the topology runner
-/// and the baseline: the legacy strict path without deadlines, the
-/// watchdog path (bounded waits, bounded capture retransmissions, typed
-/// per-sample timeouts) with them.
+/// The orchestrator's closed-loop sample driver: the legacy strict path
+/// without deadlines, the watchdog path (bounded waits, bounded capture
+/// retransmissions, typed per-sample timeouts) with them.
 #[allow(clippy::too_many_arguments)]
 pub(super) fn drive_samples(
     n_samples: usize,
@@ -244,4 +231,208 @@ pub(super) fn drive_samples(
         }
     }
     Ok(RunTallies { predictions, exits, latencies, outcomes, capture_retries })
+}
+
+/// What a runner plugs into [`orchestrate`]: how a sample enters the
+/// hierarchy, and — when its roles are OS processes — whether they are
+/// still there and what they measured.
+pub(super) trait SampleHook {
+    /// Feeds sample `i` (again, on a watchdog retry) after doing whatever
+    /// is due before it: elastic re-routing, a supervision tick.
+    fn feed(&mut self, i: usize) -> Result<()>;
+
+    /// Where `role`'s inbox `name` is bound now, given where the handshake
+    /// put it: elsewhere after a respawn, `None` once the role is dead.
+    fn locate(&self, _role: ProcTarget, _name: &str, bound: &InboxBinding) -> Option<InboxBinding> {
+        Some(bound.clone())
+    }
+
+    /// After shutdown: folds what remote roles measured into `links` and
+    /// returns their node reports. Roles hosted as threads were joined by
+    /// then and have nothing more to say.
+    fn collect(&mut self, _links: &[(String, Arc<LinkCounters>)]) -> Result<Vec<NodeReport>> {
+        Ok(Vec::new())
+    }
+}
+
+impl<F: FnMut(usize) -> Result<()>> SampleHook for F {
+    fn feed(&mut self, i: usize) -> Result<()> {
+        self(i)
+    }
+}
+
+/// Raises a stop flag when dropped, so the retransmit pump always exits —
+/// even when the run's scope closure returns early with an error.
+struct PumpStopGuard<'a>(&'a AtomicBool);
+
+impl Drop for PumpStopGuard<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Release);
+    }
+}
+
+/// Runs `body` beside the ARQ retransmit pump that ticks `arq`: it starts
+/// a thread for every node it hands to its first argument, and may stop
+/// the pump early through the flag it gets as its second. The nodes are
+/// joined once `body` has returned.
+pub(super) fn host_nodes<T>(
+    arq: &[Arc<ArqSendState>],
+    body: impl FnOnce(&mut Spawn, &AtomicBool) -> Result<T>,
+) -> Result<(T, Vec<NodeReport>)> {
+    let pump_stop = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let _pump_guard = PumpStopGuard(&pump_stop);
+        if !arq.is_empty() {
+            scope.spawn(|| run_retransmit_pump(arq, &pump_stop));
+        }
+        let mut handles = Vec::new();
+        let done = body(&mut |node| handles.push(scope.spawn(node)), &pump_stop)?;
+        let mut reports = Vec::with_capacity(handles.len());
+        for h in handles {
+            reports.push(h.join().map_err(|_| RuntimeError::Disconnected {
+                node: "panicked node thread".to_string(),
+            })??);
+        }
+        Ok((done, reports))
+    })
+}
+
+/// The orchestrator body every runner finishes through: lets `host`
+/// start the nodes this process hosts (none, for the multi-process
+/// launcher), drives the samples (closed loop or open-loop stream) beside
+/// them, shuts every node of the wiring down, and assembles the report
+/// from the link cells, the node reports and the tallies.
+pub(super) fn orchestrate(
+    ctx: &RunCtx,
+    wiring: &Wiring,
+    mut plane: Plane,
+    host: impl FnOnce(&mut Plane, &mut Spawn) -> Result<()>,
+    labels: &[usize],
+    hook: &mut impl SampleHook,
+    elastic: Option<&mut ElasticDriver>,
+) -> Result<SimReport> {
+    let RunCtx { topology, cfg, live, clock, obs } = ctx;
+    let mut orch_inbox = plane.inbox(NodeId::Orchestrator)?;
+    let exit_point_of = |tier: u8| topology.exit_point_of(tier);
+    // Simulated latency: the device->gateway hop always happens; each
+    // escalation up the chain adds one uplink transfer of the feature
+    // map. Accumulated hop by hop so the chain generalizes without
+    // perturbing the legacy two-hop float arithmetic. The cloud-only
+    // baseline reports no simulated latency (legacy behavior).
+    let header = plane.factory.wire_format().header_bytes();
+    let summary_bytes = header + 4 + 4 * topology.config.num_classes;
+    let map_bytes = header + 6 + 4 + topology.config.device_map_elems().div_ceil(8);
+    let staged = matches!(topology.shape, Shape::Staged);
+    let latency_of = |tier: u8| {
+        if !staged {
+            return 0.0;
+        }
+        let mut ms = cfg.local_link.transfer_ms(summary_bytes);
+        for _ in 0..tier {
+            ms += cfg.uplink.transfer_ms(map_bytes);
+        }
+        ms
+    };
+    let arq = std::mem::take(&mut plane.factory.arq_states);
+    let (tallies, mut node_reports) = host_nodes(&arq, |spawn, pump_stop| {
+        host(&mut plane, spawn)?;
+        let feed = |i: usize| hook.feed(i);
+        let n = labels.len();
+        let tallies = match (&cfg.stream, cfg.deadlines) {
+            // Open loop: samples arrive on their own schedule, latency is
+            // measured wall time from the scheduled arrival.
+            (Some(stream), Some(dl)) => drive_stream(
+                n,
+                stream,
+                dl,
+                *clock,
+                &mut orch_inbox,
+                feed,
+                exit_point_of,
+                obs,
+                elastic,
+            )?,
+            (Some(_), None) => {
+                return Err(RuntimeError::Config {
+                    reason: "streaming arrivals require deadlines (set cfg.deadlines)".to_string(),
+                })
+            }
+            // Closed loop: lockstep feed, analytic link-model latency.
+            (None, deadlines) => drive_samples(
+                n,
+                deadlines,
+                *clock,
+                &mut orch_inbox,
+                feed,
+                exit_point_of,
+                latency_of,
+                obs,
+                elastic,
+            )?,
+        };
+        // Every sample resolved: stop retransmitting before shutdown.
+        pump_stop.store(true, Ordering::Release);
+
+        // Orderly shutdown in inbox order — devices first (over their
+        // sensor feeds), then the gateway, then the chain — skipping
+        // statically failed devices and dead roles (a TCP connect to a
+        // killed process's port would error, and nobody is listening
+        // anyway). Real UDP can drop a datagram outright, and a lost
+        // shutdown frame would hang a node forever — repeat it; extra
+        // shutdowns land unread in a finished node's inbox. Under socket
+        // chaos the drop odds compound, so repeat harder.
+        let repeats = match (cfg.transport, cfg.socket_chaos.is_active()) {
+            (TransportConfig::Udp, true) => 8,
+            (TransportConfig::Udp, false) => 3,
+            _ => 1,
+        };
+        let shutdown = Frame::new(0, NodeId::Orchestrator, Payload::Shutdown);
+        for _ in 0..repeats {
+            for inbox in &wiring.inboxes {
+                let Host::Role(role) = inbox.host else { continue };
+                let failed = matches!(inbox.id, NodeId::Device(d) if !live[d as usize]);
+                let bound = plane.addrs.get(&inbox.name).filter(|_| !failed);
+                let Some(to) = bound.and_then(|b| hook.locate(role, &inbox.name, b)) else {
+                    continue;
+                };
+                let sensor = match inbox.id {
+                    NodeId::Device(d) => plane.try_sender(Link::Sensor(d as usize)),
+                    _ => None,
+                };
+                match sensor {
+                    Some(sensor) => sensor.send(&shutdown)?,
+                    None => {
+                        let name = format!("orchestrator->{}", inbox.name);
+                        plane.factory.shutdown_sender(&to, &name)?.send(&shutdown)?;
+                    }
+                }
+            }
+        }
+        Ok(tallies)
+    })?;
+
+    // One counter block per report row: the cells this process sent or
+    // acked on, zeroed ones for the rest (placeholders, and links whose
+    // both ends live in other processes).
+    let links: Vec<(String, Arc<LinkCounters>)> = (wiring.report.iter())
+        .map(|name| {
+            let own = plane.stats.iter().find(|(n, _)| n == name).map(|(_, c)| Arc::clone(c));
+            let cells = own.unwrap_or_else(|| {
+                let cells = Arc::new(LinkCounters::default());
+                obs.registry().register_link(name, Arc::clone(&cells));
+                cells
+            });
+            (name.clone(), cells)
+        })
+        .collect();
+    node_reports.extend(hook.collect(&links)?);
+    // Tear down socket reader threads deterministically before assembling
+    // the report (a no-op for the in-process channel transport).
+    plane.factory.shutdown_transport();
+    // What the orchestrator's own inbox discarded as corrupt.
+    node_reports.push(NodeReport {
+        corrupt_discards: orch_inbox.corrupt_discards(),
+        ..NodeReport::default()
+    });
+    Ok(assemble_report(tallies, labels, links, node_reports, live.len(), obs))
 }

@@ -1,0 +1,324 @@
+//! The role host: the one place that constructs the nodes of a role —
+//! the device loops, the gateway and the feature (or raw-offload) tiers —
+//! from a [`Plane`]'s inboxes and senders. The in-process runner hosts
+//! every role of a wiring as threads, `multiproc::host_role` hosts one
+//! role per OS process; both build their nodes here.
+
+use super::wiring::{Link, Plane};
+use crate::clock::SimClock;
+use crate::error::Result;
+use crate::fault::ProcTarget;
+use crate::message::{dequantize_image, quantize_image, NodeId};
+use crate::node::collector::{AggPolicy, Collector};
+use crate::node::device::{blank_signature, blank_view, device_node, BlankSignature};
+use crate::node::report::NodeReport;
+use crate::node::tier::{
+    batched, Escalation, FanIn, FeatureSection, Feeder, RawSection, ScoresSection, TierElastic,
+    TierNode, TierSection,
+};
+use crate::obs::{Counter, NodeObs, RunObs};
+use crate::orchestrator::rebalance::{compute_routing, probe, Compat};
+use crate::orchestrator::{ControlState, DeviceElastic};
+use crate::topology::{HierarchyConfig, Shape, TierExitRule, Topology};
+use ddnn_core::ExitPolicy;
+use ddnn_nn::{Layer, Mode};
+use ddnn_tensor::{parallel, Tensor};
+use std::sync::Arc;
+
+/// What every part of one run shares.
+pub(super) struct RunCtx<'a> {
+    pub(super) topology: &'a Topology,
+    pub(super) cfg: &'a HierarchyConfig,
+    /// Per device: not statically failed.
+    pub(super) live: &'a [bool],
+    pub(super) clock: SimClock,
+    pub(super) obs: Arc<RunObs>,
+}
+
+/// A node's whole life, ready to run on a thread of its own.
+pub(super) type NodeTask = Box<dyn FnOnce() -> Result<NodeReport> + Send>;
+
+/// Starts a node's thread (see `host_nodes`).
+pub(super) type Spawn<'s> = dyn FnMut(NodeTask) + 's;
+
+/// What aggregators substitute for a silent source.
+pub(super) struct Blanks {
+    /// Per device: the scores and feature map of a blank view.
+    devices: Vec<BlankSignature>,
+    /// Per tier: one blank item per collector source slot.
+    pub(super) tiers: Vec<Vec<Tensor>>,
+}
+
+/// Blank signatures for failed-device substitution plus the chained
+/// per-tier blanks: tier 0 collects the device maps, so its blanks are
+/// the device blank signatures; tier k>0 collects tier k−1's output, so
+/// its blank is tier k−1's section applied to its own blanks — a silent
+/// tier degrades to "nothing was seen" rather than garbage. Every process
+/// of a multi-process run computes identical blanks from the same seeded
+/// model.
+pub(super) fn compute_blanks(topology: &Topology) -> Result<Blanks> {
+    if let Shape::CloudOnly { .. } = topology.shape {
+        // A silent device's blank is the byte-quantized blank view round-
+        // tripped through the wire encoding — exactly what a live device
+        // would have transmitted for a blank capture.
+        let config = &topology.config;
+        let raw = dequantize_image(&quantize_image(&blank_view(config)), config.view_dims())?;
+        return Ok(Blanks { devices: Vec::new(), tiers: vec![vec![raw; topology.num_devices()]] });
+    }
+    // One forward pass per device on identical cloned sections — fan out
+    // across the worker pool (results are collected in device order).
+    let devices: Vec<BlankSignature> = parallel::par_map_indexed(topology.num_devices(), |d| {
+        blank_signature(&topology.devices[d], &topology.config)
+    })
+    .into_iter()
+    .collect::<Result<_>>()?;
+    let mut tiers: Vec<Vec<Tensor>> = Vec::with_capacity(topology.tiers.len());
+    tiers.push(devices.iter().map(|b| b.map.clone()).collect());
+    for k in 1..topology.tiers.len() {
+        let spec = &topology.tiers[k - 1];
+        let mut agg = spec.agg.clone();
+        let mut convs = spec.convs.clone();
+        let mut x = agg.forward(&batched(tiers[k - 1].clone())?)?;
+        for conv in &mut convs {
+            x = conv.forward(&x, Mode::Eval)?;
+        }
+        tiers.push(vec![x.index_axis0(0)?]);
+    }
+    Ok(Blanks { devices, tiers })
+}
+
+/// The elastic control plane's shared state: the published routing, the
+/// probed compatibility matrix (which feeders each tier's section
+/// accepts) and each tier's blank *output*, for re-parenting.
+pub(super) struct ElasticCtx {
+    pub(super) control: Arc<ControlState>,
+    pub(super) compat: Compat,
+    out_blanks: Vec<Tensor>,
+}
+
+impl ElasticCtx {
+    /// Probes the topology and publishes the epoch-0 routing table — the
+    /// declared chain itself, since every non-device node starts live.
+    pub(super) fn new(topology: &Topology, live: &[bool], blanks: &Blanks) -> Result<Self> {
+        let (compat, out_blanks) = probe(topology, &blanks.tiers)?;
+        let mut init_live = live.to_vec();
+        init_live.extend(std::iter::repeat_n(true, 1 + topology.tiers.len())); // gateway, tiers
+        let control = ControlState::new(compute_routing(0, init_live, live.len(), &compat));
+        Ok(ElasticCtx { control, compat, out_blanks })
+    }
+}
+
+/// Aggregation policy shared by every collector: static waits for the
+/// precomputed live count; dynamic waits up to the deadline.
+fn agg_policy(ctx: &RunCtx, live: &[bool]) -> AggPolicy {
+    match ctx.cfg.deadlines {
+        None => AggPolicy::Static { required: live.iter().filter(|&&l| l).count() },
+        Some(dl) => AggPolicy::Deadline {
+            aggregation_ms: dl.aggregation_ms,
+            suspect_after: dl.suspect_after,
+            clock: ctx.clock,
+        },
+    }
+}
+
+fn stale_discards(obs: &RunObs, node: &str) -> Arc<Counter> {
+    obs.registry().counter(&format!("node.{node}.stale_epoch_discards"))
+}
+
+/// Builds the nodes of `role` from the inboxes `plane` bound and the
+/// senders it opened for it — one per live device, or the gateway, or one
+/// tier — handing each to `spawn` as soon as it is built. Building the
+/// next node while the previous one's thread starts keeps the threads'
+/// first allocations staggered: they pick their malloc arenas in a stable
+/// order run after run, which bounds how far repeated runs in one process
+/// grow its peak RSS.
+pub(super) fn spawn_role(
+    role: ProcTarget,
+    ctx: &RunCtx,
+    blanks: &Blanks,
+    elastic: Option<&ElasticCtx>,
+    plane: &mut Plane,
+    spawn: &mut Spawn,
+) -> Result<()> {
+    let RunCtx { topology, cfg, live, obs, .. } = ctx;
+    let n = topology.num_devices();
+    match role {
+        ProcTarget::Devices => {
+            let tolerant = cfg.deadlines.is_some();
+            // Streaming keeps up to queue_cap samples in flight, so a
+            // device must cache that many feature maps; the closed loop
+            // keeps the legacy single slot.
+            let capture_cap = cfg.stream.as_ref().map_or(1, |s| s.queue_cap);
+            for d in (0..n).filter(|&d| live[d]) {
+                let rx = plane.inbox(NodeId::Device(d as u8))?;
+                let (to_gw, to_upper) =
+                    (plane.sender(Link::Scores(d))?, plane.sender(Link::Uplink(d, 0))?);
+                // Elastic: one feature link per re-parent candidate tier
+                // and a pong link back to the orchestrator; all share the
+                // device's crash state, so a crashed device's heartbeats
+                // die with its data.
+                let dev_el = match elastic {
+                    Some(el) => Some(DeviceElastic {
+                        control: Arc::clone(&el.control),
+                        ix: d,
+                        to_orchestrator: plane.sender(Link::DevicePong(d))?,
+                        to_tiers: (0..topology.tiers.len())
+                            .map(|j| plane.sender(Link::Uplink(d, j)))
+                            .collect::<Result<_>>()?,
+                        stale_discards: stale_discards(obs, &format!("device{d}")),
+                    }),
+                    None => None,
+                };
+                let (part, obs) = (topology.devices[d].clone(), Arc::clone(obs));
+                spawn(Box::new(move || {
+                    device_node(d, part, rx, to_gw, to_upper, tolerant, capture_cap, obs, dev_el)
+                }));
+            }
+            Ok(())
+        }
+        ProcTarget::Gateway => {
+            // `None` entries are statically failed devices.
+            let to_devices = (0..n)
+                .map(|d| live[d].then(|| plane.sender(Link::Broadcast(d))).transpose())
+                .collect::<Result<_>>()?;
+            let node = TierNode {
+                name: "gateway".to_string(),
+                id: NodeId::Gateway,
+                exit_tier: 0,
+                section: ScoresSection { agg: topology.gateway.agg.clone() },
+                policy: ExitPolicy::Entropy(cfg.local_threshold),
+                fan_in: FanIn::Devices(n),
+                inbox: plane.inbox(NodeId::Gateway)?,
+                to_orchestrator: plane.sender(Link::GatewayVerdict)?,
+                escalation: Escalation::RequestFromDevices(to_devices),
+                collector: Collector::new(
+                    n,
+                    blanks.devices.iter().map(|b| b.scores.clone()).collect(),
+                    agg_policy(ctx, live),
+                    (0..n).map(Some).collect(),
+                ),
+                obs: NodeObs::for_node(obs, "gateway"),
+                elastic: elastic.map(|el| TierElastic {
+                    control: Arc::clone(&el.control),
+                    ix: n,
+                    tier_k: None,
+                    to_tiers: Vec::new(),
+                    tier_ids: Vec::new(),
+                    device_blanks: Vec::new(),
+                    tier_out_blanks: Vec::new(),
+                    stale_discards: stale_discards(obs, "gateway"),
+                    seen_epoch: 0,
+                    was_down: false,
+                    forced_exit: el.control.routing().forced_local,
+                    route_target: None,
+                    cur_feeder: Feeder::Devices,
+                }),
+                // Score aggregation is negligible compute; only the
+                // feature tiers batch.
+                batch_max: 1,
+            };
+            spawn(Box::new(move || node.run()));
+            Ok(())
+        }
+        ProcTarget::Tier(k) => {
+            let spec = &topology.tiers[k];
+            let task = match &topology.shape {
+                Shape::Staged => tier_task(
+                    k,
+                    FeatureSection {
+                        agg: spec.agg.clone(),
+                        convs: spec.convs.clone(),
+                        exit: spec.exit.clone(),
+                    },
+                    ctx,
+                    blanks,
+                    elastic,
+                    plane,
+                )?,
+                Shape::CloudOnly { edge } => tier_task(
+                    k,
+                    RawSection {
+                        devices: topology.devices.clone(),
+                        edge: edge.as_deref().cloned(),
+                        agg: spec.agg.clone(),
+                        convs: spec.convs.clone(),
+                        exit: spec.exit.clone(),
+                        view_dims: topology.config.view_dims(),
+                    },
+                    ctx,
+                    blanks,
+                    elastic,
+                    plane,
+                )?,
+            };
+            spawn(task);
+            Ok(())
+        }
+    }
+}
+
+/// Tier `k` of the chain around `section`: the first tier fans in from
+/// the devices, every later tier has its single predecessor as its
+/// source; every tier but the last escalates to its successor.
+fn tier_task<S: TierSection<Item = Tensor> + 'static>(
+    k: usize,
+    section: S,
+    ctx: &RunCtx,
+    blanks: &Blanks,
+    elastic: Option<&ElasticCtx>,
+    plane: &mut Plane,
+) -> Result<NodeTask> {
+    let RunCtx { topology, cfg, live, obs, .. } = ctx;
+    let n = topology.num_devices();
+    let tiers = &topology.tiers;
+    let spec = &tiers[k];
+    let collector = if k == 0 {
+        let sources = (0..n).map(Some).collect();
+        Collector::new(n, blanks.tiers[0].clone(), agg_policy(ctx, live), sources)
+    } else {
+        Collector::new(1, blanks.tiers[k].clone(), agg_policy(ctx, &[true]), vec![None])
+    };
+    let node = TierNode {
+        name: spec.name.clone(),
+        id: spec.id,
+        exit_tier: (k + 1).min(usize::from(u8::MAX)) as u8,
+        section,
+        policy: match spec.rule {
+            TierExitRule::ConfigEdgeThreshold => ExitPolicy::Entropy(cfg.edge_threshold),
+            TierExitRule::Fixed(t) => ExitPolicy::Entropy(t),
+            TierExitRule::Terminal => ExitPolicy::Terminal,
+        },
+        fan_in: if k == 0 { FanIn::Devices(n) } else { FanIn::Tier(tiers[k - 1].id) },
+        inbox: plane.inbox(spec.id)?,
+        to_orchestrator: plane.sender(Link::Verdict(k))?,
+        escalation: if k + 1 == tiers.len() {
+            Escalation::Terminal
+        } else {
+            Escalation::ForwardMap(plane.sender(Link::Forward(k, k + 1))?)
+        },
+        collector,
+        obs: NodeObs::for_node(obs, &spec.name),
+        elastic: elastic.map(|el| {
+            let initial = el.control.routing();
+            TierElastic {
+                control: Arc::clone(&el.control),
+                ix: n + 1 + k,
+                tier_k: Some(k),
+                // Adjacent and skip-level forward links, so the tier can
+                // route along whatever escalation path is current.
+                to_tiers: (0..tiers.len()).map(|j| plane.try_sender(Link::Forward(k, j))).collect(),
+                tier_ids: tiers.iter().map(|t| t.id).collect(),
+                device_blanks: blanks.tiers[0].clone(),
+                tier_out_blanks: el.out_blanks.clone(),
+                stale_discards: stale_discards(obs, &spec.name),
+                seen_epoch: 0,
+                was_down: false,
+                forced_exit: initial.forced_exit[k],
+                route_target: initial.escalate_to[k],
+                cur_feeder: if k == 0 { Feeder::Devices } else { Feeder::Tier(k - 1) },
+            }
+        }),
+        batch_max: cfg.stream.as_ref().map_or(1, |s| s.batch_max),
+    };
+    Ok(Box::new(move || node.run()))
+}

@@ -1,0 +1,447 @@
+//! The wiring table: the single description of a run's dataplane.
+//!
+//! [`Wiring::of`] lists every link of a [`Topology`] — who sends, who
+//! receives, into which inbox, under whose crash counter — in the order
+//! the report lists them, for the staged hierarchy (with or without the
+//! elastic extras) and for the cloud-offload shape. [`connect`] turns the
+//! rows a set of hosts owns into bound inboxes and open senders on one
+//! [`LinkFactory`]; everything else in the runner (role hosting, the
+//! orchestrator body, the multi-process launcher's rewiring) reads the
+//! table instead of re-deriving it.
+
+use crate::error::{Result, RuntimeError};
+use crate::fault::{CrashState, ProcTarget};
+use crate::link::{LinkFactory, LinkSender, NodeInbox};
+use crate::message::NodeId;
+use crate::obs::{LinkCounters, RunObs};
+use crate::topology::{HierarchyConfig, Shape, Topology};
+use crate::transport::InboxBinding;
+use std::collections::HashMap;
+use std::sync::Arc;
+
+/// Who owns one end of a link: the orchestrator (the caller of a runner,
+/// or the multi-process launcher) or one of the roles it deploys.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Host {
+    Orchestrator,
+    Role(ProcTarget),
+}
+
+/// Typed handle of a link, so the code that uses a sender asks for "device
+/// `d`'s score link" instead of re-deriving its display name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(super) enum Link {
+    /// Orchestrator → device `d`: captures, heartbeat pings, shutdown.
+    Sensor(usize),
+    /// Gateway → device `d`: offload requests.
+    Broadcast(usize),
+    /// Device `d` → gateway: class scores.
+    Scores(usize),
+    /// Device `d` → tier `j`: feature maps (raw views in the cloud-only
+    /// shape).
+    Uplink(usize, usize),
+    /// Device `d` → orchestrator: heartbeat pongs.
+    DevicePong(usize),
+    /// Gateway → orchestrator: verdicts and pongs.
+    GatewayVerdict,
+    /// Tier `k` → orchestrator: verdicts and pongs.
+    Verdict(usize),
+    /// Tier `i` → tier `j`: escalated feature maps.
+    Forward(usize, usize),
+    /// Orchestrator → gateway: heartbeat pings.
+    PingGateway,
+    /// Orchestrator → tier `k`: heartbeat pings.
+    PingTier(usize),
+}
+
+/// One directed link of the run.
+#[derive(Debug)]
+pub(super) struct LinkRow {
+    pub(super) key: Link,
+    /// Display name (`from->to`): report key, fault-stream seed, the name
+    /// on `LINK`/`REWIRE` lines.
+    pub(super) name: String,
+    /// Sending node's wire identity (receivers key ARQ state by it).
+    pub(super) from: NodeId,
+    pub(super) sender: Host,
+    pub(super) receiver: Host,
+    /// Name of the destination inbox.
+    pub(super) inbox: String,
+    /// Whether the link appears in the report (the sensor feeds never did).
+    pub(super) tracked: bool,
+    /// The node whose crash counter silences this link (`crash_after` /
+    /// `tier_crash_after` of the fault plan), by inbox name.
+    pub(super) crash: Option<String>,
+}
+
+/// One node's inbox and the host that binds it.
+#[derive(Debug)]
+pub(super) struct InboxRow {
+    pub(super) id: NodeId,
+    pub(super) name: String,
+    pub(super) host: Host,
+}
+
+/// The dataplane of one run.
+#[derive(Debug)]
+pub(super) struct Wiring {
+    /// Every link, in creation (and therefore report) order.
+    pub(super) rows: Vec<LinkRow>,
+    /// Every inbox in shutdown order — devices, gateway, the chain — with
+    /// the orchestrator's last.
+    pub(super) inboxes: Vec<InboxRow>,
+    /// `SimReport.links` order: the tracked rows plus the zero-stat
+    /// placeholders the legacy report format always lists.
+    pub(super) report: Vec<String>,
+}
+
+impl Wiring {
+    /// The wiring of `topology`; `elastic` adds what runtime re-routing
+    /// needs: a feature link from every device to every tier, skip-level
+    /// forward links, and the heartbeat ping/pong links.
+    pub(super) fn of(topology: &Topology, elastic: bool) -> Wiring {
+        let end = |id: NodeId, name: String, host: Host| InboxRow { id, name, host };
+        let orch = end(NodeId::Orchestrator, "orchestrator".to_string(), Host::Orchestrator);
+        let tiers: Vec<InboxRow> = topology
+            .tiers
+            .iter()
+            .enumerate()
+            .map(|(k, t)| end(t.id, t.name.clone(), Host::Role(ProcTarget::Tier(k))))
+            .collect();
+        let device = |d: usize| {
+            end(NodeId::Device(d as u8), format!("device{d}"), Host::Role(ProcTarget::Devices))
+        };
+        let n = topology.num_devices();
+        let last = tiers.len() - 1; // the chain is never empty
+        let mut w = Wiring { rows: Vec::new(), inboxes: Vec::new(), report: Vec::new() };
+        if let Shape::CloudOnly { .. } = topology.shape {
+            // The devices forward their captures unchanged, so the
+            // orchestrator feeds the device->cloud links itself — but under
+            // the device's identity and crash counter.
+            for d in 0..n {
+                let row = link(Link::Uplink(d, 0), &device(d), &tiers[0]);
+                w.add(LinkRow { sender: Host::Orchestrator, ..row });
+            }
+            w.add(link(Link::Verdict(0), &tiers[0], &orch));
+            w.inboxes.extend(tiers);
+            w.inboxes.push(orch);
+            return w;
+        }
+        let gateway = end(NodeId::Gateway, "gateway".to_string(), Host::Role(ProcTarget::Gateway));
+        for d in 0..n {
+            let dev = device(d);
+            let sensor = link(Link::Sensor(d), &orch, &dev);
+            w.add(LinkRow { name: format!("sensor->device{d}"), tracked: false, ..sensor });
+            w.add(link(Link::Broadcast(d), &gateway, &dev));
+            w.add(link(Link::Scores(d), &dev, &gateway));
+            for (j, tier) in tiers.iter().enumerate().take(if elastic { tiers.len() } else { 1 }) {
+                w.add(link(Link::Uplink(d, j), &dev, tier));
+            }
+            if elastic {
+                w.add(link(Link::DevicePong(d), &dev, &orch));
+            }
+            w.inboxes.push(dev);
+        }
+        w.add(link(Link::GatewayVerdict, &gateway, &orch));
+        w.add(link(Link::Verdict(last), &tiers[last], &orch));
+        for i in 0..last {
+            w.add(link(Link::Forward(i, i + 1), &tiers[i], &tiers[i + 1]));
+            w.add(link(Link::Verdict(i), &tiers[i], &orch));
+        }
+        w.report.extend(topology.placeholder_links.iter().cloned());
+        if elastic {
+            for i in 0..tiers.len() {
+                for j in i + 2..tiers.len() {
+                    w.add(link(Link::Forward(i, j), &tiers[i], &tiers[j]));
+                }
+            }
+            w.add(link(Link::PingGateway, &orch, &gateway));
+            for (k, tier) in tiers.iter().enumerate() {
+                w.add(link(Link::PingTier(k), &orch, tier));
+            }
+        }
+        w.inboxes.push(gateway);
+        w.inboxes.extend(tiers);
+        w.inboxes.push(orch);
+        w
+    }
+
+    fn add(&mut self, row: LinkRow) {
+        if row.tracked {
+            self.report.push(row.name.clone());
+        }
+        self.rows.push(row);
+    }
+
+    /// Every host of this wiring: the orchestrator, then the roles.
+    pub(super) fn hosts(&self) -> Vec<Host> {
+        [Host::Orchestrator].into_iter().chain(self.roles().into_iter().map(Host::Role)).collect()
+    }
+
+    /// The roles this wiring deploys, in spawn (and node-report) order.
+    pub(super) fn roles(&self) -> Vec<ProcTarget> {
+        let mut roles = Vec::new();
+        for inbox in &self.inboxes {
+            if let Host::Role(r) = inbox.host {
+                if !roles.contains(&r) {
+                    roles.push(r);
+                }
+            }
+        }
+        roles
+    }
+}
+
+/// The plain row from one node to another: named `from->to`, tracked,
+/// dying with its sending node (the orchestrator never crashes).
+fn link(key: Link, from: &InboxRow, to: &InboxRow) -> LinkRow {
+    LinkRow {
+        key,
+        name: format!("{}->{}", from.name, to.name),
+        from: from.id,
+        sender: from.host,
+        receiver: to.host,
+        inbox: to.name.clone(),
+        tracked: true,
+        crash: (from.host != Host::Orchestrator).then(|| from.name.clone()),
+    }
+}
+
+/// Inbox (or `ack:` inbox) attachment points by name — what the two
+/// handshake phases of a multi-process run exchange.
+pub(super) type Addrs = HashMap<String, InboxBinding>;
+
+/// Which half of the address exchange [`connect`] is at.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Phase {
+    /// Node inboxes are bound; senders come next.
+    Inboxes,
+    /// Senders are open; the ack inboxes of ARQ links whose receiver lives
+    /// elsewhere are bound.
+    Acks,
+}
+
+/// One process's end of the dataplane: the inboxes it bound and the
+/// senders it opened, until the nodes that use them take them.
+pub(super) struct Plane<'a> {
+    pub(super) factory: LinkFactory<'a>,
+    inboxes: HashMap<NodeId, NodeInbox>,
+    senders: HashMap<Link, LinkSender>,
+    /// The counter cells of every tracked link this process sends on or
+    /// acks, by link name.
+    pub(super) stats: Vec<(String, Arc<LinkCounters>)>,
+    /// Where every inbox of the run is bound.
+    pub(super) addrs: Addrs,
+}
+
+impl Plane<'_> {
+    /// Takes a node's inbox.
+    pub(super) fn inbox(&mut self, id: NodeId) -> Result<NodeInbox> {
+        self.inboxes.remove(&id).ok_or_else(|| RuntimeError::Topology {
+            reason: format!("no inbox bound here for {id}"),
+        })
+    }
+
+    /// A handle on an open sender, if this process owns that link.
+    pub(super) fn try_sender(&self, key: Link) -> Option<LinkSender> {
+        self.senders.get(&key).cloned()
+    }
+
+    /// A handle on an open sender.
+    pub(super) fn sender(&self, key: Link) -> Result<LinkSender> {
+        self.try_sender(key).ok_or_else(|| RuntimeError::Topology {
+            reason: format!("no sender opened here for {key:?}"),
+        })
+    }
+}
+
+/// Binds the inboxes and opens the senders `local` hosts own. `swap`
+/// trades this process's bindings for the whole run's at each [`Phase`]:
+/// a run hosted in one process passes them straight back, the
+/// multi-process launcher and its role hosts exchange them over stdio.
+/// An ARQ link's ack loop closes right here when both ends are local
+/// (the receiver prices acks into the sender's own cells), and through
+/// the advertised `ack:` binding otherwise.
+pub(super) fn connect<'a>(
+    wiring: &Wiring,
+    local: &[Host],
+    cfg: &'a HierarchyConfig,
+    obs: &Arc<RunObs>,
+    tseq_base: u32,
+    mut swap: impl FnMut(Phase, Addrs) -> Result<Addrs>,
+) -> Result<Plane<'a>> {
+    let mut factory = LinkFactory::new(cfg, Arc::clone(obs), tseq_base);
+    let plan = &cfg.fault_plan;
+    // A crashing node's outbound links share one counter, so its N-th
+    // transmitted frame silences all of them at once.
+    let device_crashes =
+        plan.crash_after.iter().map(|c| (format!("device{}", c.device), c.after_frames));
+    let node_crashes = plan.tier_crash_after.iter().map(|c| (c.node.clone(), c.after_frames));
+    let crashes: HashMap<String, Arc<CrashState>> =
+        device_crashes.chain(node_crashes).map(|(n, after)| (n, CrashState::new(after))).collect();
+    let no_route = |what: &str, name: &str| RuntimeError::Transport {
+        endpoint: name.to_string(),
+        reason: format!("no {what} advertised"),
+    };
+
+    let mut inboxes: HashMap<&str, NodeInbox> = HashMap::new();
+    let mut bound = Addrs::new();
+    for row in wiring.inboxes.iter().filter(|i| local.contains(&i.host)) {
+        let (binding, inbox) = factory.inbox(&row.name)?;
+        bound.insert(row.name.clone(), binding);
+        inboxes.insert(&row.name, inbox);
+    }
+    let addrs = swap(Phase::Inboxes, bound)?;
+    let mut register = |row: &LinkRow, state| {
+        let inbox = inboxes
+            .get_mut(row.inbox.as_str())
+            .ok_or_else(|| no_route("local inbox", &row.name))?;
+        inbox.register(row.from, state);
+        Ok::<(), RuntimeError>(())
+    };
+
+    let mut senders = HashMap::new();
+    let mut stats = Vec::new();
+    let mut ack_bound = Addrs::new();
+    for row in wiring.rows.iter().filter(|r| local.contains(&r.sender)) {
+        let to = addrs.get(&row.inbox).ok_or_else(|| no_route("inbox address", &row.name))?;
+        let crash = row.crash.as_ref().and_then(|node| crashes.get(node)).cloned();
+        let (sender, cells, ack) = factory.sender_with_ack_inbox(to, &row.name, crash)?;
+        senders.insert(row.key, sender);
+        match ack {
+            Some(ack) if local.contains(&row.receiver) => {
+                register(row, factory.recv_state(&ack, &row.name, Arc::clone(&cells))?)?;
+            }
+            Some(ack) => {
+                ack_bound.insert(row.name.clone(), ack);
+            }
+            None => {}
+        }
+        if row.tracked {
+            stats.push((row.name.clone(), cells));
+        }
+    }
+    let acks = swap(Phase::Acks, ack_bound)?;
+    let inbound = |r: &&LinkRow| local.contains(&r.receiver) && !local.contains(&r.sender);
+    for row in wiring.rows.iter().filter(inbound) {
+        if !factory.runs_arq(&row.name) {
+            continue;
+        }
+        let ack = acks.get(&row.name).ok_or_else(|| no_route("ack inbox", &row.name))?;
+        let (state, cells) = factory.remote_recv_state(ack, &row.name)?;
+        register(row, state)?;
+        if row.tracked {
+            stats.push((row.name.clone(), cells));
+        }
+    }
+    let by_id =
+        wiring.inboxes.iter().filter_map(|i| Some((i.id, inboxes.remove(i.name.as_str())?)));
+    let inboxes = by_id.collect();
+    Ok(Plane { factory, inboxes, senders, stats, addrs })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{
+        run_cloud_only_baseline, run_topology, DeadlineConfig, ElasticConfig, HierarchyBuilder,
+        SimReport,
+    };
+    use ddnn_core::{
+        AggregationScheme, ConvPBlock, Ddnn, DdnnConfig, DdnnPartition, EdgeConfig, ExitHead,
+        ExitThreshold, FeatureAggregator, Precision,
+    };
+    use ddnn_tensor::rng::rng_from_seed;
+    use ddnn_tensor::Tensor;
+
+    const DEVICES: usize = 2;
+
+    fn partition(edge: bool) -> DdnnPartition {
+        Ddnn::new(DdnnConfig {
+            num_devices: DEVICES,
+            device_filters: 2,
+            cloud_filters: [4, 8],
+            edge: edge.then_some(EdgeConfig { filters: 4, agg: AggregationScheme::Concat }),
+            seed: 5,
+            ..DdnnConfig::default()
+        })
+        .partition()
+    }
+
+    /// Device → gateway → edgeA → edgeB → core: spatial extent 16 → 8 → 4
+    /// → 2, so `edgeB` and `core` cannot take device maps directly.
+    fn chain(partition: &DdnnPartition) -> Topology {
+        let mut rng = rng_from_seed(9);
+        let classes = partition.config.num_classes;
+        let mut tier = |agg: FeatureAggregator, in_ch: usize, side: usize| {
+            let conv = ConvPBlock::new(in_ch, 4, Precision::Binary, &mut rng);
+            let exit = ExitHead::new(4 * side * side, classes, Precision::Binary, &mut rng);
+            (agg, vec![conv], exit)
+        };
+        let concat = FeatureAggregator::new(AggregationScheme::Concat, DEVICES);
+        let in_ch = concat.output_channels(partition.config.device_filters);
+        let (a1, c1, e1) = tier(concat, in_ch, 8);
+        let (a2, c2, e2) = tier(FeatureAggregator::new(AggregationScheme::AvgPool, 1), 4, 4);
+        let (a3, c3, e3) = tier(FeatureAggregator::new(AggregationScheme::AvgPool, 1), 4, 2);
+        HierarchyBuilder::new(partition)
+            .exit_tier("edgeA", a1, c1, e1, ExitThreshold::new(0.5))
+            .exit_tier("edgeB", a2, c2, e2, ExitThreshold::new(0.5))
+            .terminal_tier("core", a3, c3, e3)
+            .build()
+            .unwrap()
+    }
+
+    /// The table's own invariants: the report lists exactly the tracked
+    /// rows, in order, plus the placeholders; every end of every row is a
+    /// host of this wiring; every inbox a row names is bound exactly once,
+    /// by the row's receiver.
+    fn check_table(w: &Wiring, placeholders: &[String]) {
+        let tracked: Vec<&String> = w.rows.iter().filter(|r| r.tracked).map(|r| &r.name).collect();
+        let listed: Vec<&String> = w.report.iter().filter(|n| !placeholders.contains(n)).collect();
+        assert_eq!(listed, tracked);
+        assert_eq!(w.report.len(), tracked.len() + placeholders.len());
+        let hosts = w.hosts();
+        for row in &w.rows {
+            assert!(hosts.contains(&row.sender) && hosts.contains(&row.receiver), "{row:?}");
+            let bound: Vec<&InboxRow> = w.inboxes.iter().filter(|i| i.name == row.inbox).collect();
+            assert_eq!(bound.len(), 1, "inbox {:?} of {:?}", row.inbox, row.name);
+            assert_eq!(bound[0].host, row.receiver, "{row:?}");
+            assert_eq!(w.rows.iter().filter(|r| r.key == row.key).count(), 1, "{row:?}");
+        }
+    }
+
+    #[test]
+    fn every_runner_reports_exactly_the_table() {
+        let mut rng = rng_from_seed(3);
+        let views: Vec<Tensor> = (0..DEVICES)
+            .map(|_| Tensor::rand_uniform([2, 3, 32, 32], 0.0, 1.0, &mut rng))
+            .collect();
+        let labels = [0usize, 1];
+        let names = |r: &SimReport| r.links.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>();
+        let (no_edge, edge) = (partition(false), partition(true));
+        let staged =
+            [Topology::from_partition(&no_edge), Topology::from_partition(&edge), chain(&no_edge)];
+        for topology in &staged {
+            for elastic in [false, true] {
+                let w = Wiring::of(topology, elastic);
+                check_table(&w, &topology.placeholder_links);
+                let cfg = HierarchyConfig {
+                    deadlines: Some(DeadlineConfig::default()),
+                    elastic: elastic.then(ElasticConfig::fast),
+                    ..HierarchyConfig::default()
+                };
+                let report = run_topology(topology, &views, &labels, &cfg).unwrap();
+                assert_eq!(names(&report), w.report, "elastic={elastic}");
+            }
+        }
+        let placeholders = ["edge->cloud".to_string(), "edge->orchestrator".to_string()];
+        assert!(Wiring::of(&staged[0], false).report.ends_with(&placeholders));
+
+        let w = Wiring::of(&Topology::cloud_only(&edge), false);
+        check_table(&w, &[]);
+        let cfg = HierarchyConfig::default();
+        let report = run_cloud_only_baseline(&edge, &views, &labels, &cfg).unwrap();
+        assert_eq!(names(&report), w.report);
+        assert_eq!(w.report, ["device0->cloud", "device1->cloud", "cloud->orchestrator"]);
+    }
+}

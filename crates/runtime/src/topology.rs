@@ -18,8 +18,8 @@ use crate::orchestrator::ElasticConfig;
 use crate::reliability::ReliabilityConfig;
 use crate::transport::TransportConfig;
 use ddnn_core::{
-    AggregationScheme, ConvPBlock, DdnnConfig, DdnnPartition, DevicePart, EdgeConfig, ExitHead,
-    ExitPoint, ExitThreshold, FeatureAggregator, GatewayPart,
+    AggregationScheme, ConvPBlock, DdnnConfig, DdnnPartition, DevicePart, EdgeConfig, EdgePart,
+    ExitHead, ExitPoint, ExitThreshold, FeatureAggregator, GatewayPart,
 };
 
 /// Configuration of a simulated hierarchy run.
@@ -133,9 +133,38 @@ pub(crate) struct TierSpec {
     pub(crate) rule: TierExitRule,
 }
 
+impl TierSpec {
+    /// The partition's terminal cloud section.
+    fn cloud(partition: &DdnnPartition) -> Self {
+        TierSpec {
+            name: "cloud".to_string(),
+            id: NodeId::Cloud,
+            agg: partition.cloud.agg.clone(),
+            convs: partition.cloud.convs.clone(),
+            exit: partition.cloud.exit.clone(),
+            rule: TierExitRule::Terminal,
+        }
+    }
+}
+
+/// Which dataplane a [`Topology`] wires.
+pub(crate) enum Shape {
+    /// The staged hierarchy of §III-D: devices, gateway, feature chain.
+    Staged,
+    /// The §IV-H cloud-offload baseline: every device ships its raw view
+    /// to the single terminal tier, which runs the whole network —
+    /// including this edge section, when the model has one.
+    CloudOnly {
+        /// The edge section the cloud evaluates itself.
+        edge: Option<Box<EdgePart>>,
+    },
+}
+
 /// A declarative hierarchy: device fan-in, gateway score aggregation, then
 /// a chain of feature tiers whose last member is terminal.
 pub struct Topology {
+    /// Staged hierarchy or cloud-offload baseline.
+    pub(crate) shape: Shape,
     /// Model geometry shared by every node.
     pub(crate) config: DdnnConfig,
     /// End-device sections (fan-in size = `devices.len()`).
@@ -171,20 +200,27 @@ impl Topology {
             placeholder_links.push("edge->cloud".to_string());
             placeholder_links.push("edge->orchestrator".to_string());
         }
-        tiers.push(TierSpec {
-            name: "cloud".to_string(),
-            id: NodeId::Cloud,
-            agg: partition.cloud.agg.clone(),
-            convs: partition.cloud.convs.clone(),
-            exit: partition.cloud.exit.clone(),
-            rule: TierExitRule::Terminal,
-        });
+        tiers.push(TierSpec::cloud(partition));
         Topology {
+            shape: Shape::Staged,
             config: partition.config.clone(),
             devices: partition.devices.clone(),
             gateway: partition.gateway.clone(),
             tiers,
             placeholder_links,
+        }
+    }
+
+    /// The §IV-H cloud-offload shape of a partitioned model: one terminal
+    /// `cloud` tier fed raw views, no gateway and no device nodes.
+    pub(crate) fn cloud_only(partition: &DdnnPartition) -> Self {
+        Topology {
+            shape: Shape::CloudOnly { edge: partition.edge.clone().map(Box::new) },
+            config: partition.config.clone(),
+            devices: partition.devices.clone(),
+            gateway: partition.gateway.clone(),
+            tiers: vec![TierSpec::cloud(partition)],
+            placeholder_links: Vec::new(),
         }
     }
 
@@ -326,6 +362,7 @@ impl HierarchyBuilder {
             }
         }
         Ok(Topology {
+            shape: Shape::Staged,
             config: self.config,
             devices: self.devices,
             gateway: self.gateway,
@@ -416,24 +453,15 @@ pub(crate) fn encode_role_manifest(model: &DdnnConfig, cfg: &HierarchyConfig) ->
     s
 }
 
-/// Per-spawn runtime parameters a role host reads from *optional*
-/// manifest keys the launcher appends: the ARQ transport-sequence base of
-/// this process generation (so a respawned sender's fresh frames are not
-/// mistaken for duplicates of its predecessor's), and the heartbeat
-/// cadence of the supervision protocol. Absent keys keep the defaults, so
-/// pre-supervision manifests still decode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The per-spawn parameter a role host reads from the *optional*
+/// manifest key the launcher appends on a respawn: the ARQ
+/// transport-sequence base of this process generation, so a respawned
+/// sender's fresh frames are not mistaken for duplicates of its
+/// predecessor's. An absent key means generation 0.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) struct RoleExtras {
     /// Starting offset of every ARQ sender's transport sequence space.
     pub(crate) tseq_base: u32,
-    /// Milliseconds between `HB` heartbeat lines on the role's stdout.
-    pub(crate) heartbeat_ms: u64,
-}
-
-impl Default for RoleExtras {
-    fn default() -> Self {
-        RoleExtras { tseq_base: 0, heartbeat_ms: 50 }
-    }
 }
 
 /// Decodes a role manifest back into the model geometry, the hierarchy
@@ -549,10 +577,7 @@ pub(crate) fn decode_role_manifest(
         delay_ms: opt_num("socket_chaos_delay_ms", 0)? as u32,
         sever_prob: opt_f32_bits("socket_chaos_sever")?,
     };
-    let extras = RoleExtras {
-        tseq_base: opt_num("tseq_base", 0)? as u32,
-        heartbeat_ms: opt_num("heartbeat_ms", RoleExtras::default().heartbeat_ms)?,
-    };
+    let extras = RoleExtras { tseq_base: opt_num("tseq_base", 0)? as u32 };
     let cfg = HierarchyConfig {
         local_threshold: ExitThreshold::new(f32_bits("local_threshold")?),
         edge_threshold: ExitThreshold::new(f32_bits("edge_threshold")?),
@@ -662,12 +687,11 @@ mod tests {
             ..HierarchyConfig::default()
         };
         let mut manifest = encode_role_manifest(&model, &cfg);
-        manifest.push_str("tseq_base=1048576\nheartbeat_ms=25\n");
+        manifest.push_str("tseq_base=1048576\n");
         let (m2, c2, extras) = decode_role_manifest(&manifest).unwrap();
         assert_eq!(m2.num_devices, model.num_devices);
         assert_eq!(c2.socket_chaos, cfg.socket_chaos, "chaos probs must survive as exact bits");
         assert_eq!(extras.tseq_base, 1048576);
-        assert_eq!(extras.heartbeat_ms, 25);
         // A pre-supervision manifest (no optional keys) still decodes,
         // with inactive chaos and default extras.
         let plain = encode_role_manifest(&model, &HierarchyConfig::default());

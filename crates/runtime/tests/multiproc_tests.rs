@@ -68,11 +68,23 @@ fn assert_multiproc_matches(transport: TransportConfig) {
     let key = |r: &SimReport| (r.predictions.clone(), r.exits.clone(), r.accuracy.to_bits());
     assert_eq!(key(&multi), key(&reference), "{} processes diverged", transport.name());
     assert_eq!(multi.mean_latency_ms.to_bits(), reference.mean_latency_ms.to_bits());
-    // Every tracked link did real work in the process mesh, and the
-    // report still carries the full canonical link list.
-    assert_eq!(multi.links.len(), reference.links.len());
+    // Every tracked link did the same work in the process mesh, and the
+    // report still carries the full canonical link list. Compare first
+    // transmissions: `frames` also counts ARQ retransmissions, and the
+    // 5 ms retransmit timer races real acks on a busy machine.
+    let names = |r: &SimReport| r.links.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>();
+    assert_eq!(names(&multi), names(&reference));
     for ((name, st), (_, ref_st)) in multi.links.iter().zip(&reference.links) {
-        assert_eq!(st.frames, ref_st.frames, "frame count diverged on {name}");
+        assert_eq!(
+            st.frames - st.frames_retransmitted,
+            ref_st.frames - ref_st.frames_retransmitted,
+            "first-transmission count diverged on {name}"
+        );
+        assert_eq!(
+            st.first_payload_bytes(),
+            ref_st.first_payload_bytes(),
+            "first-transmission payload diverged on {name}"
+        );
     }
     assert_eq!(multi.device_timeouts, vec![0, 0]);
     assert_eq!(multi.capture_retries, 0);

@@ -6,10 +6,14 @@
 //! arbitrary byte soup never panics the frame decoders.
 
 use bytes::Bytes;
-use ddnn_core::{AggregationScheme, Ddnn, DdnnConfig, EdgeConfig, ExitThreshold};
+use ddnn_core::{
+    AggregationScheme, ConvPBlock, Ddnn, DdnnConfig, EdgeConfig, ExitHead, ExitThreshold,
+    FeatureAggregator, Precision,
+};
 use ddnn_runtime::{
-    run_cloud_only_baseline, run_distributed_inference, DeadlineConfig, Frame, HierarchyConfig,
-    ReliabilityConfig, RuntimeError, SimReport, TransportConfig,
+    run_cloud_only_baseline, run_distributed_inference, run_topology, DeadlineConfig, Frame,
+    HierarchyBuilder, HierarchyConfig, ReliabilityConfig, RuntimeError, SimReport, Topology,
+    TransportConfig,
 };
 use ddnn_tensor::rng::rng_from_seed;
 use ddnn_tensor::Tensor;
@@ -51,27 +55,64 @@ fn verdicts(r: &SimReport) -> (Vec<usize>, Vec<ddnn_core::ExitPoint>, u32, u32) 
     (r.predictions.clone(), r.exits.clone(), r.mean_latency_ms.to_bits(), r.accuracy.to_bits())
 }
 
+/// A 3-exit-tier chain (device → gateway → edgeA → edgeB → core) on the
+/// edge model's devices: a shape no partition implies.
+fn deep_chain(model: &Ddnn) -> Topology {
+    let partition = model.partition();
+    let classes = partition.config.num_classes;
+    let mut rng = rng_from_seed(99);
+    // Device maps are [f, 16, 16]; each ConvP block halves the spatial
+    // extent, so the chain runs 16 → 8 → 4 → 2.
+    let mut tier = |agg: FeatureAggregator, in_ch: usize, side: usize| {
+        let conv = ConvPBlock::new(in_ch, 4, Precision::Binary, &mut rng);
+        let exit = ExitHead::new(4 * side * side, classes, Precision::Binary, &mut rng);
+        (agg, vec![conv], exit)
+    };
+    let concat = FeatureAggregator::new(AggregationScheme::Concat, partition.devices.len());
+    let in_ch = concat.output_channels(partition.config.device_filters);
+    let (a1, c1, e1) = tier(concat, in_ch, 8);
+    let (a2, c2, e2) = tier(FeatureAggregator::new(AggregationScheme::AvgPool, 1), 4, 4);
+    let (a3, c3, e3) = tier(FeatureAggregator::new(AggregationScheme::AvgPool, 1), 4, 2);
+    HierarchyBuilder::new(&partition)
+        .exit_tier("edgeA", a1, c1, e1, ExitThreshold::new(0.0))
+        .exit_tier("edgeB", a2, c2, e2, ExitThreshold::new(0.2))
+        .terminal_tier("core", a3, c3, e3)
+        .build()
+        .unwrap()
+}
+
 #[test]
 fn same_run_is_verdict_identical_over_channel_tcp_and_udp() {
     let model = edge_model();
     let views = random_views(8, 2, 6);
     let labels: Vec<usize> = (0..8).map(|i| i % 3).collect();
-    let partition = model.partition();
-    let reports: Vec<SimReport> =
-        [TransportConfig::Channel, TransportConfig::Tcp, TransportConfig::Udp]
-            .into_iter()
-            .map(|t| {
-                run_distributed_inference(&partition, &views, &labels, &socket_cfg(t))
-                    .unwrap_or_else(|e| panic!("{} run failed: {e}", t.name()))
-            })
-            .collect();
-    let golden = verdicts(&reports[0]);
-    assert_eq!(verdicts(&reports[1]), golden, "tcp diverged from the in-process run");
-    assert_eq!(verdicts(&reports[2]), golden, "udp+arq diverged from the in-process run");
-    // No transport may time a sample out on a clean localhost run.
-    for r in &reports {
-        assert_eq!(r.capture_retries, 0);
-        assert!(!r.predictions.contains(&usize::MAX));
+    // The chain never exits locally or at edgeA and splits between edgeB
+    // and core, so every tier-to-tier forward link crosses the sockets.
+    let shapes = [
+        ("partition", Topology::from_partition(&model.partition()), 0.4),
+        ("chain", deep_chain(&model), 0.0),
+    ];
+    for (shape, topology, local) in &shapes {
+        let cfg_for =
+            |t| HierarchyConfig { local_threshold: ExitThreshold::new(*local), ..socket_cfg(t) };
+        let reports: Vec<SimReport> =
+            [TransportConfig::Channel, TransportConfig::Tcp, TransportConfig::Udp]
+                .into_iter()
+                .map(|t| {
+                    run_topology(topology, &views, &labels, &cfg_for(t))
+                        .unwrap_or_else(|e| panic!("{shape} over {} failed: {e}", t.name()))
+                })
+                .collect();
+        let golden = verdicts(&reports[0]);
+        assert_eq!(verdicts(&reports[1]), golden, "{shape}: tcp diverged from the in-process run");
+        assert_eq!(verdicts(&reports[2]), golden, "{shape}: udp+arq diverged from in-process");
+        let deep = [ddnn_core::ExitPoint::Edge, ddnn_core::ExitPoint::Cloud];
+        assert!(*shape != "chain" || deep.iter().all(|e| golden.1.contains(e)), "{:?}", golden.1);
+        // No transport may time a sample out on a clean localhost run.
+        for r in &reports {
+            assert_eq!(r.capture_retries, 0, "{shape}");
+            assert!(!r.predictions.contains(&usize::MAX), "{shape}");
+        }
     }
 }
 

@@ -153,6 +153,22 @@ bench-proc-chaos-smoke:
     cargo build --release -p ddnn-runtime --bin ddnn-node
     cargo run --release -p ddnn-bench --bin proc_chaos -- --smoke
 
+# The one repeatable benchmark (BENCHMARK.json, benchmark/README.md).
+# Smoke: every workload's code path in under 10 s with the in-run oracles
+# on (verdicts equal Ddnn::infer; 4-process verdicts and bytes equal the
+# in-process run); its timings are never comparable.
+bench-smoke:
+    benchmark/run.sh --smoke
+
+# Two sets of three runs per workload against the declared bounds (~10 min).
+bench-selfcheck:
+    benchmark/run.sh selfcheck
+
+# Code lines (non-blank, non-comment) of the runtime crate — the count
+# ROADMAP item 2's "crates/runtime/src shrinks by >= 20%" is tracked by.
+runtime-loc:
+    find crates/runtime/src -name '*.rs' | xargs grep -cvE '^\s*(//|$)' | awk -F: '{ s += $2 } END { print s }'
+
 # Experiment runners tee stderr to results/*.err; an empty .err means
 # the run was clean and the file is noise, and cargo's own
 # Compiling/Finished/Running chatter is not a failure either (progress
