@@ -21,7 +21,8 @@ use ddnn_core::{
     evaluate_overall, fail_devices_with, DdnnConfig, ExitThreshold, TrainConfig, BLANK_INPUT_VALUE,
 };
 use ddnn_runtime::{
-    run_distributed_inference, DeadlineConfig, DeviceCrash, FaultPlan, HierarchyConfig,
+    run_distributed_inference, ChaosAction, ChaosPlan, ChaosTarget, ChaosWhen, DeadlineConfig,
+    HierarchyConfig,
 };
 
 fn main() {
@@ -86,11 +87,11 @@ fn main() {
     ]);
     for after_frames in [0, n as u64 / 4, n as u64 / 2, n as u64, u64::MAX] {
         let cfg = HierarchyConfig {
-            fault_plan: FaultPlan {
-                seed: 77,
-                crash_after: vec![DeviceCrash { device: crash_device, after_frames }],
-                ..FaultPlan::none()
-            },
+            chaos: ChaosPlan { seed: 77, events: vec![] }.with(
+                ChaosWhen::AfterFrames(after_frames),
+                ChaosTarget::Device(crash_device),
+                ChaosAction::Down,
+            ),
             deadlines: Some(DeadlineConfig::default()),
             ..HierarchyConfig::default()
         };

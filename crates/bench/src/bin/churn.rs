@@ -2,7 +2,7 @@
 //! accuracy and tail latency vs churn rate, legacy transport vs ARQ.
 //!
 //! Each churn level runs the staged hierarchy under a seeded
-//! [`ChurnSchedule::flapping`] plan that keeps two devices, the gateway
+//! [`ChaosPlan::flapping`] plan that keeps two devices, the gateway
 //! and the edge tier crashing and rejoining for the whole run, with the
 //! elastic control plane re-parenting survivors between samples. The
 //! headline claim is the no-cliff property: accuracy degrades smoothly as
@@ -19,8 +19,8 @@ use ddnn_bench::util::{classified_latencies, percentile, smoke_mode, write_resul
 use ddnn_bench::ExperimentContext;
 use ddnn_core::{AggregationScheme, DdnnConfig, EdgeConfig, ExitThreshold, TrainConfig};
 use ddnn_runtime::{
-    run_distributed_inference, ChurnSchedule, ChurnTarget, DeadlineConfig, ElasticConfig,
-    FaultPlan, HierarchyConfig, ReliabilityConfig, SampleOutcome, SimReport,
+    run_distributed_inference, ChaosPlan, ChaosTarget, DeadlineConfig, ElasticConfig,
+    HierarchyConfig, ReliabilityConfig, SampleOutcome, SimReport,
 };
 use ddnn_tensor::Tensor;
 
@@ -79,10 +79,10 @@ fn main() {
     // bouncing; the terminal cloud tier stays up so every escalation path
     // ends somewhere.
     let targets = [
-        ChurnTarget::Device(0),
-        ChurnTarget::Device(3),
-        ChurnTarget::Gateway,
-        ChurnTarget::Tier("edge".to_string()),
+        ChaosTarget::Device(0),
+        ChaosTarget::Device(3),
+        ChaosTarget::Gateway,
+        ChaosTarget::Tier("edge".to_string()),
     ];
     // Deadlines sized like the churn chaos suite: detection costs two
     // heartbeat sweeps, the watchdog bounds any undetected-silence window.
@@ -96,15 +96,15 @@ fn main() {
     let mut rows: Vec<Row> = Vec::new();
     for &period in periods {
         let churn = if period == 0 {
-            ChurnSchedule::none()
+            ChaosPlan::none()
         } else {
-            ChurnSchedule::flapping(97, n as u64, &targets, period, 2)
+            ChaosPlan::flapping(97, n as u64, &targets, period, 2)
         };
         for (mode, reliability) in
             [("legacy", ReliabilityConfig::off()), ("arq", ReliabilityConfig::arq())]
         {
             let cfg = HierarchyConfig {
-                fault_plan: FaultPlan { seed: 97, churn: churn.clone(), ..FaultPlan::none() },
+                chaos: churn.clone(),
                 deadlines: Some(deadlines),
                 elastic: Some(ElasticConfig::fast()),
                 reliability,

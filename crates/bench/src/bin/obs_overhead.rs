@@ -23,8 +23,8 @@
 use ddnn_bench::harness::{epochs_from_args, format_table, train_and_evaluate, ExperimentContext};
 use ddnn_core::{DdnnConfig, ExitThreshold, TrainConfig};
 use ddnn_runtime::{
-    run_distributed_inference, DeadlineConfig, DeviceCrash, FaultPlan, HierarchyConfig, JsonlSink,
-    ObsConfig, ObsEvent, ObsSink, ReliabilityConfig,
+    run_distributed_inference, ChaosAction, ChaosPlan, ChaosTarget, ChaosWhen, DeadlineConfig,
+    HierarchyConfig, Impairment, JsonlSink, ObsConfig, ObsEvent, ObsSink, ReliabilityConfig,
 };
 use ddnn_tensor::Tensor;
 use std::sync::Arc;
@@ -124,13 +124,15 @@ fn main() {
     {
         let cfg = HierarchyConfig {
             local_threshold: ExitThreshold::default(),
-            fault_plan: FaultPlan {
-                seed: 41,
-                drop_prob: 0.2,
-                corrupt_prob: 0.05,
-                crash_after: vec![DeviceCrash { device: part.devices.len() - 1, after_frames: 0 }],
-                ..FaultPlan::none()
-            },
+            chaos: ChaosPlan::links(
+                41,
+                Impairment { drop: 0.2, corrupt: 0.05, ..Impairment::none() },
+            )
+            .with(
+                ChaosWhen::AfterFrames(0),
+                ChaosTarget::Device(part.devices.len() - 1),
+                ChaosAction::Down,
+            ),
             deadlines: Some(DeadlineConfig {
                 aggregation_ms: 150,
                 watchdog_ms: 800,

@@ -15,8 +15,8 @@ use ddnn_bench::harness::format_table;
 use ddnn_bench::util::{smoke_mode, write_results_json};
 use ddnn_core::{AggregationScheme, Ddnn, DdnnConfig, EdgeConfig, ExitThreshold};
 use ddnn_runtime::{
-    multiproc, DeadlineConfig, HierarchyConfig, ProcChaosPlan, ProcTarget, ReliabilityConfig,
-    SampleOutcome, SimReport, TransportConfig,
+    multiproc, ChaosPlan, ChaosTarget, DeadlineConfig, HierarchyConfig, ProcTarget,
+    ReliabilityConfig, SampleOutcome, SimReport, TransportConfig,
 };
 use ddnn_tensor::rng::rng_from_seed;
 use ddnn_tensor::Tensor;
@@ -82,7 +82,12 @@ fn run_cell(
         }),
         reliability: ReliabilityConfig::arq(),
         transport,
-        proc_chaos: ProcChaosPlan::seeded_kills(0xD15EA5E, n as u64, roles, respawn_after),
+        chaos: ChaosPlan::seeded_kills(
+            0xD15EA5E,
+            n as u64,
+            &roles.iter().map(|&r| ChaosTarget::Process(r)).collect::<Vec<_>>(),
+            respawn_after,
+        ),
         ..HierarchyConfig::default()
     };
     let t0 = Instant::now();

@@ -20,8 +20,8 @@ use ddnn_bench::util::{smoke_mode, write_results_json};
 use ddnn_bench::ExperimentContext;
 use ddnn_core::{DdnnConfig, ExitThreshold, TrainConfig};
 use ddnn_runtime::{
-    run_distributed_inference, DeadlineConfig, FaultPlan, HierarchyConfig, ReliabilityConfig,
-    SampleOutcome, SimReport,
+    run_distributed_inference, ChaosPlan, DeadlineConfig, HierarchyConfig, Impairment,
+    ReliabilityConfig, SampleOutcome, SimReport,
 };
 use ddnn_tensor::Tensor;
 
@@ -111,12 +111,14 @@ fn main() {
             [("degrade-only", ReliabilityConfig::crc()), ("arq", ReliabilityConfig::arq())]
         {
             let cfg = HierarchyConfig {
-                fault_plan: FaultPlan {
-                    seed: 41,
-                    drop_prob: drop_prob as f32,
-                    corrupt_prob: corrupt_prob as f32,
-                    ..FaultPlan::none()
-                },
+                chaos: ChaosPlan::links(
+                    41,
+                    Impairment {
+                        drop: drop_prob as f32,
+                        corrupt: corrupt_prob as f32,
+                        ..Impairment::none()
+                    },
+                ),
                 deadlines: Some(deadlines),
                 reliability,
                 ..HierarchyConfig::default()

@@ -31,8 +31,8 @@ use ddnn_core::{
     AggregationScheme, DdnnConfig, DdnnPartition, EdgeConfig, ExitThreshold, TrainConfig,
 };
 use ddnn_runtime::{
-    run_distributed_inference, ArrivalProcess, DeadlineConfig, ElasticConfig, FaultPlan,
-    HierarchyConfig, ReliabilityConfig, SampleOutcome, SimReport, StreamConfig,
+    run_distributed_inference, ArrivalProcess, DeadlineConfig, ElasticConfig, HierarchyConfig,
+    ReliabilityConfig, SampleOutcome, SimReport, StreamConfig,
 };
 use ddnn_tensor::Tensor;
 use std::time::Instant;
@@ -112,7 +112,6 @@ fn run_cell(
         // edge to the cloud, so the sweep stresses tier compute.
         local_threshold: ExitThreshold::new(0.05),
         edge_threshold: ExitThreshold::new(0.05),
-        fault_plan: FaultPlan::none(),
         deadlines: Some(deadlines),
         elastic: elastic.then(ElasticConfig::fast),
         reliability: if wire == "arq" {

@@ -17,8 +17,8 @@
 
 use ddnn_core::{AggregationScheme, Ddnn, DdnnConfig, EdgeConfig, ExitThreshold};
 use ddnn_runtime::{
-    multiproc, run_topology, DeadlineConfig, HierarchyConfig, ProcAction, ProcChaosEvent,
-    ProcChaosPlan, ProcTarget, ReliabilityConfig, SampleOutcome, SimReport, Topology,
+    multiproc, run_topology, ChaosAction, ChaosPlan, ChaosTarget, ChaosWhen, DeadlineConfig,
+    HierarchyConfig, ProcTarget, ReliabilityConfig, SampleOutcome, SimReport, Topology,
     TransportConfig,
 };
 use ddnn_tensor::rng::rng_from_seed;
@@ -87,20 +87,14 @@ fn demo(args: &[String]) -> ExitCode {
     if respawn_after.is_some() && kill.is_none() {
         return usage(); // nothing to respawn
     }
-    let proc_chaos = match kill {
-        None => ProcChaosPlan::none(),
-        Some((role, at)) => {
-            let mut events = vec![ProcChaosEvent { at_sample: at, role, action: ProcAction::Kill }];
-            if let Some(after) = respawn_after {
-                events.push(ProcChaosEvent {
-                    at_sample: at + after,
-                    role,
-                    action: ProcAction::Respawn,
-                });
-            }
-            ProcChaosPlan { events }
+    let mut chaos = ChaosPlan::none();
+    if let Some((role, at)) = kill {
+        let target = ChaosTarget::Process(role);
+        chaos = chaos.with(ChaosWhen::BeforeSample(at), target.clone(), ChaosAction::Down);
+        if let Some(after) = respawn_after {
+            chaos = chaos.with(ChaosWhen::BeforeSample(at + after), target, ChaosAction::Up);
         }
-    };
+    }
 
     // A seeded edge hierarchy: devices + gateway + edge tier + cloud
     // tier, so the launcher spawns all four role processes.
@@ -124,7 +118,7 @@ fn demo(args: &[String]) -> ExitCode {
         // demo covers the ack path on both socket transports.
         reliability: ReliabilityConfig::arq(),
         transport,
-        proc_chaos,
+        chaos,
         ..HierarchyConfig::default()
     };
 
@@ -137,7 +131,7 @@ fn demo(args: &[String]) -> ExitCode {
         &labels,
         &HierarchyConfig {
             transport: TransportConfig::Channel,
-            proc_chaos: ProcChaosPlan::none(),
+            chaos: ChaosPlan::none(),
             ..cfg.clone()
         },
     ) {

@@ -20,10 +20,13 @@
 //!   collector path;
 //! * [`topology`] — declarative hierarchy description
 //!   ([`Topology`]/[`HierarchyBuilder`]): device fan-in, a chain of exit
-//!   tiers, a terminal tier;
-//! * [`fault`] — seeded dynamic fault injection (drops, duplicates,
-//!   jitter, corruption, truncation, reordering, mid-run device crashes)
-//!   and the deadline configuration for graceful degradation;
+//!   tiers, a terminal tier; and the run configuration
+//!   ([`HierarchyConfig`], deadlines for graceful degradation, the
+//!   open-loop arrival stream);
+//! * [`chaos`] — the one seeded [`ChaosPlan`]: every injected fault is a
+//!   `(when, target, action)` event — link and socket impairments (drops,
+//!   duplicates, delay, corruption, truncation, reordering, severs), node
+//!   crashes and membership churn, process kills and respawns;
 //! * [`reliability`] — the recovery tier under deadline degradation:
 //!   CRC-framed wire integrity ([`ReliabilityMode::Crc`]) and
 //!   ack/retransmit with capped exponential backoff
@@ -75,9 +78,9 @@
 
 #![warn(missing_docs)]
 
+pub mod chaos;
 pub mod clock;
 mod error;
-pub mod fault;
 pub mod link;
 pub mod message;
 pub mod node;
@@ -88,13 +91,11 @@ mod runner;
 pub mod topology;
 pub mod transport;
 
+pub use chaos::{
+    ChaosAction, ChaosEvent, ChaosPlan, ChaosTarget, ChaosWhen, Impairment, ProcTarget,
+};
 pub use clock::SimClock;
 pub use error::{Result, RuntimeError};
-pub use fault::{
-    ArrivalProcess, ChurnAction, ChurnEvent, ChurnSchedule, ChurnTarget, DeadlineConfig,
-    DeviceCrash, FaultPlan, ProcAction, ProcChaosEvent, ProcChaosPlan, ProcTarget, SocketChaosPlan,
-    StreamConfig, TierCrash,
-};
 pub use link::{LatencyModel, LinkStats};
 pub use message::{
     crc32, CheckedFrame, Frame, NodeId, Payload, CHECKED_HEADER_BYTES, FLAG_RETRANSMIT,
@@ -111,5 +112,7 @@ pub use orchestrator::ElasticConfig;
 pub use reliability::{ArqTuning, ReliabilityConfig, ReliabilityMode};
 pub use runner::multiproc;
 pub use runner::{run_cloud_only_baseline, run_distributed_inference, run_topology};
-pub use topology::{HierarchyBuilder, HierarchyConfig, Topology};
+pub use topology::{
+    ArrivalProcess, DeadlineConfig, HierarchyBuilder, HierarchyConfig, StreamConfig, Topology,
+};
 pub use transport::TransportConfig;

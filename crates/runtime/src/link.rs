@@ -18,8 +18,8 @@
 //! recoverable, and the receiving [`NodeInbox`] acks, NACKs gaps and
 //! deduplicates retransmissions — invisibly to the node loops.
 
+use crate::chaos::{damage, ChaosPlan, CrashState, Delivery, LinkChaos};
 use crate::error::{Result, RuntimeError};
-use crate::fault::{corrupt_bytes, truncate_len, CrashState, Delivery, FaultPlan, LinkFault};
 use crate::message::{Frame, NodeId, CHECKED_HEADER_BYTES, HEADER_BYTES};
 use crate::obs::{LinkCounters, ObsEvent, RunObs};
 use crate::reliability::{
@@ -27,7 +27,7 @@ use crate::reliability::{
 };
 use crate::topology::HierarchyConfig;
 use crate::transport::{channel_tx, InboxBinding, RedialHandle, TransportHost, TransportTx};
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -138,7 +138,7 @@ pub struct LinkSender {
     tx: Arc<dyn TransportTx>,
     stats: Arc<LinkCounters>,
     name: Arc<str>,
-    fault: Option<Arc<LinkFault>>,
+    fault: Option<Arc<LinkChaos>>,
     /// Treat a hung-up receiver as a frame lost in flight rather than an
     /// error. Set in deadline (fault-tolerant) mode, where late duplicates
     /// and retransmissions can race a peer's orderly shutdown; the frame
@@ -158,8 +158,8 @@ pub struct LinkSender {
 }
 
 impl LinkSender {
-    /// Sends a frame, accounting its encoded size. When a fault layer is
-    /// attached (see [`attach_faulty_sender`]) the frame may instead be
+    /// Sends a frame, accounting its encoded size. When the run's chaos
+    /// plan touches this link the frame may instead be
     /// dropped, duplicated, delayed, damaged (bit flips / truncation) or
     /// reordered per the seeded plan.
     ///
@@ -182,23 +182,15 @@ impl LinkSender {
             None => self.encode_plain(frame),
         };
         let delivery = self.fault.as_ref().map_or_else(Delivery::clean, |f| f.roll(frame));
-        let Delivery::Deliver { duplicate, delay, corrupt, truncate, reorder } = delivery else {
+        let Delivery::Deliver { duplicate, delay, corrupt, truncate, reorder, .. } = delivery
+        else {
             self.stats.frames_dropped.incr();
             return Ok(());
         };
         if let Some(d) = delay {
             std::thread::sleep(d);
         }
-        let mut wire = wire;
-        let mut damaged = false;
-        if let Some(seed) = corrupt {
-            wire = bytes::Bytes::from(corrupt_bytes(&wire, seed));
-            damaged = true;
-        }
-        if let Some(seed) = truncate {
-            wire = wire.slice(0..truncate_len(wire.len(), seed));
-            damaged = true;
-        }
+        let (wire, damaged) = damage(wire, corrupt, truncate);
         let deliveries = if duplicate { 2 } else { 1 };
         self.account(frame.payload_bytes(), wire.len(), deliveries, damaged);
         if reorder {
@@ -490,54 +482,13 @@ pub fn link(name: &str) -> (LinkSender, LinkReceiver, Arc<LinkCounters>) {
     )
 }
 
-/// Creates a node *inbox*: one receiver that many independently
-/// instrumented senders can feed (see [`attach_sender`]). Returns the raw
-/// channel sender to attach links to, plus the receiver.
-pub fn inbox(name: &str) -> (Sender<bytes::Bytes>, LinkReceiver) {
-    let (tx, rx) = unbounded();
-    (tx, LinkReceiver { rx, name: Arc::from(name) })
-}
-
-/// Attaches a named, separately-instrumented sender to an inbox channel, so
-/// per-sender traffic (e.g. `device3->gateway`) is accounted individually
-/// even though all frames land in the same inbox.
-pub fn attach_sender(tx: &Sender<bytes::Bytes>, name: &str) -> (LinkSender, Arc<LinkCounters>) {
-    attach_faulty_sender(tx, name, None, false)
-}
-
-/// Like [`attach_sender`], but routes every frame through a fault layer
-/// first (`None` behaves exactly like `attach_sender`), and optionally
-/// tolerates a departed receiver (`lenient`; see [`LinkSender`]).
-pub(crate) fn attach_faulty_sender(
-    tx: &Sender<bytes::Bytes>,
-    name: &str,
-    fault: Option<Arc<LinkFault>>,
-    lenient: bool,
-) -> (LinkSender, Arc<LinkCounters>) {
-    let stats = Arc::new(LinkCounters::default());
-    (
-        LinkSender {
-            tx: channel_tx(tx.clone()),
-            stats: Arc::clone(&stats),
-            name: Arc::from(name),
-            fault,
-            lenient,
-            format: WireFormat::Legacy,
-            arq: None,
-            held: Arc::new(Mutex::new(None)),
-        },
-        stats,
-    )
-}
-
 /// Builds every inbox and sender of a run over one dataplane, with one
-/// consistent fault plan and reliability configuration, collecting the
+/// consistent chaos plan and reliability configuration, collecting the
 /// ARQ send states the run's retransmit pump must tick. Driven by the
 /// runner's `connect` step only, so transport and ARQ wiring exist in
 /// exactly one place.
 pub(crate) struct LinkFactory<'a> {
-    plan: &'a FaultPlan,
-    fault_active: bool,
+    plan: &'a ChaosPlan,
     reliability: &'a ReliabilityConfig,
     /// Effective ARQ tuning (`max_age_ms` clamped to the deadline).
     tuning: ArqTuning,
@@ -563,11 +514,9 @@ impl<'a> LinkFactory<'a> {
     /// nonzero only in a respawned role process, which must number its
     /// frames above its predecessor's range.
     pub(crate) fn new(cfg: &'a HierarchyConfig, obs: Arc<RunObs>, tseq_base: u32) -> Self {
-        let mut transport = TransportHost::new(cfg.transport, &obs);
-        transport.set_socket_chaos(cfg.socket_chaos);
+        let transport = TransportHost::new(cfg.transport, &obs);
         LinkFactory {
-            plan: &cfg.fault_plan,
-            fault_active: cfg.fault_plan.is_active(),
+            plan: &cfg.chaos,
             reliability: &cfg.reliability,
             tuning: cfg.reliability.arq.effective(cfg.deadlines.as_ref()),
             tolerant: cfg.deadlines.is_some(),
@@ -624,8 +573,8 @@ impl<'a> LinkFactory<'a> {
     /// another ([`remote_recv_state`](LinkFactory::remote_recv_state)) —
     /// can construct the matching receive state against it.
     ///
-    /// ARQ links get three derived fault streams: the primary (`name`),
-    /// the retransmit path (`retx:name`, sharing the device's crash
+    /// ARQ links get three derived chaos streams: the primary (`name`),
+    /// the retransmit path (`retx:name`, sharing the sending node's crash
     /// state) and the ack path (`ack:name`, no crash — the receiver
     /// sends acks). Derived streams keep the primary stream's draws
     /// identical whether or not ARQ is enabled.
@@ -642,15 +591,12 @@ impl<'a> LinkFactory<'a> {
     ) -> Result<(LinkSender, Arc<LinkCounters>, Option<InboxBinding>)> {
         let stats = Arc::new(LinkCounters::default());
         self.obs.registry().register_link(name, Arc::clone(&stats));
-        let fault =
-            self.fault_active.then(|| Arc::new(LinkFault::new(self.plan, name, crash.clone())));
+        let fault = self.plan.link_chaos(name, crash.clone());
         let mode = self.reliability.mode_for(name);
-        let data_tx = self.transport.connect(to, name)?;
+        let data_tx = self.transport.connect(to, name, self.plan.socket_chaos(name))?;
         let (arq, ack_binding) = if matches!(mode, ReliabilityMode::Arq) {
             let (ack_binding, ack_rx) = self.transport.bind(&format!("ack:{name}"))?;
-            let retx_fault = self
-                .fault_active
-                .then(|| Arc::new(LinkFault::new(self.plan, &format!("retx:{name}"), crash)));
+            let retx_fault = self.plan.link_chaos(&format!("retx:{name}"), crash);
             let send_state = Arc::new(
                 ArqSendState::new(
                     Arc::clone(&data_tx),
@@ -692,9 +638,9 @@ impl<'a> LinkFactory<'a> {
         stats: Arc<LinkCounters>,
     ) -> Result<ArqRecvState> {
         let ack_name = format!("ack:{name}");
-        let ack_fault =
-            self.fault_active.then(|| Arc::new(LinkFault::new(self.plan, &ack_name, None)));
-        let ack_tx = self.transport.connect(ack_binding, &ack_name)?;
+        let ack_fault = self.plan.link_chaos(&ack_name, None);
+        let ack_tx =
+            self.transport.connect(ack_binding, &ack_name, self.plan.socket_chaos(&ack_name))?;
         Ok(ArqRecvState::new(ack_tx, stats, ack_fault, Arc::clone(&self.obs), Arc::from(name)))
     }
 
@@ -712,16 +658,17 @@ impl<'a> LinkFactory<'a> {
         Ok((recv, stats))
     }
 
-    /// An uninstrumented, fault-exempt sender in the run's wire format —
+    /// An uninstrumented, chaos-exempt sender in the run's wire format —
     /// for the orchestrator's shutdown frames, which must decode at a
-    /// checked inbox yet never participate in faults or ARQ.
+    /// checked inbox yet never participate in chaos (at either boundary)
+    /// or ARQ.
     ///
     /// # Errors
     ///
     /// Returns [`RuntimeError::Transport`] when a socket connect fails.
     pub(crate) fn shutdown_sender(&self, to: &InboxBinding, name: &str) -> Result<LinkSender> {
         Ok(LinkSender {
-            tx: self.transport.connect(to, name)?,
+            tx: self.transport.connect(to, name, None)?,
             stats: Arc::new(LinkCounters::default()),
             name: Arc::from(name),
             fault: None,
@@ -800,11 +747,10 @@ mod tests {
 
     #[test]
     fn dropped_frames_never_reach_the_wire_but_are_counted() {
-        use crate::fault::{FaultPlan, LinkFault};
-        let plan = FaultPlan { seed: 3, drop_prob: 1.0, ..FaultPlan::none() };
-        let (raw_tx, rx) = inbox("sink");
-        let fault = Some(Arc::new(LinkFault::new(&plan, "lossy", None)));
-        let (tx, stats) = attach_faulty_sender(&raw_tx, "lossy", fault, false);
+        use crate::chaos::Impairment;
+        let plan = ChaosPlan::links(3, Impairment { drop: 1.0, ..Impairment::none() });
+        let (mut tx, rx, stats) = link("lossy");
+        tx.fault = plan.link_chaos("lossy", None);
         tx.send(&Frame::new(0, NodeId::Gateway, Payload::OffloadRequest)).unwrap();
         assert!(rx.try_recv().unwrap().is_none());
         let s = stats.snapshot();
@@ -814,11 +760,10 @@ mod tests {
 
     #[test]
     fn duplicated_frames_are_double_counted_on_the_wire() {
-        use crate::fault::{FaultPlan, LinkFault};
-        let plan = FaultPlan { seed: 3, duplicate_prob: 1.0, ..FaultPlan::none() };
-        let (raw_tx, rx) = inbox("sink");
-        let fault = Some(Arc::new(LinkFault::new(&plan, "chatty", None)));
-        let (tx, stats) = attach_faulty_sender(&raw_tx, "chatty", fault, false);
+        use crate::chaos::Impairment;
+        let plan = ChaosPlan::links(3, Impairment { duplicate: 1.0, ..Impairment::none() });
+        let (mut tx, rx, stats) = link("chatty");
+        tx.fault = plan.link_chaos("chatty", None);
         let f = Frame::new(0, NodeId::Gateway, Payload::OffloadRequest);
         tx.send(&f).unwrap();
         assert_eq!(rx.recv().unwrap(), f);

@@ -29,9 +29,9 @@ pub(crate) mod membership;
 pub mod rebalance;
 pub mod reconfigure;
 
+use crate::chaos::ChaosTarget;
 use crate::clock::SimClock;
 use crate::error::{Result, RuntimeError};
-use crate::fault::{ChurnAction, ChurnSchedule, ChurnTarget};
 use crate::link::{LinkSender, NodeInbox};
 use crate::message::{Frame, NodeId, Payload};
 use crate::node::report::ElasticSummary;
@@ -112,22 +112,22 @@ impl NodeDirectory {
         }
     }
 
-    /// The directory index of a churn target (validated beforehand).
-    fn churn_ix(&self, target: &ChurnTarget) -> Option<usize> {
+    /// The directory index of a chaos target, if it names a node.
+    pub(crate) fn target_ix(&self, target: &ChaosTarget) -> Option<usize> {
         match target {
-            ChurnTarget::Device(d) if *d < self.num_devices => Some(*d),
-            ChurnTarget::Device(_) => None,
-            ChurnTarget::Gateway => Some(self.gateway_ix()),
-            ChurnTarget::Tier(name) => self.names[self.num_devices + 1..]
+            ChaosTarget::Device(d) if *d < self.num_devices => Some(*d),
+            ChaosTarget::Gateway => Some(self.gateway_ix()),
+            ChaosTarget::Tier(name) => self.names[self.num_devices + 1..]
                 .iter()
                 .position(|n| n == name)
                 .map(|k| self.tier_ix(k)),
+            _ => None,
         }
     }
 }
 
 /// The shared control-plane state every node consults: the published
-/// topology epoch, the stale-frame floor, the churn-injection flags and
+/// topology epoch, the stale-frame floor, the chaos down flags and
 /// the current routing table.
 ///
 /// Publication order: a reconfiguration writes the routing table and the
@@ -139,7 +139,7 @@ pub(crate) struct ControlState {
     /// Samples below this sequence predate the current epoch and are
     /// discarded with [`RuntimeError::StaleEpoch`].
     floor: AtomicU64,
-    /// Churn injection: a raised flag makes the node behave crashed (it
+    /// Chaos injection: a raised flag makes the node behave crashed (it
     /// discards everything and answers no heartbeat). Indexed like
     /// [`NodeDirectory`].
     churn_down: Vec<AtomicBool>,
@@ -236,17 +236,14 @@ pub(crate) struct DeviceElastic {
     pub(crate) stale_discards: Arc<Counter>,
 }
 
-/// The orchestrator-side elastic driver: applies the churn schedule before
-/// each sample and runs the heartbeat sweep (ping, collect pongs, update
-/// membership, reconfigure when it changed) after each sample.
+/// The orchestrator-side elastic driver: runs the heartbeat sweep (ping,
+/// collect pongs, update membership, reconfigure when it changed) after
+/// each sample.
 pub(crate) struct ElasticDriver {
     pub(crate) control: Arc<ControlState>,
     dir: NodeDirectory,
     compat: Compat,
     membership: Membership,
-    /// `(at_sample, node index, goes down)`, sorted by sample.
-    schedule: Vec<(u64, usize, bool)>,
-    cursor: usize,
     /// Per directory index; `None` is never pinged (statically failed).
     ping_links: Vec<Option<LinkSender>>,
     heartbeat_ms: u64,
@@ -259,13 +256,11 @@ pub(crate) struct ElasticDriver {
 }
 
 impl ElasticDriver {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         control: Arc<ControlState>,
         dir: NodeDirectory,
         compat: Compat,
         cfg: ElasticConfig,
-        churn: &ChurnSchedule,
         ping_links: Vec<Option<LinkSender>>,
         clock: SimClock,
         obs: Arc<RunObs>,
@@ -273,14 +268,6 @@ impl ElasticDriver {
         let initial = control.routing();
         let eligible: Vec<bool> = (0..dir.len()).map(|ix| ping_links[ix].is_some()).collect();
         let membership = Membership::new(initial.live.clone(), eligible, cfg.suspect_after);
-        let mut schedule: Vec<(u64, usize, bool)> = churn
-            .events
-            .iter()
-            .filter_map(|e| {
-                dir.churn_ix(&e.target).map(|ix| (e.at_sample, ix, e.action == ChurnAction::Crash))
-            })
-            .collect();
-        schedule.sort_by_key(|&(at, ix, _)| (at, ix));
         let initial_live = initial.live.iter().filter(|&&l| l).count();
         let registry = obs.registry();
         ElasticDriver {
@@ -291,8 +278,6 @@ impl ElasticDriver {
             dir,
             compat,
             membership,
-            schedule,
-            cursor: 0,
             ping_links,
             heartbeat_ms: cfg.heartbeat_ms,
             clock,
@@ -305,18 +290,6 @@ impl ElasticDriver {
     /// sweeps with this instead of sweeping after every sample.
     pub(crate) fn heartbeat_ms(&self) -> u64 {
         self.heartbeat_ms
-    }
-
-    /// Applies every churn event scheduled at or before `seq` — called
-    /// just before the sample's captures are sent.
-    pub(crate) fn before_sample(&mut self, seq: u64) {
-        while let Some(&(at, ix, down)) = self.schedule.get(self.cursor) {
-            if at > seq {
-                break;
-            }
-            self.control.set_churn_down(ix, down);
-            self.cursor += 1;
-        }
     }
 
     /// The post-sample heartbeat sweep: ping every trackable node with the
@@ -446,10 +419,10 @@ mod tests {
         assert_eq!(dir.index_of(NodeId::Gateway), Some(2));
         assert_eq!(dir.index_of(NodeId::Cloud), Some(4));
         assert_eq!(dir.index_of(NodeId::Device(9)), None);
-        assert_eq!(dir.churn_ix(&ChurnTarget::Device(0)), Some(0));
-        assert_eq!(dir.churn_ix(&ChurnTarget::Gateway), Some(2));
-        assert_eq!(dir.churn_ix(&ChurnTarget::Tier("edge".into())), Some(3));
-        assert_eq!(dir.churn_ix(&ChurnTarget::Tier("fog".into())), None);
+        assert_eq!(dir.target_ix(&ChaosTarget::Device(0)), Some(0));
+        assert_eq!(dir.target_ix(&ChaosTarget::Gateway), Some(2));
+        assert_eq!(dir.target_ix(&ChaosTarget::Tier("edge".into())), Some(3));
+        assert_eq!(dir.target_ix(&ChaosTarget::Tier("fog".into())), None);
     }
 
     #[test]

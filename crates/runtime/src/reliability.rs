@@ -27,10 +27,11 @@
 //! communication model honestly reflects what recovery costs — and the
 //! recovery share stays separable from first-transmission cost.
 
+use crate::chaos::{damage, Delivery, LinkChaos};
 use crate::error::{Result, RuntimeError};
-use crate::fault::{corrupt_bytes, truncate_len, DeadlineConfig, Delivery, FaultPlan, LinkFault};
 use crate::message::crc32;
 use crate::obs::{LinkCounters, ObsEvent, RunObs};
+use crate::topology::DeadlineConfig;
 use crate::transport::TransportTx;
 use bytes::Bytes;
 use crossbeam::channel::Receiver;
@@ -156,17 +157,14 @@ impl ReliabilityConfig {
             || self.link_overrides.iter().any(|(_, m)| matches!(m, ReliabilityMode::Arq))
     }
 
-    /// Validates the configuration against the run's fault plan and
-    /// deadlines.
+    /// Validates the configuration against the run's deadlines.
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError::Config`] when byte-mutating faults are
-    /// paired with unchecked framing (they would silently mis-decode),
-    /// when an override tries to mix the legacy format with checked links,
-    /// or when ARQ runs without deadlines (its give-up policy is defined
-    /// by the sample deadline).
-    pub fn validate(&self, plan: &FaultPlan, deadlines: Option<&DeadlineConfig>) -> Result<()> {
+    /// Returns [`RuntimeError::Config`] when an override tries to mix the
+    /// legacy format with checked links, or when ARQ runs without
+    /// deadlines (its give-up policy is defined by the sample deadline).
+    pub fn validate(&self, deadlines: Option<&DeadlineConfig>) -> Result<()> {
         if self.mode.is_checked() {
             if let Some((name, _)) = self.link_overrides.iter().find(|(_, m)| !m.is_checked()) {
                 return Err(RuntimeError::Config {
@@ -182,13 +180,6 @@ impl ReliabilityConfig {
                     "link override {name:?} selects a checked format in a legacy run; \
                      set ReliabilityConfig::mode to Crc or Arq instead"
                 ),
-            });
-        }
-        if plan.corrupts_bytes() && !self.mode.is_checked() {
-            return Err(RuntimeError::Config {
-                reason: "corruption/truncation faults require a checked wire format \
-                         (ReliabilityMode::Crc or Arq); legacy frames would silently mis-decode"
-                    .into(),
             });
         }
         if self.any_arq() && deadlines.is_none() {
@@ -313,9 +304,9 @@ pub(crate) struct ArqSendState {
     ack_rx: Mutex<Receiver<Bytes>>,
     /// The data link's counter cells: retransmissions are priced here.
     stats: Arc<LinkCounters>,
-    /// Fault stream of the retransmit path (`retx:<link>`), sharing the
-    /// sending device's crash state: a dead device cannot retransmit.
-    fault: Option<Arc<LinkFault>>,
+    /// Chaos stream of the retransmit path (`retx:<link>`), sharing the
+    /// sending node's crash state: a dead node cannot retransmit.
+    fault: Option<Arc<LinkChaos>>,
     tuning: ArqTuning,
     /// Header bytes of the checked format, for stats accounting.
     header_bytes: usize,
@@ -331,7 +322,7 @@ impl ArqSendState {
         data_tx: Arc<dyn TransportTx>,
         ack_rx: Receiver<Bytes>,
         stats: Arc<LinkCounters>,
-        fault: Option<Arc<LinkFault>>,
+        fault: Option<Arc<LinkChaos>>,
         tuning: ArqTuning,
         header_bytes: usize,
         obs: Arc<RunObs>,
@@ -433,16 +424,7 @@ impl ArqSendState {
                 Delivery::Deliver { corrupt, truncate, .. } => {
                     // Retransmissions skip duplication/jitter/reordering:
                     // they are already redundant, delayed traffic.
-                    let mut wire = u.wire.clone();
-                    let mut damaged = false;
-                    if let Some(seed) = corrupt {
-                        wire = Bytes::from(corrupt_bytes(&wire, seed));
-                        damaged = true;
-                    }
-                    if let Some(seed) = truncate {
-                        wire = wire.slice(0..truncate_len(wire.len(), seed));
-                        damaged = true;
-                    }
+                    let (wire, damaged) = damage(u.wire.clone(), corrupt, truncate);
                     let payload = u.payload_bytes;
                     let s = &self.stats;
                     s.frames.incr();
@@ -506,9 +488,9 @@ pub(crate) struct ArqRecvState {
     ack_tx: Arc<dyn TransportTx>,
     /// The data link's counter cells: delivered ack bytes are priced here.
     stats: Arc<LinkCounters>,
-    /// Fault stream of the ack path (`ack:<link>`) — acks cross the same
+    /// Chaos stream of the ack path (`ack:<link>`) — acks cross the same
     /// lossy wire. No crash state: the *receiver* sends acks.
-    fault: Option<Arc<LinkFault>>,
+    fault: Option<Arc<LinkChaos>>,
     /// Run observability: each ack datagram emits a timeline event.
     obs: Arc<RunObs>,
     /// The forward link's name, for event attribution.
@@ -519,7 +501,7 @@ impl ArqRecvState {
     pub(crate) fn new(
         ack_tx: Arc<dyn TransportTx>,
         stats: Arc<LinkCounters>,
-        fault: Option<Arc<LinkFault>>,
+        fault: Option<Arc<LinkChaos>>,
         obs: Arc<RunObs>,
         link: Arc<str>,
     ) -> Self {
@@ -566,20 +548,14 @@ impl ArqRecvState {
             }
             None => Vec::new(),
         };
-        let mut wire = encode_ack(self.cum, &nacks);
-        match self.fault.as_ref().map_or_else(Delivery::clean, |f| f.roll_raw()) {
-            Delivery::Dropped => return, // the next ack carries the news
-            Delivery::Deliver { corrupt, truncate, .. } => {
-                // Acks skip duplication/jitter/reordering: they are tiny,
-                // idempotent and cumulative.
-                if let Some(seed) = corrupt {
-                    wire = Bytes::from(corrupt_bytes(&wire, seed));
-                }
-                if let Some(seed) = truncate {
-                    wire = wire.slice(0..truncate_len(wire.len(), seed));
-                }
-            }
-        }
+        // Acks skip duplication/jitter/reordering: they are tiny,
+        // idempotent and cumulative.
+        let Delivery::Deliver { corrupt, truncate, .. } =
+            self.fault.as_ref().map_or_else(Delivery::clean, |f| f.roll_raw())
+        else {
+            return; // the next ack carries the news
+        };
+        let (wire, _) = damage(encode_ack(self.cum, &nacks), corrupt, truncate);
         self.stats.ack_bytes.add(wire.len() as u64);
         self.obs.emit(|| ObsEvent::AckSent {
             link: self.link.to_string(),
@@ -857,38 +833,34 @@ mod tests {
         ] {
             let cfg = ReliabilityConfig { arq: bad, ..ReliabilityConfig::arq() };
             assert!(
-                cfg.validate(&FaultPlan::none(), Some(&deadlines)).is_err(),
+                cfg.validate(Some(&deadlines)).is_err(),
                 "degenerate tuning {bad:?} must be rejected"
             );
             // The same tuning is fine when no link runs ARQ.
             let crc = ReliabilityConfig { arq: bad, ..ReliabilityConfig::crc() };
-            assert!(crc.validate(&FaultPlan::none(), Some(&deadlines)).is_ok());
+            assert!(crc.validate(Some(&deadlines)).is_ok());
         }
     }
 
     #[test]
     fn validate_enforces_mode_pairings() {
-        let corrupting = FaultPlan { seed: 1, corrupt_prob: 0.1, ..FaultPlan::none() };
         let deadlines = DeadlineConfig::fast();
-        // Corruption faults need a checked format.
-        assert!(ReliabilityConfig::off().validate(&corrupting, Some(&deadlines)).is_err());
-        assert!(ReliabilityConfig::crc().validate(&corrupting, Some(&deadlines)).is_ok());
         // ARQ needs deadlines.
-        assert!(ReliabilityConfig::arq().validate(&FaultPlan::none(), None).is_err());
-        assert!(ReliabilityConfig::arq().validate(&corrupting, Some(&deadlines)).is_ok());
+        assert!(ReliabilityConfig::arq().validate(None).is_err());
+        assert!(ReliabilityConfig::arq().validate(Some(&deadlines)).is_ok());
         // No mixing wire formats.
         let mixed = ReliabilityConfig {
             mode: ReliabilityMode::Crc,
             link_overrides: vec![("a->b".into(), ReliabilityMode::Legacy)],
             ..ReliabilityConfig::default()
         };
-        assert!(mixed.validate(&FaultPlan::none(), Some(&deadlines)).is_err());
+        assert!(mixed.validate(Some(&deadlines)).is_err());
         let mixed = ReliabilityConfig {
             mode: ReliabilityMode::Legacy,
             link_overrides: vec![("a->b".into(), ReliabilityMode::Arq)],
             ..ReliabilityConfig::default()
         };
-        assert!(mixed.validate(&FaultPlan::none(), Some(&deadlines)).is_err());
+        assert!(mixed.validate(Some(&deadlines)).is_err());
         // Overrides within the checked family are fine, and mode_for
         // resolves them.
         let cfg = ReliabilityConfig {
@@ -896,7 +868,7 @@ mod tests {
             link_overrides: vec![("a->b".into(), ReliabilityMode::Crc)],
             ..ReliabilityConfig::default()
         };
-        assert!(cfg.validate(&FaultPlan::none(), Some(&deadlines)).is_ok());
+        assert!(cfg.validate(Some(&deadlines)).is_ok());
         assert_eq!(cfg.mode_for("a->b"), ReliabilityMode::Crc);
         assert_eq!(cfg.mode_for("c->d"), ReliabilityMode::Arq);
         assert!(cfg.any_arq() && cfg.any_checked());

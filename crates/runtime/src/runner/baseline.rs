@@ -1,14 +1,14 @@
 //! The §IV-H cloud-offload baseline: its configuration rejections, and a
 //! call into the shared runner path with the cloud-only
-//! [`Topology`] (a single terminal tier with a raw section), so fault
-//! plans and deadline degradation apply to it exactly like they do to the
+//! [`Topology`] (a single terminal tier with a raw section), so the chaos
+//! plan and deadline degradation apply to it exactly like they do to the
 //! real topology.
 
-use super::orchestrate::{orchestrate, validate_run};
+use super::orchestrate::{orchestrate, validate_run, Threads};
 use super::roles::{compute_blanks, spawn_role, RunCtx, Spawn};
 use super::wiring::{connect, Link, Plane, Wiring};
+use crate::chaos::ProcTarget;
 use crate::error::{Result, RuntimeError};
-use crate::fault::ProcTarget;
 use crate::message::{quantize_image, Frame, NodeId, Payload};
 use crate::node::report::SimReport;
 use crate::obs::RunObs;
@@ -25,7 +25,7 @@ use std::sync::Arc;
 /// The baseline is a one-tier wiring run through the same connect, role
 /// host and orchestrator body as the staged hierarchy — the fault layer,
 /// the collector finalize path and the watchdog included — so
-/// `cfg.failed_devices`, `cfg.fault_plan` and `cfg.deadlines` degrade it
+/// `cfg.failed_devices`, `cfg.chaos` and `cfg.deadlines` degrade it
 /// exactly like the staged hierarchy instead of being silently ignored.
 ///
 /// # Errors
@@ -37,29 +37,21 @@ pub fn run_cloud_only_baseline(
     labels: &[usize],
     cfg: &HierarchyConfig,
 ) -> Result<SimReport> {
-    let num_devices = partition.devices.len();
-    let live = validate_run(num_devices, device_views, labels, cfg)?;
+    // One terminal tier with a raw section, hosted as a thread; the
+    // orchestrator plays the devices, which would only forward their
+    // captures unchanged.
+    let topology = Topology::cloud_only(partition);
+    let num_devices = topology.num_devices();
+    let live = validate_run(&topology, device_views, labels, cfg, false)?;
     if cfg.elastic.is_some() {
         return Err(RuntimeError::Config {
             reason: "the cloud-only baseline has no tiers to rebalance (unset cfg.elastic)"
                 .to_string(),
         });
     }
-    if !cfg.fault_plan.tier_crash_after.is_empty() {
-        return Err(RuntimeError::Config {
-            reason: "the cloud-only baseline has no gateway or tiers to crash".to_string(),
-        });
-    }
     if cfg.stream.is_some() {
         return Err(RuntimeError::Config {
             reason: "the cloud-only baseline is closed-loop only (unset cfg.stream)".to_string(),
-        });
-    }
-    if !cfg.proc_chaos.is_empty() {
-        return Err(RuntimeError::Config {
-            reason: "process chaos needs real OS processes to kill; use the multi-process \
-                     launcher (multiproc::launch) or unset cfg.proc_chaos"
-                .to_string(),
         });
     }
     if cfg.transport.is_socket() {
@@ -71,10 +63,6 @@ pub fn run_cloud_only_baseline(
             ),
         });
     }
-    // One terminal tier with a raw section, hosted as a thread; the
-    // orchestrator plays the devices, which would only forward their
-    // captures unchanged.
-    let topology = Topology::cloud_only(partition);
     let obs = Arc::new(RunObs::new(&cfg.obs));
     let ctx =
         RunCtx { topology: &topology, cfg, live: &live, clock: crate::SimClock::start(), obs };
@@ -86,7 +74,7 @@ pub fn run_cloud_only_baseline(
     };
     let uplinks: Vec<_> =
         (0..num_devices).map(|d| plane.sender(Link::Uplink(d, 0))).collect::<Result<_>>()?;
-    let mut feed = |i: usize| -> Result<()> {
+    let feed = |i: usize| -> Result<()> {
         for d in (0..num_devices).filter(|&d| live[d]) {
             let pixels = quantize_image(&device_views[d].index_axis0(i)?);
             uplinks[d].send(&Frame::new(
@@ -97,5 +85,5 @@ pub fn run_cloud_only_baseline(
         }
         Ok(())
     };
-    orchestrate(&ctx, &wiring, plane, host, labels, &mut feed, None)
+    orchestrate(&ctx, &wiring, plane, host, labels, &mut Threads { feed, nodes: None }, None)
 }

@@ -34,7 +34,7 @@ mod wiring;
 
 pub use baseline::run_cloud_only_baseline;
 
-use crate::error::{Result, RuntimeError};
+use crate::error::Result;
 use crate::message::{Frame, NodeId, Payload};
 use crate::node::report::SimReport;
 use crate::obs::RunObs;
@@ -42,7 +42,7 @@ use crate::orchestrator::{ElasticDriver, NodeDirectory};
 use crate::topology::{HierarchyConfig, Topology};
 use ddnn_core::DdnnPartition;
 use ddnn_tensor::Tensor;
-use orchestrate::{orchestrate, validate_run};
+use orchestrate::{orchestrate, validate_run, Threads};
 use roles::{compute_blanks, spawn_role, ElasticCtx, RunCtx, Spawn};
 use std::sync::Arc;
 use wiring::{connect, Link, Plane, Wiring};
@@ -79,16 +79,7 @@ pub fn run_topology(
     cfg: &HierarchyConfig,
 ) -> Result<SimReport> {
     let num_devices = topology.num_devices();
-    let live = validate_run(num_devices, device_views, labels, cfg)?;
-    if !cfg.proc_chaos.is_empty() {
-        return Err(RuntimeError::Config {
-            reason: "process chaos needs real OS processes to kill; use the multi-process \
-                     launcher (multiproc::launch) or unset cfg.proc_chaos"
-                .to_string(),
-        });
-    }
-    let tier_names: Vec<String> = topology.tiers.iter().map(|t| t.name.clone()).collect();
-    cfg.fault_plan.validate_nodes(&tier_names, &cfg.failed_devices)?;
+    let live = validate_run(topology, device_views, labels, cfg, false)?;
     let obs = Arc::new(RunObs::new(&cfg.obs));
     let ctx = RunCtx { topology, cfg, live: &live, clock: crate::SimClock::start(), obs };
     let blanks = compute_blanks(topology)?;
@@ -106,6 +97,9 @@ pub fn run_topology(
     // The membership driver pings devices over their sensor feed, the
     // gateway and tiers over dedicated links. Statically failed devices
     // are never pinged (and never rejoin).
+    let tier_names: Vec<String> = topology.tiers.iter().map(|t| t.name.clone()).collect();
+    let tier_ids = topology.tiers.iter().map(|t| t.id).collect();
+    let dir = NodeDirectory::new(num_devices, &tier_names, tier_ids);
     let mut driver = match (&elastic, cfg.elastic) {
         (Some(el), Some(ecfg)) => {
             let mut ping_links: Vec<_> =
@@ -114,13 +108,11 @@ pub fn run_topology(
             for k in 0..topology.tiers.len() {
                 ping_links.push(Some(plane.sender(Link::PingTier(k))?));
             }
-            let tier_ids = topology.tiers.iter().map(|t| t.id).collect();
             Some(ElasticDriver::new(
                 Arc::clone(&el.control),
-                NodeDirectory::new(num_devices, &tier_names, tier_ids),
+                dir.clone(),
                 el.compat.clone(),
                 ecfg,
-                &cfg.fault_plan.churn,
                 ping_links,
                 ctx.clock,
                 Arc::clone(&ctx.obs),
@@ -128,9 +120,9 @@ pub fn run_topology(
         }
         _ => None,
     };
-    let mut feed = |i: usize| -> Result<()> {
+    let feed = |i: usize| -> Result<()> {
         // Under elastic routing, captures skip devices the membership
-        // layer currently believes dead (their churn flag will make
+        // layer currently believes dead (their down flag will make
         // them drop the frame anyway), and with the gateway bypassed
         // the orchestrator broadcasts the offload request itself so
         // the sample goes straight to the feature chain.
@@ -159,7 +151,9 @@ pub fn run_topology(
         let mut roles = wiring.roles().into_iter();
         roles.try_for_each(|role| spawn_role(role, &ctx, &blanks, elastic.as_ref(), plane, spawn))
     };
-    let mut report = orchestrate(&ctx, &wiring, plane, host, labels, &mut feed, driver.as_mut())?;
+    let nodes = elastic.as_ref().map(|el| (&*el.control, &dir));
+    let mut hook = Threads { feed, nodes };
+    let mut report = orchestrate(&ctx, &wiring, plane, host, labels, &mut hook, driver.as_mut())?;
     report.elastic = driver.map(|d| d.finish());
     Ok(report)
 }

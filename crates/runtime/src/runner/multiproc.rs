@@ -32,9 +32,10 @@
 //!
 //! The launcher is also a *supervisor*: every handshake read is
 //! deadline-bounded, every child's exit status and heartbeat stream are
-//! polled while samples are driven, and a seeded
-//! [`ProcChaosPlan`](crate::ProcChaosPlan) can SIGKILL role processes
-//! mid-run (and respawn them). A dead role folds into the same graceful
+//! polled while samples are driven, and the run's
+//! [`ChaosPlan`](crate::ChaosPlan) can SIGKILL role processes mid-run
+//! (`Down` on a [`ChaosTarget::Process`](crate::ChaosTarget)) and respawn
+//! them (`Up`). A dead role folds into the same graceful
 //! degradation as an in-process deadline miss — blank substitution,
 //! forced local exits, typed per-sample timeouts — instead of a hung
 //! pipe read. A respawned role re-handshakes with the same manifest
@@ -42,20 +43,20 @@
 //! survivors are re-pointed at them with `REWIRE` lines.
 //!
 //! Scope: multi-process runs cover the closed-loop protocol on the
-//! partition-implied topology. Elastic orchestration, streaming
-//! arrivals, link fault injection and static device failures are
-//! rejected by [`launch`] with typed configuration errors before anything
-//! is spawned — the role manifest does not carry them yet. Process chaos
-//! ([`ProcChaosPlan`](crate::ProcChaosPlan)) and socket chaos
-//! ([`SocketChaosPlan`](crate::SocketChaosPlan)) are the multi-process
-//! counterparts of the in-process fault plan.
+//! partition-implied topology. Elastic orchestration, streaming arrivals
+//! and static device failures are rejected by [`launch`] with typed
+//! configuration errors before anything is spawned — the role manifest
+//! does not carry them yet — and so, by
+//! [`ChaosPlan::validate`](crate::ChaosPlan::validate), are chaos events
+//! on links and nodes. Of the chaos plan this runner executes process
+//! Down/Up events itself and ships the socket impairment to every role.
 
 use super::orchestrate::{host_nodes, orchestrate, validate_run, SampleHook};
 use super::roles::{compute_blanks, spawn_role, RunCtx};
 use super::wiring::{connect, Addrs, Host, Link, Phase, Wiring};
+use crate::chaos::{ChaosTarget, ProcTarget};
 use crate::clock::SimClock;
 use crate::error::{Result, RuntimeError};
-use crate::fault::{ProcAction, ProcChaosEvent, ProcTarget};
 use crate::link::LinkSender;
 use crate::message::{Frame, NodeId, Payload};
 use crate::node::report::{NodeReport, SimReport};
@@ -235,21 +236,11 @@ fn validate_launch(cfg: &HierarchyConfig) -> Result<()> {
                 .to_string(),
         );
     }
-    if cfg.deadlines.is_none() {
-        return reject("multi-process runs require deadlines (set cfg.deadlines)".to_string());
-    }
     if cfg.elastic.is_some() {
         return reject("elastic orchestration is in-process only (unset cfg.elastic)".to_string());
     }
     if cfg.stream.is_some() {
         return reject("streaming arrivals are in-process only (unset cfg.stream)".to_string());
-    }
-    if cfg.fault_plan.is_active() {
-        return reject(
-            "fault injection is in-process only (its seeded per-link state cannot span \
-             processes); unset cfg.fault_plan"
-                .to_string(),
-        );
     }
     if !cfg.failed_devices.is_empty() {
         return reject(
@@ -413,7 +404,7 @@ impl Fleet<'_> {
 }
 
 /// The launcher while samples are driven: the per-sample supervision
-/// tick, the chaos schedule, and the sensor feeds.
+/// tick, scheduled kills and respawns, and the sensor feeds.
 struct Supervisor<'a> {
     fleet: Fleet<'a>,
     wiring: &'a Wiring,
@@ -421,9 +412,6 @@ struct Supervisor<'a> {
     redial: RedialHandle,
     sensors: Vec<LinkSender>,
     views: &'a [Tensor],
-    /// The chaos schedule, by sample, and how far it has been applied.
-    events: Vec<ProcChaosEvent>,
-    next_event: usize,
     obs: Arc<RunObs>,
 }
 
@@ -439,30 +427,10 @@ impl Supervisor<'_> {
         self.obs.emit(|| ObsEvent::ProcKilled { role: role.to_string(), at_sample });
     }
 
-    /// Fires the chaos events due at sample `seq`, then polls every live
-    /// child's exit status and heartbeat age. Dead roles are not
-    /// special-cased anywhere downstream — their silence folds into the
-    /// same deadline degradation as in-process loss.
-    fn tick(&mut self, seq: u64) -> Result<()> {
-        while let Some(&ev) = self.events.get(self.next_event).filter(|e| e.at_sample <= seq) {
-            self.next_event += 1;
-            match ev.action {
-                ProcAction::Kill => {
-                    if let Some(p) = self.fleet.procs.iter_mut().find(|p| p.role == ev.role) {
-                        if p.alive {
-                            p.kill_now();
-                            self.book_kill(ev.role, seq);
-                        }
-                    }
-                }
-                ProcAction::Respawn => {
-                    self.respawn(ev.role)?;
-                    self.count(ev.role, "respawns");
-                    let role = ev.role.to_string();
-                    self.obs.emit(|| ObsEvent::ProcRespawned { role, at_sample: seq });
-                }
-            }
-        }
+    /// Polls every live child's exit status and heartbeat age. Dead roles
+    /// are not special-cased anywhere downstream — their silence folds
+    /// into the same deadline degradation as in-process loss.
+    fn tick(&mut self, seq: u64) {
         let now_ms = self.fleet.epoch.elapsed().as_millis() as u64;
         for i in 0..self.fleet.procs.len() {
             let p = &mut self.fleet.procs[i];
@@ -487,7 +455,6 @@ impl Supervisor<'_> {
                 self.count(role, "heartbeat_misses");
             }
         }
-        Ok(())
     }
 
     /// Respawns a dead role: spawn + the same two-phase handshake as
@@ -540,10 +507,26 @@ impl SampleHook for Supervisor<'_> {
     /// Each capture round doubles as a supervision tick.
     fn feed(&mut self, i: usize) -> Result<()> {
         let seq = i as u64;
-        self.tick(seq)?;
+        self.tick(seq);
         for (sensor, views) in self.sensors.iter().zip(self.views) {
             let view = views.index_axis0(i)?;
             sensor.send(&Frame::new(seq, NodeId::Orchestrator, Payload::Capture { view }))?;
+        }
+        Ok(())
+    }
+
+    /// SIGKILLs (`down`) or respawns the targeted role process.
+    fn apply(&mut self, seq: u64, target: &ChaosTarget, down: bool) -> Result<()> {
+        let ChaosTarget::Process(role) = *target else { return Ok(()) };
+        if down {
+            if let Some(p) = self.fleet.procs.iter_mut().find(|p| p.role == role && p.alive) {
+                p.kill_now();
+                self.book_kill(role, seq);
+            }
+        } else {
+            self.respawn(role)?;
+            self.count(role, "respawns");
+            self.obs.emit(|| ObsEvent::ProcRespawned { role: role.to_string(), at_sample: seq });
         }
         Ok(())
     }
@@ -602,11 +585,11 @@ impl SampleHook for Supervisor<'_> {
 /// of the same configuration.
 ///
 /// `cfg.transport` must be a socket transport; elastic orchestration,
-/// streaming, link fault injection and static device failures are
-/// rejected (they are in-process features). Process chaos
-/// (`cfg.proc_chaos`) and socket chaos (`cfg.socket_chaos`) are this
-/// runner's own fault model: seeded role kills/respawns and seeded
-/// datagram/stream mangling, supervised end to end.
+/// streaming, static device failures and chaos on links or nodes are
+/// rejected (they are in-process features). Of `cfg.chaos` this runner
+/// takes process Down/Up events (seeded role kills and respawns) and the
+/// socket impairment (seeded datagram/stream mangling), supervised end to
+/// end.
 ///
 /// # Errors
 ///
@@ -623,8 +606,7 @@ pub fn launch(
 ) -> Result<SimReport> {
     validate_launch(cfg)?;
     let topology = Topology::from_partition(&Ddnn::new(model_cfg.clone()).partition());
-    let live = validate_run(topology.num_devices(), device_views, labels, cfg)?;
-    cfg.proc_chaos.validate(topology.tiers.len())?;
+    let live = validate_run(&topology, device_views, labels, cfg, true)?;
     let obs = Arc::new(RunObs::new(&cfg.obs));
     let ctx = RunCtx { topology: &topology, cfg, live: &live, clock: SimClock::start(), obs };
     let wiring = Wiring::of(&topology, false);
@@ -651,16 +633,12 @@ pub fn launch(
     let plane = connect(&wiring, &[Host::Orchestrator], cfg, &ctx.obs, 0, |phase, bound| {
         fleet.exchange(phase, everyone, bound)
     })?;
-    let mut events = cfg.proc_chaos.events.clone();
-    events.sort_by_key(|e| e.at_sample);
     let mut supervisor = Supervisor {
         fleet,
         wiring: &wiring,
         redial: plane.factory.redial_handle(),
         sensors: (0..live.len()).map(|d| plane.sender(Link::Sensor(d))).collect::<Result<_>>()?,
         views: device_views,
-        events,
-        next_event: 0,
         obs: Arc::clone(&ctx.obs),
     };
     orchestrate(&ctx, &wiring, plane, |_, _| Ok(()), labels, &mut supervisor, None)

@@ -7,30 +7,34 @@
 use super::roles::{RunCtx, Spawn};
 use super::streaming::drive_stream;
 use super::wiring::{Host, Link, Plane, Wiring};
+use crate::chaos::{ChaosTarget, ProcTarget, Schedule};
 use crate::clock::SimClock;
 use crate::error::{Result, RuntimeError};
-use crate::fault::{DeadlineConfig, ProcTarget};
 use crate::link::NodeInbox;
 use crate::message::{Frame, NodeId, Payload};
 use crate::node::report::{assemble_report, NodeReport, RunTallies, SampleOutcome, SimReport};
 use crate::obs::{LinkCounters, ObsEvent, RunObs};
-use crate::orchestrator::ElasticDriver;
+use crate::orchestrator::{ControlState, ElasticDriver, NodeDirectory};
 use crate::reliability::{run_retransmit_pump, ArqSendState};
-use crate::topology::{HierarchyConfig, Shape};
+use crate::topology::{DeadlineConfig, HierarchyConfig, Shape, Topology};
 use crate::transport::{InboxBinding, TransportConfig};
 use ddnn_core::ExitPoint;
 use ddnn_tensor::Tensor;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// Shared input validation (identical checks and ordering for the
-/// topology runner and the baseline), returning the per-device live mask.
+/// Shared input validation (identical checks and ordering for every
+/// runner), returning the per-device live mask. `processes` says whether
+/// the roles will be real OS processes — the one thing the chaos plan
+/// needs to know about the runner that `cfg` does not carry.
 pub(super) fn validate_run(
-    num_devices: usize,
+    topology: &Topology,
     device_views: &[Tensor],
     labels: &[usize],
     cfg: &HierarchyConfig,
+    processes: bool,
 ) -> Result<Vec<bool>> {
+    let num_devices = topology.num_devices();
     if device_views.len() != num_devices {
         return Err(RuntimeError::Config {
             reason: format!("{} view batches for {num_devices} devices", device_views.len()),
@@ -49,71 +53,38 @@ pub(super) fn validate_run(
     if live.iter().all(|&l| !l) {
         return Err(RuntimeError::Config { reason: "all devices failed".to_string() });
     }
-    cfg.fault_plan.validate(num_devices)?;
-    if cfg.fault_plan.is_active() && cfg.deadlines.is_none() {
-        return Err(RuntimeError::Config {
-            reason: "an active fault plan requires deadlines (set cfg.deadlines)".to_string(),
-        });
+    cfg.chaos.validate(topology, cfg, processes)?;
+    cfg.reliability.validate(cfg.deadlines.as_ref())?;
+    // Whatever waits on the network needs a bound on the wait: elastic
+    // heartbeat sweeps, the streaming pump's expiry, and socket reads
+    // (deadline-budgeted timed polls; sockets have no channel-disconnect
+    // semantics to fall back on).
+    for (on, what) in [
+        (cfg.elastic.is_some(), "elastic orchestration"),
+        (cfg.stream.is_some(), "streaming arrivals"),
+        (cfg.transport.is_socket(), "a socket transport"),
+    ] {
+        if on && cfg.deadlines.is_none() {
+            return Err(RuntimeError::Config {
+                reason: format!("{what} requires deadlines (set cfg.deadlines)"),
+            });
+        }
     }
-    cfg.reliability.validate(&cfg.fault_plan, cfg.deadlines.as_ref())?;
-    if let Some(el) = &cfg.elastic {
-        if cfg.deadlines.is_none() {
-            return Err(RuntimeError::Config {
-                reason: "elastic orchestration requires deadlines (set cfg.deadlines)".to_string(),
-            });
-        }
-        if el.heartbeat_ms == 0 || el.suspect_after == 0 {
-            return Err(RuntimeError::Config {
-                reason: "elastic heartbeat_ms and suspect_after must be at least 1".to_string(),
-            });
-        }
-    } else if !cfg.fault_plan.churn.is_empty() {
+    if cfg.elastic.is_some_and(|el| el.heartbeat_ms == 0 || el.suspect_after == 0) {
         return Err(RuntimeError::Config {
-            reason: "a churn schedule requires elastic orchestration (set cfg.elastic)".to_string(),
+            reason: "elastic heartbeat_ms and suspect_after must be at least 1".to_string(),
         });
     }
     if let Some(stream) = &cfg.stream {
         stream.validate()?;
-        if cfg.deadlines.is_none() {
-            return Err(RuntimeError::Config {
-                reason: "streaming arrivals require deadlines (set cfg.deadlines)".to_string(),
-            });
-        }
     }
-    cfg.socket_chaos.validate()?;
-    if cfg.socket_chaos.is_active() {
-        if !cfg.transport.is_socket() {
-            return Err(RuntimeError::Config {
-                reason: "socket chaos needs a socket transport (set cfg.transport to tcp or udp)"
-                    .to_string(),
-            });
-        }
-        if cfg.deadlines.is_none() {
-            return Err(RuntimeError::Config {
-                reason: "socket chaos requires deadlines (set cfg.deadlines)".to_string(),
-            });
-        }
-    }
-    if cfg.transport.is_socket() {
-        // Socket reads are deadline-budgeted timed polls; without
-        // deadlines the receive loops would rely on channel-disconnect
-        // semantics that sockets do not provide.
-        if cfg.deadlines.is_none() {
-            return Err(RuntimeError::Config {
-                reason: format!(
-                    "the {} transport requires deadlines (set cfg.deadlines)",
-                    cfg.transport.name()
-                ),
-            });
-        }
-        if cfg.transport == TransportConfig::Udp && !cfg.reliability.mode.is_checked() {
-            return Err(RuntimeError::Config {
-                reason: "the udp transport requires a checked wire format \
-                         (ReliabilityConfig::crc or ::arq); legacy frames carry no \
-                         integrity or loss protection on real datagrams"
-                    .to_string(),
-            });
-        }
+    if cfg.transport == TransportConfig::Udp && !cfg.reliability.mode.is_checked() {
+        return Err(RuntimeError::Config {
+            reason: "the udp transport requires a checked wire format \
+                     (ReliabilityConfig::crc or ::arq); legacy frames carry no \
+                     integrity or loss protection on real datagrams"
+                .to_string(),
+        });
     }
     Ok(live)
 }
@@ -127,7 +98,8 @@ pub(super) fn drive_samples(
     deadlines: Option<DeadlineConfig>,
     clock: SimClock,
     orch_rx: &mut NodeInbox,
-    mut send_captures: impl FnMut(usize) -> Result<()>,
+    hook: &mut impl SampleHook,
+    schedule: &mut Schedule,
     exit_point_of: impl Fn(u8) -> Result<ExitPoint>,
     latency_of: impl Fn(u8) -> f32,
     obs: &RunObs,
@@ -148,7 +120,7 @@ pub(super) fn drive_samples(
                 let seq = i as u64;
                 samples_ctr.incr();
                 obs.emit(|| ObsEvent::SampleEnqueued { seq });
-                send_captures(i)?;
+                hook.feed(i)?;
                 let verdict = orch_rx.recv()?;
                 if verdict.seq != seq {
                     return Err(RuntimeError::Protocol {
@@ -176,16 +148,14 @@ pub(super) fn drive_samples(
                 let seq = i as u64;
                 samples_ctr.incr();
                 obs.emit(|| ObsEvent::SampleEnqueued { seq });
-                // Elastic: flip the churn flags due at this sample before
-                // its captures go out, so a scheduled crash takes effect
-                // exactly at `at_sample`.
-                if let Some(driver) = elastic.as_deref_mut() {
-                    driver.before_sample(seq);
-                }
+                // Chaos: whatever is scheduled before this sample happens
+                // before its captures go out, so a scheduled Down takes
+                // effect exactly at its sample.
+                schedule.fire(seq, |target, down| hook.apply(seq, target, down))?;
                 let mut resolved = None;
                 let mut attempts = 0u32;
                 'sample: loop {
-                    send_captures(i)?;
+                    hook.feed(i)?;
                     let deadline = clock.deadline_in(dl.watchdog_ms);
                     loop {
                         match orch_rx.recv_deadline(deadline)? {
@@ -234,12 +204,18 @@ pub(super) fn drive_samples(
 }
 
 /// What a runner plugs into [`orchestrate`]: how a sample enters the
-/// hierarchy, and — when its roles are OS processes — whether they are
-/// still there and what they measured.
+/// hierarchy, how a scheduled Down/Up reaches its target, and — when its
+/// roles are OS processes — whether they are still there and what they
+/// measured.
 pub(super) trait SampleHook {
     /// Feeds sample `i` (again, on a watchdog retry) after doing whatever
     /// is due before it: elastic re-routing, a supervision tick.
     fn feed(&mut self, i: usize) -> Result<()>;
+
+    /// Takes `target` down or brings it back up, just before sample `seq`
+    /// (the plan was validated against this runner, so the target is one
+    /// it can reach).
+    fn apply(&mut self, seq: u64, target: &ChaosTarget, down: bool) -> Result<()>;
 
     /// Where `role`'s inbox `name` is bound now, given where the handshake
     /// put it: elsewhere after a respawn, `None` once the role is dead.
@@ -255,9 +231,27 @@ pub(super) trait SampleHook {
     }
 }
 
-impl<F: FnMut(usize) -> Result<()>> SampleHook for F {
+/// The hook of a run whose roles are threads of this process: `feed`
+/// sends the captures, and a scheduled Down/Up flips the node's down flag
+/// in the elastic control state (node events need elastic orchestration,
+/// so `nodes` is there whenever one is scheduled).
+pub(super) struct Threads<'a, F> {
+    pub(super) feed: F,
+    pub(super) nodes: Option<(&'a ControlState, &'a NodeDirectory)>,
+}
+
+impl<F: FnMut(usize) -> Result<()>> SampleHook for Threads<'_, F> {
     fn feed(&mut self, i: usize) -> Result<()> {
-        self(i)
+        (self.feed)(i)
+    }
+
+    fn apply(&mut self, _seq: u64, target: &ChaosTarget, down: bool) -> Result<()> {
+        if let Some((control, dir)) = self.nodes {
+            if let Some(ix) = dir.target_ix(target) {
+                control.set_churn_down(ix, down);
+            }
+        }
+        Ok(())
     }
 }
 
@@ -336,7 +330,7 @@ pub(super) fn orchestrate(
     let arq = std::mem::take(&mut plane.factory.arq_states);
     let (tallies, mut node_reports) = host_nodes(&arq, |spawn, pump_stop| {
         host(&mut plane, spawn)?;
-        let feed = |i: usize| hook.feed(i);
+        let mut schedule = cfg.chaos.schedule();
         let n = labels.len();
         let tallies = match (&cfg.stream, cfg.deadlines) {
             // Open loop: samples arrive on their own schedule, latency is
@@ -347,23 +341,21 @@ pub(super) fn orchestrate(
                 dl,
                 *clock,
                 &mut orch_inbox,
-                feed,
+                hook,
+                &mut schedule,
                 exit_point_of,
                 obs,
                 elastic,
             )?,
-            (Some(_), None) => {
-                return Err(RuntimeError::Config {
-                    reason: "streaming arrivals require deadlines (set cfg.deadlines)".to_string(),
-                })
-            }
             // Closed loop: lockstep feed, analytic link-model latency.
-            (None, deadlines) => drive_samples(
+            // (Streaming without deadlines never gets past `validate_run`.)
+            (_, deadlines) => drive_samples(
                 n,
                 deadlines,
                 *clock,
                 &mut orch_inbox,
-                feed,
+                hook,
+                &mut schedule,
                 exit_point_of,
                 latency_of,
                 obs,
@@ -381,7 +373,8 @@ pub(super) fn orchestrate(
         // shutdown frame would hang a node forever — repeat it; extra
         // shutdowns land unread in a finished node's inbox. Under socket
         // chaos the drop odds compound, so repeat harder.
-        let repeats = match (cfg.transport, cfg.socket_chaos.is_active()) {
+        let socket_chaos = cfg.chaos.impairment(&ChaosTarget::Sockets).is_active();
+        let repeats = match (cfg.transport, socket_chaos) {
             (TransportConfig::Udp, true) => 8,
             (TransportConfig::Udp, false) => 3,
             _ => 1,

@@ -5,9 +5,9 @@
 //! role per OS process; both build their nodes here.
 
 use super::wiring::{Link, Plane};
+use crate::chaos::ProcTarget;
 use crate::clock::SimClock;
 use crate::error::Result;
-use crate::fault::ProcTarget;
 use crate::message::{dequantize_image, quantize_image, NodeId};
 use crate::node::collector::{AggPolicy, Collector};
 use crate::node::device::{blank_signature, blank_view, device_node, BlankSignature};

@@ -18,14 +18,16 @@
 //!   wait the closed loop grants) times out in place; the pump never
 //!   blocks the arrival process on a straggler.
 
+use super::orchestrate::SampleHook;
+use crate::chaos::Schedule;
 use crate::clock::SimClock;
 use crate::error::{Result, RuntimeError};
-use crate::fault::{DeadlineConfig, StreamConfig};
 use crate::link::NodeInbox;
 use crate::message::{Frame, Payload};
 use crate::node::report::{RunTallies, SampleOutcome};
 use crate::obs::{ObsEvent, RunObs};
 use crate::orchestrator::ElasticDriver;
+use crate::topology::{DeadlineConfig, StreamConfig};
 use ddnn_core::ExitPoint;
 use std::collections::BTreeMap;
 
@@ -43,7 +45,8 @@ pub(super) fn drive_stream(
     dl: DeadlineConfig,
     clock: SimClock,
     orch_rx: &mut NodeInbox,
-    mut send_captures: impl FnMut(usize) -> Result<()>,
+    hook: &mut impl SampleHook,
+    schedule: &mut Schedule,
     exit_point_of: impl Fn(u8) -> Result<ExitPoint>,
     obs: &RunObs,
     mut elastic: Option<&mut ElasticDriver>,
@@ -86,15 +89,13 @@ pub(super) fn drive_stream(
 
     loop {
         let now = clock.elapsed_ms_f64() - t0;
-        // Admit (or shed) every arrival that is due. Churn flags flip at
-        // the arrival, exactly as the closed loop flips them per sample.
+        // Admit (or shed) every arrival that is due. Scheduled chaos fires
+        // at the arrival, exactly as the closed loop fires it per sample.
         while next_arrival < n_samples && offsets[next_arrival] <= now {
             let i = next_arrival;
             next_arrival += 1;
             let seq = i as u64;
-            if let Some(driver) = elastic.as_deref_mut() {
-                driver.before_sample(seq);
-            }
+            schedule.fire(seq, |target, down| hook.apply(seq, target, down))?;
             samples_ctr.incr();
             obs.emit(|| ObsEvent::SampleEnqueued { seq });
             if inflight.len() >= stream.queue_cap {
@@ -106,7 +107,7 @@ pub(super) fn drive_stream(
                 continue; // latency stays 0: the sample never entered
             }
             admitted_ctr.incr();
-            send_captures(i)?;
+            hook.feed(i)?;
             inflight.insert(seq, offsets[i]);
         }
         // Expire in-flight samples past the watchdog budget.

@@ -9,8 +9,8 @@
 //! orchestrator body, the multi-process launcher's rewiring) reads the
 //! table instead of re-deriving it.
 
+use crate::chaos::{CrashState, ProcTarget};
 use crate::error::{Result, RuntimeError};
-use crate::fault::{CrashState, ProcTarget};
 use crate::link::{LinkFactory, LinkSender, NodeInbox};
 use crate::message::NodeId;
 use crate::obs::{LinkCounters, RunObs};
@@ -69,8 +69,8 @@ pub(super) struct LinkRow {
     pub(super) inbox: String,
     /// Whether the link appears in the report (the sensor feeds never did).
     pub(super) tracked: bool,
-    /// The node whose crash counter silences this link (`crash_after` /
-    /// `tier_crash_after` of the fault plan), by inbox name.
+    /// The node whose crash counter silences this link (an `AfterFrames`
+    /// Down of the chaos plan), by inbox name.
     pub(super) crash: Option<String>,
 }
 
@@ -271,14 +271,10 @@ pub(super) fn connect<'a>(
     mut swap: impl FnMut(Phase, Addrs) -> Result<Addrs>,
 ) -> Result<Plane<'a>> {
     let mut factory = LinkFactory::new(cfg, Arc::clone(obs), tseq_base);
-    let plan = &cfg.fault_plan;
     // A crashing node's outbound links share one counter, so its N-th
     // transmitted frame silences all of them at once.
-    let device_crashes =
-        plan.crash_after.iter().map(|c| (format!("device{}", c.device), c.after_frames));
-    let node_crashes = plan.tier_crash_after.iter().map(|c| (c.node.clone(), c.after_frames));
     let crashes: HashMap<String, Arc<CrashState>> =
-        device_crashes.chain(node_crashes).map(|(n, after)| (n, CrashState::new(after))).collect();
+        cfg.chaos.crash_points().map(|(node, after)| (node, CrashState::new(after))).collect();
     let no_route = |what: &str, name: &str| RuntimeError::Transport {
         endpoint: name.to_string(),
         reason: format!("no {what} advertised"),

@@ -9,8 +9,8 @@
 //! gateway/(edge)/cloud wiring byte-for-byte, and [`HierarchyBuilder`]
 //! assembles arbitrary chains.
 
+use crate::chaos::{ChaosPlan, ChaosTarget, Impairment};
 use crate::error::{Result, RuntimeError};
-use crate::fault::{DeadlineConfig, FaultPlan, ProcChaosPlan, SocketChaosPlan, StreamConfig};
 use crate::link::LatencyModel;
 use crate::message::NodeId;
 use crate::obs::ObsConfig;
@@ -21,6 +21,8 @@ use ddnn_core::{
     AggregationScheme, ConvPBlock, DdnnConfig, DdnnPartition, DevicePart, EdgeConfig, EdgePart,
     ExitHead, ExitPoint, ExitThreshold, FeatureAggregator, GatewayPart,
 };
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Configuration of a simulated hierarchy run.
 #[derive(Debug, Clone)]
@@ -36,10 +38,13 @@ pub struct HierarchyConfig {
     pub local_link: LatencyModel,
     /// Latency model of the hop to the edge/cloud.
     pub uplink: LatencyModel,
-    /// Dynamic faults injected into the links mid-run. The default
-    /// ([`FaultPlan::none`]) injects nothing; an active plan requires
-    /// `deadlines` to be set so the hierarchy degrades instead of hanging.
-    pub fault_plan: FaultPlan,
+    /// Everything injected into the run mid-flight: one seeded schedule of
+    /// `(when, target, action)` events — link and socket impairments, node
+    /// crashes and membership churn, process kills and respawns. The
+    /// default ([`ChaosPlan::none`]) injects nothing; an active plan
+    /// requires `deadlines` so the hierarchy degrades instead of hanging,
+    /// and [`ChaosPlan::validate`] says what else each event needs.
+    pub chaos: ChaosPlan,
     /// Deadline-based graceful degradation. `None` (the default) keeps the
     /// exact legacy static path: aggregators wait indefinitely for the
     /// precomputed live set and the orchestrator blocks on each verdict.
@@ -56,8 +61,8 @@ pub struct HierarchyConfig {
     pub obs: ObsConfig,
     /// Elastic orchestration: heartbeat membership and runtime topology
     /// reconfiguration. `None` (the default) keeps the static topology and
-    /// its exact legacy path; required when the fault plan schedules
-    /// churn, and requires `deadlines`.
+    /// its exact legacy path; required when the chaos plan schedules
+    /// node Down/Up events, and requires `deadlines`.
     pub elastic: Option<ElasticConfig>,
     /// Open-loop streaming: a seeded arrival process, a bounded admission
     /// window with typed load-shedding, and micro-batched tier compute.
@@ -70,17 +75,6 @@ pub struct HierarchyConfig {
     /// [`ReliabilityConfig::arq`] to recover real datagram loss).
     /// Socket transports require `deadlines`.
     pub transport: TransportConfig,
-    /// Real process-level chaos for the multi-process launcher: scheduled
-    /// SIGKILLs and respawns of role processes. The default
-    /// ([`ProcChaosPlan::none`]) schedules nothing; an active plan is
-    /// launcher-only (the in-process runners reject it) and requires
-    /// `deadlines`.
-    pub proc_chaos: ProcChaosPlan,
-    /// Seeded chaos at the socket boundary of the real-FD transports
-    /// (UDP drop/duplicate/delay, mid-stream TCP severs). The default
-    /// ([`SocketChaosPlan::none`]) injects nothing; an active plan
-    /// requires a socket transport and `deadlines`.
-    pub socket_chaos: SocketChaosPlan,
 }
 
 impl Default for HierarchyConfig {
@@ -91,16 +85,151 @@ impl Default for HierarchyConfig {
             failed_devices: Vec::new(),
             local_link: LatencyModel::local(),
             uplink: LatencyModel::wan(),
-            fault_plan: FaultPlan::none(),
+            chaos: ChaosPlan::none(),
             deadlines: None,
             reliability: ReliabilityConfig::off(),
             obs: ObsConfig::default(),
             elastic: None,
             stream: None,
             transport: TransportConfig::Channel,
-            proc_chaos: ProcChaosPlan::none(),
-            socket_chaos: SocketChaosPlan::none(),
         }
+    }
+}
+
+/// Deadlines and retry bounds that make the hierarchy degrade gracefully
+/// instead of hanging when frames are lost.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DeadlineConfig {
+    /// How long an aggregating node (gateway, edge, cloud) waits for the
+    /// remaining per-device contributions of a sample before substituting
+    /// blank signatures, in milliseconds.
+    pub aggregation_ms: u64,
+    /// How long the orchestrator waits for a verdict before re-sending the
+    /// sample's captures, in milliseconds.
+    pub watchdog_ms: u64,
+    /// Capture retransmissions per sample before the orchestrator records
+    /// the sample as timed out and moves on.
+    pub max_retries: u32,
+    /// Consecutive aggregation deadlines a device must miss before it is
+    /// presumed dead and no longer waited for (it revives on its next
+    /// frame).
+    pub suspect_after: u32,
+}
+
+impl Default for DeadlineConfig {
+    fn default() -> Self {
+        DeadlineConfig { aggregation_ms: 250, watchdog_ms: 2000, max_retries: 2, suspect_after: 2 }
+    }
+}
+
+impl DeadlineConfig {
+    /// A tight configuration for tests: short waits, the same semantics.
+    pub fn fast() -> Self {
+        DeadlineConfig { aggregation_ms: 40, watchdog_ms: 400, max_retries: 2, suspect_after: 2 }
+    }
+}
+
+/// How sample arrivals are spaced when the runner feeds the hierarchy
+/// open-loop (see [`StreamConfig`]) instead of in per-sample lockstep.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ArrivalProcess {
+    /// Poisson arrivals: i.i.d. exponential inter-arrival gaps at
+    /// `rate_per_s` samples per second, drawn from a dedicated stream
+    /// seeded by `seed` — the arrival schedule is fully determined before
+    /// the run starts, independent of thread scheduling.
+    Poisson {
+        /// Mean offered load, in samples per second.
+        rate_per_s: f64,
+        /// Seed of the inter-arrival random stream.
+        seed: u64,
+    },
+    /// Deterministic fixed-rate arrivals: sample `i` is due exactly
+    /// `i / rate_per_s` seconds after the pump starts.
+    Fixed {
+        /// Offered load, in samples per second.
+        rate_per_s: f64,
+    },
+}
+
+impl ArrivalProcess {
+    /// The configured offered load, in samples per second.
+    pub fn rate_per_s(&self) -> f64 {
+        match *self {
+            ArrivalProcess::Poisson { rate_per_s, .. } | ArrivalProcess::Fixed { rate_per_s } => {
+                rate_per_s
+            }
+        }
+    }
+
+    /// The precomputed arrival schedule: for each of `n` samples, its
+    /// offset from the pump start in (fractional) milliseconds,
+    /// non-decreasing.
+    pub(crate) fn offsets_ms(&self, n: usize) -> Vec<f64> {
+        match *self {
+            ArrivalProcess::Fixed { rate_per_s } => {
+                (0..n).map(|i| i as f64 * 1000.0 / rate_per_s).collect()
+            }
+            ArrivalProcess::Poisson { rate_per_s, seed } => {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut t = 0.0f64;
+                (0..n)
+                    .map(|_| {
+                        let u: f64 = rng.gen();
+                        // Inverse-CDF exponential gap; 1 - u is in (0, 1].
+                        t += -(1.0 - u).ln() * 1000.0 / rate_per_s;
+                        t
+                    })
+                    .collect()
+            }
+        }
+    }
+}
+
+/// Open-loop streaming configuration: an arrival process that offers load
+/// regardless of completions, a bounded admission window with typed
+/// load-shedding, and the tier-side micro-batch budget. `None` on
+/// [`HierarchyConfig::stream`] (the default)
+/// keeps the closed-loop lockstep feed.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StreamConfig {
+    /// How arrivals are spaced over the run.
+    pub arrival: ArrivalProcess,
+    /// Maximum samples admitted but not yet resolved. An arrival that
+    /// finds the window full is shed — a typed
+    /// [`SampleOutcome::Shed`](crate::SampleOutcome::Shed), never a
+    /// silent drop.
+    pub queue_cap: usize,
+    /// Maximum completed samples a tier drains from its inbox and
+    /// evaluates as one batched tensor pass per iteration. `1` keeps
+    /// per-sample evaluation.
+    pub batch_max: usize,
+}
+
+impl StreamConfig {
+    /// Validates rates and bounds.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RuntimeError::Config`] for a non-finite or non-positive
+    /// arrival rate, or a zero `queue_cap`/`batch_max`.
+    pub fn validate(&self) -> Result<()> {
+        let rate = self.arrival.rate_per_s();
+        if !rate.is_finite() || rate <= 0.0 {
+            return Err(RuntimeError::Config {
+                reason: format!("stream arrival rate {rate} must be finite and positive"),
+            });
+        }
+        if self.queue_cap == 0 {
+            return Err(RuntimeError::Config {
+                reason: "stream queue_cap must be at least 1".to_string(),
+            });
+        }
+        if self.batch_max == 0 {
+            return Err(RuntimeError::Config {
+                reason: "stream batch_max must be at least 1".to_string(),
+            });
+        }
+        Ok(())
     }
 }
 
@@ -402,7 +531,8 @@ fn parse_agg(s: &str) -> Result<AggregationScheme> {
 
 /// Serializes the model + run configuration a role host needs. The
 /// launcher validates before encoding, so only multiproc-compatible
-/// configurations (no elastic/stream/fault extras) ever travel.
+/// configurations (no elastic/stream extras, of the chaos plan only the
+/// socket impairment) ever travel.
 pub(crate) fn encode_role_manifest(model: &DdnnConfig, cfg: &HierarchyConfig) -> String {
     use std::fmt::Write as _;
     let mut s = String::new();
@@ -442,13 +572,13 @@ pub(crate) fn encode_role_manifest(model: &DdnnConfig, cfg: &HierarchyConfig) ->
     writeln!(s, "buffer_frames={}", arq.buffer_frames).unwrap();
     writeln!(s, "max_age_ms={}", arq.max_age_ms).unwrap();
     writeln!(s, "transport={}", cfg.transport.name()).unwrap();
-    if cfg.socket_chaos.is_active() {
-        let sc = &cfg.socket_chaos;
-        writeln!(s, "socket_chaos_seed={}", sc.seed).unwrap();
-        writeln!(s, "socket_chaos_drop={:08x}", sc.drop_prob.to_bits()).unwrap();
-        writeln!(s, "socket_chaos_dup={:08x}", sc.duplicate_prob.to_bits()).unwrap();
+    let sc = cfg.chaos.impairment(&ChaosTarget::Sockets);
+    if sc.is_active() {
+        writeln!(s, "socket_chaos_seed={}", cfg.chaos.seed).unwrap();
+        writeln!(s, "socket_chaos_drop={:08x}", sc.drop.to_bits()).unwrap();
+        writeln!(s, "socket_chaos_dup={:08x}", sc.duplicate.to_bits()).unwrap();
         writeln!(s, "socket_chaos_delay_ms={}", sc.delay_ms).unwrap();
-        writeln!(s, "socket_chaos_sever={:08x}", sc.sever_prob.to_bits()).unwrap();
+        writeln!(s, "socket_chaos_sever={:08x}", sc.sever.to_bits()).unwrap();
     }
     s
 }
@@ -495,12 +625,12 @@ pub(crate) fn decode_role_manifest(
             reason: format!("manifest key {k:?} has malformed value {v:?}"),
         })
     }
-    let f32_bits = |k: &str| -> Result<f32> {
-        let v = get(k)?;
+    fn f32_from_bits(k: &str, v: &str) -> Result<f32> {
         u32::from_str_radix(v, 16).map(f32::from_bits).map_err(|_| RuntimeError::Protocol {
             reason: format!("manifest key {k:?} has malformed f32 bits {v:?}"),
         })
-    };
+    }
+    let f32_bits = |k: &str| f32_from_bits(k, get(k)?);
     let edge = match get("edge")? {
         "none" => None,
         spec => {
@@ -560,23 +690,15 @@ pub(crate) fn decode_role_manifest(
             None => Ok(default),
         }
     };
-    let opt_f32_bits = |k: &str| -> Result<f32> {
-        match map.get(k) {
-            Some(v) => {
-                u32::from_str_radix(v, 16).map(f32::from_bits).map_err(|_| RuntimeError::Protocol {
-                    reason: format!("manifest key {k:?} has malformed f32 bits {v:?}"),
-                })
-            }
-            None => Ok(0.0),
-        }
-    };
-    let socket_chaos = SocketChaosPlan {
-        seed: opt_num("socket_chaos_seed", 0)?,
-        drop_prob: opt_f32_bits("socket_chaos_drop")?,
-        duplicate_prob: opt_f32_bits("socket_chaos_dup")?,
+    let opt_f32_bits = |k: &str| map.get(k).map_or(Ok(0.0), |v| f32_from_bits(k, v));
+    let socket_chaos = Impairment {
+        drop: opt_f32_bits("socket_chaos_drop")?,
+        duplicate: opt_f32_bits("socket_chaos_dup")?,
         delay_ms: opt_num("socket_chaos_delay_ms", 0)? as u32,
-        sever_prob: opt_f32_bits("socket_chaos_sever")?,
+        sever: opt_f32_bits("socket_chaos_sever")?,
+        ..Impairment::none()
     };
+    let chaos = ChaosPlan::sockets(opt_num("socket_chaos_seed", 0)?, socket_chaos);
     let extras = RoleExtras { tseq_base: opt_num("tseq_base", 0)? as u32 };
     let cfg = HierarchyConfig {
         local_threshold: ExitThreshold::new(f32_bits("local_threshold")?),
@@ -589,7 +711,7 @@ pub(crate) fn decode_role_manifest(
         }),
         reliability,
         transport: get("transport")?.parse()?,
-        socket_chaos,
+        chaos,
         ..HierarchyConfig::default()
     };
     Ok((model, cfg, extras))
@@ -677,28 +799,69 @@ mod tests {
         let cfg = HierarchyConfig {
             deadlines: Some(DeadlineConfig::fast()),
             transport: crate::transport::TransportConfig::Tcp,
-            socket_chaos: SocketChaosPlan {
-                seed: 99,
-                drop_prob: 0.125,
-                duplicate_prob: 0.0625,
-                delay_ms: 2,
-                sever_prob: 0.25,
-            },
+            chaos: ChaosPlan::sockets(
+                99,
+                Impairment {
+                    drop: 0.125,
+                    duplicate: 0.0625,
+                    delay_ms: 2,
+                    sever: 0.25,
+                    ..Impairment::none()
+                },
+            ),
             ..HierarchyConfig::default()
         };
         let mut manifest = encode_role_manifest(&model, &cfg);
         manifest.push_str("tseq_base=1048576\n");
         let (m2, c2, extras) = decode_role_manifest(&manifest).unwrap();
         assert_eq!(m2.num_devices, model.num_devices);
-        assert_eq!(c2.socket_chaos, cfg.socket_chaos, "chaos probs must survive as exact bits");
+        assert_eq!(c2.chaos, cfg.chaos, "chaos probs must survive as exact bits");
         assert_eq!(extras.tseq_base, 1048576);
         // A pre-supervision manifest (no optional keys) still decodes,
         // with inactive chaos and default extras.
         let plain = encode_role_manifest(&model, &HierarchyConfig::default());
         assert!(!plain.contains("socket_chaos"));
         let (_, c3, e3) = decode_role_manifest(&plain).unwrap();
-        assert!(!c3.socket_chaos.is_active());
+        assert!(!c3.chaos.is_active());
         assert_eq!(e3, RoleExtras::default());
+    }
+
+    #[test]
+    fn fixed_arrivals_are_evenly_spaced() {
+        let offs = ArrivalProcess::Fixed { rate_per_s: 200.0 }.offsets_ms(4);
+        assert_eq!(offs, vec![0.0, 5.0, 10.0, 15.0]);
+    }
+
+    #[test]
+    fn poisson_arrivals_are_seeded_and_nondecreasing() {
+        let p = ArrivalProcess::Poisson { rate_per_s: 100.0, seed: 9 };
+        let a = p.offsets_ms(500);
+        assert_eq!(a, p.offsets_ms(500), "same seed, same schedule");
+        assert!(a.windows(2).all(|w| w[1] >= w[0]), "offsets never go backwards");
+        let b = ArrivalProcess::Poisson { rate_per_s: 100.0, seed: 10 }.offsets_ms(500);
+        assert_ne!(a, b, "different seed, different schedule");
+        // Mean gap of 500 exponential draws at 100/s is near 10 ms.
+        let mean_gap = a.last().unwrap() / 500.0;
+        assert!((5.0..20.0).contains(&mean_gap), "mean gap {mean_gap} ms at 100/s");
+    }
+
+    #[test]
+    fn stream_config_validation_rejects_degenerate_values() {
+        let ok = StreamConfig {
+            arrival: ArrivalProcess::Fixed { rate_per_s: 50.0 },
+            queue_cap: 8,
+            batch_max: 4,
+        };
+        assert!(ok.validate().is_ok());
+        for rate in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let bad = StreamConfig {
+                arrival: ArrivalProcess::Poisson { rate_per_s: rate, seed: 0 },
+                ..ok
+            };
+            assert!(bad.validate().is_err(), "rate {rate} must be rejected");
+        }
+        assert!(StreamConfig { queue_cap: 0, ..ok }.validate().is_err());
+        assert!(StreamConfig { batch_max: 0, ..ok }.validate().is_err());
     }
 
     #[test]

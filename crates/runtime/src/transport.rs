@@ -25,19 +25,18 @@
 //! joins them — sockets cannot leak background threads any more than the
 //! ARQ pump can.
 //!
-//! Fault injection happens *before* the transport (at the send boundary,
-//! in `LinkSender::send`), so the seeded fault streams draw identically
-//! on every transport; what differs is only what the real network then
-//! does to the bytes.
+//! Link impairment happens *before* the transport (at the send boundary,
+//! in `LinkSender::send`), so its seeded streams draw identically on
+//! every transport; what differs is only what the real network — and a
+//! [`ChaosTarget::Sockets`](crate::ChaosTarget) impairment, rolled in the
+//! TCP/UDP senders below — then does to the bytes.
 
+use crate::chaos::{Delivery, LinkChaos};
 use crate::error::{Result, RuntimeError};
-use crate::fault::{fnv1a, SocketChaosPlan};
 use crate::obs::{Counter, RunObs};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -159,7 +158,7 @@ impl TransportCounters {
     }
 
     /// Free-standing cells for contexts without a registry (the free
-    /// `link()`/`attach_sender()` helpers and unit tests).
+    /// `link()` helper and unit tests).
     pub(crate) fn unregistered() -> Self {
         TransportCounters {
             frames_sent: Arc::new(Counter::default()),
@@ -168,66 +167,6 @@ impl TransportCounters {
             bytes_recvd: Arc::new(Counter::default()),
             peer_disconnects: Arc::new(Counter::default()),
         }
-    }
-}
-
-/// What the socket-chaos interposer decided about one transmission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct ChaosFate {
-    /// Swallow the datagram (UDP only — a stream cannot drop one frame).
-    drop: bool,
-    /// Send the datagram twice (UDP only).
-    duplicate: bool,
-    /// Sleep this long before touching the socket.
-    delay: Option<Duration>,
-    /// Write a partial frame, then close the stream (TCP only) — the
-    /// peer observes a real mid-frame EOF.
-    sever: bool,
-}
-
-impl ChaosFate {
-    fn clean() -> Self {
-        ChaosFate { drop: false, duplicate: false, delay: None, sever: false }
-    }
-}
-
-/// Per-sender socket chaos: an independent seeded stream (plan seed mixed
-/// with the link name, like [`LinkFault`](crate::fault)) rolled once per
-/// transmission *below* the fault layer, so ARQ and CRC face injected
-/// pathology on the real file descriptors.
-#[derive(Debug)]
-struct SocketChaos {
-    drop_prob: f32,
-    duplicate_prob: f32,
-    delay_ms: u32,
-    sever_prob: f32,
-    rng: Mutex<StdRng>,
-}
-
-impl SocketChaos {
-    fn new(plan: &SocketChaosPlan, link_name: &str) -> Self {
-        SocketChaos {
-            drop_prob: plan.drop_prob,
-            duplicate_prob: plan.duplicate_prob,
-            delay_ms: plan.delay_ms,
-            sever_prob: plan.sever_prob,
-            rng: Mutex::new(StdRng::seed_from_u64(plan.seed ^ fnv1a(link_name.as_bytes()))),
-        }
-    }
-
-    /// Rolls one transmission's fate. Draws happen in a fixed order
-    /// (drop, duplicate, delay, sever), each gated on its probability
-    /// being non-zero, so plans that enable a subset draw stable streams.
-    fn roll(&self) -> ChaosFate {
-        let mut rng = self.rng.lock();
-        if self.drop_prob > 0.0 && rng.gen::<f32>() < self.drop_prob {
-            return ChaosFate { drop: true, ..ChaosFate::clean() };
-        }
-        let duplicate = self.duplicate_prob > 0.0 && rng.gen::<f32>() < self.duplicate_prob;
-        let delay = (self.delay_ms > 0)
-            .then(|| Duration::from_micros(rng.gen_range(0..=u64::from(self.delay_ms) * 1000)));
-        let sever = self.sever_prob > 0.0 && rng.gen::<f32>() < self.sever_prob;
-        ChaosFate { drop: false, duplicate, delay, sever }
     }
 }
 
@@ -280,7 +219,10 @@ struct TcpPeer {
 struct TcpTx {
     peer: Mutex<TcpPeer>,
     counters: TransportCounters,
-    chaos: Option<SocketChaos>,
+    /// Rolled once per transmission *below* the link boundary, so ARQ and
+    /// CRC face injected pathology on the real file descriptor. A stream
+    /// cannot drop or duplicate one frame: TCP honours delay and sever.
+    chaos: Option<LinkChaos>,
 }
 
 fn dial(addr: SocketAddr) -> Option<TcpStream> {
@@ -308,8 +250,12 @@ impl TransportTx for TcpTx {
     fn transmit(&self, wire: Bytes) -> bool {
         self.counters.frames_sent.incr();
         self.counters.bytes_sent.add(wire.len() as u64);
-        let fate = self.chaos.as_ref().map_or(ChaosFate::clean(), SocketChaos::roll);
-        if let Some(d) = fate.delay {
+        let fate = self.chaos.as_ref().map_or_else(Delivery::clean, LinkChaos::roll_raw);
+        let (delay, sever) = match fate {
+            Delivery::Deliver { delay, sever, .. } => (delay, sever),
+            Delivery::Dropped => (None, false),
+        };
+        if let Some(d) = delay {
             std::thread::sleep(d);
         }
         let mut peer = self.peer.lock();
@@ -330,7 +276,7 @@ impl TransportTx for TcpTx {
         }
         let stream = peer.stream.as_mut().expect("stream ensured above");
         let len = (wire.len() as u32).to_le_bytes();
-        if fate.sever {
+        if sever {
             // A real mid-stream failure: the prefix and half the body hit
             // the wire, then the connection dies. The frame is lost in
             // flight (not refused), and the receiver observes a genuine
@@ -369,27 +315,29 @@ impl TransportTx for TcpTx {
 /// (refused peer, oversized frame) reports the peer gone; the kernel is
 /// free to drop anything it accepted — that is the point of running ARQ
 /// over this transport. Chaos drops/duplicates/delays happen right at
-/// the socket, below the fault layer.
+/// the socket, below the link boundary.
 #[derive(Debug)]
 struct UdpTx {
     sock: UdpSocket,
     counters: TransportCounters,
-    chaos: Option<SocketChaos>,
+    /// Like [`TcpTx::chaos`]; a datagram socket honours drop, duplicate
+    /// and delay.
+    chaos: Option<LinkChaos>,
 }
 
 impl TransportTx for UdpTx {
     fn transmit(&self, wire: Bytes) -> bool {
         self.counters.frames_sent.incr();
         self.counters.bytes_sent.add(wire.len() as u64);
-        let fate = self.chaos.as_ref().map_or(ChaosFate::clean(), SocketChaos::roll);
-        if fate.drop {
+        let fate = self.chaos.as_ref().map_or_else(Delivery::clean, LinkChaos::roll_raw);
+        let Delivery::Deliver { duplicate, delay, .. } = fate else {
             return true; // swallowed at the socket, as the kernel may
-        }
-        if let Some(d) = fate.delay {
+        };
+        if let Some(d) = delay {
             std::thread::sleep(d);
         }
         let ok = self.sock.send(&wire).is_ok();
-        if fate.duplicate && ok {
+        if duplicate && ok {
             let _ = self.sock.send(&wire);
         }
         ok
@@ -402,7 +350,7 @@ impl TransportTx for UdpTx {
 
 /// Wraps a raw inbox channel in the in-process transport with
 /// free-standing counters — the adapter behind the public
-/// `link()`/`attach_sender()` helpers and the reliability tests.
+/// `link()` helper and the reliability tests.
 pub(crate) fn channel_tx(tx: Sender<Bytes>) -> Arc<dyn TransportTx> {
     Arc::new(ChannelTx { tx, counters: TransportCounters::unregistered() })
 }
@@ -459,7 +407,6 @@ pub(crate) struct TransportHost {
     counters: TransportCounters,
     stop: Arc<AtomicBool>,
     readers: Vec<JoinHandle<()>>,
-    chaos: SocketChaosPlan,
     dials: DialRegistry,
 }
 
@@ -500,15 +447,8 @@ impl TransportHost {
             counters: TransportCounters::registered(kind, obs),
             stop: Arc::new(AtomicBool::new(false)),
             readers: Vec::new(),
-            chaos: SocketChaosPlan::none(),
             dials: Arc::new(Mutex::new(Vec::new())),
         }
-    }
-
-    /// Installs the seeded socket-chaos plan: every *socket* sender
-    /// connected after this call rolls its own per-link chaos stream.
-    pub(crate) fn set_socket_chaos(&mut self, plan: SocketChaosPlan) {
-        self.chaos = plan;
     }
 
     /// The redial surface over every sender this host has connected.
@@ -557,15 +497,21 @@ impl TransportHost {
 
     /// Connects a sender to a bound inbox. One connection per call: a
     /// link and its ARQ retransmit path share a single returned handle,
-    /// so a TCP link is exactly one stream.
+    /// so a TCP link is exactly one stream. A *socket* sender rolls
+    /// `chaos` (the link's stream of the plan's `Sockets` impairment) once
+    /// per transmission; the in-process channel has no socket to mangle.
     ///
     /// # Errors
     ///
     /// Returns [`RuntimeError::Transport`] when the connect fails or the
     /// binding's transport does not match this host's.
-    pub(crate) fn connect(&self, to: &InboxBinding, name: &str) -> Result<Arc<dyn TransportTx>> {
+    pub(crate) fn connect(
+        &self,
+        to: &InboxBinding,
+        name: &str,
+        chaos: Option<LinkChaos>,
+    ) -> Result<Arc<dyn TransportTx>> {
         let counters = self.counters.clone();
-        let chaos = || self.chaos.is_active().then(|| SocketChaos::new(&self.chaos, name));
         let tx: Arc<dyn TransportTx> = match to {
             InboxBinding::Channel(tx) => Arc::new(ChannelTx { tx: tx.clone(), counters }),
             InboxBinding::Tcp(addr) => {
@@ -579,12 +525,12 @@ impl TransportHost {
                 let dials_left =
                     if stream.is_some() { TCP_REDIAL_BUDGET } else { TCP_REDIAL_BUDGET - 1 };
                 let peer = TcpPeer { stream, addr: *addr, dials_left };
-                Arc::new(TcpTx { peer: Mutex::new(peer), counters, chaos: chaos() })
+                Arc::new(TcpTx { peer: Mutex::new(peer), counters, chaos })
             }
             InboxBinding::Udp(addr) => {
                 let sock = UdpSocket::bind("127.0.0.1:0").map_err(|e| terr(name, "bind", &e))?;
                 sock.connect(addr).map_err(|e| terr(name, "connect", &e))?;
-                Arc::new(UdpTx { sock, counters, chaos: chaos() })
+                Arc::new(UdpTx { sock, counters, chaos })
             }
         };
         self.dials.lock().push((name.to_string(), Arc::clone(&tx)));
@@ -762,6 +708,7 @@ fn udp_reader(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::{ChaosPlan, Impairment};
 
     #[test]
     fn config_parses_and_names_round_trip() {
@@ -779,7 +726,7 @@ mod tests {
         let obs = RunObs::disabled();
         let mut host = TransportHost::new(TransportConfig::Channel, &obs);
         let (binding, rx) = host.bind("inbox").unwrap();
-        let tx = host.connect(&binding, "a->b").unwrap();
+        let tx = host.connect(&binding, "a->b", None).unwrap();
         assert!(tx.transmit(Bytes::from_static(b"hello")));
         assert_eq!(rx.recv().unwrap(), Bytes::from_static(b"hello"));
         let c = &host.counters;
@@ -796,7 +743,7 @@ mod tests {
         let obs = RunObs::disabled();
         let mut host = TransportHost::new(TransportConfig::Tcp, &obs);
         let (binding, rx) = host.bind("inbox").unwrap();
-        let tx = host.connect(&binding, "a->b").unwrap();
+        let tx = host.connect(&binding, "a->b", None).unwrap();
         for payload in [&b"first"[..], &b"second frame"[..], &[]] {
             assert!(tx.transmit(Bytes::copy_from_slice(payload)));
             let got = rx.recv_timeout(Duration::from_secs(5)).unwrap();
@@ -811,7 +758,7 @@ mod tests {
         let obs = RunObs::disabled();
         let mut host = TransportHost::new(TransportConfig::Udp, &obs);
         let (binding, rx) = host.bind("inbox").unwrap();
-        let tx = host.connect(&binding, "a->b").unwrap();
+        let tx = host.connect(&binding, "a->b", None).unwrap();
         // Localhost UDP is effectively lossless; a dropped datagram here
         // would be a real kernel anomaly worth failing on.
         assert!(tx.transmit(Bytes::from_static(b"datagram")));
@@ -838,7 +785,7 @@ mod tests {
         let obs = RunObs::disabled();
         let mut host = TransportHost::new(TransportConfig::Tcp, &obs);
         let (binding, rx) = host.bind("inbox").unwrap();
-        let tx = host.connect(&binding, "a->b").unwrap();
+        let tx = host.connect(&binding, "a->b", None).unwrap();
         assert!(tx.transmit(Bytes::from_static(b"whole frame")));
         assert_eq!(&rx.recv_timeout(Duration::from_secs(5)).unwrap()[..], b"whole frame");
         drop(tx);
@@ -870,7 +817,7 @@ mod tests {
         let obs = RunObs::disabled();
         let mut host = TransportHost::new(TransportConfig::Tcp, &obs);
         let (binding_a, rx_a) = host.bind("inbox").unwrap();
-        let tx = host.connect(&binding_a, "link").unwrap();
+        let tx = host.connect(&binding_a, "link", None).unwrap();
         assert!(tx.transmit(Bytes::from_static(b"to-a")));
         assert_eq!(&rx_a.recv_timeout(Duration::from_secs(5)).unwrap()[..], b"to-a");
         // The "respawned" peer binds a fresh inbox; the redial handle
@@ -889,7 +836,7 @@ mod tests {
         let obs = RunObs::disabled();
         let mut host = TransportHost::new(TransportConfig::Udp, &obs);
         let (binding_a, _rx_a) = host.bind("inbox").unwrap();
-        let tx = host.connect(&binding_a, "link").unwrap();
+        let tx = host.connect(&binding_a, "link", None).unwrap();
         let (binding_b, rx_b) = host.bind("inbox2").unwrap();
         assert!(tx.redial(binding_b.addr().unwrap()));
         assert!(tx.transmit(Bytes::from_static(b"rerouted")));
@@ -902,13 +849,9 @@ mod tests {
         let run = |seed: u64| -> u64 {
             let obs = RunObs::disabled();
             let mut host = TransportHost::new(TransportConfig::Udp, &obs);
-            host.set_socket_chaos(SocketChaosPlan {
-                seed,
-                drop_prob: 0.4,
-                ..SocketChaosPlan::none()
-            });
+            let plan = ChaosPlan::sockets(seed, Impairment { drop: 0.4, ..Impairment::none() });
             let (binding, rx) = host.bind("inbox").unwrap();
-            let tx = host.connect(&binding, "link").unwrap();
+            let tx = host.connect(&binding, "link", plan.socket_chaos("link")).unwrap();
             for i in 0..200u32 {
                 assert!(tx.transmit(Bytes::copy_from_slice(&i.to_le_bytes())));
             }
@@ -931,13 +874,9 @@ mod tests {
     fn tcp_sever_loses_the_frame_but_the_sender_recovers_by_redial() {
         let obs = RunObs::disabled();
         let mut host = TransportHost::new(TransportConfig::Tcp, &obs);
-        host.set_socket_chaos(SocketChaosPlan {
-            seed: 0,
-            sever_prob: 1.0,
-            ..SocketChaosPlan::none()
-        });
+        let plan = ChaosPlan::sockets(0, Impairment { sever: 1.0, ..Impairment::none() });
         let (binding, rx) = host.bind("inbox").unwrap();
-        let tx = host.connect(&binding, "link").unwrap();
+        let tx = host.connect(&binding, "link", plan.socket_chaos("link")).unwrap();
         // Every transmit severs: the frame is reported accepted (lost in
         // flight, like kernel loss) but never arrives, and the receiver
         // books an abnormal disconnect.
@@ -982,7 +921,7 @@ mod tests {
             binding: &InboxBinding,
             rx: &Receiver<Bytes>,
         ) {
-            let tx = host.connect(binding, "probe").unwrap();
+            let tx = host.connect(binding, "probe", None).unwrap();
             assert!(tx.transmit(Bytes::from_static(b"still alive")));
             loop {
                 let got = rx.recv_timeout(Duration::from_secs(5)).expect("inbox stopped serving");

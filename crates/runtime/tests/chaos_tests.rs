@@ -5,11 +5,16 @@
 
 use ddnn_core::{AggregationScheme, Ddnn, DdnnConfig, EdgeConfig, ExitThreshold};
 use ddnn_runtime::{
-    run_distributed_inference, DeadlineConfig, DeviceCrash, FaultPlan, HierarchyConfig,
-    RuntimeError, SampleOutcome,
+    run_distributed_inference, ChaosAction, ChaosPlan, ChaosTarget, ChaosWhen, DeadlineConfig,
+    HierarchyConfig, Impairment, RuntimeError, SampleOutcome,
 };
 use ddnn_tensor::rng::rng_from_seed;
 use ddnn_tensor::Tensor;
+
+/// `device` dies after transmitting `after_frames` frames.
+fn crash_after(plan: ChaosPlan, device: usize, after_frames: u64) -> ChaosPlan {
+    plan.with(ChaosWhen::AfterFrames(after_frames), ChaosTarget::Device(device), ChaosAction::Down)
+}
 
 fn small_model() -> Ddnn {
     Ddnn::new(DdnnConfig {
@@ -43,14 +48,14 @@ fn chaotic_runs_always_terminate() {
     for seed in [1u64, 2, 3] {
         let cfg = HierarchyConfig {
             local_threshold: ExitThreshold::new(0.5),
-            fault_plan: FaultPlan {
-                seed,
-                drop_prob: 0.1,
-                duplicate_prob: 0.05,
-                jitter_ms: 2,
-                crash_after: vec![DeviceCrash { device: 2, after_frames: 5 }],
-                ..FaultPlan::none()
-            },
+            chaos: crash_after(
+                ChaosPlan::links(
+                    seed,
+                    Impairment { drop: 0.1, duplicate: 0.05, delay_ms: 2, ..Impairment::none() },
+                ),
+                2,
+                5,
+            ),
             deadlines: Some(DeadlineConfig::fast()),
             ..HierarchyConfig::default()
         };
@@ -90,14 +95,14 @@ fn chaotic_edge_hierarchy_terminates() {
     let hier = HierarchyConfig {
         local_threshold: ExitThreshold::new(0.3), // force offloads through the edge
         edge_threshold: ExitThreshold::new(0.5),
-        fault_plan: FaultPlan {
-            seed: 9,
-            drop_prob: 0.15,
-            duplicate_prob: 0.1,
-            jitter_ms: 1,
-            crash_after: vec![DeviceCrash { device: 0, after_frames: 4 }],
-            ..FaultPlan::none()
-        },
+        chaos: crash_after(
+            ChaosPlan::links(
+                9,
+                Impairment { drop: 0.15, duplicate: 0.1, delay_ms: 1, ..Impairment::none() },
+            ),
+            0,
+            4,
+        ),
         deadlines: Some(DeadlineConfig::fast()),
         ..HierarchyConfig::default()
     };
@@ -131,11 +136,7 @@ fn dynamic_crash_matches_static_failure_exactly() {
         &labels,
         &HierarchyConfig {
             local_threshold: t,
-            fault_plan: FaultPlan {
-                seed: 5,
-                crash_after: vec![DeviceCrash { device: 1, after_frames: 0 }],
-                ..FaultPlan::none()
-            },
+            chaos: crash_after(ChaosPlan { seed: 5, events: vec![] }, 1, 0),
             deadlines: Some(safe_deadlines()),
             ..HierarchyConfig::default()
         },
@@ -176,7 +177,7 @@ fn duplicates_change_nothing_and_are_accounted_once() {
         &labels,
         &HierarchyConfig {
             local_threshold: t,
-            fault_plan: FaultPlan { seed: 13, duplicate_prob: 1.0, ..FaultPlan::none() },
+            chaos: ChaosPlan::links(13, Impairment { duplicate: 1.0, ..Impairment::none() }),
             deadlines: Some(safe_deadlines()),
             ..HierarchyConfig::default()
         },
@@ -241,7 +242,7 @@ fn active_fault_plan_requires_deadlines() {
         &views,
         &labels,
         &HierarchyConfig {
-            fault_plan: FaultPlan { seed: 1, drop_prob: 0.5, ..FaultPlan::none() },
+            chaos: ChaosPlan::links(1, Impairment { drop: 0.5, ..Impairment::none() }),
             ..HierarchyConfig::default()
         },
     )
@@ -276,7 +277,7 @@ fn timed_out_samples_surface_as_typed_errors() {
         &views,
         &labels,
         &HierarchyConfig {
-            fault_plan: FaultPlan { seed: 3, drop_prob: 1.0, ..FaultPlan::none() },
+            chaos: ChaosPlan::links(3, Impairment { drop: 1.0, ..Impairment::none() }),
             deadlines: Some(DeadlineConfig {
                 aggregation_ms: 20,
                 watchdog_ms: 60,

@@ -4,7 +4,7 @@
 //! outcome; recovery must re-parent traffic around the hole; and an empty
 //! churn schedule must change nothing at all.
 //!
-//! `just churn-matrix` sweeps this suite across `DDNN_THREADS={1,4}` and
+//! `just chaos-matrix` sweeps this suite across `DDNN_THREADS={1,4}` and
 //! `DDNN_CHURN_RELIABILITY={legacy,arq}`; the assertions are identical in
 //! every cell.
 
@@ -13,8 +13,8 @@ use ddnn_core::{
     FeatureAggregator, Precision,
 };
 use ddnn_runtime::{
-    compute_routing, run_cloud_only_baseline, run_distributed_inference, run_topology, ChurnAction,
-    ChurnEvent, ChurnSchedule, ChurnTarget, Compat, DeadlineConfig, ElasticConfig, FaultPlan,
+    compute_routing, run_cloud_only_baseline, run_distributed_inference, run_topology, ChaosAction,
+    ChaosEvent, ChaosPlan, ChaosTarget, ChaosWhen, Compat, DeadlineConfig, ElasticConfig,
     HierarchyBuilder, HierarchyConfig, MemorySink, ObsConfig, ObsEvent, ReliabilityConfig,
     RuntimeError, SampleOutcome, SimReport, Topology,
 };
@@ -56,18 +56,18 @@ fn churn_reliability() -> ReliabilityConfig {
     }
 }
 
-fn crash(at_sample: u64, target: ChurnTarget) -> ChurnEvent {
-    ChurnEvent { at_sample, target, action: ChurnAction::Crash }
+fn crash(at_sample: u64, target: ChaosTarget) -> ChaosEvent {
+    ChaosEvent { when: ChaosWhen::BeforeSample(at_sample), target, action: ChaosAction::Down }
 }
 
-fn rejoin(at_sample: u64, target: ChurnTarget) -> ChurnEvent {
-    ChurnEvent { at_sample, target, action: ChurnAction::Rejoin }
+fn rejoin(at_sample: u64, target: ChaosTarget) -> ChaosEvent {
+    ChaosEvent { when: ChaosWhen::BeforeSample(at_sample), target, action: ChaosAction::Up }
 }
 
-fn elastic_cfg(events: Vec<ChurnEvent>) -> HierarchyConfig {
+fn elastic_cfg(events: Vec<ChaosEvent>) -> HierarchyConfig {
     HierarchyConfig {
         local_threshold: ExitThreshold::new(0.5),
-        fault_plan: FaultPlan { churn: ChurnSchedule { events }, ..FaultPlan::none() },
+        chaos: ChaosPlan { seed: 0, events },
         deadlines: Some(churn_deadlines()),
         elastic: Some(ElasticConfig::fast()),
         reliability: churn_reliability(),
@@ -127,7 +127,7 @@ fn run_relay(
     topology: &Topology,
     views: &[Tensor],
     labels: &[usize],
-    events: Vec<ChurnEvent>,
+    events: Vec<ChaosEvent>,
     sink: Option<Arc<MemorySink>>,
 ) -> SimReport {
     let cfg = HierarchyConfig {
@@ -186,14 +186,14 @@ fn continuous_churn_survives_and_is_deterministic() {
     let views = random_views(14, 3, 61);
     let labels: Vec<usize> = (0..14).map(|i| i % 3).collect();
     let events = vec![
-        crash(2, ChurnTarget::Device(1)),
-        crash(4, ChurnTarget::Device(2)),
-        crash(5, ChurnTarget::Tier("edge".to_string())),
-        rejoin(6, ChurnTarget::Device(1)),
-        rejoin(9, ChurnTarget::Device(2)),
-        rejoin(10, ChurnTarget::Tier("edge".to_string())),
-        crash(11, ChurnTarget::Device(0)),
-        rejoin(13, ChurnTarget::Device(0)),
+        crash(2, ChaosTarget::Device(1)),
+        crash(4, ChaosTarget::Device(2)),
+        crash(5, ChaosTarget::Tier("edge".to_string())),
+        rejoin(6, ChaosTarget::Device(1)),
+        rejoin(9, ChaosTarget::Device(2)),
+        rejoin(10, ChaosTarget::Tier("edge".to_string())),
+        crash(11, ChaosTarget::Device(0)),
+        rejoin(13, ChaosTarget::Device(0)),
     ];
     let run = || {
         run_distributed_inference(&model.partition(), &views, &labels, &elastic_cfg(events.clone()))
@@ -247,8 +247,8 @@ fn tier_crash_reparents_the_device_and_rejoin_restores_the_chain() {
         &views,
         &labels,
         vec![
-            crash(2, ChurnTarget::Tier("relayA".to_string())),
-            rejoin(7, ChurnTarget::Tier("relayA".to_string())),
+            crash(2, ChaosTarget::Tier("relayA".to_string())),
+            rejoin(7, ChaosTarget::Tier("relayA".to_string())),
         ],
         Some(sink.clone()),
     );
@@ -311,7 +311,7 @@ fn gateway_crash_is_bypassed_by_the_orchestrator() {
         &topology,
         &views,
         &labels,
-        vec![crash(3, ChurnTarget::Gateway)],
+        vec![crash(3, ChaosTarget::Gateway)],
         Some(sink.clone()),
     );
     let summary = report.elastic.clone().expect("elastic summary");
@@ -351,8 +351,8 @@ fn degradation_has_no_cliff_as_churn_intensifies() {
         &views,
         &labels,
         vec![
-            crash(4, ChurnTarget::Tier("relayA".to_string())),
-            rejoin(8, ChurnTarget::Tier("relayA".to_string())),
+            crash(4, ChaosTarget::Tier("relayA".to_string())),
+            rejoin(8, ChaosTarget::Tier("relayA".to_string())),
         ],
         None,
     );
@@ -361,11 +361,11 @@ fn degradation_has_no_cliff_as_churn_intensifies() {
         &views,
         &labels,
         vec![
-            crash(4, ChurnTarget::Tier("relayA".to_string())),
-            rejoin(8, ChurnTarget::Tier("relayA".to_string())),
-            crash(10, ChurnTarget::Tier("relayB".to_string())),
-            rejoin(13, ChurnTarget::Tier("relayB".to_string())),
-            crash(12, ChurnTarget::Gateway),
+            crash(4, ChaosTarget::Tier("relayA".to_string())),
+            rejoin(8, ChaosTarget::Tier("relayA".to_string())),
+            crash(10, ChaosTarget::Tier("relayB".to_string())),
+            rejoin(13, ChaosTarget::Tier("relayB".to_string())),
+            crash(12, ChaosTarget::Gateway),
         ],
         None,
     );
@@ -384,7 +384,7 @@ fn churn_configuration_is_validated_up_front() {
     let model = edge_model();
     let views = random_views(2, 3, 65);
     let labels = vec![0usize; 2];
-    let schedule = vec![crash(0, ChurnTarget::Device(0)), rejoin(1, ChurnTarget::Device(0))];
+    let schedule = vec![crash(0, ChaosTarget::Device(0)), rejoin(1, ChaosTarget::Device(0))];
 
     // Churn without the elastic control plane is meaningless.
     let mut cfg = elastic_cfg(schedule.clone());
@@ -399,7 +399,7 @@ fn churn_configuration_is_validated_up_front() {
     assert!(matches!(err, RuntimeError::Config { .. }), "{err}");
 
     // A churn target must name a real node.
-    let cfg = elastic_cfg(vec![crash(0, ChurnTarget::Tier("fog".to_string()))]);
+    let cfg = elastic_cfg(vec![crash(0, ChaosTarget::Tier("fog".to_string()))]);
     let err = run_distributed_inference(&model.partition(), &views, &labels, &cfg).unwrap_err();
     assert!(matches!(err, RuntimeError::Config { .. }), "{err}");
 

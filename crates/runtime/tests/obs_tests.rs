@@ -6,8 +6,9 @@
 
 use ddnn_core::{Ddnn, DdnnConfig, ExitThreshold};
 use ddnn_runtime::{
-    run_distributed_inference, DeadlineConfig, DeviceCrash, FaultPlan, HierarchyConfig, MemorySink,
-    ObsConfig, ObsEvent, ReliabilityConfig, SimReport,
+    run_distributed_inference, ChaosAction, ChaosEvent, ChaosPlan, ChaosTarget, ChaosWhen,
+    DeadlineConfig, HierarchyConfig, Impairment, MemorySink, ObsConfig, ObsEvent,
+    ReliabilityConfig, SimReport,
 };
 use ddnn_tensor::rng::rng_from_seed;
 use ddnn_tensor::Tensor;
@@ -129,12 +130,11 @@ fn chaos_run_emits_deadline_and_corruption_events() {
     let sink = Arc::new(MemorySink::default());
     let cfg = HierarchyConfig {
         local_threshold: ExitThreshold::new(0.5),
-        fault_plan: FaultPlan {
-            seed: 7,
-            corrupt_prob: 0.4,
-            crash_after: vec![DeviceCrash { device: 2, after_frames: 0 }],
-            ..FaultPlan::none()
-        },
+        chaos: ChaosPlan::links(7, Impairment { corrupt: 0.4, ..Impairment::none() }).with(
+            ChaosWhen::AfterFrames(0),
+            ChaosTarget::Device(2),
+            ChaosAction::Down,
+        ),
         deadlines: Some(DeadlineConfig { aggregation_ms: 150, ..DeadlineConfig::fast() }),
         reliability: ReliabilityConfig::crc(),
         obs: ObsConfig { sink: Some(sink.clone()) },
@@ -173,7 +173,7 @@ fn arq_run_emits_retransmit_and_ack_events_and_splits_retx_bytes() {
     let sink = Arc::new(MemorySink::default());
     let cfg = HierarchyConfig {
         local_threshold: ExitThreshold::new(0.5),
-        fault_plan: FaultPlan { seed: 11, drop_prob: 0.3, ..FaultPlan::none() },
+        chaos: ChaosPlan::links(11, Impairment { drop: 0.3, ..Impairment::none() }),
         deadlines: Some(DeadlineConfig { aggregation_ms: 200, ..DeadlineConfig::fast() }),
         reliability: ReliabilityConfig::arq(),
         obs: ObsConfig { sink: Some(sink.clone()) },
@@ -203,7 +203,7 @@ fn elastic_churn_events_counters_and_summary_reconcile() {
     // report's elastic summary are three views of the same ledger — they
     // must agree exactly, and joins minus leaves must equal the live-set
     // delta.
-    use ddnn_runtime::{ChurnAction, ChurnEvent, ChurnSchedule, ChurnTarget, ElasticConfig};
+    use ddnn_runtime::ElasticConfig;
     let model = Ddnn::new(DdnnConfig {
         num_devices: 3,
         device_filters: 2,
@@ -214,19 +214,21 @@ fn elastic_churn_events_counters_and_summary_reconcile() {
     let views = random_views(10, 3, 44);
     let labels = vec![0usize; 10];
     let sink = Arc::new(MemorySink::default());
-    let ev = |at_sample, target, action| ChurnEvent { at_sample, target, action };
+    let ev = |at_sample, target, action| ChaosEvent {
+        when: ChaosWhen::BeforeSample(at_sample),
+        target,
+        action,
+    };
     let cfg = HierarchyConfig {
         local_threshold: ExitThreshold::new(0.5),
-        fault_plan: FaultPlan {
-            churn: ChurnSchedule {
-                events: vec![
-                    ev(2, ChurnTarget::Device(1), ChurnAction::Crash),
-                    ev(3, ChurnTarget::Tier("edge".to_string()), ChurnAction::Crash),
-                    ev(5, ChurnTarget::Device(1), ChurnAction::Rejoin),
-                    ev(7, ChurnTarget::Tier("edge".to_string()), ChurnAction::Rejoin),
-                ],
-            },
-            ..FaultPlan::none()
+        chaos: ChaosPlan {
+            seed: 0,
+            events: vec![
+                ev(2, ChaosTarget::Device(1), ChaosAction::Down),
+                ev(3, ChaosTarget::Tier("edge".to_string()), ChaosAction::Down),
+                ev(5, ChaosTarget::Device(1), ChaosAction::Up),
+                ev(7, ChaosTarget::Tier("edge".to_string()), ChaosAction::Up),
+            ],
         },
         deadlines: Some(DeadlineConfig {
             aggregation_ms: 150,

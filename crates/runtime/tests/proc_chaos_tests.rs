@@ -7,9 +7,9 @@
 
 use ddnn_core::{AggregationScheme, Ddnn, DdnnConfig, EdgeConfig, ExitThreshold};
 use ddnn_runtime::{
-    multiproc, run_cloud_only_baseline, run_topology, DeadlineConfig, HierarchyConfig, ProcAction,
-    ProcChaosEvent, ProcChaosPlan, ProcTarget, ReliabilityConfig, RuntimeError, SampleOutcome,
-    SimReport, SocketChaosPlan, Topology, TransportConfig,
+    multiproc, run_cloud_only_baseline, run_topology, ChaosAction, ChaosPlan, ChaosTarget,
+    ChaosWhen, DeadlineConfig, HierarchyConfig, Impairment, ProcTarget, ReliabilityConfig,
+    RuntimeError, SampleOutcome, SimReport, Topology, TransportConfig,
 };
 use ddnn_tensor::rng::rng_from_seed;
 use ddnn_tensor::Tensor;
@@ -37,7 +37,7 @@ fn random_views(n: usize, devices: usize, seed: u64) -> Vec<Tensor> {
 }
 
 /// Tight deadlines so a dead role costs ~1.2s per lost sample, not ~6s.
-fn cfg(transport: TransportConfig, proc_chaos: ProcChaosPlan) -> HierarchyConfig {
+fn cfg(transport: TransportConfig, chaos: ChaosPlan) -> HierarchyConfig {
     HierarchyConfig {
         local_threshold: ExitThreshold::new(0.4),
         edge_threshold: ExitThreshold::new(0.7),
@@ -48,7 +48,7 @@ fn cfg(transport: TransportConfig, proc_chaos: ProcChaosPlan) -> HierarchyConfig
         }),
         reliability: ReliabilityConfig::arq(),
         transport,
-        proc_chaos,
+        chaos,
         ..HierarchyConfig::default()
     }
 }
@@ -78,8 +78,11 @@ fn assert_every_role_survivable(transport: TransportConfig) {
     let roles =
         [ProcTarget::Devices, ProcTarget::Gateway, ProcTarget::Tier(0), ProcTarget::Tier(1)];
     for role in roles {
-        let plan = ProcChaosPlan::seeded_kills(0xC0FFEE, n as u64, &[role], 0);
-        let kill_at = plan.events[0].at_sample as usize;
+        let plan = ChaosPlan::seeded_kills(0xC0FFEE, n as u64, &[ChaosTarget::Process(role)], 0);
+        let ChaosWhen::BeforeSample(kill_at) = plan.events[0].when else {
+            panic!("seeded kills are scheduled by sample: {plan:?}");
+        };
+        let kill_at = kill_at as usize;
         let report =
             multiproc::launch(node_exe(), model.config(), &views, &labels, &cfg(transport, plan))
                 .unwrap_or_else(|e| {
@@ -117,7 +120,8 @@ fn seeded_kills_are_deterministic_across_reruns() {
     let n = 5usize;
     let views = random_views(n, 2, 6);
     let labels: Vec<usize> = (0..n).map(|i| i % 3).collect();
-    let plan = ProcChaosPlan::seeded_kills(42, n as u64, &[ProcTarget::Gateway], 0);
+    let plan =
+        ChaosPlan::seeded_kills(42, n as u64, &[ChaosTarget::Process(ProcTarget::Gateway)], 0);
     let run = || {
         multiproc::launch(
             node_exe(),
@@ -149,20 +153,10 @@ fn assert_respawn_rejoins(transport: TransportConfig) {
     let (kill_at, respawn_at, settled) = (2usize, 5usize, 7usize);
     let views = random_views(n, 2, 6);
     let labels: Vec<usize> = (0..n).map(|i| i % 3).collect();
-    let plan = ProcChaosPlan {
-        events: vec![
-            ProcChaosEvent {
-                at_sample: kill_at as u64,
-                role: ProcTarget::Devices,
-                action: ProcAction::Kill,
-            },
-            ProcChaosEvent {
-                at_sample: respawn_at as u64,
-                role: ProcTarget::Devices,
-                action: ProcAction::Respawn,
-            },
-        ],
-    };
+    let devices = ChaosTarget::Process(ProcTarget::Devices);
+    let plan = ChaosPlan::none()
+        .with(ChaosWhen::BeforeSample(kill_at as u64), devices.clone(), ChaosAction::Down)
+        .with(ChaosWhen::BeforeSample(respawn_at as u64), devices, ChaosAction::Up);
     let chaos_cfg = cfg(transport, plan);
     let reference = run_topology(
         &Topology::from_partition(&model.partition()),
@@ -170,7 +164,7 @@ fn assert_respawn_rejoins(transport: TransportConfig) {
         &labels,
         &HierarchyConfig {
             transport: TransportConfig::Channel,
-            proc_chaos: ProcChaosPlan::none(),
+            chaos: ChaosPlan::none(),
             ..chaos_cfg.clone()
         },
     )
@@ -220,16 +214,13 @@ fn socket_chaos_run_still_terminates_with_typed_outcomes() {
     let n = 6usize;
     let views = random_views(n, 2, 6);
     let labels: Vec<usize> = (0..n).map(|i| i % 3).collect();
-    let chaos_cfg = HierarchyConfig {
-        socket_chaos: SocketChaosPlan {
-            seed: 7,
-            drop_prob: 0.05,
-            duplicate_prob: 0.05,
-            sever_prob: 0.02,
-            ..SocketChaosPlan::none()
-        },
-        ..cfg(TransportConfig::Udp, ProcChaosPlan::none())
-    };
+    let chaos_cfg = cfg(
+        TransportConfig::Udp,
+        ChaosPlan::sockets(
+            7,
+            Impairment { drop: 0.05, duplicate: 0.05, sever: 0.02, ..Impairment::none() },
+        ),
+    );
     let report =
         multiproc::launch(node_exe(), model.config(), &views, &labels, &chaos_cfg).unwrap();
     assert_conservation(&report, n);
@@ -245,16 +236,14 @@ fn in_process_runners_reject_process_chaos() {
     let model = edge_model();
     let views = random_views(2, 2, 6);
     let labels = vec![0usize, 1];
-    let plan = ProcChaosPlan {
-        events: vec![ProcChaosEvent {
-            at_sample: 1,
-            role: ProcTarget::Gateway,
-            action: ProcAction::Kill,
-        }],
-    };
+    let plan = ChaosPlan::none().with(
+        ChaosWhen::BeforeSample(1),
+        ChaosTarget::Process(ProcTarget::Gateway),
+        ChaosAction::Down,
+    );
     let chaos_cfg = HierarchyConfig {
         deadlines: Some(DeadlineConfig::fast()),
-        proc_chaos: plan,
+        chaos: plan,
         ..HierarchyConfig::default()
     };
     let topology = Topology::from_partition(&model.partition());
@@ -277,7 +266,7 @@ fn socket_chaos_requires_a_socket_transport() {
     let labels = vec![0usize, 1];
     let chaos_cfg = HierarchyConfig {
         deadlines: Some(DeadlineConfig::fast()),
-        socket_chaos: SocketChaosPlan { seed: 1, drop_prob: 0.1, ..SocketChaosPlan::none() },
+        chaos: ChaosPlan::sockets(1, Impairment { drop: 0.1, ..Impairment::none() }),
         ..HierarchyConfig::default()
     };
     let topology = Topology::from_partition(&model.partition());

@@ -5,8 +5,8 @@
 
 use ddnn_core::{Ddnn, DdnnConfig, ExitThreshold};
 use ddnn_runtime::{
-    run_cloud_only_baseline, run_distributed_inference, DeadlineConfig, FaultPlan, HierarchyConfig,
-    ReliabilityConfig, ReliabilityMode, RuntimeError, SampleOutcome,
+    run_cloud_only_baseline, run_distributed_inference, ChaosPlan, DeadlineConfig, HierarchyConfig,
+    Impairment, ReliabilityConfig, ReliabilityMode, RuntimeError, SampleOutcome,
 };
 use ddnn_tensor::rng::rng_from_seed;
 use ddnn_tensor::Tensor;
@@ -32,8 +32,8 @@ fn safe_deadlines() -> DeadlineConfig {
 }
 
 /// The acceptance-criteria fault plan: 20% drops plus 5% corruption.
-fn lossy_plan(seed: u64) -> FaultPlan {
-    FaultPlan { seed, drop_prob: 0.2, corrupt_prob: 0.05, ..FaultPlan::none() }
+fn lossy_plan(seed: u64) -> ChaosPlan {
+    ChaosPlan::links(seed, Impairment { drop: 0.2, corrupt: 0.05, ..Impairment::none() })
 }
 
 #[test]
@@ -53,7 +53,7 @@ fn arq_reproduces_the_fault_free_run_for_undegraded_samples() {
     for seed in [11u64, 12, 13] {
         let cfg = HierarchyConfig {
             local_threshold: ExitThreshold::new(0.5),
-            fault_plan: lossy_plan(seed),
+            chaos: lossy_plan(seed),
             deadlines: Some(safe_deadlines()),
             reliability: ReliabilityConfig::arq(),
             ..HierarchyConfig::default()
@@ -97,7 +97,7 @@ fn arq_runs_are_deterministic_for_a_fixed_seed() {
     let part = model.partition();
     let cfg = HierarchyConfig {
         local_threshold: ExitThreshold::new(0.5),
-        fault_plan: lossy_plan(17),
+        chaos: lossy_plan(17),
         deadlines: Some(safe_deadlines()),
         reliability: ReliabilityConfig::arq(),
         ..HierarchyConfig::default()
@@ -150,7 +150,7 @@ fn crc_mode_discards_corruption_into_degradation() {
     let part = model.partition();
     let cfg = HierarchyConfig {
         local_threshold: ExitThreshold::new(0.5),
-        fault_plan: FaultPlan { seed: 5, drop_prob: 0.2, corrupt_prob: 0.15, ..FaultPlan::none() },
+        chaos: ChaosPlan::links(5, Impairment { drop: 0.2, corrupt: 0.15, ..Impairment::none() }),
         deadlines: Some(safe_deadlines()),
         reliability: ReliabilityConfig::crc(),
         ..HierarchyConfig::default()
@@ -177,7 +177,7 @@ fn truncation_faults_are_caught_by_the_checked_format() {
     let labels = vec![0usize; 8];
     let cfg = HierarchyConfig {
         local_threshold: ExitThreshold::new(0.5),
-        fault_plan: FaultPlan { seed: 6, truncate_prob: 0.15, ..FaultPlan::none() },
+        chaos: ChaosPlan::links(6, Impairment { truncate: 0.15, ..Impairment::none() }),
         deadlines: Some(safe_deadlines()),
         reliability: ReliabilityConfig::crc(),
         ..HierarchyConfig::default()
@@ -198,7 +198,7 @@ fn the_baseline_runs_under_the_checked_format_too() {
     let views = random_views(6, 3, 35);
     let labels = vec![0usize; 6];
     let cfg = HierarchyConfig {
-        fault_plan: FaultPlan { seed: 18, corrupt_prob: 0.2, ..FaultPlan::none() },
+        chaos: ChaosPlan::links(18, Impairment { corrupt: 0.2, ..Impairment::none() }),
         deadlines: Some(safe_deadlines()),
         reliability: ReliabilityConfig::arq(),
         ..HierarchyConfig::default()
@@ -220,7 +220,7 @@ fn per_link_overrides_confine_arq_to_the_named_links() {
         (0..3).map(|d| (format!("device{d}->gateway"), ReliabilityMode::Arq)).collect();
     let cfg = HierarchyConfig {
         local_threshold: ExitThreshold::new(0.5),
-        fault_plan: FaultPlan { seed: 8, drop_prob: 0.3, ..FaultPlan::none() },
+        chaos: ChaosPlan::links(8, Impairment { drop: 0.3, ..Impairment::none() }),
         deadlines: Some(safe_deadlines()),
         reliability: ReliabilityConfig { link_overrides: overrides, ..ReliabilityConfig::crc() },
         ..HierarchyConfig::default()
@@ -249,7 +249,7 @@ fn corruption_faults_require_a_checked_wire_format() {
     let views = random_views(4, 3, 37);
     let labels = vec![0usize; 4];
     let cfg = HierarchyConfig {
-        fault_plan: FaultPlan { seed: 1, corrupt_prob: 0.1, ..FaultPlan::none() },
+        chaos: ChaosPlan::links(1, Impairment { corrupt: 0.1, ..Impairment::none() }),
         deadlines: Some(safe_deadlines()),
         ..HierarchyConfig::default()
     };

@@ -6,8 +6,8 @@
 
 use ddnn_core::{AggregationScheme, Ddnn, DdnnConfig, EdgeConfig, ExitThreshold};
 use ddnn_runtime::{
-    run_distributed_inference, ArrivalProcess, ChurnSchedule, ChurnTarget, DeadlineConfig,
-    ElasticConfig, FaultPlan, HierarchyConfig, MemorySink, ObsConfig, ObsEvent, ReliabilityConfig,
+    run_distributed_inference, ArrivalProcess, ChaosPlan, ChaosTarget, DeadlineConfig,
+    ElasticConfig, HierarchyConfig, MemorySink, ObsConfig, ObsEvent, ReliabilityConfig,
     SampleOutcome, SimReport, StreamConfig,
 };
 use ddnn_tensor::rng::rng_from_seed;
@@ -223,17 +223,13 @@ fn streaming_survives_churn_while_loaded() {
     let views = random_views(n, 3, 73);
     let labels = vec![0usize; n];
     let targets =
-        [ChurnTarget::Device(0), ChurnTarget::Gateway, ChurnTarget::Tier("edge".to_string())];
+        [ChaosTarget::Device(0), ChaosTarget::Gateway, ChaosTarget::Tier("edge".to_string())];
     for reliability in [ReliabilityConfig::off(), ReliabilityConfig::arq()] {
         let sink = Arc::new(MemorySink::default());
         let cfg = HierarchyConfig {
             local_threshold: ExitThreshold::new(0.5),
             edge_threshold: ExitThreshold::new(0.5),
-            fault_plan: FaultPlan {
-                seed: 97,
-                churn: ChurnSchedule::flapping(97, n as u64, &targets, 6, 2),
-                ..FaultPlan::none()
-            },
+            chaos: ChaosPlan::flapping(97, n as u64, &targets, 6, 2),
             deadlines: Some(DeadlineConfig {
                 aggregation_ms: 60,
                 watchdog_ms: 250,

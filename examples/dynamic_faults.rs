@@ -14,7 +14,8 @@
 use ddnn::core::{train, Ddnn, DdnnConfig, ExitThreshold, TrainConfig};
 use ddnn::data::{all_device_batches, labels, MvmcConfig, MvmcDataset};
 use ddnn::runtime::{
-    run_distributed_inference, DeadlineConfig, DeviceCrash, FaultPlan, HierarchyConfig,
+    run_distributed_inference, ChaosAction, ChaosPlan, ChaosTarget, ChaosWhen, DeadlineConfig,
+    HierarchyConfig, Impairment,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -50,21 +51,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A hostile network: every link drops 10% of frames and duplicates 5%,
     // with up to 2 ms of jitter, and camera 6 dies mid-run. The seeded plan
     // makes the whole disaster reproducible.
-    let plan = FaultPlan {
-        seed: 42,
-        drop_prob: 0.10,
-        duplicate_prob: 0.05,
-        jitter_ms: 2,
-        crash_after: vec![DeviceCrash { device: 5, after_frames: n_samples as u64 / 2 }],
-        ..FaultPlan::none()
-    };
+    let hostile = Impairment { drop: 0.10, duplicate: 0.05, delay_ms: 2, ..Impairment::none() };
+    let plan = ChaosPlan::links(42, hostile).with(
+        ChaosWhen::AfterFrames(n_samples as u64 / 2),
+        ChaosTarget::Device(5),
+        ChaosAction::Down,
+    );
     let report = run_distributed_inference(
         &partition,
         &test_views,
         &test_labels,
         &HierarchyConfig {
             local_threshold: t,
-            fault_plan: plan,
+            chaos: plan,
             deadlines: Some(DeadlineConfig::default()),
             ..HierarchyConfig::default()
         },
