@@ -32,8 +32,8 @@ struct Timing {
 /// Process CPU time. Benchmark boxes are shared vCPUs where scheduler
 /// steal adds multi-millisecond bursts to wall-clock timings; CPU time
 /// only advances while this process runs, so kernel costs stay comparable
-/// across runs and hosts. The pool spawns scoped threads per call (no
-/// spinning workers), so multi-thread legs don't accrue busy-wait time.
+/// across runs and hosts. Idle pool workers sleep on a condition variable
+/// (none spins), so multi-thread legs don't accrue busy-wait time.
 #[cfg(target_os = "linux")]
 fn cpu_time_ns() -> f64 {
     #[repr(C)]

@@ -66,6 +66,19 @@ impl ConvPBlock {
         self.in_channels
     }
 
+    /// Multiply–accumulates of the block's convolution over an
+    /// `(n, c, h, w)` input — the block's cost as the worker pool counts it
+    /// (pooling, batch norm and the activation are linear in the output and
+    /// small beside it).
+    pub fn macs(&self, input_dims: &[usize]) -> usize {
+        let &[n, _, h, w] = input_dims else {
+            return 0; // not a batch: the convolution itself reports it
+        };
+        let spec = self.conv.spec();
+        let (oh, ow) = spec.output_size(h, w);
+        n * self.filters * self.in_channels * spec.kernel_h * spec.kernel_w * oh * ow
+    }
+
     /// Serialized parameter size in bytes (binary conv weights + float BN
     /// parameters) — the quantity bounded by the paper's 2 KB device
     /// budget.

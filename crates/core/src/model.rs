@@ -343,6 +343,14 @@ impl Ddnn {
         Ok(n)
     }
 
+    /// Forward cost of all device sections over an `n`-sample batch, as the
+    /// worker pool counts it: what decides whether the sections fan out (a
+    /// training or evaluation batch) or run inline (one sample).
+    pub(crate) fn device_work(&self, n: usize) -> usize {
+        let [c, h, w] = self.config.view_dims();
+        self.device_convs.iter().map(|conv| conv.macs(&[n, c, h, w])).sum()
+    }
+
     /// Runs all exits for a batch: `views[d]` is device `d`'s
     /// `(n, 3, 32, 32)` input batch.
     ///
@@ -350,7 +358,7 @@ impl Ddnn {
     ///
     /// Returns an error if the view count or any view shape is wrong.
     pub fn forward(&mut self, views: &[Tensor], mode: Mode) -> Result<ExitLogits> {
-        self.check_views(views)?;
+        let work = self.device_work(self.check_views(views)?);
         // Device sections: binary feature maps + per-device class scores.
         // The sections are independent, so they fan out across the worker
         // pool; results come back in device order regardless of thread
@@ -362,7 +370,7 @@ impl Ddnn {
             .zip(views)
             .map(|((c, e), v)| (c, e, v))
             .collect();
-        let outputs = parallel::par_map_mut(&mut sections, |_, section| {
+        let outputs = parallel::par_map_mut(&mut sections, work, |_, section| {
             let (conv, exit, view) = section;
             let map = conv.forward(view, mode)?;
             let scores = exit.forward(&map, mode)?;
@@ -431,6 +439,8 @@ impl Ddnn {
         // own parameters), so they fan out across the worker pool with the
         // serial per-device instruction sequence intact.
         let score_grads = self.local_agg.backward(&grads.local)?;
+        // Two GEMMs per conv going backwards against one going forwards.
+        let work = 2 * self.device_work(grads.local.dims().first().copied().unwrap_or(0));
         let mut sections: Vec<(&mut ExitHead, &mut ConvPBlock, &Tensor, &mut Tensor)> = self
             .device_exits
             .iter_mut()
@@ -439,7 +449,7 @@ impl Ddnn {
             .zip(&mut map_grads)
             .map(|(((e, c), sg), mg)| (e, c, sg, mg))
             .collect();
-        let results = parallel::par_map_mut(&mut sections, |_, section| {
+        let results = parallel::par_map_mut(&mut sections, work, |_, section| {
             let (exit, conv, sg, mg) = section;
             let g_map_flat = exit.backward(sg)?;
             let g_map = g_map_flat.reshape(mg.dims().to_vec())?;
@@ -621,10 +631,10 @@ impl Ddnn {
     ///
     /// Returns an error on malformed views.
     pub fn device_feature_maps(&mut self, views: &[Tensor]) -> Result<Vec<Tensor>> {
-        self.check_views(views)?;
+        let work = self.device_work(self.check_views(views)?);
         let mut sections: Vec<(&mut ConvPBlock, &Tensor)> =
             self.device_convs.iter_mut().zip(views).collect();
-        parallel::par_map_mut(&mut sections, |_, section| {
+        parallel::par_map_mut(&mut sections, work, |_, section| {
             let (conv, v) = section;
             conv.forward(v, Mode::Eval)
         })
@@ -639,7 +649,7 @@ impl Ddnn {
     ///
     /// Returns an error on malformed views.
     pub fn device_scores(&mut self, views: &[Tensor]) -> Result<Vec<Tensor>> {
-        self.check_views(views)?;
+        let work = self.device_work(self.check_views(views)?);
         let mut sections: Vec<(&mut ConvPBlock, &mut ExitHead, &Tensor)> = self
             .device_convs
             .iter_mut()
@@ -647,7 +657,7 @@ impl Ddnn {
             .zip(views)
             .map(|((c, e), v)| (c, e, v))
             .collect();
-        parallel::par_map_mut(&mut sections, |_, section| {
+        parallel::par_map_mut(&mut sections, work, |_, section| {
             let (conv, exit, v) = section;
             let m = conv.forward(v, Mode::Eval)?;
             exit.forward(&m, Mode::Eval)

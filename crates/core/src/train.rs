@@ -210,7 +210,11 @@ fn sharded_batch(
     let ranges: Vec<(usize, usize)> =
         (0..shards).map(|s| (s * per, ((s + 1) * per).min(n))).filter(|(a, b)| a < b).collect();
     let snapshot: &Ddnn = model;
-    let shard_runs = parallel::par_map_indexed(ranges.len(), |si| {
+    // A forward and a backward pass over the whole batch; the device
+    // sections alone (a lower bound) already place a real batch far above
+    // the pool's cut-off.
+    let work = 3 * snapshot.device_work(n);
+    let shard_runs = parallel::par_map_indexed(ranges.len(), work, |si| {
         let (start, end) = ranges[si];
         let idx: Vec<usize> = (start..end).collect();
         let shard_views: Vec<Tensor> =

@@ -193,17 +193,15 @@ fn training_and_inference_are_invariant_to_thread_count() {
     // up, never what is computed. One test owns the env-var mutation so
     // it stays self-contained within this process.
     use ddnn_core::{train, Ddnn, TrainConfig};
+    // The paper's device tier (six devices, four filters): at batch 4 its
+    // sections are 2.7e6 MACs, enough to clear the pool's cut-off, so the
+    // 4-thread run really does fan out — sections and gradient shards.
     let run = || {
         let mut rng = rng_from_seed(31);
         let views: Vec<Tensor> =
-            (0..2).map(|_| Tensor::rand_uniform([8, 3, 32, 32], 0.0, 1.0, &mut rng)).collect();
+            (0..6).map(|_| Tensor::rand_uniform([8, 3, 32, 32], 0.0, 1.0, &mut rng)).collect();
         let labels: Vec<usize> = (0..8).map(|i| i % 3).collect();
-        let mut model = Ddnn::new(DdnnConfig {
-            num_devices: 2,
-            device_filters: 2,
-            cloud_filters: [4, 8],
-            ..DdnnConfig::default()
-        });
+        let mut model = Ddnn::new(DdnnConfig { cloud_filters: [4, 8], ..DdnnConfig::default() });
         let cfg = TrainConfig {
             epochs: 2,
             batch_size: 4,

@@ -45,6 +45,15 @@ impl SimClock {
     pub fn deadline_in(&self, ms: u64) -> Instant {
         self.now() + Duration::from_millis(ms)
     }
+
+    /// [`SimClock::deadline_in`] with sub-millisecond resolution, for
+    /// waiting until an instant worked out from
+    /// [`SimClock::elapsed_ms_f64`] readings; rounded up to whole
+    /// milliseconds such a wait overshoots by up to 1 ms. Negative waits
+    /// are due now.
+    pub fn deadline_in_f64(&self, ms: f64) -> Instant {
+        self.now() + Duration::from_secs_f64(ms.max(0.0) / 1e3)
+    }
 }
 
 impl Default for SimClock {
@@ -65,6 +74,12 @@ mod tests {
         let far = clock.deadline_in(1000);
         assert!(near >= now);
         assert!(far > near);
+        // The sub-millisecond form lands between whole milliseconds and
+        // treats an overdue instant as due now.
+        let now = clock.now();
+        let half = clock.deadline_in_f64(0.5);
+        assert!(half > now && half < clock.deadline_in(1));
+        assert!(clock.deadline_in_f64(-3.0) <= clock.now());
     }
 
     #[test]

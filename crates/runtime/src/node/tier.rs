@@ -217,16 +217,18 @@ impl TierSection for RawSection {
     }
 
     fn evaluate(&mut self, views: Vec<Tensor>) -> Result<(Tensor, Option<Tensor>)> {
-        // Run the full network in the cloud (config (a)). The per-sample
-        // device fan-out evaluates the independent device sections
-        // concurrently, in device order.
+        // Run the full network in the cloud (config (a)). The device
+        // sections are independent and come back in device order; for the
+        // paper's six they are far below the pool's cut-off and run inline
+        // on this node's thread.
         let mut sections: Vec<(&mut DevicePart, Tensor)> = Vec::with_capacity(self.devices.len());
         for (part, v) in self.devices.iter_mut().zip(views) {
             let mut dims = vec![1];
             dims.extend_from_slice(v.dims());
             sections.push((part, v.reshape(dims)?));
         }
-        let maps: Vec<Tensor> = parallel::par_map_mut(&mut sections, |_, section| {
+        let work = sections.iter().map(|(part, batch)| part.conv.macs(batch.dims())).sum();
+        let maps: Vec<Tensor> = parallel::par_map_mut(&mut sections, work, |_, section| {
             let (part, batch) = section;
             part.conv.forward(batch, Mode::Eval)
         })

@@ -65,13 +65,17 @@ pub(super) fn compute_blanks(topology: &Topology) -> Result<Blanks> {
         let raw = dequantize_image(&quantize_image(&blank_view(config)), config.view_dims())?;
         return Ok(Blanks { devices: Vec::new(), tiers: vec![vec![raw; topology.num_devices()]] });
     }
-    // One forward pass per device on identical cloned sections — fan out
-    // across the worker pool (results are collected in device order).
-    let devices: Vec<BlankSignature> = parallel::par_map_indexed(topology.num_devices(), |d| {
-        blank_signature(&topology.devices[d], &topology.config)
-    })
-    .into_iter()
-    .collect::<Result<_>>()?;
+    // One single-sample forward pass per device on identical cloned
+    // sections, collected in device order; only a fleet of dozens of
+    // devices is enough work to leave this thread.
+    let [c, h, w] = topology.config.view_dims();
+    let work = topology.devices.iter().map(|part| part.conv.macs(&[1, c, h, w])).sum();
+    let devices: Vec<BlankSignature> =
+        parallel::par_map_indexed(topology.num_devices(), work, |d| {
+            blank_signature(&topology.devices[d], &topology.config)
+        })
+        .into_iter()
+        .collect::<Result<_>>()?;
     let mut tiers: Vec<Vec<Tensor>> = Vec::with_capacity(topology.tiers.len());
     tiers.push(devices.iter().map(|b| b.map.clone()).collect());
     for k in 1..topology.tiers.len() {

@@ -176,13 +176,12 @@ pub(super) fn drive_stream(
                 reason: "streaming pump idle with nothing scheduled".to_string(),
             });
         }
-        let wait_ms = (wake - now).max(0.0).ceil() as u64;
         // A `None` recv is a tick: arrivals / expiries handled at loop
         // top. Anything that isn't a verdict for an in-flight sample —
         // duplicate verdicts, late pongs from a timed-out sweep —
         // drains harmlessly; a pong missed here simply counts as a
         // missed heartbeat.
-        if let Some(frame) = orch_rx.recv_deadline(clock.deadline_in(wait_ms))? {
+        if let Some(frame) = orch_rx.recv_deadline(clock.deadline_in_f64(wake - now))? {
             if let Payload::Verdict { prediction, exit_tier } = frame.payload {
                 if let Some(born) = inflight.remove(&frame.seq) {
                     let now = clock.elapsed_ms_f64() - t0;

@@ -41,17 +41,12 @@ use crate::tensor::Tensor;
 /// Bits per storage word.
 const WORD_BITS: usize = 64;
 
-/// Minimum `lhs_rows * rhs_rows * cols` before an XNOR GEMM fans out across
-/// the worker pool (same rationale as the f32 kernel's threshold, scaled:
-/// a word op covers 64 multiply–accumulates).
-const PAR_BITOP_THRESHOLD: usize = 1 << 20;
-
-/// Minimum tap-product count before a *batched* convolution fans samples
-/// out across the worker pool. Cross-sample fan-out pays a pool dispatch
-/// and loses the shared scratch; below this the serial stream (one
-/// scratch, warm caches) wins, so the bar is higher than the in-sample
-/// pixel-partition threshold.
-const BATCH_PAR_THRESHOLD: usize = 8 * PAR_BITOP_THRESHOLD;
+/// What a *batched* convolution divides its tap-product count by before
+/// handing it to the worker pool as its work estimate. Cross-sample
+/// fan-out gives up the shared scratch and its warm caches, so its
+/// parallel form is dearer than the in-sample pixel partition's and has to
+/// clear the pool's cut-off by this much more.
+const BATCH_FANOUT_COST: usize = 8;
 
 /// Output pixels assembled per inner-loop iteration of the fused planar
 /// conv kernel. Eight `u64` lanes fill one AVX-512 register (two AVX2
@@ -341,11 +336,7 @@ impl BitMatrix {
         let tier = simd::active_tier();
         let mut out = vec![0.0f32; m * n];
         let kernel = |r0: usize, chunk: &mut [f32]| self.xnor_block(tier, rhs, r0, chunk);
-        if m * n * self.cols >= PAR_BITOP_THRESHOLD && parallel::num_threads() > 1 {
-            parallel::par_item_chunks_mut(&mut out, n, kernel);
-        } else {
-            kernel(0, &mut out);
-        }
+        parallel::par_item_chunks_mut(&mut out, n, m * n * self.cols, kernel);
         Tensor::from_vec(out, [m, n])
     }
 
@@ -451,11 +442,7 @@ impl BitMatrix {
         let kernel = |r0: usize, chunk: &mut [f32]| {
             self.xnor_masked_block(tier, rhs, mask, valid, r0, chunk)
         };
-        if self.rows * n * self.cols >= PAR_BITOP_THRESHOLD && parallel::num_threads() > 1 {
-            parallel::par_item_chunks_mut(out, n, kernel);
-        } else {
-            kernel(0, out);
-        }
+        parallel::par_item_chunks_mut(out, n, self.rows * n * self.cols, kernel);
     }
 
     /// Serial masked XNOR block: fills output rows `r0..` of the masked GEMM.
@@ -806,7 +793,8 @@ pub fn bit_im2col(input: &Tensor, spec: &Conv2dSpec) -> Result<(Vec<BitMatrix>, 
     let (n, c, h, w) = check_nchw(input, "bit_im2col")?;
     let (oh, ow) = spec.checked_output_size(h, w)?;
     let data = input.data();
-    let patches = parallel::par_map_indexed(n, |b| {
+    let taps = n * oh * ow * c * spec.kernel_h * spec.kernel_w;
+    let patches = parallel::par_map_indexed(n, taps, |b| {
         pack_patches(&data[b * c * h * w..(b + 1) * c * h * w], c, h, w, spec, oh, ow)
     });
     Ok((patches, geometry_mask(c, h, w, spec, oh, ow)))
@@ -1024,23 +1012,18 @@ impl BinaryConvPlan {
         let chw = c * h * w;
         let mut out = vec![0.0f32; n * fp];
         let data = input.data();
-        if n > 1 && self.batch_work(n) >= BATCH_PAR_THRESHOLD && parallel::num_threads() > 1 {
-            parallel::par_item_chunks_mut(&mut out, fp, |b0, chunk| {
-                let mut scratch = ConvScratch::default();
-                for (bi, res) in chunk.chunks_mut(fp).enumerate() {
-                    self.conv_sample(tier, &data[(b0 + bi) * chw..][..chw], res, &mut scratch);
-                }
-            });
-        } else {
+        let work = self.batch_work(n) / BATCH_FANOUT_COST;
+        parallel::par_item_chunks_mut(&mut out, fp, work, |b0, chunk| {
             let mut scratch = ConvScratch::default();
-            for (b, res) in out.chunks_mut(fp).enumerate() {
-                self.conv_sample(tier, &data[b * chw..][..chw], res, &mut scratch);
+            for (bi, res) in chunk.chunks_mut(fp).enumerate() {
+                self.conv_sample(tier, &data[(b0 + bi) * chw..][..chw], res, &mut scratch);
             }
-        }
+        });
         Tensor::from_vec(out, [n, self.f, self.oh, self.ow])
     }
 
-    /// Tap-product count for an `n`-sample batch — the fan-out gate.
+    /// Tap-product count for an `n`-sample batch — its cost in the pool's
+    /// MAC-equivalents (one XNOR word covers 64 taps).
     fn batch_work(&self, n: usize) -> usize {
         n * self.f * self.oh * self.ow * self.c * self.spec.kernel_h * self.spec.kernel_w
     }
@@ -1076,7 +1059,8 @@ impl BinaryConvPlan {
             *bits = pack_row_tier(&data[r * self.w..][..self.w], tier) << self.spec.padding;
         }
         let plane_bits: &[u64] = &scratch.plane;
-        if self.batch_work(1) >= PAR_BITOP_THRESHOLD && parallel::num_threads() > 1 {
+        let work = self.batch_work(1);
+        if parallel::fans_out(pixels, work) {
             // Pixel-major scratch (pixels, f): workers own contiguous pixel
             // ranges, then one serial transpose lands the (f, pixels)
             // layout. Same arithmetic as the serial path — only the store
@@ -1084,7 +1068,7 @@ impl BinaryConvPlan {
             scratch.pm.clear();
             scratch.pm.resize(pixels * self.f, 0.0);
             let pm = &mut scratch.pm[..];
-            parallel::par_item_chunks_mut(pm, self.f, |j0, chunk| {
+            parallel::par_item_chunks_mut(pm, self.f, work, |j0, chunk| {
                 self.conv_pixels(tier, plane_bits, j0, chunk, false);
             });
             for j in 0..pixels {
@@ -1327,26 +1311,15 @@ pub fn binary_conv2d_batch(
     let tier = simd::active_tier();
     let (f, oh, ow) = (plan.f, plan.oh, plan.ow);
     let fp = f * oh * ow;
-    if plan.batch_work(inputs.len()) >= BATCH_PAR_THRESHOLD && parallel::num_threads() > 1 {
-        parallel::par_map_indexed(inputs.len(), |i| {
-            let mut scratch = ConvScratch::default();
-            let mut res = vec![0.0f32; fp];
-            plan.conv_sample(tier, inputs[i].data(), &mut res, &mut scratch);
-            Tensor::from_vec(res, [f, oh, ow])
-        })
-        .into_iter()
-        .collect()
-    } else {
+    let work = plan.batch_work(inputs.len()) / BATCH_FANOUT_COST;
+    parallel::par_map_indexed(inputs.len(), work, |i| {
         let mut scratch = ConvScratch::default();
-        inputs
-            .iter()
-            .map(|x| {
-                let mut res = vec![0.0f32; fp];
-                plan.conv_sample(tier, x.data(), &mut res, &mut scratch);
-                Tensor::from_vec(res, [f, oh, ow])
-            })
-            .collect()
-    }
+        let mut res = vec![0.0f32; fp];
+        plan.conv_sample(tier, inputs[i].data(), &mut res, &mut scratch);
+        Tensor::from_vec(res, [f, oh, ow])
+    })
+    .into_iter()
+    .collect()
 }
 
 #[cfg(test)]

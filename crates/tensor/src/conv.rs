@@ -117,7 +117,7 @@ pub fn im2col(input: &Tensor, spec: &Conv2dSpec) -> Result<Tensor> {
     // Batch elements are independent: fan them out across the pool. Each
     // worker writes only its own batch chunk, so the result is identical
     // for any thread count.
-    parallel::par_item_chunks_mut(&mut out, rows * cols, |b0, chunk| {
+    parallel::par_item_chunks_mut(&mut out, rows * cols, n * rows * cols, |b0, chunk| {
         for (bi, bchunk) in chunk.chunks_mut(rows * cols).enumerate() {
             let in_base = (b0 + bi) * c * h * w;
             let mut r = 0;
@@ -177,7 +177,7 @@ pub fn col2im(cols: &Tensor, c: usize, h: usize, w: usize, spec: &Conv2dSpec) ->
     // Scatter-accumulation stays within one batch element, so batches can
     // run on separate workers without racing; per-element accumulation
     // order is the serial loop's, keeping results thread-count-invariant.
-    parallel::par_item_chunks_mut(&mut out, c * h * w, |b0, chunk| {
+    parallel::par_item_chunks_mut(&mut out, c * h * w, n * rows * oh * ow, |b0, chunk| {
         for (bi, bchunk) in chunk.chunks_mut(c * h * w).enumerate() {
             let in_base = (b0 + bi) * rows * (oh * ow);
             let mut r = 0;
@@ -235,9 +235,9 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, spec: &Conv2dSpec) -> Result<Tens
     let mut out = vec![0.0f32; n * f * pixels];
     // Fan the batch out across the pool; each element is an independent
     // `(f, rows) x (rows, pixels)` product. A single-element batch instead
-    // parallelises inside the GEMM (across output rows), so per-sample
-    // inference still uses every core.
-    parallel::par_item_chunks_mut(&mut out, f * pixels, |b0, chunk| {
+    // leaves the decision to the GEMM, which splits across output rows
+    // only if that one product clears the pool's cut-off.
+    parallel::par_item_chunks_mut(&mut out, f * pixels, n * f * rows * pixels, |b0, chunk| {
         for (bi, res) in chunk.chunks_mut(f * pixels).enumerate() {
             let b = b0 + bi;
             let colmat = &cdata[b * rows * pixels..(b + 1) * rows * pixels];

@@ -17,8 +17,9 @@
 //!   paper's communication-cost model (Eq. 1) counts;
 //! * [`bitmatrix`] — `u64`-word packed ±1 matrices with XNOR–popcount
 //!   GEMM and bit-packed `im2col`, the binary inference fast path;
-//! * [`parallel`] — deterministic scoped-thread data parallelism
-//!   (`DDNN_THREADS`) used by the f32 and binary kernels alike;
+//! * [`parallel`] — deterministic data parallelism on one persistent
+//!   worker pool (`DDNN_THREADS`) behind one work cut-off, used by the
+//!   f32 and binary kernels alike;
 //! * [`simd`] — runtime SIMD dispatch tiers (`DDNN_SIMD`) selecting the
 //!   scalar/SSE2/AVX2/AVX-512 clones of the bit-packed kernels;
 //! * [`rng`] — deterministic, seedable random tensor generation.

@@ -9,10 +9,6 @@ use crate::parallel;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 
-/// Minimum multiply–accumulate count before a GEMM fans out across the
-/// worker pool; below this the scoped-thread setup costs more than it saves.
-const PAR_FLOP_THRESHOLD: usize = 1 << 16;
-
 /// Row-major `(m,k) x (k,n)` product accumulated into `out` (zeroed by the
 /// caller, length `m*n`), serial.
 ///
@@ -35,20 +31,16 @@ pub(crate) fn gemm(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut
 }
 
 /// [`gemm`] that row-partitions the output across the worker pool when the
-/// product is large enough to amortise thread startup.
+/// product clears the pool's work cut-off.
 ///
 /// Each output row is produced by exactly one worker running the serial
 /// kernel's instruction sequence, so the result is bit-identical for any
 /// thread count.
 pub(crate) fn gemm_auto(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
-    if m * k * n >= PAR_FLOP_THRESHOLD && parallel::num_threads() > 1 {
-        parallel::par_item_chunks_mut(out, n, |r0, chunk| {
-            let mrows = chunk.len() / n;
-            gemm(&a[r0 * k..(r0 + mrows) * k], b, mrows, k, n, chunk);
-        });
-    } else {
-        gemm(a, b, m, k, n, out);
-    }
+    parallel::par_item_chunks_mut(out, n, m * k * n, |r0, chunk| {
+        let mrows = chunk.len() / n;
+        gemm(&a[r0 * k..(r0 + mrows) * k], b, mrows, k, n, chunk);
+    });
 }
 
 impl Tensor {
@@ -456,11 +448,11 @@ mod tests {
 
     #[test]
     fn matmul_parallel_matches_serial() {
-        // Large enough to cross the parallel threshold; every element must
-        // be bit-identical to the serial kernel.
-        let m = 64;
-        let k = 48;
-        let n = 32;
+        // Large enough (2.4e6 MACs) to clear the pool's cut-off; every
+        // element must be bit-identical to the serial kernel.
+        let m = 192;
+        let k = 96;
+        let n = 128;
         let a = Tensor::from_fn([m, k], |i| ((i * 37) % 101) as f32 / 13.0 - 3.0);
         let b = Tensor::from_fn([k, n], |i| ((i * 53) % 97) as f32 / 11.0 - 4.0);
         let par = a.matmul(&b).unwrap();

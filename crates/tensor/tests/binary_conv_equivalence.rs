@@ -156,3 +156,18 @@ fn paper_shape_batch8_all_tiers() {
         assert_eq!(got, expect, "tier {}", tier.name());
     }
 }
+
+/// Shapes heavy enough to clear the worker pool's cut-off, so that under
+/// `DDNN_THREADS=4` each parallel form runs: the in-sample pixel partition
+/// (one 3.5e6-tap sample), the cross-sample fan-out of the fused and the
+/// batched entry points (six of them), and the row-partitioned masked GEMM
+/// behind inputs wider than one word.
+#[test]
+fn shapes_above_the_pool_cut_off_agree() {
+    let spec = Conv2dSpec::paper_conv();
+    let w = random_weights(&[16, 24, 3, 3], 11);
+    check_all_paths(&random_signs(&[1, 24, 32, 32], 11), &w, &spec);
+    check_all_paths(&random_signs(&[6, 24, 32, 32], 12), &w, &spec);
+    let wide = random_weights(&[16, 8, 3, 3], 13);
+    check_all_paths(&random_signs(&[2, 8, 32, 70], 13), &wide, &spec);
+}

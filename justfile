@@ -152,6 +152,14 @@ bench-smoke:
 bench-selfcheck:
     benchmark/run.sh selfcheck
 
+# A/B one workload between a base commit and this checkout: N (default
+# 10) alternating parent/change pairs at equal seeds through the command
+# of BENCHMARK.json; per metric both medians, quartiles, wins/N and the
+# verdict of the choosing-metrics rule. `just bench-ab HEAD~1
+# burst_escalate`, optionally `--pairs N --seconds S`.
+bench-ab base workload *args:
+    scripts/bench_ab.sh {{base}} {{workload}} {{args}}
+
 # Code lines (non-blank, non-comment) of the runtime crate — the count
 # ROADMAP item 2's "crates/runtime/src shrinks by >= 20%" is tracked by;
 # CI fails above 8,800.
