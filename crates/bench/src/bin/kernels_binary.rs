@@ -6,9 +6,10 @@
 //! Each cell re-verifies bit-identity against the f32 sign path before
 //! timing, so the artifact doubles as an equivalence check on every
 //! dispatch tier. The conv rows cover both the single-sample fused path
-//! and the batch-8 micro-batch drain: `binary_conv2d_batch` packs the
-//! weight matrix once and streams the samples, so its per-batch cost
-//! should beat eight per-sample calls.
+//! and the batch-8 micro-batch drain as the runtime's tiers run it —
+//! `Tensor::stack` then one `binary_conv2d`, which packs the weight matrix
+//! once and streams the samples — so its per-batch cost should beat eight
+//! per-sample calls.
 //!
 //! Emits one combined machine-readable `results/BENCH_kernels.json`
 //! (f32 baselines per thread count + one cell per tier × threads)
@@ -16,7 +17,7 @@
 //! `DDNN_BENCH_SMOKE=1`) for a seconds-long run that exercises every
 //! cell without producing publication-grade timings.
 
-use ddnn_tensor::bitmatrix::{binary_conv2d, binary_conv2d_batch, binary_matmul};
+use ddnn_tensor::bitmatrix::{binary_conv2d, binary_matmul};
 use ddnn_tensor::conv::{conv2d, Conv2dSpec};
 use ddnn_tensor::rng::rng_from_seed;
 use ddnn_tensor::simd::{self, SimdTier};
@@ -153,8 +154,8 @@ fn main() {
     let wconv = Tensor::rand_signs([16, c, 3, 3], &mut rng);
     let x8 = Tensor::rand_signs([8, c, h, w_], &mut rng);
     let chw = c * h * w_;
-    // The same batch as eight rank-3 samples (batched entry point) and
-    // eight rank-4 singletons (per-sample calls).
+    // The same batch as eight rank-3 samples (what a tier dequeues and
+    // stacks) and eight rank-4 singletons (per-sample calls).
     let samples: Vec<Tensor> = (0..8)
         .map(|b| {
             Tensor::from_vec(x8.data()[b * chw..(b + 1) * chw].to_vec(), [c, h, w_])
@@ -197,7 +198,6 @@ fn main() {
         base.push(time_kernel("conv_batch8_f32", batch_iters, || {
             let _ = conv2d(&x8, &wconv, &spec).expect("conv2d batch");
         }));
-        let (f_out, oh, ow) = (conv_ref8.dims()[1], conv_ref8.dims()[2], conv_ref8.dims()[3]);
 
         for &tier in &tiers {
             simd::with_tier(tier, || {
@@ -225,25 +225,19 @@ fn main() {
                 timings.push(b1);
 
                 // Batch 8: per-sample calls (weights re-packed 8×) vs the
-                // batched plan (weights packed once, samples streamed).
-                let batched = binary_conv2d_batch(&samples, &wconv, &spec).expect("batched");
-                for (b, out) in batched.iter().enumerate() {
-                    let pix = oh * ow;
-                    assert_eq!(out.dims(), &[f_out, oh, ow]);
-                    assert_eq!(
-                        out.data(),
-                        &conv_ref8.data()[b * f_out * pix..(b + 1) * f_out * pix],
-                        "batched sample {b} diverged on {}",
-                        tier.name()
-                    );
-                }
+                // stacked batch (weights packed once, samples streamed).
+                let batch8 = || {
+                    let stacked = Tensor::stack(&samples).expect("stack");
+                    binary_conv2d(&stacked, &wconv, &spec).expect("batched")
+                };
+                assert_eq!(batch8(), conv_ref8, "batched conv diverged on {}", tier.name());
                 let per = time_kernel("conv_batch8_per_sample_xnor", batch_iters, || {
                     for s in &singles {
                         let _ = binary_conv2d(s, &wconv, &spec).expect("binary_conv2d");
                     }
                 });
                 let bat = time_kernel("conv_batch8_batched_xnor", batch_iters, || {
-                    let _ = binary_conv2d_batch(&samples, &wconv, &spec).expect("batched");
+                    let _ = batch8();
                 });
                 let f8 = base.iter().find(|t| t.name == "conv_batch8_f32").unwrap();
                 speedups.push(("conv_batch8".into(), f8.ns_per_op / bat.ns_per_op));

@@ -75,7 +75,9 @@ impl ConvPBlock {
             return 0; // not a batch: the convolution itself reports it
         };
         let spec = self.conv.spec();
-        let (oh, ow) = spec.output_size(h, w);
+        let Ok((oh, ow)) = spec.checked_output_size(h, w) else {
+            return 0; // degenerate geometry: likewise
+        };
         n * self.filters * self.in_channels * spec.kernel_h * spec.kernel_w * oh * ow
     }
 

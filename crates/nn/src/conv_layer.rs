@@ -103,14 +103,17 @@ impl Layer for Conv2d {
         }
         // Binary inference fast path: a ±1 feature map convolved with
         // sign(W) lowers to the fused pack-and-popcount kernel
-        // (`BinaryConvPlan` under `binary_conv2d`), bit-identical to the
-        // zero-padded f32 convolution. The plan packs the weight matrix
-        // once per call and streams every batch element through it, so the
-        // runtime's micro-batched tiers (`TierNode.batch_max` stacks B
-        // samples into one NCHW batch) amortize the setup across the
-        // batch. Raw float inputs (the first device conv sees images, not
-        // signs) fall through to the f32 path; training does too, so
-        // backward sees the cached float activations it expects.
+        // (`BinaryConvPlan` under `binary_conv2d`, the one bit-packed
+        // convolution), bit-identical to the zero-padded f32 convolution.
+        // The plan packs the weight matrix once per call and streams every
+        // batch element through it, so the runtime's micro-batched tiers
+        // (`TierNode.batch_max` stacks B samples into one NCHW batch)
+        // amortize the setup across the batch. `binary_conv2d` itself
+        // sends rows wider than one word (`w + 2·padding > 64`, no paper
+        // geometry) to the f32 convolution. Raw float inputs (the first
+        // device conv sees images, not signs) fall through to the f32
+        // path here; training does too, so backward sees the cached float
+        // activations it expects.
         if self.binary && self.bit_kernels && mode == Mode::Eval && is_sign_tensor(input) {
             let out = binary_conv2d(input, &self.weight.value, &self.spec)?;
             self.cached_input = Some(input.clone());

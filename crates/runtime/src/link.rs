@@ -281,38 +281,6 @@ impl LinkReceiver {
         Frame::decode(bytes)
     }
 
-    /// Blocks for the next frame until `deadline`; `Ok(None)` when the
-    /// deadline passes with nothing delivered.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::Disconnected`] if all senders hung up, or a
-    /// protocol error if decoding fails.
-    pub fn recv_deadline(&self, deadline: Instant) -> Result<Option<Frame>> {
-        match self.rx.recv_deadline(deadline) {
-            Ok(bytes) => Ok(Some(Frame::decode(bytes)?)),
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => Ok(None),
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                Err(RuntimeError::Disconnected { node: self.name.to_string() })
-            }
-        }
-    }
-
-    /// Non-blocking receive; `Ok(None)` when the queue is empty.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::Disconnected`] if all senders hung up.
-    pub fn try_recv(&self) -> Result<Option<Frame>> {
-        match self.rx.try_recv() {
-            Ok(bytes) => Ok(Some(Frame::decode(bytes)?)),
-            Err(crossbeam::channel::TryRecvError::Empty) => Ok(None),
-            Err(crossbeam::channel::TryRecvError::Disconnected) => {
-                Err(RuntimeError::Disconnected { node: self.name.to_string() })
-            }
-        }
-    }
-
     /// Blocks for the next raw wire datagram (format-agnostic; the
     /// [`NodeInbox`] decides how to decode it).
     pub(crate) fn recv_raw(&self) -> Result<bytes::Bytes> {
@@ -709,7 +677,7 @@ mod tests {
     #[test]
     fn try_recv_on_empty_is_none() {
         let (_tx, rx, _stats) = link("x");
-        assert!(rx.try_recv().unwrap().is_none());
+        assert!(rx.try_recv_raw().unwrap().is_none());
     }
 
     #[test]
@@ -738,11 +706,12 @@ mod tests {
     fn recv_deadline_times_out_then_delivers() {
         let (tx, rx, _stats) = link("slow");
         let deadline = Instant::now() + std::time::Duration::from_millis(10);
-        assert!(rx.recv_deadline(deadline).unwrap().is_none());
+        assert!(rx.recv_raw_deadline(deadline).unwrap().is_none());
         let f = Frame::new(1, NodeId::Gateway, Payload::OffloadRequest);
         tx.send(&f).unwrap();
         let deadline = Instant::now() + std::time::Duration::from_millis(100);
-        assert_eq!(rx.recv_deadline(deadline).unwrap(), Some(f));
+        let wire = rx.recv_raw_deadline(deadline).unwrap().expect("delivered in time");
+        assert_eq!(Frame::decode(wire).unwrap(), f);
     }
 
     #[test]
@@ -752,7 +721,7 @@ mod tests {
         let (mut tx, rx, stats) = link("lossy");
         tx.fault = plan.link_chaos("lossy", None);
         tx.send(&Frame::new(0, NodeId::Gateway, Payload::OffloadRequest)).unwrap();
-        assert!(rx.try_recv().unwrap().is_none());
+        assert!(rx.try_recv_raw().unwrap().is_none());
         let s = stats.snapshot();
         assert_eq!(s.frames_dropped, 1);
         assert_eq!((s.frames, s.payload_bytes, s.header_bytes, s.frames_duplicated), (0, 0, 0, 0));

@@ -46,8 +46,9 @@ fn main() {
             bitmatrix::binary_conv2d(s, &w, &spec).unwrap();
         }
     });
+    // What a tier's micro-batch drain runs: stack, then one plan.
     let batch_t = time_us(200, || {
-        bitmatrix::binary_conv2d_batch(&samples, &w, &spec).unwrap();
+        bitmatrix::binary_conv2d(&Tensor::stack(&samples).unwrap(), &w, &spec).unwrap();
     });
     println!("tier {}", ddnn_tensor::simd::active_tier().name());
     println!("f32   conv1: {f32_t:9.2} us");

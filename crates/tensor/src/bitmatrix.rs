@@ -17,22 +17,28 @@
 //! number of words with zero bits; the pad bits of both operands are zero,
 //! so `a XOR b` is zero there and the padding never contributes.
 //!
-//! Convolution lowers to the same kernel through a bit-packed `im2col`
-//! ([`binary_conv2d`]): each output pixel's receptive field becomes one bit
-//! row. Zero *padding* taps cannot be represented in a ±1 alphabet (a zero
-//! would alias to −1), so a per-pixel validity mask rides along and the
-//! masked identity is used instead:
+//! Convolution has exactly one bit-packed lowering, the fused
+//! [`BinaryConvPlan`] behind [`binary_conv2d`]: each output pixel's
+//! receptive field is assembled as one bit row in registers and dotted
+//! against every filter at once; nothing is materialised. Zero *padding*
+//! taps cannot be represented in a ±1 alphabet (a zero would alias to −1),
+//! so border pixels are repaired to the masked identity
 //!
 //! ```text
 //! dot(a, b) = popcount(mask) − 2·popcount((a XOR b) AND mask)
 //! ```
+//!
+//! by a precomputed additive term. The plan packs one input row per word,
+//! so it covers `w + 2·padding ≤ 64` ([`BinaryConvPlan::fits`]; every
+//! paper geometry is at most 34 wide); [`binary_conv2d`] hands wider rows
+//! to the f32 [`conv2d`] on the sign-binarized operands.
 //!
 //! Every product term is an integer in `{−1, 0, +1}` and every partial sum
 //! an integer far below 2^24, so the `f32` results here are **exactly**
 //! equal to the float path on binarized operands — bit-identical, not just
 //! close — which is what lets the layers above switch kernels freely.
 
-use crate::conv::{check_nchw, Conv2dSpec};
+use crate::conv::{check_nchw, conv2d, Conv2dSpec};
 use crate::error::{Result, TensorError};
 use crate::parallel;
 use crate::simd::{self, SimdTier};
@@ -278,23 +284,32 @@ impl BitMatrix {
         self.cols
     }
 
-    /// Number of `u64` words storing each row.
-    pub fn words_per_row(&self) -> usize {
-        self.words_per_row
+    /// Index of the word holding element `(r, c)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics outside the logical `(rows, cols)` extent: a bit planted in a
+    /// row's tail padding would break the zero-pad invariant every dot
+    /// product of that row relies on.
+    fn word_of(&self, r: usize, c: usize) -> usize {
+        let (rows, cols) = (self.rows, self.cols);
+        assert!(r < rows && c < cols, "bit ({r}, {c}) outside {rows}x{cols}");
+        r * self.words_per_row + c / WORD_BITS
     }
 
-    /// Whether element `(r, c)` is `+1`.
+    /// Whether element `(r, c)` is `+1`. Panics if `(r, c)` is out of range.
     pub fn get(&self, r: usize, c: usize) -> bool {
-        (self.words[r * self.words_per_row + c / WORD_BITS] >> (c % WORD_BITS)) & 1 == 1
+        (self.words[self.word_of(r, c)] >> (c % WORD_BITS)) & 1 == 1
     }
 
-    /// Sets element `(r, c)` to `+1` (true) or `−1` (false).
+    /// Sets element `(r, c)` to `+1` (true) or `−1` (false). Panics if
+    /// `(r, c)` is out of range.
     pub fn set(&mut self, r: usize, c: usize, positive: bool) {
-        let w = &mut self.words[r * self.words_per_row + c / WORD_BITS];
+        let i = self.word_of(r, c);
         if positive {
-            *w |= 1 << (c % WORD_BITS);
+            self.words[i] |= 1 << (c % WORD_BITS);
         } else {
-            *w &= !(1 << (c % WORD_BITS));
+            self.words[i] &= !(1 << (c % WORD_BITS));
         }
     }
 
@@ -399,144 +414,6 @@ impl BitMatrix {
             self.xnor_block_generic(rhs, r0, chunk)
         }
     }
-
-    /// Masked XNOR–popcount GEMM for zero-padded operands: positions where
-    /// the per-rhs-row `mask` bit is clear contribute `0` to the dot
-    /// product instead of ±1.
-    ///
-    /// `mask` must have the same shape as `rhs`; row `j` of the output
-    /// column `j` uses `popcount(mask_j) − 2·popcount((a_i ^ b_j) & mask_j)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if column counts differ or
-    /// the mask shape does not match `rhs`.
-    pub fn xnor_matmul_masked(&self, rhs: &BitMatrix, mask: &BitMatrix) -> Result<Tensor> {
-        if self.cols != rhs.cols || mask.rows != rhs.rows || mask.cols != rhs.cols {
-            return Err(TensorError::ShapeMismatch {
-                lhs: vec![self.rows, self.cols],
-                rhs: vec![rhs.rows, rhs.cols],
-                op: "xnor_matmul_masked",
-            });
-        }
-        let valid: Vec<i32> = (0..rhs.rows)
-            .map(|j| mask.row(j).iter().map(|w| w.count_ones() as i32).sum())
-            .collect();
-        let mut out = vec![0.0f32; self.rows * rhs.rows];
-        self.xnor_masked_into(simd::active_tier(), rhs, mask, &valid, &mut out);
-        Tensor::from_vec(out, [self.rows, rhs.rows])
-    }
-
-    /// Shape-unchecked core of [`BitMatrix::xnor_matmul_masked`], writing
-    /// into a caller-provided buffer (used by the conv lowering, whose
-    /// shapes are consistent by construction).
-    fn xnor_masked_into(
-        &self,
-        tier: SimdTier,
-        rhs: &BitMatrix,
-        mask: &BitMatrix,
-        valid: &[i32],
-        out: &mut [f32],
-    ) {
-        let n = rhs.rows;
-        let kernel = |r0: usize, chunk: &mut [f32]| {
-            self.xnor_masked_block(tier, rhs, mask, valid, r0, chunk)
-        };
-        parallel::par_item_chunks_mut(out, n, self.rows * n * self.cols, kernel);
-    }
-
-    /// Serial masked XNOR block: fills output rows `r0..` of the masked GEMM.
-    #[inline(always)]
-    fn xnor_masked_block_generic(
-        &self,
-        rhs: &BitMatrix,
-        mask: &BitMatrix,
-        valid: &[i32],
-        r0: usize,
-        chunk: &mut [f32],
-    ) {
-        let n = rhs.rows;
-        for (ri, orow) in chunk.chunks_mut(n).enumerate() {
-            let arow = self.row(r0 + ri);
-            for (j, o) in orow.iter_mut().enumerate() {
-                let mut diff = 0i32;
-                for ((&aw, &bw), &mw) in arow.iter().zip(rhs.row(j)).zip(mask.row(j)) {
-                    diff += ((aw ^ bw) & mw).count_ones() as i32;
-                }
-                *o = (valid[j] - 2 * diff) as f32;
-            }
-        }
-    }
-
-    /// `popcnt`-enabled clone of [`BitMatrix::xnor_masked_block_generic`].
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "popcnt")]
-    unsafe fn xnor_masked_block_popcnt(
-        &self,
-        rhs: &BitMatrix,
-        mask: &BitMatrix,
-        valid: &[i32],
-        r0: usize,
-        chunk: &mut [f32],
-    ) {
-        self.xnor_masked_block_generic(rhs, mask, valid, r0, chunk)
-    }
-
-    /// AVX2 clone of [`BitMatrix::xnor_masked_block_generic`].
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2,popcnt")]
-    unsafe fn xnor_masked_block_avx2(
-        &self,
-        rhs: &BitMatrix,
-        mask: &BitMatrix,
-        valid: &[i32],
-        r0: usize,
-        chunk: &mut [f32],
-    ) {
-        self.xnor_masked_block_generic(rhs, mask, valid, r0, chunk)
-    }
-
-    /// AVX-512 VPOPCNTDQ clone of [`BitMatrix::xnor_masked_block_generic`].
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f,avx512bw,avx512vpopcntdq,popcnt")]
-    unsafe fn xnor_masked_block_avx512(
-        &self,
-        rhs: &BitMatrix,
-        mask: &BitMatrix,
-        valid: &[i32],
-        r0: usize,
-        chunk: &mut [f32],
-    ) {
-        self.xnor_masked_block_generic(rhs, mask, valid, r0, chunk)
-    }
-
-    /// Tier-dispatched masked XNOR block.
-    #[inline]
-    fn xnor_masked_block(
-        &self,
-        tier: SimdTier,
-        rhs: &BitMatrix,
-        mask: &BitMatrix,
-        valid: &[i32],
-        r0: usize,
-        chunk: &mut [f32],
-    ) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: the tier is clamped to the detected CPU features.
-        match tier {
-            SimdTier::Scalar => self.xnor_masked_block_generic(rhs, mask, valid, r0, chunk),
-            SimdTier::Sse2 => unsafe { self.xnor_masked_block_popcnt(rhs, mask, valid, r0, chunk) },
-            SimdTier::Avx2 => unsafe { self.xnor_masked_block_avx2(rhs, mask, valid, r0, chunk) },
-            SimdTier::Avx512 => unsafe {
-                self.xnor_masked_block_avx512(rhs, mask, valid, r0, chunk)
-            },
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            let _ = tier;
-            self.xnor_masked_block_generic(rhs, mask, valid, r0, chunk)
-        }
-    }
 }
 
 /// Whether every element is exactly `+1.0` or `-1.0` — the precondition
@@ -569,24 +446,6 @@ struct RowBits<'a> {
 }
 
 impl RowBits<'_> {
-    #[inline(always)]
-    fn push(&mut self, bit: bool) {
-        self.cur |= u64::from(bit) << (self.tap % WORD_BITS);
-        self.tap += 1;
-        if self.tap.is_multiple_of(WORD_BITS) {
-            self.words[self.tap / WORD_BITS - 1] = self.cur;
-            self.cur = 0;
-        }
-    }
-
-    /// Pushes `count` clear bits (out-of-bounds taps of a skipped row).
-    #[inline(always)]
-    fn skip(&mut self, count: usize) {
-        for _ in 0..count {
-            self.push(false);
-        }
-    }
-
     /// Pushes `count < 64` bits at once (`bits` holds them LSB-first),
     /// splitting across a word boundary when needed.
     #[inline(always)]
@@ -611,212 +470,23 @@ impl RowBits<'_> {
     }
 }
 
-/// Builds the per-output-pixel bit rows of one batch element: row
-/// `oy*ow + ox` holds the `c*kh*kw` receptive-field taps of that output
-/// pixel, in the same tap order as [`crate::conv::im2col`] rows.
-fn pack_patches(
-    data: &[f32],
-    c: usize,
-    h: usize,
-    w: usize,
-    spec: &Conv2dSpec,
-    oh: usize,
-    ow: usize,
-) -> BitMatrix {
-    let kk = c * spec.kernel_h * spec.kernel_w;
-    let mut m = BitMatrix::zeros(oh * ow, kk);
-    if w <= WORD_BITS && spec.kernel_w < WORD_BITS && spec.padding < WORD_BITS {
-        pack_patches_planar(data, c, h, w, spec, (oh, ow), &mut m);
-    } else {
-        pack_patches_general(data, c, h, w, spec, (oh, ow), &mut m);
-    }
-    m
-}
-
-/// Fast path for inputs at most one word wide (every paper geometry):
-/// packs each input row into a single `u64` once, then assembles every
-/// receptive-field row of every patch with one shift-and-mask per
-/// `(channel, ky)` group instead of per-tap float compares. This is what
-/// keeps the bit-`im2col` from dominating the conv kernel — packing cost
-/// per tap drops from ~10 ops to ~10 ops per *kernel row*.
-fn pack_patches_planar(
-    data: &[f32],
-    c: usize,
-    h: usize,
-    w: usize,
-    spec: &Conv2dSpec,
-    (oh, ow): (usize, usize),
-    m: &mut BitMatrix,
-) {
-    let kw = spec.kernel_w;
-    let kmask = (1u64 << kw) - 1;
-    let mut plane_bits = vec![0u64; c * h];
-    for (r, bits) in plane_bits.iter_mut().enumerate() {
-        *bits = pack_word_partial(&data[r * w..(r + 1) * w]);
-    }
-    let wpr = m.words_per_row;
-    for oy in 0..oh {
-        for ox in 0..ow {
-            let row = oy * ow + ox;
-            let ix0 = (ox * spec.stride) as isize - spec.padding as isize;
-            let mut bits =
-                RowBits { words: &mut m.words[row * wpr..(row + 1) * wpr], cur: 0, tap: 0 };
-            for ch in 0..c {
-                let prows = &plane_bits[ch * h..(ch + 1) * h];
-                for ky in 0..spec.kernel_h {
-                    let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
-                    let g = if iy < 0 || iy >= h as isize {
-                        0
-                    } else {
-                        // Out-of-range x taps shift in zero bits from either
-                        // end; in-range bits land LSB-first at kx.
-                        let prow = prows[iy as usize];
-                        if ix0 >= 0 {
-                            (prow >> ix0) & kmask
-                        } else {
-                            (prow << -ix0) & kmask
-                        }
-                    };
-                    bits.push_group(g, kw);
-                }
-            }
-            bits.finish();
-        }
-    }
-}
-
-/// General per-tap packing for geometries too wide for the planar path.
-fn pack_patches_general(
-    data: &[f32],
-    c: usize,
-    h: usize,
-    w: usize,
-    spec: &Conv2dSpec,
-    (oh, ow): (usize, usize),
-    m: &mut BitMatrix,
-) {
-    let wpr = m.words_per_row;
-    for oy in 0..oh {
-        for ox in 0..ow {
-            let row = oy * ow + ox;
-            let mut bits =
-                RowBits { words: &mut m.words[row * wpr..(row + 1) * wpr], cur: 0, tap: 0 };
-            for ch in 0..c {
-                let plane = &data[ch * h * w..(ch + 1) * h * w];
-                for ky in 0..spec.kernel_h {
-                    let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
-                    if iy < 0 || iy >= h as isize {
-                        bits.skip(spec.kernel_w);
-                        continue;
-                    }
-                    let irow = &plane[iy as usize * w..iy as usize * w + w];
-                    for kx in 0..spec.kernel_w {
-                        let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
-                        let inside = ix >= 0 && ix < w as isize;
-                        // The clamped index keeps the load in bounds for
-                        // padding taps; `inside` zeroes their contribution.
-                        bits.push(inside && irow[ix.clamp(0, w as isize - 1) as usize] > 0.0);
-                    }
-                }
-            }
-            bits.finish();
-        }
-    }
-}
-
-/// Builds the validity mask shared by every batch element: bit `tap` of row
-/// `oy*ow + ox` is set iff that tap falls inside the unpadded input. The
-/// geometry pattern is replicated across channels, so each row is
-/// assembled from one `ky`-validity word and one `kx`-validity group
-/// (falling back to per-tap pushes for enormous kernels).
-fn geometry_mask(
-    c: usize,
-    h: usize,
-    w: usize,
-    spec: &Conv2dSpec,
-    oh: usize,
-    ow: usize,
-) -> BitMatrix {
-    let (kh, kw) = (spec.kernel_h, spec.kernel_w);
-    let kk = c * kh * kw;
-    let mut m = BitMatrix::zeros(oh * ow, kk);
-    let wpr = m.words_per_row;
-    for oy in 0..oh {
-        let mut ymask = 0u64;
-        if kh < WORD_BITS && kw < WORD_BITS {
-            for ky in 0..kh {
-                let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
-                ymask |= u64::from(iy >= 0 && iy < h as isize) << ky;
-            }
-        }
-        for ox in 0..ow {
-            let row = oy * ow + ox;
-            let mut bits =
-                RowBits { words: &mut m.words[row * wpr..(row + 1) * wpr], cur: 0, tap: 0 };
-            if kh < WORD_BITS && kw < WORD_BITS {
-                let mut xmask = 0u64;
-                for kx in 0..kw {
-                    let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
-                    xmask |= u64::from(ix >= 0 && ix < w as isize) << kx;
-                }
-                for _ch in 0..c {
-                    for ky in 0..kh {
-                        bits.push_group(if (ymask >> ky) & 1 == 1 { xmask } else { 0 }, kw);
-                    }
-                }
-            } else {
-                for _ch in 0..c {
-                    for ky in 0..kh {
-                        let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
-                        let y_in = iy >= 0 && iy < h as isize;
-                        for kx in 0..kw {
-                            let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
-                            bits.push(y_in && ix >= 0 && ix < w as isize);
-                        }
-                    }
-                }
-            }
-            bits.finish();
-        }
-    }
-    m
-}
-
-/// Bit-packed `im2col`: lowers one ±1 NCHW batch into per-batch patch
-/// matrices (`oh*ow` rows of `c*kh*kw` taps each) plus the shared validity
-/// mask for the zero-padding taps.
-///
-/// # Errors
-///
-/// Returns an error for non-rank-4 input or degenerate geometry.
-pub fn bit_im2col(input: &Tensor, spec: &Conv2dSpec) -> Result<(Vec<BitMatrix>, BitMatrix)> {
-    let (n, c, h, w) = check_nchw(input, "bit_im2col")?;
-    let (oh, ow) = spec.checked_output_size(h, w)?;
-    let data = input.data();
-    let taps = n * oh * ow * c * spec.kernel_h * spec.kernel_w;
-    let patches = parallel::par_map_indexed(n, taps, |b| {
-        pack_patches(&data[b * c * h * w..(b + 1) * c * h * w], c, h, w, spec, oh, ow)
-    });
-    Ok((patches, geometry_mask(c, h, w, spec, oh, ow)))
-}
-
 /// A prepared binary convolution: weights packed once, geometry resolved
 /// once, then any number of same-shaped ±1 samples streamed through the
-/// fused pack-and-popcount kernel.
+/// fused pack-and-popcount kernel — the only bit-packed convolution in
+/// this crate.
 ///
-/// The fused kernel never materialises the packed column matrix of
-/// [`bit_im2col`]: each output pixel's bit row is assembled tile-by-tile
-/// into a words-per-patch scratch (a handful of `u64`s, L1-resident) and
-/// immediately dotted against every filter via the word-transposed weight
-/// copy, so the inner loop vectorizes across filters under the wider
-/// [`SimdTier`]s. Interior pixels — the vast majority — skip the padding
-/// mask entirely; border pixels assemble a mask row from precomputed
-/// per-`oy`/per-`ox` validity words. Inputs wider than one word fall back
-/// to the two-phase lowering ([`pack_patches`] + masked GEMM), which
-/// handles arbitrary geometry.
+/// Nothing is materialised: each input row is packed into one `u64`,
+/// pre-shifted by the padding, and each output pixel's bit row is
+/// assembled tile-by-tile into a words-per-patch scratch (a handful of
+/// `u64`s, L1-resident) and immediately dotted against every filter.
+/// Out-of-bounds taps read zero bits, so the kernel runs the unmasked
+/// XNOR identity everywhere and the few border pixels are repaired
+/// afterwards by a precomputed additive term (see [`BinaryConvPlan::new`]).
 ///
-/// Outputs are exact integers either way, bit-identical to the f32 sign
-/// path and to the two-phase reference on every dispatch tier.
+/// One row per word bounds the input width: [`BinaryConvPlan::fits`] is
+/// the rule, and [`binary_conv2d`] routes everything else to the f32
+/// [`conv2d`], the reference these outputs are bit-identical to on every
+/// dispatch tier.
 #[derive(Debug, Clone)]
 pub struct BinaryConvPlan {
     /// Packed `(f, c*kh*kw)` weights in `(ch, ky, kx)` tap order.
@@ -828,37 +498,40 @@ pub struct BinaryConvPlan {
     f: usize,
     oh: usize,
     ow: usize,
-    /// Whether the single-word-wide fused kernel applies.
-    planar: bool,
-    /// Planar: bit `ky` of `ymasks[oy]` is set iff input row
+    /// Bit `ky` of `ymasks[oy]` is set iff input row
     /// `oy*stride + ky - padding` is in bounds.
     ymasks: Vec<u64>,
-    /// Planar: bit `kx` of `xmasks[ox]` is set iff input column
-    /// `ox*stride + kx - padding` is in bounds.
-    xmasks: Vec<u64>,
-    /// Planar: border output pixels (those with any out-of-bounds tap)
-    /// as `(pixel index, mask-combo index)` pairs, row-major order.
+    /// Border output pixels (those with any out-of-bounds tap) as
+    /// `(pixel index, mask-combo index)` pairs, row-major order.
     border: Vec<(u32, u32)>,
-    /// Planar: additive border corrections, laid out `[fi][combo]`:
+    /// Additive border corrections, laid out `[fi][combo]`:
     /// `valid + 2·popcount(w AND NOT mask) − kk` turns the unmasked
     /// XNOR identity into the masked one (see `conv_sample`).
     deltas_t: Vec<i64>,
     /// Number of distinct `(ymask, xmask)` border combos.
     ncombos: usize,
-    /// General fallback: the full per-pixel validity mask…
-    mask: Option<BitMatrix>,
-    /// …and its per-pixel popcounts.
-    valid: Vec<i32>,
 }
 
 impl BinaryConvPlan {
+    /// Whether the fused kernel covers `spec` over `w`-wide inputs — the
+    /// one selection between the plan and the f32 reference. The kernel
+    /// pre-shifts each packed input row left by the padding so the tap
+    /// group for output column `ox` is always `(row >> ox*stride) & kmask`
+    /// with an in-range shift count, which needs the padded row
+    /// (`w + 2·padding` addressable bits) to fit one word.
+    pub fn fits(spec: &Conv2dSpec, w: usize) -> bool {
+        w + 2 * spec.padding <= WORD_BITS && spec.kernel_w < WORD_BITS && spec.kernel_h < WORD_BITS
+    }
+
     /// Prepares a plan for convolving `(n, c, h, w)` ±1 inputs with the
     /// given sign-packed weight tensor (`(f, c, kh, kw)`).
     ///
     /// # Errors
     ///
     /// Returns an error for a non-rank-4 weight, a kernel size differing
-    /// from `spec`, or degenerate geometry.
+    /// from `spec`, degenerate geometry, or — as
+    /// [`TensorError::InvalidGeometry`] — a geometry outside
+    /// [`BinaryConvPlan::fits`].
     pub fn new(weight: &Tensor, spec: &Conv2dSpec, h: usize, w: usize) -> Result<BinaryConvPlan> {
         let (f, c, kh, kw) = check_nchw(weight, "binary_conv_plan")?;
         if kh != spec.kernel_h || kw != spec.kernel_w {
@@ -869,16 +542,80 @@ impl BinaryConvPlan {
             });
         }
         let (oh, ow) = spec.checked_output_size(h, w)?;
+        if !Self::fits(spec, w) {
+            return Err(TensorError::InvalidGeometry {
+                kernel: (kh, kw),
+                input: (h, w),
+                stride: spec.stride,
+                padding: spec.padding,
+            });
+        }
         let kk = c * kh * kw;
         let wbits = BitMatrix::pack_slice(weight.data(), f, kk);
-        let wpk = wbits.words_per_row;
-        // The fused kernel pre-shifts each packed input row left by `pad`
-        // so a tap group for output column `ox` is always
-        // `(row >> ox*stride) & kmask` with an in-range shift count —
-        // that needs the padded row (w + 2*pad bits of addressable
-        // positions) to fit one word.
-        let planar = w + 2 * spec.padding <= WORD_BITS && kw < WORD_BITS && kh < WORD_BITS;
-        let mut plan = BinaryConvPlan {
+        // Bit `k` set iff tap `o*stride + k - padding` lands inside `0..len`.
+        let tap_mask = |o: usize, taps: usize, len: usize| {
+            let mut m = 0u64;
+            for k in 0..taps {
+                let i = (o * spec.stride + k) as isize - spec.padding as isize;
+                m |= u64::from(i >= 0 && i < len as isize) << k;
+            }
+            m
+        };
+        let ymasks: Vec<u64> = (0..oh).map(|oy| tap_mask(oy, kh, h)).collect();
+        let xmasks: Vec<u64> = (0..ow).map(|ox| tap_mask(ox, kw, w)).collect();
+        // Pre-shifted rows put a zero bit at every out-of-bounds tap, so
+        // the kernel can run the *unmasked* identity everywhere and border
+        // pixels are repaired afterwards by a per-(masks, fi) additive
+        // delta:
+        //
+        //   popcount(p^w) = popcount((p^w)&m) + popcount(w & !m)
+        //   masked = valid − 2·popcount((p^w)&m)
+        //          = (kk − 2·popcount(p^w)) + (valid + 2·corr − kk)
+        //
+        // with `corr = popcount(w & !m)` (p is zero wherever m is).
+        let full = ((1u64 << kh) - 1, (1u64 << kw) - 1);
+        let mut combos: Vec<(u64, u64)> = Vec::new();
+        let mut border = Vec::new();
+        for (oy, &ym) in ymasks.iter().enumerate() {
+            for (ox, &xm) in xmasks.iter().enumerate() {
+                let pair = (ym, xm);
+                if pair == full {
+                    continue;
+                }
+                let cb = match combos.iter().position(|&p| p == pair) {
+                    Some(i) => i,
+                    None => {
+                        combos.push(pair);
+                        combos.len() - 1
+                    }
+                };
+                border.push(((oy * ow + ox) as u32, cb as u32));
+            }
+        }
+        let ncombos = combos.len();
+        let mut deltas_t = vec![0i64; f * ncombos];
+        let mut maskrow = vec![0u64; wbits.words_per_row];
+        for (cb, &(ym, xm)) in combos.iter().enumerate() {
+            maskrow.fill(0);
+            let mut mb = RowBits { words: &mut maskrow, cur: 0, tap: 0 };
+            for _ch in 0..c {
+                for ky in 0..kh {
+                    mb.push_group(if (ym >> ky) & 1 == 1 { xm } else { 0 }, kw);
+                }
+            }
+            mb.finish();
+            let valid = c as i64 * i64::from(ym.count_ones()) * i64::from(xm.count_ones());
+            for fi in 0..f {
+                let corr: i64 = wbits
+                    .row(fi)
+                    .iter()
+                    .zip(maskrow.iter())
+                    .map(|(&wv, &m)| i64::from((wv & !m).count_ones()))
+                    .sum();
+                deltas_t[fi * ncombos + cb] = valid + 2 * corr - kk as i64;
+            }
+        }
+        Ok(BinaryConvPlan {
             wbits,
             spec: *spec,
             c,
@@ -887,107 +624,11 @@ impl BinaryConvPlan {
             f,
             oh,
             ow,
-            planar,
-            ymasks: Vec::new(),
-            xmasks: Vec::new(),
-            border: Vec::new(),
-            deltas_t: Vec::new(),
-            ncombos: 0,
-            mask: None,
-            valid: Vec::new(),
-        };
-        if planar {
-            plan.ymasks = (0..oh)
-                .map(|oy| {
-                    let mut m = 0u64;
-                    for ky in 0..kh {
-                        let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
-                        m |= u64::from(iy >= 0 && iy < h as isize) << ky;
-                    }
-                    m
-                })
-                .collect();
-            plan.xmasks = (0..ow)
-                .map(|ox| {
-                    let mut m = 0u64;
-                    for kx in 0..kw {
-                        let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
-                        m |= u64::from(ix >= 0 && ix < w as isize) << kx;
-                    }
-                    m
-                })
-                .collect();
-            // Pre-shifted rows put a zero bit at every out-of-bounds tap,
-            // so the kernel can run the *unmasked* identity everywhere and
-            // border pixels are repaired afterwards by a per-(masks, fi)
-            // additive delta:
-            //
-            //   popcount(p^w) = popcount((p^w)&m) + popcount(w & !m)
-            //   masked = valid − 2·popcount((p^w)&m)
-            //          = (kk − 2·popcount(p^w)) + (valid + 2·corr − kk)
-            //
-            // with `corr = popcount(w & !m)` (p is zero wherever m is).
-            let full_y = (1u64 << kh) - 1;
-            let full_x = (1u64 << kw) - 1;
-            let mut combos: Vec<(u64, u64)> = Vec::new();
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let pair = (plan.ymasks[oy], plan.xmasks[ox]);
-                    if pair == (full_y, full_x) {
-                        continue;
-                    }
-                    let cb = match combos.iter().position(|&p| p == pair) {
-                        Some(i) => i,
-                        None => {
-                            combos.push(pair);
-                            combos.len() - 1
-                        }
-                    };
-                    plan.border.push(((oy * ow + ox) as u32, cb as u32));
-                }
-            }
-            plan.ncombos = combos.len();
-            plan.deltas_t = vec![0i64; f * combos.len()];
-            let mut maskrow = vec![0u64; wpk];
-            for (cb, &(ym, xm)) in combos.iter().enumerate() {
-                maskrow.fill(0);
-                let mut mb = RowBits { words: &mut maskrow, cur: 0, tap: 0 };
-                for _ch in 0..c {
-                    for ky in 0..kh {
-                        mb.push_group(if (ym >> ky) & 1 == 1 { xm } else { 0 }, kw);
-                    }
-                }
-                mb.finish();
-                let valid = c as i64 * i64::from(ym.count_ones()) * i64::from(xm.count_ones());
-                for fi in 0..f {
-                    let corr: i64 = plan
-                        .wbits
-                        .row(fi)
-                        .iter()
-                        .zip(maskrow.iter())
-                        .map(|(&wv, &m)| i64::from((wv & !m).count_ones()))
-                        .sum();
-                    plan.deltas_t[fi * combos.len() + cb] = valid + 2 * corr - kk as i64;
-                }
-            }
-        } else {
-            let mask = geometry_mask(c, h, w, spec, oh, ow);
-            plan.valid = (0..oh * ow)
-                .map(|j| mask.row(j).iter().map(|v| v.count_ones() as i32).sum())
-                .collect();
-            plan.mask = Some(mask);
-        }
-        Ok(plan)
-    }
-
-    /// Output spatial size.
-    pub fn output_size(&self) -> (usize, usize) {
-        (self.oh, self.ow)
-    }
-
-    /// Number of output filters.
-    pub fn filters(&self) -> usize {
-        self.f
+            ymasks,
+            border,
+            deltas_t,
+            ncombos,
+        })
     }
 
     /// Runs the plan over an NCHW batch, streaming each sample through the
@@ -1041,12 +682,6 @@ impl BinaryConvPlan {
         scratch: &mut ConvScratch,
     ) {
         let pixels = self.oh * self.ow;
-        if !self.planar {
-            let patches = pack_patches(data, self.c, self.h, self.w, &self.spec, self.oh, self.ow);
-            let mask = self.mask.as_ref().expect("general path carries a mask");
-            self.wbits.xnor_masked_into(tier, &patches, mask, &self.valid, out);
-            return;
-        }
         // Pack each input row into one word, pre-shifted by the padding so
         // the tap group for column `ox` is always `(row >> ox*stride)` —
         // the only pass over the f32s. The shift also lands a zero bit at
@@ -1242,8 +877,11 @@ impl BinaryConvPlan {
 ///
 /// Builds a [`BinaryConvPlan`] and streams the batch through it: weights
 /// are packed once per call and bit-packing is fused into the conv inner
-/// loop, so a multi-sample batch (the runtime's micro-batched tiers) pays
-/// the weight and geometry setup once.
+/// loop, so a multi-sample batch (the runtime's micro-batched tiers stack
+/// their samples into one NCHW tensor) pays the weight and geometry setup
+/// once. Rows too wide for the plan ([`BinaryConvPlan::fits`]) take the
+/// f32 convolution on the sign-binarized operands instead, which sums the
+/// same exact small integers.
 ///
 /// # Errors
 ///
@@ -1259,67 +897,11 @@ pub fn binary_conv2d(input: &Tensor, weight: &Tensor, spec: &Conv2dSpec) -> Resu
             op: "binary_conv2d",
         });
     }
+    if !BinaryConvPlan::fits(spec, w) {
+        let sign = |x: f32| if x > 0.0 { 1.0 } else { -1.0 };
+        return conv2d(&input.map(sign), &weight.map(sign), spec);
+    }
     BinaryConvPlan::new(weight, spec, h, w)?.run(input)
-}
-
-/// Batched binary convolution over independent `(c, h, w)` samples: packs
-/// the shared weight matrix once, then streams every sample through the
-/// fused kernel, fanning the samples out across the worker pool.
-///
-/// This is the entry point for the runtime's micro-batch drain: `inputs`
-/// are the per-sample feature maps a tier dequeued, and each output is the
-/// corresponding `(f, oh, ow)` map, bit-identical to convolving that
-/// sample alone.
-///
-/// # Errors
-///
-/// Returns an error if any input is not rank 3, the samples disagree in
-/// shape, the channel count mismatches the weight, or the geometry is
-/// degenerate.
-pub fn binary_conv2d_batch(
-    inputs: &[Tensor],
-    weight: &Tensor,
-    spec: &Conv2dSpec,
-) -> Result<Vec<Tensor>> {
-    let Some(first) = inputs.first() else {
-        return Ok(Vec::new());
-    };
-    for t in inputs {
-        if t.rank() != 3 {
-            return Err(TensorError::RankMismatch { expected: 3, actual: t.rank() });
-        }
-        if t.dims() != first.dims() {
-            return Err(TensorError::ShapeMismatch {
-                lhs: first.dims().to_vec(),
-                rhs: t.dims().to_vec(),
-                op: "binary_conv2d_batch",
-            });
-        }
-    }
-    let (c, h, w) = (first.dims()[0], first.dims()[1], first.dims()[2]);
-    if c == 0 || h == 0 || w == 0 {
-        return Err(TensorError::Empty { op: "binary_conv2d_batch" });
-    }
-    let plan = BinaryConvPlan::new(weight, spec, h, w)?;
-    if plan.c != c {
-        return Err(TensorError::ShapeMismatch {
-            lhs: first.dims().to_vec(),
-            rhs: weight.dims().to_vec(),
-            op: "binary_conv2d_batch",
-        });
-    }
-    let tier = simd::active_tier();
-    let (f, oh, ow) = (plan.f, plan.oh, plan.ow);
-    let fp = f * oh * ow;
-    let work = plan.batch_work(inputs.len()) / BATCH_FANOUT_COST;
-    parallel::par_map_indexed(inputs.len(), work, |i| {
-        let mut scratch = ConvScratch::default();
-        let mut res = vec![0.0f32; fp];
-        plan.conv_sample(tier, inputs[i].data(), &mut res, &mut scratch);
-        Tensor::from_vec(res, [f, oh, ow])
-    })
-    .into_iter()
-    .collect()
 }
 
 #[cfg(test)]
@@ -1344,7 +926,6 @@ mod tests {
         let m = BitMatrix::pack(&t).unwrap();
         assert_eq!(m.rows(), 3);
         assert_eq!(m.cols(), 70);
-        assert_eq!(m.words_per_row(), 2);
         for r in 0..3 {
             for c in 0..70 {
                 assert_eq!(m.get(r, c), t.get(&[r, c]).unwrap() > 0.0);
@@ -1397,28 +978,36 @@ mod tests {
         let a = BitMatrix::zeros(2, 8);
         let b = BitMatrix::zeros(2, 9);
         assert!(a.xnor_matmul(&b).is_err());
-        assert!(a.xnor_matmul_masked(&b, &b).is_err());
     }
 
     #[test]
-    fn masked_gemm_zeroes_invalid_taps() {
-        // One row of 4 taps, mask keeps only the first two: the dot product
-        // counts just those, as if the rest were zeros in an f32 product.
-        let a =
-            BitMatrix::pack(&Tensor::from_vec(vec![1.0, 1.0, 1.0, 1.0], [1, 4]).unwrap()).unwrap();
-        let b =
-            BitMatrix::pack(&Tensor::from_vec(vec![1.0, -1.0, 1.0, 1.0], [1, 4]).unwrap()).unwrap();
-        let mut mask = BitMatrix::zeros(1, 4);
-        mask.set(0, 0, true);
-        mask.set(0, 1, true);
-        let out = a.xnor_matmul_masked(&b, &mask).unwrap();
-        // valid = 2, diffs within mask = 1 -> 2 - 2*1 = 0.
-        assert_eq!(out.data(), &[0.0]);
+    #[should_panic(expected = "outside 1x63")]
+    fn set_rejects_a_column_in_the_tail_padding() {
+        BitMatrix::zeros(1, 63).set(0, 63, true);
+    }
+
+    #[test]
+    fn rows_written_through_set_match_float_gemm() {
+        // Every column up to `cols − 1` on both sides of the word boundary:
+        // the tail padding must still be zero afterwards.
+        for cols in [63, 64, 65] {
+            let x = random_signs(&[3, cols], cols as u64);
+            let w = random_signs(&[2, cols], 100 + cols as u64);
+            let mut xb = BitMatrix::zeros(3, cols);
+            for r in 0..3 {
+                for c in 0..cols {
+                    xb.set(r, c, x.get(&[r, c]).unwrap() > 0.0);
+                }
+            }
+            assert_eq!(xb, BitMatrix::pack(&x).unwrap(), "cols {cols}");
+            let bits = xb.xnor_matmul(&BitMatrix::pack(&w).unwrap()).unwrap();
+            assert_eq!(bits, x.matmul(&w.transpose().unwrap()).unwrap(), "cols {cols}");
+        }
     }
 
     #[test]
     fn binary_conv2d_matches_float_conv_exactly() {
-        // Paper geometries with padding: the masked kernel must reproduce
+        // Paper geometries with padding: the border repair must reproduce
         // the zero-padded f32 convolution bit for bit.
         for (dims, fdims, spec) in [
             ([2, 3, 8, 8], [4, 3, 3, 3], Conv2dSpec::paper_conv()),
@@ -1435,35 +1024,17 @@ mod tests {
 
     #[test]
     fn binary_conv2d_matches_float_on_wide_input() {
-        // w = 70 > 64 words forces the general (non-planar) patch packer.
+        // w = 70 does not fit one word: `binary_conv2d` takes the f32 route,
+        // and the plan itself refuses the geometry instead of degrading.
         let spec = Conv2dSpec::paper_conv();
         let x = random_signs(&[1, 2, 3, 70], 13);
         let wf = Tensor::from_fn(vec![3, 2, 3, 3], |i| ((i * 31) % 13) as f32 / 6.0 - 1.0);
         let expect = conv2d(&x, &binarize(&wf), &spec).unwrap();
         let got = binary_conv2d(&x, &wf, &spec).unwrap();
         assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn bit_im2col_agrees_with_masked_float_lowering() {
-        let spec = Conv2dSpec::paper_conv();
-        let x = random_signs(&[2, 2, 4, 4], 11);
-        let (patches, mask) = bit_im2col(&x, &spec).unwrap();
-        assert_eq!(patches.len(), 2);
-        let cols = crate::conv::im2col(&x, &spec).unwrap(); // (n, kk, pixels)
-        let kk = 2 * 3 * 3;
-        for (b, p) in patches.iter().enumerate() {
-            for pix in 0..16 {
-                for tap in 0..kk {
-                    let v = cols.get(&[b, tap, pix]).unwrap();
-                    if mask.get(pix, tap) {
-                        assert_eq!(p.get(pix, tap), v > 0.0);
-                    } else {
-                        assert_eq!(v, 0.0, "masked tap must be a padding zero");
-                    }
-                }
-            }
-        }
+        assert!(!BinaryConvPlan::fits(&spec, 70) && BinaryConvPlan::fits(&spec, 62));
+        let err = BinaryConvPlan::new(&wf, &spec, 3, 70).unwrap_err();
+        assert!(matches!(err, TensorError::InvalidGeometry { input: (3, 70), .. }), "{err}");
     }
 
     #[test]

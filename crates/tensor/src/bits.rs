@@ -84,38 +84,6 @@ pub fn unpack_signs(bytes: &[u8], shape: impl Into<Shape>) -> Result<Tensor> {
     Tensor::from_vec(data, shape)
 }
 
-/// Serializes an `f32` tensor as little-endian bytes (4 bytes per element) —
-/// the format used for the per-class score vector each device sends to its
-/// local aggregator (the `4·|C|` term of Eq. 1).
-pub fn pack_f32(t: &Tensor) -> Bytes {
-    let mut buf = BytesMut::with_capacity(4 * t.len());
-    for &x in t.data() {
-        buf.put_f32_le(x);
-    }
-    buf.freeze()
-}
-
-/// Deserializes little-endian `f32` bytes into a tensor of the given shape.
-///
-/// # Errors
-///
-/// Returns [`TensorError::LengthMismatch`] if `bytes` is shorter than
-/// `4 * shape.len()`.
-pub fn unpack_f32(bytes: &[u8], shape: impl Into<Shape>) -> Result<Tensor> {
-    let shape = shape.into();
-    let n = shape.len();
-    if bytes.len() < 4 * n {
-        return Err(TensorError::LengthMismatch { expected: 4 * n, actual: bytes.len() });
-    }
-    let mut data = Vec::with_capacity(n);
-    for i in 0..n {
-        let mut b = [0u8; 4];
-        b.copy_from_slice(&bytes[4 * i..4 * i + 4]);
-        data.push(f32::from_le_bytes(b));
-    }
-    Tensor::from_vec(data, shape)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,26 +130,5 @@ mod tests {
         // the second term of Eq. 1 for the paper's largest device model.
         let t = Tensor::ones([4, 16, 16]);
         assert_eq!(pack_signs(&t).len(), 128);
-    }
-
-    #[test]
-    fn f32_round_trip() {
-        let t = Tensor::from_vec(vec![1.5, -2.25, 0.0], [3]).unwrap();
-        let b = pack_f32(&t);
-        assert_eq!(b.len(), 12);
-        let back = unpack_f32(&b, [3]).unwrap();
-        assert_eq!(back, t);
-    }
-
-    #[test]
-    fn class_vector_is_12_bytes() {
-        // |C| = 3 classes at 4 bytes each -> the first term of Eq. 1.
-        let scores = Tensor::zeros([3]);
-        assert_eq!(pack_f32(&scores).len(), 12);
-    }
-
-    #[test]
-    fn f32_unpack_rejects_short_buffer() {
-        assert!(unpack_f32(&[0u8; 8], [3]).is_err());
     }
 }

@@ -42,32 +42,17 @@ impl Conv2dSpec {
         Conv2dSpec::new(3, 2, 1)
     }
 
-    /// Output spatial size for an `(h, w)` input.
-    ///
-    /// Assumes the geometry is valid (the kernel fits in the padded input
-    /// and the stride is non-zero). Every fallible kernel entry point —
-    /// the f32 conv/pool/im2col family below, the bit-packed
-    /// [`crate::bitmatrix::bit_im2col`], and the fused
-    /// [`crate::bitmatrix::BinaryConvPlan`] — goes through
-    /// [`Conv2dSpec::checked_output_size`] instead, which rejects
-    /// degenerate geometries rather than silently clamping them; this raw
-    /// variant is only for contexts where the geometry was already
-    /// validated (or is a compile-time paper constant).
-    pub fn output_size(&self, h: usize, w: usize) -> (usize, usize) {
-        let oh = (h + 2 * self.padding).saturating_sub(self.kernel_h) / self.stride.max(1) + 1;
-        let ow = (w + 2 * self.padding).saturating_sub(self.kernel_w) / self.stride.max(1) + 1;
-        (oh, ow)
-    }
-
     /// Output spatial size for an `(h, w)` input, rejecting degenerate
-    /// geometry.
+    /// geometry — the only size arithmetic there is: the f32
+    /// conv/pool/im2col family below, the fused
+    /// [`crate::bitmatrix::BinaryConvPlan`] and the layers above all go
+    /// through it.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::InvalidGeometry`] if the kernel is larger
-    /// than the padded input (which [`Conv2dSpec::output_size`] would
-    /// silently clamp to a bogus 1×N output), if the kernel is empty, or
-    /// if the stride is zero.
+    /// than the padded input, if the kernel is empty, or if the stride is
+    /// zero.
     pub fn checked_output_size(&self, h: usize, w: usize) -> Result<(usize, usize)> {
         let valid = self.stride > 0
             && self.kernel_h > 0
@@ -82,7 +67,9 @@ impl Conv2dSpec {
                 padding: self.padding,
             });
         }
-        Ok(self.output_size(h, w))
+        let oh = (h + 2 * self.padding - self.kernel_h) / self.stride + 1;
+        let ow = (w + 2 * self.padding - self.kernel_w) / self.stride + 1;
+        Ok((oh, ow))
     }
 }
 
@@ -391,17 +378,17 @@ mod tests {
 
     #[test]
     fn output_size_paper_geometries() {
-        assert_eq!(Conv2dSpec::paper_conv().output_size(32, 32), (32, 32));
-        assert_eq!(Conv2dSpec::paper_pool().output_size(32, 32), (16, 16));
-        assert_eq!(Conv2dSpec::paper_pool().output_size(16, 16), (8, 8));
-        assert_eq!(Conv2dSpec::paper_pool().output_size(8, 8), (4, 4));
+        let size = |spec: Conv2dSpec, hw| spec.checked_output_size(hw, hw).unwrap();
+        assert_eq!(size(Conv2dSpec::paper_conv(), 32), (32, 32));
+        assert_eq!(size(Conv2dSpec::paper_pool(), 32), (16, 16));
+        assert_eq!(size(Conv2dSpec::paper_pool(), 16), (8, 8));
+        assert_eq!(size(Conv2dSpec::paper_pool(), 8), (4, 4));
     }
 
     #[test]
     fn oversized_kernel_is_rejected_not_clamped() {
-        // Regression: `output_size` used `saturating_sub`, so a 5x5 kernel
-        // on an unpadded 2x2 input silently produced a bogus 1x1 output
-        // instead of failing. Degenerate geometry must now error.
+        // A 5x5 kernel on an unpadded 2x2 input must error, not clamp to a
+        // bogus 1x1 output.
         let spec = Conv2dSpec::new(5, 1, 0);
         assert!(matches!(
             spec.checked_output_size(2, 2),
@@ -422,13 +409,6 @@ mod tests {
         let spec = Conv2dSpec::new(3, 0, 1);
         assert!(spec.checked_output_size(8, 8).is_err());
         assert!(max_pool2d(&Tensor::ones([1, 1, 8, 8]), &spec).is_err());
-    }
-
-    #[test]
-    fn checked_output_size_matches_unchecked_when_valid() {
-        for spec in [Conv2dSpec::paper_conv(), Conv2dSpec::paper_pool(), Conv2dSpec::new(1, 1, 0)] {
-            assert_eq!(spec.checked_output_size(16, 16).unwrap(), spec.output_size(16, 16));
-        }
     }
 
     #[test]

@@ -117,20 +117,6 @@ impl Tensor {
         Tensor::from_vec(out, out_shape)
     }
 
-    /// Mean along `axis`, removing that axis from the shape.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::InvalidAxis`] if `axis >= rank`.
-    pub fn mean_axis(&self, axis: usize) -> Result<Tensor> {
-        let n = self.shape().dim(axis)? as f32;
-        let mut t = self.sum_axis(axis)?;
-        if n > 0.0 {
-            t.scale_in_place(1.0 / n);
-        }
-        Ok(t)
-    }
-
     /// Row-wise softmax of a rank-2 tensor `(batch, classes)`.
     ///
     /// Numerically stabilised by subtracting the row maximum.
@@ -485,12 +471,6 @@ mod tests {
         assert_eq!(t.sum_axis(0).unwrap().data(), &[3.0, 5.0, 7.0]);
         assert_eq!(t.sum_axis(1).unwrap().data(), &[3.0, 12.0]);
         assert!(t.sum_axis(2).is_err());
-    }
-
-    #[test]
-    fn mean_axis() {
-        let t = Tensor::from_fn([2, 2], |i| i as f32);
-        assert_eq!(t.mean_axis(0).unwrap().data(), &[1.0, 2.0]);
     }
 
     #[test]

@@ -99,27 +99,6 @@ impl Shape {
         Ok(off)
     }
 
-    /// Inverse of [`Shape::offset`]: expands a linear offset into coordinates.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::IndexOutOfBounds`] if `offset >= len`.
-    pub fn unravel(&self, offset: usize) -> Result<Vec<usize>> {
-        if offset >= self.len() {
-            return Err(TensorError::IndexOutOfBounds {
-                index: vec![offset],
-                shape: self.dims.clone(),
-            });
-        }
-        let mut rem = offset;
-        let mut out = vec![0; self.rank()];
-        for (axis, &stride) in self.strides().iter().enumerate() {
-            out[axis] = rem / stride;
-            rem %= stride;
-        }
-        Ok(out)
-    }
-
     /// Returns the shape with axis `axis` removed (as `sum`/`max` along an
     /// axis would produce).
     ///
@@ -208,15 +187,6 @@ mod tests {
     }
 
     #[test]
-    fn offset_round_trips_with_unravel() {
-        let s = Shape::new(vec![3, 4, 5]);
-        for off in 0..s.len() {
-            let idx = s.unravel(off).unwrap();
-            assert_eq!(s.offset(&idx).unwrap(), off);
-        }
-    }
-
-    #[test]
     fn offset_rejects_bad_rank() {
         let s = Shape::new(vec![2, 2]);
         assert!(matches!(s.offset(&[1]), Err(TensorError::IndexOutOfBounds { .. })));
@@ -226,12 +196,6 @@ mod tests {
     fn offset_rejects_out_of_range_coordinate() {
         let s = Shape::new(vec![2, 2]);
         assert!(s.offset(&[0, 2]).is_err());
-    }
-
-    #[test]
-    fn unravel_rejects_out_of_range() {
-        let s = Shape::new(vec![2, 2]);
-        assert!(s.unravel(4).is_err());
     }
 
     #[test]

@@ -103,11 +103,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its raw data.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Reads the element at a multi-dimensional index.
     ///
     /// # Errors
@@ -139,20 +134,6 @@ impl Tensor {
             return Err(TensorError::LengthMismatch { expected: shape.len(), actual: self.len() });
         }
         Ok(Tensor { data: self.data.clone(), shape })
-    }
-
-    /// Reshapes in place without copying data.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::LengthMismatch`] if element counts differ.
-    pub fn reshape_in_place(&mut self, shape: impl Into<Shape>) -> Result<()> {
-        let shape = shape.into();
-        if shape.len() != self.len() {
-            return Err(TensorError::LengthMismatch { expected: shape.len(), actual: self.len() });
-        }
-        self.shape = shape;
-        Ok(())
     }
 
     /// Applies `f` to every element, producing a new tensor.
@@ -198,16 +179,6 @@ impl Tensor {
         self.zip(other, |a, b| a - b)
     }
 
-    /// Elementwise (Hadamard) multiplication.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if the shapes differ.
-    pub fn mul(&self, other: &Tensor) -> Result<Tensor> {
-        self.check_same_shape(other, "mul")?;
-        self.zip(other, |a, b| a * b)
-    }
-
     /// Adds `other` into `self` in place.
     ///
     /// # Errors
@@ -217,19 +188,6 @@ impl Tensor {
         self.check_same_shape(other, "add_assign")?;
         for (a, &b) in self.data.iter_mut().zip(&other.data) {
             *a += b;
-        }
-        Ok(())
-    }
-
-    /// Adds `alpha * other` into `self` in place (axpy).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if the shapes differ.
-    pub fn axpy(&mut self, alpha: f32, other: &Tensor) -> Result<()> {
-        self.check_same_shape(other, "axpy")?;
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a += alpha * b;
         }
         Ok(())
     }
@@ -416,7 +374,6 @@ mod tests {
         let b = Tensor::from_vec(vec![3.0, 4.0], [2]).unwrap();
         assert_eq!(a.add(&b).unwrap().data(), &[4.0, 6.0]);
         assert_eq!(a.sub(&b).unwrap().data(), &[-2.0, -2.0]);
-        assert_eq!(a.mul(&b).unwrap().data(), &[3.0, 8.0]);
         assert_eq!(a.dot(&b).unwrap(), 11.0);
     }
 
@@ -429,13 +386,11 @@ mod tests {
     }
 
     #[test]
-    fn axpy_and_add_assign() {
+    fn add_assign() {
         let mut a = Tensor::from_vec(vec![1.0, 1.0], [2]).unwrap();
         let b = Tensor::from_vec(vec![2.0, 3.0], [2]).unwrap();
         a.add_assign(&b).unwrap();
         assert_eq!(a.data(), &[3.0, 4.0]);
-        a.axpy(0.5, &b).unwrap();
-        assert_eq!(a.data(), &[4.0, 5.5]);
     }
 
     #[test]
@@ -470,9 +425,6 @@ mod tests {
         let r = t.reshape([2, 3]).unwrap();
         assert_eq!(r.get(&[1, 0]).unwrap(), 3.0);
         assert!(t.reshape([4]).is_err());
-        let mut t = t;
-        t.reshape_in_place([3, 2]).unwrap();
-        assert_eq!(t.dims(), &[3, 2]);
     }
 
     #[test]

@@ -1,19 +1,20 @@
 //! Property tests pinning the binary-convolution equivalence contract:
-//! the fused plan ([`binary_conv2d`]), the explicit batched entry point
-//! ([`binary_conv2d_batch`]) and the two-phase [`bit_im2col`] + masked
-//! XNOR GEMM reference must all be **bit-identical** to the f32 sign-path
-//! convolution — across odd geometries (patch widths off word boundaries,
-//! padding/stride combinations), batch sizes 1..8, and every SIMD
-//! dispatch tier the machine supports.
+//! [`binary_conv2d`] — the fused plan, and the f32 route it takes for rows
+//! wider than one word — must be **bit-identical** to the f32 sign-path
+//! convolution, and a stacked `(B, C, H, W)` micro-batch (what the
+//! runtime's tiers hand it) must equal convolving each sample alone —
+//! across odd geometries (patch widths off word boundaries, padding/stride
+//! combinations), batch sizes 1..8, and every SIMD dispatch tier the
+//! machine supports.
 //!
 //! Tiers are pinned with the thread-local [`simd::with_tier`] override
 //! rather than `DDNN_SIMD`, so concurrently running tests cannot race on
 //! process-global environment state.
 
-use ddnn_tensor::bitmatrix::{binary_conv2d, binary_conv2d_batch, bit_im2col};
+use ddnn_tensor::bitmatrix::binary_conv2d;
 use ddnn_tensor::conv::{conv2d, Conv2dSpec};
 use ddnn_tensor::rng::rng_from_seed;
-use ddnn_tensor::{simd, BitMatrix, Tensor};
+use ddnn_tensor::{simd, Tensor};
 use proptest::prelude::*;
 use rand::Rng;
 
@@ -34,55 +35,29 @@ fn random_weights(dims: &[usize], seed: u64) -> Tensor {
     Tensor::from_fn(dims.to_vec(), |_| rng.gen::<f32>() * 2.0 - 1.0)
 }
 
-/// The pre-fusion two-phase lowering, reconstructed from public API:
-/// materialize the whole packed column matrix per sample, then run the
-/// masked XNOR GEMM against the packed weights.
-fn two_phase_reference(x: &Tensor, weight: &Tensor, spec: &Conv2dSpec) -> Tensor {
-    let (n, f) = (x.dims()[0], weight.dims()[0]);
-    let kk: usize = weight.dims()[1..].iter().product();
-    let (oh, ow) = spec.checked_output_size(x.dims()[2], x.dims()[3]).expect("valid geometry");
-    let (patches, mask) = bit_im2col(x, spec).expect("bit_im2col");
-    let w2 = weight.reshape([f, kk]).expect("weight reshape");
-    let wbits = BitMatrix::pack(&w2).expect("weight pack");
-    let mut out = Vec::with_capacity(n * f * oh * ow);
-    for p in &patches {
-        let per = wbits.xnor_matmul_masked(p, &mask).expect("masked gemm");
-        out.extend_from_slice(per.data());
-    }
-    Tensor::from_vec(out, [n, f, oh, ow]).expect("assemble")
-}
-
-/// Asserts all binary paths equal the f32 sign path on every supported
-/// tier; panics (failing the enclosing property case) on divergence.
+/// Asserts, on every supported tier, that the stacked batch equals the
+/// f32 sign path and that each of its rows equals that sample convolved
+/// alone; panics (failing the enclosing property case) on divergence.
 fn check_all_paths(x: &Tensor, weight: &Tensor, spec: &Conv2dSpec) {
     let expect = conv2d(x, &binarize(weight), spec).expect("f32 conv");
-    let reference = two_phase_reference(x, weight, spec);
-    assert_eq!(&reference, &expect, "two-phase bit_im2col path diverged from f32");
-    let n = x.dims()[0];
-    let samples: Vec<Tensor> = (0..n)
-        .map(|b| {
-            let dims = &x.dims()[1..];
-            let chw: usize = dims.iter().product();
-            Tensor::from_vec(x.data()[b * chw..(b + 1) * chw].to_vec(), dims.to_vec())
-                .expect("sample slice")
-        })
+    let (n, chw) = (x.dims()[0], x.len() / x.dims()[0]);
+    let samples: Vec<Tensor> = x
+        .data()
+        .chunks(chw)
+        .map(|s| Tensor::from_vec(s.to_vec(), x.dims()[1..].to_vec()).expect("sample slice"))
         .collect();
+    let row = expect.len() / n;
     for tier in simd::supported_tiers() {
-        let fused = simd::with_tier(tier, || binary_conv2d(x, weight, spec).expect("fused conv"));
-        assert_eq!(&fused, &expect, "fused conv diverged from f32 on tier {}", tier.name());
-        let batched = simd::with_tier(tier, || {
-            binary_conv2d_batch(&samples, weight, spec).expect("batched conv")
-        });
-        assert_eq!(batched.len(), n);
-        let pix: usize = expect.dims()[2] * expect.dims()[3];
-        let f = expect.dims()[1];
-        for (b, out) in batched.iter().enumerate() {
-            assert_eq!(out.dims(), &[f, expect.dims()[2], expect.dims()[3]]);
+        let conv = |t: &Tensor| simd::with_tier(tier, || binary_conv2d(t, weight, spec));
+        let batched = conv(&Tensor::stack(&samples).expect("stack")).expect("stacked conv");
+        assert_eq!(&batched, &expect, "stacked batch diverged from f32 on tier {}", tier.name());
+        for (b, sample) in samples.iter().enumerate() {
+            let alone = conv(&Tensor::stack(std::slice::from_ref(sample)).expect("stack"))
+                .expect("single conv");
             assert_eq!(
-                out.data(),
-                &expect.data()[b * f * pix..(b + 1) * f * pix],
-                "batched sample {} diverged from f32 on tier {}",
-                b,
+                alone.data(),
+                &batched.data()[b * row..(b + 1) * row],
+                "sample {b} alone diverged from its batch row on tier {}",
                 tier.name()
             );
         }
@@ -128,8 +103,8 @@ proptest! {
         check_all_paths(&x, &w, &spec);
     }
 
-    // Inputs wider than one 64-bit word take the general (non-planar)
-    // fallback inside the plan; it must stay equivalent too.
+    // Padded rows wider than one 64-bit word (`w + 2 = 65..72`) take the
+    // f32 route inside `binary_conv2d`; it must stay equivalent too.
     #[test]
     fn binary_conv_wide_input_fallback(
         w in 63usize..=70,
@@ -159,9 +134,9 @@ fn paper_shape_batch8_all_tiers() {
 
 /// Shapes heavy enough to clear the worker pool's cut-off, so that under
 /// `DDNN_THREADS=4` each parallel form runs: the in-sample pixel partition
-/// (one 3.5e6-tap sample), the cross-sample fan-out of the fused and the
-/// batched entry points (six of them), and the row-partitioned masked GEMM
-/// behind inputs wider than one word.
+/// (one 3.5e6-tap sample), the plan's cross-sample fan-out (six of them),
+/// and both sides of the width rule: the widest row the plan takes (62 + 2
+/// padding bits fill the word) and the f32 convolution behind a wider one.
 #[test]
 fn shapes_above_the_pool_cut_off_agree() {
     let spec = Conv2dSpec::paper_conv();
@@ -169,5 +144,6 @@ fn shapes_above_the_pool_cut_off_agree() {
     check_all_paths(&random_signs(&[1, 24, 32, 32], 11), &w, &spec);
     check_all_paths(&random_signs(&[6, 24, 32, 32], 12), &w, &spec);
     let wide = random_weights(&[16, 8, 3, 3], 13);
+    check_all_paths(&random_signs(&[2, 8, 32, 62], 14), &wide, &spec);
     check_all_paths(&random_signs(&[2, 8, 32, 70], 13), &wide, &spec);
 }

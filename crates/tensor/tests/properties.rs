@@ -1,7 +1,7 @@
 //! Property-based tests of the tensor substrate.
 
 use ddnn_tensor::conv::{col2im, im2col, max_pool2d, Conv2dSpec};
-use ddnn_tensor::{bits, Shape, Tensor};
+use ddnn_tensor::{bits, Tensor};
 use proptest::prelude::*;
 
 fn small_dims() -> impl Strategy<Value = Vec<usize>> {
@@ -19,16 +19,6 @@ fn small_tensor() -> impl Strategy<Value = Tensor> {
 }
 
 proptest! {
-    #[test]
-    fn offset_unravel_roundtrip(dims in small_dims(), salt in 0usize..1000) {
-        let shape = Shape::new(dims);
-        if !shape.is_empty() {
-            let off = salt % shape.len();
-            let idx = shape.unravel(off).unwrap();
-            prop_assert_eq!(shape.offset(&idx).unwrap(), off);
-        }
-    }
-
     #[test]
     fn reshape_preserves_data(t in small_tensor()) {
         let flat = t.reshape([t.len()]).unwrap();
@@ -117,15 +107,6 @@ proptest! {
         prop_assert_eq!(packed.len(), bits::packed_len(t.len()));
         let back = bits::unpack_signs(&packed, dims).unwrap();
         prop_assert_eq!(back, t);
-    }
-
-    #[test]
-    fn f32_pack_roundtrip(data in prop::collection::vec(-1e6f32..1e6, 1..32)) {
-        let n = data.len();
-        let t = Tensor::from_vec(data, [n]).unwrap();
-        let b = bits::pack_f32(&t);
-        prop_assert_eq!(b.len(), 4 * n);
-        prop_assert_eq!(bits::unpack_f32(&b, [n]).unwrap(), t);
     }
 
     #[test]

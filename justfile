@@ -60,8 +60,9 @@ bench-kernels:
 bench-kernels-smoke:
     cargo run --release -p ddnn-bench --bin kernels_binary -- --smoke
 
-# The kernel equivalence sweep: fused/batched/two-phase binary conv must
-# be bit-identical to the f32 sign path on every dispatch tier at every
+# The kernel equivalence sweep: `binary_conv2d` (the fused plan, stacked
+# batches, the f32 route for rows wider than a word) must be
+# bit-identical to the f32 sign path on every dispatch tier at every
 # pool size (tiers above what the CPU supports clamp down, so this is
 # safe on any x86-64 or non-x86 host).
 kernel-matrix:
@@ -161,8 +162,8 @@ bench-ab base workload *args:
     scripts/bench_ab.sh {{base}} {{workload}} {{args}}
 
 # Code lines (non-blank, non-comment) of the runtime crate — the count
-# ROADMAP item 2's "crates/runtime/src shrinks by >= 20%" is tracked by;
-# CI fails above 8,800.
+# ROADMAP item 3's "crates/runtime/src shrinks by >= 20%" is tracked by;
+# CI fails above 8,790.
 runtime-loc:
     find crates/runtime/src -name '*.rs' | xargs grep -cvE '^\s*(//|$)' | awk -F: '{ s += $2 } END { print s }'
 
