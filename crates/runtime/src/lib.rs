@@ -109,7 +109,7 @@ pub use obs::{
 pub use orchestrator::rebalance::{compute_routing, Compat, RoutingTable};
 pub use orchestrator::reconfigure::{diff_routing, TopologyDiff};
 pub use orchestrator::ElasticConfig;
-pub use reliability::{ArqTuning, ReliabilityConfig, ReliabilityMode};
+pub use reliability::{ReliabilityConfig, ReliabilityMode};
 pub use runner::multiproc;
 pub use runner::{run_cloud_only_baseline, run_distributed_inference, run_topology};
 pub use topology::{

@@ -22,16 +22,14 @@ use crate::chaos::{damage, ChaosPlan, CrashState, Delivery, LinkChaos};
 use crate::error::{Result, RuntimeError};
 use crate::message::{Frame, NodeId, CHECKED_HEADER_BYTES, HEADER_BYTES};
 use crate::obs::{LinkCounters, ObsEvent, RunObs};
-use crate::reliability::{
-    ArqRecvState, ArqSendState, ArqTuning, ReliabilityConfig, ReliabilityMode,
-};
+use crate::reliability::{arq_max_age, ArqRecvState, ArqSendState, ReliabilityMode};
 use crate::topology::HierarchyConfig;
 use crate::transport::{channel_tx, InboxBinding, RedialHandle, TransportHost, TransportTx};
 use crossbeam::channel::{unbounded, Receiver};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Cumulative traffic counters of one directed link — an immutable
 /// snapshot of the link's atomic [`LinkCounters`] cells.
@@ -457,9 +455,10 @@ pub fn link(name: &str) -> (LinkSender, LinkReceiver, Arc<LinkCounters>) {
 /// exactly one place.
 pub(crate) struct LinkFactory<'a> {
     plan: &'a ChaosPlan,
-    reliability: &'a ReliabilityConfig,
-    /// Effective ARQ tuning (`max_age_ms` clamped to the deadline).
-    tuning: ArqTuning,
+    /// How every link of the run frames and recovers its traffic.
+    mode: ReliabilityMode,
+    /// When ARQ senders abandon a frame (see [`arq_max_age`]).
+    arq_max_age: Duration,
     tolerant: bool,
     /// Run observability: link counters are registered here, and inboxes
     /// plus ARQ states emit timeline events through it.
@@ -485,8 +484,8 @@ impl<'a> LinkFactory<'a> {
         let transport = TransportHost::new(cfg.transport, &obs);
         LinkFactory {
             plan: &cfg.chaos,
-            reliability: &cfg.reliability,
-            tuning: cfg.reliability.arq.effective(cfg.deadlines.as_ref()),
+            mode: cfg.reliability.mode,
+            arq_max_age: arq_max_age(cfg.deadlines.as_ref()),
             tolerant: cfg.deadlines.is_some(),
             obs,
             transport,
@@ -503,7 +502,7 @@ impl<'a> LinkFactory<'a> {
 
     /// The wire format every inbox of this run decodes.
     pub(crate) fn wire_format(&self) -> WireFormat {
-        if self.reliability.mode.is_checked() {
+        if self.mode.is_checked() {
             WireFormat::Checked
         } else {
             WireFormat::Legacy
@@ -526,12 +525,6 @@ impl<'a> LinkFactory<'a> {
         let (binding, rx) = self.transport.bind(name)?;
         let receiver = LinkReceiver { rx, name: Arc::from(name) };
         Ok((binding, self.make_inbox(receiver)))
-    }
-
-    /// Whether the link named `name` runs ARQ under this run's
-    /// reliability configuration.
-    pub(crate) fn runs_arq(&self, name: &str) -> bool {
-        matches!(self.reliability.mode_for(name), ReliabilityMode::Arq)
     }
 
     /// Creates an instrumented sender into the inbox at `to`, named
@@ -560,9 +553,8 @@ impl<'a> LinkFactory<'a> {
         let stats = Arc::new(LinkCounters::default());
         self.obs.registry().register_link(name, Arc::clone(&stats));
         let fault = self.plan.link_chaos(name, crash.clone());
-        let mode = self.reliability.mode_for(name);
         let data_tx = self.transport.connect(to, name, self.plan.socket_chaos(name))?;
-        let (arq, ack_binding) = if matches!(mode, ReliabilityMode::Arq) {
+        let (arq, ack_binding) = if self.mode == ReliabilityMode::Arq {
             let (ack_binding, ack_rx) = self.transport.bind(&format!("ack:{name}"))?;
             let retx_fault = self.plan.link_chaos(&format!("retx:{name}"), crash);
             let send_state = Arc::new(
@@ -571,7 +563,7 @@ impl<'a> LinkFactory<'a> {
                     ack_rx,
                     Arc::clone(&stats),
                     retx_fault,
-                    self.tuning,
+                    self.arq_max_age,
                     CHECKED_HEADER_BYTES,
                     Arc::clone(&self.obs),
                     Arc::from(name),
@@ -589,7 +581,7 @@ impl<'a> LinkFactory<'a> {
             name: Arc::from(name),
             fault,
             lenient: self.tolerant,
-            format: if mode.is_checked() { WireFormat::Checked } else { WireFormat::Legacy },
+            format: self.wire_format(),
             arq,
             held: Arc::new(Mutex::new(None)),
         };

@@ -49,11 +49,10 @@ pub(crate) fn blank_signature(part: &DevicePart, config: &DdnnConfig) -> Result<
 /// captures, offload requests racing a retried capture — are ignored
 /// instead of aborting the node.
 ///
-/// `capture_cap` bounds the per-seq feature-map cache: the closed-loop
-/// runner passes 1 (one sample in flight — the legacy single-slot
-/// behavior), the streaming runner passes its admission-window size so
-/// every in-flight sample's offload can still be served out of order.
-/// The lowest sequence numbers are evicted first.
+/// `capture_cap` bounds the per-seq feature-map cache at the run's
+/// admission window (1 in lockstep: one sample in flight), so every
+/// in-flight sample's offload can still be served out of order. The
+/// lowest sequence numbers are evicted first.
 ///
 /// With `elastic` the device participates in the control plane: it
 /// answers heartbeat pings, plays dead while its churn flag is raised

@@ -71,22 +71,17 @@ pub(crate) trait TierSection: Send {
     /// Extracts this section's item from an arriving payload.
     fn item_from(&self, payload: Payload, node: &str) -> Result<Self::Item>;
 
-    /// Evaluates the section on a completed contribution set, returning the
-    /// exit logits and (for feature tiers) the rank-4 output map a
-    /// non-terminal tier forwards when it escalates.
-    fn evaluate(&mut self, items: Vec<Self::Item>) -> Result<(Tensor, Option<Tensor>)>;
-
     /// Evaluates a micro-batch of completed contribution sets, returning
-    /// one `(logits, map)` pair per sample. The default evaluates each
-    /// sample independently; sections whose compute batches along axis 0
-    /// (feature tiers) override this to run the tensor pass once over the
-    /// whole batch, amortizing bit-packing and kernel launches.
+    /// per sample the exit logits and (for feature tiers) the rank-4 output
+    /// map a non-terminal tier forwards when it escalates. This is the only
+    /// evaluation the node calls: a batch of one is the per-sample path.
+    /// Sections whose compute batches along axis 0 (feature tiers) run the
+    /// tensor pass once over the whole batch, amortizing bit-packing and
+    /// kernel launches; the others evaluate sample by sample.
     fn evaluate_batch(
         &mut self,
         batch: Vec<Vec<Self::Item>>,
-    ) -> Result<Vec<(Tensor, Option<Tensor>)>> {
-        batch.into_iter().map(|items| self.evaluate(items)).collect()
-    }
+    ) -> Result<Vec<(Tensor, Option<Tensor>)>>;
 }
 
 /// The gateway's section: aggregate per-device class-score vectors.
@@ -107,6 +102,16 @@ impl TierSection for ScoresSection {
         }
     }
 
+    fn evaluate_batch(
+        &mut self,
+        batch: Vec<Vec<Vec<f32>>>,
+    ) -> Result<Vec<(Tensor, Option<Tensor>)>> {
+        batch.into_iter().map(|items| self.evaluate(items)).collect()
+    }
+}
+
+impl ScoresSection {
+    /// Aggregates one sample's per-device score vectors.
     fn evaluate(&mut self, items: Vec<Vec<f32>>) -> Result<(Tensor, Option<Tensor>)> {
         // Assemble per-device (1, C) score tensors (blanks already
         // substituted by the collector).
@@ -146,36 +151,30 @@ impl TierSection for FeatureSection {
         }
     }
 
-    fn evaluate(&mut self, maps: Vec<Tensor>) -> Result<(Tensor, Option<Tensor>)> {
-        let mut x = self.agg.forward(&batched(maps)?)?;
-        for conv in &mut self.convs {
-            x = conv.forward(&x, Mode::Eval)?;
-        }
-        let logits = self.exit.forward(&x, Mode::Eval)?;
-        Ok((logits, Some(x)))
-    }
-
     fn evaluate_batch(&mut self, batch: Vec<Vec<Tensor>>) -> Result<Vec<(Tensor, Option<Tensor>)>> {
-        let b = batch.len();
-        if b <= 1 {
-            return batch.into_iter().map(|items| self.evaluate(items)).collect();
-        }
         // Batch along axis 0: per source slot, stack the B rank-3 maps
         // into one (B, C, H, W) tensor, then run aggregation, the ConvP
         // chain and the exit head once over the whole batch. Each batch
-        // row's arithmetic is independent, so per-sample logits and maps
-        // equal the one-at-a-time path. The binarized convs lower the
-        // whole stacked batch to one `BinaryConvPlan` (tensor crate):
-        // the weight matrix is packed and the geometry resolved once,
-        // then the B samples stream through the fused pack-and-popcount
-        // kernel — this drain is what makes micro-batching pay.
-        let num_sources = batch[0].len();
-        let mut per_source = Vec::with_capacity(num_sources);
-        for s in 0..num_sources {
-            let maps: Vec<Tensor> = batch.iter().map(|items| items[s].clone()).collect();
-            per_source.push(Tensor::stack(&maps)?);
+        // row's arithmetic is independent, so a sample's logits and map
+        // do not depend on what it was batched with. The binarized convs
+        // lower the whole stacked batch to one `BinaryConvPlan` (tensor
+        // crate): the weight matrix is packed and the geometry resolved
+        // once, then the B samples stream through the fused
+        // pack-and-popcount kernel — this drain is what makes
+        // micro-batching pay.
+        let b = batch.len();
+        let num_sources = batch.first().map_or(0, Vec::len);
+        let mut per_source: Vec<Vec<Tensor>> = vec![Vec::new(); num_sources];
+        for items in batch {
+            for (slot, item) in per_source.iter_mut().zip(items) {
+                slot.push(item);
+            }
         }
-        let mut x = self.agg.forward(&per_source)?;
+        let stacked: Vec<Tensor> = per_source
+            .iter()
+            .map(|maps| Tensor::stack(maps))
+            .collect::<ddnn_tensor::Result<_>>()?;
+        let mut x = self.agg.forward(&stacked)?;
         for conv in &mut self.convs {
             x = conv.forward(&x, Mode::Eval)?;
         }
@@ -216,11 +215,18 @@ impl TierSection for RawSection {
         }
     }
 
+    fn evaluate_batch(&mut self, batch: Vec<Vec<Tensor>>) -> Result<Vec<(Tensor, Option<Tensor>)>> {
+        batch.into_iter().map(|views| self.evaluate(views)).collect()
+    }
+}
+
+impl RawSection {
+    /// Runs the full network in the cloud (config (a)) on one sample's
+    /// views.
     fn evaluate(&mut self, views: Vec<Tensor>) -> Result<(Tensor, Option<Tensor>)> {
-        // Run the full network in the cloud (config (a)). The device
-        // sections are independent and come back in device order; for the
-        // paper's six they are far below the pool's cut-off and run inline
-        // on this node's thread.
+        // The device sections are independent and come back in device
+        // order; for the paper's six they are far below the pool's
+        // cut-off and run inline on this node's thread.
         let mut sections: Vec<(&mut DevicePart, Tensor)> = Vec::with_capacity(self.devices.len());
         for (part, v) in self.devices.iter_mut().zip(views) {
             let mut dims = vec![1];
@@ -341,7 +347,7 @@ pub(crate) struct TierNode<S: TierSection> {
     pub(crate) collector: Collector<S::Item>,
     /// Micro-batch budget: completed samples drained (non-blocking) from
     /// the inbox and evaluated as one tensor pass per loop iteration. `1`
-    /// is the legacy one-sample-at-a-time path, byte for byte.
+    /// never drains: every sample is a batch of one.
     pub(crate) batch_max: usize,
     /// Per-node counters and the run-wide event sink.
     pub(crate) obs: NodeObs,
@@ -349,12 +355,15 @@ pub(crate) struct TierNode<S: TierSection> {
     pub(crate) elastic: Option<TierElastic<S::Item>>,
 }
 
+/// A completed contribution set: sequence, items, blanks substituted.
+type Completed<S> = (u64, Vec<<S as TierSection>::Item>, usize);
+
 impl<S: TierSection> TierNode<S> {
     /// Runs the node until shutdown, returning its degradation telemetry.
     pub(crate) fn run(mut self) -> Result<NodeReport> {
         let mut last_decision: Option<(u64, Decision)> = None;
-        // Registered lazily so the legacy per-sample path (batch_max 1)
-        // leaves the counter snapshot untouched.
+        // Registered only with a batch budget, so a node that never
+        // batches leaves the counter snapshot untouched.
         let batch_ctrs = (self.batch_max > 1).then(|| {
             let r = self.obs.run.registry();
             (
@@ -362,20 +371,16 @@ impl<S: TierSection> TierNode<S> {
                 r.counter(&format!("node.{}.batched_samples", self.name)),
             )
         });
-        loop {
+        let mut shutdown = false;
+        while !shutdown {
             // Elastic: fold in any new topology epoch first, and while
             // churned down stay fully silent — no deadline firing, no
             // pongs, no decisions — until revival or shutdown.
             if self.elastic_sync() {
-                let frame = self.inbox.recv()?;
-                if matches!(frame.payload, Payload::Shutdown) {
-                    let mut report = self.collector.into_report();
-                    report.corrupt_discards = self.inbox.corrupt_discards();
-                    return Ok(report);
-                }
+                shutdown = matches!(self.inbox.recv()?.payload, Payload::Shutdown);
                 continue;
             }
-            let mut completed: Vec<(u64, Vec<S::Item>, usize)> = Vec::new();
+            let mut completed: Vec<Completed<S>> = Vec::new();
             loop {
                 // A collector error here means the expired sample vanished
                 // mid-finalize (a duplicate raced it) — degrade, don't die.
@@ -399,161 +404,109 @@ impl<S: TierSection> TierNode<S> {
                     },
                     None => self.inbox.recv()?,
                 };
-                if matches!(frame.payload, Payload::Shutdown) {
-                    let mut report = self.collector.into_report();
-                    report.corrupt_discards = self.inbox.corrupt_discards();
-                    return Ok(report);
-                }
-                match self.elastic.as_ref() {
-                    // Went down between the sync check and this recv: the
-                    // next loop pass enters the silent path.
-                    Some(el) if el.control.is_churn_down(el.ix) => continue,
-                    Some(_) if matches!(frame.payload, Payload::Ping) => {
-                        self.to_orchestrator.send(&Frame::new(
-                            frame.seq,
-                            self.id,
-                            Payload::Pong,
-                        ))?;
-                        continue;
-                    }
-                    _ => {}
-                }
-                // An epoch can install while this node is blocked in recv;
-                // fold it in *before* slotting the frame, so the fan-in
-                // geometry matches the epoch the frame belongs to (the
-                // floor check below then rejects anything older).
-                if self.elastic_sync() {
-                    continue;
-                }
-                if let Some(el) = self.elastic.as_ref() {
-                    if el.control.admit(frame.seq).is_err() {
-                        el.stale_discards.incr();
-                        continue;
-                    }
-                }
-                let source = self.fan_in.source_slot(frame.from, &self.name)?;
-                let item = self.section.item_from(frame.payload, &self.name)?;
-                match self.collector.insert(frame.seq, source, item) {
-                    Ok(Ingest::Complete { seq, items, substituted }) => {
-                        completed.push((seq, items, substituted));
-                    }
-                    Ok(Ingest::Replay { seq }) => {
-                        if let Some((s, decision)) = &last_decision {
-                            if *s == seq {
-                                self.send(decision, seq)?;
-                            }
-                        }
-                    }
-                    Ok(Ingest::Stale | Ingest::Pending) => {}
-                    // A duplicated or late finalize: the sample already
-                    // resolved, so the contribution is simply too late.
-                    Err(RuntimeError::Collector { .. }) => {}
-                    Err(e) => return Err(e),
-                }
+                shutdown = self.ingest(frame, &mut completed, &last_decision)?;
             }
-            // Micro-batch drain: with a batch budget, greedily pull frames
-            // already queued (non-blocking) so several completed samples
-            // share one tensor pass. A shutdown seen mid-drain still
-            // flushes the gathered batch before the node exits.
-            let mut shutdown = false;
-            if self.batch_max > 1 && !completed.is_empty() {
-                while completed.len() < self.batch_max {
-                    let Some(frame) = self.inbox.try_recv()? else { break };
-                    if matches!(frame.payload, Payload::Shutdown) {
-                        shutdown = true;
-                        break;
-                    }
-                    match self.elastic.as_ref() {
-                        Some(el) if el.control.is_churn_down(el.ix) => continue,
-                        Some(_) if matches!(frame.payload, Payload::Ping) => {
-                            self.to_orchestrator.send(&Frame::new(
-                                frame.seq,
-                                self.id,
-                                Payload::Pong,
-                            ))?;
-                            continue;
-                        }
-                        _ => {}
-                    }
-                    if self.elastic_sync() {
-                        break;
-                    }
-                    if let Some(el) = self.elastic.as_ref() {
-                        if el.control.admit(frame.seq).is_err() {
-                            el.stale_discards.incr();
-                            continue;
-                        }
-                    }
-                    let source = self.fan_in.source_slot(frame.from, &self.name)?;
-                    let item = self.section.item_from(frame.payload, &self.name)?;
-                    match self.collector.insert(frame.seq, source, item) {
-                        Ok(Ingest::Complete { seq, items, substituted }) => {
-                            completed.push((seq, items, substituted));
-                        }
-                        Ok(Ingest::Replay { seq }) => {
-                            if let Some((s, decision)) = &last_decision {
-                                if *s == seq {
-                                    self.send(decision, seq)?;
-                                }
-                            }
-                        }
-                        Ok(Ingest::Stale | Ingest::Pending) => {}
-                        Err(RuntimeError::Collector { .. }) => {}
-                        Err(e) => return Err(e),
-                    }
-                }
+            // Micro-batch drain: once a sample is complete, greedily pull
+            // frames already queued (non-blocking) up to the batch budget,
+            // so several completed samples share one tensor pass. A
+            // shutdown seen mid-drain still flushes the gathered batch
+            // before the node exits.
+            while !shutdown && !completed.is_empty() && completed.len() < self.batch_max {
+                let Some(frame) = self.inbox.try_recv()? else { break };
+                shutdown = self.ingest(frame, &mut completed, &last_decision)?;
             }
-            if self.batch_max > 1 && completed.len() > 1 {
-                // Oldest first: the collector only ever replays its
-                // watermark sample, so the cached decision must end up
-                // being the batch's highest sequence.
-                completed.sort_by_key(|&(seq, _, _)| seq);
-                if let Some((batches, batched_samples)) = &batch_ctrs {
-                    batches.incr();
-                    batched_samples.add(completed.len() as u64);
-                }
-                let name = &self.name;
-                let size = completed.len();
+            if completed.is_empty() {
+                continue;
+            }
+            // Oldest first: the collector only ever replays its watermark
+            // sample, so the cached decision must end up being the batch's
+            // highest sequence.
+            completed.sort_by_key(|&(seq, _, _)| seq);
+            if let (Some((batches, batched_samples)), true) = (&batch_ctrs, completed.len() > 1) {
+                batches.incr();
+                batched_samples.add(completed.len() as u64);
+                let (name, size) = (&self.name, completed.len());
                 self.obs.run.emit(|| ObsEvent::BatchEvaluated { node: name.clone(), size });
-                let mut metas = Vec::with_capacity(completed.len());
-                let mut batch = Vec::with_capacity(completed.len());
-                for (seq, items, substituted) in completed {
-                    metas.push((seq, substituted));
-                    batch.push(items);
-                }
-                let outputs = self.section.evaluate_batch(batch)?;
-                for ((seq, substituted), (logits, map)) in metas.into_iter().zip(outputs) {
-                    self.obs.aggregates.incr();
-                    let name = &self.name;
-                    self.obs.run.emit(|| ObsEvent::TierAggregate {
-                        node: name.clone(),
-                        seq,
-                        substituted,
-                    });
-                    let decision = self.resolve(seq, logits, map)?;
-                    self.send(&decision, seq)?;
-                    last_decision = Some((seq, decision));
-                }
-            } else {
-                for (seq, items, substituted) in completed {
-                    self.obs.aggregates.incr();
-                    let name = &self.name;
-                    self.obs.run.emit(|| ObsEvent::TierAggregate {
-                        node: name.clone(),
-                        seq,
-                        substituted,
-                    });
-                    let decision = self.decide(seq, items)?;
-                    self.send(&decision, seq)?;
-                    last_decision = Some((seq, decision));
-                }
             }
-            if shutdown {
-                let mut report = self.collector.into_report();
-                report.corrupt_discards = self.inbox.corrupt_discards();
-                return Ok(report);
+            let (metas, batch): (Vec<_>, Vec<_>) = (completed.into_iter())
+                .map(|(seq, items, substituted)| ((seq, substituted), items))
+                .unzip();
+            let outputs = self.section.evaluate_batch(batch)?;
+            for ((seq, substituted), (logits, map)) in metas.into_iter().zip(outputs) {
+                self.obs.aggregates.incr();
+                let name = &self.name;
+                self.obs.run.emit(|| ObsEvent::TierAggregate {
+                    node: name.clone(),
+                    seq,
+                    substituted,
+                });
+                let decision = self.resolve(seq, logits, map)?;
+                self.send(&decision, seq)?;
+                last_decision = Some((seq, decision));
             }
         }
+        let mut report = self.collector.into_report();
+        report.corrupt_discards = self.inbox.corrupt_discards();
+        Ok(report)
+    }
+
+    /// Takes one frame off the inbox: answers a ping, refuses what the
+    /// elastic control plane has made stale, slots a contribution into the
+    /// collector (pushing the set onto `completed` when it fills) and
+    /// replays the cached decision for a duplicate of the watermark
+    /// sample. Returns `true` for the shutdown frame.
+    fn ingest(
+        &mut self,
+        frame: Frame,
+        completed: &mut Vec<Completed<S>>,
+        last_decision: &Option<(u64, Decision)>,
+    ) -> Result<bool> {
+        if matches!(frame.payload, Payload::Shutdown) {
+            return Ok(true);
+        }
+        match self.elastic.as_ref() {
+            // Went down since the last sync: the next loop pass enters the
+            // silent path.
+            Some(el) if el.control.is_churn_down(el.ix) => return Ok(false),
+            Some(_) if matches!(frame.payload, Payload::Ping) => {
+                self.to_orchestrator.send(&Frame::new(frame.seq, self.id, Payload::Pong))?;
+                return Ok(false);
+            }
+            _ => {}
+        }
+        // An epoch can install while this node is blocked in recv; fold it
+        // in *before* slotting the frame, so the fan-in geometry matches
+        // the epoch the frame belongs to (the floor check below then
+        // rejects anything older).
+        if self.elastic_sync() {
+            return Ok(false);
+        }
+        if let Some(el) = self.elastic.as_ref() {
+            if el.control.admit(frame.seq).is_err() {
+                el.stale_discards.incr();
+                return Ok(false);
+            }
+        }
+        let source = self.fan_in.source_slot(frame.from, &self.name)?;
+        let item = self.section.item_from(frame.payload, &self.name)?;
+        match self.collector.insert(frame.seq, source, item) {
+            Ok(Ingest::Complete { seq, items, substituted }) => {
+                completed.push((seq, items, substituted));
+            }
+            Ok(Ingest::Replay { seq }) => {
+                if let Some((s, decision)) = last_decision {
+                    if *s == seq {
+                        self.send(decision, seq)?;
+                    }
+                }
+            }
+            Ok(Ingest::Stale | Ingest::Pending) => {}
+            // A duplicated or late finalize: the sample already resolved,
+            // so the contribution is simply too late.
+            Err(RuntimeError::Collector { .. }) => {}
+            Err(e) => return Err(e),
+        }
+        Ok(false)
     }
 
     /// Folds any new topology epoch into this node's routing state.
@@ -642,14 +595,8 @@ impl<S: TierSection> TierNode<S> {
         false
     }
 
-    /// Evaluates the section and resolves the exit-or-escalate decision.
-    fn decide(&mut self, seq: u64, items: Vec<S::Item>) -> Result<Decision> {
-        let (logits, map) = self.section.evaluate(items)?;
-        self.resolve(seq, logits, map)
-    }
-
-    /// Resolves the exit-or-escalate decision from already-evaluated
-    /// logits (shared by the per-sample and micro-batched paths).
+    /// Resolves the exit-or-escalate decision from a sample's evaluated
+    /// logits.
     fn resolve(&mut self, seq: u64, logits: Tensor, map: Option<Tensor>) -> Result<Decision> {
         let mut d = self.policy.evaluate(&logits)?;
         // Elastic forced exits: a severed or target-less tier classifies

@@ -286,28 +286,28 @@ impl ElasticDriver {
         }
     }
 
-    /// The configured heartbeat period — the streaming pump paces its
-    /// sweeps with this instead of sweeping after every sample.
+    /// The configured heartbeat period — under scheduled arrivals the
+    /// sample pump paces its sweeps with this instead of sweeping after
+    /// every sample.
     pub(crate) fn heartbeat_ms(&self) -> u64 {
         self.heartbeat_ms
     }
 
-    /// The post-sample heartbeat sweep: ping every trackable node with the
-    /// sample's sequence, collect matching pongs until the heartbeat
-    /// deadline (early exit only when *everyone* answered, so a reviving
-    /// node's pong is never raced), update membership and reconfigure the
+    /// The heartbeat sweep: ping every trackable node with the sample's
+    /// sequence, collect matching pongs until the heartbeat deadline
+    /// (early exit only when *everyone* answered, so a reviving node's
+    /// pong is never raced), update membership and reconfigure the
     /// routing when it changed.
     ///
-    /// Closed-loop callers pass `stray: None` — any non-pong frame seen
-    /// here belongs to an already-resolved sample and drains harmlessly.
-    /// The streaming pump passes a sink instead: its samples are still in
-    /// flight during the sweep, so verdicts that land mid-sweep must be
-    /// handed back rather than discarded.
+    /// Samples can be in flight during the sweep, so verdicts that land
+    /// mid-sweep are handed back through `strays` rather than discarded;
+    /// the pump resolves them like any other (one for a sample that
+    /// already resolved is a duplicate there too).
     pub(crate) fn after_sample(
         &mut self,
         seq: u64,
         orch_rx: &mut NodeInbox,
-        mut stray: Option<&mut Vec<Frame>>,
+        strays: &mut Vec<Frame>,
     ) -> Result<()> {
         let mut expected = vec![false; self.dir.len()];
         for (ix, link) in self.ping_links.iter().enumerate() {
@@ -325,16 +325,11 @@ impl ElasticDriver {
                         responded[ix] = true;
                     }
                 }
-                // Without a sink: late verdicts, duplicate replays and
-                // stale pongs drain harmlessly; the sample already
-                // resolved. With one: in-flight verdicts are preserved.
-                Some(frame) => {
-                    if let Some(sink) = stray.as_deref_mut() {
-                        if matches!(frame.payload, Payload::Verdict { .. }) {
-                            sink.push(frame);
-                        }
-                    }
+                // Late pongs and other leftovers drain harmlessly.
+                Some(frame) if matches!(frame.payload, Payload::Verdict { .. }) => {
+                    strays.push(frame);
                 }
+                Some(_) => {}
                 None => break,
             }
         }

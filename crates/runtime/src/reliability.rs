@@ -61,64 +61,39 @@ impl ReliabilityMode {
     }
 }
 
-/// Retransmission tuning for [`ReliabilityMode::Arq`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ArqTuning {
-    /// Initial retransmit timeout, in milliseconds.
-    pub retransmit_ms: u64,
-    /// Ceiling of the exponential backoff, in milliseconds. Kept well
-    /// under the aggregation deadline so a lossy frame gets many attempts
-    /// before blank substitution takes over.
-    pub backoff_cap_ms: u64,
-    /// Retransmissions per frame before the sender gives up.
-    pub max_retries: u32,
-    /// Bound of the sender's retransmit buffer, in frames; registering
-    /// beyond it abandons the oldest unacked frame.
-    pub buffer_frames: usize,
-    /// A frame older than this is abandoned regardless of retries, in
-    /// milliseconds. Clamped to the aggregation deadline at run setup:
-    /// once the collector has blanked the sample, retransmitting it is
-    /// pure waste.
-    pub max_age_ms: u64,
+// Retransmission tuning of [`ReliabilityMode::Arq`].
+
+/// Initial retransmit timeout, in milliseconds.
+const RETRANSMIT_MS: u64 = 5;
+
+/// Ceiling of the exponential backoff, in milliseconds. Kept well under
+/// the aggregation deadline so a lossy frame gets many attempts before
+/// blank substitution takes over.
+const BACKOFF_CAP_MS: u64 = 20;
+
+/// Retransmissions per frame before the sender gives up.
+const MAX_RETRIES: u32 = 16;
+
+/// Bound of the sender's retransmit buffer, in frames; registering beyond
+/// it abandons the oldest unacked frame.
+const BUFFER_FRAMES: usize = 512;
+
+/// A frame older than this is abandoned regardless of retries, in
+/// milliseconds.
+const MAX_AGE_MS: u64 = 1000;
+
+/// The age at which a run's ARQ senders abandon a frame: [`MAX_AGE_MS`]
+/// clamped to the aggregation deadline — once the collector has blanked
+/// the sample, retransmitting it is pure waste.
+pub(crate) fn arq_max_age(deadlines: Option<&DeadlineConfig>) -> Duration {
+    Duration::from_millis(deadlines.map_or(MAX_AGE_MS, |d| MAX_AGE_MS.min(d.aggregation_ms)))
 }
 
-impl Default for ArqTuning {
-    fn default() -> Self {
-        ArqTuning {
-            retransmit_ms: 5,
-            backoff_cap_ms: 20,
-            max_retries: 16,
-            buffer_frames: 512,
-            max_age_ms: 1000,
-        }
-    }
-}
-
-impl ArqTuning {
-    /// The tuning actually used in a run: `max_age_ms` clamped to the
-    /// aggregation deadline, so retransmission stops once degradation has
-    /// already resolved the sample.
-    pub(crate) fn effective(mut self, deadlines: Option<&DeadlineConfig>) -> Self {
-        if let Some(d) = deadlines {
-            self.max_age_ms = self.max_age_ms.min(d.aggregation_ms);
-        }
-        self
-    }
-}
-
-/// Run-wide reliability configuration: a default mode for every link plus
-/// optional per-link overrides.
+/// Run-wide reliability configuration: the mode every link runs in.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ReliabilityConfig {
-    /// Mode applied to every link not covered by an override.
+    /// Mode applied to every link.
     pub mode: ReliabilityMode,
-    /// Retransmission tuning (only consulted where ARQ is active).
-    pub arq: ArqTuning,
-    /// Per-link mode overrides, keyed by link name (e.g.
-    /// `"device0->gateway"`). Overrides may switch between [`Crc`] and
-    /// [`Arq`](ReliabilityMode::Arq) but not back to `Legacy`: all links
-    /// of a run speak one wire format.
-    pub link_overrides: Vec<(String, ReliabilityMode)>,
 }
 
 impl ReliabilityConfig {
@@ -129,82 +104,27 @@ impl ReliabilityConfig {
 
     /// Checked framing everywhere, no retransmission.
     pub fn crc() -> Self {
-        ReliabilityConfig { mode: ReliabilityMode::Crc, ..ReliabilityConfig::default() }
+        ReliabilityConfig { mode: ReliabilityMode::Crc }
     }
 
-    /// Full ARQ on every link with default tuning.
+    /// Full ARQ on every link.
     pub fn arq() -> Self {
-        ReliabilityConfig { mode: ReliabilityMode::Arq, ..ReliabilityConfig::default() }
-    }
-
-    /// The mode of the named link, after overrides.
-    pub fn mode_for(&self, link_name: &str) -> ReliabilityMode {
-        self.link_overrides
-            .iter()
-            .rev()
-            .find(|(name, _)| name == link_name)
-            .map_or(self.mode, |(_, m)| *m)
-    }
-
-    /// Whether any link of the run uses the checked wire format.
-    pub fn any_checked(&self) -> bool {
-        self.mode.is_checked() || self.link_overrides.iter().any(|(_, m)| m.is_checked())
-    }
-
-    /// Whether any link of the run runs ARQ.
-    pub fn any_arq(&self) -> bool {
-        matches!(self.mode, ReliabilityMode::Arq)
-            || self.link_overrides.iter().any(|(_, m)| matches!(m, ReliabilityMode::Arq))
+        ReliabilityConfig { mode: ReliabilityMode::Arq }
     }
 
     /// Validates the configuration against the run's deadlines.
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError::Config`] when an override tries to mix the
-    /// legacy format with checked links, or when ARQ runs without
-    /// deadlines (its give-up policy is defined by the sample deadline).
+    /// Returns [`RuntimeError::Config`] when ARQ runs without deadlines
+    /// (its give-up policy is defined by the sample deadline).
     pub fn validate(&self, deadlines: Option<&DeadlineConfig>) -> Result<()> {
-        if self.mode.is_checked() {
-            if let Some((name, _)) = self.link_overrides.iter().find(|(_, m)| !m.is_checked()) {
-                return Err(RuntimeError::Config {
-                    reason: format!(
-                        "link override {name:?} selects the legacy format in a checked run; \
-                         all links of a run speak one wire format"
-                    ),
-                });
-            }
-        } else if let Some((name, _)) = self.link_overrides.iter().find(|(_, m)| m.is_checked()) {
-            return Err(RuntimeError::Config {
-                reason: format!(
-                    "link override {name:?} selects a checked format in a legacy run; \
-                     set ReliabilityConfig::mode to Crc or Arq instead"
-                ),
-            });
-        }
-        if self.any_arq() && deadlines.is_none() {
+        if self.mode == ReliabilityMode::Arq && deadlines.is_none() {
             return Err(RuntimeError::Config {
                 reason: "ARQ requires deadlines: its give-up policy is bounded by the \
                          aggregation deadline"
                     .into(),
             });
-        }
-        if self.any_arq() {
-            // Positivity of the ARQ tunings: a zero timeout would spin the
-            // pump, a zero cap would zero the backoff via `min`, a zero
-            // buffer/age could never hold or retry a frame.
-            for (what, v) in [
-                ("retransmit_ms", self.arq.retransmit_ms),
-                ("backoff_cap_ms", self.arq.backoff_cap_ms),
-                ("max_age_ms", self.arq.max_age_ms),
-                ("buffer_frames", self.arq.buffer_frames as u64),
-            ] {
-                if v == 0 {
-                    return Err(RuntimeError::Config {
-                        reason: format!("ARQ {what} must be positive"),
-                    });
-                }
-            }
         }
         Ok(())
     }
@@ -307,7 +227,8 @@ pub(crate) struct ArqSendState {
     /// Chaos stream of the retransmit path (`retx:<link>`), sharing the
     /// sending node's crash state: a dead node cannot retransmit.
     fault: Option<Arc<LinkChaos>>,
-    tuning: ArqTuning,
+    /// See [`arq_max_age`].
+    max_age: Duration,
     /// Header bytes of the checked format, for stats accounting.
     header_bytes: usize,
     /// Run observability: each retransmission emits a timeline event.
@@ -323,7 +244,7 @@ impl ArqSendState {
         ack_rx: Receiver<Bytes>,
         stats: Arc<LinkCounters>,
         fault: Option<Arc<LinkChaos>>,
-        tuning: ArqTuning,
+        max_age: Duration,
         header_bytes: usize,
         obs: Arc<RunObs>,
         link: Arc<str>,
@@ -334,7 +255,7 @@ impl ArqSendState {
             ack_rx: Mutex::new(ack_rx),
             stats,
             fault,
-            tuning,
+            max_age,
             header_bytes,
             obs,
             link,
@@ -361,7 +282,7 @@ impl ArqSendState {
         let mut inner = self.inner.lock();
         let tseq = inner.next_tseq;
         inner.next_tseq = inner.next_tseq.wrapping_add(1).max(1);
-        if inner.buffer.len() >= self.tuning.buffer_frames {
+        if inner.buffer.len() >= BUFFER_FRAMES {
             inner.buffer.remove(0); // bounded buffer: abandon the oldest
         }
         let wire = frame.encode_checked(crate::message::FLAG_RETRANSMIT, tseq);
@@ -370,8 +291,8 @@ impl ArqSendState {
             wire,
             payload_bytes: frame.payload_bytes(),
             first_sent: now,
-            next_retry: now + Duration::from_millis(self.tuning.retransmit_ms),
-            backoff_ms: self.tuning.retransmit_ms,
+            next_retry: now + Duration::from_millis(RETRANSMIT_MS),
+            backoff_ms: RETRANSMIT_MS,
             retries: 0,
             nacked: false,
         });
@@ -394,7 +315,6 @@ impl ArqSendState {
             }
         }
         drop(ack_rx);
-        let max_age = Duration::from_millis(self.tuning.max_age_ms);
         let mut i = 0;
         while i < inner.buffer.len() {
             let u = &inner.buffer[i];
@@ -403,7 +323,7 @@ impl ArqSendState {
                 i += 1;
                 continue;
             }
-            if u.retries >= self.tuning.max_retries || now.duration_since(u.first_sent) > max_age {
+            if u.retries >= MAX_RETRIES || now.duration_since(u.first_sent) > self.max_age {
                 // Hopeless: the deadline tier owns this loss now.
                 inner.buffer.remove(i);
                 continue;
@@ -411,9 +331,7 @@ impl ArqSendState {
             let u = &mut inner.buffer[i];
             u.retries += 1;
             u.nacked = false;
-            // Saturate the doubling: a large configured cap must not turn
-            // the exponential backoff into a debug-build overflow.
-            u.backoff_ms = u.backoff_ms.saturating_mul(2).min(self.tuning.backoff_cap_ms.max(1));
+            u.backoff_ms = (u.backoff_ms * 2).min(BACKOFF_CAP_MS);
             u.next_retry = now + Duration::from_millis(u.backoff_ms);
             let (tseq, retries) = (u.tseq, u.retries);
             let delivery = self.fault.as_ref().map_or_else(Delivery::clean, |f| f.roll_raw());
@@ -656,21 +574,29 @@ mod tests {
         assert_eq!(decode_ack(&last), Some((base + 1, vec![base + 2, base + 3, base + 4])));
     }
 
-    #[test]
-    fn send_state_numbers_frames_from_its_tseq_base() {
-        let (data_tx, data_rx) = unbounded();
-        let (_ack_tx, ack_rx) = unbounded();
-        let send = ArqSendState::new(
+    /// A sender on `data_tx`/`ack_rx` with the run-default frame age.
+    fn send_state(
+        data_tx: crossbeam::channel::Sender<Bytes>,
+        ack_rx: Receiver<Bytes>,
+        stats: &Arc<LinkCounters>,
+    ) -> ArqSendState {
+        ArqSendState::new(
             channel_tx(data_tx),
             ack_rx,
-            stats(),
+            Arc::clone(stats),
             None,
-            ArqTuning::default(),
+            arq_max_age(None),
             crate::message::CHECKED_HEADER_BYTES,
             RunObs::disabled(),
             Arc::from("test-link"),
         )
-        .with_tseq_base(1 << 20);
+    }
+
+    #[test]
+    fn send_state_numbers_frames_from_its_tseq_base() {
+        let (data_tx, data_rx) = unbounded();
+        let (_ack_tx, ack_rx) = unbounded();
+        let send = send_state(data_tx, ack_rx, &stats()).with_tseq_base(1 << 20);
         assert_eq!(send.register(&frame(0)), (1 << 20) + 1);
         assert_eq!(send.register(&frame(1)), (1 << 20) + 2);
         drop(data_rx);
@@ -681,24 +607,14 @@ mod tests {
         let (data_tx, data_rx) = unbounded();
         let (ack_tx, ack_rx) = unbounded();
         let st = stats();
-        let tuning = ArqTuning { retransmit_ms: 1, backoff_cap_ms: 2, ..ArqTuning::default() };
-        let send = ArqSendState::new(
-            channel_tx(data_tx),
-            ack_rx,
-            Arc::clone(&st),
-            None,
-            tuning,
-            crate::message::CHECKED_HEADER_BYTES,
-            RunObs::disabled(),
-            Arc::from("test-link"),
-        );
+        let send = send_state(data_tx, ack_rx, &st);
         let f = frame(7);
         let tseq = send.register(&f);
         assert_eq!(tseq, 1);
         assert_eq!(send.in_flight(), 1);
         // Past the retransmit timeout the pump resends the frame.
-        std::thread::sleep(Duration::from_millis(3));
-        send.tick(Instant::now());
+        let later = |ms| Instant::now() + Duration::from_millis(ms);
+        send.tick(later(RETRANSMIT_MS + 1));
         let wire = data_rx.try_recv().expect("a retransmission");
         let decoded = Frame::decode_checked(wire).unwrap();
         assert_eq!(decoded.frame, f);
@@ -707,8 +623,7 @@ mod tests {
         assert_eq!(st.frames_retransmitted.get(), 1);
         // Acking the frame clears the buffer; no further retransmissions.
         ack_tx.send(encode_ack(1, &[])).unwrap();
-        std::thread::sleep(Duration::from_millis(3));
-        send.tick(Instant::now());
+        send.tick(later(10 * BACKOFF_CAP_MS));
         assert_eq!(send.in_flight(), 0);
         assert!(data_rx.try_recv().is_err());
     }
@@ -718,30 +633,17 @@ mod tests {
         let (data_tx, data_rx) = unbounded();
         let (_ack_tx, ack_rx) = unbounded();
         let st = stats();
-        let tuning = ArqTuning {
-            retransmit_ms: 1,
-            backoff_cap_ms: 1,
-            max_retries: 3,
-            ..ArqTuning::default()
-        };
-        let send = ArqSendState::new(
-            channel_tx(data_tx),
-            ack_rx,
-            Arc::clone(&st),
-            None,
-            tuning,
-            crate::message::CHECKED_HEADER_BYTES,
-            RunObs::disabled(),
-            Arc::from("test-link"),
-        );
+        let send = send_state(data_tx, ack_rx, &st);
         send.register(&frame(1));
-        for _ in 0..10 {
-            std::thread::sleep(Duration::from_millis(2));
-            send.tick(Instant::now());
+        // One sweep per backoff ceiling: every one finds the frame due,
+        // and the whole series stays inside the frame's maximum age.
+        let start = Instant::now();
+        for sweep in 1..=u64::from(MAX_RETRIES) + 4 {
+            send.tick(start + Duration::from_millis(sweep * (BACKOFF_CAP_MS + 1)));
         }
         assert_eq!(send.in_flight(), 0, "hopeless frame abandoned");
-        assert_eq!(st.frames_retransmitted.get(), 3);
-        assert_eq!(drain(&data_rx).len(), 3);
+        assert_eq!(st.frames_retransmitted.get(), u64::from(MAX_RETRIES));
+        assert_eq!(drain(&data_rx).len(), MAX_RETRIES as usize);
     }
 
     #[test]
@@ -749,22 +651,14 @@ mod tests {
         let (data_tx, data_rx) = unbounded();
         let (ack_tx, ack_rx) = unbounded();
         let st = stats();
-        // A long timeout: only the NACK can trigger the resend.
-        let tuning = ArqTuning { retransmit_ms: 10_000, ..ArqTuning::default() };
-        let send = ArqSendState::new(
-            channel_tx(data_tx),
-            ack_rx,
-            Arc::clone(&st),
-            None,
-            tuning,
-            crate::message::CHECKED_HEADER_BYTES,
-            RunObs::disabled(),
-            Arc::from("test-link"),
-        );
+        let send = send_state(data_tx, ack_rx, &st);
+        // Swept at an instant before either frame's timeout: only the
+        // NACK can trigger the resend.
+        let before = Instant::now();
         send.register(&frame(1));
         send.register(&frame(2));
         ack_tx.send(encode_ack(0, &[1])).unwrap();
-        send.tick(Instant::now());
+        send.tick(before);
         assert_eq!(drain(&data_rx).len(), 1, "only the NACKed frame resent");
         assert_eq!(send.in_flight(), 2, "tseq 2 still awaits its ack");
     }
@@ -773,112 +667,20 @@ mod tests {
     fn buffer_bound_abandons_the_oldest() {
         let (data_tx, _data_rx) = unbounded();
         let (_ack_tx, ack_rx) = unbounded();
-        let tuning = ArqTuning { buffer_frames: 2, ..ArqTuning::default() };
-        let send = ArqSendState::new(
-            channel_tx(data_tx),
-            ack_rx,
-            stats(),
-            None,
-            tuning,
-            crate::message::CHECKED_HEADER_BYTES,
-            RunObs::disabled(),
-            Arc::from("test-link"),
-        );
-        for seq in 0..5 {
+        let send = send_state(data_tx, ack_rx, &stats());
+        for seq in 0..BUFFER_FRAMES as u64 + 3 {
             send.register(&frame(seq));
         }
-        assert_eq!(send.in_flight(), 2);
+        assert_eq!(send.in_flight(), BUFFER_FRAMES);
     }
 
     #[test]
-    fn backoff_doubling_saturates_instead_of_overflowing() {
-        // Regression: with a huge configured backoff the doubling used to
-        // be a plain `* 2`, which overflows u64 in debug builds on the
-        // first retransmission. The NACK forces the frame due despite the
-        // huge timeout, so the doubling line actually runs.
-        let (data_tx, data_rx) = unbounded();
-        let (ack_tx, ack_rx) = unbounded();
-        let st = stats();
-        let tuning = ArqTuning {
-            retransmit_ms: u64::MAX / 2 + 1,
-            backoff_cap_ms: u64::MAX,
-            ..ArqTuning::default()
-        };
-        let send = ArqSendState::new(
-            channel_tx(data_tx),
-            ack_rx,
-            Arc::clone(&st),
-            None,
-            tuning,
-            crate::message::CHECKED_HEADER_BYTES,
-            RunObs::disabled(),
-            Arc::from("test-link"),
-        );
-        send.register(&frame(1));
-        ack_tx.send(encode_ack(0, &[1])).unwrap();
-        send.tick(Instant::now());
-        assert_eq!(st.frames_retransmitted.get(), 1, "the NACKed frame was resent");
-        assert_eq!(drain(&data_rx).len(), 1);
-        assert_eq!(send.in_flight(), 1, "still awaiting its ack");
-    }
-
-    #[test]
-    fn validate_rejects_degenerate_arq_tunings() {
-        let deadlines = DeadlineConfig::fast();
-        for bad in [
-            ArqTuning { retransmit_ms: 0, ..ArqTuning::default() },
-            ArqTuning { backoff_cap_ms: 0, ..ArqTuning::default() },
-            ArqTuning { max_age_ms: 0, ..ArqTuning::default() },
-            ArqTuning { buffer_frames: 0, ..ArqTuning::default() },
-        ] {
-            let cfg = ReliabilityConfig { arq: bad, ..ReliabilityConfig::arq() };
-            assert!(
-                cfg.validate(Some(&deadlines)).is_err(),
-                "degenerate tuning {bad:?} must be rejected"
-            );
-            // The same tuning is fine when no link runs ARQ.
-            let crc = ReliabilityConfig { arq: bad, ..ReliabilityConfig::crc() };
-            assert!(crc.validate(Some(&deadlines)).is_ok());
-        }
-    }
-
-    #[test]
-    fn validate_enforces_mode_pairings() {
-        let deadlines = DeadlineConfig::fast();
-        // ARQ needs deadlines.
+    fn arq_needs_deadlines_and_stops_at_the_aggregation_deadline() {
+        let deadlines = DeadlineConfig { aggregation_ms: 50, ..DeadlineConfig::fast() };
         assert!(ReliabilityConfig::arq().validate(None).is_err());
         assert!(ReliabilityConfig::arq().validate(Some(&deadlines)).is_ok());
-        // No mixing wire formats.
-        let mixed = ReliabilityConfig {
-            mode: ReliabilityMode::Crc,
-            link_overrides: vec![("a->b".into(), ReliabilityMode::Legacy)],
-            ..ReliabilityConfig::default()
-        };
-        assert!(mixed.validate(Some(&deadlines)).is_err());
-        let mixed = ReliabilityConfig {
-            mode: ReliabilityMode::Legacy,
-            link_overrides: vec![("a->b".into(), ReliabilityMode::Arq)],
-            ..ReliabilityConfig::default()
-        };
-        assert!(mixed.validate(Some(&deadlines)).is_err());
-        // Overrides within the checked family are fine, and mode_for
-        // resolves them.
-        let cfg = ReliabilityConfig {
-            mode: ReliabilityMode::Arq,
-            link_overrides: vec![("a->b".into(), ReliabilityMode::Crc)],
-            ..ReliabilityConfig::default()
-        };
-        assert!(cfg.validate(Some(&deadlines)).is_ok());
-        assert_eq!(cfg.mode_for("a->b"), ReliabilityMode::Crc);
-        assert_eq!(cfg.mode_for("c->d"), ReliabilityMode::Arq);
-        assert!(cfg.any_arq() && cfg.any_checked());
-    }
-
-    #[test]
-    fn effective_tuning_is_clamped_by_the_deadline() {
-        let t = ArqTuning::default();
-        let d = DeadlineConfig { aggregation_ms: 50, ..DeadlineConfig::fast() };
-        assert_eq!(t.effective(Some(&d)).max_age_ms, 50);
-        assert_eq!(t.effective(None).max_age_ms, t.max_age_ms);
+        assert!(ReliabilityConfig::crc().validate(None).is_ok());
+        assert_eq!(arq_max_age(Some(&deadlines)), Duration::from_millis(50));
+        assert_eq!(arq_max_age(None), Duration::from_millis(MAX_AGE_MS));
     }
 }

@@ -49,11 +49,6 @@ pub fn run_cloud_only_baseline(
                 .to_string(),
         });
     }
-    if cfg.stream.is_some() {
-        return Err(RuntimeError::Config {
-            reason: "the cloud-only baseline is closed-loop only (unset cfg.stream)".to_string(),
-        });
-    }
     if cfg.transport.is_socket() {
         return Err(RuntimeError::Config {
             reason: format!(

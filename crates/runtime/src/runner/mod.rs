@@ -21,15 +21,17 @@
 //!
 //! Every runner goes the same way: the wiring table of the topology
 //! (`wiring`) → `connect` the rows this process's hosts own → `spawn_role`
-//! for each hosted role (`roles`) → `orchestrate`. [`run_topology`] hosts
-//! every role as threads, [`run_cloud_only_baseline`] a one-tier wiring,
-//! and [`multiproc`] one role per OS process.
+//! for each hosted role (`roles`) → `orchestrate`, whose one sample driver
+//! (`pump`) admits samples in lockstep or on `cfg.stream`'s arrival
+//! schedule. [`run_topology`] hosts every role as threads,
+//! [`run_cloud_only_baseline`] a one-tier wiring, and [`multiproc`] one
+//! role per OS process.
 
 mod baseline;
 pub mod multiproc;
 mod orchestrate;
+mod pump;
 mod roles;
-mod streaming;
 mod wiring;
 
 pub use baseline::run_cloud_only_baseline;

@@ -42,16 +42,19 @@
 //! plus a per-generation `tseq_base`, rebinds fresh ports, and the
 //! survivors are re-pointed at them with `REWIRE` lines.
 //!
-//! Scope: multi-process runs cover the closed-loop protocol on the
-//! partition-implied topology. Elastic orchestration, streaming arrivals
-//! and static device failures are rejected by [`launch`] with typed
-//! configuration errors before anything is spawned — the role manifest
-//! does not carry them yet — and so, by
-//! [`ChaosPlan::validate`](crate::ChaosPlan::validate), are chaos events
-//! on links and nodes. Of the chaos plan this runner executes process
-//! Down/Up events itself and ships the socket impairment to every role.
+//! Scope: multi-process runs cover the partition-implied topology, in
+//! lockstep or under scheduled arrivals, with or without statically failed
+//! devices — the role manifest carries `stream` and `failed_devices`, and
+//! every process derives the same live mask, admission window and batch
+//! budget from it. [`launch`] rejects, with typed configuration errors
+//! before anything is spawned, a non-socket transport and elastic
+//! orchestration (its control state is shared memory); chaos events on
+//! links and nodes are rejected by
+//! [`ChaosPlan::validate`](crate::ChaosPlan::validate). Of the chaos plan
+//! this runner executes process Down/Up events itself and ships the socket
+//! impairment to every role.
 
-use super::orchestrate::{host_nodes, orchestrate, validate_run, SampleHook};
+use super::orchestrate::{host_nodes, live_mask, orchestrate, validate_run, SampleHook};
 use super::roles::{compute_blanks, spawn_role, RunCtx};
 use super::wiring::{connect, Addrs, Host, Link, Phase, Wiring};
 use crate::chaos::{ChaosTarget, ProcTarget};
@@ -226,31 +229,20 @@ fn parse_node_line(line: &str) -> Result<NodeReport> {
     Ok(report)
 }
 
-/// Typed rejection of everything the role manifest cannot carry to the
-/// other processes yet — raised before any process is spawned.
+/// Typed rejection of what cannot span process boundaries — raised
+/// before any process is spawned. Processes talk over sockets, so the
+/// transport must be one; and elastic orchestration publishes its routing
+/// epochs, floor and down flags through one `ControlState` in shared
+/// memory, which role processes have no way to read.
 fn validate_launch(cfg: &HierarchyConfig) -> Result<()> {
-    let reject = |reason: String| Err(RuntimeError::Config { reason });
+    let reject = |reason: &str| Err(RuntimeError::Config { reason: reason.to_string() });
     if !cfg.transport.is_socket() {
         return reject(
-            "multi-process runs need a socket transport (set cfg.transport to tcp or udp)"
-                .to_string(),
+            "multi-process runs need a socket transport (set cfg.transport to tcp or udp)",
         );
     }
     if cfg.elastic.is_some() {
-        return reject("elastic orchestration is in-process only (unset cfg.elastic)".to_string());
-    }
-    if cfg.stream.is_some() {
-        return reject("streaming arrivals are in-process only (unset cfg.stream)".to_string());
-    }
-    if !cfg.failed_devices.is_empty() {
-        return reject(
-            "static device failures are in-process only (unset cfg.failed_devices)".to_string(),
-        );
-    }
-    if !cfg.reliability.link_overrides.is_empty() {
-        return reject(
-            "per-link reliability overrides are in-process only (unset link_overrides)".to_string(),
-        );
+        return reject("elastic orchestration is in-process only (unset cfg.elastic)");
     }
     Ok(())
 }
@@ -410,8 +402,9 @@ struct Supervisor<'a> {
     wiring: &'a Wiring,
     /// Re-points the launcher's own senders at a respawned role.
     redial: RedialHandle,
-    sensors: Vec<LinkSender>,
-    views: &'a [Tensor],
+    /// The sensor feed and the view batch of every device that is not
+    /// statically failed.
+    sensors: Vec<(LinkSender, &'a Tensor)>,
     obs: Arc<RunObs>,
 }
 
@@ -508,7 +501,7 @@ impl SampleHook for Supervisor<'_> {
     fn feed(&mut self, i: usize) -> Result<()> {
         let seq = i as u64;
         self.tick(seq);
-        for (sensor, views) in self.sensors.iter().zip(self.views) {
+        for (sensor, views) in &self.sensors {
             let view = views.index_axis0(i)?;
             sensor.send(&Frame::new(seq, NodeId::Orchestrator, Payload::Capture { view }))?;
         }
@@ -584,12 +577,11 @@ impl SampleHook for Supervisor<'_> {
 /// bit-identical to an in-process [`run_topology`](super::run_topology)
 /// of the same configuration.
 ///
-/// `cfg.transport` must be a socket transport; elastic orchestration,
-/// streaming, static device failures and chaos on links or nodes are
-/// rejected (they are in-process features). Of `cfg.chaos` this runner
-/// takes process Down/Up events (seeded role kills and respawns) and the
-/// socket impairment (seeded datagram/stream mangling), supervised end to
-/// end.
+/// `cfg.transport` must be a socket transport; elastic orchestration and
+/// chaos on links or nodes are rejected (they are in-process features).
+/// Of `cfg.chaos` this runner takes process Down/Up events (seeded role
+/// kills and respawns) and the socket impairment (seeded datagram/stream
+/// mangling), supervised end to end.
 ///
 /// # Errors
 ///
@@ -637,8 +629,10 @@ pub fn launch(
         fleet,
         wiring: &wiring,
         redial: plane.factory.redial_handle(),
-        sensors: (0..live.len()).map(|d| plane.sender(Link::Sensor(d))).collect::<Result<_>>()?,
-        views: device_views,
+        sensors: (0..live.len())
+            .filter(|&d| live[d])
+            .map(|d| Ok((plane.sender(Link::Sensor(d))?, &device_views[d])))
+            .collect::<Result<_>>()?,
         obs: Arc::clone(&ctx.obs),
     };
     orchestrate(&ctx, &wiring, plane, |_, _| Ok(()), labels, &mut supervisor, None)
@@ -728,7 +722,7 @@ where
         return Err(RuntimeError::Protocol { reason: format!("no role {role} in this topology") });
     }
     let blanks = compute_blanks(&topology)?;
-    let live = vec![true; topology.num_devices()];
+    let live = live_mask(topology.num_devices(), &cfg);
     let obs = Arc::new(RunObs::new(&cfg.obs));
     let ctx = RunCtx { topology: &topology, cfg: &cfg, live: &live, clock: SimClock::start(), obs };
 

@@ -1,24 +1,21 @@
 //! The orchestrator's side of a run, shared by every runner: input
-//! validation, the closed-loop sample driver (strict legacy path without
-//! deadlines, watchdog path with them), and [`orchestrate`] — the one
-//! body that drives the samples beside whatever nodes this process hosts,
-//! shuts the run down and assembles the report.
+//! validation, the [`SampleHook`] a runner plugs in, and [`orchestrate`]
+//! — the one body that pumps the samples (`pump`) beside whatever nodes
+//! this process hosts, shuts the run down and assembles the report.
 
+use super::pump::pump;
 use super::roles::{RunCtx, Spawn};
-use super::streaming::drive_stream;
 use super::wiring::{Host, Link, Plane, Wiring};
-use crate::chaos::{ChaosTarget, ProcTarget, Schedule};
-use crate::clock::SimClock;
+use crate::chaos::{ChaosTarget, ProcTarget};
 use crate::error::{Result, RuntimeError};
-use crate::link::NodeInbox;
+use crate::link::LatencyModel;
 use crate::message::{Frame, NodeId, Payload};
-use crate::node::report::{assemble_report, NodeReport, RunTallies, SampleOutcome, SimReport};
-use crate::obs::{LinkCounters, ObsEvent, RunObs};
+use crate::node::report::{assemble_report, NodeReport, SimReport};
+use crate::obs::LinkCounters;
 use crate::orchestrator::{ControlState, ElasticDriver, NodeDirectory};
 use crate::reliability::{run_retransmit_pump, ArqSendState};
-use crate::topology::{DeadlineConfig, HierarchyConfig, Shape, Topology};
+use crate::topology::{HierarchyConfig, Shape, Topology};
 use crate::transport::{InboxBinding, TransportConfig};
-use ddnn_core::ExitPoint;
 use ddnn_tensor::Tensor;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -49,14 +46,14 @@ pub(super) fn validate_run(
             reason: "device view batch size != label count".to_string(),
         });
     }
-    let live: Vec<bool> = (0..num_devices).map(|d| !cfg.failed_devices.contains(&d)).collect();
+    let live = live_mask(num_devices, cfg);
     if live.iter().all(|&l| !l) {
         return Err(RuntimeError::Config { reason: "all devices failed".to_string() });
     }
     cfg.chaos.validate(topology, cfg, processes)?;
     cfg.reliability.validate(cfg.deadlines.as_ref())?;
     // Whatever waits on the network needs a bound on the wait: elastic
-    // heartbeat sweeps, the streaming pump's expiry, and socket reads
+    // heartbeat sweeps, scheduled arrivals' expiry, and socket reads
     // (deadline-budgeted timed polls; sockets have no channel-disconnect
     // semantics to fall back on).
     for (on, what) in [
@@ -89,118 +86,9 @@ pub(super) fn validate_run(
     Ok(live)
 }
 
-/// The orchestrator's closed-loop sample driver: the legacy strict path
-/// without deadlines, the watchdog path (bounded waits, bounded capture
-/// retransmissions, typed per-sample timeouts) with them.
-#[allow(clippy::too_many_arguments)]
-pub(super) fn drive_samples(
-    n_samples: usize,
-    deadlines: Option<DeadlineConfig>,
-    clock: SimClock,
-    orch_rx: &mut NodeInbox,
-    hook: &mut impl SampleHook,
-    schedule: &mut Schedule,
-    exit_point_of: impl Fn(u8) -> Result<ExitPoint>,
-    latency_of: impl Fn(u8) -> f32,
-    obs: &RunObs,
-    mut elastic: Option<&mut ElasticDriver>,
-) -> Result<RunTallies> {
-    let mut predictions = vec![0usize; n_samples];
-    let mut exits = vec![ExitPoint::Cloud; n_samples];
-    let mut latencies = vec![0.0f64; n_samples];
-    let mut outcomes = vec![SampleOutcome::Classified; n_samples];
-    let mut capture_retries = 0usize;
-    let samples_ctr = obs.registry().counter("run.samples");
-    let retries_ctr = obs.registry().counter("run.capture_retries");
-    let timeouts_ctr = obs.registry().counter("run.watchdog_timeouts");
-    match deadlines {
-        None => {
-            // Legacy exact path: block on each verdict, strict order.
-            for i in 0..n_samples {
-                let seq = i as u64;
-                samples_ctr.incr();
-                obs.emit(|| ObsEvent::SampleEnqueued { seq });
-                hook.feed(i)?;
-                let verdict = orch_rx.recv()?;
-                if verdict.seq != seq {
-                    return Err(RuntimeError::Protocol {
-                        reason: format!("verdict for sample {} while running {seq}", verdict.seq),
-                    });
-                }
-                let Payload::Verdict { prediction, exit_tier } = verdict.payload else {
-                    return Err(RuntimeError::Protocol {
-                        reason: "orchestrator received a non-verdict".to_string(),
-                    });
-                };
-                predictions[i] = prediction as usize;
-                exits[i] = exit_point_of(exit_tier)?;
-                // Widening the f32 link-model latency is lossless, so the
-                // f32 mean fields stay bit-identical to the seed runtime.
-                latencies[i] = f64::from(latency_of(exit_tier));
-            }
-        }
-        Some(dl) => {
-            // Watchdog path: bounded wait per attempt, bounded capture
-            // retransmissions, then a typed per-sample timeout. Stale
-            // and duplicate verdicts are discarded by sequence number,
-            // so a retried sample can never hang or corrupt the run.
-            for i in 0..n_samples {
-                let seq = i as u64;
-                samples_ctr.incr();
-                obs.emit(|| ObsEvent::SampleEnqueued { seq });
-                // Chaos: whatever is scheduled before this sample happens
-                // before its captures go out, so a scheduled Down takes
-                // effect exactly at its sample.
-                schedule.fire(seq, |target, down| hook.apply(seq, target, down))?;
-                let mut resolved = None;
-                let mut attempts = 0u32;
-                'sample: loop {
-                    hook.feed(i)?;
-                    let deadline = clock.deadline_in(dl.watchdog_ms);
-                    loop {
-                        match orch_rx.recv_deadline(deadline)? {
-                            Some(frame) if frame.seq == seq => {
-                                if let Payload::Verdict { prediction, exit_tier } = frame.payload {
-                                    resolved = Some((prediction, exit_tier));
-                                    break 'sample;
-                                }
-                            }
-                            Some(_) => {} // stale or duplicate verdict
-                            None => break,
-                        }
-                    }
-                    if attempts >= dl.max_retries {
-                        break;
-                    }
-                    attempts += 1;
-                    capture_retries += 1;
-                    retries_ctr.incr();
-                }
-                match resolved {
-                    Some((prediction, exit_tier)) => {
-                        predictions[i] = prediction as usize;
-                        exits[i] = exit_point_of(exit_tier)?;
-                        latencies[i] = f64::from(latency_of(exit_tier));
-                    }
-                    None => {
-                        let waited_ms = u64::from(attempts + 1) * dl.watchdog_ms;
-                        timeouts_ctr.incr();
-                        obs.emit(|| ObsEvent::WatchdogTimeout { seq, waited_ms });
-                        outcomes[i] = SampleOutcome::TimedOut { waited_ms };
-                        predictions[i] = usize::MAX; // never matches a label
-                        latencies[i] = waited_ms as f64;
-                    }
-                }
-                // Elastic: the post-sample heartbeat sweep — membership
-                // moves and topology epochs are published only here,
-                // strictly between samples.
-                if let Some(driver) = elastic.as_deref_mut() {
-                    driver.after_sample(seq, orch_rx, None)?;
-                }
-            }
-        }
-    }
-    Ok(RunTallies { predictions, exits, latencies, outcomes, capture_retries })
+/// Per device: not statically failed (`cfg.failed_devices`).
+pub(super) fn live_mask(num_devices: usize, cfg: &HierarchyConfig) -> Vec<bool> {
+    (0..num_devices).map(|d| !cfg.failed_devices.contains(&d)).collect()
 }
 
 /// What a runner plugs into [`orchestrate`]: how a sample enters the
@@ -293,9 +181,9 @@ pub(super) fn host_nodes<T>(
 
 /// The orchestrator body every runner finishes through: lets `host`
 /// start the nodes this process hosts (none, for the multi-process
-/// launcher), drives the samples (closed loop or open-loop stream) beside
-/// them, shuts every node of the wiring down, and assembles the report
-/// from the link cells, the node reports and the tallies.
+/// launcher), pumps the samples beside them (lockstep, or on `cfg.stream`'s
+/// arrival schedule), shuts every node of the wiring down, and assembles
+/// the report from the link cells, the node reports and the tallies.
 pub(super) fn orchestrate(
     ctx: &RunCtx,
     wiring: &Wiring,
@@ -308,11 +196,12 @@ pub(super) fn orchestrate(
     let RunCtx { topology, cfg, live, clock, obs } = ctx;
     let mut orch_inbox = plane.inbox(NodeId::Orchestrator)?;
     let exit_point_of = |tier: u8| topology.exit_point_of(tier);
-    // Simulated latency: the device->gateway hop always happens; each
-    // escalation up the chain adds one uplink transfer of the feature
-    // map. Accumulated hop by hop so the chain generalizes without
-    // perturbing the legacy two-hop float arithmetic. The cloud-only
-    // baseline reports no simulated latency (legacy behavior).
+    // Simulated latency of a lockstep sample: the device->gateway hop
+    // (a local wireless link) always happens; each escalation up the
+    // chain adds one WAN transfer of the feature map. Accumulated hop by
+    // hop so the chain generalizes without perturbing the legacy two-hop
+    // float arithmetic. The cloud-only baseline reports no simulated
+    // latency (legacy behavior).
     let header = plane.factory.wire_format().header_bytes();
     let summary_bytes = header + 4 + 4 * topology.config.num_classes;
     let map_bytes = header + 6 + 4 + topology.config.device_map_elems().div_ceil(8);
@@ -321,9 +210,9 @@ pub(super) fn orchestrate(
         if !staged {
             return 0.0;
         }
-        let mut ms = cfg.local_link.transfer_ms(summary_bytes);
+        let mut ms = LatencyModel::local().transfer_ms(summary_bytes);
         for _ in 0..tier {
-            ms += cfg.uplink.transfer_ms(map_bytes);
+            ms += LatencyModel::wan().transfer_ms(map_bytes);
         }
         ms
     };
@@ -331,37 +220,19 @@ pub(super) fn orchestrate(
     let (tallies, mut node_reports) = host_nodes(&arq, |spawn, pump_stop| {
         host(&mut plane, spawn)?;
         let mut schedule = cfg.chaos.schedule();
-        let n = labels.len();
-        let tallies = match (&cfg.stream, cfg.deadlines) {
-            // Open loop: samples arrive on their own schedule, latency is
-            // measured wall time from the scheduled arrival.
-            (Some(stream), Some(dl)) => drive_stream(
-                n,
-                stream,
-                dl,
-                *clock,
-                &mut orch_inbox,
-                hook,
-                &mut schedule,
-                exit_point_of,
-                obs,
-                elastic,
-            )?,
-            // Closed loop: lockstep feed, analytic link-model latency.
-            // (Streaming without deadlines never gets past `validate_run`.)
-            (_, deadlines) => drive_samples(
-                n,
-                deadlines,
-                *clock,
-                &mut orch_inbox,
-                hook,
-                &mut schedule,
-                exit_point_of,
-                latency_of,
-                obs,
-                elastic,
-            )?,
-        };
+        let tallies = pump(
+            labels.len(),
+            cfg.stream.as_ref(),
+            cfg.deadlines,
+            *clock,
+            &mut orch_inbox,
+            hook,
+            &mut schedule,
+            exit_point_of,
+            latency_of,
+            obs,
+            elastic,
+        )?;
         // Every sample resolved: stop retransmitting before shutdown.
         pump_stop.store(true, Ordering::Release);
 

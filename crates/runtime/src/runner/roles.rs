@@ -149,9 +149,8 @@ pub(super) fn spawn_role(
     match role {
         ProcTarget::Devices => {
             let tolerant = cfg.deadlines.is_some();
-            // Streaming keeps up to queue_cap samples in flight, so a
-            // device must cache that many feature maps; the closed loop
-            // keeps the legacy single slot.
+            // A device caches the feature map of every sample that can
+            // be in flight: the admission window (one, in lockstep).
             let capture_cap = cfg.stream.as_ref().map_or(1, |s| s.queue_cap);
             for d in (0..n).filter(|&d| live[d]) {
                 let rx = plane.inbox(NodeId::Device(d as u8))?;

@@ -14,6 +14,7 @@ use crate::error::{Result, RuntimeError};
 use crate::link::{LinkFactory, LinkSender, NodeInbox};
 use crate::message::NodeId;
 use crate::obs::{LinkCounters, RunObs};
+use crate::reliability::ReliabilityMode;
 use crate::topology::{HierarchyConfig, Shape, Topology};
 use crate::transport::InboxBinding;
 use std::collections::HashMap;
@@ -318,11 +319,10 @@ pub(super) fn connect<'a>(
         }
     }
     let acks = swap(Phase::Acks, ack_bound)?;
-    let inbound = |r: &&LinkRow| local.contains(&r.receiver) && !local.contains(&r.sender);
-    for row in wiring.rows.iter().filter(inbound) {
-        if !factory.runs_arq(&row.name) {
-            continue;
-        }
+    let arq = cfg.reliability.mode == ReliabilityMode::Arq;
+    let acked_remotely =
+        |r: &&LinkRow| arq && local.contains(&r.receiver) && !local.contains(&r.sender);
+    for row in wiring.rows.iter().filter(acked_remotely) {
         let ack = acks.get(&row.name).ok_or_else(|| no_route("ack inbox", &row.name))?;
         let (state, cells) = factory.remote_recv_state(ack, &row.name)?;
         register(row, state)?;

@@ -11,7 +11,6 @@
 
 use crate::chaos::{ChaosPlan, ChaosTarget, Impairment};
 use crate::error::{Result, RuntimeError};
-use crate::link::LatencyModel;
 use crate::message::NodeId;
 use crate::obs::ObsConfig;
 use crate::orchestrator::ElasticConfig;
@@ -34,10 +33,6 @@ pub struct HierarchyConfig {
     /// Devices that have failed before the run starts (never respond) —
     /// the paper's *static* §IV-G fault model.
     pub failed_devices: Vec<usize>,
-    /// Latency model of the device ↔ gateway hop.
-    pub local_link: LatencyModel,
-    /// Latency model of the hop to the edge/cloud.
-    pub uplink: LatencyModel,
     /// Everything injected into the run mid-flight: one seeded schedule of
     /// `(when, target, action)` events — link and socket impairments, node
     /// crashes and membership churn, process kills and respawns. The
@@ -45,9 +40,9 @@ pub struct HierarchyConfig {
     /// requires `deadlines` so the hierarchy degrades instead of hanging,
     /// and [`ChaosPlan::validate`] says what else each event needs.
     pub chaos: ChaosPlan,
-    /// Deadline-based graceful degradation. `None` (the default) keeps the
-    /// exact legacy static path: aggregators wait indefinitely for the
-    /// precomputed live set and the orchestrator blocks on each verdict.
+    /// Deadline-based graceful degradation. Under `None` (the default)
+    /// aggregators wait indefinitely for the precomputed live set and the
+    /// orchestrator blocks on each verdict.
     pub deadlines: Option<DeadlineConfig>,
     /// Transport reliability: wire framing and recovery. The default
     /// ([`ReliabilityConfig::off`]) keeps the legacy unchecked framing
@@ -60,14 +55,15 @@ pub struct HierarchyConfig {
     /// timeline events.
     pub obs: ObsConfig,
     /// Elastic orchestration: heartbeat membership and runtime topology
-    /// reconfiguration. `None` (the default) keeps the static topology and
-    /// its exact legacy path; required when the chaos plan schedules
-    /// node Down/Up events, and requires `deadlines`.
+    /// reconfiguration. `None` (the default) keeps the topology static;
+    /// required when the chaos plan schedules node Down/Up events, and
+    /// requires `deadlines`.
     pub elastic: Option<ElasticConfig>,
     /// Open-loop streaming: a seeded arrival process, a bounded admission
     /// window with typed load-shedding, and micro-batched tier compute.
-    /// `None` (the default) keeps the closed-loop lockstep feed and its
-    /// exact legacy path; requires `deadlines`.
+    /// `None` (the default) is lockstep — the same pump with a window of
+    /// one, the next sample due when the previous one resolved; `Some`
+    /// requires `deadlines`.
     pub stream: Option<StreamConfig>,
     /// Which dataplane carries the frames: the default in-process
     /// channel (bit-identical to the legacy runner), length-prefixed
@@ -83,8 +79,6 @@ impl Default for HierarchyConfig {
             local_threshold: ExitThreshold::default(),
             edge_threshold: ExitThreshold::default(),
             failed_devices: Vec::new(),
-            local_link: LatencyModel::local(),
-            uplink: LatencyModel::wan(),
             chaos: ChaosPlan::none(),
             deadlines: None,
             reliability: ReliabilityConfig::off(),
@@ -188,8 +182,8 @@ impl ArrivalProcess {
 /// Open-loop streaming configuration: an arrival process that offers load
 /// regardless of completions, a bounded admission window with typed
 /// load-shedding, and the tier-side micro-batch budget. `None` on
-/// [`HierarchyConfig::stream`] (the default)
-/// keeps the closed-loop lockstep feed.
+/// [`HierarchyConfig::stream`] (the default) is the closed-loop lockstep
+/// feed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamConfig {
     /// How arrivals are spaced over the run.
@@ -531,7 +525,7 @@ fn parse_agg(s: &str) -> Result<AggregationScheme> {
 
 /// Serializes the model + run configuration a role host needs. The
 /// launcher validates before encoding, so only multiproc-compatible
-/// configurations (no elastic/stream extras, of the chaos plan only the
+/// configurations (no elastic orchestration, of the chaos plan only the
 /// socket impairment) ever travel.
 pub(crate) fn encode_role_manifest(model: &DdnnConfig, cfg: &HierarchyConfig) -> String {
     use std::fmt::Write as _;
@@ -565,13 +559,22 @@ pub(crate) fn encode_role_manifest(model: &DdnnConfig, cfg: &HierarchyConfig) ->
         crate::reliability::ReliabilityMode::Arq => "arq",
     };
     writeln!(s, "reliability={mode}").unwrap();
-    let arq = &cfg.reliability.arq;
-    writeln!(s, "retransmit_ms={}", arq.retransmit_ms).unwrap();
-    writeln!(s, "backoff_cap_ms={}", arq.backoff_cap_ms).unwrap();
-    writeln!(s, "arq_max_retries={}", arq.max_retries).unwrap();
-    writeln!(s, "buffer_frames={}", arq.buffer_frames).unwrap();
-    writeln!(s, "max_age_ms={}", arq.max_age_ms).unwrap();
     writeln!(s, "transport={}", cfg.transport.name()).unwrap();
+    if !cfg.failed_devices.is_empty() {
+        let failed: Vec<String> = cfg.failed_devices.iter().map(usize::to_string).collect();
+        writeln!(s, "failed_devices={}", failed.join(",")).unwrap();
+    }
+    if let Some(stream) = &cfg.stream {
+        let (kind, seed) = match stream.arrival {
+            ArrivalProcess::Fixed { .. } => ("fixed", 0),
+            ArrivalProcess::Poisson { seed, .. } => ("poisson", seed),
+        };
+        writeln!(s, "stream={kind}").unwrap();
+        writeln!(s, "stream_rate={:016x}", stream.arrival.rate_per_s().to_bits()).unwrap();
+        writeln!(s, "stream_seed={seed}").unwrap();
+        writeln!(s, "queue_cap={}", stream.queue_cap).unwrap();
+        writeln!(s, "batch_max={}", stream.batch_max).unwrap();
+    }
     let sc = cfg.chaos.impairment(&ChaosTarget::Sockets);
     if sc.is_active() {
         writeln!(s, "socket_chaos_seed={}", cfg.chaos.seed).unwrap();
@@ -673,17 +676,9 @@ pub(crate) fn decode_role_manifest(
                 })
             }
         },
-        arq: crate::reliability::ArqTuning {
-            retransmit_ms: num("retransmit_ms", get("retransmit_ms")?)?,
-            backoff_cap_ms: num("backoff_cap_ms", get("backoff_cap_ms")?)?,
-            max_retries: num("arq_max_retries", get("arq_max_retries")?)?,
-            buffer_frames: num("buffer_frames", get("buffer_frames")?)?,
-            max_age_ms: num("max_age_ms", get("max_age_ms")?)?,
-        },
-        ..ReliabilityConfig::default()
     };
-    // Optional keys: absent in pre-supervision manifests, so every one
-    // falls back to its default instead of erroring.
+    // Optional keys: written only when the feature they carry is on, so
+    // an absent one falls back to its default instead of erroring.
     let opt_num = |k: &str, default: u64| -> Result<u64> {
         match map.get(k) {
             Some(v) => num(k, v),
@@ -700,6 +695,36 @@ pub(crate) fn decode_role_manifest(
     };
     let chaos = ChaosPlan::sockets(opt_num("socket_chaos_seed", 0)?, socket_chaos);
     let extras = RoleExtras { tseq_base: opt_num("tseq_base", 0)? as u32 };
+    let failed_devices = (map.get("failed_devices").copied().unwrap_or("").split(','))
+        .filter(|d| !d.is_empty())
+        .map(|d| num("failed_devices", d))
+        .collect::<Result<_>>()?;
+    let stream = match map.get("stream").copied() {
+        None => None,
+        Some(kind) => {
+            let bits = get("stream_rate")?;
+            let rate_per_s = u64::from_str_radix(bits, 16).map(f64::from_bits).map_err(|_| {
+                RuntimeError::Protocol { reason: format!("malformed stream_rate bits {bits:?}") }
+            })?;
+            let arrival = match kind {
+                "fixed" => ArrivalProcess::Fixed { rate_per_s },
+                "poisson" => ArrivalProcess::Poisson {
+                    rate_per_s,
+                    seed: num("stream_seed", get("stream_seed")?)?,
+                },
+                other => {
+                    return Err(RuntimeError::Protocol {
+                        reason: format!("unknown arrival process {other:?}"),
+                    })
+                }
+            };
+            Some(StreamConfig {
+                arrival,
+                queue_cap: num("queue_cap", get("queue_cap")?)?,
+                batch_max: num("batch_max", get("batch_max")?)?,
+            })
+        }
+    };
     let cfg = HierarchyConfig {
         local_threshold: ExitThreshold::new(f32_bits("local_threshold")?),
         edge_threshold: ExitThreshold::new(f32_bits("edge_threshold")?),
@@ -712,6 +737,8 @@ pub(crate) fn decode_role_manifest(
         reliability,
         transport: get("transport")?.parse()?,
         chaos,
+        failed_devices,
+        stream,
         ..HierarchyConfig::default()
     };
     Ok((model, cfg, extras))
@@ -799,6 +826,12 @@ mod tests {
         let cfg = HierarchyConfig {
             deadlines: Some(DeadlineConfig::fast()),
             transport: crate::transport::TransportConfig::Tcp,
+            failed_devices: vec![1],
+            stream: Some(StreamConfig {
+                arrival: ArrivalProcess::Poisson { rate_per_s: 1e3 / 3.0, seed: 7 },
+                queue_cap: 5,
+                batch_max: 3,
+            }),
             chaos: ChaosPlan::sockets(
                 99,
                 Impairment {
@@ -816,13 +849,16 @@ mod tests {
         let (m2, c2, extras) = decode_role_manifest(&manifest).unwrap();
         assert_eq!(m2.num_devices, model.num_devices);
         assert_eq!(c2.chaos, cfg.chaos, "chaos probs must survive as exact bits");
+        assert_eq!(c2.stream, cfg.stream, "the arrival rate must survive as exact bits");
+        assert_eq!(c2.failed_devices, cfg.failed_devices);
         assert_eq!(extras.tseq_base, 1048576);
-        // A pre-supervision manifest (no optional keys) still decodes,
-        // with inactive chaos and default extras.
+        // A manifest without the optional keys decodes to inactive chaos,
+        // lockstep, no failures and default extras.
         let plain = encode_role_manifest(&model, &HierarchyConfig::default());
         assert!(!plain.contains("socket_chaos"));
         let (_, c3, e3) = decode_role_manifest(&plain).unwrap();
         assert!(!c3.chaos.is_active());
+        assert!(c3.stream.is_none() && c3.failed_devices.is_empty());
         assert_eq!(e3, RoleExtras::default());
     }
 

@@ -1,13 +1,14 @@
 //! Multi-process integration suite: the launcher must run the hierarchy
 //! as real OS processes over localhost sockets and agree verdict for
 //! verdict with the in-process runner on the same seeded configuration —
-//! and it must reject, before spawning anything, every configuration
+//! lockstep, under scheduled arrivals and with a statically failed device
+//! — and it must reject, before spawning anything, the configurations
 //! whose state cannot span process boundaries.
 
 use ddnn_core::{AggregationScheme, Ddnn, DdnnConfig, EdgeConfig, ExitThreshold};
 use ddnn_runtime::{
-    multiproc, run_topology, DeadlineConfig, ElasticConfig, HierarchyConfig, ReliabilityConfig,
-    RuntimeError, SimReport, Topology, TransportConfig,
+    multiproc, run_topology, ArrivalProcess, DeadlineConfig, ElasticConfig, HierarchyConfig,
+    ReliabilityConfig, RuntimeError, SimReport, StreamConfig, Topology, TransportConfig,
 };
 use ddnn_tensor::rng::rng_from_seed;
 use ddnn_tensor::Tensor;
@@ -45,14 +46,15 @@ fn cfg(transport: TransportConfig) -> HierarchyConfig {
     }
 }
 
-/// Runs the same seeded workload in-process and as four OS processes,
-/// asserting verdict-for-verdict agreement.
-fn assert_multiproc_matches(transport: TransportConfig) {
+/// Runs the same seeded workload in-process (on the channel transport)
+/// and as four OS processes, asserting verdict-for-verdict agreement.
+fn assert_multiproc_matches(cfg: HierarchyConfig) {
     let model = edge_model();
     let n = 6usize;
     let views = random_views(n, 2, 6);
     let labels: Vec<usize> = (0..n).map(|i| i % 3).collect();
-    let cfg = cfg(transport);
+    let what =
+        format!("{} stream={:?} failed={:?}", cfg.transport.name(), cfg.stream, cfg.failed_devices);
 
     let topology = Topology::from_partition(&model.partition());
     let reference = run_topology(
@@ -63,11 +65,16 @@ fn assert_multiproc_matches(transport: TransportConfig) {
     )
     .unwrap();
     let multi = multiproc::launch(node_exe(), model.config(), &views, &labels, &cfg)
-        .unwrap_or_else(|e| panic!("{} launch failed: {e}", transport.name()));
+        .unwrap_or_else(|e| panic!("{what}: launch failed: {e}"));
 
     let key = |r: &SimReport| (r.predictions.clone(), r.exits.clone(), r.accuracy.to_bits());
-    assert_eq!(key(&multi), key(&reference), "{} processes diverged", transport.name());
-    assert_eq!(multi.mean_latency_ms.to_bits(), reference.mean_latency_ms.to_bits());
+    assert_eq!(key(&multi), key(&reference), "{what}: processes diverged");
+    assert_eq!(multi.outcomes, reference.outcomes, "{what}");
+    if cfg.stream.is_none() {
+        // Lockstep latency is the analytic link model; a stream's is
+        // measured.
+        assert_eq!(multi.mean_latency_ms.to_bits(), reference.mean_latency_ms.to_bits());
+    }
     // Every tracked link did the same work in the process mesh, and the
     // report still carries the full canonical link list. Compare first
     // transmissions: `frames` also counts ARQ retransmissions, and the
@@ -78,26 +85,51 @@ fn assert_multiproc_matches(transport: TransportConfig) {
         assert_eq!(
             st.frames - st.frames_retransmitted,
             ref_st.frames - ref_st.frames_retransmitted,
-            "first-transmission count diverged on {name}"
+            "{what}: first-transmission count diverged on {name}"
         );
         assert_eq!(
             st.first_payload_bytes(),
             ref_st.first_payload_bytes(),
-            "first-transmission payload diverged on {name}"
+            "{what}: first-transmission payload diverged on {name}"
         );
     }
-    assert_eq!(multi.device_timeouts, vec![0, 0]);
+    assert_eq!(multi.device_first_payload_bytes(), reference.device_first_payload_bytes());
+    assert_eq!(multi.device_timeouts, reference.device_timeouts, "{what}");
     assert_eq!(multi.capture_retries, 0);
 }
 
 #[test]
 fn four_process_tcp_run_matches_in_process_verdicts() {
-    assert_multiproc_matches(TransportConfig::Tcp);
+    assert_multiproc_matches(cfg(TransportConfig::Tcp));
 }
 
 #[test]
 fn four_process_udp_arq_run_matches_in_process_verdicts() {
-    assert_multiproc_matches(TransportConfig::Udp);
+    assert_multiproc_matches(cfg(TransportConfig::Udp));
+}
+
+#[test]
+fn four_process_streaming_run_matches_in_process_verdicts() {
+    // An arrival rate the process mesh trivially sustains and a window
+    // that holds every sample: nothing sheds, nothing times out, and the
+    // tiers' micro-batch budget travels in the manifest.
+    let stream = StreamConfig {
+        arrival: ArrivalProcess::Fixed { rate_per_s: 50.0 },
+        queue_cap: 6,
+        batch_max: 4,
+    };
+    assert_multiproc_matches(HierarchyConfig { stream: Some(stream), ..cfg(TransportConfig::Tcp) });
+}
+
+#[test]
+fn four_process_run_with_a_failed_device_matches_in_process_verdicts() {
+    // The devices' role host never builds device 0, the gateway never
+    // addresses it and the launcher never feeds it — like the threads of
+    // the in-process run, every process works that out from the manifest.
+    assert_multiproc_matches(HierarchyConfig {
+        failed_devices: vec![0],
+        ..cfg(TransportConfig::Tcp)
+    });
 }
 
 #[test]
@@ -120,9 +152,5 @@ fn launch_rejects_configs_that_cannot_span_processes() {
     expect_config_err(
         &HierarchyConfig { elastic: Some(ElasticConfig::default()), ..cfg(TransportConfig::Tcp) },
         "elastic",
-    );
-    expect_config_err(
-        &HierarchyConfig { failed_devices: vec![0], ..cfg(TransportConfig::Tcp) },
-        "in-process only",
     );
 }

@@ -6,7 +6,7 @@
 use ddnn_core::{Ddnn, DdnnConfig, ExitThreshold};
 use ddnn_runtime::{
     run_cloud_only_baseline, run_distributed_inference, ChaosPlan, DeadlineConfig, HierarchyConfig,
-    Impairment, ReliabilityConfig, ReliabilityMode, RuntimeError, SampleOutcome,
+    Impairment, ReliabilityConfig, RuntimeError, SampleOutcome,
 };
 use ddnn_tensor::rng::rng_from_seed;
 use ddnn_tensor::Tensor;
@@ -210,40 +210,6 @@ fn the_baseline_runs_under_the_checked_format_too() {
 }
 
 #[test]
-fn per_link_overrides_confine_arq_to_the_named_links() {
-    // A mixed run: checked framing everywhere, ARQ only on the
-    // device->gateway links. Retransmissions may appear on exactly those.
-    let model = small_model();
-    let views = random_views(8, 3, 36);
-    let labels = vec![0usize; 8];
-    let overrides: Vec<(String, ReliabilityMode)> =
-        (0..3).map(|d| (format!("device{d}->gateway"), ReliabilityMode::Arq)).collect();
-    let cfg = HierarchyConfig {
-        local_threshold: ExitThreshold::new(0.5),
-        chaos: ChaosPlan::links(8, Impairment { drop: 0.3, ..Impairment::none() }),
-        deadlines: Some(safe_deadlines()),
-        reliability: ReliabilityConfig { link_overrides: overrides, ..ReliabilityConfig::crc() },
-        ..HierarchyConfig::default()
-    };
-    let report = run_distributed_inference(&model.partition(), &views, &labels, &cfg).unwrap();
-    assert_eq!(report.predictions.len(), 8);
-    let off_link_retx: usize = report
-        .links
-        .iter()
-        .filter(|(name, _)| !name.ends_with("->gateway") || name.starts_with("gateway"))
-        .map(|(_, s)| s.frames_retransmitted)
-        .sum();
-    assert_eq!(off_link_retx, 0, "a non-ARQ link retransmitted");
-    let arq_retx: usize = report
-        .links
-        .iter()
-        .filter(|(name, _)| name.starts_with("device") && name.ends_with("->gateway"))
-        .map(|(_, s)| s.frames_retransmitted)
-        .sum();
-    assert!(arq_retx > 0, "30% drops on the ARQ links never triggered a retransmission");
-}
-
-#[test]
 fn corruption_faults_require_a_checked_wire_format() {
     let model = small_model();
     let views = random_views(4, 3, 37);
@@ -264,35 +230,6 @@ fn arq_requires_deadlines() {
     let labels = vec![0usize; 4];
     let cfg =
         HierarchyConfig { reliability: ReliabilityConfig::arq(), ..HierarchyConfig::default() };
-    let err = run_distributed_inference(&model.partition(), &views, &labels, &cfg).unwrap_err();
-    assert!(matches!(err, RuntimeError::Config { .. }), "got {err:?}");
-}
-
-#[test]
-fn mixed_wire_formats_are_rejected() {
-    let model = small_model();
-    let views = random_views(4, 3, 39);
-    let labels = vec![0usize; 4];
-    // Legacy run with a checked override: the receiver cannot speak two
-    // framings on one inbox.
-    let cfg = HierarchyConfig {
-        reliability: ReliabilityConfig {
-            link_overrides: vec![("device0->gateway".to_string(), ReliabilityMode::Crc)],
-            ..ReliabilityConfig::off()
-        },
-        ..HierarchyConfig::default()
-    };
-    let err = run_distributed_inference(&model.partition(), &views, &labels, &cfg).unwrap_err();
-    assert!(matches!(err, RuntimeError::Config { .. }), "got {err:?}");
-    // Checked run with a legacy override: same problem, other direction.
-    let cfg = HierarchyConfig {
-        deadlines: Some(safe_deadlines()),
-        reliability: ReliabilityConfig {
-            link_overrides: vec![("device0->gateway".to_string(), ReliabilityMode::Legacy)],
-            ..ReliabilityConfig::arq()
-        },
-        ..HierarchyConfig::default()
-    };
     let err = run_distributed_inference(&model.partition(), &views, &labels, &cfg).unwrap_err();
     assert!(matches!(err, RuntimeError::Config { .. }), "got {err:?}");
 }

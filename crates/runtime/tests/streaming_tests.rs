@@ -6,9 +6,9 @@
 
 use ddnn_core::{AggregationScheme, Ddnn, DdnnConfig, EdgeConfig, ExitThreshold};
 use ddnn_runtime::{
-    run_distributed_inference, ArrivalProcess, ChaosPlan, ChaosTarget, DeadlineConfig,
-    ElasticConfig, HierarchyConfig, MemorySink, ObsConfig, ObsEvent, ReliabilityConfig,
-    SampleOutcome, SimReport, StreamConfig,
+    run_cloud_only_baseline, run_distributed_inference, ArrivalProcess, ChaosPlan, ChaosTarget,
+    DeadlineConfig, ElasticConfig, HierarchyConfig, MemorySink, ObsConfig, ObsEvent,
+    ReliabilityConfig, SampleOutcome, SimReport, StreamConfig,
 };
 use ddnn_tensor::rng::rng_from_seed;
 use ddnn_tensor::Tensor;
@@ -174,6 +174,32 @@ fn unloaded_streaming_matches_the_closed_loop_verdict_for_verdict() {
         assert!(ms > 0.0, "sample {i}: zero measured latency");
         assert!(ms.fract() != 0.0, "sample {i}: latency {ms} looks truncated");
     }
+}
+
+#[test]
+fn the_cloud_only_baseline_streams_to_its_closed_loop_verdicts() {
+    // The §IV-H baseline runs behind the same pump: under scheduled
+    // arrivals every raw-offloaded sample is accounted for and classifies
+    // exactly as in lockstep.
+    let model = small_model();
+    let n = 8;
+    let views = random_views(n, 3, 75);
+    let labels = vec![0usize; n];
+    let closed =
+        run_cloud_only_baseline(&model.partition(), &views, &labels, &HierarchyConfig::default())
+            .expect("closed-loop baseline");
+    let report = run_cloud_only_baseline(
+        &model.partition(),
+        &views,
+        &labels,
+        &stream_cfg(ArrivalProcess::Fixed { rate_per_s: 200.0 }, n, 4),
+    )
+    .expect("streaming baseline");
+    let (classified, shed, timed_out) = census(&report);
+    assert_eq!(classified + shed + timed_out, n, "conservation: no sample unaccounted");
+    assert_eq!((shed, timed_out), (0, 0), "unloaded: everything classifies");
+    assert_eq!(report.predictions, closed.predictions);
+    assert_eq!(report.exits, closed.exits);
 }
 
 #[test]
