@@ -2,8 +2,7 @@
 //!
 //! Experiment harness for DDNN-RS: one binary per table/figure of the
 //! paper's evaluation (see `DESIGN.md` §4 for the experiment index), plus
-//! Criterion microbenchmarks and shared helpers for training/evaluating
-//! paper-shaped models.
+//! shared helpers for training/evaluating paper-shaped models.
 
 #![warn(missing_docs)]
 

@@ -210,6 +210,19 @@ impl Ddnn {
             return Err(CheckpointError::BadVersion { found: version });
         }
         let config = decode_config(&mut buf)?;
+        // The header is untrusted: size the model it claims before
+        // building it, so a few hostile bytes cannot demand an allocation
+        // the rest of the file could never fill.
+        let claimed = config.checked_param_count().and_then(|n| n.checked_mul(4));
+        if claimed.is_none_or(|bytes| bytes > buf.remaining()) {
+            return Err(CheckpointError::Malformed {
+                reason: format!(
+                    "header claims {claimed:?} parameter bytes (None: a zero dimension or \
+                     overflow), {} follow",
+                    buf.remaining()
+                ),
+            });
+        }
         let mut model = Ddnn::new(config);
         let n_params = {
             need(&buf, 4)?;
@@ -366,6 +379,34 @@ mod tests {
         let mut bytes = model.save_bytes().to_vec();
         bytes.extend_from_slice(&[0, 1, 2]);
         assert!(matches!(Ddnn::load_bytes(&bytes), Err(CheckpointError::Malformed { .. })));
+    }
+
+    #[test]
+    fn hostile_headers_are_rejected_before_the_model_is_built() {
+        // A header is 6 + 39 bytes; each of these claims a model no
+        // 45-byte file can hold (or no model at all). Building it first
+        // would loop or abort on allocation instead of returning.
+        let hostile = |edit: fn(&mut DdnnConfig)| {
+            let mut cfg = small_config();
+            edit(&mut cfg);
+            let mut buf = BytesMut::new();
+            buf.put_slice(MAGIC);
+            buf.put_u16_le(VERSION);
+            encode_config(&cfg, &mut buf);
+            Ddnn::load_bytes(&buf)
+        };
+        const MAX: usize = u32::MAX as usize;
+        for edit in [
+            (|c| c.num_devices = MAX) as fn(&mut DdnnConfig),
+            |c| c.device_filters = MAX,
+            |c| c.cloud_filters = [MAX, MAX],
+            |c| c.edge = Some(EdgeConfig { filters: MAX, agg: AggregationScheme::Concat }),
+            |c| c.num_classes = 0,
+            |c| c.num_devices = 0,
+            |_| {}, // an honest header with its parameters cut off
+        ] {
+            assert!(matches!(hostile(edit), Err(CheckpointError::Malformed { .. })));
+        }
     }
 
     #[test]

@@ -3,25 +3,25 @@
 //! views, never consulting the DDNN's local or cloud exits.
 
 use crate::block::{ConvPBlock, ExitHead, Precision};
+use crate::model::{DevicePart, DEVICE_MAP_SIZE, INPUT_CHANNELS};
 use crate::train::TrainConfig;
 use ddnn_nn::{Adam, Layer, Mode, Optimizer, SoftmaxCrossEntropy};
 use ddnn_tensor::rng::rng_from_seed;
 use ddnn_tensor::{Result, Tensor, TensorError};
 use rand::seq::SliceRandom;
 
-/// A standalone single-device classifier: ConvP block + exit head, the "a
+/// A standalone single-device classifier: one [`DevicePart`], the "a
 /// single end device portion as shown in Figure 4" model whose accuracy is
 /// plotted as the "Individual" curve of Fig. 8.
 pub struct IndividualModel {
-    conv: ConvPBlock,
-    head: ExitHead,
+    part: DevicePart,
     classes: usize,
 }
 
 impl std::fmt::Debug for IndividualModel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("IndividualModel")
-            .field("conv", &self.conv.describe())
+            .field("conv", &self.part.conv.describe())
             .field("classes", &self.classes)
             .finish()
     }
@@ -31,14 +31,15 @@ impl IndividualModel {
     /// Creates a model with `filters` ConvP filters and `classes` outputs.
     pub fn new(filters: usize, classes: usize, seed: u64) -> Self {
         let mut rng = rng_from_seed(seed);
-        let conv = ConvPBlock::new(3, filters, Precision::Binary, &mut rng);
-        let head = ExitHead::new(filters * 16 * 16, classes, Precision::Binary, &mut rng);
-        IndividualModel { conv, head, classes }
+        let conv = ConvPBlock::new(INPUT_CHANNELS, filters, Precision::Binary, &mut rng);
+        let map_elems = filters * DEVICE_MAP_SIZE * DEVICE_MAP_SIZE;
+        let exit = ExitHead::new(map_elems, classes, Precision::Binary, &mut rng);
+        IndividualModel { part: DevicePart { conv, exit }, classes }
     }
 
     /// Serialized parameter size in bytes.
     pub fn memory_bytes(&self) -> usize {
-        self.conv.memory_bytes() + self.head.memory_bytes()
+        self.part.memory_bytes()
     }
 
     /// Forward pass producing class logits.
@@ -47,8 +48,7 @@ impl IndividualModel {
     ///
     /// Returns an error on malformed input.
     pub fn forward(&mut self, views: &Tensor, mode: Mode) -> Result<Tensor> {
-        let m = self.conv.forward(views, mode)?;
-        self.head.forward(&m, mode)
+        Ok(self.part.forward(views, mode)?.1)
     }
 
     /// Trains on one device's `(n, 3, 32, 32)` views.
@@ -78,15 +78,13 @@ impl IndividualModel {
             for chunk in order.chunks(cfg.batch_size.max(1)) {
                 let bx = views.select_axis0(chunk)?;
                 let by: Vec<usize> = chunk.iter().map(|&i| labels[i]).collect();
-                self.conv.zero_grad();
-                self.head.zero_grad();
+                self.part.conv.zero_grad();
+                self.part.exit.zero_grad();
                 let logits = self.forward(&bx, Mode::Train)?;
                 let out = loss_fn.forward(&logits, &by)?;
-                let g = self.head.backward(&out.grad)?;
-                let g = g.reshape([chunk.len(), self.conv.filters(), 16, 16])?;
-                self.conv.backward(&g)?;
-                let mut params = self.conv.params_mut();
-                params.extend(self.head.params_mut());
+                self.part.backward(&out.grad, None)?;
+                let mut params = self.part.conv.params_mut();
+                params.extend(self.part.exit.params_mut());
                 opt.step(&mut params);
                 sum += out.loss;
                 batches += 1;

@@ -130,6 +130,53 @@ impl DdnnConfig {
     pub fn output_bits_per_filter(&self) -> usize {
         DEVICE_MAP_SIZE * DEVICE_MAP_SIZE
     }
+
+    /// Scalar parameter count of the model [`Ddnn::new`] builds for this
+    /// configuration, or `None` when a dimension it uses is zero or the
+    /// count overflows. Nothing is allocated, so a configuration read off
+    /// an untrusted checkpoint can be sized before it is built.
+    pub(crate) fn checked_param_count(&self) -> Option<usize> {
+        let (n, c, f) = (self.num_devices, self.num_classes, self.device_filters);
+        let [f1, f2] = self.cloud_filters;
+        if [n, c, f, f2, self.edge.map_or(f1, |e| e.filters)].contains(&0) {
+            return None;
+        }
+        let spec = Conv2dSpec::paper_conv();
+        // ConvP: convolution weights, batch-norm γ and β.
+        let convp = |cin: usize, filters: usize| {
+            let weights = filters.checked_mul(cin)?.checked_mul(spec.kernel_h * spec.kernel_w)?;
+            weights.checked_add(filters.checked_mul(2)?)
+        };
+        // Exit head over `filters` maps of `side`²: linear weights (and a
+        // bias when float), batch-norm γ and β.
+        let exit = |filters: usize, side: usize, precision: Precision| {
+            let affine = if precision == Precision::Float { 3 } else { 2 };
+            filters.checked_mul(side * side)?.checked_add(affine)?.checked_mul(c)
+        };
+        let fan_in = |agg: AggregationScheme| match agg {
+            AggregationScheme::Concat => n.checked_mul(f),
+            _ => Some(f),
+        };
+        let half = pooled_size(DEVICE_MAP_SIZE);
+        let p = self.cloud_precision;
+        let device =
+            convp(INPUT_CHANNELS, f)?.checked_add(exit(f, DEVICE_MAP_SIZE, Precision::Binary)?)?;
+        let local = match self.local_agg {
+            AggregationScheme::Concat => n.checked_mul(c)?.checked_add(1)?.checked_mul(c)?,
+            _ => 0,
+        };
+        let upper = match self.edge {
+            Some(e) => [
+                convp(fan_in(e.agg)?, e.filters)?,
+                exit(e.filters, half, p)?,
+                convp(e.filters, f2)?,
+            ],
+            None => [convp(fan_in(self.cloud_agg)?, f1)?, convp(f1, f2)?, 0],
+        };
+        let cloud_exit = exit(f2, pooled_size(half), p)?;
+        let rest = device.checked_mul(n)?.checked_add(local)?.checked_add(cloud_exit)?;
+        upper.into_iter().try_fold(rest, usize::checked_add)
+    }
 }
 
 /// Where a sample exits the hierarchy.
@@ -188,11 +235,215 @@ impl InferenceOutput {
     }
 }
 
-#[derive(Clone)]
-struct EdgeSection {
-    agg: FeatureAggregator,
-    conv: ConvPBlock,
-    exit: ExitHead,
+/// The portion of a DDNN deployed on one end device: its ConvP block and
+/// exit classifier — together under 2 KB of weights (paper §IV-F).
+///
+/// Like every section it has a *body* (what it hands the next tier) and a
+/// *forward* (the body plus its exit head); training, [`Ddnn::infer`] and
+/// every runtime node evaluate the layers only through these two.
+#[derive(Debug, Clone)]
+pub struct DevicePart {
+    /// The device's fused binary convolution-pool block.
+    pub conv: ConvPBlock,
+    /// The device's exit classifier producing float class scores.
+    pub exit: ExitHead,
+}
+
+impl DevicePart {
+    /// Section body: the ±1 feature map `(n, f, h/2, w/2)` of an
+    /// `(n, c, h, w)` view batch — what the device offloads.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error on a malformed view batch.
+    pub fn body(&mut self, view: &Tensor, mode: Mode) -> Result<Tensor> {
+        self.conv.forward(view, mode)
+    }
+
+    /// Body plus exit head: `(feature map, class scores (n, classes))`.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error on a malformed view batch.
+    pub fn forward(&mut self, view: &Tensor, mode: Mode) -> Result<(Tensor, Tensor)> {
+        let map = self.body(view, mode)?;
+        let scores = self.exit.forward(&map, mode)?;
+        Ok((map, scores))
+    }
+
+    /// Backpropagates through the last [`DevicePart::forward`]: the exit
+    /// head's gradient joins whatever arrives at the feature map from the
+    /// tiers above, then flows through the ConvP block.
+    pub(crate) fn backward(
+        &mut self,
+        score_grad: &Tensor,
+        map_grad: Option<&Tensor>,
+    ) -> Result<()> {
+        let mut g = unflatten(&self.exit.backward(score_grad)?, &self.conv)?;
+        if let Some(upstream) = map_grad {
+            g.add_assign(upstream)?;
+        }
+        self.conv.backward(&g)?;
+        Ok(())
+    }
+
+    /// Serialized parameter bytes of the section — must stay under the
+    /// paper's 2 KB budget.
+    pub fn memory_bytes(&self) -> usize {
+        self.conv.memory_bytes() + self.exit.memory_bytes()
+    }
+}
+
+/// The local aggregator deployed on the gateway between the devices and
+/// the rest of the hierarchy: a section that is only an exit.
+#[derive(Debug, Clone)]
+pub struct GatewayPart {
+    /// Aggregates the per-device class-score vectors for the local exit.
+    pub agg: VectorAggregator,
+}
+
+impl GatewayPart {
+    /// Local-exit logits `(n, classes)` from the per-device score batches.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the score count or shapes are wrong.
+    pub fn forward(&mut self, scores: &[Tensor], mode: Mode) -> Result<Tensor> {
+        self.agg.forward(scores, mode)
+    }
+}
+
+/// `inputs → aggregation → ConvP chain`: the body of a feature stage.
+fn stage_body(
+    agg: &mut FeatureAggregator,
+    convs: &mut [ConvPBlock],
+    inputs: &[Tensor],
+    mode: Mode,
+) -> Result<Tensor> {
+    let mut x = agg.forward(inputs)?;
+    for conv in convs {
+        x = conv.forward(&x, mode)?;
+    }
+    Ok(x)
+}
+
+/// Backward of a feature stage's forward: the exit head's gradient joins
+/// what arrives at the stage's output map from the tier above, then flows
+/// down the ConvP chain to one gradient per aggregated input.
+fn stage_backward(
+    agg: &mut FeatureAggregator,
+    convs: &mut [ConvPBlock],
+    exit: &mut ExitHead,
+    logit_grad: &Tensor,
+    map_grad: Option<&Tensor>,
+) -> Result<Vec<Tensor>> {
+    let mut g = exit.backward(logit_grad)?;
+    if let Some(last) = convs.last() {
+        g = unflatten(&g, last)?;
+    }
+    if let Some(upstream) = map_grad {
+        g.add_assign(upstream)?;
+    }
+    for conv in convs.iter_mut().rev() {
+        g = conv.backward(&g)?;
+    }
+    agg.backward(&g)
+}
+
+/// The edge (fog) tier section, if the architecture has one: a feature
+/// stage with a single ConvP block.
+#[derive(Debug, Clone)]
+pub struct EdgePart {
+    /// Aggregates per-device binary feature maps.
+    pub agg: FeatureAggregator,
+    /// The edge's ConvP block.
+    pub conv: ConvPBlock,
+    /// The edge's exit classifier.
+    pub exit: ExitHead,
+}
+
+impl EdgePart {
+    /// Section body: the edge's output map from the per-device maps.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the inputs do not fit the aggregation.
+    pub fn body(&mut self, maps: &[Tensor], mode: Mode) -> Result<Tensor> {
+        stage_body(&mut self.agg, std::slice::from_mut(&mut self.conv), maps, mode)
+    }
+
+    /// Body plus exit head: `(output map, edge logits (n, classes))`.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the inputs do not fit the section.
+    pub fn forward(&mut self, maps: &[Tensor], mode: Mode) -> Result<(Tensor, Tensor)> {
+        let map = self.body(maps, mode)?;
+        let logits = self.exit.forward(&map, mode)?;
+        Ok((map, logits))
+    }
+}
+
+impl From<EdgePart> for CloudPart {
+    /// The edge as the general feature stage a runtime tier holds.
+    fn from(edge: EdgePart) -> Self {
+        CloudPart { agg: edge.agg, convs: vec![edge.conv], exit: edge.exit }
+    }
+}
+
+/// A feature stage — aggregation, a ConvP chain, an exit head. The cloud
+/// section is one, and so is every tier of a runtime hierarchy (the edge
+/// is the one-block case, see `From<EdgePart>`).
+#[derive(Debug, Clone)]
+pub struct CloudPart {
+    /// Aggregates incoming feature maps (per-device, or the single edge
+    /// output for edge architectures).
+    pub agg: FeatureAggregator,
+    /// The cloud ConvP stack.
+    pub convs: Vec<ConvPBlock>,
+    /// The final exit classifier (always classifies).
+    pub exit: ExitHead,
+}
+
+impl CloudPart {
+    /// Section body: the stage's output map from its fan-in's maps — what
+    /// a non-terminal tier forwards when it escalates.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the inputs do not fit the aggregation.
+    pub fn body(&mut self, maps: &[Tensor], mode: Mode) -> Result<Tensor> {
+        stage_body(&mut self.agg, &mut self.convs, maps, mode)
+    }
+
+    /// Body plus exit head: `(output map, exit logits (n, classes))`.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the inputs do not fit the section.
+    pub fn forward(&mut self, maps: &[Tensor], mode: Mode) -> Result<(Tensor, Tensor)> {
+        let map = self.body(maps, mode)?;
+        let logits = self.exit.forward(&map, mode)?;
+        Ok((map, logits))
+    }
+}
+
+/// A DDNN split along its physical deployment boundaries, ready to be
+/// placed on separate nodes of a distributed hierarchy (what the
+/// `ddnn-runtime` simulator executes). A [`Ddnn`] is exactly this plus the
+/// joint forward/backward over it.
+#[derive(Debug, Clone)]
+pub struct DdnnPartition {
+    /// Architecture configuration the partition came from.
+    pub config: DdnnConfig,
+    /// One part per end device.
+    pub devices: Vec<DevicePart>,
+    /// The local aggregator.
+    pub gateway: GatewayPart,
+    /// The edge tier (if configured).
+    pub edge: Option<EdgePart>,
+    /// The cloud section.
+    pub cloud: CloudPart,
 }
 
 /// The jointly trained DDNN over `n` end devices and the cloud, with an
@@ -205,24 +456,21 @@ struct EdgeSection {
 /// per-device binary feature maps and runs further ConvP blocks before its
 /// own exit.
 ///
+/// The model *is* its deployment sections: [`Ddnn::forward`] composes the
+/// parts' own `forward`s, so training, [`Ddnn::infer`] and the runtime
+/// nodes evaluate one definition of each section.
+///
 /// Cloning yields an independent deep copy (weights, gradients and
 /// batch-norm statistics) — the building block of sharded data-parallel
 /// training in [`crate::train`].
 #[derive(Clone)]
 pub struct Ddnn {
-    config: DdnnConfig,
-    device_convs: Vec<ConvPBlock>,
-    device_exits: Vec<ExitHead>,
-    local_agg: VectorAggregator,
-    edge: Option<EdgeSection>,
-    cloud_agg: FeatureAggregator,
-    cloud_convs: Vec<ConvPBlock>,
-    cloud_exit: ExitHead,
+    parts: DdnnPartition,
 }
 
 impl std::fmt::Debug for Ddnn {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Ddnn").field("config", &self.config).finish_non_exhaustive()
+        f.debug_struct("Ddnn").field("config", &self.parts.config).finish_non_exhaustive()
     }
 }
 
@@ -235,13 +483,22 @@ impl Ddnn {
         let c = config.num_classes;
         let n = config.num_devices;
         let map_elems = config.device_map_elems();
+        let precision = config.cloud_precision;
 
+        // The RNG draw order is a golden: all device convs, then all
+        // device exits, the local aggregator, edge, cloud — zipped into
+        // parts only afterwards.
         let device_convs: Vec<ConvPBlock> = (0..n)
             .map(|_| ConvPBlock::new(INPUT_CHANNELS, f, Precision::Binary, &mut rng))
             .collect();
         let device_exits: Vec<ExitHead> =
             (0..n).map(|_| ExitHead::new(map_elems, c, Precision::Binary, &mut rng)).collect();
-        let local_agg = VectorAggregator::new(config.local_agg, n, c, &mut rng);
+        let devices = device_convs
+            .into_iter()
+            .zip(device_exits)
+            .map(|(conv, exit)| DevicePart { conv, exit })
+            .collect();
+        let gateway = GatewayPart { agg: VectorAggregator::new(config.local_agg, n, c, &mut rng) };
 
         // Spatial sizes after each cloud/edge ConvP pool, derived from the
         // actual pooling spec (not a hard-coded `/2`) so a degenerate
@@ -249,68 +506,52 @@ impl Ddnn {
         // than as a silently wrong exit-head width downstream.
         let half = pooled_size(DEVICE_MAP_SIZE); // 8
         let quarter = pooled_size(half); // 4
-        let (edge, cloud_agg, cloud_convs, cloud_head_in) = if let Some(ec) = config.edge {
-            let mut edge_agg = FeatureAggregator::new(ec.agg, n);
-            let edge_in = edge_agg.output_channels(f);
-            let _ = &mut edge_agg;
-            let edge_conv = ConvPBlock::new(edge_in, ec.filters, config.cloud_precision, &mut rng);
-            let edge_exit =
-                ExitHead::new(ec.filters * half * half, c, config.cloud_precision, &mut rng);
+        let [cloud_f1, cloud_f2] = config.cloud_filters;
+        let (edge, cloud_agg, cloud_convs) = if let Some(ec) = config.edge {
+            let agg = FeatureAggregator::new(ec.agg, n);
+            let conv = ConvPBlock::new(agg.output_channels(f), ec.filters, precision, &mut rng);
+            let exit = ExitHead::new(ec.filters * half * half, c, precision, &mut rng);
             // Cloud consumes the single edge's output; no cross-device
             // aggregation remains at the cloud in configuration (d)/(e).
             let cloud_agg = FeatureAggregator::new(AggregationScheme::AvgPool, 1);
-            let cloud_conv = ConvPBlock::new(
-                ec.filters,
-                config.cloud_filters[1],
-                config.cloud_precision,
-                &mut rng,
-            );
-            (
-                Some(EdgeSection { agg: edge_agg, conv: edge_conv, exit: edge_exit }),
-                cloud_agg,
-                vec![cloud_conv],
-                config.cloud_filters[1] * quarter * quarter,
-            )
+            let cloud_conv = ConvPBlock::new(ec.filters, cloud_f2, precision, &mut rng);
+            (Some(EdgePart { agg, conv, exit }), cloud_agg, vec![cloud_conv])
         } else {
-            let mut cloud_agg = FeatureAggregator::new(config.cloud_agg, n);
-            let cloud_in = cloud_agg.output_channels(f);
-            let _ = &mut cloud_agg;
-            let conv1 = ConvPBlock::new(
-                cloud_in,
-                config.cloud_filters[0],
-                config.cloud_precision,
-                &mut rng,
-            );
-            let conv2 = ConvPBlock::new(
-                config.cloud_filters[0],
-                config.cloud_filters[1],
-                config.cloud_precision,
-                &mut rng,
-            );
-            (None, cloud_agg, vec![conv1, conv2], config.cloud_filters[1] * quarter * quarter)
+            let cloud_agg = FeatureAggregator::new(config.cloud_agg, n);
+            let conv1 =
+                ConvPBlock::new(cloud_agg.output_channels(f), cloud_f1, precision, &mut rng);
+            let conv2 = ConvPBlock::new(cloud_f1, cloud_f2, precision, &mut rng);
+            (None, cloud_agg, vec![conv1, conv2])
         };
-        let cloud_exit = ExitHead::new(cloud_head_in, c, config.cloud_precision, &mut rng);
+        let cloud_exit = ExitHead::new(cloud_f2 * quarter * quarter, c, precision, &mut rng);
+        let cloud = CloudPart { agg: cloud_agg, convs: cloud_convs, exit: cloud_exit };
+        Ddnn { parts: DdnnPartition { config, devices, gateway, edge, cloud } }
+    }
 
-        Ddnn {
-            config,
-            device_convs,
-            device_exits,
-            local_agg,
-            edge,
-            cloud_agg,
-            cloud_convs,
-            cloud_exit,
-        }
+    /// The model over an existing set of sections — the inverse of
+    /// [`Ddnn::partition`]. Sections that do not fit each other surface as
+    /// shape errors from [`Ddnn::forward`].
+    pub fn from_partition(parts: DdnnPartition) -> Self {
+        Ddnn { parts }
+    }
+
+    /// The model's deployment sections: one [`DevicePart`] per end device,
+    /// the gateway's local aggregator, the optional edge section and the
+    /// cloud section.
+    ///
+    /// The parts are deep copies; the original model remains usable.
+    pub fn partition(&self) -> DdnnPartition {
+        self.parts.clone()
     }
 
     /// The model configuration.
     pub fn config(&self) -> &DdnnConfig {
-        &self.config
+        &self.parts.config
     }
 
     /// Number of exit points (2, or 3 with an edge tier).
     pub fn num_exits(&self) -> usize {
-        if self.edge.is_some() {
+        if self.parts.edge.is_some() {
             3
         } else {
             2
@@ -320,13 +561,13 @@ impl Ddnn {
     /// Serialized parameter bytes of one device's section (ConvP block +
     /// exit head) — must stay under the paper's 2 KB budget.
     pub fn device_memory_bytes(&self) -> usize {
-        self.device_convs[0].memory_bytes() + self.device_exits[0].memory_bytes()
+        self.parts.devices[0].memory_bytes()
     }
 
     fn check_views(&self, views: &[Tensor]) -> Result<usize> {
-        if views.len() != self.config.num_devices {
+        if views.len() != self.parts.devices.len() {
             return Err(TensorError::LengthMismatch {
-                expected: self.config.num_devices,
+                expected: self.parts.devices.len(),
                 actual: views.len(),
             });
         }
@@ -347,8 +588,8 @@ impl Ddnn {
     /// worker pool counts it: what decides whether the sections fan out (a
     /// training or evaluation batch) or run inline (one sample).
     pub(crate) fn device_work(&self, n: usize) -> usize {
-        let [c, h, w] = self.config.view_dims();
-        self.device_convs.iter().map(|conv| conv.macs(&[n, c, h, w])).sum()
+        let [c, h, w] = self.parts.config.view_dims();
+        self.parts.devices.iter().map(|part| part.conv.macs(&[n, c, h, w])).sum()
     }
 
     /// Runs all exits for a batch: `views[d]` is device `d`'s
@@ -359,47 +600,26 @@ impl Ddnn {
     /// Returns an error if the view count or any view shape is wrong.
     pub fn forward(&mut self, views: &[Tensor], mode: Mode) -> Result<ExitLogits> {
         let work = self.device_work(self.check_views(views)?);
-        // Device sections: binary feature maps + per-device class scores.
-        // The sections are independent, so they fan out across the worker
-        // pool; results come back in device order regardless of thread
-        // count.
-        let mut sections: Vec<(&mut ConvPBlock, &mut ExitHead, &Tensor)> = self
-            .device_convs
-            .iter_mut()
-            .zip(&mut self.device_exits)
-            .zip(views)
-            .map(|((c, e), v)| (c, e, v))
-            .collect();
-        let outputs = parallel::par_map_mut(&mut sections, work, |_, section| {
-            let (conv, exit, view) = section;
-            let map = conv.forward(view, mode)?;
-            let scores = exit.forward(&map, mode)?;
-            Ok::<(Tensor, Tensor), TensorError>((map, scores))
-        });
-        let mut maps = Vec::with_capacity(views.len());
-        let mut scores = Vec::with_capacity(views.len());
-        for out in outputs {
-            let (map, score) = out?;
-            maps.push(map);
-            scores.push(score);
-        }
-        // Local exit.
-        let local = self.local_agg.forward(&scores, mode)?;
-        // Edge (optional) and cloud.
-        let (edge_logits, mut x) = if let Some(edge) = &mut self.edge {
-            let agg = edge.agg.forward(&maps)?;
-            let e = edge.conv.forward(&agg, mode)?;
-            let logits = edge.exit.forward(&e, mode)?;
-            let cloud_in = self.cloud_agg.forward(&[e])?;
-            (Some(logits), cloud_in)
-        } else {
-            (None, self.cloud_agg.forward(&maps)?)
+        let parts = &mut self.parts;
+        // The device sections are independent, so they fan out across the
+        // worker pool; results come back in device order regardless of
+        // thread count.
+        let mut sections: Vec<(&mut DevicePart, &Tensor)> =
+            parts.devices.iter_mut().zip(views).collect();
+        let outputs =
+            parallel::par_map_mut(&mut sections, work, |_, (part, view)| part.forward(view, mode));
+        let (maps, scores): (Vec<Tensor>, Vec<Tensor>) =
+            outputs.into_iter().collect::<Result<Vec<_>>>()?.into_iter().unzip();
+        let local = parts.gateway.forward(&scores, mode)?;
+        let (edge, cloud_inputs) = match &mut parts.edge {
+            Some(edge) => {
+                let (map, logits) = edge.forward(&maps, mode)?;
+                (Some(logits), vec![map])
+            }
+            None => (None, maps),
         };
-        for conv in &mut self.cloud_convs {
-            x = conv.forward(&x, mode)?;
-        }
-        let cloud = self.cloud_exit.forward(&x, mode)?;
-        Ok(ExitLogits { local, edge: edge_logits, cloud })
+        let (_, cloud) = parts.cloud.forward(&cloud_inputs, mode)?;
+        Ok(ExitLogits { local, edge, cloud })
     }
 
     /// Backpropagates the joint multi-exit loss (paper §III-C): callers
@@ -411,97 +631,87 @@ impl Ddnn {
     /// Returns an error if shapes are inconsistent with the last `forward`,
     /// or if an edge gradient is missing/spurious for this architecture.
     pub fn backward(&mut self, grads: &ExitGrads) -> Result<()> {
-        if grads.edge.is_some() != self.edge.is_some() {
+        if grads.edge.is_some() != self.parts.edge.is_some() {
             return Err(TensorError::Empty { op: "ddnn.backward edge gradient arity" });
         }
-        // Cloud branch down to the cloud aggregator input.
-        let mut g = self.cloud_exit.backward(&grads.cloud)?;
-        for conv in self.cloud_convs.iter_mut().rev() {
-            // Exit heads flatten; restore the conv output shape first.
-            g = reshape_like_output(&g, conv)?;
-            g = conv.backward(&g)?;
-        }
-        // Gradient arriving at each device's feature map.
-        let mut map_grads: Vec<Tensor> = if let Some(edge) = &mut self.edge {
-            let g_edge_from_cloud = self.cloud_agg.backward(&g)?.remove(0);
-            let edge_grad = grads.edge.as_ref().expect("checked above: edge gradient present");
-            let mut g_e = edge.exit.backward(edge_grad)?;
-            g_e = reshape_like_output(&g_e, &edge.conv)?;
-            g_e.add_assign(&g_edge_from_cloud)?;
-            let g_agg = edge.conv.backward(&g_e)?;
-            edge.agg.backward(&g_agg)?
-        } else {
-            self.cloud_agg.backward(&g)?
-        };
-        // Local branch + shared trunks: each device's exit head backward,
-        // gradient sum at its feature map, then its ConvP backward. The
-        // per-device chains are independent (each accumulates only into its
-        // own parameters), so they fan out across the worker pool with the
-        // serial per-device instruction sequence intact.
-        let score_grads = self.local_agg.backward(&grads.local)?;
         // Two GEMMs per conv going backwards against one going forwards.
         let work = 2 * self.device_work(grads.local.dims().first().copied().unwrap_or(0));
-        let mut sections: Vec<(&mut ExitHead, &mut ConvPBlock, &Tensor, &mut Tensor)> = self
-            .device_exits
+        let DdnnPartition { devices, gateway, edge, cloud, .. } = &mut self.parts;
+        // Cloud branch down to its inputs, then (through the edge, which
+        // adds its own exit's gradient) to each device's feature map.
+        let cloud_in =
+            stage_backward(&mut cloud.agg, &mut cloud.convs, &mut cloud.exit, &grads.cloud, None)?;
+        let map_grads = match (edge, &grads.edge) {
+            (Some(e), Some(edge_grad)) => stage_backward(
+                &mut e.agg,
+                std::slice::from_mut(&mut e.conv),
+                &mut e.exit,
+                edge_grad,
+                Some(&cloud_in[0]),
+            )?,
+            _ => cloud_in,
+        };
+        // Local branch + shared trunks. The per-device chains are
+        // independent (each accumulates only into its own parameters), so
+        // they fan out across the worker pool with the serial per-device
+        // instruction sequence intact.
+        let score_grads = gateway.agg.backward(&grads.local)?;
+        let mut sections: Vec<(&mut DevicePart, &Tensor, &Tensor)> = devices
             .iter_mut()
-            .zip(&mut self.device_convs)
             .zip(&score_grads)
-            .zip(&mut map_grads)
-            .map(|(((e, c), sg), mg)| (e, c, sg, mg))
+            .zip(&map_grads)
+            .map(|((part, sg), mg)| (part, sg, mg))
             .collect();
-        let results = parallel::par_map_mut(&mut sections, work, |_, section| {
-            let (exit, conv, sg, mg) = section;
-            let g_map_flat = exit.backward(sg)?;
-            let g_map = g_map_flat.reshape(mg.dims().to_vec())?;
-            mg.add_assign(&g_map)?;
-            conv.backward(mg)?;
-            Ok::<(), TensorError>(())
-        });
-        for r in results {
-            r?;
-        }
-        Ok(())
+        parallel::par_map_mut(&mut sections, work, |_, (part, sg, mg)| part.backward(sg, Some(mg)))
+            .into_iter()
+            .collect()
     }
 
     /// All stateful blocks in a stable order (for checkpointing of
-    /// batch-norm running statistics).
+    /// batch-norm running statistics): device convs, device exits, edge
+    /// conv and exit, cloud convs, cloud exit. The checkpoint format
+    /// indexes by this order.
     pub(crate) fn blocks_mut(&mut self) -> Vec<&mut dyn Layer> {
+        let DdnnPartition { devices, edge, cloud, .. } = &mut self.parts;
         let mut bs: Vec<&mut dyn Layer> = Vec::new();
-        for c in &mut self.device_convs {
-            bs.push(c);
+        let mut exits: Vec<&mut dyn Layer> = Vec::new();
+        for d in devices {
+            bs.push(&mut d.conv);
+            exits.push(&mut d.exit);
         }
-        for e in &mut self.device_exits {
-            bs.push(e);
-        }
-        if let Some(edge) = &mut self.edge {
+        bs.extend(exits);
+        if let Some(edge) = edge {
             bs.push(&mut edge.conv);
             bs.push(&mut edge.exit);
         }
-        for c in &mut self.cloud_convs {
+        for c in &mut cloud.convs {
             bs.push(c);
         }
-        bs.push(&mut self.cloud_exit);
+        bs.push(&mut cloud.exit);
         bs
     }
 
-    /// All trainable parameters in a stable order (for the optimizer).
+    /// All trainable parameters in a stable order (for the optimizer):
+    /// the blocks of `blocks_mut` with the local aggregator after
+    /// the device exits. Checkpoints and Adam state index by this order.
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
+        let DdnnPartition { devices, gateway, edge, cloud, .. } = &mut self.parts;
         let mut ps: Vec<&mut Param> = Vec::new();
-        for c in &mut self.device_convs {
-            ps.extend(c.params_mut());
+        let mut exits = Vec::new();
+        for d in devices {
+            ps.extend(d.conv.params_mut());
+            exits.extend(d.exit.params_mut());
         }
-        for e in &mut self.device_exits {
-            ps.extend(e.params_mut());
-        }
-        ps.extend(self.local_agg.params_mut());
-        if let Some(edge) = &mut self.edge {
+        ps.extend(exits);
+        ps.extend(gateway.agg.params_mut());
+        if let Some(edge) = edge {
             ps.extend(edge.conv.params_mut());
             ps.extend(edge.exit.params_mut());
         }
-        for c in &mut self.cloud_convs {
+        for c in &mut cloud.convs {
             ps.extend(c.params_mut());
         }
-        ps.extend(self.cloud_exit.params_mut());
+        ps.extend(cloud.exit.params_mut());
         ps
     }
 
@@ -623,146 +833,11 @@ impl Ddnn {
         };
         t.softmax_rows()?.argmax_rows()
     }
-
-    /// The binary feature maps each device would transmit for this batch —
-    /// used by the runtime simulator and the communication accounting.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on malformed views.
-    pub fn device_feature_maps(&mut self, views: &[Tensor]) -> Result<Vec<Tensor>> {
-        let work = self.device_work(self.check_views(views)?);
-        let mut sections: Vec<(&mut ConvPBlock, &Tensor)> =
-            self.device_convs.iter_mut().zip(views).collect();
-        parallel::par_map_mut(&mut sections, work, |_, section| {
-            let (conv, v) = section;
-            conv.forward(v, Mode::Eval)
-        })
-        .into_iter()
-        .collect()
-    }
-
-    /// Per-device class scores (what each device sends to the local
-    /// aggregator).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on malformed views.
-    pub fn device_scores(&mut self, views: &[Tensor]) -> Result<Vec<Tensor>> {
-        let work = self.device_work(self.check_views(views)?);
-        let mut sections: Vec<(&mut ConvPBlock, &mut ExitHead, &Tensor)> = self
-            .device_convs
-            .iter_mut()
-            .zip(&mut self.device_exits)
-            .zip(views)
-            .map(|((c, e), v)| (c, e, v))
-            .collect();
-        parallel::par_map_mut(&mut sections, work, |_, section| {
-            let (conv, exit, v) = section;
-            let m = conv.forward(v, Mode::Eval)?;
-            exit.forward(&m, Mode::Eval)
-        })
-        .into_iter()
-        .collect()
-    }
 }
 
-/// The portion of a DDNN deployed on one end device: its ConvP block and
-/// exit classifier — together under 2 KB of weights (paper §IV-F).
-#[derive(Debug, Clone)]
-pub struct DevicePart {
-    /// The device's fused binary convolution-pool block.
-    pub conv: ConvPBlock,
-    /// The device's exit classifier producing float class scores.
-    pub exit: ExitHead,
-}
-
-/// The local aggregator deployed on the gateway between the devices and
-/// the rest of the hierarchy.
-#[derive(Debug, Clone)]
-pub struct GatewayPart {
-    /// Aggregates the per-device class-score vectors for the local exit.
-    pub agg: VectorAggregator,
-}
-
-/// The edge (fog) tier section, if the architecture has one.
-#[derive(Debug, Clone)]
-pub struct EdgePart {
-    /// Aggregates per-device binary feature maps.
-    pub agg: FeatureAggregator,
-    /// The edge's ConvP block.
-    pub conv: ConvPBlock,
-    /// The edge's exit classifier.
-    pub exit: ExitHead,
-}
-
-/// The cloud section: feature aggregation, further ConvP blocks, final
-/// exit.
-#[derive(Debug, Clone)]
-pub struct CloudPart {
-    /// Aggregates incoming feature maps (per-device, or the single edge
-    /// output for edge architectures).
-    pub agg: FeatureAggregator,
-    /// The cloud ConvP stack.
-    pub convs: Vec<ConvPBlock>,
-    /// The final exit classifier (always classifies).
-    pub exit: ExitHead,
-}
-
-/// A DDNN split along its physical deployment boundaries, ready to be
-/// placed on separate nodes of a distributed hierarchy (what the
-/// `ddnn-runtime` simulator executes).
-#[derive(Debug, Clone)]
-pub struct DdnnPartition {
-    /// Architecture configuration the partition came from.
-    pub config: DdnnConfig,
-    /// One part per end device.
-    pub devices: Vec<DevicePart>,
-    /// The local aggregator.
-    pub gateway: GatewayPart,
-    /// The edge tier (if configured).
-    pub edge: Option<EdgePart>,
-    /// The cloud section.
-    pub cloud: CloudPart,
-}
-
-impl Ddnn {
-    /// Splits the (trained) model along its deployment boundaries: one
-    /// [`DevicePart`] per end device, the gateway's local aggregator, the
-    /// optional edge section and the cloud section.
-    ///
-    /// The parts are deep copies; the original model remains usable.
-    pub fn partition(&self) -> DdnnPartition {
-        DdnnPartition {
-            config: self.config.clone(),
-            devices: self
-                .device_convs
-                .iter()
-                .zip(&self.device_exits)
-                .map(|(conv, exit)| DevicePart { conv: conv.clone(), exit: exit.clone() })
-                .collect(),
-            gateway: GatewayPart { agg: self.local_agg.clone() },
-            edge: self.edge.as_ref().map(|e| EdgePart {
-                agg: e.agg.clone(),
-                conv: e.conv.clone(),
-                exit: e.exit.clone(),
-            }),
-            cloud: CloudPart {
-                agg: self.cloud_agg.clone(),
-                convs: self.cloud_convs.clone(),
-                exit: self.cloud_exit.clone(),
-            },
-        }
-    }
-}
-
-/// Restores a flattened gradient `(n, c*h*w)` to the NCHW shape a ConvP
-/// block produced — the glue between exit heads (which flatten) and conv
-/// blocks.
-fn reshape_like_output(g: &Tensor, conv: &ConvPBlock) -> Result<Tensor> {
-    if g.rank() == 4 {
-        return Ok(g.clone());
-    }
+/// Restores the flattened gradient `(n, c*h*w)` an exit head returns to
+/// the NCHW shape of the ConvP output it consumed.
+fn unflatten(g: &Tensor, conv: &ConvPBlock) -> Result<Tensor> {
     let n = g.dims()[0];
     let c = conv.filters();
     let hw = g.len() / (n * c);
@@ -914,14 +989,62 @@ mod tests {
 
     #[test]
     fn feature_maps_are_binary_and_correct_shape() {
-        let mut m = Ddnn::new(small_config());
-        let views = random_views(2, 2, 6);
-        let maps = m.device_feature_maps(&views).unwrap();
-        assert_eq!(maps.len(), 2);
-        assert_eq!(maps[0].dims(), &[2, 2, 16, 16]);
-        assert!(maps[0].data().iter().all(|&v| v == 1.0 || v == -1.0));
-        let scores = m.device_scores(&views).unwrap();
-        assert_eq!(scores[0].dims(), &[2, 3]);
+        let mut part = Ddnn::new(small_config()).partition().devices.remove(0);
+        let view = &random_views(2, 1, 6)[0];
+        let (map, scores) = part.forward(view, Mode::Eval).unwrap();
+        assert_eq!(map.dims(), &[2, 2, 16, 16]);
+        assert!(map.data().iter().all(|&v| v == 1.0 || v == -1.0));
+        assert_eq!(scores.dims(), &[2, 3]);
+        assert_eq!(part.body(view, Mode::Eval).unwrap(), map);
+    }
+
+    fn assert_same_logits(a: &ExitLogits, b: &ExitLogits) {
+        assert_eq!(a.local, b.local);
+        assert_eq!(a.edge, b.edge);
+        assert_eq!(a.cloud, b.cloud);
+    }
+
+    #[test]
+    fn model_is_its_partition() {
+        let edge = EdgeConfig { filters: 4, agg: AggregationScheme::Concat };
+        for edge in [None, Some(edge)] {
+            let mut m = Ddnn::new(DdnnConfig { edge, ..small_config() });
+            let views = random_views(3, 2, 10);
+            // Move the batch-norm statistics away from their initial values.
+            m.forward(&views, Mode::Train).unwrap();
+
+            // `from_partition` inverts `partition`, through a checkpoint too.
+            let mut rebuilt = Ddnn::from_partition(m.partition());
+            for mode in [Mode::Train, Mode::Eval] {
+                let expected = m.forward(&views, mode).unwrap();
+                assert_same_logits(&rebuilt.forward(&views, mode).unwrap(), &expected);
+            }
+            let bytes = rebuilt.save_bytes();
+            assert_eq!(bytes, m.save_bytes());
+            assert_eq!(Ddnn::load_bytes(&bytes).unwrap().save_bytes(), bytes);
+
+            // The joint forward is the parts' own forwards, composed.
+            let expected = m.forward(&views, Mode::Eval).unwrap();
+            let mut parts = m.partition();
+            let (maps, scores): (Vec<_>, Vec<_>) = parts
+                .devices
+                .iter_mut()
+                .zip(&views)
+                .map(|(part, view)| part.forward(view, Mode::Eval).unwrap())
+                .unzip();
+            let local = parts.gateway.forward(&scores, Mode::Eval).unwrap();
+            let (edge, cloud_inputs) = match &mut parts.edge {
+                Some(e) => {
+                    let (map, logits) = e.forward(&maps, Mode::Eval).unwrap();
+                    assert_eq!(e.body(&maps, Mode::Eval).unwrap(), map);
+                    (Some(logits), vec![map])
+                }
+                None => (None, maps),
+            };
+            let (map, cloud) = parts.cloud.forward(&cloud_inputs, Mode::Eval).unwrap();
+            assert_eq!(parts.cloud.body(&cloud_inputs, Mode::Eval).unwrap(), map);
+            assert_same_logits(&ExitLogits { local, edge, cloud }, &expected);
+        }
     }
 
     #[test]
@@ -971,6 +1094,28 @@ mod tests {
         let gb: f32 = b.params_mut().iter().map(|p| p.grad.norm_sq()).sum();
         assert_eq!(ga, 0.0, "original must be untouched by the clone's backward");
         assert!(gb > 0.0);
+    }
+
+    #[test]
+    fn checked_param_count_matches_the_built_model() {
+        use AggregationScheme::{AvgPool, Concat, MaxPool};
+        let edge = |agg| Some(EdgeConfig { filters: 4, agg });
+        for (local_agg, cloud_agg, edge, cloud_precision) in [
+            (MaxPool, Concat, None, Precision::Binary),
+            (Concat, MaxPool, None, Precision::Float),
+            (AvgPool, AvgPool, edge(Concat), Precision::Binary),
+            (Concat, Concat, edge(MaxPool), Precision::Float),
+        ] {
+            let cfg =
+                DdnnConfig { local_agg, cloud_agg, edge, cloud_precision, ..DdnnConfig::paper() };
+            assert_eq!(cfg.checked_param_count(), Some(Ddnn::new(cfg.clone()).param_count()));
+        }
+        assert_eq!(
+            DdnnConfig { num_classes: 0, ..DdnnConfig::paper() }.checked_param_count(),
+            None
+        );
+        let huge = DdnnConfig { device_filters: usize::MAX / 2, ..DdnnConfig::paper() };
+        assert_eq!(huge.checked_param_count(), None);
     }
 
     #[test]

@@ -15,9 +15,12 @@
 //! * [`link`] — instrumented channels with byte accounting and a latency
 //!   model;
 //! * [`node`] — the tier-generic node engine: one generic tier loop
-//!   parameterized by aggregation section and escalation target subsumes
-//!   the gateway, edge and cloud roles, all finalizing through one shared
-//!   collector path;
+//!   parameterized by model section and escalation target subsumes the
+//!   gateway, edge and cloud roles, all finalizing through one shared
+//!   collector path. A section is a `ddnn-core` part (`DevicePart`,
+//!   `GatewayPart`, the `CloudPart` feature stage) evaluated through its
+//!   own `forward`; this crate holds no copy of the layers and calls
+//!   none of them;
 //! * [`topology`] — declarative hierarchy description
 //!   ([`Topology`]/[`HierarchyBuilder`]): device fan-in, a chain of exit
 //!   tiers, a terminal tier; and the run configuration

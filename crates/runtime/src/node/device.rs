@@ -12,7 +12,7 @@ use crate::node::report::NodeReport;
 use crate::obs::RunObs;
 use crate::orchestrator::DeviceElastic;
 use ddnn_core::{DdnnConfig, DevicePart, BLANK_INPUT_VALUE};
-use ddnn_nn::{Layer, Mode};
+use ddnn_nn::Mode;
 use ddnn_tensor::Tensor;
 use std::sync::Arc;
 
@@ -35,12 +35,9 @@ pub(crate) struct BlankSignature {
     pub(crate) map: Tensor,
 }
 
-/// Computes one device's [`BlankSignature`] on cloned sections.
+/// Computes one device's [`BlankSignature`] on a cloned section.
 pub(crate) fn blank_signature(part: &DevicePart, config: &DdnnConfig) -> Result<BlankSignature> {
-    let mut conv = part.conv.clone();
-    let mut exit = part.exit.clone();
-    let map = conv.forward(&blank_view(config), Mode::Eval)?;
-    let scores = exit.forward(&map, Mode::Eval)?;
+    let (map, scores) = part.clone().forward(&blank_view(config), Mode::Eval)?;
     Ok(BlankSignature { scores: scores.data().to_vec(), map: map.index_axis0(0)? })
 }
 
@@ -63,7 +60,7 @@ pub(crate) fn blank_signature(part: &DevicePart, config: &DdnnConfig) -> Result<
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn device_node(
     d: usize,
-    part: DevicePart,
+    mut part: DevicePart,
     mut inbox: NodeInbox,
     to_gateway: LinkSender,
     to_upper: LinkSender,
@@ -72,8 +69,6 @@ pub(crate) fn device_node(
     obs: Arc<RunObs>,
     elastic: Option<DeviceElastic>,
 ) -> Result<NodeReport> {
-    let mut conv = part.conv;
-    let mut exit = part.exit;
     let mut cache: std::collections::BTreeMap<u64, Tensor> = std::collections::BTreeMap::new();
     let capture_cap = capture_cap.max(1);
     let mut was_down = false;
@@ -136,8 +131,7 @@ pub(crate) fn device_node(
                 let mut dims = vec![1];
                 dims.extend_from_slice(view.dims());
                 let batch = view.reshape(dims)?;
-                let map = conv.forward(&batch, Mode::Eval)?;
-                let scores = exit.forward(&map, Mode::Eval)?;
+                let (map, scores) = part.forward(&batch, Mode::Eval)?;
                 cache.insert(frame.seq, map.index_axis0(0)?);
                 while cache.len() > capture_cap {
                     cache.pop_first();

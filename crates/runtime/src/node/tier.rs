@@ -2,13 +2,15 @@
 //!
 //! One [`TierNode`] — a [`Collector`], a [`TierSection`], an
 //! [`ExitPolicy`] and an [`Escalation`] target — subsumes the legacy
-//! gateway, edge and cloud loops *and* the §IV-H raw-offload baseline:
+//! gateway, edge and cloud loops *and* the §IV-H raw-offload baseline.
+//! The section is the model's own: [`TierSection`] is implemented on the
+//! `ddnn-core` parts, whose `forward` is the only evaluation a node runs.
 //!
 //! | legacy node    | section              | policy     | escalation            |
 //! |----------------|----------------------|------------|-----------------------|
-//! | gateway        | [`ScoresSection`]    | `Entropy`  | `RequestFromDevices`  |
-//! | edge           | [`FeatureSection`]   | `Entropy`  | `ForwardMap`          |
-//! | cloud          | [`FeatureSection`]   | `Terminal` | `Terminal`            |
+//! | gateway        | [`GatewayPart`]      | `Entropy`  | `RequestFromDevices`  |
+//! | edge           | [`CloudPart`] stage  | `Entropy`  | `ForwardMap`          |
+//! | cloud          | [`CloudPart`]        | `Terminal` | `Terminal`            |
 //! | baseline cloud | [`RawSection`]       | `Terminal` | `Terminal`            |
 //!
 //! Deadline expiry, suspect marking, replay of cached decisions and blank
@@ -21,11 +23,9 @@ use crate::node::collector::{Collector, Ingest};
 use crate::node::report::NodeReport;
 use crate::obs::{Counter, NodeObs, ObsEvent};
 use crate::orchestrator::ControlState;
-use ddnn_core::{
-    ConvPBlock, DevicePart, EdgePart, ExitHead, ExitPolicy, FeatureAggregator, VectorAggregator,
-};
-use ddnn_nn::{Layer, Mode};
-use ddnn_tensor::{parallel, Tensor};
+use ddnn_core::{CloudPart, Ddnn, ExitPolicy, GatewayPart};
+use ddnn_nn::Mode;
+use ddnn_tensor::Tensor;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -85,12 +85,7 @@ pub(crate) trait TierSection: Send {
 }
 
 /// The gateway's section: aggregate per-device class-score vectors.
-pub(crate) struct ScoresSection {
-    /// Score aggregation scheme.
-    pub(crate) agg: VectorAggregator,
-}
-
-impl TierSection for ScoresSection {
+impl TierSection for GatewayPart {
     type Item = Vec<f32>;
 
     fn item_from(&self, payload: Payload, node: &str) -> Result<Vec<f32>> {
@@ -106,38 +101,29 @@ impl TierSection for ScoresSection {
         &mut self,
         batch: Vec<Vec<Vec<f32>>>,
     ) -> Result<Vec<(Tensor, Option<Tensor>)>> {
-        batch.into_iter().map(|items| self.evaluate(items)).collect()
-    }
-}
-
-impl ScoresSection {
-    /// Aggregates one sample's per-device score vectors.
-    fn evaluate(&mut self, items: Vec<Vec<f32>>) -> Result<(Tensor, Option<Tensor>)> {
-        // Assemble per-device (1, C) score tensors (blanks already
-        // substituted by the collector).
-        let inputs: Vec<Tensor> = items
+        // Score aggregation is negligible compute: sample by sample, from
+        // per-device (1, C) score tensors (blanks already substituted by
+        // the collector).
+        batch
             .into_iter()
-            .map(|v| {
-                let c = v.len();
-                Tensor::from_vec(v, [1, c]).map_err(RuntimeError::from)
+            .map(|items| {
+                let scores: Vec<Tensor> = items
+                    .into_iter()
+                    .map(|v| {
+                        let c = v.len();
+                        Tensor::from_vec(v, [1, c])
+                    })
+                    .collect::<ddnn_tensor::Result<_>>()?;
+                Ok((self.forward(&scores, Mode::Eval)?, None))
             })
-            .collect::<Result<_>>()?;
-        Ok((self.agg.forward(&inputs, Mode::Eval)?, None))
+            .collect()
     }
 }
 
-/// An edge/cloud-style section: aggregate binary feature maps, run ConvP
-/// blocks, classify at the exit head.
-pub(crate) struct FeatureSection {
-    /// Feature-map aggregation.
-    pub(crate) agg: FeatureAggregator,
-    /// ConvP chain applied after aggregation.
-    pub(crate) convs: Vec<ConvPBlock>,
-    /// Exit classifier.
-    pub(crate) exit: ExitHead,
-}
-
-impl TierSection for FeatureSection {
+/// An edge/cloud-style tier evaluates a feature stage as it is in the
+/// model: aggregate binary feature maps, run the ConvP chain, classify at
+/// the exit head.
+impl TierSection for CloudPart {
     type Item = Tensor;
 
     fn item_from(&self, payload: Payload, node: &str) -> Result<Tensor> {
@@ -153,14 +139,13 @@ impl TierSection for FeatureSection {
 
     fn evaluate_batch(&mut self, batch: Vec<Vec<Tensor>>) -> Result<Vec<(Tensor, Option<Tensor>)>> {
         // Batch along axis 0: per source slot, stack the B rank-3 maps
-        // into one (B, C, H, W) tensor, then run aggregation, the ConvP
-        // chain and the exit head once over the whole batch. Each batch
-        // row's arithmetic is independent, so a sample's logits and map
-        // do not depend on what it was batched with. The binarized convs
-        // lower the whole stacked batch to one `BinaryConvPlan` (tensor
-        // crate): the weight matrix is packed and the geometry resolved
-        // once, then the B samples stream through the fused
-        // pack-and-popcount kernel — this drain is what makes
+        // into one (B, C, H, W) tensor, then run the section once over the
+        // whole batch. Each batch row's arithmetic is independent, so a
+        // sample's logits and map do not depend on what it was batched
+        // with. The binarized convs lower the whole stacked batch to one
+        // `BinaryConvPlan` (tensor crate): the weight matrix is packed and
+        // the geometry resolved once, then the B samples stream through
+        // the fused pack-and-popcount kernel — this drain is what makes
         // micro-batching pay.
         let b = batch.len();
         let num_sources = batch.first().map_or(0, Vec::len);
@@ -174,31 +159,18 @@ impl TierSection for FeatureSection {
             .iter()
             .map(|maps| Tensor::stack(maps))
             .collect::<ddnn_tensor::Result<_>>()?;
-        let mut x = self.agg.forward(&stacked)?;
-        for conv in &mut self.convs {
-            x = conv.forward(&x, Mode::Eval)?;
-        }
-        let logits = self.exit.forward(&x, Mode::Eval)?;
+        let (map, logits) = self.forward(&stacked, Mode::Eval)?;
         let logit_rows = logits.split(b, 0)?;
-        let map_rows = x.split(b, 0)?;
+        let map_rows = map.split(b, 0)?;
         Ok(logit_rows.into_iter().zip(map_rows).map(|(l, m)| (l, Some(m))).collect())
     }
 }
 
 /// The §IV-H baseline cloud section: every device ships its raw
-/// (byte-quantized) view and the cloud runs the *entire* partitioned
-/// network — device trunks, optional edge, cloud stack.
+/// (byte-quantized) view and the cloud runs the *entire* network on it.
 pub(crate) struct RawSection {
-    /// Device trunk sections, evaluated cloud-side.
-    pub(crate) devices: Vec<DevicePart>,
-    /// Optional edge section, evaluated cloud-side.
-    pub(crate) edge: Option<EdgePart>,
-    /// Cloud feature aggregation.
-    pub(crate) agg: FeatureAggregator,
-    /// Cloud ConvP chain.
-    pub(crate) convs: Vec<ConvPBlock>,
-    /// Final classifier.
-    pub(crate) exit: ExitHead,
+    /// The whole model, evaluated cloud-side.
+    pub(crate) model: Ddnn,
     /// Geometry raw pixels decode to.
     pub(crate) view_dims: [usize; 3],
 }
@@ -216,42 +188,13 @@ impl TierSection for RawSection {
     }
 
     fn evaluate_batch(&mut self, batch: Vec<Vec<Tensor>>) -> Result<Vec<(Tensor, Option<Tensor>)>> {
-        batch.into_iter().map(|views| self.evaluate(views)).collect()
-    }
-}
-
-impl RawSection {
-    /// Runs the full network in the cloud (config (a)) on one sample's
-    /// views.
-    fn evaluate(&mut self, views: Vec<Tensor>) -> Result<(Tensor, Option<Tensor>)> {
-        // The device sections are independent and come back in device
-        // order; for the paper's six they are far below the pool's
-        // cut-off and run inline on this node's thread.
-        let mut sections: Vec<(&mut DevicePart, Tensor)> = Vec::with_capacity(self.devices.len());
-        for (part, v) in self.devices.iter_mut().zip(views) {
-            let mut dims = vec![1];
-            dims.extend_from_slice(v.dims());
-            sections.push((part, v.reshape(dims)?));
-        }
-        let work = sections.iter().map(|(part, batch)| part.conv.macs(batch.dims())).sum();
-        let maps: Vec<Tensor> = parallel::par_map_mut(&mut sections, work, |_, section| {
-            let (part, batch) = section;
-            part.conv.forward(batch, Mode::Eval)
-        })
-        .into_iter()
-        .collect::<ddnn_tensor::Result<_>>()?;
-        let mut x = if let Some(e) = self.edge.as_mut() {
-            let a = e.agg.forward(&maps)?;
-            let m = e.conv.forward(&a, Mode::Eval)?;
-            self.agg.forward(&[m])?
-        } else {
-            self.agg.forward(&maps)?
-        };
-        for conv in &mut self.convs {
-            x = conv.forward(&x, Mode::Eval)?;
-        }
-        let logits = self.exit.forward(&x, Mode::Eval)?;
-        Ok((logits, None))
+        // Sample by sample (config (a) of Fig. 2); for the paper's six
+        // devices one sample's sections are far below the pool's cut-off
+        // and run inline on this node's thread.
+        batch
+            .into_iter()
+            .map(|views| Ok((self.model.forward(&batched(views)?, Mode::Eval)?.cloud, None)))
+            .collect()
     }
 }
 

@@ -22,8 +22,9 @@
 
 use crate::error::Result;
 use crate::node::tier::batched;
-use crate::topology::{TierSpec, Topology};
-use ddnn_nn::{Layer, Mode};
+use crate::topology::Topology;
+use ddnn_core::CloudPart;
+use ddnn_nn::Mode;
 use ddnn_tensor::Tensor;
 
 /// Which (feeder, tier) pairs are geometrically able to carry traffic.
@@ -191,24 +192,6 @@ pub fn compute_routing(
     }
 }
 
-/// Runs a tier section's aggregation + ConvP chain on cloned layers.
-fn body_forward(spec: &TierSpec, inputs: Vec<Tensor>) -> Result<Tensor> {
-    let mut agg = spec.agg.clone();
-    let mut convs = spec.convs.clone();
-    let mut x = agg.forward(&batched(inputs)?)?;
-    for conv in &mut convs {
-        x = conv.forward(&x, Mode::Eval)?;
-    }
-    Ok(x)
-}
-
-/// Whether a tier's *full* section (body + exit head) accepts these inputs.
-fn accepts(spec: &TierSpec, inputs: Vec<Tensor>) -> bool {
-    body_forward(spec, inputs)
-        .and_then(|x| spec.exit.clone().forward(&x, Mode::Eval).map_err(Into::into))
-        .is_ok()
-}
-
 /// Probes the compatibility matrix empirically: trial-evaluates each
 /// candidate (feeder, tier) pair on blank inputs. Returns the matrix plus
 /// each tier's blank *output* map (used for the trials and for collector
@@ -226,19 +209,21 @@ pub(crate) fn probe(
     topology: &Topology,
     tier_blanks: &[Vec<Tensor>],
 ) -> Result<(Compat, Vec<Tensor>)> {
-    let t = topology.tiers.len();
+    // Eval-mode evaluation leaves a section's weights and statistics
+    // alone, so one clone per tier serves every trial.
+    let mut stages: Vec<CloudPart> = topology.tiers.iter().map(|t| t.stage.clone()).collect();
+    let t = stages.len();
     let mut out_blanks = Vec::with_capacity(t);
-    for (k, spec) in topology.tiers.iter().enumerate() {
-        out_blanks.push(body_forward(spec, tier_blanks[k].clone())?.index_axis0(0)?);
+    for (stage, blanks) in stages.iter_mut().zip(tier_blanks) {
+        out_blanks.push(stage.body(&batched(blanks.clone())?, Mode::Eval)?.index_axis0(0)?);
     }
-    let device_to_tier: Vec<bool> =
-        topology.tiers.iter().map(|spec| accepts(spec, tier_blanks[0].clone())).collect();
+    // A pair is compatible when the tier's full section accepts the input.
+    let mut accepts = |j: usize, inputs: Vec<Tensor>| -> bool {
+        batched(inputs).is_ok_and(|x| stages[j].forward(&x, Mode::Eval).is_ok())
+    };
+    let device_to_tier: Vec<bool> = (0..t).map(|j| accepts(j, tier_blanks[0].clone())).collect();
     let tier_to_tier: Vec<Vec<bool>> = (0..t)
-        .map(|i| {
-            (0..t)
-                .map(|j| j > i && accepts(&topology.tiers[j], vec![out_blanks[i].clone()]))
-                .collect()
-        })
+        .map(|i| (0..t).map(|j| j > i && accepts(j, vec![out_blanks[i].clone()])).collect())
         .collect();
     Ok((Compat { device_to_tier, tier_to_tier }, out_blanks))
 }

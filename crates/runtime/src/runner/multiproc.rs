@@ -106,6 +106,17 @@ const HEARTBEAT_HANG: Duration = Duration::from_secs(10);
 /// predecessor could have sent (see `ArqRecvState` rebasing).
 const TSEQ_GENERATION_STRIDE: u32 = 1 << 20;
 
+/// The first transport sequence number of a role's `generation`-th
+/// incarnation. The `u32` sequence space holds 4,096 generations; one
+/// more would wrap into generation 0's range, where surviving receivers
+/// discard frames as ancient duplicates, so it is refused instead.
+fn tseq_base_for(role: ProcTarget, generation: u32) -> Result<u32> {
+    generation.checked_mul(TSEQ_GENERATION_STRIDE).ok_or_else(|| RuntimeError::Peer {
+        role: role.to_string(),
+        reason: format!("respawn budget exhausted at generation {generation}"),
+    })
+}
+
 /// The protocol words of one handshake phase: the prefix a role
 /// advertises its bindings under and the line that ends them, then the
 /// prefix the launcher relays the whole run's bindings under and the line
@@ -463,7 +474,7 @@ impl Supervisor<'_> {
             peer_err(&role.to_string(), "respawn of a role that was never launched")
         })?;
         let generation = old.generation + 1;
-        let tseq_base = generation.wrapping_mul(TSEQ_GENERATION_STRIDE);
+        let tseq_base = tseq_base_for(role, generation)?;
         let manifest = format!("{}tseq_base={tseq_base}\n", fleet.manifest);
         *old = Supervised::spawn(fleet.node_exe, role, &manifest, fleet.epoch, generation)?;
         let me = |p: &Supervised| p.role == role;
@@ -799,4 +810,20 @@ where
     }
     writeln!(o, "DONE").and_then(|()| o.flush()).map_err(io_err)?;
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn respawn_generations_never_wrap_into_an_earlier_sequence_range() {
+        let base = |generation| tseq_base_for(ProcTarget::Gateway, generation);
+        assert_eq!(base(0).unwrap(), 0);
+        assert_eq!(base(1).unwrap(), 1 << 20);
+        assert_eq!(base(4095).unwrap(), 4095 << 20);
+        let err = base(4096).unwrap_err();
+        assert!(matches!(&err, RuntimeError::Peer { role, .. } if role == "gateway"), "{err}");
+        assert!(err.to_string().contains("respawn budget exhausted"));
+    }
 }

@@ -13,15 +13,14 @@ use crate::node::collector::{AggPolicy, Collector};
 use crate::node::device::{blank_signature, blank_view, device_node, BlankSignature};
 use crate::node::report::NodeReport;
 use crate::node::tier::{
-    batched, Escalation, FanIn, FeatureSection, Feeder, RawSection, ScoresSection, TierElastic,
-    TierNode, TierSection,
+    batched, Escalation, FanIn, Feeder, RawSection, TierElastic, TierNode, TierSection,
 };
 use crate::obs::{Counter, NodeObs, RunObs};
 use crate::orchestrator::rebalance::{compute_routing, probe, Compat};
 use crate::orchestrator::{ControlState, DeviceElastic};
 use crate::topology::{HierarchyConfig, Shape, TierExitRule, Topology};
 use ddnn_core::ExitPolicy;
-use ddnn_nn::{Layer, Mode};
+use ddnn_nn::Mode;
 use ddnn_tensor::{parallel, Tensor};
 use std::sync::Arc;
 
@@ -79,14 +78,9 @@ pub(super) fn compute_blanks(topology: &Topology) -> Result<Blanks> {
     let mut tiers: Vec<Vec<Tensor>> = Vec::with_capacity(topology.tiers.len());
     tiers.push(devices.iter().map(|b| b.map.clone()).collect());
     for k in 1..topology.tiers.len() {
-        let spec = &topology.tiers[k - 1];
-        let mut agg = spec.agg.clone();
-        let mut convs = spec.convs.clone();
-        let mut x = agg.forward(&batched(tiers[k - 1].clone())?)?;
-        for conv in &mut convs {
-            x = conv.forward(&x, Mode::Eval)?;
-        }
-        tiers.push(vec![x.index_axis0(0)?]);
+        let mut below = topology.tiers[k - 1].stage.clone();
+        let out = below.body(&batched(tiers[k - 1].clone())?, Mode::Eval)?;
+        tiers.push(vec![out.index_axis0(0)?]);
     }
     Ok(Blanks { devices, tiers })
 }
@@ -188,7 +182,7 @@ pub(super) fn spawn_role(
                 name: "gateway".to_string(),
                 id: NodeId::Gateway,
                 exit_tier: 0,
-                section: ScoresSection { agg: topology.gateway.agg.clone() },
+                section: topology.gateway.clone(),
                 policy: ExitPolicy::Entropy(cfg.local_threshold),
                 fan_in: FanIn::Devices(n),
                 inbox: plane.inbox(NodeId::Gateway)?,
@@ -224,35 +218,15 @@ pub(super) fn spawn_role(
             Ok(())
         }
         ProcTarget::Tier(k) => {
-            let spec = &topology.tiers[k];
             let task = match &topology.shape {
-                Shape::Staged => tier_task(
-                    k,
-                    FeatureSection {
-                        agg: spec.agg.clone(),
-                        convs: spec.convs.clone(),
-                        exit: spec.exit.clone(),
-                    },
-                    ctx,
-                    blanks,
-                    elastic,
-                    plane,
-                )?,
-                Shape::CloudOnly { edge } => tier_task(
-                    k,
-                    RawSection {
-                        devices: topology.devices.clone(),
-                        edge: edge.as_deref().cloned(),
-                        agg: spec.agg.clone(),
-                        convs: spec.convs.clone(),
-                        exit: spec.exit.clone(),
-                        view_dims: topology.config.view_dims(),
-                    },
-                    ctx,
-                    blanks,
-                    elastic,
-                    plane,
-                )?,
+                Shape::Staged => {
+                    tier_task(k, topology.tiers[k].stage.clone(), ctx, blanks, elastic, plane)?
+                }
+                Shape::CloudOnly { model } => {
+                    let view_dims = topology.config.view_dims();
+                    let section = RawSection { model: (**model).clone(), view_dims };
+                    tier_task(k, section, ctx, blanks, elastic, plane)?
+                }
             };
             spawn(task);
             Ok(())

@@ -17,8 +17,8 @@ use crate::orchestrator::ElasticConfig;
 use crate::reliability::ReliabilityConfig;
 use crate::transport::TransportConfig;
 use ddnn_core::{
-    AggregationScheme, ConvPBlock, DdnnConfig, DdnnPartition, DevicePart, EdgeConfig, EdgePart,
-    ExitHead, ExitPoint, ExitThreshold, FeatureAggregator, GatewayPart,
+    AggregationScheme, CloudPart, ConvPBlock, Ddnn, DdnnConfig, DdnnPartition, DevicePart,
+    EdgeConfig, ExitHead, ExitPoint, ExitThreshold, FeatureAggregator, GatewayPart,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -246,12 +246,8 @@ pub(crate) struct TierSpec {
     pub(crate) name: String,
     /// Wire identity.
     pub(crate) id: NodeId,
-    /// Feature aggregation over the tier's fan-in.
-    pub(crate) agg: FeatureAggregator,
-    /// ConvP chain after aggregation.
-    pub(crate) convs: Vec<ConvPBlock>,
-    /// Exit classifier.
-    pub(crate) exit: ExitHead,
+    /// The model section the tier evaluates.
+    pub(crate) stage: CloudPart,
     /// Exit rule.
     pub(crate) rule: TierExitRule,
 }
@@ -262,9 +258,7 @@ impl TierSpec {
         TierSpec {
             name: "cloud".to_string(),
             id: NodeId::Cloud,
-            agg: partition.cloud.agg.clone(),
-            convs: partition.cloud.convs.clone(),
-            exit: partition.cloud.exit.clone(),
+            stage: partition.cloud.clone(),
             rule: TierExitRule::Terminal,
         }
     }
@@ -275,11 +269,10 @@ pub(crate) enum Shape {
     /// The staged hierarchy of §III-D: devices, gateway, feature chain.
     Staged,
     /// The §IV-H cloud-offload baseline: every device ships its raw view
-    /// to the single terminal tier, which runs the whole network —
-    /// including this edge section, when the model has one.
+    /// to the single terminal tier, which runs the whole network.
     CloudOnly {
-        /// The edge section the cloud evaluates itself.
-        edge: Option<Box<EdgePart>>,
+        /// The whole model, which the cloud evaluates itself.
+        model: Box<Ddnn>,
     },
 }
 
@@ -314,9 +307,7 @@ impl Topology {
             tiers.push(TierSpec {
                 name: "edge".to_string(),
                 id: NodeId::Edge,
-                agg: edge.agg.clone(),
-                convs: vec![edge.conv.clone()],
-                exit: edge.exit.clone(),
+                stage: edge.clone().into(),
                 rule: TierExitRule::ConfigEdgeThreshold,
             });
         } else {
@@ -338,7 +329,7 @@ impl Topology {
     /// `cloud` tier fed raw views, no gateway and no device nodes.
     pub(crate) fn cloud_only(partition: &DdnnPartition) -> Self {
         Topology {
-            shape: Shape::CloudOnly { edge: partition.edge.clone().map(Box::new) },
+            shape: Shape::CloudOnly { model: Box::new(Ddnn::from_partition(partition.clone())) },
             config: partition.config.clone(),
             devices: partition.devices.clone(),
             gateway: partition.gateway.clone(),
@@ -442,7 +433,8 @@ impl HierarchyBuilder {
         rule: TierExitRule,
     ) {
         let id = NodeId::Tier(self.tiers.len().min(usize::from(u8::MAX)) as u8);
-        self.tiers.push(TierSpec { name: name.to_string(), id, agg, convs, exit, rule });
+        let stage = CloudPart { agg, convs, exit };
+        self.tiers.push(TierSpec { name: name.to_string(), id, stage, rule });
     }
 
     /// Validates the chain and produces the topology.

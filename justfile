@@ -49,9 +49,6 @@ bench-obs:
 build:
     cargo build --workspace --release
 
-bench:
-    cargo bench
-
 # XNOR vs f32 kernel matrix: every supported DDNN_SIMD tier x
 # DDNN_THREADS {1,4} in one run -> combined results/BENCH_kernels.json
 bench-kernels:
@@ -163,7 +160,7 @@ bench-ab base workload *args:
 
 # Code lines (non-blank, non-comment) of the runtime crate — the count
 # ROADMAP item 3's "crates/runtime/src shrinks by >= 20%" is tracked by;
-# CI fails above 8,530.
+# CI fails above 8,450.
 runtime-loc:
     find crates/runtime/src -name '*.rs' | xargs grep -cvE '^\s*(//|$)' | awk -F: '{ s += $2 } END { print s }'
 
