@@ -53,13 +53,6 @@ pub fn single_failures(num_devices: usize) -> Vec<Vec<usize>> {
     (0..num_devices).map(|d| vec![d]).collect()
 }
 
-/// Progressive multi-device failure scenarios: fail the first `k` devices
-/// of `order` for `k = 1..=order.len()` (the §IV-G "gradually degrades"
-/// reading of Fig. 8).
-pub fn progressive_failures(order: &[usize]) -> Vec<Vec<usize>> {
-    (1..=order.len()).map(|k| order[..k].to_vec()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,12 +106,6 @@ mod tests {
         assert_eq!(f.len(), 6);
         assert_eq!(f[0], vec![0]);
         assert_eq!(f[5], vec![5]);
-    }
-
-    #[test]
-    fn progressive_failures_grow() {
-        let f = progressive_failures(&[2, 0, 1]);
-        assert_eq!(f, vec![vec![2], vec![2, 0], vec![2, 0, 1]]);
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub use entropy::{
     normalized_entropy, normalized_entropy_rows, search_threshold, ExitDecision, ExitPolicy,
     ExitThreshold,
 };
-pub use fault::{fail_devices, fail_devices_with, progressive_failures, single_failures};
+pub use fault::{fail_devices, fail_devices_with, single_failures};
 pub use individual::IndividualModel;
 pub use metrics::{
     accuracy, evaluate_exit_accuracies, evaluate_overall, ExitAccuracies, OverallEvaluation,

@@ -4,7 +4,7 @@
 use crate::model::{Ddnn, ExitGrads};
 use ddnn_nn::{Adam, Mode, Optimizer, SoftmaxCrossEntropy};
 use ddnn_tensor::rng::rng_from_seed;
-use ddnn_tensor::{parallel, Result, Tensor, TensorError};
+use ddnn_tensor::{Result, Tensor, TensorError};
 use rand::seq::SliceRandom;
 
 /// Training hyper-parameters. Defaults follow the paper (§IV-A): Adam with
@@ -28,20 +28,6 @@ pub struct TrainConfig {
     /// statistics with the final weights after training (see
     /// [`Ddnn::refresh_batch_norm_stats`]). `0` disables the refresh.
     pub stat_refresh_passes: usize,
-    /// Number of shards each mini-batch is split into for data-parallel
-    /// forward/backward across the worker pool (`1`, the default, keeps
-    /// the exact single-model legacy path).
-    ///
-    /// Shards are contiguous sub-batches of fixed size `⌈n/S⌉`; each runs
-    /// on its own deep copy of the model and the shard gradients are
-    /// reduced into the master in fixed shard order, weighted by
-    /// `shard_n/total_n` (the loss is a batch mean, so this reproduces the
-    /// full-batch gradient scaling). The decomposition depends only on
-    /// `grad_shards` — never on `DDNN_THREADS` — so a given configuration
-    /// trains identically at any thread count. Note that `S > 1` changes
-    /// which samples share batch-norm statistics and is therefore a
-    /// (deterministically) different trajectory than `S = 1`.
-    pub grad_shards: usize,
 }
 
 impl Default for TrainConfig {
@@ -53,7 +39,6 @@ impl Default for TrainConfig {
             exit_weights: vec![],
             seed: 123,
             stat_refresh_passes: 3,
-            grad_shards: 1,
         }
     }
 }
@@ -141,31 +126,19 @@ pub fn train(
             let batch_labels: Vec<usize> = chunk.iter().map(|&i| labels[i]).collect();
 
             model.zero_grad();
-            let shards = cfg.grad_shards.max(1).min(batch_labels.len());
-            let (l_loss, e_loss, c_loss) = if shards <= 1 {
-                // Exact legacy path: one forward/backward on the master.
-                let logits = model.forward(&batch_views, Mode::Train)?;
-                let local = loss_fn.forward(&logits.local, &batch_labels)?;
-                let cloud = loss_fn.forward(&logits.cloud, &batch_labels)?;
-                let edge =
-                    logits.edge.as_ref().map(|e| loss_fn.forward(e, &batch_labels)).transpose()?;
-                let grads = ExitGrads {
-                    local: local.grad.scale(w_local),
-                    edge: edge.as_ref().map(|e| e.grad.scale(w_edge)),
-                    cloud: cloud.grad.scale(w_cloud),
-                };
-                model.backward(&grads)?;
-                (local.loss, edge.as_ref().map_or(0.0, |e| e.loss), cloud.loss)
-            } else {
-                sharded_batch(
-                    model,
-                    &batch_views,
-                    &batch_labels,
-                    shards,
-                    &loss_fn,
-                    (w_local, w_edge, w_cloud),
-                )?
+            let logits = model.forward(&batch_views, Mode::Train)?;
+            let local = loss_fn.forward(&logits.local, &batch_labels)?;
+            let cloud = loss_fn.forward(&logits.cloud, &batch_labels)?;
+            let edge =
+                logits.edge.as_ref().map(|e| loss_fn.forward(e, &batch_labels)).transpose()?;
+            let grads = ExitGrads {
+                local: local.grad.scale(w_local),
+                edge: edge.as_ref().map(|e| e.grad.scale(w_edge)),
+                cloud: cloud.grad.scale(w_cloud),
             };
+            model.backward(&grads)?;
+            let (l_loss, e_loss, c_loss) =
+                (local.loss, edge.as_ref().map_or(0.0, |e| e.loss), cloud.loss);
             opt.step(&mut model.params_mut());
 
             sums.0 += w_local * l_loss + w_edge * e_loss + w_cloud * c_loss;
@@ -187,85 +160,6 @@ pub fn train(
         model.refresh_batch_norm_stats(views, cfg.batch_size, cfg.stat_refresh_passes)?;
     }
     Ok(report)
-}
-
-/// Runs one mini-batch as `shards` data-parallel forward/backward passes on
-/// deep copies of the master model and reduces the shard gradients into the
-/// master. Returns the batch-mean `(local, edge, cloud)` losses.
-///
-/// Determinism contract: shard boundaries are a fixed function of the batch
-/// size and `shards`; each shard's computation is the ordinary serial path
-/// on its own model copy; and the reduction walks shards in index order on
-/// the calling thread. The result is bit-identical for any `DDNN_THREADS`.
-fn sharded_batch(
-    model: &mut Ddnn,
-    batch_views: &[Tensor],
-    batch_labels: &[usize],
-    shards: usize,
-    loss_fn: &SoftmaxCrossEntropy,
-    (w_local, w_edge, w_cloud): (f32, f32, f32),
-) -> Result<(f32, f32, f32)> {
-    let n = batch_labels.len();
-    let per = n.div_ceil(shards);
-    let ranges: Vec<(usize, usize)> =
-        (0..shards).map(|s| (s * per, ((s + 1) * per).min(n))).filter(|(a, b)| a < b).collect();
-    let snapshot: &Ddnn = model;
-    // A forward and a backward pass over the whole batch; the device
-    // sections alone (a lower bound) already place a real batch far above
-    // the pool's cut-off.
-    let work = 3 * snapshot.device_work(n);
-    let shard_runs = parallel::par_map_indexed(ranges.len(), work, |si| {
-        let (start, end) = ranges[si];
-        let idx: Vec<usize> = (start..end).collect();
-        let shard_views: Vec<Tensor> =
-            batch_views.iter().map(|v| v.select_axis0(&idx)).collect::<Result<_>>()?;
-        let shard_labels = &batch_labels[start..end];
-        let mut shard = snapshot.clone();
-        let logits = shard.forward(&shard_views, Mode::Train)?;
-        let local = loss_fn.forward(&logits.local, shard_labels)?;
-        let cloud = loss_fn.forward(&logits.cloud, shard_labels)?;
-        let edge = logits.edge.as_ref().map(|e| loss_fn.forward(e, shard_labels)).transpose()?;
-        let grads = ExitGrads {
-            local: local.grad.scale(w_local),
-            edge: edge.as_ref().map(|e| e.grad.scale(w_edge)),
-            cloud: cloud.grad.scale(w_cloud),
-        };
-        shard.backward(&grads)?;
-        Ok::<_, TensorError>((shard, local.loss, edge.as_ref().map_or(0.0, |e| e.loss), cloud.loss))
-    });
-
-    // Fixed-order weighted reduce on the calling thread. The per-sample
-    // loss-gradient scale is 1/(shard_n·norm), so weighting by
-    // shard_n/total_n restores the full-batch 1/(total_n·norm) scaling.
-    let total = n as f32;
-    let mut losses = (0.0f32, 0.0f32, 0.0f32);
-    let mut shard_models: Vec<Ddnn> = Vec::with_capacity(ranges.len());
-    for (run, &(start, end)) in shard_runs.into_iter().zip(&ranges) {
-        let (shard, l, e, c) = run?;
-        let w = (end - start) as f32 / total;
-        losses.0 += w * l;
-        losses.1 += w * e;
-        losses.2 += w * c;
-        shard_models.push(shard);
-    }
-    for (si, shard) in shard_models.iter_mut().enumerate() {
-        let (start, end) = ranges[si];
-        let w = (end - start) as f32 / total;
-        for (mp, sp) in model.params_mut().into_iter().zip(shard.params_mut()) {
-            mp.grad.add_assign(&sp.grad.scale(w))?;
-        }
-    }
-    // Batch-norm running statistics cannot be meaningfully averaged across
-    // shards mid-EMA; adopt shard 0's (the post-training
-    // `refresh_batch_norm_stats` pass recomputes them from the final
-    // weights anyway).
-    if let Some(first) = shard_models.first_mut() {
-        let states: Vec<Vec<f32>> = first.blocks_mut().iter().map(|b| b.extra_state()).collect();
-        for (block, state) in model.blocks_mut().into_iter().zip(states) {
-            block.load_extra_state(&state)?;
-        }
-    }
-    Ok(losses)
 }
 
 #[cfg(test)]
@@ -369,69 +263,6 @@ mod tests {
             "joint training should improve local loss at least as much \
              (joint {local_drop_joint} vs zero-weight {local_drop_zero})"
         );
-    }
-
-    #[test]
-    fn sharded_training_is_reproducible_and_learns() {
-        let (views, labels) = toy_data(24, 5);
-        let cfg = TrainConfig {
-            epochs: 6,
-            batch_size: 12,
-            grad_shards: 3,
-            stat_refresh_passes: 1,
-            ..TrainConfig::default()
-        };
-        let mut a = small_model();
-        let ra = train(&mut a, &views, &labels, &cfg).unwrap();
-        let mut b = small_model();
-        let rb = train(&mut b, &views, &labels, &cfg).unwrap();
-        // Bit-identical loss curves and final weights across runs: the
-        // shard decomposition and reduction order are fixed.
-        assert_eq!(ra.epochs, rb.epochs);
-        let oa = a.forward(&views, Mode::Eval).unwrap();
-        let ob = b.forward(&views, Mode::Eval).unwrap();
-        assert_eq!(oa.cloud, ob.cloud);
-        assert!(ra.final_loss().is_finite());
-        assert!(
-            ra.final_loss() < ra.epochs[0].loss,
-            "sharded loss did not decrease: {} -> {}",
-            ra.epochs[0].loss,
-            ra.final_loss()
-        );
-    }
-
-    #[test]
-    fn shard_count_above_batch_size_is_clamped() {
-        let (views, labels) = toy_data(8, 6);
-        let mut model = small_model();
-        let cfg = TrainConfig {
-            epochs: 1,
-            batch_size: 4,
-            grad_shards: 64,
-            stat_refresh_passes: 0,
-            ..TrainConfig::default()
-        };
-        let report = train(&mut model, &views, &labels, &cfg).unwrap();
-        assert!(report.final_loss().is_finite());
-    }
-
-    #[test]
-    fn single_shard_matches_legacy_path_exactly() {
-        // grad_shards = 1 must take the identical code path (and produce
-        // identical bytes) as the pre-sharding trainer.
-        let (views, labels) = toy_data(12, 7);
-        let cfg1 = TrainConfig {
-            epochs: 3,
-            batch_size: 6,
-            stat_refresh_passes: 0,
-            ..TrainConfig::default()
-        };
-        let cfg2 = TrainConfig { grad_shards: 1, ..cfg1.clone() };
-        let mut a = small_model();
-        let ra = train(&mut a, &views, &labels, &cfg1).unwrap();
-        let mut b = small_model();
-        let rb = train(&mut b, &views, &labels, &cfg2).unwrap();
-        assert_eq!(ra.epochs, rb.epochs);
     }
 
     #[test]

@@ -247,8 +247,8 @@ fn training_and_inference_are_invariant_to_thread_count() {
     // it stays self-contained within this process.
     use ddnn_core::{train, Ddnn, TrainConfig};
     // The paper's device tier (six devices, four filters): at batch 4 its
-    // sections are 2.7e6 MACs, enough to clear the pool's cut-off, so the
-    // 4-thread run really does fan out — sections and gradient shards.
+    // sections are 2.7e6 MACs, enough to clear the pool's cut-off
+    // (`MIN_PAR_WORK`), so the 4-thread run really does fan out.
     let run = || {
         let mut rng = rng_from_seed(31);
         let views: Vec<Tensor> =
@@ -258,7 +258,6 @@ fn training_and_inference_are_invariant_to_thread_count() {
         let cfg = TrainConfig {
             epochs: 2,
             batch_size: 4,
-            grad_shards: 2,
             stat_refresh_passes: 1,
             ..TrainConfig::default()
         };

@@ -1,5 +1,4 @@
-//! Activation layers: binary sign (with straight-through estimator) and
-//! ReLU (used by the float ablation baseline).
+//! The binary sign activation, with its straight-through estimator.
 
 use crate::layer::{Layer, Mode};
 use ddnn_tensor::{Result, Tensor, TensorError};
@@ -43,41 +42,6 @@ impl Layer for BinaryActivation {
     }
 }
 
-/// Rectified linear unit `y = max(0, x)`.
-///
-/// Not used by the paper's binary blocks; provided for the mixed-precision
-/// cloud ablation (paper §VI future work) and float baselines.
-#[derive(Debug, Clone, Default)]
-pub struct Relu {
-    cached_input: Option<Tensor>,
-}
-
-impl Relu {
-    /// Creates a ReLU layer.
-    pub fn new() -> Self {
-        Relu { cached_input: None }
-    }
-}
-
-impl Layer for Relu {
-    fn forward(&mut self, input: &Tensor, _mode: Mode) -> Result<Tensor> {
-        self.cached_input = Some(input.clone());
-        Ok(input.map(|x| x.max(0.0)))
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let input = self
-            .cached_input
-            .as_ref()
-            .ok_or(TensorError::Empty { op: "relu.backward before forward" })?;
-        grad_output.zip(input, |g, x| if x > 0.0 { g } else { 0.0 })
-    }
-
-    fn describe(&self) -> String {
-        "relu".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,19 +71,8 @@ mod tests {
     }
 
     #[test]
-    fn relu_forward_backward() {
-        let mut relu = Relu::new();
-        let x = Tensor::from_vec(vec![-1.0, 0.0, 2.0], [3]).unwrap();
-        let y = relu.forward(&x, Mode::Train).unwrap();
-        assert_eq!(y.data(), &[0.0, 0.0, 2.0]);
-        let gin = relu.backward(&Tensor::ones([3])).unwrap();
-        assert_eq!(gin.data(), &[0.0, 0.0, 1.0]);
-    }
-
-    #[test]
-    fn activations_have_no_params() {
+    fn activation_has_no_params() {
         assert_eq!(BinaryActivation::new().param_count(), 0);
-        assert_eq!(Relu::new().param_count(), 0);
     }
 
     #[test]

@@ -18,12 +18,6 @@ pub fn glorot_uniform(
     Tensor::rand_uniform(shape, -a, a, rng)
 }
 
-/// He/Kaiming normal initialization: `N(0, sqrt(2 / fan_in)²)`.
-pub fn he_normal(shape: impl Into<Shape>, fan_in: usize, rng: &mut impl Rng) -> Tensor {
-    let std = (2.0 / fan_in.max(1) as f32).sqrt();
-    Tensor::randn(shape, std, rng)
-}
-
 /// Fan-in/fan-out for a linear layer of shape `(out, in)`.
 pub fn linear_fans(in_features: usize, out_features: usize) -> (usize, usize) {
     (in_features, out_features)
@@ -46,14 +40,6 @@ mod tests {
         let a = (6.0f32 / 150.0).sqrt();
         assert!(t.max().unwrap() <= a);
         assert!(t.min().unwrap() >= -a);
-    }
-
-    #[test]
-    fn he_normal_scale() {
-        let mut rng = rng_from_seed(2);
-        let t = he_normal([200, 50], 50, &mut rng);
-        let var = t.map(|x| x * x).mean();
-        assert!((var - 2.0 / 50.0).abs() < 0.01, "var={var}");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Neural-network layer library for DDNN-RS: explicit forward/backward
 //! layers (Caffe style), BinaryConnect-binarized weights, the
 //! straight-through binary activation, batch normalization, softmax
-//! cross-entropy, and the Adam/SGD optimizers — everything needed to train
+//! cross-entropy, and the Adam optimizer — everything needed to train
 //! the paper's fused binary FC and ConvP blocks from scratch on a CPU.
 //!
 //! The trait of interest is [`Layer`]; every layer caches its own forward
@@ -45,13 +45,11 @@ mod layer;
 mod linear;
 mod loss;
 mod optim;
-mod sequential;
 
-pub use activation::{BinaryActivation, Relu};
+pub use activation::BinaryActivation;
 pub use batchnorm::BatchNorm;
 pub use conv_layer::{Conv2d, MaxPool2d};
 pub use layer::{Layer, Mode, Param};
 pub use linear::{binarize, Linear};
 pub use loss::{LossOutput, SoftmaxCrossEntropy};
-pub use optim::{Adam, Optimizer, Sgd};
-pub use sequential::Sequential;
+pub use optim::{Adam, Optimizer};

@@ -1,4 +1,4 @@
-//! Optimizers: Adam (the paper's choice) and SGD (baseline).
+//! The optimizer: Adam, the paper's choice.
 
 use crate::layer::Param;
 
@@ -20,45 +20,6 @@ pub trait Optimizer {
 fn apply_clip(p: &mut Param) {
     if let Some((lo, hi)) = p.clip {
         p.value.map_in_place(|x| x.clamp(lo, hi));
-    }
-}
-
-/// Plain stochastic gradient descent with optional momentum.
-#[derive(Debug)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-    /// Momentum coefficient (0 disables momentum).
-    pub momentum: f32,
-    velocity: Vec<Vec<f32>>,
-}
-
-impl Sgd {
-    /// Creates plain SGD with the given learning rate (no momentum).
-    pub fn new(lr: f32) -> Self {
-        Sgd { lr, momentum: 0.0, velocity: Vec::new() }
-    }
-
-    /// Creates SGD with momentum.
-    pub fn with_momentum(lr: f32, momentum: f32) -> Self {
-        Sgd { lr, momentum, velocity: Vec::new() }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut [&mut Param]) {
-        if self.velocity.is_empty() {
-            self.velocity = params.iter().map(|p| vec![0.0; p.value.len()]).collect();
-        }
-        assert_eq!(self.velocity.len(), params.len(), "parameter set changed between steps");
-        for (p, v) in params.iter_mut().zip(&mut self.velocity) {
-            for ((x, &g), vi) in p.value.data_mut().iter_mut().zip(p.grad.data()).zip(v.iter_mut())
-            {
-                *vi = self.momentum * *vi - self.lr * g;
-                *x += *vi;
-            }
-            apply_clip(p);
-        }
     }
 }
 
@@ -134,28 +95,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_descends_quadratic() {
-        let mut p = Param::new("x", Tensor::from_vec(vec![1.0, -2.0], [2]).unwrap());
-        let mut opt = Sgd::new(0.1);
-        for _ in 0..100 {
-            quadratic_grad(&mut p);
-            opt.step(&mut [&mut p]);
-        }
-        assert!(p.value.norm_sq() < 1e-6);
-    }
-
-    #[test]
-    fn sgd_momentum_descends() {
-        let mut p = Param::new("x", Tensor::from_vec(vec![3.0], [1]).unwrap());
-        let mut opt = Sgd::with_momentum(0.05, 0.9);
-        for _ in 0..200 {
-            quadratic_grad(&mut p);
-            opt.step(&mut [&mut p]);
-        }
-        assert!(p.value.norm_sq() < 1e-4, "{:?}", p.value);
-    }
-
-    #[test]
     fn adam_descends_quadratic() {
         let mut p = Param::new("x", Tensor::from_vec(vec![5.0, -5.0], [2]).unwrap());
         let mut opt = Adam::with_lr(0.05);
@@ -189,7 +128,7 @@ mod tests {
     fn clip_is_applied_after_step() {
         let mut p = Param::with_clip("w", Tensor::from_vec(vec![0.99], [1]).unwrap(), -1.0, 1.0);
         p.grad = Tensor::from_vec(vec![-100.0], [1]).unwrap();
-        let mut opt = Sgd::new(1.0);
+        let mut opt = Adam::with_lr(1.0); // the first step moves by lr
         opt.step(&mut [&mut p]);
         assert_eq!(p.value.data()[0], 1.0);
     }

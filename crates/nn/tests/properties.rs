@@ -122,11 +122,11 @@ proptest! {
     }
 
     #[test]
-    fn optimizer_with_zero_grads_is_identity_for_sgd(seed in 0u64..50) {
+    fn adam_with_zero_grads_is_the_identity(seed in 0u64..50) {
         let mut rng = rng_from_seed(seed);
         let mut p = Param::new("w", Tensor::rand_uniform([6], -1.0, 1.0, &mut rng));
         let before = p.value.clone();
-        let mut opt = ddnn_nn::Sgd::new(0.5);
+        let mut opt = Adam::with_lr(0.5);
         p.zero_grad();
         opt.step(&mut [&mut p]);
         prop_assert_eq!(p.value, before);

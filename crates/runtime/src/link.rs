@@ -24,7 +24,9 @@ use crate::message::{Frame, NodeId, CHECKED_HEADER_BYTES, HEADER_BYTES};
 use crate::obs::{LinkCounters, ObsEvent, RunObs};
 use crate::reliability::{arq_max_age, ArqRecvState, ArqSendState, ReliabilityMode};
 use crate::topology::HierarchyConfig;
-use crate::transport::{channel_tx, InboxBinding, RedialHandle, TransportHost, TransportTx};
+use crate::transport::{
+    channel_tx, Endpoint, InboxBinding, RedialHandle, TransportHost, TransportTx,
+};
 use crossbeam::channel::{unbounded, Receiver};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -156,6 +158,21 @@ pub struct LinkSender {
 }
 
 impl LinkSender {
+    /// A sender with no fault stream, no ARQ and no tolerance for a
+    /// hung-up receiver.
+    fn plain(tx: Arc<dyn TransportTx>, name: &str, format: WireFormat) -> Self {
+        LinkSender {
+            tx,
+            stats: Arc::new(LinkCounters::default()),
+            name: Arc::from(name),
+            fault: None,
+            lenient: false,
+            format,
+            arq: None,
+            held: Arc::new(Mutex::new(None)),
+        }
+    }
+
     /// Sends a frame, accounting its encoded size. When the run's chaos
     /// plan touches this link the frame may instead be
     /// dropped, duplicated, delayed, damaged (bit flips / truncation) or
@@ -430,22 +447,9 @@ impl NodeInbox {
 /// and the shared counter block (snapshot it for a [`LinkStats`] view).
 pub fn link(name: &str) -> (LinkSender, LinkReceiver, Arc<LinkCounters>) {
     let (tx, rx) = unbounded();
-    let stats = Arc::new(LinkCounters::default());
-    let name: Arc<str> = Arc::from(name);
-    (
-        LinkSender {
-            tx: channel_tx(tx),
-            stats: Arc::clone(&stats),
-            name: Arc::clone(&name),
-            fault: None,
-            lenient: false,
-            format: WireFormat::Legacy,
-            arq: None,
-            held: Arc::new(Mutex::new(None)),
-        },
-        LinkReceiver { rx, name },
-        stats,
-    )
+    let sender = LinkSender::plain(channel_tx(tx), name, WireFormat::Legacy);
+    let (stats, name) = (Arc::clone(&sender.stats), Arc::clone(&sender.name));
+    (sender, LinkReceiver { rx, name }, stats)
 }
 
 /// Builds every inbox and sender of a run over one dataplane, with one
@@ -494,10 +498,16 @@ impl<'a> LinkFactory<'a> {
         }
     }
 
-    /// A cloneable handle that can re-point this factory's named senders
-    /// at new socket addresses after a peer respawns.
+    /// A cloneable handle that can re-point this factory's senders at a
+    /// respawned peer host's new address.
     pub(crate) fn redial_handle(&self) -> RedialHandle {
         self.transport.redial_handle()
+    }
+
+    /// Where this process's inboxes are reached — what it advertises once
+    /// every name it answers to is bound.
+    pub(crate) fn endpoint(&self) -> Endpoint {
+        self.transport.endpoint()
     }
 
     /// The wire format every inbox of this run decodes.
@@ -509,30 +519,40 @@ impl<'a> LinkFactory<'a> {
         }
     }
 
-    /// Wraps a receiver in a [`NodeInbox`] speaking the run's format.
-    fn make_inbox(&self, rx: LinkReceiver) -> NodeInbox {
-        NodeInbox::with_format(rx, self.wire_format(), Arc::clone(&self.obs))
-    }
-
-    /// Binds a named node inbox on the run's transport. Senders attach to
-    /// the returned [`InboxBinding`]; socket bindings carry a real
-    /// `127.0.0.1` address that other processes can connect to.
+    /// Binds a named node inbox on this process's endpoint.
     ///
     /// # Errors
     ///
     /// Returns [`RuntimeError::Transport`] when a socket bind fails.
-    pub(crate) fn inbox(&mut self, name: &str) -> Result<(InboxBinding, NodeInbox)> {
-        let (binding, rx) = self.transport.bind(name)?;
+    pub(crate) fn inbox(&mut self, name: &str) -> Result<NodeInbox> {
+        let rx = self.transport.bind(name)?;
         let receiver = LinkReceiver { rx, name: Arc::from(name) };
-        Ok((binding, self.make_inbox(receiver)))
+        Ok(NodeInbox::with_format(receiver, self.wire_format(), Arc::clone(&self.obs)))
+    }
+
+    /// Binds the reverse ack inbox (`ack:{link}`) of an ARQ link this
+    /// process sends on.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RuntimeError::Transport`] when a socket bind fails.
+    pub(crate) fn ack_inbox(&mut self, link: &str) -> Result<Receiver<bytes::Bytes>> {
+        self.transport.bind(&format!("ack:{link}"))
+    }
+
+    /// Fresh counter cells for the link `name`, registered with the run.
+    pub(crate) fn cells(&self, name: &str) -> Arc<LinkCounters> {
+        let stats = Arc::new(LinkCounters::default());
+        self.obs.registry().register_link(name, Arc::clone(&stats));
+        stats
     }
 
     /// Creates an instrumented sender into the inbox at `to`, named
-    /// `name`. When the link runs ARQ, the reverse ack inbox is bound on
-    /// this factory's transport and its binding returned, so the receiving
-    /// end — in this process ([`recv_state`](LinkFactory::recv_state)) or
-    /// another ([`remote_recv_state`](LinkFactory::remote_recv_state)) —
-    /// can construct the matching receive state against it.
+    /// `name` and counting into `stats`. The link runs ARQ when it is
+    /// given its [`ack_inbox`](LinkFactory::ack_inbox): the receiving end
+    /// — in this process or another — builds the matching
+    /// [`recv_state`](LinkFactory::recv_state) against that name on this
+    /// process's endpoint.
     ///
     /// ARQ links get three derived chaos streams: the primary (`name`),
     /// the retransmit path (`retx:name`, sharing the sending node's crash
@@ -542,20 +562,18 @@ impl<'a> LinkFactory<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError::Transport`] when a socket connect or the
-    /// ARQ ack-path bind fails.
-    pub(crate) fn sender_with_ack_inbox(
+    /// Returns [`RuntimeError::Transport`] when the socket connect fails.
+    pub(crate) fn sender(
         &mut self,
         to: &InboxBinding,
         name: &str,
         crash: Option<Arc<CrashState>>,
-    ) -> Result<(LinkSender, Arc<LinkCounters>, Option<InboxBinding>)> {
-        let stats = Arc::new(LinkCounters::default());
-        self.obs.registry().register_link(name, Arc::clone(&stats));
+        stats: Arc<LinkCounters>,
+        ack_rx: Option<Receiver<bytes::Bytes>>,
+    ) -> Result<LinkSender> {
         let fault = self.plan.link_chaos(name, crash.clone());
-        let data_tx = self.transport.connect(to, name, self.plan.socket_chaos(name))?;
-        let (arq, ack_binding) = if self.mode == ReliabilityMode::Arq {
-            let (ack_binding, ack_rx) = self.transport.bind(&format!("ack:{name}"))?;
+        let data_tx = self.transport.connect(to, self.plan.socket_chaos(name))?;
+        let arq = ack_rx.map(|ack_rx| {
             let retx_fault = self.plan.link_chaos(&format!("retx:{name}"), crash);
             let send_state = Arc::new(
                 ArqSendState::new(
@@ -571,51 +589,26 @@ impl<'a> LinkFactory<'a> {
                 .with_tseq_base(self.tseq_base),
             );
             self.arq_states.push(Arc::clone(&send_state));
-            (Some(send_state), Some(ack_binding))
-        } else {
-            (None, None)
-        };
-        let sender = LinkSender {
-            tx: data_tx,
-            stats: Arc::clone(&stats),
-            name: Arc::from(name),
-            fault,
-            lenient: self.tolerant,
-            format: self.wire_format(),
-            arq,
-            held: Arc::new(Mutex::new(None)),
-        };
-        Ok((sender, stats, ack_binding))
+            send_state
+        });
+        let plain = LinkSender::plain(data_tx, name, self.wire_format());
+        Ok(LinkSender { stats, fault, lenient: self.tolerant, arq, ..plain })
     }
 
-    /// The receiver-side ARQ state of one inbound link whose sender
-    /// advertised `ack_binding`, pricing delivered acks into `stats` —
-    /// the sender's own cells when both ends share a process.
+    /// The receiver-side ARQ state of the inbound link `name`, acking into
+    /// the sender's `ack` inbox and pricing delivered acks into `stats` —
+    /// the sender's own cells when both ends share a process, cells of
+    /// this process (which only ever books `ack_bytes` on them) otherwise.
     pub(crate) fn recv_state(
         &mut self,
-        ack_binding: &InboxBinding,
+        ack: &InboxBinding,
         name: &str,
         stats: Arc<LinkCounters>,
     ) -> Result<ArqRecvState> {
         let ack_name = format!("ack:{name}");
         let ack_fault = self.plan.link_chaos(&ack_name, None);
-        let ack_tx =
-            self.transport.connect(ack_binding, &ack_name, self.plan.socket_chaos(&ack_name))?;
+        let ack_tx = self.transport.connect(ack, self.plan.socket_chaos(&ack_name))?;
         Ok(ArqRecvState::new(ack_tx, stats, ack_fault, Arc::clone(&self.obs), Arc::from(name)))
-    }
-
-    /// The receiver-process half of a split ARQ link: fresh counter cells
-    /// (this process only ever books `ack_bytes` on them) plus the recv
-    /// state wired to the sender process's advertised ack inbox.
-    pub(crate) fn remote_recv_state(
-        &mut self,
-        ack_binding: &InboxBinding,
-        name: &str,
-    ) -> Result<(ArqRecvState, Arc<LinkCounters>)> {
-        let stats = Arc::new(LinkCounters::default());
-        self.obs.registry().register_link(name, Arc::clone(&stats));
-        let recv = self.recv_state(ack_binding, name, Arc::clone(&stats))?;
-        Ok((recv, stats))
     }
 
     /// An uninstrumented, chaos-exempt sender in the run's wire format —
@@ -627,16 +620,7 @@ impl<'a> LinkFactory<'a> {
     ///
     /// Returns [`RuntimeError::Transport`] when a socket connect fails.
     pub(crate) fn shutdown_sender(&self, to: &InboxBinding, name: &str) -> Result<LinkSender> {
-        Ok(LinkSender {
-            tx: self.transport.connect(to, name, None)?,
-            stats: Arc::new(LinkCounters::default()),
-            name: Arc::from(name),
-            fault: None,
-            lenient: false,
-            format: self.wire_format(),
-            arq: None,
-            held: Arc::new(Mutex::new(None)),
-        })
+        Ok(LinkSender::plain(self.transport.connect(to, None)?, name, self.wire_format()))
     }
 
     /// Stops and joins the dataplane's socket reader threads. Also runs

@@ -10,26 +10,19 @@ use crate::node::report::NodeReport;
 use std::collections::HashMap;
 use std::time::Instant;
 
-/// Completion policy of a [`Collector`].
-pub(crate) enum AggPolicy {
-    /// Paper-exact static fault model: the live set is known a priori and
-    /// the node waits indefinitely for all of its members.
-    Static {
-        /// Number of sources that will actually send.
-        required: usize,
-    },
-    /// Dynamic graceful degradation: wait for every source up to a
-    /// per-sample deadline, then substitute blanks. Sources missing
-    /// `suspect_after` consecutive deadlines are presumed dead and no
-    /// longer waited for; they revive on their next frame.
-    Deadline {
-        /// Per-sample aggregation deadline (ms).
-        aggregation_ms: u64,
-        /// Consecutive misses before a source is presumed dead.
-        suspect_after: u32,
-        /// Clock the deadlines are computed against.
-        clock: SimClock,
-    },
+/// Dynamic graceful degradation of a [`Collector`]: wait for every source
+/// up to a per-sample deadline, then substitute blanks. Sources missing
+/// `suspect_after` consecutive deadlines are presumed dead and no longer
+/// waited for; they revive on their next frame. A collector without one
+/// waits indefinitely — the paper-exact static fault model, where the
+/// only silent sources are the a priori failed devices.
+pub(crate) struct AggDeadline {
+    /// Per-sample aggregation deadline (ms).
+    pub(crate) aggregation_ms: u64,
+    /// Consecutive misses before a source is presumed dead.
+    pub(crate) suspect_after: u32,
+    /// Clock the deadlines are computed against.
+    pub(crate) clock: SimClock,
 }
 
 /// One sample's partially gathered contributions.
@@ -64,19 +57,24 @@ pub(crate) enum Ingest<T> {
 }
 
 /// Gathers one contribution per source for each sample, substituting the
-/// source's blank signature when its contribution misses the deadline (or,
-/// statically, when the source is a priori failed). Completed samples are
+/// source's blank signature when its contribution misses the deadline or
+/// the source is an a priori failed device. Completed samples are
 /// guarded by a watermark so late duplicates can never re-open a pending
 /// entry (the pending-map leak), and stale partials are garbage-collected.
 pub(crate) struct Collector<T> {
     num_sources: usize,
     blanks: Vec<T>,
-    policy: AggPolicy,
+    deadline: Option<AggDeadline>,
     /// Source index → device index (`None` when the source is not an end
     /// device, e.g. a tier feeding the next tier).
     device_of_source: Vec<Option<usize>>,
+    /// Per device: not failed before the run began. A failed device's
+    /// source is never waited for, never charged a timeout, never counted
+    /// as degradation and never revived — the paper's §IV-G substitution,
+    /// whether or not the run has deadlines.
+    live_devices: Vec<bool>,
     pending: HashMap<u64, PendingSample<T>>,
-    /// Consecutive deadline misses per source (dynamic mode only).
+    /// Consecutive deadline misses per source.
     misses: Vec<u32>,
     /// Total deadline substitutions per source.
     timeouts: Vec<usize>,
@@ -93,14 +91,16 @@ impl<T: Clone> Collector<T> {
     pub(crate) fn new(
         num_sources: usize,
         blanks: Vec<T>,
-        policy: AggPolicy,
+        deadline: Option<AggDeadline>,
         device_of_source: Vec<Option<usize>>,
+        live_devices: Vec<bool>,
     ) -> Self {
         Collector {
             num_sources,
             blanks,
-            policy,
+            deadline,
             device_of_source,
+            live_devices,
             pending: HashMap::new(),
             misses: vec![0; num_sources],
             timeouts: vec![0; num_sources],
@@ -120,6 +120,11 @@ impl<T: Clone> Collector<T> {
             let w = floor - 1;
             self.watermark = Some(self.watermark.map_or(w, |cur| cur.max(w)));
         }
+    }
+
+    /// Whether `source` is a device that failed before the run began.
+    fn failed(&self, source: usize) -> bool {
+        self.device_of_source[source].is_some_and(|d| !self.live_devices[d])
     }
 
     /// Marks a source as known-dead: the collector stops waiting for it
@@ -174,39 +179,25 @@ impl<T: Clone> Collector<T> {
     /// under deadline degradation treat this as a degraded sample rather
     /// than aborting the node.
     pub(crate) fn insert(&mut self, seq: u64, source: usize, item: T) -> Result<Ingest<T>> {
-        if matches!(self.policy, AggPolicy::Deadline { .. }) {
-            // Any frame proves the source is alive, whatever its sample.
-            self.misses[source] = 0;
-        }
+        // Any frame proves the source is alive, whatever its sample.
+        self.misses[source] = 0;
         match self.watermark {
             Some(w) if seq < w => return Ok(Ingest::Stale),
             Some(w) if seq == w => return Ok(Ingest::Replay { seq }),
             _ => {}
         }
-        let deadline = match &self.policy {
-            AggPolicy::Static { .. } => None,
-            AggPolicy::Deadline { aggregation_ms, clock, .. } => {
-                Some(clock.deadline_in(*aggregation_ms))
-            }
-        };
+        let deadline = self.deadline.as_ref().map(|d| d.clock.deadline_in(d.aggregation_ms));
         let entry = self
             .pending
             .entry(seq)
             .or_insert_with(|| PendingSample { slots: vec![None; self.num_sources], deadline });
         entry.slots[source] = Some(item);
-        let done = {
-            let entry = &self.pending[&seq];
-            match &self.policy {
-                AggPolicy::Static { required } => {
-                    entry.slots.iter().filter(|s| s.is_some()).count() >= *required
-                }
-                AggPolicy::Deadline { suspect_after, .. } => entry
-                    .slots
-                    .iter()
-                    .enumerate()
-                    .all(|(s, slot)| slot.is_some() || self.misses[s] >= *suspect_after),
-            }
-        };
+        // Complete once every source that is still waited for has sent.
+        let suspect_after = self.deadline.as_ref().map_or(u32::MAX, |d| d.suspect_after);
+        let done =
+            self.pending[&seq].slots.iter().enumerate().all(|(s, slot)| {
+                slot.is_some() || self.failed(s) || self.misses[s] >= suspect_after
+            });
         if done {
             let (seq, items, substituted) = self.finalize(seq)?;
             Ok(Ingest::Complete { seq, items, substituted })
@@ -242,11 +233,11 @@ impl<T: Clone> Collector<T> {
 
     /// Removes `seq` from pending, substitutes blanks for missing slots,
     /// advances the watermark and garbage-collects stale partials. The third
-    /// element of the result counts substituted slots (static and dynamic
-    /// alike) so aggregation events can report degradation honestly.
+    /// element of the result counts substituted slots (a priori failed
+    /// devices and deadline misses alike) so aggregation events can report
+    /// every blank; only the misses are charged as timeouts and degradation.
     fn finalize(&mut self, seq: u64) -> Result<(u64, Vec<T>, usize)> {
         let entry = self.pending.remove(&seq).ok_or(RuntimeError::Collector { seq })?;
-        let dynamic = matches!(self.policy, AggPolicy::Deadline { .. });
         let mut items = Vec::with_capacity(self.num_sources);
         let mut substituted = 0usize;
         let mut missing_any = false;
@@ -256,7 +247,7 @@ impl<T: Clone> Collector<T> {
                 None => {
                     items.push(self.blanks[s].clone());
                     substituted += 1;
-                    if dynamic {
+                    if !self.failed(s) {
                         self.timeouts[s] += 1;
                         self.misses[s] = self.misses[s].saturating_add(1);
                         missing_any = true;
@@ -303,26 +294,33 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn static_collector(k: usize) -> Collector<u32> {
+    /// Far enough out never to expire in-test.
+    fn far_deadline() -> Option<AggDeadline> {
+        Some(AggDeadline {
+            aggregation_ms: 60_000,
+            suspect_after: u32::MAX,
+            clock: SimClock::start(),
+        })
+    }
+
+    /// `k` device sources with blanks `1000 + s`, the `failed` ones dead
+    /// before the run.
+    fn collector(k: usize, deadline: Option<AggDeadline>, failed: &[usize]) -> Collector<u32> {
         Collector::new(
             k,
             (0..k).map(|s| 1000 + s as u32).collect(),
-            AggPolicy::Static { required: k },
+            deadline,
             (0..k).map(Some).collect(),
+            (0..k).map(|d| !failed.contains(&d)).collect(),
         )
     }
 
+    fn static_collector(k: usize) -> Collector<u32> {
+        collector(k, None, &[])
+    }
+
     fn deadline_collector(k: usize) -> Collector<u32> {
-        Collector::new(
-            k,
-            (0..k).map(|s| 1000 + s as u32).collect(),
-            AggPolicy::Deadline {
-                aggregation_ms: 60_000, // far enough out never to expire in-test
-                suspect_after: u32::MAX,
-                clock: SimClock::start(),
-            },
-            (0..k).map(Some).collect(),
-        )
+        collector(k, far_deadline(), &[])
     }
 
     /// Deterministic Fisher–Yates permutation of `0..k` from a seed (a
@@ -407,28 +405,26 @@ mod tests {
     }
 
     #[test]
-    fn static_policy_substitutes_blanks_for_a_priori_failed_sources() {
-        // 3 sources, one (index 1) known-dead: required = 2.
-        let mut c = Collector::new(
-            3,
-            vec![100, 101, 102],
-            AggPolicy::Static { required: 2 },
-            (0..3).map(Some).collect(),
-        );
-        assert!(matches!(c.insert(0, 0, 7).unwrap(), Ingest::Pending));
-        match c.insert(0, 2, 9).unwrap() {
-            Ingest::Complete { seq, items, substituted } => {
-                assert_eq!(seq, 0);
-                assert_eq!(items, vec![7, 101, 9]); // blank substituted in place
-                assert_eq!(substituted, 1, "the a priori dead source counts");
+    fn a_priori_failed_sources_are_blanked_without_waiting_or_charging() {
+        // 3 sources, one (index 1) dead before the run — with and without
+        // a deadline it is never waited for.
+        for deadline in [None, far_deadline()] {
+            let mut c = collector(3, deadline, &[1]);
+            assert!(matches!(c.insert(0, 0, 7).unwrap(), Ingest::Pending));
+            match c.insert(0, 2, 9).unwrap() {
+                Ingest::Complete { seq, items, substituted } => {
+                    assert_eq!(seq, 0);
+                    assert_eq!(items, vec![7, 1001, 9]); // blank substituted in place
+                    assert_eq!(substituted, 1, "the a priori dead source counts");
+                }
+                _ => panic!("second live contribution must complete"),
             }
-            _ => panic!("second live contribution must complete"),
+            // Static substitution is the paper's intended §IV-G behavior,
+            // not dynamic degradation: nothing is reported.
+            let report = c.into_report();
+            assert!(report.device_timeouts.is_empty());
+            assert!(report.degraded.is_empty());
         }
-        // Static substitution is the paper's intended §IV-G behavior, not
-        // dynamic degradation: nothing is reported.
-        let report = c.into_report();
-        assert!(report.device_timeouts.is_empty());
-        assert!(report.degraded.is_empty());
     }
 
     #[test]
@@ -465,16 +461,7 @@ mod tests {
     fn suspect_tier_source_charges_no_device() {
         // Single-tier fan-in: the source maps to no device, so crash
         // substitutions must not leak into the per-device timeout report.
-        let mut c = Collector::new(
-            1,
-            vec![500u32],
-            AggPolicy::Deadline {
-                aggregation_ms: 60_000,
-                suspect_after: u32::MAX,
-                clock: SimClock::start(),
-            },
-            vec![None],
-        );
+        let mut c = Collector::new(1, vec![500u32], far_deadline(), vec![None], vec![true; 3]);
         c.mark_suspect(0);
         // With every source suspect, nothing can arrive to trigger the
         // done-check; the deadline path finalizes instead. Simulate it.

@@ -50,11 +50,15 @@ pub struct SimReport {
     pub outcomes: Vec<SampleOutcome>,
     /// Fraction of samples degraded by *dynamic* faults: finalized with at
     /// least one deadline-driven blank substitution at some tier, or timed
-    /// out entirely. Statically failed devices do not count — their
-    /// substitution is the paper's intended behavior, not degradation.
+    /// out entirely. Statically failed devices
+    /// ([`HierarchyConfig::failed_devices`](crate::HierarchyConfig)) do
+    /// not count, with or without deadlines: nobody waits for them, and
+    /// their substitution is the paper's intended behavior, not
+    /// degradation.
     pub degraded_fraction: f32,
     /// Deadline substitutions charged to each device, summed across the
-    /// aggregation tiers that waited for it.
+    /// aggregation tiers that waited for it (never a statically failed
+    /// device: it is not waited for).
     pub device_timeouts: Vec<usize>,
     /// Capture retransmissions issued by the orchestrator watchdog.
     pub capture_retries: usize,

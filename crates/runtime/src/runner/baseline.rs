@@ -6,7 +6,7 @@
 
 use super::orchestrate::{orchestrate, validate_run, Threads};
 use super::roles::{compute_blanks, spawn_role, RunCtx, Spawn};
-use super::wiring::{connect, Link, Plane, Wiring};
+use super::wiring::{connect_local, Link, Plane, Wiring};
 use crate::chaos::ProcTarget;
 use crate::error::{Result, RuntimeError};
 use crate::message::{quantize_image, Frame, NodeId, Payload};
@@ -62,7 +62,7 @@ pub fn run_cloud_only_baseline(
     let ctx =
         RunCtx { topology: &topology, cfg, live: &live, clock: crate::SimClock::start(), obs };
     let wiring = Wiring::of(&topology, false);
-    let plane = connect(&wiring, &wiring.hosts(), cfg, &ctx.obs, 0, |_, bound| Ok(bound))?;
+    let plane = connect_local(&wiring, cfg, &ctx.obs)?;
     let blanks = compute_blanks(&topology)?;
     let host = |plane: &mut Plane, spawn: &mut Spawn| {
         spawn_role(ProcTarget::Tier(0), &ctx, &blanks, None, plane, spawn)

@@ -47,7 +47,7 @@ use ddnn_tensor::Tensor;
 use orchestrate::{orchestrate, validate_run, Threads};
 use roles::{compute_blanks, spawn_role, ElasticCtx, RunCtx, Spawn};
 use std::sync::Arc;
-use wiring::{connect, Link, Plane, Wiring};
+use wiring::{connect_local, Link, Plane, Wiring};
 
 /// Executes distributed staged inference of a partitioned DDNN over a test
 /// set: `device_views[d]` is device `d`'s per-sample view batch. The
@@ -92,7 +92,7 @@ pub fn run_topology(
 
     // Every role of the wiring is hosted right here, as threads.
     let wiring = Wiring::of(topology, elastic.is_some());
-    let plane = connect(&wiring, &wiring.hosts(), cfg, &ctx.obs, 0, |_, bound| Ok(bound))?;
+    let plane = connect_local(&wiring, cfg, &ctx.obs)?;
 
     let sensors: Vec<_> =
         (0..num_devices).map(|d| plane.sender(Link::Sensor(d))).collect::<Result<_>>()?;

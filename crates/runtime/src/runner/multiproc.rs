@@ -15,20 +15,26 @@
 //! is about *processes*: spawn, the stdio handshake, supervision,
 //! respawn, telemetry lines and the bounded reap.
 //!
-//! The stdio handshake, line oriented and human readable (a role is
-//! spelled `devices`, `gateway` or `tier<k>` everywhere):
+//! Every process has one socket address and every inbox is a name on it
+//! (see [`crate::transport`]); the wiring table, identical in every
+//! process, says which host binds which name. So the stdio handshake —
+//! line oriented and human readable; a host is spelled `orchestrator`,
+//! `devices`, `gateway` or `tier<k>` everywhere — only has to swap one
+//! address per process:
 //!
 //! ```text
 //! launcher -> child   ROLE <role>, manifest, END
-//! child -> launcher   PORT <inbox> <ip:port> ..., BOUND
-//! launcher -> child   ADDR <inbox> <ip:port> ..., SENDERS
-//! child -> launcher   PORT ack:<link> <ip:port> ..., ACKBOUND
-//! launcher -> child   ACK <link> <ip:port> ..., GO
+//! child -> launcher   ADDR <role> <ip:port>
+//! launcher -> child   ADDR <host> <ip:port> for every host, GO
 //! (run: frames flow over TCP/UDP; the child emits HB <n> heartbeat
-//!  lines; the launcher may send REWIRE <link> <ip:port> after a peer
-//!  role respawned at new ports)
+//!  lines; the launcher sends REWIRE <role> <ip:port> after that peer
+//!  role respawned at a new address)
 //! child -> launcher   LINK <name> <9 counters> ..., NODE ... , DONE
 //! ```
+//!
+//! A child binds every name it answers to — its nodes' inboxes and the
+//! `ack:` inbox of every ARQ link it sends — before it prints its `ADDR`
+//! line, so no peer can dial an inbox that is not there yet.
 //!
 //! The launcher is also a *supervisor*: every handshake read is
 //! deadline-bounded, every child's exit status and heartbeat stream are
@@ -39,8 +45,9 @@
 //! degradation as an in-process deadline miss — blank substitution,
 //! forced local exits, typed per-sample timeouts — instead of a hung
 //! pipe read. A respawned role re-handshakes with the same manifest
-//! plus a per-generation `tseq_base`, rebinds fresh ports, and the
-//! survivors are re-pointed at them with `REWIRE` lines.
+//! plus a per-generation `tseq_base` and binds a fresh address; one
+//! `REWIRE` line per surviving role re-points every sender it holds into
+//! the respawned one — data links and ack paths alike.
 //!
 //! Scope: multi-process runs cover the partition-implied topology, in
 //! lockstep or under scheduled arrivals, with or without statically failed
@@ -56,7 +63,7 @@
 
 use super::orchestrate::{host_nodes, live_mask, orchestrate, validate_run, SampleHook};
 use super::roles::{compute_blanks, spawn_role, RunCtx};
-use super::wiring::{connect, Addrs, Host, Link, Phase, Wiring};
+use super::wiring::{connect, Addrs, Host, Link, Wiring};
 use crate::chaos::{ChaosTarget, ProcTarget};
 use crate::clock::SimClock;
 use crate::error::{Result, RuntimeError};
@@ -65,11 +72,12 @@ use crate::message::{Frame, NodeId, Payload};
 use crate::node::report::{NodeReport, SimReport};
 use crate::obs::{LinkCounters, ObsEvent, RunObs};
 use crate::topology::{decode_role_manifest, encode_role_manifest, HierarchyConfig, Topology};
-use crate::transport::{InboxBinding, RedialHandle, TransportConfig};
+use crate::transport::{Endpoint, RedialHandle};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
 use ddnn_core::{Ddnn, DdnnConfig};
 use ddnn_tensor::Tensor;
 use parking_lot::Mutex;
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::SocketAddr;
 use std::path::Path;
@@ -79,7 +87,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Budget for each stdio handshake phase (and the post-run telemetry
+/// Budget for the stdio handshake (and the post-run telemetry
 /// read) before the launcher declares the child hung and kills it.
 /// Generous: debug-build children rebuild the model before answering.
 const PHASE_TIMEOUT: Duration = Duration::from_secs(120);
@@ -117,25 +125,32 @@ fn tseq_base_for(role: ProcTarget, generation: u32) -> Result<u32> {
     })
 }
 
-/// The protocol words of one handshake phase: the prefix a role
-/// advertises its bindings under and the line that ends them, then the
-/// prefix the launcher relays the whole run's bindings under and the line
-/// that ends those.
-fn words(phase: Phase) -> [&'static str; 4] {
-    match phase {
-        Phase::Inboxes => ["PORT ", "BOUND", "ADDR ", "SENDERS"],
-        Phase::Acks => ["PORT ack:", "ACKBOUND", "ACK ", "GO"],
-    }
-}
-
 fn peer_err(endpoint: &str, reason: impl std::fmt::Display) -> RuntimeError {
     RuntimeError::Transport { endpoint: endpoint.to_string(), reason: reason.to_string() }
 }
 
+/// A child's next protocol line, awaited until `deadline` — so a wedged or
+/// dead child becomes a typed [`RuntimeError::Peer`] instead of a hung
+/// pipe read. An `ERROR <msg>` line relays the child's own typed failure.
+fn next_line(
+    lines: &Receiver<String>,
+    role: &str,
+    deadline: Instant,
+    what: &str,
+) -> Result<String> {
+    let gone = |reason: String| RuntimeError::Peer { role: role.to_string(), reason };
+    match lines.recv_deadline(deadline) {
+        Ok(line) => match line.strip_prefix("ERROR ") {
+            Some(msg) => Err(gone(msg.to_string())),
+            None => Ok(line),
+        },
+        Err(RecvTimeoutError::Timeout) => Err(gone(format!("timed out waiting for {what}"))),
+        Err(RecvTimeoutError::Disconnected) => Err(gone(format!("exited before sending {what}"))),
+    }
+}
+
 /// Reads a child's protocol lines until `stop`, feeding every other line
-/// to `f` — bounded by `timeout`, so a wedged or dead child becomes a
-/// typed [`RuntimeError::Peer`] instead of a hung pipe read. An `ERROR
-/// <msg>` line relays the child's own typed failure.
+/// to `f`, within `timeout` overall.
 fn read_lines_until(
     lines: &Receiver<String>,
     role: &str,
@@ -144,46 +159,22 @@ fn read_lines_until(
     mut f: impl FnMut(&str) -> Result<()>,
 ) -> Result<()> {
     let deadline = Instant::now() + timeout;
-    let gone = |reason: String| RuntimeError::Peer { role: role.to_string(), reason };
     loop {
-        match lines.recv_deadline(deadline) {
-            Ok(line) if line == stop => return Ok(()),
-            Ok(line) => match line.strip_prefix("ERROR ") {
-                Some(msg) => return Err(gone(msg.to_string())),
-                None => f(&line)?,
-            },
-            Err(RecvTimeoutError::Timeout) => {
-                return Err(gone(format!("timed out waiting for {stop}")))
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                return Err(gone(format!("exited before sending {stop}")))
-            }
+        let line = next_line(lines, role, deadline, stop)?;
+        if line == stop {
+            return Ok(());
         }
+        f(&line)?;
     }
 }
 
-/// Parses an address-exchange line (`<prefix><key> <ip:port>`).
-fn parse_addr_line<'l>(
-    line: &'l str,
-    prefix: &str,
-    kind: TransportConfig,
-) -> Result<Option<(&'l str, InboxBinding)>> {
-    let Some(rest) = line.strip_prefix(prefix) else {
-        return Ok(None);
-    };
-    let (key, addr) = rest.trim().split_once(' ').ok_or_else(|| RuntimeError::Protocol {
-        reason: format!("malformed address line {line:?}"),
-    })?;
-    let addr = addr.parse().map_err(|_| RuntimeError::Protocol {
-        reason: format!("malformed socket address in {line:?}"),
-    })?;
-    Ok(Some((key, InboxBinding::socket(kind, addr)?)))
-}
-
-/// One address-exchange line per socket binding in `book`, then `end`.
-fn addr_lines(prefix: &str, book: &Addrs, end: &str) -> String {
-    let lines = book.iter().filter_map(|(name, b)| Some(format!("{prefix}{name} {}\n", b.addr()?)));
-    lines.chain([format!("{end}\n")]).collect()
+/// Parses `<word> <host> <ip:port>` — an `ADDR` line of the handshake or a
+/// `REWIRE` control line.
+fn parse_addr_line(line: &str, word: &str) -> Result<(Host, SocketAddr)> {
+    let malformed = || RuntimeError::Protocol { reason: format!("malformed {word} line {line:?}") };
+    let rest = line.strip_prefix(word).and_then(|r| r.strip_prefix(' ')).ok_or_else(malformed)?;
+    let (host, addr) = rest.split_once(' ').ok_or_else(malformed)?;
+    Ok((host.parse()?, addr.parse().map_err(|_| malformed())?))
 }
 
 fn fmt_link_line(name: &str, stats: &LinkCounters) -> String {
@@ -256,6 +247,16 @@ fn validate_launch(cfg: &HierarchyConfig) -> Result<()> {
         return reject("elastic orchestration is in-process only (unset cfg.elastic)");
     }
     Ok(())
+}
+
+/// The address processes exchange; only a socket transport has one.
+fn socket_addr(own: Endpoint) -> Result<SocketAddr> {
+    match own {
+        Endpoint::Socket(addr) => Ok(addr),
+        Endpoint::Local => Err(RuntimeError::Config {
+            reason: "the channel transport cannot cross process boundaries".to_string(),
+        }),
+    }
 }
 
 /// One supervised role process: the child, its stdin (handshake +
@@ -354,51 +355,42 @@ impl Drop for Supervised {
     }
 }
 
-/// The launcher's role processes and the address books of their mesh.
+/// The launcher's role processes and where each process of the mesh is
+/// reached.
 struct Fleet<'a> {
     node_exe: &'a Path,
     manifest: String,
     epoch: Instant,
-    transport: TransportConfig,
     procs: Vec<Supervised>,
-    /// Where every inbox of the run is bound now.
-    addrs: Addrs,
-    /// Where the `ack:` inbox of every cross-process ARQ link is bound now.
-    acks: Addrs,
+    /// The address of every host of the run, as it is now.
+    addrs: HashMap<Host, SocketAddr>,
 }
 
 impl Fleet<'_> {
-    /// Runs one handshake phase against the roles `takes_part` selects:
-    /// gathers the bindings they advertise on top of the launcher's own
-    /// `bound`, books them, and relays the whole book to each. Returns
-    /// what was gathered — everything, on the first handshake; what moved,
-    /// on a respawn.
-    fn exchange(
-        &mut self,
-        phase: Phase,
-        takes_part: impl Fn(&Supervised) -> bool,
-        bound: Addrs,
-    ) -> Result<Addrs> {
-        let [advertised, done, relayed, go] = words(phase);
-        let mut gathered = bound;
+    /// The address swap against the roles `takes_part` selects — everyone
+    /// at launch, the respawned role later: books the address each of them
+    /// advertises, then tells each where every host is.
+    fn exchange(&mut self, takes_part: impl Fn(&Supervised) -> bool) -> Result<()> {
         for p in self.procs.iter().filter(|p| takes_part(p)) {
-            read_lines_until(&p.lines, &p.role.to_string(), done, PHASE_TIMEOUT, |line| {
-                if let Some((name, b)) = parse_addr_line(line, advertised, self.transport)? {
-                    gathered.insert(name.to_string(), b);
-                }
-                Ok(())
-            })?;
+            let role = p.role.to_string();
+            let line = next_line(&p.lines, &role, Instant::now() + PHASE_TIMEOUT, "ADDR")?;
+            let (host, addr) = parse_addr_line(&line, "ADDR")?;
+            if host != Host::Role(p.role) {
+                return Err(RuntimeError::Protocol {
+                    reason: format!("role {role} advertised an address for {host}"),
+                });
+            }
+            self.addrs.insert(host, addr);
         }
-        let book = if phase == Phase::Inboxes { &mut self.addrs } else { &mut self.acks };
-        book.extend(gathered.clone());
-        let msg = addr_lines(relayed, book, go);
+        let book = self.addrs.iter().map(|(host, addr)| format!("ADDR {host} {addr}\n"));
+        let msg: String = book.chain(["GO\n".to_string()]).collect();
         for p in self.procs.iter_mut().filter(|p| takes_part(p)) {
             p.send(&msg)?;
             // The handshake (which includes the child's model rebuild)
             // does not count as heartbeat staleness.
             p.beat.store(self.epoch.elapsed().as_millis() as u64, Ordering::Release);
         }
-        Ok(gathered)
+        Ok(())
     }
 
     fn alive(&self, role: ProcTarget) -> bool {
@@ -410,7 +402,6 @@ impl Fleet<'_> {
 /// tick, scheduled kills and respawns, and the sensor feeds.
 struct Supervisor<'a> {
     fleet: Fleet<'a>,
-    wiring: &'a Wiring,
     /// Re-points the launcher's own senders at a respawned role.
     redial: RedialHandle,
     /// The sensor feed and the view batch of every device that is not
@@ -461,13 +452,14 @@ impl Supervisor<'_> {
         }
     }
 
-    /// Respawns a dead role: spawn + the same two-phase handshake as
-    /// launch with the same manifest (plus a per-generation `tseq_base`),
-    /// then re-point every surviving sender — the launcher's own via its
-    /// [`RedialHandle`], the other roles' via `REWIRE` lines — at the
-    /// role's freshly bound ports. The restarted role rejoins at whatever
-    /// sample the orchestrator drives next; samples lost while it was
-    /// down stay typed as timeouts.
+    /// Respawns a dead role: spawn + the same handshake as launch with
+    /// the same manifest (plus a per-generation `tseq_base`), then re-point
+    /// every surviving sender into the role — data links into its inboxes
+    /// and the ack paths of the links it sends alike — at its fresh
+    /// address: the launcher's own via its [`RedialHandle`], each other
+    /// role's with one `REWIRE` line. The restarted role rejoins at
+    /// whatever sample the orchestrator drives next; samples lost while it
+    /// was down stay typed as timeouts.
     fn respawn(&mut self, role: ProcTarget) -> Result<()> {
         let fleet = &mut self.fleet;
         let old = fleet.procs.iter_mut().find(|p| p.role == role).ok_or_else(|| {
@@ -477,31 +469,11 @@ impl Supervisor<'_> {
         let tseq_base = tseq_base_for(role, generation)?;
         let manifest = format!("{}tseq_base={tseq_base}\n", fleet.manifest);
         *old = Supervised::spawn(fleet.node_exe, role, &manifest, fleet.epoch, generation)?;
-        let me = |p: &Supervised| p.role == role;
-        let moved = fleet.exchange(Phase::Inboxes, me, Addrs::new())?;
-        let moved_acks = fleet.exchange(Phase::Acks, me, Addrs::new())?;
-
-        // Re-point the survivors: data links into the role's moved
-        // inboxes, and the ack return paths of the links the role sends
-        // (their receivers hold the matching `ack:{link}` senders).
-        for row in &self.wiring.rows {
-            let data = moved.get(&row.inbox).map(|b| (row.sender, row.name.clone(), b));
-            let ack =
-                moved_acks.get(&row.name).map(|b| (row.receiver, format!("ack:{}", row.name), b));
-            for (holder, link, binding) in data.into_iter().chain(ack) {
-                let Some(addr) = binding.addr() else { continue };
-                match holder {
-                    Host::Orchestrator => {
-                        self.redial.redial(&link, addr);
-                    }
-                    Host::Role(r) if r == role => {}
-                    Host::Role(r) => {
-                        if let Some(p) = fleet.procs.iter_mut().find(|p| p.role == r && p.alive) {
-                            p.send(&format!("REWIRE {link} {addr}\n"))?;
-                        }
-                    }
-                }
-            }
+        fleet.exchange(|p| p.role == role)?;
+        let addr = fleet.addrs[&Host::Role(role)];
+        self.redial.redial(&role.to_string(), addr);
+        for p in fleet.procs.iter_mut().filter(|p| p.alive && p.role != role) {
+            p.send(&format!("REWIRE {role} {addr}\n"))?;
         }
         Ok(())
     }
@@ -535,8 +507,9 @@ impl SampleHook for Supervisor<'_> {
         Ok(())
     }
 
-    fn locate(&self, role: ProcTarget, name: &str, _: &InboxBinding) -> Option<InboxBinding> {
-        self.fleet.addrs.get(name).filter(|_| self.fleet.alive(role)).cloned()
+    fn locate(&self, role: ProcTarget, _: Endpoint) -> Option<Endpoint> {
+        let addr = self.fleet.addrs.get(&Host::Role(role)).filter(|_| self.fleet.alive(role));
+        addr.map(|&addr| Endpoint::Socket(addr))
     }
 
     /// Reads every surviving role's telemetry — sender-side counters sum
@@ -620,10 +593,8 @@ pub fn launch(
         node_exe,
         manifest: encode_role_manifest(&topology.config, cfg),
         epoch: Instant::now(),
-        transport: cfg.transport,
         procs: Vec::new(),
-        addrs: Addrs::new(),
-        acks: Addrs::new(),
+        addrs: HashMap::new(),
     };
     for role in wiring.roles() {
         let p = Supervised::spawn(node_exe, role, &fleet.manifest, fleet.epoch, 0)?;
@@ -632,13 +603,13 @@ pub fn launch(
             ctx.obs.registry().counter(&format!("proc.{role}.{what}"));
         }
     }
-    let everyone = |_: &Supervised| true;
-    let plane = connect(&wiring, &[Host::Orchestrator], cfg, &ctx.obs, 0, |phase, bound| {
-        fleet.exchange(phase, everyone, bound)
+    let plane = connect(&wiring, &[Host::Orchestrator], cfg, &ctx.obs, 0, |own| {
+        fleet.addrs.insert(Host::Orchestrator, socket_addr(own)?);
+        fleet.exchange(|_| true)?;
+        Ok(fleet.addrs.iter().map(|(&host, &addr)| (host, Endpoint::Socket(addr))).collect())
     })?;
     let mut supervisor = Supervisor {
         fleet,
-        wiring: &wiring,
         redial: plane.factory.redial_handle(),
         sensors: (0..live.len())
             .filter(|&d| live[d])
@@ -655,7 +626,8 @@ pub fn launch(
 /// the orchestrator's shutdown, and reports link/node telemetry back.
 /// After `GO` it also emits `HB <n>` heartbeat lines (so the launcher
 /// can tell a busy role from a wedged one) and answers `REWIRE` control
-/// lines by re-pointing the named sender at a respawned peer's port.
+/// lines by re-pointing its senders into a respawned peer role at that
+/// role's new address.
 ///
 /// # Errors
 ///
@@ -675,17 +647,13 @@ pub fn host_role() -> Result<()> {
 }
 
 /// Serves launcher control lines for the rest of the run. Today that is
-/// `REWIRE <link|ack:link> <ip:port>`: a peer was respawned on a fresh
-/// port, so re-point the named sender's dial at it.
+/// `REWIRE <role> <ip:port>`: that peer role was respawned at a fresh
+/// address, so re-point every sender into it.
 fn control_loop(input: impl BufRead, redial: &RedialHandle) {
     for line in input.lines() {
         let Ok(line) = line else { return };
-        if let Some(rest) = line.trim_end().strip_prefix("REWIRE ") {
-            if let Some((name, addr)) = rest.rsplit_once(' ') {
-                if let Ok(addr) = addr.parse::<SocketAddr>() {
-                    redial.redial(name, addr);
-                }
-            }
+        if let Ok((host, addr)) = parse_addr_line(line.trim_end(), "REWIRE") {
+            redial.redial(&host.to_string(), addr);
         }
     }
 }
@@ -737,26 +705,24 @@ where
     let obs = Arc::new(RunObs::new(&cfg.obs));
     let ctx = RunCtx { topology: &topology, cfg: &cfg, live: &live, clock: SimClock::start(), obs };
 
-    // Each handshake phase: advertise what this role bound, learn where
-    // everything lives. A respawned role numbers its ARQ frames from a
-    // fresh generation base (`tseq_base`) so surviving receivers rebase
-    // instead of treating its frames as ancient duplicates.
-    let swap = |phase: Phase, bound: Addrs| -> Result<Addrs> {
-        let [advertised, done, relayed, go] = words(phase);
+    // The handshake: advertise where this role is reached, learn where
+    // every host is. A respawned role numbers its ARQ frames from a fresh
+    // generation base (`tseq_base`) so surviving receivers rebase instead
+    // of treating its frames as ancient duplicates.
+    let swap = |own: Endpoint| -> Result<Addrs> {
         {
             let mut o = out.lock();
-            o.write_all(addr_lines(advertised, &bound, done).as_bytes()).map_err(io_err)?;
+            writeln!(o, "ADDR {role} {}", socket_addr(own)?).map_err(io_err)?;
             o.flush().map_err(io_err)?;
         }
         let mut book = Addrs::new();
         loop {
             let line = read_control_line(&mut input)?;
-            if line == go {
+            if line == "GO" {
                 return Ok(book);
             }
-            if let Some((name, b)) = parse_addr_line(&line, relayed, cfg.transport)? {
-                book.insert(name.to_string(), b);
-            }
+            let (host, addr) = parse_addr_line(&line, "ADDR")?;
+            book.insert(host, Endpoint::Socket(addr));
         }
     };
     let mut plane = connect(&wiring, &[Host::Role(role)], &cfg, &ctx.obs, extras.tseq_base, swap)?;
@@ -815,6 +781,42 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::{InboxBinding, TransportConfig, TransportHost};
+
+    #[test]
+    fn one_rewire_line_repoints_every_sender_into_the_respawned_role() {
+        // The gateway's view of a devices respawn: its broadcast links and
+        // the ack path of a score link all lead into `devices`; its verdict
+        // link does not.
+        let obs = RunObs::disabled();
+        for kind in [TransportConfig::Tcp, TransportConfig::Udp] {
+            let host = || TransportHost::new(kind, &obs);
+            let (mut old, mut new, mut launcher, gateway) = (host(), host(), host(), host());
+            let names = ["device0", "device1", "ack:device0->gateway"];
+            let _old: Vec<_> = names.iter().map(|n| old.bind(n).unwrap()).collect();
+            let respawned: Vec<_> = names.iter().map(|n| new.bind(n).unwrap()).collect();
+            let verdicts = launcher.bind("orchestrator").unwrap();
+            let connect = |on: &TransportHost, host: &str, inbox: &str| {
+                let to = InboxBinding { host: host.into(), at: on.endpoint(), inbox: inbox.into() };
+                gateway.connect(&to, None).unwrap()
+            };
+            let moved: Vec<_> = names.iter().map(|n| connect(&old, "devices", n)).collect();
+            let verdict = connect(&launcher, "orchestrator", "orchestrator");
+
+            let addr = socket_addr(new.endpoint()).unwrap();
+            let lines = format!("REWIRE devices {addr}\nREWIRE devices nowhere\nnoise\n");
+            control_loop(lines.as_bytes(), &gateway.redial_handle());
+
+            // Each re-pointed sender still feeds the inbox it named.
+            let wait = Duration::from_secs(5);
+            for ((tx, rx), name) in moved.iter().zip(&respawned).zip(names) {
+                assert!(tx.transmit(bytes::Bytes::from_static(name.as_bytes())));
+                assert_eq!(&rx.recv_timeout(wait).unwrap()[..], name.as_bytes());
+            }
+            assert!(verdict.transmit(bytes::Bytes::from_static(b"verdict")));
+            assert_eq!(&verdicts.recv_timeout(wait).unwrap()[..], b"verdict");
+        }
+    }
 
     #[test]
     fn respawn_generations_never_wrap_into_an_earlier_sequence_range() {

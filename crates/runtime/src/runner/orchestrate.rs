@@ -15,7 +15,7 @@ use crate::obs::LinkCounters;
 use crate::orchestrator::{ControlState, ElasticDriver, NodeDirectory};
 use crate::reliability::{run_retransmit_pump, ArqSendState};
 use crate::topology::{HierarchyConfig, Shape, Topology};
-use crate::transport::{InboxBinding, TransportConfig};
+use crate::transport::{Endpoint, InboxBinding, TransportConfig};
 use ddnn_tensor::Tensor;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -105,10 +105,10 @@ pub(super) trait SampleHook {
     /// it can reach).
     fn apply(&mut self, seq: u64, target: &ChaosTarget, down: bool) -> Result<()>;
 
-    /// Where `role`'s inbox `name` is bound now, given where the handshake
-    /// put it: elsewhere after a respawn, `None` once the role is dead.
-    fn locate(&self, _role: ProcTarget, _name: &str, bound: &InboxBinding) -> Option<InboxBinding> {
-        Some(bound.clone())
+    /// Where `role` is reached now: at this process's `own` endpoint when
+    /// it is hosted here, `None` once its process is dead.
+    fn locate(&self, _role: ProcTarget, own: Endpoint) -> Option<Endpoint> {
+        Some(own)
     }
 
     /// After shutdown: folds what remote roles measured into `links` and
@@ -255,10 +255,8 @@ pub(super) fn orchestrate(
             for inbox in &wiring.inboxes {
                 let Host::Role(role) = inbox.host else { continue };
                 let failed = matches!(inbox.id, NodeId::Device(d) if !live[d as usize]);
-                let bound = plane.addrs.get(&inbox.name).filter(|_| !failed);
-                let Some(to) = bound.and_then(|b| hook.locate(role, &inbox.name, b)) else {
-                    continue;
-                };
+                let own = plane.factory.endpoint();
+                let Some(at) = hook.locate(role, own).filter(|_| !failed) else { continue };
                 let sensor = match inbox.id {
                     NodeId::Device(d) => plane.try_sender(Link::Sensor(d as usize)),
                     _ => None,
@@ -267,6 +265,8 @@ pub(super) fn orchestrate(
                     Some(sensor) => sensor.send(&shutdown)?,
                     None => {
                         let name = format!("orchestrator->{}", inbox.name);
+                        let (host, inbox) = (inbox.host.to_string(), inbox.name.clone());
+                        let to = InboxBinding { host, at, inbox };
                         plane.factory.shutdown_sender(&to, &name)?.send(&shutdown)?;
                     }
                 }

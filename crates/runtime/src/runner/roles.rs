@@ -9,7 +9,7 @@ use crate::chaos::ProcTarget;
 use crate::clock::SimClock;
 use crate::error::Result;
 use crate::message::{dequantize_image, quantize_image, NodeId};
-use crate::node::collector::{AggPolicy, Collector};
+use crate::node::collector::{AggDeadline, Collector};
 use crate::node::device::{blank_signature, blank_view, device_node, BlankSignature};
 use crate::node::report::NodeReport;
 use crate::node::tier::{
@@ -106,17 +106,14 @@ impl ElasticCtx {
     }
 }
 
-/// Aggregation policy shared by every collector: static waits for the
-/// precomputed live count; dynamic waits up to the deadline.
-fn agg_policy(ctx: &RunCtx, live: &[bool]) -> AggPolicy {
-    match ctx.cfg.deadlines {
-        None => AggPolicy::Static { required: live.iter().filter(|&&l| l).count() },
-        Some(dl) => AggPolicy::Deadline {
-            aggregation_ms: dl.aggregation_ms,
-            suspect_after: dl.suspect_after,
-            clock: ctx.clock,
-        },
-    }
+/// The aggregation deadline shared by every collector of a run with
+/// deadlines; without them a collector waits for every live source.
+fn agg_deadline(ctx: &RunCtx) -> Option<AggDeadline> {
+    ctx.cfg.deadlines.map(|dl| AggDeadline {
+        aggregation_ms: dl.aggregation_ms,
+        suspect_after: dl.suspect_after,
+        clock: ctx.clock,
+    })
 }
 
 fn stale_discards(obs: &RunObs, node: &str) -> Arc<Counter> {
@@ -191,8 +188,9 @@ pub(super) fn spawn_role(
                 collector: Collector::new(
                     n,
                     blanks.devices.iter().map(|b| b.scores.clone()).collect(),
-                    agg_policy(ctx, live),
+                    agg_deadline(ctx),
                     (0..n).map(Some).collect(),
+                    live.to_vec(),
                 ),
                 obs: NodeObs::for_node(obs, "gateway"),
                 elastic: elastic.map(|el| TierElastic {
@@ -249,12 +247,15 @@ fn tier_task<S: TierSection<Item = Tensor> + 'static>(
     let n = topology.num_devices();
     let tiers = &topology.tiers;
     let spec = &tiers[k];
-    let collector = if k == 0 {
-        let sources = (0..n).map(Some).collect();
-        Collector::new(n, blanks.tiers[0].clone(), agg_policy(ctx, live), sources)
-    } else {
-        Collector::new(1, blanks.tiers[k].clone(), agg_policy(ctx, &[true]), vec![None])
-    };
+    let (sources, device_of_source) =
+        if k == 0 { (n, (0..n).map(Some).collect()) } else { (1, vec![None]) };
+    let collector = Collector::new(
+        sources,
+        blanks.tiers[k].clone(),
+        agg_deadline(ctx),
+        device_of_source,
+        live.to_vec(),
+    );
     let node = TierNode {
         name: spec.name.clone(),
         id: spec.id,

@@ -6,8 +6,9 @@
 //! elastic extras) and for the cloud-offload shape. [`connect`] turns the
 //! rows a set of hosts owns into bound inboxes and open senders on one
 //! [`LinkFactory`]; everything else in the runner (role hosting, the
-//! orchestrator body, the multi-process launcher's rewiring) reads the
-//! table instead of re-deriving it.
+//! orchestrator body) reads the table instead of re-deriving it. Because
+//! the table is the same in every process, where an inbox lives is fully
+//! said by its name and its host's address.
 
 use crate::chaos::{CrashState, ProcTarget};
 use crate::error::{Result, RuntimeError};
@@ -16,16 +17,37 @@ use crate::message::NodeId;
 use crate::obs::{LinkCounters, RunObs};
 use crate::reliability::ReliabilityMode;
 use crate::topology::{HierarchyConfig, Shape, Topology};
-use crate::transport::InboxBinding;
+use crate::transport::{Endpoint, InboxBinding};
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Who owns one end of a link: the orchestrator (the caller of a runner,
-/// or the multi-process launcher) or one of the roles it deploys.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// or the multi-process launcher) or one of the roles it deploys. Spelled
+/// `orchestrator` or the role's name on `ADDR` lines.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(super) enum Host {
     Orchestrator,
     Role(ProcTarget),
+}
+
+impl std::fmt::Display for Host {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Host::Orchestrator => write!(f, "orchestrator"),
+            Host::Role(role) => role.fmt(f),
+        }
+    }
+}
+
+impl std::str::FromStr for Host {
+    type Err = RuntimeError;
+
+    fn from_str(s: &str) -> Result<Self> {
+        match s {
+            "orchestrator" => Ok(Host::Orchestrator),
+            role => role.parse().map(Host::Role),
+        }
+    }
 }
 
 /// Typed handle of a link, so the code that uses a sender asks for "device
@@ -60,7 +82,7 @@ pub(super) enum Link {
 pub(super) struct LinkRow {
     pub(super) key: Link,
     /// Display name (`from->to`): report key, fault-stream seed, the name
-    /// on `LINK`/`REWIRE` lines.
+    /// on `LINK` lines.
     pub(super) name: String,
     /// Sending node's wire identity (receivers key ARQ state by it).
     pub(super) from: NodeId,
@@ -208,19 +230,10 @@ fn link(key: Link, from: &InboxRow, to: &InboxRow) -> LinkRow {
     }
 }
 
-/// Inbox (or `ack:` inbox) attachment points by name — what the two
-/// handshake phases of a multi-process run exchange.
-pub(super) type Addrs = HashMap<String, InboxBinding>;
-
-/// Which half of the address exchange [`connect`] is at.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(super) enum Phase {
-    /// Node inboxes are bound; senders come next.
-    Inboxes,
-    /// Senders are open; the ack inboxes of ARQ links whose receiver lives
-    /// elsewhere are bound.
-    Acks,
-}
+/// The endpoint of every host of the run — all a multi-process run
+/// exchanges in its handshake: every binding is an inbox name (the wiring
+/// table is the same in every process) on its host's endpoint.
+pub(super) type Addrs = HashMap<Host, Endpoint>;
 
 /// One process's end of the dataplane: the inboxes it bound and the
 /// senders it opened, until the nodes that use them take them.
@@ -231,8 +244,6 @@ pub(super) struct Plane<'a> {
     /// The counter cells of every tracked link this process sends on or
     /// acks, by link name.
     pub(super) stats: Vec<(String, Arc<LinkCounters>)>,
-    /// Where every inbox of the run is bound.
-    pub(super) addrs: Addrs,
 }
 
 impl Plane<'_> {
@@ -256,20 +267,21 @@ impl Plane<'_> {
     }
 }
 
-/// Binds the inboxes and opens the senders `local` hosts own. `swap`
-/// trades this process's bindings for the whole run's at each [`Phase`]:
-/// a run hosted in one process passes them straight back, the
-/// multi-process launcher and its role hosts exchange them over stdio.
-/// An ARQ link's ack loop closes right here when both ends are local
-/// (the receiver prices acks into the sender's own cells), and through
-/// the advertised `ack:` binding otherwise.
+/// Binds the inboxes and opens the senders `local` hosts own. Every name
+/// this process answers to — its nodes' inboxes and the `ack:` inbox of
+/// every link it sends under ARQ — is bound first; `swap` then trades the
+/// process's one endpoint for every host's: a run hosted in one process
+/// answers with that endpoint for all of them, the multi-process launcher
+/// and its role hosts exchange addresses over stdio. An ARQ link's
+/// receiving end acks into `ack:{link}` on the sending host, pricing acks
+/// into the sender's own cells when both ends are local.
 pub(super) fn connect<'a>(
     wiring: &Wiring,
     local: &[Host],
     cfg: &'a HierarchyConfig,
     obs: &Arc<RunObs>,
     tseq_base: u32,
-    mut swap: impl FnMut(Phase, Addrs) -> Result<Addrs>,
+    swap: impl FnOnce(Endpoint) -> Result<Addrs>,
 ) -> Result<Plane<'a>> {
     let mut factory = LinkFactory::new(cfg, Arc::clone(obs), tseq_base);
     // A crashing node's outbound links share one counter, so its N-th
@@ -278,54 +290,48 @@ pub(super) fn connect<'a>(
         cfg.chaos.crash_points().map(|(node, after)| (node, CrashState::new(after))).collect();
     let no_route = |what: &str, name: &str| RuntimeError::Transport {
         endpoint: name.to_string(),
-        reason: format!("no {what} advertised"),
+        reason: format!("no {what} here"),
     };
 
     let mut inboxes: HashMap<&str, NodeInbox> = HashMap::new();
-    let mut bound = Addrs::new();
     for row in wiring.inboxes.iter().filter(|i| local.contains(&i.host)) {
-        let (binding, inbox) = factory.inbox(&row.name)?;
-        bound.insert(row.name.clone(), binding);
-        inboxes.insert(&row.name, inbox);
+        inboxes.insert(&row.name, factory.inbox(&row.name)?);
     }
-    let addrs = swap(Phase::Inboxes, bound)?;
-    let mut register = |row: &LinkRow, state| {
-        let inbox = inboxes
-            .get_mut(row.inbox.as_str())
-            .ok_or_else(|| no_route("local inbox", &row.name))?;
-        inbox.register(row.from, state);
-        Ok::<(), RuntimeError>(())
+    let arq = cfg.reliability.mode == ReliabilityMode::Arq;
+    let mut ack_inboxes = HashMap::new();
+    for row in wiring.rows.iter().filter(|r| arq && local.contains(&r.sender)) {
+        ack_inboxes.insert(row.name.as_str(), factory.ack_inbox(&row.name)?);
+    }
+    let addrs = swap(factory.endpoint())?;
+    let binding = |host: Host, inbox: String| {
+        let at = *addrs.get(&host).ok_or_else(|| no_route("address of its host", &inbox))?;
+        Ok::<_, RuntimeError>(InboxBinding { host: host.to_string(), at, inbox })
     };
 
     let mut senders = HashMap::new();
     let mut stats = Vec::new();
-    let mut ack_bound = Addrs::new();
-    for row in wiring.rows.iter().filter(|r| local.contains(&r.sender)) {
-        let to = addrs.get(&row.inbox).ok_or_else(|| no_route("inbox address", &row.name))?;
-        let crash = row.crash.as_ref().and_then(|node| crashes.get(node)).cloned();
-        let (sender, cells, ack) = factory.sender_with_ack_inbox(to, &row.name, crash)?;
-        senders.insert(row.key, sender);
-        match ack {
-            Some(ack) if local.contains(&row.receiver) => {
-                register(row, factory.recv_state(&ack, &row.name, Arc::clone(&cells))?)?;
-            }
-            Some(ack) => {
-                ack_bound.insert(row.name.clone(), ack);
-            }
-            None => {}
+    for row in &wiring.rows {
+        let sends = local.contains(&row.sender);
+        let acks = arq && local.contains(&row.receiver);
+        if !sends && !acks {
+            continue;
         }
-        if row.tracked {
-            stats.push((row.name.clone(), cells));
+        let cells = factory.cells(&row.name);
+        if sends {
+            let to = binding(row.receiver, row.inbox.clone())?;
+            let crash = row.crash.as_ref().and_then(|node| crashes.get(node)).cloned();
+            let ack_inbox = ack_inboxes.remove(row.name.as_str());
+            let sender = factory.sender(&to, &row.name, crash, Arc::clone(&cells), ack_inbox)?;
+            senders.insert(row.key, sender);
         }
-    }
-    let acks = swap(Phase::Acks, ack_bound)?;
-    let arq = cfg.reliability.mode == ReliabilityMode::Arq;
-    let acked_remotely =
-        |r: &&LinkRow| arq && local.contains(&r.receiver) && !local.contains(&r.sender);
-    for row in wiring.rows.iter().filter(acked_remotely) {
-        let ack = acks.get(&row.name).ok_or_else(|| no_route("ack inbox", &row.name))?;
-        let (state, cells) = factory.remote_recv_state(ack, &row.name)?;
-        register(row, state)?;
+        if acks {
+            let ack = binding(row.sender, format!("ack:{}", row.name))?;
+            let state = factory.recv_state(&ack, &row.name, Arc::clone(&cells))?;
+            let inbox = inboxes
+                .get_mut(row.inbox.as_str())
+                .ok_or_else(|| no_route("local inbox", &row.name))?;
+            inbox.register(row.from, state);
+        }
         if row.tracked {
             stats.push((row.name.clone(), cells));
         }
@@ -333,7 +339,18 @@ pub(super) fn connect<'a>(
     let by_id =
         wiring.inboxes.iter().filter_map(|i| Some((i.id, inboxes.remove(i.name.as_str())?)));
     let inboxes = by_id.collect();
-    Ok(Plane { factory, inboxes, senders, stats, addrs })
+    Ok(Plane { factory, inboxes, senders, stats })
+}
+
+/// [`connect`] for a run hosted in one process: every host is local and
+/// reached at this process's own endpoint.
+pub(super) fn connect_local<'a>(
+    wiring: &Wiring,
+    cfg: &'a HierarchyConfig,
+    obs: &Arc<RunObs>,
+) -> Result<Plane<'a>> {
+    let hosts = wiring.hosts();
+    connect(wiring, &hosts, cfg, obs, 0, |own| Ok(hosts.iter().map(|&h| (h, own)).collect()))
 }
 
 #[cfg(test)]

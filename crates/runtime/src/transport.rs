@@ -16,6 +16,17 @@
 //!   use the checked wire format (CRC at minimum; ARQ to actually
 //!   recover) — enforced by validation before anything binds.
 //!
+//! The socket address belongs to the *process*, and an inbox is a name
+//! on it: a [`TransportHost`] binds one TCP listener (or one UDP socket)
+//! on its first [`bind`](TransportHost::bind) and demultiplexes by an
+//! 8-byte inbox id (FNV-1a of the name). A TCP connection opens with the
+//! id of the inbox it feeds — read on the connection's own reader thread,
+//! re-sent on every re-dial — and every UDP datagram carries it as a
+//! prefix. An id this host never bound drops the connection or datagram
+//! and counts a `peer_disconnect`, like a hopeless length prefix. Like
+//! that prefix, the id is transport framing: no `transport.*` or
+//! [`LinkStats`](crate::LinkStats) byte cell counts it.
+//!
 //! The receive path is deliberately uniform: socket transports spawn
 //! blocking reader threads that push each received frame into the same
 //! `crossbeam` channel an in-process sender would have used, so
@@ -31,12 +42,13 @@
 //! [`ChaosTarget::Sockets`](crate::ChaosTarget) impairment, rolled in the
 //! TCP/UDP senders below — then does to the bytes.
 
-use crate::chaos::{Delivery, LinkChaos};
+use crate::chaos::{fnv1a, Delivery, LinkChaos};
 use crate::error::{Result, RuntimeError};
 use crate::obs::{Counter, RunObs};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
+use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -104,6 +116,15 @@ const POLL: Duration = Duration::from_millis(25);
 /// length can drive an allocation.
 const MAX_FRAME_BYTES: usize = 1 << 24;
 
+/// Width of the inbox id a TCP connection opens with and every UDP
+/// datagram is prefixed by.
+const ID_BYTES: usize = 8;
+
+/// The wire id of the inbox called `name`.
+fn inbox_id(name: &str) -> [u8; ID_BYTES] {
+    fnv1a(name.as_bytes()).to_le_bytes()
+}
+
 /// The sending half of a transport: pushes one encoded frame. Returns
 /// `false` when the peer is gone (hung-up channel, broken stream, refused
 /// datagram); [`LinkSender`](crate::link::LinkSender) maps that to
@@ -112,10 +133,10 @@ pub(crate) trait TransportTx: Send + Sync + std::fmt::Debug {
     /// Transmits one frame's wire bytes; `false` means the peer is gone.
     fn transmit(&self, wire: Bytes) -> bool;
 
-    /// Re-points this sender at a (possibly new) peer address — the
-    /// resync path after a role process respawns with fresh ports. TCP
-    /// dials a new stream and resets the reconnect budget; UDP re-connects
-    /// the datagram socket; the in-process channel cannot redial.
+    /// Re-points this sender at its peer host's new address — the resync
+    /// path after a role process respawns on a fresh port. TCP dials a new
+    /// stream and resets the reconnect budget; UDP re-connects the
+    /// datagram socket; the in-process channel cannot redial.
     fn redial(&self, _addr: SocketAddr) -> bool {
         false
     }
@@ -218,6 +239,8 @@ struct TcpPeer {
 #[derive(Debug)]
 struct TcpTx {
     peer: Mutex<TcpPeer>,
+    /// The inbox this link feeds; every dialed stream opens with it.
+    id: [u8; ID_BYTES],
     counters: TransportCounters,
     /// Rolled once per transmission *below* the link boundary, so ARQ and
     /// CRC face injected pathology on the real file descriptor. A stream
@@ -225,25 +248,12 @@ struct TcpTx {
     chaos: Option<LinkChaos>,
 }
 
-fn dial(addr: SocketAddr) -> Option<TcpStream> {
-    let stream = TcpStream::connect(addr).ok()?;
+/// Connects to a host's listener and names the inbox the stream feeds.
+fn dial(addr: SocketAddr, id: [u8; ID_BYTES]) -> Option<TcpStream> {
+    let mut stream = TcpStream::connect(addr).ok()?;
     stream.set_nodelay(true).ok()?;
+    stream.write_all(&id).ok()?;
     Some(stream)
-}
-
-/// Bounded-retry dial: a respawned peer's listener is usually bound by
-/// the time its new address is announced, but the retry loop rides out
-/// the races around process start.
-fn dial_retry(addr: SocketAddr, attempts: u32) -> Option<TcpStream> {
-    for i in 0..attempts {
-        if let Some(s) = dial(addr) {
-            return Some(s);
-        }
-        if i + 1 < attempts {
-            std::thread::sleep(POLL);
-        }
-    }
-    None
 }
 
 impl TransportTx for TcpTx {
@@ -263,7 +273,7 @@ impl TransportTx for TcpTx {
             if peer.dials_left == 0 {
                 return false;
             }
-            match dial(peer.addr) {
+            match dial(peer.addr, self.id) {
                 Some(s) => {
                     peer.stream = Some(s);
                     peer.dials_left = TCP_REDIAL_BUDGET;
@@ -298,16 +308,10 @@ impl TransportTx for TcpTx {
         let mut peer = self.peer.lock();
         peer.addr = addr;
         peer.dials_left = TCP_REDIAL_BUDGET;
-        match dial_retry(addr, 20) {
-            Some(s) => {
-                peer.stream = Some(s);
-                true
-            }
-            None => {
-                peer.stream = None;
-                false
-            }
-        }
+        // A process listens before it advertises its address, so one dial
+        // does; if it fails anyway, the transmit path's budget retries.
+        peer.stream = dial(addr, self.id);
+        peer.stream.is_some()
     }
 }
 
@@ -319,6 +323,8 @@ impl TransportTx for TcpTx {
 #[derive(Debug)]
 struct UdpTx {
     sock: UdpSocket,
+    /// The inbox this link feeds; every datagram is prefixed with it.
+    id: [u8; ID_BYTES],
     counters: TransportCounters,
     /// Like [`TcpTx::chaos`]; a datagram socket honours drop, duplicate
     /// and delay.
@@ -336,9 +342,10 @@ impl TransportTx for UdpTx {
         if let Some(d) = delay {
             std::thread::sleep(d);
         }
-        let ok = self.sock.send(&wire).is_ok();
+        let datagram = [&self.id[..], &wire[..]].concat();
+        let ok = self.sock.send(&datagram).is_ok();
         if duplicate && ok {
-            let _ = self.sock.send(&wire);
+            let _ = self.sock.send(&datagram);
         }
         ok
     }
@@ -355,52 +362,38 @@ pub(crate) fn channel_tx(tx: Sender<Bytes>) -> Arc<dyn TransportTx> {
     Arc::new(ChannelTx { tx, counters: TransportCounters::unregistered() })
 }
 
-/// Where senders attach to a named inbox: the transport-specific
-/// address. `Channel` bindings only work inside the owning process;
-/// socket bindings serialize to `ip:port` and cross process boundaries —
-/// that is what the multi-process launcher exchanges in its handshake.
+/// A process's attachment point on the run's transport. Every inbox the
+/// process binds is a name on it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Endpoint {
+    /// The inbox registry of this very process (the channel transport).
+    Local,
+    /// The process's one TCP listener or UDP socket; serializes to
+    /// `ip:port` — the only thing the multi-process handshake exchanges.
+    Socket(SocketAddr),
+}
+
+/// Where senders attach: an inbox name on the endpoint of the host
+/// process that bound it.
 #[derive(Debug, Clone)]
-pub(crate) enum InboxBinding {
-    /// The raw channel senders clone (in-process only).
-    Channel(Sender<Bytes>),
-    /// A TCP listener's bound address.
-    Tcp(SocketAddr),
-    /// A UDP socket's bound address.
-    Udp(SocketAddr),
+pub(crate) struct InboxBinding {
+    /// Label of the host process (`orchestrator`, `devices`, …): the key
+    /// a [`RedialHandle`] re-points senders by.
+    pub(crate) host: String,
+    pub(crate) at: Endpoint,
+    pub(crate) inbox: String,
 }
 
-impl InboxBinding {
-    /// The socket address of this binding, if it has one.
-    pub(crate) fn addr(&self) -> Option<SocketAddr> {
-        match self {
-            InboxBinding::Channel(_) => None,
-            InboxBinding::Tcp(a) | InboxBinding::Udp(a) => Some(*a),
-        }
-    }
+/// The inboxes a host answers to, by wire id. The name stays beside the
+/// queue to report collisions.
+type Inboxes = Arc<Mutex<HashMap<[u8; ID_BYTES], (String, Sender<Bytes>)>>>;
 
-    /// Rebuilds a binding from a peer-advertised address (the
-    /// multi-process handshake's address-exchange lines).
-    ///
-    /// # Errors
-    ///
-    /// Returns a configuration error for the channel transport, whose
-    /// bindings cannot cross process boundaries.
-    pub(crate) fn socket(kind: TransportConfig, addr: SocketAddr) -> Result<InboxBinding> {
-        match kind {
-            TransportConfig::Channel => Err(RuntimeError::Config {
-                reason: "the channel transport cannot cross process boundaries".to_string(),
-            }),
-            TransportConfig::Tcp => Ok(InboxBinding::Tcp(addr)),
-            TransportConfig::Udp => Ok(InboxBinding::Udp(addr)),
-        }
-    }
-}
-
-/// One run's dataplane: binds inboxes, connects senders and owns every
-/// socket reader thread spawned along the way. Dropping the host (or
-/// calling [`shutdown`](TransportHost::shutdown)) raises the stop flag
-/// and joins all readers — the socket counterpart of the ARQ pump's
-/// scope drop-guard, so no run can leak background threads.
+/// One process's dataplane: binds inbox names on its one endpoint,
+/// connects senders and owns every socket reader thread spawned along the
+/// way. Dropping the host (or calling
+/// [`shutdown`](TransportHost::shutdown)) raises the stop flag and joins
+/// all readers — the socket counterpart of the ARQ pump's scope
+/// drop-guard, so no run can leak background threads.
 #[derive(Debug)]
 pub(crate) struct TransportHost {
     kind: TransportConfig,
@@ -408,31 +401,33 @@ pub(crate) struct TransportHost {
     stop: Arc<AtomicBool>,
     readers: Vec<JoinHandle<()>>,
     dials: DialRegistry,
+    inboxes: Inboxes,
+    /// The listener's (or UDP socket's) address, once the first `bind`
+    /// has opened it.
+    addr: Option<SocketAddr>,
 }
 
-/// Every sender a host has connected, keyed by link name — shared between
-/// the host and every [`RedialHandle`] cloned off it.
+/// Every sender a host has connected, keyed by the peer host's label —
+/// shared between the host and every [`RedialHandle`] cloned off it.
 type DialRegistry = Arc<Mutex<Vec<(String, Arc<dyn TransportTx>)>>>;
 
 /// A cloneable handle over every sender a [`TransportHost`] has connected,
-/// keyed by link name — the resync surface a supervisor (or a role's
+/// keyed by peer host — the resync surface a supervisor (or a role's
 /// rewire control thread) uses to re-point senders at a respawned peer's
-/// fresh addresses without holding the host itself.
+/// fresh address without holding the host itself.
 #[derive(Debug, Clone)]
 pub(crate) struct RedialHandle {
     dials: DialRegistry,
 }
 
 impl RedialHandle {
-    /// Re-points every sender connected under `name` at `addr`. Returns
+    /// Re-points every sender into an inbox of `host` at `addr`. Returns
     /// whether at least one sender accepted the new address.
-    pub(crate) fn redial(&self, name: &str, addr: SocketAddr) -> bool {
+    pub(crate) fn redial(&self, host: &str, addr: SocketAddr) -> bool {
         let dials = self.dials.lock();
         let mut any = false;
-        for (n, tx) in dials.iter() {
-            if n == name {
-                any |= tx.redial(addr);
-            }
+        for (_, tx) in dials.iter().filter(|(h, _)| h == host) {
+            any |= tx.redial(addr);
         }
         any
     }
@@ -448,6 +443,8 @@ impl TransportHost {
             stop: Arc::new(AtomicBool::new(false)),
             readers: Vec::new(),
             dials: Arc::new(Mutex::new(Vec::new())),
+            inboxes: Arc::new(Mutex::new(HashMap::new())),
+            addr: None,
         }
     }
 
@@ -456,43 +453,59 @@ impl TransportHost {
         RedialHandle { dials: Arc::clone(&self.dials) }
     }
 
-    /// Binds a named inbox, returning the attachment point senders
-    /// connect to and the raw receive channel. On socket transports this
-    /// binds a listener/socket on `127.0.0.1:0` (an OS-assigned port) and
-    /// spawns the reader that bridges it into the channel.
+    /// Where this process's inboxes are reached. A process advertises it
+    /// only after binding every name it answers to, so no peer can dial an
+    /// inbox that is not there yet.
+    pub(crate) fn endpoint(&self) -> Endpoint {
+        self.addr.map_or(Endpoint::Local, Endpoint::Socket)
+    }
+
+    /// Binds a named inbox and returns its receive queue. On a socket
+    /// transport the first bind opens the process's one listener (or UDP
+    /// socket) on `127.0.0.1:0` — an OS-assigned port — and spawns the
+    /// one thread that serves it; later binds only add a name.
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError::Transport`] when the OS refuses the bind.
-    pub(crate) fn bind(&mut self, name: &str) -> Result<(InboxBinding, Receiver<Bytes>)> {
+    /// Returns [`RuntimeError::Config`] when the name's id is already
+    /// taken on this host, and [`RuntimeError::Transport`] when the OS
+    /// refuses the bind.
+    pub(crate) fn bind(&mut self, name: &str) -> Result<Receiver<Bytes>> {
         let (tx, rx) = unbounded();
-        let binding = match self.kind {
-            TransportConfig::Channel => InboxBinding::Channel(tx),
-            TransportConfig::Tcp => {
-                let listener =
-                    TcpListener::bind("127.0.0.1:0").map_err(|e| terr(name, "bind", &e))?;
-                listener.set_nonblocking(true).map_err(|e| terr(name, "set_nonblocking", &e))?;
-                let addr = listener.local_addr().map_err(|e| terr(name, "local_addr", &e))?;
-                let counters = self.counters.clone();
-                let stop = Arc::clone(&self.stop);
-                self.readers.push(std::thread::spawn(move || {
-                    tcp_accept_loop(listener, tx, counters, stop);
-                }));
-                InboxBinding::Tcp(addr)
-            }
-            TransportConfig::Udp => {
-                let sock = UdpSocket::bind("127.0.0.1:0").map_err(|e| terr(name, "bind", &e))?;
-                sock.set_read_timeout(Some(POLL)).map_err(|e| terr(name, "read_timeout", &e))?;
-                let addr = sock.local_addr().map_err(|e| terr(name, "local_addr", &e))?;
-                let counters = self.counters.clone();
-                let stop = Arc::clone(&self.stop);
-                self.readers.push(std::thread::spawn(move || {
-                    udp_reader(sock, tx, counters, stop);
-                }));
-                InboxBinding::Udp(addr)
-            }
-        };
-        Ok((binding, rx))
+        let id = inbox_id(name);
+        if let Some((taken, _)) = self.inboxes.lock().get(&id) {
+            return Err(RuntimeError::Config {
+                reason: format!("inbox {name:?} has the id of inbox {taken:?} on the same host"),
+            });
+        }
+        if self.addr.is_none() && self.kind.is_socket() {
+            self.addr = Some(self.open().map_err(|e| terr(name, "bind", &e))?);
+        }
+        self.inboxes.lock().insert(id, (name.to_string(), tx));
+        Ok(rx)
+    }
+
+    /// Opens the process's endpoint and starts the thread that serves it.
+    fn open(&mut self) -> std::io::Result<SocketAddr> {
+        let (inboxes, counters) = (Arc::clone(&self.inboxes), self.counters.clone());
+        let stop = Arc::clone(&self.stop);
+        if self.kind == TransportConfig::Tcp {
+            let listener = TcpListener::bind("127.0.0.1:0")?;
+            listener.set_nonblocking(true)?;
+            let addr = listener.local_addr()?;
+            self.readers.push(std::thread::spawn(move || {
+                tcp_accept_loop(listener, inboxes, counters, stop);
+            }));
+            Ok(addr)
+        } else {
+            let sock = UdpSocket::bind("127.0.0.1:0")?;
+            sock.set_read_timeout(Some(POLL))?;
+            let addr = sock.local_addr()?;
+            self.readers.push(std::thread::spawn(move || {
+                udp_reader(sock, inboxes, counters, stop);
+            }));
+            Ok(addr)
+        }
     }
 
     /// Connects a sender to a bound inbox. One connection per call: a
@@ -503,37 +516,49 @@ impl TransportHost {
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError::Transport`] when the connect fails or the
-    /// binding's transport does not match this host's.
+    /// Returns [`RuntimeError::Transport`] when the connect fails, the
+    /// inbox is not bound in this process (channel transport), or the
+    /// binding's endpoint is not one this host's transport can reach.
     pub(crate) fn connect(
         &self,
         to: &InboxBinding,
-        name: &str,
         chaos: Option<LinkChaos>,
     ) -> Result<Arc<dyn TransportTx>> {
         let counters = self.counters.clone();
-        let tx: Arc<dyn TransportTx> = match to {
-            InboxBinding::Channel(tx) => Arc::new(ChannelTx { tx: tx.clone(), counters }),
-            InboxBinding::Tcp(addr) => {
+        let id = inbox_id(&to.inbox);
+        let tx: Arc<dyn TransportTx> = match (self.kind, to.at) {
+            (TransportConfig::Channel, Endpoint::Local) => {
+                let inboxes = self.inboxes.lock();
+                let (_, tx) = inboxes
+                    .get(&id)
+                    .ok_or_else(|| terr(&to.inbox, "connect", &"no such inbox in this process"))?;
+                Arc::new(ChannelTx { tx: tx.clone(), counters })
+            }
+            (TransportConfig::Tcp, Endpoint::Socket(addr)) => {
                 // A refused dial is not fatal: the peer may be a role
                 // that is currently dead (process chaos) and due for a
                 // respawn. The sender starts disconnected — exactly the
                 // state a mid-run sever leaves it in — and the transmit
                 // path's bounded redial budget (or an explicit
                 // [`RedialHandle::redial`]) brings it back.
-                let stream = dial(*addr);
+                let stream = dial(addr, id);
                 let dials_left =
                     if stream.is_some() { TCP_REDIAL_BUDGET } else { TCP_REDIAL_BUDGET - 1 };
-                let peer = TcpPeer { stream, addr: *addr, dials_left };
-                Arc::new(TcpTx { peer: Mutex::new(peer), counters, chaos })
+                let peer = TcpPeer { stream, addr, dials_left };
+                Arc::new(TcpTx { peer: Mutex::new(peer), id, counters, chaos })
             }
-            InboxBinding::Udp(addr) => {
-                let sock = UdpSocket::bind("127.0.0.1:0").map_err(|e| terr(name, "bind", &e))?;
-                sock.connect(addr).map_err(|e| terr(name, "connect", &e))?;
-                Arc::new(UdpTx { sock, counters, chaos })
+            (TransportConfig::Udp, Endpoint::Socket(addr)) => {
+                let sock =
+                    UdpSocket::bind("127.0.0.1:0").map_err(|e| terr(&to.inbox, "bind", &e))?;
+                sock.connect(addr).map_err(|e| terr(&to.inbox, "connect", &e))?;
+                Arc::new(UdpTx { sock, id, counters, chaos })
+            }
+            (kind, at) => {
+                let why = format!("the {} transport cannot reach {at:?}", kind.name());
+                return Err(terr(&to.inbox, "connect", &why));
             }
         };
-        self.dials.lock().push((name.to_string(), Arc::clone(&tx)));
+        self.dials.lock().push((to.host.clone(), Arc::clone(&tx)));
         Ok(tx)
     }
 
@@ -557,11 +582,13 @@ fn terr(endpoint: &str, what: &str, e: &dyn std::fmt::Display) -> RuntimeError {
     RuntimeError::Transport { endpoint: endpoint.to_string(), reason: format!("{what}: {e}") }
 }
 
-/// Accepts connections on a nonblocking listener until stopped, spawning
-/// one reader per connection and joining them all on the way out.
+/// Accepts connections on the host's nonblocking listener until stopped,
+/// spawning one reader per connection and joining them all on the way out.
+/// The accept thread never reads a stream: which inbox a connection feeds
+/// is settled on the connection's own reader.
 fn tcp_accept_loop(
     listener: TcpListener,
-    tx: Sender<Bytes>,
+    inboxes: Inboxes,
     counters: TransportCounters,
     stop: Arc<AtomicBool>,
 ) {
@@ -571,11 +598,11 @@ fn tcp_accept_loop(
             Ok((stream, _peer)) => {
                 let _ = stream.set_read_timeout(Some(POLL));
                 let _ = stream.set_nodelay(true);
-                let tx = tx.clone();
+                let inboxes = Arc::clone(&inboxes);
                 let counters = counters.clone();
                 let stop = Arc::clone(&stop);
                 conns.push(std::thread::spawn(move || {
-                    tcp_conn_reader(stream, tx, counters, stop);
+                    tcp_conn_reader(stream, &inboxes, counters, stop);
                 }));
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
@@ -601,32 +628,43 @@ enum ReadStatus {
     Stopped,
 }
 
-/// Reads length-prefixed frames off one TCP connection into the inbox
-/// channel. Exits on EOF, error, a hopeless length prefix, or the stop
-/// flag (checked at every read timeout). A partial frame at stop time is
-/// discarded — by then the run is over and its nodes have joined.
+/// Reads one TCP connection into the inbox it names: the inbox id first,
+/// then length-prefixed frames. Exits on EOF, error, an id this host
+/// never bound, a hopeless length prefix, or the stop flag (checked at
+/// every read timeout). A partial frame at stop time is discarded — by
+/// then the run is over and its nodes have joined.
 ///
 /// A close at a frame boundary is how every connection ends and passes
-/// silently; a close *inside* a frame (half-open peer, SIGKILL'd process,
-/// chaos sever), a hopeless prefix, or a hard I/O error is an abnormal
-/// termination and bumps `peer_disconnects` — the typed `peer_gone`
-/// signal the supervisor and tests read.
+/// silently; a close *inside* the id or a frame (half-open peer, SIGKILL'd
+/// process, chaos sever), an unknown id, a hopeless prefix, or a hard I/O
+/// error is an abnormal termination and bumps `peer_disconnects` — the
+/// typed `peer_gone` signal the supervisor and tests read.
 fn tcp_conn_reader(
     mut stream: TcpStream,
-    tx: Sender<Bytes>,
+    inboxes: &Inboxes,
     counters: TransportCounters,
     stop: Arc<AtomicBool>,
 ) {
-    let mut len_buf = [0u8; 4];
-    loop {
-        match read_full(&mut stream, &mut len_buf, &stop) {
-            Ok(ReadStatus::Full) => {}
-            Ok(ReadStatus::Closed { mid: false }) | Ok(ReadStatus::Stopped) => return,
-            Ok(ReadStatus::Closed { mid: true }) | Err(_) => {
-                counters.peer_disconnects.incr();
-                return;
-            }
+    // A fixed-width header: `true` when it was read whole.
+    let header = |stream: &mut TcpStream, buf: &mut [u8]| match read_full(stream, buf, &stop) {
+        Ok(ReadStatus::Full) => true,
+        Ok(ReadStatus::Closed { mid: false }) | Ok(ReadStatus::Stopped) => false,
+        Ok(ReadStatus::Closed { mid: true }) | Err(_) => {
+            counters.peer_disconnects.incr();
+            false
         }
+    };
+    let mut id = [0u8; ID_BYTES];
+    if !header(&mut stream, &mut id) {
+        return;
+    }
+    let Some(tx) = inboxes.lock().get(&id).map(|(_, tx)| tx.clone()) else {
+        // Foreign peer, or a sender pointed at the wrong host.
+        counters.peer_disconnects.incr();
+        return;
+    };
+    let mut len_buf = [0u8; 4];
+    while header(&mut stream, &mut len_buf) {
         let len = u32::from_le_bytes(len_buf) as usize;
         if len > MAX_FRAME_BYTES {
             // Foreign peer or corrupted stream; drop the connection.
@@ -676,11 +714,14 @@ fn read_full(
     Ok(ReadStatus::Full)
 }
 
-/// Receives datagrams into the inbox channel until stopped. Each
-/// datagram is one frame; 64 KB covers anything UDP can carry.
+/// Receives the host's datagrams until stopped, handing each to the inbox
+/// its id prefix names. Each datagram is one frame; 64 KB covers anything
+/// UDP can carry. A datagram too short to hold an id, or naming an inbox
+/// this host never bound, is dropped and counted as a `peer_disconnect`;
+/// one for an inbox whose node has finished is simply dropped.
 fn udp_reader(
     sock: UdpSocket,
-    tx: Sender<Bytes>,
+    inboxes: Inboxes,
     counters: TransportCounters,
     stop: Arc<AtomicBool>,
 ) {
@@ -688,11 +729,16 @@ fn udp_reader(
     loop {
         match sock.recv(&mut buf) {
             Ok(n) => {
+                let named = buf[..n].split_first_chunk::<ID_BYTES>();
+                let routed =
+                    named.and_then(|(id, wire)| Some((inboxes.lock().get(id)?.1.clone(), wire)));
+                let Some((tx, wire)) = routed else {
+                    counters.peer_disconnects.incr();
+                    continue;
+                };
                 counters.frames_recvd.incr();
-                counters.bytes_recvd.add(n as u64);
-                if tx.send(Bytes::copy_from_slice(&buf[..n])).is_err() {
-                    return;
-                }
+                counters.bytes_recvd.add(wire.len() as u64);
+                let _ = tx.send(Bytes::copy_from_slice(wire));
             }
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                 if stop.load(Ordering::Relaxed) {
@@ -709,6 +755,30 @@ fn udp_reader(
 mod tests {
     use super::*;
     use crate::chaos::{ChaosPlan, Impairment};
+    use std::time::Instant;
+
+    const WAIT: Duration = Duration::from_secs(5);
+
+    fn host(kind: TransportConfig) -> TransportHost {
+        TransportHost::new(kind, &RunObs::disabled())
+    }
+
+    /// The binding of `inbox` on `on`, as a peer called `peer` sees it.
+    fn at(on: &TransportHost, peer: &str, inbox: &str) -> InboxBinding {
+        InboxBinding { host: peer.to_string(), at: on.endpoint(), inbox: inbox.to_string() }
+    }
+
+    fn addr(on: &TransportHost) -> SocketAddr {
+        on.addr.expect("a socket host that has bound an inbox")
+    }
+
+    fn await_disconnects(host: &TransportHost, n: u64) {
+        let deadline = Instant::now() + WAIT;
+        while host.counters.peer_disconnects.get() < n && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(host.counters.peer_disconnects.get(), n);
+    }
 
     #[test]
     fn config_parses_and_names_round_trip() {
@@ -723,10 +793,9 @@ mod tests {
 
     #[test]
     fn channel_transport_counts_both_directions() {
-        let obs = RunObs::disabled();
-        let mut host = TransportHost::new(TransportConfig::Channel, &obs);
-        let (binding, rx) = host.bind("inbox").unwrap();
-        let tx = host.connect(&binding, "a->b", None).unwrap();
+        let mut host = host(TransportConfig::Channel);
+        let rx = host.bind("inbox").unwrap();
+        let tx = host.connect(&at(&host, "b", "inbox"), None).unwrap();
         assert!(tx.transmit(Bytes::from_static(b"hello")));
         assert_eq!(rx.recv().unwrap(), Bytes::from_static(b"hello"));
         let c = &host.counters;
@@ -736,122 +805,108 @@ mod tests {
         drop(rx);
         assert!(!tx.transmit(Bytes::from_static(b"xx")));
         assert_eq!(host.counters.frames_recvd.get(), 1);
+        // An inbox nobody bound here cannot be connected to.
+        assert!(host.connect(&at(&host, "b", "elsewhere"), None).is_err());
     }
 
     #[test]
-    fn tcp_transport_round_trips_frames() {
-        let obs = RunObs::disabled();
-        let mut host = TransportHost::new(TransportConfig::Tcp, &obs);
-        let (binding, rx) = host.bind("inbox").unwrap();
-        let tx = host.connect(&binding, "a->b", None).unwrap();
-        for payload in [&b"first"[..], &b"second frame"[..], &[]] {
-            assert!(tx.transmit(Bytes::copy_from_slice(payload)));
-            let got = rx.recv_timeout(Duration::from_secs(5)).unwrap();
-            assert_eq!(&got[..], payload);
+    fn every_name_of_a_host_shares_its_one_endpoint_and_gets_only_its_own_frames() {
+        for kind in [TransportConfig::Tcp, TransportConfig::Udp] {
+            let mut host = host(kind);
+            assert_eq!(host.endpoint(), Endpoint::Local, "nothing is opened before a bind");
+            let names = ["gateway", "edge", "ack:device0->gateway", "ack:edge->cloud"];
+            let inboxes: Vec<_> = names.iter().map(|n| host.bind(n).unwrap()).collect();
+            // One listener (or socket) and the one thread serving it,
+            // however many names were bound on it.
+            assert_eq!(host.readers.len(), 1, "{}", kind.name());
+            assert_eq!(host.endpoint(), Endpoint::Socket(addr(&host)));
+            let err = host.bind("edge").unwrap_err();
+            assert!(matches!(err, RuntimeError::Config { .. }), "{err}");
+
+            // Localhost UDP is effectively lossless; a dropped datagram
+            // here would be a real kernel anomaly worth failing on.
+            let mut sent = 0;
+            for name in names {
+                let tx = host.connect(&at(&host, "peer", name), None).unwrap();
+                for payload in [name.as_bytes(), &[]] {
+                    assert!(tx.transmit(Bytes::copy_from_slice(payload)));
+                    sent += payload.len() as u64;
+                }
+            }
+            for (name, rx) in names.iter().zip(&inboxes) {
+                assert_eq!(&rx.recv_timeout(WAIT).unwrap()[..], name.as_bytes());
+                assert!(rx.recv_timeout(WAIT).unwrap().is_empty());
+                assert!(rx.try_recv().is_err(), "{name} got a frame addressed elsewhere");
+            }
+            // The inbox id is framing: the byte cells count frames only.
+            let c = &host.counters;
+            assert_eq!((c.frames_sent.get(), c.bytes_sent.get()), (8, sent));
+            assert_eq!((c.frames_recvd.get(), c.bytes_recvd.get()), (8, sent));
+            assert_eq!(c.peer_disconnects.get(), 0);
+            // Shutdown joins the reader and is idempotent; the drop that
+            // follows must not hang or panic.
+            host.shutdown();
+            host.shutdown();
+            assert!(host.readers.is_empty());
         }
-        assert_eq!(host.counters.frames_recvd.get(), 3);
-        host.shutdown();
-    }
-
-    #[test]
-    fn udp_transport_round_trips_frames() {
-        let obs = RunObs::disabled();
-        let mut host = TransportHost::new(TransportConfig::Udp, &obs);
-        let (binding, rx) = host.bind("inbox").unwrap();
-        let tx = host.connect(&binding, "a->b", None).unwrap();
-        // Localhost UDP is effectively lossless; a dropped datagram here
-        // would be a real kernel anomaly worth failing on.
-        assert!(tx.transmit(Bytes::from_static(b"datagram")));
-        let got = rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(&got[..], b"datagram");
-        host.shutdown();
-    }
-
-    #[test]
-    fn host_shutdown_joins_readers_and_is_idempotent() {
-        let obs = RunObs::disabled();
-        let mut host = TransportHost::new(TransportConfig::Tcp, &obs);
-        let (_binding, _rx) = host.bind("a").unwrap();
-        let (_binding2, _rx2) = host.bind("b").unwrap();
-        host.shutdown();
-        host.shutdown();
-        assert!(host.readers.is_empty());
-        // Drop after explicit shutdown must not hang or panic.
-        drop(host);
     }
 
     #[test]
     fn clean_close_at_frame_boundary_is_not_a_peer_disconnect() {
-        let obs = RunObs::disabled();
-        let mut host = TransportHost::new(TransportConfig::Tcp, &obs);
-        let (binding, rx) = host.bind("inbox").unwrap();
-        let tx = host.connect(&binding, "a->b", None).unwrap();
+        let mut host = host(TransportConfig::Tcp);
+        let rx = host.bind("inbox").unwrap();
+        let tx = host.connect(&at(&host, "b", "inbox"), None).unwrap();
         assert!(tx.transmit(Bytes::from_static(b"whole frame")));
-        assert_eq!(&rx.recv_timeout(Duration::from_secs(5)).unwrap()[..], b"whole frame");
+        assert_eq!(&rx.recv_timeout(WAIT).unwrap()[..], b"whole frame");
         drop(tx);
+        // A connection that named its inbox and never sent a frame closes
+        // at a boundary too.
+        drop(host.connect(&at(&host, "b", "inbox"), None).unwrap());
         host.shutdown();
         assert_eq!(host.counters.peer_disconnects.get(), 0);
     }
 
     #[test]
-    fn mid_frame_eof_counts_as_peer_disconnect() {
-        let obs = RunObs::disabled();
-        let mut host = TransportHost::new(TransportConfig::Tcp, &obs);
-        let (binding, _rx) = host.bind("inbox").unwrap();
-        let mut raw = TcpStream::connect(binding.addr().unwrap()).unwrap();
-        // A prefix promising 64 bytes, then the peer vanishes mid-frame.
-        raw.write_all(&64u32.to_le_bytes()).unwrap();
-        raw.write_all(&[0u8; 10]).unwrap();
-        raw.flush().unwrap();
-        drop(raw);
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while host.counters.peer_disconnects.get() == 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
+    fn abnormal_peers_are_dropped_and_counted_while_named_peers_are_served() {
+        let id = inbox_id("inbox");
+        let stray = inbox_id("no-such-inbox");
+        // TCP: each stream is hung up on, never assembled into a frame —
+        // the 3 GB prefix before it can drive an allocation.
+        let mut tcp = host(TransportConfig::Tcp);
+        let rx = tcp.bind("inbox").unwrap();
+        let streams = [
+            [&stray[..], &5u32.to_le_bytes(), b"stray"].concat(), // an inbox nobody bound
+            id[..3].to_vec(),                                     // closed inside the id
+            [&id[..], &64u32.to_le_bytes(), &[0u8; 10]].concat(), // closed inside a frame
+            [&id[..], &u32::MAX.to_le_bytes()].concat(),          // a hopeless length prefix
+        ];
+        for (n, bytes) in streams.iter().enumerate() {
+            TcpStream::connect(addr(&tcp)).unwrap().write_all(bytes).unwrap();
+            await_disconnects(&tcp, n as u64 + 1);
         }
-        assert_eq!(host.counters.peer_disconnects.get(), 1, "mid-frame EOF must be counted");
-        host.shutdown();
-    }
-
-    #[test]
-    fn redial_repoints_a_tcp_sender_at_a_new_inbox() {
-        let obs = RunObs::disabled();
-        let mut host = TransportHost::new(TransportConfig::Tcp, &obs);
-        let (binding_a, rx_a) = host.bind("inbox").unwrap();
-        let tx = host.connect(&binding_a, "link", None).unwrap();
-        assert!(tx.transmit(Bytes::from_static(b"to-a")));
-        assert_eq!(&rx_a.recv_timeout(Duration::from_secs(5)).unwrap()[..], b"to-a");
-        // The "respawned" peer binds a fresh inbox; the redial handle
-        // re-points every sender registered under the link's name.
-        let (binding_b, rx_b) = host.bind("inbox2").unwrap();
-        let handle = host.redial_handle();
-        assert!(handle.redial("link", binding_b.addr().unwrap()));
-        assert!(!handle.redial("no-such-link", binding_b.addr().unwrap()));
-        assert!(tx.transmit(Bytes::from_static(b"to-b")));
-        assert_eq!(&rx_b.recv_timeout(Duration::from_secs(5)).unwrap()[..], b"to-b");
-        host.shutdown();
-    }
-
-    #[test]
-    fn udp_redial_reconnects_the_datagram_socket() {
-        let obs = RunObs::disabled();
-        let mut host = TransportHost::new(TransportConfig::Udp, &obs);
-        let (binding_a, _rx_a) = host.bind("inbox").unwrap();
-        let tx = host.connect(&binding_a, "link", None).unwrap();
-        let (binding_b, rx_b) = host.bind("inbox2").unwrap();
-        assert!(tx.redial(binding_b.addr().unwrap()));
-        assert!(tx.transmit(Bytes::from_static(b"rerouted")));
-        assert_eq!(&rx_b.recv_timeout(Duration::from_secs(5)).unwrap()[..], b"rerouted");
-        host.shutdown();
+        // UDP: a datagram too short to name an inbox, and a stray one.
+        let mut udp = host(TransportConfig::Udp);
+        let udp_rx = udp.bind("inbox").unwrap();
+        let sock = UdpSocket::bind("127.0.0.1:0").unwrap();
+        sock.send_to(&id[..3], addr(&udp)).unwrap();
+        sock.send_to(&[&stray[..], b"stray"].concat(), addr(&udp)).unwrap();
+        await_disconnects(&udp, 2);
+        for (host, rx) in [(&tcp, &rx), (&udp, &udp_rx)] {
+            let tx = host.connect(&at(host, "b", "inbox"), None).unwrap();
+            assert!(tx.transmit(Bytes::from_static(b"named")));
+            assert_eq!(&rx.recv_timeout(WAIT).unwrap()[..], b"named");
+            assert!(rx.try_recv().is_err(), "a stray frame reached an inbox");
+            assert_eq!(host.counters.frames_recvd.get(), 1);
+        }
     }
 
     #[test]
     fn udp_chaos_drops_are_seeded_and_deterministic() {
         let run = |seed: u64| -> u64 {
-            let obs = RunObs::disabled();
-            let mut host = TransportHost::new(TransportConfig::Udp, &obs);
+            let mut host = host(TransportConfig::Udp);
             let plan = ChaosPlan::sockets(seed, Impairment { drop: 0.4, ..Impairment::none() });
-            let (binding, rx) = host.bind("inbox").unwrap();
-            let tx = host.connect(&binding, "link", plan.socket_chaos("link")).unwrap();
+            let rx = host.bind("inbox").unwrap();
+            let tx = host.connect(&at(&host, "b", "inbox"), plan.socket_chaos("link")).unwrap();
             for i in 0..200u32 {
                 assert!(tx.transmit(Bytes::copy_from_slice(&i.to_le_bytes())));
             }
@@ -871,60 +926,49 @@ mod tests {
     }
 
     #[test]
-    fn tcp_sever_loses_the_frame_but_the_sender_recovers_by_redial() {
-        let obs = RunObs::disabled();
-        let mut host = TransportHost::new(TransportConfig::Tcp, &obs);
-        let plan = ChaosPlan::sockets(0, Impairment { sever: 1.0, ..Impairment::none() });
-        let (binding, rx) = host.bind("inbox").unwrap();
-        let tx = host.connect(&binding, "link", plan.socket_chaos("link")).unwrap();
-        // Every transmit severs: the frame is reported accepted (lost in
-        // flight, like kernel loss) but never arrives, and the receiver
-        // books an abnormal disconnect.
-        assert!(tx.transmit(Bytes::from_static(b"doomed frame")));
-        assert!(rx.recv_timeout(Duration::from_millis(300)).is_err());
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while host.counters.peer_disconnects.get() == 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
+    fn a_severed_tcp_sender_redials_and_names_its_inbox_again() {
+        let mut host = host(TransportConfig::Tcp);
+        let plan = ChaosPlan::sockets(0, Impairment { sever: 0.5, ..Impairment::none() });
+        let bystander = host.bind("bystander").unwrap();
+        let rx = host.bind("inbox").unwrap();
+        let tx = host.connect(&at(&host, "b", "inbox"), plan.socket_chaos("link")).unwrap();
+        // A severed frame is reported accepted (lost in flight, like
+        // kernel loss) but never arrives; the next transmit dials a fresh
+        // stream, which must open with the inbox id to get anywhere.
+        for i in 0..16u8 {
+            assert!(tx.transmit(Bytes::copy_from_slice(&[i; 12])));
         }
-        assert!(host.counters.peer_disconnects.get() >= 1);
-        // The next transmit auto-redials a fresh stream (and severs
-        // again, proving the reconnect path is exercised repeatedly).
-        assert!(tx.transmit(Bytes::from_static(b"also doomed")));
+        let mut arrived = Vec::new();
+        while let Ok(frame) = rx.recv_timeout(Duration::from_millis(300)) {
+            arrived.push(frame[0]);
+        }
+        let first_lost = (0..16u8).find(|i| !arrived.contains(i)).expect("seed 0 severs a frame");
+        assert!(arrived.iter().any(|&i| i > first_lost), "no frame crossed a re-dialed stream");
+        assert!(host.counters.peer_disconnects.get() >= 1, "a sever is an abnormal close");
+        assert!(bystander.try_recv().is_err());
         host.shutdown();
     }
 
-    #[test]
-    fn tcp_reader_drops_connections_with_hopeless_length_prefixes() {
-        let obs = RunObs::disabled();
-        let mut host = TransportHost::new(TransportConfig::Tcp, &obs);
-        let (binding, rx) = host.bind("inbox").unwrap();
-        let addr = binding.addr().unwrap();
-        let mut raw = TcpStream::connect(addr).unwrap();
-        // A length prefix claiming 3 GB: the reader must hang up, not
-        // allocate.
-        raw.write_all(&(u32::MAX).to_le_bytes()).unwrap();
-        raw.flush().unwrap();
-        assert!(rx.recv_timeout(Duration::from_millis(300)).is_err());
-        host.shutdown();
-    }
-
-    // Byte soup written straight into the sockets by a foreign peer must
-    // never panic a reader thread, and whatever the readers do deliver
-    // must fail frame decoding with typed errors, not crashes. The bound
-    // inbox has to keep serving well-formed peers afterwards.
+    // Byte soup written straight into the sockets by a foreign peer —
+    // where the inbox id goes (`named == 0`) or, behind a valid id,
+    // where the length prefix and frames go — must never panic a reader
+    // thread, and whatever the readers do deliver must fail frame decoding
+    // with typed errors, not crashes. The bound inbox has to keep serving
+    // well-formed peers afterwards.
     mod junk_resilience {
         use super::*;
         use proptest::prelude::*;
 
-        fn assert_still_serving(
-            host: &TransportHost,
-            binding: &InboxBinding,
-            rx: &Receiver<Bytes>,
-        ) {
-            let tx = host.connect(binding, "probe", None).unwrap();
+        fn soup(named: bool, junk: &[u8]) -> Vec<u8> {
+            let id = inbox_id("inbox");
+            [if named { &id[..] } else { &[] }, junk].concat()
+        }
+
+        fn assert_still_serving(host: &TransportHost, rx: &Receiver<Bytes>) {
+            let tx = host.connect(&at(host, "probe", "inbox"), None).unwrap();
             assert!(tx.transmit(Bytes::from_static(b"still alive")));
             loop {
-                let got = rx.recv_timeout(Duration::from_secs(5)).expect("inbox stopped serving");
+                let got = rx.recv_timeout(WAIT).expect("inbox stopped serving");
                 // Junk delivered ahead of the probe decodes to errors, not
                 // panics.
                 let _ = crate::message::Frame::decode_checked(got.clone());
@@ -937,32 +981,32 @@ mod tests {
         proptest! {
             #[test]
             fn tcp_inbox_survives_junk_streams(
+                named in 0u8..2,
                 junk in prop::collection::vec(0u8..=255, 1..256),
             ) {
-                let obs = RunObs::disabled();
-                let mut host = TransportHost::new(TransportConfig::Tcp, &obs);
-                let (binding, rx) = host.bind("inbox").unwrap();
-                let mut raw = TcpStream::connect(binding.addr().unwrap()).unwrap();
-                // Raw bytes, no framing: the reader interprets the first
-                // four as a length prefix and either assembles a bogus
-                // frame or hangs up on an absurd length.
-                raw.write_all(&junk).unwrap();
+                let mut host = host(TransportConfig::Tcp);
+                let rx = host.bind("inbox").unwrap();
+                let mut raw = TcpStream::connect(addr(&host)).unwrap();
+                // Raw bytes, no framing: the reader either hangs up on an
+                // id it does not know, assembles a bogus frame, or hangs
+                // up on an absurd length.
+                raw.write_all(&soup(named == 1, &junk)).unwrap();
                 raw.flush().unwrap();
                 drop(raw);
-                assert_still_serving(&host, &binding, &rx);
+                assert_still_serving(&host, &rx);
                 host.shutdown();
             }
 
             #[test]
             fn udp_inbox_survives_junk_datagrams(
+                named in 0u8..2,
                 junk in prop::collection::vec(0u8..=255, 0..256),
             ) {
-                let obs = RunObs::disabled();
-                let mut host = TransportHost::new(TransportConfig::Udp, &obs);
-                let (binding, rx) = host.bind("inbox").unwrap();
+                let mut host = host(TransportConfig::Udp);
+                let rx = host.bind("inbox").unwrap();
                 let sock = UdpSocket::bind("127.0.0.1:0").unwrap();
-                sock.send_to(&junk, binding.addr().unwrap()).unwrap();
-                assert_still_serving(&host, &binding, &rx);
+                sock.send_to(&soup(named == 1, &junk), addr(&host)).unwrap();
+                assert_still_serving(&host, &rx);
                 host.shutdown();
             }
         }

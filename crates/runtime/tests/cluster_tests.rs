@@ -6,7 +6,8 @@ use ddnn_core::{
     AggregationScheme, CommCostModel, Ddnn, DdnnConfig, EdgeConfig, ExitPoint, ExitThreshold,
 };
 use ddnn_runtime::{
-    run_cloud_only_baseline, run_distributed_inference, HierarchyConfig, RuntimeError,
+    run_cloud_only_baseline, run_distributed_inference, DeadlineConfig, HierarchyConfig,
+    RuntimeError,
 };
 use ddnn_tensor::rng::rng_from_seed;
 use ddnn_tensor::Tensor;
@@ -119,23 +120,37 @@ fn failed_device_matches_blank_input_semantics() {
     let failed = vec![1usize];
     let blanked = ddnn_core::fail_devices(&views, &failed).unwrap();
     let expected = model.infer(&blanked, t, None).unwrap();
-    let report = run_distributed_inference(
-        &model.partition(),
-        &views,
-        &labels,
-        &HierarchyConfig {
-            local_threshold: t,
-            failed_devices: failed,
-            ..HierarchyConfig::default()
-        },
-    )
-    .unwrap();
-    assert_eq!(report.predictions, expected.predictions);
-    assert_eq!(report.exits, expected.exits);
-    // The failed device sends nothing.
-    for (name, stats) in &report.links {
-        if name.starts_with("device1->") {
-            assert_eq!(stats.frames, 0, "failed device sent frames on {name}");
+    // The failure is known before the run, so deadlines change nothing:
+    // nobody waits for the device, and nothing counts as degradation.
+    for deadlines in [None, Some(DeadlineConfig::default())] {
+        let started = std::time::Instant::now();
+        let report = run_distributed_inference(
+            &model.partition(),
+            &views,
+            &labels,
+            &HierarchyConfig {
+                local_threshold: t,
+                failed_devices: failed.clone(),
+                deadlines,
+                ..HierarchyConfig::default()
+            },
+        )
+        .unwrap();
+        let wall_ms = started.elapsed().as_millis();
+        assert_eq!(report.predictions, expected.predictions, "{deadlines:?}");
+        assert_eq!(report.exits, expected.exits, "{deadlines:?}");
+        assert_eq!(report.degraded_fraction, 0.0, "{deadlines:?}");
+        assert_eq!(report.device_timeouts, [0, 0, 0], "{deadlines:?}");
+        assert!(report.degraded_samples.is_empty(), "{deadlines:?}");
+        if let Some(dl) = deadlines {
+            let budget = u128::from(dl.aggregation_ms);
+            assert!(wall_ms < budget, "{wall_ms} ms: an aggregation deadline was waited out");
+        }
+        // The failed device sends nothing.
+        for (name, stats) in &report.links {
+            if name.starts_with("device1->") {
+                assert_eq!(stats.frames, 0, "failed device sent frames on {name}");
+            }
         }
     }
 }

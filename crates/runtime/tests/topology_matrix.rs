@@ -3,10 +3,9 @@
 //! chains deeper than the paper's (device → gateway → edge → edge →
 //! cloud) are plain [`HierarchyBuilder`] instantiations.
 //!
-//! `just topology-matrix` sweeps this suite across `DDNN_THREADS={1,4}`
-//! and `DDNN_MATRIX_DEADLINES={off,on}`; with the env var set every run
-//! repeats with (generous) deadline-based degradation enabled, which must
-//! not change a fault-free run's verdicts.
+//! Every run repeats with (generous) deadline-based degradation enabled,
+//! which must not change a fault-free run's verdicts; `just
+//! topology-matrix` sweeps the suite across `DDNN_THREADS={1,4}`.
 
 use ddnn_core::{
     AggregationScheme, ConvPBlock, Ddnn, DdnnConfig, EdgeConfig, ExitHead, ExitPoint,
@@ -24,15 +23,17 @@ fn random_views(n: usize, devices: usize, seed: u64) -> Vec<Tensor> {
     (0..devices).map(|_| Tensor::rand_uniform([n, 3, 32, 32], 0.0, 1.0, &mut rng)).collect()
 }
 
-/// Generous deadlines: degradation machinery active, nothing close enough
-/// to expire on a fault-free run, so verdicts must be unchanged.
-fn matrix_deadlines() -> Option<DeadlineConfig> {
-    std::env::var("DDNN_MATRIX_DEADLINES").is_ok().then_some(DeadlineConfig {
+/// Both legs of the matrix: no deadlines, and generous ones — degradation
+/// machinery active, nothing close enough to expire on a fault-free run,
+/// so verdicts must be unchanged.
+fn matrix_deadlines() -> [Option<DeadlineConfig>; 2] {
+    let generous = DeadlineConfig {
         aggregation_ms: 60_000,
         watchdog_ms: 120_000,
         max_retries: 2,
         suspect_after: u32::MAX,
-    })
+    };
+    [None, Some(generous)]
 }
 
 fn model_of(devices: usize, edge: bool) -> Ddnn {
@@ -55,16 +56,18 @@ fn check_cell(devices: usize, edge: bool, seed: u64) {
     let tl = ExitThreshold::new(0.5);
     let te = ExitThreshold::new(0.7);
     let expected = model.infer(&views, tl, edge.then_some(te)).unwrap();
-    let cfg = HierarchyConfig {
-        local_threshold: tl,
-        edge_threshold: te,
-        deadlines: matrix_deadlines(),
-        ..HierarchyConfig::default()
-    };
-    let report = run_distributed_inference(&model.partition(), &views, &labels, &cfg).unwrap();
-    assert_eq!(report.predictions, expected.predictions, "devices={devices} edge={edge}");
-    assert_eq!(report.exits, expected.exits, "devices={devices} edge={edge}");
-    assert_eq!(report.classified_count(), 6, "devices={devices} edge={edge}");
+    for deadlines in matrix_deadlines() {
+        let cfg = HierarchyConfig {
+            local_threshold: tl,
+            edge_threshold: te,
+            deadlines,
+            ..HierarchyConfig::default()
+        };
+        let report = run_distributed_inference(&model.partition(), &views, &labels, &cfg).unwrap();
+        assert_eq!(report.predictions, expected.predictions, "devices={devices} edge={edge}");
+        assert_eq!(report.exits, expected.exits, "devices={devices} edge={edge}");
+        assert_eq!(report.classified_count(), 6, "devices={devices} edge={edge}");
+    }
 }
 
 #[test]
@@ -73,15 +76,17 @@ fn config_a_cloud_only_baseline() {
     let mut model = model_of(2, false);
     let views = random_views(6, 2, 40);
     let labels: Vec<usize> = (0..6).map(|i| i % 3).collect();
-    let cfg = HierarchyConfig { deadlines: matrix_deadlines(), ..HierarchyConfig::default() };
-    let report = run_cloud_only_baseline(&model.partition(), &views, &labels, &cfg).unwrap();
-    assert!(report.exits.iter().all(|&e| e == ExitPoint::Cloud));
-    assert_eq!(report.classified_count(), 6);
-    // Up to the wire format's 8-bit image quantization the verdicts track
-    // the in-process cloud exit.
     let expected = model.predict_at(&views, ExitPoint::Cloud).unwrap();
-    let agree = report.predictions.iter().zip(&expected).filter(|(a, b)| a == b).count();
-    assert!(agree >= 5, "baseline diverged from cloud exit: {agree}/6");
+    for deadlines in matrix_deadlines() {
+        let cfg = HierarchyConfig { deadlines, ..HierarchyConfig::default() };
+        let report = run_cloud_only_baseline(&model.partition(), &views, &labels, &cfg).unwrap();
+        assert!(report.exits.iter().all(|&e| e == ExitPoint::Cloud));
+        assert_eq!(report.classified_count(), 6);
+        // Up to the wire format's 8-bit image quantization the verdicts
+        // track the in-process cloud exit.
+        let agree = report.predictions.iter().zip(&expected).filter(|(a, b)| a == b).count();
+        assert!(agree >= 5, "baseline diverged from cloud exit: {agree}/6");
+    }
 }
 
 #[test]
@@ -151,19 +156,21 @@ fn deep_chain_forwards_through_every_tier_to_the_terminal() {
     let topology = deep_chain(&model, ExitThreshold::new(0.0), ExitThreshold::new(0.0));
     let views = random_views(4, 2, 50);
     let labels: Vec<usize> = (0..4).map(|i| i % 3).collect();
-    let cfg = HierarchyConfig {
-        local_threshold: ExitThreshold::new(0.0),
-        deadlines: matrix_deadlines(),
-        ..HierarchyConfig::default()
-    };
-    let report = run_topology(&topology, &views, &labels, &cfg).unwrap();
-    assert!(report.exits.iter().all(|&e| e == ExitPoint::Cloud), "{:?}", report.exits);
-    assert_eq!(report.classified_count(), 4);
-    assert_eq!(link_frames(&report, "edgeA->edgeB"), 4);
-    assert_eq!(link_frames(&report, "edgeB->core"), 4);
-    assert_eq!(link_frames(&report, "core->orchestrator"), 4);
-    assert_eq!(link_frames(&report, "edgeA->orchestrator"), 0);
-    assert_eq!(link_frames(&report, "edgeB->orchestrator"), 0);
+    for deadlines in matrix_deadlines() {
+        let cfg = HierarchyConfig {
+            local_threshold: ExitThreshold::new(0.0),
+            deadlines,
+            ..HierarchyConfig::default()
+        };
+        let report = run_topology(&topology, &views, &labels, &cfg).unwrap();
+        assert!(report.exits.iter().all(|&e| e == ExitPoint::Cloud), "{:?}", report.exits);
+        assert_eq!(report.classified_count(), 4);
+        assert_eq!(link_frames(&report, "edgeA->edgeB"), 4);
+        assert_eq!(link_frames(&report, "edgeB->core"), 4);
+        assert_eq!(link_frames(&report, "core->orchestrator"), 4);
+        assert_eq!(link_frames(&report, "edgeA->orchestrator"), 0);
+        assert_eq!(link_frames(&report, "edgeB->orchestrator"), 0);
+    }
 }
 
 #[test]
@@ -174,16 +181,18 @@ fn deep_chain_first_tier_can_absorb_every_sample() {
     let topology = deep_chain(&model, ExitThreshold::new(1.0), ExitThreshold::new(0.0));
     let views = random_views(4, 2, 51);
     let labels: Vec<usize> = (0..4).map(|i| i % 3).collect();
-    let cfg = HierarchyConfig {
-        local_threshold: ExitThreshold::new(0.0),
-        deadlines: matrix_deadlines(),
-        ..HierarchyConfig::default()
-    };
-    let report = run_topology(&topology, &views, &labels, &cfg).unwrap();
-    assert!(report.exits.iter().all(|&e| e == ExitPoint::Edge), "{:?}", report.exits);
-    assert_eq!(report.classified_count(), 4);
-    assert_eq!(link_frames(&report, "edgeA->orchestrator"), 4);
-    assert_eq!(link_frames(&report, "edgeA->edgeB"), 0);
-    assert_eq!(link_frames(&report, "edgeB->core"), 0);
-    assert_eq!(link_frames(&report, "core->orchestrator"), 0);
+    for deadlines in matrix_deadlines() {
+        let cfg = HierarchyConfig {
+            local_threshold: ExitThreshold::new(0.0),
+            deadlines,
+            ..HierarchyConfig::default()
+        };
+        let report = run_topology(&topology, &views, &labels, &cfg).unwrap();
+        assert!(report.exits.iter().all(|&e| e == ExitPoint::Edge), "{:?}", report.exits);
+        assert_eq!(report.classified_count(), 4);
+        assert_eq!(link_frames(&report, "edgeA->orchestrator"), 4);
+        assert_eq!(link_frames(&report, "edgeA->edgeB"), 0);
+        assert_eq!(link_frames(&report, "edgeB->core"), 0);
+        assert_eq!(link_frames(&report, "core->orchestrator"), 0);
+    }
 }
