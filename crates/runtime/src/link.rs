@@ -20,7 +20,7 @@
 
 use crate::chaos::{damage, ChaosPlan, CrashState, Delivery, LinkChaos};
 use crate::error::{Result, RuntimeError};
-use crate::message::{Frame, NodeId, CHECKED_HEADER_BYTES, HEADER_BYTES};
+use crate::message::{Frame, NodeId};
 use crate::obs::{LinkCounters, ObsEvent, RunObs};
 use crate::reliability::{arq_max_age, ArqRecvState, ArqSendState, ReliabilityMode};
 use crate::topology::HierarchyConfig;
@@ -110,26 +110,6 @@ impl LatencyModel {
     }
 }
 
-/// Which framing a link speaks on the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub(crate) enum WireFormat {
-    /// The seed's unchecked 13-byte header.
-    #[default]
-    Legacy,
-    /// The reliability layer's CRC-framed header.
-    Checked,
-}
-
-impl WireFormat {
-    /// Size of this format's frame header.
-    pub(crate) fn header_bytes(self) -> usize {
-        match self {
-            WireFormat::Legacy => HEADER_BYTES,
-            WireFormat::Checked => CHECKED_HEADER_BYTES,
-        }
-    }
-}
-
 /// The sending half of an instrumented link. Frames are encoded to wire
 /// bytes, counted, then decoded by the receiver — so anything crossing a
 /// link really does survive serialization.
@@ -145,8 +125,9 @@ pub struct LinkSender {
     /// still counts as transmitted, exactly like a real datagram sent to a
     /// host that just went away.
     lenient: bool,
-    /// Which wire format this link speaks.
-    format: WireFormat,
+    /// Decides the wire format this link speaks (see
+    /// [`ReliabilityMode::is_checked`]).
+    mode: ReliabilityMode,
     /// ARQ retransmit buffer; every non-shutdown frame is registered here
     /// before its fault roll, so a lost primary is recoverable.
     arq: Option<Arc<ArqSendState>>,
@@ -160,14 +141,14 @@ pub struct LinkSender {
 impl LinkSender {
     /// A sender with no fault stream, no ARQ and no tolerance for a
     /// hung-up receiver.
-    fn plain(tx: Arc<dyn TransportTx>, name: &str, format: WireFormat) -> Self {
+    fn plain(tx: Arc<dyn TransportTx>, name: &str, mode: ReliabilityMode) -> Self {
         LinkSender {
             tx,
             stats: Arc::new(LinkCounters::default()),
             name: Arc::from(name),
             fault: None,
             lenient: false,
-            format,
+            mode,
             arq: None,
             held: Arc::new(Mutex::new(None)),
         }
@@ -193,7 +174,7 @@ impl LinkSender {
         // Register with ARQ *before* the fault roll: a dropped primary is
         // then already buffered for retransmission.
         let wire = match &self.arq {
-            Some(arq) => frame.encode_checked(0, arq.register(frame)),
+            Some(arq) => arq.register(frame),
             None => self.encode_plain(frame),
         };
         let delivery = self.fault.as_ref().map_or_else(Delivery::clean, |f| f.roll(frame));
@@ -229,9 +210,10 @@ impl LinkSender {
 
     /// Encodes a frame without ARQ metadata in the link's wire format.
     fn encode_plain(&self, frame: &Frame) -> bytes::Bytes {
-        match self.format {
-            WireFormat::Legacy => frame.encode(),
-            WireFormat::Checked => frame.encode_checked(0, 0),
+        if self.mode.is_checked() {
+            frame.encode_checked(0, 0)
+        } else {
+            frame.encode()
         }
     }
 
@@ -240,7 +222,7 @@ impl LinkSender {
     /// truncated) wire; the header share is the rest, so the two always
     /// sum to the bytes transmitted.
     fn account(&self, payload_bytes: usize, wire_len: usize, deliveries: usize, damaged: bool) {
-        let p = payload_bytes.min(wire_len.saturating_sub(self.format.header_bytes()));
+        let p = payload_bytes.min(wire_len.saturating_sub(self.mode.header_bytes()));
         let s = &self.stats;
         s.frames.add(deliveries as u64);
         s.payload_bytes.add((deliveries * p) as u64);
@@ -332,7 +314,8 @@ impl LinkReceiver {
 #[derive(Debug)]
 pub(crate) struct NodeInbox {
     rx: LinkReceiver,
-    format: WireFormat,
+    /// Decides the wire format this inbox decodes.
+    mode: ReliabilityMode,
     /// ARQ receiver state per sending node (keyed by encoded [`NodeId`]).
     sources: HashMap<u16, ArqRecvState>,
     /// Corrupt frames discarded at this inbox.
@@ -342,9 +325,9 @@ pub(crate) struct NodeInbox {
 }
 
 impl NodeInbox {
-    /// An inbox on the given wire format with no ARQ sources yet.
-    pub(crate) fn with_format(rx: LinkReceiver, format: WireFormat, obs: Arc<RunObs>) -> Self {
-        NodeInbox { rx, format, sources: HashMap::new(), corrupt_discards: 0, obs }
+    /// An inbox on `mode`'s wire format with no ARQ sources yet.
+    pub(crate) fn with_mode(rx: LinkReceiver, mode: ReliabilityMode, obs: Arc<RunObs>) -> Self {
+        NodeInbox { rx, mode, sources: HashMap::new(), corrupt_discards: 0, obs }
     }
 
     /// Registers the ARQ receiver state of the inbound link from `from`.
@@ -410,29 +393,23 @@ impl NodeInbox {
     /// corrupt one (truncated, or with an impossible length field) is
     /// likewise counted and discarded instead of failing the node.
     fn admit(&mut self, bytes: bytes::Bytes) -> Result<Option<Frame>> {
-        match self.format {
-            WireFormat::Legacy => match Frame::decode(bytes) {
-                Err(RuntimeError::Corrupt { .. }) => {
-                    self.discard_corrupt();
-                    Ok(None)
-                }
-                Err(e) => Err(e),
-                Ok(frame) => Ok(Some(frame)),
-            },
-            WireFormat::Checked => match Frame::decode_checked(bytes) {
-                Err(RuntimeError::Corrupt { .. }) => {
-                    self.discard_corrupt();
-                    Ok(None)
-                }
-                Err(e) => Err(e),
-                Ok(checked) => {
-                    let fresh = match self.sources.get_mut(&checked.frame.from.encode()) {
-                        Some(state) => state.accept(checked.tseq),
-                        None => true, // sender does not run ARQ
-                    };
-                    Ok(fresh.then_some(checked.frame))
-                }
-            },
+        let decoded = if self.mode.is_checked() {
+            Frame::decode_checked(bytes).map(|checked| {
+                let fresh = match self.sources.get_mut(&checked.frame.from.encode()) {
+                    Some(state) => state.accept(checked.tseq),
+                    None => true, // sender does not run ARQ
+                };
+                fresh.then_some(checked.frame)
+            })
+        } else {
+            Frame::decode(bytes).map(Some)
+        };
+        match decoded {
+            Err(RuntimeError::Corrupt { .. }) => {
+                self.discard_corrupt();
+                Ok(None)
+            }
+            other => other,
         }
     }
 
@@ -447,7 +424,7 @@ impl NodeInbox {
 /// and the shared counter block (snapshot it for a [`LinkStats`] view).
 pub fn link(name: &str) -> (LinkSender, LinkReceiver, Arc<LinkCounters>) {
     let (tx, rx) = unbounded();
-    let sender = LinkSender::plain(channel_tx(tx), name, WireFormat::Legacy);
+    let sender = LinkSender::plain(channel_tx(tx), name, ReliabilityMode::Legacy);
     let (stats, name) = (Arc::clone(&sender.stats), Arc::clone(&sender.name));
     (sender, LinkReceiver { rx, name }, stats)
 }
@@ -510,15 +487,6 @@ impl<'a> LinkFactory<'a> {
         self.transport.endpoint()
     }
 
-    /// The wire format every inbox of this run decodes.
-    pub(crate) fn wire_format(&self) -> WireFormat {
-        if self.mode.is_checked() {
-            WireFormat::Checked
-        } else {
-            WireFormat::Legacy
-        }
-    }
-
     /// Binds a named node inbox on this process's endpoint.
     ///
     /// # Errors
@@ -527,7 +495,7 @@ impl<'a> LinkFactory<'a> {
     pub(crate) fn inbox(&mut self, name: &str) -> Result<NodeInbox> {
         let rx = self.transport.bind(name)?;
         let receiver = LinkReceiver { rx, name: Arc::from(name) };
-        Ok(NodeInbox::with_format(receiver, self.wire_format(), Arc::clone(&self.obs)))
+        Ok(NodeInbox::with_mode(receiver, self.mode, Arc::clone(&self.obs)))
     }
 
     /// Binds the reverse ack inbox (`ack:{link}`) of an ARQ link this
@@ -582,7 +550,6 @@ impl<'a> LinkFactory<'a> {
                     Arc::clone(&stats),
                     retx_fault,
                     self.arq_max_age,
-                    CHECKED_HEADER_BYTES,
                     Arc::clone(&self.obs),
                     Arc::from(name),
                 )
@@ -591,7 +558,7 @@ impl<'a> LinkFactory<'a> {
             self.arq_states.push(Arc::clone(&send_state));
             send_state
         });
-        let plain = LinkSender::plain(data_tx, name, self.wire_format());
+        let plain = LinkSender::plain(data_tx, name, self.mode);
         Ok(LinkSender { stats, fault, lenient: self.tolerant, arq, ..plain })
     }
 
@@ -620,7 +587,7 @@ impl<'a> LinkFactory<'a> {
     ///
     /// Returns [`RuntimeError::Transport`] when a socket connect fails.
     pub(crate) fn shutdown_sender(&self, to: &InboxBinding, name: &str) -> Result<LinkSender> {
-        Ok(LinkSender::plain(self.transport.connect(to, None)?, name, self.wire_format()))
+        Ok(LinkSender::plain(self.transport.connect(to, None)?, name, self.mode))
     }
 
     /// Stops and joins the dataplane's socket reader threads. Also runs
@@ -635,7 +602,7 @@ impl<'a> LinkFactory<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::{NodeId, Payload};
+    use crate::message::{NodeId, Payload, HEADER_BYTES};
 
     #[test]
     fn frames_survive_the_link() {

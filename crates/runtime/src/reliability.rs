@@ -29,7 +29,7 @@
 
 use crate::chaos::{damage, Delivery, LinkChaos};
 use crate::error::{Result, RuntimeError};
-use crate::message::crc32;
+use crate::message::{crc32, retransmit_form, Frame, CHECKED_HEADER_BYTES, HEADER_BYTES};
 use crate::obs::{LinkCounters, ObsEvent, RunObs};
 use crate::topology::DeadlineConfig;
 use crate::transport::TransportTx;
@@ -58,6 +58,15 @@ impl ReliabilityMode {
     /// Whether this mode uses the checked wire format.
     pub fn is_checked(self) -> bool {
         !matches!(self, ReliabilityMode::Legacy)
+    }
+
+    /// Size of the frame header this mode's wire format carries.
+    pub(crate) fn header_bytes(self) -> usize {
+        if self.is_checked() {
+            CHECKED_HEADER_BYTES
+        } else {
+            HEADER_BYTES
+        }
     }
 }
 
@@ -191,7 +200,8 @@ fn decode_ack(buf: &[u8]) -> Option<(u32, Vec<u32>)> {
 #[derive(Debug)]
 struct Unacked {
     tseq: u32,
-    /// The retransmit encoding (`FLAG_RETRANSMIT` set) of the frame.
+    /// The primary's wire bytes, shared with the transmission itself; the
+    /// `FLAG_RETRANSMIT` form is derived when a retransmission is due.
     wire: Bytes,
     /// Eq. 1 payload bytes of the frame, for stats accounting.
     payload_bytes: usize,
@@ -229,8 +239,6 @@ pub(crate) struct ArqSendState {
     fault: Option<Arc<LinkChaos>>,
     /// See [`arq_max_age`].
     max_age: Duration,
-    /// Header bytes of the checked format, for stats accounting.
-    header_bytes: usize,
     /// Run observability: each retransmission emits a timeline event.
     obs: Arc<RunObs>,
     /// The data link's name, for event attribution.
@@ -238,14 +246,12 @@ pub(crate) struct ArqSendState {
 }
 
 impl ArqSendState {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         data_tx: Arc<dyn TransportTx>,
         ack_rx: Receiver<Bytes>,
         stats: Arc<LinkCounters>,
         fault: Option<Arc<LinkChaos>>,
         max_age: Duration,
-        header_bytes: usize,
         obs: Arc<RunObs>,
         link: Arc<str>,
     ) -> Self {
@@ -256,7 +262,6 @@ impl ArqSendState {
             stats,
             fault,
             max_age,
-            header_bytes,
             obs,
             link,
         }
@@ -273,11 +278,11 @@ impl ArqSendState {
         self
     }
 
-    /// Assigns the next transport sequence number and buffers the frame's
-    /// retransmit encoding. Returns the tseq for the primary transmission.
-    /// Called *before* the primary's fault roll, so a dropped primary is
-    /// already recoverable.
-    pub(crate) fn register(&self, frame: &crate::message::Frame) -> u32 {
+    /// Assigns the next transport sequence number, encodes the primary
+    /// transmission (`flags = 0`) and buffers those same bytes for
+    /// retransmission. Called *before* the primary's fault roll, so a
+    /// dropped primary is already recoverable.
+    pub(crate) fn register(&self, frame: &Frame) -> Bytes {
         let now = Instant::now();
         let mut inner = self.inner.lock();
         let tseq = inner.next_tseq;
@@ -285,10 +290,10 @@ impl ArqSendState {
         if inner.buffer.len() >= BUFFER_FRAMES {
             inner.buffer.remove(0); // bounded buffer: abandon the oldest
         }
-        let wire = frame.encode_checked(crate::message::FLAG_RETRANSMIT, tseq);
+        let wire = frame.encode_checked(0, tseq);
         inner.buffer.push(Unacked {
             tseq,
-            wire,
+            wire: wire.clone(),
             payload_bytes: frame.payload_bytes(),
             first_sent: now,
             next_retry: now + Duration::from_millis(RETRANSMIT_MS),
@@ -296,78 +301,74 @@ impl ArqSendState {
             retries: 0,
             nacked: false,
         });
-        tseq
+        wire
     }
 
     /// One pump sweep: absorb acks, garbage-collect the buffer, retransmit
-    /// what is due (NACKed or timed out), abandon what is hopeless.
+    /// what is due (NACKed or timed out), abandon what is hopeless. What is
+    /// due is decided under the buffer lock; the retransmissions are built
+    /// and transmitted after releasing it, so a blocking socket never
+    /// stalls the node thread's [`register`](ArqSendState::register).
     pub(crate) fn tick(&self, now: Instant) {
+        for (wire, payload, tseq, retries) in self.take_due(now) {
+            let delivery = self.fault.as_ref().map_or_else(Delivery::clean, |f| f.roll_raw());
+            // Retransmissions skip duplication/jitter/reordering: they are
+            // already redundant, delayed traffic.
+            let Delivery::Deliver { corrupt, truncate, .. } = delivery else {
+                self.stats.frames_dropped.incr();
+                continue;
+            };
+            let (wire, damaged) = damage(retransmit_form(&wire), corrupt, truncate);
+            let s = &self.stats;
+            s.frames.incr();
+            s.frames_retransmitted.incr();
+            let p = payload.min(wire.len().saturating_sub(CHECKED_HEADER_BYTES));
+            // Recovery traffic: priced into the totals *and* into the
+            // retransmit share, so Eq. 1 comparisons can separate
+            // first-transmission cost from recovery.
+            s.payload_bytes.add(p as u64);
+            s.retx_payload_bytes.add(p as u64);
+            s.header_bytes.add((wire.len() - p) as u64);
+            if damaged {
+                s.frames_corrupted.incr();
+            }
+            self.obs.emit(|| ObsEvent::Retransmit { link: self.link.to_string(), tseq, retries });
+            // A departed receiver means the run is over for this link; the
+            // retransmission is simply lost in flight.
+            self.data_tx.transmit(wire);
+        }
+    }
+
+    /// The locked half of a sweep: absorbs acks, drops what is acked or
+    /// hopeless, and books one more try on every frame that is due,
+    /// returning each one's `(primary wire, payload bytes, tseq, retries)`.
+    fn take_due(&self, now: Instant) -> Vec<(Bytes, usize, u32, u32)> {
         let mut inner = self.inner.lock();
         let ack_rx = self.ack_rx.lock();
         while let Ok(ack) = ack_rx.try_recv() {
             if let Some((cum, nacks)) = decode_ack(&ack) {
                 inner.buffer.retain(|u| u.tseq > cum);
                 for u in &mut inner.buffer {
-                    if nacks.contains(&u.tseq) {
-                        u.nacked = true;
-                    }
+                    u.nacked |= nacks.contains(&u.tseq);
                 }
             }
         }
-        drop(ack_rx);
-        let mut i = 0;
-        while i < inner.buffer.len() {
-            let u = &inner.buffer[i];
-            let due = u.nacked || u.next_retry <= now;
-            if !due {
-                i += 1;
-                continue;
-            }
-            if u.retries >= MAX_RETRIES || now.duration_since(u.first_sent) > self.max_age {
-                // Hopeless: the deadline tier owns this loss now.
-                inner.buffer.remove(i);
-                continue;
-            }
-            let u = &mut inner.buffer[i];
+        let is_due = |u: &Unacked| u.nacked || u.next_retry <= now;
+        // A due frame out of retries or past its age is hopeless: the
+        // deadline tier owns that loss now.
+        let max_age = self.max_age;
+        inner.buffer.retain(|u| {
+            !is_due(u) || (u.retries < MAX_RETRIES && now.duration_since(u.first_sent) <= max_age)
+        });
+        let mut due = Vec::new();
+        for u in inner.buffer.iter_mut().filter(|u| is_due(u)) {
             u.retries += 1;
             u.nacked = false;
             u.backoff_ms = (u.backoff_ms * 2).min(BACKOFF_CAP_MS);
             u.next_retry = now + Duration::from_millis(u.backoff_ms);
-            let (tseq, retries) = (u.tseq, u.retries);
-            let delivery = self.fault.as_ref().map_or_else(Delivery::clean, |f| f.roll_raw());
-            match delivery {
-                Delivery::Dropped => {
-                    self.stats.frames_dropped.incr();
-                }
-                Delivery::Deliver { corrupt, truncate, .. } => {
-                    // Retransmissions skip duplication/jitter/reordering:
-                    // they are already redundant, delayed traffic.
-                    let (wire, damaged) = damage(u.wire.clone(), corrupt, truncate);
-                    let payload = u.payload_bytes;
-                    let s = &self.stats;
-                    s.frames.incr();
-                    s.frames_retransmitted.incr();
-                    let p = payload.min(wire.len().saturating_sub(self.header_bytes));
-                    // Recovery traffic: priced into the totals *and* into
-                    // the retransmit share, so Eq. 1 comparisons can
-                    // separate first-transmission cost from recovery.
-                    s.payload_bytes.add(p as u64);
-                    s.retx_payload_bytes.add(p as u64);
-                    s.header_bytes.add((wire.len() - p) as u64);
-                    if damaged {
-                        s.frames_corrupted.incr();
-                    }
-                    self.obs.emit(|| ObsEvent::Retransmit {
-                        link: self.link.to_string(),
-                        tseq,
-                        retries,
-                    });
-                    // A departed receiver means the run is over for this
-                    // link; the retransmission is simply lost in flight.
-                    self.data_tx.transmit(wire);
-                }
-            }
+            due.push((u.wire.clone(), u.payload_bytes, u.tseq, u.retries));
         }
+        due
     }
 
     /// Unacked frames still buffered (for tests).
@@ -487,9 +488,9 @@ impl ArqRecvState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::{Frame, NodeId, Payload};
+    use crate::message::{NodeId, Payload, FLAG_RETRANSMIT};
     use crate::transport::channel_tx;
-    use crossbeam::channel::unbounded;
+    use crossbeam::channel::{unbounded, Sender};
 
     fn frame(seq: u64) -> Frame {
         Frame::new(seq, NodeId::Device(0), Payload::Scores { scores: vec![1.0, 2.0] })
@@ -586,7 +587,6 @@ mod tests {
             Arc::clone(stats),
             None,
             arq_max_age(None),
-            crate::message::CHECKED_HEADER_BYTES,
             RunObs::disabled(),
             Arc::from("test-link"),
         )
@@ -597,8 +597,10 @@ mod tests {
         let (data_tx, data_rx) = unbounded();
         let (_ack_tx, ack_rx) = unbounded();
         let send = send_state(data_tx, ack_rx, &stats()).with_tseq_base(1 << 20);
-        assert_eq!(send.register(&frame(0)), (1 << 20) + 1);
-        assert_eq!(send.register(&frame(1)), (1 << 20) + 2);
+        for seq in 0..2u32 {
+            let wire = send.register(&frame(u64::from(seq)));
+            assert_eq!(Frame::decode_checked(wire).unwrap().tseq, (1 << 20) + 1 + seq);
+        }
         drop(data_rx);
     }
 
@@ -609,23 +611,68 @@ mod tests {
         let st = stats();
         let send = send_state(data_tx, ack_rx, &st);
         let f = frame(7);
-        let tseq = send.register(&f);
-        assert_eq!(tseq, 1);
+        let primary = send.register(&f);
+        assert_eq!(primary, f.encode_checked(0, 1));
         assert_eq!(send.in_flight(), 1);
-        // Past the retransmit timeout the pump resends the frame.
+        // The primary is damaged by its fault roll, as `LinkSender::send`
+        // would: the buffer shares its bytes, so the damage must land on a
+        // copy and leave the retransmission pristine.
+        let (damaged, _) = damage(primary.clone(), Some(9), None);
+        assert_ne!(damaged, primary);
+        // Past the retransmit timeout the pump resends the frame: the
+        // buffered primary with the flag set and the CRC redone is what a
+        // direct retransmit encoding would have produced.
         let later = |ms| Instant::now() + Duration::from_millis(ms);
         send.tick(later(RETRANSMIT_MS + 1));
         let wire = data_rx.try_recv().expect("a retransmission");
-        let decoded = Frame::decode_checked(wire).unwrap();
-        assert_eq!(decoded.frame, f);
-        assert_eq!(decoded.tseq, 1);
-        assert_ne!(decoded.flags & crate::message::FLAG_RETRANSMIT, 0);
+        assert_eq!(wire, f.encode_checked(FLAG_RETRANSMIT, 1));
+        assert_eq!(Frame::decode_checked(wire).unwrap().frame, f);
         assert_eq!(st.frames_retransmitted.get(), 1);
         // Acking the frame clears the buffer; no further retransmissions.
         ack_tx.send(encode_ack(1, &[])).unwrap();
         send.tick(later(10 * BACKOFF_CAP_MS));
         assert_eq!(send.in_flight(), 0);
         assert!(data_rx.try_recv().is_err());
+    }
+
+    /// A transport that reports each transmit it enters, then parks in it
+    /// until released — a blocked socket write, in miniature.
+    #[derive(Debug)]
+    struct GatedTx {
+        entered: Sender<()>,
+        release: Mutex<Receiver<()>>,
+    }
+
+    impl TransportTx for GatedTx {
+        fn transmit(&self, _wire: Bytes) -> bool {
+            self.entered.send(()).is_ok() && self.release.lock().recv().is_ok()
+        }
+    }
+
+    #[test]
+    fn register_does_not_wait_for_a_tick_parked_in_transmit() {
+        // Regression: the sweep held the buffer lock across `transmit`, so
+        // every send on the link stalled behind a blocked retransmission.
+        let (entered, entered_rx) = unbounded();
+        let (release_tx, release) = unbounded();
+        let (done_tx, done_rx) = unbounded();
+        let (_ack_tx, ack_rx) = unbounded();
+        let gate = Arc::new(GatedTx { entered, release: Mutex::new(release) });
+        let (max_age, obs) = (arq_max_age(None), RunObs::disabled());
+        let send = ArqSendState::new(gate, ack_rx, stats(), None, max_age, obs, Arc::from("l"));
+        send.register(&frame(1));
+        std::thread::scope(|s| {
+            s.spawn(|| send.tick(Instant::now() + Duration::from_millis(RETRANSMIT_MS + 1)));
+            entered_rx.recv().expect("the sweep reached transmit");
+            s.spawn(|| {
+                send.register(&frame(2));
+                done_tx.send(()).unwrap();
+            });
+            let registered = done_rx.recv_timeout(Duration::from_secs(5)).is_ok();
+            release_tx.send(()).unwrap();
+            assert!(registered, "register stalled behind a sweep parked in transmit");
+        });
+        assert_eq!(send.in_flight(), 2);
     }
 
     #[test]

@@ -202,7 +202,7 @@ pub(super) fn orchestrate(
     // hop so the chain generalizes without perturbing the legacy two-hop
     // float arithmetic. The cloud-only baseline reports no simulated
     // latency (legacy behavior).
-    let header = plane.factory.wire_format().header_bytes();
+    let header = cfg.reliability.mode.header_bytes();
     let summary_bytes = header + 4 + 4 * topology.config.num_classes;
     let map_bytes = header + 6 + 4 + topology.config.device_map_elems().div_ceil(8);
     let staged = matches!(topology.shape, Shape::Staged);

@@ -240,7 +240,7 @@ pub(super) fn pump(
 mod tests {
     use super::*;
     use crate::chaos::{ChaosPlan, ChaosTarget};
-    use crate::link::{link, LinkSender, WireFormat};
+    use crate::link::{link, LinkSender};
     use crate::message::NodeId;
     use crate::obs::ObsConfig;
     use crate::topology::ArrivalProcess;
@@ -272,7 +272,8 @@ mod tests {
     fn run(stream: Option<StreamConfig>, dl: DeadlineConfig) -> (RunTallies, usize, u64) {
         let (verdicts, rx, _) = link("gateway->orchestrator");
         let obs = RunObs::new(&ObsConfig::default());
-        let mut inbox = NodeInbox::with_format(rx, WireFormat::Legacy, RunObs::disabled());
+        let mut inbox =
+            NodeInbox::with_mode(rx, crate::ReliabilityMode::Legacy, RunObs::disabled());
         let mut hook = LosesTheFirstFeed { verdicts, feeds: 0 };
         let tallies = pump(
             1,

@@ -49,7 +49,7 @@ use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -115,6 +115,10 @@ const POLL: Duration = Duration::from_millis(25);
 /// corrupted stream, and the connection is dropped before the claimed
 /// length can drive an allocation.
 const MAX_FRAME_BYTES: usize = 1 << 24;
+
+/// Read buffer of one TCP connection: room for the largest DDNN frame
+/// (≈ 13 KB) behind its length prefix, so both arrive in one `read`.
+const READ_BUF_BYTES: usize = 1 << 14;
 
 /// Width of the inbox id a TCP connection opens with and every UDP
 /// datagram is prefixed by.
@@ -230,9 +234,9 @@ struct TcpPeer {
     dials_left: u32,
 }
 
-/// One TCP stream per link, length-prefixed frames. The mutex serializes
-/// the link's writers (the node thread and the ARQ retransmit pump write
-/// the same stream). A write error or chaos sever drops the stream; the
+/// One TCP stream per link, length-prefixed frames, one `write` per
+/// frame. The mutex serializes the link's writers (the node thread and
+/// the ARQ retransmit pump write the same stream). A write error or chaos sever drops the stream; the
 /// next transmit re-dials the stored peer address within a bounded
 /// budget, so a retransmitted frame can cross a *new* connection after a
 /// mid-stream sever — and a truly dead peer still reports gone.
@@ -268,6 +272,9 @@ impl TransportTx for TcpTx {
         if let Some(d) = delay {
             std::thread::sleep(d);
         }
+        // Prefix and body leave as one buffer, so a frame is one write —
+        // and, on this no-delay stream, not two segments.
+        let framed = [&(wire.len() as u32).to_le_bytes()[..], &wire[..]].concat();
         let mut peer = self.peer.lock();
         if peer.stream.is_none() {
             if peer.dials_left == 0 {
@@ -285,19 +292,17 @@ impl TransportTx for TcpTx {
             }
         }
         let stream = peer.stream.as_mut().expect("stream ensured above");
-        let len = (wire.len() as u32).to_le_bytes();
         if sever {
             // A real mid-stream failure: the prefix and half the body hit
             // the wire, then the connection dies. The frame is lost in
             // flight (not refused), and the receiver observes a genuine
             // mid-frame EOF.
-            let cut = wire.len() / 2;
-            let _ = stream.write_all(&len).and_then(|()| stream.write_all(&wire[..cut]));
+            let _ = stream.write_all(&framed[..4 + wire.len() / 2]);
             let _ = stream.shutdown(std::net::Shutdown::Both);
             peer.stream = None;
             return true;
         }
-        if stream.write_all(&len).and_then(|()| stream.write_all(&wire)).is_err() {
+        if stream.write_all(&framed).is_err() {
             peer.stream = None;
             return false;
         }
@@ -628,10 +633,10 @@ enum ReadStatus {
     Stopped,
 }
 
-/// Reads one TCP connection into the inbox it names: the inbox id first,
-/// then length-prefixed frames. Exits on EOF, error, an id this host
-/// never bound, a hopeless length prefix, or the stop flag (checked at
-/// every read timeout). A partial frame at stop time is discarded — by
+/// Reads one TCP connection, through one buffered reader, into the inbox
+/// it names: the inbox id first, then length-prefixed frames. Exits on
+/// EOF, error, an id this host never bound, a hopeless length prefix, or
+/// the stop flag (checked at every read timeout). A partial frame at stop time is discarded — by
 /// then the run is over and its nodes have joined.
 ///
 /// A close at a frame boundary is how every connection ends and passes
@@ -640,13 +645,14 @@ enum ReadStatus {
 /// error is an abnormal termination and bumps `peer_disconnects` — the
 /// typed `peer_gone` signal the supervisor and tests read.
 fn tcp_conn_reader(
-    mut stream: TcpStream,
+    stream: TcpStream,
     inboxes: &Inboxes,
     counters: TransportCounters,
     stop: Arc<AtomicBool>,
 ) {
+    let mut stream = BufReader::with_capacity(READ_BUF_BYTES, stream);
     // A fixed-width header: `true` when it was read whole.
-    let header = |stream: &mut TcpStream, buf: &mut [u8]| match read_full(stream, buf, &stop) {
+    let header = |stream: &mut BufReader<_>, buf: &mut [u8]| match read_full(stream, buf, &stop) {
         Ok(ReadStatus::Full) => true,
         Ok(ReadStatus::Closed { mid: false }) | Ok(ReadStatus::Stopped) => false,
         Ok(ReadStatus::Closed { mid: true }) | Err(_) => {
@@ -693,7 +699,7 @@ fn tcp_conn_reader(
 /// Fills `buf` from the stream, riding out read timeouts (re-checking
 /// `stop` at each) and interrupts.
 fn read_full(
-    stream: &mut TcpStream,
+    stream: &mut BufReader<TcpStream>,
     buf: &mut [u8],
     stop: &AtomicBool,
 ) -> std::io::Result<ReadStatus> {

@@ -4,8 +4,59 @@
 //! a typed error instead of handing corrupt data to a node.
 
 use bytes::Bytes;
-use ddnn_runtime::{Frame, NodeId, Payload, RuntimeError, CHECKED_HEADER_BYTES};
+use ddnn_runtime::{
+    crc32, Frame, NodeId, Payload, RuntimeError, CHECKED_HEADER_BYTES, FLAG_RETRANSMIT,
+};
+use ddnn_tensor::Tensor;
 use proptest::prelude::*;
+
+/// CRC-32 (IEEE 802.3) one bit at a time: the definition the table-driven
+/// `crc32` must agree with.
+fn crc32_reference(data: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &byte in data {
+        crc ^= u32::from(byte);
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
+        }
+    }
+    !crc
+}
+
+#[test]
+fn crc32_known_vectors() {
+    // The IEEE 802.3 check value for the standard "123456789" test input.
+    assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    assert_eq!(crc32(b""), 0);
+}
+
+#[test]
+fn checked_frames_of_every_payload_kind_round_trip_and_reject_every_bit_flip() {
+    let payloads = [
+        Payload::Capture { view: Tensor::from_fn([2, 3, 2], |i| i as f32 - 4.5) },
+        Payload::Scores { scores: vec![0.25, -1.0, 3.5] },
+        Payload::OffloadRequest,
+        Payload::Features { channels: 2, height: 3, width: 4, bits: Bytes::from(vec![0xA5; 3]) },
+        Payload::RawImage { pixels: Bytes::from(vec![7; 11]) },
+        Payload::Verdict { prediction: 2, exit_tier: 1 },
+        Payload::Shutdown,
+        Payload::Ping,
+        Payload::Pong,
+    ];
+    for (i, payload) in payloads.into_iter().enumerate() {
+        let frame = Frame::new(i as u64, NodeId::Device(i as u8), payload);
+        let (flags, tseq) = (if i % 2 == 0 { 0 } else { FLAG_RETRANSMIT }, 40 + i as u32);
+        let wire = frame.encode_checked(flags, tseq);
+        let clean = Frame::decode_checked(wire.clone()).expect("clean frame must decode");
+        assert_eq!((&clean.frame, clean.flags, clean.tseq), (&frame, flags, tseq));
+        for bit in 0..wire.len() * 8 {
+            let mut bad = wire.to_vec();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            let err = Frame::decode_checked(Bytes::from(bad)).expect_err("flip must be caught");
+            assert!(matches!(err, RuntimeError::Corrupt { .. }), "kind {i}, bit {bit}: {err:?}");
+        }
+    }
+}
 
 /// Builds one payload of every wire shape from drawn parameters, so the
 /// properties cover fixed-size, length-prefixed and empty encodings.
@@ -36,6 +87,18 @@ fn flip_bits(wire: &[u8], flips: &[usize]) -> (Vec<u8>, bool) {
 }
 
 proptest! {
+    #[test]
+    fn crc32_agrees_with_the_reference_at_every_length_and_start_offset(
+        buf in prop::collection::vec(0u8..=255, 0..4105),
+    ) {
+        // Every start offset within an 8-byte step, so the stepped body,
+        // an unaligned head and each 0-7-byte tail are all checked.
+        for off in 0..8.min(buf.len() + 1) {
+            let data = &buf[off..];
+            prop_assert_eq!(crc32(data), crc32_reference(data), "offset {}, {} bytes", off, data.len());
+        }
+    }
+
     #[test]
     fn damaged_checked_frames_always_decode_to_a_typed_error(
         seq in 0u64..1_000_000,
