@@ -214,14 +214,15 @@ pub enum ChaosAction {
     /// Every transmission across the boundary rolls this impairment.
     Impair(Impairment),
     /// The target goes silent. A node scheduled [`ChaosWhen::BeforeSample`]
-    /// discards all traffic and answers no heartbeat until a later `Up`;
-    /// after [`ChaosWhen::AfterFrames`] its outbound links swallow
-    /// everything for good; a process is SIGKILLed (its sockets die with
-    /// it).
+    /// gets its down bit on the orchestrator's next ping, then discards
+    /// all traffic and answers no heartbeat until a later `Up`; after
+    /// [`ChaosWhen::AfterFrames`] its outbound links swallow everything
+    /// for good; a process is SIGKILLed (its sockets die with it).
     Down,
-    /// The target comes back: a node resynchronizes from the current
-    /// topology epoch; a process is respawned, re-handshaken with the same
-    /// manifest, and the survivors' sockets are rewired to it.
+    /// The target comes back: a node's down bit clears on a ping that
+    /// also carries the current topology epoch; a process is respawned,
+    /// re-handshaken with the same manifest, and the survivors' sockets
+    /// are rewired to it.
     Up,
 }
 
@@ -481,11 +482,11 @@ impl ChaosPlan {
                 )?,
                 _ => {}
             }
-            if !matches!(target, T::Sockets | T::Process(_)) {
+            if matches!(target, T::Links) || matches!(when, W::AfterFrames(_)) {
                 need(
                     !processes,
-                    "an in-process runner (per-link streams and node down flags cannot span \
-                     processes yet)",
+                    "an in-process runner (per-link streams and crash counters are not in the \
+                     role manifest)",
                 )?;
             }
             if matches!(

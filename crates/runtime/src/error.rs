@@ -83,16 +83,6 @@ pub enum RuntimeError {
         /// What the supervisor observed.
         reason: String,
     },
-    /// A frame from before the current topology epoch reached a node after
-    /// a reconfiguration (a re-joined or re-parented sender replaying old
-    /// traffic). Nodes discard such frames and count them instead of
-    /// acting on a topology that no longer exists.
-    StaleEpoch {
-        /// The sample the late frame carried.
-        seq: u64,
-        /// The topology epoch the receiver is on.
-        epoch: u64,
-    },
 }
 
 impl fmt::Display for RuntimeError {
@@ -118,9 +108,6 @@ impl fmt::Display for RuntimeError {
             }
             RuntimeError::Peer { role, reason } => {
                 write!(f, "peer process {role}: {reason}")
-            }
-            RuntimeError::StaleEpoch { seq, epoch } => {
-                write!(f, "frame for sample {seq} predates topology epoch {epoch}")
             }
         }
     }
@@ -168,9 +155,6 @@ mod tests {
         assert!(e.to_string().contains("missing tier io"));
         let e = RuntimeError::Collector { seq: 12 };
         assert!(e.to_string().contains("12"));
-        let e = RuntimeError::StaleEpoch { seq: 3, epoch: 5 };
-        assert!(e.to_string().contains("sample 3"));
-        assert!(e.to_string().contains("epoch 5"));
         let e = RuntimeError::Transport { endpoint: "ack:gw".into(), reason: "refused".into() };
         assert!(e.to_string().contains("ack:gw"));
         assert!(e.to_string().contains("refused"));

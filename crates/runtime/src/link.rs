@@ -556,6 +556,7 @@ impl<'a> LinkFactory<'a> {
                 .with_tseq_base(self.tseq_base),
             );
             self.arq_states.push(Arc::clone(&send_state));
+            self.transport.track_arq(&to.host, Arc::clone(&send_state));
             send_state
         });
         let plain = LinkSender::plain(data_tx, name, self.mode);

@@ -127,10 +127,26 @@ pub enum Payload {
     },
     /// Orderly shutdown of a node at end of experiment.
     Shutdown,
-    /// A liveness probe from the orchestrator's membership tracker,
-    /// piggybacked on the regular links; `seq` carries the heartbeat
-    /// round. Nodes answer with a [`Payload::Pong`] echoing the round.
-    Ping,
+    /// The orchestrator's heartbeat, piggybacked on the regular links, and
+    /// the only way it steers a node: `seq` carries the ping round, the
+    /// fields the control plane's current state. A node applies a newer
+    /// `epoch` (rebuilding its routing from `live`) and its `down` bit on
+    /// receipt, and answers with a [`Payload::Pong`] echoing the round —
+    /// unless the ping finds it down and leaves it down. The fields are
+    /// control, not payload: they count as header bytes, so heartbeat
+    /// traffic never perturbs the Eq. 1 accounting.
+    Ping {
+        /// The topology epoch the orchestrator has published.
+        epoch: u64,
+        /// That epoch's stale floor: samples below it are discarded.
+        floor: u64,
+        /// Liveness per control-plane directory index (devices, gateway,
+        /// tiers) — what the routing table is recomputed from.
+        live: Vec<bool>,
+        /// The addressee is scheduled down: it discards everything but
+        /// pings and shutdown until a ping clears the bit.
+        down: bool,
+    },
     /// A node's answer to a [`Payload::Ping`] of the same `seq`.
     Pong,
 }
@@ -145,7 +161,7 @@ impl Payload {
             Payload::RawImage { .. } => 4,
             Payload::Verdict { .. } => 5,
             Payload::Shutdown => 6,
-            Payload::Ping => 7,
+            Payload::Ping { .. } => 7,
             Payload::Pong => 8,
         }
     }
@@ -169,7 +185,7 @@ pub const FRAME_MAGIC: u8 = 0xDD;
 /// Wire-protocol version carried in every frame header. Bumped on any
 /// incompatible framing change, so mismatched builds reject each other's
 /// traffic as [`RuntimeError::Corrupt`] instead of decoding garbage.
-pub const FRAME_VERSION: u8 = 1;
+pub const FRAME_VERSION: u8 = 2;
 
 /// Bytes of the fixed legacy frame header (magic: u8, version: u8,
 /// seq: u64, from: u16, tag: u8).
@@ -296,7 +312,7 @@ impl Frame {
         match &self.payload {
             Payload::Capture { view } => 6 + 4 * view.len(),
             Payload::Scores { scores } => 4 * scores.len(),
-            Payload::OffloadRequest | Payload::Shutdown | Payload::Ping | Payload::Pong => 0,
+            Payload::OffloadRequest | Payload::Shutdown | Payload::Ping { .. } | Payload::Pong => 0,
             Payload::Features { bits, .. } => 6 + bits.len(),
             Payload::RawImage { pixels } => pixels.len(),
             Payload::Verdict { .. } => 3,
@@ -353,7 +369,16 @@ impl Frame {
                     buf.put_f32_le(s);
                 }
             }
-            Payload::OffloadRequest | Payload::Shutdown | Payload::Ping | Payload::Pong => {}
+            Payload::OffloadRequest | Payload::Shutdown | Payload::Pong => {}
+            Payload::Ping { epoch, floor, live, down } => {
+                buf.put_u64_le(*epoch);
+                buf.put_u64_le(*floor);
+                buf.put_u8(u8::from(*down));
+                buf.put_u16_le(live.len() as u16);
+                for byte in live.chunks(8) {
+                    buf.put_u8(byte.iter().rev().fold(0, |b, &l| b << 1 | u8::from(l)));
+                }
+            }
             Payload::Features { channels, height, width, bits } => {
                 buf.put_u16_le(*channels);
                 buf.put_u16_le(*height);
@@ -522,7 +547,15 @@ fn decode_payload(tag: u8, buf: &mut Bytes) -> Result<Payload> {
             Payload::Verdict { prediction: buf.get_u16_le(), exit_tier: buf.get_u8() }
         }
         6 => Payload::Shutdown,
-        7 => Payload::Ping,
+        7 => {
+            need(buf, 19)?;
+            let (epoch, floor, down) = (buf.get_u64_le(), buf.get_u64_le(), buf.get_u8() != 0);
+            let n = buf.get_u16_le() as usize;
+            need(buf, n.div_ceil(8))?;
+            let bits = buf.copy_to_bytes(n.div_ceil(8));
+            let live = (0..n).map(|i| bits[i / 8] >> (i % 8) & 1 == 1).collect();
+            Payload::Ping { epoch, floor, live, down }
+        }
         8 => Payload::Pong,
         other => {
             return Err(RuntimeError::Protocol { reason: format!("unknown payload tag {other}") })
@@ -616,7 +649,7 @@ mod tests {
             Frame::new(2, NodeId::Gateway, Payload::OffloadRequest),
             Frame::new(3, NodeId::Cloud, Payload::Verdict { prediction: 2, exit_tier: 2 }),
             Frame::new(4, NodeId::Orchestrator, Payload::Shutdown),
-            Frame::new(5, NodeId::Orchestrator, Payload::Ping),
+            Frame::new(5, NodeId::Orchestrator, ping(9)),
             Frame::new(5, NodeId::Tier(1), Payload::Pong),
         ];
         for f in frames {
@@ -625,14 +658,21 @@ mod tests {
         }
     }
 
+    /// A ping over a `nodes`-entry directory with an irregular live mask.
+    fn ping(nodes: usize) -> Payload {
+        let live = (0..nodes).map(|i| i % 3 != 1).collect();
+        Payload::Ping { epoch: 7, floor: 41, live, down: true }
+    }
+
     #[test]
     fn heartbeat_frames_carry_no_payload_bytes() {
-        // Pings ride the regular links; keeping them payload-free means
-        // heartbeat traffic never perturbs the Eq. 1 payload accounting.
-        for p in [Payload::Ping, Payload::Pong] {
+        // Pings ride the regular links; their control fields count as
+        // header bytes, so heartbeat traffic never perturbs the Eq. 1
+        // payload accounting.
+        for p in [ping(0), ping(5), ping(17), Payload::Pong] {
             let f = Frame::new(9, NodeId::Gateway, p);
             assert_eq!(f.payload_bytes(), 0);
-            assert_eq!(f.encode().len(), HEADER_BYTES);
+            assert_eq!(Frame::decode(f.encode()).unwrap(), f);
             let decoded = Frame::decode_checked(f.encode_checked(0, 3)).unwrap();
             assert_eq!(decoded.frame, f);
         }

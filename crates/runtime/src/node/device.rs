@@ -10,7 +10,7 @@ use crate::link::{LinkSender, NodeInbox};
 use crate::message::{features_payload, Frame, NodeId, Payload};
 use crate::node::report::NodeReport;
 use crate::obs::RunObs;
-use crate::orchestrator::DeviceElastic;
+use crate::orchestrator::NodeControl;
 use ddnn_core::{DdnnConfig, DevicePart, BLANK_INPUT_VALUE};
 use ddnn_nn::Mode;
 use ddnn_tensor::Tensor;
@@ -41,6 +41,15 @@ pub(crate) fn blank_signature(part: &DevicePart, config: &DdnnConfig) -> Result<
     Ok(BlankSignature { scores: scores.data().to_vec(), map: map.index_axis0(0)? })
 }
 
+/// A device's part in the elastic control plane: what its pings taught
+/// it, and which tier links it may offload over.
+pub(crate) struct DeviceElastic {
+    pub(crate) control: NodeControl,
+    /// One feature link per tier; the routing's `device_parent` picks the
+    /// live one at offload time.
+    pub(crate) to_tiers: Vec<LinkSender>,
+}
+
 /// Runs a device node until shutdown. In `tolerant` mode (deadlines
 /// active) protocol hiccups that faults make possible — duplicated stale
 /// captures, offload requests racing a retried capture — are ignored
@@ -52,11 +61,11 @@ pub(crate) fn blank_signature(part: &DevicePart, config: &DdnnConfig) -> Result<
 /// lowest sequence numbers are evicted first.
 ///
 /// With `elastic` the device participates in the control plane: it
-/// answers heartbeat pings, plays dead while its churn flag is raised
-/// (clearing its cached captures on revival), discards frames from a
-/// previous topology epoch, skips score uploads while the gateway is
-/// bypassed, and offloads feature maps to whichever tier the current
-/// routing names as the device parent.
+/// applies what each ping carries and answers it, plays dead while
+/// scheduled down (clearing its cached captures on revival), discards
+/// frames from a previous topology epoch, skips score uploads while the
+/// gateway is bypassed, and offloads feature maps to whichever tier the
+/// current routing names as the device parent.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn device_node(
     d: usize,
@@ -67,47 +76,34 @@ pub(crate) fn device_node(
     tolerant: bool,
     capture_cap: usize,
     obs: Arc<RunObs>,
-    elastic: Option<DeviceElastic>,
+    mut elastic: Option<DeviceElastic>,
 ) -> Result<NodeReport> {
     let mut cache: std::collections::BTreeMap<u64, Tensor> = std::collections::BTreeMap::new();
     let capture_cap = capture_cap.max(1);
-    let mut was_down = false;
     let captures = obs.registry().counter(&format!("node.device{d}.captures"));
     let offloads = obs.registry().counter(&format!("node.device{d}.offloads"));
     loop {
         let frame = inbox.recv()?;
-        // Shutdown always lands, even on a churned-down device — the run
-        // is over and the thread must exit.
+        // Shutdown always lands, even on a device scheduled down — the
+        // run is over and the thread must exit.
         if matches!(frame.payload, Payload::Shutdown) {
             return Ok(NodeReport {
                 corrupt_discards: inbox.corrupt_discards(),
                 ..NodeReport::default()
             });
         }
-        if let Some(el) = elastic.as_ref() {
-            if el.control.is_churn_down(el.ix) {
-                // Churned down: full silence — no pongs, no uploads. The
-                // membership layer will detect the crash from the missed
-                // heartbeats.
-                was_down = true;
+        if let Some(el) = elastic.as_mut() {
+            if matches!(frame.payload, Payload::Ping { .. }) {
+                if el.control.on_ping(&frame)?.revived {
+                    // The cached captures predate the outage and must not
+                    // feed a new epoch's offload.
+                    cache.clear();
+                }
                 continue;
             }
-            if was_down {
-                // Revived: the cached captures predate the crash and must
-                // not feed a new epoch's offload.
-                was_down = false;
-                cache.clear();
-            }
-            if matches!(frame.payload, Payload::Ping) {
-                el.to_orchestrator.send(&Frame::new(
-                    frame.seq,
-                    NodeId::Device(d as u8),
-                    Payload::Pong,
-                ))?;
-                continue;
-            }
-            if el.control.admit(frame.seq).is_err() {
-                el.stale_discards.incr();
+            // Down: full silence — no pongs, no uploads. The membership
+            // layer detects the outage from the missed heartbeats.
+            if el.control.down || !el.control.admit(frame.seq) {
                 continue;
             }
         }
@@ -141,7 +137,7 @@ pub(crate) fn device_node(
                 // pointless: the orchestrator broadcasts the offload
                 // request itself and the sample goes straight to the
                 // feature chain.
-                let bypass = elastic.as_ref().is_some_and(|el| el.control.gateway_bypass());
+                let bypass = elastic.as_ref().is_some_and(|el| el.control.routing.gateway_bypass);
                 if !bypass {
                     to_gateway.send(&Frame::new(
                         frame.seq,
@@ -156,7 +152,7 @@ pub(crate) fn device_node(
                 // otherwise. An orphaned device (no live compatible tier)
                 // simply drops the request.
                 let sink = match elastic.as_ref() {
-                    Some(el) => el.control.device_parent().map(|k| &el.to_tiers[k]),
+                    Some(el) => el.control.routing.device_parent.map(|k| &el.to_tiers[k]),
                     None => Some(&to_upper),
                 };
                 match cache.get(&frame.seq) {

@@ -86,7 +86,13 @@ pub struct SimReport {
 }
 
 /// What the elastic control plane observed over one run: how often the
-/// topology was republished and how membership moved.
+/// topology was republished and how membership moved — read back from the
+/// run's counters, where every transition is booked once.
+///
+/// The orchestrator books epochs, joins, leaves and reparents itself, so
+/// every runner reports them. `stale_epoch_discards` is counted by the
+/// nodes: a multi-process run counts it inside the role processes, whose
+/// counters do not reach the launcher yet, so there it reads 0.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ElasticSummary {
     /// Reconfigurations published (epoch bumps) after the initial table.

@@ -21,12 +21,11 @@ use crate::link::{LinkSender, NodeInbox};
 use crate::message::{dequantize_image, features_payload, features_tensor, Frame, NodeId, Payload};
 use crate::node::collector::{Collector, Ingest};
 use crate::node::report::NodeReport;
-use crate::obs::{Counter, NodeObs, ObsEvent};
-use crate::orchestrator::ControlState;
+use crate::obs::{NodeObs, ObsEvent};
+use crate::orchestrator::NodeControl;
 use ddnn_core::{CloudPart, Ddnn, ExitPolicy, GatewayPart};
 use ddnn_nn::Mode;
 use ddnn_tensor::Tensor;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Prepends a batch axis to each rank-3 map.
@@ -231,13 +230,11 @@ pub(crate) enum Feeder {
     Dormant,
 }
 
-/// A tier's handle on the elastic control plane plus the per-epoch routing
+/// A tier's part in the elastic control plane plus the per-epoch routing
 /// state it has applied so far. `T` is the tier's collector item.
 pub(crate) struct TierElastic<T> {
-    /// Shared control-plane state.
-    pub(crate) control: Arc<ControlState>,
-    /// This node's directory index.
-    pub(crate) ix: usize,
+    /// What this node's pings taught it.
+    pub(crate) control: NodeControl,
     /// This node's tier index (`None` for the gateway, which has no
     /// position on the feature chain).
     pub(crate) tier_k: Option<usize>,
@@ -250,19 +247,15 @@ pub(crate) struct TierElastic<T> {
     pub(crate) device_blanks: Vec<T>,
     /// Each tier's blank *output* item, for re-parenting onto tier fan-in.
     pub(crate) tier_out_blanks: Vec<T>,
-    /// `node.{name}.stale_epoch_discards`.
-    pub(crate) stale_discards: Arc<Counter>,
-    /// Last epoch whose routing this node applied (0 = the initial table,
-    /// which the wiring already reflects).
-    pub(crate) seen_epoch: u64,
-    /// Whether the node was churned down when last observed.
-    pub(crate) was_down: bool,
-    /// This epoch: classify locally instead of escalating.
-    pub(crate) forced_exit: bool,
-    /// This epoch: where escalations forward to (tier index).
-    pub(crate) route_target: Option<usize>,
     /// This epoch: who feeds the collector.
     pub(crate) cur_feeder: Feeder,
+}
+
+impl<T> TierElastic<T> {
+    /// This epoch's escalation target (tier index), if any.
+    fn route_target(&self) -> Option<usize> {
+        self.tier_k.and_then(|k| self.control.routing.escalate_to[k])
+    }
 }
 
 /// One aggregating node of the hierarchy, generic over its model section.
@@ -316,11 +309,12 @@ impl<S: TierSection> TierNode<S> {
         });
         let mut shutdown = false;
         while !shutdown {
-            // Elastic: fold in any new topology epoch first, and while
-            // churned down stay fully silent — no deadline firing, no
-            // pongs, no decisions — until revival or shutdown.
-            if self.elastic_sync() {
-                shutdown = matches!(self.inbox.recv()?.payload, Payload::Shutdown);
+            // Elastic: while scheduled down stay fully silent — no deadline
+            // firing, no decisions — until a ping brings the node back up
+            // or the run shuts down.
+            if self.elastic.as_ref().is_some_and(|el| el.control.down) {
+                let frame = self.inbox.recv()?;
+                shutdown = self.ingest(frame, &mut Vec::new(), &last_decision)?;
                 continue;
             }
             let mut completed: Vec<Completed<S>> = Vec::new();
@@ -393,11 +387,12 @@ impl<S: TierSection> TierNode<S> {
         Ok(report)
     }
 
-    /// Takes one frame off the inbox: answers a ping, refuses what the
-    /// elastic control plane has made stale, slots a contribution into the
-    /// collector (pushing the set onto `completed` when it fills) and
-    /// replays the cached decision for a duplicate of the watermark
-    /// sample. Returns `true` for the shutdown frame.
+    /// Takes one frame off the inbox: applies and answers a ping, refuses
+    /// what the elastic control plane has made stale (everything but
+    /// pings, while down), slots a contribution into the collector
+    /// (pushing the set onto `completed` when it fills) and replays the
+    /// cached decision for a duplicate of the watermark sample. Returns
+    /// `true` for the shutdown frame.
     fn ingest(
         &mut self,
         frame: Frame,
@@ -407,26 +402,20 @@ impl<S: TierSection> TierNode<S> {
         if matches!(frame.payload, Payload::Shutdown) {
             return Ok(true);
         }
-        match self.elastic.as_ref() {
-            // Went down since the last sync: the next loop pass enters the
-            // silent path.
-            Some(el) if el.control.is_churn_down(el.ix) => return Ok(false),
-            Some(_) if matches!(frame.payload, Payload::Ping) => {
-                self.to_orchestrator.send(&Frame::new(frame.seq, self.id, Payload::Pong))?;
+        if let Some(el) = self.elastic.as_mut() {
+            if matches!(frame.payload, Payload::Ping { .. }) {
+                let effect = el.control.on_ping(&frame)?;
+                if effect.revived || effect.rerouted {
+                    // Partials gathered before an outage or under the
+                    // previous epoch are refused from here on.
+                    self.collector.resync(el.control.floor);
+                }
+                if effect.rerouted {
+                    self.reroute();
+                }
                 return Ok(false);
             }
-            _ => {}
-        }
-        // An epoch can install while this node is blocked in recv; fold it
-        // in *before* slotting the frame, so the fan-in geometry matches
-        // the epoch the frame belongs to (the floor check below then
-        // rejects anything older).
-        if self.elastic_sync() {
-            return Ok(false);
-        }
-        if let Some(el) = self.elastic.as_ref() {
-            if el.control.admit(frame.seq).is_err() {
-                el.stale_discards.incr();
+            if el.control.down || !el.control.admit(frame.seq) {
                 return Ok(false);
             }
         }
@@ -452,72 +441,40 @@ impl<S: TierSection> TierNode<S> {
         Ok(false)
     }
 
-    /// Folds any new topology epoch into this node's routing state.
-    /// Returns `true` while the node is churned down (the caller enters
-    /// the silent path).
-    fn elastic_sync(&mut self) -> bool {
-        let Some(el) = self.elastic.as_mut() else { return false };
-        if el.control.is_churn_down(el.ix) {
-            el.was_down = true;
-            return true;
-        }
-        if el.was_down {
-            // Revived: partials gathered before the crash belong to a dead
-            // epoch; refuse everything below the current floor.
-            el.was_down = false;
-            self.collector.resync(el.control.floor());
-        }
-        let epoch = el.control.epoch();
-        if epoch == el.seen_epoch {
-            return false;
-        }
-        el.seen_epoch = epoch;
-        let r = el.control.routing();
-        self.collector.resync(el.control.floor());
-        match el.tier_k {
-            // The gateway: `forced_local` pins every sample to the local
-            // exit; routing-dead devices are substituted without waiting.
-            None => {
-                el.forced_exit = r.forced_local;
-                el.route_target = None;
-            }
-            Some(k) => {
-                el.forced_exit = r.forced_exit[k];
-                el.route_target = r.escalate_to[k];
-                // Where this tier sits on the escalation path decides who
-                // feeds it: first hop collects the devices, later hops
-                // collect their predecessor, off-path tiers are dormant.
-                let path = r.escalation_path();
-                let desired = match path.iter().position(|&x| x == k) {
-                    Some(0) => Feeder::Devices,
-                    Some(p) => Feeder::Tier(path[p - 1]),
-                    None => Feeder::Dormant,
-                };
-                if desired != el.cur_feeder {
-                    match desired {
-                        Feeder::Devices => {
-                            let n = r.num_devices();
-                            self.collector.reconfigure(
-                                n,
-                                el.device_blanks.clone(),
-                                (0..n).map(Some).collect(),
-                            );
-                            self.fan_in = FanIn::Devices(n);
-                        }
-                        Feeder::Tier(i) => {
-                            self.collector.reconfigure(
-                                1,
-                                vec![el.tier_out_blanks[i].clone()],
-                                vec![None],
-                            );
-                            self.fan_in = FanIn::Tier(el.tier_ids[i]);
-                        }
-                        // Nothing routes here: keep the geometry; the
-                        // epoch floor blocks stragglers.
-                        Feeder::Dormant => {}
+    /// Folds a newly applied topology epoch into who feeds this node's
+    /// collector and which devices the collector waits for; its exit and
+    /// escalation targets are read off the routing where they are used.
+    fn reroute(&mut self) {
+        let Some(el) = self.elastic.as_mut() else { return };
+        let r = &el.control.routing;
+        if let Some(k) = el.tier_k {
+            // Where this tier sits on the escalation path decides who feeds
+            // it: first hop collects the devices, later hops collect their
+            // predecessor, off-path tiers are dormant.
+            let path = r.escalation_path();
+            let desired = match path.iter().position(|&x| x == k) {
+                Some(0) => Feeder::Devices,
+                Some(p) => Feeder::Tier(path[p - 1]),
+                None => Feeder::Dormant,
+            };
+            if desired != el.cur_feeder {
+                match desired {
+                    Feeder::Devices => {
+                        let n = r.num_devices();
+                        let sources = (0..n).map(Some).collect();
+                        self.collector.reconfigure(n, el.device_blanks.clone(), sources);
+                        self.fan_in = FanIn::Devices(n);
                     }
-                    el.cur_feeder = desired;
+                    Feeder::Tier(i) => {
+                        let blank = vec![el.tier_out_blanks[i].clone()];
+                        self.collector.reconfigure(1, blank, vec![None]);
+                        self.fan_in = FanIn::Tier(el.tier_ids[i]);
+                    }
+                    // Nothing routes here: keep the geometry; the epoch
+                    // floor blocks stragglers.
+                    Feeder::Dormant => {}
                 }
+                el.cur_feeder = desired;
             }
         }
         // Whoever currently collects the devices must not wait for the
@@ -535,23 +492,23 @@ impl<S: TierSection> TierNode<S> {
                 }
             }
         }
-        false
     }
 
     /// Resolves the exit-or-escalate decision from a sample's evaluated
     /// logits.
     fn resolve(&mut self, seq: u64, logits: Tensor, map: Option<Tensor>) -> Result<Decision> {
         let mut d = self.policy.evaluate(&logits)?;
-        // Elastic forced exits: a severed or target-less tier classifies
-        // locally — escalating would address a topology that no longer
-        // exists.
+        // Elastic forced exits: the gateway's `forced_local` pins every
+        // sample to the local exit, and a severed or target-less tier
+        // classifies locally — escalating would address a topology that no
+        // longer exists.
         if let Some(el) = self.elastic.as_ref() {
-            let severed = el.tier_k.is_some()
-                && !matches!(self.escalation, Escalation::Terminal)
-                && el.route_target.is_none();
-            if el.forced_exit || severed {
-                d.exits = true;
-            }
+            let r = &el.control.routing;
+            let escalates = !matches!(self.escalation, Escalation::Terminal);
+            d.exits |= match el.tier_k {
+                None => r.forced_local,
+                Some(k) => r.forced_exit[k] || (escalates && el.route_target().is_none()),
+            };
         }
         let threshold = match self.policy {
             ExitPolicy::Entropy(t) => t.value(),
@@ -613,7 +570,7 @@ impl<S: TierSection> TierNode<S> {
             }
             (Decision::Forward(frame), Escalation::ForwardMap(next)) => {
                 match self.elastic.as_ref() {
-                    Some(el) => match el.route_target.and_then(|j| el.to_tiers[j].as_ref()) {
+                    Some(el) => match el.route_target().and_then(|j| el.to_tiers[j].as_ref()) {
                         Some(link) => link.send(frame),
                         // The target vanished since the decision was
                         // cached: drop the replay, the epoch has moved on.

@@ -16,9 +16,13 @@
 //!   back to a forced local exit.
 //! * [`reconfigure`] — [`reconfigure::TopologyDiff`]s (join, leave,
 //!   re-parent) between consecutive routing tables, applied *between*
-//!   samples and published through a monotone topology epoch; frames from
-//!   a previous epoch are discarded with a typed
-//!   [`crate::RuntimeError::StaleEpoch`], never acted on.
+//!   samples under a monotone topology epoch; frames from a previous
+//!   epoch are discarded and counted, never acted on.
+//!
+//! The orchestrator steers nodes only through frames: every ping carries
+//! the epoch, its stale floor, the live mask and the addressee's down bit,
+//! and each node ([`NodeControl`]) rebuilds its own routing from them —
+//! so the plane works the same between threads and between processes.
 //!
 //! Every transition is wired through the observability layer: the
 //! `run.epochs` / `run.member_joins` / `run.member_leaves` /
@@ -39,8 +43,7 @@ use crate::obs::{Counter, ObsEvent, RunObs};
 use membership::Membership;
 use rebalance::{compute_routing, Compat, RoutingTable};
 use reconfigure::{diff_routing, TopologyDiff};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, RwLock, RwLockReadGuard};
+use std::sync::Arc;
 
 /// Configuration of the elastic control plane. Setting
 /// [`crate::HierarchyConfig::elastic`] to `Some` enables heartbeat-driven
@@ -91,24 +94,14 @@ impl NodeDirectory {
         NodeDirectory { num_devices, names, tier_ids }
     }
 
-    pub(crate) fn len(&self) -> usize {
-        self.names.len()
-    }
-
-    pub(crate) fn gateway_ix(&self) -> usize {
-        self.num_devices
-    }
-
-    pub(crate) fn tier_ix(&self, k: usize) -> usize {
-        self.num_devices + 1 + k
-    }
-
     /// The directory index a pong's sender maps to, if any.
     pub(crate) fn index_of(&self, id: NodeId) -> Option<usize> {
         match id {
             NodeId::Device(d) if (d as usize) < self.num_devices => Some(d as usize),
-            NodeId::Gateway => Some(self.gateway_ix()),
-            other => self.tier_ids.iter().position(|&t| t == other).map(|k| self.tier_ix(k)),
+            NodeId::Gateway => Some(self.num_devices),
+            other => {
+                self.tier_ids.iter().position(|&t| t == other).map(|k| self.num_devices + 1 + k)
+            }
         }
     }
 
@@ -116,188 +109,166 @@ impl NodeDirectory {
     pub(crate) fn target_ix(&self, target: &ChaosTarget) -> Option<usize> {
         match target {
             ChaosTarget::Device(d) if *d < self.num_devices => Some(*d),
-            ChaosTarget::Gateway => Some(self.gateway_ix()),
-            ChaosTarget::Tier(name) => self.names[self.num_devices + 1..]
-                .iter()
-                .position(|n| n == name)
-                .map(|k| self.tier_ix(k)),
+            ChaosTarget::Gateway => Some(self.num_devices),
+            ChaosTarget::Tier(name) => {
+                self.names.iter().position(|n| n == name).filter(|&ix| ix > self.num_devices)
+            }
             _ => None,
         }
     }
 }
 
-/// The shared control-plane state every node consults: the published
-/// topology epoch, the stale-frame floor, the chaos down flags and
-/// the current routing table.
-///
-/// Publication order: a reconfiguration writes the routing table and the
-/// floor first and bumps the epoch last (release); nodes that observe the
-/// new epoch (acquire) therefore always read the matching routing.
+/// One node's view of the control plane, fed only by the orchestrator's
+/// pings: the routing of the newest epoch it has applied, that epoch's
+/// stale floor, and whether it is scheduled down. Every process derives
+/// the same [`Compat`] from the seeded model, so a live mask is all a ping
+/// needs to carry for the node to rebuild the orchestrator's table.
 #[derive(Debug)]
-pub(crate) struct ControlState {
-    epoch: AtomicU64,
-    /// Samples below this sequence predate the current epoch and are
-    /// discarded with [`RuntimeError::StaleEpoch`].
-    floor: AtomicU64,
-    /// Chaos injection: a raised flag makes the node behave crashed (it
-    /// discards everything and answers no heartbeat). Indexed like
-    /// [`NodeDirectory`].
-    churn_down: Vec<AtomicBool>,
-    routing: RwLock<RoutingTable>,
+pub(crate) struct NodeControl {
+    compat: Compat,
+    /// The applied epoch's routing table (epoch 0: the declared chain).
+    pub(crate) routing: RoutingTable,
+    /// Samples below this sequence predate the applied epoch.
+    pub(crate) floor: u64,
+    /// Scheduled down: discard everything but pings and shutdown.
+    pub(crate) down: bool,
+    /// The newest ping round seen; an older (reordered) ping is ignored.
+    round: u64,
+    /// The node's wire identity, and its link back to the orchestrator
+    /// that pongs go out on.
+    id: NodeId,
+    pong: LinkSender,
+    /// `node.{name}.stale_epoch_discards`.
+    stale_discards: Arc<Counter>,
 }
 
-impl ControlState {
-    pub(crate) fn new(initial: RoutingTable) -> Arc<Self> {
-        let n = initial.live.len();
-        Arc::new(ControlState {
-            epoch: AtomicU64::new(initial.epoch),
-            floor: AtomicU64::new(0),
-            churn_down: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            routing: RwLock::new(initial),
-        })
+/// What one ping did to a node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub(crate) struct PingEffect {
+    /// A newer epoch was applied: re-route and re-fence the collector.
+    pub(crate) rerouted: bool,
+    /// The ping brought the node back up: state from before is stale.
+    pub(crate) revived: bool,
+}
+
+impl NodeControl {
+    pub(crate) fn new(
+        compat: Compat,
+        initial: RoutingTable,
+        id: NodeId,
+        pong: LinkSender,
+        stale_discards: Arc<Counter>,
+    ) -> Self {
+        let (floor, down, round) = (0, false, 0);
+        NodeControl { compat, routing: initial, floor, down, round, id, pong, stale_discards }
     }
 
-    pub(crate) fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
-
-    pub(crate) fn floor(&self) -> u64 {
-        self.floor.load(Ordering::Acquire)
-    }
-
-    pub(crate) fn is_churn_down(&self, ix: usize) -> bool {
-        self.churn_down[ix].load(Ordering::Acquire)
-    }
-
-    pub(crate) fn set_churn_down(&self, ix: usize, down: bool) {
-        self.churn_down[ix].store(down, Ordering::Release);
-    }
-
-    /// The routing lock, tolerating poisoning (a panicked writer cannot
-    /// leave the table half-written — `install` replaces it atomically).
-    fn routing_guard(&self) -> RwLockReadGuard<'_, RoutingTable> {
-        self.routing.read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// A snapshot of the current routing table.
-    pub(crate) fn routing(&self) -> RoutingTable {
-        self.routing_guard().clone()
-    }
-
-    /// Whether the gateway is routed around (devices skip their score
-    /// uploads; the orchestrator broadcasts the offload requests).
-    pub(crate) fn gateway_bypass(&self) -> bool {
-        self.routing_guard().gateway_bypass
-    }
-
-    /// The tier index devices currently offload their feature maps to.
-    pub(crate) fn device_parent(&self) -> Option<usize> {
-        self.routing_guard().device_parent
-    }
-
-    /// Admits a frame's sample into the current epoch.
+    /// Applies a ping's fields — a newer epoch's routing and floor, and
+    /// this node's down bit — and answers it with a pong echoing its round:
+    /// every ping but one that finds the node down and leaves it down.
+    /// Anything but a ping, or a ping older than one already applied, has
+    /// no effect.
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError::StaleEpoch`] when the sample predates the
-    /// floor installed by the last reconfiguration.
-    pub(crate) fn admit(&self, seq: u64) -> Result<()> {
-        let floor = self.floor.load(Ordering::Acquire);
-        if seq < floor {
-            Err(RuntimeError::StaleEpoch { seq, epoch: self.epoch() })
-        } else {
-            Ok(())
+    /// Returns [`RuntimeError::Protocol`] when the live mask does not
+    /// cover this topology's directory (a sender bug, not wire damage),
+    /// and what sending the pong returns.
+    pub(crate) fn on_ping(&mut self, ping: &Frame) -> Result<PingEffect> {
+        let Payload::Ping { epoch, floor, live, down } = &ping.payload else {
+            return Ok(PingEffect::default());
+        };
+        if ping.seq < self.round {
+            return Ok(PingEffect::default());
         }
+        self.round = ping.seq;
+        let rerouted = *epoch > self.routing.epoch;
+        if rerouted {
+            if live.len() != self.routing.live.len() {
+                let reason = format!("a live mask of {} nodes", live.len());
+                return Err(RuntimeError::Protocol { reason });
+            }
+            let d = self.routing.num_devices();
+            self.routing = compute_routing(*epoch, live.clone(), d, &self.compat);
+            self.floor = *floor;
+        }
+        let was_down = std::mem::replace(&mut self.down, *down);
+        if !(was_down && *down) {
+            self.pong.send(&Frame::new(ping.seq, self.id, Payload::Pong))?;
+        }
+        Ok(PingEffect { rerouted, revived: was_down && !*down })
     }
 
-    /// Publishes a new routing table: routing and floor first, epoch last.
-    fn install(&self, routing: RoutingTable, floor: u64) {
-        let epoch = routing.epoch;
-        *self.routing.write().unwrap_or_else(|e| e.into_inner()) = routing;
-        self.floor.store(floor, Ordering::Release);
-        self.epoch.store(epoch, Ordering::Release);
+    /// Whether a frame of sample `seq` belongs to the applied epoch;
+    /// counts a stale-epoch discard when it does not.
+    pub(crate) fn admit(&self, seq: u64) -> bool {
+        let fresh = seq >= self.floor;
+        if !fresh {
+            self.stale_discards.incr();
+        }
+        fresh
     }
 }
 
-/// A device's handle on the control plane: where to answer heartbeats,
-/// which tier links it may offload over, and where stale-epoch discards
-/// are counted.
-pub(crate) struct DeviceElastic {
-    /// Shared control-plane state (epoch, floor, routing, churn flags).
-    pub(crate) control: Arc<ControlState>,
-    /// This device's directory index (== its device index).
-    pub(crate) ix: usize,
-    /// Pong channel back to the orchestrator.
-    pub(crate) to_orchestrator: LinkSender,
-    /// One feature link per tier; the routing's `device_parent` picks the
-    /// live one at offload time.
-    pub(crate) to_tiers: Vec<LinkSender>,
-    /// `node.device{d}.stale_epoch_discards`.
-    pub(crate) stale_discards: Arc<Counter>,
-}
-
-/// The orchestrator-side elastic driver: runs the heartbeat sweep (ping,
-/// collect pongs, update membership, reconfigure when it changed) after
-/// each sample.
+/// The orchestrator-side elastic driver: owns the published routing and
+/// runs the heartbeat sweep (ping, collect pongs, update membership,
+/// reconfigure when it changed) after each sample.
 pub(crate) struct ElasticDriver {
-    pub(crate) control: Arc<ControlState>,
     dir: NodeDirectory,
     compat: Compat,
     membership: Membership,
+    /// The published table; its epoch is the current topology epoch.
+    pub(crate) routing: RoutingTable,
+    /// The published epoch's stale floor.
+    floor: u64,
+    /// Per directory index: scheduled down by the chaos plan.
+    down: Vec<bool>,
     /// Per directory index; `None` is never pinged (statically failed).
     ping_links: Vec<Option<LinkSender>>,
-    heartbeat_ms: u64,
+    /// The last ping round sent; each round is its own sequence number.
+    round: u64,
+    /// How long a ping round waits for its pongs; under scheduled
+    /// arrivals, also the sweep period.
+    pub(crate) heartbeat_ms: u64,
     clock: SimClock,
     obs: Arc<RunObs>,
-    epochs_ctr: Arc<Counter>,
-    joins_ctr: Arc<Counter>,
-    leaves_ctr: Arc<Counter>,
-    summary: ElasticSummary,
 }
 
 impl ElasticDriver {
     pub(crate) fn new(
-        control: Arc<ControlState>,
         dir: NodeDirectory,
         compat: Compat,
+        initial: RoutingTable,
         cfg: ElasticConfig,
         ping_links: Vec<Option<LinkSender>>,
         clock: SimClock,
         obs: Arc<RunObs>,
     ) -> Self {
-        let initial = control.routing();
-        let eligible: Vec<bool> = (0..dir.len()).map(|ix| ping_links[ix].is_some()).collect();
+        let eligible: Vec<bool> = ping_links.iter().map(Option::is_some).collect();
         let membership = Membership::new(initial.live.clone(), eligible, cfg.suspect_after);
-        let initial_live = initial.live.iter().filter(|&&l| l).count();
-        let registry = obs.registry();
+        for name in ["run.epochs", "run.member_joins", "run.member_leaves"] {
+            obs.registry().counter(name);
+        }
         ElasticDriver {
-            epochs_ctr: registry.counter("run.epochs"),
-            joins_ctr: registry.counter("run.member_joins"),
-            leaves_ctr: registry.counter("run.member_leaves"),
-            control,
+            down: vec![false; ping_links.len()],
             dir,
             compat,
             membership,
+            routing: initial,
+            floor: 0,
             ping_links,
+            round: 0,
             heartbeat_ms: cfg.heartbeat_ms,
             clock,
             obs,
-            summary: ElasticSummary { initial_live, ..ElasticSummary::default() },
         }
     }
 
-    /// The configured heartbeat period — under scheduled arrivals the
-    /// sample pump paces its sweeps with this instead of sweeping after
-    /// every sample.
-    pub(crate) fn heartbeat_ms(&self) -> u64 {
-        self.heartbeat_ms
-    }
-
-    /// The heartbeat sweep: ping every trackable node with the sample's
-    /// sequence, collect matching pongs until the heartbeat deadline
-    /// (early exit only when *everyone* answered, so a reviving node's
-    /// pong is never raced), update membership and reconfigure the
-    /// routing when it changed.
+    /// The heartbeat sweep after sample `seq`: ping every trackable node,
+    /// collect the round's pongs until the heartbeat deadline (early exit
+    /// only when *everyone* answered, so a reviving node's pong is never
+    /// raced), update membership, and when it changed publish the next
+    /// epoch and confirm it with one more ping round.
     ///
     /// Samples can be in flight during the sweep, so verdicts that land
     /// mid-sweep are handed back through `strays` rather than discarded;
@@ -309,18 +280,61 @@ impl ElasticDriver {
         orch_rx: &mut NodeInbox,
         strays: &mut Vec<Frame>,
     ) -> Result<()> {
-        let mut expected = vec![false; self.dir.len()];
-        for (ix, link) in self.ping_links.iter().enumerate() {
-            if let Some(link) = link {
-                link.send(&Frame::new(seq, NodeId::Orchestrator, Payload::Ping))?;
-                expected[ix] = true;
-            }
+        let pinged: Vec<bool> = self.ping_links.iter().map(Option::is_some).collect();
+        let responded = self.ping(&pinged, &pinged, orch_rx, strays)?;
+        if self.membership.sweep(&responded) {
+            self.reconfigure(seq);
+            let alive = self.membership.alive();
+            let answering: Vec<bool> =
+                (0..pinged.len()).map(|ix| pinged[ix] && alive[ix] && !self.down[ix]).collect();
+            self.ping(&pinged, &answering, orch_rx, strays)?;
         }
-        let mut responded = vec![false; self.dir.len()];
+        Ok(())
+    }
+
+    /// A scheduled `Down`/`Up` of a node: its down bit rides one ping to
+    /// it, whose pong (the node answers the ping that flips it) confirms
+    /// the flip before the next admission.
+    pub(crate) fn set_down(
+        &mut self,
+        target: &ChaosTarget,
+        down: bool,
+        orch_rx: &mut NodeInbox,
+        strays: &mut Vec<Frame>,
+    ) -> Result<()> {
+        let Some(ix) = self.dir.target_ix(target) else { return Ok(()) };
+        self.down[ix] = down;
+        let only: Vec<bool> = (0..self.down.len()).map(|i| i == ix).collect();
+        self.ping(&only, &only, orch_rx, strays).map(drop)
+    }
+
+    /// One ping round to the nodes `to` selects, each carrying the
+    /// published state and its own down bit; waits, bounded by the
+    /// heartbeat, for a pong from every node `awaited` selects. Returns who
+    /// answered.
+    fn ping(
+        &mut self,
+        to: &[bool],
+        awaited: &[bool],
+        orch_rx: &mut NodeInbox,
+        strays: &mut Vec<Frame>,
+    ) -> Result<Vec<bool>> {
+        self.round += 1;
+        for (ix, link) in self.ping_links.iter().enumerate() {
+            let Some(link) = link.as_ref().filter(|_| to[ix]) else { continue };
+            let ping = Payload::Ping {
+                epoch: self.routing.epoch,
+                floor: self.floor,
+                live: self.routing.live.clone(),
+                down: self.down[ix],
+            };
+            link.send(&Frame::new(self.round, NodeId::Orchestrator, ping))?;
+        }
+        let mut responded = vec![false; to.len()];
         let deadline = self.clock.deadline_in(self.heartbeat_ms);
-        while expected.iter().zip(&responded).any(|(&e, &r)| e && !r) {
+        while awaited.iter().zip(&responded).any(|(&a, &r)| a && !r) {
             match orch_rx.recv_deadline(deadline)? {
-                Some(frame) if frame.seq == seq && matches!(frame.payload, Payload::Pong) => {
+                Some(frame) if frame.seq == self.round && frame.payload == Payload::Pong => {
                     if let Some(ix) = self.dir.index_of(frame.from) {
                         responded[ix] = true;
                     }
@@ -333,61 +347,57 @@ impl ElasticDriver {
                 None => break,
             }
         }
-        if self.membership.sweep(&responded) {
-            self.reconfigure(seq);
-        }
-        Ok(())
+        Ok(responded)
     }
 
     /// Recomputes the routing from the current membership, publishes it
-    /// under the next epoch (stale floor = the next sample) and emits the
-    /// topology diff through counters and timeline events.
+    /// under the next epoch (stale floor = the next sample) and books the
+    /// topology diff in the registry and on the timeline.
     fn reconfigure(&mut self, seq: u64) {
-        let old = self.control.routing();
-        let mut live = old.live.clone();
-        for (ix, &alive) in self.membership.alive().iter().enumerate() {
-            live[ix] = alive;
-        }
-        let next = compute_routing(old.epoch + 1, live, self.dir.num_devices, &self.compat);
+        let live = self.membership.alive().to_vec();
+        let next =
+            compute_routing(self.routing.epoch + 1, live, self.dir.num_devices, &self.compat);
         let epoch = next.epoch;
-        let diffs = diff_routing(&old, &next, &self.dir.names);
-        self.control.install(next, seq + 1);
-        self.epochs_ctr.incr();
-        self.summary.epochs += 1;
-        for diff in &diffs {
+        let diffs = diff_routing(&self.routing, &next, &self.dir.names);
+        self.routing = next;
+        self.floor = seq + 1;
+        let registry = self.obs.registry();
+        registry.counter("run.epochs").incr();
+        for diff in diffs {
             match diff {
                 TopologyDiff::Join { node } => {
-                    self.joins_ctr.incr();
-                    self.summary.member_joins += 1;
-                    let node = node.clone();
+                    registry.counter("run.member_joins").incr();
                     self.obs.emit(|| ObsEvent::MemberJoin { node, epoch });
                 }
                 TopologyDiff::Leave { node } => {
-                    self.leaves_ctr.incr();
-                    self.summary.member_leaves += 1;
-                    let node = node.clone();
+                    registry.counter("run.member_leaves").incr();
                     self.obs.emit(|| ObsEvent::MemberLeave { node, epoch });
                 }
                 TopologyDiff::Reparent { child, from, to } => {
-                    self.obs.registry().counter(&format!("node.{child}.reparents")).incr();
-                    self.summary.reparents += 1;
-                    let (child, from, to) = (child.clone(), from.clone(), to.clone());
+                    registry.counter(&format!("node.{child}.reparents")).incr();
                     self.obs.emit(|| ObsEvent::Reparent { child, from, to, epoch });
                 }
             }
         }
     }
 
-    /// Final membership accounting for the run report.
-    pub(crate) fn finish(mut self) -> ElasticSummary {
-        self.summary.final_live = self.membership.alive().iter().filter(|&&l| l).count();
-        self.summary.stale_epoch_discards = self
-            .dir
-            .names
-            .iter()
-            .map(|n| self.obs.registry().counter(&format!("node.{n}.stale_epoch_discards")).get())
-            .sum();
-        self.summary
+    /// The run's membership accounting, read back from the registry
+    /// snapshot `counters` the report was assembled from.
+    pub(crate) fn finish(self, counters: &[(String, u64)]) -> ElasticSummary {
+        let get = |name: &str| counters.iter().find(|(n, _)| n == name).map_or(0, |(_, v)| *v);
+        let sum = |suffix: &str| {
+            counters.iter().filter(|(n, _)| n.ends_with(suffix)).map(|(_, v)| v).sum()
+        };
+        ElasticSummary {
+            epochs: get("run.epochs"),
+            member_joins: get("run.member_joins"),
+            member_leaves: get("run.member_leaves"),
+            reparents: sum(".reparents"),
+            // Every node but the statically failed devices starts live.
+            initial_live: self.ping_links.iter().flatten().count(),
+            final_live: self.membership.alive().iter().filter(|&&l| l).count(),
+            stale_epoch_discards: sum(".stale_epoch_discards"),
+        }
     }
 }
 
@@ -406,10 +416,7 @@ mod tests {
     #[test]
     fn directory_maps_indices_and_identities() {
         let dir = directory();
-        assert_eq!(dir.len(), 5);
         assert_eq!(dir.names, vec!["device0", "device1", "gateway", "edge", "cloud"]);
-        assert_eq!(dir.gateway_ix(), 2);
-        assert_eq!(dir.tier_ix(1), 4);
         assert_eq!(dir.index_of(NodeId::Device(1)), Some(1));
         assert_eq!(dir.index_of(NodeId::Gateway), Some(2));
         assert_eq!(dir.index_of(NodeId::Cloud), Some(4));
@@ -421,27 +428,37 @@ mod tests {
     }
 
     #[test]
-    fn control_state_publishes_epochs_and_rejects_stale_samples() {
+    fn a_node_applies_epochs_and_down_bits_from_pings_alone() {
         let compat = Compat {
             device_to_tier: vec![true, true],
             tier_to_tier: vec![vec![false, true], vec![false, false]],
         };
-        let initial = compute_routing(0, vec![true, true, true, true, true], 2, &compat);
-        let control = ControlState::new(initial);
-        assert_eq!(control.epoch(), 0);
-        assert!(control.admit(0).is_ok());
-        assert!(!control.is_churn_down(3));
-        control.set_churn_down(3, true);
-        assert!(control.is_churn_down(3));
-
-        let next = compute_routing(1, vec![true, true, true, false, true], 2, &compat);
-        control.install(next, 5);
-        assert_eq!(control.epoch(), 1);
-        assert!(control.admit(5).is_ok());
-        match control.admit(4) {
-            Err(RuntimeError::StaleEpoch { seq: 4, epoch: 1 }) => {}
-            other => panic!("expected StaleEpoch, got {other:?}"),
-        }
-        assert_eq!(control.device_parent(), Some(1), "devices re-parent around the dead tier");
+        let initial = compute_routing(0, vec![true; 5], 2, &compat);
+        let stale = Arc::new(Counter::default());
+        let (pong, pongs, _) = crate::link::link("edge->orchestrator");
+        let mut node = NodeControl::new(compat, initial, NodeId::Edge, pong, Arc::clone(&stale));
+        // Epoch 1 with the edge tier dead; later pings only flip the down
+        // bit, and round 2 arrives again after round 3 (reordered). Each
+        // step reports its effect and whether the node answered.
+        let live = vec![true, true, true, false, true];
+        let ping = |epoch, down| Payload::Ping { epoch, floor: 5, live: live.clone(), down };
+        let mut applied = |round, ping| {
+            let effect = node.on_ping(&Frame::new(round, NodeId::Orchestrator, ping)).unwrap();
+            let pong = pongs.try_recv_raw().unwrap().map(|wire| Frame::decode(wire).unwrap());
+            assert!(pong.as_ref().is_none_or(|p| p.seq == round && p.from == NodeId::Edge));
+            ((effect.rerouted, effect.revived), pong.is_some())
+        };
+        assert_eq!(applied(1, ping(1, false)), ((true, false), true));
+        assert_eq!(applied(2, ping(1, true)), ((false, false), true), "the flip is answered");
+        assert_eq!(applied(3, ping(1, true)), ((false, false), false), "down stays silent");
+        assert_eq!(applied(2, ping(1, false)), ((false, false), false), "an older round");
+        assert_eq!(applied(4, ping(1, false)), ((false, true), true));
+        assert_eq!(node.routing.device_parent, Some(1), "devices re-parent around the dead tier");
+        assert!(node.admit(5) && !node.admit(4));
+        assert_eq!(stale.get(), 1);
+        // A live mask for another topology is a sender bug.
+        let bad = Payload::Ping { epoch: 2, floor: 6, live: vec![true; 3], down: false };
+        let err = node.on_ping(&Frame::new(5, NodeId::Orchestrator, bad)).unwrap_err();
+        assert!(matches!(err, RuntimeError::Protocol { .. }), "{err}");
     }
 }

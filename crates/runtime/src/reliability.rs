@@ -215,6 +215,8 @@ struct Unacked {
 
 #[derive(Debug)]
 struct SendInner {
+    /// This sender's generation base: its first frame is `base + 1`.
+    base: u32,
     next_tseq: u32,
     buffer: Vec<Unacked>,
 }
@@ -256,7 +258,7 @@ impl ArqSendState {
         link: Arc<str>,
     ) -> Self {
         ArqSendState {
-            inner: Mutex::new(SendInner { next_tseq: 1, buffer: Vec::new() }),
+            inner: Mutex::new(SendInner { base: 0, next_tseq: 1, buffer: Vec::new() }),
             data_tx,
             ack_rx: Mutex::new(ack_rx),
             stats,
@@ -274,8 +276,19 @@ impl ArqSendState {
     /// range) treat the new process's frames as fresh rather than
     /// discarding them as duplicates.
     pub(crate) fn with_tseq_base(self, base: u32) -> Self {
-        self.inner.lock().next_tseq = base.wrapping_add(1).max(1);
+        self.inner.lock().base = base;
+        self.restart();
         self
+    }
+
+    /// Re-points the link at a fresh receiver (a respawned peer, whose
+    /// cumulative ack starts at 0): numbering restarts at this sender's
+    /// generation base, so the first ack covers the first frame, and the
+    /// frames buffered for the dead incarnation are dropped.
+    pub(crate) fn restart(&self) {
+        let mut inner = self.inner.lock();
+        inner.next_tseq = inner.base.wrapping_add(1).max(1);
+        inner.buffer.clear();
     }
 
     /// Assigns the next transport sequence number, encodes the primary
@@ -602,6 +615,26 @@ mod tests {
             assert_eq!(Frame::decode_checked(wire).unwrap().tseq, (1 << 20) + 1 + seq);
         }
         drop(data_rx);
+    }
+
+    #[test]
+    fn a_restarted_sender_is_acked_by_a_fresh_receiver() {
+        // A sender at tseq 40 is re-pointed at a respawned peer, whose
+        // receiver starts at cum 0: the first frame after the restart is
+        // tseq 1 again, so the receiver's first ack empties the buffer.
+        // Numbered 41, the frame would be NACKed behind an unfillable gap
+        // and retransmitted until it aged out.
+        let (data_tx, _data_rx) = unbounded();
+        let (ack_tx, ack_rx) = unbounded();
+        let send = send_state(data_tx, ack_rx, &stats());
+        (0..40).for_each(|seq| drop(send.register(&frame(seq))));
+        send.restart();
+        assert_eq!(send.in_flight(), 0, "the dead incarnation's frames are dropped");
+        let tseq = Frame::decode_checked(send.register(&frame(40))).unwrap().tseq;
+        let obs = RunObs::disabled();
+        assert!(ArqRecvState::new(channel_tx(ack_tx), stats(), None, obs, "l".into()).accept(tseq));
+        send.tick(Instant::now());
+        assert_eq!(send.in_flight(), 0, "the first ack covered the first frame");
     }
 
     #[test]

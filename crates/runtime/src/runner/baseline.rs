@@ -4,12 +4,11 @@
 //! plan and deadline degradation apply to it exactly like they do to the
 //! real topology.
 
-use super::orchestrate::{orchestrate, validate_run, Threads};
+use super::orchestrate::{orchestrate, validate_run, Feed};
 use super::roles::{compute_blanks, spawn_role, RunCtx, Spawn};
-use super::wiring::{connect_local, Link, Plane, Wiring};
+use super::wiring::{connect_local, Plane, Wiring};
 use crate::chaos::ProcTarget;
 use crate::error::{Result, RuntimeError};
-use crate::message::{quantize_image, Frame, NodeId, Payload};
 use crate::node::report::SimReport;
 use crate::obs::RunObs;
 use crate::topology::{HierarchyConfig, Topology};
@@ -23,7 +22,7 @@ use std::sync::Arc;
 /// the `device*->cloud` links.
 ///
 /// The baseline is a one-tier wiring run through the same connect, role
-/// host and orchestrator body as the staged hierarchy — the fault layer,
+/// host, feed and orchestrator body as the staged hierarchy — the fault layer,
 /// the collector finalize path and the watchdog included — so
 /// `cfg.failed_devices`, `cfg.chaos` and `cfg.deadlines` degrade it
 /// exactly like the staged hierarchy instead of being silently ignored.
@@ -41,7 +40,6 @@ pub fn run_cloud_only_baseline(
     // orchestrator plays the devices, which would only forward their
     // captures unchanged.
     let topology = Topology::cloud_only(partition);
-    let num_devices = topology.num_devices();
     let live = validate_run(&topology, device_views, labels, cfg, false)?;
     if cfg.elastic.is_some() {
         return Err(RuntimeError::Config {
@@ -59,26 +57,14 @@ pub fn run_cloud_only_baseline(
         });
     }
     let obs = Arc::new(RunObs::new(&cfg.obs));
-    let ctx =
-        RunCtx { topology: &topology, cfg, live: &live, clock: crate::SimClock::start(), obs };
+    let clock = crate::SimClock::start();
+    let ctx = RunCtx { topology: &topology, cfg, live: &live, clock, obs, elastic: None };
     let wiring = Wiring::of(&topology, false);
     let plane = connect_local(&wiring, cfg, &ctx.obs)?;
     let blanks = compute_blanks(&topology)?;
     let host = |plane: &mut Plane, spawn: &mut Spawn| {
-        spawn_role(ProcTarget::Tier(0), &ctx, &blanks, None, plane, spawn)
+        spawn_role(ProcTarget::Tier(0), &ctx, &blanks, plane, spawn)
     };
-    let uplinks: Vec<_> =
-        (0..num_devices).map(|d| plane.sender(Link::Uplink(d, 0))).collect::<Result<_>>()?;
-    let feed = |i: usize| -> Result<()> {
-        for d in (0..num_devices).filter(|&d| live[d]) {
-            let pixels = quantize_image(&device_views[d].index_axis0(i)?);
-            uplinks[d].send(&Frame::new(
-                i as u64,
-                NodeId::Device(d as u8),
-                Payload::RawImage { pixels },
-            ))?;
-        }
-        Ok(())
-    };
-    orchestrate(&ctx, &wiring, plane, host, labels, &mut Threads { feed, nodes: None }, None)
+    let mut feed = Feed::new(&plane, &ctx, device_views)?;
+    orchestrate(&ctx, &wiring, plane, host, labels, &mut feed)
 }

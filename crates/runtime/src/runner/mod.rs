@@ -37,17 +37,15 @@ mod wiring;
 pub use baseline::run_cloud_only_baseline;
 
 use crate::error::Result;
-use crate::message::{Frame, NodeId, Payload};
 use crate::node::report::SimReport;
 use crate::obs::RunObs;
-use crate::orchestrator::{ElasticDriver, NodeDirectory};
 use crate::topology::{HierarchyConfig, Topology};
 use ddnn_core::DdnnPartition;
 use ddnn_tensor::Tensor;
-use orchestrate::{orchestrate, validate_run, Threads};
+use orchestrate::{orchestrate, validate_run, Feed};
 use roles::{compute_blanks, spawn_role, ElasticCtx, RunCtx, Spawn};
 use std::sync::Arc;
-use wiring::{connect_local, Link, Plane, Wiring};
+use wiring::{connect_local, Plane, Wiring};
 
 /// Executes distributed staged inference of a partitioned DDNN over a test
 /// set: `device_views[d]` is device `d`'s per-sample view batch. The
@@ -80,82 +78,20 @@ pub fn run_topology(
     labels: &[usize],
     cfg: &HierarchyConfig,
 ) -> Result<SimReport> {
-    let num_devices = topology.num_devices();
     let live = validate_run(topology, device_views, labels, cfg, false)?;
     let obs = Arc::new(RunObs::new(&cfg.obs));
-    let ctx = RunCtx { topology, cfg, live: &live, clock: crate::SimClock::start(), obs };
     let blanks = compute_blanks(topology)?;
-    let elastic = match cfg.elastic {
-        Some(_) => Some(ElasticCtx::new(topology, &live, &blanks)?),
-        None => None,
-    };
+    let elastic = cfg.elastic.map(|_| ElasticCtx::new(topology, &live, &blanks)).transpose()?;
+    let clock = crate::SimClock::start();
+    let ctx = RunCtx { topology, cfg, live: &live, clock, obs, elastic: elastic.as_ref() };
 
     // Every role of the wiring is hosted right here, as threads.
-    let wiring = Wiring::of(topology, elastic.is_some());
+    let wiring = Wiring::of(topology, cfg.elastic.is_some());
     let plane = connect_local(&wiring, cfg, &ctx.obs)?;
-
-    let sensors: Vec<_> =
-        (0..num_devices).map(|d| plane.sender(Link::Sensor(d))).collect::<Result<_>>()?;
-    // The membership driver pings devices over their sensor feed, the
-    // gateway and tiers over dedicated links. Statically failed devices
-    // are never pinged (and never rejoin).
-    let tier_names: Vec<String> = topology.tiers.iter().map(|t| t.name.clone()).collect();
-    let tier_ids = topology.tiers.iter().map(|t| t.id).collect();
-    let dir = NodeDirectory::new(num_devices, &tier_names, tier_ids);
-    let mut driver = match (&elastic, cfg.elastic) {
-        (Some(el), Some(ecfg)) => {
-            let mut ping_links: Vec<_> =
-                (0..num_devices).map(|d| live[d].then(|| sensors[d].clone())).collect();
-            ping_links.push(Some(plane.sender(Link::PingGateway)?));
-            for k in 0..topology.tiers.len() {
-                ping_links.push(Some(plane.sender(Link::PingTier(k))?));
-            }
-            Some(ElasticDriver::new(
-                Arc::clone(&el.control),
-                dir.clone(),
-                el.compat.clone(),
-                ecfg,
-                ping_links,
-                ctx.clock,
-                Arc::clone(&ctx.obs),
-            ))
-        }
-        _ => None,
-    };
-    let feed = |i: usize| -> Result<()> {
-        // Under elastic routing, captures skip devices the membership
-        // layer currently believes dead (their down flag will make
-        // them drop the frame anyway), and with the gateway bypassed
-        // the orchestrator broadcasts the offload request itself so
-        // the sample goes straight to the feature chain.
-        let routing = elastic.as_ref().map(|el| el.control.routing());
-        let awake = |d: usize| live[d] && routing.as_ref().is_none_or(|r| r.live[d]);
-        for d in (0..num_devices).filter(|&d| awake(d)) {
-            let view = device_views[d].index_axis0(i)?;
-            sensors[d].send(&Frame::new(
-                i as u64,
-                NodeId::Orchestrator,
-                Payload::Capture { view },
-            ))?;
-        }
-        if routing.as_ref().is_some_and(|r| r.gateway_bypass && r.device_parent.is_some()) {
-            for d in (0..num_devices).filter(|&d| awake(d)) {
-                sensors[d].send(&Frame::new(
-                    i as u64,
-                    NodeId::Orchestrator,
-                    Payload::OffloadRequest,
-                ))?;
-            }
-        }
-        Ok(())
-    };
+    let mut feed = Feed::new(&plane, &ctx, device_views)?;
     let host = |plane: &mut Plane, spawn: &mut Spawn| {
         let mut roles = wiring.roles().into_iter();
-        roles.try_for_each(|role| spawn_role(role, &ctx, &blanks, elastic.as_ref(), plane, spawn))
+        roles.try_for_each(|role| spawn_role(role, &ctx, &blanks, plane, spawn))
     };
-    let nodes = elastic.as_ref().map(|el| (&*el.control, &dir));
-    let mut hook = Threads { feed, nodes };
-    let mut report = orchestrate(&ctx, &wiring, plane, host, labels, &mut hook, driver.as_mut())?;
-    report.elastic = driver.map(|d| d.finish());
-    Ok(report)
+    orchestrate(&ctx, &wiring, plane, host, labels, &mut feed)
 }

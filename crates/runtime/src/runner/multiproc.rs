@@ -51,26 +51,27 @@
 //!
 //! Scope: multi-process runs cover the partition-implied topology, in
 //! lockstep or under scheduled arrivals, with or without statically failed
-//! devices — the role manifest carries `stream` and `failed_devices`, and
-//! every process derives the same live mask, admission window and batch
-//! budget from it. [`launch`] rejects, with typed configuration errors
-//! before anything is spawned, a non-socket transport and elastic
-//! orchestration (its control state is shared memory); chaos events on
-//! links and nodes are rejected by
+//! devices, statically or under elastic orchestration — the role manifest
+//! carries `stream`, `failed_devices` and `elastic`, and every process
+//! derives the same live mask, admission window, batch budget and
+//! compatibility matrix from it. The elastic driver runs in the launcher
+//! and steers the role processes' nodes only through its pings, as it does
+//! threads. [`launch`] rejects, with a typed configuration error before
+//! anything is spawned, a non-socket transport; chaos on links and
+//! `AfterFrames` deaths are rejected by
 //! [`ChaosPlan::validate`](crate::ChaosPlan::validate). Of the chaos plan
-//! this runner executes process Down/Up events itself and ships the socket
-//! impairment to every role.
+//! this runner executes process Down/Up events itself, node Down/Up through
+//! the elastic driver, and ships the socket impairment to every role.
 
-use super::orchestrate::{host_nodes, live_mask, orchestrate, validate_run, SampleHook};
-use super::roles::{compute_blanks, spawn_role, RunCtx};
-use super::wiring::{connect, Addrs, Host, Link, Wiring};
+use super::orchestrate::{host_nodes, live_mask, orchestrate, validate_run, Feed, SampleHook};
+use super::roles::{compute_blanks, spawn_role, ElasticCtx, RunCtx};
+use super::wiring::{connect, Addrs, Host, Wiring};
 use crate::chaos::{ChaosTarget, ProcTarget};
 use crate::clock::SimClock;
 use crate::error::{Result, RuntimeError};
-use crate::link::LinkSender;
-use crate::message::{Frame, NodeId, Payload};
 use crate::node::report::{NodeReport, SimReport};
 use crate::obs::{LinkCounters, ObsEvent, RunObs};
+use crate::orchestrator::rebalance::RoutingTable;
 use crate::topology::{decode_role_manifest, encode_role_manifest, HierarchyConfig, Topology};
 use crate::transport::{Endpoint, RedialHandle};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
@@ -231,20 +232,15 @@ fn parse_node_line(line: &str) -> Result<NodeReport> {
     Ok(report)
 }
 
-/// Typed rejection of what cannot span process boundaries — raised
-/// before any process is spawned. Processes talk over sockets, so the
-/// transport must be one; and elastic orchestration publishes its routing
-/// epochs, floor and down flags through one `ControlState` in shared
-/// memory, which role processes have no way to read.
+/// Typed rejection, before any process is spawned, of the one thing that
+/// cannot span process boundaries: processes talk over sockets, so the
+/// transport must be one.
 fn validate_launch(cfg: &HierarchyConfig) -> Result<()> {
-    let reject = |reason: &str| Err(RuntimeError::Config { reason: reason.to_string() });
     if !cfg.transport.is_socket() {
-        return reject(
-            "multi-process runs need a socket transport (set cfg.transport to tcp or udp)",
-        );
-    }
-    if cfg.elastic.is_some() {
-        return reject("elastic orchestration is in-process only (unset cfg.elastic)");
+        return Err(RuntimeError::Config {
+            reason: "multi-process runs need a socket transport (set cfg.transport to tcp or udp)"
+                .to_string(),
+        });
     }
     Ok(())
 }
@@ -404,9 +400,7 @@ struct Supervisor<'a> {
     fleet: Fleet<'a>,
     /// Re-points the launcher's own senders at a respawned role.
     redial: RedialHandle,
-    /// The sensor feed and the view batch of every device that is not
-    /// statically failed.
-    sensors: Vec<(LinkSender, &'a Tensor)>,
+    feed: Feed<'a>,
     obs: Arc<RunObs>,
 }
 
@@ -481,14 +475,9 @@ impl Supervisor<'_> {
 
 impl SampleHook for Supervisor<'_> {
     /// Each capture round doubles as a supervision tick.
-    fn feed(&mut self, i: usize) -> Result<()> {
-        let seq = i as u64;
-        self.tick(seq);
-        for (sensor, views) in &self.sensors {
-            let view = views.index_axis0(i)?;
-            sensor.send(&Frame::new(seq, NodeId::Orchestrator, Payload::Capture { view }))?;
-        }
-        Ok(())
+    fn feed(&mut self, i: usize, routing: Option<&RoutingTable>) -> Result<()> {
+        self.tick(i as u64);
+        self.feed.send(i, routing)
     }
 
     /// SIGKILLs (`down`) or respawns the targeted role process.
@@ -561,11 +550,13 @@ impl SampleHook for Supervisor<'_> {
 /// bit-identical to an in-process [`run_topology`](super::run_topology)
 /// of the same configuration.
 ///
-/// `cfg.transport` must be a socket transport; elastic orchestration and
-/// chaos on links or nodes are rejected (they are in-process features).
-/// Of `cfg.chaos` this runner takes process Down/Up events (seeded role
-/// kills and respawns) and the socket impairment (seeded datagram/stream
-/// mangling), supervised end to end.
+/// `cfg.transport` must be a socket transport. Elastic orchestration runs
+/// as it does in-process: the launcher drives membership and steers every
+/// role's nodes with its pings. Of `cfg.chaos` this runner takes process
+/// Down/Up events (seeded role kills and respawns), node Down/Up events
+/// (elastic churn) and the socket impairment (seeded datagram/stream
+/// mangling), supervised end to end; chaos on links and `AfterFrames`
+/// deaths stay in-process.
 ///
 /// # Errors
 ///
@@ -584,8 +575,14 @@ pub fn launch(
     let topology = Topology::from_partition(&Ddnn::new(model_cfg.clone()).partition());
     let live = validate_run(&topology, device_views, labels, cfg, true)?;
     let obs = Arc::new(RunObs::new(&cfg.obs));
-    let ctx = RunCtx { topology: &topology, cfg, live: &live, clock: SimClock::start(), obs };
-    let wiring = Wiring::of(&topology, false);
+    // The elastic driver routes by the compatibility matrix every role
+    // process derives alike from the seeded model.
+    let blanks = cfg.elastic.map(|_| compute_blanks(&topology)).transpose()?;
+    let elastic = blanks.map(|blanks| ElasticCtx::new(&topology, &live, &blanks)).transpose()?;
+    let clock = SimClock::start();
+    let ctx =
+        RunCtx { topology: &topology, cfg, live: &live, clock, obs, elastic: elastic.as_ref() };
+    let wiring = Wiring::of(&topology, cfg.elastic.is_some());
 
     // One supervised process per role; the launcher hosts only the
     // orchestrator's end of the wiring.
@@ -611,13 +608,10 @@ pub fn launch(
     let mut supervisor = Supervisor {
         fleet,
         redial: plane.factory.redial_handle(),
-        sensors: (0..live.len())
-            .filter(|&d| live[d])
-            .map(|d| Ok((plane.sender(Link::Sensor(d))?, &device_views[d])))
-            .collect::<Result<_>>()?,
+        feed: Feed::new(&plane, &ctx, device_views)?,
         obs: Arc::clone(&ctx.obs),
     };
-    orchestrate(&ctx, &wiring, plane, |_, _| Ok(()), labels, &mut supervisor, None)
+    orchestrate(&ctx, &wiring, plane, |_, _| Ok(()), labels, &mut supervisor)
 }
 
 /// Serves one role of a multi-process run over stdin/stdout — the body
@@ -696,14 +690,16 @@ where
     // Rebuild the run: same seed, same weights, same blanks, same wiring
     // table as every other process.
     let topology = Topology::from_partition(&Ddnn::new(model_cfg).partition());
-    let wiring = Wiring::of(&topology, false);
+    let wiring = Wiring::of(&topology, cfg.elastic.is_some());
     if !wiring.roles().contains(&role) {
         return Err(RuntimeError::Protocol { reason: format!("no role {role} in this topology") });
     }
     let blanks = compute_blanks(&topology)?;
     let live = live_mask(topology.num_devices(), &cfg);
+    let elastic = cfg.elastic.map(|_| ElasticCtx::new(&topology, &live, &blanks)).transpose()?;
     let obs = Arc::new(RunObs::new(&cfg.obs));
-    let ctx = RunCtx { topology: &topology, cfg: &cfg, live: &live, clock: SimClock::start(), obs };
+    let (clock, elastic) = (SimClock::start(), elastic.as_ref());
+    let ctx = RunCtx { topology: &topology, cfg: &cfg, live: &live, clock, obs, elastic };
 
     // The handshake: advertise where this role is reached, learn where
     // every host is. A respawned role numbers its ARQ frames from a fresh
@@ -760,7 +756,7 @@ where
 
     // Run the role's nodes until the orchestrator's shutdown frames.
     let arq = std::mem::take(&mut plane.factory.arq_states);
-    let ran = host_nodes(&arq, |spawn, _| spawn_role(role, &ctx, &blanks, None, &mut plane, spawn));
+    let ran = host_nodes(&arq, |spawn, _| spawn_role(role, &ctx, &blanks, &mut plane, spawn));
     hb_stop.store(true, Ordering::Release);
     let _ = hb_thread.join();
     let ((), node_reports) = ran?;

@@ -8,11 +8,12 @@ use super::roles::{RunCtx, Spawn};
 use super::wiring::{Host, Link, Plane, Wiring};
 use crate::chaos::{ChaosTarget, ProcTarget};
 use crate::error::{Result, RuntimeError};
-use crate::link::LatencyModel;
-use crate::message::{Frame, NodeId, Payload};
+use crate::link::{LatencyModel, LinkSender};
+use crate::message::{quantize_image, Frame, NodeId, Payload};
 use crate::node::report::{assemble_report, NodeReport, SimReport};
 use crate::obs::LinkCounters;
-use crate::orchestrator::{ControlState, ElasticDriver, NodeDirectory};
+use crate::orchestrator::rebalance::RoutingTable;
+use crate::orchestrator::{ElasticDriver, NodeDirectory};
 use crate::reliability::{run_retransmit_pump, ArqSendState};
 use crate::topology::{HierarchyConfig, Shape, Topology};
 use crate::transport::{Endpoint, InboxBinding, TransportConfig};
@@ -92,18 +93,21 @@ pub(super) fn live_mask(num_devices: usize, cfg: &HierarchyConfig) -> Vec<bool> 
 }
 
 /// What a runner plugs into [`orchestrate`]: how a sample enters the
-/// hierarchy, how a scheduled Down/Up reaches its target, and — when its
-/// roles are OS processes — whether they are still there and what they
-/// measured.
+/// hierarchy and — when its roles are OS processes — how a scheduled
+/// process kill or respawn reaches them, whether they are still there and
+/// what they measured.
 pub(super) trait SampleHook {
-    /// Feeds sample `i` (again, on a watchdog retry) after doing whatever
-    /// is due before it: elastic re-routing, a supervision tick.
-    fn feed(&mut self, i: usize) -> Result<()>;
+    /// Feeds sample `i` (again, on a watchdog retry) under the elastic
+    /// driver's published `routing`, after whatever is due before it (a
+    /// supervision tick).
+    fn feed(&mut self, i: usize, routing: Option<&RoutingTable>) -> Result<()>;
 
-    /// Takes `target` down or brings it back up, just before sample `seq`
-    /// (the plan was validated against this runner, so the target is one
-    /// it can reach).
-    fn apply(&mut self, seq: u64, target: &ChaosTarget, down: bool) -> Result<()>;
+    /// Kills or respawns the role process `target` names, just before
+    /// sample `seq` (the plan was validated against this runner, so the
+    /// target is one it can reach; node targets are the elastic driver's).
+    fn apply(&mut self, _seq: u64, _target: &ChaosTarget, _down: bool) -> Result<()> {
+        Ok(())
+    }
 
     /// Where `role` is reached now: at this process's `own` endpoint when
     /// it is hosted here, `None` once its process is dead.
@@ -119,27 +123,56 @@ pub(super) trait SampleHook {
     }
 }
 
-/// The hook of a run whose roles are threads of this process: `feed`
-/// sends the captures, and a scheduled Down/Up flips the node's down flag
-/// in the elastic control state (node events need elastic orchestration,
-/// so `nodes` is there whenever one is scheduled).
-pub(super) struct Threads<'a, F> {
-    pub(super) feed: F,
-    pub(super) nodes: Option<(&'a ControlState, &'a NodeDirectory)>,
+/// The capture feed of every runner, and the whole hook of one hosted as
+/// threads: a sample's views go to the devices the routing has live
+/// (without elastic orchestration, every device not statically failed),
+/// and with the gateway bypassed the orchestrator broadcasts the offload
+/// request itself so the sample goes straight to the feature chain. In
+/// the cloud-only shape the devices would only forward their captures, so
+/// the orchestrator sends each view raw to the cloud in their name.
+pub(super) struct Feed<'a> {
+    /// Per device that is not statically failed: its index, the link its
+    /// views leave on and its view batch.
+    sensors: Vec<(usize, LinkSender, &'a Tensor)>,
+    raw: bool,
 }
 
-impl<F: FnMut(usize) -> Result<()>> SampleHook for Threads<'_, F> {
-    fn feed(&mut self, i: usize) -> Result<()> {
-        (self.feed)(i)
+impl<'a> Feed<'a> {
+    pub(super) fn new(plane: &Plane, ctx: &RunCtx, device_views: &'a [Tensor]) -> Result<Self> {
+        let raw = matches!(ctx.topology.shape, Shape::CloudOnly { .. });
+        let key = |d| if raw { Link::Uplink(d, 0) } else { Link::Sensor(d) };
+        let live = (0..ctx.live.len()).filter(|&d| ctx.live[d]);
+        let sensors = live.map(|d| Ok((d, plane.sender(key(d))?, &device_views[d])));
+        Ok(Feed { sensors: sensors.collect::<Result<_>>()?, raw })
     }
 
-    fn apply(&mut self, _seq: u64, target: &ChaosTarget, down: bool) -> Result<()> {
-        if let Some((control, dir)) = self.nodes {
-            if let Some(ix) = dir.target_ix(target) {
-                control.set_churn_down(ix, down);
+    pub(super) fn send(&self, i: usize, routing: Option<&RoutingTable>) -> Result<()> {
+        let seq = i as u64;
+        let awake = self.sensors.iter().filter(|(d, ..)| routing.is_none_or(|r| r.live[*d]));
+        for (d, sensor, views) in awake.clone() {
+            let view = views.index_axis0(i)?;
+            sensor.send(&match self.raw {
+                true => Frame::new(seq, NodeId::Device(*d as u8), raw_payload(&view)),
+                false => Frame::new(seq, NodeId::Orchestrator, Payload::Capture { view }),
+            })?;
+        }
+        if routing.is_some_and(|r| r.gateway_bypass && r.device_parent.is_some()) {
+            for (_, sensor, _) in awake {
+                sensor.send(&Frame::new(seq, NodeId::Orchestrator, Payload::OffloadRequest))?;
             }
         }
         Ok(())
+    }
+}
+
+/// A view as the cloud-only baseline ships it: byte-quantized pixels.
+fn raw_payload(view: &Tensor) -> Payload {
+    Payload::RawImage { pixels: quantize_image(view) }
+}
+
+impl SampleHook for Feed<'_> {
+    fn feed(&mut self, i: usize, routing: Option<&RoutingTable>) -> Result<()> {
+        self.send(i, routing)
     }
 }
 
@@ -179,11 +212,31 @@ pub(super) fn host_nodes<T>(
     })
 }
 
+/// The elastic driver of an elastic run, pinging every node over the
+/// wiring's ping rows: a device over its sensor feed (a statically failed
+/// one never), the gateway and each tier over their own.
+fn elastic_driver(ctx: &RunCtx, plane: &Plane) -> Result<Option<ElasticDriver>> {
+    let (Some(cfg), Some(el)) = (ctx.cfg.elastic, ctx.elastic) else { return Ok(None) };
+    let (tiers, live) = (&ctx.topology.tiers, ctx.live);
+    let names: Vec<String> = tiers.iter().map(|t| t.name.clone()).collect();
+    let dir = NodeDirectory::new(live.len(), &names, tiers.iter().map(|t| t.id).collect());
+    let mut ping_links: Vec<Option<LinkSender>> = (0..live.len())
+        .map(|d| live[d].then(|| plane.sender(Link::Sensor(d))).transpose())
+        .collect::<Result<_>>()?;
+    ping_links.push(Some(plane.sender(Link::PingGateway)?));
+    for k in 0..tiers.len() {
+        ping_links.push(Some(plane.sender(Link::PingTier(k))?));
+    }
+    let (compat, initial, obs) = (el.compat.clone(), el.initial.clone(), Arc::clone(&ctx.obs));
+    Ok(Some(ElasticDriver::new(dir, compat, initial, cfg, ping_links, ctx.clock, obs)))
+}
+
 /// The orchestrator body every runner finishes through: lets `host`
 /// start the nodes this process hosts (none, for the multi-process
 /// launcher), pumps the samples beside them (lockstep, or on `cfg.stream`'s
-/// arrival schedule), shuts every node of the wiring down, and assembles
-/// the report from the link cells, the node reports and the tallies.
+/// arrival schedule) under the elastic driver when `cfg.elastic` asks for
+/// one, shuts every node of the wiring down, and assembles the report from
+/// the link cells, the node reports and the tallies.
 pub(super) fn orchestrate(
     ctx: &RunCtx,
     wiring: &Wiring,
@@ -191,10 +244,10 @@ pub(super) fn orchestrate(
     host: impl FnOnce(&mut Plane, &mut Spawn) -> Result<()>,
     labels: &[usize],
     hook: &mut impl SampleHook,
-    elastic: Option<&mut ElasticDriver>,
 ) -> Result<SimReport> {
-    let RunCtx { topology, cfg, live, clock, obs } = ctx;
+    let RunCtx { topology, cfg, live, clock, obs, .. } = ctx;
     let mut orch_inbox = plane.inbox(NodeId::Orchestrator)?;
+    let mut driver = elastic_driver(ctx, &plane)?;
     let exit_point_of = |tier: u8| topology.exit_point_of(tier);
     // Simulated latency of a lockstep sample: the device->gateway hop
     // (a local wireless link) always happens; each escalation up the
@@ -231,7 +284,7 @@ pub(super) fn orchestrate(
             exit_point_of,
             latency_of,
             obs,
-            elastic,
+            driver.as_mut(),
         )?;
         // Every sample resolved: stop retransmitting before shutdown.
         pump_stop.store(true, Ordering::Release);
@@ -298,5 +351,7 @@ pub(super) fn orchestrate(
         corrupt_discards: orch_inbox.corrupt_discards(),
         ..NodeReport::default()
     });
-    Ok(assemble_report(tallies, labels, links, node_reports, live.len(), obs))
+    let mut report = assemble_report(tallies, labels, links, node_reports, live.len(), obs);
+    report.elastic = driver.map(|d| d.finish(&report.counters));
+    Ok(report)
 }

@@ -29,7 +29,7 @@
 //!   link-model latency of the exit the sample took.
 
 use super::orchestrate::SampleHook;
-use crate::chaos::Schedule;
+use crate::chaos::{ChaosTarget, Schedule};
 use crate::clock::SimClock;
 use crate::error::{Result, RuntimeError};
 use crate::link::NodeInbox;
@@ -106,7 +106,7 @@ pub(super) fn pump(
     // published only there. Scheduled arrivals pace them at the heartbeat
     // period; lockstep runs one strictly between samples, after each
     // resolves (`swept` counts the samples that had theirs).
-    let mut sweep_at = elastic.as_ref().map_or(f64::INFINITY, |d| d.heartbeat_ms() as f64);
+    let mut sweep_at = elastic.as_ref().map_or(f64::INFINITY, |d| d.heartbeat_ms as f64);
     let mut swept = 0usize;
 
     // Under deadlines, retried samples leave duplicate and stale verdicts
@@ -128,7 +128,7 @@ pub(super) fn pump(
                 if let Some(retries) = &retries_ctr {
                     retries.incr();
                 }
-                hook.feed(seq as usize)?;
+                hook.feed(seq as usize, elastic.as_deref().map(|d| &d.routing))?;
                 flight.due = clock.elapsed_ms_f64() - t0 + watchdog_ms;
                 continue;
             }
@@ -145,7 +145,7 @@ pub(super) fn pump(
             let due = if lockstep { inflight.is_empty() && swept < next } else { now >= sweep_at };
             if due {
                 driver.after_sample(next.saturating_sub(1) as u64, orch_rx, &mut arrived)?;
-                sweep_at = clock.elapsed_ms_f64() - t0 + driver.heartbeat_ms() as f64;
+                sweep_at = clock.elapsed_ms_f64() - t0 + driver.heartbeat_ms as f64;
                 swept = next;
             }
         }
@@ -168,8 +168,14 @@ pub(super) fn pump(
             obs.emit(|| ObsEvent::SampleEnqueued { seq });
             // Chaos: whatever is scheduled before this sample happens
             // before its captures go out, so a scheduled Down takes effect
-            // exactly at its sample.
-            schedule.fire(seq, |target, down| hook.apply(seq, target, down))?;
+            // exactly at its sample — a node's through the elastic
+            // driver's confirmed ping, a process's through the runner.
+            schedule.fire(seq, |target, down| match elastic.as_deref_mut() {
+                Some(driver) if !matches!(target, ChaosTarget::Process(_)) => {
+                    driver.set_down(target, down, orch_rx, &mut arrived)
+                }
+                _ => hook.apply(seq, target, down),
+            })?;
             if inflight.len() >= window {
                 if let Some((_, shed)) = &admission_ctrs {
                     shed.incr();
@@ -183,7 +189,7 @@ pub(super) fn pump(
             if let Some((admitted, _)) = &admission_ctrs {
                 admitted.incr();
             }
-            hook.feed(i)?;
+            hook.feed(i, elastic.as_deref().map(|d| &d.routing))?;
             let due = born + f64::from(first_attempt + 1) * watchdog_ms;
             inflight.insert(seq, InFlight { born, attempts: first_attempt, due });
         }
@@ -239,10 +245,11 @@ pub(super) fn pump(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chaos::{ChaosPlan, ChaosTarget};
+    use crate::chaos::ChaosPlan;
     use crate::link::{link, LinkSender};
     use crate::message::NodeId;
     use crate::obs::ObsConfig;
+    use crate::orchestrator::rebalance::RoutingTable;
     use crate::topology::ArrivalProcess;
 
     /// A one-node "hierarchy" that answers every capture round with a
@@ -253,17 +260,13 @@ mod tests {
     }
 
     impl SampleHook for LosesTheFirstFeed {
-        fn feed(&mut self, i: usize) -> Result<()> {
+        fn feed(&mut self, i: usize, _: Option<&RoutingTable>) -> Result<()> {
             self.feeds += 1;
             if self.feeds == 1 {
                 return Ok(());
             }
             let verdict = Payload::Verdict { prediction: 3, exit_tier: 0 };
             self.verdicts.send(&Frame::new(i as u64, NodeId::Gateway, verdict))
-        }
-
-        fn apply(&mut self, _: u64, _: &ChaosTarget, _: bool) -> Result<()> {
-            Ok(())
         }
     }
 

@@ -8,16 +8,19 @@ use super::wiring::{Link, Plane};
 use crate::chaos::ProcTarget;
 use crate::clock::SimClock;
 use crate::error::Result;
+use crate::link::LinkSender;
 use crate::message::{dequantize_image, quantize_image, NodeId};
 use crate::node::collector::{AggDeadline, Collector};
-use crate::node::device::{blank_signature, blank_view, device_node, BlankSignature};
+use crate::node::device::{
+    blank_signature, blank_view, device_node, BlankSignature, DeviceElastic,
+};
 use crate::node::report::NodeReport;
 use crate::node::tier::{
     batched, Escalation, FanIn, Feeder, RawSection, TierElastic, TierNode, TierSection,
 };
-use crate::obs::{Counter, NodeObs, RunObs};
-use crate::orchestrator::rebalance::{compute_routing, probe, Compat};
-use crate::orchestrator::{ControlState, DeviceElastic};
+use crate::obs::{NodeObs, RunObs};
+use crate::orchestrator::rebalance::{compute_routing, probe, Compat, RoutingTable};
+use crate::orchestrator::NodeControl;
 use crate::topology::{HierarchyConfig, Shape, TierExitRule, Topology};
 use ddnn_core::ExitPolicy;
 use ddnn_nn::Mode;
@@ -32,6 +35,9 @@ pub(super) struct RunCtx<'a> {
     pub(super) live: &'a [bool],
     pub(super) clock: SimClock,
     pub(super) obs: Arc<RunObs>,
+    /// What every process of an elastic run derives alike; `None` without
+    /// `cfg.elastic`.
+    pub(super) elastic: Option<&'a ElasticCtx>,
 }
 
 /// A node's whole life, ready to run on a thread of its own.
@@ -85,24 +91,32 @@ pub(super) fn compute_blanks(topology: &Topology) -> Result<Blanks> {
     Ok(Blanks { devices, tiers })
 }
 
-/// The elastic control plane's shared state: the published routing, the
-/// probed compatibility matrix (which feeders each tier's section
-/// accepts) and each tier's blank *output*, for re-parenting.
+/// What the elastic control plane starts from, derived identically in
+/// every process from the seeded model: the probed compatibility matrix
+/// (which feeders each tier's section accepts), each tier's blank
+/// *output* for re-parenting, and the epoch-0 routing table.
 pub(super) struct ElasticCtx {
-    pub(super) control: Arc<ControlState>,
     pub(super) compat: Compat,
     out_blanks: Vec<Tensor>,
+    pub(super) initial: RoutingTable,
 }
 
 impl ElasticCtx {
-    /// Probes the topology and publishes the epoch-0 routing table — the
-    /// declared chain itself, since every non-device node starts live.
+    /// Probes the topology; epoch 0 routes the declared chain itself,
+    /// since every non-device node starts live.
     pub(super) fn new(topology: &Topology, live: &[bool], blanks: &Blanks) -> Result<Self> {
         let (compat, out_blanks) = probe(topology, &blanks.tiers)?;
         let mut init_live = live.to_vec();
         init_live.extend(std::iter::repeat_n(true, 1 + topology.tiers.len())); // gateway, tiers
-        let control = ControlState::new(compute_routing(0, init_live, live.len(), &compat));
-        Ok(ElasticCtx { control, compat, out_blanks })
+        let initial = compute_routing(0, init_live, live.len(), &compat);
+        Ok(ElasticCtx { compat, out_blanks, initial })
+    }
+
+    /// A fresh view of the control plane for the node `name`, which
+    /// answers pings as `id` over `pong`.
+    fn control(&self, obs: &RunObs, name: &str, id: NodeId, pong: LinkSender) -> NodeControl {
+        let stale = obs.registry().counter(&format!("node.{name}.stale_epoch_discards"));
+        NodeControl::new(self.compat.clone(), self.initial.clone(), id, pong, stale)
     }
 }
 
@@ -116,10 +130,6 @@ fn agg_deadline(ctx: &RunCtx) -> Option<AggDeadline> {
     })
 }
 
-fn stale_discards(obs: &RunObs, node: &str) -> Arc<Counter> {
-    obs.registry().counter(&format!("node.{node}.stale_epoch_discards"))
-}
-
 /// Builds the nodes of `role` from the inboxes `plane` bound and the
 /// senders it opened for it — one per live device, or the gateway, or one
 /// tier — handing each to `spawn` as soon as it is built. Building the
@@ -131,11 +141,10 @@ pub(super) fn spawn_role(
     role: ProcTarget,
     ctx: &RunCtx,
     blanks: &Blanks,
-    elastic: Option<&ElasticCtx>,
     plane: &mut Plane,
     spawn: &mut Spawn,
 ) -> Result<()> {
-    let RunCtx { topology, cfg, live, obs, .. } = ctx;
+    let RunCtx { topology, cfg, live, obs, elastic, .. } = ctx;
     let n = topology.num_devices();
     match role {
         ProcTarget::Devices => {
@@ -153,13 +162,15 @@ pub(super) fn spawn_role(
                 // die with its data.
                 let dev_el = match elastic {
                     Some(el) => Some(DeviceElastic {
-                        control: Arc::clone(&el.control),
-                        ix: d,
-                        to_orchestrator: plane.sender(Link::DevicePong(d))?,
+                        control: el.control(
+                            obs,
+                            &format!("device{d}"),
+                            NodeId::Device(d as u8),
+                            plane.sender(Link::DevicePong(d))?,
+                        ),
                         to_tiers: (0..topology.tiers.len())
                             .map(|j| plane.sender(Link::Uplink(d, j)))
                             .collect::<Result<_>>()?,
-                        stale_discards: stale_discards(obs, &format!("device{d}")),
                     }),
                     None => None,
                 };
@@ -175,6 +186,7 @@ pub(super) fn spawn_role(
             let to_devices = (0..n)
                 .map(|d| live[d].then(|| plane.sender(Link::Broadcast(d))).transpose())
                 .collect::<Result<_>>()?;
+            let to_orchestrator = plane.sender(Link::GatewayVerdict)?;
             let node = TierNode {
                 name: "gateway".to_string(),
                 id: NodeId::Gateway,
@@ -183,7 +195,7 @@ pub(super) fn spawn_role(
                 policy: ExitPolicy::Entropy(cfg.local_threshold),
                 fan_in: FanIn::Devices(n),
                 inbox: plane.inbox(NodeId::Gateway)?,
-                to_orchestrator: plane.sender(Link::GatewayVerdict)?,
+                to_orchestrator: to_orchestrator.clone(),
                 escalation: Escalation::RequestFromDevices(to_devices),
                 collector: Collector::new(
                     n,
@@ -194,18 +206,12 @@ pub(super) fn spawn_role(
                 ),
                 obs: NodeObs::for_node(obs, "gateway"),
                 elastic: elastic.map(|el| TierElastic {
-                    control: Arc::clone(&el.control),
-                    ix: n,
+                    control: el.control(obs, "gateway", NodeId::Gateway, to_orchestrator),
                     tier_k: None,
                     to_tiers: Vec::new(),
                     tier_ids: Vec::new(),
                     device_blanks: Vec::new(),
                     tier_out_blanks: Vec::new(),
-                    stale_discards: stale_discards(obs, "gateway"),
-                    seen_epoch: 0,
-                    was_down: false,
-                    forced_exit: el.control.routing().forced_local,
-                    route_target: None,
                     cur_feeder: Feeder::Devices,
                 }),
                 // Score aggregation is negligible compute; only the
@@ -217,13 +223,11 @@ pub(super) fn spawn_role(
         }
         ProcTarget::Tier(k) => {
             let task = match &topology.shape {
-                Shape::Staged => {
-                    tier_task(k, topology.tiers[k].stage.clone(), ctx, blanks, elastic, plane)?
-                }
+                Shape::Staged => tier_task(k, topology.tiers[k].stage.clone(), ctx, blanks, plane)?,
                 Shape::CloudOnly { model } => {
                     let view_dims = topology.config.view_dims();
                     let section = RawSection { model: (**model).clone(), view_dims };
-                    tier_task(k, section, ctx, blanks, elastic, plane)?
+                    tier_task(k, section, ctx, blanks, plane)?
                 }
             };
             spawn(task);
@@ -240,10 +244,9 @@ fn tier_task<S: TierSection<Item = Tensor> + 'static>(
     section: S,
     ctx: &RunCtx,
     blanks: &Blanks,
-    elastic: Option<&ElasticCtx>,
     plane: &mut Plane,
 ) -> Result<NodeTask> {
-    let RunCtx { topology, cfg, live, obs, .. } = ctx;
+    let RunCtx { topology, cfg, live, obs, elastic, .. } = ctx;
     let n = topology.num_devices();
     let tiers = &topology.tiers;
     let spec = &tiers[k];
@@ -256,6 +259,7 @@ fn tier_task<S: TierSection<Item = Tensor> + 'static>(
         device_of_source,
         live.to_vec(),
     );
+    let to_orchestrator = plane.sender(Link::Verdict(k))?;
     let node = TierNode {
         name: spec.name.clone(),
         id: spec.id,
@@ -268,7 +272,7 @@ fn tier_task<S: TierSection<Item = Tensor> + 'static>(
         },
         fan_in: if k == 0 { FanIn::Devices(n) } else { FanIn::Tier(tiers[k - 1].id) },
         inbox: plane.inbox(spec.id)?,
-        to_orchestrator: plane.sender(Link::Verdict(k))?,
+        to_orchestrator: to_orchestrator.clone(),
         escalation: if k + 1 == tiers.len() {
             Escalation::Terminal
         } else {
@@ -276,25 +280,16 @@ fn tier_task<S: TierSection<Item = Tensor> + 'static>(
         },
         collector,
         obs: NodeObs::for_node(obs, &spec.name),
-        elastic: elastic.map(|el| {
-            let initial = el.control.routing();
-            TierElastic {
-                control: Arc::clone(&el.control),
-                ix: n + 1 + k,
-                tier_k: Some(k),
-                // Adjacent and skip-level forward links, so the tier can
-                // route along whatever escalation path is current.
-                to_tiers: (0..tiers.len()).map(|j| plane.try_sender(Link::Forward(k, j))).collect(),
-                tier_ids: tiers.iter().map(|t| t.id).collect(),
-                device_blanks: blanks.tiers[0].clone(),
-                tier_out_blanks: el.out_blanks.clone(),
-                stale_discards: stale_discards(obs, &spec.name),
-                seen_epoch: 0,
-                was_down: false,
-                forced_exit: initial.forced_exit[k],
-                route_target: initial.escalate_to[k],
-                cur_feeder: if k == 0 { Feeder::Devices } else { Feeder::Tier(k - 1) },
-            }
+        elastic: elastic.map(|el| TierElastic {
+            control: el.control(obs, &spec.name, spec.id, to_orchestrator),
+            tier_k: Some(k),
+            // Adjacent and skip-level forward links, so the tier can route
+            // along whatever escalation path is current.
+            to_tiers: (0..tiers.len()).map(|j| plane.try_sender(Link::Forward(k, j))).collect(),
+            tier_ids: tiers.iter().map(|t| t.id).collect(),
+            device_blanks: blanks.tiers[0].clone(),
+            tier_out_blanks: el.out_blanks.clone(),
+            cur_feeder: if k == 0 { Feeder::Devices } else { Feeder::Tier(k - 1) },
         }),
         batch_max: cfg.stream.as_ref().map_or(1, |s| s.batch_max),
     };

@@ -517,8 +517,9 @@ fn parse_agg(s: &str) -> Result<AggregationScheme> {
 
 /// Serializes the model + run configuration a role host needs. The
 /// launcher validates before encoding, so only multiproc-compatible
-/// configurations (no elastic orchestration, of the chaos plan only the
-/// socket impairment) ever travel.
+/// configurations ever travel; of the chaos plan only the socket
+/// impairment does (node Down/Up reach the roles as pings, process kills
+/// are the launcher's own).
 pub(crate) fn encode_role_manifest(model: &DdnnConfig, cfg: &HierarchyConfig) -> String {
     use std::fmt::Write as _;
     let mut s = String::new();
@@ -555,6 +556,9 @@ pub(crate) fn encode_role_manifest(model: &DdnnConfig, cfg: &HierarchyConfig) ->
     if !cfg.failed_devices.is_empty() {
         let failed: Vec<String> = cfg.failed_devices.iter().map(usize::to_string).collect();
         writeln!(s, "failed_devices={}", failed.join(",")).unwrap();
+    }
+    if let Some(el) = cfg.elastic {
+        writeln!(s, "elastic={},{}", el.heartbeat_ms, el.suspect_after).unwrap();
     }
     if let Some(stream) = &cfg.stream {
         let (kind, seed) = match stream.arrival {
@@ -691,6 +695,16 @@ pub(crate) fn decode_role_manifest(
         .filter(|d| !d.is_empty())
         .map(|d| num("failed_devices", d))
         .collect::<Result<_>>()?;
+    let elastic = match map.get("elastic") {
+        None => None,
+        Some(spec) => {
+            let (hb, suspect) = spec.split_once(',').ok_or_else(|| RuntimeError::Protocol {
+                reason: format!("malformed elastic spec {spec:?}"),
+            })?;
+            let (heartbeat_ms, suspect_after) = (num("elastic", hb)?, num("elastic", suspect)?);
+            Some(ElasticConfig { heartbeat_ms, suspect_after })
+        }
+    };
     let stream = match map.get("stream").copied() {
         None => None,
         Some(kind) => {
@@ -730,6 +744,7 @@ pub(crate) fn decode_role_manifest(
         transport: get("transport")?.parse()?,
         chaos,
         failed_devices,
+        elastic,
         stream,
         ..HierarchyConfig::default()
     };
@@ -819,6 +834,7 @@ mod tests {
             deadlines: Some(DeadlineConfig::fast()),
             transport: crate::transport::TransportConfig::Tcp,
             failed_devices: vec![1],
+            elastic: Some(ElasticConfig { heartbeat_ms: 150, suspect_after: 3 }),
             stream: Some(StreamConfig {
                 arrival: ArrivalProcess::Poisson { rate_per_s: 1e3 / 3.0, seed: 7 },
                 queue_cap: 5,
@@ -843,14 +859,15 @@ mod tests {
         assert_eq!(c2.chaos, cfg.chaos, "chaos probs must survive as exact bits");
         assert_eq!(c2.stream, cfg.stream, "the arrival rate must survive as exact bits");
         assert_eq!(c2.failed_devices, cfg.failed_devices);
+        assert_eq!(c2.elastic, cfg.elastic);
         assert_eq!(extras.tseq_base, 1048576);
         // A manifest without the optional keys decodes to inactive chaos,
-        // lockstep, no failures and default extras.
+        // lockstep, no failures, a static topology and default extras.
         let plain = encode_role_manifest(&model, &HierarchyConfig::default());
         assert!(!plain.contains("socket_chaos"));
         let (_, c3, e3) = decode_role_manifest(&plain).unwrap();
         assert!(!c3.chaos.is_active());
-        assert!(c3.stream.is_none() && c3.failed_devices.is_empty());
+        assert!(c3.stream.is_none() && c3.failed_devices.is_empty() && c3.elastic.is_none());
         assert_eq!(e3, RoleExtras::default());
     }
 

@@ -45,6 +45,7 @@
 use crate::chaos::{fnv1a, Delivery, LinkChaos};
 use crate::error::{Result, RuntimeError};
 use crate::obs::{Counter, RunObs};
+use crate::reliability::ArqSendState;
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
@@ -405,16 +406,21 @@ pub(crate) struct TransportHost {
     counters: TransportCounters,
     stop: Arc<AtomicBool>,
     readers: Vec<JoinHandle<()>>,
-    dials: DialRegistry,
+    dials: Arc<Mutex<Dials>>,
     inboxes: Inboxes,
     /// The listener's (or UDP socket's) address, once the first `bind`
     /// has opened it.
     addr: Option<SocketAddr>,
 }
 
-/// Every sender a host has connected, keyed by the peer host's label —
-/// shared between the host and every [`RedialHandle`] cloned off it.
-type DialRegistry = Arc<Mutex<Vec<(String, Arc<dyn TransportTx>)>>>;
+/// Every sender a host has connected and the ARQ state of each link among
+/// them that runs one, keyed by the peer host's label — shared between the
+/// host and every [`RedialHandle`] cloned off it.
+#[derive(Debug, Default)]
+struct Dials {
+    txs: Vec<(String, Arc<dyn TransportTx>)>,
+    arq: Vec<(String, Arc<ArqSendState>)>,
+}
 
 /// A cloneable handle over every sender a [`TransportHost`] has connected,
 /// keyed by peer host — the resync surface a supervisor (or a role's
@@ -422,16 +428,19 @@ type DialRegistry = Arc<Mutex<Vec<(String, Arc<dyn TransportTx>)>>>;
 /// fresh address without holding the host itself.
 #[derive(Debug, Clone)]
 pub(crate) struct RedialHandle {
-    dials: DialRegistry,
+    dials: Arc<Mutex<Dials>>,
 }
 
 impl RedialHandle {
-    /// Re-points every sender into an inbox of `host` at `addr`. Returns
-    /// whether at least one sender accepted the new address.
+    /// Re-points every sender into an inbox of `host` at `addr`. A
+    /// respawned peer's receivers are fresh, so every ARQ link into it
+    /// restarts its numbering first (see [`ArqSendState::restart`]).
+    /// Returns whether at least one sender accepted the new address.
     pub(crate) fn redial(&self, host: &str, addr: SocketAddr) -> bool {
         let dials = self.dials.lock();
+        dials.arq.iter().filter(|(h, _)| h == host).for_each(|(_, arq)| arq.restart());
         let mut any = false;
-        for (_, tx) in dials.iter().filter(|(h, _)| h == host) {
+        for (_, tx) in dials.txs.iter().filter(|(h, _)| h == host) {
             any |= tx.redial(addr);
         }
         any
@@ -447,7 +456,7 @@ impl TransportHost {
             counters: TransportCounters::registered(kind, obs),
             stop: Arc::new(AtomicBool::new(false)),
             readers: Vec::new(),
-            dials: Arc::new(Mutex::new(Vec::new())),
+            dials: Arc::default(),
             inboxes: Arc::new(Mutex::new(HashMap::new())),
             addr: None,
         }
@@ -563,8 +572,14 @@ impl TransportHost {
                 return Err(terr(&to.inbox, "connect", &why));
             }
         };
-        self.dials.lock().push((to.host.clone(), Arc::clone(&tx)));
+        self.dials.lock().txs.push((to.host.clone(), Arc::clone(&tx)));
         Ok(tx)
+    }
+
+    /// Registers the ARQ state of a link this host connected into `host`,
+    /// for [`RedialHandle::redial`] to restart.
+    pub(crate) fn track_arq(&self, host: &str, state: Arc<ArqSendState>) {
+        self.dials.lock().arq.push((host.to_string(), state));
     }
 
     /// Stops and joins every reader thread. Idempotent; also run by

@@ -37,8 +37,10 @@ enum Runner {
     Baseline,
     /// `multiproc::launch` over TCP + ARQ.
     Launcher,
+    /// `multiproc::launch` over TCP + ARQ, elastic orchestration on.
+    ElasticLauncher,
 }
-use Runner::{Baseline, Channel, Launcher, Tcp};
+use Runner::{Baseline, Channel, ElasticLauncher, Launcher, Tcp};
 
 /// What `runner` says to `plan`: `Ok` or its typed configuration error.
 /// The staged runners are asked through `ChaosPlan::validate`, the one
@@ -60,8 +62,9 @@ fn verdict(runner: Runner, plan: &ChaosPlan) -> Result<(), String> {
             let cfg = HierarchyConfig { elastic, transport: TransportConfig::Tcp, ..base.clone() };
             plan.validate(&topology, &cfg, false)
         }
-        Launcher => {
+        Launcher | ElasticLauncher => {
             let cfg = HierarchyConfig {
+                elastic: elastic.filter(|_| runner == ElasticLauncher),
                 transport: TransportConfig::Tcp,
                 reliability: ReliabilityConfig::arq(),
                 ..base.clone()
@@ -109,11 +112,11 @@ fn supported(when: ChaosWhen, target: &ChaosTarget, action: ChaosAction) -> &'st
     use {ChaosAction as A, ChaosTarget as T, ChaosWhen as W};
     match (when, target, action) {
         (W::Start, T::Links, A::Impair(_)) => &[Channel, Tcp, Baseline],
-        (W::Start, T::Sockets, A::Impair(_)) => &[Tcp, Launcher],
+        (W::Start, T::Sockets, A::Impair(_)) => &[Tcp, Launcher, ElasticLauncher],
         (W::BeforeSample(_), T::Device(_) | T::Gateway | T::Tier(_), A::Down | A::Up) => {
-            &[Channel, Tcp]
+            &[Channel, Tcp, ElasticLauncher]
         }
-        (W::BeforeSample(_), T::Process(_), A::Down | A::Up) => &[Launcher],
+        (W::BeforeSample(_), T::Process(_), A::Down | A::Up) => &[Launcher, ElasticLauncher],
         (W::AfterFrames(_), T::Device(_), A::Down) => &[Channel, Tcp, Baseline],
         (W::AfterFrames(_), T::Gateway | T::Tier(_), A::Down) => &[Channel, Tcp],
         _ => &[],
@@ -132,7 +135,7 @@ fn each_combination_is_accepted_by_exactly_the_runners_that_support_it() {
                 }
                 plan = plan.with(when, target.clone(), action);
                 let supported = supported(when, &target, action);
-                for runner in [Channel, Tcp, Baseline, Launcher] {
+                for runner in [Channel, Tcp, Baseline, Launcher, ElasticLauncher] {
                     let got = verdict(runner, &plan);
                     assert_eq!(
                         got.is_ok(),
@@ -168,10 +171,18 @@ fn rejections_name_what_the_event_needs() {
     // Sockets exist on socket transports only.
     let lossy = Impairment { drop: 0.1, ..Impairment::none() };
     rejected(Channel, &impair(ChaosTarget::Sockets, lossy), "socket transport");
-    // Links and nodes are in-process; the baseline has devices only.
+    // Links and crash counters are in-process (the role manifest carries
+    // neither), node churn needs the elastic driver's pings; the baseline
+    // has devices only.
     rejected(Launcher, &impair(ChaosTarget::Links, lossy), "in-process");
     let gateway =
         ChaosPlan::none().with(ChaosWhen::AfterFrames(1), ChaosTarget::Gateway, ChaosAction::Down);
+    for plan in [&impair(ChaosTarget::Links, lossy), &gateway] {
+        rejected(ElasticLauncher, plan, "per-link streams and crash counters");
+    }
+    let churn =
+        ChaosPlan::none().with(ChaosWhen::BeforeSample(1), ChaosTarget::Gateway, ChaosAction::Down);
+    rejected(Launcher, &churn, "elastic");
     rejected(Baseline, &gateway, "no gateway or tiers");
     // Each boundary implements its own rates: no sever above the
     // transport, no byte damage or reordering below it, all in [0, 1].

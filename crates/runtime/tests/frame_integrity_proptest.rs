@@ -6,6 +6,7 @@
 use bytes::Bytes;
 use ddnn_runtime::{
     crc32, Frame, NodeId, Payload, RuntimeError, CHECKED_HEADER_BYTES, FLAG_RETRANSMIT,
+    HEADER_BYTES,
 };
 use ddnn_tensor::Tensor;
 use proptest::prelude::*;
@@ -40,7 +41,12 @@ fn checked_frames_of_every_payload_kind_round_trip_and_reject_every_bit_flip() {
         Payload::RawImage { pixels: Bytes::from(vec![7; 11]) },
         Payload::Verdict { prediction: 2, exit_tier: 1 },
         Payload::Shutdown,
-        Payload::Ping,
+        Payload::Ping {
+            epoch: 3,
+            floor: 17,
+            live: vec![true, false, true, true, false],
+            down: true,
+        },
         Payload::Pong,
     ];
     for (i, payload) in payloads.into_iter().enumerate() {
@@ -58,16 +64,39 @@ fn checked_frames_of_every_payload_kind_round_trip_and_reject_every_bit_flip() {
     }
 }
 
+#[test]
+fn a_live_mask_the_bytes_cannot_back_is_corrupt() {
+    // A ping's count field claims more nodes than its mask bytes hold: the
+    // decoder refuses before allocating the mask.
+    let live = (0..9).map(|i| i % 3 != 1).collect();
+    let ping = Payload::Ping { epoch: 7, floor: 41, live, down: true };
+    let wire = Frame::new(1, NodeId::Orchestrator, ping).encode();
+    let count_at = HEADER_BYTES + 17; // past epoch, floor and the down bit
+    for (claim, cut) in [(u16::MAX, 0), (17, 0), (9, 1)] {
+        let mut bad = wire[..wire.len() - cut].to_vec();
+        bad[count_at..count_at + 2].copy_from_slice(&claim.to_le_bytes());
+        let err = Frame::decode(Bytes::from(bad)).unwrap_err();
+        assert!(matches!(err, RuntimeError::Corrupt { .. }), "claim {claim}: {err}");
+    }
+}
+
 /// Builds one payload of every wire shape from drawn parameters, so the
-/// properties cover fixed-size, length-prefixed and empty encodings.
+/// properties cover fixed-size, length-prefixed, bit-packed and empty
+/// encodings.
 fn payload_of(kind: u8, floats: &[f32], raw: &[u8]) -> Payload {
-    match kind % 5 {
+    match kind % 6 {
         0 => Payload::Scores { scores: floats.to_vec() },
         1 => Payload::OffloadRequest,
         2 => {
             Payload::Features { channels: 2, height: 3, width: 4, bits: Bytes::from(raw.to_vec()) }
         }
         3 => Payload::Verdict { prediction: 7, exit_tier: 1 },
+        4 => Payload::Ping {
+            epoch: raw.len() as u64,
+            floor: floats.len() as u64,
+            live: raw.iter().map(|&b| b & 1 == 1).collect(),
+            down: raw.first().is_some_and(|&b| b > 127),
+        },
         _ => Payload::RawImage { pixels: Bytes::from(raw.to_vec()) },
     }
 }
@@ -102,7 +131,7 @@ proptest! {
     #[test]
     fn damaged_checked_frames_always_decode_to_a_typed_error(
         seq in 0u64..1_000_000,
-        kind in 0u8..5,
+        kind in 0u8..6,
         floats in prop::collection::vec(-10.0f32..10.0, 0..6),
         raw in prop::collection::vec(0u8..=255, 0..12),
         flips in prop::collection::vec(0usize..32768, 1..6),
@@ -143,7 +172,7 @@ proptest! {
     #[test]
     fn damaged_legacy_frames_never_panic_the_decoder(
         seq in 0u64..1_000_000,
-        kind in 0u8..5,
+        kind in 0u8..6,
         floats in prop::collection::vec(-10.0f32..10.0, 0..6),
         raw in prop::collection::vec(0u8..=255, 0..12),
         flips in prop::collection::vec(0usize..32768, 1..6),
@@ -187,6 +216,7 @@ proptest! {
                 Payload::Features { bits, .. } => bits.len() <= n,
                 Payload::RawImage { pixels } => pixels.len() <= n,
                 Payload::Capture { view } => view.data().len() * 4 <= n,
+                Payload::Ping { live, .. } => live.len() <= 8 * n,
                 _ => true,
             };
             prop_assert!(bounded, "decoded payload larger than its wire buffer");

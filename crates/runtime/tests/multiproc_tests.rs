@@ -2,13 +2,13 @@
 //! as real OS processes over localhost sockets and agree verdict for
 //! verdict with the in-process runner on the same seeded configuration —
 //! lockstep, under scheduled arrivals and with a statically failed device
-//! — and it must reject, before spawning anything, the configurations
-//! whose state cannot span process boundaries.
+//! — and it must reject, before spawning anything, a configuration that
+//! cannot span process boundaries.
 
 use ddnn_core::{AggregationScheme, Ddnn, DdnnConfig, EdgeConfig, ExitThreshold};
 use ddnn_runtime::{
-    multiproc, run_topology, ArrivalProcess, DeadlineConfig, ElasticConfig, HierarchyConfig,
-    ReliabilityConfig, RuntimeError, SimReport, StreamConfig, Topology, TransportConfig,
+    multiproc, run_topology, ArrivalProcess, DeadlineConfig, HierarchyConfig, ReliabilityConfig,
+    RuntimeError, SimReport, StreamConfig, Topology, TransportConfig,
 };
 use ddnn_tensor::rng::rng_from_seed;
 use ddnn_tensor::Tensor;
@@ -148,9 +148,5 @@ fn launch_rejects_configs_that_cannot_span_processes() {
     expect_config_err(
         &HierarchyConfig { deadlines: None, ..cfg(TransportConfig::Tcp) },
         "deadlines",
-    );
-    expect_config_err(
-        &HierarchyConfig { elastic: Some(ElasticConfig::default()), ..cfg(TransportConfig::Tcp) },
-        "elastic",
     );
 }

@@ -5,11 +5,11 @@
 //! the same seed, and keep delivering verdicts under seeded socket-level
 //! chaos. The in-process runners must reject process chaos outright.
 
-use ddnn_core::{AggregationScheme, Ddnn, DdnnConfig, EdgeConfig, ExitThreshold};
+use ddnn_core::{AggregationScheme, Ddnn, DdnnConfig, EdgeConfig, ExitPoint, ExitThreshold};
 use ddnn_runtime::{
     multiproc, run_cloud_only_baseline, run_topology, ChaosAction, ChaosPlan, ChaosTarget,
-    ChaosWhen, DeadlineConfig, HierarchyConfig, Impairment, ProcTarget, ReliabilityConfig,
-    RuntimeError, SampleOutcome, SimReport, Topology, TransportConfig,
+    ChaosWhen, DeadlineConfig, ElasticConfig, HierarchyConfig, Impairment, ProcTarget,
+    ReliabilityConfig, RuntimeError, SampleOutcome, SimReport, Topology, TransportConfig,
 };
 use ddnn_tensor::rng::rng_from_seed;
 use ddnn_tensor::Tensor;
@@ -196,6 +196,21 @@ fn assert_respawn_rejoins(transport: TransportConfig) {
         assert_eq!(report.predictions[i], reference.predictions[i], "post-rejoin sample {i}");
         assert_eq!(report.exits[i], reference.exits[i], "post-rejoin sample {i}");
     }
+    // Each sample the gateway escalated after the respawn is one offload
+    // request down every gateway->device link. Links into a respawned role
+    // restart their ARQ numbering, so its fresh receivers ack those frames
+    // at once: retransmissions stay below that count instead of running
+    // several per frame until each ages out.
+    let escalated = (respawn_at..n)
+        .filter(|&i| report.outcomes[i] == SampleOutcome::Classified)
+        .filter(|&i| report.exits[i] != ExitPoint::Local)
+        .count();
+    let into_devices = report.links.iter().filter(|(name, _)| name.starts_with("gateway->device"));
+    let (carried, retx) = into_devices.fold((0, 0), |(carried, retx), (_, st)| {
+        (carried + escalated, retx + st.frames_retransmitted)
+    });
+    assert!(carried > 0, "no frame crossed gateway->device after the respawn");
+    assert!(retx < carried, "{retx} retransmissions for {carried} frames into the respawned role");
 }
 
 #[test]
@@ -275,4 +290,148 @@ fn socket_chaos_requires_a_socket_transport() {
         matches!(&err, RuntimeError::Config { reason } if reason.contains("socket transport")),
         "channel transport accepted socket chaos: {err}"
     );
+}
+
+/// An elastic run of the edge model: heartbeat membership over the
+/// default deadlines, ARQ on every link.
+fn elastic_cfg(transport: TransportConfig, chaos: ChaosPlan) -> HierarchyConfig {
+    HierarchyConfig {
+        local_threshold: ExitThreshold::new(0.4),
+        edge_threshold: ExitThreshold::new(0.7),
+        deadlines: Some(DeadlineConfig::default()),
+        elastic: Some(ElasticConfig::default()),
+        reliability: ReliabilityConfig::arq(),
+        transport,
+        chaos,
+        ..HierarchyConfig::default()
+    }
+}
+
+/// The same run hosted as threads of this process.
+fn in_process(
+    model: &Ddnn,
+    views: &[Tensor],
+    labels: &[usize],
+    cfg: &HierarchyConfig,
+) -> SimReport {
+    let topology = Topology::from_partition(&model.partition());
+    let cfg = HierarchyConfig { transport: TransportConfig::Channel, ..cfg.clone() };
+    run_topology(&topology, views, labels, &cfg).unwrap()
+}
+
+fn launch(model: &Ddnn, views: &[Tensor], labels: &[usize], cfg: &HierarchyConfig) -> SimReport {
+    multiproc::launch(node_exe(), model.config(), views, labels, cfg)
+        .unwrap_or_else(|e| panic!("{} elastic launch failed: {e}", cfg.transport.name()))
+}
+
+/// Epochs, joins, leaves and reparents: what the orchestrator books.
+fn ledger(report: &SimReport) -> [u64; 4] {
+    let s = report.elastic.clone().expect("elastic runs carry a summary");
+    [s.epochs, s.member_joins, s.member_leaves, s.reparents]
+}
+
+#[test]
+fn fault_free_elastic_processes_match_the_in_process_run() {
+    let model = edge_model();
+    let n = 6usize;
+    let views = random_views(n, 2, 6);
+    let labels: Vec<usize> = (0..n).map(|i| i % 3).collect();
+    for transport in [TransportConfig::Tcp, TransportConfig::Udp] {
+        let cfg = elastic_cfg(transport, ChaosPlan::none());
+        let (reference, multi) =
+            (in_process(&model, &views, &labels, &cfg), launch(&model, &views, &labels, &cfg));
+        assert_eq!(multi.predictions, reference.predictions, "{}", transport.name());
+        assert_eq!(multi.exits, reference.exits, "{}", transport.name());
+        assert_eq!(multi.device_first_payload_bytes(), reference.device_first_payload_bytes());
+        assert_eq!(ledger(&multi), [0; 4], "no membership change, no epoch");
+    }
+}
+
+#[test]
+fn flapping_nodes_steer_the_processes_like_the_threads() {
+    let model = edge_model();
+    let n = 18u64;
+    let views = random_views(n as usize, 2, 6);
+    let labels: Vec<usize> = (0..n as usize).map(|i| i % 3).collect();
+    let targets = [ChaosTarget::Device(1), ChaosTarget::Tier("edge".to_string())];
+    let plan = ChaosPlan::flapping(0, n, &targets, 9, 2);
+    // A sample may degrade from a Down until `suspect_after` sweeps past
+    // the Up that ends it; every other sample classifies.
+    let suspect_after = u64::from(ElasticConfig::default().suspect_after);
+    let mut exposed = vec![false; n as usize];
+    for target in &targets {
+        let mut down_at = None;
+        for e in plan.events.iter().filter(|e| e.target == *target) {
+            let ChaosWhen::BeforeSample(at) = e.when else { unreachable!() };
+            match (e.action, down_at.take()) {
+                (ChaosAction::Down, _) => down_at = Some(at),
+                (_, Some(from)) => (from..at + suspect_after).for_each(|i| mark(&mut exposed, i)),
+                _ => {}
+            }
+        }
+        if let Some(from) = down_at {
+            (from..n).for_each(|i| mark(&mut exposed, i));
+        }
+    }
+    assert!(exposed.contains(&false), "the plan leaves nothing to compare: {plan:?}");
+    for transport in [TransportConfig::Tcp, TransportConfig::Udp] {
+        let cfg = elastic_cfg(transport, plan.clone());
+        let (threads, multi) =
+            (in_process(&model, &views, &labels, &cfg), launch(&model, &views, &labels, &cfg));
+        assert_conservation(&multi, n as usize);
+        for (i, report) in (0..n as usize).flat_map(|i| [(i, &threads), (i, &multi)]) {
+            if !exposed[i] {
+                assert_eq!(report.outcomes[i], SampleOutcome::Classified, "sample {i}");
+            }
+        }
+        for i in (0..n as usize).filter(|&i| classified_in(&[&threads, &multi], i)) {
+            assert_eq!(multi.predictions[i], threads.predictions[i], "sample {i}");
+        }
+        assert_eq!(ledger(&multi), ledger(&threads), "{}", transport.name());
+        assert!(ledger(&multi)[0] > 0, "the flaps never moved membership");
+    }
+}
+
+fn mark(exposed: &mut [bool], i: u64) {
+    if let Some(slot) = exposed.get_mut(i as usize) {
+        *slot = true;
+    }
+}
+
+fn classified_in(reports: &[&SimReport], i: usize) -> bool {
+    reports.iter().all(|r| r.outcomes[i] == SampleOutcome::Classified)
+}
+
+#[test]
+fn a_killed_tier_process_is_routed_around_and_rejoins() {
+    let model = edge_model();
+    let n = 12usize;
+    let (kill_at, respawn_at, settled) = (2u64, 6u64, 8usize);
+    let views = random_views(n, 2, 6);
+    let labels: Vec<usize> = (0..n).map(|i| i % 3).collect();
+    let tier0 = ChaosTarget::Process(ProcTarget::Tier(0));
+    let plan = ChaosPlan::none()
+        .with(ChaosWhen::BeforeSample(kill_at), tier0.clone(), ChaosAction::Down)
+        .with(ChaosWhen::BeforeSample(respawn_at), tier0, ChaosAction::Up);
+    // No local exits: every sample climbs the chain, so the re-routing
+    // carries traffic.
+    let cfg = |transport, chaos| HierarchyConfig {
+        local_threshold: ExitThreshold::new(0.0),
+        ..elastic_cfg(transport, chaos)
+    };
+    for transport in [TransportConfig::Tcp, TransportConfig::Udp] {
+        let reference = in_process(&model, &views, &labels, &cfg(transport, ChaosPlan::none()));
+        let multi = launch(&model, &views, &labels, &cfg(transport, plan.clone()));
+        assert_conservation(&multi, n);
+        assert_eq!(counter(&multi, "proc.tier0.kills"), 1);
+        assert_eq!(counter(&multi, "proc.tier0.respawns"), 1);
+        let [epochs, joins, leaves, reparents] = ledger(&multi);
+        assert!(epochs >= 2 && joins >= 1 && leaves >= 1, "{:?}", multi.elastic);
+        assert!(reparents >= 2, "the devices re-parent away and back: {:?}", multi.elastic);
+        for i in settled..n {
+            assert_eq!(multi.outcomes[i], SampleOutcome::Classified, "sample {i}");
+            assert_eq!(multi.predictions[i], reference.predictions[i], "sample {i}");
+            assert_eq!(multi.exits[i], reference.exits[i], "sample {i}");
+        }
+    }
 }
