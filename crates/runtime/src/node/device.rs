@@ -41,15 +41,6 @@ pub(crate) fn blank_signature(part: &DevicePart, config: &DdnnConfig) -> Result<
     Ok(BlankSignature { scores: scores.data().to_vec(), map: map.index_axis0(0)? })
 }
 
-/// A device's part in the elastic control plane: what its pings taught
-/// it, and which tier links it may offload over.
-pub(crate) struct DeviceElastic {
-    pub(crate) control: NodeControl,
-    /// One feature link per tier; the routing's `device_parent` picks the
-    /// live one at offload time.
-    pub(crate) to_tiers: Vec<LinkSender>,
-}
-
 /// Runs a device node until shutdown. In `tolerant` mode (deadlines
 /// active) protocol hiccups that faults make possible — duplicated stale
 /// captures, offload requests racing a retried capture — are ignored
@@ -60,23 +51,23 @@ pub(crate) struct DeviceElastic {
 /// in-flight sample's offload can still be served out of order. The
 /// lowest sequence numbers are evicted first.
 ///
-/// With `elastic` the device participates in the control plane: it
-/// applies what each ping carries and answers it, plays dead while
-/// scheduled down (clearing its cached captures on revival), discards
-/// frames from a previous topology epoch, skips score uploads while the
-/// gateway is bypassed, and offloads feature maps to whichever tier the
-/// current routing names as the device parent.
+/// The device routes by `control`: it applies what each ping carries and
+/// answers it, plays dead while scheduled down (clearing its cached
+/// captures on revival), discards frames from a previous topology epoch,
+/// skips score uploads while the gateway is bypassed, and offloads feature
+/// maps on `to_tiers[k]` for the tier `k` the routing names as the device
+/// parent (`None` entries are links this run never opened).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn device_node(
     d: usize,
     mut part: DevicePart,
     mut inbox: NodeInbox,
     to_gateway: LinkSender,
-    to_upper: LinkSender,
+    to_tiers: Vec<Option<LinkSender>>,
+    mut control: NodeControl,
     tolerant: bool,
     capture_cap: usize,
     obs: Arc<RunObs>,
-    mut elastic: Option<DeviceElastic>,
 ) -> Result<NodeReport> {
     let mut cache: std::collections::BTreeMap<u64, Tensor> = std::collections::BTreeMap::new();
     let capture_cap = capture_cap.max(1);
@@ -92,20 +83,18 @@ pub(crate) fn device_node(
                 ..NodeReport::default()
             });
         }
-        if let Some(el) = elastic.as_mut() {
-            if matches!(frame.payload, Payload::Ping { .. }) {
-                if el.control.on_ping(&frame)?.revived {
-                    // The cached captures predate the outage and must not
-                    // feed a new epoch's offload.
-                    cache.clear();
-                }
-                continue;
+        if matches!(frame.payload, Payload::Ping { .. }) {
+            if control.on_ping(&frame)?.revived {
+                // The cached captures predate the outage and must not
+                // feed a new epoch's offload.
+                cache.clear();
             }
-            // Down: full silence — no pongs, no uploads. The membership
-            // layer detects the outage from the missed heartbeats.
-            if el.control.down || !el.control.admit(frame.seq) {
-                continue;
-            }
+            continue;
+        }
+        // Down: full silence — no pongs, no uploads. The membership layer
+        // detects the outage from the missed heartbeats.
+        if control.down || !control.admit(frame.seq) {
+            continue;
         }
         match frame.payload {
             Payload::Capture { view } => {
@@ -137,8 +126,7 @@ pub(crate) fn device_node(
                 // pointless: the orchestrator broadcasts the offload
                 // request itself and the sample goes straight to the
                 // feature chain.
-                let bypass = elastic.as_ref().is_some_and(|el| el.control.routing.gateway_bypass);
-                if !bypass {
+                if !control.routing.gateway_bypass {
                     to_gateway.send(&Frame::new(
                         frame.seq,
                         NodeId::Device(d as u8),
@@ -148,13 +136,9 @@ pub(crate) fn device_node(
             }
             Payload::OffloadRequest => {
                 // The feature sink under the current routing: the device
-                // parent's link when elastic, the declared entry tier
-                // otherwise. An orphaned device (no live compatible tier)
-                // simply drops the request.
-                let sink = match elastic.as_ref() {
-                    Some(el) => el.control.routing.device_parent.map(|k| &el.to_tiers[k]),
-                    None => Some(&to_upper),
-                };
+                // parent's link. An orphaned device (no live compatible
+                // tier) simply drops the request.
+                let sink = control.routing.device_parent.and_then(|k| to_tiers[k].as_ref());
                 match cache.get(&frame.seq) {
                     Some(map) => {
                         if let Some(sink) = sink {

@@ -11,8 +11,9 @@
 //!   tier;
 //! * [`device`] — the end-device loop and blank-input signatures;
 //! * [`tier`] — the generic `TierNode`: a collector, a model section, an
-//!   `ExitPolicy` and an escalation target. Gateway, edge, cloud and the
-//!   §IV-H raw-offload baseline are all instantiations of it.
+//!   `ExitPolicy` and a route read off its routing table. Gateway, edge,
+//!   cloud and the §IV-H raw-offload baseline are all instantiations of
+//!   it.
 //!
 //! Which nodes exist and how they are wired is decided by
 //! [`crate::topology::Topology`]; the execution loop lives in the crate's

@@ -1,20 +1,24 @@
 //! The tier-generic aggregating node.
 //!
 //! One [`TierNode`] — a [`Collector`], a [`TierSection`], an
-//! [`ExitPolicy`] and an [`Escalation`] target — subsumes the legacy
-//! gateway, edge and cloud loops *and* the §IV-H raw-offload baseline.
-//! The section is the model's own: [`TierSection`] is implemented on the
-//! `ddnn-core` parts, whose `forward` is the only evaluation a node runs.
+//! [`ExitPolicy`] and a [`Route`] — subsumes the legacy gateway, edge and
+//! cloud loops *and* the §IV-H raw-offload baseline. The section is the
+//! model's own: [`TierSection`] is implemented on the `ddnn-core` parts,
+//! whose `forward` is the only evaluation a node runs.
 //!
-//! | legacy node    | section              | policy     | escalation            |
-//! |----------------|----------------------|------------|-----------------------|
-//! | gateway        | [`GatewayPart`]      | `Entropy`  | `RequestFromDevices`  |
-//! | edge           | [`CloudPart`] stage  | `Entropy`  | `ForwardMap`          |
-//! | cloud          | [`CloudPart`]        | `Terminal` | `Terminal`            |
-//! | baseline cloud | [`RawSection`]       | `Terminal` | `Terminal`            |
+//! | legacy node    | section              | policy     | route              |
+//! |----------------|----------------------|------------|--------------------|
+//! | gateway        | [`GatewayPart`]      | `Entropy`  | `Gateway`          |
+//! | edge           | [`CloudPart`] stage  | `Entropy`  | `Tier`             |
+//! | cloud          | [`CloudPart`]        | `Terminal` | `Tier` (last)      |
+//! | baseline cloud | [`RawSection`]       | `Terminal` | `Tier` (only)      |
 //!
-//! Deadline expiry, suspect marking, replay of cached decisions and blank
-//! substitution are therefore one shared finalize path at every tier.
+//! Every node routes by its [`NodeControl`]'s table: where a sample
+//! escalates to, who feeds the collector and which exits are forced are
+//! read off it. A static run's table is the declared chain's epoch 0,
+//! which no ping ever moves. Deadline expiry, suspect marking, replay of
+//! cached decisions and blank substitution are one shared finalize path
+//! at every tier.
 
 use crate::error::{Result, RuntimeError};
 use crate::link::{LinkSender, NodeInbox};
@@ -37,28 +41,6 @@ pub(crate) fn batched(maps: Vec<Tensor>) -> Result<Vec<Tensor>> {
             m.reshape(dims).map_err(RuntimeError::from)
         })
         .collect()
-}
-
-/// Where a tier's contributions come from — this defines the collector's
-/// source-slot space.
-pub(crate) enum FanIn {
-    /// One slot per end device; contributions arrive from `Device(d)`.
-    Devices(usize),
-    /// A single upstream tier.
-    Tier(NodeId),
-}
-
-impl FanIn {
-    /// Maps a frame's sender to its collector slot.
-    fn source_slot(&self, from: NodeId, node: &str) -> Result<usize> {
-        match (self, from) {
-            (FanIn::Devices(n), NodeId::Device(d)) if (d as usize) < *n => Ok(d as usize),
-            (FanIn::Tier(expected), from) if from == *expected => Ok(0),
-            (_, from) => Err(RuntimeError::Protocol {
-                reason: format!("{node}: contribution from unexpected sender {from}"),
-            }),
-        }
-    }
 }
 
 /// The model section a tier evaluates once its fan-in completes.
@@ -197,64 +179,55 @@ impl TierSection for RawSection {
     }
 }
 
-/// What a non-exiting sample does next at this tier.
-pub(crate) enum Escalation {
-    /// Broadcast an offload request to the live devices (the gateway role;
-    /// `None` entries are statically failed devices).
-    RequestFromDevices(Vec<Option<LinkSender>>),
-    /// Forward this tier's own output map to the next tier up.
-    ForwardMap(LinkSender),
-    /// Terminal tier: escalation is impossible.
-    Terminal,
-}
-
 /// A tier's cached decision for a completed sample, replayable when
 /// duplicated or retried frames arrive after completion.
 enum Decision {
     /// Exited here with this verdict frame (to the orchestrator).
     Verdict(Frame),
-    /// Escalated: broadcast an offload request to the devices.
-    Broadcast,
-    /// Escalated: forward this features frame to the next tier.
-    Forward(Frame),
+    /// Escalated with this frame: the gateway's offload request to the
+    /// devices, or a tier's features frame to the next tier.
+    Escalate(Frame),
 }
 
-/// Who currently feeds a tier's collector under elastic routing.
+/// Who feeds a tier's collector this epoch; a contribution's collector
+/// slot is read off it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Feeder {
-    /// The end devices fan in directly (the escalation path's entry tier).
+    /// The end devices fan in directly, one slot each (the escalation
+    /// path's entry tier).
     Devices,
-    /// A single upstream tier (by tier index).
-    Tier(usize),
-    /// Off the escalation path: nothing routes here this epoch.
+    /// A single upstream tier, by index and wire identity.
+    Tier(usize, NodeId),
+    /// Off the escalation path: nothing routes here this epoch, and what
+    /// still arrives is dropped.
     Dormant,
 }
 
-/// A tier's part in the elastic control plane plus the per-epoch routing
-/// state it has applied so far. `T` is the tier's collector item.
-pub(crate) struct TierElastic<T> {
-    /// What this node's pings taught it.
-    pub(crate) control: NodeControl,
-    /// This node's tier index (`None` for the gateway, which has no
-    /// position on the feature chain).
-    pub(crate) tier_k: Option<usize>,
-    /// Forward link to each tier (`None` below or at this tier's own
-    /// position, and for the gateway).
-    pub(crate) to_tiers: Vec<Option<LinkSender>>,
-    /// Wire identity of each tier, for fan-in rebinding.
-    pub(crate) tier_ids: Vec<NodeId>,
-    /// Device blank items, for re-parenting onto device fan-in.
-    pub(crate) device_blanks: Vec<T>,
-    /// Each tier's blank *output* item, for re-parenting onto tier fan-in.
-    pub(crate) tier_out_blanks: Vec<T>,
-    /// This epoch: who feeds the collector.
-    pub(crate) cur_feeder: Feeder,
+/// Where a node's traffic comes from and goes to. `T` is the node's
+/// collector item.
+pub(crate) enum Route<T> {
+    /// The gateway: the devices feed it, and it broadcasts offload
+    /// requests back to them (`None` entries are statically failed ones).
+    Gateway(Vec<Option<LinkSender>>),
+    /// Feature tier `k` of the chain.
+    Tier {
+        k: usize,
+        /// Forward link to each tier (`None` where the run opened none: at
+        /// or below `k`, and the skip-level links of a static run).
+        to_tiers: Vec<Option<LinkSender>>,
+        /// Wire identity of each tier, for re-parenting onto a tier feeder.
+        tier_ids: Vec<NodeId>,
+        /// What a collector substitutes per feeder: `[0]` the device
+        /// blanks, `[i + 1]` tier `i`'s blank output.
+        blanks: Vec<Vec<T>>,
+        feeder: Feeder,
+    },
 }
 
-impl<T> TierElastic<T> {
-    /// This epoch's escalation target (tier index), if any.
-    fn route_target(&self) -> Option<usize> {
-        self.tier_k.and_then(|k| self.control.routing.escalate_to[k])
+impl<T> Route<T> {
+    fn feeder(&self) -> Feeder {
+        let Route::Tier { feeder, .. } = self else { return Feeder::Devices };
+        *feeder
     }
 }
 
@@ -271,14 +244,14 @@ pub(crate) struct TierNode<S: TierSection> {
     pub(crate) section: S,
     /// Exit decision applied to the section's logits.
     pub(crate) policy: ExitPolicy,
-    /// Source-slot space of the collector.
-    pub(crate) fan_in: FanIn,
     /// This node's inbox (CRC checking and ARQ dedup happen inside).
     pub(crate) inbox: NodeInbox,
     /// Verdict link.
     pub(crate) to_orchestrator: LinkSender,
-    /// Where non-exiting samples go.
-    pub(crate) escalation: Escalation,
+    /// Who feeds the collector and where non-exiting samples go.
+    pub(crate) route: Route<S::Item>,
+    /// What this node's pings taught it, and the routing it applies.
+    pub(crate) control: NodeControl,
     /// The shared fan-in state machine.
     pub(crate) collector: Collector<S::Item>,
     /// Micro-batch budget: completed samples drained (non-blocking) from
@@ -287,8 +260,6 @@ pub(crate) struct TierNode<S: TierSection> {
     pub(crate) batch_max: usize,
     /// Per-node counters and the run-wide event sink.
     pub(crate) obs: NodeObs,
-    /// Elastic control-plane participation (`None`: static topology).
-    pub(crate) elastic: Option<TierElastic<S::Item>>,
 }
 
 /// A completed contribution set: sequence, items, blanks substituted.
@@ -309,10 +280,10 @@ impl<S: TierSection> TierNode<S> {
         });
         let mut shutdown = false;
         while !shutdown {
-            // Elastic: while scheduled down stay fully silent — no deadline
-            // firing, no decisions — until a ping brings the node back up
-            // or the run shuts down.
-            if self.elastic.as_ref().is_some_and(|el| el.control.down) {
+            // While scheduled down stay fully silent — no deadline firing,
+            // no decisions — until a ping brings the node back up or the
+            // run shuts down.
+            if self.control.down {
                 let frame = self.inbox.recv()?;
                 shutdown = self.ingest(frame, &mut Vec::new(), &last_decision)?;
                 continue;
@@ -378,7 +349,7 @@ impl<S: TierSection> TierNode<S> {
                     substituted,
                 });
                 let decision = self.resolve(seq, logits, map)?;
-                self.send(&decision, seq)?;
+                self.send(&decision)?;
                 last_decision = Some((seq, decision));
             }
         }
@@ -388,11 +359,11 @@ impl<S: TierSection> TierNode<S> {
     }
 
     /// Takes one frame off the inbox: applies and answers a ping, refuses
-    /// what the elastic control plane has made stale (everything but
-    /// pings, while down), slots a contribution into the collector
-    /// (pushing the set onto `completed` when it fills) and replays the
-    /// cached decision for a duplicate of the watermark sample. Returns
-    /// `true` for the shutdown frame.
+    /// what the control plane has made stale (everything but pings, while
+    /// down), slots a contribution into the collector (pushing the set
+    /// onto `completed` when it fills) and replays the cached decision for
+    /// a duplicate of the watermark sample. Returns `true` for the
+    /// shutdown frame.
     fn ingest(
         &mut self,
         frame: Frame,
@@ -402,34 +373,40 @@ impl<S: TierSection> TierNode<S> {
         if matches!(frame.payload, Payload::Shutdown) {
             return Ok(true);
         }
-        if let Some(el) = self.elastic.as_mut() {
-            if matches!(frame.payload, Payload::Ping { .. }) {
-                let effect = el.control.on_ping(&frame)?;
-                if effect.revived || effect.rerouted {
-                    // Partials gathered before an outage or under the
-                    // previous epoch are refused from here on.
-                    self.collector.resync(el.control.floor);
-                }
-                if effect.rerouted {
-                    self.reroute();
-                }
-                return Ok(false);
+        if matches!(frame.payload, Payload::Ping { .. }) {
+            let effect = self.control.on_ping(&frame)?;
+            if effect.revived || effect.rerouted {
+                // Partials gathered before an outage or under the previous
+                // epoch are refused from here on.
+                self.collector.resync(self.control.floor);
             }
-            if el.control.down || !el.control.admit(frame.seq) {
-                return Ok(false);
+            if effect.rerouted {
+                self.reroute();
             }
+            return Ok(false);
         }
-        let source = self.fan_in.source_slot(frame.from, &self.name)?;
+        if self.control.down || !self.control.admit(frame.seq) {
+            return Ok(false);
+        }
+        // The collector slot is read off this epoch's feeder.
+        let n = self.control.routing.num_devices();
+        let source = match (self.route.feeder(), frame.from) {
+            (Feeder::Devices, NodeId::Device(d)) if (d as usize) < n => d as usize,
+            (Feeder::Tier(_, id), from) if from == id => 0,
+            (Feeder::Dormant, _) => return Ok(false),
+            (_, from) => {
+                let reason = format!("{}: contribution from unexpected sender {from}", self.name);
+                return Err(RuntimeError::Protocol { reason });
+            }
+        };
         let item = self.section.item_from(frame.payload, &self.name)?;
         match self.collector.insert(frame.seq, source, item) {
             Ok(Ingest::Complete { seq, items, substituted }) => {
                 completed.push((seq, items, substituted));
             }
             Ok(Ingest::Replay { seq }) => {
-                if let Some((s, decision)) = last_decision {
-                    if *s == seq {
-                        self.send(decision, seq)?;
-                    }
+                if let Some((_, decision)) = last_decision.as_ref().filter(|(s, _)| *s == seq) {
+                    self.send(decision)?;
                 }
             }
             Ok(Ingest::Stale | Ingest::Pending) => {}
@@ -445,46 +422,35 @@ impl<S: TierSection> TierNode<S> {
     /// collector and which devices the collector waits for; its exit and
     /// escalation targets are read off the routing where they are used.
     fn reroute(&mut self) {
-        let Some(el) = self.elastic.as_mut() else { return };
-        let r = &el.control.routing;
-        if let Some(k) = el.tier_k {
+        let (r, n) = (&self.control.routing, self.control.routing.num_devices());
+        if let Route::Tier { k, tier_ids, blanks, feeder, .. } = &mut self.route {
             // Where this tier sits on the escalation path decides who feeds
             // it: first hop collects the devices, later hops collect their
             // predecessor, off-path tiers are dormant.
             let path = r.escalation_path();
-            let desired = match path.iter().position(|&x| x == k) {
+            let desired = match path.iter().position(|x| x == k) {
                 Some(0) => Feeder::Devices,
-                Some(p) => Feeder::Tier(path[p - 1]),
+                Some(p) => Feeder::Tier(path[p - 1], tier_ids[path[p - 1]]),
                 None => Feeder::Dormant,
             };
-            if desired != el.cur_feeder {
+            if desired != *feeder {
                 match desired {
                     Feeder::Devices => {
-                        let n = r.num_devices();
-                        let sources = (0..n).map(Some).collect();
-                        self.collector.reconfigure(n, el.device_blanks.clone(), sources);
-                        self.fan_in = FanIn::Devices(n);
+                        self.collector.reconfigure(n, blanks[0].clone(), (0..n).map(Some).collect())
                     }
-                    Feeder::Tier(i) => {
-                        let blank = vec![el.tier_out_blanks[i].clone()];
-                        self.collector.reconfigure(1, blank, vec![None]);
-                        self.fan_in = FanIn::Tier(el.tier_ids[i]);
+                    Feeder::Tier(i, _) => {
+                        self.collector.reconfigure(1, blanks[i + 1].clone(), vec![None])
                     }
-                    // Nothing routes here: keep the geometry; the epoch
-                    // floor blocks stragglers.
+                    // Nothing routes here: keep the geometry.
                     Feeder::Dormant => {}
                 }
-                el.cur_feeder = desired;
+                *feeder = desired;
             }
         }
         // Whoever currently collects the devices must not wait for the
         // routing-dead ones (and must wait again for re-joined ones).
-        let collects_devices = match el.tier_k {
-            None => true,
-            Some(_) => el.cur_feeder == Feeder::Devices,
-        };
-        if collects_devices {
-            for dix in 0..r.num_devices() {
+        if self.route.feeder() == Feeder::Devices {
+            for dix in 0..n {
                 if r.live[dix] {
                     self.collector.clear_suspect(dix);
                 } else {
@@ -498,18 +464,15 @@ impl<S: TierSection> TierNode<S> {
     /// logits.
     fn resolve(&mut self, seq: u64, logits: Tensor, map: Option<Tensor>) -> Result<Decision> {
         let mut d = self.policy.evaluate(&logits)?;
-        // Elastic forced exits: the gateway's `forced_local` pins every
-        // sample to the local exit, and a severed or target-less tier
-        // classifies locally — escalating would address a topology that no
-        // longer exists.
-        if let Some(el) = self.elastic.as_ref() {
-            let r = &el.control.routing;
-            let escalates = !matches!(self.escalation, Escalation::Terminal);
-            d.exits |= match el.tier_k {
-                None => r.forced_local,
-                Some(k) => r.forced_exit[k] || (escalates && el.route_target().is_none()),
-            };
-        }
+        // Forced exits: the gateway's `forced_local` pins every sample to
+        // the local exit, and a tier without an escalation target this
+        // epoch classifies locally — severed, or terminal, whose policy
+        // exits anyway.
+        let r = &self.control.routing;
+        d.exits |= match &self.route {
+            Route::Gateway(_) => r.forced_local,
+            Route::Tier { k, .. } => r.escalate_to[*k].is_none(),
+        };
         let threshold = match self.policy {
             ExitPolicy::Entropy(t) => t.value(),
             ExitPolicy::Terminal => 1.0,
@@ -537,51 +500,35 @@ impl<S: TierSection> TierNode<S> {
                 eta: d.eta,
                 threshold,
             });
-            match &self.escalation {
-                Escalation::RequestFromDevices(_) => Ok(Decision::Broadcast),
-                Escalation::ForwardMap(_) => {
-                    let map = map.ok_or_else(|| RuntimeError::Protocol {
-                        reason: format!("{}: escalation without an output map", self.name),
-                    })?;
-                    Ok(Decision::Forward(Frame::new(
-                        seq,
-                        self.id,
-                        features_payload(&map.index_axis0(0)?)?,
-                    )))
+            let payload = match (&self.route, map) {
+                (Route::Gateway(_), _) => Payload::OffloadRequest,
+                (Route::Tier { .. }, Some(map)) => features_payload(&map.index_axis0(0)?)?,
+                (Route::Tier { .. }, None) => {
+                    let reason = format!("{}: escalation without an output map", self.name);
+                    return Err(RuntimeError::Protocol { reason });
                 }
-                Escalation::Terminal => Err(RuntimeError::Protocol {
-                    reason: format!("{}: terminal tier cannot escalate", self.name),
-                }),
-            }
+            };
+            Ok(Decision::Escalate(Frame::new(seq, self.id, payload)))
         }
     }
 
-    /// Sends a (possibly replayed) decision to its target. Under elastic
-    /// routing a forward resolves against the *current* routing table, so
-    /// replays after a re-parent reach the live target.
-    fn send(&self, decision: &Decision, seq: u64) -> Result<()> {
-        match (decision, &self.escalation) {
+    /// Sends a (possibly replayed) decision to its target. A forward
+    /// resolves against the *current* routing table, so replays after a
+    /// re-parent reach the live target.
+    fn send(&self, decision: &Decision) -> Result<()> {
+        match (decision, &self.route) {
             (Decision::Verdict(frame), _) => self.to_orchestrator.send(frame),
-            (Decision::Broadcast, Escalation::RequestFromDevices(devices)) => {
-                for sender in devices.iter().flatten() {
-                    sender.send(&Frame::new(seq, self.id, Payload::OffloadRequest))?;
-                }
-                Ok(())
+            (Decision::Escalate(frame), Route::Gateway(devices)) => {
+                devices.iter().flatten().try_for_each(|sender| sender.send(frame))
             }
-            (Decision::Forward(frame), Escalation::ForwardMap(next)) => {
-                match self.elastic.as_ref() {
-                    Some(el) => match el.route_target().and_then(|j| el.to_tiers[j].as_ref()) {
-                        Some(link) => link.send(frame),
-                        // The target vanished since the decision was
-                        // cached: drop the replay, the epoch has moved on.
-                        None => Ok(()),
-                    },
-                    None => next.send(frame),
+            (Decision::Escalate(frame), Route::Tier { k, to_tiers, .. }) => {
+                match self.control.routing.escalate_to[*k].and_then(|j| to_tiers[j].as_ref()) {
+                    Some(link) => link.send(frame),
+                    // The target vanished since the decision was cached:
+                    // drop the replay, the epoch has moved on.
+                    None => Ok(()),
                 }
             }
-            _ => Err(RuntimeError::Protocol {
-                reason: format!("{}: decision does not match escalation target", self.name),
-            }),
         }
     }
 }

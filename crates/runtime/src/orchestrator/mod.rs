@@ -1,10 +1,11 @@
 //! The elastic control plane: membership tracking, routing recomputation
 //! and epoch-guarded reconfiguration for a running hierarchy.
 //!
-//! The static runtime of PRs 1–5 freezes the [`crate::Topology`] at
-//! startup: a crashed device is dead forever and an orphaned subtree takes
-//! every ancestor with it. This subsystem turns the declarative topology
-//! into a living system:
+//! Every node routes by its [`NodeControl`]'s routing table. In a static
+//! run that table is the declared chain's epoch 0 and no ping ever moves
+//! it: a crashed device is dead forever and an orphaned subtree takes
+//! every ancestor with it. Under [`ElasticConfig`] this subsystem turns
+//! the declarative topology into a living system:
 //!
 //! * [`membership`] — per-node liveness from heartbeats ([`crate::message::Payload::Ping`] /
 //!   [`crate::message::Payload::Pong`]) piggybacked on the existing
@@ -48,7 +49,7 @@ use std::sync::Arc;
 /// Configuration of the elastic control plane. Setting
 /// [`crate::HierarchyConfig::elastic`] to `Some` enables heartbeat-driven
 /// membership and runtime reconfiguration; `None` (the default) keeps the
-/// static topology and its exact legacy code path.
+/// static topology: epoch 0 of the same routing path, never re-routed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ElasticConfig {
     /// How long the orchestrator's per-sample heartbeat sweep waits for
@@ -80,36 +81,31 @@ impl ElasticConfig {
 #[derive(Debug, Clone)]
 pub(crate) struct NodeDirectory {
     pub(crate) num_devices: usize,
-    /// `device0..deviceN`, `gateway`, then the tier names in chain order.
+    /// Per index: the node's name, for the timeline and chaos targets.
     pub(crate) names: Vec<String>,
-    /// Wire identity of each tier, for pong attribution.
-    pub(crate) tier_ids: Vec<NodeId>,
+    /// Per index: the node's wire identity, for pong attribution.
+    ids: Vec<NodeId>,
 }
 
 impl NodeDirectory {
-    pub(crate) fn new(num_devices: usize, tier_names: &[String], tier_ids: Vec<NodeId>) -> Self {
-        let mut names: Vec<String> = (0..num_devices).map(|d| format!("device{d}")).collect();
-        names.push("gateway".to_string());
-        names.extend(tier_names.iter().cloned());
-        NodeDirectory { num_devices, names, tier_ids }
+    /// The directory of `nodes`, given as (wire identity, name) in index
+    /// order.
+    pub(crate) fn new(nodes: impl IntoIterator<Item = (NodeId, String)>) -> Self {
+        let (ids, names): (Vec<NodeId>, Vec<String>) = nodes.into_iter().unzip();
+        let num_devices = ids.iter().filter(|id| matches!(id, NodeId::Device(_))).count();
+        NodeDirectory { num_devices, names, ids }
     }
 
     /// The directory index a pong's sender maps to, if any.
     pub(crate) fn index_of(&self, id: NodeId) -> Option<usize> {
-        match id {
-            NodeId::Device(d) if (d as usize) < self.num_devices => Some(d as usize),
-            NodeId::Gateway => Some(self.num_devices),
-            other => {
-                self.tier_ids.iter().position(|&t| t == other).map(|k| self.num_devices + 1 + k)
-            }
-        }
+        self.ids.iter().position(|&i| i == id)
     }
 
     /// The directory index of a chaos target, if it names a node.
     pub(crate) fn target_ix(&self, target: &ChaosTarget) -> Option<usize> {
         match target {
-            ChaosTarget::Device(d) if *d < self.num_devices => Some(*d),
-            ChaosTarget::Gateway => Some(self.num_devices),
+            ChaosTarget::Device(d) => self.index_of(NodeId::Device(u8::try_from(*d).ok()?)),
+            ChaosTarget::Gateway => self.index_of(NodeId::Gateway),
             ChaosTarget::Tier(name) => {
                 self.names.iter().position(|n| n == name).filter(|&ix| ix > self.num_devices)
             }
@@ -122,7 +118,8 @@ impl NodeDirectory {
 /// pings: the routing of the newest epoch it has applied, that epoch's
 /// stale floor, and whether it is scheduled down. Every process derives
 /// the same [`Compat`] from the seeded model, so a live mask is all a ping
-/// needs to carry for the node to rebuild the orchestrator's table.
+/// needs to carry for the node to rebuild the orchestrator's table. In a
+/// static run no ping arrives, so the node routes by epoch 0 throughout.
 #[derive(Debug)]
 pub(crate) struct NodeControl {
     compat: Compat,
@@ -135,9 +132,9 @@ pub(crate) struct NodeControl {
     /// The newest ping round seen; an older (reordered) ping is ignored.
     round: u64,
     /// The node's wire identity, and its link back to the orchestrator
-    /// that pongs go out on.
+    /// that pongs go out on (`None` in a run that sends no pings).
     id: NodeId,
-    pong: LinkSender,
+    pong: Option<LinkSender>,
     /// `node.{name}.stale_epoch_discards`.
     stale_discards: Arc<Counter>,
 }
@@ -156,7 +153,7 @@ impl NodeControl {
         compat: Compat,
         initial: RoutingTable,
         id: NodeId,
-        pong: LinkSender,
+        pong: Option<LinkSender>,
         stale_discards: Arc<Counter>,
     ) -> Self {
         let (floor, down, round) = (0, false, 0);
@@ -172,11 +169,15 @@ impl NodeControl {
     /// # Errors
     ///
     /// Returns [`RuntimeError::Protocol`] when the live mask does not
-    /// cover this topology's directory (a sender bug, not wire damage),
-    /// and what sending the pong returns.
+    /// cover this topology's directory or the run has no pong link (a
+    /// sender bug, not wire damage), and what sending the pong returns.
     pub(crate) fn on_ping(&mut self, ping: &Frame) -> Result<PingEffect> {
         let Payload::Ping { epoch, floor, live, down } = &ping.payload else {
             return Ok(PingEffect::default());
+        };
+        let Some(pong) = &self.pong else {
+            let reason = format!("{}: a ping in a run without pings", self.id);
+            return Err(RuntimeError::Protocol { reason });
         };
         if ping.seq < self.round {
             return Ok(PingEffect::default());
@@ -194,7 +195,7 @@ impl NodeControl {
         }
         let was_down = std::mem::replace(&mut self.down, *down);
         if !(was_down && *down) {
-            self.pong.send(&Frame::new(ping.seq, self.id, Payload::Pong))?;
+            pong.send(&Frame::new(ping.seq, self.id, Payload::Pong))?;
         }
         Ok(PingEffect { rerouted, revived: was_down && !*down })
     }
@@ -405,25 +406,24 @@ impl ElasticDriver {
 mod tests {
     use super::*;
 
-    fn directory() -> NodeDirectory {
-        NodeDirectory::new(
-            2,
-            &["edge".to_string(), "cloud".to_string()],
-            vec![NodeId::Edge, NodeId::Cloud],
-        )
-    }
-
     #[test]
     fn directory_maps_indices_and_identities() {
-        let dir = directory();
-        assert_eq!(dir.names, vec!["device0", "device1", "gateway", "edge", "cloud"]);
+        // The inbox rows of a two-device edge run, orchestrator excluded.
+        let names = ["device0", "device1", "gateway", "edge", "cloud"];
+        let ids =
+            [NodeId::Device(0), NodeId::Device(1), NodeId::Gateway, NodeId::Edge, NodeId::Cloud];
+        let dir = NodeDirectory::new(ids.into_iter().zip(names.map(String::from)));
+        assert_eq!((dir.num_devices, dir.names.len()), (2, 5));
         assert_eq!(dir.index_of(NodeId::Device(1)), Some(1));
         assert_eq!(dir.index_of(NodeId::Gateway), Some(2));
         assert_eq!(dir.index_of(NodeId::Cloud), Some(4));
         assert_eq!(dir.index_of(NodeId::Device(9)), None);
+        assert_eq!(dir.index_of(NodeId::Orchestrator), None);
         assert_eq!(dir.target_ix(&ChaosTarget::Device(0)), Some(0));
+        assert_eq!(dir.target_ix(&ChaosTarget::Device(300)), None);
         assert_eq!(dir.target_ix(&ChaosTarget::Gateway), Some(2));
         assert_eq!(dir.target_ix(&ChaosTarget::Tier("edge".into())), Some(3));
+        assert_eq!(dir.target_ix(&ChaosTarget::Tier("gateway".into())), None);
         assert_eq!(dir.target_ix(&ChaosTarget::Tier("fog".into())), None);
     }
 
@@ -436,7 +436,7 @@ mod tests {
         let initial = compute_routing(0, vec![true; 5], 2, &compat);
         let stale = Arc::new(Counter::default());
         let (pong, pongs, _) = crate::link::link("edge->orchestrator");
-        let mut node = NodeControl::new(compat, initial, NodeId::Edge, pong, Arc::clone(&stale));
+        let mut node = NodeControl::new(compat, initial, NodeId::Edge, Some(pong), stale.clone());
         // Epoch 1 with the edge tier dead; later pings only flip the down
         // bit, and round 2 arrives again after round 3 (reordered). Each
         // step reports its effect and whether the node answered.

@@ -15,12 +15,13 @@
 //! * a live gateway with no live feature tier anywhere forces every
 //!   sample to exit locally ([`RoutingTable::forced_local`]).
 //!
-//! Compatibility is probed *empirically* at startup ([`probe`]): each
-//! candidate (feeder, tier) pair is trial-evaluated on blank inputs, and a
-//! pair is compatible exactly when the tier's full section — aggregation,
-//! ConvP chain and exit head — accepts the feeder's output geometry.
+//! A static run routes by the declared chain ([`Compat::chain`]) and no
+//! ping ever moves its epoch-0 table. An elastic run probes compatibility
+//! *empirically* at startup ([`probe`]): each candidate (feeder, tier)
+//! pair is trial-evaluated on blank inputs, and a pair is compatible
+//! exactly when the tier's full section — aggregation, ConvP chain and
+//! exit head — accepts the feeder's output geometry.
 
-use crate::error::Result;
 use crate::node::tier::batched;
 use crate::topology::Topology;
 use ddnn_core::CloudPart;
@@ -37,6 +38,17 @@ pub struct Compat {
     /// `tier_to_tier[i][j]` (`j > i`): can tier `i`'s output map feed tier
     /// `j`'s full section? Entries with `j <= i` are always `false`.
     pub tier_to_tier: Vec<Vec<bool>>,
+}
+
+impl Compat {
+    /// The declared chain of `tiers` tiers: the devices feed tier 0 and
+    /// tier `k` feeds tier `k + 1`, nothing else.
+    pub fn chain(tiers: usize) -> Compat {
+        Compat {
+            device_to_tier: (0..tiers).map(|j| j == 0).collect(),
+            tier_to_tier: (0..tiers).map(|i| (0..tiers).map(|j| j == i + 1).collect()).collect(),
+        }
+    }
 }
 
 /// One epoch's complete routing decision. Node indices follow the control
@@ -193,39 +205,25 @@ pub fn compute_routing(
 }
 
 /// Probes the compatibility matrix empirically: trial-evaluates each
-/// candidate (feeder, tier) pair on blank inputs. Returns the matrix plus
-/// each tier's blank *output* map (used for the trials and for collector
-/// re-blanking on re-parent).
+/// candidate (feeder, tier) pair on blank inputs.
 ///
-/// `tier_blanks[k]` is tier `k`'s blank input set (device blank maps for
-/// tier 0, the predecessor's blank output for `k > 0`), exactly as the
-/// runner chains them.
-///
-/// # Errors
-///
-/// Returns an error when a tier's own legacy-chain blank input fails its
-/// body forward — that means the declared topology itself is broken.
-pub(crate) fn probe(
-    topology: &Topology,
-    tier_blanks: &[Vec<Tensor>],
-) -> Result<(Compat, Vec<Tensor>)> {
+/// `tier_blanks` is the runner's blank chain: `tier_blanks[0]` holds the
+/// device blank maps, and `tier_blanks[k + 1]` tier `k`'s blank output,
+/// which is what tier `k` feeds whichever tier it escalates to.
+pub(crate) fn probe(topology: &Topology, tier_blanks: &[Vec<Tensor>]) -> Compat {
     // Eval-mode evaluation leaves a section's weights and statistics
     // alone, so one clone per tier serves every trial.
     let mut stages: Vec<CloudPart> = topology.tiers.iter().map(|t| t.stage.clone()).collect();
     let t = stages.len();
-    let mut out_blanks = Vec::with_capacity(t);
-    for (stage, blanks) in stages.iter_mut().zip(tier_blanks) {
-        out_blanks.push(stage.body(&batched(blanks.clone())?, Mode::Eval)?.index_axis0(0)?);
-    }
     // A pair is compatible when the tier's full section accepts the input.
-    let mut accepts = |j: usize, inputs: Vec<Tensor>| -> bool {
-        batched(inputs).is_ok_and(|x| stages[j].forward(&x, Mode::Eval).is_ok())
+    let mut accepts = |j: usize, inputs: &[Tensor]| -> bool {
+        batched(inputs.to_vec()).is_ok_and(|x| stages[j].forward(&x, Mode::Eval).is_ok())
     };
-    let device_to_tier: Vec<bool> = (0..t).map(|j| accepts(j, tier_blanks[0].clone())).collect();
+    let device_to_tier: Vec<bool> = (0..t).map(|j| accepts(j, &tier_blanks[0])).collect();
     let tier_to_tier: Vec<Vec<bool>> = (0..t)
-        .map(|i| (0..t).map(|j| j > i && accepts(j, vec![out_blanks[i].clone()])).collect())
+        .map(|i| (0..t).map(|j| j > i && accepts(j, &tier_blanks[i + 1])).collect())
         .collect();
-    Ok((Compat { device_to_tier, tier_to_tier }, out_blanks))
+    Compat { device_to_tier, tier_to_tier }
 }
 
 #[cfg(test)]

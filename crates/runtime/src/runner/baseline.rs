@@ -5,7 +5,7 @@
 //! real topology.
 
 use super::orchestrate::{orchestrate, validate_run, Feed};
-use super::roles::{compute_blanks, spawn_role, RunCtx, Spawn};
+use super::roles::{compute_blanks, spawn_role, Routing, RunCtx, Spawn};
 use super::wiring::{connect_local, Plane, Wiring};
 use crate::chaos::ProcTarget;
 use crate::error::{Result, RuntimeError};
@@ -58,7 +58,8 @@ pub fn run_cloud_only_baseline(
     }
     let obs = Arc::new(RunObs::new(&cfg.obs));
     let clock = crate::SimClock::start();
-    let ctx = RunCtx { topology: &topology, cfg, live: &live, clock, obs, elastic: None };
+    let routing = Routing::new(&topology, &live, None);
+    let ctx = RunCtx { topology: &topology, cfg, live: &live, clock, obs, routing: &routing };
     let wiring = Wiring::of(&topology, false);
     let plane = connect_local(&wiring, cfg, &ctx.obs)?;
     let blanks = compute_blanks(&topology)?;

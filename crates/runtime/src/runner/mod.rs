@@ -43,7 +43,7 @@ use crate::topology::{HierarchyConfig, Topology};
 use ddnn_core::DdnnPartition;
 use ddnn_tensor::Tensor;
 use orchestrate::{orchestrate, validate_run, Feed};
-use roles::{compute_blanks, spawn_role, ElasticCtx, RunCtx, Spawn};
+use roles::{compute_blanks, spawn_role, Routing, RunCtx, Spawn};
 use std::sync::Arc;
 use wiring::{connect_local, Plane, Wiring};
 
@@ -81,9 +81,9 @@ pub fn run_topology(
     let live = validate_run(topology, device_views, labels, cfg, false)?;
     let obs = Arc::new(RunObs::new(&cfg.obs));
     let blanks = compute_blanks(topology)?;
-    let elastic = cfg.elastic.map(|_| ElasticCtx::new(topology, &live, &blanks)).transpose()?;
+    let routing = Routing::new(topology, &live, cfg.elastic.map(|_| &blanks));
     let clock = crate::SimClock::start();
-    let ctx = RunCtx { topology, cfg, live: &live, clock, obs, elastic: elastic.as_ref() };
+    let ctx = RunCtx { topology, cfg, live: &live, clock, obs, routing: &routing };
 
     // Every role of the wiring is hosted right here, as threads.
     let wiring = Wiring::of(topology, cfg.elastic.is_some());

@@ -64,7 +64,7 @@
 //! the elastic driver, and ships the socket impairment to every role.
 
 use super::orchestrate::{host_nodes, live_mask, orchestrate, validate_run, Feed, SampleHook};
-use super::roles::{compute_blanks, spawn_role, ElasticCtx, RunCtx};
+use super::roles::{compute_blanks, spawn_role, Routing, RunCtx};
 use super::wiring::{connect, Addrs, Host, Wiring};
 use crate::chaos::{ChaosTarget, ProcTarget};
 use crate::clock::SimClock;
@@ -475,7 +475,7 @@ impl Supervisor<'_> {
 
 impl SampleHook for Supervisor<'_> {
     /// Each capture round doubles as a supervision tick.
-    fn feed(&mut self, i: usize, routing: Option<&RoutingTable>) -> Result<()> {
+    fn feed(&mut self, i: usize, routing: &RoutingTable) -> Result<()> {
         self.tick(i as u64);
         self.feed.send(i, routing)
     }
@@ -575,13 +575,13 @@ pub fn launch(
     let topology = Topology::from_partition(&Ddnn::new(model_cfg.clone()).partition());
     let live = validate_run(&topology, device_views, labels, cfg, true)?;
     let obs = Arc::new(RunObs::new(&cfg.obs));
-    // The elastic driver routes by the compatibility matrix every role
-    // process derives alike from the seeded model.
+    // The pump and the elastic driver route by the compatibility every
+    // role process derives alike from the seeded model; only an elastic
+    // run probes it on the blanks.
     let blanks = cfg.elastic.map(|_| compute_blanks(&topology)).transpose()?;
-    let elastic = blanks.map(|blanks| ElasticCtx::new(&topology, &live, &blanks)).transpose()?;
+    let routing = Routing::new(&topology, &live, blanks.as_ref());
     let clock = SimClock::start();
-    let ctx =
-        RunCtx { topology: &topology, cfg, live: &live, clock, obs, elastic: elastic.as_ref() };
+    let ctx = RunCtx { topology: &topology, cfg, live: &live, clock, obs, routing: &routing };
     let wiring = Wiring::of(&topology, cfg.elastic.is_some());
 
     // One supervised process per role; the launcher hosts only the
@@ -696,10 +696,10 @@ where
     }
     let blanks = compute_blanks(&topology)?;
     let live = live_mask(topology.num_devices(), &cfg);
-    let elastic = cfg.elastic.map(|_| ElasticCtx::new(&topology, &live, &blanks)).transpose()?;
+    let routing = Routing::new(&topology, &live, cfg.elastic.map(|_| &blanks));
     let obs = Arc::new(RunObs::new(&cfg.obs));
-    let (clock, elastic) = (SimClock::start(), elastic.as_ref());
-    let ctx = RunCtx { topology: &topology, cfg: &cfg, live: &live, clock, obs, elastic };
+    let (clock, routing) = (SimClock::start(), &routing);
+    let ctx = RunCtx { topology: &topology, cfg: &cfg, live: &live, clock, obs, routing };
 
     // The handshake: advertise where this role is reached, learn where
     // every host is. A respawned role numbers its ARQ frames from a fresh

@@ -97,10 +97,9 @@ pub(super) fn live_mask(num_devices: usize, cfg: &HierarchyConfig) -> Vec<bool> 
 /// process kill or respawn reaches them, whether they are still there and
 /// what they measured.
 pub(super) trait SampleHook {
-    /// Feeds sample `i` (again, on a watchdog retry) under the elastic
-    /// driver's published `routing`, after whatever is due before it (a
-    /// supervision tick).
-    fn feed(&mut self, i: usize, routing: Option<&RoutingTable>) -> Result<()>;
+    /// Feeds sample `i` (again, on a watchdog retry) under the published
+    /// `routing`, after whatever is due before it (a supervision tick).
+    fn feed(&mut self, i: usize, routing: &RoutingTable) -> Result<()>;
 
     /// Kills or respawns the role process `target` names, just before
     /// sample `seq` (the plan was validated against this runner, so the
@@ -125,8 +124,8 @@ pub(super) trait SampleHook {
 
 /// The capture feed of every runner, and the whole hook of one hosted as
 /// threads: a sample's views go to the devices the routing has live
-/// (without elastic orchestration, every device not statically failed),
-/// and with the gateway bypassed the orchestrator broadcasts the offload
+/// (in a static run, every device not statically failed), and with the
+/// gateway bypassed the orchestrator broadcasts the offload
 /// request itself so the sample goes straight to the feature chain. In
 /// the cloud-only shape the devices would only forward their captures, so
 /// the orchestrator sends each view raw to the cloud in their name.
@@ -146,9 +145,9 @@ impl<'a> Feed<'a> {
         Ok(Feed { sensors: sensors.collect::<Result<_>>()?, raw })
     }
 
-    pub(super) fn send(&self, i: usize, routing: Option<&RoutingTable>) -> Result<()> {
+    pub(super) fn send(&self, i: usize, routing: &RoutingTable) -> Result<()> {
         let seq = i as u64;
-        let awake = self.sensors.iter().filter(|(d, ..)| routing.is_none_or(|r| r.live[*d]));
+        let awake = self.sensors.iter().filter(|(d, ..)| routing.live[*d]);
         for (d, sensor, views) in awake.clone() {
             let view = views.index_axis0(i)?;
             sensor.send(&match self.raw {
@@ -156,7 +155,7 @@ impl<'a> Feed<'a> {
                 false => Frame::new(seq, NodeId::Orchestrator, Payload::Capture { view }),
             })?;
         }
-        if routing.is_some_and(|r| r.gateway_bypass && r.device_parent.is_some()) {
+        if routing.gateway_bypass && routing.device_parent.is_some() {
             for (_, sensor, _) in awake {
                 sensor.send(&Frame::new(seq, NodeId::Orchestrator, Payload::OffloadRequest))?;
             }
@@ -171,7 +170,7 @@ fn raw_payload(view: &Tensor) -> Payload {
 }
 
 impl SampleHook for Feed<'_> {
-    fn feed(&mut self, i: usize, routing: Option<&RoutingTable>) -> Result<()> {
+    fn feed(&mut self, i: usize, routing: &RoutingTable) -> Result<()> {
         self.send(i, routing)
     }
 }
@@ -214,20 +213,22 @@ pub(super) fn host_nodes<T>(
 
 /// The elastic driver of an elastic run, pinging every node over the
 /// wiring's ping rows: a device over its sensor feed (a statically failed
-/// one never), the gateway and each tier over their own.
-fn elastic_driver(ctx: &RunCtx, plane: &Plane) -> Result<Option<ElasticDriver>> {
-    let (Some(cfg), Some(el)) = (ctx.cfg.elastic, ctx.elastic) else { return Ok(None) };
-    let (tiers, live) = (&ctx.topology.tiers, ctx.live);
-    let names: Vec<String> = tiers.iter().map(|t| t.name.clone()).collect();
-    let dir = NodeDirectory::new(live.len(), &names, tiers.iter().map(|t| t.id).collect());
+/// one never), the gateway and each tier over their own. Its directory is
+/// the wiring's node inboxes, which list devices, gateway and tiers in
+/// directory order.
+fn elastic_driver(ctx: &RunCtx, wiring: &Wiring, plane: &Plane) -> Result<Option<ElasticDriver>> {
+    let Some(cfg) = ctx.cfg.elastic else { return Ok(None) };
+    let (live, obs) = (ctx.live, Arc::clone(&ctx.obs));
+    let nodes = wiring.inboxes.iter().filter(|i| i.host != Host::Orchestrator);
+    let dir = NodeDirectory::new(nodes.map(|i| (i.id, i.name.clone())));
     let mut ping_links: Vec<Option<LinkSender>> = (0..live.len())
         .map(|d| live[d].then(|| plane.sender(Link::Sensor(d))).transpose())
         .collect::<Result<_>>()?;
     ping_links.push(Some(plane.sender(Link::PingGateway)?));
-    for k in 0..tiers.len() {
+    for k in 0..ctx.topology.tiers.len() {
         ping_links.push(Some(plane.sender(Link::PingTier(k))?));
     }
-    let (compat, initial, obs) = (el.compat.clone(), el.initial.clone(), Arc::clone(&ctx.obs));
+    let (compat, initial) = (ctx.routing.compat.clone(), ctx.routing.initial.clone());
     Ok(Some(ElasticDriver::new(dir, compat, initial, cfg, ping_links, ctx.clock, obs)))
 }
 
@@ -247,7 +248,7 @@ pub(super) fn orchestrate(
 ) -> Result<SimReport> {
     let RunCtx { topology, cfg, live, clock, obs, .. } = ctx;
     let mut orch_inbox = plane.inbox(NodeId::Orchestrator)?;
-    let mut driver = elastic_driver(ctx, &plane)?;
+    let mut driver = elastic_driver(ctx, wiring, &plane)?;
     let exit_point_of = |tier: u8| topology.exit_point_of(tier);
     // Simulated latency of a lockstep sample: the device->gateway hop
     // (a local wireless link) always happens; each escalation up the
@@ -284,6 +285,7 @@ pub(super) fn orchestrate(
             exit_point_of,
             latency_of,
             obs,
+            &ctx.routing.initial,
             driver.as_mut(),
         )?;
         // Every sample resolved: stop retransmitting before shutdown.

@@ -36,6 +36,7 @@ use crate::link::NodeInbox;
 use crate::message::{Frame, Payload};
 use crate::node::report::{RunTallies, SampleOutcome};
 use crate::obs::{ObsEvent, RunObs};
+use crate::orchestrator::rebalance::RoutingTable;
 use crate::orchestrator::ElasticDriver;
 use crate::topology::{DeadlineConfig, StreamConfig};
 use ddnn_core::ExitPoint;
@@ -56,6 +57,8 @@ struct InFlight {
 /// Drives `n_samples` through the hierarchy behind `hook`: `stream` sets
 /// the arrival schedule and admission window (`None`: lockstep),
 /// `deadlines` the watchdog (`None`: blocking waits, strict protocol).
+/// Captures go out under `elastic`'s published routing, or under
+/// `initial` (epoch 0) in a run no driver steers.
 ///
 /// Conservation invariant, checked by the chaos suite: every arrival is
 /// exactly one of classified / shed / timed out, and
@@ -72,6 +75,7 @@ pub(super) fn pump(
     exit_point_of: impl Fn(u8) -> Result<ExitPoint>,
     latency_of: impl Fn(u8) -> f32,
     obs: &RunObs,
+    initial: &RoutingTable,
     mut elastic: Option<&mut ElasticDriver>,
 ) -> Result<RunTallies> {
     let lockstep = stream.is_none();
@@ -128,7 +132,7 @@ pub(super) fn pump(
                 if let Some(retries) = &retries_ctr {
                     retries.incr();
                 }
-                hook.feed(seq as usize, elastic.as_deref().map(|d| &d.routing))?;
+                hook.feed(seq as usize, elastic.as_deref().map_or(initial, |d| &d.routing))?;
                 flight.due = clock.elapsed_ms_f64() - t0 + watchdog_ms;
                 continue;
             }
@@ -189,7 +193,7 @@ pub(super) fn pump(
             if let Some((admitted, _)) = &admission_ctrs {
                 admitted.incr();
             }
-            hook.feed(i, elastic.as_deref().map(|d| &d.routing))?;
+            hook.feed(i, elastic.as_deref().map_or(initial, |d| &d.routing))?;
             let due = born + f64::from(first_attempt + 1) * watchdog_ms;
             inflight.insert(seq, InFlight { born, attempts: first_attempt, due });
         }
@@ -249,7 +253,7 @@ mod tests {
     use crate::link::{link, LinkSender};
     use crate::message::NodeId;
     use crate::obs::ObsConfig;
-    use crate::orchestrator::rebalance::RoutingTable;
+    use crate::orchestrator::rebalance::{compute_routing, Compat};
     use crate::topology::ArrivalProcess;
 
     /// A one-node "hierarchy" that answers every capture round with a
@@ -260,7 +264,7 @@ mod tests {
     }
 
     impl SampleHook for LosesTheFirstFeed {
-        fn feed(&mut self, i: usize, _: Option<&RoutingTable>) -> Result<()> {
+        fn feed(&mut self, i: usize, _: &RoutingTable) -> Result<()> {
             self.feeds += 1;
             if self.feeds == 1 {
                 return Ok(());
@@ -289,6 +293,7 @@ mod tests {
             |_| Ok(ExitPoint::Local),
             |_| 2.5,
             &obs,
+            &compute_routing(0, vec![true; 3], 1, &Compat::chain(1)),
             None,
         )
         .unwrap();

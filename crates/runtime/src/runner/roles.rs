@@ -3,6 +3,12 @@
 //! from a [`Plane`]'s inboxes and senders. The in-process runner hosts
 //! every role of a wiring as threads, `multiproc::host_role` hosts one
 //! role per OS process; both build their nodes here.
+//!
+//! Every node gets a [`NodeControl`] from the run's one [`Routing`] and
+//! routes by its table alone. A static run's table is the declared
+//! chain's epoch 0 and the wiring opens only the chain's links; an
+//! elastic run probes the compatibility and adds the skip-level and
+//! ping/pong links its later epochs route over.
 
 use super::wiring::{Link, Plane};
 use crate::chaos::ProcTarget;
@@ -11,13 +17,9 @@ use crate::error::Result;
 use crate::link::LinkSender;
 use crate::message::{dequantize_image, quantize_image, NodeId};
 use crate::node::collector::{AggDeadline, Collector};
-use crate::node::device::{
-    blank_signature, blank_view, device_node, BlankSignature, DeviceElastic,
-};
+use crate::node::device::{blank_signature, blank_view, device_node, BlankSignature};
 use crate::node::report::NodeReport;
-use crate::node::tier::{
-    batched, Escalation, FanIn, Feeder, RawSection, TierElastic, TierNode, TierSection,
-};
+use crate::node::tier::{batched, Feeder, RawSection, Route, TierNode, TierSection};
 use crate::obs::{NodeObs, RunObs};
 use crate::orchestrator::rebalance::{compute_routing, probe, Compat, RoutingTable};
 use crate::orchestrator::NodeControl;
@@ -35,9 +37,8 @@ pub(super) struct RunCtx<'a> {
     pub(super) live: &'a [bool],
     pub(super) clock: SimClock,
     pub(super) obs: Arc<RunObs>,
-    /// What every process of an elastic run derives alike; `None` without
-    /// `cfg.elastic`.
-    pub(super) elastic: Option<&'a ElasticCtx>,
+    /// How every node routes, derived alike in every process.
+    pub(super) routing: &'a Routing,
 }
 
 /// A node's whole life, ready to run on a thread of its own.
@@ -91,32 +92,47 @@ pub(super) fn compute_blanks(topology: &Topology) -> Result<Blanks> {
     Ok(Blanks { devices, tiers })
 }
 
-/// What the elastic control plane starts from, derived identically in
-/// every process from the seeded model: the probed compatibility matrix
-/// (which feeders each tier's section accepts), each tier's blank
-/// *output* for re-parenting, and the epoch-0 routing table.
-pub(super) struct ElasticCtx {
+/// How every node of a run routes, derived identically in every process
+/// from the seeded model: the compatibility its routing tables are
+/// computed from and the epoch-0 table. Without `cfg.elastic` the
+/// compatibility is the declared chain's and no ping ever moves epoch 0;
+/// with it, [`probe`] supplies the compatibility, and the heartbeat pings
+/// publish the later epochs.
+pub(super) struct Routing {
     pub(super) compat: Compat,
-    out_blanks: Vec<Tensor>,
     pub(super) initial: RoutingTable,
+    /// Pings steer the run: nodes answer them and count stale-epoch
+    /// discards.
+    steered: bool,
 }
 
-impl ElasticCtx {
-    /// Probes the topology; epoch 0 routes the declared chain itself,
-    /// since every non-device node starts live.
-    pub(super) fn new(topology: &Topology, live: &[bool], blanks: &Blanks) -> Result<Self> {
-        let (compat, out_blanks) = probe(topology, &blanks.tiers)?;
+impl Routing {
+    /// The routing of a run whose compatibility is probed on `probed`, the
+    /// blank chain of an elastic run, or is the declared chain's (`None`).
+    /// Epoch 0 routes the declared chain either way, since every
+    /// non-device node starts live.
+    pub(super) fn new(topology: &Topology, live: &[bool], probed: Option<&Blanks>) -> Self {
+        let compat = match probed {
+            Some(blanks) => probe(topology, &blanks.tiers),
+            None => Compat::chain(topology.tiers.len()),
+        };
         let mut init_live = live.to_vec();
         init_live.extend(std::iter::repeat_n(true, 1 + topology.tiers.len())); // gateway, tiers
         let initial = compute_routing(0, init_live, live.len(), &compat);
-        Ok(ElasticCtx { compat, out_blanks, initial })
+        Routing { compat, initial, steered: probed.is_some() }
     }
+}
 
+impl RunCtx<'_> {
     /// A fresh view of the control plane for the node `name`, which
-    /// answers pings as `id` over `pong`.
-    fn control(&self, obs: &RunObs, name: &str, id: NodeId, pong: LinkSender) -> NodeControl {
-        let stale = obs.registry().counter(&format!("node.{name}.stale_epoch_discards"));
-        NodeControl::new(self.compat.clone(), self.initial.clone(), id, pong, stale)
+    /// answers pings as `id` over `pong` when the run is steered.
+    fn control(&self, name: &str, id: NodeId, pong: Option<LinkSender>) -> NodeControl {
+        let Routing { compat, initial, steered } = self.routing;
+        let stale = match steered {
+            true => self.obs.registry().counter(&format!("node.{name}.stale_epoch_discards")),
+            false => Arc::default(),
+        };
+        NodeControl::new(compat.clone(), initial.clone(), id, pong.filter(|_| *steered), stale)
     }
 }
 
@@ -144,8 +160,8 @@ pub(super) fn spawn_role(
     plane: &mut Plane,
     spawn: &mut Spawn,
 ) -> Result<()> {
-    let RunCtx { topology, cfg, live, obs, elastic, .. } = ctx;
-    let n = topology.num_devices();
+    let RunCtx { topology, cfg, live, obs, .. } = ctx;
+    let (n, t) = (topology.num_devices(), topology.tiers.len());
     match role {
         ProcTarget::Devices => {
             let tolerant = cfg.deadlines.is_some();
@@ -153,30 +169,18 @@ pub(super) fn spawn_role(
             // be in flight: the admission window (one, in lockstep).
             let capture_cap = cfg.stream.as_ref().map_or(1, |s| s.queue_cap);
             for d in (0..n).filter(|&d| live[d]) {
-                let rx = plane.inbox(NodeId::Device(d as u8))?;
-                let (to_gw, to_upper) =
-                    (plane.sender(Link::Scores(d))?, plane.sender(Link::Uplink(d, 0))?);
-                // Elastic: one feature link per re-parent candidate tier
-                // and a pong link back to the orchestrator; all share the
-                // device's crash state, so a crashed device's heartbeats
-                // die with its data.
-                let dev_el = match elastic {
-                    Some(el) => Some(DeviceElastic {
-                        control: el.control(
-                            obs,
-                            &format!("device{d}"),
-                            NodeId::Device(d as u8),
-                            plane.sender(Link::DevicePong(d))?,
-                        ),
-                        to_tiers: (0..topology.tiers.len())
-                            .map(|j| plane.sender(Link::Uplink(d, j)))
-                            .collect::<Result<_>>()?,
-                    }),
-                    None => None,
-                };
+                let (rx, to_gw) =
+                    (plane.inbox(NodeId::Device(d as u8))?, plane.sender(Link::Scores(d))?);
+                // A feature link per tier the wiring opened (every tier
+                // when elastic, tier 0 otherwise) and the pong link; all
+                // share the device's crash state, so a crashed device's
+                // heartbeats die with its data.
+                let to_tiers = (0..t).map(|j| plane.try_sender(Link::Uplink(d, j))).collect();
+                let pong = plane.try_sender(Link::DevicePong(d));
+                let control = ctx.control(&format!("device{d}"), NodeId::Device(d as u8), pong);
                 let (part, obs) = (topology.devices[d].clone(), Arc::clone(obs));
                 spawn(Box::new(move || {
-                    device_node(d, part, rx, to_gw, to_upper, tolerant, capture_cap, obs, dev_el)
+                    device_node(d, part, rx, to_gw, to_tiers, control, tolerant, capture_cap, obs)
                 }));
             }
             Ok(())
@@ -193,10 +197,9 @@ pub(super) fn spawn_role(
                 exit_tier: 0,
                 section: topology.gateway.clone(),
                 policy: ExitPolicy::Entropy(cfg.local_threshold),
-                fan_in: FanIn::Devices(n),
                 inbox: plane.inbox(NodeId::Gateway)?,
                 to_orchestrator: to_orchestrator.clone(),
-                escalation: Escalation::RequestFromDevices(to_devices),
+                route: Route::Gateway(to_devices),
                 collector: Collector::new(
                     n,
                     blanks.devices.iter().map(|b| b.scores.clone()).collect(),
@@ -205,15 +208,7 @@ pub(super) fn spawn_role(
                     live.to_vec(),
                 ),
                 obs: NodeObs::for_node(obs, "gateway"),
-                elastic: elastic.map(|el| TierElastic {
-                    control: el.control(obs, "gateway", NodeId::Gateway, to_orchestrator),
-                    tier_k: None,
-                    to_tiers: Vec::new(),
-                    tier_ids: Vec::new(),
-                    device_blanks: Vec::new(),
-                    tier_out_blanks: Vec::new(),
-                    cur_feeder: Feeder::Devices,
-                }),
+                control: ctx.control("gateway", NodeId::Gateway, Some(to_orchestrator)),
                 // Score aggregation is negligible compute; only the
                 // feature tiers batch.
                 batch_max: 1,
@@ -246,7 +241,7 @@ fn tier_task<S: TierSection<Item = Tensor> + 'static>(
     blanks: &Blanks,
     plane: &mut Plane,
 ) -> Result<NodeTask> {
-    let RunCtx { topology, cfg, live, obs, elastic, .. } = ctx;
+    let RunCtx { topology, cfg, live, obs, .. } = ctx;
     let n = topology.num_devices();
     let tiers = &topology.tiers;
     let spec = &tiers[k];
@@ -260,6 +255,7 @@ fn tier_task<S: TierSection<Item = Tensor> + 'static>(
         live.to_vec(),
     );
     let to_orchestrator = plane.sender(Link::Verdict(k))?;
+    let tier_ids: Vec<NodeId> = tiers.iter().map(|t| t.id).collect();
     let node = TierNode {
         name: spec.name.clone(),
         id: spec.id,
@@ -270,27 +266,21 @@ fn tier_task<S: TierSection<Item = Tensor> + 'static>(
             TierExitRule::Fixed(t) => ExitPolicy::Entropy(t),
             TierExitRule::Terminal => ExitPolicy::Terminal,
         },
-        fan_in: if k == 0 { FanIn::Devices(n) } else { FanIn::Tier(tiers[k - 1].id) },
         inbox: plane.inbox(spec.id)?,
         to_orchestrator: to_orchestrator.clone(),
-        escalation: if k + 1 == tiers.len() {
-            Escalation::Terminal
-        } else {
-            Escalation::ForwardMap(plane.sender(Link::Forward(k, k + 1))?)
+        route: Route::Tier {
+            k,
+            // Every forward link the wiring opened (adjacent and, when
+            // elastic, skip-level), so the tier can route along whatever
+            // escalation path is current.
+            to_tiers: (0..tiers.len()).map(|j| plane.try_sender(Link::Forward(k, j))).collect(),
+            feeder: if k == 0 { Feeder::Devices } else { Feeder::Tier(k - 1, tier_ids[k - 1]) },
+            tier_ids,
+            blanks: blanks.tiers.clone(),
         },
         collector,
         obs: NodeObs::for_node(obs, &spec.name),
-        elastic: elastic.map(|el| TierElastic {
-            control: el.control(obs, &spec.name, spec.id, to_orchestrator),
-            tier_k: Some(k),
-            // Adjacent and skip-level forward links, so the tier can route
-            // along whatever escalation path is current.
-            to_tiers: (0..tiers.len()).map(|j| plane.try_sender(Link::Forward(k, j))).collect(),
-            tier_ids: tiers.iter().map(|t| t.id).collect(),
-            device_blanks: blanks.tiers[0].clone(),
-            tier_out_blanks: el.out_blanks.clone(),
-            cur_feeder: if k == 0 { Feeder::Devices } else { Feeder::Tier(k - 1) },
-        }),
+        control: ctx.control(&spec.name, spec.id, Some(to_orchestrator)),
         batch_max: cfg.stream.as_ref().map_or(1, |s| s.batch_max),
     };
     Ok(Box::new(move || node.run()))

@@ -355,6 +355,7 @@ pub(super) fn connect_local<'a>(
 
 #[cfg(test)]
 mod tests {
+    use super::super::roles::{compute_blanks, Routing};
     use super::*;
     use crate::{
         run_cloud_only_baseline, run_topology, DeadlineConfig, ElasticConfig, HierarchyBuilder,
@@ -434,7 +435,12 @@ mod tests {
         let (no_edge, edge) = (partition(false), partition(true));
         let staged =
             [Topology::from_partition(&no_edge), Topology::from_partition(&edge), chain(&no_edge)];
+        // The legs route alike: the same verdicts, exits and device bytes.
+        let legs = |r: &SimReport| {
+            (r.predictions.clone(), r.exits.clone(), r.device_first_payload_bytes())
+        };
         for topology in &staged {
+            let mut seen = Vec::new();
             for elastic in [false, true] {
                 let w = Wiring::of(topology, elastic);
                 check_table(&w, &topology.placeholder_links);
@@ -445,7 +451,9 @@ mod tests {
                 };
                 let report = run_topology(topology, &views, &labels, &cfg).unwrap();
                 assert_eq!(names(&report), w.report, "elastic={elastic}");
+                seen.push(legs(&report));
             }
+            assert_eq!(seen[0], seen[1]);
         }
         let placeholders = ["edge->cloud".to_string(), "edge->orchestrator".to_string()];
         assert!(Wiring::of(&staged[0], false).report.ends_with(&placeholders));
@@ -456,5 +464,19 @@ mod tests {
         let report = run_cloud_only_baseline(&edge, &views, &labels, &cfg).unwrap();
         assert_eq!(names(&report), w.report);
         assert_eq!(w.report, ["device0->cloud", "device1->cloud", "cloud->orchestrator"]);
+    }
+
+    #[test]
+    fn the_declared_chain_routes_as_the_probed_epoch_zero() {
+        let (no_edge, edge) = (partition(false), partition(true));
+        let staged =
+            [Topology::from_partition(&no_edge), Topology::from_partition(&edge), chain(&no_edge)];
+        for topology in &staged {
+            let blanks = compute_blanks(topology).unwrap();
+            let live = [true, false];
+            let declared = Routing::new(topology, &live, None);
+            let probed = Routing::new(topology, &live, Some(&blanks));
+            assert_eq!(declared.initial, probed.initial, "{:?}", probed.compat);
+        }
     }
 }

@@ -603,7 +603,8 @@ pub(crate) struct RoleExtras {
 pub(crate) fn decode_role_manifest(
     text: &str,
 ) -> Result<(DdnnConfig, HierarchyConfig, RoleExtras)> {
-    let mut map: std::collections::HashMap<&str, &str> = std::collections::HashMap::new();
+    use std::collections::HashMap;
+    let mut map: HashMap<&str, &str> = HashMap::new();
     for line in text.lines() {
         let line = line.trim();
         if line.is_empty() {
@@ -674,23 +675,21 @@ pub(crate) fn decode_role_manifest(
         },
     };
     // Optional keys: written only when the feature they carry is on, so
-    // an absent one falls back to its default instead of erroring.
-    let opt_num = |k: &str, default: u64| -> Result<u64> {
-        match map.get(k) {
-            Some(v) => num(k, v),
-            None => Ok(default),
-        }
-    };
+    // an absent one falls back to zero instead of erroring. Each parses at
+    // its field's type, so an out-of-range value is refused, not wrapped.
+    fn opt_num<T: std::str::FromStr + Default>(map: &HashMap<&str, &str>, k: &str) -> Result<T> {
+        map.get(k).map_or(Ok(T::default()), |v| num(k, v))
+    }
     let opt_f32_bits = |k: &str| map.get(k).map_or(Ok(0.0), |v| f32_from_bits(k, v));
     let socket_chaos = Impairment {
         drop: opt_f32_bits("socket_chaos_drop")?,
         duplicate: opt_f32_bits("socket_chaos_dup")?,
-        delay_ms: opt_num("socket_chaos_delay_ms", 0)? as u32,
+        delay_ms: opt_num(&map, "socket_chaos_delay_ms")?,
         sever: opt_f32_bits("socket_chaos_sever")?,
         ..Impairment::none()
     };
-    let chaos = ChaosPlan::sockets(opt_num("socket_chaos_seed", 0)?, socket_chaos);
-    let extras = RoleExtras { tseq_base: opt_num("tseq_base", 0)? as u32 };
+    let chaos = ChaosPlan::sockets(opt_num(&map, "socket_chaos_seed")?, socket_chaos);
+    let extras = RoleExtras { tseq_base: opt_num(&map, "tseq_base")? };
     let failed_devices = (map.get("failed_devices").copied().unwrap_or("").split(','))
         .filter(|d| !d.is_empty())
         .map(|d| num("failed_devices", d))
@@ -861,6 +860,12 @@ mod tests {
         assert_eq!(c2.failed_devices, cfg.failed_devices);
         assert_eq!(c2.elastic, cfg.elastic);
         assert_eq!(extras.tseq_base, 1048576);
+        // A value past its field's range is refused, not truncated (2^32
+        // would wrap to generation 0's base and to no delay).
+        for key in ["tseq_base", "socket_chaos_delay_ms"] {
+            let err = decode_role_manifest(&format!("{manifest}{key}=4294967296\n")).unwrap_err();
+            assert!(matches!(err, RuntimeError::Protocol { .. }), "{key}: {err}");
+        }
         // A manifest without the optional keys decodes to inactive chaos,
         // lockstep, no failures, a static topology and default extras.
         let plain = encode_role_manifest(&model, &HierarchyConfig::default());

@@ -63,6 +63,10 @@ fn fault_free_counters_are_deterministic_and_consistent() {
     assert_eq!(counter(&a, "node.gateway.aggregates"), 8);
     assert_eq!(counter(&a, "node.cloud.aggregates"), escalations);
     assert_eq!(counter(&a, "node.gateway.deadline_expiries"), 0);
+    // A static run routes by epoch 0 and no ping ever moves it, so no
+    // node registers a stale-epoch cell.
+    let stale = a.counters.iter().find(|(n, _)| n.ends_with(".stale_epoch_discards"));
+    assert!(stale.is_none(), "{stale:?}");
     for d in 0..3 {
         assert_eq!(counter(&a, &format!("node.device{d}.captures")), 8);
         assert_eq!(counter(&a, &format!("node.device{d}.offloads")), escalations);
