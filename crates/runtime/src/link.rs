@@ -116,7 +116,7 @@ impl LatencyModel {
 #[derive(Debug, Clone)]
 pub struct LinkSender {
     tx: Arc<dyn TransportTx>,
-    stats: Arc<LinkCounters>,
+    stats: LinkCounters,
     name: Arc<str>,
     fault: Option<Arc<LinkChaos>>,
     /// Treat a hung-up receiver as a frame lost in flight rather than an
@@ -144,7 +144,7 @@ impl LinkSender {
     fn plain(tx: Arc<dyn TransportTx>, name: &str, mode: ReliabilityMode) -> Self {
         LinkSender {
             tx,
-            stats: Arc::new(LinkCounters::default()),
+            stats: LinkCounters::default(),
             name: Arc::from(name),
             fault: None,
             lenient: false,
@@ -308,9 +308,9 @@ impl LinkReceiver {
 }
 
 /// A node's receive front end: decodes the run's wire format, discards
-/// corrupt frames (counting them), acks/dedups ARQ traffic per source —
-/// all invisibly to the node loop, which only ever sees intact, fresh
-/// application frames.
+/// corrupt frames (counting them into `node.{inbox}.corrupt_discards`),
+/// acks/dedups ARQ traffic per source — all invisibly to the node loop,
+/// which only ever sees intact, fresh application frames.
 #[derive(Debug)]
 pub(crate) struct NodeInbox {
     rx: LinkReceiver,
@@ -318,16 +318,14 @@ pub(crate) struct NodeInbox {
     mode: ReliabilityMode,
     /// ARQ receiver state per sending node (keyed by encoded [`NodeId`]).
     sources: HashMap<u16, ArqRecvState>,
-    /// Corrupt frames discarded at this inbox.
-    corrupt_discards: usize,
-    /// Run observability handle (timeline events on discard).
+    /// Run observability handle (discard counter and timeline events).
     obs: Arc<RunObs>,
 }
 
 impl NodeInbox {
     /// An inbox on `mode`'s wire format with no ARQ sources yet.
     pub(crate) fn with_mode(rx: LinkReceiver, mode: ReliabilityMode, obs: Arc<RunObs>) -> Self {
-        NodeInbox { rx, mode, sources: HashMap::new(), corrupt_discards: 0, obs }
+        NodeInbox { rx, mode, sources: HashMap::new(), obs }
     }
 
     /// Registers the ARQ receiver state of the inbound link from `from`.
@@ -381,11 +379,6 @@ impl NodeInbox {
         }
     }
 
-    /// Corrupt frames discarded so far.
-    pub(crate) fn corrupt_discards(&self) -> usize {
-        self.corrupt_discards
-    }
-
     /// Decodes one datagram: `None` means it was consumed by the
     /// reliability layer (corrupt, or an ARQ duplicate) and the node loop
     /// never sees it. ARQ frames are acked here whether fresh or not.
@@ -413,19 +406,21 @@ impl NodeInbox {
         }
     }
 
-    /// Books one corrupt-frame discard (counter + timeline event).
-    fn discard_corrupt(&mut self) {
-        self.corrupt_discards += 1;
-        self.obs.emit(|| ObsEvent::FrameCorrupt { node: self.rx.name.to_string() });
+    /// Books one corrupt-frame discard (counter + timeline event). The
+    /// cell is created by the first discard, so a clean run has none.
+    fn discard_corrupt(&self) {
+        let node = &self.rx.name;
+        self.obs.registry().counter(&format!("node.{node}.corrupt_discards")).incr();
+        self.obs.emit(|| ObsEvent::FrameCorrupt { node: node.to_string() });
     }
 }
 
 /// Creates an instrumented link named `name`, returning sender, receiver
-/// and the shared counter block (snapshot it for a [`LinkStats`] view).
-pub fn link(name: &str) -> (LinkSender, LinkReceiver, Arc<LinkCounters>) {
+/// and the shared counter cells (snapshot them for a [`LinkStats`] view).
+pub fn link(name: &str) -> (LinkSender, LinkReceiver, LinkCounters) {
     let (tx, rx) = unbounded();
     let sender = LinkSender::plain(channel_tx(tx), name, ReliabilityMode::Legacy);
-    let (stats, name) = (Arc::clone(&sender.stats), Arc::clone(&sender.name));
+    let (stats, name) = (sender.stats.clone(), Arc::clone(&sender.name));
     (sender, LinkReceiver { rx, name }, stats)
 }
 
@@ -508,11 +503,9 @@ impl<'a> LinkFactory<'a> {
         self.transport.bind(&format!("ack:{link}"))
     }
 
-    /// Fresh counter cells for the link `name`, registered with the run.
-    pub(crate) fn cells(&self, name: &str) -> Arc<LinkCounters> {
-        let stats = Arc::new(LinkCounters::default());
-        self.obs.registry().register_link(name, Arc::clone(&stats));
-        stats
+    /// The run's counter cells of the link `name`.
+    pub(crate) fn cells(&self, name: &str) -> LinkCounters {
+        LinkCounters::registered(self.obs.registry(), name)
     }
 
     /// Creates an instrumented sender into the inbox at `to`, named
@@ -536,7 +529,7 @@ impl<'a> LinkFactory<'a> {
         to: &InboxBinding,
         name: &str,
         crash: Option<Arc<CrashState>>,
-        stats: Arc<LinkCounters>,
+        stats: LinkCounters,
         ack_rx: Option<Receiver<bytes::Bytes>>,
     ) -> Result<LinkSender> {
         let fault = self.plan.link_chaos(name, crash.clone());
@@ -547,7 +540,7 @@ impl<'a> LinkFactory<'a> {
                 ArqSendState::new(
                     Arc::clone(&data_tx),
                     ack_rx,
-                    Arc::clone(&stats),
+                    stats.clone(),
                     retx_fault,
                     self.arq_max_age,
                     Arc::clone(&self.obs),
@@ -571,7 +564,7 @@ impl<'a> LinkFactory<'a> {
         &mut self,
         ack: &InboxBinding,
         name: &str,
-        stats: Arc<LinkCounters>,
+        stats: LinkCounters,
     ) -> Result<ArqRecvState> {
         let ack_name = format!("ack:{name}");
         let ack_fault = self.plan.link_chaos(&ack_name, None);

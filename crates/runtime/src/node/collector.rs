@@ -7,7 +7,9 @@
 use crate::clock::SimClock;
 use crate::error::{Result, RuntimeError};
 use crate::node::report::NodeReport;
+use crate::obs::RunObs;
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Dynamic graceful degradation of a [`Collector`]: wait for every source
@@ -58,7 +60,8 @@ pub(crate) enum Ingest<T> {
 
 /// Gathers one contribution per source for each sample, substituting the
 /// source's blank signature when its contribution misses the deadline or
-/// the source is an a priori failed device. Completed samples are
+/// the source is an a priori failed device. A missed device is charged to
+/// its `node.device{d}.timeouts` cell. Completed samples are
 /// guarded by a watermark so late duplicates can never re-open a pending
 /// entry (the pending-map leak), and stale partials are garbage-collected.
 pub(crate) struct Collector<T> {
@@ -76,15 +79,12 @@ pub(crate) struct Collector<T> {
     pending: HashMap<u64, PendingSample<T>>,
     /// Consecutive deadline misses per source.
     misses: Vec<u32>,
-    /// Total deadline substitutions per source.
-    timeouts: Vec<usize>,
     /// Samples finalized with at least one substitution.
     degraded: Vec<u64>,
     /// Highest completed sample.
     watermark: Option<u64>,
-    /// Per-device substitution counts carried over from before a
-    /// [`Collector::reconfigure`] changed the source geometry.
-    timeout_stash: Vec<(usize, usize)>,
+    /// Where deadline substitutions are charged.
+    obs: Arc<RunObs>,
 }
 
 impl<T: Clone> Collector<T> {
@@ -94,6 +94,7 @@ impl<T: Clone> Collector<T> {
         deadline: Option<AggDeadline>,
         device_of_source: Vec<Option<usize>>,
         live_devices: Vec<bool>,
+        obs: Arc<RunObs>,
     ) -> Self {
         Collector {
             num_sources,
@@ -103,10 +104,9 @@ impl<T: Clone> Collector<T> {
             live_devices,
             pending: HashMap::new(),
             misses: vec![0; num_sources],
-            timeouts: vec![0; num_sources],
             degraded: Vec::new(),
             watermark: None,
-            timeout_stash: Vec::new(),
+            obs,
         }
     }
 
@@ -144,8 +144,7 @@ impl<T: Clone> Collector<T> {
     /// tier switches between device fan-in and single-tier fan-in at an
     /// epoch boundary. Pending partials are dropped (the epoch floor
     /// guards them anyway), per-source state is rebuilt for the new
-    /// geometry, and accumulated per-device substitution counts are
-    /// stashed so the end-of-run report spans every geometry the node ran.
+    /// geometry; charges already made stay in their counter cells.
     pub(crate) fn reconfigure(
         &mut self,
         num_sources: usize,
@@ -154,20 +153,11 @@ impl<T: Clone> Collector<T> {
     ) {
         debug_assert_eq!(blanks.len(), num_sources);
         debug_assert_eq!(device_of_source.len(), num_sources);
-        let charged: Vec<(usize, usize)> = self
-            .device_of_source
-            .iter()
-            .zip(&self.timeouts)
-            .filter_map(|(d, &c)| d.map(|d| (d, c)))
-            .filter(|&(_, c)| c > 0)
-            .collect();
-        self.timeout_stash.extend(charged);
         self.num_sources = num_sources;
         self.blanks = blanks;
         self.device_of_source = device_of_source;
         self.pending.clear();
         self.misses = vec![0; num_sources];
-        self.timeouts = vec![0; num_sources];
     }
 
     /// Records one source's contribution for `seq`.
@@ -235,7 +225,8 @@ impl<T: Clone> Collector<T> {
     /// advances the watermark and garbage-collects stale partials. The third
     /// element of the result counts substituted slots (a priori failed
     /// devices and deadline misses alike) so aggregation events can report
-    /// every blank; only the misses are charged as timeouts and degradation.
+    /// every blank; only the misses are charged as timeouts (to the missed
+    /// device, if the source is one) and degradation.
     fn finalize(&mut self, seq: u64) -> Result<(u64, Vec<T>, usize)> {
         let entry = self.pending.remove(&seq).ok_or(RuntimeError::Collector { seq })?;
         let mut items = Vec::with_capacity(self.num_sources);
@@ -248,7 +239,10 @@ impl<T: Clone> Collector<T> {
                     items.push(self.blanks[s].clone());
                     substituted += 1;
                     if !self.failed(s) {
-                        self.timeouts[s] += 1;
+                        if let Some(d) = self.device_of_source[s] {
+                            let cell = format!("node.device{d}.timeouts");
+                            self.obs.registry().counter(&cell).incr();
+                        }
                         self.misses[s] = self.misses[s].saturating_add(1);
                         missing_any = true;
                     }
@@ -267,25 +261,7 @@ impl<T: Clone> Collector<T> {
     }
 
     pub(crate) fn into_report(self) -> NodeReport {
-        let mut device_timeouts: Vec<(usize, usize)> = self.timeout_stash;
-        device_timeouts.extend(
-            self.device_of_source
-                .iter()
-                .zip(&self.timeouts)
-                .filter_map(|(d, &c)| d.map(|d| (d, c)))
-                .filter(|&(_, c)| c > 0),
-        );
-        // Merge charges for the same device across geometry generations.
-        device_timeouts.sort_unstable();
-        device_timeouts.dedup_by(|next, acc| {
-            if next.0 == acc.0 {
-                acc.1 += next.1;
-                true
-            } else {
-                false
-            }
-        });
-        NodeReport { device_timeouts, degraded: self.degraded, corrupt_discards: 0 }
+        NodeReport { degraded: self.degraded }
     }
 }
 
@@ -312,7 +288,18 @@ mod tests {
             deadline,
             (0..k).map(Some).collect(),
             (0..k).map(|d| !failed.contains(&d)).collect(),
+            RunObs::disabled(),
         )
+    }
+
+    /// The `(cell, charges)` a collector booked: its registry holds only
+    /// timeout cells.
+    fn charges(c: &Collector<u32>) -> Vec<(String, u64)> {
+        c.obs.registry().snapshot()
+    }
+
+    fn charged(d: usize, n: u64) -> Vec<(String, u64)> {
+        vec![(format!("node.device{d}.timeouts"), n)]
     }
 
     fn static_collector(k: usize) -> Collector<u32> {
@@ -379,9 +366,8 @@ mod tests {
         assert!(matches!(collector.insert(7, order[0], 0).unwrap(), Ingest::Replay { seq: 7 }));
         assert!(matches!(collector.insert(3, 0, 0).unwrap(), Ingest::Stale));
         // No degradation was recorded: every slot was genuinely filled.
-        let report = collector.into_report();
-        assert!(report.device_timeouts.is_empty());
-        assert!(report.degraded.is_empty());
+        assert!(charges(&collector).is_empty());
+        assert!(collector.into_report().degraded.is_empty());
     }
 
     proptest! {
@@ -421,9 +407,8 @@ mod tests {
             }
             // Static substitution is the paper's intended §IV-G behavior,
             // not dynamic degradation: nothing is reported.
-            let report = c.into_report();
-            assert!(report.device_timeouts.is_empty());
-            assert!(report.degraded.is_empty());
+            assert!(charges(&c).is_empty());
+            assert!(c.into_report().degraded.is_empty());
         }
     }
 
@@ -452,16 +437,16 @@ mod tests {
         c.mark_suspect(0);
         c.clear_suspect(0);
         assert!(matches!(c.insert(2, 1, 8).unwrap(), Ingest::Pending));
-        let report = c.into_report();
-        assert_eq!(report.device_timeouts, vec![(1, 1)]);
-        assert_eq!(report.degraded, vec![0]);
+        assert_eq!(charges(&c), charged(1, 1));
+        assert_eq!(c.into_report().degraded, vec![0]);
     }
 
     #[test]
     fn suspect_tier_source_charges_no_device() {
         // Single-tier fan-in: the source maps to no device, so crash
         // substitutions must not leak into the per-device timeout report.
-        let mut c = Collector::new(1, vec![500u32], far_deadline(), vec![None], vec![true; 3]);
+        let obs = RunObs::disabled();
+        let mut c = Collector::new(1, vec![500u32], far_deadline(), vec![None], vec![true; 3], obs);
         c.mark_suspect(0);
         // With every source suspect, nothing can arrive to trigger the
         // done-check; the deadline path finalizes instead. Simulate it.
@@ -469,9 +454,8 @@ mod tests {
         let (seq, items, substituted) = c.expire(Instant::now()).unwrap().unwrap();
         assert_eq!((seq, substituted), (0, 1));
         assert_eq!(items, vec![500]);
-        let report = c.into_report();
-        assert!(report.device_timeouts.is_empty(), "tier sources charge no device");
-        assert_eq!(report.degraded, vec![0]);
+        assert!(charges(&c).is_empty(), "tier sources charge no device");
+        assert_eq!(c.into_report().degraded, vec![0]);
     }
 
     #[test]
@@ -512,8 +496,7 @@ mod tests {
         c.reconfigure(2, vec![1000, 1001], vec![Some(0), Some(1)]);
         c.mark_suspect(1);
         assert!(matches!(c.insert(2, 0, 7).unwrap(), Ingest::Complete { .. }));
-        let report = c.into_report();
-        assert_eq!(report.device_timeouts, vec![(1, 2)], "charges merged across geometries");
+        assert_eq!(charges(&c), charged(1, 2), "charges add up across geometries");
     }
 
     #[test]

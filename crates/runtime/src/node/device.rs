@@ -78,10 +78,7 @@ pub(crate) fn device_node(
         // Shutdown always lands, even on a device scheduled down — the
         // run is over and the thread must exit.
         if matches!(frame.payload, Payload::Shutdown) {
-            return Ok(NodeReport {
-                corrupt_discards: inbox.corrupt_discards(),
-                ..NodeReport::default()
-            });
+            return Ok(NodeReport::default());
         }
         if matches!(frame.payload, Payload::Ping { .. }) {
             if control.on_ping(&frame)?.revived {

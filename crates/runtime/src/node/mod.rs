@@ -4,8 +4,8 @@
 //! aggregating nodes (gateway, edge, cloud). This tree replaces them with
 //! one tier-generic implementation:
 //!
-//! * [`report`] — run reports ([`report::SimReport`]) and per-node
-//!   degradation telemetry;
+//! * [`report`] — run reports ([`report::SimReport`]), read off the run's
+//!   counter registry, and the samples each node degraded;
 //! * [`collector`] — the shared fan-in state machine: deadlines, suspect
 //!   marking, watermark GC and blank substitution, identical at every
 //!   tier;

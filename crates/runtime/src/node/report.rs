@@ -1,13 +1,12 @@
 //! Run reports: per-sample results, link traffic and degradation
 //! telemetry, plus the shared assembly path that turns one run's tallies
-//! into a [`SimReport`].
+//! and its counter registry into a [`SimReport`].
 
 use crate::error::{Result, RuntimeError};
 use crate::link::LinkStats;
 use crate::obs::{self, LinkCounters, RunObs};
 use ddnn_core::ExitPoint;
 use std::collections::HashSet;
-use std::sync::Arc;
 
 /// Terminal status of one sample in a distributed run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,7 +37,8 @@ pub struct SimReport {
     pub accuracy: f32,
     /// Fraction of samples exited locally.
     pub local_exit_fraction: f32,
-    /// Named per-link traffic counters.
+    /// Named per-link traffic counters, read off the `link.*` cells of
+    /// [`SimReport::counters`].
     pub links: Vec<(String, LinkStats)>,
     /// Mean simulated end-to-end latency per sample (ms).
     pub mean_latency_ms: f32,
@@ -58,9 +58,10 @@ pub struct SimReport {
     pub degraded_fraction: f32,
     /// Deadline substitutions charged to each device, summed across the
     /// aggregation tiers that waited for it (never a statically failed
-    /// device: it is not waited for).
+    /// device: it is not waited for) — the `node.device{d}.timeouts` cells.
     pub device_timeouts: Vec<usize>,
-    /// Capture retransmissions issued by the orchestrator watchdog.
+    /// Capture retransmissions issued by the orchestrator watchdog — the
+    /// `run.capture_retries` cell.
     pub capture_retries: usize,
     /// The samples behind [`SimReport::degraded_fraction`], sorted: every
     /// sample finalized with a deadline-driven blank substitution at some
@@ -68,11 +69,14 @@ pub struct SimReport {
     /// samples of a faulty run against a fault-free reference.
     pub degraded_samples: Vec<u64>,
     /// Checked-format frames discarded at the node inboxes because their
-    /// CRC did not match (bit flips, truncation), summed across nodes.
+    /// CRC did not match (bit flips, truncation), summed across nodes —
+    /// the `node.{inbox}.corrupt_discards` cells.
     pub corrupt_frames_discarded: usize,
     /// End-of-run snapshot of the observability registry: every named
-    /// counter (run, per-node and flattened per-link cells), sorted by
-    /// name. The [`SimReport::links`] view is derived from the same cells.
+    /// counter (run, per-node, per-link and transport cells), sorted by
+    /// name. A multi-process run's holds what every surviving role process
+    /// counted. The link, timeout, discard and retry fields above are read
+    /// off it.
     pub counters: Vec<(String, u64)>,
     /// Per-sample end-to-end latencies (ms) — the raw series the mean
     /// fields summarize, for percentile analysis under churn and load.
@@ -88,11 +92,6 @@ pub struct SimReport {
 /// What the elastic control plane observed over one run: how often the
 /// topology was republished and how membership moved — read back from the
 /// run's counters, where every transition is booked once.
-///
-/// The orchestrator books epochs, joins, leaves and reparents itself, so
-/// every runner reports them. `stale_epoch_discards` is counted by the
-/// nodes: a multi-process run counts it inside the role processes, whose
-/// counters do not reach the launcher yet, so there it reads 0.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ElasticSummary {
     /// Reconfigurations published (epoch bumps) after the initial table.
@@ -204,16 +203,12 @@ impl SimReport {
     }
 }
 
-/// What a node thread observed about dynamic degradation, merged into the
-/// [`SimReport`] after shutdown.
+/// What a node thread hands back at shutdown besides its counters: the
+/// samples it degraded, merged into the [`SimReport`].
 #[derive(Debug, Clone, Default)]
 pub(crate) struct NodeReport {
-    /// `(device, substitutions)` pairs this node recorded.
-    pub(crate) device_timeouts: Vec<(usize, usize)>,
-    /// Samples this node finalized with at least one substitution.
+    /// Samples this node finalized with at least one deadline substitution.
     pub(crate) degraded: Vec<u64>,
-    /// Corrupt frames this node's inbox discarded.
-    pub(crate) corrupt_discards: usize,
 }
 
 /// What the orchestrator tallied while driving one run's samples.
@@ -222,35 +217,36 @@ pub(crate) struct RunTallies {
     pub(crate) exits: Vec<ExitPoint>,
     pub(crate) latencies: Vec<f64>,
     pub(crate) outcomes: Vec<SampleOutcome>,
-    pub(crate) capture_retries: usize,
 }
 
-/// Merges the orchestrator's tallies with the link counters and the node
-/// threads' degradation telemetry into the final [`SimReport`]. Shared by
-/// the topology runner and the cloud-only baseline so both report through
-/// the identical arithmetic.
+/// Merges the orchestrator's tallies, the nodes' degraded samples and the
+/// run's counter registry into the final [`SimReport`]. Every runner
+/// reports through it, so all share the identical arithmetic. `links`
+/// names the report's link rows; a row nobody sent on reads zero.
 pub(crate) fn assemble_report(
     tallies: RunTallies,
     labels: &[usize],
-    link_stats: Vec<(String, Arc<LinkCounters>)>,
+    links: &[String],
     node_reports: Vec<NodeReport>,
     num_devices: usize,
     obs: &RunObs,
 ) -> SimReport {
-    let RunTallies { predictions, exits, latencies, outcomes, capture_retries } = tallies;
+    let RunTallies { predictions, exits, latencies, outcomes } = tallies;
     let n_samples = predictions.len();
 
-    // Merge what the aggregation tiers observed about degradation.
-    let mut device_timeouts = vec![0usize; num_devices];
-    let mut degraded: HashSet<u64> = HashSet::new();
-    let mut corrupt_frames_discarded = 0usize;
-    for report in node_reports {
-        for (d, c) in report.device_timeouts {
-            device_timeouts[d] += c;
-        }
-        degraded.extend(report.degraded);
-        corrupt_frames_discarded += report.corrupt_discards;
-    }
+    // Every report row has its cells, so the snapshot lists each link.
+    let registry = obs.registry();
+    let links = (links.iter())
+        .map(|name| (name.clone(), LinkCounters::registered(registry, name).snapshot()))
+        .collect();
+    let counters = registry.snapshot();
+    let value = |name: &str| {
+        let at = counters.binary_search_by(|(n, _)| n.as_str().cmp(name));
+        at.map_or(0, |i| counters[i].1 as usize)
+    };
+    let discards = counters.iter().filter(|(n, _)| n.ends_with(".corrupt_discards"));
+
+    let mut degraded: HashSet<u64> = node_reports.into_iter().flat_map(|r| r.degraded).collect();
     for (i, outcome) in outcomes.iter().enumerate() {
         if matches!(outcome, SampleOutcome::TimedOut { .. }) {
             degraded.insert(i as u64);
@@ -290,8 +286,7 @@ pub(crate) fn assemble_report(
         } else {
             local_exits as f32 / n_samples as f32
         },
-        links: link_stats.into_iter().map(|(name, s)| (name, s.snapshot())).collect(),
-        counters: obs.registry().snapshot(),
+        links,
         mean_latency_ms: mean(&latencies),
         mean_local_latency_ms: mean(&local_lat),
         mean_offload_latency_ms: mean(&offload_lat),
@@ -310,9 +305,12 @@ pub(crate) fn assemble_report(
             v.sort_unstable();
             v
         },
-        corrupt_frames_discarded,
-        device_timeouts,
-        capture_retries,
+        corrupt_frames_discarded: discards.map(|(_, v)| *v as usize).sum(),
+        device_timeouts: (0..num_devices)
+            .map(|d| value(&format!("node.device{d}.timeouts")))
+            .collect(),
+        capture_retries: value("run.capture_retries"),
+        counters,
     }
 }
 

@@ -266,7 +266,7 @@ pub(crate) struct TierNode<S: TierSection> {
 type Completed<S> = (u64, Vec<<S as TierSection>::Item>, usize);
 
 impl<S: TierSection> TierNode<S> {
-    /// Runs the node until shutdown, returning its degradation telemetry.
+    /// Runs the node until shutdown, returning the samples it degraded.
     pub(crate) fn run(mut self) -> Result<NodeReport> {
         let mut last_decision: Option<(u64, Decision)> = None;
         // Registered only with a batch budget, so a node that never
@@ -353,9 +353,7 @@ impl<S: TierSection> TierNode<S> {
                 last_decision = Some((seq, decision));
             }
         }
-        let mut report = self.collector.into_report();
-        report.corrupt_discards = self.inbox.corrupt_discards();
-        Ok(report)
+        Ok(self.collector.into_report())
     }
 
     /// Takes one frame off the inbox: applies and answers a ping, refuses

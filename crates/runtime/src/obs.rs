@@ -3,17 +3,18 @@
 //!
 //! The subsystem has two independent halves:
 //!
-//! * **Counters** — every hot-path tally lives in an atomic
-//!   [`Counter`] cell. Link traffic cells are grouped in a
-//!   [`LinkCounters`] block whose [`snapshot`](LinkCounters::snapshot)
-//!   is the familiar [`LinkStats`] value, so the existing report fields
-//!   are *views* over the registry rather than a second bookkeeping
-//!   path. The run-wide [`ObsRegistry`] flattens every registered cell
-//!   into one sorted `(name, value)` snapshot (and its JSON rendering).
-//!   The dataplane books its own `transport.{channel,tcp,udp}.*` cells
-//!   (frames/bytes sent and received at the wire crossing), which on a
-//!   clean run reconcile exactly with the per-link views — see
-//!   [`transport`](crate::transport).
+//! * **Counters** — every tally of a run is one named atomic [`Counter`]
+//!   in the run's [`ObsRegistry`], created on first use and incremented
+//!   lock-free through the [`Arc`] its user holds. A link's traffic is
+//!   nine such cells, `link.{link}.{field}`, bundled as [`LinkCounters`]
+//!   whose [`snapshot`](LinkCounters::snapshot) is the [`LinkStats`] view
+//!   the report lists; per-node tallies are `node.{node}.*`, run-wide ones
+//!   `run.*`, and the dataplane books `transport.{channel,tcp,udp}.*`
+//!   (frames/bytes at the wire crossing, which on a clean run reconcile
+//!   exactly with the per-link cells — see [`transport`](crate::transport)).
+//!   [`ObsRegistry::snapshot`] is the one sorted `(name, value)` list
+//!   every report field is read from, and what a role process of a
+//!   multi-process run ships to its launcher.
 //! * **Events** — structured timeline records ([`ObsEvent`]) emitted
 //!   through an [`ObsSink`]. With no sink installed (the default),
 //!   [`RunObs::emit`] is a single untaken branch: the event value is
@@ -24,6 +25,7 @@
 
 use crate::link::LinkStats;
 use parking_lot::Mutex;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -57,48 +59,50 @@ impl Counter {
     }
 }
 
-/// The atomic traffic cells of one directed link — the lock-free storage
-/// behind the [`LinkStats`] snapshot view. Senders and the ARQ machinery
-/// increment these cells directly (no mutex on the send path); reports
-/// read them once via [`snapshot`](LinkCounters::snapshot) after the
-/// run's threads have joined.
-#[derive(Debug, Default)]
+/// The traffic cells of one directed link: nine registry counters named
+/// `link.{link}.{field}` after the [`LinkStats`] fields. Senders and the
+/// ARQ machinery increment them directly (no mutex on the send path);
+/// reports read them once via [`snapshot`](LinkCounters::snapshot) after
+/// the run's threads have joined. `Default` gives free-standing cells,
+/// for the unregistered [`link`](crate::link::link) helper.
+#[derive(Debug, Default, Clone)]
 pub struct LinkCounters {
     /// See [`LinkStats::frames`].
-    pub frames: Counter,
+    pub frames: Arc<Counter>,
     /// See [`LinkStats::payload_bytes`].
-    pub payload_bytes: Counter,
+    pub payload_bytes: Arc<Counter>,
     /// See [`LinkStats::retx_payload_bytes`].
-    pub retx_payload_bytes: Counter,
+    pub retx_payload_bytes: Arc<Counter>,
     /// See [`LinkStats::header_bytes`].
-    pub header_bytes: Counter,
+    pub header_bytes: Arc<Counter>,
     /// See [`LinkStats::frames_dropped`].
-    pub frames_dropped: Counter,
+    pub frames_dropped: Arc<Counter>,
     /// See [`LinkStats::frames_duplicated`].
-    pub frames_duplicated: Counter,
+    pub frames_duplicated: Arc<Counter>,
     /// See [`LinkStats::frames_retransmitted`].
-    pub frames_retransmitted: Counter,
+    pub frames_retransmitted: Arc<Counter>,
     /// See [`LinkStats::ack_bytes`].
-    pub ack_bytes: Counter,
+    pub ack_bytes: Arc<Counter>,
     /// See [`LinkStats::frames_corrupted`].
-    pub frames_corrupted: Counter,
+    pub frames_corrupted: Arc<Counter>,
 }
 
 impl LinkCounters {
-    /// Every cell, in [`LinkStats`] field order — the order the
-    /// multi-process `LINK` telemetry line carries them in.
-    pub(crate) fn cells(&self) -> [&Counter; 9] {
-        [
-            &self.frames,
-            &self.payload_bytes,
-            &self.retx_payload_bytes,
-            &self.header_bytes,
-            &self.frames_dropped,
-            &self.frames_duplicated,
-            &self.frames_retransmitted,
-            &self.ack_bytes,
-            &self.frames_corrupted,
-        ]
+    /// The cells of the link `link` in `registry`, created on first use:
+    /// every caller naming the same link shares them.
+    pub fn registered(registry: &ObsRegistry, link: &str) -> Self {
+        let cell = |field: &str| registry.counter(&format!("link.{link}.{field}"));
+        LinkCounters {
+            frames: cell("frames"),
+            payload_bytes: cell("payload_bytes"),
+            retx_payload_bytes: cell("retx_payload_bytes"),
+            header_bytes: cell("header_bytes"),
+            frames_dropped: cell("frames_dropped"),
+            frames_duplicated: cell("frames_duplicated"),
+            frames_retransmitted: cell("frames_retransmitted"),
+            ack_bytes: cell("ack_bytes"),
+            frames_corrupted: cell("frames_corrupted"),
+        }
     }
 
     /// An immutable [`LinkStats`] view of the current cell values.
@@ -117,14 +121,12 @@ impl LinkCounters {
     }
 }
 
-/// The run-wide metric registry. Registering a cell takes a short mutex
-/// (setup/teardown only); incrementing a registered cell is lock-free.
-/// Scalar cells are registered by name; link blocks appear in snapshots
-/// flattened as `link.{link_name}.{field}`.
+/// The run-wide metric registry: every counter of a run, by name.
+/// Looking a cell up takes a short mutex (setup, teardown and rare
+/// events only); incrementing a cell already held is lock-free.
 #[derive(Debug, Default)]
 pub struct ObsRegistry {
-    cells: Mutex<Vec<(String, Arc<Counter>)>>,
-    links: Mutex<Vec<(String, Arc<LinkCounters>)>>,
+    cells: Mutex<BTreeMap<String, Arc<Counter>>>,
 }
 
 impl ObsRegistry {
@@ -132,43 +134,12 @@ impl ObsRegistry {
     /// hold the returned [`Arc`] and increment it directly — the registry
     /// is only consulted again at snapshot time.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut cells = self.cells.lock();
-        if let Some((_, c)) = cells.iter().find(|(n, _)| n == name) {
-            return Arc::clone(c);
-        }
-        let c = Arc::new(Counter::default());
-        cells.push((name.to_string(), Arc::clone(&c)));
-        c
-    }
-
-    /// Registers one link's counter block; its cells appear in snapshots
-    /// as `link.{name}.{field}`.
-    pub fn register_link(&self, name: &str, counters: Arc<LinkCounters>) {
-        self.links.lock().push((name.to_string(), counters));
+        Arc::clone(self.cells.lock().entry(name.to_string()).or_default())
     }
 
     /// A name-sorted `(name, value)` snapshot of every registered cell.
     pub fn snapshot(&self) -> Vec<(String, u64)> {
-        let mut out: Vec<(String, u64)> =
-            self.cells.lock().iter().map(|(n, c)| (n.clone(), c.get())).collect();
-        for (name, counters) in self.links.lock().iter() {
-            let s = counters.snapshot();
-            for (field, v) in [
-                ("frames", s.frames),
-                ("payload_bytes", s.payload_bytes),
-                ("retx_payload_bytes", s.retx_payload_bytes),
-                ("header_bytes", s.header_bytes),
-                ("frames_dropped", s.frames_dropped),
-                ("frames_duplicated", s.frames_duplicated),
-                ("frames_retransmitted", s.frames_retransmitted),
-                ("ack_bytes", s.ack_bytes),
-                ("frames_corrupted", s.frames_corrupted),
-            ] {
-                out.push((format!("link.{name}.{field}"), v as u64));
-            }
-        }
-        out.sort();
-        out
+        self.cells.lock().iter().map(|(n, c)| (n.clone(), c.get())).collect()
     }
 
     /// The snapshot rendered as one JSON object with sorted keys.
@@ -635,20 +606,20 @@ mod tests {
     }
 
     #[test]
-    fn registry_flattens_links_under_prefixed_names() {
+    fn link_cells_are_registry_counters_under_prefixed_names() {
         let reg = ObsRegistry::default();
-        let lc = Arc::new(LinkCounters::default());
+        let lc = LinkCounters::registered(&reg, "device0->gateway");
         lc.ack_bytes.add(9);
-        reg.register_link("device0->gateway", lc);
+        LinkCounters::registered(&reg, "device0->gateway").ack_bytes.add(1);
         let snap = reg.snapshot();
+        assert_eq!(snap.len(), 9, "one link is nine cells");
         let (name, v) = snap
             .iter()
             .find(|(n, _)| n.ends_with(".ack_bytes"))
             .expect("ack_bytes cell must be present");
         assert_eq!(name, "link.device0->gateway.ack_bytes");
-        assert_eq!(*v, 9);
-        assert_eq!(snap.len(), 9, "one link block flattens to nine cells");
-        assert!(reg.snapshot_json().contains("\"link.device0->gateway.ack_bytes\": 9"));
+        assert_eq!(*v, 10, "the same link name resolves to the same cells");
+        assert!(reg.snapshot_json().contains("\"link.device0->gateway.ack_bytes\": 10"));
     }
 
     #[test]

@@ -235,7 +235,7 @@ pub(crate) struct ArqSendState {
     /// state can be shared with the pump thread; only the pump drains it).
     ack_rx: Mutex<Receiver<Bytes>>,
     /// The data link's counter cells: retransmissions are priced here.
-    stats: Arc<LinkCounters>,
+    stats: LinkCounters,
     /// Chaos stream of the retransmit path (`retx:<link>`), sharing the
     /// sending node's crash state: a dead node cannot retransmit.
     fault: Option<Arc<LinkChaos>>,
@@ -251,7 +251,7 @@ impl ArqSendState {
     pub(crate) fn new(
         data_tx: Arc<dyn TransportTx>,
         ack_rx: Receiver<Bytes>,
-        stats: Arc<LinkCounters>,
+        stats: LinkCounters,
         fault: Option<Arc<LinkChaos>>,
         max_age: Duration,
         obs: Arc<RunObs>,
@@ -419,7 +419,7 @@ pub(crate) struct ArqRecvState {
     /// multi-process run this crosses back to the sending process.
     ack_tx: Arc<dyn TransportTx>,
     /// The data link's counter cells: delivered ack bytes are priced here.
-    stats: Arc<LinkCounters>,
+    stats: LinkCounters,
     /// Chaos stream of the ack path (`ack:<link>`) — acks cross the same
     /// lossy wire. No crash state: the *receiver* sends acks.
     fault: Option<Arc<LinkChaos>>,
@@ -432,7 +432,7 @@ pub(crate) struct ArqRecvState {
 impl ArqRecvState {
     pub(crate) fn new(
         ack_tx: Arc<dyn TransportTx>,
-        stats: Arc<LinkCounters>,
+        stats: LinkCounters,
         fault: Option<Arc<LinkChaos>>,
         obs: Arc<RunObs>,
         link: Arc<str>,
@@ -509,8 +509,8 @@ mod tests {
         Frame::new(seq, NodeId::Device(0), Payload::Scores { scores: vec![1.0, 2.0] })
     }
 
-    fn stats() -> Arc<LinkCounters> {
-        Arc::new(LinkCounters::default())
+    fn stats() -> LinkCounters {
+        LinkCounters::default()
     }
 
     /// Drains every queued datagram (the vendored channel has no
@@ -542,7 +542,7 @@ mod tests {
         let st = stats();
         let mut recv = ArqRecvState::new(
             channel_tx(ack_tx),
-            Arc::clone(&st),
+            st.clone(),
             None,
             RunObs::disabled(),
             Arc::from("test-link"),
@@ -592,12 +592,12 @@ mod tests {
     fn send_state(
         data_tx: crossbeam::channel::Sender<Bytes>,
         ack_rx: Receiver<Bytes>,
-        stats: &Arc<LinkCounters>,
+        stats: &LinkCounters,
     ) -> ArqSendState {
         ArqSendState::new(
             channel_tx(data_tx),
             ack_rx,
-            Arc::clone(stats),
+            stats.clone(),
             None,
             arq_max_age(None),
             RunObs::disabled(),

@@ -27,14 +27,11 @@
 //! [`run_cloud_only_baseline`] a one-tier wiring, and [`multiproc`] one
 //! role per OS process.
 
-mod baseline;
 pub mod multiproc;
 mod orchestrate;
 mod pump;
 mod roles;
 mod wiring;
-
-pub use baseline::run_cloud_only_baseline;
 
 use crate::error::Result;
 use crate::node::report::SimReport;
@@ -65,8 +62,32 @@ pub fn run_distributed_inference(
     run_topology(&Topology::from_partition(partition), device_views, labels, cfg)
 }
 
+/// Runs the §IV-H cloud-offload baseline: every device sends its raw
+/// (byte-quantized) view to the cloud for every sample; the cloud runs the
+/// entire network and classifies. The raw-image traffic is accounted on
+/// the `device*->cloud` links.
+///
+/// The baseline is [`run_topology`] of [`Topology::cloud_only`] — a
+/// single terminal tier with a raw section, the orchestrator feeding the
+/// devices' links in their name — so `cfg.failed_devices`, `cfg.chaos`
+/// and `cfg.deadlines` degrade it exactly like the staged hierarchy.
+///
+/// # Errors
+///
+/// Returns an error for malformed inputs or node failures, and a typed
+/// configuration error for `cfg.elastic` or a socket transport.
+pub fn run_cloud_only_baseline(
+    partition: &DdnnPartition,
+    device_views: &[Tensor],
+    labels: &[usize],
+    cfg: &HierarchyConfig,
+) -> Result<SimReport> {
+    run_topology(&Topology::cloud_only(partition), device_views, labels, cfg)
+}
+
 /// Executes distributed staged inference over an explicit [`Topology`] —
-/// the legacy shapes and deeper built chains run through this one wiring.
+/// the legacy shapes, deeper built chains and the cloud-only baseline run
+/// through this one wiring.
 ///
 /// # Errors
 ///

@@ -5,15 +5,16 @@
 //! table — all end devices together, the gateway, and each feature tier —
 //! and plays the orchestrator itself, through the same `connect` and
 //! orchestrator body as the in-process runner: it drives the samples,
-//! collects the verdicts and folds every role's link/node telemetry into
-//! the same [`SimReport`]. [`host_role`] is the other side: it reads a
+//! collects the verdicts and adds every role's counters into its own
+//! registry, so the same [`SimReport`] is read off the same cells.
+//! [`host_role`] is the other side: it reads a
 //! role assignment plus a role manifest from stdin, rebuilds the seeded
 //! model (weights re-derive bit-identically from the seed in every
 //! process), connects and builds its role's nodes from the same wiring
 //! table, and serves them over the socket dataplane until the
 //! orchestrator shuts the run down. What is left in this module is what
 //! is about *processes*: spawn, the stdio handshake, supervision,
-//! respawn, telemetry lines and the bounded reap.
+//! respawn, the report lines and the bounded reap.
 //!
 //! Every process has one socket address and every inbox is a name on it
 //! (see [`crate::transport`]); the wiring table, identical in every
@@ -29,8 +30,14 @@
 //! (run: frames flow over TCP/UDP; the child emits HB <n> heartbeat
 //!  lines; the launcher sends REWIRE <role> <ip:port> after that peer
 //!  role respawned at a new address)
-//! child -> launcher   LINK <name> <9 counters> ..., NODE ... , DONE
+//! child -> launcher   COUNTER <name> <value> per registry cell,
+//!                     DEGRADED <seq>,<seq>,..., DONE
 //! ```
+//!
+//! A role reports by shipping its whole counter registry, zero cells
+//! included; the launcher adds each value into its cell of that name, so a
+//! cell two processes count (a link's sender and its ARQ receiver) sums
+//! exactly as it would in one process.
 //!
 //! A child binds every name it answers to — its nodes' inboxes and the
 //! `ack:` inbox of every ARQ link it sends — before it prints its `ADDR`
@@ -70,7 +77,7 @@ use crate::chaos::{ChaosTarget, ProcTarget};
 use crate::clock::SimClock;
 use crate::error::{Result, RuntimeError};
 use crate::node::report::{NodeReport, SimReport};
-use crate::obs::{LinkCounters, ObsEvent, RunObs};
+use crate::obs::{ObsEvent, ObsRegistry, RunObs};
 use crate::orchestrator::rebalance::RoutingTable;
 use crate::topology::{decode_role_manifest, encode_role_manifest, HierarchyConfig, Topology};
 use crate::transport::{Endpoint, RedialHandle};
@@ -88,7 +95,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Budget for the stdio handshake (and the post-run telemetry
+/// Budget for the stdio handshake (and the post-run report
 /// read) before the launcher declares the child hung and kills it.
 /// Generous: debug-build children rebuild the model before answering.
 const PHASE_TIMEOUT: Duration = Duration::from_secs(120);
@@ -178,58 +185,39 @@ fn parse_addr_line(line: &str, word: &str) -> Result<(Host, SocketAddr)> {
     Ok((host.parse()?, addr.parse().map_err(|_| malformed())?))
 }
 
-fn fmt_link_line(name: &str, stats: &LinkCounters) -> String {
-    let cells: Vec<String> = stats.cells().iter().map(|c| c.get().to_string()).collect();
-    format!("LINK {name} {}", cells.join(" "))
-}
-
-/// Adds a `LINK` line's counters into the launcher's cells of that link.
-fn fold_link_line(line: &str, links: &[(String, Arc<LinkCounters>)]) -> Result<()> {
-    let malformed = || RuntimeError::Protocol { reason: format!("malformed LINK line {line:?}") };
-    let mut it = line.split_whitespace().skip(1);
-    let name = it.next().ok_or_else(malformed)?;
-    let (_, cells) = links.iter().find(|(n, _)| n == name).ok_or_else(|| {
-        RuntimeError::Protocol { reason: format!("LINK line for unknown link {name:?}") }
-    })?;
-    for cell in cells.cells() {
-        cell.add(it.next().and_then(|t| t.parse().ok()).ok_or_else(malformed)?);
+/// A role's report: its registry snapshot as `COUNTER` lines, then the
+/// samples its nodes degraded as one `DEGRADED` line.
+fn fmt_report(registry: &ObsRegistry, node_reports: &[NodeReport]) -> String {
+    let mut out = String::new();
+    for (name, value) in registry.snapshot() {
+        out.push_str(&format!("COUNTER {name} {value}\n"));
     }
-    Ok(())
+    let degraded: Vec<String> =
+        node_reports.iter().flat_map(|r| &r.degraded).map(u64::to_string).collect();
+    out.push_str(&format!("DEGRADED {}\n", degraded.join(",")));
+    out
 }
 
-fn fmt_node_line(report: &NodeReport) -> String {
-    let timeouts: Vec<String> =
-        report.device_timeouts.iter().map(|(d, c)| format!("{d}:{c}")).collect();
-    let degraded: Vec<String> = report.degraded.iter().map(u64::to_string).collect();
-    format!(
-        "NODE corrupt={} timeouts={} degraded={}",
-        report.corrupt_discards,
-        timeouts.join(","),
-        degraded.join(","),
-    )
-}
-
-fn parse_node_line(line: &str) -> Result<NodeReport> {
-    let malformed = || RuntimeError::Protocol { reason: format!("malformed NODE line {line:?}") };
-    let mut report = NodeReport::default();
-    for tok in line.split_whitespace().skip(1) {
-        if let Some(v) = tok.strip_prefix("corrupt=") {
-            report.corrupt_discards = v.parse().map_err(|_| malformed())?;
-        } else if let Some(v) = tok.strip_prefix("timeouts=") {
-            for pair in v.split(',').filter(|p| !p.is_empty()) {
-                let (d, c) = pair.split_once(':').ok_or_else(malformed)?;
-                report.device_timeouts.push((
-                    d.parse().map_err(|_| malformed())?,
-                    c.parse().map_err(|_| malformed())?,
-                ));
-            }
-        } else if let Some(v) = tok.strip_prefix("degraded=") {
-            for s in v.split(',').filter(|s| !s.is_empty()) {
-                report.degraded.push(s.parse().map_err(|_| malformed())?);
+/// Folds one line of a role's report into the launcher's: a `COUNTER`
+/// value adds into the registry cell of that name, a `DEGRADED` line's
+/// samples join `degraded`.
+fn fold_report_line(line: &str, registry: &ObsRegistry, degraded: &mut Vec<u64>) -> Result<()> {
+    let malformed = || RuntimeError::Protocol { reason: format!("malformed report line {line:?}") };
+    let (word, rest) = line.split_once(' ').unwrap_or((line, ""));
+    match word {
+        "COUNTER" => {
+            let (name, value) = rest.rsplit_once(' ').ok_or_else(malformed)?;
+            let value = value.parse().map_err(|_| malformed())?;
+            registry.counter(name).add(value);
+        }
+        "DEGRADED" => {
+            for seq in rest.split(',').filter(|s| !s.is_empty()) {
+                degraded.push(seq.parse().map_err(|_| malformed())?);
             }
         }
+        _ => return Err(malformed()),
     }
-    Ok(report)
+    Ok(())
 }
 
 /// Typed rejection, before any process is spawned, of the one thing that
@@ -501,20 +489,14 @@ impl SampleHook for Supervisor<'_> {
         addr.map(|&addr| Endpoint::Socket(addr))
     }
 
-    /// Reads every surviving role's telemetry — sender-side counters sum
-    /// into the launcher's cells of the same link — then reaps the
-    /// processes. A killed role's telemetry died with it; its links keep
-    /// their zeroed cells so the report shape is stable.
-    fn collect(&mut self, links: &[(String, Arc<LinkCounters>)]) -> Result<Vec<NodeReport>> {
-        let mut node_reports = Vec::new();
+    /// Reads every surviving role's report — its counters add into the
+    /// launcher's cells of the same names — then reaps the processes. A
+    /// killed role's counts died with it.
+    fn collect(&mut self) -> Result<Vec<NodeReport>> {
+        let (registry, mut degraded) = (self.obs.registry(), Vec::new());
         for p in self.fleet.procs.iter().filter(|p| p.alive) {
             read_lines_until(&p.lines, &p.role.to_string(), "DONE", PHASE_TIMEOUT, |line| {
-                if line.starts_with("LINK ") {
-                    fold_link_line(line, links)?;
-                } else if line.starts_with("NODE ") {
-                    node_reports.push(parse_node_line(line)?);
-                }
-                Ok(())
+                fold_report_line(line, registry, &mut degraded)
             })?;
         }
         // Bounded reap: a role that printed DONE but will not exit (wedged
@@ -538,7 +520,7 @@ impl SampleHook for Supervisor<'_> {
                 return Err(peer_err(&endpoint, format!("role process exited with {status}")));
             }
         }
-        Ok(node_reports)
+        Ok(vec![NodeReport { degraded }])
     }
 }
 
@@ -563,7 +545,7 @@ impl SampleHook for Supervisor<'_> {
 /// Returns typed configuration errors for unsupported configurations,
 /// transport errors when spawning or a socket operation fails, and
 /// [`RuntimeError::Peer`] when a role process hangs past a handshake,
-/// telemetry or reap deadline (the launcher kills it first).
+/// report or reap deadline (the launcher kills it first).
 pub fn launch(
     node_exe: &Path,
     model_cfg: &DdnnConfig,
@@ -617,7 +599,8 @@ pub fn launch(
 /// Serves one role of a multi-process run over stdin/stdout — the body
 /// of the `ddnn-node host` subcommand. Reads the role assignment and
 /// manifest, performs the socket handshake, runs the role's nodes until
-/// the orchestrator's shutdown, and reports link/node telemetry back.
+/// the orchestrator's shutdown, and reports its counters and degraded
+/// samples back.
 /// After `GO` it also emits `HB <n>` heartbeat lines (so the launcher
 /// can tell a busy role from a wedged one) and answers `REWIRE` control
 /// lines by re-pointing its senders into a respawned peer role at that
@@ -628,7 +611,7 @@ pub fn launch(
 /// Any failure is also written to stdout as an `ERROR <msg>` line (so
 /// the launcher sees it) before being returned.
 pub fn host_role() -> Result<()> {
-    // Stdout is shared between the handshake/telemetry writer and the
+    // Stdout is shared between the handshake/report writer and the
     // heartbeat thread; the mutex keeps whole lines atomic.
     let out = Arc::new(Mutex::new(std::io::stdout()));
     let result = run_role(BufReader::new(std::io::stdin()), &out);
@@ -762,16 +745,11 @@ where
     let ((), node_reports) = ran?;
     plane.factory.shutdown_transport();
 
-    // Report what this role measured.
+    // Report what this role counted.
     let mut o = out.lock();
-    for (name, stats) in &plane.stats {
-        writeln!(o, "{}", fmt_link_line(name, stats)).map_err(io_err)?;
-    }
-    for report in &node_reports {
-        writeln!(o, "{}", fmt_node_line(report)).map_err(io_err)?;
-    }
-    writeln!(o, "DONE").and_then(|()| o.flush()).map_err(io_err)?;
-    Ok(())
+    writeln!(o, "{}DONE", fmt_report(ctx.obs.registry(), &node_reports))
+        .and_then(|()| o.flush())
+        .map_err(io_err)
 }
 
 #[cfg(test)]
@@ -812,6 +790,43 @@ mod tests {
             assert!(verdict.transmit(bytes::Bytes::from_static(b"verdict")));
             assert_eq!(&verdicts.recv_timeout(wait).unwrap()[..], b"verdict");
         }
+    }
+
+    #[test]
+    fn report_lines_fold_by_name_into_the_launchers_cells() {
+        let role = ObsRegistry::default();
+        role.counter("node.edge.exits").add(3);
+        role.counter("link.device0->edge.frames").add(5);
+        role.counter("node.edge.deadline_expiries"); // zero cells travel too
+        let reports = [NodeReport { degraded: vec![4, 9] }, NodeReport::default()];
+        let text = fmt_report(&role, &reports);
+
+        let launcher = ObsRegistry::default();
+        let held = launcher.counter("link.device0->edge.frames");
+        held.add(2);
+        let mut degraded = Vec::new();
+        for line in text.lines().map(str::trim_end) {
+            fold_report_line(line, &launcher, &mut degraded).unwrap();
+        }
+        assert_eq!(held.get(), 7, "a value adds into the cell the launcher already holds");
+        let cell = |name: &str, v| (name.to_string(), v);
+        assert_eq!(
+            launcher.snapshot(),
+            [
+                cell("link.device0->edge.frames", 7),
+                cell("node.edge.deadline_expiries", 0),
+                cell("node.edge.exits", 3),
+            ]
+        );
+        assert_eq!(degraded, [4, 9]);
+        fold_report_line("DEGRADED", &launcher, &mut degraded).unwrap();
+        assert_eq!(degraded, [4, 9], "a role that degraded nothing sends an empty line");
+
+        for bad in ["COUNTER node.edge.exits", "COUNTER x -1", "DEGRADED 4,x", "LINK a 1 2", "HB"] {
+            let err = fold_report_line(bad, &launcher, &mut degraded).unwrap_err();
+            assert!(matches!(err, RuntimeError::Protocol { .. }), "{bad}: {err}");
+        }
+        assert_eq!(launcher.snapshot().len(), 3, "a malformed line counts nothing");
     }
 
     #[test]

@@ -11,7 +11,6 @@ use crate::error::{Result, RuntimeError};
 use crate::link::{LatencyModel, LinkSender};
 use crate::message::{quantize_image, Frame, NodeId, Payload};
 use crate::node::report::{assemble_report, NodeReport, SimReport};
-use crate::obs::LinkCounters;
 use crate::orchestrator::rebalance::RoutingTable;
 use crate::orchestrator::{ElasticDriver, NodeDirectory};
 use crate::reliability::{run_retransmit_pump, ArqSendState};
@@ -84,6 +83,23 @@ pub(super) fn validate_run(
                 .to_string(),
         });
     }
+    if let Shape::CloudOnly { .. } = topology.shape {
+        if cfg.elastic.is_some() {
+            return Err(RuntimeError::Config {
+                reason: "the cloud-only baseline has no tiers to rebalance (unset cfg.elastic)"
+                    .to_string(),
+            });
+        }
+        if cfg.transport.is_socket() {
+            return Err(RuntimeError::Config {
+                reason: format!(
+                    "the cloud-only baseline runs in-process only (transport {} is for \
+                     run_topology and the multi-process launcher; set cfg.transport to channel)",
+                    cfg.transport.name()
+                ),
+            });
+        }
+    }
     Ok(live)
 }
 
@@ -95,7 +111,7 @@ pub(super) fn live_mask(num_devices: usize, cfg: &HierarchyConfig) -> Vec<bool> 
 /// What a runner plugs into [`orchestrate`]: how a sample enters the
 /// hierarchy and — when its roles are OS processes — how a scheduled
 /// process kill or respawn reaches them, whether they are still there and
-/// what they measured.
+/// what they counted.
 pub(super) trait SampleHook {
     /// Feeds sample `i` (again, on a watchdog retry) under the published
     /// `routing`, after whatever is due before it (a supervision tick).
@@ -114,10 +130,10 @@ pub(super) trait SampleHook {
         Some(own)
     }
 
-    /// After shutdown: folds what remote roles measured into `links` and
-    /// returns their node reports. Roles hosted as threads were joined by
-    /// then and have nothing more to say.
-    fn collect(&mut self, _links: &[(String, Arc<LinkCounters>)]) -> Result<Vec<NodeReport>> {
+    /// After shutdown: adds what remote roles counted into the run's
+    /// registry and returns their node reports. Roles hosted as threads
+    /// count into the registry directly and were joined by then.
+    fn collect(&mut self) -> Result<Vec<NodeReport>> {
         Ok(Vec::new())
     }
 }
@@ -237,7 +253,7 @@ fn elastic_driver(ctx: &RunCtx, wiring: &Wiring, plane: &Plane) -> Result<Option
 /// launcher), pumps the samples beside them (lockstep, or on `cfg.stream`'s
 /// arrival schedule) under the elastic driver when `cfg.elastic` asks for
 /// one, shuts every node of the wiring down, and assembles the report from
-/// the link cells, the node reports and the tallies.
+/// the run's registry, the node reports and the tallies.
 pub(super) fn orchestrate(
     ctx: &RunCtx,
     wiring: &Wiring,
@@ -330,30 +346,12 @@ pub(super) fn orchestrate(
         Ok(tallies)
     })?;
 
-    // One counter block per report row: the cells this process sent or
-    // acked on, zeroed ones for the rest (placeholders, and links whose
-    // both ends live in other processes).
-    let links: Vec<(String, Arc<LinkCounters>)> = (wiring.report.iter())
-        .map(|name| {
-            let own = plane.stats.iter().find(|(n, _)| n == name).map(|(_, c)| Arc::clone(c));
-            let cells = own.unwrap_or_else(|| {
-                let cells = Arc::new(LinkCounters::default());
-                obs.registry().register_link(name, Arc::clone(&cells));
-                cells
-            });
-            (name.clone(), cells)
-        })
-        .collect();
-    node_reports.extend(hook.collect(&links)?);
+    node_reports.extend(hook.collect()?);
     // Tear down socket reader threads deterministically before assembling
     // the report (a no-op for the in-process channel transport).
     plane.factory.shutdown_transport();
-    // What the orchestrator's own inbox discarded as corrupt.
-    node_reports.push(NodeReport {
-        corrupt_discards: orch_inbox.corrupt_discards(),
-        ..NodeReport::default()
-    });
-    let mut report = assemble_report(tallies, labels, links, node_reports, live.len(), obs);
+    let mut report =
+        assemble_report(tallies, labels, &wiring.report, node_reports, live.len(), obs);
     report.elastic = driver.map(|d| d.finish(&report.counters));
     Ok(report)
 }

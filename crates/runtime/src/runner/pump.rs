@@ -90,7 +90,6 @@ pub(super) fn pump(
     let mut exits = vec![ExitPoint::Cloud; n_samples];
     let mut latencies = vec![0.0f64; n_samples];
     let mut outcomes = vec![SampleOutcome::Classified; n_samples];
-    let mut capture_retries = 0usize;
     // Each discipline reports the counters that can move under it.
     let registry = obs.registry();
     let samples_ctr = registry.counter("run.samples");
@@ -128,7 +127,6 @@ pub(super) fn pump(
             let (seq, flight) = (*first.key(), first.get_mut());
             if flight.attempts < max_retries {
                 flight.attempts += 1;
-                capture_retries += 1;
                 if let Some(retries) = &retries_ctr {
                     retries.incr();
                 }
@@ -243,7 +241,7 @@ pub(super) fn pump(
             };
         }
     }
-    Ok(RunTallies { predictions, exits, latencies, outcomes, capture_retries })
+    Ok(RunTallies { predictions, exits, latencies, outcomes })
 }
 
 #[cfg(test)]
@@ -311,7 +309,7 @@ mod tests {
         assert_eq!(tallies.outcomes, [SampleOutcome::Classified]);
         assert_eq!((tallies.predictions[0], tallies.exits[0]), (3, ExitPoint::Local));
         assert_eq!(tallies.latencies, [2.5], "lockstep latency is the link model's");
-        assert_eq!((feeds, tallies.capture_retries, retries), (2, 1, 1));
+        assert_eq!((feeds, retries), (2, 1));
 
         // Scheduled arrival: never re-fed, timed out at the whole budget.
         let stream = StreamConfig {
@@ -322,6 +320,6 @@ mod tests {
         let (tallies, feeds, retries) = run(Some(stream), dl);
         assert_eq!(tallies.outcomes, [SampleOutcome::TimedOut { waited_ms: 45 }]);
         assert_eq!(tallies.latencies, [45.0]);
-        assert_eq!((feeds, tallies.capture_retries, retries), (1, 0, 0));
+        assert_eq!((feeds, retries), (1, 0));
     }
 }

@@ -206,6 +206,7 @@ pub(super) fn spawn_role(
                     agg_deadline(ctx),
                     (0..n).map(Some).collect(),
                     live.to_vec(),
+                    Arc::clone(obs),
                 ),
                 obs: NodeObs::for_node(obs, "gateway"),
                 control: ctx.control("gateway", NodeId::Gateway, Some(to_orchestrator)),
@@ -253,6 +254,7 @@ fn tier_task<S: TierSection<Item = Tensor> + 'static>(
         agg_deadline(ctx),
         device_of_source,
         live.to_vec(),
+        Arc::clone(obs),
     );
     let to_orchestrator = plane.sender(Link::Verdict(k))?;
     let tier_ids: Vec<NodeId> = tiers.iter().map(|t| t.id).collect();

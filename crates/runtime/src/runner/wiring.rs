@@ -14,7 +14,7 @@ use crate::chaos::{CrashState, ProcTarget};
 use crate::error::{Result, RuntimeError};
 use crate::link::{LinkFactory, LinkSender, NodeInbox};
 use crate::message::NodeId;
-use crate::obs::{LinkCounters, RunObs};
+use crate::obs::RunObs;
 use crate::reliability::ReliabilityMode;
 use crate::topology::{HierarchyConfig, Shape, Topology};
 use crate::transport::{Endpoint, InboxBinding};
@@ -81,8 +81,8 @@ pub(super) enum Link {
 #[derive(Debug)]
 pub(super) struct LinkRow {
     pub(super) key: Link,
-    /// Display name (`from->to`): report key, fault-stream seed, the name
-    /// on `LINK` lines.
+    /// Display name (`from->to`): report key, fault-stream seed, and the
+    /// `link.{name}.*` counter cells.
     pub(super) name: String,
     /// Sending node's wire identity (receivers key ARQ state by it).
     pub(super) from: NodeId,
@@ -241,9 +241,6 @@ pub(super) struct Plane<'a> {
     pub(super) factory: LinkFactory<'a>,
     inboxes: HashMap<NodeId, NodeInbox>,
     senders: HashMap<Link, LinkSender>,
-    /// The counter cells of every tracked link this process sends on or
-    /// acks, by link name.
-    pub(super) stats: Vec<(String, Arc<LinkCounters>)>,
 }
 
 impl Plane<'_> {
@@ -309,7 +306,6 @@ pub(super) fn connect<'a>(
     };
 
     let mut senders = HashMap::new();
-    let mut stats = Vec::new();
     for row in &wiring.rows {
         let sends = local.contains(&row.sender);
         let acks = arq && local.contains(&row.receiver);
@@ -321,25 +317,22 @@ pub(super) fn connect<'a>(
             let to = binding(row.receiver, row.inbox.clone())?;
             let crash = row.crash.as_ref().and_then(|node| crashes.get(node)).cloned();
             let ack_inbox = ack_inboxes.remove(row.name.as_str());
-            let sender = factory.sender(&to, &row.name, crash, Arc::clone(&cells), ack_inbox)?;
+            let sender = factory.sender(&to, &row.name, crash, cells.clone(), ack_inbox)?;
             senders.insert(row.key, sender);
         }
         if acks {
             let ack = binding(row.sender, format!("ack:{}", row.name))?;
-            let state = factory.recv_state(&ack, &row.name, Arc::clone(&cells))?;
+            let state = factory.recv_state(&ack, &row.name, cells)?;
             let inbox = inboxes
                 .get_mut(row.inbox.as_str())
                 .ok_or_else(|| no_route("local inbox", &row.name))?;
             inbox.register(row.from, state);
         }
-        if row.tracked {
-            stats.push((row.name.clone(), cells));
-        }
     }
     let by_id =
         wiring.inboxes.iter().filter_map(|i| Some((i.id, inboxes.remove(i.name.as_str())?)));
     let inboxes = by_id.collect();
-    Ok(Plane { factory, inboxes, senders, stats })
+    Ok(Plane { factory, inboxes, senders })
 }
 
 /// [`connect`] for a run hosted in one process: every host is local and

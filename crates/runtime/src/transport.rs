@@ -111,11 +111,12 @@ impl std::str::FromStr for TransportConfig {
 /// teardown is prompt, large enough that idle readers cost nothing.
 const POLL: Duration = Duration::from_millis(25);
 
-/// Ceiling on a TCP length prefix. DDNN frames top out around 13 KB (a
-/// raw CIFAR capture); a prefix claiming more is a foreign peer or
+/// The largest frame either socket reader accepts: what fits a 64 KiB UDP
+/// receive buffer behind the inbox id. DDNN frames top out around 13 KB
+/// (a raw CIFAR capture); a TCP prefix claiming more is a foreign peer or
 /// corrupted stream, and the connection is dropped before the claimed
 /// length can drive an allocation.
-const MAX_FRAME_BYTES: usize = 1 << 24;
+const MAX_FRAME_BYTES: usize = (1 << 16) - ID_BYTES;
 
 /// Read buffer of one TCP connection: room for the largest DDNN frame
 /// (≈ 13 KB) behind its length prefix, so both arrive in one `read`.
@@ -736,17 +737,18 @@ fn read_full(
 }
 
 /// Receives the host's datagrams until stopped, handing each to the inbox
-/// its id prefix names. Each datagram is one frame; 64 KB covers anything
-/// UDP can carry. A datagram too short to hold an id, or naming an inbox
-/// this host never bound, is dropped and counted as a `peer_disconnect`;
-/// one for an inbox whose node has finished is simply dropped.
+/// its id prefix names. Each datagram is one frame of at most
+/// [`MAX_FRAME_BYTES`] behind its id. A datagram too short to hold an id,
+/// or naming an inbox this host never bound, is dropped and counted as a
+/// `peer_disconnect`; one for an inbox whose node has finished is simply
+/// dropped.
 fn udp_reader(
     sock: UdpSocket,
     inboxes: Inboxes,
     counters: TransportCounters,
     stop: Arc<AtomicBool>,
 ) {
-    let mut buf = vec![0u8; 65536];
+    let mut buf = vec![0u8; MAX_FRAME_BYTES + ID_BYTES];
     loop {
         match sock.recv(&mut buf) {
             Ok(n) => {
@@ -919,6 +921,23 @@ mod tests {
             assert!(rx.try_recv().is_err(), "a stray frame reached an inbox");
             assert_eq!(host.counters.frames_recvd.get(), 1);
         }
+    }
+
+    #[test]
+    fn a_tcp_frame_at_the_bound_is_delivered_and_one_byte_past_it_drops_the_connection() {
+        let mut tcp = host(TransportConfig::Tcp);
+        let rx = tcp.bind("inbox").unwrap();
+        let id = inbox_id("inbox");
+        let frame = |len: usize| [&id[..], &(len as u32).to_le_bytes(), &vec![7u8; len]].concat();
+        let mut at_bound = TcpStream::connect(addr(&tcp)).unwrap();
+        at_bound.write_all(&frame(MAX_FRAME_BYTES)).unwrap();
+        assert_eq!(rx.recv_timeout(WAIT).unwrap().len(), MAX_FRAME_BYTES);
+        // The reader hangs up after the prefix, so the write may fail.
+        let _ = TcpStream::connect(addr(&tcp)).unwrap().write_all(&frame(MAX_FRAME_BYTES + 1));
+        await_disconnects(&tcp, 1);
+        assert!(rx.try_recv().is_err(), "an oversized frame reached the inbox");
+        drop(at_bound);
+        tcp.shutdown();
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! as real OS processes over localhost sockets and agree verdict for
 //! verdict with the in-process runner on the same seeded configuration —
 //! lockstep, under scheduled arrivals and with a statically failed device
-//! — and it must reject, before spawning anything, a configuration that
-//! cannot span process boundaries.
+//! — counter for counter on every node — and it must reject, before
+//! spawning anything, a configuration that cannot span process boundaries.
 
 use ddnn_core::{AggregationScheme, Ddnn, DdnnConfig, EdgeConfig, ExitThreshold};
 use ddnn_runtime::{
@@ -96,6 +96,24 @@ fn assert_multiproc_matches(cfg: HierarchyConfig) {
     assert_eq!(multi.device_first_payload_bytes(), reference.device_first_payload_bytes());
     assert_eq!(multi.device_timeouts, reference.device_timeouts, "{what}");
     assert_eq!(multi.capture_retries, 0);
+
+    // One tally per count: the launcher's registry holds what every role
+    // process counted, under the names the threads count them. Process
+    // supervision and wire crossings are per-process by nature, and how
+    // samples batch depends on when they arrive.
+    let names = |r: &SimReport| {
+        let shared = r.counters.iter().map(|(n, _)| n.clone());
+        shared
+            .filter(|n| !n.starts_with("proc.") && !n.starts_with("transport."))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(names(&multi), names(&reference), "{what}");
+    let nodes = |r: &SimReport| {
+        let timing = |n: &str| n.ends_with(".batches") || n.ends_with(".batched_samples");
+        let node = r.counters.iter().filter(|(n, _)| n.starts_with("node.") && !timing(n));
+        node.cloned().collect::<Vec<_>>()
+    };
+    assert_eq!(nodes(&multi), nodes(&reference), "{what}");
 }
 
 #[test]

@@ -344,6 +344,14 @@ fn fault_free_elastic_processes_match_the_in_process_run() {
         assert_eq!(multi.exits, reference.exits, "{}", transport.name());
         assert_eq!(multi.device_first_payload_bytes(), reference.device_first_payload_bytes());
         assert_eq!(ledger(&multi), [0; 4], "no membership change, no epoch");
+        // Every steered node counts its stale-epoch discards, in a role
+        // process as in a thread, and the launcher holds them all.
+        let stale = |r: &SimReport| {
+            let cells = r.counters.iter().filter(|(n, _)| n.ends_with(".stale_epoch_discards"));
+            cells.map(|(n, _)| n.clone()).collect::<Vec<_>>()
+        };
+        assert!(!stale(&reference).is_empty());
+        assert_eq!(stale(&multi), stale(&reference), "{}", transport.name());
     }
 }
 
