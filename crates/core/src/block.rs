@@ -87,6 +87,21 @@ impl ConvPBlock {
     pub fn memory_bytes(&self) -> usize {
         self.conv.memory_bytes() + self.bn.memory_bytes()
     }
+
+    /// [`Layer::backward`] that stops at the convolution's weights: every
+    /// parameter gradient accumulates, but no gradient w.r.t. the block's
+    /// input is formed — for a block fed by data (a device's ConvP block
+    /// sees the raw view), where nobody reads it.
+    ///
+    /// # Errors
+    ///
+    /// As [`Layer::backward`].
+    pub fn backward_weights(&mut self, grad_output: &Tensor) -> Result<()> {
+        let g = self.act.backward(grad_output)?;
+        let g = self.bn.backward(&g)?;
+        let g = self.pool.backward(&g)?;
+        self.conv.backward_weights(&g)
+    }
 }
 
 impl Layer for ConvPBlock {
@@ -294,6 +309,22 @@ mod tests {
         let gin = block.backward(&Tensor::ones(y.dims().to_vec())).unwrap();
         assert_eq!(gin.dims(), x.dims());
         assert!(gin.all_finite());
+    }
+
+    #[test]
+    fn convp_backward_weights_accumulates_backwards_gradients_exactly() {
+        let mut rng = rng_from_seed(7);
+        let mut block = ConvPBlock::new(3, 4, Precision::Binary, &mut rng);
+        let x = Tensor::randn([2, 3, 16, 16], 1.0, &mut rng);
+        let g = Tensor::randn([2, 4, 8, 8], 1.0, &mut rng);
+        block.forward(&x, Mode::Train).unwrap();
+        block.backward(&g).unwrap();
+        let full: Vec<Tensor> = block.params_mut().iter().map(|p| p.grad.clone()).collect();
+        block.zero_grad();
+        block.forward(&x, Mode::Train).unwrap();
+        block.backward_weights(&g).unwrap();
+        let weights_only: Vec<Tensor> = block.params_mut().iter().map(|p| p.grad.clone()).collect();
+        assert_eq!(weights_only, full);
     }
 
     #[test]

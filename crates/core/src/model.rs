@@ -273,7 +273,8 @@ impl DevicePart {
 
     /// Backpropagates through the last [`DevicePart::forward`]: the exit
     /// head's gradient joins whatever arrives at the feature map from the
-    /// tiers above, then flows through the ConvP block.
+    /// tiers above, then flows into the ConvP block's weights. The view is
+    /// data, so no gradient w.r.t. it is formed.
     pub(crate) fn backward(
         &mut self,
         score_grad: &Tensor,
@@ -283,8 +284,7 @@ impl DevicePart {
         if let Some(upstream) = map_grad {
             g.add_assign(upstream)?;
         }
-        self.conv.backward(&g)?;
-        Ok(())
+        self.conv.backward_weights(&g)
     }
 
     /// Serialized parameter bytes of the section — must stay under the
@@ -634,8 +634,9 @@ impl Ddnn {
         if grads.edge.is_some() != self.parts.edge.is_some() {
             return Err(TensorError::Empty { op: "ddnn.backward edge gradient arity" });
         }
-        // Two GEMMs per conv going backwards against one going forwards.
-        let work = 2 * self.device_work(grads.local.dims().first().copied().unwrap_or(0));
+        // One GEMM per device conv going backwards (its weight gradient),
+        // as going forwards.
+        let work = self.device_work(grads.local.dims().first().copied().unwrap_or(0));
         let DdnnPartition { devices, gateway, edge, cloud, .. } = &mut self.parts;
         // Cloud branch down to its inputs, then (through the edge, which
         // adds its own exit's gradient) to each device's feature map.

@@ -241,6 +241,34 @@ fn seeded_parameters_and_checkpoint_bytes_are_pinned() {
 }
 
 #[test]
+fn seeded_training_is_pinned() {
+    // One short epoch of the paper's edge configuration runs every kernel
+    // of training (the f32 convolutions and their backward, pooling,
+    // batch norm, the STE activation, Adam, the stat refresh): a kernel
+    // that reorders a float sum changes a trained weight or a loss bit,
+    // and fails here. Pinned before the window kernels walked clipped rows.
+    use ddnn_core::{train, Ddnn, EdgeConfig, TrainConfig};
+    let mut rng = rng_from_seed(77);
+    let views: Vec<Tensor> =
+        (0..6).map(|_| Tensor::rand_uniform([6, 3, 32, 32], 0.0, 1.0, &mut rng)).collect();
+    let labels: Vec<usize> = (0..6).map(|i| i % 3).collect();
+    let mut model =
+        Ddnn::new(DdnnConfig { edge: Some(EdgeConfig::default()), ..DdnnConfig::paper() });
+    let cfg =
+        TrainConfig { epochs: 1, batch_size: 3, stat_refresh_passes: 1, ..TrainConfig::default() };
+    let report = train(&mut model, &views, &labels, &cfg).unwrap();
+    let losses = report
+        .epochs
+        .iter()
+        .flat_map(|e| [e.loss, e.local_loss, e.edge_loss, e.cloud_loss])
+        .flat_map(f32::to_le_bytes)
+        .collect::<Vec<u8>>();
+    assert_eq!(fnv1a(losses), 0x874e_c961_2ccc_3dab, "training losses changed");
+    let checkpoint = fnv1a(model.save_bytes().to_vec());
+    assert_eq!(checkpoint, 0x14f0_175d_cb9a_937d, "trained checkpoint bytes changed");
+}
+
+#[test]
 fn training_and_inference_are_invariant_to_thread_count() {
     // The determinism contract: DDNN_THREADS changes how work is carved
     // up, never what is computed. One test owns the env-var mutation so

@@ -24,16 +24,16 @@ impl BinaryActivation {
 }
 
 impl Layer for BinaryActivation {
-    fn forward(&mut self, input: &Tensor, _mode: Mode) -> Result<Tensor> {
-        self.cached_input = Some(input.clone());
+    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
+        // Only training caches its input (the STE's clipping mask).
+        self.cached_input = (mode == Mode::Train).then(|| input.clone());
         Ok(crate::linear::binarize(input))
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let input = self
-            .cached_input
-            .as_ref()
-            .ok_or(TensorError::Empty { op: "binary_activation.backward before forward" })?;
+        let input = self.cached_input.as_ref().ok_or(TensorError::Empty {
+            op: "binary_activation.backward without a Train forward",
+        })?;
         grad_output.zip(input, |g, x| if x.abs() <= 1.0 { g } else { 0.0 })
     }
 
@@ -68,6 +68,15 @@ mod tests {
     fn binary_backward_before_forward_errors() {
         let mut act = BinaryActivation::new();
         assert!(act.backward(&Tensor::ones([1])).is_err());
+    }
+
+    #[test]
+    fn binary_backward_after_eval_forward_is_a_typed_error() {
+        let mut act = BinaryActivation::new();
+        let x = Tensor::from_vec(vec![-0.5, 0.5], [2]).unwrap();
+        act.forward(&x, Mode::Train).unwrap();
+        act.forward(&x, Mode::Eval).unwrap();
+        assert!(matches!(act.backward(&Tensor::ones([2])), Err(TensorError::Empty { .. })));
     }
 
     #[test]

@@ -79,7 +79,10 @@ impl Layer for BatchNorm {
         let plane = c * inner; // elements per batch item
         let n = input.len() / plane;
 
-        let (mean, var) = match mode {
+        // Only training caches `x̂` for backward; inference reads the
+        // running statistics without copying them.
+        self.cache = None;
+        let batch_stats = match mode {
             Mode::Train => {
                 let mut mean = vec![0.0f32; c];
                 let mut var = vec![0.0f32; c];
@@ -112,23 +115,34 @@ impl Layer for BatchNorm {
                     self.running_var[ch] =
                         self.momentum * self.running_var[ch] + (1.0 - self.momentum) * var[ch];
                 }
-                (mean, var)
+                Some((mean, var))
             }
-            Mode::Eval => (self.running_mean.clone(), self.running_var.clone()),
+            Mode::Eval => None,
+        };
+        let (mean, var) = match &batch_stats {
+            Some((mean, var)) => (mean, var),
+            None => (&self.running_mean, &self.running_var),
         };
 
         let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + self.eps).sqrt()).collect();
         let mut out = vec![0.0f32; input.len()];
-        let mut x_hat = vec![0.0f32; input.len()];
+        let mut x_hat = vec![0.0f32; if mode == Mode::Train { input.len() } else { 0 }];
         let g = self.gamma.value.data();
         let be = self.beta.value.data();
         for b in 0..n {
             for ch in 0..c {
-                let base = b * plane + ch * inner;
-                for i in 0..inner {
-                    let xh = (input.data()[base + i] - mean[ch]) * inv_std[ch];
-                    x_hat[base + i] = xh;
-                    out[base + i] = g[ch] * xh + be[ch];
+                let span = b * plane + ch * inner..b * plane + (ch + 1) * inner;
+                let normalize = |x: f32| (x - mean[ch]) * inv_std[ch];
+                let (xs, ys) = (&input.data()[span.clone()], &mut out[span.clone()]);
+                if let Some(hats) = x_hat.get_mut(span) {
+                    for ((y, h), &x) in ys.iter_mut().zip(hats).zip(xs) {
+                        *h = normalize(x);
+                        *y = g[ch] * *h + be[ch];
+                    }
+                } else {
+                    for (y, &x) in ys.iter_mut().zip(xs) {
+                        *y = g[ch] * normalize(x) + be[ch];
+                    }
                 }
             }
         }
@@ -146,7 +160,7 @@ impl Layer for BatchNorm {
         let cache = self
             .cache
             .as_ref()
-            .ok_or(TensorError::Empty { op: "batchnorm.backward before forward(Train)" })?;
+            .ok_or(TensorError::Empty { op: "batchnorm.backward without a Train forward" })?;
         if grad_output.dims() != cache.input_dims.as_slice() {
             return Err(TensorError::ShapeMismatch {
                 lhs: grad_output.dims().to_vec(),
@@ -283,6 +297,19 @@ mod tests {
     fn backward_before_forward_errors() {
         let mut bn = BatchNorm::new(2);
         assert!(bn.backward(&Tensor::ones([2, 2])).is_err());
+    }
+
+    #[test]
+    fn backward_after_eval_forward_is_a_typed_error() {
+        // The Eval forward drops the Train cache rather than leaving a
+        // stale one for backward to reuse.
+        let mut bn = BatchNorm::new(2);
+        let mut rng = rng_from_seed(4);
+        let x = Tensor::randn([4, 2, 3, 3], 1.0, &mut rng);
+        bn.forward(&x, Mode::Train).unwrap();
+        bn.forward(&x, Mode::Eval).unwrap();
+        let g = Tensor::ones(x.dims().to_vec());
+        assert!(matches!(bn.backward(&g), Err(TensorError::Empty { .. })));
     }
 
     #[test]

@@ -4,7 +4,9 @@ use crate::init;
 use crate::layer::{Layer, Mode, Param};
 use crate::linear::binarize;
 use ddnn_tensor::bitmatrix::{binary_conv2d, is_sign_tensor};
-use ddnn_tensor::conv::{conv2d, conv2d_backward, Conv2dSpec};
+use ddnn_tensor::conv::{
+    conv2d, conv2d_backward, conv2d_backward_weight, max_pool2d, max_pool2d_values, Conv2dSpec,
+};
 use ddnn_tensor::{Result, Tensor, TensorError};
 use rand::Rng;
 
@@ -90,6 +92,25 @@ impl Conv2d {
             4 * self.weight.value.len()
         }
     }
+
+    /// [`Layer::backward`] without the input gradient: accumulates the
+    /// weight gradient of the last `Train` forward and nothing else — for
+    /// a layer whose input is data, not an activation (the device conv
+    /// sees raw images), where nobody reads the input gradient.
+    ///
+    /// # Errors
+    ///
+    /// As [`Layer::backward`].
+    pub fn backward_weights(&mut self, grad_output: &Tensor) -> Result<()> {
+        let gw = conv2d_backward_weight(self.train_input()?, grad_output, &self.spec)?;
+        self.weight.grad.add_assign(&gw)
+    }
+
+    fn train_input(&self) -> Result<&Tensor> {
+        self.cached_input
+            .as_ref()
+            .ok_or(TensorError::Empty { op: "conv2d.backward without a Train forward" })
+    }
 }
 
 impl Layer for Conv2d {
@@ -113,23 +134,16 @@ impl Layer for Conv2d {
         // geometry) to the f32 convolution. Raw float inputs (the first
         // device conv sees images, not signs) fall through to the f32
         // path here; training does too, so backward sees the cached float
-        // activations it expects.
+        // activations it expects. Only training caches its input.
+        self.cached_input = (mode == Mode::Train).then(|| input.clone());
         if self.binary && self.bit_kernels && mode == Mode::Eval && is_sign_tensor(input) {
-            let out = binary_conv2d(input, &self.weight.value, &self.spec)?;
-            self.cached_input = Some(input.clone());
-            return Ok(out);
+            return binary_conv2d(input, &self.weight.value, &self.spec);
         }
-        let w = self.effective_weight();
-        let out = conv2d(input, &w, &self.spec)?;
-        self.cached_input = Some(input.clone());
-        Ok(out)
+        conv2d(input, &self.effective_weight(), &self.spec)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let input = self
-            .cached_input
-            .as_ref()
-            .ok_or(TensorError::Empty { op: "conv2d.backward before forward" })?;
+        let input = self.train_input()?;
         let w = self.effective_weight();
         let (gin, gw) = conv2d_backward(input, &w, grad_output, &self.spec)?;
         self.weight.grad.add_assign(&gw)?;
@@ -188,8 +202,12 @@ impl Default for MaxPool2d {
 }
 
 impl Layer for MaxPool2d {
-    fn forward(&mut self, input: &Tensor, _mode: Mode) -> Result<Tensor> {
-        let res = ddnn_tensor::conv::max_pool2d(input, &self.spec)?;
+    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
+        self.cached_argmax = None;
+        if mode == Mode::Eval {
+            return max_pool2d_values(input, &self.spec);
+        }
+        let res = max_pool2d(input, &self.spec)?;
         self.cached_argmax = Some(res.argmax);
         self.cached_input_shape = input.dims().to_vec();
         Ok(res.output)
@@ -199,7 +217,7 @@ impl Layer for MaxPool2d {
         let argmax = self
             .cached_argmax
             .as_ref()
-            .ok_or(TensorError::Empty { op: "max_pool2d.backward before forward" })?;
+            .ok_or(TensorError::Empty { op: "max_pool2d.backward without a Train forward" })?;
         ddnn_tensor::conv::max_pool2d_backward(grad_output, argmax, &self.cached_input_shape)
     }
 
@@ -306,6 +324,28 @@ mod tests {
     fn pool_backward_before_forward_errors() {
         let mut pool = MaxPool2d::paper();
         assert!(pool.backward(&Tensor::ones([1, 1, 2, 2])).is_err());
+    }
+
+    #[test]
+    fn conv_backward_after_eval_forward_is_a_typed_error() {
+        let mut rng = rng_from_seed(14);
+        let mut conv = Conv2d::binarized(2, 3, Conv2dSpec::paper_conv(), &mut rng);
+        let x = Tensor::randn([1, 2, 4, 4], 1.0, &mut rng);
+        let y = conv.forward(&x, Mode::Train).unwrap();
+        conv.forward(&x, Mode::Eval).unwrap();
+        let g = Tensor::ones(y.dims().to_vec());
+        assert!(matches!(conv.backward(&g), Err(TensorError::Empty { .. })));
+        assert!(matches!(conv.backward_weights(&g), Err(TensorError::Empty { .. })));
+    }
+
+    #[test]
+    fn pool_backward_after_eval_forward_is_a_typed_error() {
+        let mut pool = MaxPool2d::paper();
+        let x = Tensor::from_fn([1, 2, 4, 4], |i| (i as f32 * 0.9).sin());
+        let y = pool.forward(&x, Mode::Train).unwrap();
+        assert_eq!(pool.forward(&x, Mode::Eval).unwrap(), y);
+        let g = Tensor::ones(y.dims().to_vec());
+        assert!(matches!(pool.backward(&g), Err(TensorError::Empty { .. })));
     }
 
     #[test]

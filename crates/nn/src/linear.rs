@@ -122,22 +122,22 @@ impl Layer for Linear {
         // the float path so straight-through gradients see the same
         // activations they cached. Packing the master weights directly is
         // the same as packing binarize(W): both use `x > 0`.
-        if self.binary
+        let out = if self.binary
             && self.bit_kernels
             && mode == Mode::Eval
             && self.bias.is_none()
             && bitmatrix::is_sign_tensor(&flat)
         {
-            let out = bitmatrix::binary_matmul(&flat, &self.weight.value)?;
-            self.cached_input = Some(flat);
-            return Ok(out);
-        }
-        let w = self.effective_weight();
-        let mut out = flat.matmul(&w.transpose()?)?;
-        if let Some(b) = &self.bias {
-            out.add_row_broadcast(&b.value)?;
-        }
-        self.cached_input = Some(flat);
+            bitmatrix::binary_matmul(&flat, &self.weight.value)?
+        } else {
+            let mut out = flat.matmul(&self.effective_weight().transpose()?)?;
+            if let Some(b) = &self.bias {
+                out.add_row_broadcast(&b.value)?;
+            }
+            out
+        };
+        // Only training caches its input.
+        self.cached_input = (mode == Mode::Train).then_some(flat);
         Ok(out)
     }
 
@@ -145,7 +145,7 @@ impl Layer for Linear {
         let input = self
             .cached_input
             .as_ref()
-            .ok_or(TensorError::Empty { op: "linear.backward before forward" })?;
+            .ok_or(TensorError::Empty { op: "linear.backward without a Train forward" })?;
         let w = self.effective_weight();
         // dW += dYᵀ · X   (straight-through to the master weights)
         let gw = grad_output.transpose()?.matmul(input)?;
@@ -220,6 +220,18 @@ mod tests {
         let mut rng = rng_from_seed(0);
         let mut l = Linear::new(2, 2, false, &mut rng);
         assert!(l.backward(&Tensor::ones([1, 2])).is_err());
+    }
+
+    #[test]
+    fn backward_after_eval_forward_is_a_typed_error() {
+        let mut rng = rng_from_seed(8);
+        for mut l in [Linear::new(4, 2, true, &mut rng), Linear::binarized(4, 2, &mut rng)] {
+            let x = binarize(&Tensor::randn([3, 4], 1.0, &mut rng));
+            l.forward(&x, Mode::Train).unwrap();
+            l.forward(&x, Mode::Eval).unwrap();
+            let g = Tensor::ones([3, 2]);
+            assert!(matches!(l.backward(&g), Err(TensorError::Empty { .. })));
+        }
     }
 
     #[test]

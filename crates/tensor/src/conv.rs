@@ -8,6 +8,7 @@
 use crate::error::{Result, TensorError};
 use crate::parallel;
 use crate::tensor::Tensor;
+use std::ops::Range;
 
 /// Geometry of a 2-D sliding-window operation (convolution or pooling).
 ///
@@ -84,6 +85,57 @@ pub(crate) fn check_nchw(t: &Tensor, op: &'static str) -> Result<(usize, usize, 
     Ok((d[0], d[1], d[2], d[3]))
 }
 
+/// The output positions `o` whose tap `k` lands inside an input axis of
+/// length `size` (`0 <= o·stride + k − padding < size`), clipped to the
+/// `out` positions there are; empty when the tap only ever reads padding.
+fn tap_range(k: usize, size: usize, out: usize, spec: &Conv2dSpec) -> Range<usize> {
+    let hi = (size + spec.padding).saturating_sub(k).div_ceil(spec.stride).min(out);
+    let lo = spec.padding.saturating_sub(k).div_ceil(spec.stride).min(hi);
+    lo..hi
+}
+
+/// The input positions a `kernel`-wide window starting at padded position
+/// `start` covers on an axis of length `size`; empty when the window lies
+/// wholly in padding.
+fn window_range(start: usize, kernel: usize, size: usize, padding: usize) -> Range<usize> {
+    let (lo, hi) = (start.max(padding), (start + kernel).min(padding + size));
+    if lo < hi {
+        lo - padding..hi - padding
+    } else {
+        0..0
+    }
+}
+
+/// The column/row walk shared by [`im2col`] and [`col2im`]: for every
+/// `(ch, ky, kx)` tap in that order and every output row `oy` the tap
+/// reaches, calls `f(r, oy, iy, ox_range, ix0)` — `r` the column-matrix
+/// row, `iy` the input row, and input column `ix0 + (ox − ox_range.start)
+/// · stride` for each output column `ox` in `ox_range`.
+fn for_each_tap_row(
+    c: usize,
+    (h, w): (usize, usize),
+    (oh, ow): (usize, usize),
+    spec: &Conv2dSpec,
+    mut f: impl FnMut(usize, usize, usize, Range<usize>, usize),
+) {
+    let mut r = 0;
+    for _ in 0..c {
+        for ky in 0..spec.kernel_h {
+            let oys = tap_range(ky, h, oh, spec);
+            for kx in 0..spec.kernel_w {
+                let oxs = tap_range(kx, w, ow, spec);
+                if !oxs.is_empty() {
+                    let ix0 = oxs.start * spec.stride + kx - spec.padding;
+                    for oy in oys.clone() {
+                        f(r, oy, oy * spec.stride + ky - spec.padding, oxs.clone(), ix0);
+                    }
+                }
+                r += 1;
+            }
+        }
+    }
+}
+
 /// Lowers an NCHW batch into column matrices for convolution.
 ///
 /// Returns a tensor of shape `(n, c*kh*kw, oh*ow)`: one column matrix per
@@ -101,35 +153,25 @@ pub fn im2col(input: &Tensor, spec: &Conv2dSpec) -> Result<Tensor> {
     let cols = oh * ow;
     let mut out = vec![0.0f32; n * rows * cols];
     let data = input.data();
+    let taps = spec.kernel_h * spec.kernel_w;
     // Batch elements are independent: fan them out across the pool. Each
     // worker writes only its own batch chunk, so the result is identical
     // for any thread count.
     parallel::par_item_chunks_mut(&mut out, rows * cols, n * rows * cols, |b0, chunk| {
         for (bi, bchunk) in chunk.chunks_mut(rows * cols).enumerate() {
-            let in_base = (b0 + bi) * c * h * w;
-            let mut r = 0;
-            for ch in 0..c {
-                for ky in 0..spec.kernel_h {
-                    for kx in 0..spec.kernel_w {
-                        let row_off = r * cols;
-                        for oy in 0..oh {
-                            let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
-                            if iy < 0 || iy >= h as isize {
-                                continue;
-                            }
-                            let src_row = in_base + ch * h * w + iy as usize * w;
-                            for ox in 0..ow {
-                                let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
-                                if ix < 0 || ix >= w as isize {
-                                    continue;
-                                }
-                                bchunk[row_off + oy * ow + ox] = data[src_row + ix as usize];
-                            }
-                        }
-                        r += 1;
+            let image = &data[(b0 + bi) * c * h * w..][..c * h * w];
+            for_each_tap_row(c, (h, w), (oh, ow), spec, |r, oy, iy, oxs, ix0| {
+                let src = &image[(r / taps) * h * w + iy * w..][..w];
+                let dst = &mut bchunk[r * cols + oy * ow..][oxs];
+                if spec.stride == 1 {
+                    let len = dst.len();
+                    dst.copy_from_slice(&src[ix0..ix0 + len]);
+                } else {
+                    for (d, &s) in dst.iter_mut().zip(src[ix0..].iter().step_by(spec.stride)) {
+                        *d = s;
                     }
                 }
-            }
+            });
         }
     });
     Tensor::from_vec(out, [n, rows, cols])
@@ -161,35 +203,28 @@ pub fn col2im(cols: &Tensor, c: usize, h: usize, w: usize, spec: &Conv2dSpec) ->
     }
     let mut out = vec![0.0f32; n * c * h * w];
     let data = cols.data();
+    let taps = spec.kernel_h * spec.kernel_w;
     // Scatter-accumulation stays within one batch element, so batches can
-    // run on separate workers without racing; per-element accumulation
-    // order is the serial loop's, keeping results thread-count-invariant.
+    // run on separate workers without racing. Within one `(ch, ky, kx)`
+    // tap every output pixel reaches a distinct input element, so walking
+    // the taps in that order hands each element its contributions in the
+    // per-tap loop's order, whatever the thread count.
     parallel::par_item_chunks_mut(&mut out, c * h * w, n * rows * oh * ow, |b0, chunk| {
         for (bi, bchunk) in chunk.chunks_mut(c * h * w).enumerate() {
-            let in_base = (b0 + bi) * rows * (oh * ow);
-            let mut r = 0;
-            for ch in 0..c {
-                for ky in 0..spec.kernel_h {
-                    for kx in 0..spec.kernel_w {
-                        let row_off = in_base + r * oh * ow;
-                        for oy in 0..oh {
-                            let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
-                            if iy < 0 || iy >= h as isize {
-                                continue;
-                            }
-                            let dst_row = ch * h * w + iy as usize * w;
-                            for ox in 0..ow {
-                                let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
-                                if ix < 0 || ix >= w as isize {
-                                    continue;
-                                }
-                                bchunk[dst_row + ix as usize] += data[row_off + oy * ow + ox];
-                            }
-                        }
-                        r += 1;
+            let colmat = &data[(b0 + bi) * rows * oh * ow..][..rows * oh * ow];
+            for_each_tap_row(c, (h, w), (oh, ow), spec, |r, oy, iy, oxs, ix0| {
+                let src = &colmat[r * oh * ow + oy * ow..][oxs];
+                let dst = &mut bchunk[(r / taps) * h * w + iy * w..][..w];
+                if spec.stride == 1 {
+                    for (d, &s) in dst[ix0..ix0 + src.len()].iter_mut().zip(src) {
+                        *d += s;
+                    }
+                } else {
+                    for (d, &s) in dst[ix0..].iter_mut().step_by(spec.stride).zip(src) {
+                        *d += s;
                     }
                 }
-            }
+            });
         }
     });
     Tensor::from_vec(out, [n, c, h, w])
@@ -238,7 +273,9 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, spec: &Conv2dSpec) -> Result<Tens
 /// `(n, f, oh, ow)`.
 ///
 /// Returns `(grad_input, grad_weight)` with the shapes of `input` and
-/// `weight` respectively.
+/// `weight` respectively: [`conv2d_backward_input`] and
+/// [`conv2d_backward_weight`], which a caller that reads only one of the
+/// two runs alone.
 ///
 /// # Errors
 ///
@@ -249,37 +286,93 @@ pub fn conv2d_backward(
     grad_out: &Tensor,
     spec: &Conv2dSpec,
 ) -> Result<(Tensor, Tensor)> {
-    let (n, c, h, w) = check_nchw(input, "conv2d_backward")?;
-    let (f, _, kh, kw) = check_nchw(weight, "conv2d_backward")?;
-    let (gn, gf, goh, gow) = check_nchw(grad_out, "conv2d_backward")?;
+    let grad_weight = conv2d_backward_weight(input, grad_out, spec)?;
+    if grad_weight.dims() != weight.dims() {
+        return Err(TensorError::ShapeMismatch {
+            lhs: weight.dims().to_vec(),
+            rhs: grad_weight.dims().to_vec(),
+            op: "conv2d_backward",
+        });
+    }
+    let grad_input = conv2d_backward_input(input.dims(), weight, grad_out, spec)?;
+    Ok((grad_input, grad_weight))
+}
+
+/// `(f, oh, ow)` of a `grad_out` that fits an `(n, ·, h, w)` input.
+fn check_grad_out(
+    (n, h, w): (usize, usize, usize),
+    grad_out: &Tensor,
+    spec: &Conv2dSpec,
+) -> Result<(usize, usize, usize)> {
+    let (gn, f, goh, gow) = check_nchw(grad_out, "conv2d_backward")?;
     let (oh, ow) = spec.checked_output_size(h, w)?;
-    if gn != n || gf != f || goh != oh || gow != ow {
+    if gn != n || goh != oh || gow != ow {
         return Err(TensorError::ShapeMismatch {
             lhs: grad_out.dims().to_vec(),
             rhs: vec![n, f, oh, ow],
             op: "conv2d_backward",
         });
     }
-    let rows = c * kh * kw;
+    Ok((f, oh, ow))
+}
+
+/// The weight half of [`conv2d_backward`]: `dW = Σ_b dY_b · im2col(X_b)ᵀ`,
+/// shaped `(f, c, kh, kw)`, summed over the batch in order.
+///
+/// # Errors
+///
+/// Returns an error for inconsistent shapes.
+pub fn conv2d_backward_weight(
+    input: &Tensor,
+    grad_out: &Tensor,
+    spec: &Conv2dSpec,
+) -> Result<Tensor> {
+    let (n, c, h, w) = check_nchw(input, "conv2d_backward")?;
+    let (f, oh, ow) = check_grad_out((n, h, w), grad_out, spec)?;
+    let rows = c * spec.kernel_h * spec.kernel_w;
     let cols = im2col(input, spec)?;
-    let wmat = weight.reshape([f, rows])?;
-    let wmat_t = wmat.transpose()?;
     let mut grad_w = Tensor::zeros([f, rows]);
-    let mut grad_cols = Vec::with_capacity(n * rows * oh * ow);
     for b in 0..n {
         let gmat = grad_out.index_axis0(b)?.reshape([f, oh * ow])?;
         let colmat = cols.index_axis0(b)?; // (rows, oh*ow)
-                                           // dW += dY * X_col^T
-        let gw = gmat.matmul(&colmat.transpose()?)?;
-        grad_w.add_assign(&gw)?;
-        // dX_col = W^T * dY
-        let gc = wmat_t.matmul(&gmat)?;
-        grad_cols.extend_from_slice(gc.data());
+        grad_w.add_assign(&gmat.matmul(&colmat.transpose()?)?)?;
+    }
+    grad_w.reshape([f, c, spec.kernel_h, spec.kernel_w])
+}
+
+/// The input half of [`conv2d_backward`]: `dX = col2im(Wᵀ · dY_b)` for an
+/// input of shape `input_dims` `(n, c, h, w)`.
+///
+/// # Errors
+///
+/// Returns an error for inconsistent shapes.
+pub fn conv2d_backward_input(
+    input_dims: &[usize],
+    weight: &Tensor,
+    grad_out: &Tensor,
+    spec: &Conv2dSpec,
+) -> Result<Tensor> {
+    let &[n, c, h, w] = input_dims else {
+        return Err(TensorError::RankMismatch { expected: 4, actual: input_dims.len() });
+    };
+    let (f, wc, kh, kw) = check_nchw(weight, "conv2d_backward")?;
+    let (gf, oh, ow) = check_grad_out((n, h, w), grad_out, spec)?;
+    if gf != f || wc != c || kh != spec.kernel_h || kw != spec.kernel_w {
+        return Err(TensorError::ShapeMismatch {
+            lhs: weight.dims().to_vec(),
+            rhs: vec![gf, c, spec.kernel_h, spec.kernel_w],
+            op: "conv2d_backward",
+        });
+    }
+    let rows = c * kh * kw;
+    let wmat_t = weight.reshape([f, rows])?.transpose()?;
+    let mut grad_cols = Vec::with_capacity(n * rows * oh * ow);
+    for b in 0..n {
+        let gmat = grad_out.index_axis0(b)?.reshape([f, oh * ow])?;
+        grad_cols.extend_from_slice(wmat_t.matmul(&gmat)?.data());
     }
     let grad_cols = Tensor::from_vec(grad_cols, [n, rows, oh * ow])?;
-    let grad_input = col2im(&grad_cols, c, h, w, spec)?;
-    let grad_weight = grad_w.reshape([f, c, kh, kw])?;
-    Ok((grad_input, grad_weight))
+    col2im(&grad_cols, c, h, w, spec)
 }
 
 /// Result of a max-pooling forward pass: the pooled output plus the flat
@@ -303,48 +396,61 @@ pub struct MaxPoolOutput {
 /// Returns an error if `input` is not a non-empty rank-4 tensor or the
 /// pooling geometry is degenerate.
 pub fn max_pool2d(input: &Tensor, spec: &Conv2dSpec) -> Result<MaxPoolOutput> {
+    let (output, argmax) = pool(input, spec, true)?;
+    Ok(MaxPoolOutput { output, argmax })
+}
+
+/// [`max_pool2d`]'s pooled values alone, without the argmax table only a
+/// backward pass reads (inference).
+///
+/// # Errors
+///
+/// As [`max_pool2d`].
+pub fn max_pool2d_values(input: &Tensor, spec: &Conv2dSpec) -> Result<Tensor> {
+    Ok(pool(input, spec, false)?.0)
+}
+
+/// Max pooling with the argmax table filled when `record` is set (left
+/// empty otherwise). Each window is clipped to the input once per output
+/// row and column, then scanned ky-then-kx with a strict `>`, so ties keep
+/// the first tap and NaN is never selected.
+fn pool(input: &Tensor, spec: &Conv2dSpec, record: bool) -> Result<(Tensor, Vec<usize>)> {
     let (n, c, h, w) = check_nchw(input, "max_pool2d")?;
     let (oh, ow) = spec.checked_output_size(h, w)?;
     let mut out = vec![0.0f32; n * c * oh * ow];
-    let mut argmax = vec![usize::MAX; n * c * oh * ow];
+    let mut argmax = if record { vec![usize::MAX; n * c * oh * ow] } else { Vec::new() };
     let data = input.data();
-    for b in 0..n {
-        for ch in 0..c {
-            let in_plane = (b * c + ch) * h * w;
-            let out_plane = (b * c + ch) * oh * ow;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut best = f32::NEG_INFINITY;
-                    let mut best_idx = usize::MAX;
-                    for ky in 0..spec.kernel_h {
-                        let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        for kx in 0..spec.kernel_w {
-                            let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            let idx = in_plane + iy as usize * w + ix as usize;
-                            if data[idx] > best {
-                                best = data[idx];
-                                best_idx = idx;
-                            }
+    let ixs: Vec<Range<usize>> =
+        (0..ow).map(|ox| window_range(ox * spec.stride, spec.kernel_w, w, spec.padding)).collect();
+    for plane in 0..n * c {
+        let in_plane = plane * h * w;
+        for oy in 0..oh {
+            let iys = window_range(oy * spec.stride, spec.kernel_h, h, spec.padding);
+            let o_row = (plane * oh + oy) * ow;
+            for (ox, cols) in ixs.iter().enumerate() {
+                let mut best = f32::NEG_INFINITY;
+                let mut best_idx = usize::MAX;
+                for iy in iys.clone() {
+                    let first = in_plane + iy * w + cols.start;
+                    for (idx, &v) in (first..).zip(&data[first..first + cols.len()]) {
+                        if v > best {
+                            best = v;
+                            best_idx = idx;
                         }
                     }
-                    let o = out_plane + oy * ow + ox;
-                    if best_idx == usize::MAX {
-                        out[o] = 0.0;
-                    } else {
-                        out[o] = best;
-                        argmax[o] = best_idx;
+                }
+                // A window wholly in padding (or of NaN/−inf only) selects
+                // nothing: output 0.0, argmax sentinel `usize::MAX`.
+                if best_idx != usize::MAX {
+                    out[o_row + ox] = best;
+                    if record {
+                        argmax[o_row + ox] = best_idx;
                     }
                 }
             }
         }
     }
-    Ok(MaxPoolOutput { output: Tensor::from_vec(out, [n, c, oh, ow])?, argmax })
+    Ok((Tensor::from_vec(out, [n, c, oh, ow])?, argmax))
 }
 
 /// Backward max pooling: scatters `grad_out` to the argmax positions recorded

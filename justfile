@@ -14,9 +14,11 @@ fmt-check:
 clippy:
     cargo clippy --all-targets -- -D warnings
 
-# Chaos tests use fixed seeds, so this is deterministic.
+# The tier-1 command: `default-members` makes it every workspace test
+# (about 4 min on 2 vCPUs). Chaos tests use fixed seeds, so this is
+# deterministic.
 test:
-    cargo test --workspace -q
+    cargo test -q
 
 # The topology sweep: configs (a)-(e) plus deep HierarchyBuilder chains,
 # each with deadline degradation off and on, across worker-pool sizes,
@@ -57,8 +59,12 @@ bench-kernels-smoke:
 # batches, the f32 route for rows wider than a word) must be
 # bit-identical to the f32 sign path on every dispatch tier at every
 # pool size (tiers above what the CPU supports clamp down, so this is
-# safe on any x86-64 or non-x86 host).
+# safe on any x86-64 or non-x86 host); and the clipped-row window
+# kernels (im2col, col2im, max pooling) must be bit-identical to the
+# bounds-checked per-tap walk at every pool size.
 kernel-matrix:
+    DDNN_THREADS=1 cargo test -p ddnn-tensor --test window_kernels -q
+    DDNN_THREADS=4 cargo test -p ddnn-tensor --test window_kernels -q
     DDNN_SIMD=scalar DDNN_THREADS=1 cargo test -p ddnn-tensor --test binary_conv_equivalence -q
     DDNN_SIMD=scalar DDNN_THREADS=4 cargo test -p ddnn-tensor --test binary_conv_equivalence -q
     DDNN_SIMD=sse2 DDNN_THREADS=1 cargo test -p ddnn-tensor --test binary_conv_equivalence -q
