@@ -231,6 +231,11 @@ impl FeatureAggregator {
         self.scheme
     }
 
+    /// Number of maps aggregated.
+    pub fn num_inputs(&self) -> usize {
+        self.num_inputs
+    }
+
     /// Channel count of the aggregated output given per-device channels.
     pub fn output_channels(&self, per_device_channels: usize) -> usize {
         match self.scheme {

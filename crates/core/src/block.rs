@@ -25,9 +25,9 @@ pub enum Precision {
 /// are ±1 (1 bit each on the wire).
 #[derive(Debug, Clone)]
 pub struct ConvPBlock {
-    conv: Conv2d,
-    pool: MaxPool2d,
-    bn: BatchNorm,
+    pub(crate) conv: Conv2d,
+    pub(crate) pool: MaxPool2d,
+    pub(crate) bn: BatchNorm,
     act: BinaryActivation,
     in_channels: usize,
     filters: usize,
@@ -136,10 +136,6 @@ impl Layer for ConvPBlock {
     fn load_extra_state(&mut self, state: &[f32]) -> Result<()> {
         self.bn.load_extra_state(state)
     }
-
-    fn set_bit_kernels(&mut self, enabled: bool) {
-        self.conv.set_bit_kernels(enabled);
-    }
 }
 
 /// The fused binary fully-connected block of Fig. 3:
@@ -202,10 +198,6 @@ impl Layer for FcBlock {
     fn load_extra_state(&mut self, state: &[f32]) -> Result<()> {
         self.bn.load_extra_state(state)
     }
-
-    fn set_bit_kernels(&mut self, enabled: bool) {
-        self.linear.set_bit_kernels(enabled);
-    }
 }
 
 /// An exit head: the paper's FC block *without* the final binary
@@ -220,8 +212,8 @@ impl Layer for FcBlock {
 /// normalized entropy to ~0 and making the exit threshold useless.
 #[derive(Debug, Clone)]
 pub struct ExitHead {
-    linear: Linear,
-    bn: BatchNorm,
+    pub(crate) linear: Linear,
+    pub(crate) bn: BatchNorm,
     classes: usize,
 }
 
@@ -278,10 +270,6 @@ impl Layer for ExitHead {
 
     fn load_extra_state(&mut self, state: &[f32]) -> Result<()> {
         self.bn.load_extra_state(state)
-    }
-
-    fn set_bit_kernels(&mut self, enabled: bool) {
-        self.linear.set_bit_kernels(enabled);
     }
 }
 

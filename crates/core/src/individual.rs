@@ -114,7 +114,7 @@ impl IndividualModel {
     ///
     /// Returns an error on malformed input.
     pub fn predict(&mut self, views: &Tensor) -> Result<Vec<usize>> {
-        self.forward(views, Mode::Eval)?.softmax_rows()?.argmax_rows()
+        self.part.freeze().forward(views)?.1.softmax_rows()?.argmax_rows()
     }
 }
 

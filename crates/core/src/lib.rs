@@ -48,6 +48,7 @@ pub mod checkpoint;
 pub mod comm;
 pub mod entropy;
 pub mod fault;
+pub mod frozen;
 pub mod individual;
 pub mod metrics;
 pub mod model;
@@ -62,6 +63,7 @@ pub use entropy::{
     ExitThreshold,
 };
 pub use fault::{fail_devices, fail_devices_with, single_failures};
+pub use frozen::{FrozenDdnn, FrozenDevice, FrozenStage, SignMaps};
 pub use individual::IndividualModel;
 pub use metrics::{
     accuracy, evaluate_exit_accuracies, evaluate_overall, ExitAccuracies, OverallEvaluation,

@@ -4,7 +4,7 @@
 
 use crate::aggregation::{AggregationScheme, FeatureAggregator, VectorAggregator};
 use crate::block::{ConvPBlock, ExitHead, Precision};
-use crate::entropy::{normalized_entropy_rows, ExitPolicy, ExitThreshold};
+use crate::entropy::ExitThreshold;
 use ddnn_nn::{Layer, Mode, Param};
 use ddnn_tensor::conv::Conv2dSpec;
 use ddnn_tensor::rng::rng_from_seed;
@@ -32,6 +32,24 @@ fn pooled_size(size: usize) -> usize {
         .unwrap_or_else(|e| panic!("paper pool over {size}x{size}: {e}"));
     debug_assert_eq!(oh, ow, "square input pools to a square output");
     oh
+}
+
+/// Checks for one `(n, 3, 32, 32)` view batch per device and returns `n`.
+pub(crate) fn check_views(devices: usize, views: &[Tensor]) -> Result<usize> {
+    if views.len() != devices {
+        return Err(TensorError::LengthMismatch { expected: devices, actual: views.len() });
+    }
+    let n = views[0].dims()[0];
+    for v in views {
+        if v.rank() != 4 || v.dims() != [n, INPUT_CHANNELS, INPUT_SIZE, INPUT_SIZE] {
+            return Err(TensorError::ShapeMismatch {
+                lhs: v.dims().to_vec(),
+                rhs: vec![n, INPUT_CHANNELS, INPUT_SIZE, INPUT_SIZE],
+                op: "ddnn.forward views",
+            });
+        }
+    }
+    Ok(n)
 }
 
 /// Configuration of an optional edge (fog) tier between devices and cloud
@@ -465,7 +483,7 @@ pub struct DdnnPartition {
 /// training in [`crate::train`].
 #[derive(Clone)]
 pub struct Ddnn {
-    parts: DdnnPartition,
+    pub(crate) parts: DdnnPartition,
 }
 
 impl std::fmt::Debug for Ddnn {
@@ -564,26 +582,6 @@ impl Ddnn {
         self.parts.devices[0].memory_bytes()
     }
 
-    fn check_views(&self, views: &[Tensor]) -> Result<usize> {
-        if views.len() != self.parts.devices.len() {
-            return Err(TensorError::LengthMismatch {
-                expected: self.parts.devices.len(),
-                actual: views.len(),
-            });
-        }
-        let n = views[0].dims()[0];
-        for v in views {
-            if v.rank() != 4 || v.dims() != [n, INPUT_CHANNELS, INPUT_SIZE, INPUT_SIZE] {
-                return Err(TensorError::ShapeMismatch {
-                    lhs: v.dims().to_vec(),
-                    rhs: vec![n, INPUT_CHANNELS, INPUT_SIZE, INPUT_SIZE],
-                    op: "ddnn.forward views",
-                });
-            }
-        }
-        Ok(n)
-    }
-
     /// Forward cost of all device sections over an `n`-sample batch, as the
     /// worker pool counts it: what decides whether the sections fan out (a
     /// training or evaluation batch) or run inline (one sample).
@@ -599,7 +597,7 @@ impl Ddnn {
     ///
     /// Returns an error if the view count or any view shape is wrong.
     pub fn forward(&mut self, views: &[Tensor], mode: Mode) -> Result<ExitLogits> {
-        let work = self.device_work(self.check_views(views)?);
+        let work = self.device_work(check_views(self.parts.devices.len(), views)?);
         let parts = &mut self.parts;
         // The device sections are independent, so they fan out across the
         // worker pool; results come back in device order regardless of
@@ -716,17 +714,6 @@ impl Ddnn {
         ps
     }
 
-    /// Enables or disables the XNOR–popcount inference kernels on every
-    /// block of the model (see [`Layer::set_bit_kernels`]). Both settings
-    /// produce bit-identical outputs on binarized operands; the toggle
-    /// exists so equivalence tests and benchmarks can run both paths on
-    /// identical weights.
-    pub fn set_bit_kernels(&mut self, enabled: bool) {
-        for block in self.blocks_mut() {
-            block.set_bit_kernels(enabled);
-        }
-    }
-
     /// Zeroes all parameter gradients.
     pub fn zero_grad(&mut self) {
         for p in self.params_mut() {
@@ -749,6 +736,12 @@ impl Ddnn {
     /// training; without a refresh, eval-mode accuracy collapses. The
     /// trainer calls this automatically after the last epoch.
     ///
+    /// The passes leave nothing cached: a last one-sample `Mode::Eval`
+    /// forward drops the activations the `Train` passes cached for a
+    /// backward that never comes, which would otherwise stay resident in
+    /// the model, and in every partition cloned off it, for as long as it
+    /// lives.
+    ///
     /// # Errors
     ///
     /// Returns an error on malformed views.
@@ -758,7 +751,7 @@ impl Ddnn {
         batch_size: usize,
         passes: usize,
     ) -> Result<()> {
-        let n = self.check_views(views)?;
+        let n = check_views(self.parts.devices.len(), views)?;
         let bs = batch_size.max(1);
         for _ in 0..passes {
             let mut start = 0;
@@ -770,16 +763,18 @@ impl Ddnn {
                 start += bs;
             }
         }
+        if n > 0 {
+            let first: Vec<Tensor> =
+                views.iter().map(|v| v.select_axis0(&[0])).collect::<Result<_>>()?;
+            self.forward(&first, Mode::Eval)?;
+        }
         Ok(())
     }
 
-    /// Staged inference (paper §III-D): classify each sample at the
-    /// earliest exit whose [`ExitPolicy`] claims it; the cloud's terminal
-    /// policy always classifies what reaches it. The per-exit decisions are
-    /// the exact [`ExitPolicy`] the distributed runtime's tier nodes run,
-    /// so the in-process and simulated paths cannot drift apart.
-    ///
-    /// `edge_threshold` is ignored for models without an edge tier.
+    /// Staged inference (paper §III-D) on the model frozen for it: see
+    /// [`FrozenDdnn::infer`](crate::FrozenDdnn::infer). Freezing packs the
+    /// weights once per call; a caller that infers repeatedly on fixed
+    /// weights holds [`Ddnn::freeze`]'s result instead.
     ///
     /// # Errors
     ///
@@ -790,49 +785,18 @@ impl Ddnn {
         local_threshold: ExitThreshold,
         edge_threshold: Option<ExitThreshold>,
     ) -> Result<InferenceOutput> {
-        let logits = self.forward(views, Mode::Eval)?;
-        let local_eta = normalized_entropy_rows(&logits.local.softmax_rows()?)?;
-        let local = ExitPolicy::Entropy(local_threshold).decide_rows(&logits.local)?;
-        let edge = match &logits.edge {
-            Some(e) => {
-                Some(ExitPolicy::Entropy(edge_threshold.unwrap_or_default()).decide_rows(e)?)
-            }
-            None => None,
-        };
-        let cloud = ExitPolicy::Terminal.decide_rows(&logits.cloud)?;
-        let mut predictions = Vec::with_capacity(cloud.len());
-        let mut exits = Vec::with_capacity(cloud.len());
-        for i in 0..cloud.len() {
-            let (pred, exit) = if let Some(p) = local[i] {
-                (p, ExitPoint::Local)
-            } else if let Some(p) = edge.as_ref().and_then(|e| e[i]) {
-                (p, ExitPoint::Edge)
-            } else {
-                (cloud[i].expect("terminal policy always classifies"), ExitPoint::Cloud)
-            };
-            predictions.push(pred);
-            exits.push(exit);
-        }
-        Ok(InferenceOutput { predictions, exits, local_entropy: local_eta, logits })
+        self.freeze().infer(views, local_threshold, edge_threshold)
     }
 
-    /// Predictions when *all* samples exit at the given point (the paper's
-    /// "Local/Edge/Cloud Accuracy" measures, §III-F).
+    /// Predictions when *all* samples exit at the given point, on the
+    /// frozen model: see [`FrozenDdnn::predict_at`](crate::FrozenDdnn::predict_at).
     ///
     /// # Errors
     ///
     /// Returns an error on malformed views, or when asking for the edge
     /// exit of an edge-less model.
     pub fn predict_at(&mut self, views: &[Tensor], point: ExitPoint) -> Result<Vec<usize>> {
-        let logits = self.forward(views, Mode::Eval)?;
-        let t = match point {
-            ExitPoint::Local => logits.local,
-            ExitPoint::Cloud => logits.cloud,
-            ExitPoint::Edge => logits.edge.ok_or(TensorError::Empty {
-                op: "predict_at(Edge) on a model without an edge tier",
-            })?,
-        };
-        t.softmax_rows()?.argmax_rows()
+        self.freeze().predict_at(views, point)
     }
 }
 
@@ -1056,20 +1020,6 @@ mod tests {
         let oa = a.forward(&views, Mode::Eval).unwrap();
         let ob = b.forward(&views, Mode::Eval).unwrap();
         assert_eq!(oa.cloud, ob.cloud);
-    }
-
-    #[test]
-    fn bit_kernel_toggle_is_bit_exact_end_to_end() {
-        // Every binarized block routed through the XNOR kernels must
-        // produce the same bytes as the f32 sign path — the property that
-        // makes the bit path safe to enable by default.
-        let mut m = Ddnn::new(small_config());
-        let views = random_views(3, 2, 8);
-        let fast = m.forward(&views, Mode::Eval).unwrap();
-        m.set_bit_kernels(false);
-        let slow = m.forward(&views, Mode::Eval).unwrap();
-        assert_eq!(fast.local, slow.local);
-        assert_eq!(fast.cloud, slow.cloud);
     }
 
     #[test]

@@ -70,6 +70,51 @@ impl BatchNorm {
     }
 }
 
+/// Batch norm's inference arithmetic with its per-channel terms fixed:
+/// what [`BatchNorm::forward`] runs under [`Mode::Eval`], and what a frozen
+/// inference block applies to each pooled value before taking its sign —
+/// one function, so the two agree bit for bit.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BnInference {
+    /// Per channel: running mean `μ`, `σ⁻¹`, `γ`, `β`.
+    terms: Vec<[f32; 4]>,
+}
+
+impl BnInference {
+    /// Number of normalized channels.
+    pub fn channels(&self) -> usize {
+        self.terms.len()
+    }
+
+    /// `γ·((x − μ)·σ⁻¹) + β` for a value `x` of channel `ch`, with the
+    /// running mean `μ` and `σ⁻¹ = 1/√(var + ε)` of the running variance.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ch` is not below [`BnInference::channels`].
+    #[inline(always)]
+    pub fn apply(&self, ch: usize, x: f32) -> f32 {
+        let [mean, inv_std, gamma, beta] = self.terms[ch];
+        gamma * ((x - mean) * inv_std) + beta
+    }
+}
+
+/// `1/√(var + ε)` per channel, for batch and running statistics alike.
+fn inv_std(var: &[f32], eps: f32) -> Vec<f32> {
+    var.iter().map(|&v| 1.0 / (v + eps).sqrt()).collect()
+}
+
+impl BatchNorm {
+    /// The inference arithmetic over the current running statistics.
+    pub fn inference(&self) -> BnInference {
+        let inv_std = inv_std(&self.running_var, self.eps);
+        let (gamma, beta) = (self.gamma.value.data(), self.beta.value.data());
+        let terms =
+            (0..self.channels).map(|c| [self.running_mean[c], inv_std[c], gamma[c], beta[c]]);
+        BnInference { terms: terms.collect() }
+    }
+}
+
 impl Layer for BatchNorm {
     #[allow(clippy::needless_range_loop)] // channel-indexed accumulation is clearer
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
@@ -79,80 +124,71 @@ impl Layer for BatchNorm {
         let plane = c * inner; // elements per batch item
         let n = input.len() / plane;
 
-        // Only training caches `x̂` for backward; inference reads the
-        // running statistics without copying them.
+        // Only training caches `x̂` for backward.
         self.cache = None;
-        let batch_stats = match mode {
-            Mode::Train => {
-                let mut mean = vec![0.0f32; c];
-                let mut var = vec![0.0f32; c];
-                for b in 0..n {
-                    for ch in 0..c {
-                        let base = b * plane + ch * inner;
-                        for i in 0..inner {
-                            mean[ch] += input.data()[base + i];
-                        }
-                    }
-                }
-                for m in &mut mean {
-                    *m /= group as f32;
-                }
-                for b in 0..n {
-                    for ch in 0..c {
-                        let base = b * plane + ch * inner;
-                        for i in 0..inner {
-                            let d = input.data()[base + i] - mean[ch];
-                            var[ch] += d * d;
-                        }
-                    }
-                }
-                for v in &mut var {
-                    *v /= group as f32;
-                }
-                for ch in 0..c {
-                    self.running_mean[ch] =
-                        self.momentum * self.running_mean[ch] + (1.0 - self.momentum) * mean[ch];
-                    self.running_var[ch] =
-                        self.momentum * self.running_var[ch] + (1.0 - self.momentum) * var[ch];
-                }
-                Some((mean, var))
+        if mode == Mode::Eval {
+            let bn = self.inference();
+            let mut out = input.data().to_vec();
+            for (i, span) in out.chunks_mut(inner.max(1)).enumerate() {
+                let ch = i % c;
+                span.iter_mut().for_each(|y| *y = bn.apply(ch, *y));
             }
-            Mode::Eval => None,
-        };
-        let (mean, var) = match &batch_stats {
-            Some((mean, var)) => (mean, var),
-            None => (&self.running_mean, &self.running_var),
-        };
+            return Tensor::from_vec(out, dims);
+        }
 
-        let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + self.eps).sqrt()).collect();
+        let mut mean = vec![0.0f32; c];
+        let mut var = vec![0.0f32; c];
+        for b in 0..n {
+            for ch in 0..c {
+                let base = b * plane + ch * inner;
+                for i in 0..inner {
+                    mean[ch] += input.data()[base + i];
+                }
+            }
+        }
+        for m in &mut mean {
+            *m /= group as f32;
+        }
+        for b in 0..n {
+            for ch in 0..c {
+                let base = b * plane + ch * inner;
+                for i in 0..inner {
+                    let d = input.data()[base + i] - mean[ch];
+                    var[ch] += d * d;
+                }
+            }
+        }
+        for v in &mut var {
+            *v /= group as f32;
+        }
+        for ch in 0..c {
+            self.running_mean[ch] =
+                self.momentum * self.running_mean[ch] + (1.0 - self.momentum) * mean[ch];
+            self.running_var[ch] =
+                self.momentum * self.running_var[ch] + (1.0 - self.momentum) * var[ch];
+        }
+
+        let inv_std = inv_std(&var, self.eps);
         let mut out = vec![0.0f32; input.len()];
-        let mut x_hat = vec![0.0f32; if mode == Mode::Train { input.len() } else { 0 }];
+        let mut x_hat = vec![0.0f32; input.len()];
         let g = self.gamma.value.data();
         let be = self.beta.value.data();
         for b in 0..n {
             for ch in 0..c {
                 let span = b * plane + ch * inner..b * plane + (ch + 1) * inner;
-                let normalize = |x: f32| (x - mean[ch]) * inv_std[ch];
-                let (xs, ys) = (&input.data()[span.clone()], &mut out[span.clone()]);
-                if let Some(hats) = x_hat.get_mut(span) {
-                    for ((y, h), &x) in ys.iter_mut().zip(hats).zip(xs) {
-                        *h = normalize(x);
-                        *y = g[ch] * *h + be[ch];
-                    }
-                } else {
-                    for (y, &x) in ys.iter_mut().zip(xs) {
-                        *y = g[ch] * normalize(x) + be[ch];
-                    }
+                let xs = &input.data()[span.clone()];
+                let (ys, hats) = (&mut out[span.clone()], &mut x_hat[span]);
+                for ((y, h), &x) in ys.iter_mut().zip(hats).zip(xs) {
+                    *h = (x - mean[ch]) * inv_std[ch];
+                    *y = g[ch] * *h + be[ch];
                 }
             }
         }
-        if mode == Mode::Train {
-            self.cache = Some(BnCache {
-                x_hat: Tensor::from_vec(x_hat, dims.clone())?,
-                inv_std,
-                input_dims: dims.clone(),
-            });
-        }
+        self.cache = Some(BnCache {
+            x_hat: Tensor::from_vec(x_hat, dims.clone())?,
+            inv_std,
+            input_dims: dims.clone(),
+        });
         Tensor::from_vec(out, dims)
     }
 

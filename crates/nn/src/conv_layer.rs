@@ -3,7 +3,6 @@
 use crate::init;
 use crate::layer::{Layer, Mode, Param};
 use crate::linear::binarize;
-use ddnn_tensor::bitmatrix::{binary_conv2d, is_sign_tensor};
 use ddnn_tensor::conv::{
     conv2d, conv2d_backward, conv2d_backward_weight, max_pool2d, max_pool2d_values, Conv2dSpec,
 };
@@ -19,7 +18,6 @@ pub struct Conv2d {
     weight: Param,
     spec: Conv2dSpec,
     binary: bool,
-    bit_kernels: bool,
     in_channels: usize,
     filters: usize,
     cached_input: Option<Tensor>,
@@ -39,7 +37,6 @@ impl Conv2d {
             weight: Param::new("conv.weight", w),
             spec,
             binary: false,
-            bit_kernels: true,
             in_channels,
             filters,
             cached_input: None,
@@ -68,6 +65,11 @@ impl Conv2d {
     /// Number of output filters.
     pub fn filters(&self) -> usize {
         self.filters
+    }
+
+    /// Number of input channels.
+    pub fn in_channels(&self) -> usize {
+        self.in_channels
     }
 
     /// Convolution geometry.
@@ -122,23 +124,8 @@ impl Layer for Conv2d {
                 op: "conv2d.forward",
             });
         }
-        // Binary inference fast path: a ±1 feature map convolved with
-        // sign(W) lowers to the fused pack-and-popcount kernel
-        // (`BinaryConvPlan` under `binary_conv2d`, the one bit-packed
-        // convolution), bit-identical to the zero-padded f32 convolution.
-        // The plan packs the weight matrix once per call and streams every
-        // batch element through it, so the runtime's micro-batched tiers
-        // (`TierNode.batch_max` stacks B samples into one NCHW batch)
-        // amortize the setup across the batch. `binary_conv2d` itself
-        // sends rows wider than one word (`w + 2·padding > 64`, no paper
-        // geometry) to the f32 convolution. Raw float inputs (the first
-        // device conv sees images, not signs) fall through to the f32
-        // path here; training does too, so backward sees the cached float
-        // activations it expects. Only training caches its input.
+        // Only training caches its input.
         self.cached_input = (mode == Mode::Train).then(|| input.clone());
-        if self.binary && self.bit_kernels && mode == Mode::Eval && is_sign_tensor(input) {
-            return binary_conv2d(input, &self.weight.value, &self.spec);
-        }
         conv2d(input, &self.effective_weight(), &self.spec)
     }
 
@@ -152,10 +139,6 @@ impl Layer for Conv2d {
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
         vec![&mut self.weight]
-    }
-
-    fn set_bit_kernels(&mut self, enabled: bool) {
-        self.bit_kernels = enabled;
     }
 
     fn describe(&self) -> String {
@@ -192,6 +175,11 @@ impl MaxPool2d {
     /// The paper's pooling geometry (3×3, stride 2, pad 1).
     pub fn paper() -> Self {
         MaxPool2d::new(Conv2dSpec::paper_pool())
+    }
+
+    /// Pooling geometry.
+    pub fn spec(&self) -> &Conv2dSpec {
+        &self.spec
     }
 }
 
@@ -232,6 +220,7 @@ impl Layer for MaxPool2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ddnn_tensor::bitmatrix::binary_conv2d;
     use ddnn_tensor::rng::rng_from_seed;
 
     #[test]
@@ -304,20 +293,14 @@ mod tests {
 
     #[test]
     fn bit_kernel_conv_matches_float_path_exactly() {
+        // The Eval forward is the f32 reference; the XNOR kernel on the
+        // same signs must reproduce it bit for bit.
         let mut rng = rng_from_seed(23);
         let mut conv = Conv2d::binarized(4, 6, Conv2dSpec::paper_conv(), &mut rng);
         let x = crate::linear::binarize(&Tensor::randn([2, 4, 8, 8], 1.0, &mut rng));
-        let fast = conv.forward(&x, Mode::Eval).unwrap();
-        conv.set_bit_kernels(false);
-        let slow = conv.forward(&x, Mode::Eval).unwrap();
-        assert_eq!(fast, slow, "XNOR and f32 conv paths must be bit-identical");
-        // Raw float input (the first device conv) must fall back cleanly.
-        let raw = Tensor::randn([1, 4, 8, 8], 1.0, &mut rng);
-        conv.set_bit_kernels(true);
-        let a = conv.forward(&raw, Mode::Eval).unwrap();
-        conv.set_bit_kernels(false);
-        let b = conv.forward(&raw, Mode::Eval).unwrap();
-        assert_eq!(a, b);
+        let reference = conv.forward(&x, Mode::Eval).unwrap();
+        let xnor = binary_conv2d(&x, &conv.weight.value, conv.spec()).unwrap();
+        assert_eq!(xnor, reference, "XNOR and f32 conv paths must be bit-identical");
     }
 
     #[test]

@@ -13,7 +13,8 @@ use ddnn_tensor::{Result, Tensor};
 ///
 /// Batch normalization uses batch statistics under [`Mode::Train`] and
 /// running statistics under [`Mode::Eval`]; binarized layers behave the same
-/// in both modes.
+/// in both modes. `Eval` is the plain f32 reference the frozen inference
+/// form (`ddnn-core`'s `frozen` module) is bit-identical to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Mode {
     /// Training: layers may use batch statistics and cache activations.
@@ -140,15 +141,6 @@ pub trait Layer: Send {
     fn param_count(&mut self) -> usize {
         self.params_mut().iter().map(|p| p.len()).sum()
     }
-
-    /// Enables or disables the XNOR–popcount inference kernels on this
-    /// layer (and any nested layers). Containers propagate the toggle;
-    /// layers without a binary fast path ignore it.
-    ///
-    /// Both paths produce bit-identical outputs on binarized operands, so
-    /// this exists for equivalence testing and benchmarking, not
-    /// correctness; it defaults to enabled.
-    fn set_bit_kernels(&mut self, _enabled: bool) {}
 }
 
 #[cfg(test)]

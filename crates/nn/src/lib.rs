@@ -47,7 +47,7 @@ mod loss;
 mod optim;
 
 pub use activation::BinaryActivation;
-pub use batchnorm::BatchNorm;
+pub use batchnorm::{BatchNorm, BnInference};
 pub use conv_layer::{Conv2d, MaxPool2d};
 pub use layer::{Layer, Mode, Param};
 pub use linear::{binarize, Linear};

@@ -2,7 +2,7 @@
 
 use crate::init;
 use crate::layer::{Layer, Mode, Param};
-use ddnn_tensor::{bitmatrix, Result, Tensor, TensorError};
+use ddnn_tensor::{Result, Tensor, TensorError};
 use rand::Rng;
 
 /// Binarizes a tensor elementwise to ±1 (`x > 0 → +1`, else `−1`).
@@ -26,7 +26,6 @@ pub struct Linear {
     weight: Param,
     bias: Option<Param>,
     binary: bool,
-    bit_kernels: bool,
     in_features: usize,
     out_features: usize,
     cached_input: Option<Tensor>,
@@ -41,7 +40,6 @@ impl Linear {
             weight: Param::new("linear.weight", w),
             bias: bias.then(|| Param::new("linear.bias", Tensor::zeros([out_features]))),
             binary: false,
-            bit_kernels: true,
             in_features,
             out_features,
             cached_input: None,
@@ -58,7 +56,6 @@ impl Linear {
             weight: Param::with_clip("binlinear.weight", w, -1.0, 1.0),
             bias: None,
             binary: true,
-            bit_kernels: true,
             in_features,
             out_features,
             cached_input: None,
@@ -78,6 +75,11 @@ impl Linear {
     /// Output width.
     pub fn out_features(&self) -> usize {
         self.out_features
+    }
+
+    /// The bias, if the layer has one.
+    pub fn bias(&self) -> Option<&Tensor> {
+        self.bias.as_ref().map(|b| &b.value)
     }
 
     /// The weights used in the forward pass (`sign(W)` when binarized).
@@ -116,26 +118,10 @@ impl Layer for Linear {
                 op: "linear.forward",
             });
         }
-        // Binary inference fast path: ±1 input against sign(W) lowers to
-        // XNOR–popcount, which is bit-identical to the f32 product (every
-        // partial sum is a small integer, exact in f32). Training keeps
-        // the float path so straight-through gradients see the same
-        // activations they cached. Packing the master weights directly is
-        // the same as packing binarize(W): both use `x > 0`.
-        let out = if self.binary
-            && self.bit_kernels
-            && mode == Mode::Eval
-            && self.bias.is_none()
-            && bitmatrix::is_sign_tensor(&flat)
-        {
-            bitmatrix::binary_matmul(&flat, &self.weight.value)?
-        } else {
-            let mut out = flat.matmul(&self.effective_weight().transpose()?)?;
-            if let Some(b) = &self.bias {
-                out.add_row_broadcast(&b.value)?;
-            }
-            out
-        };
+        let mut out = flat.matmul(&self.effective_weight().transpose()?)?;
+        if let Some(b) = &self.bias {
+            out.add_row_broadcast(&b.value)?;
+        }
         // Only training caches its input.
         self.cached_input = (mode == Mode::Train).then_some(flat);
         Ok(out)
@@ -164,10 +150,6 @@ impl Layer for Linear {
             ps.push(b);
         }
         ps
-    }
-
-    fn set_bit_kernels(&mut self, enabled: bool) {
-        self.bit_kernels = enabled;
     }
 
     fn describe(&self) -> String {
@@ -285,24 +267,14 @@ mod tests {
 
     #[test]
     fn bit_kernel_path_matches_float_path_exactly() {
+        // The Eval forward is the f32 reference; XNOR–popcount on the same
+        // signs must reproduce it bit for bit.
         let mut rng = rng_from_seed(21);
         let mut l = Linear::binarized(70, 5, &mut rng); // width crosses a word boundary
         let x = binarize(&Tensor::randn([4, 70], 1.0, &mut rng));
-        let fast = l.forward(&x, Mode::Eval).unwrap();
-        l.set_bit_kernels(false);
-        let slow = l.forward(&x, Mode::Eval).unwrap();
-        assert_eq!(fast, slow, "XNOR and f32 paths must be bit-identical");
-    }
-
-    #[test]
-    fn bit_kernel_falls_back_on_non_sign_input() {
-        let mut rng = rng_from_seed(22);
-        let mut l = Linear::binarized(8, 2, &mut rng);
-        let x = Tensor::randn([2, 8], 1.0, &mut rng); // raw floats, not ±1
-        let y_eval = l.forward(&x, Mode::Eval).unwrap();
-        l.set_bit_kernels(false);
-        let y_ref = l.forward(&x, Mode::Eval).unwrap();
-        assert_eq!(y_eval, y_ref);
+        let reference = l.forward(&x, Mode::Eval).unwrap();
+        let xnor = ddnn_tensor::bitmatrix::binary_matmul(&x, &l.weight.value).unwrap();
+        assert_eq!(xnor, reference, "XNOR and f32 paths must be bit-identical");
     }
 
     #[test]

@@ -22,6 +22,7 @@
 
 use crate::error::{Result, RuntimeError};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use ddnn_core::SignMaps;
 use ddnn_tensor::{bits, Tensor};
 
 /// Identifies a node in the hierarchy.
@@ -568,19 +569,34 @@ fn decode_payload(tag: u8, buf: &mut Bytes) -> Result<Payload> {
 ///
 /// # Errors
 ///
-/// Returns an error if the map is not rank 3.
+/// Returns an error if the map is not rank 3 or a dimension is zero or
+/// exceeds the wire's `u16`.
 pub fn features_payload(map: &Tensor) -> Result<Payload> {
-    if map.rank() != 3 {
+    let &[c, h, w] = map.dims() else {
         return Err(RuntimeError::Protocol {
             reason: format!("feature map must be rank 3, got {}", map.rank()),
         });
+    };
+    features_of(&SignMaps::new([c, h, w], vec![bits::pack_signs(map)])?)
+}
+
+/// The [`Payload::Features`] of one packed map, whose bits already are
+/// the wire layout.
+///
+/// # Errors
+///
+/// Returns a protocol error unless `map` holds exactly one sample whose
+/// dimensions fit the wire's `u16`.
+pub(crate) fn features_of(map: &SignMaps) -> Result<Payload> {
+    let [channels, height, width] = map.dims().map(|d| u16::try_from(d).ok());
+    match (channels.zip(height).zip(width), map.samples()) {
+        (Some(((channels, height), width)), [bits]) => {
+            Ok(Payload::Features { channels, height, width, bits: bits.clone() })
+        }
+        _ => Err(RuntimeError::Protocol {
+            reason: "a features payload carries one map of at most u16::MAX a side".to_string(),
+        }),
     }
-    Ok(Payload::Features {
-        channels: map.dims()[0] as u16,
-        height: map.dims()[1] as u16,
-        width: map.dims()[2] as u16,
-        bits: bits::pack_signs(map),
-    })
 }
 
 /// Unpacks a [`Payload::Features`] back into a ±1 tensor.
@@ -704,6 +720,16 @@ mod tests {
         } else {
             panic!("wrong payload type");
         }
+    }
+
+    #[test]
+    fn features_payload_rejects_dimensions_past_u16() {
+        let map = Tensor::ones([1, 1, usize::from(u16::MAX) + 1]);
+        let err = features_payload(&map).unwrap_err();
+        assert!(matches!(err, RuntimeError::Protocol { .. }), "{err}");
+        let wide = SignMaps::pack(&Tensor::ones([1, 1, 1, usize::from(u16::MAX) + 1])).unwrap();
+        assert!(matches!(features_of(&wide), Err(RuntimeError::Protocol { .. })));
+        assert!(features_payload(&Tensor::ones([1, 1, usize::from(u16::MAX)])).is_ok());
     }
 
     #[test]

@@ -122,6 +122,12 @@ impl<T: Clone> Collector<T> {
         }
     }
 
+    /// The blank substituted for `source`: the shape its genuine
+    /// contributions have.
+    pub(crate) fn blank(&self, source: usize) -> &T {
+        &self.blanks[source]
+    }
+
     /// Whether `source` is a device that failed before the run began.
     fn failed(&self, source: usize) -> bool {
         self.device_of_source[source].is_some_and(|d| !self.live_devices[d])

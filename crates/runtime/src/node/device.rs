@@ -1,18 +1,17 @@
 //! The end-device node and its blank-input signature.
 //!
 //! A *failed* device's thread never starts; the aggregating tiers
-//! substitute the device's precomputed [`BlankSignature`], which is the
-//! same encoding the dataset uses for "object not present" — the mechanism
-//! behind the paper's automatic fault tolerance (§IV-G).
+//! substitute what the device computes for a [`blank_view`], the
+//! dataset's encoding of "object not present" — the mechanism behind the
+//! paper's automatic fault tolerance (§IV-G).
 
 use crate::error::{Result, RuntimeError};
 use crate::link::{LinkSender, NodeInbox};
-use crate::message::{features_payload, Frame, NodeId, Payload};
+use crate::message::{features_of, Frame, NodeId, Payload};
 use crate::node::report::NodeReport;
 use crate::obs::RunObs;
 use crate::orchestrator::NodeControl;
-use ddnn_core::{DdnnConfig, DevicePart, BLANK_INPUT_VALUE};
-use ddnn_nn::Mode;
+use ddnn_core::{DdnnConfig, FrozenDevice, BLANK_INPUT_VALUE};
 use ddnn_tensor::Tensor;
 use std::sync::Arc;
 
@@ -23,25 +22,9 @@ pub(crate) fn blank_view(config: &DdnnConfig) -> Tensor {
     Tensor::full([1, c, h, w], BLANK_INPUT_VALUE)
 }
 
-/// Per-device blank-input signature: the scores and feature map the device
-/// would produce for a blank view, substituted by aggregators when the
-/// device has failed.
-#[derive(Debug, Clone)]
-pub(crate) struct BlankSignature {
-    /// Exit-head class scores for the blank view.
-    pub(crate) scores: Vec<f32>,
-    /// ConvP feature map for the blank view, shaped
-    /// [`DdnnConfig::device_map_dims`].
-    pub(crate) map: Tensor,
-}
-
-/// Computes one device's [`BlankSignature`] on a cloned section.
-pub(crate) fn blank_signature(part: &DevicePart, config: &DdnnConfig) -> Result<BlankSignature> {
-    let (map, scores) = part.clone().forward(&blank_view(config), Mode::Eval)?;
-    Ok(BlankSignature { scores: scores.data().to_vec(), map: map.index_axis0(0)? })
-}
-
-/// Runs a device node until shutdown. In `tolerant` mode (deadlines
+/// Runs a device node until shutdown, on its section frozen for
+/// inference: each capture's map comes out packed and is cached as the
+/// `Features` frame the device offloads. In `tolerant` mode (deadlines
 /// active) protocol hiccups that faults make possible — duplicated stale
 /// captures, offload requests racing a retried capture — are ignored
 /// instead of aborting the node.
@@ -60,7 +43,7 @@ pub(crate) fn blank_signature(part: &DevicePart, config: &DdnnConfig) -> Result<
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn device_node(
     d: usize,
-    mut part: DevicePart,
+    part: FrozenDevice,
     mut inbox: NodeInbox,
     to_gateway: LinkSender,
     to_tiers: Vec<Option<LinkSender>>,
@@ -69,7 +52,7 @@ pub(crate) fn device_node(
     capture_cap: usize,
     obs: Arc<RunObs>,
 ) -> Result<NodeReport> {
-    let mut cache: std::collections::BTreeMap<u64, Tensor> = std::collections::BTreeMap::new();
+    let mut cache: std::collections::BTreeMap<u64, Frame> = std::collections::BTreeMap::new();
     let capture_cap = capture_cap.max(1);
     let captures = obs.registry().counter(&format!("node.device{d}.captures"));
     let offloads = obs.registry().counter(&format!("node.device{d}.offloads"));
@@ -113,8 +96,9 @@ pub(crate) fn device_node(
                 let mut dims = vec![1];
                 dims.extend_from_slice(view.dims());
                 let batch = view.reshape(dims)?;
-                let (map, scores) = part.forward(&batch, Mode::Eval)?;
-                cache.insert(frame.seq, map.index_axis0(0)?);
+                let (map, scores) = part.forward(&batch)?;
+                let features = Frame::new(frame.seq, NodeId::Device(d as u8), features_of(&map)?);
+                cache.insert(frame.seq, features);
                 while cache.len() > capture_cap {
                     cache.pop_first();
                 }
@@ -137,14 +121,10 @@ pub(crate) fn device_node(
                 // tier) simply drops the request.
                 let sink = control.routing.device_parent.and_then(|k| to_tiers[k].as_ref());
                 match cache.get(&frame.seq) {
-                    Some(map) => {
+                    Some(features) => {
                         if let Some(sink) = sink {
                             offloads.incr();
-                            sink.send(&Frame::new(
-                                frame.seq,
-                                NodeId::Device(d as u8),
-                                features_payload(map)?,
-                            ))?;
+                            sink.send(features)?;
                         }
                     }
                     None if tolerant => {} // stale or premature request under faults

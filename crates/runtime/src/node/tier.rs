@@ -4,13 +4,14 @@
 //! [`ExitPolicy`] and a [`Route`] — subsumes the legacy gateway, edge and
 //! cloud loops *and* the §IV-H raw-offload baseline. The section is the
 //! model's own: [`TierSection`] is implemented on the `ddnn-core` parts,
-//! whose `forward` is the only evaluation a node runs.
+//! feature stages in their frozen form, whose `forward` is the only
+//! evaluation a node runs.
 //!
 //! | legacy node    | section              | policy     | route              |
 //! |----------------|----------------------|------------|--------------------|
 //! | gateway        | [`GatewayPart`]      | `Entropy`  | `Gateway`          |
-//! | edge           | [`CloudPart`] stage  | `Entropy`  | `Tier`             |
-//! | cloud          | [`CloudPart`]        | `Terminal` | `Tier` (last)      |
+//! | edge           | [`FrozenStage`]      | `Entropy`  | `Tier`             |
+//! | cloud          | [`FrozenStage`]      | `Terminal` | `Tier` (last)      |
 //! | baseline cloud | [`RawSection`]       | `Terminal` | `Tier` (only)      |
 //!
 //! Every node routes by its [`NodeControl`]'s table: where a sample
@@ -22,26 +23,15 @@
 
 use crate::error::{Result, RuntimeError};
 use crate::link::{LinkSender, NodeInbox};
-use crate::message::{dequantize_image, features_payload, features_tensor, Frame, NodeId, Payload};
+use crate::message::{dequantize_image, features_of, Frame, NodeId, Payload};
 use crate::node::collector::{Collector, Ingest};
 use crate::node::report::NodeReport;
 use crate::obs::{NodeObs, ObsEvent};
 use crate::orchestrator::NodeControl;
-use ddnn_core::{CloudPart, Ddnn, ExitPolicy, GatewayPart};
+use ddnn_core::{ExitPolicy, FrozenDdnn, FrozenStage, GatewayPart, SignMaps};
 use ddnn_nn::Mode;
 use ddnn_tensor::Tensor;
 use std::time::Instant;
-
-/// Prepends a batch axis to each rank-3 map.
-pub(crate) fn batched(maps: Vec<Tensor>) -> Result<Vec<Tensor>> {
-    maps.into_iter()
-        .map(|m| {
-            let mut dims = vec![1];
-            dims.extend_from_slice(m.dims());
-            m.reshape(dims).map_err(RuntimeError::from)
-        })
-        .collect()
-}
 
 /// The model section a tier evaluates once its fan-in completes.
 pub(crate) trait TierSection: Send {
@@ -49,11 +39,12 @@ pub(crate) trait TierSection: Send {
     /// view) — what the collector gathers and substitutes blanks for.
     type Item: Clone + Send;
 
-    /// Extracts this section's item from an arriving payload.
-    fn item_from(&self, payload: Payload, node: &str) -> Result<Self::Item>;
+    /// Extracts this section's item from an arriving payload; `expected`
+    /// is the slot's blank, the shape a genuine contribution has.
+    fn item_from(&self, payload: Payload, expected: &Self::Item, node: &str) -> Result<Self::Item>;
 
     /// Evaluates a micro-batch of completed contribution sets, returning
-    /// per sample the exit logits and (for feature tiers) the rank-4 output
+    /// per sample the exit logits and (for feature tiers) the packed output
     /// map a non-terminal tier forwards when it escalates. This is the only
     /// evaluation the node calls: a batch of one is the per-sample path.
     /// Sections whose compute batches along axis 0 (feature tiers) run the
@@ -62,96 +53,89 @@ pub(crate) trait TierSection: Send {
     fn evaluate_batch(
         &mut self,
         batch: Vec<Vec<Self::Item>>,
-    ) -> Result<Vec<(Tensor, Option<Tensor>)>>;
+    ) -> Result<Vec<(Tensor, Option<SignMaps>)>>;
 }
 
 /// The gateway's section: aggregate per-device class-score vectors.
 impl TierSection for GatewayPart {
-    type Item = Vec<f32>;
+    /// One device's `(1, classes)` scores.
+    type Item = Tensor;
 
-    fn item_from(&self, payload: Payload, node: &str) -> Result<Vec<f32>> {
+    fn item_from(&self, payload: Payload, _: &Tensor, node: &str) -> Result<Tensor> {
         match payload {
-            Payload::Scores { scores } => Ok(scores),
-            other => Err(RuntimeError::Protocol {
-                reason: format!("{node}: unexpected payload {other:?}"),
-            }),
+            Payload::Scores { scores } => Ok(Tensor::from_vec(scores.clone(), [1, scores.len()])?),
+            other => unexpected(node, other),
         }
     }
 
     fn evaluate_batch(
         &mut self,
-        batch: Vec<Vec<Vec<f32>>>,
-    ) -> Result<Vec<(Tensor, Option<Tensor>)>> {
-        // Score aggregation is negligible compute: sample by sample, from
-        // per-device (1, C) score tensors (blanks already substituted by
-        // the collector).
-        batch
-            .into_iter()
-            .map(|items| {
-                let scores: Vec<Tensor> = items
-                    .into_iter()
-                    .map(|v| {
-                        let c = v.len();
-                        Tensor::from_vec(v, [1, c])
-                    })
-                    .collect::<ddnn_tensor::Result<_>>()?;
-                Ok((self.forward(&scores, Mode::Eval)?, None))
-            })
-            .collect()
+        batch: Vec<Vec<Tensor>>,
+    ) -> Result<Vec<(Tensor, Option<SignMaps>)>> {
+        // Score aggregation is negligible compute: sample by sample
+        // (blanks already substituted by the collector).
+        batch.into_iter().map(|scores| Ok((self.forward(&scores, Mode::Eval)?, None))).collect()
     }
 }
 
-/// An edge/cloud-style tier evaluates a feature stage as it is in the
-/// model: aggregate binary feature maps, run the ConvP chain, classify at
-/// the exit head.
-impl TierSection for CloudPart {
-    type Item = Tensor;
+/// The error for a payload a section does not take.
+fn unexpected<T>(node: &str, payload: Payload) -> Result<T> {
+    Err(RuntimeError::Protocol { reason: format!("{node}: unexpected payload {payload:?}") })
+}
 
-    fn item_from(&self, payload: Payload, node: &str) -> Result<Tensor> {
-        match payload {
-            Payload::Features { channels, height, width, bits } => {
-                features_tensor(channels, height, width, &bits)
-            }
-            other => Err(RuntimeError::Protocol {
-                reason: format!("{node}: unexpected payload {other:?}"),
-            }),
-        }
+/// An edge/cloud-style tier evaluates a feature stage frozen for
+/// inference: aggregate the packed maps, run the fused ConvP chain,
+/// classify at the exit head — on the payloads' own bits.
+impl TierSection for FrozenStage {
+    type Item = SignMaps;
+
+    /// The payload's bits, checked against the slot's map: the same
+    /// `(c, h, w)` and exactly `packed_len(c·h·w)` bytes, so no frozen
+    /// kernel reads past them.
+    fn item_from(&self, payload: Payload, expected: &SignMaps, node: &str) -> Result<SignMaps> {
+        let Payload::Features { channels, height, width, bits } = payload else {
+            return unexpected(node, payload);
+        };
+        let dims = [channels, height, width].map(usize::from);
+        let reason = match SignMaps::new(dims, vec![bits]) {
+            Ok(map) if dims == expected.dims() => return Ok(map),
+            Ok(_) => format!("feature map {dims:?} where {:?} is expected", expected.dims()),
+            Err(e) => format!("feature map {dims:?}: {e}"),
+        };
+        Err(RuntimeError::Protocol { reason: format!("{node}: {reason}") })
     }
 
-    fn evaluate_batch(&mut self, batch: Vec<Vec<Tensor>>) -> Result<Vec<(Tensor, Option<Tensor>)>> {
-        // Batch along axis 0: per source slot, stack the B rank-3 maps
-        // into one (B, C, H, W) tensor, then run the section once over the
-        // whole batch. Each batch row's arithmetic is independent, so a
-        // sample's logits and map do not depend on what it was batched
-        // with. The binarized convs lower the whole stacked batch to one
-        // `BinaryConvPlan` (tensor crate): the weight matrix is packed and
-        // the geometry resolved once, then the B samples stream through
-        // the fused pack-and-popcount kernel — this drain is what makes
-        // micro-batching pay.
-        let b = batch.len();
+    fn evaluate_batch(
+        &mut self,
+        batch: Vec<Vec<SignMaps>>,
+    ) -> Result<Vec<(Tensor, Option<SignMaps>)>> {
+        // Batch along the sample axis: per source slot, the B samples'
+        // bits form one batch, and the stage runs once over all of them —
+        // each XNOR plan streams the B samples through with its weights
+        // packed once. Each sample's arithmetic is independent, so its
+        // logits and map do not depend on what it was batched with.
         let num_sources = batch.first().map_or(0, Vec::len);
-        let mut per_source: Vec<Vec<Tensor>> = vec![Vec::new(); num_sources];
-        for items in batch {
-            for (slot, item) in per_source.iter_mut().zip(items) {
-                slot.push(item);
-            }
-        }
-        let stacked: Vec<Tensor> = per_source
-            .iter()
-            .map(|maps| Tensor::stack(maps))
-            .collect::<ddnn_tensor::Result<_>>()?;
-        let (map, logits) = self.forward(&stacked, Mode::Eval)?;
-        let logit_rows = logits.split(b, 0)?;
-        let map_rows = map.split(b, 0)?;
-        Ok(logit_rows.into_iter().zip(map_rows).map(|(l, m)| (l, Some(m))).collect())
+        let per_source = (0..num_sources)
+            .map(|s| SignMaps::concat(batch.iter().map(|items| &items[s])))
+            .collect::<ddnn_tensor::Result<Vec<_>>>()?;
+        let (maps, logits) = self.forward(&per_source)?;
+        let classes = logits.len() / batch.len();
+        let rows =
+            logits.data().chunks(classes).map(|l| Tensor::from_vec(l.to_vec(), [1, classes]));
+        rows.zip(maps.split()).map(|(l, map)| Ok((l?, Some(map)))).collect()
     }
+}
+
+/// One raw view off the wire, as the batch of one the model takes.
+pub(crate) fn raw_view(pixels: &[u8], [c, h, w]: [usize; 3]) -> Result<Tensor> {
+    Ok(dequantize_image(pixels, [c, h, w])?.reshape([1, c, h, w])?)
 }
 
 /// The §IV-H baseline cloud section: every device ships its raw
 /// (byte-quantized) view and the cloud runs the *entire* network on it.
 pub(crate) struct RawSection {
-    /// The whole model, evaluated cloud-side.
-    pub(crate) model: Ddnn,
+    /// The whole model, frozen, evaluated cloud-side.
+    pub(crate) model: FrozenDdnn,
     /// Geometry raw pixels decode to.
     pub(crate) view_dims: [usize; 3],
 }
@@ -159,23 +143,21 @@ pub(crate) struct RawSection {
 impl TierSection for RawSection {
     type Item = Tensor;
 
-    fn item_from(&self, payload: Payload, node: &str) -> Result<Tensor> {
+    fn item_from(&self, payload: Payload, _: &Tensor, node: &str) -> Result<Tensor> {
         match payload {
-            Payload::RawImage { pixels } => dequantize_image(&pixels, self.view_dims),
-            other => Err(RuntimeError::Protocol {
-                reason: format!("{node}: unexpected payload {other:?}"),
-            }),
+            Payload::RawImage { pixels } => raw_view(&pixels, self.view_dims),
+            other => unexpected(node, other),
         }
     }
 
-    fn evaluate_batch(&mut self, batch: Vec<Vec<Tensor>>) -> Result<Vec<(Tensor, Option<Tensor>)>> {
+    fn evaluate_batch(
+        &mut self,
+        batch: Vec<Vec<Tensor>>,
+    ) -> Result<Vec<(Tensor, Option<SignMaps>)>> {
         // Sample by sample (config (a) of Fig. 2); for the paper's six
         // devices one sample's sections are far below the pool's cut-off
         // and run inline on this node's thread.
-        batch
-            .into_iter()
-            .map(|views| Ok((self.model.forward(&batched(views)?, Mode::Eval)?.cloud, None)))
-            .collect()
+        batch.into_iter().map(|views| Ok((self.model.forward(&views)?.cloud, None))).collect()
     }
 }
 
@@ -397,7 +379,8 @@ impl<S: TierSection> TierNode<S> {
                 return Err(RuntimeError::Protocol { reason });
             }
         };
-        let item = self.section.item_from(frame.payload, &self.name)?;
+        let item =
+            self.section.item_from(frame.payload, self.collector.blank(source), &self.name)?;
         match self.collector.insert(frame.seq, source, item) {
             Ok(Ingest::Complete { seq, items, substituted }) => {
                 completed.push((seq, items, substituted));
@@ -460,7 +443,7 @@ impl<S: TierSection> TierNode<S> {
 
     /// Resolves the exit-or-escalate decision from a sample's evaluated
     /// logits.
-    fn resolve(&mut self, seq: u64, logits: Tensor, map: Option<Tensor>) -> Result<Decision> {
+    fn resolve(&mut self, seq: u64, logits: Tensor, map: Option<SignMaps>) -> Result<Decision> {
         let mut d = self.policy.evaluate(&logits)?;
         // Forced exits: the gateway's `forced_local` pins every sample to
         // the local exit, and a tier without an escalation target this
@@ -500,7 +483,7 @@ impl<S: TierSection> TierNode<S> {
             });
             let payload = match (&self.route, map) {
                 (Route::Gateway(_), _) => Payload::OffloadRequest,
-                (Route::Tier { .. }, Some(map)) => features_payload(&map.index_axis0(0)?)?,
+                (Route::Tier { .. }, Some(map)) => features_of(&map)?,
                 (Route::Tier { .. }, None) => {
                     let reason = format!("{}: escalation without an output map", self.name);
                     return Err(RuntimeError::Protocol { reason });
@@ -527,6 +510,36 @@ impl<S: TierSection> TierNode<S> {
                     None => Ok(()),
                 }
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bytes::Bytes;
+    use ddnn_core::{Ddnn, DdnnConfig};
+
+    /// What the paper cloud's item_from makes of a `Features` payload.
+    fn cloud_item([channels, height, width]: [u16; 3], len: usize) -> Result<SignMaps> {
+        let cloud = Ddnn::new(DdnnConfig::paper()).partition().cloud.freeze();
+        let blank = SignMaps::new([4, 16, 16], vec![Bytes::from(vec![0u8; 128])])?;
+        let bits = Bytes::from(vec![0xa5; len]);
+        cloud.item_from(Payload::Features { channels, height, width, bits }, &blank, "cloud")
+    }
+
+    #[test]
+    fn item_from_rejects_a_map_of_another_shape() {
+        assert!(cloud_item([4, 16, 16], 128).is_ok());
+        // Same bit count, other geometry: it would have passed an unpack
+        // and failed only inside the batch or the conv.
+        assert!(matches!(cloud_item([4, 8, 32], 128), Err(RuntimeError::Protocol { .. })));
+    }
+
+    #[test]
+    fn item_from_rejects_bits_of_the_wrong_length() {
+        for len in [127, 129] {
+            assert!(matches!(cloud_item([4, 16, 16], len), Err(RuntimeError::Protocol { .. })));
         }
     }
 }

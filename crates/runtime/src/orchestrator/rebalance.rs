@@ -22,11 +22,8 @@
 //! exactly when the tier's full section — aggregation, ConvP chain and
 //! exit head — accepts the feeder's output geometry.
 
-use crate::node::tier::batched;
 use crate::topology::Topology;
-use ddnn_core::CloudPart;
-use ddnn_nn::Mode;
-use ddnn_tensor::Tensor;
+use ddnn_core::{FrozenStage, SignMaps};
 
 /// Which (feeder, tier) pairs are geometrically able to carry traffic.
 /// Probed once at startup; constant for the run.
@@ -210,15 +207,11 @@ pub fn compute_routing(
 /// `tier_blanks` is the runner's blank chain: `tier_blanks[0]` holds the
 /// device blank maps, and `tier_blanks[k + 1]` tier `k`'s blank output,
 /// which is what tier `k` feeds whichever tier it escalates to.
-pub(crate) fn probe(topology: &Topology, tier_blanks: &[Vec<Tensor>]) -> Compat {
-    // Eval-mode evaluation leaves a section's weights and statistics
-    // alone, so one clone per tier serves every trial.
-    let mut stages: Vec<CloudPart> = topology.tiers.iter().map(|t| t.stage.clone()).collect();
+pub(crate) fn probe(topology: &Topology, tier_blanks: &[Vec<SignMaps>]) -> Compat {
+    let stages: Vec<FrozenStage> = topology.tiers.iter().map(|t| t.stage.freeze()).collect();
     let t = stages.len();
     // A pair is compatible when the tier's full section accepts the input.
-    let mut accepts = |j: usize, inputs: &[Tensor]| -> bool {
-        batched(inputs.to_vec()).is_ok_and(|x| stages[j].forward(&x, Mode::Eval).is_ok())
-    };
+    let accepts = |j: usize, inputs: &[SignMaps]| stages[j].forward(inputs).is_ok();
     let device_to_tier: Vec<bool> = (0..t).map(|j| accepts(j, &tier_blanks[0])).collect();
     let tier_to_tier: Vec<Vec<bool>> = (0..t)
         .map(|i| (0..t).map(|j| j > i && accepts(j, &tier_blanks[i + 1])).collect())

@@ -15,17 +15,16 @@ use crate::chaos::ProcTarget;
 use crate::clock::SimClock;
 use crate::error::Result;
 use crate::link::LinkSender;
-use crate::message::{dequantize_image, quantize_image, NodeId};
+use crate::message::{quantize_image, NodeId};
 use crate::node::collector::{AggDeadline, Collector};
-use crate::node::device::{blank_signature, blank_view, device_node, BlankSignature};
+use crate::node::device::{blank_view, device_node};
 use crate::node::report::NodeReport;
-use crate::node::tier::{batched, Feeder, RawSection, Route, TierNode, TierSection};
+use crate::node::tier::{raw_view, Feeder, RawSection, Route, TierNode, TierSection};
 use crate::obs::{NodeObs, RunObs};
 use crate::orchestrator::rebalance::{compute_routing, probe, Compat, RoutingTable};
 use crate::orchestrator::NodeControl;
 use crate::topology::{HierarchyConfig, Shape, TierExitRule, Topology};
-use ddnn_core::ExitPolicy;
-use ddnn_nn::Mode;
+use ddnn_core::{ExitPolicy, SignMaps};
 use ddnn_tensor::{parallel, Tensor};
 use std::sync::Arc;
 
@@ -49,47 +48,36 @@ pub(super) type Spawn<'s> = dyn FnMut(NodeTask) + 's;
 
 /// What aggregators substitute for a silent source.
 pub(super) struct Blanks {
-    /// Per device: the scores and feature map of a blank view.
-    devices: Vec<BlankSignature>,
-    /// Per tier: one blank item per collector source slot.
-    pub(super) tiers: Vec<Vec<Tensor>>,
+    /// Per device: the class scores of a blank view.
+    scores: Vec<Tensor>,
+    /// Per feature tier: one blank map per collector source slot.
+    pub(super) tiers: Vec<Vec<SignMaps>>,
 }
 
-/// Blank signatures for failed-device substitution plus the chained
-/// per-tier blanks: tier 0 collects the device maps, so its blanks are
-/// the device blank signatures; tier k>0 collects tier k−1's output, so
-/// its blank is tier k−1's section applied to its own blanks — a silent
-/// tier degrades to "nothing was seen" rather than garbage. Every process
-/// of a multi-process run computes identical blanks from the same seeded
-/// model.
+/// What each device computes for a blank view, substituted for a failed
+/// device, plus the chained per-tier blanks: tier 0 collects the device
+/// maps, so its blanks are the devices' blank maps; tier k>0 collects
+/// tier k−1's output, so its blank is tier k−1's section applied to its
+/// own blanks — a silent tier degrades to "nothing was seen" rather than
+/// garbage. Every process of a multi-process run computes identical
+/// blanks from the same seeded model.
 pub(super) fn compute_blanks(topology: &Topology) -> Result<Blanks> {
-    if let Shape::CloudOnly { .. } = topology.shape {
-        // A silent device's blank is the byte-quantized blank view round-
-        // tripped through the wire encoding — exactly what a live device
-        // would have transmitted for a blank capture.
-        let config = &topology.config;
-        let raw = dequantize_image(&quantize_image(&blank_view(config)), config.view_dims())?;
-        return Ok(Blanks { devices: Vec::new(), tiers: vec![vec![raw; topology.num_devices()]] });
-    }
-    // One single-sample forward pass per device on identical cloned
-    // sections, collected in device order; only a fleet of dozens of
-    // devices is enough work to leave this thread.
+    // One single-sample forward pass per device on its frozen section,
+    // collected in device order; only a fleet of dozens of devices is
+    // enough work to leave this thread.
     let [c, h, w] = topology.config.view_dims();
     let work = topology.devices.iter().map(|part| part.conv.macs(&[1, c, h, w])).sum();
-    let devices: Vec<BlankSignature> =
-        parallel::par_map_indexed(topology.num_devices(), work, |d| {
-            blank_signature(&topology.devices[d], &topology.config)
-        })
-        .into_iter()
-        .collect::<Result<_>>()?;
-    let mut tiers: Vec<Vec<Tensor>> = Vec::with_capacity(topology.tiers.len());
-    tiers.push(devices.iter().map(|b| b.map.clone()).collect());
+    let devices = parallel::par_map_indexed(topology.num_devices(), work, |d| {
+        topology.devices[d].freeze().forward(&blank_view(&topology.config))
+    });
+    let (maps, scores): (Vec<SignMaps>, _) =
+        devices.into_iter().collect::<ddnn_tensor::Result<Vec<_>>>()?.into_iter().unzip();
+    let mut tiers = vec![maps];
     for k in 1..topology.tiers.len() {
-        let mut below = topology.tiers[k - 1].stage.clone();
-        let out = below.body(&batched(tiers[k - 1].clone())?, Mode::Eval)?;
-        tiers.push(vec![out.index_axis0(0)?]);
+        let out = topology.tiers[k - 1].stage.freeze().body(&tiers[k - 1])?;
+        tiers.push(vec![out]);
     }
-    Ok(Blanks { devices, tiers })
+    Ok(Blanks { scores, tiers })
 }
 
 /// How every node of a run routes, derived identically in every process
@@ -178,7 +166,7 @@ pub(super) fn spawn_role(
                 let to_tiers = (0..t).map(|j| plane.try_sender(Link::Uplink(d, j))).collect();
                 let pong = plane.try_sender(Link::DevicePong(d));
                 let control = ctx.control(&format!("device{d}"), NodeId::Device(d as u8), pong);
-                let (part, obs) = (topology.devices[d].clone(), Arc::clone(obs));
+                let (part, obs) = (topology.devices[d].freeze(), Arc::clone(obs));
                 spawn(Box::new(move || {
                     device_node(d, part, rx, to_gw, to_tiers, control, tolerant, capture_cap, obs)
                 }));
@@ -202,7 +190,7 @@ pub(super) fn spawn_role(
                 route: Route::Gateway(to_devices),
                 collector: Collector::new(
                     n,
-                    blanks.devices.iter().map(|b| b.scores.clone()).collect(),
+                    blanks.scores.clone(),
                     agg_deadline(ctx),
                     (0..n).map(Some).collect(),
                     live.to_vec(),
@@ -219,11 +207,18 @@ pub(super) fn spawn_role(
         }
         ProcTarget::Tier(k) => {
             let task = match &topology.shape {
-                Shape::Staged => tier_task(k, topology.tiers[k].stage.clone(), ctx, blanks, plane)?,
+                Shape::Staged => {
+                    let section = topology.tiers[k].stage.freeze();
+                    tier_task(k, section, ctx, blanks.tiers.clone(), plane)?
+                }
                 Shape::CloudOnly { model } => {
+                    // A silent device's blank is the blank view round-
+                    // tripped through the wire encoding — exactly what a
+                    // live device would have transmitted for it.
                     let view_dims = topology.config.view_dims();
-                    let section = RawSection { model: (**model).clone(), view_dims };
-                    tier_task(k, section, ctx, blanks, plane)?
+                    let raw = raw_view(&quantize_image(&blank_view(&topology.config)), view_dims)?;
+                    let section = RawSection { model: model.freeze(), view_dims };
+                    tier_task(k, section, ctx, vec![vec![raw; n]], plane)?
                 }
             };
             spawn(task);
@@ -234,12 +229,14 @@ pub(super) fn spawn_role(
 
 /// Tier `k` of the chain around `section`: the first tier fans in from
 /// the devices, every later tier has its single predecessor as its
-/// source; every tier but the last escalates to its successor.
-fn tier_task<S: TierSection<Item = Tensor> + 'static>(
+/// source; every tier but the last escalates to its successor. `blanks`
+/// is what each feeder's collector substitutes: `[0]` the devices', `[i +
+/// 1]` tier `i`'s.
+fn tier_task<S: TierSection + 'static>(
     k: usize,
     section: S,
     ctx: &RunCtx,
-    blanks: &Blanks,
+    blanks: Vec<Vec<S::Item>>,
     plane: &mut Plane,
 ) -> Result<NodeTask> {
     let RunCtx { topology, cfg, live, obs, .. } = ctx;
@@ -250,7 +247,7 @@ fn tier_task<S: TierSection<Item = Tensor> + 'static>(
         if k == 0 { (n, (0..n).map(Some).collect()) } else { (1, vec![None]) };
     let collector = Collector::new(
         sources,
-        blanks.tiers[k].clone(),
+        blanks[k].clone(),
         agg_deadline(ctx),
         device_of_source,
         live.to_vec(),
@@ -278,7 +275,7 @@ fn tier_task<S: TierSection<Item = Tensor> + 'static>(
             to_tiers: (0..tiers.len()).map(|j| plane.try_sender(Link::Forward(k, j))).collect(),
             feeder: if k == 0 { Feeder::Devices } else { Feeder::Tier(k - 1, tier_ids[k - 1]) },
             tier_ids,
-            blanks: blanks.tiers.clone(),
+            blanks,
         },
         collector,
         obs: NodeObs::for_node(obs, &spec.name),

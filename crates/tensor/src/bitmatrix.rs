@@ -36,7 +36,8 @@
 //! Every product term is an integer in `{−1, 0, +1}` and every partial sum
 //! an integer far below 2^24, so the `f32` results here are **exactly**
 //! equal to the float path on binarized operands — bit-identical, not just
-//! close — which is what lets the layers above switch kernels freely.
+//! close — which is what lets the frozen inference form stand in for the
+//! f32 layers.
 
 use crate::conv::{check_nchw, conv2d, Conv2dSpec};
 use crate::error::{Result, TensorError};
@@ -274,6 +275,39 @@ impl BitMatrix {
         m
     }
 
+    /// Packs rows given in the wire layout of [`crate::bits::pack_signs`]
+    /// (MSB-first bytes, `packed_len(cols)` of them per row) without
+    /// unpacking them to floats: each 8-byte group reverses into one
+    /// LSB-first word, and the bits past `cols` in a row's last byte are
+    /// dropped, so the zero-pad invariant holds whatever they carried.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::LengthMismatch`] for a row of the wrong
+    /// length.
+    pub fn from_sign_bytes<'a>(
+        cols: usize,
+        rows: impl ExactSizeIterator<Item = &'a [u8]>,
+    ) -> Result<BitMatrix> {
+        let mut m = BitMatrix::zeros(rows.len(), cols);
+        let wpr = m.words_per_row;
+        for (r, bytes) in rows.enumerate() {
+            let expected = crate::bits::packed_len(cols);
+            if bytes.len() != expected {
+                return Err(TensorError::LengthMismatch { expected, actual: bytes.len() });
+            }
+            for (w, group) in m.words[r * wpr..][..wpr].iter_mut().zip(bytes.chunks(8)) {
+                let mut be = [0u8; 8];
+                be[..group.len()].copy_from_slice(group);
+                *w = u64::from_be_bytes(be).reverse_bits();
+            }
+            if !cols.is_multiple_of(WORD_BITS) {
+                m.words[(r + 1) * wpr - 1] &= (1u64 << (cols % WORD_BITS)) - 1;
+            }
+        }
+        Ok(m)
+    }
+
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -414,13 +448,6 @@ impl BitMatrix {
             self.xnor_block_generic(rhs, r0, chunk)
         }
     }
-}
-
-/// Whether every element is exactly `+1.0` or `-1.0` — the precondition
-/// for the XNOR kernels. Inputs that fail this (raw float images, zero
-/// padding already baked into the data) must take the f32 path.
-pub fn is_sign_tensor(t: &Tensor) -> bool {
-    t.data().iter().all(|&x| x == 1.0 || x == -1.0)
 }
 
 /// `x · wᵀ` for ±1 tensors via XNOR–popcount: `x` is `(n, k)`, `w` is
@@ -648,19 +675,53 @@ impl BinaryConvPlan {
                 op: "binary_conv2d",
             });
         }
+        let data = input.data();
+        let chw = c * h * w;
+        // Pack each input row into one word, pre-shifted by the padding —
+        // the only pass over the f32s.
+        Ok(self.run_planes(n, |b, tier, plane| {
+            let rows = data[b * chw..][..chw].chunks_exact(w);
+            plane.extend(rows.map(|row| pack_row_tier(row, tier) << self.spec.padding));
+        }))
+    }
+
+    /// [`BinaryConvPlan::run`] over input that is already bit-packed: one
+    /// word per `(sample, channel, row)`, row-major, holding the row's
+    /// signs LSB-first (bit `x` set iff element `x` is `+1`). Bits at and
+    /// above the plan's input width are ignored.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::LengthMismatch`] unless `rows` holds a whole
+    /// number of `c·h`-row samples.
+    pub fn run_rows(&self, rows: &[u64]) -> Result<Tensor> {
+        let per = self.c * self.h;
+        if !rows.len().is_multiple_of(per) {
+            let expected = rows.len().div_ceil(per) * per;
+            return Err(TensorError::LengthMismatch { expected, actual: rows.len() });
+        }
+        let mask = u64::MAX >> (WORD_BITS - self.w);
+        Ok(self.run_planes(rows.len() / per, |b, _, plane| {
+            plane.extend(rows[b * per..][..per].iter().map(|&r| (r & mask) << self.spec.padding));
+        }))
+    }
+
+    /// The batch loop under both entry points: `fill(b, tier, plane)`
+    /// appends sample `b`'s `c·h` pad-shifted row words to `plane`.
+    fn run_planes(&self, n: usize, fill: impl Fn(usize, SimdTier, &mut Vec<u64>) + Sync) -> Tensor {
         let tier = simd::active_tier();
         let fp = self.f * self.oh * self.ow;
-        let chw = c * h * w;
         let mut out = vec![0.0f32; n * fp];
-        let data = input.data();
         let work = self.batch_work(n) / BATCH_FANOUT_COST;
         parallel::par_item_chunks_mut(&mut out, fp, work, |b0, chunk| {
             let mut scratch = ConvScratch::default();
             for (bi, res) in chunk.chunks_mut(fp).enumerate() {
-                self.conv_sample(tier, &data[(b0 + bi) * chw..][..chw], res, &mut scratch);
+                scratch.plane.clear();
+                fill(b0 + bi, tier, &mut scratch.plane);
+                self.conv_sample(tier, &scratch.plane, res, &mut scratch.pm);
             }
         });
-        Tensor::from_vec(out, [n, self.f, self.oh, self.ow])
+        Tensor::from_vec(out, [n, self.f, self.oh, self.ow]).expect("n·f·oh·ow outputs")
     }
 
     /// Tap-product count for an `n`-sample batch — its cost in the pool's
@@ -669,40 +730,27 @@ impl BinaryConvPlan {
         n * self.f * self.oh * self.ow * self.c * self.spec.kernel_h * self.spec.kernel_w
     }
 
-    /// Convolves one `(c, h, w)` sample into its `(f, oh*ow)` output
-    /// slice. Parallelises over pixel tiles when called outside the pool
-    /// with enough work; inside pool workers this degenerates to the
-    /// serial loop (the nesting guard makes `num_threads()` report 1), so
-    /// every element is always computed by the same instruction sequence.
-    fn conv_sample(
-        &self,
-        tier: SimdTier,
-        data: &[f32],
-        out: &mut [f32],
-        scratch: &mut ConvScratch,
-    ) {
+    /// Convolves one sample's pad-shifted row words (`c·h` of them) into
+    /// its `(f, oh*ow)` output slice. Parallelises over pixel tiles when
+    /// called outside the pool with enough work; inside pool workers this
+    /// degenerates to the serial loop (the nesting guard makes
+    /// `num_threads()` report 1), so every element is always computed by
+    /// the same instruction sequence.
+    ///
+    /// The pad shift lands a zero bit at every out-of-bounds tap (left-pad
+    /// taps read the low zeros, right ones read past the packed width),
+    /// which is what lets the kernel below skip masking entirely.
+    fn conv_sample(&self, tier: SimdTier, plane_bits: &[u64], out: &mut [f32], pm: &mut Vec<f32>) {
         let pixels = self.oh * self.ow;
-        // Pack each input row into one word, pre-shifted by the padding so
-        // the tap group for column `ox` is always `(row >> ox*stride)` —
-        // the only pass over the f32s. The shift also lands a zero bit at
-        // every out-of-bounds tap (left-pad taps read the low zeros, right
-        // ones read past the packed width), which is what lets the kernel
-        // below skip masking entirely.
-        scratch.plane.clear();
-        scratch.plane.resize(self.c * self.h, 0);
-        for (r, bits) in scratch.plane.iter_mut().enumerate() {
-            *bits = pack_row_tier(&data[r * self.w..][..self.w], tier) << self.spec.padding;
-        }
-        let plane_bits: &[u64] = &scratch.plane;
         let work = self.batch_work(1);
         if parallel::fans_out(pixels, work) {
             // Pixel-major scratch (pixels, f): workers own contiguous pixel
             // ranges, then one serial transpose lands the (f, pixels)
             // layout. Same arithmetic as the serial path — only the store
             // order differs — so results stay bit-identical.
-            scratch.pm.clear();
-            scratch.pm.resize(pixels * self.f, 0.0);
-            let pm = &mut scratch.pm[..];
+            pm.clear();
+            pm.resize(pixels * self.f, 0.0);
+            let pm = &mut pm[..];
             parallel::par_item_chunks_mut(pm, self.f, work, |j0, chunk| {
                 self.conv_pixels(tier, plane_bits, j0, chunk, false);
             });
@@ -1023,6 +1071,37 @@ mod tests {
     }
 
     #[test]
+    fn from_sign_bytes_matches_pack_and_ignores_tail_bits() {
+        for cols in [1, 7, 64, 70, 130] {
+            let t = random_signs(&[3, cols], cols as u64);
+            let mut rows: Vec<Vec<u8>> =
+                (0..3).map(|r| crate::bits::pack_signs(&t.row(r).unwrap()).to_vec()).collect();
+            if cols % 8 != 0 {
+                for row in &mut rows {
+                    *row.last_mut().unwrap() |= 0xff >> (cols % 8);
+                }
+            }
+            let m = BitMatrix::from_sign_bytes(cols, rows.iter().map(Vec::as_slice)).unwrap();
+            assert_eq!(m, BitMatrix::pack(&t).unwrap(), "cols {cols}");
+        }
+        let short = [0u8; 1];
+        assert!(BitMatrix::from_sign_bytes(9, std::iter::once(&short[..])).is_err());
+    }
+
+    #[test]
+    fn run_rows_matches_run_on_the_packed_rows() {
+        let spec = Conv2dSpec::paper_conv();
+        let x = random_signs(&[3, 2, 5, 6], 17);
+        let wf = Tensor::from_fn(vec![4, 2, 3, 3], |i| ((i * 37) % 11) as f32 / 5.0 - 1.0);
+        let plan = BinaryConvPlan::new(&wf, &spec, 5, 6).unwrap();
+        // Junk above the row width must not leak into the taps.
+        let rows: Vec<u64> =
+            x.data().chunks(6).map(|row| pack_word_partial(row) | !0u64 << 6).collect();
+        assert_eq!(plan.run_rows(&rows).unwrap(), plan.run(&x).unwrap());
+        assert!(plan.run_rows(&rows[1..]).is_err());
+    }
+
+    #[test]
     fn binary_conv2d_matches_float_on_wide_input() {
         // w = 70 does not fit one word: `binary_conv2d` takes the f32 route,
         // and the plan itself refuses the geometry instead of degrading.
@@ -1035,13 +1114,5 @@ mod tests {
         assert!(!BinaryConvPlan::fits(&spec, 70) && BinaryConvPlan::fits(&spec, 62));
         let err = BinaryConvPlan::new(&wf, &spec, 3, 70).unwrap_err();
         assert!(matches!(err, TensorError::InvalidGeometry { input: (3, 70), .. }), "{err}");
-    }
-
-    #[test]
-    fn is_sign_tensor_detects_non_signs() {
-        assert!(is_sign_tensor(&random_signs(&[3, 3], 5)));
-        assert!(!is_sign_tensor(&Tensor::zeros([2])));
-        assert!(!is_sign_tensor(&Tensor::from_vec(vec![1.0, 0.5], [2]).unwrap()));
-        assert!(is_sign_tensor(&Tensor::from_vec(vec![], [0]).unwrap()));
     }
 }

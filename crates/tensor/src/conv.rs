@@ -453,6 +453,53 @@ fn pool(input: &Tensor, spec: &Conv2dSpec, record: bool) -> Result<(Tensor, Vec<
     Ok((Tensor::from_vec(out, [n, c, oh, ow])?, argmax))
 }
 
+/// Every pooled value of a `(c, h, w)` stack of planes, in output
+/// row-major order: `visit(channel, value)` once per output pixel — for
+/// inference, which reduces each pooled value on the spot instead of
+/// storing the map. Separable: per output row, the elementwise max down
+/// its clipped row window, then each clipped column window of that. The
+/// values equal [`max_pool2d`]'s (a max is a selection; NaN is never
+/// selected and a window with nothing to select yields `0.0`); only the
+/// sign of a zero may differ where a window holds both `+0.0` and `−0.0`.
+///
+/// # Errors
+///
+/// Returns [`TensorError::LengthMismatch`] unless `data` holds `c·h·w`
+/// values, and an error for degenerate pooling geometry.
+pub fn max_pool2d_visit(
+    data: &[f32],
+    (c, h, w): (usize, usize, usize),
+    spec: &Conv2dSpec,
+    mut visit: impl FnMut(usize, f32),
+) -> Result<()> {
+    if data.len() != c * h * w {
+        return Err(TensorError::LengthMismatch { expected: c * h * w, actual: data.len() });
+    }
+    let (oh, ow) = spec.checked_output_size(h, w)?;
+    // A compare-select from −∞ (one `maxps` lane): NaN never wins, and
+    // −∞ left over means nothing was selected.
+    let max = |best: f32, v: f32| if v > best { v } else { best };
+    let ixs: Vec<Range<usize>> =
+        (0..ow).map(|ox| window_range(ox * spec.stride, spec.kernel_w, w, spec.padding)).collect();
+    let mut column = vec![f32::NEG_INFINITY; w];
+    for (ch, plane) in data.chunks_exact(h * w).enumerate() {
+        for oy in 0..oh {
+            // Down the window's rows first — whole contiguous rows, so this
+            // vectorizes — then across each column window of the result.
+            let ys = window_range(oy * spec.stride, spec.kernel_h, h, spec.padding);
+            column.fill(f32::NEG_INFINITY);
+            for row in plane[ys.start * w..ys.end * w].chunks_exact(w) {
+                column.iter_mut().zip(row).for_each(|(c, &v)| *c = max(*c, v));
+            }
+            for cols in &ixs {
+                let best = column[cols.clone()].iter().fold(f32::NEG_INFINITY, |b, &v| max(b, v));
+                visit(ch, if best == f32::NEG_INFINITY { 0.0 } else { best });
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Backward max pooling: scatters `grad_out` to the argmax positions recorded
 /// by [`max_pool2d`].
 ///
@@ -582,6 +629,33 @@ mod tests {
         let cy = col2im(&y, 2, 3, 3, &spec).unwrap();
         let rhs = x.dot(&cy).unwrap();
         assert!((lhs - rhs).abs() < 1e-3, "lhs={lhs} rhs={rhs}");
+    }
+
+    #[test]
+    fn max_pool2d_visit_walks_max_pool2d_values_in_order() {
+        let spec = Conv2dSpec::paper_pool();
+        for (c, h, w) in [(3, 16, 16), (2, 5, 7), (1, 1, 1)] {
+            let x = Tensor::from_fn([1, c, h, w], |i| ((i * 7919) % 13) as f32 - 6.0);
+            let mut seen = Vec::new();
+            max_pool2d_visit(x.data(), (c, h, w), &spec, |ch, v| seen.push((ch, v))).unwrap();
+            let pooled = max_pool2d_values(&x, &spec).unwrap();
+            let per = pooled.len() / c;
+            let expect: Vec<_> =
+                pooled.data().iter().enumerate().map(|(i, &v)| (i / per, v)).collect();
+            assert_eq!(seen, expect, "{c}x{h}x{w}");
+        }
+        // NaN is never selected, and a window of NaN and −∞ only pools to 0.
+        let (nan, ninf) = (f32::NAN, f32::NEG_INFINITY);
+        let x = Tensor::from_vec(
+            vec![nan, ninf, 2.0, nan, ninf, nan, nan, f32::INFINITY],
+            [1, 1, 2, 4],
+        )
+        .unwrap();
+        let mut seen = Vec::new();
+        max_pool2d_visit(x.data(), (1, 2, 4), &spec, |_, v| seen.push(v)).unwrap();
+        assert_eq!(seen, max_pool2d_values(&x, &spec).unwrap().data());
+        assert_eq!(seen, [0.0, f32::INFINITY]);
+        assert!(max_pool2d_visit(&[0.0; 3], (1, 2, 2), &spec, |_, _| ()).is_err());
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //! * [`bits`] — 1-bit packing of binarized activations, the wire format the
 //!   paper's communication-cost model (Eq. 1) counts;
 //! * [`bitmatrix`] — `u64`-word packed ±1 matrices with XNOR–popcount
-//!   GEMM and bit-packed `im2col`, the binary inference fast path;
+//!   GEMM and the fused binary convolution plan, the kernels of the
+//!   frozen inference form;
 //! * [`parallel`] — deterministic data parallelism on one persistent
 //!   worker pool (`DDNN_THREADS`) behind one work cut-off, used by the
 //!   f32 and binary kernels alike;

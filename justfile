@@ -59,20 +59,30 @@ bench-kernels-smoke:
 # batches, the f32 route for rows wider than a word) must be
 # bit-identical to the f32 sign path on every dispatch tier at every
 # pool size (tiers above what the CPU supports clamp down, so this is
-# safe on any x86-64 or non-x86 host); and the clipped-row window
-# kernels (im2col, col2im, max pooling) must be bit-identical to the
-# bounds-checked per-tap walk at every pool size.
+# safe on any x86-64 or non-x86 host); the frozen inference form, whose
+# XNOR front end is that kernel, must be bit-identical to the layer
+# stack's f32 `Mode::Eval` on every tier and pool size; and the
+# clipped-row window kernels (im2col, col2im, max pooling) must be
+# bit-identical to the bounds-checked per-tap walk at every pool size.
 kernel-matrix:
     DDNN_THREADS=1 cargo test -p ddnn-tensor --test window_kernels -q
     DDNN_THREADS=4 cargo test -p ddnn-tensor --test window_kernels -q
     DDNN_SIMD=scalar DDNN_THREADS=1 cargo test -p ddnn-tensor --test binary_conv_equivalence -q
+    DDNN_SIMD=scalar DDNN_THREADS=1 cargo test -p ddnn-core --test frozen -q
     DDNN_SIMD=scalar DDNN_THREADS=4 cargo test -p ddnn-tensor --test binary_conv_equivalence -q
+    DDNN_SIMD=scalar DDNN_THREADS=4 cargo test -p ddnn-core --test frozen -q
     DDNN_SIMD=sse2 DDNN_THREADS=1 cargo test -p ddnn-tensor --test binary_conv_equivalence -q
+    DDNN_SIMD=sse2 DDNN_THREADS=1 cargo test -p ddnn-core --test frozen -q
     DDNN_SIMD=sse2 DDNN_THREADS=4 cargo test -p ddnn-tensor --test binary_conv_equivalence -q
+    DDNN_SIMD=sse2 DDNN_THREADS=4 cargo test -p ddnn-core --test frozen -q
     DDNN_SIMD=avx2 DDNN_THREADS=1 cargo test -p ddnn-tensor --test binary_conv_equivalence -q
+    DDNN_SIMD=avx2 DDNN_THREADS=1 cargo test -p ddnn-core --test frozen -q
     DDNN_SIMD=avx2 DDNN_THREADS=4 cargo test -p ddnn-tensor --test binary_conv_equivalence -q
+    DDNN_SIMD=avx2 DDNN_THREADS=4 cargo test -p ddnn-core --test frozen -q
     DDNN_SIMD=avx512 DDNN_THREADS=1 cargo test -p ddnn-tensor --test binary_conv_equivalence -q
+    DDNN_SIMD=avx512 DDNN_THREADS=1 cargo test -p ddnn-core --test frozen -q
     DDNN_SIMD=avx512 DDNN_THREADS=4 cargo test -p ddnn-tensor --test binary_conv_equivalence -q
+    DDNN_SIMD=avx512 DDNN_THREADS=4 cargo test -p ddnn-core --test frozen -q
 
 # Degrade-only vs ARQ under drop+corruption -> results/BENCH_reliability.json
 bench-reliability:
@@ -162,7 +172,7 @@ bench-ab base workload *args:
 
 # Code lines (non-blank, non-comment) of the runtime crate, unit tests
 # included: the simplicity budget ROADMAP holds every change to (its
-# control-plane and wire-format items aim at 7,600). CI fails above 8,260;
+# control-plane and wire-format items aim at 7,600). CI fails above 8,259;
 # the ceiling only ratchets down.
 runtime-loc:
     find crates/runtime/src -name '*.rs' | xargs grep -cvE '^\s*(//|$)' | awk -F: '{ s += $2 } END { print s }'
