@@ -10,7 +10,7 @@
 use crate::aggregation::AggregationScheme;
 use crate::block::Precision;
 use crate::model::{Ddnn, DdnnConfig, EdgeConfig};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use ddnn_tensor::cursor::{Cursor, ShortRead};
 use std::error::Error;
 use std::fmt;
 use std::path::Path;
@@ -67,6 +67,12 @@ impl From<std::io::Error> for CheckpointError {
     }
 }
 
+impl From<ShortRead> for CheckpointError {
+    fn from(e: ShortRead) -> Self {
+        CheckpointError::Malformed { reason: format!("truncated: {e}") }
+    }
+}
+
 fn encode_agg(a: AggregationScheme) -> u8 {
     match a {
         AggregationScheme::MaxPool => 0,
@@ -84,65 +90,52 @@ fn decode_agg(v: u8) -> Result<AggregationScheme, CheckpointError> {
     }
 }
 
-fn encode_config(cfg: &DdnnConfig, buf: &mut BytesMut) {
-    buf.put_u32_le(cfg.num_devices as u32);
-    buf.put_u32_le(cfg.num_classes as u32);
-    buf.put_u32_le(cfg.device_filters as u32);
-    buf.put_u8(encode_agg(cfg.local_agg));
-    buf.put_u8(encode_agg(cfg.cloud_agg));
+fn encode_config(cfg: &DdnnConfig, buf: &mut Vec<u8>) {
+    buf.extend_from_slice(&(cfg.num_devices as u32).to_le_bytes());
+    buf.extend_from_slice(&(cfg.num_classes as u32).to_le_bytes());
+    buf.extend_from_slice(&(cfg.device_filters as u32).to_le_bytes());
+    buf.push(encode_agg(cfg.local_agg));
+    buf.push(encode_agg(cfg.cloud_agg));
     match cfg.edge {
         Some(e) => {
-            buf.put_u8(1);
-            buf.put_u32_le(e.filters as u32);
-            buf.put_u8(encode_agg(e.agg));
+            buf.push(1);
+            buf.extend_from_slice(&(e.filters as u32).to_le_bytes());
+            buf.push(encode_agg(e.agg));
         }
-        None => {
-            buf.put_u8(0);
-            buf.put_u32_le(0);
-            buf.put_u8(0);
-        }
+        None => buf.extend_from_slice(&[0; 6]), // no edge: flag, filters and agg all zero
     }
-    buf.put_u32_le(cfg.cloud_filters[0] as u32);
-    buf.put_u32_le(cfg.cloud_filters[1] as u32);
-    buf.put_u8(match cfg.cloud_precision {
+    buf.extend_from_slice(&(cfg.cloud_filters[0] as u32).to_le_bytes());
+    buf.extend_from_slice(&(cfg.cloud_filters[1] as u32).to_le_bytes());
+    buf.push(match cfg.cloud_precision {
         Precision::Binary => 0,
         Precision::Float => 1,
     });
-    buf.put_u64_le(cfg.seed);
+    buf.extend_from_slice(&cfg.seed.to_le_bytes());
 }
 
-fn need(buf: &Bytes, n: usize) -> Result<(), CheckpointError> {
-    if buf.remaining() < n {
-        Err(CheckpointError::Malformed { reason: format!("truncated: need {n} more bytes") })
-    } else {
-        Ok(())
-    }
-}
-
-fn decode_config(buf: &mut Bytes) -> Result<DdnnConfig, CheckpointError> {
-    need(buf, 4 * 3 + 2 + 1 + 4 + 1 + 4 * 2 + 1 + 8)?;
-    let num_devices = buf.get_u32_le() as usize;
-    let num_classes = buf.get_u32_le() as usize;
-    let device_filters = buf.get_u32_le() as usize;
-    let local_agg = decode_agg(buf.get_u8())?;
-    let cloud_agg = decode_agg(buf.get_u8())?;
-    let has_edge = buf.get_u8() == 1;
-    let edge_filters = buf.get_u32_le() as usize;
-    let edge_agg_tag = buf.get_u8();
+fn decode_config(buf: &mut Cursor<'_>) -> Result<DdnnConfig, CheckpointError> {
+    let num_devices = buf.u32()? as usize;
+    let num_classes = buf.u32()? as usize;
+    let device_filters = buf.u32()? as usize;
+    let local_agg = decode_agg(buf.u8()?)?;
+    let cloud_agg = decode_agg(buf.u8()?)?;
+    let has_edge = buf.u8()? == 1;
+    let edge_filters = buf.u32()? as usize;
+    let edge_agg_tag = buf.u8()?;
     let edge = if has_edge {
         Some(EdgeConfig { filters: edge_filters, agg: decode_agg(edge_agg_tag)? })
     } else {
         None
     };
-    let cloud_filters = [buf.get_u32_le() as usize, buf.get_u32_le() as usize];
-    let cloud_precision = match buf.get_u8() {
+    let cloud_filters = [buf.u32()? as usize, buf.u32()? as usize];
+    let cloud_precision = match buf.u8()? {
         0 => Precision::Binary,
         1 => Precision::Float,
         other => {
             return Err(CheckpointError::Malformed { reason: format!("precision tag {other}") })
         }
     };
-    let seed = buf.get_u64_le();
+    let seed = buf.u64()?;
     Ok(DdnnConfig {
         num_devices,
         num_classes,
@@ -156,39 +149,35 @@ fn decode_config(buf: &mut Bytes) -> Result<DdnnConfig, CheckpointError> {
     })
 }
 
-fn put_f32s(buf: &mut BytesMut, xs: &[f32]) {
-    buf.put_u32_le(xs.len() as u32);
+fn put_f32s(buf: &mut Vec<u8>, xs: &[f32]) {
+    buf.extend_from_slice(&(xs.len() as u32).to_le_bytes());
     for &x in xs {
-        buf.put_f32_le(x);
+        buf.extend_from_slice(&x.to_le_bytes());
     }
 }
 
-fn get_f32s(buf: &mut Bytes) -> Result<Vec<f32>, CheckpointError> {
-    need(buf, 4)?;
-    let n = buf.get_u32_le() as usize;
-    need(buf, 4 * n)?;
-    Ok((0..n).map(|_| buf.get_f32_le()).collect())
+fn get_f32s(buf: &mut Cursor<'_>) -> Result<Vec<f32>, CheckpointError> {
+    let n = buf.u32()? as usize;
+    Ok(buf.f32s(n)?)
 }
 
 impl Ddnn {
     /// Serializes the model (config + parameters + batch-norm statistics)
     /// to bytes.
-    pub fn save_bytes(&mut self) -> Bytes {
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
-        buf.put_u16_le(VERSION);
+    pub fn save_bytes(&mut self) -> Vec<u8> {
+        let mut buf = [&MAGIC[..], &VERSION.to_le_bytes()].concat();
         encode_config(self.config(), &mut buf);
         let params = self.params_mut();
-        buf.put_u32_le(params.len() as u32);
+        buf.extend_from_slice(&(params.len() as u32).to_le_bytes());
         for p in params {
             put_f32s(&mut buf, p.value.data());
         }
         let blocks = self.blocks_mut();
-        buf.put_u32_le(blocks.len() as u32);
+        buf.extend_from_slice(&(blocks.len() as u32).to_le_bytes());
         for b in blocks {
             put_f32s(&mut buf, &b.extra_state());
         }
-        buf.freeze()
+        buf
     }
 
     /// Restores a model from bytes produced by [`Ddnn::save_bytes`].
@@ -198,14 +187,11 @@ impl Ddnn {
     /// Returns a [`CheckpointError`] on malformed or version-mismatched
     /// input.
     pub fn load_bytes(data: &[u8]) -> Result<Ddnn, CheckpointError> {
-        let mut buf = Bytes::copy_from_slice(data);
-        need(&buf, 6)?;
-        let mut magic = [0u8; 4];
-        buf.copy_to_slice(&mut magic);
-        if &magic != MAGIC {
+        let mut buf = Cursor::new(data);
+        if buf.take(MAGIC.len())? != MAGIC {
             return Err(CheckpointError::BadMagic);
         }
-        let version = buf.get_u16_le();
+        let version = buf.u16()?;
         if version != VERSION {
             return Err(CheckpointError::BadVersion { found: version });
         }
@@ -224,10 +210,7 @@ impl Ddnn {
             });
         }
         let mut model = Ddnn::new(config);
-        let n_params = {
-            need(&buf, 4)?;
-            buf.get_u32_le() as usize
-        };
+        let n_params = buf.u32()? as usize;
         {
             let mut params = model.params_mut();
             if params.len() != n_params {
@@ -253,10 +236,7 @@ impl Ddnn {
                 p.value.data_mut().copy_from_slice(&xs);
             }
         }
-        let n_blocks = {
-            need(&buf, 4)?;
-            buf.get_u32_le() as usize
-        };
+        let n_blocks = buf.u32()? as usize;
         {
             let mut blocks = model.blocks_mut();
             if blocks.len() != n_blocks {
@@ -274,7 +254,7 @@ impl Ddnn {
                 })?;
             }
         }
-        if buf.has_remaining() {
+        if buf.remaining() > 0 {
             return Err(CheckpointError::Malformed {
                 reason: format!("{} trailing bytes", buf.remaining()),
             });
@@ -389,9 +369,7 @@ mod tests {
         let hostile = |edit: fn(&mut DdnnConfig)| {
             let mut cfg = small_config();
             edit(&mut cfg);
-            let mut buf = BytesMut::new();
-            buf.put_slice(MAGIC);
-            buf.put_u16_le(VERSION);
+            let mut buf = [&MAGIC[..], &VERSION.to_le_bytes()].concat();
             encode_config(&cfg, &mut buf);
             Ddnn::load_bytes(&buf)
         };

@@ -35,13 +35,12 @@ use crate::model::{
     GatewayPart, InferenceOutput,
 };
 use crate::FeatureAggregator;
-use bytes::Bytes;
 use ddnn_nn::{BnInference, Mode};
 use ddnn_tensor::bitmatrix::{BinaryConvPlan, BitMatrix};
 use ddnn_tensor::bits::{pack_signs, packed_len, unpack_signs};
 use ddnn_tensor::conv::{conv2d, max_pool2d_visit, Conv2dSpec};
 use ddnn_tensor::{parallel, Result, Tensor, TensorError};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// A batch of ±1 maps packed one bit per element: each sample's
 /// `(c, h, w)` signs in row-major order, MSB-first within each byte, the
@@ -50,7 +49,7 @@ use std::sync::OnceLock;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SignMaps {
     dims: [usize; 3],
-    samples: Vec<Bytes>,
+    samples: Vec<Arc<[u8]>>,
 }
 
 impl SignMaps {
@@ -61,7 +60,7 @@ impl SignMaps {
     /// Returns [`TensorError::Empty`] for a zero dimension and
     /// [`TensorError::LengthMismatch`] for a sample that is not exactly
     /// `packed_len(c·h·w)` bytes.
-    pub fn new(dims: [usize; 3], samples: Vec<Bytes>) -> Result<Self> {
+    pub fn new(dims: [usize; 3], samples: Vec<Arc<[u8]>>) -> Result<Self> {
         if dims.contains(&0) {
             return Err(TensorError::Empty { op: "sign maps with a zero dimension" });
         }
@@ -145,7 +144,7 @@ impl SignMaps {
     }
 
     /// Each sample's packed bits.
-    pub fn samples(&self) -> &[Bytes] {
+    pub fn samples(&self) -> &[Arc<[u8]>] {
         &self.samples
     }
 
@@ -188,11 +187,11 @@ impl SignWriter {
         }
     }
 
-    fn finish(mut self) -> Bytes {
+    fn finish(mut self) -> Arc<[u8]> {
         if !self.nbits.is_multiple_of(8) {
             self.bytes.push(self.cur << (8 - self.nbits % 8));
         }
-        Bytes::from(self.bytes)
+        self.bytes.into()
     }
 }
 
@@ -479,7 +478,8 @@ impl FrozenStage {
         if inputs.len() == 1 {
             return Ok(Aggregate::Bits(first.clone()));
         }
-        let per_sample = |combine: &dyn Fn(usize) -> Bytes| (0..first.len()).map(combine).collect();
+        let per_sample =
+            |combine: &dyn Fn(usize) -> Arc<[u8]>| (0..first.len()).map(combine).collect();
         Ok(match self.agg.scheme() {
             AggregationScheme::MaxPool => Aggregate::Bits(SignMaps {
                 dims: first.dims,
@@ -488,7 +488,7 @@ impl FrozenStage {
                     for other in &inputs[1..] {
                         bits.iter_mut().zip(other.samples[b].iter()).for_each(|(x, y)| *x |= y);
                     }
-                    Bytes::from(bits)
+                    bits.into()
                 }),
             }),
             AggregationScheme::Concat => Aggregate::Bits(SignMaps {
@@ -676,8 +676,8 @@ mod tests {
     #[test]
     fn sign_maps_reject_bad_geometry() {
         assert!(SignMaps::new([0, 4, 4], vec![]).is_err());
-        assert!(SignMaps::new([1, 3, 3], vec![Bytes::from(vec![0u8; 1])]).is_err());
-        let maps = SignMaps::new([1, 3, 3], vec![Bytes::from(vec![0u8; 2])]).unwrap();
+        assert!(SignMaps::new([1, 3, 3], vec![Arc::from([0u8; 1])]).is_err());
+        let maps = SignMaps::new([1, 3, 3], vec![Arc::from([0u8; 2])]).unwrap();
         assert_eq!(maps.unpack().unwrap(), Tensor::full([1, 1, 3, 3], -1.0));
     }
 }

@@ -37,12 +37,10 @@
 use crate::error::{Result, RuntimeError};
 use crate::message::Frame;
 use crate::topology::{HierarchyConfig, Shape, Topology};
-use bytes::Bytes;
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// A role *process* of the multi-process launcher: the devices host, the
@@ -735,19 +733,23 @@ impl LinkChaos {
         if self.crash.as_ref().is_some_and(|crash| crash.on_send()) {
             return Delivery::Dropped;
         }
-        self.imp.roll(&mut self.rng.lock())
+        self.imp.roll(&mut crate::lock(&self.rng))
     }
 }
 
 /// Applies the byte damage a [`Delivery`] rolled to `wire`: bit flips,
 /// then truncation. Returns the wire to transmit and whether it changed.
-pub(crate) fn damage(wire: Bytes, corrupt: Option<u64>, truncate: Option<u64>) -> (Bytes, bool) {
+pub(crate) fn damage(
+    wire: Arc<[u8]>,
+    corrupt: Option<u64>,
+    truncate: Option<u64>,
+) -> (Arc<[u8]>, bool) {
     let mut out = wire;
     if let Some(seed) = corrupt {
-        out = Bytes::from(corrupt_bytes(&out, seed));
+        out = corrupt_bytes(&out, seed).into();
     }
     if let Some(seed) = truncate {
-        out = out.slice(0..truncate_len(out.len(), seed));
+        out = out[..truncate_len(out.len(), seed)].into();
     }
     (out, corrupt.is_some() || truncate.is_some())
 }

@@ -6,7 +6,9 @@
 //! deadline-bearing component (aggregation waits, the orchestrator
 //! watchdog) measures time the same way — and so a virtual-time
 //! implementation can later replace it without touching the node loops.
+//! `recv_by` is the one place a deadline becomes a channel timeout.
 
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::time::{Duration, Instant};
 
 /// A monotonic clock started at the beginning of a run.
@@ -56,6 +58,17 @@ impl SimClock {
     }
 }
 
+/// Receives from `rx`, waiting until `deadline` at the latest; an
+/// instant already past polls once.
+///
+/// # Errors
+///
+/// [`RecvTimeoutError::Timeout`] when the deadline passes first,
+/// [`RecvTimeoutError::Disconnected`] when every sender is gone.
+pub(crate) fn recv_by<T>(rx: &Receiver<T>, deadline: Instant) -> Result<T, RecvTimeoutError> {
+    rx.recv_timeout(deadline.saturating_duration_since(Instant::now()))
+}
+
 impl Default for SimClock {
     fn default() -> Self {
         SimClock::start()
@@ -80,6 +93,19 @@ mod tests {
         let half = clock.deadline_in_f64(0.5);
         assert!(half > now && half < clock.deadline_in(1));
         assert!(clock.deadline_in_f64(-3.0) <= clock.now());
+    }
+
+    #[test]
+    fn recv_by_times_out_at_the_deadline_then_delivers() {
+        let clock = SimClock::start();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let deadline = clock.deadline_in(20);
+        assert_eq!(recv_by(&rx, deadline), Err(RecvTimeoutError::Timeout));
+        assert!(clock.now() >= deadline);
+        tx.send(7).unwrap();
+        assert_eq!(recv_by(&rx, deadline), Ok(7), "a past deadline still takes what is queued");
+        drop(tx);
+        assert_eq!(recv_by(&rx, clock.deadline_in(1000)), Err(RecvTimeoutError::Disconnected));
     }
 
     #[test]

@@ -119,3 +119,14 @@ pub use topology::{
     ArrivalProcess, DeadlineConfig, HierarchyBuilder, HierarchyConfig, StreamConfig, Topology,
 };
 pub use transport::TransportConfig;
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks `m`, absorbing poison. A thread that panics while holding a lock
+/// ends only its own node, whose hung-up links reach the rest of the run
+/// as [`RuntimeError::Disconnected`]; every later holder of the lock (the
+/// registry, a link's hold slot, a socket sender) keeps working instead of
+/// panicking in turn.
+pub(crate) fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}

@@ -19,7 +19,9 @@
 //! deduplicates retransmissions — invisibly to the node loops.
 
 use crate::chaos::{damage, ChaosPlan, CrashState, Delivery, LinkChaos};
+use crate::clock::recv_by;
 use crate::error::{Result, RuntimeError};
+use crate::lock;
 use crate::message::{Frame, NodeId};
 use crate::obs::{LinkCounters, ObsEvent, RunObs};
 use crate::reliability::{arq_max_age, ArqRecvState, ArqSendState, ReliabilityMode};
@@ -27,10 +29,9 @@ use crate::topology::HierarchyConfig;
 use crate::transport::{
     channel_tx, Endpoint, InboxBinding, RedialHandle, TransportHost, TransportTx,
 };
-use crossbeam::channel::{unbounded, Receiver};
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, TryRecvError};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Cumulative traffic counters of one directed link — an immutable
@@ -135,7 +136,7 @@ pub struct LinkSender {
     /// the next frame on the link passes it (flushed on shutdown at the
     /// latest; under ARQ an unflushed tail hold is recovered by
     /// retransmission anyway).
-    held: Arc<Mutex<Option<bytes::Bytes>>>,
+    held: Arc<Mutex<Option<Arc<[u8]>>>>,
 }
 
 impl LinkSender {
@@ -195,7 +196,7 @@ impl LinkSender {
             for _ in 1..deliveries {
                 self.transmit(wire.clone())?;
             }
-            let prior = self.held.lock().replace(wire);
+            let prior = lock(&self.held).replace(wire);
             if let Some(p) = prior {
                 self.transmit(p)?;
             }
@@ -209,7 +210,7 @@ impl LinkSender {
     }
 
     /// Encodes a frame without ARQ metadata in the link's wire format.
-    fn encode_plain(&self, frame: &Frame) -> bytes::Bytes {
+    fn encode_plain(&self, frame: &Frame) -> Arc<[u8]> {
         if self.mode.is_checked() {
             frame.encode_checked(0, 0)
         } else {
@@ -234,7 +235,7 @@ impl LinkSender {
     }
 
     /// Pushes raw wire bytes into the transport, honoring leniency.
-    fn transmit(&self, wire: bytes::Bytes) -> Result<()> {
+    fn transmit(&self, wire: Arc<[u8]>) -> Result<()> {
         if !self.tx.transmit(wire) && !self.lenient {
             return Err(RuntimeError::Disconnected { node: self.name.to_string() });
         }
@@ -243,7 +244,7 @@ impl LinkSender {
 
     /// Releases a reorder-held frame, if any.
     fn flush_held(&self) -> Result<()> {
-        let held = self.held.lock().take();
+        let held = lock(&self.held).take();
         match held {
             Some(wire) => self.transmit(wire),
             None => Ok(()),
@@ -259,7 +260,7 @@ impl LinkSender {
 /// The receiving half of an instrumented link.
 #[derive(Debug)]
 pub struct LinkReceiver {
-    rx: Receiver<bytes::Bytes>,
+    rx: Receiver<Arc<[u8]>>,
     name: Arc<str>,
 }
 
@@ -271,39 +272,36 @@ impl LinkReceiver {
     /// Returns [`RuntimeError::Disconnected`] if all senders hung up, or a
     /// protocol error if decoding fails.
     pub fn recv(&self) -> Result<Frame> {
-        let bytes = self
-            .rx
-            .recv()
-            .map_err(|_| RuntimeError::Disconnected { node: self.name.to_string() })?;
-        Frame::decode(bytes)
+        Frame::decode(self.recv_raw()?)
     }
 
     /// Blocks for the next raw wire datagram (format-agnostic; the
     /// [`NodeInbox`] decides how to decode it).
-    pub(crate) fn recv_raw(&self) -> Result<bytes::Bytes> {
-        self.rx.recv().map_err(|_| RuntimeError::Disconnected { node: self.name.to_string() })
+    pub(crate) fn recv_raw(&self) -> Result<Arc<[u8]>> {
+        self.rx.recv().map_err(|_| self.hung_up())
     }
 
     /// Raw receive bounded by `deadline`; `Ok(None)` on timeout.
-    pub(crate) fn recv_raw_deadline(&self, deadline: Instant) -> Result<Option<bytes::Bytes>> {
-        match self.rx.recv_deadline(deadline) {
+    pub(crate) fn recv_raw_deadline(&self, deadline: Instant) -> Result<Option<Arc<[u8]>>> {
+        match recv_by(&self.rx, deadline) {
             Ok(bytes) => Ok(Some(bytes)),
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => Ok(None),
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                Err(RuntimeError::Disconnected { node: self.name.to_string() })
-            }
+            Err(RecvTimeoutError::Timeout) => Ok(None),
+            Err(RecvTimeoutError::Disconnected) => Err(self.hung_up()),
         }
     }
 
     /// Non-blocking raw receive; `Ok(None)` when the queue is empty.
-    pub(crate) fn try_recv_raw(&self) -> Result<Option<bytes::Bytes>> {
+    pub(crate) fn try_recv_raw(&self) -> Result<Option<Arc<[u8]>>> {
         match self.rx.try_recv() {
             Ok(bytes) => Ok(Some(bytes)),
-            Err(crossbeam::channel::TryRecvError::Empty) => Ok(None),
-            Err(crossbeam::channel::TryRecvError::Disconnected) => {
-                Err(RuntimeError::Disconnected { node: self.name.to_string() })
-            }
+            Err(TryRecvError::Empty) => Ok(None),
+            Err(TryRecvError::Disconnected) => Err(self.hung_up()),
         }
+    }
+
+    /// Every sender of this link is gone.
+    fn hung_up(&self) -> RuntimeError {
+        RuntimeError::Disconnected { node: self.name.to_string() }
     }
 }
 
@@ -385,7 +383,7 @@ impl NodeInbox {
     /// Legacy frames have no integrity check, but a *structurally*
     /// corrupt one (truncated, or with an impossible length field) is
     /// likewise counted and discarded instead of failing the node.
-    fn admit(&mut self, bytes: bytes::Bytes) -> Result<Option<Frame>> {
+    fn admit(&mut self, bytes: Arc<[u8]>) -> Result<Option<Frame>> {
         let decoded = if self.mode.is_checked() {
             Frame::decode_checked(bytes).map(|checked| {
                 let fresh = match self.sources.get_mut(&checked.frame.from.encode()) {
@@ -418,7 +416,7 @@ impl NodeInbox {
 /// Creates an instrumented link named `name`, returning sender, receiver
 /// and the shared counter cells (snapshot them for a [`LinkStats`] view).
 pub fn link(name: &str) -> (LinkSender, LinkReceiver, LinkCounters) {
-    let (tx, rx) = unbounded();
+    let (tx, rx) = channel();
     let sender = LinkSender::plain(channel_tx(tx), name, ReliabilityMode::Legacy);
     let (stats, name) = (sender.stats.clone(), Arc::clone(&sender.name));
     (sender, LinkReceiver { rx, name }, stats)
@@ -499,7 +497,7 @@ impl<'a> LinkFactory<'a> {
     /// # Errors
     ///
     /// Returns [`RuntimeError::Transport`] when a socket bind fails.
-    pub(crate) fn ack_inbox(&mut self, link: &str) -> Result<Receiver<bytes::Bytes>> {
+    pub(crate) fn ack_inbox(&mut self, link: &str) -> Result<Receiver<Arc<[u8]>>> {
         self.transport.bind(&format!("ack:{link}"))
     }
 
@@ -530,7 +528,7 @@ impl<'a> LinkFactory<'a> {
         name: &str,
         crash: Option<Arc<CrashState>>,
         stats: LinkCounters,
-        ack_rx: Option<Receiver<bytes::Bytes>>,
+        ack_rx: Option<Receiver<Arc<[u8]>>>,
     ) -> Result<LinkSender> {
         let fault = self.plan.link_chaos(name, crash.clone());
         let data_tx = self.transport.connect(to, self.plan.socket_chaos(name))?;
@@ -642,12 +640,12 @@ mod tests {
     #[test]
     fn recv_deadline_times_out_then_delivers() {
         let (tx, rx, _stats) = link("slow");
-        let deadline = Instant::now() + std::time::Duration::from_millis(10);
-        assert!(rx.recv_raw_deadline(deadline).unwrap().is_none());
+        let clock = crate::clock::SimClock::start();
+        assert!(rx.recv_raw_deadline(clock.deadline_in(10)).unwrap().is_none());
         let f = Frame::new(1, NodeId::Gateway, Payload::OffloadRequest);
         tx.send(&f).unwrap();
-        let deadline = Instant::now() + std::time::Duration::from_millis(100);
-        let wire = rx.recv_raw_deadline(deadline).unwrap().expect("delivered in time");
+        let wire =
+            rx.recv_raw_deadline(clock.deadline_in(100)).unwrap().expect("delivered in time");
         assert_eq!(Frame::decode(wire).unwrap(), f);
     }
 

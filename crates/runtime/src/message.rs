@@ -21,9 +21,10 @@
 //! stays byte-identical when reliability is off.
 
 use crate::error::{Result, RuntimeError};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use ddnn_core::SignMaps;
+use ddnn_tensor::cursor::{Cursor, ShortRead};
 use ddnn_tensor::{bits, Tensor};
+use std::sync::Arc;
 
 /// Identifies a node in the hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -111,13 +112,13 @@ pub enum Payload {
         /// Spatial width.
         width: u16,
         /// Bit-packed signs, row-major, MSB first.
-        bits: Bytes,
+        bits: Arc<[u8]>,
     },
     /// A raw 32×32 RGB image quantized to 1 byte/channel — what the
     /// cloud-offload baseline transmits (3072 bytes, §IV-H).
     RawImage {
         /// Quantized pixels, `(3, 32, 32)` row-major.
-        pixels: Bytes,
+        pixels: Arc<[u8]>,
     },
     /// A final classification decision.
     Verdict {
@@ -275,11 +276,11 @@ fn crc32_parts(before: &[u8], after: &[u8]) -> u32 {
 /// byte what `encode_checked(flags | FLAG_RETRANSMIT, tseq)` produces. ARQ
 /// buffers a frame's primary encoding and derives this copy only when a
 /// retransmission is actually due.
-pub(crate) fn retransmit_form(primary: &[u8]) -> Bytes {
+pub(crate) fn retransmit_form(primary: &[u8]) -> Arc<[u8]> {
     let mut buf = primary.to_vec();
     buf[HEADER_BYTES] |= FLAG_RETRANSMIT;
     seal(&mut buf);
-    Bytes::from(buf)
+    buf.into()
 }
 
 /// A frame decoded from the checked wire format, with its transport
@@ -324,97 +325,98 @@ impl Frame {
     /// bytes, holding the header fields both wire formats share.
     fn encode_header(&self, extra: usize) -> Vec<u8> {
         let mut buf = Vec::with_capacity(HEADER_BYTES + extra + self.payload_bytes() + 4);
-        buf.put_u8(FRAME_MAGIC);
-        buf.put_u8(FRAME_VERSION);
-        buf.put_u64_le(self.seq);
-        buf.put_u16_le(self.from.encode());
-        buf.put_u8(self.payload.tag());
+        buf.extend_from_slice(&[FRAME_MAGIC, FRAME_VERSION]);
+        buf.extend_from_slice(&self.seq.to_le_bytes());
+        buf.extend_from_slice(&self.from.encode().to_le_bytes());
+        buf.push(self.payload.tag());
         buf
     }
 
     /// Encodes the frame to legacy wire bytes (no integrity check).
-    pub fn encode(&self) -> Bytes {
+    pub fn encode(&self) -> Arc<[u8]> {
         let mut buf = self.encode_header(0);
         self.encode_payload(&mut buf);
-        Bytes::from(buf)
+        buf.into()
     }
 
     /// Encodes the frame to the checked wire format: the legacy header
     /// fields, then `flags`, the per-link transport sequence number and a
     /// CRC-32 over the entire frame (header corruption is detected too),
     /// then the payload.
-    pub fn encode_checked(&self, flags: u8, tseq: u32) -> Bytes {
+    pub fn encode_checked(&self, flags: u8, tseq: u32) -> Arc<[u8]> {
         let mut buf = self.encode_header(CHECKED_HEADER_BYTES - HEADER_BYTES);
-        buf.put_u8(flags);
-        buf.put_u32_le(tseq);
-        buf.put_u32_le(0); // CRC placeholder, sealed below
+        buf.push(flags);
+        buf.extend_from_slice(&tseq.to_le_bytes());
+        buf.extend_from_slice(&[0; 4]); // CRC placeholder, sealed below
         self.encode_payload(&mut buf);
         seal(&mut buf);
-        Bytes::from(buf)
+        buf.into()
     }
 
     /// Appends the payload encoding (shared by both wire formats).
     fn encode_payload(&self, buf: &mut Vec<u8>) {
         match &self.payload {
             Payload::Capture { view } => {
-                buf.put_u16_le(view.dims().first().copied().unwrap_or(0) as u16);
-                buf.put_u16_le(view.dims().get(1).copied().unwrap_or(0) as u16);
-                buf.put_u16_le(view.dims().get(2).copied().unwrap_or(0) as u16);
-                for &x in view.data() {
-                    buf.put_f32_le(x);
+                for i in 0..3 {
+                    let dim = view.dims().get(i).copied().unwrap_or(0) as u16;
+                    buf.extend_from_slice(&dim.to_le_bytes());
+                }
+                for x in view.data() {
+                    buf.extend_from_slice(&x.to_le_bytes());
                 }
             }
             Payload::Scores { scores } => {
-                buf.put_u32_le(scores.len() as u32);
-                for &s in scores {
-                    buf.put_f32_le(s);
+                buf.extend_from_slice(&(scores.len() as u32).to_le_bytes());
+                for s in scores {
+                    buf.extend_from_slice(&s.to_le_bytes());
                 }
             }
             Payload::OffloadRequest | Payload::Shutdown | Payload::Pong => {}
             Payload::Ping { epoch, floor, live, down } => {
-                buf.put_u64_le(*epoch);
-                buf.put_u64_le(*floor);
-                buf.put_u8(u8::from(*down));
-                buf.put_u16_le(live.len() as u16);
+                buf.extend_from_slice(&epoch.to_le_bytes());
+                buf.extend_from_slice(&floor.to_le_bytes());
+                buf.push(u8::from(*down));
+                buf.extend_from_slice(&(live.len() as u16).to_le_bytes());
                 for byte in live.chunks(8) {
-                    buf.put_u8(byte.iter().rev().fold(0, |b, &l| b << 1 | u8::from(l)));
+                    buf.push(byte.iter().rev().fold(0, |b, &l| b << 1 | u8::from(l)));
                 }
             }
             Payload::Features { channels, height, width, bits } => {
-                buf.put_u16_le(*channels);
-                buf.put_u16_le(*height);
-                buf.put_u16_le(*width);
-                buf.put_u32_le(bits.len() as u32);
-                buf.put_slice(bits);
+                buf.extend_from_slice(&channels.to_le_bytes());
+                buf.extend_from_slice(&height.to_le_bytes());
+                buf.extend_from_slice(&width.to_le_bytes());
+                buf.extend_from_slice(&(bits.len() as u32).to_le_bytes());
+                buf.extend_from_slice(bits);
             }
             Payload::RawImage { pixels } => {
-                buf.put_u32_le(pixels.len() as u32);
-                buf.put_slice(pixels);
+                buf.extend_from_slice(&(pixels.len() as u32).to_le_bytes());
+                buf.extend_from_slice(pixels);
             }
             Payload::Verdict { prediction, exit_tier } => {
-                buf.put_u16_le(*prediction);
-                buf.put_u8(*exit_tier);
+                buf.extend_from_slice(&prediction.to_le_bytes());
+                buf.push(*exit_tier);
             }
         }
     }
 
     /// Decodes a frame from legacy wire bytes. The legacy format has no
     /// integrity check, but every length field is bounded against the
-    /// bytes actually present before anything is allocated or split, so a
-    /// truncated or junk buffer can never panic the decoder or reserve an
-    /// attacker-controlled allocation.
+    /// bytes actually present before anything is allocated or split, and
+    /// the payload must end exactly where the buffer does, so a truncated,
+    /// extended or junk buffer can never panic the decoder, reserve an
+    /// attacker-controlled allocation or pass as a shorter payload.
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError::Corrupt`] on truncated input or impossible
-    /// length fields; [`RuntimeError::Protocol`] on unknown tags or node
-    /// ids (a sender bug, not wire damage).
-    pub fn decode(mut buf: Bytes) -> Result<Frame> {
-        need(&buf, HEADER_BYTES)?;
-        check_magic(buf.get_u8(), buf.get_u8())?;
-        let seq = buf.get_u64_le();
-        let from = NodeId::decode(buf.get_u16_le())?;
-        let tag = buf.get_u8();
+    /// Returns [`RuntimeError::Corrupt`] on truncated input, impossible
+    /// length fields or bytes left over after the payload;
+    /// [`RuntimeError::Protocol`] on unknown tags or node ids (a sender
+    /// bug, not wire damage).
+    pub fn decode(buf: impl AsRef<[u8]>) -> Result<Frame> {
+        let mut buf = Cursor::new(buf.as_ref());
+        check_magic(buf.u8()?, buf.u8()?)?;
+        let (seq, from, tag) = (buf.u64()?, buf.u16()?, buf.u8()?);
+        let from = NodeId::decode(from)?;
         let payload = decode_payload(tag, &mut buf)?;
         Ok(Frame { seq, from, payload })
     }
@@ -425,27 +427,25 @@ impl Frame {
     /// # Errors
     ///
     /// Returns [`RuntimeError::Corrupt`] when the frame is shorter than a
-    /// checked header, the CRC does not match (bit flips, truncation), or
-    /// unknown flag bits are set; [`RuntimeError::Protocol`] only for a
-    /// frame that passes its integrity check yet still fails to parse
-    /// (a sender bug, not wire damage).
-    pub fn decode_checked(mut buf: Bytes) -> Result<CheckedFrame> {
-        if buf.remaining() < CHECKED_HEADER_BYTES {
+    /// checked header, the CRC does not match (bit flips, truncation),
+    /// unknown flag bits are set, or bytes are left over after the
+    /// payload; [`RuntimeError::Protocol`] only for a frame that passes
+    /// its integrity check yet still fails to parse (a sender bug, not
+    /// wire damage).
+    pub fn decode_checked(buf: impl AsRef<[u8]>) -> Result<CheckedFrame> {
+        let buf = buf.as_ref();
+        if buf.len() < CHECKED_HEADER_BYTES {
             return Err(RuntimeError::Corrupt {
-                reason: format!("{} bytes is shorter than a checked header", buf.remaining()),
+                reason: format!("{} bytes is shorter than a checked header", buf.len()),
             });
         }
         // Magic/version are checked before the CRC: a foreign peer's bytes
         // should be rejected as "not DDNN", not as a checksum accident.
         check_magic(buf[0], buf[1])?;
         let computed = crc32_parts(&buf[..CRC_OFFSET], &buf[CHECKED_HEADER_BYTES..]);
-        buf.advance(2);
-        let seq = buf.get_u64_le();
-        let from_code = buf.get_u16_le();
-        let tag = buf.get_u8();
-        let flags = buf.get_u8();
-        let tseq = buf.get_u32_le();
-        let stored = buf.get_u32_le();
+        let mut buf = Cursor::new(&buf[2..]);
+        let (seq, from_code, tag) = (buf.u64()?, buf.u16()?, buf.u8()?);
+        let (flags, tseq, stored) = (buf.u8()?, buf.u32()?, buf.u32()?);
         if stored != computed {
             return Err(RuntimeError::Corrupt {
                 reason: format!("crc mismatch: stored {stored:#010x}, computed {computed:#010x}"),
@@ -480,80 +480,54 @@ fn check_magic(magic: u8, version: u8) -> Result<()> {
     Ok(())
 }
 
-/// Truncation guard shared by the payload decoders. Classified as
+/// A short read in a payload decoder is classified as
 /// [`RuntimeError::Corrupt`]: a length field pointing past the end of the
 /// buffer is wire damage (truncation, or a damaged length), and inboxes
 /// discard such frames instead of failing the node.
-fn need(buf: &Bytes, n: usize) -> Result<()> {
-    if buf.remaining() < n {
-        Err(RuntimeError::Corrupt { reason: format!("truncated frame: need {n} more bytes") })
-    } else {
-        Ok(())
+impl From<ShortRead> for RuntimeError {
+    fn from(e: ShortRead) -> Self {
+        RuntimeError::Corrupt { reason: format!("truncated frame: {e}") }
     }
 }
 
-/// Byte count of `n` little-endian `f32`s, guarded against overflow on
-/// 32-bit `usize` (a damaged legacy length field can claim up to
-/// `u32::MAX` elements).
-fn f32_bytes(n: usize) -> Result<usize> {
-    n.checked_mul(4)
-        .ok_or_else(|| RuntimeError::Corrupt { reason: format!("length field {n} overflows") })
-}
-
 /// Decodes a payload (shared by both wire formats); `buf` is positioned
-/// just past the header. Length fields are untrusted: each is bounded by
-/// [`need`] before any allocation, so the largest possible allocation is
-/// the size of the received buffer itself.
-fn decode_payload(tag: u8, buf: &mut Bytes) -> Result<Payload> {
+/// just past the header. Length fields are untrusted: the cursor bounds
+/// each against the bytes present before any allocation, so the largest
+/// possible allocation is the size of the received buffer itself. A
+/// payload must use the buffer up exactly: leftover bytes mean its header
+/// was truncated or mis-declared.
+fn decode_payload(tag: u8, buf: &mut Cursor<'_>) -> Result<Payload> {
     let payload = match tag {
         0 => {
-            need(buf, 6)?;
-            let c = buf.get_u16_le() as usize;
-            let h = buf.get_u16_le() as usize;
-            let w = buf.get_u16_le() as usize;
+            let (c, h, w) = (buf.u16()? as usize, buf.u16()? as usize, buf.u16()? as usize);
             let n = c.checked_mul(h).and_then(|n| n.checked_mul(w)).ok_or_else(|| {
                 RuntimeError::Corrupt { reason: format!("capture shape {c}x{h}x{w} overflows") }
             })?;
-            need(buf, f32_bytes(n)?)?;
-            let data: Vec<f32> = (0..n).map(|_| buf.get_f32_le()).collect();
-            let view = Tensor::from_vec(data, [c, h, w]).map_err(|e| RuntimeError::Protocol {
-                reason: format!("capture payload shape: {e}"),
+            let view = Tensor::from_vec(buf.f32s(n)?, [c, h, w]).map_err(|e| {
+                RuntimeError::Protocol { reason: format!("capture payload shape: {e}") }
             })?;
             Payload::Capture { view }
         }
         1 => {
-            need(buf, 4)?;
-            let n = buf.get_u32_le() as usize;
-            need(buf, f32_bytes(n)?)?;
-            Payload::Scores { scores: (0..n).map(|_| buf.get_f32_le()).collect() }
+            let n = buf.u32()? as usize;
+            Payload::Scores { scores: buf.f32s(n)? }
         }
         2 => Payload::OffloadRequest,
         3 => {
-            need(buf, 10)?;
-            let channels = buf.get_u16_le();
-            let height = buf.get_u16_le();
-            let width = buf.get_u16_le();
-            let len = buf.get_u32_le() as usize;
-            need(buf, len)?;
-            Payload::Features { channels, height, width, bits: buf.copy_to_bytes(len) }
+            let (channels, height, width) = (buf.u16()?, buf.u16()?, buf.u16()?);
+            let len = buf.u32()? as usize;
+            Payload::Features { channels, height, width, bits: buf.take(len)?.into() }
         }
         4 => {
-            need(buf, 4)?;
-            let len = buf.get_u32_le() as usize;
-            need(buf, len)?;
-            Payload::RawImage { pixels: buf.copy_to_bytes(len) }
+            let len = buf.u32()? as usize;
+            Payload::RawImage { pixels: buf.take(len)?.into() }
         }
-        5 => {
-            need(buf, 3)?;
-            Payload::Verdict { prediction: buf.get_u16_le(), exit_tier: buf.get_u8() }
-        }
+        5 => Payload::Verdict { prediction: buf.u16()?, exit_tier: buf.u8()? },
         6 => Payload::Shutdown,
         7 => {
-            need(buf, 19)?;
-            let (epoch, floor, down) = (buf.get_u64_le(), buf.get_u64_le(), buf.get_u8() != 0);
-            let n = buf.get_u16_le() as usize;
-            need(buf, n.div_ceil(8))?;
-            let bits = buf.copy_to_bytes(n.div_ceil(8));
+            let (epoch, floor, down) = (buf.u64()?, buf.u64()?, buf.u8()? != 0);
+            let n = buf.u16()? as usize;
+            let bits = buf.take(n.div_ceil(8))?;
             let live = (0..n).map(|i| bits[i / 8] >> (i % 8) & 1 == 1).collect();
             Payload::Ping { epoch, floor, live, down }
         }
@@ -562,7 +536,12 @@ fn decode_payload(tag: u8, buf: &mut Bytes) -> Result<Payload> {
             return Err(RuntimeError::Protocol { reason: format!("unknown payload tag {other}") })
         }
     };
-    Ok(payload)
+    match buf.remaining() {
+        0 => Ok(payload),
+        n => {
+            Err(RuntimeError::Corrupt { reason: format!("{n} bytes left over after the payload") })
+        }
+    }
 }
 
 /// Packs a ±1 feature map tensor `(c, h, w)` into a [`Payload::Features`].
@@ -611,12 +590,8 @@ pub fn features_tensor(channels: u16, height: u16, width: u16, packed: &[u8]) ->
 
 /// Quantizes a float image in `[0, 1]` to 1 byte per channel pixel — the
 /// raw-offload baseline's wire format.
-pub fn quantize_image(view: &Tensor) -> Bytes {
-    let mut buf = BytesMut::with_capacity(view.len());
-    for &x in view.data() {
-        buf.put_u8((x.clamp(0.0, 1.0) * 255.0).round() as u8);
-    }
-    buf.freeze()
+pub fn quantize_image(view: &Tensor) -> Arc<[u8]> {
+    view.data().iter().map(|&x| (x.clamp(0.0, 1.0) * 255.0).round() as u8).collect()
 }
 
 /// Dequantizes a 1-byte-per-channel image back to floats in `[0, 1]`,
@@ -765,10 +740,10 @@ mod tests {
 
     #[test]
     fn decode_rejects_garbage() {
-        assert!(Frame::decode(Bytes::from_static(&[1, 2, 3])).is_err());
+        assert!(Frame::decode([1u8, 2, 3]).is_err());
         let mut good = Frame::new(0, NodeId::Cloud, Payload::OffloadRequest).encode().to_vec();
         good[12] = 99; // unknown tag
-        assert!(Frame::decode(Bytes::from(good)).is_err());
+        assert!(Frame::decode(good).is_err());
     }
 
     #[test]
@@ -780,18 +755,18 @@ mod tests {
         for (pos, note) in [(0usize, "magic"), (1, "version")] {
             let mut legacy = f.encode().to_vec();
             legacy[pos] ^= 0xFF;
-            let err = Frame::decode(Bytes::from(legacy)).unwrap_err();
+            let err = Frame::decode(legacy).unwrap_err();
             assert!(matches!(err, RuntimeError::Corrupt { .. }), "legacy {note}: {err}");
             let mut checked = f.encode_checked(0, 7).to_vec();
             checked[pos] ^= 0xFF;
-            let err = Frame::decode_checked(Bytes::from(checked)).unwrap_err();
+            let err = Frame::decode_checked(checked).unwrap_err();
             assert!(matches!(err, RuntimeError::Corrupt { .. }), "checked {note}: {err}");
         }
         // The version error names both versions so the operator can tell
         // a build mismatch from line noise.
         let mut wire = f.encode().to_vec();
         wire[1] = FRAME_VERSION + 1;
-        let err = Frame::decode(Bytes::from(wire)).unwrap_err();
+        let err = Frame::decode(wire).unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");
     }
 
@@ -800,7 +775,7 @@ mod tests {
         let map = Tensor::ones([2, 4, 4]);
         let f = Frame::new(0, NodeId::Device(1), features_payload(&map).unwrap());
         let enc = f.encode();
-        let cut = enc.slice(0..enc.len() - 2);
+        let cut = &enc[..enc.len() - 2];
         assert!(Frame::decode(cut).is_err());
     }
 
@@ -812,16 +787,13 @@ mod tests {
         let f = Frame::new(3, NodeId::Device(0), Payload::Scores { scores: vec![1.0, 2.0, 3.0] });
         let wire = f.encode();
         for cut in [HEADER_BYTES - 1, HEADER_BYTES + 2, wire.len() - 1] {
-            let err = Frame::decode(wire.slice(0..cut)).unwrap_err();
+            let err = Frame::decode(&wire[..cut]).unwrap_err();
             assert!(matches!(err, RuntimeError::Corrupt { .. }), "cut {cut}: {err}");
         }
         // An unknown tag on an intact frame stays a Protocol error.
         let mut bad_tag = wire.to_vec();
         bad_tag[12] = 99;
-        assert!(matches!(
-            Frame::decode(Bytes::from(bad_tag)).unwrap_err(),
-            RuntimeError::Protocol { .. }
-        ));
+        assert!(matches!(Frame::decode(bad_tag).unwrap_err(), RuntimeError::Protocol { .. }));
     }
 
     #[test]
@@ -833,7 +805,7 @@ mod tests {
             .encode()
             .to_vec();
         wire[HEADER_BYTES..HEADER_BYTES + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        let err = Frame::decode(Bytes::from(wire)).unwrap_err();
+        let err = Frame::decode(wire).unwrap_err();
         assert!(matches!(err, RuntimeError::Corrupt { .. }), "{err}");
         // Capture frame whose shape fields multiply past usize on 32-bit
         // targets and well past the buffer on 64-bit ones:
@@ -844,18 +816,15 @@ mod tests {
             let at = HEADER_BYTES + 2 * field;
             wire[at..at + 2].copy_from_slice(&u16::MAX.to_le_bytes());
         }
-        let err = Frame::decode(Bytes::from(wire)).unwrap_err();
+        let err = Frame::decode(wire).unwrap_err();
         assert!(matches!(err, RuntimeError::Corrupt { .. }), "{err}");
         // RawImage with an oversized length field:
-        let mut wire = Frame::new(
-            0,
-            NodeId::Device(0),
-            Payload::RawImage { pixels: Bytes::from_static(&[7, 7]) },
-        )
-        .encode()
-        .to_vec();
+        let mut wire =
+            Frame::new(0, NodeId::Device(0), Payload::RawImage { pixels: Arc::from([7, 7]) })
+                .encode()
+                .to_vec();
         wire[HEADER_BYTES..HEADER_BYTES + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        let err = Frame::decode(Bytes::from(wire)).unwrap_err();
+        let err = Frame::decode(wire).unwrap_err();
         assert!(matches!(err, RuntimeError::Corrupt { .. }), "{err}");
     }
 
@@ -864,11 +833,11 @@ mod tests {
         let f = Frame::new(1, NodeId::Device(0), Payload::Scores { scores: vec![1.0, 2.0] });
         let wire = f.encode_checked(0, 1);
         for cut in [1, 4, wire.len() - CHECKED_HEADER_BYTES, wire.len() - 1] {
-            let err = Frame::decode_checked(wire.slice(0..wire.len() - cut)).unwrap_err();
+            let err = Frame::decode_checked(&wire[..wire.len() - cut]).unwrap_err();
             assert!(matches!(err, RuntimeError::Corrupt { .. }), "cut {cut}: {err}");
         }
         assert!(matches!(
-            Frame::decode_checked(Bytes::new()).unwrap_err(),
+            Frame::decode_checked([0u8; 0]).unwrap_err(),
             RuntimeError::Corrupt { .. }
         ));
     }

@@ -517,14 +517,13 @@ impl<S: TierSection> TierNode<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
     use ddnn_core::{Ddnn, DdnnConfig};
 
     /// What the paper cloud's item_from makes of a `Features` payload.
     fn cloud_item([channels, height, width]: [u16; 3], len: usize) -> Result<SignMaps> {
         let cloud = Ddnn::new(DdnnConfig::paper()).partition().cloud.freeze();
-        let blank = SignMaps::new([4, 16, 16], vec![Bytes::from(vec![0u8; 128])])?;
-        let bits = Bytes::from(vec![0xa5; len]);
+        let blank = SignMaps::new([4, 16, 16], vec![vec![0u8; 128].into()])?;
+        let bits = vec![0xa5; len].into();
         cloud.item_from(Payload::Features { channels, height, width, bits }, &blank, "cloud")
     }
 

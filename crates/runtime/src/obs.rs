@@ -24,14 +24,14 @@
 //! [`MemorySink`] buffers events for tests and examples.
 
 use crate::link::LinkStats;
-use parking_lot::Mutex;
+use crate::lock;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// One lock-free metric cell. All operations are `Relaxed`: counters are
@@ -134,12 +134,12 @@ impl ObsRegistry {
     /// hold the returned [`Arc`] and increment it directly — the registry
     /// is only consulted again at snapshot time.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        Arc::clone(self.cells.lock().entry(name.to_string()).or_default())
+        Arc::clone(lock(&self.cells).entry(name.to_string()).or_default())
     }
 
     /// A name-sorted `(name, value)` snapshot of every registered cell.
     pub fn snapshot(&self) -> Vec<(String, u64)> {
-        self.cells.lock().iter().map(|(n, c)| (n.clone(), c.get())).collect()
+        lock(&self.cells).iter().map(|(n, c)| (n.clone(), c.get())).collect()
     }
 
     /// The snapshot rendered as one JSON object with sorted keys.
@@ -438,14 +438,14 @@ impl JsonlSink {
 
 impl ObsSink for JsonlSink {
     fn record(&self, t_ms: u64, event: &ObsEvent) {
-        let mut out = self.out.lock();
+        let mut out = lock(&self.out);
         let _ = writeln!(out, "{}", event.to_json(t_ms));
     }
 }
 
 impl Drop for JsonlSink {
     fn drop(&mut self) {
-        let _ = self.out.lock().flush();
+        let _ = lock(&self.out).flush();
     }
 }
 
@@ -458,18 +458,18 @@ pub struct MemorySink {
 impl MemorySink {
     /// A copy of every `(t_ms, event)` recorded so far.
     pub fn events(&self) -> Vec<(u64, ObsEvent)> {
-        self.events.lock().clone()
+        lock(&self.events).clone()
     }
 
     /// How many recorded events carry the given [`ObsEvent::kind`] tag.
     pub fn count_kind(&self, kind: &str) -> usize {
-        self.events.lock().iter().filter(|(_, e)| e.kind() == kind).count()
+        lock(&self.events).iter().filter(|(_, e)| e.kind() == kind).count()
     }
 }
 
 impl ObsSink for MemorySink {
     fn record(&self, t_ms: u64, event: &ObsEvent) {
-        self.events.lock().push((t_ms, event.clone()));
+        lock(&self.events).push((t_ms, event.clone()));
     }
 }
 
@@ -590,6 +590,21 @@ mod tests {
             vec![("a.first".to_string(), 1), ("run.samples".to_string(), 4)],
             "same name must resolve to the same cell, sorted on snapshot"
         );
+    }
+
+    #[test]
+    fn the_registry_serves_after_a_thread_panics_holding_its_lock() {
+        let reg = Arc::new(ObsRegistry::default());
+        reg.counter("run.samples").incr();
+        let held = Arc::clone(&reg);
+        let died = std::thread::spawn(move || {
+            let _guard = lock(&held.cells);
+            panic!("a node dies holding the registry lock");
+        })
+        .join();
+        assert!(died.is_err() && reg.cells.is_poisoned());
+        reg.counter("run.samples").incr();
+        assert_eq!(reg.snapshot(), vec![("run.samples".to_string(), 2)]);
     }
 
     #[test]

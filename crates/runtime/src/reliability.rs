@@ -29,16 +29,16 @@
 
 use crate::chaos::{damage, Delivery, LinkChaos};
 use crate::error::{Result, RuntimeError};
+use crate::lock;
 use crate::message::{crc32, retransmit_form, Frame, CHECKED_HEADER_BYTES, HEADER_BYTES};
 use crate::obs::{LinkCounters, ObsEvent, RunObs};
 use crate::topology::DeadlineConfig;
 use crate::transport::TransportTx;
-use bytes::Bytes;
-use crossbeam::channel::Receiver;
-use parking_lot::Mutex;
+use ddnn_tensor::cursor::Cursor;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::Receiver;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// How a link frames and recovers its traffic.
@@ -156,7 +156,7 @@ const REBASE_GAP: u32 = 1 << 16;
 
 /// Encodes an ack: `[magic][cum u32][n u8][n × u32 nacks][crc u32]`, all
 /// little-endian, CRC-32 over everything before the CRC field.
-fn encode_ack(cum: u32, nacks: &[u32]) -> Bytes {
+fn encode_ack(cum: u32, nacks: &[u32]) -> Arc<[u8]> {
     let n = nacks.len().min(MAX_NACKS);
     let mut buf = Vec::with_capacity(1 + 4 + 1 + 4 * n + 4);
     buf.push(ACK_MAGIC);
@@ -167,29 +167,21 @@ fn encode_ack(cum: u32, nacks: &[u32]) -> Bytes {
     }
     let crc = crc32(&buf);
     buf.extend_from_slice(&crc.to_le_bytes());
-    Bytes::from(buf)
+    buf.into()
 }
 
 /// Decodes an ack; `None` when the datagram is damaged (the sender just
 /// waits for the next one — acks are cumulative, losing one is harmless).
 fn decode_ack(buf: &[u8]) -> Option<(u32, Vec<u32>)> {
-    if buf.len() < 10 || buf[0] != ACK_MAGIC {
+    let (body, crc) = buf.split_last_chunk()?;
+    let mut r = Cursor::new(body);
+    if r.u8().ok()? != ACK_MAGIC || crc32(body) != u32::from_le_bytes(*crc) {
         return None;
     }
-    let (body, crc_bytes) = buf.split_at(buf.len() - 4);
-    let stored = u32::from_le_bytes(crc_bytes.try_into().ok()?);
-    if crc32(body) != stored {
-        return None;
-    }
-    let cum = u32::from_le_bytes(body[1..5].try_into().ok()?);
-    let n = body[5] as usize;
-    if body.len() != 6 + 4 * n {
-        return None;
-    }
-    let nacks = (0..n)
-        .map(|i| u32::from_le_bytes(body[6 + 4 * i..10 + 4 * i].try_into().unwrap()))
-        .collect();
-    Some((cum, nacks))
+    let cum = r.u32().ok()?;
+    let n = r.u8().ok()?;
+    let nacks = (0..n).map(|_| r.u32().ok()).collect::<Option<_>>()?;
+    (r.remaining() == 0).then_some((cum, nacks))
 }
 
 // ---------------------------------------------------------------------------
@@ -202,7 +194,7 @@ struct Unacked {
     tseq: u32,
     /// The primary's wire bytes, shared with the transmission itself; the
     /// `FLAG_RETRANSMIT` form is derived when a retransmission is due.
-    wire: Bytes,
+    wire: Arc<[u8]>,
     /// Eq. 1 payload bytes of the frame, for stats accounting.
     payload_bytes: usize,
     first_sent: Instant,
@@ -233,7 +225,7 @@ pub(crate) struct ArqSendState {
     data_tx: Arc<dyn TransportTx>,
     /// Acks flowing back from the receiving inbox (mutex-wrapped so the
     /// state can be shared with the pump thread; only the pump drains it).
-    ack_rx: Mutex<Receiver<Bytes>>,
+    ack_rx: Mutex<Receiver<Arc<[u8]>>>,
     /// The data link's counter cells: retransmissions are priced here.
     stats: LinkCounters,
     /// Chaos stream of the retransmit path (`retx:<link>`), sharing the
@@ -250,7 +242,7 @@ pub(crate) struct ArqSendState {
 impl ArqSendState {
     pub(crate) fn new(
         data_tx: Arc<dyn TransportTx>,
-        ack_rx: Receiver<Bytes>,
+        ack_rx: Receiver<Arc<[u8]>>,
         stats: LinkCounters,
         fault: Option<Arc<LinkChaos>>,
         max_age: Duration,
@@ -276,7 +268,7 @@ impl ArqSendState {
     /// range) treat the new process's frames as fresh rather than
     /// discarding them as duplicates.
     pub(crate) fn with_tseq_base(self, base: u32) -> Self {
-        self.inner.lock().base = base;
+        lock(&self.inner).base = base;
         self.restart();
         self
     }
@@ -286,7 +278,7 @@ impl ArqSendState {
     /// generation base, so the first ack covers the first frame, and the
     /// frames buffered for the dead incarnation are dropped.
     pub(crate) fn restart(&self) {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         inner.next_tseq = inner.base.wrapping_add(1).max(1);
         inner.buffer.clear();
     }
@@ -295,9 +287,9 @@ impl ArqSendState {
     /// transmission (`flags = 0`) and buffers those same bytes for
     /// retransmission. Called *before* the primary's fault roll, so a
     /// dropped primary is already recoverable.
-    pub(crate) fn register(&self, frame: &Frame) -> Bytes {
+    pub(crate) fn register(&self, frame: &Frame) -> Arc<[u8]> {
         let now = Instant::now();
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         let tseq = inner.next_tseq;
         inner.next_tseq = inner.next_tseq.wrapping_add(1).max(1);
         if inner.buffer.len() >= BUFFER_FRAMES {
@@ -355,9 +347,9 @@ impl ArqSendState {
     /// The locked half of a sweep: absorbs acks, drops what is acked or
     /// hopeless, and books one more try on every frame that is due,
     /// returning each one's `(primary wire, payload bytes, tseq, retries)`.
-    fn take_due(&self, now: Instant) -> Vec<(Bytes, usize, u32, u32)> {
-        let mut inner = self.inner.lock();
-        let ack_rx = self.ack_rx.lock();
+    fn take_due(&self, now: Instant) -> Vec<(Arc<[u8]>, usize, u32, u32)> {
+        let mut inner = lock(&self.inner);
+        let ack_rx = lock(&self.ack_rx);
         while let Ok(ack) = ack_rx.try_recv() {
             if let Some((cum, nacks)) = decode_ack(&ack) {
                 inner.buffer.retain(|u| u.tseq > cum);
@@ -387,7 +379,7 @@ impl ArqSendState {
     /// Unacked frames still buffered (for tests).
     #[cfg(test)]
     fn in_flight(&self) -> usize {
-        self.inner.lock().buffer.len()
+        lock(&self.inner).buffer.len()
     }
 }
 
@@ -503,7 +495,7 @@ mod tests {
     use super::*;
     use crate::message::{NodeId, Payload, FLAG_RETRANSMIT};
     use crate::transport::channel_tx;
-    use crossbeam::channel::{unbounded, Sender};
+    use std::sync::mpsc::{channel, Sender};
 
     fn frame(seq: u64) -> Frame {
         Frame::new(seq, NodeId::Device(0), Payload::Scores { scores: vec![1.0, 2.0] })
@@ -513,14 +505,9 @@ mod tests {
         LinkCounters::default()
     }
 
-    /// Drains every queued datagram (the vendored channel has no
-    /// `try_iter`).
-    fn drain(rx: &Receiver<Bytes>) -> Vec<Bytes> {
-        let mut out = Vec::new();
-        while let Ok(b) = rx.try_recv() {
-            out.push(b);
-        }
-        out
+    /// Drains every queued datagram.
+    fn drain(rx: &Receiver<Arc<[u8]>>) -> Vec<Arc<[u8]>> {
+        rx.try_iter().collect()
     }
 
     #[test]
@@ -538,7 +525,7 @@ mod tests {
 
     #[test]
     fn recv_state_dedups_and_tracks_gaps() {
-        let (ack_tx, ack_rx) = unbounded();
+        let (ack_tx, ack_rx) = channel();
         let st = stats();
         let mut recv = ArqRecvState::new(
             channel_tx(ack_tx),
@@ -564,7 +551,7 @@ mod tests {
 
     #[test]
     fn recv_state_rebases_on_a_generational_tseq_jump() {
-        let (ack_tx, ack_rx) = unbounded();
+        let (ack_tx, ack_rx) = channel();
         let mut recv = ArqRecvState::new(
             channel_tx(ack_tx),
             stats(),
@@ -590,8 +577,8 @@ mod tests {
 
     /// A sender on `data_tx`/`ack_rx` with the run-default frame age.
     fn send_state(
-        data_tx: crossbeam::channel::Sender<Bytes>,
-        ack_rx: Receiver<Bytes>,
+        data_tx: Sender<Arc<[u8]>>,
+        ack_rx: Receiver<Arc<[u8]>>,
         stats: &LinkCounters,
     ) -> ArqSendState {
         ArqSendState::new(
@@ -607,8 +594,8 @@ mod tests {
 
     #[test]
     fn send_state_numbers_frames_from_its_tseq_base() {
-        let (data_tx, data_rx) = unbounded();
-        let (_ack_tx, ack_rx) = unbounded();
+        let (data_tx, data_rx) = channel();
+        let (_ack_tx, ack_rx) = channel();
         let send = send_state(data_tx, ack_rx, &stats()).with_tseq_base(1 << 20);
         for seq in 0..2u32 {
             let wire = send.register(&frame(u64::from(seq)));
@@ -624,8 +611,8 @@ mod tests {
         // tseq 1 again, so the receiver's first ack empties the buffer.
         // Numbered 41, the frame would be NACKed behind an unfillable gap
         // and retransmitted until it aged out.
-        let (data_tx, _data_rx) = unbounded();
-        let (ack_tx, ack_rx) = unbounded();
+        let (data_tx, _data_rx) = channel();
+        let (ack_tx, ack_rx) = channel();
         let send = send_state(data_tx, ack_rx, &stats());
         (0..40).for_each(|seq| drop(send.register(&frame(seq))));
         send.restart();
@@ -639,8 +626,8 @@ mod tests {
 
     #[test]
     fn send_state_retransmits_until_acked_then_stops() {
-        let (data_tx, data_rx) = unbounded();
-        let (ack_tx, ack_rx) = unbounded();
+        let (data_tx, data_rx) = channel();
+        let (ack_tx, ack_rx) = channel();
         let st = stats();
         let send = send_state(data_tx, ack_rx, &st);
         let f = frame(7);
@@ -677,8 +664,8 @@ mod tests {
     }
 
     impl TransportTx for GatedTx {
-        fn transmit(&self, _wire: Bytes) -> bool {
-            self.entered.send(()).is_ok() && self.release.lock().recv().is_ok()
+        fn transmit(&self, _wire: Arc<[u8]>) -> bool {
+            self.entered.send(()).is_ok() && lock(&self.release).recv().is_ok()
         }
     }
 
@@ -686,10 +673,10 @@ mod tests {
     fn register_does_not_wait_for_a_tick_parked_in_transmit() {
         // Regression: the sweep held the buffer lock across `transmit`, so
         // every send on the link stalled behind a blocked retransmission.
-        let (entered, entered_rx) = unbounded();
-        let (release_tx, release) = unbounded();
-        let (done_tx, done_rx) = unbounded();
-        let (_ack_tx, ack_rx) = unbounded();
+        let (entered, entered_rx) = channel();
+        let (release_tx, release) = channel();
+        let (done_tx, done_rx) = channel();
+        let (_ack_tx, ack_rx) = channel();
         let gate = Arc::new(GatedTx { entered, release: Mutex::new(release) });
         let (max_age, obs) = (arq_max_age(None), RunObs::disabled());
         let send = ArqSendState::new(gate, ack_rx, stats(), None, max_age, obs, Arc::from("l"));
@@ -710,8 +697,8 @@ mod tests {
 
     #[test]
     fn send_state_gives_up_after_max_retries() {
-        let (data_tx, data_rx) = unbounded();
-        let (_ack_tx, ack_rx) = unbounded();
+        let (data_tx, data_rx) = channel();
+        let (_ack_tx, ack_rx) = channel();
         let st = stats();
         let send = send_state(data_tx, ack_rx, &st);
         send.register(&frame(1));
@@ -728,8 +715,8 @@ mod tests {
 
     #[test]
     fn nack_triggers_immediate_retransmission() {
-        let (data_tx, data_rx) = unbounded();
-        let (ack_tx, ack_rx) = unbounded();
+        let (data_tx, data_rx) = channel();
+        let (ack_tx, ack_rx) = channel();
         let st = stats();
         let send = send_state(data_tx, ack_rx, &st);
         // Swept at an instant before either frame's timeout: only the
@@ -745,8 +732,8 @@ mod tests {
 
     #[test]
     fn buffer_bound_abandons_the_oldest() {
-        let (data_tx, _data_rx) = unbounded();
-        let (_ack_tx, ack_rx) = unbounded();
+        let (data_tx, _data_rx) = channel();
+        let (_ack_tx, ack_rx) = channel();
         let send = send_state(data_tx, ack_rx, &stats());
         for seq in 0..BUFFER_FRAMES as u64 + 3 {
             send.register(&frame(seq));

@@ -74,24 +74,24 @@ use super::orchestrate::{host_nodes, live_mask, orchestrate, validate_run, Feed,
 use super::roles::{compute_blanks, spawn_role, Routing, RunCtx};
 use super::wiring::{connect, Addrs, Host, Wiring};
 use crate::chaos::{ChaosTarget, ProcTarget};
-use crate::clock::SimClock;
+use crate::clock::{recv_by, SimClock};
 use crate::error::{Result, RuntimeError};
+use crate::lock;
 use crate::node::report::{NodeReport, SimReport};
 use crate::obs::{ObsEvent, ObsRegistry, RunObs};
 use crate::orchestrator::rebalance::RoutingTable;
 use crate::topology::{decode_role_manifest, encode_role_manifest, HierarchyConfig, Topology};
 use crate::transport::{Endpoint, RedialHandle};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
 use ddnn_core::{Ddnn, DdnnConfig};
 use ddnn_tensor::Tensor;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::SocketAddr;
 use std::path::Path;
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -147,7 +147,7 @@ fn next_line(
     what: &str,
 ) -> Result<String> {
     let gone = |reason: String| RuntimeError::Peer { role: role.to_string(), reason };
-    match lines.recv_deadline(deadline) {
+    match recv_by(lines, deadline) {
         Ok(line) => match line.strip_prefix("ERROR ") {
             Some(msg) => Err(gone(msg.to_string())),
             None => Ok(line),
@@ -283,7 +283,7 @@ impl Supervised {
         let stdin = child.stdin.take().ok_or_else(|| peer_err(&label, "no stdin pipe"))?;
         let stdout = child.stdout.take().ok_or_else(|| peer_err(&label, "no stdout"))?;
         let beat = Arc::new(AtomicU64::new(epoch.elapsed().as_millis() as u64));
-        let (tx, lines) = unbounded();
+        let (tx, lines) = channel();
         let beat_cell = Arc::clone(&beat);
         let reader = std::thread::spawn(move || {
             let mut r = BufReader::new(stdout);
@@ -616,7 +616,7 @@ pub fn host_role() -> Result<()> {
     let out = Arc::new(Mutex::new(std::io::stdout()));
     let result = run_role(BufReader::new(std::io::stdin()), &out);
     if let Err(e) = &result {
-        let mut o = out.lock();
+        let mut o = lock(&out);
         let _ = writeln!(o, "ERROR {e}");
         let _ = o.flush();
     }
@@ -690,7 +690,7 @@ where
     // of treating its frames as ancient duplicates.
     let swap = |own: Endpoint| -> Result<Addrs> {
         {
-            let mut o = out.lock();
+            let mut o = lock(out);
             writeln!(o, "ADDR {role} {}", socket_addr(own)?).map_err(io_err)?;
             o.flush().map_err(io_err)?;
         }
@@ -725,7 +725,7 @@ where
                 let mut n = 0u64;
                 while !stop.load(Ordering::Acquire) {
                     {
-                        let mut o = out.lock();
+                        let mut o = lock(&out);
                         if writeln!(o, "HB {n}").and_then(|()| o.flush()).is_err() {
                             return; // launcher is gone; nobody to reassure
                         }
@@ -746,7 +746,7 @@ where
     plane.factory.shutdown_transport();
 
     // Report what this role counted.
-    let mut o = out.lock();
+    let mut o = lock(out);
     writeln!(o, "{}DONE", fmt_report(ctx.obs.registry(), &node_reports))
         .and_then(|()| o.flush())
         .map_err(io_err)
@@ -784,10 +784,10 @@ mod tests {
             // Each re-pointed sender still feeds the inbox it named.
             let wait = Duration::from_secs(5);
             for ((tx, rx), name) in moved.iter().zip(&respawned).zip(names) {
-                assert!(tx.transmit(bytes::Bytes::from_static(name.as_bytes())));
+                assert!(tx.transmit(Arc::from(name.as_bytes())));
                 assert_eq!(&rx.recv_timeout(wait).unwrap()[..], name.as_bytes());
             }
-            assert!(verdict.transmit(bytes::Bytes::from_static(b"verdict")));
+            assert!(verdict.transmit(Arc::from(&b"verdict"[..])));
             assert_eq!(&verdicts.recv_timeout(wait).unwrap()[..], b"verdict");
         }
     }

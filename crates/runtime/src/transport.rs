@@ -3,9 +3,10 @@
 //! [`LinkSender`](crate::link::LinkSender) encodes frames and rolls
 //! faults; *this* module decides what carries the resulting bytes. Three
 //! transports implement the same contract ([`TransportTx`] on the send
-//! side, a reader feeding a crossbeam channel on the receive side):
+//! side, a reader feeding a `std::sync::mpsc` channel on the receive
+//! side):
 //!
-//! * **Channel** — the in-process crossbeam channel the runtime has
+//! * **Channel** — the in-process `mpsc` channel the runtime has
 //!   always used. The default; byte-identical to every run before the
 //!   transport layer existed.
 //! * **Tcp** — one `std::net::TcpStream` per link, frames delimited by a
@@ -29,7 +30,7 @@
 //!
 //! The receive path is deliberately uniform: socket transports spawn
 //! blocking reader threads that push each received frame into the same
-//! `crossbeam` channel an in-process sender would have used, so
+//! `mpsc` channel an in-process sender would have used, so
 //! [`NodeInbox`](crate::link::NodeInbox), the tier loops and the
 //! collectors never know which transport a run is on. All reader threads
 //! are owned by a [`TransportHost`] whose `Drop` raises a stop flag and
@@ -44,16 +45,15 @@
 
 use crate::chaos::{fnv1a, Delivery, LinkChaos};
 use crate::error::{Result, RuntimeError};
+use crate::lock;
 use crate::obs::{Counter, RunObs};
 use crate::reliability::ArqSendState;
-use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::{BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -62,7 +62,7 @@ use std::time::Duration;
 /// a run uses the same transport.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransportConfig {
-    /// In-process crossbeam channels (the default) — no sockets, no
+    /// In-process `mpsc` channels (the default) — no sockets, no
     /// reader threads, byte-identical to the pre-transport runtime.
     #[default]
     Channel,
@@ -137,7 +137,7 @@ fn inbox_id(name: &str) -> [u8; ID_BYTES] {
 /// [`RuntimeError::Disconnected`] or swallows it when lenient.
 pub(crate) trait TransportTx: Send + Sync + std::fmt::Debug {
     /// Transmits one frame's wire bytes; `false` means the peer is gone.
-    fn transmit(&self, wire: Bytes) -> bool;
+    fn transmit(&self, wire: Arc<[u8]>) -> bool;
 
     /// Re-points this sender at its peer host's new address — the resync
     /// path after a role process respawns on a fresh port. TCP dials a new
@@ -197,17 +197,17 @@ impl TransportCounters {
     }
 }
 
-/// In-process transport: the crossbeam channel itself. Delivery into the
+/// In-process transport: the `mpsc` channel itself. Delivery into the
 /// inbox queue is synchronous, so the receive cells are counted at the
 /// moment of the successful send.
 #[derive(Debug)]
 struct ChannelTx {
-    tx: Sender<Bytes>,
+    tx: Sender<Arc<[u8]>>,
     counters: TransportCounters,
 }
 
 impl TransportTx for ChannelTx {
-    fn transmit(&self, wire: Bytes) -> bool {
+    fn transmit(&self, wire: Arc<[u8]>) -> bool {
         let len = wire.len() as u64;
         self.counters.frames_sent.incr();
         self.counters.bytes_sent.add(len);
@@ -263,7 +263,7 @@ fn dial(addr: SocketAddr, id: [u8; ID_BYTES]) -> Option<TcpStream> {
 }
 
 impl TransportTx for TcpTx {
-    fn transmit(&self, wire: Bytes) -> bool {
+    fn transmit(&self, wire: Arc<[u8]>) -> bool {
         self.counters.frames_sent.incr();
         self.counters.bytes_sent.add(wire.len() as u64);
         let fate = self.chaos.as_ref().map_or_else(Delivery::clean, LinkChaos::roll_raw);
@@ -277,7 +277,7 @@ impl TransportTx for TcpTx {
         // Prefix and body leave as one buffer, so a frame is one write —
         // and, on this no-delay stream, not two segments.
         let framed = [&(wire.len() as u32).to_le_bytes()[..], &wire[..]].concat();
-        let mut peer = self.peer.lock();
+        let mut peer = lock(&self.peer);
         if peer.stream.is_none() {
             if peer.dials_left == 0 {
                 return false;
@@ -312,7 +312,7 @@ impl TransportTx for TcpTx {
     }
 
     fn redial(&self, addr: SocketAddr) -> bool {
-        let mut peer = self.peer.lock();
+        let mut peer = lock(&self.peer);
         peer.addr = addr;
         peer.dials_left = TCP_REDIAL_BUDGET;
         // A process listens before it advertises its address, so one dial
@@ -339,7 +339,7 @@ struct UdpTx {
 }
 
 impl TransportTx for UdpTx {
-    fn transmit(&self, wire: Bytes) -> bool {
+    fn transmit(&self, wire: Arc<[u8]>) -> bool {
         self.counters.frames_sent.incr();
         self.counters.bytes_sent.add(wire.len() as u64);
         let fate = self.chaos.as_ref().map_or_else(Delivery::clean, LinkChaos::roll_raw);
@@ -365,7 +365,7 @@ impl TransportTx for UdpTx {
 /// Wraps a raw inbox channel in the in-process transport with
 /// free-standing counters — the adapter behind the public
 /// `link()` helper and the reliability tests.
-pub(crate) fn channel_tx(tx: Sender<Bytes>) -> Arc<dyn TransportTx> {
+pub(crate) fn channel_tx(tx: Sender<Arc<[u8]>>) -> Arc<dyn TransportTx> {
     Arc::new(ChannelTx { tx, counters: TransportCounters::unregistered() })
 }
 
@@ -393,7 +393,7 @@ pub(crate) struct InboxBinding {
 
 /// The inboxes a host answers to, by wire id. The name stays beside the
 /// queue to report collisions.
-type Inboxes = Arc<Mutex<HashMap<[u8; ID_BYTES], (String, Sender<Bytes>)>>>;
+type Inboxes = Arc<Mutex<HashMap<[u8; ID_BYTES], (String, Sender<Arc<[u8]>>)>>>;
 
 /// One process's dataplane: binds inbox names on its one endpoint,
 /// connects senders and owns every socket reader thread spawned along the
@@ -438,7 +438,7 @@ impl RedialHandle {
     /// restarts its numbering first (see [`ArqSendState::restart`]).
     /// Returns whether at least one sender accepted the new address.
     pub(crate) fn redial(&self, host: &str, addr: SocketAddr) -> bool {
-        let dials = self.dials.lock();
+        let dials = lock(&self.dials);
         dials.arq.iter().filter(|(h, _)| h == host).for_each(|(_, arq)| arq.restart());
         let mut any = false;
         for (_, tx) in dials.txs.iter().filter(|(h, _)| h == host) {
@@ -485,10 +485,10 @@ impl TransportHost {
     /// Returns [`RuntimeError::Config`] when the name's id is already
     /// taken on this host, and [`RuntimeError::Transport`] when the OS
     /// refuses the bind.
-    pub(crate) fn bind(&mut self, name: &str) -> Result<Receiver<Bytes>> {
-        let (tx, rx) = unbounded();
+    pub(crate) fn bind(&mut self, name: &str) -> Result<Receiver<Arc<[u8]>>> {
+        let (tx, rx) = channel();
         let id = inbox_id(name);
-        if let Some((taken, _)) = self.inboxes.lock().get(&id) {
+        if let Some((taken, _)) = lock(&self.inboxes).get(&id) {
             return Err(RuntimeError::Config {
                 reason: format!("inbox {name:?} has the id of inbox {taken:?} on the same host"),
             });
@@ -496,7 +496,7 @@ impl TransportHost {
         if self.addr.is_none() && self.kind.is_socket() {
             self.addr = Some(self.open().map_err(|e| terr(name, "bind", &e))?);
         }
-        self.inboxes.lock().insert(id, (name.to_string(), tx));
+        lock(&self.inboxes).insert(id, (name.to_string(), tx));
         Ok(rx)
     }
 
@@ -543,7 +543,7 @@ impl TransportHost {
         let id = inbox_id(&to.inbox);
         let tx: Arc<dyn TransportTx> = match (self.kind, to.at) {
             (TransportConfig::Channel, Endpoint::Local) => {
-                let inboxes = self.inboxes.lock();
+                let inboxes = lock(&self.inboxes);
                 let (_, tx) = inboxes
                     .get(&id)
                     .ok_or_else(|| terr(&to.inbox, "connect", &"no such inbox in this process"))?;
@@ -573,14 +573,14 @@ impl TransportHost {
                 return Err(terr(&to.inbox, "connect", &why));
             }
         };
-        self.dials.lock().txs.push((to.host.clone(), Arc::clone(&tx)));
+        lock(&self.dials).txs.push((to.host.clone(), Arc::clone(&tx)));
         Ok(tx)
     }
 
     /// Registers the ARQ state of a link this host connected into `host`,
     /// for [`RedialHandle::redial`] to restart.
     pub(crate) fn track_arq(&self, host: &str, state: Arc<ArqSendState>) {
-        self.dials.lock().arq.push((host.to_string(), state));
+        lock(&self.dials).arq.push((host.to_string(), state));
     }
 
     /// Stops and joins every reader thread. Idempotent; also run by
@@ -680,7 +680,7 @@ fn tcp_conn_reader(
     if !header(&mut stream, &mut id) {
         return;
     }
-    let Some(tx) = inboxes.lock().get(&id).map(|(_, tx)| tx.clone()) else {
+    let Some(tx) = lock(inboxes).get(&id).map(|(_, tx)| tx.clone()) else {
         // Foreign peer, or a sender pointed at the wrong host.
         counters.peer_disconnects.incr();
         return;
@@ -706,7 +706,7 @@ fn tcp_conn_reader(
         }
         counters.frames_recvd.incr();
         counters.bytes_recvd.add(len as u64);
-        if tx.send(Bytes::from(body)).is_err() {
+        if tx.send(body.into()).is_err() {
             return;
         }
     }
@@ -754,14 +754,14 @@ fn udp_reader(
             Ok(n) => {
                 let named = buf[..n].split_first_chunk::<ID_BYTES>();
                 let routed =
-                    named.and_then(|(id, wire)| Some((inboxes.lock().get(id)?.1.clone(), wire)));
+                    named.and_then(|(id, wire)| Some((lock(&inboxes).get(id)?.1.clone(), wire)));
                 let Some((tx, wire)) = routed else {
                     counters.peer_disconnects.incr();
                     continue;
                 };
                 counters.frames_recvd.incr();
                 counters.bytes_recvd.add(wire.len() as u64);
-                let _ = tx.send(Bytes::copy_from_slice(wire));
+                let _ = tx.send(wire.into());
             }
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                 if stop.load(Ordering::Relaxed) {
@@ -819,14 +819,14 @@ mod tests {
         let mut host = host(TransportConfig::Channel);
         let rx = host.bind("inbox").unwrap();
         let tx = host.connect(&at(&host, "b", "inbox"), None).unwrap();
-        assert!(tx.transmit(Bytes::from_static(b"hello")));
-        assert_eq!(rx.recv().unwrap(), Bytes::from_static(b"hello"));
+        assert!(tx.transmit(Arc::from(&b"hello"[..])));
+        assert_eq!(rx.recv().unwrap(), Arc::from(&b"hello"[..]));
         let c = &host.counters;
         assert_eq!((c.frames_sent.get(), c.bytes_sent.get()), (1, 5));
         assert_eq!((c.frames_recvd.get(), c.bytes_recvd.get()), (1, 5));
         // A hung-up inbox reports the peer gone and books no delivery.
         drop(rx);
-        assert!(!tx.transmit(Bytes::from_static(b"xx")));
+        assert!(!tx.transmit(Arc::from(&b"xx"[..])));
         assert_eq!(host.counters.frames_recvd.get(), 1);
         // An inbox nobody bound here cannot be connected to.
         assert!(host.connect(&at(&host, "b", "elsewhere"), None).is_err());
@@ -852,7 +852,7 @@ mod tests {
             for name in names {
                 let tx = host.connect(&at(&host, "peer", name), None).unwrap();
                 for payload in [name.as_bytes(), &[]] {
-                    assert!(tx.transmit(Bytes::copy_from_slice(payload)));
+                    assert!(tx.transmit(Arc::from(payload)));
                     sent += payload.len() as u64;
                 }
             }
@@ -879,7 +879,7 @@ mod tests {
         let mut host = host(TransportConfig::Tcp);
         let rx = host.bind("inbox").unwrap();
         let tx = host.connect(&at(&host, "b", "inbox"), None).unwrap();
-        assert!(tx.transmit(Bytes::from_static(b"whole frame")));
+        assert!(tx.transmit(Arc::from(&b"whole frame"[..])));
         assert_eq!(&rx.recv_timeout(WAIT).unwrap()[..], b"whole frame");
         drop(tx);
         // A connection that named its inbox and never sent a frame closes
@@ -916,7 +916,7 @@ mod tests {
         await_disconnects(&udp, 2);
         for (host, rx) in [(&tcp, &rx), (&udp, &udp_rx)] {
             let tx = host.connect(&at(host, "b", "inbox"), None).unwrap();
-            assert!(tx.transmit(Bytes::from_static(b"named")));
+            assert!(tx.transmit(Arc::from(&b"named"[..])));
             assert_eq!(&rx.recv_timeout(WAIT).unwrap()[..], b"named");
             assert!(rx.try_recv().is_err(), "a stray frame reached an inbox");
             assert_eq!(host.counters.frames_recvd.get(), 1);
@@ -948,7 +948,7 @@ mod tests {
             let rx = host.bind("inbox").unwrap();
             let tx = host.connect(&at(&host, "b", "inbox"), plan.socket_chaos("link")).unwrap();
             for i in 0..200u32 {
-                assert!(tx.transmit(Bytes::copy_from_slice(&i.to_le_bytes())));
+                assert!(tx.transmit(Arc::from(i.to_le_bytes())));
             }
             // Localhost UDP is effectively lossless, so what arrives is
             // exactly the non-dropped subset of the chaos stream.
@@ -976,7 +976,7 @@ mod tests {
         // kernel loss) but never arrives; the next transmit dials a fresh
         // stream, which must open with the inbox id to get anywhere.
         for i in 0..16u8 {
-            assert!(tx.transmit(Bytes::copy_from_slice(&[i; 12])));
+            assert!(tx.transmit(Arc::from([i; 12])));
         }
         let mut arrived = Vec::new();
         while let Ok(frame) = rx.recv_timeout(Duration::from_millis(300)) {
@@ -1004,9 +1004,9 @@ mod tests {
             [if named { &id[..] } else { &[] }, junk].concat()
         }
 
-        fn assert_still_serving(host: &TransportHost, rx: &Receiver<Bytes>) {
+        fn assert_still_serving(host: &TransportHost, rx: &Receiver<Arc<[u8]>>) {
             let tx = host.connect(&at(host, "probe", "inbox"), None).unwrap();
-            assert!(tx.transmit(Bytes::from_static(b"still alive")));
+            assert!(tx.transmit(Arc::from(&b"still alive"[..])));
             loop {
                 let got = rx.recv_timeout(WAIT).expect("inbox stopped serving");
                 // Junk delivered ahead of the probe decodes to errors, not

@@ -1,9 +1,9 @@
 //! Property tests of wire-format integrity: arbitrary bit flips,
 //! truncations and extensions of encoded frames must never panic a
-//! decoder, and the checked format must reject every damaged buffer with
-//! a typed error instead of handing corrupt data to a node.
+//! decoder, the checked format must reject every damaged buffer with
+//! a typed error instead of handing corrupt data to a node, and neither
+//! format lets bytes past a complete payload pass as a shorter frame.
 
-use bytes::Bytes;
 use ddnn_runtime::{
     crc32, Frame, NodeId, Payload, RuntimeError, CHECKED_HEADER_BYTES, FLAG_RETRANSMIT,
     HEADER_BYTES,
@@ -37,8 +37,8 @@ fn checked_frames_of_every_payload_kind_round_trip_and_reject_every_bit_flip() {
         Payload::Capture { view: Tensor::from_fn([2, 3, 2], |i| i as f32 - 4.5) },
         Payload::Scores { scores: vec![0.25, -1.0, 3.5] },
         Payload::OffloadRequest,
-        Payload::Features { channels: 2, height: 3, width: 4, bits: Bytes::from(vec![0xA5; 3]) },
-        Payload::RawImage { pixels: Bytes::from(vec![7; 11]) },
+        Payload::Features { channels: 2, height: 3, width: 4, bits: vec![0xA5; 3].into() },
+        Payload::RawImage { pixels: vec![7; 11].into() },
         Payload::Verdict { prediction: 2, exit_tier: 1 },
         Payload::Shutdown,
         Payload::Ping {
@@ -58,7 +58,7 @@ fn checked_frames_of_every_payload_kind_round_trip_and_reject_every_bit_flip() {
         for bit in 0..wire.len() * 8 {
             let mut bad = wire.to_vec();
             bad[bit / 8] ^= 1 << (bit % 8);
-            let err = Frame::decode_checked(Bytes::from(bad)).expect_err("flip must be caught");
+            let err = Frame::decode_checked(bad).expect_err("flip must be caught");
             assert!(matches!(err, RuntimeError::Corrupt { .. }), "kind {i}, bit {bit}: {err:?}");
         }
     }
@@ -75,21 +75,20 @@ fn a_live_mask_the_bytes_cannot_back_is_corrupt() {
     for (claim, cut) in [(u16::MAX, 0), (17, 0), (9, 1)] {
         let mut bad = wire[..wire.len() - cut].to_vec();
         bad[count_at..count_at + 2].copy_from_slice(&claim.to_le_bytes());
-        let err = Frame::decode(Bytes::from(bad)).unwrap_err();
+        let err = Frame::decode(bad).unwrap_err();
         assert!(matches!(err, RuntimeError::Corrupt { .. }), "claim {claim}: {err}");
     }
 }
 
 /// Builds one payload of every wire shape from drawn parameters, so the
 /// properties cover fixed-size, length-prefixed, bit-packed and empty
-/// encodings.
+/// encodings: kinds `0..6` the length- and count-carrying shapes, `6..9`
+/// the rest of the nine payload kinds.
 fn payload_of(kind: u8, floats: &[f32], raw: &[u8]) -> Payload {
-    match kind % 6 {
+    match kind % 9 {
         0 => Payload::Scores { scores: floats.to_vec() },
         1 => Payload::OffloadRequest,
-        2 => {
-            Payload::Features { channels: 2, height: 3, width: 4, bits: Bytes::from(raw.to_vec()) }
-        }
+        2 => Payload::Features { channels: 2, height: 3, width: 4, bits: raw.into() },
         3 => Payload::Verdict { prediction: 7, exit_tier: 1 },
         4 => Payload::Ping {
             epoch: raw.len() as u64,
@@ -97,8 +96,19 @@ fn payload_of(kind: u8, floats: &[f32], raw: &[u8]) -> Payload {
             live: raw.iter().map(|&b| b & 1 == 1).collect(),
             down: raw.first().is_some_and(|&b| b > 127),
         },
-        _ => Payload::RawImage { pixels: Bytes::from(raw.to_vec()) },
+        5 => Payload::RawImage { pixels: raw.into() },
+        6 => Payload::Capture { view: Tensor::from_fn([1, 2, 3], |i| i as f32 - raw.len() as f32) },
+        7 => Payload::Shutdown,
+        _ => Payload::Pong,
     }
+}
+
+/// Rewrites a checked frame's CRC over its current bytes, as a sender
+/// that meant exactly those bytes would have sealed them.
+fn reseal(wire: &mut [u8]) {
+    let at = CHECKED_HEADER_BYTES - 4;
+    let crc = crc32(&[&wire[..at], &wire[CHECKED_HEADER_BYTES..]].concat());
+    wire[at..CHECKED_HEADER_BYTES].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// Applies the drawn bit flips to `wire`, returning the damaged copy and
@@ -150,7 +160,7 @@ proptest! {
         // rejected — never accepted, never a panic.
         let (bad, changed) = flip_bits(&wire, &flips);
         if changed {
-            let err = Frame::decode_checked(Bytes::from(bad)).expect_err("damage must be caught");
+            let err = Frame::decode_checked(bad).expect_err("damage must be caught");
             prop_assert!(
                 matches!(err, RuntimeError::Corrupt { .. }),
                 "expected Corrupt, got {err:?}"
@@ -160,13 +170,13 @@ proptest! {
         // Truncation to any strictly shorter prefix must be rejected: the
         // CRC covers the whole frame, so a short buffer cannot match.
         let cut = cut % wire.len();
-        let err = Frame::decode_checked(wire.slice(0..cut)).expect_err("truncation must be caught");
+        let err = Frame::decode_checked(&wire[..cut]).expect_err("truncation must be caught");
         prop_assert!(matches!(err, RuntimeError::Corrupt { .. }), "expected Corrupt, got {err:?}");
 
         // Trailing garbage changes the CRC input, so extension is caught too.
         let mut extended = wire.to_vec();
         extended.push(0xEE);
-        prop_assert!(Frame::decode_checked(Bytes::from(extended)).is_err());
+        prop_assert!(Frame::decode_checked(extended).is_err());
     }
 
     #[test]
@@ -186,7 +196,7 @@ proptest! {
         let frame = Frame::new(seq, NodeId::Gateway, payload_of(kind, &floats, &raw));
         let wire = frame.encode();
         let (bad, _) = flip_bits(&wire, &flips);
-        if let Err(e) = Frame::decode(Bytes::from(bad)) {
+        if let Err(e) = Frame::decode(bad) {
             prop_assert!(
                 matches!(e, RuntimeError::Corrupt { .. } | RuntimeError::Protocol { .. }),
                 "unexpected error class {e:?}"
@@ -195,8 +205,34 @@ proptest! {
         // Truncating an honest frame strictly below its full length must be
         // Corrupt: the buffer no longer holds what its fields claim.
         let cut = cut % wire.len();
-        let err = Frame::decode(wire.slice(0..cut)).expect_err("truncation must be caught");
+        let err = Frame::decode(&wire[..cut]).expect_err("truncation must be caught");
         prop_assert!(matches!(err, RuntimeError::Corrupt { .. }), "expected Corrupt, got {err:?}");
+    }
+
+    #[test]
+    fn bytes_left_over_after_a_complete_payload_are_corrupt(
+        seq in 0u64..1_000_000,
+        kind in 0u8..9,
+        floats in prop::collection::vec(-10.0f32..10.0, 0..6),
+        raw in prop::collection::vec(0u8..=255, 0..12),
+        extra in prop::collection::vec(0u8..=255, 1..9),
+    ) {
+        // A header truncated or mis-declared short leaves the rest of the
+        // payload behind it; decoding must refuse instead of returning
+        // the shorter payload the header describes.
+        let frame = Frame::new(seq, NodeId::Device(1), payload_of(kind, &floats, &raw));
+        let legacy = [&frame.encode()[..], &extra].concat();
+        let err = Frame::decode(legacy).expect_err("leftover bytes must be caught");
+        prop_assert!(matches!(err, RuntimeError::Corrupt { .. }), "legacy: {err:?}");
+        // The checked frame is resealed over the longer buffer, so its CRC
+        // holds and only the leftover check can refuse it.
+        let mut checked = frame.encode_checked(0, 9).to_vec();
+        reseal(&mut checked);
+        prop_assert_eq!(&Frame::decode_checked(&checked).expect("reseal is a no-op").frame, &frame);
+        checked.extend_from_slice(&extra);
+        reseal(&mut checked);
+        let err = Frame::decode_checked(checked).expect_err("leftover bytes must be caught");
+        prop_assert!(matches!(err, RuntimeError::Corrupt { .. }), "checked: {err:?}");
     }
 
     #[test]
@@ -208,7 +244,7 @@ proptest! {
         // the element-count arithmetic for overflow) before allocating.
         // Decoding junk must therefore complete instantly with a bounded
         // result — any Ok frame's payload came out of the buffer itself.
-        let buf = Bytes::from(junk);
+        let buf = junk;
         let n = buf.len();
         if let Ok(frame) = Frame::decode(buf) {
             let bounded = match frame.payload {
@@ -229,7 +265,7 @@ proptest! {
     ) {
         // Fully arbitrary buffers (not derived from any real frame) — the
         // decoders must treat them as untrusted input.
-        let buf = Bytes::from(junk);
+        let buf = junk;
         let _ = Frame::decode(buf.clone());
         if buf.len() < CHECKED_HEADER_BYTES {
             prop_assert!(Frame::decode_checked(buf).is_err());

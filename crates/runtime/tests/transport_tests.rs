@@ -5,7 +5,6 @@
 //! counters reconcile exactly with the per-link accounting; and
 //! arbitrary byte soup never panics the frame decoders.
 
-use bytes::Bytes;
 use ddnn_core::{
     AggregationScheme, ConvPBlock, Ddnn, DdnnConfig, EdgeConfig, ExitHead, ExitThreshold,
     FeatureAggregator, Precision,
@@ -215,7 +214,7 @@ proptest! {
     fn junk_bytes_never_panic_the_decoders(
         junk in prop::collection::vec(0u8..=255, 0..160),
     ) {
-        let buf = Bytes::from(junk);
+        let buf = junk;
         if let Err(e) = Frame::decode(buf.clone()) {
             let _ = e.to_string();
         }

@@ -16,7 +16,7 @@
 use crate::error::{Result, TensorError};
 use crate::shape::Shape;
 use crate::tensor::Tensor;
-use bytes::{BufMut, Bytes, BytesMut};
+use std::sync::Arc;
 
 /// Number of bytes needed to pack `n` sign bits.
 pub fn packed_len(n: usize) -> usize {
@@ -38,8 +38,8 @@ pub fn packed_len(n: usize) -> usize {
 /// assert_eq!(packed[0], 0b1011_0000);
 /// # Ok::<(), ddnn_tensor::TensorError>(())
 /// ```
-pub fn pack_signs(t: &Tensor) -> Bytes {
-    let mut buf = BytesMut::with_capacity(packed_len(t.len()));
+pub fn pack_signs(t: &Tensor) -> Arc<[u8]> {
+    let mut buf = Vec::with_capacity(packed_len(t.len()));
     let mut byte = 0u8;
     let mut nbits = 0;
     for &x in t.data() {
@@ -49,15 +49,15 @@ pub fn pack_signs(t: &Tensor) -> Bytes {
         }
         nbits += 1;
         if nbits == 8 {
-            buf.put_u8(byte);
+            buf.push(byte);
             byte = 0;
             nbits = 0;
         }
     }
     if nbits > 0 {
-        buf.put_u8(byte << (8 - nbits));
+        buf.push(byte << (8 - nbits));
     }
-    buf.freeze()
+    buf.into()
 }
 
 /// Unpacks sign bits back into a ±1 tensor of the given shape.

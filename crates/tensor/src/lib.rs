@@ -15,6 +15,8 @@
 //!   adjoint backward passes (verified against finite differences);
 //! * [`bits`] — 1-bit packing of binarized activations, the wire format the
 //!   paper's communication-cost model (Eq. 1) counts;
+//! * [`cursor`] — bounds-checked little-endian reads, the decoder primitive
+//!   of the wire frames and checkpoints;
 //! * [`bitmatrix`] — `u64`-word packed ±1 matrices with XNOR–popcount
 //!   GEMM and the fused binary convolution plan, the kernels of the
 //!   frozen inference form;
@@ -46,6 +48,7 @@
 pub mod bitmatrix;
 pub mod bits;
 pub mod conv;
+pub mod cursor;
 mod error;
 mod ops;
 pub mod parallel;
