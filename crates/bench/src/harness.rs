@@ -73,6 +73,7 @@ impl ExperimentContext {
 }
 
 /// A trained DDNN plus its test-set evaluation.
+#[derive(Clone)]
 pub struct TrainedDdnn {
     /// The trained model.
     pub model: Ddnn,

@@ -1,12 +1,14 @@
 //! # ddnn-bench
 //!
-//! Experiment harness for DDNN-RS: one binary per table/figure of the
-//! paper's evaluation (see `DESIGN.md` §4 for the experiment index), plus
-//! shared helpers for training/evaluating paper-shaped models.
+//! Experiment harness for DDNN-RS: the paper's evaluation as one table of
+//! experiments run by the `paper` binary (see `DESIGN.md` §4 for the
+//! experiment index), the sweep binaries, and shared helpers for
+//! training/evaluating paper-shaped models.
 
 #![warn(missing_docs)]
 
 pub mod harness;
+pub mod paper;
 pub mod util;
 
 pub use harness::{ExperimentContext, TrainedDdnn};

@@ -30,36 +30,6 @@ pub fn classified_latencies(report: &SimReport) -> Vec<f64> {
         .collect()
 }
 
-/// Whether per-step progress chatter may be written to stderr.
-///
-/// The experiment harness runs every bin with stdout teed to
-/// `results/<name>.txt` and stderr to `results/<name>.err`, and treats a
-/// non-empty `.err` as a failure artifact. Unconditional progress
-/// `eprintln!`s therefore made every clean run look failed (the committed
-/// `figure8.err`/`figure9.err`/`table1.err` regression). Progress is now
-/// emitted only when a human is watching: `DDNN_PROGRESS=1` forces it on,
-/// `DDNN_PROGRESS=0` forces it off, and by default it is on exactly when
-/// stderr is a terminal (i.e. not captured by the harness).
-pub fn progress_enabled() -> bool {
-    match std::env::var("DDNN_PROGRESS") {
-        Ok(v) => v.trim() != "0",
-        Err(_) => std::io::IsTerminal::is_terminal(&std::io::stderr()),
-    }
-}
-
-/// Progress logging for experiment binaries: formats like `eprintln!` but
-/// stays silent when stderr is a harness capture (see
-/// [`util::progress_enabled`](crate::util::progress_enabled)), so
-/// `results/*.err` only ever holds real failures.
-#[macro_export]
-macro_rules! progress {
-    ($($arg:tt)*) => {
-        if $crate::util::progress_enabled() {
-            eprintln!($($arg)*);
-        }
-    };
-}
-
 /// True when the binary should run its seconds-long smoke variant:
 /// `--smoke` on the command line or `DDNN_BENCH_SMOKE` set (non-`"0"`).
 pub fn smoke_mode() -> bool {

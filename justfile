@@ -184,30 +184,14 @@ runtime-loc:
 clock-sites:
     grep -rE 'Instant::now|sleep\(' crates/runtime/src | wc -l
 
-# Experiment runners tee stderr to results/*.err; an empty .err means
-# the run was clean and the file is noise, and cargo's own
-# Compiling/Finished/Running chatter is not a failure either (progress
-# lines are TTY-gated via DDNN_PROGRESS, so redirected runs stay quiet).
-# Drop every .err that records a clean run; only real failures survive.
-results-clean:
-    find results -name '*.err' -size 0 -delete
-    sh -c 'for f in results/*.err; do [ -e "$f" ] || exit 0; grep -vqE "^(   Compiling|    Finished|     Running|warning:) " "$f" || rm "$f"; done'
-
-# Regenerate every paper table/figure (slow; accepts DDNN_EPOCHS).
-# Build first, then run the binaries directly: stdout becomes the
-# committed .txt artifact and stderr lands in a .err that stays empty on
-# a clean run (results-clean sweeps the empties).
+# Regenerate every paper table/figure into results/<name>.txt (slow;
+# accepts DDNN_EPOCHS). One process, one dataset, each distinct model
+# trained once; progress goes to stderr.
 experiments:
-    cargo build --release -p ddnn-bench
-    ./target/release/table1 > results/table1.txt 2> results/table1.err
-    ./target/release/table2 > results/table2.txt 2> results/table2.err
-    ./target/release/figure6 > results/figure6.txt 2> results/figure6.err
-    ./target/release/figure7 > results/figure7.txt 2> results/figure7.err
-    ./target/release/figure8 > results/figure8.txt 2> results/figure8.err
-    ./target/release/figure9 > results/figure9.txt 2> results/figure9.err
-    ./target/release/figure10 > results/figure10.txt 2> results/figure10.err
-    ./target/release/comm_reduction > results/comm_reduction.txt 2> results/comm_reduction.err
-    ./target/release/edge_hierarchy > results/edge_hierarchy.txt 2> results/edge_hierarchy.err
-    ./target/release/ablation_binary > results/ablation_binary.txt 2> results/ablation_binary.err
-    ./target/release/ablation_fault > results/ablation_fault.txt 2> results/ablation_fault.err
-    just results-clean
+    cargo run --release -p ddnn-bench --bin paper
+
+# The regenerator at one epoch per model: every experiment's code path,
+# artifacts written (CI's paper-smoke job). It overwrites the committed
+# results/*.txt; `git checkout results` restores them.
+paper-smoke:
+    DDNN_EPOCHS=1 cargo run --release -p ddnn-bench --bin paper
