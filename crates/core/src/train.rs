@@ -20,7 +20,7 @@ pub struct TrainConfig {
     pub lr: f32,
     /// Loss weight of each exit, local first, cloud last (paper: equal).
     /// When shorter than the number of exits, missing weights default
-    /// to 1.0.
+    /// to 1.0; longer than that, [`train`] rejects it.
     pub exit_weights: Vec<f32>,
     /// Shuffling seed.
     pub seed: u64,
@@ -90,8 +90,9 @@ impl TrainReport {
 ///
 /// # Errors
 ///
-/// Returns an error for inconsistent view/label sizes or internal shape
-/// errors.
+/// Returns [`TensorError::LengthMismatch`] for inconsistent view/label
+/// sizes or more `exit_weights` than the model has exits, before the first
+/// step, and an error for internal shape errors.
 pub fn train(
     model: &mut Ddnn,
     views: &[Tensor],
@@ -103,6 +104,12 @@ pub fn train(
         return Err(TensorError::LengthMismatch {
             expected: n,
             actual: views.first().map_or(0, |v| v.dims()[0]),
+        });
+    }
+    if cfg.exit_weights.len() > model.num_exits() {
+        return Err(TensorError::LengthMismatch {
+            expected: model.num_exits(),
+            actual: cfg.exit_weights.len(),
         });
     }
     let has_edge = model.num_exits() == 3;
@@ -271,6 +278,23 @@ mod tests {
         let mut model = small_model();
         let bad_labels = &labels[..5];
         assert!(train(&mut model, &views, bad_labels, &TrainConfig::quick(1)).is_err());
+    }
+
+    #[test]
+    fn rejects_more_exit_weights_than_exits() {
+        // Three weights read local, edge, cloud; an edge-less model has no
+        // exit for the middle one, so nothing may silently take it.
+        let (views, labels) = toy_data(6, 5);
+        let mut model = small_model();
+        let before = model.save_bytes();
+        let cfg = TrainConfig { exit_weights: vec![1.0, 0.5, 1.0], ..TrainConfig::quick(1) };
+        assert_eq!(
+            train(&mut model, &views, &labels, &cfg).unwrap_err(),
+            TensorError::LengthMismatch { expected: 2, actual: 3 }
+        );
+        assert_eq!(model.save_bytes(), before, "rejected before the first step");
+        let two = TrainConfig { exit_weights: vec![1.0, 0.5], ..TrainConfig::quick(1) };
+        assert!(train(&mut model, &views, &labels, &two).is_ok());
     }
 
     #[test]

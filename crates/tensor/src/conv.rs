@@ -6,7 +6,9 @@
 //! pass can scatter gradients.
 
 use crate::error::{Result, TensorError};
+use crate::gemm;
 use crate::parallel;
+use crate::simd;
 use crate::tensor::Tensor;
 use std::ops::Range;
 
@@ -106,33 +108,118 @@ fn window_range(start: usize, kernel: usize, size: usize, padding: usize) -> Ran
     }
 }
 
-/// The column/row walk shared by [`im2col`] and [`col2im`]: for every
-/// `(ch, ky, kx)` tap in that order and every output row `oy` the tap
-/// reaches, calls `f(r, oy, iy, ox_range, ix0)` — `r` the column-matrix
-/// row, `iy` the input row, and input column `ix0 + (ox − ox_range.start)
-/// · stride` for each output column `ox` in `ox_range`.
-fn for_each_tap_row(
+/// One sample's lowering geometry: a `(c, h, w)` image under `spec`, read
+/// as `rows = c·kh·kw` taps by `pixels = oh·ow` output positions. The
+/// lowerings below write only taps inside the image, so a buffer's
+/// padding entries keep what they held — zero on a fresh buffer, and
+/// still zero after lowering any number of samples into it.
+#[derive(Debug, Clone, Copy)]
+struct Lowering {
     c: usize,
-    (h, w): (usize, usize),
-    (oh, ow): (usize, usize),
-    spec: &Conv2dSpec,
-    mut f: impl FnMut(usize, usize, usize, Range<usize>, usize),
-) {
-    let mut r = 0;
-    for _ in 0..c {
-        for ky in 0..spec.kernel_h {
-            let oys = tap_range(ky, h, oh, spec);
-            for kx in 0..spec.kernel_w {
-                let oxs = tap_range(kx, w, ow, spec);
-                if !oxs.is_empty() {
-                    let ix0 = oxs.start * spec.stride + kx - spec.padding;
-                    for oy in oys.clone() {
-                        f(r, oy, oy * spec.stride + ky - spec.padding, oxs.clone(), ix0);
+    h: usize,
+    w: usize,
+    oh: usize,
+    ow: usize,
+    spec: Conv2dSpec,
+}
+
+impl Lowering {
+    fn new(c: usize, h: usize, w: usize, spec: &Conv2dSpec) -> Result<Self> {
+        let (oh, ow) = spec.checked_output_size(h, w)?;
+        Ok(Lowering { c, h, w, oh, ow, spec: *spec })
+    }
+
+    fn image_len(&self) -> usize {
+        self.c * self.h * self.w
+    }
+
+    fn rows(&self) -> usize {
+        self.c * self.spec.kernel_h * self.spec.kernel_w
+    }
+
+    fn pixels(&self) -> usize {
+        self.oh * self.ow
+    }
+
+    /// The column/row walk shared by every lowering: for every
+    /// `(ch, ky, kx)` tap in that order and every output row `oy` the tap
+    /// reaches, calls `f(r, oy, row, ox_range, ix0)` — `r` the tap's
+    /// column-matrix row and `row` the offset of its input row in the
+    /// image, with input column `ix0 + (ox − ox_range.start) · stride` for
+    /// each output column `ox` in `ox_range`.
+    fn for_each_tap_row(&self, mut f: impl FnMut(usize, usize, usize, Range<usize>, usize)) {
+        let spec = &self.spec;
+        let mut r = 0;
+        for ch in 0..self.c {
+            for ky in 0..spec.kernel_h {
+                let oys = tap_range(ky, self.h, self.oh, spec);
+                for kx in 0..spec.kernel_w {
+                    let oxs = tap_range(kx, self.w, self.ow, spec);
+                    if !oxs.is_empty() {
+                        let ix0 = oxs.start * spec.stride + kx - spec.padding;
+                        for oy in oys.clone() {
+                            let iy = oy * spec.stride + ky - spec.padding;
+                            f(r, oy, (ch * self.h + iy) * self.w, oxs.clone(), ix0);
+                        }
                     }
+                    r += 1;
                 }
-                r += 1;
             }
         }
+    }
+
+    /// Lowers one image into its `(rows, pixels)` column matrix.
+    fn im2col(&self, image: &[f32], dst: &mut [f32]) {
+        let (pixels, stride) = (self.pixels(), self.spec.stride);
+        self.for_each_tap_row(|r, oy, row, oxs, ix0| {
+            let src = &image[row..][..self.w];
+            let dst = &mut dst[r * pixels + oy * self.ow..][oxs];
+            if stride == 1 {
+                let len = dst.len();
+                dst.copy_from_slice(&src[ix0..ix0 + len]);
+            } else {
+                for (d, &s) in dst.iter_mut().zip(src[ix0..].iter().step_by(stride)) {
+                    *d = s;
+                }
+            }
+        });
+    }
+
+    /// Lowers one image into the transpose of its column matrix,
+    /// `(pixels, rows)`: the right-hand operand of `dY · colsᵀ` as the
+    /// GEMM reads it, without a transpose pass.
+    fn im2col_t(&self, image: &[f32], dst: &mut [f32]) {
+        let (rows, stride) = (self.rows(), self.spec.stride);
+        self.for_each_tap_row(|r, oy, row, oxs, ix0| {
+            let src = &image[row..][..self.w];
+            let first = oy * self.ow + oxs.start;
+            let dst = dst[first * rows + r..].iter_mut().step_by(rows);
+            for (d, &s) in dst.zip(src[ix0..].iter().step_by(stride)).take(oxs.len()) {
+                *d = s;
+            }
+        });
+    }
+
+    /// Accumulates one `(rows, pixels)` column matrix back into its image
+    /// gradient — the adjoint of [`Lowering::im2col`]. Within one
+    /// `(ch, ky, kx)` tap every output pixel reaches a distinct input
+    /// element, so walking the taps in that order hands each element its
+    /// contributions in the per-tap loop's order.
+    fn col2im(&self, colmat: &[f32], dst: &mut [f32]) {
+        let (pixels, stride) = (self.pixels(), self.spec.stride);
+        self.for_each_tap_row(|r, oy, row, oxs, ix0| {
+            let src = &colmat[r * pixels + oy * self.ow..][oxs];
+            let dst = &mut dst[row..][..self.w];
+            if stride == 1 {
+                for (d, &s) in dst[ix0..ix0 + src.len()].iter_mut().zip(src) {
+                    *d += s;
+                }
+            } else {
+                for (d, &s) in dst[ix0..].iter_mut().step_by(stride).zip(src) {
+                    *d += s;
+                }
+            }
+        });
     }
 }
 
@@ -148,30 +235,16 @@ fn for_each_tap_row(
 /// geometry is degenerate.
 pub fn im2col(input: &Tensor, spec: &Conv2dSpec) -> Result<Tensor> {
     let (n, c, h, w) = check_nchw(input, "im2col")?;
-    let (oh, ow) = spec.checked_output_size(h, w)?;
-    let rows = c * spec.kernel_h * spec.kernel_w;
-    let cols = oh * ow;
+    let low = Lowering::new(c, h, w, spec)?;
+    let (rows, cols) = (low.rows(), low.pixels());
     let mut out = vec![0.0f32; n * rows * cols];
     let data = input.data();
-    let taps = spec.kernel_h * spec.kernel_w;
     // Batch elements are independent: fan them out across the pool. Each
     // worker writes only its own batch chunk, so the result is identical
     // for any thread count.
     parallel::par_item_chunks_mut(&mut out, rows * cols, n * rows * cols, |b0, chunk| {
         for (bi, bchunk) in chunk.chunks_mut(rows * cols).enumerate() {
-            let image = &data[(b0 + bi) * c * h * w..][..c * h * w];
-            for_each_tap_row(c, (h, w), (oh, ow), spec, |r, oy, iy, oxs, ix0| {
-                let src = &image[(r / taps) * h * w + iy * w..][..w];
-                let dst = &mut bchunk[r * cols + oy * ow..][oxs];
-                if spec.stride == 1 {
-                    let len = dst.len();
-                    dst.copy_from_slice(&src[ix0..ix0 + len]);
-                } else {
-                    for (d, &s) in dst.iter_mut().zip(src[ix0..].iter().step_by(spec.stride)) {
-                        *d = s;
-                    }
-                }
-            });
+            low.im2col(&data[(b0 + bi) * low.image_len()..][..low.image_len()], bchunk);
         }
     });
     Tensor::from_vec(out, [n, rows, cols])
@@ -191,40 +264,23 @@ pub fn col2im(cols: &Tensor, c: usize, h: usize, w: usize, spec: &Conv2dSpec) ->
     if cols.rank() != 3 {
         return Err(TensorError::RankMismatch { expected: 3, actual: cols.rank() });
     }
-    let (oh, ow) = spec.checked_output_size(h, w)?;
-    let rows = c * spec.kernel_h * spec.kernel_w;
+    let low = Lowering::new(c, h, w, spec)?;
+    let (rows, pixels) = (low.rows(), low.pixels());
     let n = cols.dims()[0];
-    if cols.dims()[1] != rows || cols.dims()[2] != oh * ow {
+    if cols.dims()[1] != rows || cols.dims()[2] != pixels {
         return Err(TensorError::ShapeMismatch {
             lhs: cols.dims().to_vec(),
-            rhs: vec![n, rows, oh * ow],
+            rhs: vec![n, rows, pixels],
             op: "col2im",
         });
     }
-    let mut out = vec![0.0f32; n * c * h * w];
+    let mut out = vec![0.0f32; n * low.image_len()];
     let data = cols.data();
-    let taps = spec.kernel_h * spec.kernel_w;
     // Scatter-accumulation stays within one batch element, so batches can
-    // run on separate workers without racing. Within one `(ch, ky, kx)`
-    // tap every output pixel reaches a distinct input element, so walking
-    // the taps in that order hands each element its contributions in the
-    // per-tap loop's order, whatever the thread count.
-    parallel::par_item_chunks_mut(&mut out, c * h * w, n * rows * oh * ow, |b0, chunk| {
-        for (bi, bchunk) in chunk.chunks_mut(c * h * w).enumerate() {
-            let colmat = &data[(b0 + bi) * rows * oh * ow..][..rows * oh * ow];
-            for_each_tap_row(c, (h, w), (oh, ow), spec, |r, oy, iy, oxs, ix0| {
-                let src = &colmat[r * oh * ow + oy * ow..][oxs];
-                let dst = &mut bchunk[(r / taps) * h * w + iy * w..][..w];
-                if spec.stride == 1 {
-                    for (d, &s) in dst[ix0..ix0 + src.len()].iter_mut().zip(src) {
-                        *d += s;
-                    }
-                } else {
-                    for (d, &s) in dst[ix0..].iter_mut().step_by(spec.stride).zip(src) {
-                        *d += s;
-                    }
-                }
-            });
+    // run on separate workers without racing.
+    parallel::par_item_chunks_mut(&mut out, low.image_len(), n * rows * pixels, |b0, chunk| {
+        for (bi, bchunk) in chunk.chunks_mut(low.image_len()).enumerate() {
+            low.col2im(&data[(b0 + bi) * rows * pixels..][..rows * pixels], bchunk);
         }
     });
     Tensor::from_vec(out, [n, c, h, w])
@@ -247,26 +303,23 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, spec: &Conv2dSpec) -> Result<Tens
             op: "conv2d",
         });
     }
-    let (oh, ow) = spec.checked_output_size(h, w)?;
-    let rows = c * kh * kw;
-    let pixels = oh * ow;
-    let cols = im2col(input, spec)?;
-    let wmat = weight.reshape([f, rows])?;
-    let wdata = wmat.data();
-    let cdata = cols.data();
+    let low = Lowering::new(c, h, w, spec)?;
+    let (rows, pixels) = (low.rows(), low.pixels());
+    let (tier, x, wdata) = (simd::active_tier(), input.data(), weight.data());
     let mut out = vec![0.0f32; n * f * pixels];
     // Fan the batch out across the pool; each element is an independent
-    // `(f, rows) x (rows, pixels)` product. A single-element batch instead
-    // leaves the decision to the GEMM, which splits across output rows
-    // only if that one product clears the pool's cut-off.
+    // `(f, rows) x (rows, pixels)` product on its own lowering, staged in
+    // one column buffer per worker. A single-element batch instead leaves
+    // the decision to the GEMM, which splits across output rows only if
+    // that one product clears the pool's cut-off.
     parallel::par_item_chunks_mut(&mut out, f * pixels, n * f * rows * pixels, |b0, chunk| {
+        let mut cols = vec![0.0f32; rows * pixels];
         for (bi, res) in chunk.chunks_mut(f * pixels).enumerate() {
-            let b = b0 + bi;
-            let colmat = &cdata[b * rows * pixels..(b + 1) * rows * pixels];
-            crate::ops::gemm_auto(wdata, colmat, f, rows, pixels, res);
+            low.im2col(&x[(b0 + bi) * low.image_len()..][..low.image_len()], &mut cols);
+            gemm::gemm_auto(tier, wdata, &cols, f, rows, pixels, res);
         }
     });
-    Tensor::from_vec(out, [n, f, oh, ow])
+    Tensor::from_vec(out, [n, f, low.oh, low.ow])
 }
 
 /// Gradients of [`conv2d`] given upstream `grad_out` of shape
@@ -298,26 +351,27 @@ pub fn conv2d_backward(
     Ok((grad_input, grad_weight))
 }
 
-/// `(f, oh, ow)` of a `grad_out` that fits an `(n, ·, h, w)` input.
-fn check_grad_out(
-    (n, h, w): (usize, usize, usize),
-    grad_out: &Tensor,
-    spec: &Conv2dSpec,
-) -> Result<(usize, usize, usize)> {
+/// `f` of a `grad_out` that fits an `(n, ·, h, w)` input, checked against
+/// the lowering's output size.
+fn check_grad_out(n: usize, low: &Lowering, grad_out: &Tensor) -> Result<usize> {
     let (gn, f, goh, gow) = check_nchw(grad_out, "conv2d_backward")?;
-    let (oh, ow) = spec.checked_output_size(h, w)?;
-    if gn != n || goh != oh || gow != ow {
+    if gn != n || goh != low.oh || gow != low.ow {
         return Err(TensorError::ShapeMismatch {
             lhs: grad_out.dims().to_vec(),
-            rhs: vec![n, f, oh, ow],
+            rhs: vec![n, f, low.oh, low.ow],
             op: "conv2d_backward",
         });
     }
-    Ok((f, oh, ow))
+    Ok(f)
 }
 
 /// The weight half of [`conv2d_backward`]: `dW = Σ_b dY_b · im2col(X_b)ᵀ`,
 /// shaped `(f, c, kh, kw)`, summed over the batch in order.
+///
+/// The per-sample partials fan out over the batch — each worker lowers its
+/// samples straight into the transposed layout the product reads — and
+/// are then added into `dW` one sample after another from zero, exactly as
+/// a serial loop over the batch adds them.
 ///
 /// # Errors
 ///
@@ -328,20 +382,39 @@ pub fn conv2d_backward_weight(
     spec: &Conv2dSpec,
 ) -> Result<Tensor> {
     let (n, c, h, w) = check_nchw(input, "conv2d_backward")?;
-    let (f, oh, ow) = check_grad_out((n, h, w), grad_out, spec)?;
-    let rows = c * spec.kernel_h * spec.kernel_w;
-    let cols = im2col(input, spec)?;
-    let mut grad_w = Tensor::zeros([f, rows]);
-    for b in 0..n {
-        let gmat = grad_out.index_axis0(b)?.reshape([f, oh * ow])?;
-        let colmat = cols.index_axis0(b)?; // (rows, oh*ow)
-        grad_w.add_assign(&gmat.matmul(&colmat.transpose()?)?)?;
+    let low = Lowering::new(c, h, w, spec)?;
+    let f = check_grad_out(n, &low, grad_out)?;
+    let (rows, pixels) = (low.rows(), low.pixels());
+    let (tier, x, dy) = (simd::active_tier(), input.data(), grad_out.data());
+    let mut partials = vec![0.0f32; n * f * rows];
+    parallel::par_item_chunks_mut(&mut partials, f * rows, n * f * pixels * rows, |b0, chunk| {
+        let mut cols_t = vec![0.0f32; pixels * rows];
+        for (bi, part) in chunk.chunks_mut(f * rows).enumerate() {
+            let b = b0 + bi;
+            low.im2col_t(&x[b * low.image_len()..][..low.image_len()], &mut cols_t);
+            gemm::gemm_auto(
+                tier,
+                &dy[b * f * pixels..][..f * pixels],
+                &cols_t,
+                f,
+                pixels,
+                rows,
+                part,
+            );
+        }
+    });
+    let mut grad_w = vec![0.0f32; f * rows];
+    for part in partials.chunks_exact(f * rows) {
+        for (g, &p) in grad_w.iter_mut().zip(part) {
+            *g += p;
+        }
     }
-    grad_w.reshape([f, c, spec.kernel_h, spec.kernel_w])
+    Tensor::from_vec(grad_w, [f, c, spec.kernel_h, spec.kernel_w])
 }
 
-/// The input half of [`conv2d_backward`]: `dX = col2im(Wᵀ · dY_b)` for an
-/// input of shape `input_dims` `(n, c, h, w)`.
+/// The input half of [`conv2d_backward`]: `dX_b = col2im(Wᵀ · dY_b)` for an
+/// input of shape `input_dims` `(n, c, h, w)`, fanned out over the batch
+/// with `Wᵀ` formed once per call.
 ///
 /// # Errors
 ///
@@ -356,7 +429,8 @@ pub fn conv2d_backward_input(
         return Err(TensorError::RankMismatch { expected: 4, actual: input_dims.len() });
     };
     let (f, wc, kh, kw) = check_nchw(weight, "conv2d_backward")?;
-    let (gf, oh, ow) = check_grad_out((n, h, w), grad_out, spec)?;
+    let low = Lowering::new(c, h, w, spec)?;
+    let gf = check_grad_out(n, &low, grad_out)?;
     if gf != f || wc != c || kh != spec.kernel_h || kw != spec.kernel_w {
         return Err(TensorError::ShapeMismatch {
             lhs: weight.dims().to_vec(),
@@ -364,15 +438,33 @@ pub fn conv2d_backward_input(
             op: "conv2d_backward",
         });
     }
-    let rows = c * kh * kw;
+    let (rows, pixels) = (low.rows(), low.pixels());
     let wmat_t = weight.reshape([f, rows])?.transpose()?;
-    let mut grad_cols = Vec::with_capacity(n * rows * oh * ow);
-    for b in 0..n {
-        let gmat = grad_out.index_axis0(b)?.reshape([f, oh * ow])?;
-        grad_cols.extend_from_slice(wmat_t.matmul(&gmat)?.data());
-    }
-    let grad_cols = Tensor::from_vec(grad_cols, [n, rows, oh * ow])?;
-    col2im(&grad_cols, c, h, w, spec)
+    let (tier, wt, dy) = (simd::active_tier(), wmat_t.data(), grad_out.data());
+    let mut grad_in = vec![0.0f32; n * low.image_len()];
+    parallel::par_item_chunks_mut(
+        &mut grad_in,
+        low.image_len(),
+        n * rows * f * pixels,
+        |b0, chunk| {
+            let mut cols = vec![0.0f32; rows * pixels];
+            for (bi, dx) in chunk.chunks_mut(low.image_len()).enumerate() {
+                cols.fill(0.0);
+                let b = b0 + bi;
+                gemm::gemm_auto(
+                    tier,
+                    wt,
+                    &dy[b * f * pixels..][..f * pixels],
+                    rows,
+                    f,
+                    pixels,
+                    &mut cols,
+                );
+                low.col2im(&cols, dx);
+            }
+        },
+    );
+    Tensor::from_vec(grad_in, [n, c, h, w])
 }
 
 /// Result of a max-pooling forward pass: the pooled output plus the flat

@@ -10,7 +10,8 @@
 //! * [`Tensor`] — contiguous row-major storage with shape bookkeeping,
 //!   elementwise arithmetic, reductions and batch slicing;
 //! * [`Tensor::matmul`] and friends — the linear algebra used by fully
-//!   connected layers;
+//!   connected layers, on one register-tiled f32 GEMM that the
+//!   convolutions share;
 //! * [`conv`] — `im2col`-based 2-D convolution and max pooling with exact
 //!   adjoint backward passes (verified against finite differences);
 //! * [`bits`] — 1-bit packing of binarized activations, the wire format the
@@ -24,7 +25,8 @@
 //!   worker pool (`DDNN_THREADS`) behind one work cut-off, used by the
 //!   f32 and binary kernels alike;
 //! * [`simd`] — runtime SIMD dispatch tiers (`DDNN_SIMD`) selecting the
-//!   scalar/SSE2/AVX2/AVX-512 clones of the bit-packed kernels;
+//!   scalar/SSE2/AVX2/AVX-512 clones of the bit-packed kernels and the
+//!   f32 GEMM;
 //! * [`rng`] — deterministic, seedable random tensor generation.
 //!
 //! ## Example
@@ -50,6 +52,7 @@ pub mod bits;
 pub mod conv;
 pub mod cursor;
 mod error;
+mod gemm;
 mod ops;
 pub mod parallel;
 pub mod rng;

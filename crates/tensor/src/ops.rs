@@ -5,43 +5,10 @@
 //! library is written in terms of.
 
 use crate::error::{Result, TensorError};
-use crate::parallel;
+use crate::gemm::gemm_auto;
 use crate::shape::Shape;
+use crate::simd;
 use crate::tensor::Tensor;
-
-/// Row-major `(m,k) x (k,n)` product accumulated into `out` (zeroed by the
-/// caller, length `m*n`), serial.
-///
-/// ikj loop order: the inner loop walks both `b` and `out` rows
-/// contiguously, which the compiler auto-vectorises. There is deliberately
-/// no `a == 0.0` skip: `0.0 * NaN` is NaN, not zero, so skipping would
-/// silently erase NaN/Inf contributions from `b` and mask poisoned
-/// activations instead of propagating them (IEEE semantics).
-pub(crate) fn gemm(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
-    for i in 0..m {
-        let arow = &a[i * k..(i + 1) * k];
-        let orow = &mut out[i * n..(i + 1) * n];
-        for (p, &av) in arow.iter().enumerate() {
-            let brow = &b[p * n..(p + 1) * n];
-            for (o, &bv) in orow.iter_mut().zip(brow) {
-                *o += av * bv;
-            }
-        }
-    }
-}
-
-/// [`gemm`] that row-partitions the output across the worker pool when the
-/// product clears the pool's work cut-off.
-///
-/// Each output row is produced by exactly one worker running the serial
-/// kernel's instruction sequence, so the result is bit-identical for any
-/// thread count.
-pub(crate) fn gemm_auto(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
-    parallel::par_item_chunks_mut(out, n, m * k * n, |r0, chunk| {
-        let mrows = chunk.len() / n;
-        gemm(&a[r0 * k..(r0 + mrows) * k], b, mrows, k, n, chunk);
-    });
-}
 
 impl Tensor {
     /// Matrix product of two rank-2 tensors: `(m,k) x (k,n) -> (m,n)`.
@@ -69,7 +36,7 @@ impl Tensor {
         let a = self.data();
         let b = other.data();
         let mut out = vec![0.0f32; m * n];
-        gemm_auto(a, b, m, k, n, &mut out);
+        gemm_auto(simd::active_tier(), a, b, m, k, n, &mut out);
         Tensor::from_vec(out, [m, n])
     }
 
@@ -443,7 +410,7 @@ mod tests {
         let b = Tensor::from_fn([k, n], |i| ((i * 53) % 97) as f32 / 11.0 - 4.0);
         let par = a.matmul(&b).unwrap();
         let mut serial = vec![0.0f32; m * n];
-        gemm(a.data(), b.data(), m, k, n, &mut serial);
+        crate::gemm::gemm(simd::active_tier(), a.data(), b.data(), m, k, n, &mut serial);
         assert_eq!(par.data(), &serial[..]);
     }
 

@@ -39,14 +39,16 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 /// inline on the calling thread.
 ///
 /// Set from the pool round trip (`measure_pool_round_trip` below: push a
-/// ticket, wake one sleeping worker, have it claim a share): ≈ 11 µs on an
-/// idle two-core host, against ≈ 9 f32 MACs/ns inline in a hot loop. 2²¹
-/// MACs are then ≈ 220 µs ≈ 20 round trips, so a dispatch costs at most
-/// ≈ 5 % at the cut-off and less above it — and the round trip only grows
-/// when the runtime's node threads already hold every core. The
-/// per-sample kernels of inference (device conv 1.1e5, edge conv 8.8e5)
-/// sit below it; batch-sized work (a 50-sample device section, 5.5e6)
-/// sits above.
+/// ticket, wake one sleeping worker, have it claim a share): ≈ 7 µs on an
+/// idle two-core AVX-512 host, against ≈ 21 f32 MACs/ns inline for the
+/// register-tiled GEMM on the paper's device conv (≈ 7–8 on the baseline
+/// `sse2` clone, ≈ 12 on `avx2`). 2²¹ MACs are then ≈ 100 µs ≈ 14 round
+/// trips, so a dispatch costs at most ≈ 7 % at the cut-off and less above
+/// it (≈ 3 % on the baseline clone) — and the round trip only grows when
+/// the runtime's node threads already hold every core. The per-sample
+/// kernels of inference (device conv 1.1e5, edge conv 8.8e5) sit below
+/// it; batch-sized work (a 50-sample device section, 5.5e6) sits
+/// above.
 const MIN_PAR_WORK: usize = 1 << 21;
 
 thread_local! {
@@ -447,16 +449,16 @@ mod tests {
                 })
                 .collect(),
         );
-        // Inline f32 rate on the paper's device GEMM, (4,27) x (27,1024).
+        // Inline f32 rate on the paper's device GEMM, (4,27) x (27,1024),
+        // on the active SIMD tier.
         let (m, k, n) = (4, 27, 1024);
-        let a = vec![0.5f32; m * k];
-        let b = vec![0.25f32; k * n];
+        let (a, b, tier) = (vec![0.5f32; m * k], vec![0.25f32; k * n], crate::simd::active_tier());
         let macs_per_us = median(
             (0..200)
                 .map(|_| {
                     let mut out = vec![0.0f32; m * n];
                     let t = Instant::now();
-                    crate::ops::gemm(&a, &b, m, k, n, std::hint::black_box(&mut out));
+                    crate::gemm::gemm(tier, &a, &b, m, k, n, std::hint::black_box(&mut out));
                     (m * k * n) as f64 / (t.elapsed().as_secs_f64() * 1e6)
                 })
                 .collect(),

@@ -1,19 +1,21 @@
-//! Runtime SIMD dispatch tiers for the bit-packed kernels.
+//! Runtime SIMD dispatch tiers for the bit-packed kernels and the f32 GEMM.
 //!
-//! The XNOR–popcount kernels in [`crate::bitmatrix`] have one generic
-//! (`#[inline(always)]`) body each, recompiled under several
+//! The XNOR–popcount kernels in [`crate::bitmatrix`] and the register-tiled
+//! f32 GEMM behind `Tensor::matmul` and the f32 convolutions have one
+//! generic (`#[inline(always)]`) body each, recompiled under several
 //! `#[target_feature]` sets. This module decides **which clone runs**:
 //!
-//! | tier     | packing              | popcount                         |
-//! |----------|----------------------|----------------------------------|
-//! | `scalar` | portable bit loop    | portable bit dance               |
-//! | `sse2`   | SSE2 `cmpps`/`movmsk`| hardware `popcnt`                |
-//! | `avx2`   | 8-wide `vcmpps`      | `vpshufb` nibble-LUT vectors     |
-//! | `avx512` | 8-wide `vcmpps`      | `vpopcntq` (AVX-512 VPOPCNTDQ)   |
+//! | tier     | packing              | popcount                         | f32 GEMM tile   |
+//! |----------|----------------------|----------------------------------|-----------------|
+//! | `scalar` | portable bit loop    | portable bit dance               | 4×8, baseline   |
+//! | `sse2`   | SSE2 `cmpps`/`movmsk`| hardware `popcnt`                | 4×8, baseline   |
+//! | `avx2`   | 8-wide `vcmpps`      | `vpshufb` nibble-LUT vectors     | 4×16, `ymm`     |
+//! | `avx512` | 8-wide `vcmpps`      | `vpopcntq` (AVX-512 VPOPCNTDQ)   | 4×32, `zmm`     |
 //!
-//! Every tier computes the same exact integers — tiers differ only in
-//! instruction selection, never in results — so tier choice is a pure
-//! performance knob and the equivalence tests can sweep all of them.
+//! Every tier computes the same results — exact integers for the XNOR
+//! kernels, the bits of the plain `ikj` loop for the f32 GEMM; tiers differ
+//! only in instruction selection — so tier choice is a pure performance
+//! knob and the equivalence tests can sweep all of them.
 //!
 //! Resolution order for [`active_tier`]:
 //!
@@ -35,8 +37,8 @@
 
 use std::cell::Cell;
 
-/// A SIMD capability level for the bit-packed kernels, ordered from
-/// portable to widest.
+/// A SIMD capability level for the bit-packed kernels and the f32 GEMM,
+/// ordered from portable to widest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SimdTier {
     /// Portable Rust only: no explicit intrinsics, no `popcnt` feature.

@@ -63,26 +63,37 @@ bench-kernels-smoke:
 # XNOR front end is that kernel, must be bit-identical to the layer
 # stack's f32 `Mode::Eval` on every tier and pool size; and the
 # clipped-row window kernels (im2col, col2im, max pooling) must be
-# bit-identical to the bounds-checked per-tap walk at every pool size.
+# bit-identical to the bounds-checked per-tap walk at every pool size;
+# and the register-tiled f32 GEMM (`matmul`, both conv backward halves)
+# must be bit-identical to the former `ikj` loop and per-sample backward
+# loops on every tier and pool size.
 kernel-matrix:
     DDNN_THREADS=1 cargo test -p ddnn-tensor --test window_kernels -q
     DDNN_THREADS=4 cargo test -p ddnn-tensor --test window_kernels -q
     DDNN_SIMD=scalar DDNN_THREADS=1 cargo test -p ddnn-tensor --test binary_conv_equivalence -q
     DDNN_SIMD=scalar DDNN_THREADS=1 cargo test -p ddnn-core --test frozen -q
+    DDNN_SIMD=scalar DDNN_THREADS=1 cargo test -p ddnn-tensor --test gemm_tiers -q
     DDNN_SIMD=scalar DDNN_THREADS=4 cargo test -p ddnn-tensor --test binary_conv_equivalence -q
     DDNN_SIMD=scalar DDNN_THREADS=4 cargo test -p ddnn-core --test frozen -q
+    DDNN_SIMD=scalar DDNN_THREADS=4 cargo test -p ddnn-tensor --test gemm_tiers -q
     DDNN_SIMD=sse2 DDNN_THREADS=1 cargo test -p ddnn-tensor --test binary_conv_equivalence -q
     DDNN_SIMD=sse2 DDNN_THREADS=1 cargo test -p ddnn-core --test frozen -q
+    DDNN_SIMD=sse2 DDNN_THREADS=1 cargo test -p ddnn-tensor --test gemm_tiers -q
     DDNN_SIMD=sse2 DDNN_THREADS=4 cargo test -p ddnn-tensor --test binary_conv_equivalence -q
     DDNN_SIMD=sse2 DDNN_THREADS=4 cargo test -p ddnn-core --test frozen -q
+    DDNN_SIMD=sse2 DDNN_THREADS=4 cargo test -p ddnn-tensor --test gemm_tiers -q
     DDNN_SIMD=avx2 DDNN_THREADS=1 cargo test -p ddnn-tensor --test binary_conv_equivalence -q
     DDNN_SIMD=avx2 DDNN_THREADS=1 cargo test -p ddnn-core --test frozen -q
+    DDNN_SIMD=avx2 DDNN_THREADS=1 cargo test -p ddnn-tensor --test gemm_tiers -q
     DDNN_SIMD=avx2 DDNN_THREADS=4 cargo test -p ddnn-tensor --test binary_conv_equivalence -q
     DDNN_SIMD=avx2 DDNN_THREADS=4 cargo test -p ddnn-core --test frozen -q
+    DDNN_SIMD=avx2 DDNN_THREADS=4 cargo test -p ddnn-tensor --test gemm_tiers -q
     DDNN_SIMD=avx512 DDNN_THREADS=1 cargo test -p ddnn-tensor --test binary_conv_equivalence -q
     DDNN_SIMD=avx512 DDNN_THREADS=1 cargo test -p ddnn-core --test frozen -q
+    DDNN_SIMD=avx512 DDNN_THREADS=1 cargo test -p ddnn-tensor --test gemm_tiers -q
     DDNN_SIMD=avx512 DDNN_THREADS=4 cargo test -p ddnn-tensor --test binary_conv_equivalence -q
     DDNN_SIMD=avx512 DDNN_THREADS=4 cargo test -p ddnn-core --test frozen -q
+    DDNN_SIMD=avx512 DDNN_THREADS=4 cargo test -p ddnn-tensor --test gemm_tiers -q
 
 # Degrade-only vs ARQ under drop+corruption -> results/BENCH_reliability.json
 bench-reliability:
