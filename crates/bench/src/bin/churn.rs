@@ -1,5 +1,5 @@
 //! **Churn bench (DESIGN.md §12)**: continuous-membership-churn sweep —
-//! accuracy and tail latency vs churn rate, legacy transport vs ARQ.
+//! accuracy and tail latency vs churn rate, CRC-only transport vs ARQ.
 //!
 //! Each churn level runs the staged hierarchy under a seeded
 //! [`ChaosPlan::flapping`] plan that keeps two devices, the gateway
@@ -101,7 +101,7 @@ fn main() {
             ChaosPlan::flapping(97, n as u64, &targets, period, 2)
         };
         for (mode, reliability) in
-            [("legacy", ReliabilityConfig::off()), ("arq", ReliabilityConfig::arq())]
+            [("crc", ReliabilityConfig::crc()), ("arq", ReliabilityConfig::arq())]
         {
             let cfg = HierarchyConfig {
                 chaos: churn.clone(),

@@ -6,7 +6,7 @@
 //! with corrupt frames merely discarded into deadline degradation
 //! (`ReliabilityConfig::crc`), once with ack/retransmit recovery
 //! (`ReliabilityConfig::arq`). The headline comparison is against the
-//! fault-free legacy run: ARQ must reproduce its predictions exactly on
+//! fault-free default run: ARQ must reproduce its predictions exactly on
 //! every sample that was not degraded or timed out, while degrade-only
 //! measurably loses accuracy; the table also prices the recovery —
 //! retransmitted frames, ack bytes and total wire bytes per sample.

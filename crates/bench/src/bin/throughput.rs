@@ -18,7 +18,7 @@
 //!   one of classified / shed / timed out.
 //!
 //! The sweep also proves streaming composes with the reliable transport
-//! (legacy vs ARQ wire) and the elastic control plane (on/off).
+//! (CRC-only vs ARQ wire) and the elastic control plane (on/off).
 //!
 //! Emits machine-readable `results/BENCH_throughput.json` alongside the
 //! table. Pass `--smoke` (or set `DDNN_BENCH_SMOKE=1`) for a seconds-long
@@ -117,7 +117,7 @@ fn run_cell(
         reliability: if wire == "arq" {
             ReliabilityConfig::arq()
         } else {
-            ReliabilityConfig::off()
+            ReliabilityConfig::crc()
         },
         stream: Some(StreamConfig { arrival, queue_cap, batch_max }),
         ..HierarchyConfig::default()
@@ -198,8 +198,8 @@ fn main() {
     // only slow a run down, so best-of filters machine noise out of the
     // speedup claim.
     let flood = |bm: usize| {
-        let (a, _) = run_cell(&part, &views, &labels, deadlines, "legacy", false, None, bm, n);
-        let (b, _) = run_cell(&part, &views, &labels, deadlines, "legacy", false, None, bm, n);
+        let (a, _) = run_cell(&part, &views, &labels, deadlines, "crc", false, None, bm, n);
+        let (b, _) = run_cell(&part, &views, &labels, deadlines, "crc", false, None, bm, n);
         if a.goodput_sps >= b.goodput_sps {
             a
         } else {
@@ -253,7 +253,7 @@ fn main() {
                 &views,
                 &labels,
                 deadlines,
-                "legacy",
+                "crc",
                 false,
                 Some(base * mult),
                 bm,
@@ -285,7 +285,7 @@ fn main() {
     // Compatibility: the streaming engine composes with the reliable
     // transport and the elastic control plane; conservation and bounded
     // tails are asserted inside run_cell for every combination.
-    for (wire, elastic) in [("legacy", true), ("arq", false), ("arq", true)] {
+    for (wire, elastic) in [("crc", true), ("arq", false), ("arq", true)] {
         let (cell, _) = run_cell(
             &part,
             &views,

@@ -141,11 +141,10 @@ pub struct Impairment {
     /// `[0, delay_ms]`).
     pub delay_ms: u32,
     /// Probability that 1–4 wire bits are flipped in transit (links only;
-    /// needs the checked wire format — an unchecked link would silently
-    /// mis-decode).
+    /// the frame's CRC catches it).
     pub corrupt: f32,
     /// Probability that the wire bytes are cut short in transit (links
-    /// only; needs the checked wire format).
+    /// only; the frame's CRC catches it).
     pub truncate: f32,
     /// Probability that a frame is held back and delivered *after* the
     /// next frame on the same link (links only).
@@ -168,7 +167,7 @@ impl Impairment {
     }
 
     /// Whether wire bytes are mutated (corruption or truncation) — damage
-    /// only a checked wire format can detect.
+    /// the frame's CRC detects.
     pub fn corrupts_bytes(&self) -> bool {
         self.corrupt > 0.0 || self.truncate > 0.0
     }
@@ -396,9 +395,9 @@ impl ChaosPlan {
 
     /// Validates the plan against the hierarchy it will run in and the
     /// runner about to execute it: `cfg` says what that runner offers
-    /// (deadlines, elastic orchestration, a socket transport, a checked
-    /// wire format) and `processes` whether its roles are real OS
-    /// processes (the multi-process launcher) or threads.
+    /// (deadlines, elastic orchestration, a socket transport) and
+    /// `processes` whether its roles are real OS processes (the
+    /// multi-process launcher) or threads.
     ///
     /// # Errors
     ///
@@ -464,22 +463,14 @@ impl ChaosPlan {
             }
             // This runner can do it.
             need(cfg.deadlines.is_some(), "deadlines (set cfg.deadlines)")?;
-            match (target, action) {
-                (T::Links, A::Impair(imp)) if imp.corrupts_bytes() => need(
-                    cfg.reliability.mode.is_checked(),
-                    "a checked wire format (ReliabilityMode::Crc or Arq); legacy frames would \
-                     silently mis-decode",
-                )?,
-                (T::Sockets, _) => need(
-                    cfg.transport.is_socket(),
-                    "a socket transport (set cfg.transport to tcp or udp)",
-                )?,
-                (T::Process(_), _) => need(
-                    processes,
-                    "real OS processes to kill: use the multi-process launcher (multiproc::launch)",
-                )?,
-                _ => {}
-            }
+            need(
+                !matches!(target, T::Sockets) || cfg.transport.is_socket(),
+                "a socket transport (set cfg.transport to tcp or udp)",
+            )?;
+            need(
+                !matches!(target, T::Process(_)) || processes,
+                "real OS processes to kill: use the multi-process launcher (multiproc::launch)",
+            )?;
             if matches!(target, T::Links) || matches!(when, W::AfterFrames(_)) {
                 need(
                     !processes,
@@ -791,7 +782,7 @@ fn truncate_len(len: usize, seed: u64) -> usize {
 mod tests {
     use super::*;
     use crate::message::{NodeId, Payload};
-    use crate::{DeadlineConfig, ElasticConfig, ReliabilityConfig};
+    use crate::{DeadlineConfig, ElasticConfig};
     use ddnn_core::{AggregationScheme, Ddnn, DdnnConfig, EdgeConfig};
     use ChaosAction::{Down, Up};
     use ChaosWhen::{AfterFrames, BeforeSample};
@@ -805,7 +796,7 @@ mod tests {
     }
 
     /// Validates `plan` for an in-process run that offers everything
-    /// (deadlines, elastic orchestration, a checked wire) on `devices`
+    /// (deadlines, elastic orchestration) on `devices`
     /// devices → gateway → edge → cloud.
     fn validate(plan: &ChaosPlan, devices: usize, failed: &[usize]) -> Result<()> {
         validate_as(plan, devices, failed, false)
@@ -828,7 +819,6 @@ mod tests {
             failed_devices: failed.to_vec(),
             deadlines: Some(DeadlineConfig::fast()),
             elastic: Some(ElasticConfig::fast()),
-            reliability: ReliabilityConfig::crc(),
             ..HierarchyConfig::default()
         };
         plan.validate(&Topology::from_partition(&model.partition()), &cfg, processes)

@@ -100,10 +100,7 @@ pub use chaos::{
 pub use clock::SimClock;
 pub use error::{Result, RuntimeError};
 pub use link::{LatencyModel, LinkStats};
-pub use message::{
-    crc32, CheckedFrame, Frame, NodeId, Payload, CHECKED_HEADER_BYTES, FLAG_RETRANSMIT,
-    HEADER_BYTES,
-};
+pub use message::{crc32, CheckedFrame, Frame, NodeId, Payload, FLAG_RETRANSMIT, HEADER_BYTES};
 pub use node::report::{ElasticSummary, SampleOutcome, SimReport};
 pub use obs::{
     counters_json, Counter, JsonlSink, LinkCounters, MemorySink, ObsConfig, ObsEvent, ObsRegistry,

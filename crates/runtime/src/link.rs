@@ -9,22 +9,20 @@
 //! at the send boundary, *before* the bytes reach whichever dataplane
 //! carries them.
 //!
-//! A link speaks one of two wire formats (see [`crate::message`]): the
-//! legacy unchecked framing, or the checked framing of the reliability
-//! layer (CRC-32 + flags + transport sequence number). In
-//! [`ReliabilityMode::Arq`](crate::ReliabilityMode) the sender also
-//! registers every frame with an [`ArqSendState`] retransmit buffer
-//! *before* the fault roll, so a dropped or corrupted primary is
-//! recoverable, and the receiving [`NodeInbox`] acks, NACKs gaps and
-//! deduplicates retransmissions — invisibly to the node loops.
+//! Every link speaks the one CRC-checked wire format of
+//! [`crate::message`]. In [`ReliabilityMode::Arq`](crate::ReliabilityMode)
+//! the sender also registers every frame with an [`ArqSendState`]
+//! retransmit buffer *before* the fault roll, so a dropped or corrupted
+//! primary is recoverable, and the receiving [`NodeInbox`] acks, NACKs
+//! gaps and deduplicates retransmissions — invisibly to the node loops.
 
 use crate::chaos::{damage, ChaosPlan, CrashState, Delivery, LinkChaos};
 use crate::clock::recv_by;
 use crate::error::{Result, RuntimeError};
 use crate::lock;
-use crate::message::{Frame, NodeId};
+use crate::message::{Frame, NodeId, HEADER_BYTES};
 use crate::obs::{LinkCounters, ObsEvent, RunObs};
-use crate::reliability::{arq_max_age, ArqRecvState, ArqSendState, ReliabilityMode};
+use crate::reliability::{arq_max_age, ArqRecvState, ArqSendState};
 use crate::topology::HierarchyConfig;
 use crate::transport::{
     channel_tx, Endpoint, InboxBinding, RedialHandle, TransportHost, TransportTx,
@@ -126,9 +124,6 @@ pub struct LinkSender {
     /// still counts as transmitted, exactly like a real datagram sent to a
     /// host that just went away.
     lenient: bool,
-    /// Decides the wire format this link speaks (see
-    /// [`ReliabilityMode::is_checked`]).
-    mode: ReliabilityMode,
     /// ARQ retransmit buffer; every non-shutdown frame is registered here
     /// before its fault roll, so a lost primary is recoverable.
     arq: Option<Arc<ArqSendState>>,
@@ -142,14 +137,13 @@ pub struct LinkSender {
 impl LinkSender {
     /// A sender with no fault stream, no ARQ and no tolerance for a
     /// hung-up receiver.
-    fn plain(tx: Arc<dyn TransportTx>, name: &str, mode: ReliabilityMode) -> Self {
+    fn plain(tx: Arc<dyn TransportTx>, name: &str) -> Self {
         LinkSender {
             tx,
             stats: LinkCounters::default(),
             name: Arc::from(name),
             fault: None,
             lenient: false,
-            mode,
             arq: None,
             held: Arc::new(Mutex::new(None)),
         }
@@ -168,7 +162,7 @@ impl LinkSender {
             // Shutdown bypasses faults and ARQ (tseq 0) so a chaotic run
             // always terminates; any held-back frame goes out first.
             self.flush_held()?;
-            let wire = self.encode_plain(frame);
+            let wire = frame.encode();
             self.account(frame.payload_bytes(), wire.len(), 1, false);
             return self.transmit(wire);
         }
@@ -176,7 +170,7 @@ impl LinkSender {
         // then already buffered for retransmission.
         let wire = match &self.arq {
             Some(arq) => arq.register(frame),
-            None => self.encode_plain(frame),
+            None => frame.encode(),
         };
         let delivery = self.fault.as_ref().map_or_else(Delivery::clean, |f| f.roll(frame));
         let Delivery::Deliver { duplicate, delay, corrupt, truncate, reorder, .. } = delivery
@@ -209,21 +203,12 @@ impl LinkSender {
         Ok(())
     }
 
-    /// Encodes a frame without ARQ metadata in the link's wire format.
-    fn encode_plain(&self, frame: &Frame) -> Arc<[u8]> {
-        if self.mode.is_checked() {
-            frame.encode_checked(0, 0)
-        } else {
-            frame.encode()
-        }
-    }
-
     /// Books `deliveries` transmissions of a `wire_len`-byte frame. The
     /// payload share is capped by what actually remained on the (possibly
     /// truncated) wire; the header share is the rest, so the two always
     /// sum to the bytes transmitted.
     fn account(&self, payload_bytes: usize, wire_len: usize, deliveries: usize, damaged: bool) {
-        let p = payload_bytes.min(wire_len.saturating_sub(self.mode.header_bytes()));
+        let p = payload_bytes.min(wire_len.saturating_sub(HEADER_BYTES));
         let s = &self.stats;
         s.frames.add(deliveries as u64);
         s.payload_bytes.add((deliveries * p) as u64);
@@ -305,15 +290,13 @@ impl LinkReceiver {
     }
 }
 
-/// A node's receive front end: decodes the run's wire format, discards
+/// A node's receive front end: decodes and checks every frame, discards
 /// corrupt frames (counting them into `node.{inbox}.corrupt_discards`),
 /// acks/dedups ARQ traffic per source — all invisibly to the node loop,
 /// which only ever sees intact, fresh application frames.
 #[derive(Debug)]
 pub(crate) struct NodeInbox {
     rx: LinkReceiver,
-    /// Decides the wire format this inbox decodes.
-    mode: ReliabilityMode,
     /// ARQ receiver state per sending node (keyed by encoded [`NodeId`]).
     sources: HashMap<u16, ArqRecvState>,
     /// Run observability handle (discard counter and timeline events).
@@ -321,9 +304,9 @@ pub(crate) struct NodeInbox {
 }
 
 impl NodeInbox {
-    /// An inbox on `mode`'s wire format with no ARQ sources yet.
-    pub(crate) fn with_mode(rx: LinkReceiver, mode: ReliabilityMode, obs: Arc<RunObs>) -> Self {
-        NodeInbox { rx, mode, sources: HashMap::new(), obs }
+    /// An inbox with no ARQ sources yet.
+    pub(crate) fn new(rx: LinkReceiver, obs: Arc<RunObs>) -> Self {
+        NodeInbox { rx, sources: HashMap::new(), obs }
     }
 
     /// Registers the ARQ receiver state of the inbound link from `from`.
@@ -349,52 +332,41 @@ impl NodeInbox {
     /// Like [`NodeInbox::recv`] but bounded by `deadline`; `Ok(None)` when
     /// it passes with nothing (intact and fresh) delivered.
     pub(crate) fn recv_deadline(&mut self, deadline: Instant) -> Result<Option<Frame>> {
-        loop {
-            match self.rx.recv_raw_deadline(deadline)? {
-                None => return Ok(None),
-                Some(bytes) => {
-                    if let Some(frame) = self.admit(bytes)? {
-                        return Ok(Some(frame));
-                    }
-                }
-            }
-        }
+        self.first_admitted(|rx| rx.recv_raw_deadline(deadline))
     }
 
     /// Like [`NodeInbox::recv`] but non-blocking: `Ok(None)` when the
     /// queue holds nothing (intact and fresh) right now — the micro-batch
     /// drain a streaming tier runs after its first blocking completion.
     pub(crate) fn try_recv(&mut self) -> Result<Option<Frame>> {
-        loop {
-            match self.rx.try_recv_raw()? {
-                None => return Ok(None),
-                Some(bytes) => {
-                    if let Some(frame) = self.admit(bytes)? {
-                        return Ok(Some(frame));
-                    }
-                }
+        self.first_admitted(LinkReceiver::try_recv_raw)
+    }
+
+    /// Admits datagrams pulled by `next` until one reaches the node loop;
+    /// `Ok(None)` once `next` has nothing more.
+    fn first_admitted(
+        &mut self,
+        next: impl Fn(&LinkReceiver) -> Result<Option<Arc<[u8]>>>,
+    ) -> Result<Option<Frame>> {
+        while let Some(bytes) = next(&self.rx)? {
+            if let Some(frame) = self.admit(bytes)? {
+                return Ok(Some(frame));
             }
         }
+        Ok(None)
     }
 
     /// Decodes one datagram: `None` means it was consumed by the
     /// reliability layer (corrupt, or an ARQ duplicate) and the node loop
     /// never sees it. ARQ frames are acked here whether fresh or not.
-    /// Legacy frames have no integrity check, but a *structurally*
-    /// corrupt one (truncated, or with an impossible length field) is
-    /// likewise counted and discarded instead of failing the node.
     fn admit(&mut self, bytes: Arc<[u8]>) -> Result<Option<Frame>> {
-        let decoded = if self.mode.is_checked() {
-            Frame::decode_checked(bytes).map(|checked| {
-                let fresh = match self.sources.get_mut(&checked.frame.from.encode()) {
-                    Some(state) => state.accept(checked.tseq),
-                    None => true, // sender does not run ARQ
-                };
-                fresh.then_some(checked.frame)
-            })
-        } else {
-            Frame::decode(bytes).map(Some)
-        };
+        let decoded = Frame::decode_checked(bytes).map(|checked| {
+            let fresh = match self.sources.get_mut(&checked.frame.from.encode()) {
+                Some(state) => state.accept(checked.tseq),
+                None => true, // sender does not run ARQ
+            };
+            fresh.then_some(checked.frame)
+        });
         match decoded {
             Err(RuntimeError::Corrupt { .. }) => {
                 self.discard_corrupt();
@@ -417,7 +389,7 @@ impl NodeInbox {
 /// and the shared counter cells (snapshot them for a [`LinkStats`] view).
 pub fn link(name: &str) -> (LinkSender, LinkReceiver, LinkCounters) {
     let (tx, rx) = channel();
-    let sender = LinkSender::plain(channel_tx(tx), name, ReliabilityMode::Legacy);
+    let sender = LinkSender::plain(channel_tx(tx), name);
     let (stats, name) = (sender.stats.clone(), Arc::clone(&sender.name));
     (sender, LinkReceiver { rx, name }, stats)
 }
@@ -429,8 +401,6 @@ pub fn link(name: &str) -> (LinkSender, LinkReceiver, LinkCounters) {
 /// exactly one place.
 pub(crate) struct LinkFactory<'a> {
     plan: &'a ChaosPlan,
-    /// How every link of the run frames and recovers its traffic.
-    mode: ReliabilityMode,
     /// When ARQ senders abandon a frame (see [`arq_max_age`]).
     arq_max_age: Duration,
     tolerant: bool,
@@ -458,7 +428,6 @@ impl<'a> LinkFactory<'a> {
         let transport = TransportHost::new(cfg.transport, &obs);
         LinkFactory {
             plan: &cfg.chaos,
-            mode: cfg.reliability.mode,
             arq_max_age: arq_max_age(cfg.deadlines.as_ref()),
             tolerant: cfg.deadlines.is_some(),
             obs,
@@ -488,7 +457,7 @@ impl<'a> LinkFactory<'a> {
     pub(crate) fn inbox(&mut self, name: &str) -> Result<NodeInbox> {
         let rx = self.transport.bind(name)?;
         let receiver = LinkReceiver { rx, name: Arc::from(name) };
-        Ok(NodeInbox::with_mode(receiver, self.mode, Arc::clone(&self.obs)))
+        Ok(NodeInbox::new(receiver, Arc::clone(&self.obs)))
     }
 
     /// Binds the reverse ack inbox (`ack:{link}`) of an ARQ link this
@@ -550,7 +519,7 @@ impl<'a> LinkFactory<'a> {
             self.transport.track_arq(&to.host, Arc::clone(&send_state));
             send_state
         });
-        let plain = LinkSender::plain(data_tx, name, self.mode);
+        let plain = LinkSender::plain(data_tx, name);
         Ok(LinkSender { stats, fault, lenient: self.tolerant, arq, ..plain })
     }
 
@@ -570,16 +539,15 @@ impl<'a> LinkFactory<'a> {
         Ok(ArqRecvState::new(ack_tx, stats, ack_fault, Arc::clone(&self.obs), Arc::from(name)))
     }
 
-    /// An uninstrumented, chaos-exempt sender in the run's wire format —
-    /// for the orchestrator's shutdown frames, which must decode at a
-    /// checked inbox yet never participate in chaos (at either boundary)
-    /// or ARQ.
+    /// An uninstrumented, chaos-exempt sender — for the orchestrator's
+    /// shutdown frames, which never participate in chaos (at either
+    /// boundary) or ARQ.
     ///
     /// # Errors
     ///
     /// Returns [`RuntimeError::Transport`] when a socket connect fails.
     pub(crate) fn shutdown_sender(&self, to: &InboxBinding, name: &str) -> Result<LinkSender> {
-        Ok(LinkSender::plain(self.transport.connect(to, None)?, name, self.mode))
+        Ok(LinkSender::plain(self.transport.connect(to, None)?, name))
     }
 
     /// Stops and joins the dataplane's socket reader threads. Also runs
@@ -594,7 +562,7 @@ impl<'a> LinkFactory<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::{NodeId, Payload, HEADER_BYTES};
+    use crate::message::{NodeId, Payload};
 
     #[test]
     fn frames_survive_the_link() {
@@ -606,7 +574,7 @@ mod tests {
         let s = stats.snapshot();
         assert_eq!(s.frames, 1);
         assert_eq!(s.payload_bytes, 12);
-        assert!(s.header_bytes >= HEADER_BYTES);
+        assert_eq!(s.header_bytes, HEADER_BYTES + 4, "header plus the scores count");
     }
 
     #[test]

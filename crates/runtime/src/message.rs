@@ -1,24 +1,17 @@
 //! Wire protocol of the simulated hierarchy.
 //!
-//! Every message is a [`Frame`]: a 13-byte header (magic, version,
-//! sequence number, sender id, payload tag) followed by a typed payload.
-//! The magic/version pair identifies DDNN peers on real sockets: bytes
-//! from a foreign protocol (or an incompatible DDNN build) are rejected
-//! with a typed [`RuntimeError::Corrupt`] before any field is trusted,
-//! instead of being mis-decoded. Payload encodings are
+//! Every message is a [`Frame`]: a 22-byte header (magic, version,
+//! sequence number, sender id, payload tag, flags, per-link transport
+//! sequence number, CRC-32 of the whole frame) followed by a typed
+//! payload. The magic/version pair identifies DDNN peers on real sockets:
+//! bytes from a foreign protocol (or an incompatible DDNN build) are
+//! rejected with a typed [`RuntimeError::Corrupt`] before any field is
+//! trusted, and the CRC turns bit flips and truncation into the same
+//! typed error instead of a silent mis-decode. Payload encodings are
 //! exactly the units the paper's Eq. 1 counts: class scores as 4-byte
 //! little-endian floats, binary feature maps bit-packed at 1 bit per
 //! activation, raw images as 1 byte per pixel channel (the 3072-byte
 //! baseline of §IV-H).
-//!
-//! The reliability layer adds a second, *checked* wire format
-//! ([`Frame::encode_checked`]): the legacy header extended with a flags
-//! byte, a per-link transport sequence number and a CRC-32 of the whole
-//! frame, so bit flips and truncation are detected
-//! ([`RuntimeError::Corrupt`]) instead of silently mis-decoding. Which
-//! format a link speaks is selected by the run's
-//! [`ReliabilityConfig`](crate::ReliabilityConfig); the legacy format
-//! stays byte-identical when reliability is off.
 
 use crate::error::{Result, RuntimeError};
 use ddnn_core::SignMaps;
@@ -180,8 +173,8 @@ pub struct Frame {
     pub payload: Payload,
 }
 
-/// First byte of every DDNN frame, in both wire formats. A peer that is
-/// not speaking the DDNN protocol fails this check on its first byte.
+/// First byte of every DDNN frame. A peer that is not speaking the DDNN
+/// protocol fails this check on its first byte.
 pub const FRAME_MAGIC: u8 = 0xDD;
 
 /// Wire-protocol version carried in every frame header. Bumped on any
@@ -189,23 +182,23 @@ pub const FRAME_MAGIC: u8 = 0xDD;
 /// traffic as [`RuntimeError::Corrupt`] instead of decoding garbage.
 pub const FRAME_VERSION: u8 = 2;
 
-/// Bytes of the fixed legacy frame header (magic: u8, version: u8,
-/// seq: u64, from: u16, tag: u8).
-pub const HEADER_BYTES: usize = 1 + 1 + 8 + 2 + 1;
+/// Bytes of the frame header: magic (u8), version (u8), seq (u64), from
+/// (u16), tag (u8), flags (u8), per-link transport sequence number (u32)
+/// and CRC-32 (u32).
+pub const HEADER_BYTES: usize = 1 + 1 + 8 + 2 + 1 + 1 + 4 + 4;
 
-/// Bytes of the checked frame header: the legacy fields plus flags (u8),
-/// per-link transport sequence number (u32) and CRC-32 (u32).
-pub const CHECKED_HEADER_BYTES: usize = HEADER_BYTES + 1 + 4 + 4;
-
-/// Checked-header flag: this frame is an ARQ retransmission (its transport
+/// Header flag: this frame is an ARQ retransmission (its transport
 /// sequence number was transmitted before).
 pub const FLAG_RETRANSMIT: u8 = 0x01;
 
-/// All flag bits the checked format defines; anything else is corruption.
+/// All flag bits the header defines; anything else is corruption.
 const FLAG_MASK: u8 = FLAG_RETRANSMIT;
 
-/// Byte offset of the CRC-32 field inside the checked header.
-const CRC_OFFSET: usize = HEADER_BYTES + 1 + 4;
+/// Byte offset of the flags byte: past magic, version, seq, from and tag.
+const FLAGS_OFFSET: usize = 1 + 1 + 8 + 2 + 1;
+
+/// Byte offset of the CRC-32 field: the header's last four bytes.
+const CRC_OFFSET: usize = HEADER_BYTES - 4;
 
 /// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) slice-by-8
 /// lookup tables, built at compile time. `[0]` is the classic byte table;
@@ -232,14 +225,26 @@ const CRC32_TABLES: [[u32; 256]; 8] = {
     t
 };
 
-/// CRC-32 (IEEE) of `data` — the checksum the checked wire format carries.
+/// CRC-32 (IEEE) of `data` — the checksum every frame carries.
 pub fn crc32(data: &[u8]) -> u32 {
     crc32_update(!0, data) ^ !0
 }
 
-/// Feeds one slice into a running CRC state (state is pre-inverted):
-/// eight bytes a step, then the 0–7-byte tail one byte a step.
-fn crc32_update(mut state: u32, data: &[u8]) -> u32 {
+/// Feeds one slice into a running CRC state (state is pre-inverted): the
+/// carry-less-multiply fold when the CPU has one and the slice is long
+/// enough to fill its four lanes, the slice-by-8 table otherwise.
+fn crc32_update(state: u32, data: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if data.len() >= clmul::MIN_LEN && clmul::available() {
+        // SAFETY: `available` checked the CPU features `fold` is built for.
+        return unsafe { clmul::fold(state, data) };
+    }
+    crc32_table(state, data)
+}
+
+/// The table path of [`crc32_update`]: eight bytes a step, then the
+/// 0–7-byte tail one byte a step.
+fn crc32_table(mut state: u32, data: &[u8]) -> u32 {
     let t = &CRC32_TABLES;
     let mut steps = data.chunks_exact(8);
     for c in &mut steps {
@@ -259,32 +264,108 @@ fn crc32_update(mut state: u32, data: &[u8]) -> u32 {
     state
 }
 
-/// Writes a checked frame's CRC-32 into its header field. The checksum
-/// covers everything except the CRC field itself, which sits mid-header.
-fn seal(buf: &mut [u8]) {
-    let crc = crc32_parts(&buf[..CRC_OFFSET], &buf[CHECKED_HEADER_BYTES..]);
-    buf[CRC_OFFSET..CHECKED_HEADER_BYTES].copy_from_slice(&crc.to_le_bytes());
+/// The PCLMULQDQ fold for the reflected polynomial (Gopal et al., "Fast
+/// CRC Computation for Generic Polynomials Using PCLMULQDQ Instruction",
+/// Intel, 2009): four 128-bit lanes each fold 64 bytes per step (k1, k2),
+/// merge into one lane (k3, k4), which folds the remaining whole 16-byte
+/// blocks; 128 bits reduce to 64 (k4, k5), a Barrett reduction (P, μ)
+/// leaves the 32-bit state, and the table takes the 0–15-byte tail.
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use std::arch::x86_64::*;
+
+    /// Shortest slice the fold takes: two rounds of its four lanes.
+    pub(super) const MIN_LEN: usize = 128;
+
+    // `x^n mod P` for the fold distances as (high, low) lane pairs,
+    // bit-reflected and shifted left by one: k2:k1 carries a lane 512
+    // bits, k4:k3 128 bits, k5 reduces 96 bits to 64. Then μ:P, with
+    // `μ = ⌊x^64 / P⌋`; each at most 33 bits.
+    const K2_K1: (i64, i64) = (0x1_C6E4_1596, 0x1_5444_2BD4);
+    const K4_K3: (i64, i64) = (0x0_CCAA_009E, 0x1_7519_97D0);
+    const K5: i64 = 0x1_63CD_6124;
+    const MU_P: (i64, i64) = (0x1_F701_1641, 0x1_DB71_0641);
+
+    /// Whether this CPU runs [`fold`] (the detection result is cached).
+    pub(super) fn available() -> bool {
+        is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1")
+    }
+
+    /// Folds `data` (at least [`MIN_LEN`] bytes) into a running CRC
+    /// state, bit-identical to the table.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `pclmulqdq` and `sse4.1` (see [`available`]).
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    pub(super) unsafe fn fold(state: u32, data: &[u8]) -> u32 {
+        debug_assert!(data.len() >= MIN_LEN);
+        // `load` runs exactly `data.len() / 16` times below, and each call
+        // reads one whole 16-byte chunk (an unaligned load).
+        let mut blocks = data.chunks_exact(16);
+        let mut load = || _mm_loadu_si128(blocks.next().expect("a block per load").as_ptr().cast());
+        let mut x = [load(), load(), load(), load()];
+        x[0] = _mm_xor_si128(x[0], _mm_cvtsi32_si128(state as i32));
+        let k1k2 = _mm_set_epi64x(K2_K1.0, K2_K1.1);
+        for _ in 1..data.len() / 64 {
+            for lane in &mut x {
+                *lane = fold_step(*lane, load(), k1k2);
+            }
+        }
+        let k3k4 = _mm_set_epi64x(K4_K3.0, K4_K3.1);
+        let mut acc = fold_step(fold_step(fold_step(x[0], x[1], k3k4), x[2], k3k4), x[3], k3k4);
+        for _ in 0..data.len() % 64 / 16 {
+            acc = fold_step(acc, load(), k3k4);
+        }
+        // 128 → 96 → 64 bits.
+        let low32 = _mm_set_epi32(0, 0, 0, !0);
+        let acc = _mm_xor_si128(_mm_clmulepi64_si128(acc, k3k4, 0x10), _mm_srli_si128(acc, 8));
+        let acc = _mm_xor_si128(
+            _mm_clmulepi64_si128(_mm_and_si128(acc, low32), _mm_set_epi64x(0, K5), 0x00),
+            _mm_srli_si128(acc, 4),
+        );
+        // Barrett: the state is the upper half of R ^ (⌊R mod x^32⌋·μ mod x^32)·P.
+        let pu = _mm_set_epi64x(MU_P.0, MU_P.1);
+        let t1 = _mm_clmulepi64_si128(_mm_and_si128(acc, low32), pu, 0x10);
+        let t2 = _mm_clmulepi64_si128(_mm_and_si128(t1, low32), pu, 0x00);
+        let state = _mm_extract_epi32(_mm_xor_si128(acc, t2), 1) as u32;
+        super::crc32_table(state, &data[data.len() / 16 * 16..])
+    }
+
+    /// One fold step: `a` carried 128 (or 512) bits forward onto `b`.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq")]
+    fn fold_step(a: __m128i, b: __m128i, k: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128(a, k, 0x00);
+        let hi = _mm_clmulepi64_si128(a, k, 0x11);
+        _mm_xor_si128(b, _mm_xor_si128(lo, hi))
+    }
 }
 
-/// Two-part CRC-32 over a checked frame's bytes either side of its CRC
-/// field.
+/// Writes a frame's CRC-32 into its header field. The checksum covers
+/// everything except the CRC field itself.
+fn seal(buf: &mut [u8]) {
+    let crc = crc32_parts(&buf[..CRC_OFFSET], &buf[HEADER_BYTES..]);
+    buf[CRC_OFFSET..HEADER_BYTES].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// Two-part CRC-32 over a frame's bytes either side of its CRC field.
 fn crc32_parts(before: &[u8], after: &[u8]) -> u32 {
     crc32_update(crc32_update(!0, before), after) ^ !0
 }
 
-/// The [`FLAG_RETRANSMIT`] form of a checked frame's wire bytes — byte for
-/// byte what `encode_checked(flags | FLAG_RETRANSMIT, tseq)` produces. ARQ
+/// The [`FLAG_RETRANSMIT`] form of a frame's wire bytes — byte for byte
+/// what `encode_checked(flags | FLAG_RETRANSMIT, tseq)` produces. ARQ
 /// buffers a frame's primary encoding and derives this copy only when a
 /// retransmission is actually due.
 pub(crate) fn retransmit_form(primary: &[u8]) -> Arc<[u8]> {
     let mut buf = primary.to_vec();
-    buf[HEADER_BYTES] |= FLAG_RETRANSMIT;
+    buf[FLAGS_OFFSET] |= FLAG_RETRANSMIT;
     seal(&mut buf);
     buf.into()
 }
 
-/// A frame decoded from the checked wire format, with its transport
-/// metadata.
+/// A decoded frame with its transport metadata.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CheckedFrame {
     /// The application frame.
@@ -321,31 +402,22 @@ impl Frame {
         }
     }
 
-    /// Starts a wire buffer sized for the whole frame plus `extra` header
-    /// bytes, holding the header fields both wire formats share.
-    fn encode_header(&self, extra: usize) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(HEADER_BYTES + extra + self.payload_bytes() + 4);
+    /// Encodes the frame with no transport metadata (`flags` and `tseq`
+    /// zero): the bytes every link outside ARQ sends.
+    pub fn encode(&self) -> Arc<[u8]> {
+        self.encode_checked(0, 0)
+    }
+
+    /// Encodes the frame: magic, version, seq, sender and payload tag,
+    /// then `flags`, the per-link transport sequence number and a CRC-32
+    /// over the entire frame (header corruption is detected too), then
+    /// the payload.
+    pub fn encode_checked(&self, flags: u8, tseq: u32) -> Arc<[u8]> {
+        let mut buf = Vec::with_capacity(HEADER_BYTES + self.payload_bytes() + 4);
         buf.extend_from_slice(&[FRAME_MAGIC, FRAME_VERSION]);
         buf.extend_from_slice(&self.seq.to_le_bytes());
         buf.extend_from_slice(&self.from.encode().to_le_bytes());
-        buf.push(self.payload.tag());
-        buf
-    }
-
-    /// Encodes the frame to legacy wire bytes (no integrity check).
-    pub fn encode(&self) -> Arc<[u8]> {
-        let mut buf = self.encode_header(0);
-        self.encode_payload(&mut buf);
-        buf.into()
-    }
-
-    /// Encodes the frame to the checked wire format: the legacy header
-    /// fields, then `flags`, the per-link transport sequence number and a
-    /// CRC-32 over the entire frame (header corruption is detected too),
-    /// then the payload.
-    pub fn encode_checked(&self, flags: u8, tseq: u32) -> Arc<[u8]> {
-        let mut buf = self.encode_header(CHECKED_HEADER_BYTES - HEADER_BYTES);
-        buf.push(flags);
+        buf.extend_from_slice(&[self.payload.tag(), flags]);
         buf.extend_from_slice(&tseq.to_le_bytes());
         buf.extend_from_slice(&[0; 4]); // CRC placeholder, sealed below
         self.encode_payload(&mut buf);
@@ -353,7 +425,7 @@ impl Frame {
         buf.into()
     }
 
-    /// Appends the payload encoding (shared by both wire formats).
+    /// Appends the payload encoding.
     fn encode_payload(&self, buf: &mut Vec<u8>) {
         match &self.payload {
             Payload::Capture { view } => {
@@ -361,15 +433,11 @@ impl Frame {
                     let dim = view.dims().get(i).copied().unwrap_or(0) as u16;
                     buf.extend_from_slice(&dim.to_le_bytes());
                 }
-                for x in view.data() {
-                    buf.extend_from_slice(&x.to_le_bytes());
-                }
+                buf.extend(view.data().iter().flat_map(|x| x.to_le_bytes()));
             }
             Payload::Scores { scores } => {
                 buf.extend_from_slice(&(scores.len() as u32).to_le_bytes());
-                for s in scores {
-                    buf.extend_from_slice(&s.to_le_bytes());
-                }
+                buf.extend(scores.iter().flat_map(|s| s.to_le_bytes()));
             }
             Payload::OffloadRequest | Payload::Shutdown | Payload::Pong => {}
             Payload::Ping { epoch, floor, live, down } => {
@@ -399,50 +467,37 @@ impl Frame {
         }
     }
 
-    /// Decodes a frame from legacy wire bytes. The legacy format has no
-    /// integrity check, but every length field is bounded against the
-    /// bytes actually present before anything is allocated or split, and
-    /// the payload must end exactly where the buffer does, so a truncated,
-    /// extended or junk buffer can never panic the decoder, reserve an
-    /// attacker-controlled allocation or pass as a shorter payload.
+    /// Decodes a frame, dropping its transport metadata (see
+    /// [`Frame::decode_checked`]).
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError::Corrupt`] on truncated input, impossible
-    /// length fields or bytes left over after the payload;
-    /// [`RuntimeError::Protocol`] on unknown tags or node ids (a sender
-    /// bug, not wire damage).
+    /// As [`Frame::decode_checked`].
     pub fn decode(buf: impl AsRef<[u8]>) -> Result<Frame> {
-        let mut buf = Cursor::new(buf.as_ref());
-        check_magic(buf.u8()?, buf.u8()?)?;
-        let (seq, from, tag) = (buf.u64()?, buf.u16()?, buf.u8()?);
-        let from = NodeId::decode(from)?;
-        let payload = decode_payload(tag, &mut buf)?;
-        Ok(Frame { seq, from, payload })
+        Ok(Frame::decode_checked(buf)?.frame)
     }
 
-    /// Decodes a frame from the checked wire format, verifying the CRC-32
-    /// and the flags byte before any payload field is trusted.
+    /// Decodes a frame, checking magic and version first, then the CRC-32
+    /// and the flags byte, before any other field is trusted. Every
+    /// payload length field is bounded against the bytes present before
+    /// anything is allocated, and the payload must end exactly where the
+    /// buffer does.
     ///
     /// # Errors
     ///
     /// Returns [`RuntimeError::Corrupt`] when the frame is shorter than a
-    /// checked header, the CRC does not match (bit flips, truncation),
-    /// unknown flag bits are set, or bytes are left over after the
-    /// payload; [`RuntimeError::Protocol`] only for a frame that passes
-    /// its integrity check yet still fails to parse (a sender bug, not
-    /// wire damage).
+    /// header, has a foreign magic or version, the CRC does not match (bit
+    /// flips, truncation), unknown flag bits are set, a length field
+    /// points past the buffer, or bytes are left over after the payload;
+    /// [`RuntimeError::Protocol`] only for a frame that passes its
+    /// integrity check yet still fails to parse (unknown tags or node ids:
+    /// a sender bug, not wire damage).
     pub fn decode_checked(buf: impl AsRef<[u8]>) -> Result<CheckedFrame> {
         let buf = buf.as_ref();
-        if buf.len() < CHECKED_HEADER_BYTES {
-            return Err(RuntimeError::Corrupt {
-                reason: format!("{} bytes is shorter than a checked header", buf.len()),
-            });
-        }
         // Magic/version are checked before the CRC: a foreign peer's bytes
         // should be rejected as "not DDNN", not as a checksum accident.
-        check_magic(buf[0], buf[1])?;
-        let computed = crc32_parts(&buf[..CRC_OFFSET], &buf[CHECKED_HEADER_BYTES..]);
+        check_head(buf)?;
+        let computed = crc32_parts(&buf[..CRC_OFFSET], &buf[HEADER_BYTES..]);
         let mut buf = Cursor::new(&buf[2..]);
         let (seq, from_code, tag) = (buf.u64()?, buf.u16()?, buf.u8()?);
         let (flags, tseq, stored) = (buf.u8()?, buf.u32()?, buf.u32()?);
@@ -460,24 +515,21 @@ impl Frame {
     }
 }
 
-/// Validates the magic/version pair leading every frame, shared by both
-/// wire formats. Checked before any other field is trusted, so bytes from
-/// a non-DDNN peer (or an incompatible DDNN build) surface as a typed
+/// Validates a frame's length and the magic/version pair leading it.
+/// Checked before any other field is trusted, so bytes from a non-DDNN
+/// peer (or an incompatible DDNN build) surface as a typed
 /// [`RuntimeError::Corrupt`] instead of being mis-decoded.
-fn check_magic(magic: u8, version: u8) -> Result<()> {
-    if magic != FRAME_MAGIC {
-        return Err(RuntimeError::Corrupt {
-            reason: format!("not a DDNN frame: magic {magic:#04x}, expected {FRAME_MAGIC:#04x}"),
-        });
-    }
-    if version != FRAME_VERSION {
-        return Err(RuntimeError::Corrupt {
-            reason: format!(
-                "protocol version mismatch: peer speaks v{version}, this build speaks v{FRAME_VERSION}"
-            ),
-        });
-    }
-    Ok(())
+fn check_head(buf: &[u8]) -> Result<()> {
+    let reason = if buf.len() < HEADER_BYTES {
+        format!("{} bytes is shorter than a frame header", buf.len())
+    } else if buf[0] != FRAME_MAGIC {
+        format!("not a DDNN frame: magic {:#04x}, expected {FRAME_MAGIC:#04x}", buf[0])
+    } else if buf[1] != FRAME_VERSION {
+        format!("version mismatch: peer speaks v{}, this build speaks v{FRAME_VERSION}", buf[1])
+    } else {
+        return Ok(());
+    };
+    Err(RuntimeError::Corrupt { reason })
 }
 
 /// A short read in a payload decoder is classified as
@@ -490,8 +542,7 @@ impl From<ShortRead> for RuntimeError {
     }
 }
 
-/// Decodes a payload (shared by both wire formats); `buf` is positioned
-/// just past the header. Length fields are untrusted: the cursor bounds
+/// Decodes a payload; `buf` is positioned just past the header. Length fields are untrusted: the cursor bounds
 /// each against the bytes present before any allocation, so the largest
 /// possible allocation is the size of the received buffer itself. A
 /// payload must use the buffer up exactly: leftover bytes mean its header
@@ -743,6 +794,7 @@ mod tests {
         assert!(Frame::decode([1u8, 2, 3]).is_err());
         let mut good = Frame::new(0, NodeId::Cloud, Payload::OffloadRequest).encode().to_vec();
         good[12] = 99; // unknown tag
+        seal(&mut good);
         assert!(Frame::decode(good).is_err());
     }
 
@@ -750,24 +802,17 @@ mod tests {
     fn foreign_magic_and_version_are_rejected_as_corrupt() {
         // A peer that is not speaking DDNN (wrong magic) or runs an
         // incompatible build (wrong version) is rejected before any field
-        // is trusted, in both wire formats.
+        // is trusted, the CRC included.
         let f = Frame::new(1, NodeId::Gateway, Payload::OffloadRequest);
-        for (pos, note) in [(0usize, "magic"), (1, "version")] {
-            let mut legacy = f.encode().to_vec();
-            legacy[pos] ^= 0xFF;
-            let err = Frame::decode(legacy).unwrap_err();
-            assert!(matches!(err, RuntimeError::Corrupt { .. }), "legacy {note}: {err}");
-            let mut checked = f.encode_checked(0, 7).to_vec();
-            checked[pos] ^= 0xFF;
-            let err = Frame::decode_checked(checked).unwrap_err();
-            assert!(matches!(err, RuntimeError::Corrupt { .. }), "checked {note}: {err}");
+        for (pos, note) in [(0usize, "DDNN"), (1, "version")] {
+            let mut wire = f.encode_checked(0, 7).to_vec();
+            wire[pos] ^= 0xFF;
+            let err = Frame::decode_checked(wire).unwrap_err();
+            assert!(matches!(err, RuntimeError::Corrupt { .. }), "{note}: {err}");
+            // The version error names both versions so the operator can
+            // tell a build mismatch from line noise.
+            assert!(err.to_string().contains(note), "{err}");
         }
-        // The version error names both versions so the operator can tell
-        // a build mismatch from line noise.
-        let mut wire = f.encode().to_vec();
-        wire[1] = FRAME_VERSION + 1;
-        let err = Frame::decode(wire).unwrap_err();
-        assert!(err.to_string().contains("version"), "{err}");
     }
 
     #[test]
@@ -779,6 +824,17 @@ mod tests {
         assert!(Frame::decode(cut).is_err());
     }
 
+    /// Reseals `wire` over its damaged bytes, as a sender that meant
+    /// them would have, and asserts that the payload decoder's own bounds
+    /// refuse it as [`RuntimeError::Corrupt`] — past the CRC check.
+    fn corrupt_past_the_crc(mut wire: Vec<u8>) -> RuntimeError {
+        seal(&mut wire);
+        let err = Frame::decode(wire).unwrap_err();
+        assert!(matches!(err, RuntimeError::Corrupt { .. }), "{err}");
+        assert!(!err.to_string().contains("crc"), "caught by the CRC, not the bounds: {err}");
+        err
+    }
+
     #[test]
     fn legacy_truncation_is_classified_as_corrupt() {
         // Regression: truncation used to surface as Protocol, which a
@@ -786,13 +842,16 @@ mod tests {
         // counted and discarded like any other damaged frame.
         let f = Frame::new(3, NodeId::Device(0), Payload::Scores { scores: vec![1.0, 2.0, 3.0] });
         let wire = f.encode();
-        for cut in [HEADER_BYTES - 1, HEADER_BYTES + 2, wire.len() - 1] {
-            let err = Frame::decode(&wire[..cut]).unwrap_err();
-            assert!(matches!(err, RuntimeError::Corrupt { .. }), "cut {cut}: {err}");
+        let err = Frame::decode(&wire[..HEADER_BYTES - 1]).unwrap_err();
+        assert!(matches!(err, RuntimeError::Corrupt { .. }), "{err}");
+        for cut in [HEADER_BYTES + 2, wire.len() - 1] {
+            let err = corrupt_past_the_crc(wire[..cut].to_vec());
+            assert!(err.to_string().contains("truncated"), "cut {cut}: {err}");
         }
         // An unknown tag on an intact frame stays a Protocol error.
         let mut bad_tag = wire.to_vec();
         bad_tag[12] = 99;
+        seal(&mut bad_tag);
         assert!(matches!(Frame::decode(bad_tag).unwrap_err(), RuntimeError::Protocol { .. }));
     }
 
@@ -805,8 +864,7 @@ mod tests {
             .encode()
             .to_vec();
         wire[HEADER_BYTES..HEADER_BYTES + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        let err = Frame::decode(wire).unwrap_err();
-        assert!(matches!(err, RuntimeError::Corrupt { .. }), "{err}");
+        corrupt_past_the_crc(wire);
         // Capture frame whose shape fields multiply past usize on 32-bit
         // targets and well past the buffer on 64-bit ones:
         let view = Tensor::from_fn([1, 1, 1], |_| 0.5);
@@ -816,23 +874,21 @@ mod tests {
             let at = HEADER_BYTES + 2 * field;
             wire[at..at + 2].copy_from_slice(&u16::MAX.to_le_bytes());
         }
-        let err = Frame::decode(wire).unwrap_err();
-        assert!(matches!(err, RuntimeError::Corrupt { .. }), "{err}");
+        corrupt_past_the_crc(wire);
         // RawImage with an oversized length field:
         let mut wire =
             Frame::new(0, NodeId::Device(0), Payload::RawImage { pixels: Arc::from([7, 7]) })
                 .encode()
                 .to_vec();
         wire[HEADER_BYTES..HEADER_BYTES + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        let err = Frame::decode(wire).unwrap_err();
-        assert!(matches!(err, RuntimeError::Corrupt { .. }), "{err}");
+        corrupt_past_the_crc(wire);
     }
 
     #[test]
     fn checked_decode_rejects_truncation() {
         let f = Frame::new(1, NodeId::Device(0), Payload::Scores { scores: vec![1.0, 2.0] });
         let wire = f.encode_checked(0, 1);
-        for cut in [1, 4, wire.len() - CHECKED_HEADER_BYTES, wire.len() - 1] {
+        for cut in [1, 4, wire.len() - HEADER_BYTES, wire.len() - 1] {
             let err = Frame::decode_checked(&wire[..wire.len() - cut]).unwrap_err();
             assert!(matches!(err, RuntimeError::Corrupt { .. }), "cut {cut}: {err}");
         }
@@ -855,14 +911,42 @@ mod tests {
         assert!(err.to_string().contains("flags"), "{err}");
     }
 
+    /// Bytes `i·31 + 7 mod 251`: no period a fold lane could line up with.
+    fn bytes(n: usize) -> Vec<u8> {
+        (0..n).map(|i| ((i * 31 + 7) % 251) as u8).collect()
+    }
+
     #[test]
-    fn legacy_encoding_is_unchanged_by_the_checked_format() {
-        // The legacy wire format must stay byte-identical: header is 13
-        // bytes (magic, version, seq, from, tag) and carries no CRC.
-        let f = Frame::new(3, NodeId::Cloud, Payload::Verdict { prediction: 9, exit_tier: 1 });
-        let wire = f.encode();
-        assert_eq!(wire.len(), HEADER_BYTES + 3);
-        let checked = f.encode_checked(0, 5);
-        assert_eq!(checked.len(), wire.len() + 9, "checked adds flags+tseq+crc only");
+    fn crc32_parts_equals_the_crc_of_the_concatenation() {
+        // `seal` checksums a frame in two parts around its CRC field; the
+        // second part crosses the fold's 128-byte threshold and its
+        // 64- and 16-byte steps.
+        for split in [0, CRC_OFFSET] {
+            for tail in [127, 128, 129, 191, 192, 12_310] {
+                let data = bytes(split + tail);
+                let (a, b) = data.split_at(split);
+                assert_eq!(crc32_parts(a, b), crc32(&data), "split {split}, tail {tail}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_table_and_the_fold_agree() {
+        // Pins the table path, which every input under 128 bytes and every
+        // CPU without PCLMULQDQ takes, against the fold at every length
+        // over a few lane rounds, every 16-byte start offset and chained
+        // running states.
+        #[cfg(target_arch = "x86_64")]
+        if clmul::available() {
+            let data = bytes(600);
+            for off in 0..16 {
+                for end in off + clmul::MIN_LEN..=data.len() {
+                    let (slice, state) = (&data[off..end], (end as u32).wrapping_mul(0x9E37_79B9));
+                    // SAFETY: `available` checked the CPU features.
+                    let folded = unsafe { clmul::fold(state, slice) };
+                    assert_eq!(folded, crc32_table(state, slice), "{off}..{end}, {state:#x}");
+                }
+            }
+        }
     }
 }

@@ -1,19 +1,15 @@
-//! Reliability layer: checked framing, cumulative/NACK acknowledgements
-//! and bounded retransmission with capped exponential backoff.
+//! Reliability layer: cumulative/NACK acknowledgements and bounded
+//! retransmission with capped exponential backoff.
 //!
 //! The deadline collectors of the degradation tier treat every lost frame
 //! as permanently gone: the sample is finalized with a blank signature and
 //! the accuracy cost is paid. This module adds the recovery tier *under*
-//! that backstop (cf. DistrEE's lossy edge links, arXiv:2502.15735): a
-//! link can run in
+//! that backstop (cf. DistrEE's lossy edge links, arXiv:2502.15735). Every
+//! frame carries a CRC-32 (see [`crate::message`]), and a link runs in
 //!
-//! * [`ReliabilityMode::Legacy`] — the seed's plain header (magic,
-//!   version, seq, sender, tag), no integrity check, byte-identical to
-//!   every run before this layer existed;
-//! * [`ReliabilityMode::Crc`] — the checked wire format (CRC-32 + flags +
-//!   transport sequence number); corruption is *detected* and the frame
+//! * [`ReliabilityMode::Crc`] — corruption is *detected* and the frame
 //!   discarded, after which deadline degradation recovers as before;
-//! * [`ReliabilityMode::Arq`] — checked framing plus acknowledgement and
+//! * [`ReliabilityMode::Arq`] — the same framing plus acknowledgement and
 //!   retransmission: the receiver acks cumulatively and NACKs sequence
 //!   gaps, the sender keeps a bounded retransmit buffer and retries with
 //!   exponential backoff capped so several attempts always fit inside the
@@ -30,7 +26,7 @@
 use crate::chaos::{damage, Delivery, LinkChaos};
 use crate::error::{Result, RuntimeError};
 use crate::lock;
-use crate::message::{crc32, retransmit_form, Frame, CHECKED_HEADER_BYTES, HEADER_BYTES};
+use crate::message::{crc32, retransmit_form, Frame, HEADER_BYTES};
 use crate::obs::{LinkCounters, ObsEvent, RunObs};
 use crate::topology::DeadlineConfig;
 use crate::transport::TransportTx;
@@ -41,33 +37,15 @@ use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// How a link frames and recovers its traffic.
+/// How a link recovers its traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReliabilityMode {
-    /// The seed's unchecked 13-byte framing; corruption is undetectable.
+    /// CRC-32 verification only: corrupt frames are discarded and
+    /// degradation recovers the loss.
     #[default]
-    Legacy,
-    /// Checked framing: CRC-32 verification, corrupt frames discarded
-    /// (degradation recovers the loss).
     Crc,
-    /// Checked framing plus ack/retransmit recovery.
+    /// CRC-32 verification plus ack/retransmit recovery.
     Arq,
-}
-
-impl ReliabilityMode {
-    /// Whether this mode uses the checked wire format.
-    pub fn is_checked(self) -> bool {
-        !matches!(self, ReliabilityMode::Legacy)
-    }
-
-    /// Size of the frame header this mode's wire format carries.
-    pub(crate) fn header_bytes(self) -> usize {
-        if self.is_checked() {
-            CHECKED_HEADER_BYTES
-        } else {
-            HEADER_BYTES
-        }
-    }
 }
 
 // Retransmission tuning of [`ReliabilityMode::Arq`].
@@ -106,12 +84,12 @@ pub struct ReliabilityConfig {
 }
 
 impl ReliabilityConfig {
-    /// Reliability off: every link on the legacy format (the default).
+    /// No recovery: the default, the same as [`ReliabilityConfig::crc`].
     pub fn off() -> Self {
         ReliabilityConfig::default()
     }
 
-    /// Checked framing everywhere, no retransmission.
+    /// CRC-checked frames everywhere, no retransmission (the default).
     pub fn crc() -> Self {
         ReliabilityConfig { mode: ReliabilityMode::Crc }
     }
@@ -327,7 +305,7 @@ impl ArqSendState {
             let s = &self.stats;
             s.frames.incr();
             s.frames_retransmitted.incr();
-            let p = payload.min(wire.len().saturating_sub(CHECKED_HEADER_BYTES));
+            let p = payload.min(wire.len().saturating_sub(HEADER_BYTES));
             // Recovery traffic: priced into the totals *and* into the
             // retransmit share, so Eq. 1 comparisons can separate
             // first-transmission cost from recovery.

@@ -9,7 +9,7 @@ use super::wiring::{Host, Link, Plane, Wiring};
 use crate::chaos::{ChaosTarget, ProcTarget};
 use crate::error::{Result, RuntimeError};
 use crate::link::{LatencyModel, LinkSender};
-use crate::message::{quantize_image, Frame, NodeId, Payload};
+use crate::message::{quantize_image, Frame, NodeId, Payload, HEADER_BYTES};
 use crate::node::report::{assemble_report, NodeReport, SimReport};
 use crate::orchestrator::rebalance::RoutingTable;
 use crate::orchestrator::{ElasticDriver, NodeDirectory};
@@ -74,14 +74,6 @@ pub(super) fn validate_run(
     }
     if let Some(stream) = &cfg.stream {
         stream.validate()?;
-    }
-    if cfg.transport == TransportConfig::Udp && !cfg.reliability.mode.is_checked() {
-        return Err(RuntimeError::Config {
-            reason: "the udp transport requires a checked wire format \
-                     (ReliabilityConfig::crc or ::arq); legacy frames carry no \
-                     integrity or loss protection on real datagrams"
-                .to_string(),
-        });
     }
     if let Shape::CloudOnly { .. } = topology.shape {
         if cfg.elastic.is_some() {
@@ -272,9 +264,8 @@ pub(super) fn orchestrate(
     // hop so the chain generalizes without perturbing the legacy two-hop
     // float arithmetic. The cloud-only baseline reports no simulated
     // latency (legacy behavior).
-    let header = cfg.reliability.mode.header_bytes();
-    let summary_bytes = header + 4 + 4 * topology.config.num_classes;
-    let map_bytes = header + 6 + 4 + topology.config.device_map_elems().div_ceil(8);
+    let summary_bytes = HEADER_BYTES + 4 + 4 * topology.config.num_classes;
+    let map_bytes = HEADER_BYTES + 6 + 4 + topology.config.device_map_elems().div_ceil(8);
     let staged = matches!(topology.shape, Shape::Staged);
     let latency_of = |tier: u8| {
         if !staged {

@@ -277,8 +277,7 @@ mod tests {
     fn run(stream: Option<StreamConfig>, dl: DeadlineConfig) -> (RunTallies, usize, u64) {
         let (verdicts, rx, _) = link("gateway->orchestrator");
         let obs = RunObs::new(&ObsConfig::default());
-        let mut inbox =
-            NodeInbox::with_mode(rx, crate::ReliabilityMode::Legacy, RunObs::disabled());
+        let mut inbox = NodeInbox::new(rx, RunObs::disabled());
         let mut hook = LosesTheFirstFeed { verdicts, feeds: 0 };
         let tallies = pump(
             1,

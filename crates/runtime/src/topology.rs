@@ -44,11 +44,11 @@ pub struct HierarchyConfig {
     /// aggregators wait indefinitely for the precomputed live set and the
     /// orchestrator blocks on each verdict.
     pub deadlines: Option<DeadlineConfig>,
-    /// Transport reliability: wire framing and recovery. The default
-    /// ([`ReliabilityConfig::off`]) keeps the legacy unchecked framing
-    /// byte for byte; [`ReliabilityConfig::crc`] detects and discards
-    /// corrupt frames (degradation recovers); [`ReliabilityConfig::arq`]
-    /// adds ack/retransmit recovery under the sample deadline.
+    /// Transport reliability: how lost and corrupt frames are recovered.
+    /// Every frame carries a CRC-32. The default
+    /// ([`ReliabilityConfig::crc`]) discards corrupt frames and lets
+    /// degradation recover the loss; [`ReliabilityConfig::arq`] adds
+    /// ack/retransmit recovery under the sample deadline.
     pub reliability: ReliabilityConfig,
     /// Observability: the default records counters only (always on, lock
     /// free); attach an [`crate::ObsSink`] to also stream structured
@@ -81,7 +81,7 @@ impl Default for HierarchyConfig {
             failed_devices: Vec::new(),
             chaos: ChaosPlan::none(),
             deadlines: None,
-            reliability: ReliabilityConfig::off(),
+            reliability: ReliabilityConfig::crc(),
             obs: ObsConfig::default(),
             elastic: None,
             stream: None,
@@ -547,7 +547,6 @@ pub(crate) fn encode_role_manifest(model: &DdnnConfig, cfg: &HierarchyConfig) ->
     writeln!(s, "max_retries={}", dl.max_retries).unwrap();
     writeln!(s, "suspect_after={}", dl.suspect_after).unwrap();
     let mode = match cfg.reliability.mode {
-        crate::reliability::ReliabilityMode::Legacy => "legacy",
         crate::reliability::ReliabilityMode::Crc => "crc",
         crate::reliability::ReliabilityMode::Arq => "arq",
     };
@@ -664,7 +663,6 @@ pub(crate) fn decode_role_manifest(
     };
     let reliability = ReliabilityConfig {
         mode: match get("reliability")? {
-            "legacy" => crate::reliability::ReliabilityMode::Legacy,
             "crc" => crate::reliability::ReliabilityMode::Crc,
             "arq" => crate::reliability::ReliabilityMode::Arq,
             other => {
@@ -866,6 +864,11 @@ mod tests {
             let err = decode_role_manifest(&format!("{manifest}{key}=4294967296\n")).unwrap_err();
             assert!(matches!(err, RuntimeError::Protocol { .. }), "{key}: {err}");
         }
+        // Every frame is CRC-checked: no manifest names an unchecked wire.
+        let unchecked = manifest.replace("reliability=crc", "reliability=legacy");
+        assert_ne!(unchecked, manifest);
+        let err = decode_role_manifest(&unchecked).unwrap_err();
+        assert!(matches!(err, RuntimeError::Protocol { .. }), "{err}");
         // A manifest without the optional keys decodes to inactive chaos,
         // lockstep, no failures, a static topology and default extras.
         let plain = encode_role_manifest(&model, &HierarchyConfig::default());

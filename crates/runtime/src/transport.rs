@@ -13,9 +13,10 @@
 //!   `u32` little-endian length prefix. Reliable and ordered, so it
 //!   works under any [`ReliabilityConfig`](crate::ReliabilityConfig).
 //! * **Udp** — one datagram per frame over a connected
-//!   `std::net::UdpSocket`. The kernel may drop or reorder, so runs must
-//!   use the checked wire format (CRC at minimum; ARQ to actually
-//!   recover) — enforced by validation before anything binds.
+//!   `std::net::UdpSocket`. The kernel may drop or reorder; every
+//!   frame's CRC detects damage, and
+//!   [`ReliabilityConfig::arq`](crate::ReliabilityConfig::arq) recovers
+//!   the loss.
 //!
 //! The socket address belongs to the *process*, and an inbox is a name
 //! on it: a [`TransportHost`] binds one TCP listener (or one UDP socket)
@@ -68,10 +69,9 @@ pub enum TransportConfig {
     Channel,
     /// Length-prefixed frames over localhost TCP streams.
     Tcp,
-    /// One UDP datagram per frame; requires a checked wire format
-    /// ([`ReliabilityConfig::crc`](crate::ReliabilityConfig::crc) or
-    /// [`arq`](crate::ReliabilityConfig::arq)) so kernel-level loss and
-    /// corruption stay detectable.
+    /// One UDP datagram per frame; pair with
+    /// [`ReliabilityConfig::arq`](crate::ReliabilityConfig::arq) to
+    /// recover kernel-level loss.
     Udp,
 }
 

@@ -51,7 +51,6 @@ fn verdict(runner: Runner, plan: &ChaosPlan) -> Result<(), String> {
     let base = HierarchyConfig {
         chaos: plan.clone(),
         deadlines: Some(DeadlineConfig::fast()),
-        reliability: ReliabilityConfig::crc(),
         ..HierarchyConfig::default()
     };
     let elastic = Some(ElasticConfig::fast());
@@ -220,8 +219,8 @@ fn rejections_name_what_the_event_needs() {
         impair(ChaosTarget::Sockets, Impairment { delay_ms: 5, ..Impairment::none() }).is_active()
     );
 
-    // What the run itself must offer: deadlines for anything active, a
-    // checked wire for byte damage, elastic orchestration for node churn.
+    // What the run itself must offer: deadlines for anything active,
+    // elastic orchestration for node churn.
     let model = edge_model();
     let topology = Topology::from_partition(&model.partition());
     let needs = |plan: &ChaosPlan, cfg: &HierarchyConfig, needle: &str| match plan
@@ -237,8 +236,6 @@ fn rejections_name_what_the_event_needs() {
         .is_ok());
     let deadlines =
         HierarchyConfig { deadlines: Some(DeadlineConfig::fast()), ..HierarchyConfig::default() };
-    let corrupting = impair(ChaosTarget::Links, Impairment { corrupt: 0.1, ..Impairment::none() });
-    needs(&corrupting, &deadlines, "checked wire format");
     let churn = ChaosPlan::none().with(
         ChaosWhen::BeforeSample(0),
         ChaosTarget::Device(1),

@@ -4,7 +4,7 @@
 //! outcome; recovery must re-parent traffic around the hole; and an empty
 //! churn schedule must change nothing at all.
 //!
-//! Every scenario runs on the legacy wire and under ARQ recovery, and
+//! Every scenario runs with CRC checking alone and under ARQ recovery, and
 //! `just chaos-matrix` sweeps the suite across `DDNN_THREADS={1,4}`; the
 //! assertions are identical in every cell.
 
@@ -48,7 +48,7 @@ fn churn_deadlines() -> DeadlineConfig {
 
 /// The wires every churn scenario runs on.
 fn churn_wires() -> [ReliabilityConfig; 2] {
-    [ReliabilityConfig::off(), ReliabilityConfig::arq()]
+    [ReliabilityConfig::crc(), ReliabilityConfig::arq()]
 }
 
 fn crash(at_sample: u64, target: ChaosTarget) -> ChaosEvent {
@@ -415,28 +415,28 @@ fn churn_configuration_is_validated_up_front() {
     let views = random_views(2, 3, 65);
     let labels = vec![0usize; 2];
     let schedule = vec![crash(0, ChaosTarget::Device(0)), rejoin(1, ChaosTarget::Device(0))];
-    let off = &ReliabilityConfig::off();
+    let crc = &ReliabilityConfig::crc();
 
     // Churn without the elastic control plane is meaningless.
-    let mut cfg = elastic_cfg(schedule.clone(), off);
+    let mut cfg = elastic_cfg(schedule.clone(), crc);
     cfg.elastic = None;
     let err = run_distributed_inference(&model.partition(), &views, &labels, &cfg).unwrap_err();
     assert!(matches!(err, RuntimeError::Config { .. }), "{err}");
 
     // Elastic orchestration needs deadlines to detect anything.
-    let mut cfg = elastic_cfg(vec![], off);
+    let mut cfg = elastic_cfg(vec![], crc);
     cfg.deadlines = None;
     let err = run_distributed_inference(&model.partition(), &views, &labels, &cfg).unwrap_err();
     assert!(matches!(err, RuntimeError::Config { .. }), "{err}");
 
     // A churn target must name a real node.
-    let cfg = elastic_cfg(vec![crash(0, ChaosTarget::Tier("fog".to_string()))], off);
+    let cfg = elastic_cfg(vec![crash(0, ChaosTarget::Tier("fog".to_string()))], crc);
     let err = run_distributed_inference(&model.partition(), &views, &labels, &cfg).unwrap_err();
     assert!(matches!(err, RuntimeError::Config { .. }), "{err}");
 
     // The cloud-only baseline has nothing to rebalance.
     let err =
-        run_cloud_only_baseline(&model.partition(), &views, &labels, &elastic_cfg(vec![], off))
+        run_cloud_only_baseline(&model.partition(), &views, &labels, &elastic_cfg(vec![], crc))
             .unwrap_err();
     assert!(matches!(err, RuntimeError::Config { .. }), "{err}");
 }

@@ -1,13 +1,12 @@
 //! Property tests of wire-format integrity: arbitrary bit flips,
-//! truncations and extensions of encoded frames must never panic a
-//! decoder, the checked format must reject every damaged buffer with
-//! a typed error instead of handing corrupt data to a node, and neither
-//! format lets bytes past a complete payload pass as a shorter frame.
+//! truncations and extensions of encoded frames must never panic the
+//! decoder, which must reject every damaged buffer with a typed error
+//! instead of handing corrupt data to a node; and even a frame resealed
+//! over damaged bytes (so its CRC holds) must meet the payload decoder's
+//! own bounds, which never let bytes past a complete payload pass as a
+//! shorter frame.
 
-use ddnn_runtime::{
-    crc32, Frame, NodeId, Payload, RuntimeError, CHECKED_HEADER_BYTES, FLAG_RETRANSMIT,
-    HEADER_BYTES,
-};
+use ddnn_runtime::{crc32, Frame, NodeId, Payload, RuntimeError, FLAG_RETRANSMIT, HEADER_BYTES};
 use ddnn_tensor::Tensor;
 use proptest::prelude::*;
 
@@ -67,7 +66,8 @@ fn checked_frames_of_every_payload_kind_round_trip_and_reject_every_bit_flip() {
 #[test]
 fn a_live_mask_the_bytes_cannot_back_is_corrupt() {
     // A ping's count field claims more nodes than its mask bytes hold: the
-    // decoder refuses before allocating the mask.
+    // decoder refuses before allocating the mask, even when the CRC was
+    // sealed over the bad claim.
     let live = (0..9).map(|i| i % 3 != 1).collect();
     let ping = Payload::Ping { epoch: 7, floor: 41, live, down: true };
     let wire = Frame::new(1, NodeId::Orchestrator, ping).encode();
@@ -75,8 +75,10 @@ fn a_live_mask_the_bytes_cannot_back_is_corrupt() {
     for (claim, cut) in [(u16::MAX, 0), (17, 0), (9, 1)] {
         let mut bad = wire[..wire.len() - cut].to_vec();
         bad[count_at..count_at + 2].copy_from_slice(&claim.to_le_bytes());
+        reseal(&mut bad);
         let err = Frame::decode(bad).unwrap_err();
         assert!(matches!(err, RuntimeError::Corrupt { .. }), "claim {claim}: {err}");
+        assert!(err.to_string().contains("truncated"), "claim {claim}: {err}");
     }
 }
 
@@ -103,12 +105,12 @@ fn payload_of(kind: u8, floats: &[f32], raw: &[u8]) -> Payload {
     }
 }
 
-/// Rewrites a checked frame's CRC over its current bytes, as a sender
-/// that meant exactly those bytes would have sealed them.
+/// Rewrites a frame's CRC over its current bytes, as a sender that meant
+/// exactly those bytes would have sealed them.
 fn reseal(wire: &mut [u8]) {
-    let at = CHECKED_HEADER_BYTES - 4;
-    let crc = crc32(&[&wire[..at], &wire[CHECKED_HEADER_BYTES..]].concat());
-    wire[at..CHECKED_HEADER_BYTES].copy_from_slice(&crc.to_le_bytes());
+    let at = HEADER_BYTES - 4;
+    let crc = crc32(&[&wire[..at], &wire[HEADER_BYTES..]].concat());
+    wire[at..HEADER_BYTES].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// Applies the drawn bit flips to `wire`, returning the damaged copy and
@@ -130,9 +132,10 @@ proptest! {
     fn crc32_agrees_with_the_reference_at_every_length_and_start_offset(
         buf in prop::collection::vec(0u8..=255, 0..4105),
     ) {
-        // Every start offset within an 8-byte step, so the stepped body,
-        // an unaligned head and each 0-7-byte tail are all checked.
-        for off in 0..8.min(buf.len() + 1) {
+        // Every start offset within a 16-byte block, so the table's 8-byte
+        // steps, the fold's 16-byte loads, an unaligned head and each
+        // 0-15-byte tail are all checked.
+        for off in 0..16.min(buf.len() + 1) {
             let data = &buf[off..];
             prop_assert_eq!(crc32(data), crc32_reference(data), "offset {}, {} bytes", off, data.len());
         }
@@ -188,14 +191,16 @@ proptest! {
         flips in prop::collection::vec(0usize..32768, 1..6),
         cut in 0usize..4096,
     ) {
-        // The legacy format has no integrity check, so bit flips may decode
-        // into a different frame — the property is that the decoder returns
-        // (Ok or Err) instead of panicking or over-allocating. A flipped
-        // length field makes the buffer short for its own claim, which must
-        // classify as Corrupt (truncation), not Protocol.
+        // Bit flips resealed into the CRC get past the checksum, so they
+        // may decode into a different frame — the property is that the
+        // decoder returns (Ok or Err) instead of panicking or
+        // over-allocating. A flipped length field makes the buffer short
+        // for its own claim, which must classify as Corrupt (truncation),
+        // not Protocol.
         let frame = Frame::new(seq, NodeId::Gateway, payload_of(kind, &floats, &raw));
         let wire = frame.encode();
-        let (bad, _) = flip_bits(&wire, &flips);
+        let (mut bad, _) = flip_bits(&wire, &flips);
+        reseal(&mut bad);
         if let Err(e) = Frame::decode(bad) {
             prop_assert!(
                 matches!(e, RuntimeError::Corrupt { .. } | RuntimeError::Protocol { .. }),
@@ -203,9 +208,13 @@ proptest! {
             );
         }
         // Truncating an honest frame strictly below its full length must be
-        // Corrupt: the buffer no longer holds what its fields claim.
-        let cut = cut % wire.len();
-        let err = Frame::decode(&wire[..cut]).expect_err("truncation must be caught");
+        // Corrupt even when resealed: the buffer no longer holds what its
+        // fields claim.
+        let mut short = wire[..cut % wire.len()].to_vec();
+        if short.len() >= HEADER_BYTES {
+            reseal(&mut short);
+        }
+        let err = Frame::decode(short).expect_err("truncation must be caught");
         prop_assert!(matches!(err, RuntimeError::Corrupt { .. }), "expected Corrupt, got {err:?}");
     }
 
@@ -220,19 +229,16 @@ proptest! {
         // A header truncated or mis-declared short leaves the rest of the
         // payload behind it; decoding must refuse instead of returning
         // the shorter payload the header describes.
+        // The frame is resealed over the longer buffer, so its CRC holds
+        // and only the leftover check can refuse it.
         let frame = Frame::new(seq, NodeId::Device(1), payload_of(kind, &floats, &raw));
-        let legacy = [&frame.encode()[..], &extra].concat();
-        let err = Frame::decode(legacy).expect_err("leftover bytes must be caught");
-        prop_assert!(matches!(err, RuntimeError::Corrupt { .. }), "legacy: {err:?}");
-        // The checked frame is resealed over the longer buffer, so its CRC
-        // holds and only the leftover check can refuse it.
         let mut checked = frame.encode_checked(0, 9).to_vec();
         reseal(&mut checked);
         prop_assert_eq!(&Frame::decode_checked(&checked).expect("reseal is a no-op").frame, &frame);
         checked.extend_from_slice(&extra);
         reseal(&mut checked);
         let err = Frame::decode_checked(checked).expect_err("leftover bytes must be caught");
-        prop_assert!(matches!(err, RuntimeError::Corrupt { .. }), "checked: {err:?}");
+        prop_assert!(matches!(err, RuntimeError::Corrupt { .. }), "{err:?}");
     }
 
     #[test]
@@ -244,8 +250,18 @@ proptest! {
         // the element-count arithmetic for overflow) before allocating.
         // Decoding junk must therefore complete instantly with a bounded
         // result — any Ok frame's payload came out of the buffer itself.
-        let buf = junk;
+        // A long enough buffer is given a DDNN head, a defined tag and
+        // flags byte and a CRC sealed over it, so the junk reaches the
+        // payload decoder.
+        let mut buf = junk;
         let n = buf.len();
+        if n >= HEADER_BYTES {
+            let head = Frame::new(0, NodeId::Gateway, Payload::Pong).encode();
+            buf[..2].copy_from_slice(&head[..2]);
+            buf[12] %= 9;
+            buf[13] &= FLAG_RETRANSMIT;
+            reseal(&mut buf);
+        }
         if let Ok(frame) = Frame::decode(buf) {
             let bounded = match frame.payload {
                 Payload::Scores { scores } => scores.len() * 4 <= n,
@@ -264,13 +280,10 @@ proptest! {
         junk in prop::collection::vec(0u8..=255, 0..64),
     ) {
         // Fully arbitrary buffers (not derived from any real frame) — the
-        // decoders must treat them as untrusted input.
-        let buf = junk;
-        let _ = Frame::decode(buf.clone());
-        if buf.len() < CHECKED_HEADER_BYTES {
-            prop_assert!(Frame::decode_checked(buf).is_err());
-        } else {
-            let _ = Frame::decode_checked(buf);
-        }
+        // decoder (`decode` is `decode_checked` minus the transport
+        // metadata) must treat them as untrusted input.
+        let short = junk.len() < HEADER_BYTES;
+        let decoded = Frame::decode_checked(junk);
+        prop_assert!(!short || decoded.is_err());
     }
 }

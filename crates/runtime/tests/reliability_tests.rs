@@ -211,16 +211,19 @@ fn the_baseline_runs_under_the_checked_format_too() {
 
 #[test]
 fn corruption_faults_require_a_checked_wire_format() {
+    // Every wire is checked: the default configuration accepts byte
+    // damage and discards what the CRC catches.
     let model = small_model();
     let views = random_views(4, 3, 37);
     let labels = vec![0usize; 4];
     let cfg = HierarchyConfig {
-        chaos: ChaosPlan::links(1, Impairment { corrupt: 0.1, ..Impairment::none() }),
+        chaos: ChaosPlan::links(1, Impairment { corrupt: 0.2, ..Impairment::none() }),
         deadlines: Some(safe_deadlines()),
         ..HierarchyConfig::default()
     };
-    let err = run_distributed_inference(&model.partition(), &views, &labels, &cfg).unwrap_err();
-    assert!(matches!(err, RuntimeError::Config { .. }), "got {err:?}");
+    let report = run_distributed_inference(&model.partition(), &views, &labels, &cfg).unwrap();
+    assert_eq!(report.predictions.len(), 4);
+    assert!(report.corrupt_frames_discarded > 0, "no corrupt frame was discarded");
 }
 
 #[test]

@@ -250,7 +250,7 @@ fn streaming_survives_churn_while_loaded() {
     let labels = vec![0usize; n];
     let targets =
         [ChaosTarget::Device(0), ChaosTarget::Gateway, ChaosTarget::Tier("edge".to_string())];
-    for reliability in [ReliabilityConfig::off(), ReliabilityConfig::arq()] {
+    for reliability in [ReliabilityConfig::crc(), ReliabilityConfig::arq()] {
         let sink = Arc::new(MemorySink::default());
         let cfg = HierarchyConfig {
             local_threshold: ExitThreshold::new(0.5),

@@ -9,7 +9,10 @@
 //! Re-captured when the wire header grew a magic + version byte (11 →
 //! 13 bytes): predictions, exits and accuracy are unchanged from the
 //! seed; per-link header bytes and the modeled latencies shifted by
-//! exactly the 2-byte-per-frame delta.
+//! exactly the 2-byte-per-frame delta. Re-captured once more when every
+//! frame began carrying flags, a transport sequence number and a CRC-32
+//! (13 → 22 bytes): again only header bytes (+9 per frame) and the three
+//! modeled latencies moved.
 
 use ddnn_core::{AggregationScheme, Ddnn, DdnnConfig, EdgeConfig, ExitThreshold};
 use ddnn_runtime::{
@@ -69,20 +72,20 @@ predictions [1, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0]
 exits LCLLLLLLLLLL
 accuracy 3daaaaab
 local_exit_fraction 3f6aaaab
-mean_latency_ms 40c6b155
-mean_local_latency_ms 4001d000
-mean_offload_latency_ms 4250cb00
-link gateway->device0 frames=1 payload=0 header=13 dropped=0 duplicated=0
-link device0->gateway frames=12 payload=144 header=204 dropped=0 duplicated=0
-link device0->cloud frames=1 payload=70 header=17 dropped=0 duplicated=0
-link gateway->device1 frames=1 payload=0 header=13 dropped=0 duplicated=0
-link device1->gateway frames=12 payload=144 header=204 dropped=0 duplicated=0
-link device1->cloud frames=1 payload=70 header=17 dropped=0 duplicated=0
-link gateway->device2 frames=1 payload=0 header=13 dropped=0 duplicated=0
-link device2->gateway frames=12 payload=144 header=204 dropped=0 duplicated=0
-link device2->cloud frames=1 payload=70 header=17 dropped=0 duplicated=0
-link gateway->orchestrator frames=11 payload=33 header=143 dropped=0 duplicated=0
-link cloud->orchestrator frames=1 payload=3 header=13 dropped=0 duplicated=0
+mean_latency_ms 40c70555
+mean_local_latency_ms 40026000
+mean_offload_latency_ms 4250e600
+link gateway->device0 frames=1 payload=0 header=22 dropped=0 duplicated=0
+link device0->gateway frames=12 payload=144 header=312 dropped=0 duplicated=0
+link device0->cloud frames=1 payload=70 header=26 dropped=0 duplicated=0
+link gateway->device1 frames=1 payload=0 header=22 dropped=0 duplicated=0
+link device1->gateway frames=12 payload=144 header=312 dropped=0 duplicated=0
+link device1->cloud frames=1 payload=70 header=26 dropped=0 duplicated=0
+link gateway->device2 frames=1 payload=0 header=22 dropped=0 duplicated=0
+link device2->gateway frames=12 payload=144 header=312 dropped=0 duplicated=0
+link device2->cloud frames=1 payload=70 header=26 dropped=0 duplicated=0
+link gateway->orchestrator frames=11 payload=33 header=242 dropped=0 duplicated=0
+link cloud->orchestrator frames=1 payload=3 header=22 dropped=0 duplicated=0
 link edge->cloud frames=0 payload=0 header=0 dropped=0 duplicated=0
 link edge->orchestrator frames=0 payload=0 header=0 dropped=0 duplicated=0
 timed_out 0
@@ -98,20 +101,20 @@ predictions [2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2]
 exits LLLLLLLLLCLL
 accuracy 3eaaaaab
 local_exit_fraction 3f6aaaab
-mean_latency_ms 40c6b155
-mean_local_latency_ms 4001d000
-mean_offload_latency_ms 4250cb00
-link gateway->device0 frames=1 payload=0 header=13 dropped=0 duplicated=0
-link device0->gateway frames=12 payload=144 header=204 dropped=0 duplicated=0
-link device0->cloud frames=1 payload=70 header=17 dropped=0 duplicated=0
+mean_latency_ms 40c70555
+mean_local_latency_ms 40026000
+mean_offload_latency_ms 4250e600
+link gateway->device0 frames=1 payload=0 header=22 dropped=0 duplicated=0
+link device0->gateway frames=12 payload=144 header=312 dropped=0 duplicated=0
+link device0->cloud frames=1 payload=70 header=26 dropped=0 duplicated=0
 link gateway->device1 frames=0 payload=0 header=0 dropped=0 duplicated=0
 link device1->gateway frames=0 payload=0 header=0 dropped=0 duplicated=0
 link device1->cloud frames=0 payload=0 header=0 dropped=0 duplicated=0
-link gateway->device2 frames=1 payload=0 header=13 dropped=0 duplicated=0
-link device2->gateway frames=12 payload=144 header=204 dropped=0 duplicated=0
-link device2->cloud frames=1 payload=70 header=17 dropped=0 duplicated=0
-link gateway->orchestrator frames=11 payload=33 header=143 dropped=0 duplicated=0
-link cloud->orchestrator frames=1 payload=3 header=13 dropped=0 duplicated=0
+link gateway->device2 frames=1 payload=0 header=22 dropped=0 duplicated=0
+link device2->gateway frames=12 payload=144 header=312 dropped=0 duplicated=0
+link device2->cloud frames=1 payload=70 header=26 dropped=0 duplicated=0
+link gateway->orchestrator frames=11 payload=33 header=242 dropped=0 duplicated=0
+link cloud->orchestrator frames=1 payload=3 header=22 dropped=0 duplicated=0
 link edge->cloud frames=0 payload=0 header=0 dropped=0 duplicated=0
 link edge->orchestrator frames=0 payload=0 header=0 dropped=0 duplicated=0
 timed_out 0
@@ -127,19 +130,19 @@ predictions [0, 1, 1, 1, 1, 1, 1, 1, 0, 1]
 exits ELLLLLLLEL
 accuracy 3ecccccd
 local_exit_fraction 3f4ccccd
-mean_latency_ms 4140ff33
-mean_local_latency_ms 4001d000
-mean_offload_latency_ms 4250cb00
-link gateway->device0 frames=2 payload=0 header=26 dropped=0 duplicated=0
-link device0->gateway frames=10 payload=120 header=170 dropped=0 duplicated=0
-link device0->edge frames=2 payload=140 header=34 dropped=0 duplicated=0
-link gateway->device1 frames=2 payload=0 header=26 dropped=0 duplicated=0
-link device1->gateway frames=10 payload=120 header=170 dropped=0 duplicated=0
-link device1->edge frames=2 payload=140 header=34 dropped=0 duplicated=0
-link gateway->orchestrator frames=8 payload=24 header=104 dropped=0 duplicated=0
+mean_latency_ms 4141319a
+mean_local_latency_ms 40026000
+mean_offload_latency_ms 4250e600
+link gateway->device0 frames=2 payload=0 header=44 dropped=0 duplicated=0
+link device0->gateway frames=10 payload=120 header=260 dropped=0 duplicated=0
+link device0->edge frames=2 payload=140 header=52 dropped=0 duplicated=0
+link gateway->device1 frames=2 payload=0 header=44 dropped=0 duplicated=0
+link device1->gateway frames=10 payload=120 header=260 dropped=0 duplicated=0
+link device1->edge frames=2 payload=140 header=52 dropped=0 duplicated=0
+link gateway->orchestrator frames=8 payload=24 header=176 dropped=0 duplicated=0
 link cloud->orchestrator frames=0 payload=0 header=0 dropped=0 duplicated=0
 link edge->cloud frames=0 payload=0 header=0 dropped=0 duplicated=0
-link edge->orchestrator frames=2 payload=6 header=26 dropped=0 duplicated=0
+link edge->orchestrator frames=2 payload=6 header=44 dropped=0 duplicated=0
 timed_out 0
 degraded_fraction 00000000
 device_timeouts [0, 0]

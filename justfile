@@ -15,8 +15,8 @@ clippy:
     cargo clippy --all-targets -- -D warnings
 
 # The tier-1 command: `default-members` makes it every workspace test
-# (about 4 min on 2 vCPUs). Chaos tests use fixed seeds, so this is
-# deterministic.
+# (about 2 min on 2 vCPUs with a warm cache; the budget is 4 min). Chaos
+# tests use fixed seeds, so this is deterministic.
 test:
     cargo test -q
 
@@ -29,8 +29,8 @@ topology-matrix:
     DDNN_THREADS=4 cargo test -p ddnn-runtime --test topology_matrix --test topology_equivalence -q
 
 # The one chaos sweep: the chaos-plan contract, seeded link faults,
-# wire integrity, ARQ, observability, membership churn (on the legacy wire
-# and under ARQ recovery) and process kills/respawns, across worker-pool
+# wire integrity, ARQ, observability, membership churn (CRC-only and
+# under ARQ recovery) and process kills/respawns, across worker-pool
 # sizes. Every seed is fixed, so every leg is deterministic.
 chaos-matrix:
     DDNN_THREADS=1 cargo test -p ddnn-runtime --test chaos_plan_tests --test chaos_tests --test frame_integrity_proptest --test reliability_tests --test obs_tests --test churn_tests --test proc_chaos_tests -q
@@ -102,7 +102,7 @@ bench-reliability:
 bench-reliability-smoke:
     cargo run --release -p ddnn-bench --bin reliability -- --smoke
 
-# Accuracy + tail latency vs membership-churn rate, legacy vs ARQ ->
+# Accuracy + tail latency vs membership-churn rate, CRC-only vs ARQ ->
 # results/BENCH_churn.json
 bench-churn:
     cargo run --release -p ddnn-bench --bin churn
@@ -183,7 +183,7 @@ bench-ab base workload *args:
 
 # Code lines (non-blank, non-comment) of the runtime crate, unit tests
 # included: the simplicity budget ROADMAP holds every change to (its
-# control-plane and wire-format items aim at 7,600). CI fails above 8,245;
+# control-plane and wire-format items aim at 7,600). CI fails above 8,241;
 # the ceiling only ratchets down.
 runtime-loc:
     find crates/runtime/src -name '*.rs' | xargs grep -cvE '^\s*(//|$)' | awk -F: '{ s += $2 } END { print s }'
