@@ -47,7 +47,7 @@ impl fmt::Display for AggregationScheme {
     }
 }
 
-fn check_inputs(inputs: &[Tensor], expected: usize, op: &'static str) -> Result<()> {
+pub(crate) fn check_inputs(inputs: &[Tensor], expected: usize, op: &'static str) -> Result<()> {
     if inputs.len() != expected {
         return Err(TensorError::LengthMismatch { expected, actual: inputs.len() });
     }
@@ -66,7 +66,7 @@ fn check_inputs(inputs: &[Tensor], expected: usize, op: &'static str) -> Result<
 
 /// Elementwise max over same-shaped tensors; returns the result plus the
 /// index of the winning tensor per element.
-fn elementwise_max(inputs: &[Tensor]) -> (Tensor, Vec<u16>) {
+pub(crate) fn elementwise_max(inputs: &[Tensor]) -> (Tensor, Vec<u16>) {
     let len = inputs[0].len();
     let mut out = inputs[0].data().to_vec();
     let mut winner = vec![0u16; len];
@@ -81,6 +81,16 @@ fn elementwise_max(inputs: &[Tensor]) -> (Tensor, Vec<u16>) {
     (Tensor::from_vec(out, inputs[0].dims().to_vec()).expect("same shape"), winner)
 }
 
+/// Elementwise mean over same-shaped tensors.
+pub(crate) fn elementwise_mean(inputs: &[Tensor]) -> Result<Tensor> {
+    let mut out = Tensor::zeros(inputs[0].dims().to_vec());
+    for t in inputs {
+        out.add_assign(t)?;
+    }
+    out.scale_in_place(1.0 / inputs.len() as f32);
+    Ok(out)
+}
+
 /// Aggregates per-device *class-score vectors* `(n, classes)` into one
 /// `(n, classes)` matrix for the local exit.
 ///
@@ -90,9 +100,9 @@ fn elementwise_max(inputs: &[Tensor]) -> (Tensor, Vec<u16>) {
 #[derive(Debug, Clone)]
 pub struct VectorAggregator {
     scheme: AggregationScheme,
-    num_inputs: usize,
+    pub(crate) num_inputs: usize,
     dim: usize,
-    projection: Option<Linear>,
+    pub(crate) projection: Option<Linear>,
     cached_winner: Option<Vec<u16>>,
     cached_dims: Vec<usize>,
 }
@@ -136,14 +146,7 @@ impl VectorAggregator {
                 self.cached_winner = Some(winner);
                 Ok(out)
             }
-            AggregationScheme::AvgPool => {
-                let mut out = Tensor::zeros(inputs[0].dims().to_vec());
-                for t in inputs {
-                    out.add_assign(t)?;
-                }
-                out.scale_in_place(1.0 / self.num_inputs as f32);
-                Ok(out)
-            }
+            AggregationScheme::AvgPool => elementwise_mean(inputs),
             AggregationScheme::Concat => {
                 let cat = Tensor::concat(inputs, 1)?;
                 self.projection

@@ -27,7 +27,7 @@
 //! `Features` wire layout, so a device's map is the payload it sends and a
 //! tier runs on the payload it receives.
 
-use crate::aggregation::AggregationScheme;
+use crate::aggregation::{check_inputs, elementwise_max, elementwise_mean, AggregationScheme};
 use crate::block::{ConvPBlock, ExitHead};
 use crate::entropy::{normalized_entropy_rows, ExitPolicy, ExitThreshold};
 use crate::model::{
@@ -35,7 +35,7 @@ use crate::model::{
     GatewayPart, InferenceOutput,
 };
 use crate::FeatureAggregator;
-use ddnn_nn::{BnInference, Mode};
+use ddnn_nn::BnInference;
 use ddnn_tensor::bitmatrix::{BinaryConvPlan, BitMatrix};
 use ddnn_tensor::bits::{pack_signs, packed_len, unpack_signs};
 use ddnn_tensor::conv::{conv2d, max_pool2d_visit, Conv2dSpec};
@@ -528,6 +528,56 @@ impl EdgePart {
     }
 }
 
+/// The gateway frozen for inference: its score aggregation with nothing
+/// cached and, for CC, the projection's weights transposed once.
+/// Bit-identical to [`GatewayPart::forward`] under `Mode::Eval`.
+#[derive(Debug, Clone)]
+pub struct FrozenGateway {
+    scheme: AggregationScheme,
+    num_inputs: usize,
+    /// CC's projection: its transposed weights and its bias.
+    projection: Option<(Tensor, Option<Tensor>)>,
+}
+
+impl GatewayPart {
+    /// The section frozen for inference.
+    pub fn freeze(&self) -> FrozenGateway {
+        let transposed = |p: &ddnn_nn::Linear| {
+            let w = p.effective_weight().transpose().expect("a linear layer's weights are rank 2");
+            (w, p.bias().cloned())
+        };
+        FrozenGateway {
+            scheme: self.agg.scheme(),
+            num_inputs: self.agg.num_inputs,
+            projection: self.agg.projection.as_ref().map(transposed),
+        }
+    }
+}
+
+impl FrozenGateway {
+    /// Local-exit logits `(n, classes)` from the per-device score batches.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the score count or shapes are wrong.
+    pub fn forward(&self, scores: &[Tensor]) -> Result<Tensor> {
+        check_inputs(scores, self.num_inputs, "frozen_gateway.forward")?;
+        match self.scheme {
+            AggregationScheme::MaxPool => Ok(elementwise_max(scores).0),
+            AggregationScheme::AvgPool => elementwise_mean(scores),
+            AggregationScheme::Concat => {
+                let (weight_t, bias) =
+                    self.projection.as_ref().expect("Concat aggregator always has a projection");
+                let mut out = Tensor::concat(scores, 1)?.matmul(weight_t)?;
+                if let Some(b) = bias {
+                    out.add_row_broadcast(b)?;
+                }
+                Ok(out)
+            }
+        }
+    }
+}
+
 /// A [`Ddnn`] frozen for inference: every section in its fused form (see
 /// the module docs). Bit-identical to [`Ddnn::forward`] under
 /// `Mode::Eval`, which stays the plain f32 reference.
@@ -535,7 +585,7 @@ impl EdgePart {
 pub struct FrozenDdnn {
     config: DdnnConfig,
     devices: Vec<FrozenDevice>,
-    gateway: GatewayPart,
+    gateway: FrozenGateway,
     edge: Option<FrozenStage>,
     cloud: FrozenStage,
 }
@@ -548,7 +598,7 @@ impl Ddnn {
         FrozenDdnn {
             config: parts.config.clone(),
             devices: parts.devices.iter().map(DevicePart::freeze).collect(),
-            gateway: parts.gateway.clone(),
+            gateway: parts.gateway.freeze(),
             edge: parts.edge.as_ref().map(EdgePart::freeze),
             cloud: parts.cloud.freeze(),
         }
@@ -574,7 +624,7 @@ impl FrozenDdnn {
         });
         let (maps, scores): (Vec<SignMaps>, Vec<Tensor>) =
             outputs.into_iter().collect::<Result<Vec<_>>>()?.into_iter().unzip();
-        let local = self.gateway.clone().forward(&scores, Mode::Eval)?;
+        let local = self.gateway.forward(&scores)?;
         let (edge, cloud_inputs) = match &self.edge {
             Some(edge) => {
                 let (map, logits) = edge.forward(&maps)?;

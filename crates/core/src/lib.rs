@@ -63,7 +63,7 @@ pub use entropy::{
     ExitThreshold,
 };
 pub use fault::{fail_devices, fail_devices_with, single_failures};
-pub use frozen::{FrozenDdnn, FrozenDevice, FrozenStage, SignMaps};
+pub use frozen::{FrozenDdnn, FrozenDevice, FrozenGateway, FrozenStage, SignMaps};
 pub use individual::IndividualModel;
 pub use metrics::{
     accuracy, evaluate_exit_accuracies, evaluate_overall, ExitAccuracies, OverallEvaluation,

@@ -1,7 +1,8 @@
 //! The frozen inference form against the f32 reference: whatever the
 //! weights, batch-norm statistics, aggregation and precision, every map a
 //! frozen section emits is the packed sign of the layer stack's
-//! `Mode::Eval` map, and every logit is bit-equal.
+//! `Mode::Eval` map, and every logit — the gateway's MP, AP and CC score
+//! aggregation included — is bit-equal.
 
 use ddnn_core::{
     AggregationScheme, Ddnn, DdnnConfig, DdnnPartition, EdgeConfig, ExitThreshold, Precision,
@@ -51,6 +52,7 @@ fn model(scheme: AggregationScheme, edge: bool, float: bool, seed: u64) -> Ddnn 
     let config = DdnnConfig {
         num_devices: 3,
         device_filters: 2,
+        local_agg: scheme,
         cloud_agg: scheme,
         edge: edge.then_some(EdgeConfig { filters: 4, agg: scheme }),
         cloud_filters: [4, 8],
@@ -84,15 +86,18 @@ fn views(batch: usize, devices: usize, seed: u64) -> Vec<Tensor> {
 /// Frozen ≡ reference, section by section and end to end.
 fn assert_frozen_matches_eval(model: &mut Ddnn, views: &[Tensor]) {
     let mut parts = model.partition();
-    let (mut maps, mut packed) = (Vec::new(), Vec::new());
+    let (mut maps, mut packed, mut scores) = (Vec::new(), Vec::new(), Vec::new());
     for (part, view) in parts.devices.iter_mut().zip(views) {
-        let (map, scores) = part.forward(view, Mode::Eval).unwrap();
+        let (map, device_scores) = part.forward(view, Mode::Eval).unwrap();
         let (bits, frozen_scores) = part.freeze().forward(view).unwrap();
         assert_eq!(bits, SignMaps::pack(&map).unwrap(), "device map");
-        assert_eq!(frozen_scores, scores, "device scores");
+        assert_eq!(frozen_scores, device_scores, "device scores");
         maps.push(map);
         packed.push(bits);
+        scores.push(device_scores);
     }
+    let local = parts.gateway.forward(&scores, Mode::Eval).unwrap();
+    assert_eq!(parts.gateway.freeze().forward(&scores).unwrap(), local, "gateway logits");
     if let Some(edge) = &mut parts.edge {
         let (map, logits) = edge.forward(&maps, Mode::Eval).unwrap();
         let (bits, frozen_logits) = edge.freeze().forward(&packed).unwrap();

@@ -37,56 +37,60 @@ fn usage() -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("host") => match multiproc::host_role() {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("ddnn-node host: {e}");
-                ExitCode::FAILURE
+    let outcome = match args.first().map(String::as_str) {
+        Some("host") => multiproc::host_role().map_err(|e| format!("ddnn-node host: {e}")),
+        Some("demo") => match demo_args(&args[1..]) {
+            Some((transport, samples, kill, respawn_after)) => {
+                demo(transport, samples, kill, respawn_after)
+                    .map_err(|e| format!("ddnn-node demo: {e}"))
             }
+            None => return usage(),
         },
-        Some("demo") => demo(&args[1..]),
-        _ => usage(),
+        _ => return usage(),
+    };
+    match outcome {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("{e}");
+            ExitCode::FAILURE
+        }
     }
 }
 
-fn demo(args: &[String]) -> ExitCode {
-    let mut transport = None;
-    let mut samples = 10usize;
-    let mut kill: Option<(ProcTarget, u64)> = None;
-    let mut respawn_after: Option<u64> = None;
+/// A kill of a role process before a sample.
+type Kill = Option<(ProcTarget, u64)>;
+
+/// The demo's flags — transport, sample count, kill and respawn delay —
+/// or `None` for a command line that is not one.
+fn demo_args(args: &[String]) -> Option<(TransportConfig, usize, Kill, Option<u64>)> {
+    let (mut transport, mut samples, mut kill, mut respawn_after) = (None, 10, None, None);
     let mut it = args.iter();
     while let Some(flag) = it.next() {
+        let value = it.next()?;
         match flag.as_str() {
-            "--transport" => match it.next().map(|v| v.parse::<TransportConfig>()) {
-                Some(Ok(t)) if t.is_socket() => transport = Some(t),
-                _ => return usage(),
-            },
-            "--samples" => match it.next().map(|v| v.parse()) {
-                Some(Ok(n)) if n > 0 => samples = n,
-                _ => return usage(),
-            },
-            // `<role>@<sample>`, e.g. `gateway@3` or `tier0@5`.
-            "--kill" => match it.next().and_then(|v| v.split_once('@')) {
-                Some((role, at)) => match (role.parse(), at.parse()) {
-                    (Ok(role), Ok(at)) => kill = Some((role, at)),
-                    _ => return usage(),
-                },
-                None => return usage(),
-            },
-            "--respawn-after" => match it.next().map(|v| v.parse()) {
-                Some(Ok(n)) if n > 0 => respawn_after = Some(n),
-                _ => return usage(),
-            },
-            _ => return usage(),
+            "--transport" => {
+                transport = Some(value.parse().ok().filter(|t: &TransportConfig| t.is_socket())?)
+            }
+            "--samples" => samples = value.parse().ok().filter(|&n| n > 0)?,
+            "--kill" => {
+                let (role, at) = value.split_once('@')?;
+                kill = Some((role.parse().ok()?, at.parse().ok()?));
+            }
+            "--respawn-after" => respawn_after = Some(value.parse().ok().filter(|&n| n > 0)?),
+            _ => return None,
         }
     }
-    let Some(transport) = transport else {
-        return usage();
-    };
-    if respawn_after.is_some() && kill.is_none() {
-        return usage(); // nothing to respawn
-    }
+    // A respawn needs a kill.
+    Some((transport?, samples, kill, respawn_after))
+        .filter(|_| kill.is_some() || respawn_after.is_none())
+}
+
+fn demo(
+    transport: TransportConfig,
+    samples: usize,
+    kill: Kill,
+    respawn_after: Option<u64>,
+) -> Result<(), String> {
     let mut chaos = ChaosPlan::none();
     if let Some((role, at)) = kill {
         let target = ChaosTarget::Process(role);
@@ -125,36 +129,17 @@ fn demo(args: &[String]) -> ExitCode {
     let topology = Topology::from_partition(&model.partition());
     // The in-process reference is always fault-free: it is what the
     // surviving samples of a chaotic run are compared against.
-    let reference = match run_topology(
-        &topology,
-        &views,
-        &labels,
-        &HierarchyConfig {
-            transport: TransportConfig::Channel,
-            chaos: ChaosPlan::none(),
-            ..cfg.clone()
-        },
-    ) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("ddnn-node demo: in-process reference run failed: {e}");
-            return ExitCode::FAILURE;
-        }
+    let channel = HierarchyConfig {
+        transport: TransportConfig::Channel,
+        chaos: ChaosPlan::none(),
+        ..cfg.clone()
     };
-    let node_exe = match std::env::current_exe() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("ddnn-node demo: cannot locate own executable: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let multi = match multiproc::launch(&node_exe, model.config(), &views, &labels, &cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("ddnn-node demo: multi-process launch failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let reference = run_topology(&topology, &views, &labels, &channel)
+        .map_err(|e| format!("in-process reference run failed: {e}"))?;
+    let node_exe =
+        std::env::current_exe().map_err(|e| format!("cannot locate own executable: {e}"))?;
+    let multi = multiproc::launch(&node_exe, model.config(), &views, &labels, &cfg)
+        .map_err(|e| format!("multi-process launch failed: {e}"))?;
 
     if let Some((role, at)) = kill {
         // Chaotic run: every sample must end typed, and the samples
@@ -164,13 +149,11 @@ fn demo(args: &[String]) -> ExitCode {
         let timed_out =
             multi.outcomes.iter().filter(|o| matches!(o, SampleOutcome::TimedOut { .. })).count();
         if classified + timed_out != samples {
-            eprintln!("ddnn-node demo: untyped outcome in {:?}", multi.outcomes);
-            return ExitCode::FAILURE;
+            return Err(format!("untyped outcome in {:?}", multi.outcomes));
         }
         let pre_kill = at.min(samples as u64) as usize;
         if multi.predictions[..pre_kill] != reference.predictions[..pre_kill] {
-            eprintln!("ddnn-node demo: pre-kill verdicts diverged from the fault-free run");
-            return ExitCode::FAILURE;
+            return Err("pre-kill verdicts diverged from the fault-free run".to_string());
         }
         let counter = |suffix: &str| {
             let name = format!("proc.{role}.{suffix}");
@@ -183,15 +166,19 @@ fn demo(args: &[String]) -> ExitCode {
             counter("kills"),
             counter("respawns"),
         );
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
 
     let verdicts = |r: &SimReport| (r.predictions.clone(), r.exits.clone());
     if verdicts(&reference) != verdicts(&multi) {
-        eprintln!("ddnn-node demo: VERDICT MISMATCH over {}", transport.name());
-        eprintln!("  in-process: {:?} {:?}", reference.predictions, reference.exits);
-        eprintln!("  {}-process: {:?} {:?}", transport.name(), multi.predictions, multi.exits);
-        return ExitCode::FAILURE;
+        return Err(format!(
+            "VERDICT MISMATCH over {0}\n  in-process: {1:?} {2:?}\n  {0}-process: {3:?} {4:?}",
+            transport.name(),
+            reference.predictions,
+            reference.exits,
+            multi.predictions,
+            multi.exits
+        ));
     }
     println!(
         "ddnn-node demo: {} samples over {} — 4 role processes agreed with the in-process run \
@@ -201,5 +188,5 @@ fn demo(args: &[String]) -> ExitCode {
         multi.accuracy,
         multi.local_exit_fraction,
     );
-    ExitCode::SUCCESS
+    Ok(())
 }

@@ -34,7 +34,7 @@
 //! [`Payload::Shutdown`](crate::message::Payload::Shutdown) frames are
 //! exempt from link impairment so a chaotic run can always terminate.
 
-use crate::error::{Result, RuntimeError};
+use crate::error::{reject, Result, RuntimeError};
 use crate::message::Frame;
 use crate::topology::{HierarchyConfig, Shape, Topology};
 use rand::rngs::StdRng;
@@ -245,10 +245,6 @@ pub struct ChaosPlan {
     pub events: Vec<ChaosEvent>,
 }
 
-fn reject<T>(reason: String) -> Result<T> {
-    Err(RuntimeError::Config { reason })
-}
-
 /// Mixed into the stream seed at the socket boundary, so the link roll
 /// and the socket roll of one link never draw the same stream.
 const SOCKET_SALT: u64 = 0x50c4_e7c4_a05b_0c57;
@@ -419,12 +415,9 @@ impl ChaosPlan {
         let mut impaired: Vec<&T> = Vec::new();
         for event in self.events.iter().filter(|e| e.action != A::Impair(Impairment::none())) {
             let ChaosEvent { when, target, action } = event;
-            let need = |have: bool, what: &str| {
-                if have {
-                    Ok(())
-                } else {
-                    reject(format!("chaos on {target:?} needs {what}"))
-                }
+            let need = |have: bool, what: &str| match have {
+                true => Ok(()),
+                false => reject(format!("chaos on {target:?} needs {what}")),
             };
             // The combination exists at all.
             match (action, target, when) {
@@ -545,7 +538,7 @@ impl ChaosPlan {
         let mut tier_up = vec![true; topology.tiers.len()];
         let mut schedule = self.schedule();
         while let Some(&(at, ..)) = schedule.events.get(schedule.next) {
-            schedule.fire(at, |target, down| {
+            while let Some((target, down)) = schedule.next_due(at) {
                 match target {
                     ChaosTarget::Gateway => gateway_up = !down,
                     ChaosTarget::Tier(name) => {
@@ -555,8 +548,7 @@ impl ChaosPlan {
                     }
                     _ => {}
                 }
-                Ok(())
-            })?;
+            }
             if !gateway_up && !tier_up.iter().any(|&up| up) {
                 return reject(format!(
                     "chaos plan takes the terminal tier down at sample {at} with no \
@@ -593,7 +585,8 @@ impl Impairment {
 }
 
 /// The cursor over a plan's scheduled Down/Up events: the orchestrator
-/// fires what is due before each sample.
+/// fires what is due before each sample, one event at a time, so it can
+/// wait for a node's flip to be confirmed before firing the next.
 #[derive(Debug)]
 pub(crate) struct Schedule<'a> {
     /// `(sample, target, goes down)`, sorted by sample.
@@ -601,22 +594,15 @@ pub(crate) struct Schedule<'a> {
     next: usize,
 }
 
-impl Schedule<'_> {
-    /// Hands every not-yet-fired event scheduled at or before `seq` to
-    /// `apply`, in order.
-    pub(crate) fn fire(
-        &mut self,
-        seq: u64,
-        mut apply: impl FnMut(&ChaosTarget, bool) -> Result<()>,
-    ) -> Result<()> {
-        while let Some(&(at, target, down)) = self.events.get(self.next) {
-            if at > seq {
-                break;
-            }
+impl<'a> Schedule<'a> {
+    /// Takes the next not-yet-fired event scheduled at or before `seq`:
+    /// its target and whether it goes down.
+    pub(crate) fn next_due(&mut self, seq: u64) -> Option<(&'a ChaosTarget, bool)> {
+        let &(at, target, down) = self.events.get(self.next)?;
+        (at <= seq).then(|| {
             self.next += 1;
-            apply(target, down)?;
-        }
-        Ok(())
+            (target, down)
+        })
     }
 }
 
@@ -771,11 +757,7 @@ fn corrupt_bytes(wire: &[u8], seed: u64) -> Vec<u8> {
 /// Truncated length for a `len`-byte frame, derived from `seed`: always
 /// strictly shorter, possibly zero.
 fn truncate_len(len: usize, seed: u64) -> usize {
-    if len == 0 {
-        0
-    } else {
-        (seed % len as u64) as usize
-    }
+    (seed % len.max(1) as u64) as usize
 }
 
 #[cfg(test)]

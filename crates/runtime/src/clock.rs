@@ -1,77 +1,105 @@
-//! The simulation clock deadlines are computed against.
+//! The run clock, and the one driver every in-process node runs under.
 //!
-//! Node threads in this runtime do real compute, so simulated time is
-//! anchored to the wall clock; [`SimClock`] centralizes "now", run-relative
-//! elapsed time and deadline arithmetic behind one seam so every
-//! deadline-bearing component (aggregation waits, the orchestrator
-//! watchdog) measures time the same way — and so a virtual-time
-//! implementation can later replace it without touching the node loops.
-//! `recv_by` is the one place a deadline becomes a channel timeout.
+//! Every node of the hierarchy — a device, the gateway or a tier, and the
+//! orchestrator's sample pump — is split in two:
+//!
+//! * a core (`Core`) decides. It holds no thread, clock, sleep or blocking
+//!   receive: it is handed `now` (f64 milliseconds on the run's
+//!   [`SimClock`]) with a frame or a wake-up, and reports when it next
+//!   needs a wake-up. Every deadline and timestamp it keeps is on that
+//!   same f64 scale;
+//! * `drive` waits. It owns the node's inbox and the clock, reads the
+//!   clock, does the only timed receive and hands the core what arrived.
+//!
+//! Node threads do real compute, so the clock is anchored to the wall
+//! clock. A virtual-time simulator is a second `drive` over the same
+//! cores: one that advances a virtual `now` and delivers frames from a
+//! seeded queue instead of an inbox.
 
-use std::sync::mpsc::{Receiver, RecvTimeoutError};
-use std::time::{Duration, Instant};
+use crate::error::Result;
+use crate::link::NodeInbox;
+use crate::message::Frame;
+use std::time::Instant;
 
-/// A monotonic clock started at the beginning of a run.
+/// A monotonic clock started at the beginning of a run. Its one reading,
+/// [`SimClock::elapsed_ms_f64`], is the time scale of every deadline.
 #[derive(Debug, Clone, Copy)]
 pub struct SimClock {
     start: Instant,
 }
 
 impl SimClock {
-    /// Starts the clock at the current instant.
+    /// Starts the clock at the current instant. A run's clock is started
+    /// with its [`crate::RunObs`], which hands it to every node.
     pub fn start() -> Self {
         SimClock { start: Instant::now() }
     }
 
-    /// The current instant.
-    pub fn now(&self) -> Instant {
-        Instant::now()
-    }
-
-    /// Milliseconds elapsed since the run started, truncated to whole
-    /// milliseconds — deadline arithmetic only. Latency accounting must
-    /// use [`SimClock::elapsed_ms_f64`]: truncation here quantizes fast
-    /// local exits to 0 ms and collapses every sub-ms percentile.
-    pub fn elapsed_ms(&self) -> u64 {
-        self.start.elapsed().as_millis() as u64
-    }
-
     /// Milliseconds elapsed since the run started, with sub-millisecond
-    /// resolution — the clock reading latency measurements record.
+    /// resolution.
     pub fn elapsed_ms_f64(&self) -> f64 {
         self.start.elapsed().as_secs_f64() * 1e3
     }
-
-    /// The instant `ms` milliseconds from now — the deadline for a wait
-    /// that begins at this moment.
-    pub fn deadline_in(&self, ms: u64) -> Instant {
-        self.now() + Duration::from_millis(ms)
-    }
-
-    /// [`SimClock::deadline_in`] with sub-millisecond resolution, for
-    /// waiting until an instant worked out from
-    /// [`SimClock::elapsed_ms_f64`] readings; rounded up to whole
-    /// milliseconds such a wait overshoots by up to 1 ms. Negative waits
-    /// are due now.
-    pub fn deadline_in_f64(&self, ms: f64) -> Instant {
-        self.now() + Duration::from_secs_f64(ms.max(0.0) / 1e3)
-    }
 }
 
-/// Receives from `rx`, waiting until `deadline` at the latest; an
-/// instant already past polls once.
+/// The decisions of one node, free of threads, clocks, sleeps and
+/// blocking receives. Times are milliseconds on the run's [`SimClock`].
+pub(crate) trait Core {
+    /// Acts on whatever is due at `now`: expired deadlines, a gathered
+    /// micro-batch, admissions. [`drive`] calls it first, and again after
+    /// every frame (or run of drained frames) and every wake-up. A core
+    /// that acts on frames alone has nothing to do here.
+    fn on_wake(&mut self, _now: f64) -> Result<()> {
+        Ok(())
+    }
+
+    /// Takes one frame that arrived at `now`.
+    fn on_frame(&mut self, now: f64, frame: Frame) -> Result<()>;
+
+    /// When the core next needs a wake-up if no frame arrives first:
+    /// `INFINITY` (the default) when only a frame can move it, an instant
+    /// not past the last `now` when it must not wait at all.
+    fn next_wake(&self) -> f64 {
+        f64::INFINITY
+    }
+
+    /// Whether to take another frame that is already queued (never
+    /// waiting for one) before the next wake-up: a micro-batch drain.
+    fn drain(&self) -> bool {
+        false
+    }
+
+    /// The core has finished: [`drive`] returns.
+    fn done(&self) -> bool;
+}
+
+/// Runs `core` on `inbox` until it is done, and hands it back: reads
+/// `clock`, wakes the core, waits for one frame until the core's next
+/// wake-up at the latest (the only timed receive of a node), then drains
+/// the already-queued frames the core asks for.
 ///
 /// # Errors
 ///
-/// [`RecvTimeoutError::Timeout`] when the deadline passes first,
-/// [`RecvTimeoutError::Disconnected`] when every sender is gone.
-pub(crate) fn recv_by<T>(rx: &Receiver<T>, deadline: Instant) -> Result<T, RecvTimeoutError> {
-    rx.recv_timeout(deadline.saturating_duration_since(Instant::now()))
-}
-
-impl Default for SimClock {
-    fn default() -> Self {
-        SimClock::start()
+/// Whatever the core or the inbox returns; [`crate::RuntimeError::Disconnected`]
+/// when every sender of the inbox hung up.
+pub(crate) fn drive<C: Core>(mut core: C, inbox: &mut NodeInbox, clock: SimClock) -> Result<C> {
+    loop {
+        core.on_wake(clock.elapsed_ms_f64())?;
+        if core.done() {
+            return Ok(core);
+        }
+        // The clock is read again: a wake-up that fell due while the core
+        // was busy is acted on before any frame is taken.
+        let wake = core.next_wake();
+        if wake > clock.elapsed_ms_f64() {
+            // No frame: the wake-up is due.
+            let Some(frame) = inbox.recv_until(&clock, wake)? else { continue };
+            core.on_frame(clock.elapsed_ms_f64(), frame)?;
+        }
+        while core.drain() {
+            let Some(frame) = inbox.try_recv()? else { break };
+            core.on_frame(clock.elapsed_ms_f64(), frame)?;
+        }
     }
 }
 
@@ -80,52 +108,28 @@ mod tests {
     use super::*;
 
     #[test]
-    fn deadlines_are_in_the_future_and_ordered() {
-        let clock = SimClock::start();
-        let now = clock.now();
-        let near = clock.deadline_in(1);
-        let far = clock.deadline_in(1000);
-        assert!(near >= now);
-        assert!(far > near);
-        // The sub-millisecond form lands between whole milliseconds and
-        // treats an overdue instant as due now.
-        let now = clock.now();
-        let half = clock.deadline_in_f64(0.5);
-        assert!(half > now && half < clock.deadline_in(1));
-        assert!(clock.deadline_in_f64(-3.0) <= clock.now());
-    }
-
-    #[test]
-    fn recv_by_times_out_at_the_deadline_then_delivers() {
-        let clock = SimClock::start();
-        let (tx, rx) = std::sync::mpsc::channel();
-        let deadline = clock.deadline_in(20);
-        assert_eq!(recv_by(&rx, deadline), Err(RecvTimeoutError::Timeout));
-        assert!(clock.now() >= deadline);
-        tx.send(7).unwrap();
-        assert_eq!(recv_by(&rx, deadline), Ok(7), "a past deadline still takes what is queued");
-        drop(tx);
-        assert_eq!(recv_by(&rx, clock.deadline_in(1000)), Err(RecvTimeoutError::Disconnected));
-    }
-
-    #[test]
     fn elapsed_is_monotonic() {
         let clock = SimClock::start();
-        let a = clock.elapsed_ms();
-        let b = clock.elapsed_ms();
+        let a = clock.elapsed_ms_f64();
+        let b = clock.elapsed_ms_f64();
         assert!(b >= a);
     }
 
     #[test]
     fn elapsed_f64_keeps_sub_ms_resolution() {
+        // The reading moves in steps far finer than a millisecond: of a few
+        // first changes (a preemption can stretch any one of them), some
+        // are a fraction of one. A whole-millisecond clock would show none.
         let clock = SimClock::start();
-        std::thread::sleep(Duration::from_micros(300));
-        let ms = clock.elapsed_ms_f64();
-        // A ~0.3 ms wait truncates to 0 on the integral clock but must
-        // register on the f64 one.
-        assert!(ms > 0.0);
-        let a = clock.elapsed_ms_f64();
-        let b = clock.elapsed_ms_f64();
-        assert!(b >= a);
+        let step = || {
+            let a = clock.elapsed_ms_f64();
+            loop {
+                let b = clock.elapsed_ms_f64();
+                if b != a {
+                    return b - a;
+                }
+            }
+        };
+        assert!((0..5).map(|_| step()).any(|d| d > 0.0 && d < 1.0));
     }
 }

@@ -85,6 +85,11 @@ pub enum RuntimeError {
     },
 }
 
+/// A [`RuntimeError::Config`] for `reason`.
+pub(crate) fn reject<T>(reason: impl Into<String>) -> Result<T> {
+    Err(RuntimeError::Config { reason: reason.into() })
+}
+
 impl fmt::Display for RuntimeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -14,13 +14,13 @@
 //!   class scores, raw-image baseline frames);
 //! * [`link`] — instrumented channels with byte accounting and a latency
 //!   model;
-//! * [`node`] — the tier-generic node engine: one generic tier loop
+//! * [`node`] — the tier-generic node engine: one generic tier core
 //!   parameterized by model section and escalation target subsumes the
 //!   gateway, edge and cloud roles, all finalizing through one shared
-//!   collector path. A section is a `ddnn-core` part (`DevicePart`,
-//!   `GatewayPart`, the `CloudPart` feature stage) evaluated through its
-//!   own `forward`; this crate holds no copy of the layers and calls
-//!   none of them;
+//!   collector path. A section is a `ddnn-core` part frozen for
+//!   inference (`FrozenDevice`, `FrozenGateway`, the `FrozenStage`
+//!   feature stage) evaluated through its own `forward`; this crate holds
+//!   no copy of the layers and calls none of them;
 //! * [`topology`] — declarative hierarchy description
 //!   ([`Topology`]/[`HierarchyBuilder`]): device fan-in, a chain of exit
 //!   tiers, a terminal tier; and the run configuration
@@ -56,7 +56,11 @@
 //!   processes wired over sockets — spawn, stdio handshake, supervision
 //!   and respawn around that same path — folding per-role reports into
 //!   one [`SimReport`];
-//! * [`clock`] — the simulation clock deadlines are measured against.
+//! * [`clock`] — the run's one clock ([`SimClock`], f64 milliseconds,
+//!   started with the run's [`RunObs`]) and the one `drive` loop: every
+//!   node and the sample pump is a core that decides on `(now, frame)`
+//!   and reads no clock, and `drive` does every timed receive. A
+//!   virtual-time simulator is a second `drive` over the same cores.
 //!
 //! ```no_run
 //! use ddnn_core::{Ddnn, DdnnConfig};

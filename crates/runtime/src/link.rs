@@ -17,7 +17,7 @@
 //! gaps and deduplicates retransmissions — invisibly to the node loops.
 
 use crate::chaos::{damage, ChaosPlan, CrashState, Delivery, LinkChaos};
-use crate::clock::recv_by;
+use crate::clock::SimClock;
 use crate::error::{Result, RuntimeError};
 use crate::lock;
 use crate::message::{Frame, NodeId, HEADER_BYTES};
@@ -30,7 +30,7 @@ use crate::transport::{
 use std::collections::HashMap;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, TryRecvError};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Cumulative traffic counters of one directed link — an immutable
 /// snapshot of the link's atomic [`LinkCounters`] cells.
@@ -169,7 +169,7 @@ impl LinkSender {
         // Register with ARQ *before* the fault roll: a dropped primary is
         // then already buffered for retransmission.
         let wire = match &self.arq {
-            Some(arq) => arq.register(frame),
+            Some(arq) => arq.register(frame, arq.now()),
             None => frame.encode(),
         };
         let delivery = self.fault.as_ref().map_or_else(Delivery::clean, |f| f.roll(frame));
@@ -257,18 +257,15 @@ impl LinkReceiver {
     /// Returns [`RuntimeError::Disconnected`] if all senders hung up, or a
     /// protocol error if decoding fails.
     pub fn recv(&self) -> Result<Frame> {
-        Frame::decode(self.recv_raw()?)
+        Frame::decode(self.rx.recv().map_err(|_| self.hung_up())?)
     }
 
-    /// Blocks for the next raw wire datagram (format-agnostic; the
-    /// [`NodeInbox`] decides how to decode it).
-    pub(crate) fn recv_raw(&self) -> Result<Arc<[u8]>> {
-        self.rx.recv().map_err(|_| self.hung_up())
-    }
-
-    /// Raw receive bounded by `deadline`; `Ok(None)` on timeout.
-    pub(crate) fn recv_raw_deadline(&self, deadline: Instant) -> Result<Option<Arc<[u8]>>> {
-        match recv_by(&self.rx, deadline) {
+    /// Raw receive until `at` (milliseconds on `clock`) at the latest;
+    /// `Ok(None)` when it passes first. An instant already past polls once;
+    /// an infinite one waits for as long as a sender is left.
+    pub(crate) fn recv_raw_until(&self, clock: &SimClock, at: f64) -> Result<Option<Arc<[u8]>>> {
+        let wait = (at - clock.elapsed_ms_f64()).max(0.0) / 1e3;
+        match self.rx.recv_timeout(Duration::try_from_secs_f64(wait).unwrap_or(Duration::MAX)) {
             Ok(bytes) => Ok(Some(bytes)),
             Err(RecvTimeoutError::Timeout) => Ok(None),
             Err(RecvTimeoutError::Disconnected) => Err(self.hung_up()),
@@ -314,28 +311,20 @@ impl NodeInbox {
         self.sources.insert(from.encode(), state);
     }
 
-    /// Blocks for the next intact, fresh frame.
+    /// Waits for the next intact, fresh frame until `at` (milliseconds on
+    /// `clock`; `INFINITY` waits for as long as a sender is left);
+    /// `Ok(None)` when it passes with nothing (intact and fresh) delivered.
+    /// [`crate::clock::drive`]'s timed receive.
     ///
     /// # Errors
     ///
     /// Returns [`RuntimeError::Disconnected`] if all senders hung up, or a
     /// protocol error for an intact frame that fails to parse.
-    pub(crate) fn recv(&mut self) -> Result<Frame> {
-        loop {
-            let bytes = self.rx.recv_raw()?;
-            if let Some(frame) = self.admit(bytes)? {
-                return Ok(frame);
-            }
-        }
+    pub(crate) fn recv_until(&mut self, clock: &SimClock, at: f64) -> Result<Option<Frame>> {
+        self.first_admitted(|rx| rx.recv_raw_until(clock, at))
     }
 
-    /// Like [`NodeInbox::recv`] but bounded by `deadline`; `Ok(None)` when
-    /// it passes with nothing (intact and fresh) delivered.
-    pub(crate) fn recv_deadline(&mut self, deadline: Instant) -> Result<Option<Frame>> {
-        self.first_admitted(|rx| rx.recv_raw_deadline(deadline))
-    }
-
-    /// Like [`NodeInbox::recv`] but non-blocking: `Ok(None)` when the
+    /// Like [`NodeInbox::recv_until`] but non-blocking: `Ok(None)` when the
     /// queue holds nothing (intact and fresh) right now — the micro-batch
     /// drain a streaming tier runs after its first blocking completion.
     pub(crate) fn try_recv(&mut self) -> Result<Option<Frame>> {
@@ -401,8 +390,9 @@ pub fn link(name: &str) -> (LinkSender, LinkReceiver, LinkCounters) {
 /// exactly one place.
 pub(crate) struct LinkFactory<'a> {
     plan: &'a ChaosPlan,
-    /// When ARQ senders abandon a frame (see [`arq_max_age`]).
-    arq_max_age: Duration,
+    /// When ARQ senders abandon a frame, in milliseconds (see
+    /// [`arq_max_age`]).
+    arq_max_age: f64,
     tolerant: bool,
     /// Run observability: link counters are registered here, and inboxes
     /// plus ARQ states emit timeline events through it.
@@ -608,13 +598,18 @@ mod tests {
     #[test]
     fn recv_deadline_times_out_then_delivers() {
         let (tx, rx, _stats) = link("slow");
-        let clock = crate::clock::SimClock::start();
-        assert!(rx.recv_raw_deadline(clock.deadline_in(10)).unwrap().is_none());
+        let clock = SimClock::start();
+        let at = clock.elapsed_ms_f64() + 10.0;
+        assert!(rx.recv_raw_until(&clock, at).unwrap().is_none());
+        assert!(clock.elapsed_ms_f64() >= at, "the wait lasts until the instant");
         let f = Frame::new(1, NodeId::Gateway, Payload::OffloadRequest);
         tx.send(&f).unwrap();
-        let wire =
-            rx.recv_raw_deadline(clock.deadline_in(100)).unwrap().expect("delivered in time");
+        // An instant already past still takes what is queued.
+        let wire = rx.recv_raw_until(&clock, at).unwrap().expect("delivered");
         assert_eq!(Frame::decode(wire).unwrap(), f);
+        drop(tx);
+        let hung_up = rx.recv_raw_until(&clock, at + 1000.0);
+        assert!(matches!(hung_up, Err(RuntimeError::Disconnected { .. })));
     }
 
     #[test]

@@ -4,33 +4,18 @@
 //! partials. The gateway, the feature tiers and the raw-image baseline all
 //! finalize through this one path.
 
-use crate::clock::SimClock;
 use crate::error::{Result, RuntimeError};
 use crate::node::report::NodeReport;
 use crate::obs::RunObs;
+use crate::topology::DeadlineConfig;
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Instant;
-
-/// Dynamic graceful degradation of a [`Collector`]: wait for every source
-/// up to a per-sample deadline, then substitute blanks. Sources missing
-/// `suspect_after` consecutive deadlines are presumed dead and no longer
-/// waited for; they revive on their next frame. A collector without one
-/// waits indefinitely — the paper-exact static fault model, where the
-/// only silent sources are the a priori failed devices.
-pub(crate) struct AggDeadline {
-    /// Per-sample aggregation deadline (ms).
-    pub(crate) aggregation_ms: u64,
-    /// Consecutive misses before a source is presumed dead.
-    pub(crate) suspect_after: u32,
-    /// Clock the deadlines are computed against.
-    pub(crate) clock: SimClock,
-}
 
 /// One sample's partially gathered contributions.
 struct PendingSample<T> {
     slots: Vec<Option<T>>,
-    deadline: Option<Instant>,
+    /// Milliseconds on the run clock.
+    deadline: Option<f64>,
 }
 
 /// What a collector did with one inserted contribution.
@@ -67,7 +52,14 @@ pub(crate) enum Ingest<T> {
 pub(crate) struct Collector<T> {
     num_sources: usize,
     blanks: Vec<T>,
-    deadline: Option<AggDeadline>,
+    /// Dynamic graceful degradation: wait for every source up to
+    /// `aggregation_ms` after a sample's first contribution, then
+    /// substitute blanks. Sources missing `suspect_after` consecutive
+    /// deadlines are presumed dead and no longer waited for; they revive
+    /// on their next frame. A collector without deadlines waits
+    /// indefinitely — the paper-exact static fault model, where the only
+    /// silent sources are the a priori failed devices.
+    deadline: Option<DeadlineConfig>,
     /// Source index → device index (`None` when the source is not an end
     /// device, e.g. a tier feeding the next tier).
     device_of_source: Vec<Option<usize>>,
@@ -91,7 +83,7 @@ impl<T: Clone> Collector<T> {
     pub(crate) fn new(
         num_sources: usize,
         blanks: Vec<T>,
-        deadline: Option<AggDeadline>,
+        deadline: Option<DeadlineConfig>,
         device_of_source: Vec<Option<usize>>,
         live_devices: Vec<bool>,
         obs: Arc<RunObs>,
@@ -166,7 +158,8 @@ impl<T: Clone> Collector<T> {
         self.misses = vec![0; num_sources];
     }
 
-    /// Records one source's contribution for `seq`.
+    /// Records one source's contribution for `seq`, arrived at `now`
+    /// (milliseconds on the run clock).
     ///
     /// # Errors
     ///
@@ -174,7 +167,13 @@ impl<T: Clone> Collector<T> {
     /// pending at finalize time (a duplicated or late finalize) — callers
     /// under deadline degradation treat this as a degraded sample rather
     /// than aborting the node.
-    pub(crate) fn insert(&mut self, seq: u64, source: usize, item: T) -> Result<Ingest<T>> {
+    pub(crate) fn insert(
+        &mut self,
+        seq: u64,
+        source: usize,
+        item: T,
+        now: f64,
+    ) -> Result<Ingest<T>> {
         // Any frame proves the source is alive, whatever its sample.
         self.misses[source] = 0;
         match self.watermark {
@@ -182,7 +181,7 @@ impl<T: Clone> Collector<T> {
             Some(w) if seq == w => return Ok(Ingest::Replay { seq }),
             _ => {}
         }
-        let deadline = self.deadline.as_ref().map(|d| d.clock.deadline_in(d.aggregation_ms));
+        let deadline = self.deadline.as_ref().map(|d| now + d.aggregation_ms as f64);
         let entry = self
             .pending
             .entry(seq)
@@ -203,18 +202,18 @@ impl<T: Clone> Collector<T> {
     }
 
     /// The earliest deadline among pending samples, if any.
-    pub(crate) fn next_deadline(&self) -> Option<Instant> {
-        self.pending.values().filter_map(|p| p.deadline).min()
+    pub(crate) fn next_deadline(&self) -> Option<f64> {
+        self.pending.values().filter_map(|p| p.deadline).reduce(f64::min)
     }
 
     /// Finalizes (with blank substitution) the oldest pending sample whose
-    /// deadline has passed, if any.
+    /// deadline is not after `now`, if any.
     ///
     /// # Errors
     ///
     /// Returns [`RuntimeError::Collector`] if the selected sample vanished
     /// from the pending map before finalize (see [`Collector::insert`]).
-    pub(crate) fn expire(&mut self, now: Instant) -> Result<Option<(u64, Vec<T>, usize)>> {
+    pub(crate) fn expire(&mut self, now: f64) -> Result<Option<(u64, Vec<T>, usize)>> {
         let seq = self
             .pending
             .iter()
@@ -277,17 +276,17 @@ mod tests {
     use proptest::prelude::*;
 
     /// Far enough out never to expire in-test.
-    fn far_deadline() -> Option<AggDeadline> {
-        Some(AggDeadline {
-            aggregation_ms: 60_000,
-            suspect_after: u32::MAX,
-            clock: SimClock::start(),
-        })
+    fn far_deadline() -> Option<DeadlineConfig> {
+        deadline(60_000, u32::MAX)
+    }
+
+    fn deadline(aggregation_ms: u64, suspect_after: u32) -> Option<DeadlineConfig> {
+        Some(DeadlineConfig { aggregation_ms, suspect_after, ..DeadlineConfig::fast() })
     }
 
     /// `k` device sources with blanks `1000 + s`, the `failed` ones dead
     /// before the run.
-    fn collector(k: usize, deadline: Option<AggDeadline>, failed: &[usize]) -> Collector<u32> {
+    fn collector(k: usize, deadline: Option<DeadlineConfig>, failed: &[usize]) -> Collector<u32> {
         Collector::new(
             k,
             (0..k).map(|s| 1000 + s as u32).collect(),
@@ -346,14 +345,14 @@ mod tests {
                 if d < idx {
                     assert!(
                         matches!(
-                            collector.insert(7, order[d], order[d] as u32).unwrap(),
+                            collector.insert(7, order[d], order[d] as u32, 0.0).unwrap(),
                             Ingest::Pending
                         ),
                         "duplicate must stay pending"
                     );
                 }
             }
-            match collector.insert(7, s, s as u32).unwrap() {
+            match collector.insert(7, s, s as u32, 0.0).unwrap() {
                 Ingest::Complete { seq, items, substituted } => {
                     assert_eq!(seq, 7);
                     assert_eq!(substituted, 0, "all slots genuinely filled");
@@ -369,8 +368,11 @@ mod tests {
         assert_eq!(completions.remove(0), reference);
         // After completion the watermark holds: duplicates replay, older
         // sequences are stale.
-        assert!(matches!(collector.insert(7, order[0], 0).unwrap(), Ingest::Replay { seq: 7 }));
-        assert!(matches!(collector.insert(3, 0, 0).unwrap(), Ingest::Stale));
+        assert!(matches!(
+            collector.insert(7, order[0], 0, 0.0).unwrap(),
+            Ingest::Replay { seq: 7 }
+        ));
+        assert!(matches!(collector.insert(3, 0, 0, 0.0).unwrap(), Ingest::Stale));
         // No degradation was recorded: every slot was genuinely filled.
         assert!(charges(&collector).is_empty());
         assert!(collector.into_report().degraded.is_empty());
@@ -402,8 +404,8 @@ mod tests {
         // a deadline it is never waited for.
         for deadline in [None, far_deadline()] {
             let mut c = collector(3, deadline, &[1]);
-            assert!(matches!(c.insert(0, 0, 7).unwrap(), Ingest::Pending));
-            match c.insert(0, 2, 9).unwrap() {
+            assert!(matches!(c.insert(0, 0, 7, 0.0).unwrap(), Ingest::Pending));
+            match c.insert(0, 2, 9, 0.0).unwrap() {
                 Ingest::Complete { seq, items, substituted } => {
                     assert_eq!(seq, 0);
                     assert_eq!(items, vec![7, 1001, 9]); // blank substituted in place
@@ -425,8 +427,8 @@ mod tests {
         // plane marks it suspect up front.
         let mut c = deadline_collector(3);
         c.mark_suspect(1);
-        assert!(matches!(c.insert(0, 0, 7).unwrap(), Ingest::Pending));
-        match c.insert(0, 2, 9).unwrap() {
+        assert!(matches!(c.insert(0, 0, 7, 0.0).unwrap(), Ingest::Pending));
+        match c.insert(0, 2, 9, 0.0).unwrap() {
             Ingest::Complete { seq, items, substituted } => {
                 assert_eq!(seq, 0);
                 assert_eq!(items, vec![7, 1001, 9], "blank substituted immediately");
@@ -436,15 +438,50 @@ mod tests {
         }
         // The substitution is charged like any deadline miss.
         // A genuine frame from the source revives it: sample 1 waits again.
-        assert!(matches!(c.insert(1, 1, 8).unwrap(), Ingest::Pending));
-        assert!(matches!(c.insert(1, 0, 7).unwrap(), Ingest::Pending));
-        assert!(matches!(c.insert(1, 2, 9).unwrap(), Ingest::Complete { .. }));
+        assert!(matches!(c.insert(1, 1, 8, 0.0).unwrap(), Ingest::Pending));
+        assert!(matches!(c.insert(1, 0, 7, 0.0).unwrap(), Ingest::Pending));
+        assert!(matches!(c.insert(1, 2, 9, 0.0).unwrap(), Ingest::Complete { .. }));
         // clear_suspect is idempotent relief for a join without traffic.
         c.mark_suspect(0);
         c.clear_suspect(0);
-        assert!(matches!(c.insert(2, 1, 8).unwrap(), Ingest::Pending));
+        assert!(matches!(c.insert(2, 1, 8, 0.0).unwrap(), Ingest::Pending));
         assert_eq!(charges(&c), charged(1, 1));
         assert_eq!(c.into_report().degraded, vec![0]);
+    }
+
+    #[test]
+    fn a_sample_expires_at_its_first_contribution_plus_the_deadline() {
+        let mut c = collector(2, deadline(40, 2), &[]);
+        assert!(matches!(c.insert(0, 0, 7, 10.0).unwrap(), Ingest::Pending));
+        // A repeat contribution does not move the deadline; another
+        // sample's first one starts its own.
+        assert!(matches!(c.insert(0, 0, 7, 30.0).unwrap(), Ingest::Pending));
+        assert!(matches!(c.insert(1, 0, 7, 30.0).unwrap(), Ingest::Pending));
+        assert_eq!(c.next_deadline(), Some(50.0));
+        assert!(c.expire(49.999).unwrap().is_none(), "not an instant earlier");
+        assert_eq!(c.expire(50.0).unwrap(), Some((0, vec![7, 1001], 1)));
+        assert_eq!(c.next_deadline(), Some(70.0));
+        assert_eq!(charges(&c), charged(1, 1));
+    }
+
+    #[test]
+    fn a_source_is_suspect_after_its_misses_and_revives_on_its_next_frame() {
+        let mut c = collector(2, deadline(10, 2), &[]);
+        // Source 1 misses two deadlines in a row...
+        for seq in 0..2 {
+            let t = 100.0 * seq as f64;
+            assert!(matches!(c.insert(seq, 0, 7, t).unwrap(), Ingest::Pending));
+            assert!(c.expire(t + 10.0).unwrap().is_some());
+        }
+        // ...so sample 2 no longer waits for it, and its next frame
+        // revives it: sample 3 waits again.
+        let ingest = c.insert(2, 0, 7, 200.0).unwrap();
+        assert!(matches!(ingest, Ingest::Complete { substituted: 1, .. }));
+        assert!(matches!(c.insert(3, 1, 8, 300.0).unwrap(), Ingest::Pending));
+        let ingest = c.insert(3, 0, 7, 300.0).unwrap();
+        assert!(matches!(ingest, Ingest::Complete { substituted: 0, .. }));
+        assert_eq!(charges(&c), charged(1, 3));
+        assert_eq!(c.into_report().degraded, vec![0, 1, 2]);
     }
 
     #[test]
@@ -456,8 +493,8 @@ mod tests {
         c.mark_suspect(0);
         // With every source suspect, nothing can arrive to trigger the
         // done-check; the deadline path finalizes instead. Simulate it.
-        c.pending.insert(0, PendingSample { slots: vec![None], deadline: Some(Instant::now()) });
-        let (seq, items, substituted) = c.expire(Instant::now()).unwrap().unwrap();
+        c.pending.insert(0, PendingSample { slots: vec![None], deadline: Some(5.0) });
+        let (seq, items, substituted) = c.expire(5.0).unwrap().unwrap();
         assert_eq!((seq, substituted), (0, 1));
         assert_eq!(items, vec![500]);
         assert!(charges(&c).is_empty(), "tier sources charge no device");
@@ -467,17 +504,17 @@ mod tests {
     #[test]
     fn resync_discards_pending_and_floors_the_watermark() {
         let mut c = deadline_collector(2);
-        assert!(matches!(c.insert(4, 0, 1).unwrap(), Ingest::Pending));
+        assert!(matches!(c.insert(4, 0, 1, 0.0).unwrap(), Ingest::Pending));
         c.resync(6);
         // The partial for sample 4 is gone and 4/5 are now stale; 5 == the
         // new watermark replays, 6 onward collects normally.
-        assert!(matches!(c.insert(4, 1, 2).unwrap(), Ingest::Stale));
-        assert!(matches!(c.insert(5, 1, 2).unwrap(), Ingest::Replay { seq: 5 }));
-        assert!(matches!(c.insert(6, 0, 1).unwrap(), Ingest::Pending));
-        assert!(matches!(c.insert(6, 1, 2).unwrap(), Ingest::Complete { .. }));
+        assert!(matches!(c.insert(4, 1, 2, 0.0).unwrap(), Ingest::Stale));
+        assert!(matches!(c.insert(5, 1, 2, 0.0).unwrap(), Ingest::Replay { seq: 5 }));
+        assert!(matches!(c.insert(6, 0, 1, 0.0).unwrap(), Ingest::Pending));
+        assert!(matches!(c.insert(6, 1, 2, 0.0).unwrap(), Ingest::Complete { .. }));
         // resync never regresses the watermark.
         c.resync(2);
-        assert!(matches!(c.insert(6, 0, 1).unwrap(), Ingest::Replay { seq: 6 }));
+        assert!(matches!(c.insert(6, 0, 1, 0.0).unwrap(), Ingest::Replay { seq: 6 }));
     }
 
     #[test]
@@ -485,13 +522,13 @@ mod tests {
         // Start as a device fan-in of 2, with one charged substitution.
         let mut c = deadline_collector(2);
         c.mark_suspect(1);
-        match c.insert(0, 0, 7).unwrap() {
+        match c.insert(0, 0, 7, 0.0).unwrap() {
             Ingest::Complete { substituted, .. } => assert_eq!(substituted, 1),
             _ => panic!("must complete around the suspect source"),
         }
         // Re-parent: now a single-tier fan-in.
         c.reconfigure(1, vec![900], vec![None]);
-        match c.insert(1, 0, 3).unwrap() {
+        match c.insert(1, 0, 3, 0.0).unwrap() {
             Ingest::Complete { items, substituted, .. } => {
                 assert_eq!(items, vec![3]);
                 assert_eq!(substituted, 0);
@@ -501,7 +538,7 @@ mod tests {
         // And back to devices: old charges survive both transitions.
         c.reconfigure(2, vec![1000, 1001], vec![Some(0), Some(1)]);
         c.mark_suspect(1);
-        assert!(matches!(c.insert(2, 0, 7).unwrap(), Ingest::Complete { .. }));
+        assert!(matches!(c.insert(2, 0, 7, 0.0).unwrap(), Ingest::Complete { .. }));
         assert_eq!(charges(&c), charged(1, 2), "charges add up across geometries");
     }
 

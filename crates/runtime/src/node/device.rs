@@ -5,14 +5,15 @@
 //! dataset's encoding of "object not present" — the mechanism behind the
 //! paper's automatic fault tolerance (§IV-G).
 
+use crate::clock::Core;
 use crate::error::{Result, RuntimeError};
-use crate::link::{LinkSender, NodeInbox};
+use crate::link::LinkSender;
 use crate::message::{features_of, Frame, NodeId, Payload};
-use crate::node::report::NodeReport;
-use crate::obs::RunObs;
+use crate::obs::Counter;
 use crate::orchestrator::NodeControl;
 use ddnn_core::{DdnnConfig, FrozenDevice, BLANK_INPUT_VALUE};
 use ddnn_tensor::Tensor;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The blank sensor view for the model's configured input geometry, as a
@@ -22,12 +23,12 @@ pub(crate) fn blank_view(config: &DdnnConfig) -> Tensor {
     Tensor::full([1, c, h, w], BLANK_INPUT_VALUE)
 }
 
-/// Runs a device node until shutdown, on its section frozen for
-/// inference: each capture's map comes out packed and is cached as the
-/// `Features` frame the device offloads. In `tolerant` mode (deadlines
-/// active) protocol hiccups that faults make possible — duplicated stale
-/// captures, offload requests racing a retried capture — are ignored
-/// instead of aborting the node.
+/// One end device's core, on its section frozen for inference: each
+/// capture's map comes out packed and is cached as the `Features` frame
+/// the device offloads. It only ever acts on a frame, so it never asks
+/// for a wake-up. In `tolerant` mode (deadlines active) protocol hiccups
+/// that faults make possible — duplicated stale captures, offload requests
+/// racing a retried capture — are ignored instead of aborting the node.
 ///
 /// `capture_cap` bounds the per-seq feature-map cache at the run's
 /// admission window (1 in lockstep: one sample in flight), so every
@@ -40,116 +41,98 @@ pub(crate) fn blank_view(config: &DdnnConfig) -> Tensor {
 /// skips score uploads while the gateway is bypassed, and offloads feature
 /// maps on `to_tiers[k]` for the tier `k` the routing names as the device
 /// parent (`None` entries are links this run never opened).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn device_node(
-    d: usize,
-    part: FrozenDevice,
-    mut inbox: NodeInbox,
-    to_gateway: LinkSender,
-    to_tiers: Vec<Option<LinkSender>>,
-    mut control: NodeControl,
-    tolerant: bool,
-    capture_cap: usize,
-    obs: Arc<RunObs>,
-) -> Result<NodeReport> {
-    let mut cache: std::collections::BTreeMap<u64, Frame> = std::collections::BTreeMap::new();
-    let capture_cap = capture_cap.max(1);
-    let captures = obs.registry().counter(&format!("node.device{d}.captures"));
-    let offloads = obs.registry().counter(&format!("node.device{d}.offloads"));
-    loop {
-        let frame = inbox.recv()?;
-        // Shutdown always lands, even on a device scheduled down — the
-        // run is over and the thread must exit.
-        if matches!(frame.payload, Payload::Shutdown) {
-            return Ok(NodeReport::default());
-        }
-        if matches!(frame.payload, Payload::Ping { .. }) {
-            if control.on_ping(&frame)?.revived {
-                // The cached captures predate the outage and must not
-                // feed a new epoch's offload.
-                cache.clear();
-            }
-            continue;
-        }
-        // Down: full silence — no pongs, no uploads. The membership layer
-        // detects the outage from the missed heartbeats.
-        if control.down || !control.admit(frame.seq) {
-            continue;
-        }
+pub(crate) struct DeviceNode {
+    pub(crate) d: usize,
+    pub(crate) part: FrozenDevice,
+    pub(crate) to_gateway: LinkSender,
+    pub(crate) to_tiers: Vec<Option<LinkSender>>,
+    pub(crate) control: NodeControl,
+    pub(crate) tolerant: bool,
+    pub(crate) capture_cap: usize,
+    /// Captured feature frames by sample, at most `capture_cap`.
+    pub(crate) cache: BTreeMap<u64, Frame>,
+    /// `node.device{d}.captures` and `node.device{d}.offloads`.
+    pub(crate) captures: Arc<Counter>,
+    pub(crate) offloads: Arc<Counter>,
+    pub(crate) shutdown: bool,
+}
+
+impl Core for DeviceNode {
+    fn on_frame(&mut self, _now: f64, frame: Frame) -> Result<()> {
+        let (d, seq, cache) = (self.d, frame.seq, &mut self.cache);
+        let protocol = |reason| Err(RuntimeError::Protocol { reason });
+        // A duplicated or jittered capture for an older sample must not
+        // roll the cache window backwards: once the window is full,
+        // captures below its floor are dead on arrival (with the legacy
+        // single slot this is exactly the old "never replace latest with
+        // older" rule).
+        let behind = self.tolerant
+            && cache.len() >= self.capture_cap
+            && cache.first_key_value().is_some_and(|(&oldest, _)| seq < oldest);
         match frame.payload {
-            Payload::Capture { view } => {
-                if tolerant {
-                    // A duplicated or jittered capture for an older sample
-                    // must not roll the cache window backwards: once the
-                    // window is full, captures below its floor are dead on
-                    // arrival (with the legacy single slot this is exactly
-                    // the old "never replace latest with older" rule).
-                    if cache.len() >= capture_cap {
-                        if let Some((&oldest, _)) = cache.first_key_value() {
-                            if frame.seq < oldest {
-                                continue;
-                            }
-                        }
-                    }
+            // Shutdown always lands, even on a device scheduled down — the
+            // run is over and the thread must exit.
+            Payload::Shutdown => self.shutdown = true,
+            Payload::Ping { .. } => {
+                if self.control.on_ping(&frame)?.revived {
+                    // The cached captures predate the outage and must not
+                    // feed a new epoch's offload.
+                    cache.clear();
                 }
+            }
+            // Down: full silence — no pongs, no uploads. The membership
+            // layer detects the outage from the missed heartbeats.
+            _ if self.control.down || !self.control.admit(seq) => {}
+            Payload::Capture { .. } if behind => {}
+            Payload::Capture { view } => {
                 // The capture carries its own geometry; batch it as-is.
                 let mut dims = vec![1];
                 dims.extend_from_slice(view.dims());
-                let batch = view.reshape(dims)?;
-                let (map, scores) = part.forward(&batch)?;
-                let features = Frame::new(frame.seq, NodeId::Device(d as u8), features_of(&map)?);
-                cache.insert(frame.seq, features);
-                while cache.len() > capture_cap {
+                let (map, scores) = self.part.forward(&view.reshape(dims)?)?;
+                cache.insert(seq, Frame::new(seq, NodeId::Device(d as u8), features_of(&map)?));
+                while cache.len() > self.capture_cap {
                     cache.pop_first();
                 }
-                captures.incr();
+                self.captures.incr();
                 // While the gateway is bypassed its score aggregation is
                 // pointless: the orchestrator broadcasts the offload
                 // request itself and the sample goes straight to the
                 // feature chain.
-                if !control.routing.gateway_bypass {
-                    to_gateway.send(&Frame::new(
-                        frame.seq,
-                        NodeId::Device(d as u8),
-                        Payload::Scores { scores: scores.data().to_vec() },
-                    ))?;
+                if !self.control.routing.gateway_bypass {
+                    let scores = Payload::Scores { scores: scores.data().to_vec() };
+                    self.to_gateway.send(&Frame::new(seq, NodeId::Device(d as u8), scores))?;
                 }
             }
             Payload::OffloadRequest => {
                 // The feature sink under the current routing: the device
                 // parent's link. An orphaned device (no live compatible
                 // tier) simply drops the request.
-                let sink = control.routing.device_parent.and_then(|k| to_tiers[k].as_ref());
-                match cache.get(&frame.seq) {
-                    Some(features) => {
+                let parent = self.control.routing.device_parent;
+                let sink = parent.and_then(|k| self.to_tiers[k].as_ref());
+                match (cache.get(&seq), cache.last_key_value()) {
+                    (Some(features), _) => {
                         if let Some(sink) = sink {
-                            offloads.incr();
+                            self.offloads.incr();
                             sink.send(features)?;
                         }
                     }
-                    None if tolerant => {} // stale or premature request under faults
-                    None => match cache.last_key_value() {
-                        None => {
-                            return Err(RuntimeError::Protocol {
-                                reason: format!("device {d}: offload request before any capture"),
-                            })
-                        }
-                        Some((seq, _)) => {
-                            return Err(RuntimeError::Protocol {
-                                reason: format!(
-                                    "device {d}: offload for sample {} but latest is {seq}",
-                                    frame.seq
-                                ),
-                            })
-                        }
-                    },
+                    (None, _) if self.tolerant => {} // stale or premature under faults
+                    (None, None) => {
+                        return protocol(format!("device {d}: offload request before any capture"))
+                    }
+                    (None, Some((latest, _))) => {
+                        return protocol(format!(
+                            "device {d}: offload for sample {seq} but latest is {latest}"
+                        ))
+                    }
                 }
             }
-            other => {
-                return Err(RuntimeError::Protocol {
-                    reason: format!("device {d}: unexpected payload {other:?}"),
-                })
-            }
+            other => return protocol(format!("device {d}: unexpected payload {other:?}")),
         }
+        Ok(())
+    }
+
+    fn done(&self) -> bool {
+        self.shutdown
     }
 }

@@ -253,58 +253,38 @@ pub(crate) fn assemble_report(
         }
     }
 
+    let mut degraded_samples: Vec<u64> = degraded.into_iter().collect();
+    degraded_samples.sort_unstable();
     let correct = predictions.iter().zip(labels).filter(|(p, l)| p == l).count();
     let local_exits = exits.iter().filter(|&&e| e == ExitPoint::Local).count();
+    let share = |k: usize| if n_samples == 0 { 0.0 } else { k as f32 / n_samples as f32 };
     // The mean fields stay f32 and are summed in f32: the closed-loop path
     // stores exact f32 link-model values widened to f64, so casting each
     // back and summing in order reproduces the legacy arithmetic bit for
     // bit (the topology-equivalence goldens fingerprint these bits).
-    let mean = |xs: &[f64]| {
-        if xs.is_empty() {
-            0.0
-        } else {
-            xs.iter().map(|&x| x as f32).sum::<f32>() / xs.len() as f32
-        }
+    let mean = |xs: &[f64]| match xs.len() {
+        0 => 0.0,
+        len => xs.iter().map(|&x| x as f32).sum::<f32>() / len as f32,
     };
-    let local_lat: Vec<f64> = latencies
-        .iter()
-        .zip(&exits)
-        .filter(|(_, &e)| e == ExitPoint::Local)
-        .map(|(&l, _)| l)
-        .collect();
-    let offload_lat: Vec<f64> = latencies
-        .iter()
-        .zip(&exits)
-        .filter(|(_, &e)| e != ExitPoint::Local)
-        .map(|(&l, _)| l)
-        .collect();
+    let latencies_at = |local: bool| -> Vec<f64> {
+        let at = latencies.iter().zip(&exits).filter(|(_, &e)| (e == ExitPoint::Local) == local);
+        at.map(|(&l, _)| l).collect()
+    };
 
     SimReport {
-        accuracy: if n_samples == 0 { 0.0 } else { correct as f32 / n_samples as f32 },
-        local_exit_fraction: if n_samples == 0 {
-            0.0
-        } else {
-            local_exits as f32 / n_samples as f32
-        },
+        accuracy: share(correct),
+        local_exit_fraction: share(local_exits),
         links,
         mean_latency_ms: mean(&latencies),
-        mean_local_latency_ms: mean(&local_lat),
-        mean_offload_latency_ms: mean(&offload_lat),
+        mean_local_latency_ms: mean(&latencies_at(true)),
+        mean_offload_latency_ms: mean(&latencies_at(false)),
         latencies_ms: latencies,
         elastic: None,
         predictions,
         exits,
         outcomes,
-        degraded_fraction: if n_samples == 0 {
-            0.0
-        } else {
-            degraded.len() as f32 / n_samples as f32
-        },
-        degraded_samples: {
-            let mut v: Vec<u64> = degraded.into_iter().collect();
-            v.sort_unstable();
-            v
-        },
+        degraded_fraction: share(degraded_samples.len()),
+        degraded_samples,
         corrupt_frames_discarded: discards.map(|(_, v)| *v as usize).sum(),
         device_timeouts: (0..num_devices)
             .map(|d| value(&format!("node.device{d}.timeouts")))

@@ -3,13 +3,12 @@
 //! One [`TierNode`] — a [`Collector`], a [`TierSection`], an
 //! [`ExitPolicy`] and a [`Route`] — subsumes the legacy gateway, edge and
 //! cloud loops *and* the §IV-H raw-offload baseline. The section is the
-//! model's own: [`TierSection`] is implemented on the `ddnn-core` parts,
-//! feature stages in their frozen form, whose `forward` is the only
-//! evaluation a node runs.
+//! model's own: [`TierSection`] is implemented on the `ddnn-core` parts in
+//! their frozen form, whose `forward` is the only evaluation a node runs.
 //!
 //! | legacy node    | section              | policy     | route              |
 //! |----------------|----------------------|------------|--------------------|
-//! | gateway        | [`GatewayPart`]      | `Entropy`  | `Gateway`          |
+//! | gateway        | [`FrozenGateway`]    | `Entropy`  | `Gateway`          |
 //! | edge           | [`FrozenStage`]      | `Entropy`  | `Tier`             |
 //! | cloud          | [`FrozenStage`]      | `Terminal` | `Tier` (last)      |
 //! | baseline cloud | [`RawSection`]       | `Terminal` | `Tier` (only)      |
@@ -20,18 +19,22 @@
 //! which no ping ever moves. Deadline expiry, suspect marking, replay of
 //! cached decisions and blank substitution are one shared finalize path
 //! at every tier.
+//!
+//! The node is a core ([`Core`]) and decides on `(now, frame)` alone: it
+//! ingests a frame, expires what is due, evaluates the gathered
+//! micro-batch and reports its next wake-up (the earliest aggregation
+//! deadline). The shared [`crate::clock::drive`] loop does the waiting
+//! and the micro-batch drain.
 
+use crate::clock::Core;
 use crate::error::{Result, RuntimeError};
-use crate::link::{LinkSender, NodeInbox};
+use crate::link::LinkSender;
 use crate::message::{dequantize_image, features_of, Frame, NodeId, Payload};
 use crate::node::collector::{Collector, Ingest};
-use crate::node::report::NodeReport;
 use crate::obs::{NodeObs, ObsEvent};
 use crate::orchestrator::NodeControl;
-use ddnn_core::{ExitPolicy, FrozenDdnn, FrozenStage, GatewayPart, SignMaps};
-use ddnn_nn::Mode;
+use ddnn_core::{ExitPolicy, FrozenDdnn, FrozenGateway, FrozenStage, SignMaps};
 use ddnn_tensor::Tensor;
-use std::time::Instant;
 
 /// The model section a tier evaluates once its fan-in completes.
 pub(crate) trait TierSection: Send {
@@ -57,7 +60,7 @@ pub(crate) trait TierSection: Send {
 }
 
 /// The gateway's section: aggregate per-device class-score vectors.
-impl TierSection for GatewayPart {
+impl TierSection for FrozenGateway {
     /// One device's `(1, classes)` scores.
     type Item = Tensor;
 
@@ -74,7 +77,7 @@ impl TierSection for GatewayPart {
     ) -> Result<Vec<(Tensor, Option<SignMaps>)>> {
         // Score aggregation is negligible compute: sample by sample
         // (blanks already substituted by the collector).
-        batch.into_iter().map(|scores| Ok((self.forward(&scores, Mode::Eval)?, None))).collect()
+        batch.into_iter().map(|scores| Ok((self.forward(&scores)?, None))).collect()
     }
 }
 
@@ -163,7 +166,7 @@ impl TierSection for RawSection {
 
 /// A tier's cached decision for a completed sample, replayable when
 /// duplicated or retried frames arrive after completion.
-enum Decision {
+pub(crate) enum Decision {
     /// Exited here with this verdict frame (to the orchestrator).
     Verdict(Frame),
     /// Escalated with this frame: the gateway's offload request to the
@@ -226,8 +229,6 @@ pub(crate) struct TierNode<S: TierSection> {
     pub(crate) section: S,
     /// Exit decision applied to the section's logits.
     pub(crate) policy: ExitPolicy,
-    /// This node's inbox (CRC checking and ARQ dedup happen inside).
-    pub(crate) inbox: NodeInbox,
     /// Verdict link.
     pub(crate) to_orchestrator: LinkSender,
     /// Who feeds the collector and where non-exiting samples go.
@@ -237,143 +238,107 @@ pub(crate) struct TierNode<S: TierSection> {
     /// The shared fan-in state machine.
     pub(crate) collector: Collector<S::Item>,
     /// Micro-batch budget: completed samples drained (non-blocking) from
-    /// the inbox and evaluated as one tensor pass per loop iteration. `1`
-    /// never drains: every sample is a batch of one.
+    /// the inbox and evaluated as one tensor pass. `1` never drains: every
+    /// sample is a batch of one.
     pub(crate) batch_max: usize,
     /// Per-node counters and the run-wide event sink.
     pub(crate) obs: NodeObs,
+    /// Completed samples waiting for the next micro-batch.
+    pub(crate) gathered: Vec<Completed<S>>,
+    /// The decision of the last sample evaluated — the collector's
+    /// watermark — replayed to its duplicates.
+    pub(crate) last_decision: Option<(u64, Decision)>,
+    /// The shutdown frame arrived.
+    pub(crate) shutdown: bool,
 }
 
 /// A completed contribution set: sequence, items, blanks substituted.
 type Completed<S> = (u64, Vec<<S as TierSection>::Item>, usize);
 
-impl<S: TierSection> TierNode<S> {
-    /// Runs the node until shutdown, returning the samples it degraded.
-    pub(crate) fn run(mut self) -> Result<NodeReport> {
-        let mut last_decision: Option<(u64, Decision)> = None;
-        // Registered only with a batch budget, so a node that never
-        // batches leaves the counter snapshot untouched.
-        let batch_ctrs = (self.batch_max > 1).then(|| {
-            let r = self.obs.run.registry();
-            (
-                r.counter(&format!("node.{}.batches", self.name)),
-                r.counter(&format!("node.{}.batched_samples", self.name)),
-            )
-        });
-        let mut shutdown = false;
-        while !shutdown {
-            // While scheduled down stay fully silent — no deadline firing,
-            // no decisions — until a ping brings the node back up or the
-            // run shuts down.
-            if self.control.down {
-                let frame = self.inbox.recv()?;
-                shutdown = self.ingest(frame, &mut Vec::new(), &last_decision)?;
-                continue;
-            }
-            let mut completed: Vec<Completed<S>> = Vec::new();
-            loop {
-                // A collector error here means the expired sample vanished
-                // mid-finalize (a duplicate raced it) — degrade, don't die.
-                match self.collector.expire(Instant::now()) {
-                    Ok(Some(done)) => {
-                        self.obs.deadline_expiries.incr();
-                        let seq = done.0;
-                        let name = &self.name;
-                        self.obs.run.emit(|| ObsEvent::DeadlineFired { node: name.clone(), seq });
-                        completed.push(done);
-                    }
-                    Ok(None) | Err(RuntimeError::Collector { .. }) => break,
-                    Err(e) => return Err(e),
+impl<S: TierSection> Core for TierNode<S> {
+    /// Evaluates what was gathered, then expires every sample whose
+    /// aggregation deadline is not after `now` into the next batch.
+    fn on_wake(&mut self, now: f64) -> Result<()> {
+        self.evaluate()?;
+        // While scheduled down stay fully silent — no deadline firing, no
+        // decisions — until a ping brings the node back up or the run
+        // shuts down.
+        if self.shutdown || self.control.down {
+            return Ok(());
+        }
+        loop {
+            // A collector error here means the expired sample vanished
+            // mid-finalize (a duplicate raced it) — degrade, don't die.
+            match self.collector.expire(now) {
+                Ok(Some(done)) => {
+                    self.obs.deadline_expiries.incr();
+                    let (seq, name) = (done.0, &self.name);
+                    self.obs.run.emit(|| ObsEvent::DeadlineFired { node: name.clone(), seq });
+                    self.gathered.push(done);
                 }
-            }
-            if completed.is_empty() {
-                let frame = match self.collector.next_deadline() {
-                    Some(deadline) => match self.inbox.recv_deadline(deadline)? {
-                        Some(frame) => frame,
-                        None => continue, // a deadline fired; expire on the next pass
-                    },
-                    None => self.inbox.recv()?,
-                };
-                shutdown = self.ingest(frame, &mut completed, &last_decision)?;
-            }
-            // Micro-batch drain: once a sample is complete, greedily pull
-            // frames already queued (non-blocking) up to the batch budget,
-            // so several completed samples share one tensor pass. A
-            // shutdown seen mid-drain still flushes the gathered batch
-            // before the node exits.
-            while !shutdown && !completed.is_empty() && completed.len() < self.batch_max {
-                let Some(frame) = self.inbox.try_recv()? else { break };
-                shutdown = self.ingest(frame, &mut completed, &last_decision)?;
-            }
-            if completed.is_empty() {
-                continue;
-            }
-            // Oldest first: the collector only ever replays its watermark
-            // sample, so the cached decision must end up being the batch's
-            // highest sequence.
-            completed.sort_by_key(|&(seq, _, _)| seq);
-            if let (Some((batches, batched_samples)), true) = (&batch_ctrs, completed.len() > 1) {
-                batches.incr();
-                batched_samples.add(completed.len() as u64);
-                let (name, size) = (&self.name, completed.len());
-                self.obs.run.emit(|| ObsEvent::BatchEvaluated { node: name.clone(), size });
-            }
-            let (metas, batch): (Vec<_>, Vec<_>) = (completed.into_iter())
-                .map(|(seq, items, substituted)| ((seq, substituted), items))
-                .unzip();
-            let outputs = self.section.evaluate_batch(batch)?;
-            for ((seq, substituted), (logits, map)) in metas.into_iter().zip(outputs) {
-                self.obs.aggregates.incr();
-                let name = &self.name;
-                self.obs.run.emit(|| ObsEvent::TierAggregate {
-                    node: name.clone(),
-                    seq,
-                    substituted,
-                });
-                let decision = self.resolve(seq, logits, map)?;
-                self.send(&decision)?;
-                last_decision = Some((seq, decision));
+                Ok(None) | Err(RuntimeError::Collector { .. }) => return Ok(()),
+                Err(e) => return Err(e),
             }
         }
-        Ok(self.collector.into_report())
     }
 
-    /// Takes one frame off the inbox: applies and answers a ping, refuses
-    /// what the control plane has made stale (everything but pings, while
-    /// down), slots a contribution into the collector (pushing the set
-    /// onto `completed` when it fills) and replays the cached decision for
-    /// a duplicate of the watermark sample. Returns `true` for the
-    /// shutdown frame.
-    fn ingest(
-        &mut self,
-        frame: Frame,
-        completed: &mut Vec<Completed<S>>,
-        last_decision: &Option<(u64, Decision)>,
-    ) -> Result<bool> {
-        if matches!(frame.payload, Payload::Shutdown) {
-            return Ok(true);
-        }
-        if matches!(frame.payload, Payload::Ping { .. }) {
-            let effect = self.control.on_ping(&frame)?;
-            if effect.revived || effect.rerouted {
-                // Partials gathered before an outage or under the previous
-                // epoch are refused from here on.
-                self.collector.resync(self.control.floor);
+    /// Takes one frame that arrived at `now`: applies and answers a ping,
+    /// refuses what the control plane has made stale (everything but
+    /// pings, while down), slots a contribution into the collector
+    /// (gathering the set when it fills) and replays the cached decision
+    /// for a duplicate of the watermark sample.
+    fn on_frame(&mut self, now: f64, frame: Frame) -> Result<()> {
+        match frame.payload {
+            Payload::Shutdown => self.shutdown = true,
+            Payload::Ping { .. } => {
+                let effect = self.control.on_ping(&frame)?;
+                if effect.revived || effect.rerouted {
+                    // Partials gathered before an outage or under the
+                    // previous epoch are refused from here on.
+                    self.collector.resync(self.control.floor);
+                }
+                if effect.rerouted {
+                    self.reroute();
+                }
             }
-            if effect.rerouted {
-                self.reroute();
-            }
-            return Ok(false);
+            _ if self.control.down || !self.control.admit(frame.seq) => {}
+            _ => self.ingest(frame, now)?,
         }
-        if self.control.down || !self.control.admit(frame.seq) {
-            return Ok(false);
+        Ok(())
+    }
+
+    /// A gathered batch is evaluated before any wait; otherwise the
+    /// earliest aggregation deadline, none while down.
+    fn next_wake(&self) -> f64 {
+        match (self.gathered.is_empty(), self.control.down) {
+            (false, _) => f64::NEG_INFINITY,
+            (true, true) => f64::INFINITY,
+            (true, false) => self.collector.next_deadline().unwrap_or(f64::INFINITY),
         }
+    }
+
+    /// Micro-batch drain: once a sample is complete, pull frames already
+    /// queued up to the batch budget, so several completed samples share
+    /// one tensor pass. A shutdown seen mid-drain still flushes the
+    /// gathered batch before the node exits.
+    fn drain(&self) -> bool {
+        !self.shutdown && !self.gathered.is_empty() && self.gathered.len() < self.batch_max
+    }
+
+    fn done(&self) -> bool {
+        self.shutdown && self.gathered.is_empty()
+    }
+}
+
+impl<S: TierSection> TierNode<S> {
+    /// Slots a contribution that arrived at `now` into the collector.
+    fn ingest(&mut self, frame: Frame, now: f64) -> Result<()> {
         // The collector slot is read off this epoch's feeder.
         let n = self.control.routing.num_devices();
         let source = match (self.route.feeder(), frame.from) {
             (Feeder::Devices, NodeId::Device(d)) if (d as usize) < n => d as usize,
             (Feeder::Tier(_, id), from) if from == id => 0,
-            (Feeder::Dormant, _) => return Ok(false),
+            (Feeder::Dormant, _) => return Ok(()),
             (_, from) => {
                 let reason = format!("{}: contribution from unexpected sender {from}", self.name);
                 return Err(RuntimeError::Protocol { reason });
@@ -381,12 +346,13 @@ impl<S: TierSection> TierNode<S> {
         };
         let item =
             self.section.item_from(frame.payload, self.collector.blank(source), &self.name)?;
-        match self.collector.insert(frame.seq, source, item) {
+        match self.collector.insert(frame.seq, source, item, now) {
             Ok(Ingest::Complete { seq, items, substituted }) => {
-                completed.push((seq, items, substituted));
+                self.gathered.push((seq, items, substituted));
             }
             Ok(Ingest::Replay { seq }) => {
-                if let Some((_, decision)) = last_decision.as_ref().filter(|(s, _)| *s == seq) {
+                if let Some((_, decision)) = self.last_decision.as_ref().filter(|(s, _)| *s == seq)
+                {
                     self.send(decision)?;
                 }
             }
@@ -396,7 +362,39 @@ impl<S: TierSection> TierNode<S> {
             Err(RuntimeError::Collector { .. }) => {}
             Err(e) => return Err(e),
         }
-        Ok(false)
+        Ok(())
+    }
+
+    /// Evaluates the gathered micro-batch as one tensor pass and sends
+    /// each sample's decision.
+    fn evaluate(&mut self) -> Result<()> {
+        if self.gathered.is_empty() {
+            return Ok(());
+        }
+        let mut completed = std::mem::take(&mut self.gathered);
+        // Oldest first: the collector only ever replays its watermark
+        // sample, so the cached decision must end up being the batch's
+        // highest sequence.
+        completed.sort_by_key(|&(seq, _, _)| seq);
+        if let (Some((batches, batched_samples)), true) = (&self.obs.batches, completed.len() > 1) {
+            batches.incr();
+            batched_samples.add(completed.len() as u64);
+            let (name, size) = (&self.name, completed.len());
+            self.obs.run.emit(|| ObsEvent::BatchEvaluated { node: name.clone(), size });
+        }
+        let (metas, batch): (Vec<_>, Vec<_>) = (completed.into_iter())
+            .map(|(seq, items, substituted)| ((seq, substituted), items))
+            .unzip();
+        let outputs = self.section.evaluate_batch(batch)?;
+        for ((seq, substituted), (logits, map)) in metas.into_iter().zip(outputs) {
+            self.obs.aggregates.incr();
+            let name = &self.name;
+            self.obs.run.emit(|| ObsEvent::TierAggregate { node: name.clone(), seq, substituted });
+            let decision = self.resolve(seq, logits, map)?;
+            self.send(&decision)?;
+            self.last_decision = Some((seq, decision));
+        }
+        Ok(())
     }
 
     /// Folds a newly applied topology epoch into who feeds this node's
@@ -458,29 +456,18 @@ impl<S: TierSection> TierNode<S> {
             ExitPolicy::Entropy(t) => t.value(),
             ExitPolicy::Terminal => 1.0,
         };
-        let name = &self.name;
+        let (node, eta, prediction) = (&self.name, d.eta, d.prediction);
         if d.exits {
             self.obs.exits.incr();
-            self.obs.run.emit(|| ObsEvent::ExitTaken {
-                node: name.clone(),
-                seq,
-                eta: d.eta,
-                threshold,
-                prediction: d.prediction,
-            });
-            Ok(Decision::Verdict(Frame::new(
-                seq,
-                self.id,
-                Payload::Verdict { prediction: d.prediction as u16, exit_tier: self.exit_tier },
-            )))
+            let exit =
+                || ObsEvent::ExitTaken { node: node.clone(), seq, eta, threshold, prediction };
+            self.obs.run.emit(exit);
+            let verdict =
+                Payload::Verdict { prediction: prediction as u16, exit_tier: self.exit_tier };
+            Ok(Decision::Verdict(Frame::new(seq, self.id, verdict)))
         } else {
             self.obs.escalations.incr();
-            self.obs.run.emit(|| ObsEvent::Escalated {
-                node: name.clone(),
-                seq,
-                eta: d.eta,
-                threshold,
-            });
+            self.obs.run.emit(|| ObsEvent::Escalated { node: node.clone(), seq, eta, threshold });
             let payload = match (&self.route, map) {
                 (Route::Gateway(_), _) => Payload::OffloadRequest,
                 (Route::Tier { .. }, Some(map)) => features_of(&map)?,
@@ -517,7 +504,57 @@ impl<S: TierSection> TierNode<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::link::link;
+    use crate::obs::RunObs;
+    use crate::orchestrator::rebalance::{compute_routing, Compat};
     use ddnn_core::{Ddnn, DdnnConfig};
+    use std::sync::Arc;
+
+    #[test]
+    fn a_micro_batch_caches_the_decision_of_its_highest_sequence() {
+        let config = DdnnConfig::paper();
+        let (n, classes) = (config.num_devices, config.num_classes);
+        let (to_orchestrator, verdicts, _) = link("gateway->orchestrator");
+        let (compat, obs) = (Compat::chain(1), RunObs::disabled());
+        let initial = compute_routing(0, vec![true; n + 2], n, &compat);
+        // Only device 0 is live: its contribution alone completes a sample.
+        let (sources, live) = ((0..n).map(Some).collect(), (0..n).map(|d| d == 0).collect());
+        let blanks = vec![Tensor::zeros([1, classes]); n];
+        let mut core = TierNode {
+            name: "gateway".into(),
+            id: NodeId::Gateway,
+            exit_tier: 0,
+            section: Ddnn::new(config).partition().gateway.freeze(),
+            policy: ExitPolicy::Terminal,
+            to_orchestrator,
+            route: Route::Gateway(Vec::new()),
+            control: NodeControl::new(compat, initial, NodeId::Gateway, None, Arc::default()),
+            collector: Collector::new(n, blanks, None, sources, live, Arc::clone(&obs)),
+            batch_max: 4,
+            obs: NodeObs::for_node(&obs, "gateway", 4),
+            gathered: Vec::new(),
+            last_decision: None,
+            shutdown: false,
+        };
+        let scores = |seq| {
+            let scores = vec![0.5; classes];
+            Frame::new(seq, NodeId::Device(0), Payload::Scores { scores })
+        };
+        // Samples 2 and 3 complete before the next wake-up: one batch,
+        // evaluated before any wait, oldest first.
+        core.on_frame(0.0, scores(2)).unwrap();
+        assert!(core.drain(), "the batch has room for more");
+        core.on_frame(0.0, scores(3)).unwrap();
+        assert_eq!(core.next_wake(), f64::NEG_INFINITY);
+        core.on_wake(0.0).unwrap();
+        assert_eq!([verdicts.recv().unwrap().seq, verdicts.recv().unwrap().seq], [2, 3]);
+        // The cached decision is 3's: its duplicate replays the verdict,
+        // one of 2 is stale.
+        core.on_frame(1.0, scores(2)).unwrap();
+        core.on_frame(1.0, scores(3)).unwrap();
+        assert_eq!(verdicts.recv().unwrap().seq, 3);
+        assert!(verdicts.try_recv_raw().unwrap().is_none());
+    }
 
     /// What the paper cloud's item_from makes of a `Features` payload.
     fn cloud_item([channels, height, width]: [u16; 3], len: usize) -> Result<SignMaps> {

@@ -23,6 +23,7 @@
 //! Sinks: [`JsonlSink`] appends one JSON object per line to a file;
 //! [`MemorySink`] buffers events for tests and examples.
 
+use crate::clock::SimClock;
 use crate::link::LinkStats;
 use crate::lock;
 use std::collections::BTreeMap;
@@ -32,7 +33,6 @@ use std::io::{BufWriter, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// One lock-free metric cell. All operations are `Relaxed`: counters are
 /// monotone tallies read only at snapshot time (after the run's threads
@@ -333,79 +333,59 @@ impl ObsEvent {
     /// One JSON object (a timeline line), stamped `t_ms` milliseconds
     /// after run start.
     pub fn to_json(&self, t_ms: u64) -> String {
-        let mut s = format!("{{\"t_ms\": {t_ms}, \"event\": \"{}\"", self.kind());
-        match self {
-            ObsEvent::SampleEnqueued { seq } => {
-                s.push_str(&format!(", \"seq\": {seq}"));
+        use ObsEvent as E;
+        let fields = match self {
+            E::SampleEnqueued { seq } => format!(", \"seq\": {seq}"),
+            E::TierAggregate { node, seq, substituted } => format!(
+                ", \"node\": \"{}\", \"seq\": {seq}, \"substituted\": {substituted}",
+                escape(node)
+            ),
+            E::ExitTaken { node, seq, eta, threshold, prediction } => format!(
+                ", \"node\": \"{}\", \"seq\": {seq}, \"eta\": {eta:.6}, \
+                 \"threshold\": {threshold:.6}, \"prediction\": {prediction}",
+                escape(node)
+            ),
+            E::Escalated { node, seq, eta, threshold } => format!(
+                ", \"node\": \"{}\", \"seq\": {seq}, \"eta\": {eta:.6}, \
+                 \"threshold\": {threshold:.6}",
+                escape(node)
+            ),
+            E::DeadlineFired { node, seq } => {
+                format!(", \"node\": \"{}\", \"seq\": {seq}", escape(node))
             }
-            ObsEvent::TierAggregate { node, seq, substituted } => {
-                s.push_str(&format!(
-                    ", \"node\": \"{}\", \"seq\": {seq}, \"substituted\": {substituted}",
-                    escape(node)
-                ));
+            E::WatchdogTimeout { seq, waited_ms } => {
+                format!(", \"seq\": {seq}, \"waited_ms\": {waited_ms}")
             }
-            ObsEvent::ExitTaken { node, seq, eta, threshold, prediction } => {
-                s.push_str(&format!(
-                    ", \"node\": \"{}\", \"seq\": {seq}, \"eta\": {eta:.6}, \
-                     \"threshold\": {threshold:.6}, \"prediction\": {prediction}",
-                    escape(node)
-                ));
-            }
-            ObsEvent::Escalated { node, seq, eta, threshold } => {
-                s.push_str(&format!(
-                    ", \"node\": \"{}\", \"seq\": {seq}, \"eta\": {eta:.6}, \
-                     \"threshold\": {threshold:.6}",
-                    escape(node)
-                ));
-            }
-            ObsEvent::DeadlineFired { node, seq } => {
-                s.push_str(&format!(", \"node\": \"{}\", \"seq\": {seq}", escape(node)));
-            }
-            ObsEvent::WatchdogTimeout { seq, waited_ms } => {
-                s.push_str(&format!(", \"seq\": {seq}, \"waited_ms\": {waited_ms}"));
-            }
-            ObsEvent::FrameCorrupt { node } => {
-                s.push_str(&format!(", \"node\": \"{}\"", escape(node)));
-            }
-            ObsEvent::Retransmit { link, tseq, retries } => {
-                s.push_str(&format!(
+            E::FrameCorrupt { node } => format!(", \"node\": \"{}\"", escape(node)),
+            E::Retransmit { link, tseq, retries } => {
+                format!(
                     ", \"link\": \"{}\", \"tseq\": {tseq}, \"retries\": {retries}",
                     escape(link)
-                ));
+                )
             }
-            ObsEvent::AckSent { link, cum, nacks } => {
-                s.push_str(&format!(
-                    ", \"link\": \"{}\", \"cum\": {cum}, \"nacks\": {nacks}",
-                    escape(link)
-                ));
+            E::AckSent { link, cum, nacks } => {
+                format!(", \"link\": \"{}\", \"cum\": {cum}, \"nacks\": {nacks}", escape(link))
             }
-            ObsEvent::MemberJoin { node, epoch } | ObsEvent::MemberLeave { node, epoch } => {
-                s.push_str(&format!(", \"node\": \"{}\", \"epoch\": {epoch}", escape(node)));
+            E::MemberJoin { node, epoch } | E::MemberLeave { node, epoch } => {
+                format!(", \"node\": \"{}\", \"epoch\": {epoch}", escape(node))
             }
-            ObsEvent::SampleShed { seq, inflight } => {
-                s.push_str(&format!(", \"seq\": {seq}, \"inflight\": {inflight}"));
+            E::SampleShed { seq, inflight } => {
+                format!(", \"seq\": {seq}, \"inflight\": {inflight}")
             }
-            ObsEvent::BatchEvaluated { node, size } => {
-                s.push_str(&format!(", \"node\": \"{}\", \"size\": {size}", escape(node)));
+            E::BatchEvaluated { node, size } => {
+                format!(", \"node\": \"{}\", \"size\": {size}", escape(node))
             }
-            ObsEvent::ProcKilled { role, at_sample }
-            | ObsEvent::ProcRespawned { role, at_sample } => {
-                s.push_str(&format!(
-                    ", \"role\": \"{}\", \"at_sample\": {at_sample}",
-                    escape(role)
-                ));
+            E::ProcKilled { role, at_sample } | E::ProcRespawned { role, at_sample } => {
+                format!(", \"role\": \"{}\", \"at_sample\": {at_sample}", escape(role))
             }
-            ObsEvent::Reparent { child, from, to, epoch } => {
-                s.push_str(&format!(
-                    ", \"child\": \"{}\", \"from\": \"{}\", \"to\": \"{}\", \"epoch\": {epoch}",
-                    escape(child),
-                    escape(from),
-                    escape(to)
-                ));
-            }
-        }
-        s.push('}');
-        s
+            E::Reparent { child, from, to, epoch } => format!(
+                ", \"child\": \"{}\", \"from\": \"{}\", \"to\": \"{}\", \"epoch\": {epoch}",
+                escape(child),
+                escape(from),
+                escape(to)
+            ),
+        };
+        format!("{{\"t_ms\": {t_ms}, \"event\": \"{}\"{fields}}}", self.kind())
     }
 }
 
@@ -490,12 +470,13 @@ impl fmt::Debug for ObsConfig {
 }
 
 /// One run's observability state: the metric registry, the optional
-/// event sink, and the run-start instant events are stamped against.
-/// Shared by every thread of a run as an `Arc<RunObs>`.
+/// event sink, and the run's clock — what events are stamped against and
+/// every deadline of the run is measured on. Shared by every thread of a
+/// run as an `Arc<RunObs>`.
 pub struct RunObs {
     registry: ObsRegistry,
     sink: Option<Arc<dyn ObsSink>>,
-    t0: Instant,
+    clock: SimClock,
 }
 
 impl fmt::Debug for RunObs {
@@ -510,7 +491,16 @@ impl fmt::Debug for RunObs {
 impl RunObs {
     /// Fresh observability state for one run per `cfg`.
     pub fn new(cfg: &ObsConfig) -> Self {
-        RunObs { registry: ObsRegistry::default(), sink: cfg.sink.clone(), t0: Instant::now() }
+        RunObs {
+            registry: ObsRegistry::default(),
+            sink: cfg.sink.clone(),
+            clock: SimClock::start(),
+        }
+    }
+
+    /// The run's clock, started with this state.
+    pub(crate) fn clock(&self) -> SimClock {
+        self.clock
     }
 
     /// A disabled instance (no sink; the registry still works) — the
@@ -535,7 +525,7 @@ impl RunObs {
     #[inline]
     pub fn emit(&self, event: impl FnOnce() -> ObsEvent) {
         if let Some(sink) = &self.sink {
-            let t_ms = self.t0.elapsed().as_millis() as u64;
+            let t_ms = self.clock.elapsed_ms_f64() as u64;
             sink.record(t_ms, &event());
         }
     }
@@ -556,17 +546,23 @@ pub(crate) struct NodeObs {
     pub(crate) aggregates: Arc<Counter>,
     /// Fan-ins finalized by deadline expiry.
     pub(crate) deadline_expiries: Arc<Counter>,
+    /// Micro-batches of more than one sample and the samples in them —
+    /// registered only under a batch budget, so a node that never batches
+    /// leaves the counter snapshot untouched.
+    pub(crate) batches: Option<(Arc<Counter>, Arc<Counter>)>,
 }
 
 impl NodeObs {
-    /// Registers (or re-attaches to) the `node.{name}.*` counters.
-    pub(crate) fn for_node(run: &Arc<RunObs>, name: &str) -> Self {
-        let r = run.registry();
+    /// Registers (or re-attaches to) the `node.{name}.*` counters of a
+    /// node whose micro-batches hold up to `batch_max` samples.
+    pub(crate) fn for_node(run: &Arc<RunObs>, name: &str, batch_max: usize) -> Self {
+        let cell = |what: &str| run.registry().counter(&format!("node.{name}.{what}"));
         NodeObs {
-            exits: r.counter(&format!("node.{name}.exits")),
-            escalations: r.counter(&format!("node.{name}.escalations")),
-            aggregates: r.counter(&format!("node.{name}.aggregates")),
-            deadline_expiries: r.counter(&format!("node.{name}.deadline_expiries")),
+            batches: (batch_max > 1).then(|| (cell("batches"), cell("batched_samples"))),
+            exits: cell("exits"),
+            escalations: cell("escalations"),
+            aggregates: cell("aggregates"),
+            deadline_expiries: cell("deadline_expiries"),
             run: Arc::clone(run),
         }
     }

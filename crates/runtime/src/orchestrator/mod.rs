@@ -35,9 +35,8 @@ pub mod rebalance;
 pub mod reconfigure;
 
 use crate::chaos::ChaosTarget;
-use crate::clock::SimClock;
 use crate::error::{Result, RuntimeError};
-use crate::link::{LinkSender, NodeInbox};
+use crate::link::LinkSender;
 use crate::message::{Frame, NodeId, Payload};
 use crate::node::report::ElasticSummary;
 use crate::obs::{Counter, ObsEvent, RunObs};
@@ -213,7 +212,10 @@ impl NodeControl {
 
 /// The orchestrator-side elastic driver: owns the published routing and
 /// runs the heartbeat sweep (ping, collect pongs, update membership,
-/// reconfigure when it changed) after each sample.
+/// reconfigure when it changed) between samples. It holds no clock and
+/// never waits: it opens a ping round at the `now` it is handed, takes
+/// pongs as the pump hands them over, and closes the round once
+/// [`ElasticDriver::busy`] finds it answered or past its deadline.
 pub(crate) struct ElasticDriver {
     dir: NodeDirectory,
     compat: Compat,
@@ -224,15 +226,30 @@ pub(crate) struct ElasticDriver {
     floor: u64,
     /// Per directory index: scheduled down by the chaos plan.
     down: Vec<bool>,
+    /// Per directory index: flipped since the last confirming round.
+    flipped: Vec<bool>,
     /// Per directory index; `None` is never pinged (statically failed).
     ping_links: Vec<Option<LinkSender>>,
     /// The last ping round sent; each round is its own sequence number.
     round: u64,
+    /// That round, while it is open.
+    open: Option<PingRound>,
     /// How long a ping round waits for its pongs; under scheduled
     /// arrivals, also the sweep period.
     pub(crate) heartbeat_ms: u64,
-    clock: SimClock,
     obs: Arc<RunObs>,
+}
+
+/// An open ping round. Times are milliseconds on the caller's clock.
+struct PingRound {
+    /// Who must answer for the round to close before its deadline.
+    awaited: Vec<bool>,
+    responded: Vec<bool>,
+    deadline: f64,
+    /// The sample a heartbeat sweep follows, when this is the sweep's
+    /// first round: closing it folds the answers into membership. A
+    /// confirming round — of an epoch or of flips — is only waited out.
+    sweep: Option<u64>,
 }
 
 impl ElasticDriver {
@@ -242,7 +259,6 @@ impl ElasticDriver {
         initial: RoutingTable,
         cfg: ElasticConfig,
         ping_links: Vec<Option<LinkSender>>,
-        clock: SimClock,
         obs: Arc<RunObs>,
     ) -> Self {
         let eligible: Vec<bool> = ping_links.iter().map(Option::is_some).collect();
@@ -252,6 +268,7 @@ impl ElasticDriver {
         }
         ElasticDriver {
             down: vec![false; ping_links.len()],
+            flipped: vec![false; ping_links.len()],
             dir,
             compat,
             membership,
@@ -259,67 +276,54 @@ impl ElasticDriver {
             floor: 0,
             ping_links,
             round: 0,
+            open: None,
             heartbeat_ms: cfg.heartbeat_ms,
-            clock,
             obs,
         }
     }
 
-    /// The heartbeat sweep after sample `seq`: ping every trackable node,
-    /// collect the round's pongs until the heartbeat deadline (early exit
-    /// only when *everyone* answered, so a reviving node's pong is never
-    /// raced), update membership, and when it changed publish the next
-    /// epoch and confirm it with one more ping round.
+    /// Opens the heartbeat sweep after sample `seq` at `now`: pings every
+    /// trackable node. When its round closes, membership is updated and,
+    /// when it changed, the next epoch is published and confirmed with one
+    /// more ping round.
     ///
-    /// Samples can be in flight during the sweep, so verdicts that land
-    /// mid-sweep are handed back through `strays` rather than discarded;
-    /// the pump resolves them like any other (one for a sample that
-    /// already resolved is a duplicate there too).
-    pub(crate) fn after_sample(
-        &mut self,
-        seq: u64,
-        orch_rx: &mut NodeInbox,
-        strays: &mut Vec<Frame>,
-    ) -> Result<()> {
+    /// Samples can be in flight during the sweep; their verdicts are the
+    /// pump's to resolve as they land.
+    pub(crate) fn sweep(&mut self, seq: u64, now: f64) -> Result<()> {
         let pinged: Vec<bool> = self.ping_links.iter().map(Option::is_some).collect();
-        let responded = self.ping(&pinged, &pinged, orch_rx, strays)?;
-        if self.membership.sweep(&responded) {
-            self.reconfigure(seq);
-            let alive = self.membership.alive();
-            let answering: Vec<bool> =
-                (0..pinged.len()).map(|ix| pinged[ix] && alive[ix] && !self.down[ix]).collect();
-            self.ping(&pinged, &answering, orch_rx, strays)?;
+        self.ping(&pinged, pinged.clone(), now, Some(seq))
+    }
+
+    /// A scheduled `Down`/`Up` of a node: sets its down bit, which the
+    /// next [`ElasticDriver::confirm`] round carries to it.
+    pub(crate) fn set_down(&mut self, target: &ChaosTarget, down: bool) {
+        if let Some(ix) = self.dir.target_ix(target) {
+            (self.down[ix], self.flipped[ix]) = (down, true);
         }
-        Ok(())
     }
 
-    /// A scheduled `Down`/`Up` of a node: its down bit rides one ping to
-    /// it, whose pong (the node answers the ping that flips it) confirms
-    /// the flip before the next admission.
-    pub(crate) fn set_down(
-        &mut self,
-        target: &ChaosTarget,
-        down: bool,
-        orch_rx: &mut NodeInbox,
-        strays: &mut Vec<Frame>,
-    ) -> Result<()> {
-        let Some(ix) = self.dir.target_ix(target) else { return Ok(()) };
-        self.down[ix] = down;
-        let only: Vec<bool> = (0..self.down.len()).map(|i| i == ix).collect();
-        self.ping(&only, &only, orch_rx, strays).map(drop)
+    /// Opens one ping round at `now` to every node flipped since the last
+    /// call: a node answers the ping that flips it, so the round's pongs
+    /// confirm the flips, and the pump admits nothing while it is open.
+    /// Whether there was a flip to confirm.
+    pub(crate) fn confirm(&mut self, now: f64) -> Result<bool> {
+        if !self.flipped.contains(&true) {
+            return Ok(false);
+        }
+        let flipped = std::mem::replace(&mut self.flipped, vec![false; self.down.len()]);
+        self.ping(&flipped, flipped.clone(), now, None).map(|()| true)
     }
 
-    /// One ping round to the nodes `to` selects, each carrying the
-    /// published state and its own down bit; waits, bounded by the
-    /// heartbeat, for a pong from every node `awaited` selects. Returns who
-    /// answered.
+    /// Sends one ping round to the nodes `to` selects, each carrying the
+    /// published state and its own down bit, and opens it at `now`,
+    /// waiting for a pong from every node `awaited` selects.
     fn ping(
         &mut self,
         to: &[bool],
-        awaited: &[bool],
-        orch_rx: &mut NodeInbox,
-        strays: &mut Vec<Frame>,
-    ) -> Result<Vec<bool>> {
+        awaited: Vec<bool>,
+        now: f64,
+        sweep: Option<u64>,
+    ) -> Result<()> {
         self.round += 1;
         for (ix, link) in self.ping_links.iter().enumerate() {
             let Some(link) = link.as_ref().filter(|_| to[ix]) else { continue };
@@ -331,24 +335,50 @@ impl ElasticDriver {
             };
             link.send(&Frame::new(self.round, NodeId::Orchestrator, ping))?;
         }
-        let mut responded = vec![false; to.len()];
-        let deadline = self.clock.deadline_in(self.heartbeat_ms);
-        while awaited.iter().zip(&responded).any(|(&a, &r)| a && !r) {
-            match orch_rx.recv_deadline(deadline)? {
-                Some(frame) if frame.seq == self.round && frame.payload == Payload::Pong => {
-                    if let Some(ix) = self.dir.index_of(frame.from) {
-                        responded[ix] = true;
-                    }
-                }
-                // Late pongs and other leftovers drain harmlessly.
-                Some(frame) if matches!(frame.payload, Payload::Verdict { .. }) => {
-                    strays.push(frame);
-                }
-                Some(_) => {}
-                None => break,
+        let (responded, deadline) = (vec![false; to.len()], now + self.heartbeat_ms as f64);
+        self.open = Some(PingRound { awaited, responded, deadline, sweep });
+        Ok(())
+    }
+
+    /// Books a pong: one for the open round counts its sender as
+    /// answered; late pongs drain harmlessly.
+    pub(crate) fn on_pong(&mut self, pong: &Frame) {
+        let Some(open) = self.open.as_mut().filter(|_| pong.seq == self.round) else { return };
+        if let Some(ix) = self.dir.index_of(pong.from) {
+            open.responded[ix] = true;
+        }
+    }
+
+    /// Whether a ping round is still open at `now`, closing the one that
+    /// is done: early only once *every* awaited node answered, so a
+    /// reviving node's pong is never raced, and otherwise at its
+    /// heartbeat deadline. Closing a sweep's round may open its
+    /// confirming round.
+    pub(crate) fn busy(&mut self, now: f64) -> Result<bool> {
+        while let Some(wake) = self.next_wake() {
+            if now < wake {
+                return Ok(true);
+            }
+            let PingRound { responded, sweep, .. } = self.open.take().expect("a round is open");
+            let Some(seq) = sweep else { continue };
+            if self.membership.sweep(&responded) {
+                self.reconfigure(seq);
+                let alive = self.membership.alive();
+                let pinged: Vec<bool> = self.ping_links.iter().map(Option::is_some).collect();
+                let answering =
+                    (0..pinged.len()).map(|ix| pinged[ix] && alive[ix] && !self.down[ix]).collect();
+                self.ping(&pinged, answering, now, None)?;
             }
         }
-        Ok(responded)
+        Ok(false)
+    }
+
+    /// When the open ping round, if any, is to be closed: at once when
+    /// every awaited node answered, at its deadline otherwise.
+    pub(crate) fn next_wake(&self) -> Option<f64> {
+        let open = self.open.as_ref()?;
+        let answered = open.awaited.iter().zip(&open.responded).all(|(&a, &r)| !a || r);
+        Some(if answered { f64::NEG_INFINITY } else { open.deadline })
     }
 
     /// Recomputes the routing from the current membership, publishes it

@@ -117,49 +117,32 @@ impl RoutingTable {
             return false;
         }
         let d = self.num_devices();
-        if self.gateway_bypass == self.live[d] {
+        let bad_parent = (self.device_parent)
+            .is_some_and(|p| p >= t || !self.tier_live(p) || !compat.device_to_tier[p]);
+        if self.gateway_bypass == self.live[d]
+            || self.forced_local != (self.live[d] && self.device_parent.is_none())
+            || bad_parent
+        {
             return false;
-        }
-        if self.forced_local != (self.live[d] && self.device_parent.is_none()) {
-            return false;
-        }
-        if let Some(p) = self.device_parent {
-            if p >= t || !self.tier_live(p) || !compat.device_to_tier[p] {
-                return false;
-            }
         }
         for i in 0..t {
-            if let Some(j) = self.escalate_to[i] {
-                if j <= i || j >= t || !self.tier_live(j) || !compat.tier_to_tier[i][j] {
-                    return false;
-                }
-            }
-            if i == t - 1 && self.escalate_to[i].is_some() {
-                return false;
-            }
-            if self.forced_exit[i]
-                && (!self.tier_live(i) || self.escalate_to[i].is_some() || i == t - 1)
-            {
+            let escalates = self.escalate_to[i].is_some();
+            let bad_hop = self.escalate_to[i].is_some_and(|j| {
+                j <= i || j >= t || !self.tier_live(j) || !compat.tier_to_tier[i][j]
+            });
+            let bad_exit = self.forced_exit[i] && (!self.tier_live(i) || escalates || i == t - 1);
+            if bad_hop || (i == t - 1 && escalates) || bad_exit {
                 return false;
             }
         }
         // Any live device's traffic must end somewhere that classifies.
-        if (0..d).any(|ix| self.live[ix]) && !self.forced_local {
-            let path = self.escalation_path();
-            match path.last() {
-                Some(&k) => {
-                    if k != t - 1 && !self.forced_exit[k] {
-                        return false;
-                    }
-                }
-                // No parent and no forced_local: only legal when the
-                // gateway is also gone *and* nothing can classify — the
-                // validator rejects such topologies up front, so a
-                // routing that reaches this state is malformed.
-                None => return false,
-            }
-        }
-        true
+        // No path and no forced_local is only reachable when the gateway
+        // is also gone *and* nothing can classify — the validator rejects
+        // such topologies up front, so a routing in this state is
+        // malformed.
+        let classifies = |&k: &usize| k == t - 1 || self.forced_exit[k];
+        let path = self.escalation_path();
+        !(0..d).any(|ix| self.live[ix]) || self.forced_local || path.last().is_some_and(classifies)
     }
 }
 
@@ -175,19 +158,16 @@ pub fn compute_routing(
     let t = compat.device_to_tier.len();
     let tier_live = |k: usize| live[num_devices + 1 + k];
     let device_parent = (0..t).find(|&k| tier_live(k) && compat.device_to_tier[k]);
-    let mut escalate_to = Vec::with_capacity(t);
-    let mut forced_exit = Vec::with_capacity(t);
-    for i in 0..t {
-        // A dead tier routes nothing; its edge is recomputed when it
-        // re-joins (every membership change republishes the table).
-        let up = if i == t - 1 || !tier_live(i) {
-            None
-        } else {
-            (i + 1..t).find(|&j| tier_live(j) && compat.tier_to_tier[i][j])
-        };
-        forced_exit.push(i != t - 1 && tier_live(i) && up.is_none());
-        escalate_to.push(up);
-    }
+    let (escalate_to, forced_exit) = (0..t)
+        .map(|i| {
+            // A dead tier routes nothing; its edge is recomputed when it
+            // re-joins (every membership change republishes the table).
+            let up = (i != t - 1 && tier_live(i))
+                .then(|| (i + 1..t).find(|&j| tier_live(j) && compat.tier_to_tier[i][j]))
+                .flatten();
+            (up, i != t - 1 && tier_live(i) && up.is_none())
+        })
+        .unzip();
     let gateway_bypass = !live[num_devices];
     let forced_local = live[num_devices] && device_parent.is_none();
     RoutingTable {

@@ -24,7 +24,7 @@
 //! recovery share stays separable from first-transmission cost.
 
 use crate::chaos::{damage, Delivery, LinkChaos};
-use crate::error::{Result, RuntimeError};
+use crate::error::{reject, Result};
 use crate::lock;
 use crate::message::{crc32, retransmit_form, Frame, HEADER_BYTES};
 use crate::obs::{LinkCounters, ObsEvent, RunObs};
@@ -35,7 +35,7 @@ use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// How a link recovers its traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -69,11 +69,12 @@ const BUFFER_FRAMES: usize = 512;
 /// milliseconds.
 const MAX_AGE_MS: u64 = 1000;
 
-/// The age at which a run's ARQ senders abandon a frame: [`MAX_AGE_MS`]
-/// clamped to the aggregation deadline — once the collector has blanked
-/// the sample, retransmitting it is pure waste.
-pub(crate) fn arq_max_age(deadlines: Option<&DeadlineConfig>) -> Duration {
-    Duration::from_millis(deadlines.map_or(MAX_AGE_MS, |d| MAX_AGE_MS.min(d.aggregation_ms)))
+/// The age at which a run's ARQ senders abandon a frame, in
+/// milliseconds: [`MAX_AGE_MS`] clamped to the aggregation deadline —
+/// once the collector has blanked the sample, retransmitting it is pure
+/// waste.
+pub(crate) fn arq_max_age(deadlines: Option<&DeadlineConfig>) -> f64 {
+    deadlines.map_or(MAX_AGE_MS, |d| MAX_AGE_MS.min(d.aggregation_ms)) as f64
 }
 
 /// Run-wide reliability configuration: the mode every link runs in.
@@ -107,11 +108,10 @@ impl ReliabilityConfig {
     /// (its give-up policy is defined by the sample deadline).
     pub fn validate(&self, deadlines: Option<&DeadlineConfig>) -> Result<()> {
         if self.mode == ReliabilityMode::Arq && deadlines.is_none() {
-            return Err(RuntimeError::Config {
-                reason: "ARQ requires deadlines: its give-up policy is bounded by the \
-                         aggregation deadline"
-                    .into(),
-            });
+            return reject(
+                "ARQ requires deadlines: its give-up policy is bounded by the \
+                 aggregation deadline",
+            );
         }
         Ok(())
     }
@@ -175,8 +175,9 @@ struct Unacked {
     wire: Arc<[u8]>,
     /// Eq. 1 payload bytes of the frame, for stats accounting.
     payload_bytes: usize,
-    first_sent: Instant,
-    next_retry: Instant,
+    /// Milliseconds on the sender's clock.
+    first_sent: f64,
+    next_retry: f64,
     backoff_ms: u64,
     retries: u32,
     /// The receiver NACKed this sequence number: retransmit immediately.
@@ -210,8 +211,10 @@ pub(crate) struct ArqSendState {
     /// sending node's crash state: a dead node cannot retransmit.
     fault: Option<Arc<LinkChaos>>,
     /// See [`arq_max_age`].
-    max_age: Duration,
-    /// Run observability: each retransmission emits a timeline event.
+    max_age: f64,
+    /// Run observability: each retransmission emits a timeline event, and
+    /// the run's clock is the time base of `first_sent`, `next_retry` and
+    /// `max_age`.
     obs: Arc<RunObs>,
     /// The data link's name, for event attribution.
     link: Arc<str>,
@@ -223,7 +226,7 @@ impl ArqSendState {
         ack_rx: Receiver<Arc<[u8]>>,
         stats: LinkCounters,
         fault: Option<Arc<LinkChaos>>,
-        max_age: Duration,
+        max_age: f64,
         obs: Arc<RunObs>,
         link: Arc<str>,
     ) -> Self {
@@ -237,6 +240,13 @@ impl ArqSendState {
             obs,
             link,
         }
+    }
+
+    /// The current instant on the run's clock: what
+    /// [`register`](ArqSendState::register) and
+    /// [`tick`](ArqSendState::tick) take.
+    pub(crate) fn now(&self) -> f64 {
+        self.obs.clock().elapsed_ms_f64()
     }
 
     /// Starts this sender's transport sequence numbers just past `base`
@@ -264,9 +274,8 @@ impl ArqSendState {
     /// Assigns the next transport sequence number, encodes the primary
     /// transmission (`flags = 0`) and buffers those same bytes for
     /// retransmission. Called *before* the primary's fault roll, so a
-    /// dropped primary is already recoverable.
-    pub(crate) fn register(&self, frame: &Frame) -> Arc<[u8]> {
-        let now = Instant::now();
+    /// dropped primary is already recoverable. `now` is the send instant.
+    pub(crate) fn register(&self, frame: &Frame, now: f64) -> Arc<[u8]> {
         let mut inner = lock(&self.inner);
         let tseq = inner.next_tseq;
         inner.next_tseq = inner.next_tseq.wrapping_add(1).max(1);
@@ -279,7 +288,7 @@ impl ArqSendState {
             wire: wire.clone(),
             payload_bytes: frame.payload_bytes(),
             first_sent: now,
-            next_retry: now + Duration::from_millis(RETRANSMIT_MS),
+            next_retry: now + RETRANSMIT_MS as f64,
             backoff_ms: RETRANSMIT_MS,
             retries: 0,
             nacked: false,
@@ -292,7 +301,7 @@ impl ArqSendState {
     /// due is decided under the buffer lock; the retransmissions are built
     /// and transmitted after releasing it, so a blocking socket never
     /// stalls the node thread's [`register`](ArqSendState::register).
-    pub(crate) fn tick(&self, now: Instant) {
+    pub(crate) fn tick(&self, now: f64) {
         for (wire, payload, tseq, retries) in self.take_due(now) {
             let delivery = self.fault.as_ref().map_or_else(Delivery::clean, |f| f.roll_raw());
             // Retransmissions skip duplication/jitter/reordering: they are
@@ -325,7 +334,7 @@ impl ArqSendState {
     /// The locked half of a sweep: absorbs acks, drops what is acked or
     /// hopeless, and books one more try on every frame that is due,
     /// returning each one's `(primary wire, payload bytes, tseq, retries)`.
-    fn take_due(&self, now: Instant) -> Vec<(Arc<[u8]>, usize, u32, u32)> {
+    fn take_due(&self, now: f64) -> Vec<(Arc<[u8]>, usize, u32, u32)> {
         let mut inner = lock(&self.inner);
         let ack_rx = lock(&self.ack_rx);
         while let Ok(ack) = ack_rx.try_recv() {
@@ -340,15 +349,15 @@ impl ArqSendState {
         // A due frame out of retries or past its age is hopeless: the
         // deadline tier owns that loss now.
         let max_age = self.max_age;
-        inner.buffer.retain(|u| {
-            !is_due(u) || (u.retries < MAX_RETRIES && now.duration_since(u.first_sent) <= max_age)
-        });
+        inner
+            .buffer
+            .retain(|u| !is_due(u) || (u.retries < MAX_RETRIES && now - u.first_sent <= max_age));
         let mut due = Vec::new();
         for u in inner.buffer.iter_mut().filter(|u| is_due(u)) {
             u.retries += 1;
             u.nacked = false;
             u.backoff_ms = (u.backoff_ms * 2).min(BACKOFF_CAP_MS);
-            u.next_retry = now + Duration::from_millis(u.backoff_ms);
+            u.next_retry = now + u.backoff_ms as f64;
             due.push((u.wire.clone(), u.payload_bytes, u.tseq, u.retries));
         }
         due
@@ -365,9 +374,8 @@ impl ArqSendState {
 /// sweeping roughly every millisecond until `stop` is raised.
 pub(crate) fn run_retransmit_pump(states: &[Arc<ArqSendState>], stop: &AtomicBool) {
     while !stop.load(Ordering::Relaxed) {
-        let now = Instant::now();
         for state in states {
-            state.tick(now);
+            state.tick(state.now());
         }
         std::thread::sleep(Duration::from_millis(1));
     }
@@ -576,7 +584,7 @@ mod tests {
         let (_ack_tx, ack_rx) = channel();
         let send = send_state(data_tx, ack_rx, &stats()).with_tseq_base(1 << 20);
         for seq in 0..2u32 {
-            let wire = send.register(&frame(u64::from(seq)));
+            let wire = send.register(&frame(u64::from(seq)), 0.0);
             assert_eq!(Frame::decode_checked(wire).unwrap().tseq, (1 << 20) + 1 + seq);
         }
         drop(data_rx);
@@ -592,13 +600,13 @@ mod tests {
         let (data_tx, _data_rx) = channel();
         let (ack_tx, ack_rx) = channel();
         let send = send_state(data_tx, ack_rx, &stats());
-        (0..40).for_each(|seq| drop(send.register(&frame(seq))));
+        (0..40).for_each(|seq| drop(send.register(&frame(seq), 0.0)));
         send.restart();
         assert_eq!(send.in_flight(), 0, "the dead incarnation's frames are dropped");
-        let tseq = Frame::decode_checked(send.register(&frame(40))).unwrap().tseq;
+        let tseq = Frame::decode_checked(send.register(&frame(40), 0.0)).unwrap().tseq;
         let obs = RunObs::disabled();
         assert!(ArqRecvState::new(channel_tx(ack_tx), stats(), None, obs, "l".into()).accept(tseq));
-        send.tick(Instant::now());
+        send.tick(0.0);
         assert_eq!(send.in_flight(), 0, "the first ack covered the first frame");
     }
 
@@ -609,7 +617,7 @@ mod tests {
         let st = stats();
         let send = send_state(data_tx, ack_rx, &st);
         let f = frame(7);
-        let primary = send.register(&f);
+        let primary = send.register(&f, 0.0);
         assert_eq!(primary, f.encode_checked(0, 1));
         assert_eq!(send.in_flight(), 1);
         // The primary is damaged by its fault roll, as `LinkSender::send`
@@ -619,16 +627,18 @@ mod tests {
         assert_ne!(damaged, primary);
         // Past the retransmit timeout the pump resends the frame: the
         // buffered primary with the flag set and the CRC redone is what a
-        // direct retransmit encoding would have produced.
-        let later = |ms| Instant::now() + Duration::from_millis(ms);
-        send.tick(later(RETRANSMIT_MS + 1));
+        // direct retransmit encoding would have produced. Not an instant
+        // before the timeout, though.
+        send.tick(RETRANSMIT_MS as f64 - 0.001);
+        assert!(data_rx.try_recv().is_err());
+        send.tick(RETRANSMIT_MS as f64);
         let wire = data_rx.try_recv().expect("a retransmission");
         assert_eq!(wire, f.encode_checked(FLAG_RETRANSMIT, 1));
         assert_eq!(Frame::decode_checked(wire).unwrap().frame, f);
         assert_eq!(st.frames_retransmitted.get(), 1);
         // Acking the frame clears the buffer; no further retransmissions.
         ack_tx.send(encode_ack(1, &[])).unwrap();
-        send.tick(later(10 * BACKOFF_CAP_MS));
+        send.tick((10 * BACKOFF_CAP_MS) as f64);
         assert_eq!(send.in_flight(), 0);
         assert!(data_rx.try_recv().is_err());
     }
@@ -658,12 +668,12 @@ mod tests {
         let gate = Arc::new(GatedTx { entered, release: Mutex::new(release) });
         let (max_age, obs) = (arq_max_age(None), RunObs::disabled());
         let send = ArqSendState::new(gate, ack_rx, stats(), None, max_age, obs, Arc::from("l"));
-        send.register(&frame(1));
+        send.register(&frame(1), 0.0);
         std::thread::scope(|s| {
-            s.spawn(|| send.tick(Instant::now() + Duration::from_millis(RETRANSMIT_MS + 1)));
+            s.spawn(|| send.tick(RETRANSMIT_MS as f64 + 1.0));
             entered_rx.recv().expect("the sweep reached transmit");
             s.spawn(|| {
-                send.register(&frame(2));
+                send.register(&frame(2), 0.0);
                 done_tx.send(()).unwrap();
             });
             let registered = done_rx.recv_timeout(Duration::from_secs(5)).is_ok();
@@ -679,12 +689,11 @@ mod tests {
         let (_ack_tx, ack_rx) = channel();
         let st = stats();
         let send = send_state(data_tx, ack_rx, &st);
-        send.register(&frame(1));
+        send.register(&frame(1), 0.0);
         // One sweep per backoff ceiling: every one finds the frame due,
         // and the whole series stays inside the frame's maximum age.
-        let start = Instant::now();
         for sweep in 1..=u64::from(MAX_RETRIES) + 4 {
-            send.tick(start + Duration::from_millis(sweep * (BACKOFF_CAP_MS + 1)));
+            send.tick((sweep * (BACKOFF_CAP_MS + 1)) as f64);
         }
         assert_eq!(send.in_flight(), 0, "hopeless frame abandoned");
         assert_eq!(st.frames_retransmitted.get(), u64::from(MAX_RETRIES));
@@ -699,11 +708,10 @@ mod tests {
         let send = send_state(data_tx, ack_rx, &st);
         // Swept at an instant before either frame's timeout: only the
         // NACK can trigger the resend.
-        let before = Instant::now();
-        send.register(&frame(1));
-        send.register(&frame(2));
+        send.register(&frame(1), 10.0);
+        send.register(&frame(2), 10.0);
         ack_tx.send(encode_ack(0, &[1])).unwrap();
-        send.tick(before);
+        send.tick(10.0);
         assert_eq!(drain(&data_rx).len(), 1, "only the NACKed frame resent");
         assert_eq!(send.in_flight(), 2, "tseq 2 still awaits its ack");
     }
@@ -714,7 +722,7 @@ mod tests {
         let (_ack_tx, ack_rx) = channel();
         let send = send_state(data_tx, ack_rx, &stats());
         for seq in 0..BUFFER_FRAMES as u64 + 3 {
-            send.register(&frame(seq));
+            send.register(&frame(seq), 0.0);
         }
         assert_eq!(send.in_flight(), BUFFER_FRAMES);
     }
@@ -725,7 +733,7 @@ mod tests {
         assert!(ReliabilityConfig::arq().validate(None).is_err());
         assert!(ReliabilityConfig::arq().validate(Some(&deadlines)).is_ok());
         assert!(ReliabilityConfig::crc().validate(None).is_ok());
-        assert_eq!(arq_max_age(Some(&deadlines)), Duration::from_millis(50));
-        assert_eq!(arq_max_age(None), Duration::from_millis(MAX_AGE_MS));
+        assert_eq!(arq_max_age(Some(&deadlines)), 50.0);
+        assert_eq!(arq_max_age(None), MAX_AGE_MS as f64);
     }
 }

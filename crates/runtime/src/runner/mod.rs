@@ -21,9 +21,11 @@
 //!
 //! Every runner goes the same way: the wiring table of the topology
 //! (`wiring`) → `connect` the rows this process's hosts own → `spawn_role`
-//! for each hosted role (`roles`) → `orchestrate`, whose one sample driver
+//! for each hosted role (`roles`) → `orchestrate`, whose sample pump
 //! (`pump`) admits samples in lockstep or on `cfg.stream`'s arrival
-//! schedule. [`run_topology`] hosts every role as threads,
+//! schedule. Each node and the pump are cores run by the one
+//! [`drive`](crate::clock::drive) loop, on the run's clock
+//! ([`crate::RunObs::clock`]). [`run_topology`] hosts every role as threads,
 //! [`run_cloud_only_baseline`] a one-tier wiring, and [`multiproc`] one
 //! role per OS process.
 
@@ -103,8 +105,7 @@ pub fn run_topology(
     let obs = Arc::new(RunObs::new(&cfg.obs));
     let blanks = compute_blanks(topology)?;
     let routing = Routing::new(topology, &live, cfg.elastic.map(|_| &blanks));
-    let clock = crate::SimClock::start();
-    let ctx = RunCtx { topology, cfg, live: &live, clock, obs, routing: &routing };
+    let ctx = RunCtx { topology, cfg, live: &live, obs, routing: &routing };
 
     // Every role of the wiring is hosted right here, as threads.
     let wiring = Wiring::of(topology, cfg.elastic.is_some());

@@ -74,8 +74,7 @@ use super::orchestrate::{host_nodes, live_mask, orchestrate, validate_run, Feed,
 use super::roles::{compute_blanks, spawn_role, Routing, RunCtx};
 use super::wiring::{connect, Addrs, Host, Wiring};
 use crate::chaos::{ChaosTarget, ProcTarget};
-use crate::clock::{recv_by, SimClock};
-use crate::error::{Result, RuntimeError};
+use crate::error::{reject, Result, RuntimeError};
 use crate::lock;
 use crate::node::report::{NodeReport, SimReport};
 use crate::obs::{ObsEvent, ObsRegistry, RunObs};
@@ -147,7 +146,7 @@ fn next_line(
     what: &str,
 ) -> Result<String> {
     let gone = |reason: String| RuntimeError::Peer { role: role.to_string(), reason };
-    match recv_by(lines, deadline) {
+    match lines.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
         Ok(line) => match line.strip_prefix("ERROR ") {
             Some(msg) => Err(gone(msg.to_string())),
             None => Ok(line),
@@ -225,10 +224,9 @@ fn fold_report_line(line: &str, registry: &ObsRegistry, degraded: &mut Vec<u64>)
 /// transport must be one.
 fn validate_launch(cfg: &HierarchyConfig) -> Result<()> {
     if !cfg.transport.is_socket() {
-        return Err(RuntimeError::Config {
-            reason: "multi-process runs need a socket transport (set cfg.transport to tcp or udp)"
-                .to_string(),
-        });
+        return reject(
+            "multi-process runs need a socket transport (set cfg.transport to tcp or udp)",
+        );
     }
     Ok(())
 }
@@ -237,9 +235,7 @@ fn validate_launch(cfg: &HierarchyConfig) -> Result<()> {
 fn socket_addr(own: Endpoint) -> Result<SocketAddr> {
     match own {
         Endpoint::Socket(addr) => Ok(addr),
-        Endpoint::Local => Err(RuntimeError::Config {
-            reason: "the channel transport cannot cross process boundaries".to_string(),
-        }),
+        Endpoint::Local => reject("the channel transport cannot cross process boundaries"),
     }
 }
 
@@ -562,8 +558,7 @@ pub fn launch(
     // run probes it on the blanks.
     let blanks = cfg.elastic.map(|_| compute_blanks(&topology)).transpose()?;
     let routing = Routing::new(&topology, &live, blanks.as_ref());
-    let clock = SimClock::start();
-    let ctx = RunCtx { topology: &topology, cfg, live: &live, clock, obs, routing: &routing };
+    let ctx = RunCtx { topology: &topology, cfg, live: &live, obs, routing: &routing };
     let wiring = Wiring::of(&topology, cfg.elastic.is_some());
 
     // One supervised process per role; the launcher hosts only the
@@ -681,8 +676,7 @@ where
     let live = live_mask(topology.num_devices(), &cfg);
     let routing = Routing::new(&topology, &live, cfg.elastic.map(|_| &blanks));
     let obs = Arc::new(RunObs::new(&cfg.obs));
-    let (clock, routing) = (SimClock::start(), &routing);
-    let ctx = RunCtx { topology: &topology, cfg: &cfg, live: &live, clock, obs, routing };
+    let ctx = RunCtx { topology: &topology, cfg: &cfg, live: &live, obs, routing: &routing };
 
     // The handshake: advertise where this role is reached, learn where
     // every host is. A respawned role numbers its ARQ frames from a fresh

@@ -1,13 +1,15 @@
 //! The orchestrator's side of a run, shared by every runner: input
 //! validation, the [`SampleHook`] a runner plugs in, and [`orchestrate`]
-//! — the one body that pumps the samples (`pump`) beside whatever nodes
-//! this process hosts, shuts the run down and assembles the report.
+//! — the one body that drives the sample pump's core (`Pump`) beside
+//! whatever nodes this process hosts, shuts the run down and assembles
+//! the report.
 
-use super::pump::pump;
+use super::pump::Pump;
 use super::roles::{RunCtx, Spawn};
 use super::wiring::{Host, Link, Plane, Wiring};
 use crate::chaos::{ChaosTarget, ProcTarget};
-use crate::error::{Result, RuntimeError};
+use crate::clock::drive;
+use crate::error::{reject, Result, RuntimeError};
 use crate::link::{LatencyModel, LinkSender};
 use crate::message::{quantize_image, Frame, NodeId, Payload, HEADER_BYTES};
 use crate::node::report::{assemble_report, NodeReport, SimReport};
@@ -33,22 +35,18 @@ pub(super) fn validate_run(
 ) -> Result<Vec<bool>> {
     let num_devices = topology.num_devices();
     if device_views.len() != num_devices {
-        return Err(RuntimeError::Config {
-            reason: format!("{} view batches for {num_devices} devices", device_views.len()),
-        });
+        return reject(format!("{} view batches for {num_devices} devices", device_views.len()));
     }
     if let Some(&bad) = cfg.failed_devices.iter().find(|&&d| d >= num_devices) {
-        return Err(RuntimeError::Config { reason: format!("failed device {bad} out of range") });
+        return reject(format!("failed device {bad} out of range"));
     }
     let n_samples = labels.len();
     if device_views.iter().any(|v| v.dims()[0] != n_samples) {
-        return Err(RuntimeError::Config {
-            reason: "device view batch size != label count".to_string(),
-        });
+        return reject("device view batch size != label count");
     }
     let live = live_mask(num_devices, cfg);
     if live.iter().all(|&l| !l) {
-        return Err(RuntimeError::Config { reason: "all devices failed".to_string() });
+        return reject("all devices failed");
     }
     cfg.chaos.validate(topology, cfg, processes)?;
     cfg.reliability.validate(cfg.deadlines.as_ref())?;
@@ -62,34 +60,25 @@ pub(super) fn validate_run(
         (cfg.transport.is_socket(), "a socket transport"),
     ] {
         if on && cfg.deadlines.is_none() {
-            return Err(RuntimeError::Config {
-                reason: format!("{what} requires deadlines (set cfg.deadlines)"),
-            });
+            return reject(format!("{what} requires deadlines (set cfg.deadlines)"));
         }
     }
     if cfg.elastic.is_some_and(|el| el.heartbeat_ms == 0 || el.suspect_after == 0) {
-        return Err(RuntimeError::Config {
-            reason: "elastic heartbeat_ms and suspect_after must be at least 1".to_string(),
-        });
+        return reject("elastic heartbeat_ms and suspect_after must be at least 1");
     }
     if let Some(stream) = &cfg.stream {
         stream.validate()?;
     }
     if let Shape::CloudOnly { .. } = topology.shape {
         if cfg.elastic.is_some() {
-            return Err(RuntimeError::Config {
-                reason: "the cloud-only baseline has no tiers to rebalance (unset cfg.elastic)"
-                    .to_string(),
-            });
+            return reject("the cloud-only baseline has no tiers to rebalance (unset cfg.elastic)");
         }
         if cfg.transport.is_socket() {
-            return Err(RuntimeError::Config {
-                reason: format!(
-                    "the cloud-only baseline runs in-process only (transport {} is for \
+            return reject(format!(
+                "the cloud-only baseline runs in-process only (transport {} is for \
                      run_topology and the multi-process launcher; set cfg.transport to channel)",
-                    cfg.transport.name()
-                ),
-            });
+                cfg.transport.name()
+            ));
         }
     }
     Ok(live)
@@ -237,7 +226,7 @@ fn elastic_driver(ctx: &RunCtx, wiring: &Wiring, plane: &Plane) -> Result<Option
         ping_links.push(Some(plane.sender(Link::PingTier(k))?));
     }
     let (compat, initial) = (ctx.routing.compat.clone(), ctx.routing.initial.clone());
-    Ok(Some(ElasticDriver::new(dir, compat, initial, cfg, ping_links, ctx.clock, obs)))
+    Ok(Some(ElasticDriver::new(dir, compat, initial, cfg, ping_links, obs)))
 }
 
 /// The orchestrator body every runner finishes through: lets `host`
@@ -254,10 +243,9 @@ pub(super) fn orchestrate(
     labels: &[usize],
     hook: &mut impl SampleHook,
 ) -> Result<SimReport> {
-    let RunCtx { topology, cfg, live, clock, obs, .. } = ctx;
+    let RunCtx { topology, cfg, live, obs, .. } = ctx;
     let mut orch_inbox = plane.inbox(NodeId::Orchestrator)?;
     let mut driver = elastic_driver(ctx, wiring, &plane)?;
-    let exit_point_of = |tier: u8| topology.exit_point_of(tier);
     // Simulated latency of a lockstep sample: the device->gateway hop
     // (a local wireless link) always happens; each escalation up the
     // chain adds one WAN transfer of the feature map. Accumulated hop by
@@ -267,34 +255,20 @@ pub(super) fn orchestrate(
     let summary_bytes = HEADER_BYTES + 4 + 4 * topology.config.num_classes;
     let map_bytes = HEADER_BYTES + 6 + 4 + topology.config.device_map_elems().div_ceil(8);
     let staged = matches!(topology.shape, Shape::Staged);
-    let latency_of = |tier: u8| {
-        if !staged {
-            return 0.0;
-        }
-        let mut ms = LatencyModel::local().transfer_ms(summary_bytes);
-        for _ in 0..tier {
-            ms += LatencyModel::wan().transfer_ms(map_bytes);
-        }
-        ms
+    let (local, wan) = (LatencyModel::local(), LatencyModel::wan());
+    let latency_of = |tier: u8| match staged {
+        true => (0..tier)
+            .fold(local.transfer_ms(summary_bytes), |ms, _| ms + wan.transfer_ms(map_bytes)),
+        false => 0.0,
     };
     let arq = std::mem::take(&mut plane.factory.arq_states);
     let (tallies, mut node_reports) = host_nodes(&arq, |spawn, pump_stop| {
         host(&mut plane, spawn)?;
-        let mut schedule = cfg.chaos.schedule();
-        let tallies = pump(
-            labels.len(),
-            cfg.stream.as_ref(),
-            cfg.deadlines,
-            *clock,
-            &mut orch_inbox,
-            hook,
-            &mut schedule,
-            exit_point_of,
-            latency_of,
-            obs,
-            &ctx.routing.initial,
-            driver.as_mut(),
-        )?;
+        let exit_of = |tier: u8| Ok((topology.exit_point_of(tier)?, latency_of(tier)));
+        let initial = &ctx.routing.initial;
+        let (n, start) = (labels.len(), obs.clock().elapsed_ms_f64());
+        let pump = Pump::new(n, start, cfg, hook, &exit_of, obs, initial, driver.as_mut());
+        let tallies = drive(pump, &mut orch_inbox, obs.clock())?.tallies;
         // Every sample resolved: stop retransmitting before shutdown.
         pump_stop.store(true, Ordering::Release);
 

@@ -22,28 +22,37 @@
 //!   Without deadlines there is no watchdog: the wait blocks, and
 //!   anything but the awaited verdict is a protocol error.
 //! - **Latency.** A scheduled sample's latency is measured from its
-//!   *scheduled* arrival instant on the sub-millisecond clock
-//!   ([`SimClock::elapsed_ms_f64`]), so dispatch jitter and queueing delay
-//!   are charged to the sample, not hidden by it (no coordinated
-//!   omission). Lockstep has no queue to measure and reports the analytic
-//!   link-model latency of the exit the sample took.
+//!   *scheduled* arrival instant on the run's sub-millisecond clock, so
+//!   dispatch jitter and queueing delay are charged to the sample, not
+//!   hidden by it (no coordinated omission). Lockstep has no queue to
+//!   measure and reports the analytic link-model latency of the exit the
+//!   sample took.
+//!
+//! The pump is a core ([`Pump`]): it decides on `(now, frame)` and holds
+//! no clock, and [`drive`](crate::clock::drive) does its waiting on the
+//! orchestrator's inbox. It also carries the elastic driver's ping rounds —
+//! the heartbeat sweep and a scheduled Down/Up's confirmation — as state:
+//! while a round is open the pump only takes pongs and verdicts, and its
+//! next wake-up is the round's deadline. Otherwise it wakes at the
+//! earliest of the next arrival, the earliest watchdog action and, under
+//! scheduled arrivals, the next sweep.
 
 use super::orchestrate::SampleHook;
 use crate::chaos::{ChaosTarget, Schedule};
-use crate::clock::SimClock;
+use crate::clock::Core;
 use crate::error::{Result, RuntimeError};
-use crate::link::NodeInbox;
 use crate::message::{Frame, Payload};
 use crate::node::report::{RunTallies, SampleOutcome};
-use crate::obs::{ObsEvent, RunObs};
+use crate::obs::{Counter, ObsEvent, RunObs};
 use crate::orchestrator::rebalance::RoutingTable;
 use crate::orchestrator::ElasticDriver;
-use crate::topology::{DeadlineConfig, StreamConfig};
+use crate::topology::HierarchyConfig;
 use ddnn_core::ExitPoint;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
-/// An admitted sample awaiting its verdict. Times are milliseconds since
-/// the pump started.
+/// An admitted sample awaiting its verdict. Times are milliseconds on
+/// the run clock.
 struct InFlight {
     /// The arrival instant latency is measured from.
     born: f64,
@@ -54,271 +63,432 @@ struct InFlight {
     due: f64,
 }
 
-/// Drives `n_samples` through the hierarchy behind `hook`: `stream` sets
-/// the arrival schedule and admission window (`None`: lockstep),
-/// `deadlines` the watchdog (`None`: blocking waits, strict protocol).
-/// Captures go out under `elastic`'s published routing, or under
-/// `initial` (epoch 0) in a run no driver steers.
+/// Where the pump picks up once the ping round it opened has closed.
+#[derive(Debug)]
+enum Resume {
+    /// The watchdog, a due sweep, then admissions.
+    Top,
+    /// A heartbeat sweep ended: time the next one, then admit.
+    Swept,
+    /// A scheduled Down/Up was confirmed: admit its sample.
+    Admit,
+}
+
+/// The sample pump's core: drives `n_samples` through the hierarchy
+/// behind its [`SampleHook`], from `start` on the run clock. `cfg.stream`
+/// sets the arrival schedule and admission window (`None`: lockstep),
+/// `cfg.deadlines` the watchdog (`None`: no watchdog, strict protocol),
+/// `cfg.chaos` the Down/Up events fired before their samples. Captures go
+/// out under `elastic`'s published routing, or under `initial` (epoch 0)
+/// in a run no driver steers; `exit_of` maps a verdict's exit tier to its
+/// exit point and lockstep latency.
 ///
 /// Conservation invariant, checked by the chaos suite: every arrival is
 /// exactly one of classified / shed / timed out, and
 /// `admitted == classified + timed_out`.
-#[allow(clippy::too_many_arguments)]
-pub(super) fn pump(
+pub(super) struct Pump<'a> {
     n_samples: usize,
-    stream: Option<&StreamConfig>,
-    deadlines: Option<DeadlineConfig>,
-    clock: SimClock,
-    orch_rx: &mut NodeInbox,
-    hook: &mut impl SampleHook,
-    schedule: &mut Schedule,
-    exit_point_of: impl Fn(u8) -> Result<ExitPoint>,
-    latency_of: impl Fn(u8) -> f32,
-    obs: &RunObs,
-    initial: &RoutingTable,
-    mut elastic: Option<&mut ElasticDriver>,
-) -> Result<RunTallies> {
-    let lockstep = stream.is_none();
-    let offsets = stream.map(|s| s.arrival.offsets_ms(n_samples));
-    let window = stream.map_or(1, |s| s.queue_cap);
-    let (watchdog_ms, max_retries) =
-        deadlines.map_or((f64::INFINITY, 0), |dl| (dl.watchdog_ms as f64, dl.max_retries));
-    // A scheduled arrival starts on its last slice, stretched to the whole
-    // budget.
-    let first_attempt = if lockstep { 0 } else { max_retries };
-    let mut predictions = vec![0usize; n_samples];
-    let mut exits = vec![ExitPoint::Cloud; n_samples];
-    let mut latencies = vec![0.0f64; n_samples];
-    let mut outcomes = vec![SampleOutcome::Classified; n_samples];
-    // Each discipline reports the counters that can move under it.
-    let registry = obs.registry();
-    let samples_ctr = registry.counter("run.samples");
-    let timeouts_ctr = registry.counter("run.watchdog_timeouts");
-    let retries_ctr = lockstep.then(|| registry.counter("run.capture_retries"));
-    let admission_ctrs =
-        (!lockstep).then(|| (registry.counter("run.admitted"), registry.counter("run.shed")));
+    /// Scheduled arrival instants; `None` is lockstep.
+    offsets: Option<Vec<f64>>,
+    window: usize,
+    watchdog_ms: f64,
+    max_retries: u32,
+    /// The run's tallies, complete once the pump is done.
+    pub(super) tallies: RunTallies,
+    /// `due` is nondecreasing in seq — scheduled births are, and lockstep
+    /// holds one sample — so the first entry always carries the earliest.
+    inflight: BTreeMap<u64, InFlight>,
+    /// The next sample to arrive.
+    next: usize,
+    /// Elastic heartbeat sweeps — membership moves and topology epochs are
+    /// published only there. Scheduled arrivals pace them at the
+    /// heartbeat period; lockstep runs one strictly between samples, after
+    /// each resolves (`swept` counts the samples that had theirs).
+    sweep_at: f64,
+    swept: usize,
+    resume: Resume,
+    samples_ctr: Arc<Counter>,
+    timeouts_ctr: Arc<Counter>,
+    /// Each discipline reports the counters that can move under it.
+    retries_ctr: Option<Arc<Counter>>,
+    admission_ctrs: Option<(Arc<Counter>, Arc<Counter>)>,
+    hook: &'a mut dyn SampleHook,
+    schedule: Schedule<'a>,
+    exit_of: &'a dyn Fn(u8) -> Result<(ExitPoint, f32)>,
+    obs: &'a RunObs,
+    initial: &'a RoutingTable,
+    elastic: Option<&'a mut ElasticDriver>,
+}
 
-    // `due` is nondecreasing in seq — scheduled births are, and lockstep
-    // holds one sample — so the first entry always carries the earliest.
-    let mut inflight: BTreeMap<u64, InFlight> = BTreeMap::new();
-    // Frames off the orchestrator's inbox, waiting to be resolved.
-    let mut arrived: Vec<Frame> = Vec::new();
-    let t0 = clock.elapsed_ms_f64();
-    let mut next = 0usize;
-    // Elastic heartbeat sweeps — membership moves and topology epochs are
-    // published only there. Scheduled arrivals pace them at the heartbeat
-    // period; lockstep runs one strictly between samples, after each
-    // resolves (`swept` counts the samples that had theirs).
-    let mut sweep_at = elastic.as_ref().map_or(f64::INFINITY, |d| d.heartbeat_ms as f64);
-    let mut swept = 0usize;
+impl<'a> Pump<'a> {
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn new(
+        n_samples: usize,
+        start: f64,
+        cfg: &'a HierarchyConfig,
+        hook: &'a mut dyn SampleHook,
+        exit_of: &'a dyn Fn(u8) -> Result<(ExitPoint, f32)>,
+        obs: &'a RunObs,
+        initial: &'a RoutingTable,
+        elastic: Option<&'a mut ElasticDriver>,
+    ) -> Self {
+        let (stream, lockstep) = (cfg.stream.as_ref(), cfg.stream.is_none());
+        let (watchdog_ms, max_retries) =
+            cfg.deadlines.map_or((f64::INFINITY, 0), |dl| (dl.watchdog_ms as f64, dl.max_retries));
+        let offsets = stream.map(|s| s.arrival.offsets_ms(n_samples));
+        let registry = obs.registry();
+        Pump {
+            n_samples,
+            offsets: offsets.map(|o| o.into_iter().map(|at| start + at).collect()),
+            window: stream.map_or(1, |s| s.queue_cap),
+            watchdog_ms,
+            max_retries,
+            tallies: RunTallies {
+                predictions: vec![0; n_samples],
+                exits: vec![ExitPoint::Cloud; n_samples],
+                latencies: vec![0.0; n_samples],
+                outcomes: vec![SampleOutcome::Classified; n_samples],
+            },
+            inflight: BTreeMap::new(),
+            next: 0,
+            sweep_at: elastic.as_ref().map_or(f64::INFINITY, |d| start + d.heartbeat_ms as f64),
+            swept: 0,
+            resume: Resume::Top,
+            samples_ctr: registry.counter("run.samples"),
+            timeouts_ctr: registry.counter("run.watchdog_timeouts"),
+            retries_ctr: lockstep.then(|| registry.counter("run.capture_retries")),
+            admission_ctrs: (!lockstep)
+                .then(|| (registry.counter("run.admitted"), registry.counter("run.shed"))),
+            hook,
+            schedule: cfg.chaos.schedule(),
+            exit_of,
+            obs,
+            initial,
+            elastic,
+        }
+    }
 
-    // Under deadlines, retried samples leave duplicate and stale verdicts
-    // behind and sweeps leave late pongs: they drain harmlessly. Without,
-    // nothing is ever sent twice.
-    let unexpected = |reason: String| match deadlines {
-        Some(_) => Ok(()),
-        None => Err(RuntimeError::Protocol { reason }),
-    };
+    /// Under deadlines, retried samples leave duplicate and stale verdicts
+    /// behind and sweeps leave late pongs: they drain harmlessly. Without
+    /// (no watchdog) nothing is ever sent twice, and anything but the
+    /// awaited verdict is a protocol error.
+    fn unexpected(&self, reason: String) -> Result<()> {
+        match self.watchdog_ms.is_infinite() {
+            true => Err(RuntimeError::Protocol { reason }),
+            false => Ok(()),
+        }
+    }
 
-    loop {
-        // The watchdog: re-feed or expire whatever is past due.
-        let now = clock.elapsed_ms_f64() - t0;
-        while let Some(mut first) = inflight.first_entry().filter(|e| e.get().due <= now) {
+    /// The watchdog: re-feeds or expires whatever is past due at `now`.
+    fn watchdog(&mut self, now: f64) -> Result<()> {
+        while let Some(mut first) = self.inflight.first_entry().filter(|e| e.get().due <= now) {
             let (seq, flight) = (*first.key(), first.get_mut());
-            if flight.attempts < max_retries {
+            if flight.attempts < self.max_retries {
                 flight.attempts += 1;
-                if let Some(retries) = &retries_ctr {
+                flight.due = now + self.watchdog_ms;
+                if let Some(retries) = &self.retries_ctr {
                     retries.incr();
                 }
-                hook.feed(seq as usize, elastic.as_deref().map_or(initial, |d| &d.routing))?;
-                flight.due = clock.elapsed_ms_f64() - t0 + watchdog_ms;
+                let routing = self.elastic.as_deref().map_or(self.initial, |d| &d.routing);
+                self.hook.feed(seq as usize, routing)?;
                 continue;
             }
-            let waited_ms = (f64::from(flight.attempts + 1) * watchdog_ms) as u64;
+            let waited_ms = (f64::from(flight.attempts + 1) * self.watchdog_ms) as u64;
             first.remove();
             let i = seq as usize;
-            timeouts_ctr.incr();
-            obs.emit(|| ObsEvent::WatchdogTimeout { seq, waited_ms });
-            outcomes[i] = SampleOutcome::TimedOut { waited_ms };
-            predictions[i] = usize::MAX; // never matches a label
-            latencies[i] = waited_ms as f64;
+            self.timeouts_ctr.incr();
+            self.obs.emit(|| ObsEvent::WatchdogTimeout { seq, waited_ms });
+            self.tallies.outcomes[i] = SampleOutcome::TimedOut { waited_ms };
+            self.tallies.predictions[i] = usize::MAX; // never matches a label
+            self.tallies.latencies[i] = waited_ms as f64;
         }
-        if let Some(driver) = elastic.as_deref_mut() {
-            let due = if lockstep { inflight.is_empty() && swept < next } else { now >= sweep_at };
-            if due {
-                driver.after_sample(next.saturating_sub(1) as u64, orch_rx, &mut arrived)?;
-                sweep_at = clock.elapsed_ms_f64() - t0 + driver.heartbeat_ms as f64;
-                swept = next;
-            }
-        }
-        // Admit (or shed) every arrival that is due: on its schedule, or —
-        // lockstep — as soon as the window is empty.
-        let now = clock.elapsed_ms_f64() - t0;
-        let arrival_at = |i: usize, idle: bool| match &offsets {
-            Some(offsets) => offsets[i],
-            None if idle => now,
-            None => f64::INFINITY,
-        };
-        while next < n_samples {
-            let (i, born) = (next, arrival_at(next, inflight.is_empty()));
+        Ok(())
+    }
+
+    /// Admits (or sheds) every arrival due at `now`: on its schedule, or —
+    /// lockstep — as soon as the window is empty.
+    fn admit(&mut self, now: f64) -> Result<()> {
+        while self.next < self.n_samples {
+            let born = match &self.offsets {
+                Some(offsets) => offsets[self.next],
+                None if self.inflight.is_empty() => now,
+                None => break,
+            };
             if born > now {
                 break;
             }
-            next += 1;
-            let seq = i as u64;
-            samples_ctr.incr();
-            obs.emit(|| ObsEvent::SampleEnqueued { seq });
-            // Chaos: whatever is scheduled before this sample happens
-            // before its captures go out, so a scheduled Down takes effect
-            // exactly at its sample — a node's through the elastic
-            // driver's confirmed ping, a process's through the runner.
-            schedule.fire(seq, |target, down| match elastic.as_deref_mut() {
-                Some(driver) if !matches!(target, ChaosTarget::Process(_)) => {
-                    driver.set_down(target, down, orch_rx, &mut arrived)
+            let (i, seq) = (self.next, self.next as u64);
+            // Chaos scheduled before the sample happens first, so a
+            // scheduled Down takes effect exactly at its sample — a
+            // process's through the runner, a node's through the elastic
+            // driver's ping, whose round the sample waits out.
+            while let Some((target, down)) = self.schedule.next_due(seq) {
+                match self.elastic.as_deref_mut() {
+                    Some(driver) if !matches!(target, ChaosTarget::Process(_)) => {
+                        driver.set_down(target, down);
+                    }
+                    _ => self.hook.apply(seq, target, down)?,
                 }
-                _ => hook.apply(seq, target, down),
-            })?;
-            if inflight.len() >= window {
-                if let Some((_, shed)) = &admission_ctrs {
+            }
+            if let Some(driver) = self.elastic.as_deref_mut() {
+                if driver.confirm(now)? {
+                    self.resume = Resume::Admit;
+                    return Ok(());
+                }
+            }
+            self.next += 1;
+            self.samples_ctr.incr();
+            self.obs.emit(|| ObsEvent::SampleEnqueued { seq });
+            if self.inflight.len() >= self.window {
+                if let Some((_, shed)) = &self.admission_ctrs {
                     shed.incr();
                 }
-                let depth = inflight.len();
-                obs.emit(|| ObsEvent::SampleShed { seq, inflight: depth });
-                outcomes[i] = SampleOutcome::Shed;
-                predictions[i] = usize::MAX; // never matches a label
+                let depth = self.inflight.len();
+                self.obs.emit(|| ObsEvent::SampleShed { seq, inflight: depth });
+                self.tallies.outcomes[i] = SampleOutcome::Shed;
+                self.tallies.predictions[i] = usize::MAX; // never matches a label
                 continue; // latency stays 0: the sample never entered
             }
-            if let Some((admitted, _)) = &admission_ctrs {
+            if let Some((admitted, _)) = &self.admission_ctrs {
                 admitted.incr();
             }
-            hook.feed(i, elastic.as_deref().map_or(initial, |d| &d.routing))?;
-            let due = born + f64::from(first_attempt + 1) * watchdog_ms;
-            inflight.insert(seq, InFlight { born, attempts: first_attempt, due });
+            let routing = self.elastic.as_deref().map_or(self.initial, |d| &d.routing);
+            self.hook.feed(i, routing)?;
+            // A scheduled arrival starts on its last slice, stretched to
+            // the whole budget.
+            let first_attempt = if self.offsets.is_none() { 0 } else { self.max_retries };
+            let due = born + f64::from(first_attempt + 1) * self.watchdog_ms;
+            self.inflight.insert(seq, InFlight { born, attempts: first_attempt, due });
         }
-        if next >= n_samples && inflight.is_empty() {
-            break;
-        }
-        // Sleep until the next interesting instant: the next arrival, the
-        // earliest watchdog action, or the next heartbeat sweep —
-        // whichever comes first. A frame landing earlier wakes us up; no
-        // frame is a tick, handled at the loop top. With nothing of the
-        // three ahead (lockstep without deadlines) only the verdict can
-        // end the wait.
-        if arrived.is_empty() {
-            let mut wake = inflight.first_key_value().map_or(f64::INFINITY, |(_, f)| f.due);
-            if next < n_samples {
-                wake = wake.min(arrival_at(next, false));
-            }
-            if !lockstep {
-                wake = wake.min(sweep_at);
-            }
-            let now = clock.elapsed_ms_f64() - t0;
-            arrived.extend(if wake.is_finite() {
-                orch_rx.recv_deadline(clock.deadline_in_f64(wake - now))?
-            } else {
-                Some(orch_rx.recv()?)
-            });
-        }
-        for frame in arrived.drain(..) {
-            let Payload::Verdict { prediction, exit_tier } = frame.payload else {
-                unexpected("orchestrator received a non-verdict".to_string())?;
-                continue;
-            };
-            let Some(flight) = inflight.remove(&frame.seq) else {
-                let running = inflight.keys().next().map_or(frame.seq, |&s| s);
-                unexpected(format!("verdict for sample {} while running {running}", frame.seq))?;
-                continue;
-            };
-            let i = frame.seq as usize;
-            predictions[i] = prediction as usize;
-            exits[i] = exit_point_of(exit_tier)?;
-            latencies[i] = if lockstep {
-                // Widening the f32 link-model latency is lossless, so the
-                // f32 mean fields stay bit-identical to the seed runtime.
-                f64::from(latency_of(exit_tier))
-            } else {
-                clock.elapsed_ms_f64() - t0 - flight.born
-            };
-        }
+        Ok(())
     }
-    Ok(RunTallies { predictions, exits, latencies, outcomes })
+}
+
+impl Core for Pump<'_> {
+    fn on_wake(&mut self, now: f64) -> Result<()> {
+        // An open ping round holds everything else up until it closes.
+        if let Some(driver) = self.elastic.as_deref_mut() {
+            if driver.busy(now)? {
+                return Ok(());
+            }
+        }
+        match std::mem::replace(&mut self.resume, Resume::Top) {
+            Resume::Top => {
+                self.watchdog(now)?;
+                // Lockstep sweeps strictly between samples.
+                let due = match self.offsets.is_none() {
+                    true => self.inflight.is_empty() && self.swept < self.next,
+                    false => now >= self.sweep_at,
+                };
+                if let Some(driver) = self.elastic.as_deref_mut().filter(|_| due) {
+                    driver.sweep(self.next.saturating_sub(1) as u64, now)?;
+                    (self.swept, self.resume) = (self.next, Resume::Swept);
+                    return Ok(());
+                }
+            }
+            Resume::Swept => {
+                let heartbeat_ms = self.elastic.as_deref().map_or(0, |d| d.heartbeat_ms);
+                self.sweep_at = now + heartbeat_ms as f64;
+            }
+            Resume::Admit => {}
+        }
+        self.admit(now)
+    }
+
+    /// Resolves a verdict; hands a pong to the elastic driver.
+    fn on_frame(&mut self, now: f64, frame: Frame) -> Result<()> {
+        let Payload::Verdict { prediction, exit_tier } = frame.payload else {
+            return match self.elastic.as_deref_mut() {
+                Some(driver) if frame.payload == Payload::Pong => {
+                    driver.on_pong(&frame);
+                    Ok(())
+                }
+                _ => self.unexpected("orchestrator received a non-verdict".to_string()),
+            };
+        };
+        let Some(flight) = self.inflight.remove(&frame.seq) else {
+            let running = self.inflight.keys().next().map_or(frame.seq, |&s| s);
+            return self
+                .unexpected(format!("verdict for sample {} while running {running}", frame.seq));
+        };
+        let (i, (exit, link_ms)) = (frame.seq as usize, (self.exit_of)(exit_tier)?);
+        self.tallies.predictions[i] = prediction as usize;
+        self.tallies.exits[i] = exit;
+        self.tallies.latencies[i] = match self.offsets.is_none() {
+            // Widening the f32 link-model latency is lossless, so the f32
+            // mean fields stay bit-identical to the seed runtime.
+            true => f64::from(link_ms),
+            false => now - flight.born,
+        };
+        Ok(())
+    }
+
+    /// The open ping round's; otherwise the earliest of the next arrival,
+    /// the first watchdog action and the next sweep. With none of them
+    /// ahead (lockstep without deadlines) only a verdict can end the wait.
+    fn next_wake(&self) -> f64 {
+        if let Some(wake) = self.elastic.as_deref().and_then(ElasticDriver::next_wake) {
+            return wake;
+        }
+        let mut wake = self.inflight.first_key_value().map_or(f64::INFINITY, |(_, f)| f.due);
+        if let Some(offsets) = &self.offsets {
+            wake = wake.min(offsets.get(self.next).copied().unwrap_or(f64::INFINITY));
+            wake = wake.min(self.sweep_at);
+        }
+        wake
+    }
+
+    fn done(&self) -> bool {
+        let round_open = self.elastic.as_deref().is_some_and(|d| d.next_wake().is_some());
+        self.next >= self.n_samples && self.inflight.is_empty() && !round_open
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chaos::ChaosPlan;
-    use crate::link::{link, LinkSender};
+    use crate::link::link;
     use crate::message::NodeId;
     use crate::obs::ObsConfig;
     use crate::orchestrator::rebalance::{compute_routing, Compat};
-    use crate::topology::ArrivalProcess;
+    use crate::orchestrator::{ElasticConfig, NodeDirectory};
+    use crate::topology::{ArrivalProcess, DeadlineConfig, StreamConfig};
+    use SampleOutcome::{Classified, Shed};
 
-    /// A one-node "hierarchy" that answers every capture round with a
-    /// local-exit verdict — except the first round, which it loses.
-    struct LosesTheFirstFeed {
-        verdicts: LinkSender,
-        feeds: usize,
-    }
+    /// A hierarchy that only records the samples it is fed.
+    struct Feeds(Vec<usize>);
 
-    impl SampleHook for LosesTheFirstFeed {
+    impl SampleHook for Feeds {
         fn feed(&mut self, i: usize, _: &RoutingTable) -> Result<()> {
-            self.feeds += 1;
-            if self.feeds == 1 {
-                return Ok(());
-            }
-            let verdict = Payload::Verdict { prediction: 3, exit_tier: 0 };
-            self.verdicts.send(&Frame::new(i as u64, NodeId::Gateway, verdict))
+            self.0.push(i);
+            Ok(())
         }
     }
 
-    /// One sample through the pump behind that hook; returns the tallies,
-    /// the feeds the hook saw and `run.capture_retries`.
-    fn run(stream: Option<StreamConfig>, dl: DeadlineConfig) -> (RunTallies, usize, u64) {
-        let (verdicts, rx, _) = link("gateway->orchestrator");
-        let obs = RunObs::new(&ObsConfig::default());
-        let mut inbox = NodeInbox::new(rx, RunObs::disabled());
-        let mut hook = LosesTheFirstFeed { verdicts, feeds: 0 };
-        let tallies = pump(
-            1,
-            stream.as_ref(),
-            Some(dl),
-            SimClock::start(),
-            &mut inbox,
-            &mut hook,
-            &mut ChaosPlan::none().schedule(),
-            |_| Ok(ExitPoint::Local),
-            |_| 2.5,
-            &obs,
-            &compute_routing(0, vec![true; 3], 1, &Compat::chain(1)),
-            None,
-        )
-        .unwrap();
-        let retries = obs.registry().counter("run.capture_retries").get();
-        (tallies, hook.feeds, retries)
+    fn verdict(seq: u64) -> Frame {
+        Frame::new(seq, NodeId::Gateway, Payload::Verdict { prediction: 3, exit_tier: 0 })
+    }
+
+    /// Plays `script` on a pump of `n` samples under `cfg` whose verdicts
+    /// are local exits of 2.5 ms link latency; returns its tallies, the
+    /// samples it fed (re-feeds included) and the counter snapshot.
+    fn with_pump(
+        n: usize,
+        cfg: &HierarchyConfig,
+        elastic: Option<&mut ElasticDriver>,
+        script: impl FnOnce(&mut Pump),
+    ) -> (RunTallies, Vec<usize>, Vec<(String, u64)>) {
+        let (obs, mut feeds) = (RunObs::new(&ObsConfig::default()), Feeds(Vec::new()));
+        let initial = compute_routing(0, vec![true; 3], 1, &Compat::chain(1));
+        let exit_of = |_| Ok((ExitPoint::Local, 2.5));
+        let mut pump = Pump::new(n, 0.0, cfg, &mut feeds, &exit_of, &obs, &initial, elastic);
+        script(&mut pump);
+        let tallies = pump.tallies;
+        (tallies, feeds.0, obs.registry().snapshot())
+    }
+
+    fn stream(queue_cap: usize) -> Option<StreamConfig> {
+        let arrival = ArrivalProcess::Fixed { rate_per_s: 1000.0 }; // one per ms, from 0
+        Some(StreamConfig { arrival, queue_cap, batch_max: 1 })
     }
 
     #[test]
     fn lockstep_re_feeds_a_lost_sample_and_scheduled_arrivals_wait_out_the_budget() {
         let dl = DeadlineConfig { watchdog_ms: 15, max_retries: 2, ..DeadlineConfig::fast() };
-
-        // Lockstep: one watchdog slice passes, the captures go out again,
-        // the verdict lands.
-        let (tallies, feeds, retries) = run(None, dl);
-        assert_eq!(tallies.outcomes, [SampleOutcome::Classified]);
+        let cfg = HierarchyConfig { deadlines: Some(dl), ..HierarchyConfig::default() };
+        // Lockstep: the first feed is lost. One watchdog slice later — not
+        // an instant earlier — the captures go out again; the verdict lands.
+        let (tallies, feeds, counters) = with_pump(1, &cfg, None, |p| {
+            p.on_wake(100.0).unwrap();
+            assert_eq!(p.next_wake(), 115.0);
+            p.on_wake(114.9).unwrap();
+            p.on_wake(115.0).unwrap();
+            assert_eq!(p.next_wake(), 130.0);
+            p.on_frame(120.0, verdict(0)).unwrap();
+            p.on_wake(120.0).unwrap();
+            assert!(p.done());
+        });
+        assert_eq!(tallies.outcomes, [Classified]);
         assert_eq!((tallies.predictions[0], tallies.exits[0]), (3, ExitPoint::Local));
         assert_eq!(tallies.latencies, [2.5], "lockstep latency is the link model's");
-        assert_eq!((feeds, retries), (2, 1));
+        assert_eq!(feeds, [0, 0]);
+        assert!(counters.contains(&("run.capture_retries".into(), 1)));
 
         // Scheduled arrival: never re-fed, timed out at the whole budget.
-        let stream = StreamConfig {
-            arrival: ArrivalProcess::Fixed { rate_per_s: 1000.0 },
-            queue_cap: 1,
-            batch_max: 1,
-        };
-        let (tallies, feeds, retries) = run(Some(stream), dl);
+        let cfg = HierarchyConfig { stream: stream(1), ..cfg };
+        let (tallies, feeds, counters) = with_pump(1, &cfg, None, |p| {
+            p.on_wake(0.0).unwrap();
+            assert_eq!(p.next_wake(), 45.0);
+            p.on_wake(44.9).unwrap();
+            assert!(!p.done());
+            p.on_wake(45.0).unwrap();
+            assert!(p.done());
+        });
         assert_eq!(tallies.outcomes, [SampleOutcome::TimedOut { waited_ms: 45 }]);
-        assert_eq!(tallies.latencies, [45.0]);
-        assert_eq!((feeds, retries), (1, 0));
+        assert_eq!((tallies.latencies, feeds), (vec![45.0], vec![0]));
+        assert!(counters.iter().all(|(name, _)| name != "run.capture_retries"));
+    }
+
+    #[test]
+    fn the_window_sheds_its_overflow() {
+        // Arrivals 1 ms apart into a window of two: by 3 ms samples 0 and 1
+        // fill it, so 2 and 3 are shed — counted, never fed, no latency.
+        // Once a verdict frees a slot, 4 gets in.
+        let dl = Some(DeadlineConfig::fast());
+        let cfg =
+            HierarchyConfig { stream: stream(2), deadlines: dl, ..HierarchyConfig::default() };
+        let (tallies, feeds, counters) = with_pump(5, &cfg, None, |p| {
+            p.on_wake(0.0).unwrap();
+            assert_eq!(p.next_wake(), 1.0, "the next arrival");
+            p.on_wake(3.0).unwrap();
+            p.on_frame(3.5, verdict(0)).unwrap();
+            p.on_wake(4.0).unwrap();
+            for seq in [1, 4] {
+                p.on_frame(5.0, verdict(seq)).unwrap();
+            }
+            p.on_wake(5.0).unwrap();
+            assert!(p.done());
+        });
+        assert_eq!(tallies.outcomes, [Classified, Classified, Shed, Shed, Classified]);
+        assert_eq!(tallies.latencies, [3.5, 4.0, 0.0, 0.0, 1.0]);
+        assert_eq!(feeds, [0, 1, 4]);
+        for counter in [("run.admitted", 3), ("run.shed", 2), ("run.samples", 5)] {
+            assert!(counters.contains(&(counter.0.into(), counter.1)), "{counter:?}");
+        }
+    }
+
+    #[test]
+    fn an_elastic_sweep_ends_at_the_heartbeat_deadline_or_once_every_node_answered() {
+        let ids = [NodeId::Device(0), NodeId::Gateway, NodeId::Cloud];
+        let names = ["device0", "gateway", "cloud"].map(String::from);
+        let cfg = HierarchyConfig { deadlines: Some(DeadlineConfig::fast()), ..Default::default() };
+        // How many of the three nodes answer the sweep after sample 0.
+        for answering in [2, 3] {
+            let (links, inboxes): (Vec<_>, Vec<_>) =
+                names.iter().map(|name| link(name)).map(|(tx, rx, _)| (Some(tx), rx)).unzip();
+            let dir = NodeDirectory::new(ids.into_iter().zip(names.clone()));
+            let (compat, el) =
+                (Compat::chain(1), ElasticConfig { heartbeat_ms: 100, suspect_after: 2 });
+            let initial = compute_routing(0, vec![true; 3], 1, &compat);
+            let mut driver =
+                ElasticDriver::new(dir, compat, initial, el, links, RunObs::disabled());
+            with_pump(1, &cfg, Some(&mut driver), |p| {
+                p.on_wake(0.0).unwrap();
+                p.on_frame(1.0, verdict(0)).unwrap();
+                // Strictly between samples: the sweep opens once 0 resolved.
+                p.on_wake(1.0).unwrap();
+                assert_eq!(p.next_wake(), 101.0, "the heartbeat deadline");
+                for &id in &ids[..answering] {
+                    p.on_frame(5.0, Frame::new(1, id, Payload::Pong)).unwrap();
+                }
+                p.on_wake(5.0).unwrap();
+                assert_eq!(p.done(), answering == 3, "early only once everyone answered");
+                p.on_wake(100.9).unwrap();
+                assert_eq!(p.done(), answering == 3);
+                p.on_wake(101.0).unwrap();
+                assert!(p.done());
+            });
+            assert!(inboxes.iter().all(|rx| rx.try_recv_raw().unwrap().is_some()), "pinged");
+        }
     }
 }

@@ -12,12 +12,12 @@
 
 use super::wiring::{Link, Plane};
 use crate::chaos::ProcTarget;
-use crate::clock::SimClock;
+use crate::clock::drive;
 use crate::error::Result;
 use crate::link::LinkSender;
 use crate::message::{quantize_image, NodeId};
-use crate::node::collector::{AggDeadline, Collector};
-use crate::node::device::{blank_view, device_node};
+use crate::node::collector::Collector;
+use crate::node::device::{blank_view, DeviceNode};
 use crate::node::report::NodeReport;
 use crate::node::tier::{raw_view, Feeder, RawSection, Route, TierNode, TierSection};
 use crate::obs::{NodeObs, RunObs};
@@ -26,6 +26,7 @@ use crate::orchestrator::NodeControl;
 use crate::topology::{HierarchyConfig, Shape, TierExitRule, Topology};
 use ddnn_core::{ExitPolicy, SignMaps};
 use ddnn_tensor::{parallel, Tensor};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// What every part of one run shares.
@@ -34,7 +35,6 @@ pub(super) struct RunCtx<'a> {
     pub(super) cfg: &'a HierarchyConfig,
     /// Per device: not statically failed.
     pub(super) live: &'a [bool],
-    pub(super) clock: SimClock,
     pub(super) obs: Arc<RunObs>,
     /// How every node routes, derived alike in every process.
     pub(super) routing: &'a Routing,
@@ -124,16 +124,6 @@ impl RunCtx<'_> {
     }
 }
 
-/// The aggregation deadline shared by every collector of a run with
-/// deadlines; without them a collector waits for every live source.
-fn agg_deadline(ctx: &RunCtx) -> Option<AggDeadline> {
-    ctx.cfg.deadlines.map(|dl| AggDeadline {
-        aggregation_ms: dl.aggregation_ms,
-        suspect_after: dl.suspect_after,
-        clock: ctx.clock,
-    })
-}
-
 /// Builds the nodes of `role` from the inboxes `plane` bound and the
 /// senders it opened for it — one per live device, or the gateway, or one
 /// tier — handing each to `spawn` as soon as it is built. Building the
@@ -149,26 +139,37 @@ pub(super) fn spawn_role(
     spawn: &mut Spawn,
 ) -> Result<()> {
     let RunCtx { topology, cfg, live, obs, .. } = ctx;
+    let clock = obs.clock();
     let (n, t) = (topology.num_devices(), topology.tiers.len());
     match role {
         ProcTarget::Devices => {
             let tolerant = cfg.deadlines.is_some();
             // A device caches the feature map of every sample that can
             // be in flight: the admission window (one, in lockstep).
-            let capture_cap = cfg.stream.as_ref().map_or(1, |s| s.queue_cap);
+            let capture_cap = cfg.stream.as_ref().map_or(1, |s| s.queue_cap).max(1);
             for d in (0..n).filter(|&d| live[d]) {
-                let (rx, to_gw) =
-                    (plane.inbox(NodeId::Device(d as u8))?, plane.sender(Link::Scores(d))?);
-                // A feature link per tier the wiring opened (every tier
-                // when elastic, tier 0 otherwise) and the pong link; all
-                // share the device's crash state, so a crashed device's
-                // heartbeats die with its data.
-                let to_tiers = (0..t).map(|j| plane.try_sender(Link::Uplink(d, j))).collect();
-                let pong = plane.try_sender(Link::DevicePong(d));
-                let control = ctx.control(&format!("device{d}"), NodeId::Device(d as u8), pong);
-                let (part, obs) = (topology.devices[d].freeze(), Arc::clone(obs));
+                let (id, name) = (NodeId::Device(d as u8), format!("device{d}"));
+                let mut inbox = plane.inbox(id)?;
+                let counter = |what: &str| obs.registry().counter(&format!("node.{name}.{what}"));
+                let device = DeviceNode {
+                    d,
+                    part: topology.devices[d].freeze(),
+                    to_gateway: plane.sender(Link::Scores(d))?,
+                    // A feature link per tier the wiring opened (every
+                    // tier when elastic, tier 0 otherwise) and the pong
+                    // link; all share the device's crash state, so a
+                    // crashed device's heartbeats die with its data.
+                    to_tiers: (0..t).map(|j| plane.try_sender(Link::Uplink(d, j))).collect(),
+                    control: ctx.control(&name, id, plane.try_sender(Link::DevicePong(d))),
+                    tolerant,
+                    capture_cap,
+                    cache: BTreeMap::new(),
+                    captures: counter("captures"),
+                    offloads: counter("offloads"),
+                    shutdown: false,
+                };
                 spawn(Box::new(move || {
-                    device_node(d, part, rx, to_gw, to_tiers, control, tolerant, capture_cap, obs)
+                    drive(device, &mut inbox, clock).map(|_| NodeReport::default())
                 }));
             }
             Ok(())
@@ -183,26 +184,29 @@ pub(super) fn spawn_role(
                 name: "gateway".to_string(),
                 id: NodeId::Gateway,
                 exit_tier: 0,
-                section: topology.gateway.clone(),
+                section: topology.gateway.freeze(),
                 policy: ExitPolicy::Entropy(cfg.local_threshold),
-                inbox: plane.inbox(NodeId::Gateway)?,
                 to_orchestrator: to_orchestrator.clone(),
                 route: Route::Gateway(to_devices),
                 collector: Collector::new(
                     n,
                     blanks.scores.clone(),
-                    agg_deadline(ctx),
+                    cfg.deadlines,
                     (0..n).map(Some).collect(),
                     live.to_vec(),
                     Arc::clone(obs),
                 ),
-                obs: NodeObs::for_node(obs, "gateway"),
-                control: ctx.control("gateway", NodeId::Gateway, Some(to_orchestrator)),
                 // Score aggregation is negligible compute; only the
                 // feature tiers batch.
+                obs: NodeObs::for_node(obs, "gateway", 1),
+                control: ctx.control("gateway", NodeId::Gateway, Some(to_orchestrator)),
                 batch_max: 1,
+                gathered: Vec::new(),
+                last_decision: None,
+                shutdown: false,
             };
-            spawn(Box::new(move || node.run()));
+            let mut inbox = plane.inbox(NodeId::Gateway)?;
+            spawn(Box::new(move || Ok(drive(node, &mut inbox, clock)?.collector.into_report())));
             Ok(())
         }
         ProcTarget::Tier(k) => {
@@ -248,12 +252,13 @@ fn tier_task<S: TierSection + 'static>(
     let collector = Collector::new(
         sources,
         blanks[k].clone(),
-        agg_deadline(ctx),
+        cfg.deadlines,
         device_of_source,
         live.to_vec(),
         Arc::clone(obs),
     );
     let to_orchestrator = plane.sender(Link::Verdict(k))?;
+    let batch_max = cfg.stream.as_ref().map_or(1, |s| s.batch_max);
     let tier_ids: Vec<NodeId> = tiers.iter().map(|t| t.id).collect();
     let node = TierNode {
         name: spec.name.clone(),
@@ -265,7 +270,6 @@ fn tier_task<S: TierSection + 'static>(
             TierExitRule::Fixed(t) => ExitPolicy::Entropy(t),
             TierExitRule::Terminal => ExitPolicy::Terminal,
         },
-        inbox: plane.inbox(spec.id)?,
         to_orchestrator: to_orchestrator.clone(),
         route: Route::Tier {
             k,
@@ -278,9 +282,13 @@ fn tier_task<S: TierSection + 'static>(
             blanks,
         },
         collector,
-        obs: NodeObs::for_node(obs, &spec.name),
+        obs: NodeObs::for_node(obs, &spec.name, batch_max),
         control: ctx.control(&spec.name, spec.id, Some(to_orchestrator)),
-        batch_max: cfg.stream.as_ref().map_or(1, |s| s.batch_max),
+        batch_max,
+        gathered: Vec::new(),
+        last_decision: None,
+        shutdown: false,
     };
-    Ok(Box::new(move || node.run()))
+    let (mut inbox, clock) = (plane.inbox(spec.id)?, obs.clock());
+    Ok(Box::new(move || Ok(drive(node, &mut inbox, clock)?.collector.into_report())))
 }

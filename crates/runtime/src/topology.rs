@@ -10,18 +10,20 @@
 //! assembles arbitrary chains.
 
 use crate::chaos::{ChaosPlan, ChaosTarget, Impairment};
-use crate::error::{Result, RuntimeError};
+use crate::error::{reject, Result, RuntimeError};
 use crate::message::NodeId;
 use crate::obs::ObsConfig;
 use crate::orchestrator::ElasticConfig;
-use crate::reliability::ReliabilityConfig;
+use crate::reliability::{ReliabilityConfig, ReliabilityMode};
 use crate::transport::TransportConfig;
 use ddnn_core::{
     AggregationScheme, CloudPart, ConvPBlock, Ddnn, DdnnConfig, DdnnPartition, DevicePart,
-    EdgeConfig, ExitHead, ExitPoint, ExitThreshold, FeatureAggregator, GatewayPart,
+    EdgeConfig, ExitHead, ExitPoint, ExitThreshold, FeatureAggregator, GatewayPart, Precision,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
+use std::str::FromStr;
 
 /// Configuration of a simulated hierarchy run.
 #[derive(Debug, Clone)]
@@ -209,19 +211,13 @@ impl StreamConfig {
     pub fn validate(&self) -> Result<()> {
         let rate = self.arrival.rate_per_s();
         if !rate.is_finite() || rate <= 0.0 {
-            return Err(RuntimeError::Config {
-                reason: format!("stream arrival rate {rate} must be finite and positive"),
-            });
+            return reject(format!("stream arrival rate {rate} must be finite and positive"));
         }
         if self.queue_cap == 0 {
-            return Err(RuntimeError::Config {
-                reason: "stream queue_cap must be at least 1".to_string(),
-            });
+            return reject("stream queue_cap must be at least 1");
         }
         if self.batch_max == 0 {
-            return Err(RuntimeError::Config {
-                reason: "stream batch_max must be at least 1".to_string(),
-            });
+            return reject("stream batch_max must be at least 1");
         }
         Ok(())
     }
@@ -445,12 +441,11 @@ impl HierarchyBuilder {
     /// in exactly one terminal tier, exceeds the wire format's 255-tier
     /// space, or uses duplicate/reserved/empty tier names.
     pub fn build(self) -> Result<Topology> {
-        let config_err = |reason: String| Err(RuntimeError::Config { reason });
         if self.tiers.is_empty() {
-            return config_err("a topology needs at least one (terminal) tier".to_string());
+            return reject("a topology needs at least one (terminal) tier");
         }
         if self.tiers.len() > usize::from(u8::MAX) {
-            return config_err(format!(
+            return reject(format!(
                 "{} tiers exceed the wire format's 255-tier space",
                 self.tiers.len()
             ));
@@ -459,21 +454,21 @@ impl HierarchyBuilder {
             let terminal = matches!(tier.rule, TierExitRule::Terminal);
             let last = k + 1 == self.tiers.len();
             if terminal != last {
-                return config_err(format!(
+                return reject(format!(
                     "tier '{}' must {} the chain (exactly the last tier is terminal)",
                     tier.name,
                     if terminal { "close" } else { "not close" },
                 ));
             }
             if tier.name.is_empty() {
-                return config_err("tier names must be non-empty".to_string());
+                return reject("tier names must be non-empty");
             }
             let reserved = ["gateway", "orchestrator", "sensor"];
             if reserved.contains(&tier.name.as_str()) || tier.name.starts_with("device") {
-                return config_err(format!("tier name '{}' is reserved", tier.name));
+                return reject(format!("tier name '{}' is reserved", tier.name));
             }
             if self.tiers[..k].iter().any(|t| t.name == tier.name) {
-                return config_err(format!("duplicate tier name '{}'", tier.name));
+                return reject(format!("duplicate tier name '{}'", tier.name));
             }
         }
         Ok(Topology {
@@ -498,21 +493,20 @@ impl HierarchyBuilder {
 // dependency. Thresholds travel as f32 bit patterns so no decimal
 // round-trip can perturb an exit decision.
 
-fn agg_name(a: AggregationScheme) -> &'static str {
-    match a {
-        AggregationScheme::MaxPool => "maxpool",
-        AggregationScheme::AvgPool => "avgpool",
-        AggregationScheme::Concat => "concat",
-    }
-}
+/// The names the manifest spells each enum value by.
+const AGGS: [(&str, AggregationScheme); 3] = [
+    ("maxpool", AggregationScheme::MaxPool),
+    ("avgpool", AggregationScheme::AvgPool),
+    ("concat", AggregationScheme::Concat),
+];
+const PRECISIONS: [(&str, Precision); 2] =
+    [("binary", Precision::Binary), ("float", Precision::Float)];
+const MODES: [(&str, ReliabilityMode); 2] =
+    [("crc", ReliabilityMode::Crc), ("arq", ReliabilityMode::Arq)];
 
-fn parse_agg(s: &str) -> Result<AggregationScheme> {
-    match s {
-        "maxpool" => Ok(AggregationScheme::MaxPool),
-        "avgpool" => Ok(AggregationScheme::AvgPool),
-        "concat" => Ok(AggregationScheme::Concat),
-        other => Err(RuntimeError::Protocol { reason: format!("unknown aggregation {other:?}") }),
-    }
+/// The manifest name of `value`.
+fn name_of<T: PartialEq>(names: &[(&'static str, T)], value: T) -> &'static str {
+    names.iter().find(|(_, v)| *v == value).map_or("", |(name, _)| name)
 }
 
 /// Serializes the model + run configuration a role host needs. The
@@ -527,18 +521,14 @@ pub(crate) fn encode_role_manifest(model: &DdnnConfig, cfg: &HierarchyConfig) ->
     writeln!(s, "num_devices={}", model.num_devices).unwrap();
     writeln!(s, "num_classes={}", model.num_classes).unwrap();
     writeln!(s, "device_filters={}", model.device_filters).unwrap();
-    writeln!(s, "local_agg={}", agg_name(model.local_agg)).unwrap();
-    writeln!(s, "cloud_agg={}", agg_name(model.cloud_agg)).unwrap();
+    writeln!(s, "local_agg={}", name_of(&AGGS, model.local_agg)).unwrap();
+    writeln!(s, "cloud_agg={}", name_of(&AGGS, model.cloud_agg)).unwrap();
     match &model.edge {
-        Some(e) => writeln!(s, "edge={}:{}", e.filters, agg_name(e.agg)).unwrap(),
+        Some(e) => writeln!(s, "edge={}:{}", e.filters, name_of(&AGGS, e.agg)).unwrap(),
         None => writeln!(s, "edge=none").unwrap(),
     }
     writeln!(s, "cloud_filters={},{}", model.cloud_filters[0], model.cloud_filters[1]).unwrap();
-    let precision = match model.cloud_precision {
-        ddnn_core::Precision::Binary => "binary",
-        ddnn_core::Precision::Float => "float",
-    };
-    writeln!(s, "cloud_precision={precision}").unwrap();
+    writeln!(s, "cloud_precision={}", name_of(&PRECISIONS, model.cloud_precision)).unwrap();
     writeln!(s, "seed={}", model.seed).unwrap();
     writeln!(s, "local_threshold={:08x}", cfg.local_threshold.value().to_bits()).unwrap();
     writeln!(s, "edge_threshold={:08x}", cfg.edge_threshold.value().to_bits()).unwrap();
@@ -546,11 +536,7 @@ pub(crate) fn encode_role_manifest(model: &DdnnConfig, cfg: &HierarchyConfig) ->
     writeln!(s, "watchdog_ms={}", dl.watchdog_ms).unwrap();
     writeln!(s, "max_retries={}", dl.max_retries).unwrap();
     writeln!(s, "suspect_after={}", dl.suspect_after).unwrap();
-    let mode = match cfg.reliability.mode {
-        crate::reliability::ReliabilityMode::Crc => "crc",
-        crate::reliability::ReliabilityMode::Arq => "arq",
-    };
-    writeln!(s, "reliability={mode}").unwrap();
+    writeln!(s, "reliability={}", name_of(&MODES, cfg.reliability.mode)).unwrap();
     writeln!(s, "transport={}", cfg.transport.name()).unwrap();
     if !cfg.failed_devices.is_empty() {
         let failed: Vec<String> = cfg.failed_devices.iter().map(usize::to_string).collect();
@@ -602,150 +588,153 @@ pub(crate) struct RoleExtras {
 pub(crate) fn decode_role_manifest(
     text: &str,
 ) -> Result<(DdnnConfig, HierarchyConfig, RoleExtras)> {
-    use std::collections::HashMap;
-    let mut map: HashMap<&str, &str> = HashMap::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
+    let mut m = Fields(HashMap::new());
+    for line in text.lines().map(str::trim).filter(|line| !line.is_empty()) {
         let (k, v) = line.split_once('=').ok_or_else(|| RuntimeError::Protocol {
             reason: format!("manifest line without '=': {line:?}"),
         })?;
-        map.insert(k, v);
+        m.0.insert(k, v);
     }
-    let get = |k: &str| {
-        map.get(k).copied().ok_or_else(|| RuntimeError::Protocol {
-            reason: format!("manifest is missing key {k:?}"),
-        })
-    };
-    fn num<T: std::str::FromStr>(k: &str, v: &str) -> Result<T> {
-        v.parse().map_err(|_| RuntimeError::Protocol {
-            reason: format!("manifest key {k:?} has malformed value {v:?}"),
-        })
-    }
-    fn f32_from_bits(k: &str, v: &str) -> Result<f32> {
-        u32::from_str_radix(v, 16).map(f32::from_bits).map_err(|_| RuntimeError::Protocol {
-            reason: format!("manifest key {k:?} has malformed f32 bits {v:?}"),
-        })
-    }
-    let f32_bits = |k: &str| f32_from_bits(k, get(k)?);
-    let edge = match get("edge")? {
+    let edge = match m.get("edge")? {
         "none" => None,
-        spec => {
-            let (filters, agg) = spec.split_once(':').ok_or_else(|| RuntimeError::Protocol {
-                reason: format!("malformed edge spec {spec:?}"),
-            })?;
-            Some(EdgeConfig { filters: num("edge", filters)?, agg: parse_agg(agg)? })
+        _ => {
+            let (filters, agg) = m.split("edge", ':')?;
+            Some(EdgeConfig { filters: parse("edge", filters)?, agg: m.pick("edge", &AGGS, agg)? })
         }
     };
-    let (cf0, cf1) = get("cloud_filters")?
-        .split_once(',')
-        .ok_or_else(|| RuntimeError::Protocol { reason: "malformed cloud_filters".to_string() })?;
+    let (cf0, cf1) = m.split("cloud_filters", ',')?;
     let model = DdnnConfig {
-        num_devices: num("num_devices", get("num_devices")?)?,
-        num_classes: num("num_classes", get("num_classes")?)?,
-        device_filters: num("device_filters", get("device_filters")?)?,
-        local_agg: parse_agg(get("local_agg")?)?,
-        cloud_agg: parse_agg(get("cloud_agg")?)?,
+        num_devices: m.num("num_devices")?,
+        num_classes: m.num("num_classes")?,
+        device_filters: m.num("device_filters")?,
+        local_agg: m.pick("local_agg", &AGGS, m.get("local_agg")?)?,
+        cloud_agg: m.pick("cloud_agg", &AGGS, m.get("cloud_agg")?)?,
         edge,
-        cloud_filters: [num("cloud_filters", cf0)?, num("cloud_filters", cf1)?],
-        cloud_precision: match get("cloud_precision")? {
-            "binary" => ddnn_core::Precision::Binary,
-            "float" => ddnn_core::Precision::Float,
-            other => {
-                return Err(RuntimeError::Protocol {
-                    reason: format!("unknown precision {other:?}"),
-                })
-            }
-        },
-        seed: num("seed", get("seed")?)?,
-    };
-    let reliability = ReliabilityConfig {
-        mode: match get("reliability")? {
-            "crc" => crate::reliability::ReliabilityMode::Crc,
-            "arq" => crate::reliability::ReliabilityMode::Arq,
-            other => {
-                return Err(RuntimeError::Protocol {
-                    reason: format!("unknown reliability mode {other:?}"),
-                })
-            }
-        },
+        cloud_filters: [parse("cloud_filters", cf0)?, parse("cloud_filters", cf1)?],
+        cloud_precision: m.pick("cloud_precision", &PRECISIONS, m.get("cloud_precision")?)?,
+        seed: m.num("seed")?,
     };
     // Optional keys: written only when the feature they carry is on, so
     // an absent one falls back to zero instead of erroring. Each parses at
     // its field's type, so an out-of-range value is refused, not wrapped.
-    fn opt_num<T: std::str::FromStr + Default>(map: &HashMap<&str, &str>, k: &str) -> Result<T> {
-        map.get(k).map_or(Ok(T::default()), |v| num(k, v))
-    }
-    let opt_f32_bits = |k: &str| map.get(k).map_or(Ok(0.0), |v| f32_from_bits(k, v));
     let socket_chaos = Impairment {
-        drop: opt_f32_bits("socket_chaos_drop")?,
-        duplicate: opt_f32_bits("socket_chaos_dup")?,
-        delay_ms: opt_num(&map, "socket_chaos_delay_ms")?,
-        sever: opt_f32_bits("socket_chaos_sever")?,
+        drop: m.opt_f32("socket_chaos_drop")?,
+        duplicate: m.opt_f32("socket_chaos_dup")?,
+        delay_ms: m.opt("socket_chaos_delay_ms")?,
+        sever: m.opt_f32("socket_chaos_sever")?,
         ..Impairment::none()
     };
-    let chaos = ChaosPlan::sockets(opt_num(&map, "socket_chaos_seed")?, socket_chaos);
-    let extras = RoleExtras { tseq_base: opt_num(&map, "tseq_base")? };
-    let failed_devices = (map.get("failed_devices").copied().unwrap_or("").split(','))
+    let failed_devices = (m.0.get("failed_devices").copied().unwrap_or("").split(','))
         .filter(|d| !d.is_empty())
-        .map(|d| num("failed_devices", d))
+        .map(|d| parse("failed_devices", d))
         .collect::<Result<_>>()?;
-    let elastic = match map.get("elastic") {
-        None => None,
-        Some(spec) => {
-            let (hb, suspect) = spec.split_once(',').ok_or_else(|| RuntimeError::Protocol {
-                reason: format!("malformed elastic spec {spec:?}"),
-            })?;
-            let (heartbeat_ms, suspect_after) = (num("elastic", hb)?, num("elastic", suspect)?);
+    let elastic = match m.0.contains_key("elastic") {
+        false => None,
+        true => {
+            let (hb, suspect) = m.split("elastic", ',')?;
+            let (heartbeat_ms, suspect_after) = (parse("elastic", hb)?, parse("elastic", suspect)?);
             Some(ElasticConfig { heartbeat_ms, suspect_after })
         }
     };
-    let stream = match map.get("stream").copied() {
+    let stream = match m.0.get("stream").copied() {
         None => None,
         Some(kind) => {
-            let bits = get("stream_rate")?;
-            let rate_per_s = u64::from_str_radix(bits, 16).map(f64::from_bits).map_err(|_| {
-                RuntimeError::Protocol { reason: format!("malformed stream_rate bits {bits:?}") }
-            })?;
+            let bits = m.get("stream_rate")?;
+            let rate_per_s = u64::from_str_radix(bits, 16)
+                .map(f64::from_bits)
+                .map_err(|_| malformed("stream_rate", bits))?;
             let arrival = match kind {
                 "fixed" => ArrivalProcess::Fixed { rate_per_s },
-                "poisson" => ArrivalProcess::Poisson {
-                    rate_per_s,
-                    seed: num("stream_seed", get("stream_seed")?)?,
-                },
-                other => {
-                    return Err(RuntimeError::Protocol {
-                        reason: format!("unknown arrival process {other:?}"),
-                    })
-                }
+                "poisson" => ArrivalProcess::Poisson { rate_per_s, seed: m.num("stream_seed")? },
+                other => return Err(unknown("stream", other)),
             };
             Some(StreamConfig {
                 arrival,
-                queue_cap: num("queue_cap", get("queue_cap")?)?,
-                batch_max: num("batch_max", get("batch_max")?)?,
+                queue_cap: m.num("queue_cap")?,
+                batch_max: m.num("batch_max")?,
             })
         }
     };
     let cfg = HierarchyConfig {
-        local_threshold: ExitThreshold::new(f32_bits("local_threshold")?),
-        edge_threshold: ExitThreshold::new(f32_bits("edge_threshold")?),
+        local_threshold: ExitThreshold::new(m.f32("local_threshold")?),
+        edge_threshold: ExitThreshold::new(m.f32("edge_threshold")?),
         deadlines: Some(DeadlineConfig {
-            aggregation_ms: num("aggregation_ms", get("aggregation_ms")?)?,
-            watchdog_ms: num("watchdog_ms", get("watchdog_ms")?)?,
-            max_retries: num("max_retries", get("max_retries")?)?,
-            suspect_after: num("suspect_after", get("suspect_after")?)?,
+            aggregation_ms: m.num("aggregation_ms")?,
+            watchdog_ms: m.num("watchdog_ms")?,
+            max_retries: m.num("max_retries")?,
+            suspect_after: m.num("suspect_after")?,
         }),
-        reliability,
-        transport: get("transport")?.parse()?,
-        chaos,
+        reliability: ReliabilityConfig {
+            mode: m.pick("reliability", &MODES, m.get("reliability")?)?,
+        },
+        transport: m.get("transport")?.parse()?,
+        chaos: ChaosPlan::sockets(m.opt("socket_chaos_seed")?, socket_chaos),
         failed_devices,
         elastic,
         stream,
         ..HierarchyConfig::default()
     };
-    Ok((model, cfg, extras))
+    Ok((model, cfg, RoleExtras { tseq_base: m.opt("tseq_base")? }))
+}
+
+/// A manifest's fields, by key.
+struct Fields<'a>(HashMap<&'a str, &'a str>);
+
+impl<'a> Fields<'a> {
+    /// A required field's text.
+    fn get(&self, k: &str) -> Result<&'a str> {
+        let missing =
+            || RuntimeError::Protocol { reason: format!("manifest is missing key {k:?}") };
+        self.0.get(k).copied().ok_or_else(missing)
+    }
+
+    /// A required field, parsed at its type.
+    fn num<T: FromStr>(&self, k: &str) -> Result<T> {
+        parse(k, self.get(k)?)
+    }
+
+    /// An optional field: absent is zero.
+    fn opt<T: FromStr + Default>(&self, k: &str) -> Result<T> {
+        self.0.get(k).map_or(Ok(T::default()), |v| parse(k, v))
+    }
+
+    /// A required f32.
+    fn f32(&self, k: &str) -> Result<f32> {
+        parse_f32(k, self.get(k)?)
+    }
+
+    /// An optional f32: absent is zero.
+    fn opt_f32(&self, k: &str) -> Result<f32> {
+        self.0.get(k).map_or(Ok(0.0), |v| parse_f32(k, v))
+    }
+
+    /// A required field of two parts around `sep`.
+    fn split(&self, k: &str, sep: char) -> Result<(&'a str, &'a str)> {
+        let v = self.get(k)?;
+        v.split_once(sep).ok_or_else(|| malformed(k, v))
+    }
+
+    /// The value `names` spells as `v`.
+    fn pick<T: Copy>(&self, k: &str, names: &[(&str, T)], v: &str) -> Result<T> {
+        names.iter().find(|(name, _)| *name == v).map(|&(_, t)| t).ok_or_else(|| unknown(k, v))
+    }
+}
+
+fn malformed(k: &str, v: &str) -> RuntimeError {
+    RuntimeError::Protocol { reason: format!("manifest key {k:?} has malformed value {v:?}") }
+}
+
+fn unknown(k: &str, v: &str) -> RuntimeError {
+    RuntimeError::Protocol { reason: format!("manifest key {k:?} has unknown value {v:?}") }
+}
+
+fn parse<T: FromStr>(k: &str, v: &str) -> Result<T> {
+    v.parse().map_err(|_| malformed(k, v))
+}
+
+/// An f32, sent as its bit pattern in hex.
+fn parse_f32(k: &str, v: &str) -> Result<f32> {
+    u32::from_str_radix(v, 16).map(f32::from_bits).map_err(|_| malformed(k, v))
 }
 
 #[cfg(test)]

@@ -45,7 +45,7 @@
 //! TCP/UDP senders below — then does to the bytes.
 
 use crate::chaos::{fnv1a, Delivery, LinkChaos};
-use crate::error::{Result, RuntimeError};
+use crate::error::{reject, Result, RuntimeError};
 use crate::lock;
 use crate::obs::{Counter, RunObs};
 use crate::reliability::ArqSendState;
@@ -95,14 +95,9 @@ impl std::str::FromStr for TransportConfig {
     type Err = RuntimeError;
 
     fn from_str(s: &str) -> Result<Self> {
-        match s {
-            "channel" => Ok(TransportConfig::Channel),
-            "tcp" => Ok(TransportConfig::Tcp),
-            "udp" => Ok(TransportConfig::Udp),
-            other => Err(RuntimeError::Config {
-                reason: format!("unknown transport {other:?} (expected channel, tcp or udp)"),
-            }),
-        }
+        let all = [TransportConfig::Channel, TransportConfig::Tcp, TransportConfig::Udp];
+        let unknown = || reject(format!("unknown transport {s:?} (expected channel, tcp or udp)"));
+        all.into_iter().find(|t| t.name() == s).map_or_else(unknown, Ok)
     }
 }
 
@@ -156,8 +151,9 @@ pub(crate) trait TransportTx: Send + Sync + std::fmt::Debug {
 /// (plus shutdown frames, which are deliberately uninstrumented at the
 /// link level). Transport framing overhead (the TCP length prefix,
 /// UDP/IP headers) is not counted: byte cells stay in frame units so the
-/// reconciliation is exact.
-#[derive(Debug, Clone)]
+/// reconciliation is exact. The default cells are free-standing, for
+/// contexts without a registry (the free `link()` helper and unit tests).
+#[derive(Debug, Clone, Default)]
 pub(crate) struct TransportCounters {
     pub(crate) frames_sent: Arc<Counter>,
     pub(crate) bytes_sent: Arc<Counter>,
@@ -181,18 +177,6 @@ impl TransportCounters {
             frames_recvd: cell("frames_recvd"),
             bytes_recvd: cell("bytes_recvd"),
             peer_disconnects: cell("peer_disconnects"),
-        }
-    }
-
-    /// Free-standing cells for contexts without a registry (the free
-    /// `link()` helper and unit tests).
-    pub(crate) fn unregistered() -> Self {
-        TransportCounters {
-            frames_sent: Arc::new(Counter::default()),
-            bytes_sent: Arc::new(Counter::default()),
-            frames_recvd: Arc::new(Counter::default()),
-            bytes_recvd: Arc::new(Counter::default()),
-            peer_disconnects: Arc::new(Counter::default()),
         }
     }
 }
@@ -366,7 +350,7 @@ impl TransportTx for UdpTx {
 /// free-standing counters — the adapter behind the public
 /// `link()` helper and the reliability tests.
 pub(crate) fn channel_tx(tx: Sender<Arc<[u8]>>) -> Arc<dyn TransportTx> {
-    Arc::new(ChannelTx { tx, counters: TransportCounters::unregistered() })
+    Arc::new(ChannelTx { tx, counters: TransportCounters::default() })
 }
 
 /// A process's attachment point on the run's transport. Every inbox the
@@ -489,9 +473,9 @@ impl TransportHost {
         let (tx, rx) = channel();
         let id = inbox_id(name);
         if let Some((taken, _)) = lock(&self.inboxes).get(&id) {
-            return Err(RuntimeError::Config {
-                reason: format!("inbox {name:?} has the id of inbox {taken:?} on the same host"),
-            });
+            return reject(format!(
+                "inbox {name:?} has the id of inbox {taken:?} on the same host"
+            ));
         }
         if self.addr.is_none() && self.kind.is_socket() {
             self.addr = Some(self.open().map_err(|e| terr(name, "bind", &e))?);

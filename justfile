@@ -189,9 +189,11 @@ runtime-loc:
     find crates/runtime/src -name '*.rs' | xargs grep -cvE '^\s*(//|$)' | awk -F: '{ s += $2 } END { print s }'
 
 # Lines of the runtime crate that read the wall clock or sleep
-# (`Instant::now`, `sleep(`), unit tests included: the blocking sites the
-# sans-I/O node cores (ROADMAP item 3) move behind one clock. CI fails
-# above 30; the ceiling only ratchets down.
+# (`Instant::now`, `sleep(`), unit tests included. The node cores and the
+# sample pump read no clock (one `drive` does); what remains is the
+# process supervisor, the socket layer, the chaos delay sleeps, the ARQ
+# retransmit pump's sleep and `SimClock::start`. CI fails above 17; the
+# ceiling only ratchets down.
 clock-sites:
     grep -rE 'Instant::now|sleep\(' crates/runtime/src | wc -l
 
