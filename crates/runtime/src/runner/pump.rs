@@ -31,7 +31,8 @@
 //! The pump is a core ([`Pump`]): it decides on `(now, frame)` and holds
 //! no clock, and [`drive`](crate::clock::drive) does its waiting on the
 //! orchestrator's inbox. It also carries the elastic driver's ping rounds —
-//! the heartbeat sweep and a scheduled Down/Up's confirmation — as state:
+//! the heartbeat sweep, and the one round that confirms every Down/Up
+//! scheduled before a sample — as state:
 //! while a round is open the pump only takes pongs and verdicts, and its
 //! next wake-up is the round's deadline. Otherwise it wakes at the
 //! earliest of the next arrival, the earliest watchdog action and, under
@@ -70,7 +71,8 @@ enum Resume {
     Top,
     /// A heartbeat sweep ended: time the next one, then admit.
     Swept,
-    /// A scheduled Down/Up was confirmed: admit its sample.
+    /// The Down/Up flips scheduled before the next sample were confirmed:
+    /// admit it.
     Admit,
 }
 
