@@ -11,6 +11,11 @@
 //! * `drive` waits. It owns the node's inbox and the clock, reads the
 //!   clock, does the only timed receive and hands the core what arrived.
 //!
+//! A node wakes for one of three reasons: a frame arrived, the core's
+//! next wake-up fell due, or the retransmit timer of an ARQ link the node
+//! sends on fell due. `drive` runs those timers itself, through the
+//! inbox ([`NodeInbox::retransmit`]), so ARQ needs no wait of its own.
+//!
 //! Node threads do real compute, so the clock is anchored to the wall
 //! clock. A virtual-time simulator is a second `drive` over the same
 //! cores: one that advances a virtual `now` and delivers frames from a
@@ -74,9 +79,10 @@ pub(crate) trait Core {
 }
 
 /// Runs `core` on `inbox` until it is done, and hands it back: reads
-/// `clock`, wakes the core, waits for one frame until the core's next
-/// wake-up at the latest (the only timed receive of a node), then drains
-/// the already-queued frames the core asks for.
+/// `clock`, wakes the core, retransmits what is due on the node's ARQ
+/// links, waits for one frame until the core's next wake-up or the next
+/// retransmission at the latest (the only timed receive of a node), then
+/// drains the already-queued frames the core asks for.
 ///
 /// # Errors
 ///
@@ -90,7 +96,7 @@ pub(crate) fn drive<C: Core>(mut core: C, inbox: &mut NodeInbox, clock: SimClock
         }
         // The clock is read again: a wake-up that fell due while the core
         // was busy is acted on before any frame is taken.
-        let wake = core.next_wake();
+        let wake = core.next_wake().min(inbox.retransmit(clock.elapsed_ms_f64()));
         if wake > clock.elapsed_ms_f64() {
             // No frame: the wake-up is due.
             let Some(frame) = inbox.recv_until(&clock, wake)? else { continue };

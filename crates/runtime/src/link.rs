@@ -15,6 +15,8 @@
 //! retransmit buffer *before* the fault roll, so a dropped or corrupted
 //! primary is recoverable, and the receiving [`NodeInbox`] acks, NACKs
 //! gaps and deduplicates retransmissions — invisibly to the node loops.
+//! The sending node's own inbox holds the link's retransmit timer, so a
+//! node's one `drive` loop runs both halves of its ARQ.
 
 use crate::chaos::{damage, ChaosPlan, CrashState, Delivery, LinkChaos};
 use crate::clock::SimClock;
@@ -290,12 +292,16 @@ impl LinkReceiver {
 /// A node's receive front end: decodes and checks every frame, discards
 /// corrupt frames (counting them into `node.{inbox}.corrupt_discards`),
 /// acks/dedups ARQ traffic per source — all invisibly to the node loop,
-/// which only ever sees intact, fresh application frames.
+/// which only ever sees intact, fresh application frames. It also holds
+/// the retransmit timers of the ARQ links its node sends on, which
+/// [`crate::clock::drive`] runs through [`NodeInbox::retransmit`].
 #[derive(Debug)]
 pub(crate) struct NodeInbox {
     rx: LinkReceiver,
     /// ARQ receiver state per sending node (keyed by encoded [`NodeId`]).
     sources: HashMap<u16, ArqRecvState>,
+    /// ARQ sender state of every link this inbox's node sends on.
+    sends: Vec<Arc<ArqSendState>>,
     /// Run observability handle (discard counter and timeline events).
     obs: Arc<RunObs>,
 }
@@ -303,12 +309,25 @@ pub(crate) struct NodeInbox {
 impl NodeInbox {
     /// An inbox with no ARQ sources yet.
     pub(crate) fn new(rx: LinkReceiver, obs: Arc<RunObs>) -> Self {
-        NodeInbox { rx, sources: HashMap::new(), obs }
+        NodeInbox { rx, sources: HashMap::new(), sends: Vec::new(), obs }
     }
 
     /// Registers the ARQ receiver state of the inbound link from `from`.
     pub(crate) fn register(&mut self, from: NodeId, state: ArqRecvState) {
         self.sources.insert(from.encode(), state);
+    }
+
+    /// Takes on the retransmit timer of `sender`'s link, if it runs ARQ:
+    /// this inbox's node is the one that sends on it.
+    pub(crate) fn send_on(&mut self, sender: &LinkSender) {
+        self.sends.extend(sender.arq.clone());
+    }
+
+    /// Runs the retransmit timer of every ARQ link this inbox's node sends
+    /// on at `now` (see [`ArqSendState::tick`]) and returns when the next
+    /// one falls due: `INFINITY` when nothing is unacked.
+    pub(crate) fn retransmit(&self, now: f64) -> f64 {
+        self.sends.iter().map(|s| s.tick(now)).fold(f64::INFINITY, f64::min)
     }
 
     /// Waits for the next intact, fresh frame until `at` (milliseconds on
@@ -384,8 +403,7 @@ pub fn link(name: &str) -> (LinkSender, LinkReceiver, LinkCounters) {
 }
 
 /// Builds every inbox and sender of a run over one dataplane, with one
-/// consistent chaos plan and reliability configuration, collecting the
-/// ARQ send states the run's retransmit pump must tick. Driven by the
+/// consistent chaos plan and reliability configuration. Driven by the
 /// runner's `connect` step only, so transport and ARQ wiring exist in
 /// exactly one place.
 pub(crate) struct LinkFactory<'a> {
@@ -404,8 +422,6 @@ pub(crate) struct LinkFactory<'a> {
     /// creates (see [`ArqSendState::with_tseq_base`]); nonzero only in a
     /// respawned role process.
     tseq_base: u32,
-    /// Send states for the run's retransmit pump, in creation order.
-    pub(crate) arq_states: Vec<Arc<ArqSendState>>,
 }
 
 impl<'a> LinkFactory<'a> {
@@ -423,7 +439,6 @@ impl<'a> LinkFactory<'a> {
             obs,
             transport,
             tseq_base,
-            arq_states: Vec::new(),
         }
     }
 
@@ -470,7 +485,8 @@ impl<'a> LinkFactory<'a> {
     /// given its [`ack_inbox`](LinkFactory::ack_inbox): the receiving end
     /// — in this process or another — builds the matching
     /// [`recv_state`](LinkFactory::recv_state) against that name on this
-    /// process's endpoint.
+    /// process's endpoint. Its retransmit timer runs from the inbox of the
+    /// node that sends on it (see [`NodeInbox::send_on`]).
     ///
     /// ARQ links get three derived chaos streams: the primary (`name`),
     /// the retransmit path (`retx:name`, sharing the sending node's crash
@@ -505,7 +521,6 @@ impl<'a> LinkFactory<'a> {
                 )
                 .with_tseq_base(self.tseq_base),
             );
-            self.arq_states.push(Arc::clone(&send_state));
             self.transport.track_arq(&to.host, Arc::clone(&send_state));
             send_state
         });
@@ -552,7 +567,9 @@ impl<'a> LinkFactory<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::{drive, Core};
     use crate::message::{NodeId, Payload};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn frames_survive_the_link() {
@@ -640,6 +657,55 @@ mod tests {
         assert_eq!(s.frames_duplicated, 1);
         assert_eq!(s.header_bytes, 2 * HEADER_BYTES);
         assert_eq!(s.frames_dropped, 0);
+    }
+
+    /// Sends one frame at its first wake-up and counts its wake-ups; no
+    /// frame ever reaches it.
+    struct SendsOnce(LinkSender, Arc<AtomicUsize>);
+
+    impl Core for SendsOnce {
+        fn on_wake(&mut self, _: f64) -> Result<()> {
+            match self.1.fetch_add(1, Ordering::SeqCst) {
+                0 => self.0.send(&Frame::new(0, NodeId::Gateway, Payload::OffloadRequest)),
+                _ => Ok(()),
+            }
+        }
+        fn on_frame(&mut self, _: f64, _: Frame) -> Result<()> {
+            unreachable!("nothing is sent to this node")
+        }
+        fn done(&self) -> bool {
+            false
+        }
+    }
+
+    #[test]
+    fn the_arq_timer_alone_wakes_drive_until_the_ack_lands() {
+        let (obs, wakes) = (RunObs::disabled(), Arc::new(AtomicUsize::new(0)));
+        let ((dtx, data_rx), (ack_tx, arx)) = (channel(), channel());
+        // The primary is lost down `_lost`, which nobody reads; the
+        // retransmissions reach `data_rx`.
+        let (tx, _lost, c) = link("l");
+        let s =
+            ArqSendState::new(channel_tx(dtx), arx, c.clone(), None, 1e3, obs.clone(), "l".into());
+        let (tx, (into_node, rx, _)) = (LinkSender { arq: Some(Arc::new(s)), ..tx }, link("node"));
+        let (arq, mut inbox) = (tx.arq.clone().unwrap(), NodeInbox::new(rx, obs.clone()));
+        inbox.send_on(&tx);
+        std::thread::scope(|s| {
+            let node = s.spawn(|| drive(SendsOnce(tx, wakes.clone()), &mut inbox, obs.clock()));
+            // Nothing is sent into the node's inbox: its ARQ timer woke it.
+            let wire = data_rx.recv_timeout(Duration::from_secs(10)).expect("a retransmission");
+            let mut peer = ArqRecvState::new(channel_tx(ack_tx), c, None, obs.clone(), "l".into());
+            assert!(peer.accept(Frame::decode_checked(wire).unwrap().tseq));
+            // Once the ack is absorbed, nothing wakes the node any more.
+            while arq.in_flight() > 0 {
+                let _ = data_rx.recv_timeout(Duration::from_millis(1));
+            }
+            let settled = wakes.load(Ordering::SeqCst);
+            assert!(data_rx.recv_timeout(Duration::from_millis(50)).is_err());
+            assert_eq!(wakes.load(Ordering::SeqCst), settled);
+            drop(into_node); // the inbox hangs up: `drive` returns
+            assert!(matches!(node.join().unwrap(), Err(RuntimeError::Disconnected { .. })));
+        });
     }
 
     #[test]

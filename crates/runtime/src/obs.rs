@@ -228,7 +228,7 @@ pub enum ObsEvent {
         /// Receiving node (inbox) name.
         node: String,
     },
-    /// The ARQ pump retransmitted an unacknowledged frame.
+    /// An ARQ sender retransmitted an unacknowledged frame.
     Retransmit {
         /// Link name.
         link: String,
@@ -390,8 +390,7 @@ impl ObsEvent {
 }
 
 /// A consumer of timeline events. Implementations must be thread-safe:
-/// every node thread, the orchestrator and the ARQ pump emit through the
-/// same sink.
+/// every node thread and the orchestrator emit through the same sink.
 pub trait ObsSink: Send + Sync {
     /// Records one event stamped `t_ms` milliseconds after run start.
     fn record(&self, t_ms: u64, event: &ObsEvent);

@@ -16,6 +16,11 @@
 //!   sample deadline. A frame that exhausts its retries or outlives the
 //!   deadline is abandoned — blank substitution remains the final word.
 //!
+//! An ARQ link's retransmit timer belongs to the node that sends on it:
+//! its [`NodeInbox`](crate::link::NodeInbox) ticks the link from the
+//! node's one [`drive`](crate::clock::drive) loop, and the earliest due
+//! retransmission is one more wake-up of that loop.
+//!
 //! Every retransmission and every ack crosses the same fault-injected
 //! wire as primary traffic and is priced into the link's counter cells
 //! (the `frames_retransmitted`, `retx_payload_bytes` and `ack_bytes`
@@ -32,10 +37,8 @@ use crate::topology::DeadlineConfig;
 use crate::transport::TransportTx;
 use ddnn_tensor::cursor::Cursor;
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 /// How a link recovers its traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -190,11 +193,14 @@ struct SendInner {
     base: u32,
     next_tseq: u32,
     buffer: Vec<Unacked>,
+    /// Acks flowing back from the receiving inbox; drained by `tick`.
+    acks: Receiver<Arc<[u8]>>,
 }
 
 /// Per-link ARQ sender state: the retransmit buffer plus the reverse ack
 /// channel. Shared between the owning [`LinkSender`](crate::link) (which
-/// registers frames) and the run's retransmit pump (which ticks it).
+/// registers frames) and the sending node's inbox (which ticks it from
+/// the node's `drive` loop).
 #[derive(Debug)]
 pub(crate) struct ArqSendState {
     inner: Mutex<SendInner>,
@@ -202,9 +208,6 @@ pub(crate) struct ArqSendState {
     /// connection the owning `LinkSender` transmits on, whatever carries
     /// it (channel, TCP stream, UDP socket).
     data_tx: Arc<dyn TransportTx>,
-    /// Acks flowing back from the receiving inbox (mutex-wrapped so the
-    /// state can be shared with the pump thread; only the pump drains it).
-    ack_rx: Mutex<Receiver<Arc<[u8]>>>,
     /// The data link's counter cells: retransmissions are priced here.
     stats: LinkCounters,
     /// Chaos stream of the retransmit path (`retx:<link>`), sharing the
@@ -223,7 +226,7 @@ pub(crate) struct ArqSendState {
 impl ArqSendState {
     pub(crate) fn new(
         data_tx: Arc<dyn TransportTx>,
-        ack_rx: Receiver<Arc<[u8]>>,
+        acks: Receiver<Arc<[u8]>>,
         stats: LinkCounters,
         fault: Option<Arc<LinkChaos>>,
         max_age: f64,
@@ -231,9 +234,8 @@ impl ArqSendState {
         link: Arc<str>,
     ) -> Self {
         ArqSendState {
-            inner: Mutex::new(SendInner { base: 0, next_tseq: 1, buffer: Vec::new() }),
+            inner: Mutex::new(SendInner { base: 0, next_tseq: 1, buffer: Vec::new(), acks }),
             data_tx,
-            ack_rx: Mutex::new(ack_rx),
             stats,
             fault,
             max_age,
@@ -243,8 +245,7 @@ impl ArqSendState {
     }
 
     /// The current instant on the run's clock: what
-    /// [`register`](ArqSendState::register) and
-    /// [`tick`](ArqSendState::tick) take.
+    /// [`register`](ArqSendState::register) takes.
     pub(crate) fn now(&self) -> f64 {
         self.obs.clock().elapsed_ms_f64()
     }
@@ -296,48 +297,15 @@ impl ArqSendState {
         wire
     }
 
-    /// One pump sweep: absorb acks, garbage-collect the buffer, retransmit
-    /// what is due (NACKed or timed out), abandon what is hopeless. What is
-    /// due is decided under the buffer lock; the retransmissions are built
-    /// and transmitted after releasing it, so a blocking socket never
-    /// stalls the node thread's [`register`](ArqSendState::register).
-    pub(crate) fn tick(&self, now: f64) {
-        for (wire, payload, tseq, retries) in self.take_due(now) {
-            let delivery = self.fault.as_ref().map_or_else(Delivery::clean, |f| f.roll_raw());
-            // Retransmissions skip duplication/jitter/reordering: they are
-            // already redundant, delayed traffic.
-            let Delivery::Deliver { corrupt, truncate, .. } = delivery else {
-                self.stats.frames_dropped.incr();
-                continue;
-            };
-            let (wire, damaged) = damage(retransmit_form(&wire), corrupt, truncate);
-            let s = &self.stats;
-            s.frames.incr();
-            s.frames_retransmitted.incr();
-            let p = payload.min(wire.len().saturating_sub(HEADER_BYTES));
-            // Recovery traffic: priced into the totals *and* into the
-            // retransmit share, so Eq. 1 comparisons can separate
-            // first-transmission cost from recovery.
-            s.payload_bytes.add(p as u64);
-            s.retx_payload_bytes.add(p as u64);
-            s.header_bytes.add((wire.len() - p) as u64);
-            if damaged {
-                s.frames_corrupted.incr();
-            }
-            self.obs.emit(|| ObsEvent::Retransmit { link: self.link.to_string(), tseq, retries });
-            // A departed receiver means the run is over for this link; the
-            // retransmission is simply lost in flight.
-            self.data_tx.transmit(wire);
-        }
-    }
-
-    /// The locked half of a sweep: absorbs acks, drops what is acked or
-    /// hopeless, and books one more try on every frame that is due,
-    /// returning each one's `(primary wire, payload bytes, tseq, retries)`.
-    fn take_due(&self, now: f64) -> Vec<(Arc<[u8]>, usize, u32, u32)> {
+    /// The link's retransmit timer at `now`: absorbs acks, garbage-collects
+    /// the buffer, retransmits what is due (NACKed or timed out), abandons
+    /// what is hopeless, and returns when the next retransmission falls
+    /// due (`INFINITY` when nothing is unacked). It runs on the sending
+    /// node's thread, the one that registers the link's frames, so holding
+    /// the buffer lock across a transmission stalls no one.
+    pub(crate) fn tick(&self, now: f64) -> f64 {
         let mut inner = lock(&self.inner);
-        let ack_rx = lock(&self.ack_rx);
-        while let Ok(ack) = ack_rx.try_recv() {
+        while let Ok(ack) = inner.acks.try_recv() {
             if let Some((cum, nacks)) = decode_ack(&ack) {
                 inner.buffer.retain(|u| u.tseq > cum);
                 for u in &mut inner.buffer {
@@ -352,32 +320,45 @@ impl ArqSendState {
         inner
             .buffer
             .retain(|u| !is_due(u) || (u.retries < MAX_RETRIES && now - u.first_sent <= max_age));
-        let mut due = Vec::new();
         for u in inner.buffer.iter_mut().filter(|u| is_due(u)) {
             u.retries += 1;
             u.nacked = false;
             u.backoff_ms = (u.backoff_ms * 2).min(BACKOFF_CAP_MS);
             u.next_retry = now + u.backoff_ms as f64;
-            due.push((u.wire.clone(), u.payload_bytes, u.tseq, u.retries));
+            let delivery = self.fault.as_ref().map_or_else(Delivery::clean, |f| f.roll_raw());
+            // Retransmissions skip duplication/jitter/reordering: they are
+            // already redundant, delayed traffic.
+            let Delivery::Deliver { corrupt, truncate, .. } = delivery else {
+                self.stats.frames_dropped.incr();
+                continue;
+            };
+            let (wire, damaged) = damage(retransmit_form(&u.wire), corrupt, truncate);
+            let s = &self.stats;
+            s.frames.incr();
+            s.frames_retransmitted.incr();
+            let p = u.payload_bytes.min(wire.len().saturating_sub(HEADER_BYTES));
+            // Recovery traffic: priced into the totals *and* into the
+            // retransmit share, so Eq. 1 comparisons can separate
+            // first-transmission cost from recovery.
+            s.payload_bytes.add(p as u64);
+            s.retx_payload_bytes.add(p as u64);
+            s.header_bytes.add((wire.len() - p) as u64);
+            if damaged {
+                s.frames_corrupted.incr();
+            }
+            let (tseq, retries) = (u.tseq, u.retries);
+            self.obs.emit(|| ObsEvent::Retransmit { link: self.link.to_string(), tseq, retries });
+            // A departed receiver means the run is over for this link; the
+            // retransmission is simply lost in flight.
+            self.data_tx.transmit(wire);
         }
-        due
+        inner.buffer.iter().map(|u| u.next_retry).fold(f64::INFINITY, f64::min)
     }
 
     /// Unacked frames still buffered (for tests).
     #[cfg(test)]
-    fn in_flight(&self) -> usize {
+    pub(crate) fn in_flight(&self) -> usize {
         lock(&self.inner).buffer.len()
-    }
-}
-
-/// Drives every [`ArqSendState`] of a run from one background thread,
-/// sweeping roughly every millisecond until `stop` is raised.
-pub(crate) fn run_retransmit_pump(states: &[Arc<ArqSendState>], stop: &AtomicBool) {
-    while !stop.load(Ordering::Relaxed) {
-        for state in states {
-            state.tick(state.now());
-        }
-        std::thread::sleep(Duration::from_millis(1));
     }
 }
 
@@ -616,8 +597,8 @@ mod tests {
         let (ack_tx, ack_rx) = channel();
         let st = stats();
         let send = send_state(data_tx, ack_rx, &st);
-        let f = frame(7);
-        let primary = send.register(&f, 0.0);
+        let (f, first_sent) = (frame(7), 3.5);
+        let primary = send.register(&f, first_sent);
         assert_eq!(primary, f.encode_checked(0, 1));
         assert_eq!(send.in_flight(), 1);
         // The primary is damaged by its fault roll, as `LinkSender::send`
@@ -625,62 +606,24 @@ mod tests {
         // copy and leave the retransmission pristine.
         let (damaged, _) = damage(primary.clone(), Some(9), None);
         assert_ne!(damaged, primary);
-        // Past the retransmit timeout the pump resends the frame: the
+        // At the retransmit timeout the tick resends the frame: the
         // buffered primary with the flag set and the CRC redone is what a
         // direct retransmit encoding would have produced. Not an instant
-        // before the timeout, though.
-        send.tick(RETRANSMIT_MS as f64 - 0.001);
+        // before the timeout, though; then it falls due a doubled backoff on.
+        let due = first_sent + RETRANSMIT_MS as f64;
+        assert_eq!(send.tick(due - 0.001), due);
         assert!(data_rx.try_recv().is_err());
-        send.tick(RETRANSMIT_MS as f64);
+        assert_eq!(send.tick(due), due + (2 * RETRANSMIT_MS) as f64);
         let wire = data_rx.try_recv().expect("a retransmission");
         assert_eq!(wire, f.encode_checked(FLAG_RETRANSMIT, 1));
         assert_eq!(Frame::decode_checked(wire).unwrap().frame, f);
         assert_eq!(st.frames_retransmitted.get(), 1);
-        // Acking the frame clears the buffer; no further retransmissions.
+        // Acking the frame clears the buffer: no further retransmissions,
+        // and no further wake-ups.
         ack_tx.send(encode_ack(1, &[])).unwrap();
-        send.tick((10 * BACKOFF_CAP_MS) as f64);
+        assert_eq!(send.tick((10 * BACKOFF_CAP_MS) as f64), f64::INFINITY);
         assert_eq!(send.in_flight(), 0);
         assert!(data_rx.try_recv().is_err());
-    }
-
-    /// A transport that reports each transmit it enters, then parks in it
-    /// until released — a blocked socket write, in miniature.
-    #[derive(Debug)]
-    struct GatedTx {
-        entered: Sender<()>,
-        release: Mutex<Receiver<()>>,
-    }
-
-    impl TransportTx for GatedTx {
-        fn transmit(&self, _wire: Arc<[u8]>) -> bool {
-            self.entered.send(()).is_ok() && lock(&self.release).recv().is_ok()
-        }
-    }
-
-    #[test]
-    fn register_does_not_wait_for_a_tick_parked_in_transmit() {
-        // Regression: the sweep held the buffer lock across `transmit`, so
-        // every send on the link stalled behind a blocked retransmission.
-        let (entered, entered_rx) = channel();
-        let (release_tx, release) = channel();
-        let (done_tx, done_rx) = channel();
-        let (_ack_tx, ack_rx) = channel();
-        let gate = Arc::new(GatedTx { entered, release: Mutex::new(release) });
-        let (max_age, obs) = (arq_max_age(None), RunObs::disabled());
-        let send = ArqSendState::new(gate, ack_rx, stats(), None, max_age, obs, Arc::from("l"));
-        send.register(&frame(1), 0.0);
-        std::thread::scope(|s| {
-            s.spawn(|| send.tick(RETRANSMIT_MS as f64 + 1.0));
-            entered_rx.recv().expect("the sweep reached transmit");
-            s.spawn(|| {
-                send.register(&frame(2), 0.0);
-                done_tx.send(()).unwrap();
-            });
-            let registered = done_rx.recv_timeout(Duration::from_secs(5)).is_ok();
-            release_tx.send(()).unwrap();
-            assert!(registered, "register stalled behind a sweep parked in transmit");
-        });
-        assert_eq!(send.in_flight(), 2);
     }
 
     #[test]
@@ -711,8 +654,9 @@ mod tests {
         send.register(&frame(1), 10.0);
         send.register(&frame(2), 10.0);
         ack_tx.send(encode_ack(0, &[1])).unwrap();
-        send.tick(10.0);
+        let next = send.tick(10.0);
         assert_eq!(drain(&data_rx).len(), 1, "only the NACKed frame resent");
+        assert_eq!(next, 10.0 + RETRANSMIT_MS as f64, "tseq 2 falls due on its own timer");
         assert_eq!(send.in_flight(), 2, "tseq 2 still awaits its ack");
     }
 

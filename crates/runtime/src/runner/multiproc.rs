@@ -249,7 +249,8 @@ struct Supervised {
     /// Non-heartbeat stdout lines, bridged off the reader thread.
     lines: Receiver<String>,
     reader: Option<JoinHandle<()>>,
-    /// Milliseconds since the run epoch of the child's last `HB` line.
+    /// The instant of the child's last `HB` line, in whole milliseconds on
+    /// the run clock.
     beat: Arc<AtomicU64>,
     /// False once killed (by chaos, by the hang detector) or reaped.
     alive: bool,
@@ -265,7 +266,7 @@ impl Supervised {
         node_exe: &Path,
         role: ProcTarget,
         manifest: &str,
-        epoch: Instant,
+        clock: crate::SimClock,
         generation: u32,
     ) -> Result<Supervised> {
         let label = role.to_string();
@@ -278,7 +279,7 @@ impl Supervised {
             .map_err(|e| peer_err(&label, format!("spawn failed: {e}")))?;
         let stdin = child.stdin.take().ok_or_else(|| peer_err(&label, "no stdin pipe"))?;
         let stdout = child.stdout.take().ok_or_else(|| peer_err(&label, "no stdout"))?;
-        let beat = Arc::new(AtomicU64::new(epoch.elapsed().as_millis() as u64));
+        let beat = Arc::new(AtomicU64::new(clock.elapsed_ms_f64() as u64));
         let (tx, lines) = channel();
         let beat_cell = Arc::clone(&beat);
         let reader = std::thread::spawn(move || {
@@ -292,7 +293,7 @@ impl Supervised {
                 }
                 let t = line.trim_end();
                 if t.starts_with("HB ") {
-                    beat_cell.store(epoch.elapsed().as_millis() as u64, Ordering::Release);
+                    beat_cell.store(clock.elapsed_ms_f64() as u64, Ordering::Release);
                 } else if tx.send(t.to_string()).is_err() {
                     return;
                 }
@@ -340,7 +341,8 @@ impl Drop for Supervised {
 struct Fleet<'a> {
     node_exe: &'a Path,
     manifest: String,
-    epoch: Instant,
+    /// The run clock, the time base of every heartbeat age.
+    clock: crate::SimClock,
     procs: Vec<Supervised>,
     /// The address of every host of the run, as it is now.
     addrs: HashMap<Host, SocketAddr>,
@@ -368,7 +370,7 @@ impl Fleet<'_> {
             p.send(&msg)?;
             // The handshake (which includes the child's model rebuild)
             // does not count as heartbeat staleness.
-            p.beat.store(self.epoch.elapsed().as_millis() as u64, Ordering::Release);
+            p.beat.store(self.clock.elapsed_ms_f64() as u64, Ordering::Release);
         }
         Ok(())
     }
@@ -404,7 +406,7 @@ impl Supervisor<'_> {
     /// are not special-cased anywhere downstream — their silence folds
     /// into the same deadline degradation as in-process loss.
     fn tick(&mut self, seq: u64) {
-        let now_ms = self.fleet.epoch.elapsed().as_millis() as u64;
+        let now_ms = self.fleet.clock.elapsed_ms_f64() as u64;
         for i in 0..self.fleet.procs.len() {
             let p = &mut self.fleet.procs[i];
             let role = p.role;
@@ -446,7 +448,7 @@ impl Supervisor<'_> {
         let generation = old.generation + 1;
         let tseq_base = tseq_base_for(role, generation)?;
         let manifest = format!("{}tseq_base={tseq_base}\n", fleet.manifest);
-        *old = Supervised::spawn(fleet.node_exe, role, &manifest, fleet.epoch, generation)?;
+        *old = Supervised::spawn(fleet.node_exe, role, &manifest, fleet.clock, generation)?;
         fleet.exchange(|p| p.role == role)?;
         let addr = fleet.addrs[&Host::Role(role)];
         self.redial.redial(&role.to_string(), addr);
@@ -566,12 +568,12 @@ pub fn launch(
     let mut fleet = Fleet {
         node_exe,
         manifest: encode_role_manifest(&topology.config, cfg),
-        epoch: Instant::now(),
+        clock: ctx.obs.clock(),
         procs: Vec::new(),
         addrs: HashMap::new(),
     };
     for role in wiring.roles() {
-        let p = Supervised::spawn(node_exe, role, &fleet.manifest, fleet.epoch, 0)?;
+        let p = Supervised::spawn(node_exe, role, &fleet.manifest, fleet.clock, 0)?;
         fleet.procs.push(p);
         for what in ["kills", "respawns", "heartbeat_misses"] {
             ctx.obs.registry().counter(&format!("proc.{role}.{what}"));
@@ -732,8 +734,7 @@ where
     };
 
     // Run the role's nodes until the orchestrator's shutdown frames.
-    let arq = std::mem::take(&mut plane.factory.arq_states);
-    let ran = host_nodes(&arq, |spawn, _| spawn_role(role, &ctx, &blanks, &mut plane, spawn));
+    let ran = host_nodes(|spawn| spawn_role(role, &ctx, &blanks, &mut plane, spawn));
     hb_stop.store(true, Ordering::Release);
     let _ = hb_thread.join();
     let ((), node_reports) = ran?;

@@ -15,11 +15,9 @@ use crate::message::{quantize_image, Frame, NodeId, Payload, HEADER_BYTES};
 use crate::node::report::{assemble_report, NodeReport, SimReport};
 use crate::orchestrator::rebalance::RoutingTable;
 use crate::orchestrator::{ElasticDriver, NodeDirectory};
-use crate::reliability::{run_retransmit_pump, ArqSendState};
 use crate::topology::{HierarchyConfig, Shape, Topology};
 use crate::transport::{Endpoint, InboxBinding, TransportConfig};
 use ddnn_tensor::Tensor;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Shared input validation (identical checks and ordering for every
@@ -172,32 +170,14 @@ impl SampleHook for Feed<'_> {
     }
 }
 
-/// Raises a stop flag when dropped, so the retransmit pump always exits —
-/// even when the run's scope closure returns early with an error.
-struct PumpStopGuard<'a>(&'a AtomicBool);
-
-impl Drop for PumpStopGuard<'_> {
-    fn drop(&mut self) {
-        self.0.store(true, Ordering::Release);
-    }
-}
-
-/// Runs `body` beside the ARQ retransmit pump that ticks `arq`: it starts
-/// a thread for every node it hands to its first argument, and may stop
-/// the pump early through the flag it gets as its second. The nodes are
-/// joined once `body` has returned.
+/// Runs `body`, which starts a thread for every node it hands to `spawn`;
+/// the nodes are joined once `body` has returned.
 pub(super) fn host_nodes<T>(
-    arq: &[Arc<ArqSendState>],
-    body: impl FnOnce(&mut Spawn, &AtomicBool) -> Result<T>,
+    body: impl FnOnce(&mut Spawn) -> Result<T>,
 ) -> Result<(T, Vec<NodeReport>)> {
-    let pump_stop = AtomicBool::new(false);
     std::thread::scope(|scope| {
-        let _pump_guard = PumpStopGuard(&pump_stop);
-        if !arq.is_empty() {
-            scope.spawn(|| run_retransmit_pump(arq, &pump_stop));
-        }
         let mut handles = Vec::new();
-        let done = body(&mut |node| handles.push(scope.spawn(node)), &pump_stop)?;
+        let done = body(&mut |node| handles.push(scope.spawn(node)))?;
         let mut reports = Vec::with_capacity(handles.len());
         for h in handles {
             reports.push(h.join().map_err(|_| RuntimeError::Disconnected {
@@ -261,16 +241,15 @@ pub(super) fn orchestrate(
             .fold(local.transfer_ms(summary_bytes), |ms, _| ms + wan.transfer_ms(map_bytes)),
         false => 0.0,
     };
-    let arq = std::mem::take(&mut plane.factory.arq_states);
-    let (tallies, mut node_reports) = host_nodes(&arq, |spawn, pump_stop| {
+    let (tallies, mut node_reports) = host_nodes(|spawn| {
         host(&mut plane, spawn)?;
         let exit_of = |tier: u8| Ok((topology.exit_point_of(tier)?, latency_of(tier)));
         let initial = &ctx.routing.initial;
         let (n, start) = (labels.len(), obs.clock().elapsed_ms_f64());
         let pump = Pump::new(n, start, cfg, hook, &exit_of, obs, initial, driver.as_mut());
         let tallies = drive(pump, &mut orch_inbox, obs.clock())?.tallies;
-        // Every sample resolved: stop retransmitting before shutdown.
-        pump_stop.store(true, Ordering::Release);
+        // Every sample resolved; the orchestrator's ARQ links stopped
+        // retransmitting when its `drive` returned.
 
         // Orderly shutdown in inbox order — devices first (over their
         // sensor feeds), then the gateway, then the chain — skipping

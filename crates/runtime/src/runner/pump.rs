@@ -432,6 +432,22 @@ mod tests {
     }
 
     #[test]
+    fn a_verdict_just_inside_the_budget_is_classified_and_one_just_past_it_timed_out() {
+        // Arrivals at 0 and 1 ms, each with 3 × 15 = 45 ms to resolve.
+        let dl = DeadlineConfig { watchdog_ms: 15, max_retries: 2, ..DeadlineConfig::fast() };
+        let cfg = HierarchyConfig { deadlines: Some(dl), stream: stream(2), ..Default::default() };
+        let (tallies, _, _) = with_pump(2, &cfg, None, |p| {
+            p.on_wake(1.0).unwrap();
+            p.on_frame(44.9, verdict(0)).unwrap();
+            p.on_wake(46.0).unwrap();
+            p.on_frame(46.1, verdict(1)).unwrap(); // late: drained
+            assert!(p.done());
+        });
+        assert_eq!(tallies.outcomes, [Classified, SampleOutcome::TimedOut { waited_ms: 45 }]);
+        assert_eq!(tallies.latencies, [44.9, 45.0], "neither exceeds the budget");
+    }
+
+    #[test]
     fn the_window_sheds_its_overflow() {
         // Arrivals 1 ms apart into a window of two: by 3 ms samples 0 and 1
         // fill it, so 2 and 3 are shed — counted, never fed, no latency.

@@ -86,10 +86,16 @@ pub(super) struct LinkRow {
     pub(super) name: String,
     /// Sending node's wire identity (receivers key ARQ state by it).
     pub(super) from: NodeId,
+    /// The node whose `drive` sends on the link, and so runs its ARQ
+    /// retransmit timer: `from`, but the orchestrator for every row its
+    /// host sends in another node's name.
+    owner: NodeId,
     pub(super) sender: Host,
     pub(super) receiver: Host,
     /// Name of the destination inbox.
     pub(super) inbox: String,
+    /// Wire identity of the destination inbox's node.
+    to: NodeId,
     /// Whether the link appears in the report (the sensor feeds never did).
     pub(super) tracked: bool,
     /// The node whose crash counter silences this link (an `AfterFrames`
@@ -143,7 +149,7 @@ impl Wiring {
             // the device's identity and crash counter.
             for d in 0..n {
                 let row = link(Link::Uplink(d, 0), &device(d), &tiers[0]);
-                w.add(LinkRow { sender: Host::Orchestrator, ..row });
+                w.add(LinkRow { sender: Host::Orchestrator, owner: NodeId::Orchestrator, ..row });
             }
             w.add(link(Link::Verdict(0), &tiers[0], &orch));
             w.inboxes.extend(tiers);
@@ -222,9 +228,11 @@ fn link(key: Link, from: &InboxRow, to: &InboxRow) -> LinkRow {
         key,
         name: format!("{}->{}", from.name, to.name),
         from: from.id,
+        owner: from.id,
         sender: from.host,
         receiver: to.host,
         inbox: to.name.clone(),
+        to: to.id,
         tracked: true,
         crash: (from.host != Host::Orchestrator).then(|| from.name.clone()),
     }
@@ -271,7 +279,8 @@ impl Plane<'_> {
 /// answers with that endpoint for all of them, the multi-process launcher
 /// and its role hosts exchange addresses over stdio. An ARQ link's
 /// receiving end acks into `ack:{link}` on the sending host, pricing acks
-/// into the sender's own cells when both ends are local.
+/// into the sender's own cells when both ends are local; its retransmit
+/// timer runs in the `drive` loop of the row's owner.
 pub(super) fn connect<'a>(
     wiring: &Wiring,
     local: &[Host],
@@ -290,9 +299,9 @@ pub(super) fn connect<'a>(
         reason: format!("no {what} here"),
     };
 
-    let mut inboxes: HashMap<&str, NodeInbox> = HashMap::new();
+    let mut inboxes = HashMap::new();
     for row in wiring.inboxes.iter().filter(|i| local.contains(&i.host)) {
-        inboxes.insert(&row.name, factory.inbox(&row.name)?);
+        inboxes.insert(row.id, factory.inbox(&row.name)?);
     }
     let arq = cfg.reliability.mode == ReliabilityMode::Arq;
     let mut ack_inboxes = HashMap::new();
@@ -318,20 +327,18 @@ pub(super) fn connect<'a>(
             let crash = row.crash.as_ref().and_then(|node| crashes.get(node)).cloned();
             let ack_inbox = ack_inboxes.remove(row.name.as_str());
             let sender = factory.sender(&to, &row.name, crash, cells.clone(), ack_inbox)?;
+            let owner = inboxes.get_mut(&row.owner);
+            owner.ok_or_else(|| no_route("sending node", &row.name))?.send_on(&sender);
             senders.insert(row.key, sender);
         }
         if acks {
             let ack = binding(row.sender, format!("ack:{}", row.name))?;
             let state = factory.recv_state(&ack, &row.name, cells)?;
-            let inbox = inboxes
-                .get_mut(row.inbox.as_str())
-                .ok_or_else(|| no_route("local inbox", &row.name))?;
+            let inbox =
+                inboxes.get_mut(&row.to).ok_or_else(|| no_route("local inbox", &row.name))?;
             inbox.register(row.from, state);
         }
     }
-    let by_id =
-        wiring.inboxes.iter().filter_map(|i| Some((i.id, inboxes.remove(i.name.as_str())?)));
-    let inboxes = by_id.collect();
     Ok(Plane { factory, inboxes, senders })
 }
 
@@ -412,7 +419,9 @@ mod tests {
             assert!(hosts.contains(&row.sender) && hosts.contains(&row.receiver), "{row:?}");
             let bound: Vec<&InboxRow> = w.inboxes.iter().filter(|i| i.name == row.inbox).collect();
             assert_eq!(bound.len(), 1, "inbox {:?} of {:?}", row.inbox, row.name);
-            assert_eq!(bound[0].host, row.receiver, "{row:?}");
+            assert_eq!((bound[0].host, bound[0].id), (row.receiver, row.to), "{row:?}");
+            // The owner, who runs the link's retransmit timer, is a node of its sending host.
+            assert!(w.inboxes.iter().any(|i| i.id == row.owner && i.host == row.sender), "{row:?}");
             assert_eq!(w.rows.iter().filter(|r| r.key == row.key).count(), 1, "{row:?}");
         }
     }

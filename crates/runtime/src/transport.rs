@@ -36,7 +36,7 @@
 //! collectors never know which transport a run is on. All reader threads
 //! are owned by a [`TransportHost`] whose `Drop` raises a stop flag and
 //! joins them — sockets cannot leak background threads any more than the
-//! ARQ pump can.
+//! nodes' scoped threads can.
 //!
 //! Link impairment happens *before* the transport (at the send boundary,
 //! in `LinkSender::send`), so its seeded streams draw identically on
@@ -221,11 +221,12 @@ struct TcpPeer {
 }
 
 /// One TCP stream per link, length-prefixed frames, one `write` per
-/// frame. The mutex serializes the link's writers (the node thread and
-/// the ARQ retransmit pump write the same stream). A write error or chaos sever drops the stream; the
-/// next transmit re-dials the stored peer address within a bounded
-/// budget, so a retransmitted frame can cross a *new* connection after a
-/// mid-stream sever — and a truly dead peer still reports gone.
+/// frame. The mutex serializes the stream's users (the sending node's
+/// frames and ARQ retransmissions, and a supervisor's re-dial). A write
+/// error or chaos sever drops the stream; the next transmit re-dials the
+/// stored peer address within a bounded budget, so a retransmitted frame
+/// can cross a *new* connection after a mid-stream sever — and a truly
+/// dead peer still reports gone.
 #[derive(Debug)]
 struct TcpTx {
     peer: Mutex<TcpPeer>,
@@ -383,8 +384,8 @@ type Inboxes = Arc<Mutex<HashMap<[u8; ID_BYTES], (String, Sender<Arc<[u8]>>)>>>;
 /// connects senders and owns every socket reader thread spawned along the
 /// way. Dropping the host (or calling
 /// [`shutdown`](TransportHost::shutdown)) raises the stop flag and joins
-/// all readers — the socket counterpart of the ARQ pump's scope
-/// drop-guard, so no run can leak background threads.
+/// all readers — the socket counterpart of the nodes' thread scope, so
+/// no run can leak background threads.
 #[derive(Debug)]
 pub(crate) struct TransportHost {
     kind: TransportConfig,
