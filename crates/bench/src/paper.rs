@@ -14,7 +14,7 @@ use ddnn_core::{
 use ddnn_data::device_stats;
 use ddnn_runtime::{
     run_cloud_only_baseline, run_distributed_inference, ChaosAction, ChaosPlan, ChaosTarget,
-    ChaosWhen, DeadlineConfig, HierarchyConfig, Result,
+    ChaosWhen, HierarchyConfig, Result,
 };
 
 /// One experiment: renders its artifact from the shared run.
@@ -622,7 +622,6 @@ fn ablation_fault(run: &mut PaperRun) -> Result<String> {
                 ChaosTarget::Device(crash_device),
                 ChaosAction::Down,
             ),
-            deadlines: Some(DeadlineConfig::default()),
             ..HierarchyConfig::default()
         };
         runs.push((label, cfg));

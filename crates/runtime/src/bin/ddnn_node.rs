@@ -17,9 +17,8 @@
 
 use ddnn_core::{AggregationScheme, Ddnn, DdnnConfig, EdgeConfig, ExitThreshold};
 use ddnn_runtime::{
-    multiproc, run_topology, ChaosAction, ChaosPlan, ChaosTarget, ChaosWhen, DeadlineConfig,
-    HierarchyConfig, ProcTarget, ReliabilityConfig, SampleOutcome, SimReport, Topology,
-    TransportConfig,
+    multiproc, run_topology, ChaosAction, ChaosPlan, ChaosTarget, ChaosWhen, HierarchyConfig,
+    ProcTarget, ReliabilityConfig, SampleOutcome, SimReport, Topology, TransportConfig,
 };
 use ddnn_tensor::rng::rng_from_seed;
 use ddnn_tensor::Tensor;
@@ -117,7 +116,6 @@ fn demo(
     let cfg = HierarchyConfig {
         local_threshold: ExitThreshold::new(0.4),
         edge_threshold: ExitThreshold::new(0.7),
-        deadlines: Some(DeadlineConfig::default()),
         // ARQ everywhere: required on UDP, exercised on TCP too so the
         // demo covers the ack path on both socket transports.
         reliability: ReliabilityConfig::arq(),

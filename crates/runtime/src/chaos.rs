@@ -235,8 +235,8 @@ pub struct ChaosEvent {
 }
 
 /// The seeded, deterministic schedule of everything injected into a run.
-/// [`ChaosPlan::none`] (the default) injects nothing and leaves the
-/// runtime on its exact legacy code path.
+/// [`ChaosPlan::none`] (the default) injects nothing, so no deadline
+/// fires and the run is the fault-free one.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ChaosPlan {
     /// Seed of every per-link impairment stream.
@@ -391,7 +391,7 @@ impl ChaosPlan {
 
     /// Validates the plan against the hierarchy it will run in and the
     /// runner about to execute it: `cfg` says what that runner offers
-    /// (deadlines, elastic orchestration, a socket transport) and
+    /// (elastic orchestration, a socket transport) and
     /// `processes` whether its roles are real OS processes (the
     /// multi-process launcher) or threads.
     ///
@@ -455,7 +455,6 @@ impl ChaosPlan {
                 return reject(format!("chaos target {target:?} {why}"));
             }
             // This runner can do it.
-            need(cfg.deadlines.is_some(), "deadlines (set cfg.deadlines)")?;
             need(
                 !matches!(target, T::Sockets) || cfg.transport.is_socket(),
                 "a socket transport (set cfg.transport to tcp or udp)",
@@ -764,7 +763,7 @@ fn truncate_len(len: usize, seed: u64) -> usize {
 mod tests {
     use super::*;
     use crate::message::{NodeId, Payload};
-    use crate::{DeadlineConfig, ElasticConfig};
+    use crate::ElasticConfig;
     use ddnn_core::{AggregationScheme, Ddnn, DdnnConfig, EdgeConfig};
     use ChaosAction::{Down, Up};
     use ChaosWhen::{AfterFrames, BeforeSample};
@@ -778,7 +777,7 @@ mod tests {
     }
 
     /// Validates `plan` for an in-process run that offers everything
-    /// (deadlines, elastic orchestration) on `devices`
+    /// (elastic orchestration) on `devices`
     /// devices → gateway → edge → cloud.
     fn validate(plan: &ChaosPlan, devices: usize, failed: &[usize]) -> Result<()> {
         validate_as(plan, devices, failed, false)
@@ -799,7 +798,6 @@ mod tests {
         });
         let cfg = HierarchyConfig {
             failed_devices: failed.to_vec(),
-            deadlines: Some(DeadlineConfig::fast()),
             elastic: Some(ElasticConfig::fast()),
             ..HierarchyConfig::default()
         };

@@ -120,12 +120,6 @@ pub struct LinkSender {
     stats: LinkCounters,
     name: Arc<str>,
     fault: Option<Arc<LinkChaos>>,
-    /// Treat a hung-up receiver as a frame lost in flight rather than an
-    /// error. Set in deadline (fault-tolerant) mode, where late duplicates
-    /// and retransmissions can race a peer's orderly shutdown; the frame
-    /// still counts as transmitted, exactly like a real datagram sent to a
-    /// host that just went away.
-    lenient: bool,
     /// ARQ retransmit buffer; every non-shutdown frame is registered here
     /// before its fault roll, so a lost primary is recoverable.
     arq: Option<Arc<ArqSendState>>,
@@ -137,15 +131,13 @@ pub struct LinkSender {
 }
 
 impl LinkSender {
-    /// A sender with no fault stream, no ARQ and no tolerance for a
-    /// hung-up receiver.
+    /// A sender with no fault stream and no ARQ.
     fn plain(tx: Arc<dyn TransportTx>, name: &str) -> Self {
         LinkSender {
             tx,
             stats: LinkCounters::default(),
             name: Arc::from(name),
             fault: None,
-            lenient: false,
             arq: None,
             held: Arc::new(Mutex::new(None)),
         }
@@ -156,17 +148,19 @@ impl LinkSender {
     /// dropped, duplicated, delayed, damaged (bit flips / truncation) or
     /// reordered per the seeded plan.
     ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::Disconnected`] if the receiver hung up.
+    /// Never fails: a hung-up receiver is a frame lost in flight, not an
+    /// error. Late duplicates and retransmissions can race a peer's orderly
+    /// shutdown; the frame still counts as transmitted, exactly like a real
+    /// datagram sent to a host that just went away.
     pub fn send(&self, frame: &Frame) -> Result<()> {
         if frame.is_shutdown() {
             // Shutdown bypasses faults and ARQ (tseq 0) so a chaotic run
             // always terminates; any held-back frame goes out first.
-            self.flush_held()?;
+            self.flush_held();
             let wire = frame.encode();
             self.account(frame.payload_bytes(), wire.len(), 1, false);
-            return self.transmit(wire);
+            self.tx.transmit(wire);
+            return Ok(());
         }
         // Register with ARQ *before* the fault roll: a dropped primary is
         // then already buffered for retransmission.
@@ -190,17 +184,17 @@ impl LinkSender {
             // Park one copy until the next frame passes it; anything
             // already parked goes out now (at most one frame is held).
             for _ in 1..deliveries {
-                self.transmit(wire.clone())?;
+                self.tx.transmit(wire.clone());
             }
             let prior = lock(&self.held).replace(wire);
             if let Some(p) = prior {
-                self.transmit(p)?;
+                self.tx.transmit(p);
             }
         } else {
             for _ in 0..deliveries {
-                self.transmit(wire.clone())?;
+                self.tx.transmit(wire.clone());
             }
-            self.flush_held()?;
+            self.flush_held();
         }
         Ok(())
     }
@@ -221,20 +215,11 @@ impl LinkSender {
         }
     }
 
-    /// Pushes raw wire bytes into the transport, honoring leniency.
-    fn transmit(&self, wire: Arc<[u8]>) -> Result<()> {
-        if !self.tx.transmit(wire) && !self.lenient {
-            return Err(RuntimeError::Disconnected { node: self.name.to_string() });
-        }
-        Ok(())
-    }
-
     /// Releases a reorder-held frame, if any.
-    fn flush_held(&self) -> Result<()> {
+    fn flush_held(&self) {
         let held = lock(&self.held).take();
-        match held {
-            Some(wire) => self.transmit(wire),
-            None => Ok(()),
+        if let Some(wire) = held {
+            self.tx.transmit(wire);
         }
     }
 
@@ -411,7 +396,6 @@ pub(crate) struct LinkFactory<'a> {
     /// When ARQ senders abandon a frame, in milliseconds (see
     /// [`arq_max_age`]).
     arq_max_age: f64,
-    tolerant: bool,
     /// Run observability: link counters are registered here, and inboxes
     /// plus ARQ states emit timeline events through it.
     obs: Arc<RunObs>,
@@ -425,17 +409,15 @@ pub(crate) struct LinkFactory<'a> {
 }
 
 impl<'a> LinkFactory<'a> {
-    /// A factory for one run of `cfg`. Links tolerate a departed receiver
-    /// exactly when deadlines are on (see [`LinkSender`]); `tseq_base`
-    /// starts every ARQ sender at transport sequence `tseq_base + 1` —
-    /// nonzero only in a respawned role process, which must number its
-    /// frames above its predecessor's range.
+    /// A factory for one run of `cfg`; `tseq_base` starts every ARQ sender
+    /// at transport sequence `tseq_base + 1` — nonzero only in a respawned
+    /// role process, which must number its frames above its predecessor's
+    /// range.
     pub(crate) fn new(cfg: &'a HierarchyConfig, obs: Arc<RunObs>, tseq_base: u32) -> Self {
         let transport = TransportHost::new(cfg.transport, &obs);
         LinkFactory {
             plan: &cfg.chaos,
-            arq_max_age: arq_max_age(cfg.deadlines.as_ref()),
-            tolerant: cfg.deadlines.is_some(),
+            arq_max_age: arq_max_age(cfg.deadlines()),
             obs,
             transport,
             tseq_base,
@@ -525,7 +507,7 @@ impl<'a> LinkFactory<'a> {
             send_state
         });
         let plain = LinkSender::plain(data_tx, name);
-        Ok(LinkSender { stats, fault, lenient: self.tolerant, arq, ..plain })
+        Ok(LinkSender { stats, fault, arq, ..plain })
     }
 
     /// The receiver-side ARQ state of the inbound link `name`, acking into

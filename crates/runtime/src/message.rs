@@ -837,8 +837,8 @@ mod tests {
 
     #[test]
     fn legacy_truncation_is_classified_as_corrupt() {
-        // Regression: truncation used to surface as Protocol, which a
-        // tolerant inbox would propagate as a node failure; Corrupt is
+        // Regression: truncation used to surface as Protocol, which an
+        // inbox would propagate as a node failure; Corrupt is
         // counted and discarded like any other damaged frame.
         let f = Frame::new(3, NodeId::Device(0), Payload::Scores { scores: vec![1.0, 2.0, 3.0] });
         let wire = f.encode();

@@ -15,7 +15,7 @@ use std::sync::Arc;
 struct PendingSample<T> {
     slots: Vec<Option<T>>,
     /// Milliseconds on the run clock.
-    deadline: Option<f64>,
+    deadline: f64,
 }
 
 /// What a collector did with one inserted contribution.
@@ -56,17 +56,16 @@ pub(crate) struct Collector<T> {
     /// `aggregation_ms` after a sample's first contribution, then
     /// substitute blanks. Sources missing `suspect_after` consecutive
     /// deadlines are presumed dead and no longer waited for; they revive
-    /// on their next frame. A collector without deadlines waits
-    /// indefinitely — the paper-exact static fault model, where the only
-    /// silent sources are the a priori failed devices.
-    deadline: Option<DeadlineConfig>,
+    /// on their next frame. On a fault-free run no deadline fires, and the
+    /// only substituted sources are the a priori failed devices — the
+    /// paper's static fault model.
+    deadline: DeadlineConfig,
     /// Source index → device index (`None` when the source is not an end
     /// device, e.g. a tier feeding the next tier).
     device_of_source: Vec<Option<usize>>,
     /// Per device: not failed before the run began. A failed device's
     /// source is never waited for, never charged a timeout, never counted
-    /// as degradation and never revived — the paper's §IV-G substitution,
-    /// whether or not the run has deadlines.
+    /// as degradation and never revived — the paper's §IV-G substitution.
     live_devices: Vec<bool>,
     pending: HashMap<u64, PendingSample<T>>,
     /// Consecutive deadline misses per source.
@@ -83,7 +82,7 @@ impl<T: Clone> Collector<T> {
     pub(crate) fn new(
         num_sources: usize,
         blanks: Vec<T>,
-        deadline: Option<DeadlineConfig>,
+        deadline: DeadlineConfig,
         device_of_source: Vec<Option<usize>>,
         live_devices: Vec<bool>,
         obs: Arc<RunObs>,
@@ -165,8 +164,7 @@ impl<T: Clone> Collector<T> {
     ///
     /// Returns [`RuntimeError::Collector`] when a completed sample is not
     /// pending at finalize time (a duplicated or late finalize) — callers
-    /// under deadline degradation treat this as a degraded sample rather
-    /// than aborting the node.
+    /// treat this as a degraded sample rather than aborting the node.
     pub(crate) fn insert(
         &mut self,
         seq: u64,
@@ -181,14 +179,14 @@ impl<T: Clone> Collector<T> {
             Some(w) if seq == w => return Ok(Ingest::Replay { seq }),
             _ => {}
         }
-        let deadline = self.deadline.as_ref().map(|d| now + d.aggregation_ms as f64);
+        let deadline = now + self.deadline.aggregation_ms as f64;
         let entry = self
             .pending
             .entry(seq)
             .or_insert_with(|| PendingSample { slots: vec![None; self.num_sources], deadline });
         entry.slots[source] = Some(item);
         // Complete once every source that is still waited for has sent.
-        let suspect_after = self.deadline.as_ref().map_or(u32::MAX, |d| d.suspect_after);
+        let suspect_after = self.deadline.suspect_after;
         let done =
             self.pending[&seq].slots.iter().enumerate().all(|(s, slot)| {
                 slot.is_some() || self.failed(s) || self.misses[s] >= suspect_after
@@ -203,7 +201,7 @@ impl<T: Clone> Collector<T> {
 
     /// The earliest deadline among pending samples, if any.
     pub(crate) fn next_deadline(&self) -> Option<f64> {
-        self.pending.values().filter_map(|p| p.deadline).reduce(f64::min)
+        self.pending.values().map(|p| p.deadline).reduce(f64::min)
     }
 
     /// Finalizes (with blank substitution) the oldest pending sample whose
@@ -214,12 +212,7 @@ impl<T: Clone> Collector<T> {
     /// Returns [`RuntimeError::Collector`] if the selected sample vanished
     /// from the pending map before finalize (see [`Collector::insert`]).
     pub(crate) fn expire(&mut self, now: f64) -> Result<Option<(u64, Vec<T>, usize)>> {
-        let seq = self
-            .pending
-            .iter()
-            .filter(|(_, p)| p.deadline.is_some_and(|d| d <= now))
-            .map(|(&k, _)| k)
-            .min();
+        let seq = self.pending.iter().filter(|(_, p)| p.deadline <= now).map(|(&k, _)| k).min();
         match seq {
             None => Ok(None),
             Some(seq) => self.finalize(seq).map(Some),
@@ -276,17 +269,17 @@ mod tests {
     use proptest::prelude::*;
 
     /// Far enough out never to expire in-test.
-    fn far_deadline() -> Option<DeadlineConfig> {
+    fn far_deadline() -> DeadlineConfig {
         deadline(60_000, u32::MAX)
     }
 
-    fn deadline(aggregation_ms: u64, suspect_after: u32) -> Option<DeadlineConfig> {
-        Some(DeadlineConfig { aggregation_ms, suspect_after, ..DeadlineConfig::fast() })
+    fn deadline(aggregation_ms: u64, suspect_after: u32) -> DeadlineConfig {
+        DeadlineConfig { aggregation_ms, suspect_after, ..DeadlineConfig::fast() }
     }
 
     /// `k` device sources with blanks `1000 + s`, the `failed` ones dead
     /// before the run.
-    fn collector(k: usize, deadline: Option<DeadlineConfig>, failed: &[usize]) -> Collector<u32> {
+    fn collector(k: usize, deadline: DeadlineConfig, failed: &[usize]) -> Collector<u32> {
         Collector::new(
             k,
             (0..k).map(|s| 1000 + s as u32).collect(),
@@ -305,10 +298,6 @@ mod tests {
 
     fn charged(d: usize, n: u64) -> Vec<(String, u64)> {
         vec![(format!("node.device{d}.timeouts"), n)]
-    }
-
-    fn static_collector(k: usize) -> Collector<u32> {
-        collector(k, None, &[])
     }
 
     fn deadline_collector(k: usize) -> Collector<u32> {
@@ -380,15 +369,6 @@ mod tests {
 
     proptest! {
         #[test]
-        fn static_finalization_is_order_independent(
-            k in 2usize..6,
-            seed in 0u64..1024,
-            dups in prop::collection::vec(0usize..6, 0..5),
-        ) {
-            check_order_independence(static_collector(k), k, seed, &dups);
-        }
-
-        #[test]
         fn deadline_finalization_is_order_independent(
             k in 2usize..6,
             seed in 0u64..1024,
@@ -400,24 +380,22 @@ mod tests {
 
     #[test]
     fn a_priori_failed_sources_are_blanked_without_waiting_or_charging() {
-        // 3 sources, one (index 1) dead before the run — with and without
-        // a deadline it is never waited for.
-        for deadline in [None, far_deadline()] {
-            let mut c = collector(3, deadline, &[1]);
-            assert!(matches!(c.insert(0, 0, 7, 0.0).unwrap(), Ingest::Pending));
-            match c.insert(0, 2, 9, 0.0).unwrap() {
-                Ingest::Complete { seq, items, substituted } => {
-                    assert_eq!(seq, 0);
-                    assert_eq!(items, vec![7, 1001, 9]); // blank substituted in place
-                    assert_eq!(substituted, 1, "the a priori dead source counts");
-                }
-                _ => panic!("second live contribution must complete"),
+        // 3 sources, one (index 1) dead before the run: it is never
+        // waited for.
+        let mut c = collector(3, far_deadline(), &[1]);
+        assert!(matches!(c.insert(0, 0, 7, 0.0).unwrap(), Ingest::Pending));
+        match c.insert(0, 2, 9, 0.0).unwrap() {
+            Ingest::Complete { seq, items, substituted } => {
+                assert_eq!(seq, 0);
+                assert_eq!(items, vec![7, 1001, 9]); // blank substituted in place
+                assert_eq!(substituted, 1, "the a priori dead source counts");
             }
-            // Static substitution is the paper's intended §IV-G behavior,
-            // not dynamic degradation: nothing is reported.
-            assert!(charges(&c).is_empty());
-            assert!(c.into_report().degraded.is_empty());
+            _ => panic!("second live contribution must complete"),
         }
+        // Static substitution is the paper's intended §IV-G behavior,
+        // not dynamic degradation: nothing is reported.
+        assert!(charges(&c).is_empty());
+        assert!(c.into_report().degraded.is_empty());
     }
 
     #[test]
@@ -493,7 +471,7 @@ mod tests {
         c.mark_suspect(0);
         // With every source suspect, nothing can arrive to trigger the
         // done-check; the deadline path finalizes instead. Simulate it.
-        c.pending.insert(0, PendingSample { slots: vec![None], deadline: Some(5.0) });
+        c.pending.insert(0, PendingSample { slots: vec![None], deadline: 5.0 });
         let (seq, items, substituted) = c.expire(5.0).unwrap().unwrap();
         assert_eq!((seq, substituted), (0, 1));
         assert_eq!(items, vec![500]);
@@ -547,7 +525,7 @@ mod tests {
         // A finalize racing a duplicate (the sample already completed and
         // was garbage-collected) must surface as a typed error the node
         // loop can tolerate, not a panic that takes the thread down.
-        let mut c = static_collector(2);
+        let mut c = deadline_collector(2);
         match c.finalize(42) {
             Err(RuntimeError::Collector { seq: 42 }) => {}
             other => panic!("expected Collector error, got {other:?}"),

@@ -26,9 +26,9 @@ pub(crate) fn blank_view(config: &DdnnConfig) -> Tensor {
 /// One end device's core, on its section frozen for inference: each
 /// capture's map comes out packed and is cached as the `Features` frame
 /// the device offloads. It only ever acts on a frame, so it never asks
-/// for a wake-up. In `tolerant` mode (deadlines active) protocol hiccups
-/// that faults make possible — duplicated stale captures, offload requests
-/// racing a retried capture — are ignored instead of aborting the node.
+/// for a wake-up. Protocol hiccups that faults make possible — duplicated
+/// stale captures, offload requests racing a retried capture — are
+/// ignored instead of aborting the node.
 ///
 /// `capture_cap` bounds the per-seq feature-map cache at the run's
 /// admission window (1 in lockstep: one sample in flight), so every
@@ -47,7 +47,6 @@ pub(crate) struct DeviceNode {
     pub(crate) to_gateway: LinkSender,
     pub(crate) to_tiers: Vec<Option<LinkSender>>,
     pub(crate) control: NodeControl,
-    pub(crate) tolerant: bool,
     pub(crate) capture_cap: usize,
     /// Captured feature frames by sample, at most `capture_cap`.
     pub(crate) cache: BTreeMap<u64, Frame>,
@@ -66,8 +65,7 @@ impl Core for DeviceNode {
         // captures below its floor are dead on arrival (with the legacy
         // single slot this is exactly the old "never replace latest with
         // older" rule).
-        let behind = self.tolerant
-            && cache.len() >= self.capture_cap
+        let behind = cache.len() >= self.capture_cap
             && cache.first_key_value().is_some_and(|(&oldest, _)| seq < oldest);
         match frame.payload {
             // Shutdown always lands, even on a device scheduled down — the
@@ -109,22 +107,11 @@ impl Core for DeviceNode {
                 // tier) simply drops the request.
                 let parent = self.control.routing.device_parent;
                 let sink = parent.and_then(|k| self.to_tiers[k].as_ref());
-                match (cache.get(&seq), cache.last_key_value()) {
-                    (Some(features), _) => {
-                        if let Some(sink) = sink {
-                            self.offloads.incr();
-                            sink.send(features)?;
-                        }
-                    }
-                    (None, _) if self.tolerant => {} // stale or premature under faults
-                    (None, None) => {
-                        return protocol(format!("device {d}: offload request before any capture"))
-                    }
-                    (None, Some((latest, _))) => {
-                        return protocol(format!(
-                            "device {d}: offload for sample {seq} but latest is {latest}"
-                        ))
-                    }
+                // A request for a sample not in the cache is stale or
+                // premature under faults: dropped.
+                if let (Some(features), Some(sink)) = (cache.get(&seq), sink) {
+                    self.offloads.incr();
+                    sink.send(features)?;
                 }
             }
             other => return protocol(format!("device {d}: unexpected payload {other:?}")),

@@ -519,7 +519,7 @@ mod tests {
         let initial = compute_routing(0, vec![true; n + 2], n, &compat);
         // Only device 0 is live: its contribution alone completes a sample.
         let (sources, live) = ((0..n).map(Some).collect(), (0..n).map(|d| d == 0).collect());
-        let blanks = vec![Tensor::zeros([1, classes]); n];
+        let (blanks, dl) = (vec![Tensor::zeros([1, classes]); n], Default::default());
         let mut core = TierNode {
             name: "gateway".into(),
             id: NodeId::Gateway,
@@ -529,7 +529,7 @@ mod tests {
             to_orchestrator,
             route: Route::Gateway(Vec::new()),
             control: NodeControl::new(compat, initial, NodeId::Gateway, None, Arc::default()),
-            collector: Collector::new(n, blanks, None, sources, live, Arc::clone(&obs)),
+            collector: Collector::new(n, blanks, dl, sources, live, Arc::clone(&obs)),
             batch_max: 4,
             obs: NodeObs::for_node(&obs, "gateway", 4),
             gathered: Vec::new(),

@@ -29,7 +29,6 @@
 //! recovery share stays separable from first-transmission cost.
 
 use crate::chaos::{damage, Delivery, LinkChaos};
-use crate::error::{reject, Result};
 use crate::lock;
 use crate::message::{crc32, retransmit_form, Frame, HEADER_BYTES};
 use crate::obs::{LinkCounters, ObsEvent, RunObs};
@@ -76,8 +75,8 @@ const MAX_AGE_MS: u64 = 1000;
 /// milliseconds: [`MAX_AGE_MS`] clamped to the aggregation deadline —
 /// once the collector has blanked the sample, retransmitting it is pure
 /// waste.
-pub(crate) fn arq_max_age(deadlines: Option<&DeadlineConfig>) -> f64 {
-    deadlines.map_or(MAX_AGE_MS, |d| MAX_AGE_MS.min(d.aggregation_ms)) as f64
+pub(crate) fn arq_max_age(deadlines: DeadlineConfig) -> f64 {
+    MAX_AGE_MS.min(deadlines.aggregation_ms) as f64
 }
 
 /// Run-wide reliability configuration: the mode every link runs in.
@@ -101,22 +100,6 @@ impl ReliabilityConfig {
     /// Full ARQ on every link.
     pub fn arq() -> Self {
         ReliabilityConfig { mode: ReliabilityMode::Arq }
-    }
-
-    /// Validates the configuration against the run's deadlines.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::Config`] when ARQ runs without deadlines
-    /// (its give-up policy is defined by the sample deadline).
-    pub fn validate(&self, deadlines: Option<&DeadlineConfig>) -> Result<()> {
-        if self.mode == ReliabilityMode::Arq && deadlines.is_none() {
-            return reject(
-                "ARQ requires deadlines: its give-up policy is bounded by the \
-                 aggregation deadline",
-            );
-        }
-        Ok(())
     }
 }
 
@@ -542,7 +525,7 @@ mod tests {
         assert_eq!(decode_ack(&last), Some((base + 1, vec![base + 2, base + 3, base + 4])));
     }
 
-    /// A sender on `data_tx`/`ack_rx` with the run-default frame age.
+    /// A sender on `data_tx`/`ack_rx` that abandons frames at [`MAX_AGE_MS`].
     fn send_state(
         data_tx: Sender<Arc<[u8]>>,
         ack_rx: Receiver<Arc<[u8]>>,
@@ -553,7 +536,7 @@ mod tests {
             ack_rx,
             stats.clone(),
             None,
-            arq_max_age(None),
+            MAX_AGE_MS as f64,
             RunObs::disabled(),
             Arc::from("test-link"),
         )
@@ -672,12 +655,10 @@ mod tests {
     }
 
     #[test]
-    fn arq_needs_deadlines_and_stops_at_the_aggregation_deadline() {
+    fn arq_stops_at_the_aggregation_deadline() {
         let deadlines = DeadlineConfig { aggregation_ms: 50, ..DeadlineConfig::fast() };
-        assert!(ReliabilityConfig::arq().validate(None).is_err());
-        assert!(ReliabilityConfig::arq().validate(Some(&deadlines)).is_ok());
-        assert!(ReliabilityConfig::crc().validate(None).is_ok());
-        assert_eq!(arq_max_age(Some(&deadlines)), 50.0);
-        assert_eq!(arq_max_age(None), MAX_AGE_MS as f64);
+        assert_eq!(arq_max_age(deadlines), 50.0);
+        let slow = DeadlineConfig { aggregation_ms: 5_000, ..deadlines };
+        assert_eq!(arq_max_age(slow), MAX_AGE_MS as f64);
     }
 }

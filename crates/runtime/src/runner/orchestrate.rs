@@ -47,19 +47,12 @@ pub(super) fn validate_run(
         return reject("all devices failed");
     }
     cfg.chaos.validate(topology, cfg, processes)?;
-    cfg.reliability.validate(cfg.deadlines.as_ref())?;
-    // Whatever waits on the network needs a bound on the wait: elastic
-    // heartbeat sweeps, scheduled arrivals' expiry, and socket reads
-    // (deadline-budgeted timed polls; sockets have no channel-disconnect
-    // semantics to fall back on).
-    for (on, what) in [
-        (cfg.elastic.is_some(), "elastic orchestration"),
-        (cfg.stream.is_some(), "streaming arrivals"),
-        (cfg.transport.is_socket(), "a socket transport"),
-    ] {
-        if on && cfg.deadlines.is_none() {
-            return reject(format!("{what} requires deadlines (set cfg.deadlines)"));
-        }
+    // A zero budget would blank, expire or retry every sample at once.
+    let dl = cfg.deadlines();
+    let budgets = [("aggregation_ms", dl.aggregation_ms), ("watchdog_ms", dl.watchdog_ms)];
+    let suspect = ("suspect_after", u64::from(dl.suspect_after));
+    if let Some((name, _)) = budgets.into_iter().chain([suspect]).find(|&(_, v)| v == 0) {
+        return reject(format!("deadline {name} must be at least 1"));
     }
     if cfg.elastic.is_some_and(|el| el.heartbeat_ms == 0 || el.suspect_after == 0) {
         return reject("elastic heartbeat_ms and suspect_after must be at least 1");

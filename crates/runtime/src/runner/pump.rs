@@ -19,8 +19,8 @@
 //!   spends the budget in `watchdog_ms` slices and re-feeds the sample's
 //!   captures between them; a scheduled arrival waits it out in one piece
 //!   — re-feeding into a loaded pipeline would only add to the load.
-//!   Without deadlines there is no watchdog: the wait blocks, and
-//!   anything but the awaited verdict is a protocol error.
+//!   Retried samples leave duplicate and stale verdicts behind and sweeps
+//!   leave late pongs: they drain harmlessly.
 //! - **Latency.** A scheduled sample's latency is measured from its
 //!   *scheduled* arrival instant on the run's sub-millisecond clock, so
 //!   dispatch jitter and queueing delay are charged to the sample, not
@@ -41,7 +41,7 @@
 use super::orchestrate::SampleHook;
 use crate::chaos::{ChaosTarget, Schedule};
 use crate::clock::Core;
-use crate::error::{Result, RuntimeError};
+use crate::error::Result;
 use crate::message::{Frame, Payload};
 use crate::node::report::{RunTallies, SampleOutcome};
 use crate::obs::{Counter, ObsEvent, RunObs};
@@ -79,11 +79,11 @@ enum Resume {
 /// The sample pump's core: drives `n_samples` through the hierarchy
 /// behind its [`SampleHook`], from `start` on the run clock. `cfg.stream`
 /// sets the arrival schedule and admission window (`None`: lockstep),
-/// `cfg.deadlines` the watchdog (`None`: no watchdog, strict protocol),
-/// `cfg.chaos` the Down/Up events fired before their samples. Captures go
-/// out under `elastic`'s published routing, or under `initial` (epoch 0)
-/// in a run no driver steers; `exit_of` maps a verdict's exit tier to its
-/// exit point and lockstep latency.
+/// `cfg.deadlines` the watchdog, `cfg.chaos` the Down/Up events fired
+/// before their samples. Captures go out under `elastic`'s published
+/// routing, or under `initial` (epoch 0) in a run no driver steers;
+/// `exit_of` maps a verdict's exit tier to its exit point and lockstep
+/// latency.
 ///
 /// Conservation invariant, checked by the chaos suite: every arrival is
 /// exactly one of classified / shed / timed out, and
@@ -135,16 +135,15 @@ impl<'a> Pump<'a> {
         elastic: Option<&'a mut ElasticDriver>,
     ) -> Self {
         let (stream, lockstep) = (cfg.stream.as_ref(), cfg.stream.is_none());
-        let (watchdog_ms, max_retries) =
-            cfg.deadlines.map_or((f64::INFINITY, 0), |dl| (dl.watchdog_ms as f64, dl.max_retries));
+        let dl = cfg.deadlines();
         let offsets = stream.map(|s| s.arrival.offsets_ms(n_samples));
         let registry = obs.registry();
         Pump {
             n_samples,
             offsets: offsets.map(|o| o.into_iter().map(|at| start + at).collect()),
             window: stream.map_or(1, |s| s.queue_cap),
-            watchdog_ms,
-            max_retries,
+            watchdog_ms: dl.watchdog_ms as f64,
+            max_retries: dl.max_retries,
             tallies: RunTallies {
                 predictions: vec![0; n_samples],
                 exits: vec![ExitPoint::Cloud; n_samples],
@@ -167,17 +166,6 @@ impl<'a> Pump<'a> {
             obs,
             initial,
             elastic,
-        }
-    }
-
-    /// Under deadlines, retried samples leave duplicate and stale verdicts
-    /// behind and sweeps leave late pongs: they drain harmlessly. Without
-    /// (no watchdog) nothing is ever sent twice, and anything but the
-    /// awaited verdict is a protocol error.
-    fn unexpected(&self, reason: String) -> Result<()> {
-        match self.watchdog_ms.is_infinite() {
-            true => Err(RuntimeError::Protocol { reason }),
-            false => Ok(()),
         }
     }
 
@@ -297,21 +285,17 @@ impl Core for Pump<'_> {
         self.admit(now)
     }
 
-    /// Resolves a verdict; hands a pong to the elastic driver.
+    /// Resolves a verdict; hands a pong to the elastic driver. A stale or
+    /// duplicate verdict drains.
     fn on_frame(&mut self, now: f64, frame: Frame) -> Result<()> {
         let Payload::Verdict { prediction, exit_tier } = frame.payload else {
-            return match self.elastic.as_deref_mut() {
-                Some(driver) if frame.payload == Payload::Pong => {
-                    driver.on_pong(&frame);
-                    Ok(())
-                }
-                _ => self.unexpected("orchestrator received a non-verdict".to_string()),
-            };
+            if let (Some(driver), Payload::Pong) = (self.elastic.as_deref_mut(), &frame.payload) {
+                driver.on_pong(&frame);
+            }
+            return Ok(());
         };
         let Some(flight) = self.inflight.remove(&frame.seq) else {
-            let running = self.inflight.keys().next().map_or(frame.seq, |&s| s);
-            return self
-                .unexpected(format!("verdict for sample {} while running {running}", frame.seq));
+            return Ok(());
         };
         let (i, (exit, link_ms)) = (frame.seq as usize, (self.exit_of)(exit_tier)?);
         self.tallies.predictions[i] = prediction as usize;
@@ -326,8 +310,7 @@ impl Core for Pump<'_> {
     }
 
     /// The open ping round's; otherwise the earliest of the next arrival,
-    /// the first watchdog action and the next sweep. With none of them
-    /// ahead (lockstep without deadlines) only a verdict can end the wait.
+    /// the first watchdog action and the next sweep.
     fn next_wake(&self) -> f64 {
         if let Some(wake) = self.elastic.as_deref().and_then(ElasticDriver::next_wake) {
             return wake;

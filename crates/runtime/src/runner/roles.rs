@@ -143,7 +143,6 @@ pub(super) fn spawn_role(
     let (n, t) = (topology.num_devices(), topology.tiers.len());
     match role {
         ProcTarget::Devices => {
-            let tolerant = cfg.deadlines.is_some();
             // A device caches the feature map of every sample that can
             // be in flight: the admission window (one, in lockstep).
             let capture_cap = cfg.stream.as_ref().map_or(1, |s| s.queue_cap).max(1);
@@ -161,7 +160,6 @@ pub(super) fn spawn_role(
                     // crashed device's heartbeats die with its data.
                     to_tiers: (0..t).map(|j| plane.try_sender(Link::Uplink(d, j))).collect(),
                     control: ctx.control(&name, id, plane.try_sender(Link::DevicePong(d))),
-                    tolerant,
                     capture_cap,
                     cache: BTreeMap::new(),
                     captures: counter("captures"),
@@ -191,7 +189,7 @@ pub(super) fn spawn_role(
                 collector: Collector::new(
                     n,
                     blanks.scores.clone(),
-                    cfg.deadlines,
+                    cfg.deadlines(),
                     (0..n).map(Some).collect(),
                     live.to_vec(),
                     Arc::clone(obs),
@@ -252,7 +250,7 @@ fn tier_task<S: TierSection + 'static>(
     let collector = Collector::new(
         sources,
         blanks[k].clone(),
-        cfg.deadlines,
+        cfg.deadlines(),
         device_of_source,
         live.to_vec(),
         Arc::clone(obs),

@@ -358,8 +358,7 @@ mod tests {
     use super::super::roles::{compute_blanks, Routing};
     use super::*;
     use crate::{
-        run_cloud_only_baseline, run_topology, DeadlineConfig, ElasticConfig, HierarchyBuilder,
-        SimReport,
+        run_cloud_only_baseline, run_topology, ElasticConfig, HierarchyBuilder, SimReport,
     };
     use ddnn_core::{
         AggregationScheme, ConvPBlock, Ddnn, DdnnConfig, DdnnPartition, EdgeConfig, ExitHead,
@@ -447,7 +446,6 @@ mod tests {
                 let w = Wiring::of(topology, elastic);
                 check_table(&w, &topology.placeholder_links);
                 let cfg = HierarchyConfig {
-                    deadlines: Some(DeadlineConfig::default()),
                     elastic: elastic.then(ElasticConfig::fast),
                     ..HierarchyConfig::default()
                 };

@@ -38,13 +38,14 @@ pub struct HierarchyConfig {
     /// Everything injected into the run mid-flight: one seeded schedule of
     /// `(when, target, action)` events — link and socket impairments, node
     /// crashes and membership churn, process kills and respawns. The
-    /// default ([`ChaosPlan::none`]) injects nothing; an active plan
-    /// requires `deadlines` so the hierarchy degrades instead of hanging,
-    /// and [`ChaosPlan::validate`] says what else each event needs.
+    /// default ([`ChaosPlan::none`]) injects nothing; the run's deadlines
+    /// make the hierarchy degrade instead of hanging, and
+    /// [`ChaosPlan::validate`] says what each event needs.
     pub chaos: ChaosPlan,
-    /// Deadline-based graceful degradation. Under `None` (the default)
-    /// aggregators wait indefinitely for the precomputed live set and the
-    /// orchestrator blocks on each verdict.
+    /// The budgets of deadline-based graceful degradation, which every run
+    /// has: aggregators stop waiting for a sample's missing contributions
+    /// and the orchestrator for its verdict. `None` (the default) means
+    /// [`DeadlineConfig::default`].
     pub deadlines: Option<DeadlineConfig>,
     /// Transport reliability: how lost and corrupt frames are recovered.
     /// Every frame carries a CRC-32. The default
@@ -58,20 +59,17 @@ pub struct HierarchyConfig {
     pub obs: ObsConfig,
     /// Elastic orchestration: heartbeat membership and runtime topology
     /// reconfiguration. `None` (the default) keeps the topology static;
-    /// required when the chaos plan schedules node Down/Up events, and
-    /// requires `deadlines`.
+    /// required when the chaos plan schedules node Down/Up events.
     pub elastic: Option<ElasticConfig>,
     /// Open-loop streaming: a seeded arrival process, a bounded admission
     /// window with typed load-shedding, and micro-batched tier compute.
     /// `None` (the default) is lockstep — the same pump with a window of
-    /// one, the next sample due when the previous one resolved; `Some`
-    /// requires `deadlines`.
+    /// one, the next sample due when the previous one resolved.
     pub stream: Option<StreamConfig>,
     /// Which dataplane carries the frames: the default in-process
     /// channel (bit-identical to the legacy runner), length-prefixed
     /// TCP streams, or UDP datagrams (pair with
     /// [`ReliabilityConfig::arq`] to recover real datagram loss).
-    /// Socket transports require `deadlines`.
     pub transport: TransportConfig,
 }
 
@@ -89,6 +87,14 @@ impl Default for HierarchyConfig {
             stream: None,
             transport: TransportConfig::Channel,
         }
+    }
+}
+
+impl HierarchyConfig {
+    /// The run's deadlines, `None` resolved to the defaults: the one place
+    /// that reads `deadlines`.
+    pub(crate) fn deadlines(&self) -> DeadlineConfig {
+        self.deadlines.unwrap_or_default()
     }
 }
 
@@ -517,7 +523,7 @@ fn name_of<T: PartialEq>(names: &[(&'static str, T)], value: T) -> &'static str 
 pub(crate) fn encode_role_manifest(model: &DdnnConfig, cfg: &HierarchyConfig) -> String {
     use std::fmt::Write as _;
     let mut s = String::new();
-    let dl = cfg.deadlines.unwrap_or_default();
+    let dl = cfg.deadlines();
     writeln!(s, "num_devices={}", model.num_devices).unwrap();
     writeln!(s, "num_classes={}", model.num_classes).unwrap();
     writeln!(s, "device_filters={}", model.device_filters).unwrap();

@@ -128,8 +128,8 @@ fn inbox_id(name: &str) -> [u8; ID_BYTES] {
 
 /// The sending half of a transport: pushes one encoded frame. Returns
 /// `false` when the peer is gone (hung-up channel, broken stream, refused
-/// datagram); [`LinkSender`](crate::link::LinkSender) maps that to
-/// [`RuntimeError::Disconnected`] or swallows it when lenient.
+/// datagram); [`LinkSender`](crate::link::LinkSender) counts that frame
+/// as lost in flight.
 pub(crate) trait TransportTx: Send + Sync + std::fmt::Debug {
     /// Transmits one frame's wire bytes; `false` means the peer is gone.
     fn transmit(&self, wire: Arc<[u8]>) -> bool;

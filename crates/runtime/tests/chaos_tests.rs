@@ -201,53 +201,26 @@ fn duplicates_change_nothing_and_are_accounted_once() {
 }
 
 #[test]
-fn deadlines_without_faults_match_the_legacy_path_byte_for_byte() {
+fn fault_free_runs_match_byte_for_byte_under_any_deadlines() {
+    // Without faults no deadline fires, so the default budgets and
+    // tighter ones run the same frames to the same verdicts.
     let model = small_model();
     let views = random_views(8, 3, 24);
     let labels = vec![0usize; 8];
     let t = ExitThreshold::new(0.5);
-    let legacy = run_distributed_inference(
-        &model.partition(),
-        &views,
-        &labels,
-        &HierarchyConfig { local_threshold: t, ..HierarchyConfig::default() },
-    )
-    .unwrap();
-    let dynamic = run_distributed_inference(
-        &model.partition(),
-        &views,
-        &labels,
-        &HierarchyConfig {
-            local_threshold: t,
-            deadlines: Some(safe_deadlines()),
-            ..HierarchyConfig::default()
-        },
-    )
-    .unwrap();
-    assert_eq!(dynamic.predictions, legacy.predictions);
-    assert_eq!(dynamic.exits, legacy.exits);
-    assert_eq!(dynamic.links, legacy.links, "traffic diverged without any fault injected");
-    assert_eq!(dynamic.degraded_fraction, 0.0);
-    assert_eq!(dynamic.capture_retries, 0);
-    assert!(dynamic.device_timeouts.iter().all(|&t| t == 0));
-}
-
-#[test]
-fn active_fault_plan_requires_deadlines() {
-    let model = small_model();
-    let views = random_views(2, 3, 25);
-    let labels = vec![0usize; 2];
-    let err = run_distributed_inference(
-        &model.partition(),
-        &views,
-        &labels,
-        &HierarchyConfig {
-            chaos: ChaosPlan::links(1, Impairment { drop: 0.5, ..Impairment::none() }),
-            ..HierarchyConfig::default()
-        },
-    )
-    .unwrap_err();
-    assert!(matches!(err, RuntimeError::Config { .. }));
+    let run = |deadlines| {
+        let cfg = HierarchyConfig { local_threshold: t, deadlines, ..HierarchyConfig::default() };
+        run_distributed_inference(&model.partition(), &views, &labels, &cfg).unwrap()
+    };
+    let (default, safe) = (run(None), run(Some(safe_deadlines())));
+    assert_eq!(safe.predictions, default.predictions);
+    assert_eq!(safe.exits, default.exits);
+    assert_eq!(safe.links, default.links, "traffic diverged without any fault injected");
+    for report in [&default, &safe] {
+        assert_eq!(report.degraded_fraction, 0.0);
+        assert_eq!(report.capture_retries, 0);
+        assert!(report.device_timeouts.iter().all(|&t| t == 0));
+    }
 }
 
 #[test]

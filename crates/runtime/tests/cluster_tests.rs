@@ -7,7 +7,7 @@ use ddnn_core::{
 };
 use ddnn_runtime::{
     run_cloud_only_baseline, run_distributed_inference, DeadlineConfig, HierarchyConfig,
-    RuntimeError,
+    RuntimeError, SimReport,
 };
 use ddnn_tensor::rng::rng_from_seed;
 use ddnn_tensor::Tensor;
@@ -26,6 +26,27 @@ fn random_views(n: usize, devices: usize, seed: u64) -> Vec<Tensor> {
     (0..devices).map(|_| Tensor::rand_uniform([n, 3, 32, 32], 0.0, 1.0, &mut rng)).collect()
 }
 
+/// Runs `model`'s partition fault-free and asserts no deadline fired: a
+/// host stalled past a budget fails here, saying so, rather than as a
+/// verdict mismatch.
+fn distributed(
+    model: &Ddnn,
+    views: &[Tensor],
+    labels: &[usize],
+    cfg: &HierarchyConfig,
+) -> SimReport {
+    let report = run_distributed_inference(&model.partition(), views, labels, cfg).unwrap();
+    assert_nothing_fired(&report);
+    report
+}
+
+fn assert_nothing_fired(report: &SimReport) {
+    assert_eq!(report.capture_retries, 0, "a watchdog slice ran out");
+    let timeouts = &report.device_timeouts;
+    assert!(timeouts.iter().all(|&t| t == 0), "deadlines fired: {timeouts:?}");
+    assert_eq!(report.degraded_fraction, 0.0, "a sample was degraded");
+}
+
 #[test]
 fn distributed_matches_in_process_inference_exactly() {
     let mut model = small_model();
@@ -34,7 +55,7 @@ fn distributed_matches_in_process_inference_exactly() {
     let t = ExitThreshold::new(0.5);
     let expected = model.infer(&views, t, None).unwrap();
     let cfg = HierarchyConfig { local_threshold: t, ..HierarchyConfig::default() };
-    let report = run_distributed_inference(&model.partition(), &views, &labels, &cfg).unwrap();
+    let report = distributed(&model, &views, &labels, &cfg);
     assert_eq!(report.predictions, expected.predictions);
     assert_eq!(report.exits, expected.exits);
 }
@@ -53,8 +74,7 @@ fn distributed_matches_in_process_for_all_aggregation_schemes() {
             let t = ExitThreshold::new(0.6);
             let expected = model.infer(&views, t, None).unwrap();
             let hier = HierarchyConfig { local_threshold: t, ..HierarchyConfig::default() };
-            let report =
-                run_distributed_inference(&model.partition(), &views, &labels, &hier).unwrap();
+            let report = distributed(&model, &views, &labels, &hier);
             assert_eq!(report.predictions, expected.predictions, "{local}-{cloud}");
             assert_eq!(report.exits, expected.exits, "{local}-{cloud}");
         }
@@ -67,13 +87,12 @@ fn measured_bytes_match_eq1() {
     let views = random_views(10, 3, 1);
     let labels = vec![2usize; 10];
     let t = ExitThreshold::new(0.5);
-    let report = run_distributed_inference(
-        &model.partition(),
+    let report = distributed(
+        &model,
         &views,
         &labels,
         &HierarchyConfig { local_threshold: t, ..HierarchyConfig::default() },
-    )
-    .unwrap();
+    );
     let comm = CommCostModel::from_config(model.config());
     let n = 10usize;
     let offloaded = report.exits.iter().filter(|&&e| e != ExitPoint::Local).count();
@@ -94,13 +113,12 @@ fn no_feature_traffic_when_everything_exits_locally() {
     let model = small_model();
     let views = random_views(6, 3, 2);
     let labels = vec![0usize; 6];
-    let report = run_distributed_inference(
-        &model.partition(),
+    let report = distributed(
+        &model,
         &views,
         &labels,
         &HierarchyConfig { local_threshold: ExitThreshold::new(1.0), ..HierarchyConfig::default() },
-    )
-    .unwrap();
+    );
     assert_eq!(report.local_exit_fraction, 1.0);
     for (name, stats) in &report.links {
         if name.contains("->cloud") {
@@ -120,37 +138,25 @@ fn failed_device_matches_blank_input_semantics() {
     let failed = vec![1usize];
     let blanked = ddnn_core::fail_devices(&views, &failed).unwrap();
     let expected = model.infer(&blanked, t, None).unwrap();
-    // The failure is known before the run, so deadlines change nothing:
+    // The failure is known before the run, so no deadline is involved:
     // nobody waits for the device, and nothing counts as degradation.
-    for deadlines in [None, Some(DeadlineConfig::default())] {
-        let started = std::time::Instant::now();
-        let report = run_distributed_inference(
-            &model.partition(),
-            &views,
-            &labels,
-            &HierarchyConfig {
-                local_threshold: t,
-                failed_devices: failed.clone(),
-                deadlines,
-                ..HierarchyConfig::default()
-            },
-        )
-        .unwrap();
-        let wall_ms = started.elapsed().as_millis();
-        assert_eq!(report.predictions, expected.predictions, "{deadlines:?}");
-        assert_eq!(report.exits, expected.exits, "{deadlines:?}");
-        assert_eq!(report.degraded_fraction, 0.0, "{deadlines:?}");
-        assert_eq!(report.device_timeouts, [0, 0, 0], "{deadlines:?}");
-        assert!(report.degraded_samples.is_empty(), "{deadlines:?}");
-        if let Some(dl) = deadlines {
-            let budget = u128::from(dl.aggregation_ms);
-            assert!(wall_ms < budget, "{wall_ms} ms: an aggregation deadline was waited out");
-        }
-        // The failed device sends nothing.
-        for (name, stats) in &report.links {
-            if name.starts_with("device1->") {
-                assert_eq!(stats.frames, 0, "failed device sent frames on {name}");
-            }
+    let started = std::time::Instant::now();
+    let cfg = HierarchyConfig {
+        local_threshold: t,
+        failed_devices: failed,
+        ..HierarchyConfig::default()
+    };
+    let report = distributed(&model, &views, &labels, &cfg);
+    let wall_ms = started.elapsed().as_millis();
+    assert_eq!(report.predictions, expected.predictions);
+    assert_eq!(report.exits, expected.exits);
+    assert!(report.degraded_samples.is_empty());
+    let budget = u128::from(DeadlineConfig::default().aggregation_ms);
+    assert!(wall_ms < budget, "{wall_ms} ms: an aggregation deadline was waited out");
+    // The failed device sends nothing.
+    for (name, stats) in &report.links {
+        if name.starts_with("device1->") {
+            assert_eq!(stats.frames, 0, "failed device sent frames on {name}");
         }
     }
 }
@@ -168,6 +174,33 @@ fn all_devices_failed_is_a_config_error() {
     )
     .unwrap_err();
     assert!(matches!(err, RuntimeError::Config { .. }));
+}
+
+#[test]
+fn zero_budgets_are_config_errors() {
+    // Each would blank, expire or retry every sample at once; no retry
+    // at all is a legal budget.
+    let model = small_model();
+    let views = random_views(2, 3, 11);
+    let labels = vec![0usize; 2];
+    let dl = DeadlineConfig::default();
+    for (name, zeroed) in [
+        ("aggregation_ms", DeadlineConfig { aggregation_ms: 0, ..dl }),
+        ("watchdog_ms", DeadlineConfig { watchdog_ms: 0, ..dl }),
+        ("suspect_after", DeadlineConfig { suspect_after: 0, ..dl }),
+    ] {
+        let cfg = HierarchyConfig { deadlines: Some(zeroed), ..HierarchyConfig::default() };
+        let err = run_distributed_inference(&model.partition(), &views, &labels, &cfg).unwrap_err();
+        assert!(matches!(&err, RuntimeError::Config { reason } if reason.contains(name)), "{err}");
+    }
+    let no_retry = Some(DeadlineConfig { max_retries: 0, ..dl });
+    let report = distributed(
+        &model,
+        &views,
+        &labels,
+        &HierarchyConfig { deadlines: no_retry, ..HierarchyConfig::default() },
+    );
+    assert_eq!(report.classified_count(), 2);
 }
 
 #[test]
@@ -201,13 +234,12 @@ fn edge_hierarchy_runs_and_matches_in_process() {
     let tl = ExitThreshold::new(0.4);
     let te = ExitThreshold::new(0.7);
     let expected = model.infer(&views, tl, Some(te)).unwrap();
-    let report = run_distributed_inference(
-        &model.partition(),
+    let report = distributed(
+        &model,
         &views,
         &labels,
         &HierarchyConfig { local_threshold: tl, edge_threshold: te, ..HierarchyConfig::default() },
-    )
-    .unwrap();
+    );
     assert_eq!(report.predictions, expected.predictions);
     assert_eq!(report.exits, expected.exits);
 }
@@ -225,13 +257,12 @@ fn latency_of_local_exits_is_lower() {
         // Untrained model may not split; nothing to compare.
         return;
     }
-    let report = run_distributed_inference(
-        &model.partition(),
+    let report = distributed(
+        &model,
         &views,
         &labels,
         &HierarchyConfig { local_threshold: t, ..HierarchyConfig::default() },
-    )
-    .unwrap();
+    );
     assert!(report.mean_local_latency_ms < report.mean_offload_latency_ms);
 }
 
@@ -243,6 +274,7 @@ fn cloud_only_baseline_sends_raw_images_and_matches_cloud_exit() {
     let report =
         run_cloud_only_baseline(&model.partition(), &views, &labels, &HierarchyConfig::default())
             .unwrap();
+    assert_nothing_fired(&report);
     // 3072 bytes per device per sample.
     for (name, stats) in &report.links {
         if name.starts_with("device") {
@@ -261,9 +293,7 @@ fn report_accounting_helpers() {
     let model = small_model();
     let views = random_views(4, 3, 10);
     let labels = vec![0usize; 4];
-    let report =
-        run_distributed_inference(&model.partition(), &views, &labels, &HierarchyConfig::default())
-            .unwrap();
+    let report = distributed(&model, &views, &labels, &HierarchyConfig::default());
     let fracs = report.exit_fraction(ExitPoint::Local) + report.exit_fraction(ExitPoint::Cloud);
     assert!((fracs - 1.0).abs() < 1e-6);
     assert!(report.device_payload_per_sample(3) > 0.0);
@@ -281,7 +311,7 @@ fn sim_report_is_invariant_to_thread_count() {
             local_threshold: ExitThreshold::new(0.5),
             ..HierarchyConfig::default()
         };
-        run_distributed_inference(&small_model().partition(), &views, &labels, &cfg).unwrap()
+        distributed(&small_model(), &views, &labels, &cfg)
     };
     std::env::set_var("DDNN_THREADS", "1");
     let serial = run();

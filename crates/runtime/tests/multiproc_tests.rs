@@ -163,8 +163,4 @@ fn launch_rejects_configs_that_cannot_span_processes() {
         );
     };
     expect_config_err(&cfg(TransportConfig::Channel), "socket transport");
-    expect_config_err(
-        &HierarchyConfig { deadlines: None, ..cfg(TransportConfig::Tcp) },
-        "deadlines",
-    );
 }

@@ -6,7 +6,7 @@
 use ddnn_core::{Ddnn, DdnnConfig, ExitThreshold};
 use ddnn_runtime::{
     run_cloud_only_baseline, run_distributed_inference, ChaosPlan, DeadlineConfig, HierarchyConfig,
-    Impairment, ReliabilityConfig, RuntimeError, SampleOutcome,
+    Impairment, ReliabilityConfig, SampleOutcome, TransportConfig,
 };
 use ddnn_tensor::rng::rng_from_seed;
 use ddnn_tensor::Tensor;
@@ -227,12 +227,23 @@ fn corruption_faults_require_a_checked_wire_format() {
 }
 
 #[test]
-fn arq_requires_deadlines() {
+fn runs_without_explicit_deadlines_resolve_every_sample() {
+    // `deadlines: None` runs on the default budgets: ARQ under seeded
+    // link drops and a TCP run both run, and every sample resolves.
     let model = small_model();
-    let views = random_views(4, 3, 38);
-    let labels = vec![0usize; 4];
-    let cfg =
-        HierarchyConfig { reliability: ReliabilityConfig::arq(), ..HierarchyConfig::default() };
-    let err = run_distributed_inference(&model.partition(), &views, &labels, &cfg).unwrap_err();
-    assert!(matches!(err, RuntimeError::Config { .. }), "got {err:?}");
+    let n = 6;
+    let views = random_views(n, 3, 38);
+    let labels = vec![0usize; n];
+    let arq = HierarchyConfig {
+        chaos: ChaosPlan::links(19, Impairment { drop: 0.2, ..Impairment::none() }),
+        reliability: ReliabilityConfig::arq(),
+        ..HierarchyConfig::default()
+    };
+    let tcp = HierarchyConfig { transport: TransportConfig::Tcp, ..HierarchyConfig::default() };
+    for cfg in [arq, tcp] {
+        assert_eq!(cfg.deadlines, None);
+        let r = run_distributed_inference(&model.partition(), &views, &labels, &cfg).unwrap();
+        let resolved = r.classified_count() + r.shed_count() + r.timed_out_count();
+        assert_eq!(resolved, n, "{}", cfg.transport.name());
+    }
 }

@@ -279,20 +279,3 @@ fn streaming_survives_churn_while_loaded() {
         assert!(classified > 0, "churn never blanks the whole stream");
     }
 }
-
-#[test]
-fn streaming_without_deadlines_is_rejected() {
-    let model = small_model();
-    let views = random_views(2, 3, 74);
-    let labels = vec![0usize; 2];
-    let cfg = HierarchyConfig {
-        stream: Some(StreamConfig {
-            arrival: ArrivalProcess::Fixed { rate_per_s: 100.0 },
-            queue_cap: 2,
-            batch_max: 1,
-        }),
-        ..HierarchyConfig::default()
-    };
-    let err = run_distributed_inference(&model.partition(), &views, &labels, &cfg).unwrap_err();
-    assert!(err.to_string().contains("deadlines"), "{err}");
-}

@@ -194,10 +194,21 @@ fn assert_matches_golden(
 ) {
     let partition = model.partition();
     let report = run_distributed_inference(&partition, views, labels, cfg).unwrap();
+    assert_nothing_fired(&report, what);
     assert_eq!(fingerprint(&report), golden, "{what}: run_distributed_inference diverged");
     let topology = Topology::from_partition(&partition);
     let report = run_topology(&topology, views, labels, cfg).unwrap();
+    assert_nothing_fired(&report, what);
     assert_eq!(fingerprint(&report), golden, "{what}: run_topology diverged");
+}
+
+/// A fault-free run fires no deadline: a host stalled past a budget fails
+/// here, saying so, rather than as a fingerprint mismatch.
+fn assert_nothing_fired(report: &SimReport, what: &str) {
+    assert_eq!(report.capture_retries, 0, "{what}: a watchdog slice ran out");
+    let timeouts = &report.device_timeouts;
+    assert!(timeouts.iter().all(|&t| t == 0), "{what}: deadlines fired: {timeouts:?}");
+    assert_eq!(report.degraded_fraction, 0.0, "{what}: a sample was degraded");
 }
 
 #[test]

@@ -116,20 +116,13 @@ fn same_run_is_verdict_identical_over_channel_tcp_and_udp() {
 }
 
 #[test]
-fn socket_transports_require_deadlines() {
+fn socket_transports_run_crc_only_recovery() {
     let model = edge_model();
     let views = random_views(2, 2, 6);
     let labels = vec![0usize, 1];
     for t in [TransportConfig::Tcp, TransportConfig::Udp] {
-        let cfg = HierarchyConfig { deadlines: None, ..socket_cfg(t) };
-        let err = run_distributed_inference(&model.partition(), &views, &labels, &cfg).unwrap_err();
-        assert!(
-            matches!(&err, RuntimeError::Config { reason } if reason.contains("deadlines")),
-            "{}: {err}",
-            t.name()
-        );
-        // With deadlines, CRC-only recovery (the default) runs on either
-        // socket: every frame is checked, so no wire format is refused.
+        // CRC-only recovery (the default) runs on either socket: every
+        // frame is checked, so no wire format is refused.
         let cfg = HierarchyConfig { reliability: ReliabilityConfig::crc(), ..socket_cfg(t) };
         let report = run_distributed_inference(&model.partition(), &views, &labels, &cfg).unwrap();
         assert_eq!(report.predictions.len(), labels.len(), "{}", t.name());

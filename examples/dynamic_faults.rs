@@ -14,8 +14,8 @@
 use ddnn::core::{train, Ddnn, DdnnConfig, ExitThreshold, TrainConfig};
 use ddnn::data::{all_device_batches, labels, MvmcConfig, MvmcDataset};
 use ddnn::runtime::{
-    run_distributed_inference, ChaosAction, ChaosPlan, ChaosTarget, ChaosWhen, DeadlineConfig,
-    HierarchyConfig, Impairment,
+    run_distributed_inference, ChaosAction, ChaosPlan, ChaosTarget, ChaosWhen, HierarchyConfig,
+    Impairment,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -61,12 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &partition,
         &test_views,
         &test_labels,
-        &HierarchyConfig {
-            local_threshold: t,
-            chaos: plan,
-            deadlines: Some(DeadlineConfig::default()),
-            ..HierarchyConfig::default()
-        },
+        &HierarchyConfig { local_threshold: t, chaos: plan, ..HierarchyConfig::default() },
     )?;
 
     println!(

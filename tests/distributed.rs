@@ -3,7 +3,9 @@
 
 use ddnn::core::{train, Ddnn, DdnnConfig, ExitPoint, ExitThreshold, TrainConfig};
 use ddnn::data::{all_device_batches, labels, MvmcConfig, MvmcDataset};
-use ddnn::runtime::{run_cloud_only_baseline, run_distributed_inference, HierarchyConfig};
+use ddnn::runtime::{
+    run_cloud_only_baseline, run_distributed_inference, HierarchyConfig, SimReport,
+};
 
 fn trained_setup() -> (Ddnn, Vec<ddnn::tensor::Tensor>, Vec<usize>) {
     let ds = MvmcDataset::generate(MvmcConfig::tiny(48, 16, 12));
@@ -25,6 +27,15 @@ fn trained_setup() -> (Ddnn, Vec<ddnn::tensor::Tensor>, Vec<usize>) {
     (model, all_device_batches(&ds.test, 6).unwrap(), labels(&ds.test))
 }
 
+/// A fault-free run fires no deadline: a host stalled past a budget fails
+/// here, saying so, rather than as a verdict mismatch.
+fn assert_nothing_fired(report: &SimReport) {
+    assert_eq!(report.capture_retries, 0, "a watchdog slice ran out");
+    let timeouts = &report.device_timeouts;
+    assert!(timeouts.iter().all(|&t| t == 0), "deadlines fired: {timeouts:?}");
+    assert_eq!(report.degraded_fraction, 0.0, "a sample was degraded");
+}
+
 #[test]
 fn distributed_inference_agrees_with_in_process_on_real_data() {
     let (mut model, test_views, test_labels) = trained_setup();
@@ -37,6 +48,7 @@ fn distributed_inference_agrees_with_in_process_on_real_data() {
         &HierarchyConfig { local_threshold: t, ..HierarchyConfig::default() },
     )
     .unwrap();
+    assert_nothing_fired(&report);
     assert_eq!(report.predictions, expected.predictions);
     assert_eq!(report.exits, expected.exits);
     assert!((report.local_exit_fraction - expected.exit_fraction(ExitPoint::Local)).abs() < 1e-6);
@@ -56,6 +68,8 @@ fn measured_traffic_is_far_below_raw_offload() {
     let baseline =
         run_cloud_only_baseline(&partition, &test_views, &test_labels, &HierarchyConfig::default())
             .unwrap();
+    assert_nothing_fired(&ddnn);
+    assert_nothing_fired(&baseline);
     let ddnn_bytes = ddnn.device_payload_bytes();
     let raw_bytes: usize = baseline
         .links
@@ -87,6 +101,7 @@ fn distributed_fault_injection_matches_blank_semantics() {
             },
         )
         .unwrap();
+        assert_nothing_fired(&report);
         assert_eq!(report.predictions, expected.predictions, "failures {failed:?}");
     }
 }
