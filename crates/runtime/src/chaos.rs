@@ -10,9 +10,9 @@
 //!   [`ChaosWhen::BeforeSample`] (just before sample *n*'s captures go
 //!   out) or [`ChaosWhen::AfterFrames`] (once the target has transmitted
 //!   *n* frames);
-//! * **target** — every link's send boundary, every socket, a device, the
-//!   gateway, a tier by name, or a role *process* of the multi-process
-//!   launcher ([`ChaosTarget`]);
+//! * **target** — every link's send boundary, a device, the gateway, a
+//!   tier by name, or a role *process* of the multi-process launcher
+//!   ([`ChaosTarget`]);
 //! * **action** — [`ChaosAction::Impair`] (one [`Impairment`] of drop,
 //!   duplicate, delay, corrupt, truncate, reorder and sever rates),
 //!   [`ChaosAction::Down`] or [`ChaosAction::Up`].
@@ -24,19 +24,22 @@
 //! the same primitive — a missing contributor becomes a blank signature —
 //! the regime Figures 8/10 of the paper sweep analytically.
 //!
-//! Determinism: every impaired link draws from its own stream seeded by
-//! `plan.seed ^ fnv1a(link name)` at the link boundary (in
-//! `LinkSender::send`, *before* the [`transport`](crate::transport)) and
-//! by `plan.seed ^ fnv1a(link name) ^ SOCKET_SALT` at the socket boundary
-//! (in the TCP/UDP senders, *below* it), so a plan replays the same
-//! drops, duplicates and crashes regardless of thread scheduling and of
-//! which dataplane carries the surviving bytes.
+//! Determinism: every impaired link path (a link, its `retx:` retransmit
+//! path and its `ack:` path) draws from its own stream seeded by
+//! `plan.seed ^ fnv1a(path name)` at the one impairment boundary, in
+//! `LinkSender::send` *before* the [`transport`](crate::transport), so a
+//! plan replays the same drops, duplicates and crashes regardless of
+//! thread scheduling, of which dataplane carries the surviving bytes and
+//! of which process sends them: the role manifest carries the plan's
+//! links impairment and crash points to every role process.
 //! [`Payload::Shutdown`](crate::message::Payload::Shutdown) frames are
-//! exempt from link impairment so a chaotic run can always terminate.
+//! exempt from impairment on every runner so a chaotic run can always
+//! terminate.
 
 use crate::error::{reject, Result, RuntimeError};
 use crate::message::Frame;
 use crate::topology::{HierarchyConfig, Shape, Topology};
+use crate::transport::TransportConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -103,9 +106,6 @@ pub enum ChaosWhen {
 pub enum ChaosTarget {
     /// Every link, at its send boundary (above the transport).
     Links,
-    /// Every socket of a TCP/UDP run (below the transport, on the real
-    /// file descriptors).
-    Sockets,
     /// End device by index.
     Device(usize),
     /// The gateway (local aggregator).
@@ -120,7 +120,6 @@ impl std::fmt::Display for ChaosTarget {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ChaosTarget::Links => write!(f, "links"),
-            ChaosTarget::Sockets => write!(f, "sockets"),
             ChaosTarget::Device(d) => write!(f, "device{d}"),
             ChaosTarget::Gateway => write!(f, "gateway"),
             ChaosTarget::Tier(name) => write!(f, "{name}"),
@@ -129,8 +128,8 @@ impl std::fmt::Display for ChaosTarget {
     }
 }
 
-/// Per-transmission misbehaviour rates of a boundary ([`ChaosTarget::Links`]
-/// or [`ChaosTarget::Sockets`]); all zero injects nothing.
+/// Per-transmission misbehaviour rates of every link
+/// ([`ChaosTarget::Links`]); all zero injects nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Impairment {
     /// Probability that a transmission is silently dropped.
@@ -140,18 +139,19 @@ pub struct Impairment {
     /// Maximum extra delay per transmission, in milliseconds (uniform in
     /// `[0, delay_ms]`).
     pub delay_ms: u32,
-    /// Probability that 1–4 wire bits are flipped in transit (links only;
-    /// the frame's CRC catches it).
+    /// Probability that 1–4 wire bits are flipped in transit (the frame's
+    /// CRC catches it).
     pub corrupt: f32,
-    /// Probability that the wire bytes are cut short in transit (links
-    /// only; the frame's CRC catches it).
+    /// Probability that the wire bytes are cut short in transit (the
+    /// frame's CRC catches it).
     pub truncate: f32,
     /// Probability that a frame is held back and delivered *after* the
-    /// next frame on the same link (links only).
+    /// next frame on the same link.
     pub reorder: f32,
-    /// Probability that a TCP transmission severs the stream mid-frame: a
-    /// partial frame is written, then the connection is closed, so the
-    /// peer observes a real half-open/EOF condition (sockets only).
+    /// Probability that a frame severs its TCP stream mid-frame: a partial
+    /// frame is written, then the connection is closed, so the peer
+    /// observes a real half-open/EOF condition and the link's next frame
+    /// re-dials (TCP only).
     pub sever: f32,
 }
 
@@ -166,13 +166,8 @@ impl Impairment {
         self.delay_ms > 0 || self.rates().iter().any(|&(_, p)| p > 0.0)
     }
 
-    /// Whether wire bytes are mutated (corruption or truncation) — damage
-    /// the frame's CRC detects.
-    pub fn corrupts_bytes(&self) -> bool {
-        self.corrupt > 0.0 || self.truncate > 0.0
-    }
-
-    fn rates(&self) -> [(&'static str, f32); 6] {
+    /// The probability rates by name (every field but `delay_ms`).
+    pub(crate) fn rates(&self) -> [(&'static str, f32); 6] {
         [
             ("drop", self.drop),
             ("duplicate", self.duplicate),
@@ -245,10 +240,6 @@ pub struct ChaosPlan {
     pub events: Vec<ChaosEvent>,
 }
 
-/// Mixed into the stream seed at the socket boundary, so the link roll
-/// and the socket roll of one link never draw the same stream.
-const SOCKET_SALT: u64 = 0x50c4_e7c4_a05b_0c57;
-
 impl ChaosPlan {
     /// A plan that injects nothing at all.
     pub fn none() -> Self {
@@ -259,12 +250,6 @@ impl ChaosPlan {
     pub fn links(seed: u64, imp: Impairment) -> Self {
         let plan = ChaosPlan { seed, events: Vec::new() };
         plan.with(ChaosWhen::Start, ChaosTarget::Links, ChaosAction::Impair(imp))
-    }
-
-    /// Every socket rolls `imp` per transmission for the whole run.
-    pub fn sockets(seed: u64, imp: Impairment) -> Self {
-        let plan = ChaosPlan { seed, events: Vec::new() };
-        plan.with(ChaosWhen::Start, ChaosTarget::Sockets, ChaosAction::Impair(imp))
     }
 
     /// This plan plus one more event.
@@ -339,10 +324,10 @@ impl ChaosPlan {
         }
     }
 
-    /// The impairment the plan puts on a boundary (`Links` or `Sockets`).
-    pub(crate) fn impairment(&self, boundary: &ChaosTarget) -> Impairment {
+    /// The impairment the plan puts on every link.
+    pub(crate) fn impairment(&self) -> Impairment {
         let found = self.events.iter().find_map(|e| match e.action {
-            ChaosAction::Impair(imp) if e.target == *boundary => Some(imp),
+            ChaosAction::Impair(imp) if e.target == ChaosTarget::Links => Some(imp),
             _ => None,
         });
         found.unwrap_or_default()
@@ -356,15 +341,9 @@ impl ChaosPlan {
         link_name: &str,
         crash: Option<Arc<CrashState>>,
     ) -> Option<Arc<LinkChaos>> {
-        let imp = self.impairment(&ChaosTarget::Links);
+        let imp = self.impairment();
         (imp.is_active() || crash.is_some())
             .then(|| Arc::new(LinkChaos::new(self.seed, imp, link_name, crash)))
-    }
-
-    /// The per-link state of `link_name` at the socket boundary.
-    pub(crate) fn socket_chaos(&self, link_name: &str) -> Option<LinkChaos> {
-        let imp = self.impairment(&ChaosTarget::Sockets);
-        imp.is_active().then(|| LinkChaos::new(self.seed ^ SOCKET_SALT, imp, link_name, None))
     }
 
     /// Every node that dies after a number of transmitted frames, by node
@@ -391,9 +370,9 @@ impl ChaosPlan {
 
     /// Validates the plan against the hierarchy it will run in and the
     /// runner about to execute it: `cfg` says what that runner offers
-    /// (elastic orchestration, a socket transport) and
-    /// `processes` whether its roles are real OS processes (the
-    /// multi-process launcher) or threads.
+    /// (elastic orchestration, a TCP transport) and `processes` whether
+    /// its roles are real OS processes to kill (the multi-process
+    /// launcher) or threads.
     ///
     /// # Errors
     ///
@@ -421,8 +400,12 @@ impl ChaosPlan {
             };
             // The combination exists at all.
             match (action, target, when) {
-                (A::Impair(imp), T::Links | T::Sockets, W::Start) => {
-                    imp.validate_rates(target)?;
+                (A::Impair(imp), T::Links, W::Start) => {
+                    imp.validate_rates()?;
+                    need(
+                        imp.sever == 0.0 || cfg.transport == TransportConfig::Tcp,
+                        "a TCP transport: only a stream can be severed (set cfg.transport to tcp)",
+                    )?;
                     if impaired.contains(&target) {
                         return reject(format!("chaos plan impairs {target:?} twice"));
                     }
@@ -456,20 +439,9 @@ impl ChaosPlan {
             }
             // This runner can do it.
             need(
-                !matches!(target, T::Sockets) || cfg.transport.is_socket(),
-                "a socket transport (set cfg.transport to tcp or udp)",
-            )?;
-            need(
                 !matches!(target, T::Process(_)) || processes,
                 "real OS processes to kill: use the multi-process launcher (multiproc::launch)",
             )?;
-            if matches!(target, T::Links) || matches!(when, W::AfterFrames(_)) {
-                need(
-                    !processes,
-                    "an in-process runner (per-link streams and crash counters are not in the \
-                     role manifest)",
-                )?;
-            }
             if matches!(
                 (target, when),
                 (T::Device(_) | T::Gateway | T::Tier(_), W::BeforeSample(_))
@@ -560,24 +532,12 @@ impl ChaosPlan {
 }
 
 impl Impairment {
-    /// Every rate in `[0, 1]`, and only the rates `boundary` implements:
-    /// a stream cannot be severed above the transport, and byte damage and
-    /// reordering are link-boundary faults.
-    fn validate_rates(&self, boundary: &ChaosTarget) -> Result<()> {
+    /// Every rate in `[0, 1]`.
+    fn validate_rates(&self) -> Result<()> {
         for (what, p) in self.rates() {
             if !(0.0..=1.0).contains(&p) {
-                return reject(format!("chaos {what} rate {p} on {boundary:?} outside [0, 1]"));
+                return reject(format!("chaos {what} rate {p} on links outside [0, 1]"));
             }
-        }
-        let unsupported = match boundary {
-            ChaosTarget::Links => self.sever > 0.0,
-            _ => self.corrupts_bytes() || self.reorder > 0.0,
-        };
-        if unsupported {
-            return reject(format!(
-                "sever is a socket fault and corrupt/truncate/reorder are link faults; \
-                 {self:?} cannot apply to {boundary:?}"
-            ));
         }
         Ok(())
     }
@@ -703,8 +663,8 @@ impl LinkChaos {
     }
 
     /// Rolls the fate of a transmission that has no application frame (a
-    /// retransmission, an acknowledgement, raw bytes at a socket): same
-    /// draws as [`LinkChaos::roll`], no shutdown exemption.
+    /// retransmission or an acknowledgement): same draws as
+    /// [`LinkChaos::roll`], no shutdown exemption.
     pub(crate) fn roll_raw(&self) -> Delivery {
         if self.crash.as_ref().is_some_and(|crash| crash.on_send()) {
             return Delivery::Dropped;
@@ -842,26 +802,6 @@ mod tests {
     }
 
     #[test]
-    fn the_socket_boundary_draws_its_own_stream() {
-        // One plan seed, one link: the link roll and the socket roll must
-        // not drop the same frames.
-        let imp = Impairment { drop: 0.3, ..Impairment::none() };
-        let plan = ChaosPlan::links(7, imp).with(
-            ChaosWhen::Start,
-            ChaosTarget::Sockets,
-            ChaosAction::Impair(imp),
-        );
-        let at_link = plan.link_chaos("dev0->gw", None).unwrap();
-        let at_socket = plan.socket_chaos("dev0->gw").unwrap();
-        let a: Vec<Delivery> = (0..500).map(|_| at_link.roll_raw()).collect();
-        let b: Vec<Delivery> = (0..500).map(|_| at_socket.roll_raw()).collect();
-        assert_ne!(a, b);
-        // The link boundary keeps the unsalted `seed ^ fnv1a(link)` stream.
-        let legacy = impaired(7, imp, "dev0->gw");
-        assert_eq!(a, (0..500).map(|_| legacy.roll_raw()).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn shutdown_is_exempt_even_from_certain_drop() {
         let imp = Impairment { drop: 1.0, ..Impairment::none() };
         let fault = LinkChaos::new(1, imp, "x", Some(CrashState::new(0)));
@@ -931,8 +871,7 @@ mod tests {
         let corrupted =
             a.iter().filter(|d| matches!(d, Delivery::Deliver { corrupt: Some(_), .. })).count();
         assert!((150..350).contains(&corrupted), "corrupted={corrupted} of 500 at p=0.5");
-        assert!(noisy.corrupts_bytes() && noisy.is_active());
-        assert!(!legacy.corrupts_bytes());
+        assert!(noisy.is_active());
     }
 
     #[test]

@@ -55,13 +55,6 @@ pub enum RuntimeError {
         /// Which invariant broke.
         reason: String,
     },
-    /// A collector was asked to finalize a sample it is not holding (a
-    /// duplicated or raced finalize). Tier nodes treat this as a stale
-    /// event and degrade instead of aborting.
-    Collector {
-        /// The sample that was not pending.
-        seq: u64,
-    },
     /// A socket transport failed outside the fault-injection model: a bind,
     /// connect, spawn or handshake hit a real OS error. Unlike simulated
     /// loss (which the reliability layer absorbs), these surface before or
@@ -105,9 +98,6 @@ impl fmt::Display for RuntimeError {
             }
             RuntimeError::Corrupt { reason } => write!(f, "corrupt frame: {reason}"),
             RuntimeError::Topology { reason } => write!(f, "topology wiring error: {reason}"),
-            RuntimeError::Collector { seq } => {
-                write!(f, "collector finalized non-pending sample {seq}")
-            }
             RuntimeError::Transport { endpoint, reason } => {
                 write!(f, "transport error on {endpoint}: {reason}")
             }
@@ -158,8 +148,6 @@ mod tests {
         assert!(e.to_string().contains("crc mismatch"));
         let e = RuntimeError::Topology { reason: "missing tier io".into() };
         assert!(e.to_string().contains("missing tier io"));
-        let e = RuntimeError::Collector { seq: 12 };
-        assert!(e.to_string().contains("12"));
         let e = RuntimeError::Transport { endpoint: "ack:gw".into(), reason: "refused".into() };
         assert!(e.to_string().contains("ack:gw"));
         assert!(e.to_string().contains("refused"));

@@ -27,9 +27,9 @@
 //!   ([`HierarchyConfig`], deadlines for graceful degradation, the
 //!   open-loop arrival stream);
 //! * [`chaos`] — the one seeded [`ChaosPlan`]: every injected fault is a
-//!   `(when, target, action)` event — link and socket impairments (drops,
-//!   duplicates, delay, corruption, truncation, reordering, severs), node
-//!   crashes and membership churn, process kills and respawns;
+//!   `(when, target, action)` event — link impairments (drops,
+//!   duplicates, delay, corruption, truncation, reordering, TCP severs),
+//!   node crashes and membership churn, process kills and respawns;
 //! * [`reliability`] — the recovery tier under deadline degradation:
 //!   CRC-framed wire integrity ([`ReliabilityMode::Crc`]) and
 //!   ack/retransmit with capped exponential backoff

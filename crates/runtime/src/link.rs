@@ -144,9 +144,9 @@ impl LinkSender {
     }
 
     /// Sends a frame, accounting its encoded size. When the run's chaos
-    /// plan touches this link the frame may instead be
-    /// dropped, duplicated, delayed, damaged (bit flips / truncation) or
-    /// reordered per the seeded plan.
+    /// plan touches this link the frame may instead be dropped,
+    /// duplicated, delayed, damaged (bit flips / truncation), reordered or
+    /// cut mid-write under a severed TCP stream per the seeded plan.
     ///
     /// Never fails: a hung-up receiver is a frame lost in flight, not an
     /// error. Late duplicates and retransmissions can race a peer's orderly
@@ -169,7 +169,7 @@ impl LinkSender {
             None => frame.encode(),
         };
         let delivery = self.fault.as_ref().map_or_else(Delivery::clean, |f| f.roll(frame));
-        let Delivery::Deliver { duplicate, delay, corrupt, truncate, reorder, .. } = delivery
+        let Delivery::Deliver { duplicate, delay, corrupt, truncate, reorder, sever } = delivery
         else {
             self.stats.frames_dropped.incr();
             return Ok(());
@@ -178,6 +178,15 @@ impl LinkSender {
             std::thread::sleep(d);
         }
         let (wire, damaged) = damage(wire, corrupt, truncate);
+        if sever {
+            // Half written when its stream dies: the frame is lost in
+            // flight, neither duplicated nor held back, and a held frame
+            // follows on the re-dialed stream.
+            self.account(frame.payload_bytes(), wire.len(), 1, damaged);
+            self.tx.sever(wire);
+            self.flush_held();
+            return Ok(());
+        }
         let deliveries = if duplicate { 2 } else { 1 };
         self.account(frame.payload_bytes(), wire.len(), deliveries, damaged);
         if reorder {
@@ -488,7 +497,7 @@ impl<'a> LinkFactory<'a> {
         ack_rx: Option<Receiver<Arc<[u8]>>>,
     ) -> Result<LinkSender> {
         let fault = self.plan.link_chaos(name, crash.clone());
-        let data_tx = self.transport.connect(to, self.plan.socket_chaos(name))?;
+        let data_tx = self.transport.connect(to)?;
         let arq = ack_rx.map(|ack_rx| {
             let retx_fault = self.plan.link_chaos(&format!("retx:{name}"), crash);
             let send_state = Arc::new(
@@ -520,21 +529,19 @@ impl<'a> LinkFactory<'a> {
         name: &str,
         stats: LinkCounters,
     ) -> Result<ArqRecvState> {
-        let ack_name = format!("ack:{name}");
-        let ack_fault = self.plan.link_chaos(&ack_name, None);
-        let ack_tx = self.transport.connect(ack, self.plan.socket_chaos(&ack_name))?;
+        let ack_fault = self.plan.link_chaos(&format!("ack:{name}"), None);
+        let ack_tx = self.transport.connect(ack)?;
         Ok(ArqRecvState::new(ack_tx, stats, ack_fault, Arc::clone(&self.obs), Arc::from(name)))
     }
 
     /// An uninstrumented, chaos-exempt sender — for the orchestrator's
-    /// shutdown frames, which never participate in chaos (at either
-    /// boundary) or ARQ.
+    /// shutdown frames, which never participate in chaos or ARQ.
     ///
     /// # Errors
     ///
     /// Returns [`RuntimeError::Transport`] when a socket connect fails.
     pub(crate) fn shutdown_sender(&self, to: &InboxBinding, name: &str) -> Result<LinkSender> {
-        Ok(LinkSender::plain(self.transport.connect(to, None)?, name))
+        Ok(LinkSender::plain(self.transport.connect(to)?, name))
     }
 
     /// Stops and joins the dataplane's socket reader threads. Also runs

@@ -4,7 +4,6 @@
 //! partials. The gateway, the feature tiers and the raw-image baseline all
 //! finalize through this one path.
 
-use crate::error::{Result, RuntimeError};
 use crate::node::report::NodeReport;
 use crate::obs::RunObs;
 use crate::topology::DeadlineConfig;
@@ -159,24 +158,12 @@ impl<T: Clone> Collector<T> {
 
     /// Records one source's contribution for `seq`, arrived at `now`
     /// (milliseconds on the run clock).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::Collector`] when a completed sample is not
-    /// pending at finalize time (a duplicated or late finalize) — callers
-    /// treat this as a degraded sample rather than aborting the node.
-    pub(crate) fn insert(
-        &mut self,
-        seq: u64,
-        source: usize,
-        item: T,
-        now: f64,
-    ) -> Result<Ingest<T>> {
+    pub(crate) fn insert(&mut self, seq: u64, source: usize, item: T, now: f64) -> Ingest<T> {
         // Any frame proves the source is alive, whatever its sample.
         self.misses[source] = 0;
         match self.watermark {
-            Some(w) if seq < w => return Ok(Ingest::Stale),
-            Some(w) if seq == w => return Ok(Ingest::Replay { seq }),
+            Some(w) if seq < w => return Ingest::Stale,
+            Some(w) if seq == w => return Ingest::Replay { seq },
             _ => {}
         }
         let deadline = now + self.deadline.aggregation_ms as f64;
@@ -191,11 +178,12 @@ impl<T: Clone> Collector<T> {
             self.pending[&seq].slots.iter().enumerate().all(|(s, slot)| {
                 slot.is_some() || self.failed(s) || self.misses[s] >= suspect_after
             });
-        if done {
-            let (seq, items, substituted) = self.finalize(seq)?;
-            Ok(Ingest::Complete { seq, items, substituted })
-        } else {
-            Ok(Ingest::Pending)
+        match done.then(|| self.pending.remove(&seq)).flatten() {
+            Some(entry) => {
+                let (seq, items, substituted) = self.finalize(seq, entry);
+                Ingest::Complete { seq, items, substituted }
+            }
+            None => Ingest::Pending,
         }
     }
 
@@ -206,27 +194,20 @@ impl<T: Clone> Collector<T> {
 
     /// Finalizes (with blank substitution) the oldest pending sample whose
     /// deadline is not after `now`, if any.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::Collector`] if the selected sample vanished
-    /// from the pending map before finalize (see [`Collector::insert`]).
-    pub(crate) fn expire(&mut self, now: f64) -> Result<Option<(u64, Vec<T>, usize)>> {
-        let seq = self.pending.iter().filter(|(_, p)| p.deadline <= now).map(|(&k, _)| k).min();
-        match seq {
-            None => Ok(None),
-            Some(seq) => self.finalize(seq).map(Some),
-        }
+    pub(crate) fn expire(&mut self, now: f64) -> Option<(u64, Vec<T>, usize)> {
+        let seq = self.pending.iter().filter(|(_, p)| p.deadline <= now).map(|(&k, _)| k).min()?;
+        let entry = self.pending.remove(&seq)?;
+        Some(self.finalize(seq, entry))
     }
 
-    /// Removes `seq` from pending, substitutes blanks for missing slots,
-    /// advances the watermark and garbage-collects stale partials. The third
-    /// element of the result counts substituted slots (a priori failed
-    /// devices and deadline misses alike) so aggregation events can report
-    /// every blank; only the misses are charged as timeouts (to the missed
-    /// device, if the source is one) and degradation.
-    fn finalize(&mut self, seq: u64) -> Result<(u64, Vec<T>, usize)> {
-        let entry = self.pending.remove(&seq).ok_or(RuntimeError::Collector { seq })?;
+    /// Finalizes `seq`, just removed from pending as `entry`: substitutes
+    /// blanks for missing slots, advances the watermark and
+    /// garbage-collects stale partials. The third element of the result
+    /// counts substituted slots (a priori failed devices and deadline
+    /// misses alike) so aggregation events can report every blank; only
+    /// the misses are charged as timeouts (to the missed device, if the
+    /// source is one) and degradation.
+    fn finalize(&mut self, seq: u64, entry: PendingSample<T>) -> (u64, Vec<T>, usize) {
         let mut items = Vec::with_capacity(self.num_sources);
         let mut substituted = 0usize;
         let mut missing_any = false;
@@ -255,7 +236,7 @@ impl<T: Clone> Collector<T> {
         // Partials below the watermark can never complete: their sources
         // would be classified Stale on arrival.
         self.pending.retain(|&k, _| k > watermark);
-        Ok((seq, items, substituted))
+        (seq, items, substituted)
     }
 
     pub(crate) fn into_report(self) -> NodeReport {
@@ -334,14 +315,14 @@ mod tests {
                 if d < idx {
                     assert!(
                         matches!(
-                            collector.insert(7, order[d], order[d] as u32, 0.0).unwrap(),
+                            collector.insert(7, order[d], order[d] as u32, 0.0),
                             Ingest::Pending
                         ),
                         "duplicate must stay pending"
                     );
                 }
             }
-            match collector.insert(7, s, s as u32, 0.0).unwrap() {
+            match collector.insert(7, s, s as u32, 0.0) {
                 Ingest::Complete { seq, items, substituted } => {
                     assert_eq!(seq, 7);
                     assert_eq!(substituted, 0, "all slots genuinely filled");
@@ -357,11 +338,8 @@ mod tests {
         assert_eq!(completions.remove(0), reference);
         // After completion the watermark holds: duplicates replay, older
         // sequences are stale.
-        assert!(matches!(
-            collector.insert(7, order[0], 0, 0.0).unwrap(),
-            Ingest::Replay { seq: 7 }
-        ));
-        assert!(matches!(collector.insert(3, 0, 0, 0.0).unwrap(), Ingest::Stale));
+        assert!(matches!(collector.insert(7, order[0], 0, 0.0), Ingest::Replay { seq: 7 }));
+        assert!(matches!(collector.insert(3, 0, 0, 0.0), Ingest::Stale));
         // No degradation was recorded: every slot was genuinely filled.
         assert!(charges(&collector).is_empty());
         assert!(collector.into_report().degraded.is_empty());
@@ -383,8 +361,8 @@ mod tests {
         // 3 sources, one (index 1) dead before the run: it is never
         // waited for.
         let mut c = collector(3, far_deadline(), &[1]);
-        assert!(matches!(c.insert(0, 0, 7, 0.0).unwrap(), Ingest::Pending));
-        match c.insert(0, 2, 9, 0.0).unwrap() {
+        assert!(matches!(c.insert(0, 0, 7, 0.0), Ingest::Pending));
+        match c.insert(0, 2, 9, 0.0) {
             Ingest::Complete { seq, items, substituted } => {
                 assert_eq!(seq, 0);
                 assert_eq!(items, vec![7, 1001, 9]); // blank substituted in place
@@ -405,8 +383,8 @@ mod tests {
         // plane marks it suspect up front.
         let mut c = deadline_collector(3);
         c.mark_suspect(1);
-        assert!(matches!(c.insert(0, 0, 7, 0.0).unwrap(), Ingest::Pending));
-        match c.insert(0, 2, 9, 0.0).unwrap() {
+        assert!(matches!(c.insert(0, 0, 7, 0.0), Ingest::Pending));
+        match c.insert(0, 2, 9, 0.0) {
             Ingest::Complete { seq, items, substituted } => {
                 assert_eq!(seq, 0);
                 assert_eq!(items, vec![7, 1001, 9], "blank substituted immediately");
@@ -416,13 +394,13 @@ mod tests {
         }
         // The substitution is charged like any deadline miss.
         // A genuine frame from the source revives it: sample 1 waits again.
-        assert!(matches!(c.insert(1, 1, 8, 0.0).unwrap(), Ingest::Pending));
-        assert!(matches!(c.insert(1, 0, 7, 0.0).unwrap(), Ingest::Pending));
-        assert!(matches!(c.insert(1, 2, 9, 0.0).unwrap(), Ingest::Complete { .. }));
+        assert!(matches!(c.insert(1, 1, 8, 0.0), Ingest::Pending));
+        assert!(matches!(c.insert(1, 0, 7, 0.0), Ingest::Pending));
+        assert!(matches!(c.insert(1, 2, 9, 0.0), Ingest::Complete { .. }));
         // clear_suspect is idempotent relief for a join without traffic.
         c.mark_suspect(0);
         c.clear_suspect(0);
-        assert!(matches!(c.insert(2, 1, 8, 0.0).unwrap(), Ingest::Pending));
+        assert!(matches!(c.insert(2, 1, 8, 0.0), Ingest::Pending));
         assert_eq!(charges(&c), charged(1, 1));
         assert_eq!(c.into_report().degraded, vec![0]);
     }
@@ -430,14 +408,14 @@ mod tests {
     #[test]
     fn a_sample_expires_at_its_first_contribution_plus_the_deadline() {
         let mut c = collector(2, deadline(40, 2), &[]);
-        assert!(matches!(c.insert(0, 0, 7, 10.0).unwrap(), Ingest::Pending));
+        assert!(matches!(c.insert(0, 0, 7, 10.0), Ingest::Pending));
         // A repeat contribution does not move the deadline; another
         // sample's first one starts its own.
-        assert!(matches!(c.insert(0, 0, 7, 30.0).unwrap(), Ingest::Pending));
-        assert!(matches!(c.insert(1, 0, 7, 30.0).unwrap(), Ingest::Pending));
+        assert!(matches!(c.insert(0, 0, 7, 30.0), Ingest::Pending));
+        assert!(matches!(c.insert(1, 0, 7, 30.0), Ingest::Pending));
         assert_eq!(c.next_deadline(), Some(50.0));
-        assert!(c.expire(49.999).unwrap().is_none(), "not an instant earlier");
-        assert_eq!(c.expire(50.0).unwrap(), Some((0, vec![7, 1001], 1)));
+        assert!(c.expire(49.999).is_none(), "not an instant earlier");
+        assert_eq!(c.expire(50.0), Some((0, vec![7, 1001], 1)));
         assert_eq!(c.next_deadline(), Some(70.0));
         assert_eq!(charges(&c), charged(1, 1));
     }
@@ -448,15 +426,15 @@ mod tests {
         // Source 1 misses two deadlines in a row...
         for seq in 0..2 {
             let t = 100.0 * seq as f64;
-            assert!(matches!(c.insert(seq, 0, 7, t).unwrap(), Ingest::Pending));
-            assert!(c.expire(t + 10.0).unwrap().is_some());
+            assert!(matches!(c.insert(seq, 0, 7, t), Ingest::Pending));
+            assert!(c.expire(t + 10.0).is_some());
         }
         // ...so sample 2 no longer waits for it, and its next frame
         // revives it: sample 3 waits again.
-        let ingest = c.insert(2, 0, 7, 200.0).unwrap();
+        let ingest = c.insert(2, 0, 7, 200.0);
         assert!(matches!(ingest, Ingest::Complete { substituted: 1, .. }));
-        assert!(matches!(c.insert(3, 1, 8, 300.0).unwrap(), Ingest::Pending));
-        let ingest = c.insert(3, 0, 7, 300.0).unwrap();
+        assert!(matches!(c.insert(3, 1, 8, 300.0), Ingest::Pending));
+        let ingest = c.insert(3, 0, 7, 300.0);
         assert!(matches!(ingest, Ingest::Complete { substituted: 0, .. }));
         assert_eq!(charges(&c), charged(1, 3));
         assert_eq!(c.into_report().degraded, vec![0, 1, 2]);
@@ -472,7 +450,7 @@ mod tests {
         // With every source suspect, nothing can arrive to trigger the
         // done-check; the deadline path finalizes instead. Simulate it.
         c.pending.insert(0, PendingSample { slots: vec![None], deadline: 5.0 });
-        let (seq, items, substituted) = c.expire(5.0).unwrap().unwrap();
+        let (seq, items, substituted) = c.expire(5.0).unwrap();
         assert_eq!((seq, substituted), (0, 1));
         assert_eq!(items, vec![500]);
         assert!(charges(&c).is_empty(), "tier sources charge no device");
@@ -482,17 +460,17 @@ mod tests {
     #[test]
     fn resync_discards_pending_and_floors_the_watermark() {
         let mut c = deadline_collector(2);
-        assert!(matches!(c.insert(4, 0, 1, 0.0).unwrap(), Ingest::Pending));
+        assert!(matches!(c.insert(4, 0, 1, 0.0), Ingest::Pending));
         c.resync(6);
         // The partial for sample 4 is gone and 4/5 are now stale; 5 == the
         // new watermark replays, 6 onward collects normally.
-        assert!(matches!(c.insert(4, 1, 2, 0.0).unwrap(), Ingest::Stale));
-        assert!(matches!(c.insert(5, 1, 2, 0.0).unwrap(), Ingest::Replay { seq: 5 }));
-        assert!(matches!(c.insert(6, 0, 1, 0.0).unwrap(), Ingest::Pending));
-        assert!(matches!(c.insert(6, 1, 2, 0.0).unwrap(), Ingest::Complete { .. }));
+        assert!(matches!(c.insert(4, 1, 2, 0.0), Ingest::Stale));
+        assert!(matches!(c.insert(5, 1, 2, 0.0), Ingest::Replay { seq: 5 }));
+        assert!(matches!(c.insert(6, 0, 1, 0.0), Ingest::Pending));
+        assert!(matches!(c.insert(6, 1, 2, 0.0), Ingest::Complete { .. }));
         // resync never regresses the watermark.
         c.resync(2);
-        assert!(matches!(c.insert(6, 0, 1, 0.0).unwrap(), Ingest::Replay { seq: 6 }));
+        assert!(matches!(c.insert(6, 0, 1, 0.0), Ingest::Replay { seq: 6 }));
     }
 
     #[test]
@@ -500,13 +478,13 @@ mod tests {
         // Start as a device fan-in of 2, with one charged substitution.
         let mut c = deadline_collector(2);
         c.mark_suspect(1);
-        match c.insert(0, 0, 7, 0.0).unwrap() {
+        match c.insert(0, 0, 7, 0.0) {
             Ingest::Complete { substituted, .. } => assert_eq!(substituted, 1),
             _ => panic!("must complete around the suspect source"),
         }
         // Re-parent: now a single-tier fan-in.
         c.reconfigure(1, vec![900], vec![None]);
-        match c.insert(1, 0, 3, 0.0).unwrap() {
+        match c.insert(1, 0, 3, 0.0) {
             Ingest::Complete { items, substituted, .. } => {
                 assert_eq!(items, vec![3]);
                 assert_eq!(substituted, 0);
@@ -516,19 +494,7 @@ mod tests {
         // And back to devices: old charges survive both transitions.
         c.reconfigure(2, vec![1000, 1001], vec![Some(0), Some(1)]);
         c.mark_suspect(1);
-        assert!(matches!(c.insert(2, 0, 7, 0.0).unwrap(), Ingest::Complete { .. }));
+        assert!(matches!(c.insert(2, 0, 7, 0.0), Ingest::Complete { .. }));
         assert_eq!(charges(&c), charged(1, 2), "charges add up across geometries");
-    }
-
-    #[test]
-    fn finalize_of_non_pending_sample_is_a_typed_error() {
-        // A finalize racing a duplicate (the sample already completed and
-        // was garbage-collected) must surface as a typed error the node
-        // loop can tolerate, not a panic that takes the thread down.
-        let mut c = deadline_collector(2);
-        match c.finalize(42) {
-            Err(RuntimeError::Collector { seq: 42 }) => {}
-            other => panic!("expected Collector error, got {other:?}"),
-        }
     }
 }

@@ -266,20 +266,13 @@ impl<S: TierSection> Core for TierNode<S> {
         if self.shutdown || self.control.down {
             return Ok(());
         }
-        loop {
-            // A collector error here means the expired sample vanished
-            // mid-finalize (a duplicate raced it) — degrade, don't die.
-            match self.collector.expire(now) {
-                Ok(Some(done)) => {
-                    self.obs.deadline_expiries.incr();
-                    let (seq, name) = (done.0, &self.name);
-                    self.obs.run.emit(|| ObsEvent::DeadlineFired { node: name.clone(), seq });
-                    self.gathered.push(done);
-                }
-                Ok(None) | Err(RuntimeError::Collector { .. }) => return Ok(()),
-                Err(e) => return Err(e),
-            }
+        while let Some(done) = self.collector.expire(now) {
+            self.obs.deadline_expiries.incr();
+            let (seq, name) = (done.0, &self.name);
+            self.obs.run.emit(|| ObsEvent::DeadlineFired { node: name.clone(), seq });
+            self.gathered.push(done);
         }
+        Ok(())
     }
 
     /// Takes one frame that arrived at `now`: applies and answers a ping,
@@ -347,20 +340,16 @@ impl<S: TierSection> TierNode<S> {
         let item =
             self.section.item_from(frame.payload, self.collector.blank(source), &self.name)?;
         match self.collector.insert(frame.seq, source, item, now) {
-            Ok(Ingest::Complete { seq, items, substituted }) => {
+            Ingest::Complete { seq, items, substituted } => {
                 self.gathered.push((seq, items, substituted));
             }
-            Ok(Ingest::Replay { seq }) => {
+            Ingest::Replay { seq } => {
                 if let Some((_, decision)) = self.last_decision.as_ref().filter(|(s, _)| *s == seq)
                 {
                     self.send(decision)?;
                 }
             }
-            Ok(Ingest::Stale | Ingest::Pending) => {}
-            // A duplicated or late finalize: the sample already resolved,
-            // so the contribution is simply too late.
-            Err(RuntimeError::Collector { .. }) => {}
-            Err(e) => return Err(e),
+            Ingest::Stale | Ingest::Pending => {}
         }
         Ok(())
     }

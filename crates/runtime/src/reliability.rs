@@ -310,8 +310,9 @@ impl ArqSendState {
             u.next_retry = now + u.backoff_ms as f64;
             let delivery = self.fault.as_ref().map_or_else(Delivery::clean, |f| f.roll_raw());
             // Retransmissions skip duplication/jitter/reordering: they are
-            // already redundant, delayed traffic.
-            let Delivery::Deliver { corrupt, truncate, .. } = delivery else {
+            // already redundant, delayed traffic. A sever still cuts the
+            // stream under them.
+            let Delivery::Deliver { corrupt, truncate, sever, .. } = delivery else {
                 self.stats.frames_dropped.incr();
                 continue;
             };
@@ -333,7 +334,10 @@ impl ArqSendState {
             self.obs.emit(|| ObsEvent::Retransmit { link: self.link.to_string(), tseq, retries });
             // A departed receiver means the run is over for this link; the
             // retransmission is simply lost in flight.
-            self.data_tx.transmit(wire);
+            match sever {
+                true => self.data_tx.sever(wire),
+                false => self.data_tx.transmit(wire),
+            }
         }
         inner.buffer.iter().map(|u| u.next_retry).fold(f64::INFINITY, f64::min)
     }
@@ -423,8 +427,8 @@ impl ArqRecvState {
             None => Vec::new(),
         };
         // Acks skip duplication/jitter/reordering: they are tiny,
-        // idempotent and cumulative.
-        let Delivery::Deliver { corrupt, truncate, .. } =
+        // idempotent and cumulative. A sever still cuts the stream.
+        let Delivery::Deliver { corrupt, truncate, sever, .. } =
             self.fault.as_ref().map_or_else(Delivery::clean, |f| f.roll_raw())
         else {
             return; // the next ack carries the news
@@ -436,7 +440,10 @@ impl ArqRecvState {
             cum: self.cum,
             nacks: nacks.len(),
         });
-        self.ack_tx.transmit(wire); // sender gone: run is over
+        match sever {
+            true => self.ack_tx.sever(wire),
+            false => self.ack_tx.transmit(wire), // sender gone: run is over
+        }
     }
 }
 

@@ -64,11 +64,12 @@
 //! compatibility matrix from it. The elastic driver runs in the launcher
 //! and steers the role processes' nodes only through its pings, as it does
 //! threads. [`launch`] rejects, with a typed configuration error before
-//! anything is spawned, a non-socket transport; chaos on links and
-//! `AfterFrames` deaths are rejected by
-//! [`ChaosPlan::validate`](crate::ChaosPlan::validate). Of the chaos plan
-//! this runner executes process Down/Up events itself, node Down/Up through
-//! the elastic driver, and ships the socket impairment to every role.
+//! anything is spawned, a non-socket transport. It runs the whole chaos
+//! plan [`ChaosPlan::validate`](crate::ChaosPlan::validate) accepts:
+//! process Down/Up events itself, node Down/Up through the elastic
+//! driver, and the links impairment and `AfterFrames` crash points in the
+//! process that sends on each link — the manifest carries them to every
+//! role. A respawned role's crash counters start over.
 
 use super::orchestrate::{host_nodes, live_mask, orchestrate, validate_run, Feed, SampleHook};
 use super::roles::{compute_blanks, spawn_role, Routing, RunCtx};
@@ -533,10 +534,10 @@ impl SampleHook for Supervisor<'_> {
 /// `cfg.transport` must be a socket transport. Elastic orchestration runs
 /// as it does in-process: the launcher drives membership and steers every
 /// role's nodes with its pings. Of `cfg.chaos` this runner takes process
-/// Down/Up events (seeded role kills and respawns), node Down/Up events
-/// (elastic churn) and the socket impairment (seeded datagram/stream
-/// mangling), supervised end to end; chaos on links and `AfterFrames`
-/// deaths stay in-process.
+/// Down/Up events (seeded role kills and respawns) itself, node Down/Up
+/// events (elastic churn) through its pings, and ships the links
+/// impairment and `AfterFrames` crash points to every role, supervised end
+/// to end.
 ///
 /// # Errors
 ///
@@ -767,7 +768,7 @@ mod tests {
             let verdicts = launcher.bind("orchestrator").unwrap();
             let connect = |on: &TransportHost, host: &str, inbox: &str| {
                 let to = InboxBinding { host: host.into(), at: on.endpoint(), inbox: inbox.into() };
-                gateway.connect(&to, None).unwrap()
+                gateway.connect(&to).unwrap()
             };
             let moved: Vec<_> = names.iter().map(|n| connect(&old, "devices", n)).collect();
             let verdict = connect(&launcher, "orchestrator", "orchestrator");
@@ -779,10 +780,10 @@ mod tests {
             // Each re-pointed sender still feeds the inbox it named.
             let wait = Duration::from_secs(5);
             for ((tx, rx), name) in moved.iter().zip(&respawned).zip(names) {
-                assert!(tx.transmit(Arc::from(name.as_bytes())));
+                tx.transmit(Arc::from(name.as_bytes()));
                 assert_eq!(&rx.recv_timeout(wait).unwrap()[..], name.as_bytes());
             }
-            assert!(verdict.transmit(Arc::from(&b"verdict"[..])));
+            verdict.transmit(Arc::from(&b"verdict"[..]));
             assert_eq!(&verdicts.recv_timeout(wait).unwrap()[..], b"verdict");
         }
     }

@@ -248,16 +248,11 @@ pub(super) fn orchestrate(
         // sensor feeds), then the gateway, then the chain — skipping
         // statically failed devices and dead roles (a TCP connect to a
         // killed process's port would error, and nobody is listening
-        // anyway). Real UDP can drop a datagram outright, and a lost
-        // shutdown frame would hang a node forever — repeat it; extra
-        // shutdowns land unread in a finished node's inbox. Under socket
-        // chaos the drop odds compound, so repeat harder.
-        let socket_chaos = cfg.chaos.impairment(&ChaosTarget::Sockets).is_active();
-        let repeats = match (cfg.transport, socket_chaos) {
-            (TransportConfig::Udp, true) => 8,
-            (TransportConfig::Udp, false) => 3,
-            _ => 1,
-        };
+        // anyway). Shutdown frames are exempt from chaos, but real UDP
+        // can drop a datagram outright, and a lost shutdown frame would
+        // hang a node forever — repeat it; extra shutdowns land unread in
+        // a finished node's inbox.
+        let repeats = if cfg.transport == TransportConfig::Udp { 3 } else { 1 };
         let shutdown = Frame::new(0, NodeId::Orchestrator, Payload::Shutdown);
         for _ in 0..repeats {
             for inbox in &wiring.inboxes {

@@ -9,7 +9,7 @@
 //! gateway/(edge)/cloud wiring byte-for-byte, and [`HierarchyBuilder`]
 //! assembles arbitrary chains.
 
-use crate::chaos::{ChaosPlan, ChaosTarget, Impairment};
+use crate::chaos::{ChaosAction, ChaosPlan, ChaosTarget, ChaosWhen, Impairment};
 use crate::error::{reject, Result, RuntimeError};
 use crate::message::NodeId;
 use crate::obs::ObsConfig;
@@ -36,8 +36,8 @@ pub struct HierarchyConfig {
     /// the paper's *static* §IV-G fault model.
     pub failed_devices: Vec<usize>,
     /// Everything injected into the run mid-flight: one seeded schedule of
-    /// `(when, target, action)` events — link and socket impairments, node
-    /// crashes and membership churn, process kills and respawns. The
+    /// `(when, target, action)` events — link impairments, node crashes
+    /// and membership churn, process kills and respawns. The
     /// default ([`ChaosPlan::none`]) injects nothing; the run's deadlines
     /// make the hierarchy degrade instead of hanging, and
     /// [`ChaosPlan::validate`] says what each event needs.
@@ -496,8 +496,8 @@ impl HierarchyBuilder {
 // and the run parameters that shape node behavior. Hand-rolled
 // `key=value` lines — the whole config is scalars and two enums, and the
 // format must stay stable across the stdio handshake without a serde
-// dependency. Thresholds travel as f32 bit patterns so no decimal
-// round-trip can perturb an exit decision.
+// dependency. Thresholds and chaos rates travel as f32 bit patterns so no
+// decimal round-trip can perturb an exit decision or a fault roll.
 
 /// The names the manifest spells each enum value by.
 const AGGS: [(&str, AggregationScheme); 3] = [
@@ -517,9 +517,10 @@ fn name_of<T: PartialEq>(names: &[(&'static str, T)], value: T) -> &'static str 
 
 /// Serializes the model + run configuration a role host needs. The
 /// launcher validates before encoding, so only multiproc-compatible
-/// configurations ever travel; of the chaos plan only the socket
-/// impairment does (node Down/Up reach the roles as pings, process kills
-/// are the launcher's own).
+/// configurations ever travel. Of the chaos plan the seed, the links
+/// impairment and the `AfterFrames` crash points do: every role rolls
+/// its own links' streams and counts its own nodes' frames (node Down/Up
+/// reach the roles as pings, process kills are the launcher's own).
 pub(crate) fn encode_role_manifest(model: &DdnnConfig, cfg: &HierarchyConfig) -> String {
     use std::fmt::Write as _;
     let mut s = String::new();
@@ -562,13 +563,19 @@ pub(crate) fn encode_role_manifest(model: &DdnnConfig, cfg: &HierarchyConfig) ->
         writeln!(s, "queue_cap={}", stream.queue_cap).unwrap();
         writeln!(s, "batch_max={}", stream.batch_max).unwrap();
     }
-    let sc = cfg.chaos.impairment(&ChaosTarget::Sockets);
-    if sc.is_active() {
-        writeln!(s, "socket_chaos_seed={}", cfg.chaos.seed).unwrap();
-        writeln!(s, "socket_chaos_drop={:08x}", sc.drop.to_bits()).unwrap();
-        writeln!(s, "socket_chaos_dup={:08x}", sc.duplicate.to_bits()).unwrap();
-        writeln!(s, "socket_chaos_delay_ms={}", sc.delay_ms).unwrap();
-        writeln!(s, "socket_chaos_sever={:08x}", sc.sever.to_bits()).unwrap();
+    let imp = cfg.chaos.impairment();
+    let crashes: Vec<String> = cfg.chaos.crash_points().map(|(n, k)| format!("{n}:{k}")).collect();
+    if imp.is_active() || !crashes.is_empty() {
+        writeln!(s, "chaos_seed={}", cfg.chaos.seed).unwrap();
+    }
+    if imp.is_active() {
+        for (what, p) in imp.rates() {
+            writeln!(s, "chaos_{what}={:08x}", p.to_bits()).unwrap();
+        }
+        writeln!(s, "chaos_delay_ms={}", imp.delay_ms).unwrap();
+    }
+    if !crashes.is_empty() {
+        writeln!(s, "chaos_crashes={}", crashes.join(",")).unwrap();
     }
     s
 }
@@ -623,13 +630,30 @@ pub(crate) fn decode_role_manifest(
     // Optional keys: written only when the feature they carry is on, so
     // an absent one falls back to zero instead of erroring. Each parses at
     // its field's type, so an out-of-range value is refused, not wrapped.
-    let socket_chaos = Impairment {
-        drop: m.opt_f32("socket_chaos_drop")?,
-        duplicate: m.opt_f32("socket_chaos_dup")?,
-        delay_ms: m.opt("socket_chaos_delay_ms")?,
-        sever: m.opt_f32("socket_chaos_sever")?,
-        ..Impairment::none()
+    let imp = Impairment {
+        drop: m.opt_f32("chaos_drop")?,
+        duplicate: m.opt_f32("chaos_duplicate")?,
+        delay_ms: m.opt("chaos_delay_ms")?,
+        corrupt: m.opt_f32("chaos_corrupt")?,
+        truncate: m.opt_f32("chaos_truncate")?,
+        reorder: m.opt_f32("chaos_reorder")?,
+        sever: m.opt_f32("chaos_sever")?,
     };
+    let mut chaos = ChaosPlan { seed: m.opt("chaos_seed")?, events: Vec::new() };
+    if imp.is_active() {
+        chaos = chaos.with(ChaosWhen::Start, ChaosTarget::Links, ChaosAction::Impair(imp));
+    }
+    for crash in m.0.get("chaos_crashes").into_iter().flat_map(|v| v.split(',')) {
+        let (node, after) =
+            crash.split_once(':').ok_or_else(|| malformed("chaos_crashes", crash))?;
+        let target = match node.strip_prefix("device").and_then(|d| d.parse().ok()) {
+            Some(d) => ChaosTarget::Device(d),
+            None if node == "gateway" => ChaosTarget::Gateway,
+            None => ChaosTarget::Tier(node.to_string()),
+        };
+        let when = ChaosWhen::AfterFrames(parse("chaos_crashes", after)?);
+        chaos = chaos.with(when, target, ChaosAction::Down);
+    }
     let failed_devices = (m.0.get("failed_devices").copied().unwrap_or("").split(','))
         .filter(|d| !d.is_empty())
         .map(|d| parse("failed_devices", d))
@@ -674,7 +698,7 @@ pub(crate) fn decode_role_manifest(
             mode: m.pick("reliability", &MODES, m.get("reliability")?)?,
         },
         transport: m.get("transport")?.parse()?,
-        chaos: ChaosPlan::sockets(m.opt("socket_chaos_seed")?, socket_chaos),
+        chaos,
         failed_devices,
         elastic,
         stream,
@@ -820,7 +844,7 @@ mod tests {
     }
 
     #[test]
-    fn manifest_round_trips_socket_chaos_and_extras() {
+    fn manifest_round_trips_chaos_and_extras() {
         let model = partition(true).config.clone();
         let cfg = HierarchyConfig {
             deadlines: Some(DeadlineConfig::fast()),
@@ -832,15 +856,24 @@ mod tests {
                 queue_cap: 5,
                 batch_max: 3,
             }),
-            chaos: ChaosPlan::sockets(
+            chaos: ChaosPlan::links(
                 99,
                 Impairment {
                     drop: 0.125,
                     duplicate: 0.0625,
                     delay_ms: 2,
+                    corrupt: 0.1,
+                    truncate: 1e-7,
+                    reorder: 0.3,
                     sever: 0.25,
-                    ..Impairment::none()
                 },
+            )
+            .with(ChaosWhen::AfterFrames(5), ChaosTarget::Device(1), ChaosAction::Down)
+            .with(ChaosWhen::AfterFrames(0), ChaosTarget::Gateway, ChaosAction::Down)
+            .with(
+                ChaosWhen::AfterFrames(12),
+                ChaosTarget::Tier("edge".into()),
+                ChaosAction::Down,
             ),
             ..HierarchyConfig::default()
         };
@@ -848,16 +881,21 @@ mod tests {
         manifest.push_str("tseq_base=1048576\n");
         let (m2, c2, extras) = decode_role_manifest(&manifest).unwrap();
         assert_eq!(m2.num_devices, model.num_devices);
-        assert_eq!(c2.chaos, cfg.chaos, "chaos probs must survive as exact bits");
+        assert_eq!(c2.chaos, cfg.chaos, "rates as exact bits, crash points in plan order");
         assert_eq!(c2.stream, cfg.stream, "the arrival rate must survive as exact bits");
         assert_eq!(c2.failed_devices, cfg.failed_devices);
         assert_eq!(c2.elastic, cfg.elastic);
         assert_eq!(extras.tseq_base, 1048576);
         // A value past its field's range is refused, not truncated (2^32
         // would wrap to generation 0's base and to no delay).
-        for key in ["tseq_base", "socket_chaos_delay_ms"] {
+        for key in ["tseq_base", "chaos_delay_ms"] {
             let err = decode_role_manifest(&format!("{manifest}{key}=4294967296\n")).unwrap_err();
             assert!(matches!(err, RuntimeError::Protocol { .. }), "{key}: {err}");
+        }
+        // A crash point is a node and a frame count.
+        for crashes in ["device1", "edge:-1", "gateway:3,"] {
+            let err = decode_role_manifest(&format!("{manifest}chaos_crashes={crashes}\n"));
+            assert!(matches!(err, Err(RuntimeError::Protocol { .. })), "{crashes}: {err:?}");
         }
         // Every frame is CRC-checked: no manifest names an unchecked wire.
         let unchecked = manifest.replace("reliability=crc", "reliability=legacy");
@@ -867,7 +905,7 @@ mod tests {
         // A manifest without the optional keys decodes to inactive chaos,
         // lockstep, no failures, a static topology and default extras.
         let plain = encode_role_manifest(&model, &HierarchyConfig::default());
-        assert!(!plain.contains("socket_chaos"));
+        assert!(!plain.contains("chaos"));
         let (_, c3, e3) = decode_role_manifest(&plain).unwrap();
         assert!(!c3.chaos.is_active());
         assert!(c3.stream.is_none() && c3.failed_devices.is_empty() && c3.elastic.is_none());

@@ -89,10 +89,9 @@ fn whens() -> [ChaosWhen; 3] {
     [ChaosWhen::Start, ChaosWhen::BeforeSample(1), ChaosWhen::AfterFrames(3)]
 }
 
-fn targets() -> [ChaosTarget; 6] {
+fn targets() -> [ChaosTarget; 5] {
     [
         ChaosTarget::Links,
-        ChaosTarget::Sockets,
         ChaosTarget::Device(0),
         ChaosTarget::Gateway,
         ChaosTarget::Tier("edge".to_string()),
@@ -110,14 +109,16 @@ fn actions() -> [ChaosAction; 3] {
 fn supported(when: ChaosWhen, target: &ChaosTarget, action: ChaosAction) -> &'static [Runner] {
     use {ChaosAction as A, ChaosTarget as T, ChaosWhen as W};
     match (when, target, action) {
-        (W::Start, T::Links, A::Impair(_)) => &[Channel, Tcp, Baseline],
-        (W::Start, T::Sockets, A::Impair(_)) => &[Tcp, Launcher, ElasticLauncher],
+        (W::Start, T::Links, A::Impair(_)) | (W::AfterFrames(_), T::Device(_), A::Down) => {
+            &[Channel, Tcp, Baseline, Launcher, ElasticLauncher]
+        }
         (W::BeforeSample(_), T::Device(_) | T::Gateway | T::Tier(_), A::Down | A::Up) => {
             &[Channel, Tcp, ElasticLauncher]
         }
         (W::BeforeSample(_), T::Process(_), A::Down | A::Up) => &[Launcher, ElasticLauncher],
-        (W::AfterFrames(_), T::Device(_), A::Down) => &[Channel, Tcp, Baseline],
-        (W::AfterFrames(_), T::Gateway | T::Tier(_), A::Down) => &[Channel, Tcp],
+        (W::AfterFrames(_), T::Gateway | T::Tier(_), A::Down) => {
+            &[Channel, Tcp, Launcher, ElasticLauncher]
+        }
         _ => &[],
     }
 }
@@ -167,34 +168,31 @@ fn rejections_name_what_the_event_needs() {
     let far = ChaosTarget::Process(ProcTarget::Tier(9));
     let plan = ChaosPlan::none().with(ChaosWhen::BeforeSample(1), far, ChaosAction::Down);
     rejected(Launcher, &plan, "out of range");
-    // Sockets exist on socket transports only.
+    // Node churn needs the elastic driver's pings; the baseline has
+    // devices only.
     let lossy = Impairment { drop: 0.1, ..Impairment::none() };
-    rejected(Channel, &impair(ChaosTarget::Sockets, lossy), "socket transport");
-    // Links and crash counters are in-process (the role manifest carries
-    // neither), node churn needs the elastic driver's pings; the baseline
-    // has devices only.
-    rejected(Launcher, &impair(ChaosTarget::Links, lossy), "in-process");
-    let gateway =
-        ChaosPlan::none().with(ChaosWhen::AfterFrames(1), ChaosTarget::Gateway, ChaosAction::Down);
-    for plan in [&impair(ChaosTarget::Links, lossy), &gateway] {
-        rejected(ElasticLauncher, plan, "per-link streams and crash counters");
-    }
     let churn =
         ChaosPlan::none().with(ChaosWhen::BeforeSample(1), ChaosTarget::Gateway, ChaosAction::Down);
     rejected(Launcher, &churn, "elastic");
+    let gateway =
+        ChaosPlan::none().with(ChaosWhen::AfterFrames(1), ChaosTarget::Gateway, ChaosAction::Down);
     rejected(Baseline, &gateway, "no gateway or tiers");
-    // Each boundary implements its own rates: no sever above the
-    // transport, no byte damage or reordering below it, all in [0, 1].
+    // Only a TCP stream can be severed; every other rate applies on every
+    // runner, and all of them lie in [0, 1].
     let sever = Impairment { sever: 0.2, ..Impairment::none() };
-    rejected(Channel, &impair(ChaosTarget::Links, sever), "socket fault");
-    assert!(verdict(Tcp, &impair(ChaosTarget::Sockets, sever)).is_ok());
+    rejected(Channel, &impair(ChaosTarget::Links, sever), "TCP");
+    rejected(Baseline, &impair(ChaosTarget::Links, sever), "TCP");
+    for runner in [Tcp, Launcher, ElasticLauncher] {
+        assert!(verdict(runner, &impair(ChaosTarget::Links, sever)).is_ok(), "{runner:?}");
+    }
     for imp in [
         Impairment { corrupt: 0.1, ..Impairment::none() },
         Impairment { truncate: 0.1, ..Impairment::none() },
         Impairment { reorder: 0.1, ..Impairment::none() },
     ] {
-        rejected(Tcp, &impair(ChaosTarget::Sockets, imp), "link faults");
-        assert!(verdict(Channel, &impair(ChaosTarget::Links, imp)).is_ok(), "{imp:?}");
+        for runner in [Channel, Tcp, Baseline, Launcher, ElasticLauncher] {
+            assert!(verdict(runner, &impair(ChaosTarget::Links, imp)).is_ok(), "{imp:?}");
+        }
     }
     for imp in [
         Impairment { drop: 1.5, ..Impairment::none() },
@@ -202,7 +200,7 @@ fn rejections_name_what_the_event_needs() {
         Impairment { sever: 2.0, ..Impairment::none() },
         Impairment { drop: f32::NAN, ..Impairment::none() },
     ] {
-        rejected(Tcp, &impair(ChaosTarget::Sockets, imp), "outside [0, 1]");
+        rejected(Tcp, &impair(ChaosTarget::Links, imp), "outside [0, 1]");
     }
     rejected(
         Channel,
@@ -216,7 +214,7 @@ fn rejections_name_what_the_event_needs() {
     // An all-zero impairment is no chaos at all; a delay alone is.
     assert!(!impair(ChaosTarget::Links, Impairment::none()).is_active());
     assert!(
-        impair(ChaosTarget::Sockets, Impairment { delay_ms: 5, ..Impairment::none() }).is_active()
+        impair(ChaosTarget::Links, Impairment { delay_ms: 5, ..Impairment::none() }).is_active()
     );
 
     // What the run itself must offer: elastic orchestration for node
@@ -252,8 +250,7 @@ fn event_from(word: u64) -> ChaosEvent {
         _ => ChaosWhen::BeforeSample(field(8, 5)),
     };
     let target = match field(16, 8) {
-        0 => ChaosTarget::Links,
-        1 => ChaosTarget::Sockets,
+        0 | 1 => ChaosTarget::Links,
         2 | 3 => ChaosTarget::Device(field(24, 3) as usize),
         4 => ChaosTarget::Gateway,
         5 => ChaosTarget::Tier(["edge", "cloud", "fog"][field(24, 3) as usize].to_string()),

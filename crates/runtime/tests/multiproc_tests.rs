@@ -2,13 +2,15 @@
 //! as real OS processes over localhost sockets and agree verdict for
 //! verdict with the in-process runner on the same seeded configuration —
 //! lockstep, under scheduled arrivals and with a statically failed device
-//! — counter for counter on every node — and it must reject, before
+//! — counter for counter on every node, under a seeded links impairment
+//! and a mid-run device crash as well; and it must reject, before
 //! spawning anything, a configuration that cannot span process boundaries.
 
 use ddnn_core::{AggregationScheme, Ddnn, DdnnConfig, EdgeConfig, ExitThreshold};
 use ddnn_runtime::{
-    multiproc, run_topology, ArrivalProcess, DeadlineConfig, HierarchyConfig, ReliabilityConfig,
-    RuntimeError, SimReport, StreamConfig, Topology, TransportConfig,
+    multiproc, run_topology, ArrivalProcess, ChaosAction, ChaosPlan, ChaosTarget, ChaosWhen,
+    DeadlineConfig, HierarchyConfig, Impairment, ReliabilityConfig, RuntimeError, SampleOutcome,
+    SimReport, StreamConfig, Topology, TransportConfig,
 };
 use ddnn_tensor::rng::rng_from_seed;
 use ddnn_tensor::Tensor;
@@ -148,6 +150,73 @@ fn four_process_run_with_a_failed_device_matches_in_process_verdicts() {
         failed_devices: vec![0],
         ..cfg(TransportConfig::Tcp)
     });
+}
+
+/// The same seeded workload in-process over TCP and as four OS processes
+/// over TCP, under `cfg`.
+fn in_process_and_launched(cfg: &HierarchyConfig) -> (SimReport, SimReport) {
+    let model = edge_model();
+    let n = 8usize;
+    let views = random_views(n, 2, 6);
+    let labels: Vec<usize> = (0..n).map(|i| i % 3).collect();
+    let cfg = HierarchyConfig { transport: TransportConfig::Tcp, ..cfg.clone() };
+    let topology = Topology::from_partition(&model.partition());
+    let threads = run_topology(&topology, &views, &labels, &cfg).unwrap();
+    let processes = multiproc::launch(node_exe(), model.config(), &views, &labels, &cfg)
+        .unwrap_or_else(|e| panic!("launch failed: {e}"));
+    (threads, processes)
+}
+
+#[test]
+fn a_seeded_links_plan_runs_in_every_role_process_and_arq_recovers_it() {
+    let lossy = Impairment {
+        drop: 0.1,
+        duplicate: 0.1,
+        corrupt: 0.05,
+        truncate: 0.05,
+        reorder: 0.1,
+        ..Impairment::none()
+    };
+    let fault_free = in_process_and_launched(&cfg(TransportConfig::Tcp)).0;
+    let plan = ChaosPlan::links(23, lossy);
+    let (threads, processes) =
+        in_process_and_launched(&HierarchyConfig { chaos: plan, ..cfg(TransportConfig::Tcp) });
+    for (what, r) in [("threads", &threads), ("processes", &processes)] {
+        assert!(r.outcomes.iter().all(|o| *o == SampleOutcome::Classified), "{what}");
+        assert_eq!(r.predictions, fault_free.predictions, "{what}");
+        assert_eq!(r.exits, fault_free.exits, "{what}");
+        // The plan really ran where the links are: in every role process.
+        let sum = |f: fn(&ddnn_runtime::LinkStats) -> usize| -> usize {
+            r.links.iter().map(|(_, st)| f(st)).sum()
+        };
+        assert!(sum(|st| st.frames_dropped) > 0, "{what}: no drop");
+        assert!(sum(|st| st.frames_duplicated) > 0, "{what}: no duplicate");
+        assert!(sum(|st| st.frames_corrupted) > 0, "{what}: no damage");
+        assert!(sum(|st| st.frames_retransmitted) > 0, "{what}: nothing recovered");
+    }
+}
+
+#[test]
+fn a_device_crash_after_its_kth_frame_degrades_processes_like_threads() {
+    // CRC only: an ARQ retransmission would count towards the crash
+    // point, and how many there are races real acks.
+    let plan = ChaosPlan::none().with(
+        ChaosWhen::AfterFrames(3),
+        ChaosTarget::Device(1),
+        ChaosAction::Down,
+    );
+    let crash = HierarchyConfig {
+        reliability: ReliabilityConfig::crc(),
+        chaos: plan,
+        ..cfg(TransportConfig::Tcp)
+    };
+    let (threads, processes) = in_process_and_launched(&crash);
+    assert_eq!(processes.predictions, threads.predictions);
+    assert_eq!(processes.exits, threads.exits);
+    assert_eq!(processes.outcomes, threads.outcomes);
+    assert_eq!(processes.degraded_samples, threads.degraded_samples);
+    assert_eq!(processes.device_timeouts, threads.device_timeouts);
+    assert!(threads.device_timeouts[1] > 0, "device 1 never died: {:?}", threads.device_timeouts);
 }
 
 #[test]

@@ -2,8 +2,10 @@
 //! a real SIGKILL of any role process mid-run — folding the loss into
 //! typed degradation instead of hanging or panicking — respawn and
 //! resync a killed role on schedule, stay deterministic across reruns at
-//! the same seed, and keep delivering verdicts under seeded socket-level
-//! chaos. The in-process runners must reject process chaos outright.
+//! the same seed, and keep delivering verdicts under seeded link chaos
+//! rolled in every role process. The in-process runners must reject
+//! process chaos outright, every runner a sever on anything but TCP, and
+//! a TCP run that severs every frame must still end.
 
 use ddnn_core::{AggregationScheme, Ddnn, DdnnConfig, EdgeConfig, ExitPoint, ExitThreshold};
 use ddnn_runtime::{
@@ -224,26 +226,33 @@ fn respawned_devices_rejoin_on_udp_arq_and_match_the_fault_free_tail() {
 }
 
 #[test]
-fn socket_chaos_run_still_terminates_with_typed_outcomes() {
+fn link_chaos_over_udp_arq_processes_still_terminates_with_typed_outcomes() {
     let model = edge_model();
     let n = 6usize;
     let views = random_views(n, 2, 6);
     let labels: Vec<usize> = (0..n).map(|i| i % 3).collect();
     let chaos_cfg = cfg(
         TransportConfig::Udp,
-        ChaosPlan::sockets(
+        ChaosPlan::links(
             7,
-            Impairment { drop: 0.05, duplicate: 0.05, sever: 0.02, ..Impairment::none() },
+            Impairment { drop: 0.1, duplicate: 0.1, corrupt: 0.1, ..Impairment::none() },
         ),
     );
     let report =
         multiproc::launch(node_exe(), model.config(), &views, &labels, &chaos_cfg).unwrap();
     assert_conservation(&report, n);
+    // Every role process rolls its own links' streams.
+    let link = |f: fn(&ddnn_runtime::LinkStats) -> usize| -> usize {
+        report.links.iter().map(|(_, st)| f(st)).sum()
+    };
+    assert!(link(|st| st.frames_dropped) > 0, "no frame was dropped");
+    assert!(link(|st| st.frames_duplicated) > 0, "no frame was duplicated");
+    assert!(link(|st| st.frames_corrupted) > 0, "no frame was corrupted");
     // ARQ recovers dropped datagrams within the deadline budget: the run
     // must still classify most samples, not degrade wholesale.
     let classified =
         report.outcomes.iter().filter(|o| matches!(o, SampleOutcome::Classified)).count();
-    assert!(classified >= n / 2, "only {classified}/{n} classified under socket chaos");
+    assert!(classified >= n / 2, "only {classified}/{n} classified under link chaos");
 }
 
 #[test]
@@ -274,22 +283,42 @@ fn in_process_runners_reject_process_chaos() {
     );
 }
 
-#[test]
-fn socket_chaos_requires_a_socket_transport() {
+/// `n` samples of the edge model under a links plan that severs at
+/// `sever`, in-process over `transport`.
+fn sever_run(transport: TransportConfig, sever: f32, n: usize) -> Result<SimReport, RuntimeError> {
     let model = edge_model();
-    let views = random_views(2, 2, 6);
-    let labels = vec![0usize, 1];
+    let views = random_views(n, 2, 6);
+    let labels: Vec<usize> = (0..n).map(|i| i % 3).collect();
     let chaos_cfg = HierarchyConfig {
         deadlines: Some(DeadlineConfig::fast()),
-        chaos: ChaosPlan::sockets(1, Impairment { drop: 0.1, ..Impairment::none() }),
+        transport,
+        chaos: ChaosPlan::links(1, Impairment { sever, ..Impairment::none() }),
         ..HierarchyConfig::default()
     };
-    let topology = Topology::from_partition(&model.partition());
-    let err = run_topology(&topology, &views, &labels, &chaos_cfg).unwrap_err();
-    assert!(
-        matches!(&err, RuntimeError::Config { reason } if reason.contains("socket transport")),
-        "channel transport accepted socket chaos: {err}"
-    );
+    run_topology(&Topology::from_partition(&model.partition()), &views, &labels, &chaos_cfg)
+}
+
+#[test]
+fn sever_requires_a_tcp_transport() {
+    for transport in [TransportConfig::Channel, TransportConfig::Udp] {
+        let err = sever_run(transport, 0.5, 2).unwrap_err();
+        assert!(
+            matches!(&err, RuntimeError::Config { reason } if reason.contains("TCP")),
+            "{} accepted a sever: {err}",
+            transport.name()
+        );
+    }
+}
+
+#[test]
+fn severing_every_tcp_frame_times_out_every_sample() {
+    // Every capture dies half-written; the orchestrator's shutdown frames
+    // are exempt, so the run still ends, each sample a typed timeout.
+    let n = 2;
+    let report = sever_run(TransportConfig::Tcp, 1.0, n).unwrap();
+    assert_conservation(&report, n);
+    assert!(report.outcomes.iter().all(|o| matches!(o, SampleOutcome::TimedOut { .. })));
+    assert!(counter(&report, "transport.tcp.peer_disconnects") > 0, "no stream was cut");
 }
 
 /// An elastic run of the edge model: heartbeat membership over the

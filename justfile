@@ -1,8 +1,9 @@
-# Developer entry points; CI (.github/workflows/ci.yml) runs `just check`.
+# Developer entry points. CI (.github/workflows/ci.yml) runs its own
+# steps; `just check` is its format, clippy and default-pool test steps.
 
 export CARGO_NET_OFFLINE := "true"
 
-# fmt + clippy + tests, exactly what CI enforces
+# fmt + clippy + tests
 check: fmt-check clippy test
 
 fmt:
@@ -22,7 +23,8 @@ test:
 
 # The topology sweep: configs (a)-(e) plus deep HierarchyBuilder chains,
 # each on the default deadlines (none may fire), across worker-pool
-# sizes, with the runtime crate held to clippy -D warnings.
+# sizes, with the runtime crate held to clippy -D warnings. A shortcut:
+# `test` runs these suites too, and CI runs `test` at each pool size.
 topology-matrix:
     cargo clippy -p ddnn-runtime --all-targets -- -D warnings
     DDNN_THREADS=1 cargo test -p ddnn-runtime --test topology_matrix --test topology_equivalence -q
@@ -31,7 +33,8 @@ topology-matrix:
 # The one chaos sweep: the chaos-plan contract, seeded link faults,
 # wire integrity, ARQ, observability, membership churn (CRC-only and
 # under ARQ recovery) and process kills/respawns, across worker-pool
-# sizes. Every seed is fixed, so every leg is deterministic.
+# sizes. Every seed is fixed, so every leg is deterministic. A shortcut:
+# `test` runs these suites too, and CI runs `test` at each pool size.
 chaos-matrix:
     DDNN_THREADS=1 cargo test -p ddnn-runtime --test chaos_plan_tests --test chaos_tests --test frame_integrity_proptest --test reliability_tests --test obs_tests --test churn_tests --test proc_chaos_tests -q
     DDNN_THREADS=4 cargo test -p ddnn-runtime --test chaos_plan_tests --test chaos_tests --test frame_integrity_proptest --test reliability_tests --test obs_tests --test churn_tests --test proc_chaos_tests -q
@@ -111,13 +114,15 @@ bench-churn-smoke:
     cargo run --release -p ddnn-bench --bin churn -- --smoke
 
 # The streaming conservation suite across worker-pool sizes and
-# transports (fixed seeds, so every leg is deterministic).
+# transports (fixed seeds, so every leg is deterministic). A shortcut:
+# `test` runs it too, and CI runs `test` at each pool size.
 streaming-matrix:
     DDNN_THREADS=1 cargo test -p ddnn-runtime --test streaming_tests -q
     DDNN_THREADS=4 cargo test -p ddnn-runtime --test streaming_tests -q
 
 # The transport suite: loopback verdict equivalence across channel/TCP/
 # UDP+ARQ, socket junk resilience, and the multi-process launcher tests.
+# A shortcut: `test` runs these suites too.
 transport-smoke:
     cargo test -p ddnn-runtime --test transport_tests --test multiproc_tests -q
     cargo test -p ddnn-runtime --lib -q transport
@@ -139,7 +144,7 @@ bench-transport-smoke:
 
 # Supervised process-chaos smoke: a live SIGKILL demo (kill the gateway,
 # respawn the devices) driven through the binary itself. The seeded
-# kill/respawn/socket-chaos test suite runs under `chaos-matrix`.
+# kill/respawn/link-chaos test suite runs under `test` and `chaos-matrix`.
 proc-chaos-smoke:
     cargo run --release -p ddnn-runtime --bin ddnn-node -- demo --transport tcp --samples 8 --kill gateway@3
     cargo run --release -p ddnn-runtime --bin ddnn-node -- demo --transport udp --samples 8 --kill devices@2 --respawn-after 3
@@ -175,7 +180,7 @@ bench-ab base workload *args:
 
 # Code lines (non-blank, non-comment) of the runtime crate, unit tests
 # included: the simplicity budget ROADMAP holds every change to (its
-# control-plane and wire-format items aim at 7,600). CI fails above 8,164;
+# control-plane and wire-format items aim at 7,600). CI fails above 8,083;
 # the ceiling only ratchets down.
 runtime-loc:
     find crates/runtime/src -name '*.rs' | xargs grep -cvE '^\s*(//|$)' | awk -F: '{ s += $2 } END { print s }'
@@ -185,7 +190,7 @@ runtime-loc:
 # sample pump read no clock and ARQ retransmits from the same `drive`;
 # what remains is the process supervisor's handshake and reap timeouts
 # and the role heartbeat's sleep, the socket layer, the chaos delay
-# sleeps and `SimClock::start`. CI fails above 15; the ceiling only
+# sleep and `SimClock::start`. CI fails above 13; the ceiling only
 # ratchets down.
 clock-sites:
     grep -rE 'Instant::now|sleep\(' crates/runtime/src | wc -l
