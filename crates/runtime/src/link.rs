@@ -26,9 +26,7 @@ use crate::message::{Frame, NodeId, HEADER_BYTES};
 use crate::obs::{LinkCounters, ObsEvent, RunObs};
 use crate::reliability::{arq_max_age, ArqRecvState, ArqSendState};
 use crate::topology::HierarchyConfig;
-use crate::transport::{
-    channel_tx, Endpoint, InboxBinding, RedialHandle, TransportHost, TransportTx,
-};
+use crate::transport::{channel_tx, InboxBinding, TransportHost, TransportTx};
 use std::collections::HashMap;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, TryRecvError};
 use std::sync::{Arc, Mutex};
@@ -408,9 +406,11 @@ pub(crate) struct LinkFactory<'a> {
     /// Run observability: link counters are registered here, and inboxes
     /// plus ARQ states emit timeline events through it.
     obs: Arc<RunObs>,
-    /// The run's dataplane: binds inboxes, connects senders, owns every
-    /// socket reader thread (joined when the factory drops).
-    transport: TransportHost,
+    /// The run's dataplane: binds inboxes, connects senders, owns the
+    /// socket I/O thread (joined when the factory drops). Runners read its
+    /// endpoint and redial handle and shut it down at a deterministic
+    /// point (after nodes have joined, before reports are folded).
+    pub(crate) transport: TransportHost,
     /// Base transport sequence number for every ARQ sender this factory
     /// creates (see [`ArqSendState::with_tseq_base`]); nonzero only in a
     /// respawned role process.
@@ -433,18 +433,6 @@ impl<'a> LinkFactory<'a> {
         }
     }
 
-    /// A cloneable handle that can re-point this factory's senders at a
-    /// respawned peer host's new address.
-    pub(crate) fn redial_handle(&self) -> RedialHandle {
-        self.transport.redial_handle()
-    }
-
-    /// Where this process's inboxes are reached — what it advertises once
-    /// every name it answers to is bound.
-    pub(crate) fn endpoint(&self) -> Endpoint {
-        self.transport.endpoint()
-    }
-
     /// Binds a named node inbox on this process's endpoint.
     ///
     /// # Errors
@@ -456,27 +444,11 @@ impl<'a> LinkFactory<'a> {
         Ok(NodeInbox::new(receiver, Arc::clone(&self.obs)))
     }
 
-    /// Binds the reverse ack inbox (`ack:{link}`) of an ARQ link this
-    /// process sends on.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::Transport`] when a socket bind fails.
-    pub(crate) fn ack_inbox(&mut self, link: &str) -> Result<Receiver<Arc<[u8]>>> {
-        self.transport.bind(&format!("ack:{link}"))
-    }
-
-    /// The run's counter cells of the link `name`.
-    pub(crate) fn cells(&self, name: &str) -> LinkCounters {
-        LinkCounters::registered(self.obs.registry(), name)
-    }
-
     /// Creates an instrumented sender into the inbox at `to`, named
     /// `name` and counting into `stats`. The link runs ARQ when it is
-    /// given its [`ack_inbox`](LinkFactory::ack_inbox): the receiving end
-    /// — in this process or another — builds the matching
-    /// [`recv_state`](LinkFactory::recv_state) against that name on this
-    /// process's endpoint. Its retransmit timer runs from the inbox of the
+    /// given its ack inbox, `ack:{name}` bound on this process's endpoint:
+    /// the receiving end — in this process or another — builds the
+    /// matching [`recv_state`](LinkFactory::recv_state) against that name. Its retransmit timer runs from the inbox of the
     /// node that sends on it (see [`NodeInbox::send_on`]).
     ///
     /// ARQ links get three derived chaos streams: the primary (`name`),
@@ -542,14 +514,6 @@ impl<'a> LinkFactory<'a> {
     /// Returns [`RuntimeError::Transport`] when a socket connect fails.
     pub(crate) fn shutdown_sender(&self, to: &InboxBinding, name: &str) -> Result<LinkSender> {
         Ok(LinkSender::plain(self.transport.connect(to)?, name))
-    }
-
-    /// Stops and joins the dataplane's socket reader threads. Also runs
-    /// on drop; exposed so runners can tear the transport down at a
-    /// deterministic point (after nodes have joined, before reports are
-    /// folded).
-    pub(crate) fn shutdown_transport(&mut self) {
-        self.transport.shutdown();
     }
 }
 

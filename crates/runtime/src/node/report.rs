@@ -116,11 +116,7 @@ impl SimReport {
     /// (class-score vectors plus offloaded feature maps minus their shape
     /// preambles) — the quantity Eq. 1 models.
     pub fn device_payload_bytes(&self) -> usize {
-        self.links
-            .iter()
-            .filter(|(name, _)| name.starts_with("device"))
-            .map(|(_, s)| s.payload_bytes)
-            .sum()
+        self.device_links().map(|s| s.payload_bytes).sum()
     }
 
     /// Measured device payload bytes *excluding ARQ retransmissions*: what
@@ -129,28 +125,31 @@ impl SimReport {
     /// includes retransmitted copies and therefore overstates the model
     /// under lossy links.
     pub fn device_first_payload_bytes(&self) -> usize {
-        self.links
-            .iter()
-            .filter(|(name, _)| name.starts_with("device"))
-            .map(|(_, s)| s.first_payload_bytes())
-            .sum()
+        self.device_links().map(LinkStats::first_payload_bytes).sum()
+    }
+
+    /// The traffic of every link an end device sends on.
+    fn device_links(&self) -> impl Iterator<Item = &LinkStats> {
+        self.links.iter().filter(|(name, _)| name.starts_with("device")).map(|(_, s)| s)
     }
 
     /// Mean measured device payload bytes per sample *per live device*.
     pub fn device_payload_per_sample(&self, live_devices: usize) -> f32 {
-        if self.predictions.is_empty() || live_devices == 0 {
-            return 0.0;
-        }
-        self.device_payload_bytes() as f32 / (self.predictions.len() * live_devices) as f32
+        self.per_device_sample(self.device_payload_bytes(), live_devices)
     }
 
     /// Mean first-transmission device payload bytes per sample per live
     /// device (see [`SimReport::device_first_payload_bytes`]).
     pub fn device_first_payload_per_sample(&self, live_devices: usize) -> f32 {
-        if self.predictions.is_empty() || live_devices == 0 {
-            return 0.0;
+        self.per_device_sample(self.device_first_payload_bytes(), live_devices)
+    }
+
+    /// `bytes` per sample per live device; 0 for an empty run.
+    fn per_device_sample(&self, bytes: usize, live_devices: usize) -> f32 {
+        match self.predictions.len() * live_devices {
+            0 => 0.0,
+            n => bytes as f32 / n as f32,
         }
-        self.device_first_payload_bytes() as f32 / (self.predictions.len() * live_devices) as f32
     }
 
     /// The counter snapshot rendered as a JSON object, sorted by name.

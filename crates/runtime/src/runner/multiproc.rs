@@ -56,6 +56,14 @@
 //! `REWIRE` line per surviving role re-points every sender it holds into
 //! the respawned one — data links and ack paths alike.
 //!
+//! Teardown waits on events, never on a sleep: a role's heartbeat thread
+//! waits out each period on a stop channel that the role drops once its
+//! nodes have joined, and the launcher's reap waits, within a grace
+//! period, for a role's stdout to close — which it does when the process
+//! exits — before it collects the exit status. A role process runs its
+//! node threads plus four: main, the transport's I/O loop, the stdio
+//! control thread and the heartbeat thread.
+//!
 //! Scope: multi-process runs cover the partition-implied topology, in
 //! lockstep or under scheduled arrivals, with or without statically failed
 //! devices, statically or under elastic orchestration — the role manifest
@@ -89,7 +97,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::SocketAddr;
 use std::path::Path;
 use std::process::{Child, ChildStdin, Command, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -283,15 +291,8 @@ impl Supervised {
         let beat = Arc::new(AtomicU64::new(clock.elapsed_ms_f64() as u64));
         let (tx, lines) = channel();
         let beat_cell = Arc::clone(&beat);
-        let reader = std::thread::spawn(move || {
-            let mut r = BufReader::new(stdout);
-            let mut line = String::new();
-            loop {
-                line.clear();
-                match r.read_line(&mut line) {
-                    Ok(0) | Err(_) => return,
-                    Ok(_) => {}
-                }
+        let reader = Some(std::thread::spawn(move || {
+            for line in BufReader::new(stdout).lines().map_while(std::io::Result::ok) {
                 let t = line.trim_end();
                 if t.starts_with("HB ") {
                     beat_cell.store(clock.elapsed_ms_f64() as u64, Ordering::Release);
@@ -299,8 +300,7 @@ impl Supervised {
                     return;
                 }
             }
-        });
-        let reader = Some(reader);
+        }));
         let mut p = Supervised { role, child, stdin, lines, reader, beat, alive: true, generation };
         p.send(&format!("ROLE {role}\n{manifest}END\n"))?;
         Ok(p)
@@ -499,21 +499,17 @@ impl SampleHook for Supervisor<'_> {
             })?;
         }
         // Bounded reap: a role that printed DONE but will not exit (wedged
-        // destructor, leaked thread) must not hang the launcher forever.
+        // destructor, leaked thread) must not hang the launcher forever. A
+        // role prints nothing after DONE, and its stdout bridge disconnects
+        // when the process exits and its pipe closes.
         for p in self.fleet.procs.iter_mut().filter(|p| p.alive) {
             let endpoint = p.role.to_string();
-            let reap_deadline = Instant::now() + REAP_GRACE;
-            let status = loop {
-                match p.child.try_wait().map_err(|e| peer_err(&endpoint, e))? {
-                    Some(status) => break status,
-                    None if Instant::now() >= reap_deadline => {
-                        p.kill_now();
-                        let why = format!("did not exit within {REAP_GRACE:?} after DONE; killed");
-                        return Err(peer_err(&endpoint, format!("role process {why}")));
-                    }
-                    None => std::thread::sleep(Duration::from_millis(5)),
-                }
-            };
+            if p.lines.recv_timeout(REAP_GRACE) != Err(RecvTimeoutError::Disconnected) {
+                p.kill_now();
+                let why = format!("did not exit within {REAP_GRACE:?} after DONE; killed");
+                return Err(peer_err(&endpoint, format!("role process {why}")));
+            }
+            let status = p.child.wait().map_err(|e| peer_err(&endpoint, e))?;
             p.retire();
             if !status.success() {
                 return Err(peer_err(&endpoint, format!("role process exited with {status}")));
@@ -587,7 +583,7 @@ pub fn launch(
     })?;
     let mut supervisor = Supervisor {
         fleet,
-        redial: plane.factory.redial_handle(),
+        redial: plane.factory.transport.redial_handle(),
         feed: Feed::new(&plane, &ctx, device_views)?,
         obs: Arc::clone(&ctx.obs),
     };
@@ -614,11 +610,15 @@ pub fn host_role() -> Result<()> {
     let out = Arc::new(Mutex::new(std::io::stdout()));
     let result = run_role(BufReader::new(std::io::stdin()), &out);
     if let Err(e) = &result {
-        let mut o = lock(&out);
-        let _ = writeln!(o, "ERROR {e}");
-        let _ = o.flush();
+        let _ = say(&out, format_args!("ERROR {e}"));
     }
     result
+}
+
+/// Writes one whole line to the launcher and flushes it.
+fn say(out: &Mutex<impl Write>, line: std::fmt::Arguments) -> std::io::Result<()> {
+    let mut o = lock(out);
+    writeln!(o, "{line}").and_then(|()| o.flush())
 }
 
 /// Serves launcher control lines for the rest of the run. Today that is
@@ -686,11 +686,7 @@ where
     // generation base (`tseq_base`) so surviving receivers rebase instead
     // of treating its frames as ancient duplicates.
     let swap = |own: Endpoint| -> Result<Addrs> {
-        {
-            let mut o = lock(out);
-            writeln!(o, "ADDR {role} {}", socket_addr(own)?).map_err(io_err)?;
-            o.flush().map_err(io_err)?;
-        }
+        say(out, format_args!("ADDR {role} {}", socket_addr(own)?)).map_err(io_err)?;
         let mut book = Addrs::new();
         loop {
             let line = read_control_line(&mut input)?;
@@ -706,29 +702,27 @@ where
     // From here the launcher may send REWIRE lines at any time: hand
     // stdin to a control thread (detached — it dies with the process)
     // and start heartbeating so the launcher can tell a busy role from
-    // a dead one.
-    let redial = plane.factory.redial_handle();
+    // a dead one. The heartbeat waits out each period on a stop channel,
+    // so dropping `hb_stop` ends it at once.
+    let redial = plane.factory.transport.redial_handle();
     std::thread::Builder::new()
         .name("ddnn-control".into())
         .spawn(move || control_loop(input, &redial))
         .map_err(io_err)?;
-    let hb_stop = Arc::new(AtomicBool::new(false));
+    let (hb_stop, stopped) = channel::<()>();
     let hb_thread = {
         let out = Arc::clone(out);
-        let stop = Arc::clone(&hb_stop);
         std::thread::Builder::new()
             .name("ddnn-heartbeat".into())
             .spawn(move || {
-                let mut n = 0u64;
-                while !stop.load(Ordering::Acquire) {
-                    {
-                        let mut o = lock(&out);
-                        if writeln!(o, "HB {n}").and_then(|()| o.flush()).is_err() {
-                            return; // launcher is gone; nobody to reassure
-                        }
+                for n in 0u64.. {
+                    if say(&out, format_args!("HB {n}")).is_err() {
+                        return; // launcher is gone; nobody to reassure
                     }
-                    n += 1;
-                    std::thread::sleep(Duration::from_millis(HEARTBEAT_MS));
+                    let period = Duration::from_millis(HEARTBEAT_MS);
+                    if stopped.recv_timeout(period) != Err(RecvTimeoutError::Timeout) {
+                        return;
+                    }
                 }
             })
             .map_err(io_err)?
@@ -736,16 +730,13 @@ where
 
     // Run the role's nodes until the orchestrator's shutdown frames.
     let ran = host_nodes(|spawn| spawn_role(role, &ctx, &blanks, &mut plane, spawn));
-    hb_stop.store(true, Ordering::Release);
+    drop(hb_stop);
     let _ = hb_thread.join();
     let ((), node_reports) = ran?;
-    plane.factory.shutdown_transport();
+    plane.factory.transport.shutdown();
 
     // Report what this role counted.
-    let mut o = lock(out);
-    writeln!(o, "{}DONE", fmt_report(ctx.obs.registry(), &node_reports))
-        .and_then(|()| o.flush())
-        .map_err(io_err)
+    say(out, format_args!("{}DONE", fmt_report(ctx.obs.registry(), &node_reports))).map_err(io_err)
 }
 
 #[cfg(test)]

@@ -258,7 +258,7 @@ pub(super) fn orchestrate(
             for inbox in &wiring.inboxes {
                 let Host::Role(role) = inbox.host else { continue };
                 let failed = matches!(inbox.id, NodeId::Device(d) if !live[d as usize]);
-                let own = plane.factory.endpoint();
+                let own = plane.factory.transport.endpoint();
                 let Some(at) = hook.locate(role, own).filter(|_| !failed) else { continue };
                 let sensor = match inbox.id {
                     NodeId::Device(d) => plane.try_sender(Link::Sensor(d as usize)),
@@ -279,9 +279,10 @@ pub(super) fn orchestrate(
     })?;
 
     node_reports.extend(hook.collect()?);
-    // Tear down socket reader threads deterministically before assembling
-    // the report (a no-op for the in-process channel transport).
-    plane.factory.shutdown_transport();
+    // Stop the socket I/O thread before assembling the report, so no late
+    // frame moves a `transport.*` cell after the snapshot (a no-op for the
+    // in-process channel transport).
+    plane.factory.transport.shutdown();
     let mut report =
         assemble_report(tallies, labels, &wiring.report, node_reports, live.len(), obs);
     report.elastic = driver.map(|d| d.finish(&report.counters));

@@ -14,7 +14,7 @@ use crate::chaos::{CrashState, ProcTarget};
 use crate::error::{Result, RuntimeError};
 use crate::link::{LinkFactory, LinkSender, NodeInbox};
 use crate::message::NodeId;
-use crate::obs::RunObs;
+use crate::obs::{LinkCounters, RunObs};
 use crate::reliability::ReliabilityMode;
 use crate::topology::{HierarchyConfig, Shape, Topology};
 use crate::transport::{Endpoint, InboxBinding};
@@ -306,9 +306,10 @@ pub(super) fn connect<'a>(
     let arq = cfg.reliability.mode == ReliabilityMode::Arq;
     let mut ack_inboxes = HashMap::new();
     for row in wiring.rows.iter().filter(|r| arq && local.contains(&r.sender)) {
-        ack_inboxes.insert(row.name.as_str(), factory.ack_inbox(&row.name)?);
+        let ack = factory.transport.bind(&format!("ack:{}", row.name))?;
+        ack_inboxes.insert(row.name.as_str(), ack);
     }
-    let addrs = swap(factory.endpoint())?;
+    let addrs = swap(factory.transport.endpoint())?;
     let binding = |host: Host, inbox: String| {
         let at = *addrs.get(&host).ok_or_else(|| no_route("address of its host", &inbox))?;
         Ok::<_, RuntimeError>(InboxBinding { host: host.to_string(), at, inbox })
@@ -321,7 +322,7 @@ pub(super) fn connect<'a>(
         if !sends && !acks {
             continue;
         }
-        let cells = factory.cells(&row.name);
+        let cells = LinkCounters::registered(obs.registry(), &row.name);
         if sends {
             let to = binding(row.receiver, row.inbox.clone())?;
             let crash = row.crash.as_ref().and_then(|node| crashes.get(node)).cloned();

@@ -25,8 +25,10 @@ use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use std::str::FromStr;
 
-/// Configuration of a simulated hierarchy run.
-#[derive(Debug, Clone)]
+/// Configuration of a simulated hierarchy run. The default is the
+/// fault-free in-process run: CRC-only links, default deadlines and exit
+/// thresholds, no failed devices, no stream, no elastic orchestration.
+#[derive(Debug, Clone, Default)]
 pub struct HierarchyConfig {
     /// Local-exit entropy threshold (paper default: 0.8).
     pub local_threshold: ExitThreshold,
@@ -71,23 +73,6 @@ pub struct HierarchyConfig {
     /// TCP streams, or UDP datagrams (pair with
     /// [`ReliabilityConfig::arq`] to recover real datagram loss).
     pub transport: TransportConfig,
-}
-
-impl Default for HierarchyConfig {
-    fn default() -> Self {
-        HierarchyConfig {
-            local_threshold: ExitThreshold::default(),
-            edge_threshold: ExitThreshold::default(),
-            failed_devices: Vec::new(),
-            chaos: ChaosPlan::none(),
-            deadlines: None,
-            reliability: ReliabilityConfig::crc(),
-            obs: ObsConfig::default(),
-            elastic: None,
-            stream: None,
-            transport: TransportConfig::Channel,
-        }
-    }
 }
 
 impl HierarchyConfig {

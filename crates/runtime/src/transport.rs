@@ -3,8 +3,7 @@
 //! [`LinkSender`](crate::link::LinkSender) encodes frames and rolls
 //! faults; *this* module decides what carries the resulting bytes. Three
 //! transports implement the same contract ([`TransportTx`] on the send
-//! side, a reader feeding a `std::sync::mpsc` channel on the receive
-//! side):
+//! side, a `std::sync::mpsc` channel per inbox on the receive side):
 //!
 //! * **Channel** — the in-process `mpsc` channel the runtime has
 //!   always used. The default; byte-identical to every run before the
@@ -22,21 +21,23 @@
 //! on it: a [`TransportHost`] binds one TCP listener (or one UDP socket)
 //! on its first [`bind`](TransportHost::bind) and demultiplexes by an
 //! 8-byte inbox id (FNV-1a of the name). A TCP connection opens with the
-//! id of the inbox it feeds — read on the connection's own reader thread,
-//! re-sent on every re-dial — and every UDP datagram carries it as a
-//! prefix. An id this host never bound drops the connection or datagram
-//! and counts a `peer_disconnect`, like a hopeless length prefix. Like
-//! that prefix, the id is transport framing: no `transport.*` or
+//! id of the inbox it feeds — read before any of its frames, re-sent on
+//! every re-dial — and every UDP datagram carries it as a prefix. An id
+//! this host never bound drops the connection or datagram and counts a
+//! `peer_disconnect`, like a hopeless length prefix. Like that prefix, the
+//! id is transport framing: no `transport.*` or
 //! [`LinkStats`](crate::LinkStats) byte cell counts it.
 //!
-//! The receive path is deliberately uniform: socket transports spawn
-//! blocking reader threads that push each received frame into the same
-//! `mpsc` channel an in-process sender would have used, so
-//! [`NodeInbox`](crate::link::NodeInbox), the tier loops and the
-//! collectors never know which transport a run is on. All reader threads
-//! are owned by a [`TransportHost`] whose `Drop` raises a stop flag and
-//! joins them — sockets cannot leak background threads any more than the
-//! nodes' scoped threads can.
+//! The receive path is deliberately uniform: a socket host runs one I/O
+//! thread, blocked in `poll(2)` on a wake fd and on its listener and every
+//! accepted connection (or on its one UDP socket). It reassembles each
+//! connection's frames in a buffer of that connection's own and pushes
+//! every frame into the same `mpsc` channel an in-process sender would
+//! have used, so [`NodeInbox`](crate::link::NodeInbox), the tier loops
+//! and the collectors never know which transport a run is on. The thread
+//! is owned by a [`TransportHost`], whose `shutdown` (also run by `Drop`)
+//! writes to the wake fd and joins it at once — sockets cannot leak
+//! background threads any more than the nodes' scoped threads can.
 //!
 //! Impairment happens *before* the transport, at the one send boundary in
 //! `LinkSender::send`, so its seeded streams draw identically on every
@@ -51,21 +52,23 @@ use crate::lock;
 use crate::obs::{Counter, RunObs};
 use crate::reliability::ArqSendState;
 use std::collections::HashMap;
-use std::io::{BufReader, ErrorKind, Read, Write};
+use std::ffi::{c_int, c_short, c_ulong};
+use std::io::ErrorKind::{Interrupted, WouldBlock};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::os::unix::io::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// Which dataplane a run's links travel over. Selected per run via
 /// [`HierarchyConfig::transport`](crate::HierarchyConfig); every link of
 /// a run uses the same transport.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransportConfig {
-    /// In-process `mpsc` channels (the default) — no sockets, no
-    /// reader threads, byte-identical to the pre-transport runtime.
+    /// In-process `mpsc` channels (the default) — no sockets, no I/O
+    /// thread, byte-identical to the pre-transport runtime.
     #[default]
     Channel,
     /// Length-prefixed frames over localhost TCP streams.
@@ -102,21 +105,12 @@ impl std::str::FromStr for TransportConfig {
     }
 }
 
-/// How long a socket reader blocks before re-checking its stop flag, and
-/// how long the TCP accept loop sleeps between polls. Small enough that
-/// teardown is prompt, large enough that idle readers cost nothing.
-const POLL: Duration = Duration::from_millis(25);
-
-/// The largest frame either socket reader accepts: what fits a 64 KiB UDP
-/// receive buffer behind the inbox id. DDNN frames top out around 13 KB
-/// (a raw CIFAR capture); a TCP prefix claiming more is a foreign peer or
+/// The largest frame the I/O loop accepts: what fits its 64 KiB receive
+/// buffer behind the inbox id. DDNN frames top out around 13 KB (a raw
+/// CIFAR capture); a TCP prefix claiming more is a foreign peer or
 /// corrupted stream, and the connection is dropped before the claimed
 /// length can drive an allocation.
 const MAX_FRAME_BYTES: usize = (1 << 16) - ID_BYTES;
-
-/// Read buffer of one TCP connection: room for the largest DDNN frame
-/// (≈ 13 KB) behind its length prefix, so both arrive in one `read`.
-const READ_BUF_BYTES: usize = 1 << 14;
 
 /// Width of the inbox id a TCP connection opens with and every UDP
 /// datagram is prefixed by.
@@ -174,6 +168,14 @@ pub(crate) struct TransportCounters {
 }
 
 impl TransportCounters {
+    /// Counts one frame a socket delivered and queues it for its inbox;
+    /// false once that inbox has hung up.
+    fn deliver(&self, inbox: &Sender<Arc<[u8]>>, frame: &[u8]) -> bool {
+        self.frames_recvd.incr();
+        self.bytes_recvd.add(frame.len() as u64);
+        inbox.send(frame.into()).is_ok()
+    }
+
     /// Cells registered in the run's registry as `transport.{kind}.*`.
     fn registered(kind: TransportConfig, obs: &RunObs) -> Self {
         let cell =
@@ -225,6 +227,20 @@ struct TcpPeer {
     dials_left: u32,
 }
 
+impl TcpPeer {
+    /// The live stream, re-dialing a dropped one first while the budget
+    /// lasts: a dial that connects refills the budget, one that fails
+    /// spends one attempt.
+    fn stream(&mut self, id: [u8; ID_BYTES]) -> Option<&mut TcpStream> {
+        if self.stream.is_none() && self.dials_left > 0 {
+            self.stream = dial(self.addr, id);
+            self.dials_left =
+                if self.stream.is_some() { TCP_REDIAL_BUDGET } else { self.dials_left - 1 };
+        }
+        self.stream.as_mut()
+    }
+}
+
 /// One TCP stream per link, length-prefixed frames, one `write` per
 /// frame. The mutex serializes the stream's users (the sending node's
 /// frames and ARQ retransmissions, and a supervisor's re-dial). A write
@@ -258,22 +274,7 @@ impl TcpTx {
         // and, on this no-delay stream, not two segments.
         let framed = [&(wire.len() as u32).to_le_bytes()[..], &wire[..]].concat();
         let mut peer = lock(&self.peer);
-        if peer.stream.is_none() {
-            if peer.dials_left == 0 {
-                return;
-            }
-            match dial(peer.addr, self.id) {
-                Some(s) => {
-                    peer.stream = Some(s);
-                    peer.dials_left = TCP_REDIAL_BUDGET;
-                }
-                None => {
-                    peer.dials_left -= 1;
-                    return;
-                }
-            }
-        }
-        let stream = peer.stream.as_mut().expect("stream ensured above");
+        let Some(stream) = peer.stream(self.id) else { return };
         if sever {
             // A real mid-stream failure: the prefix and half the body hit
             // the wire, then the connection dies. The frame is lost in
@@ -297,13 +298,11 @@ impl TransportTx for TcpTx {
     }
 
     fn redial(&self, addr: SocketAddr) -> bool {
-        let mut peer = lock(&self.peer);
-        peer.addr = addr;
-        peer.dials_left = TCP_REDIAL_BUDGET;
         // A process listens before it advertises its address, so one dial
         // does; if it fails anyway, the transmit path's budget retries.
-        peer.stream = dial(addr, self.id);
-        peer.stream.is_some()
+        let mut peer = lock(&self.peer);
+        *peer = TcpPeer { stream: None, addr, dials_left: TCP_REDIAL_BUDGET };
+        peer.stream(self.id).is_some()
     }
 }
 
@@ -365,16 +364,17 @@ pub(crate) struct InboxBinding {
 type Inboxes = Arc<Mutex<HashMap<[u8; ID_BYTES], (String, Sender<Arc<[u8]>>)>>>;
 
 /// One process's dataplane: binds inbox names on its one endpoint,
-/// connects senders and owns every socket reader thread spawned along the
-/// way. Dropping the host (or calling
-/// [`shutdown`](TransportHost::shutdown)) raises the stop flag and joins
-/// all readers — the socket counterpart of the nodes' thread scope, so
-/// no run can leak background threads.
+/// connects senders and owns the one I/O thread that serves the endpoint.
+/// Dropping the host (or calling [`shutdown`](TransportHost::shutdown))
+/// wakes that thread and joins it — the socket counterpart of the nodes'
+/// thread scope, so no run can leak background threads.
 #[derive(Debug)]
 pub(crate) struct TransportHost {
     kind: TransportConfig,
     counters: TransportCounters,
-    stop: Arc<AtomicBool>,
+    /// The I/O loop's wake fd, written once to stop it.
+    wake: Option<UnixStream>,
+    /// The I/O loop's thread, once the first `bind` has started it.
     readers: Vec<JoinHandle<()>>,
     dials: Arc<Mutex<Dials>>,
     inboxes: Inboxes,
@@ -409,11 +409,9 @@ impl RedialHandle {
     pub(crate) fn redial(&self, host: &str, addr: SocketAddr) -> bool {
         let dials = lock(&self.dials);
         dials.arq.iter().filter(|(h, _)| h == host).for_each(|(_, arq)| arq.restart());
-        let mut any = false;
-        for (_, tx) in dials.txs.iter().filter(|(h, _)| h == host) {
-            any |= tx.redial(addr);
-        }
-        any
+        let into_host = dials.txs.iter().filter(|(h, _)| h == host);
+        // Every sender is re-pointed: `|` does not short-circuit.
+        into_host.fold(false, |any, (_, tx)| tx.redial(addr) | any)
     }
 }
 
@@ -424,7 +422,7 @@ impl TransportHost {
         TransportHost {
             kind,
             counters: TransportCounters::registered(kind, obs),
-            stop: Arc::new(AtomicBool::new(false)),
+            wake: None,
             readers: Vec::new(),
             dials: Arc::default(),
             inboxes: Arc::new(Mutex::new(HashMap::new())),
@@ -469,27 +467,29 @@ impl TransportHost {
         Ok(rx)
     }
 
-    /// Opens the process's endpoint and starts the thread that serves it.
+    /// Opens the process's endpoint and starts the I/O loop that serves it.
     fn open(&mut self) -> std::io::Result<SocketAddr> {
-        let (inboxes, counters) = (Arc::clone(&self.inboxes), self.counters.clone());
-        let stop = Arc::clone(&self.stop);
-        if self.kind == TransportConfig::Tcp {
+        let (served_fd, addr, served) = if self.kind == TransportConfig::Tcp {
             let listener = TcpListener::bind("127.0.0.1:0")?;
             listener.set_nonblocking(true)?;
-            let addr = listener.local_addr()?;
-            self.readers.push(std::thread::spawn(move || {
-                tcp_accept_loop(listener, inboxes, counters, stop);
-            }));
-            Ok(addr)
+            (listener.as_raw_fd(), listener.local_addr()?, Served::Tcp(listener))
         } else {
             let sock = UdpSocket::bind("127.0.0.1:0")?;
-            sock.set_read_timeout(Some(POLL))?;
-            let addr = sock.local_addr()?;
-            self.readers.push(std::thread::spawn(move || {
-                udp_reader(sock, inboxes, counters, stop);
-            }));
-            Ok(addr)
-        }
+            sock.set_nonblocking(true)?;
+            (sock.as_raw_fd(), sock.local_addr()?, Served::Udp(sock))
+        };
+        let (wake, woken) = UnixStream::pair()?;
+        let io = IoLoop {
+            woken,
+            served,
+            served_fd,
+            conns: Vec::new(),
+            inboxes: Arc::clone(&self.inboxes),
+            counters: self.counters.clone(),
+        };
+        self.readers.push(std::thread::Builder::new().name("ddnn-io".into()).spawn(|| io.run())?);
+        self.wake = Some(wake);
+        Ok(addr)
     }
 
     /// Connects a sender to a bound inbox. One connection per call: a
@@ -519,10 +519,8 @@ impl TransportHost {
                 // state a mid-run sever leaves it in — and the transmit
                 // path's bounded redial budget (or an explicit
                 // [`RedialHandle::redial`]) brings it back.
-                let stream = dial(addr, id);
-                let dials_left =
-                    if stream.is_some() { TCP_REDIAL_BUDGET } else { TCP_REDIAL_BUDGET - 1 };
-                let peer = TcpPeer { stream, addr, dials_left };
+                let mut peer = TcpPeer { stream: None, addr, dials_left: TCP_REDIAL_BUDGET };
+                peer.stream(id);
                 Arc::new(TcpTx { peer: Mutex::new(peer), id, counters })
             }
             (TransportConfig::Udp, Endpoint::Socket(addr)) => {
@@ -546,10 +544,14 @@ impl TransportHost {
         lock(&self.dials).arq.push((host.to_string(), state));
     }
 
-    /// Stops and joins every reader thread. Idempotent; also run by
-    /// `Drop`, so a host that merely goes out of scope cleans up too.
+    /// Wakes the I/O loop to stop and joins it; a frame still partway in
+    /// is dropped, since by then the run is over and its nodes have joined.
+    /// Idempotent; also run by `Drop`, so a host that merely goes out of
+    /// scope cleans up too.
     pub(crate) fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        if let Some(mut wake) = self.wake.take() {
+            let _ = wake.write_all(&[0]);
+        }
         for handle in self.readers.drain(..) {
             let _ = handle.join();
         }
@@ -566,173 +568,195 @@ fn terr(endpoint: &str, what: &str, e: &dyn std::fmt::Display) -> RuntimeError {
     RuntimeError::Transport { endpoint: endpoint.to_string(), reason: format!("{what}: {e}") }
 }
 
-/// Accepts connections on the host's nonblocking listener until stopped,
-/// spawning one reader per connection and joining them all on the way out.
-/// The accept thread never reads a stream: which inbox a connection feeds
-/// is settled on the connection's own reader.
-fn tcp_accept_loop(
-    listener: TcpListener,
+/// `struct pollfd` of poll(2): fd, requested events, returned events. std
+/// has no readiness wait on sockets, and the I/O loop needs only this one
+/// call, so it is declared here.
+#[repr(C)]
+struct PollFd(c_int, c_short, c_short);
+
+/// The one event the loop asks for; poll(2) also reports a hang-up or an
+/// error unasked, and any of them sends the loop to read the fd.
+const POLLIN: c_short = 1;
+
+extern "C" {
+    /// poll(2); `nfds` is `nfds_t`, an `unsigned long` on Linux.
+    fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+}
+
+/// What one TCP connection has read so far: the queue of the inbox its
+/// id named, once the id is in, and the bytes of an unfinished id or frame.
+#[derive(Default)]
+struct Reassembly {
+    inbox: Option<Sender<Arc<[u8]>>>,
+    pending: Vec<u8>,
+}
+
+/// How a reassembly step ended: whether the connection stays open, or why
+/// it is dropped.
+type Step = std::result::Result<bool, &'static str>;
+
+impl Reassembly {
+    /// The receive path's one step, free of sockets: takes the bytes a
+    /// read returned (`None`: the peer closed), `route`s the id to an inbox
+    /// once it is in, and delivers every frame it completes into that
+    /// inbox, in order. `Ok` says whether the connection stays open: a
+    /// close at a frame boundary, or an inbox that hung up (its node has
+    /// finished), ends it cleanly. `Err` is why it ends abnormally. A frame
+    /// is never delivered in part; the whole frames before an abnormal end
+    /// are.
+    fn step(
+        &mut self,
+        read: Option<&[u8]>,
+        route: impl Fn(&[u8; ID_BYTES]) -> Option<Sender<Arc<[u8]>>>,
+        counters: &TransportCounters,
+    ) -> Step {
+        let Some(read) = read else {
+            return match (self.pending.is_empty(), &self.inbox) {
+                (true, _) => Ok(false),
+                (false, None) => Err("closed inside the inbox id"),
+                (false, Some(_)) => Err("closed inside a frame"),
+            };
+        };
+        self.pending.extend_from_slice(read);
+        let mut at = 0;
+        let open = loop {
+            let rest = &self.pending[at..];
+            let Some(inbox) = &self.inbox else {
+                let Some((id, _)) = rest.split_first_chunk() else { break Ok(true) };
+                // Foreign peer, or a sender pointed at the wrong host.
+                self.inbox = Some(route(id).ok_or("an inbox this host never bound")?);
+                at += ID_BYTES;
+                continue;
+            };
+            let Some((len, body)) = rest.split_first_chunk() else { break Ok(true) };
+            let len = u32::from_le_bytes(*len) as usize;
+            if len > MAX_FRAME_BYTES {
+                break Err("a hopeless length prefix"); // foreign peer or corrupted stream
+            }
+            let Some(frame) = body.get(..len) else { break Ok(true) };
+            at += 4 + len;
+            if !counters.deliver(inbox, frame) {
+                break Ok(false);
+            }
+        };
+        self.pending.drain(..at);
+        open
+    }
+}
+
+/// Whether an `accept` or `recv` error means the served socket itself is
+/// unusable: a bad fd or buffer, or a socket that is not listening
+/// (`EBADF`, `EFAULT`, `EINVAL`, numbered alike on every unix). Any other
+/// error costs at most the one connection or datagram it came with — a
+/// peer that reset before its accept (`ConnectionAborted`, which a
+/// SIGKILLed role's dial can cause), a signal, fd or buffer exhaustion —
+/// and the loop serves on.
+fn source_failed(e: &std::io::Error) -> bool {
+    matches!(e.raw_os_error(), Some(9 | 14 | 22))
+}
+
+/// What a socket host's I/O loop serves besides its wake fd.
+enum Served {
+    Tcp(TcpListener),
+    Udp(UdpSocket),
+}
+
+/// A socket host's one I/O thread: blocks in `poll(2)` on the wake fd,
+/// the served socket and every accepted connection, and delivers every
+/// whole frame into the inbox it is for.
+struct IoLoop {
+    woken: UnixStream,
+    served: Served,
+    /// The served socket's fd, or -1 (which poll(2) skips) once it failed
+    /// hard; the accepted connections are still served.
+    served_fd: RawFd,
+    conns: Vec<(TcpStream, Reassembly)>,
     inboxes: Inboxes,
     counters: TransportCounters,
-    stop: Arc<AtomicBool>,
-) {
-    let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let _ = stream.set_read_timeout(Some(POLL));
-                let _ = stream.set_nodelay(true);
-                let inboxes = Arc::clone(&inboxes);
-                let counters = counters.clone();
-                let stop = Arc::clone(&stop);
-                conns.push(std::thread::spawn(move || {
-                    tcp_conn_reader(stream, &inboxes, counters, stop);
-                }));
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(_) => break,
-        }
-    }
-    for handle in conns {
-        let _ = handle.join();
-    }
 }
 
-/// How one blocking read over a connection ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ReadStatus {
-    /// The buffer was filled.
-    Full,
-    /// The peer closed the stream; `mid` is true when the close landed
-    /// partway through this buffer (bytes already consumed).
-    Closed { mid: bool },
-    /// The host's stop flag was raised during a read timeout.
-    Stopped,
-}
-
-/// Reads one TCP connection, through one buffered reader, into the inbox
-/// it names: the inbox id first, then length-prefixed frames. Exits on
-/// EOF, error, an id this host never bound, a hopeless length prefix, or
-/// the stop flag (checked at every read timeout). A partial frame at stop time is discarded — by
-/// then the run is over and its nodes have joined.
-///
-/// A close at a frame boundary is how every connection ends and passes
-/// silently; a close *inside* the id or a frame (half-open peer, SIGKILL'd
-/// process, a sever), an unknown id, a hopeless prefix, or a hard I/O
-/// error is an abnormal termination and bumps `peer_disconnects` — the
-/// typed `peer_gone` signal the supervisor and tests read.
-fn tcp_conn_reader(
-    stream: TcpStream,
-    inboxes: &Inboxes,
-    counters: TransportCounters,
-    stop: Arc<AtomicBool>,
-) {
-    let mut stream = BufReader::with_capacity(READ_BUF_BYTES, stream);
-    // A fixed-width header: `true` when it was read whole.
-    let header = |stream: &mut BufReader<_>, buf: &mut [u8]| match read_full(stream, buf, &stop) {
-        Ok(ReadStatus::Full) => true,
-        Ok(ReadStatus::Closed { mid: false }) | Ok(ReadStatus::Stopped) => false,
-        Ok(ReadStatus::Closed { mid: true }) | Err(_) => {
-            counters.peer_disconnects.incr();
-            false
-        }
-    };
-    let mut id = [0u8; ID_BYTES];
-    if !header(&mut stream, &mut id) {
-        return;
-    }
-    let Some(tx) = lock(inboxes).get(&id).map(|(_, tx)| tx.clone()) else {
-        // Foreign peer, or a sender pointed at the wrong host.
-        counters.peer_disconnects.incr();
-        return;
-    };
-    let mut len_buf = [0u8; 4];
-    while header(&mut stream, &mut len_buf) {
-        let len = u32::from_le_bytes(len_buf) as usize;
-        if len > MAX_FRAME_BYTES {
-            // Foreign peer or corrupted stream; drop the connection.
-            counters.peer_disconnects.incr();
-            return;
-        }
-        let mut body = vec![0u8; len];
-        match read_full(&mut stream, &mut body, &stop) {
-            Ok(ReadStatus::Full) => {}
-            Ok(ReadStatus::Stopped) => return,
-            Ok(ReadStatus::Closed { .. }) | Err(_) => {
-                // The prefix promised a frame that never finished: the
-                // peer died mid-frame.
-                counters.peer_disconnects.incr();
+impl IoLoop {
+    fn run(mut self) {
+        let mut buf = vec![0u8; MAX_FRAME_BYTES + ID_BYTES];
+        loop {
+            let conns = self.conns.iter().map(|(stream, _)| stream.as_raw_fd());
+            let watched = [self.woken.as_raw_fd(), self.served_fd].into_iter().chain(conns);
+            let mut fds: Vec<_> = watched.map(|fd| PollFd(fd, POLLIN, 0)).collect();
+            // SAFETY: `fds` is an initialised, exclusively borrowed array of
+            // `fds.len()` pollfds that outlives the call.
+            let polled = unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, -1) };
+            // A signal leaves every `revents` at 0: the next round polls again.
+            if polled < 0 && std::io::Error::last_os_error().kind() != Interrupted {
                 return;
             }
-        }
-        counters.frames_recvd.incr();
-        counters.bytes_recvd.add(len as u64);
-        if tx.send(body.into()).is_err() {
-            return;
-        }
-    }
-}
-
-/// Fills `buf` from the stream, riding out read timeouts (re-checking
-/// `stop` at each) and interrupts.
-fn read_full(
-    stream: &mut BufReader<TcpStream>,
-    buf: &mut [u8],
-    stop: &AtomicBool,
-) -> std::io::Result<ReadStatus> {
-    let mut off = 0;
-    while off < buf.len() {
-        match stream.read(&mut buf[off..]) {
-            Ok(0) => return Ok(ReadStatus::Closed { mid: off > 0 }),
-            Ok(n) => off += n,
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if stop.load(Ordering::Relaxed) {
-                    return Ok(ReadStatus::Stopped);
+            if fds[0].2 != 0 {
+                return; // shutdown
+            }
+            // Backwards, so `swap_remove` only moves a connection already
+            // served this round.
+            for i in (0..self.conns.len()).rev() {
+                if fds[i + 2].2 != 0 && !self.read(i, &mut buf) {
+                    self.conns.swap_remove(i);
                 }
             }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
+            if fds[1].2 != 0 {
+                self.serve(&mut buf);
+            }
         }
     }
-    Ok(ReadStatus::Full)
-}
 
-/// Receives the host's datagrams until stopped, handing each to the inbox
-/// its id prefix names. Each datagram is one frame of at most
-/// [`MAX_FRAME_BYTES`] behind its id. A datagram too short to hold an id,
-/// or naming an inbox this host never bound, is dropped and counted as a
-/// `peer_disconnect`; one for an inbox whose node has finished is simply
-/// dropped.
-fn udp_reader(
-    sock: UdpSocket,
-    inboxes: Inboxes,
-    counters: TransportCounters,
-    stop: Arc<AtomicBool>,
-) {
-    let mut buf = vec![0u8; MAX_FRAME_BYTES + ID_BYTES];
-    loop {
-        match sock.recv(&mut buf) {
-            Ok(n) => {
-                let named = buf[..n].split_first_chunk::<ID_BYTES>();
-                let routed =
-                    named.and_then(|(id, wire)| Some((lock(&inboxes).get(id)?.1.clone(), wire)));
-                let Some((tx, wire)) = routed else {
-                    counters.peer_disconnects.incr();
-                    continue;
-                };
-                counters.frames_recvd.incr();
-                counters.bytes_recvd.add(wire.len() as u64);
-                let _ = tx.send(wire.into());
+    /// Reads what connection `i` has and delivers its whole frames; false
+    /// once it is to be closed. A close at a frame boundary is how every
+    /// connection ends and passes silently; an abnormal end (see
+    /// [`Reassembly::step`]) or a hard I/O error bumps `peer_disconnects` —
+    /// the typed `peer_gone` signal the supervisor and tests read.
+    fn read(&mut self, i: usize, buf: &mut [u8]) -> bool {
+        let (stream, re) = &mut self.conns[i];
+        let (inboxes, counters) = (&self.inboxes, &self.counters);
+        let route = |id: &[u8; ID_BYTES]| lock(inboxes).get(id).map(|(_, tx)| tx.clone());
+        let end = match stream.read(buf) {
+            Ok(n) => re.step((n > 0).then(|| &buf[..n]), route, counters),
+            Err(e) if matches!(e.kind(), WouldBlock | Interrupted) => Ok(true),
+            Err(_) => Err("a hard I/O error"),
+        };
+        end.unwrap_or_else(|_| {
+            counters.peer_disconnects.incr();
+            false
+        })
+    }
+
+    /// Accepts every pending connection, or hands every pending datagram
+    /// to the inbox its id prefix names. A datagram too short to hold an
+    /// id, or naming an inbox this host never bound, is dropped and counted
+    /// as a `peer_disconnect`; one for an inbox whose node has finished is
+    /// simply dropped. Each datagram is one frame of at most
+    /// [`MAX_FRAME_BYTES`] behind its id.
+    fn serve(&mut self, buf: &mut [u8]) {
+        let err = loop {
+            match &self.served {
+                Served::Tcp(listener) => match listener.accept() {
+                    // A blocking stream could stall the loop: drop it.
+                    Ok((stream, _)) if stream.set_nonblocking(true).is_err() => {}
+                    Ok((stream, _)) => self.conns.push((stream, Reassembly::default())),
+                    Err(e) => break e,
+                },
+                Served::Udp(sock) => match sock.recv(buf) {
+                    Ok(n) => {
+                        let named = buf[..n].split_first_chunk::<ID_BYTES>();
+                        let inboxes = lock(&self.inboxes);
+                        match named.and_then(|(id, wire)| Some((&inboxes.get(id)?.1, wire))) {
+                            Some((tx, wire)) => _ = self.counters.deliver(tx, wire),
+                            None => self.counters.peer_disconnects.incr(),
+                        }
+                    }
+                    Err(e) => break e,
+                },
             }
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if stop.load(Ordering::Relaxed) {
-                    return;
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return,
+        };
+        // `WouldBlock` ends the drain, and any other transient error this
+        // round of it; poll(2) reports what is still pending.
+        if source_failed(&err) {
+            self.served_fd = -1;
         }
     }
 }
@@ -740,7 +764,7 @@ fn udp_reader(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
 
     const WAIT: Duration = Duration::from_secs(5);
 
@@ -801,8 +825,15 @@ mod tests {
             assert_eq!(host.endpoint(), Endpoint::Local, "nothing is opened before a bind");
             let names = ["gateway", "edge", "ack:device0->gateway", "ack:edge->cloud"];
             let inboxes: Vec<_> = names.iter().map(|n| host.bind(n).unwrap()).collect();
-            // One listener (or socket) and the one thread serving it,
-            // however many names were bound on it.
+            // 20 idle senders and, over TCP, one stopped mid-frame.
+            let _idle: Vec<_> =
+                (0..20).map(|_| host.connect(&at(&host, "idle", "edge")).unwrap()).collect();
+            let tcp = kind == TransportConfig::Tcp;
+            let mut stalled = tcp.then(|| TcpStream::connect(addr(&host)).unwrap());
+            let partial = [&inbox_id("edge")[..], &64u32.to_le_bytes(), &[1; 10]].concat();
+            stalled.iter_mut().for_each(|s| s.write_all(&partial).unwrap());
+            // One listener (or socket) and the one I/O thread serving it,
+            // however many names were bound on it and connections it has.
             assert_eq!(host.readers.len(), 1, "{}", kind.name());
             assert_eq!(host.endpoint(), Endpoint::Socket(addr(&host)));
             let err = host.bind("edge").unwrap_err();
@@ -828,11 +859,13 @@ mod tests {
             assert_eq!((c.frames_sent.get(), c.bytes_sent.get()), (8, sent));
             assert_eq!((c.frames_recvd.get(), c.bytes_recvd.get()), (8, sent));
             assert_eq!(c.peer_disconnects.get(), 0);
-            // Shutdown joins the reader and is idempotent; the drop that
-            // follows must not hang or panic.
+            // Shutdown joins the I/O thread and is idempotent; the drop
+            // that follows must not hang or panic.
             host.shutdown();
             host.shutdown();
             assert!(host.readers.is_empty());
+            assert!(inboxes.iter().all(|rx| rx.try_recv().is_err()), "a partial frame arrived");
+            assert_eq!(host.counters.peer_disconnects.get(), 0, "shutdown is no peer's fault");
         }
     }
 
@@ -847,6 +880,14 @@ mod tests {
         // A connection that named its inbox and never sent a frame closes
         // at a boundary too.
         drop(host.connect(&at(&host, "b", "inbox")).unwrap());
+        // So does one that wrote its frame a byte at a time, flushing each.
+        let mut raw = TcpStream::connect(addr(&host)).unwrap();
+        raw.set_nodelay(true).unwrap();
+        for byte in [&inbox_id("inbox")[..], &5u32.to_le_bytes(), b"bytes"].concat() {
+            raw.write_all(&[byte]).and_then(|()| raw.flush()).unwrap();
+        }
+        assert_eq!(&rx.recv_timeout(WAIT).unwrap()[..], b"bytes");
+        drop(raw);
         host.shutdown();
         assert_eq!(host.counters.peer_disconnects.get(), 0);
     }
@@ -894,7 +935,7 @@ mod tests {
         let mut at_bound = TcpStream::connect(addr(&tcp)).unwrap();
         at_bound.write_all(&frame(MAX_FRAME_BYTES)).unwrap();
         assert_eq!(rx.recv_timeout(WAIT).unwrap().len(), MAX_FRAME_BYTES);
-        // The reader hangs up after the prefix, so the write may fail.
+        // The loop hangs up after the prefix, so the write may fail.
         let _ = TcpStream::connect(addr(&tcp)).unwrap().write_all(&frame(MAX_FRAME_BYTES + 1));
         await_disconnects(&tcp, 1);
         assert!(rx.try_recv().is_err(), "an oversized frame reached the inbox");
@@ -922,10 +963,10 @@ mod tests {
         while let Ok(frame) = rx.recv_timeout(Duration::from_millis(300)) {
             arrived.push(frame[0]);
         }
-        // Each stream has its own reader, so streams interleave.
+        // Streams are served side by side, so their frames interleave.
         arrived.sort_unstable();
         assert_eq!(arrived, (0..16u8).filter(|&i| !severed(i)).collect::<Vec<_>>());
-        // Every sever is an abnormal close, counted by the reader; the
+        // Every sever is an abnormal close, counted by the loop; the
         // sender counts each frame it wrote, whole or half.
         await_disconnects(&host, 3);
         let c = &host.counters;
@@ -934,10 +975,71 @@ mod tests {
         host.shutdown();
     }
 
+    #[test]
+    fn only_a_hard_failure_of_the_served_socket_ends_serving_it() {
+        let kinds = [std::io::ErrorKind::ConnectionAborted, Interrupted, WouldBlock];
+        assert!(kinds.into_iter().all(|kind| !source_failed(&kind.into())));
+        // EINTR, EMFILE and ENFILE cost one connection; EBADF, EFAULT and
+        // EINVAL end serving.
+        let errnos = [4, 24, 23, 9, 14, 22].map(std::io::Error::from_raw_os_error);
+        assert_eq!(errnos.each_ref().map(source_failed), [false, false, false, true, true, true]);
+    }
+
+    /// Feeds `bytes` to one reassembly in reads cut at `cuts`, then the
+    /// close: the frames delivered, and how the step ended.
+    fn feed(bytes: &[u8], cuts: &[usize]) -> (Vec<Vec<u8>>, Step) {
+        let mut at: Vec<_> =
+            cuts.iter().map(|c| c % (bytes.len() + 1)).chain([0, bytes.len()]).collect();
+        at.sort_unstable();
+        let reads = at.windows(2).map(|w| Some(&bytes[w[0]..w[1]]));
+        let ((tx, rx), mut re) = (channel(), Reassembly::default());
+        let counters = TransportCounters::default();
+        for read in reads.chain([None]) {
+            match re.step(read, |id| (id == b"inbox-id").then(|| tx.clone()), &counters) {
+                Ok(true) => {}
+                end => return (rx.try_iter().map(|f| f.to_vec()).collect(), end),
+            }
+        }
+        unreachable!("the close ends every stream")
+    }
+
+    // The reassembly step, fed an id and 1–8 frames cut into reads at
+    // arbitrary points, delivers exactly those frames in order; each
+    // abnormal stream ends in one drop reason, with the frames before it
+    // delivered whole and none in part.
+    proptest::proptest! {
+        #[test]
+        fn every_cut_of_a_stream_yields_its_frames_or_one_drop_reason(
+            lens in proptest::prop::collection::vec(0usize..=13_000, 1..9),
+            cuts in proptest::prop::collection::vec(0usize..110_000, 0..12),
+            short in 1usize..ID_BYTES,
+            into in 0usize..13_004,
+            over in MAX_FRAME_BYTES as u32 + 1..=u32::MAX,
+        ) {
+            let frames: Vec<Vec<u8>> =
+                lens.iter().map(|&n| (0..n).map(|i| (i * 7 + n) as u8).collect()).collect();
+            let body =
+                frames.iter().flat_map(|f| [&(f.len() as u32).to_le_bytes()[..], f].concat());
+            let whole: Vec<u8> = b"inbox-id".iter().copied().chain(body.clone()).collect();
+            assert_eq!(feed(&whole, &cuts), (frames.clone(), Ok(false)));
+            let stray: Vec<u8> = b"stranger".iter().copied().chain(body).collect();
+            assert_eq!(feed(&stray, &cuts), (vec![], Err("an inbox this host never bound")));
+            assert_eq!(feed(&whole[..short], &cuts), (vec![], Err("closed inside the inbox id")));
+            // Closed 1 to `len + 3` bytes into the last frame: inside its
+            // prefix or its body.
+            let (before, last) = frames.split_at(frames.len() - 1);
+            let cut = whole.len() - last[0].len() - 3 + into % (last[0].len() + 3);
+            let err = Err("closed inside a frame");
+            assert_eq!(feed(&whole[..cut], &cuts), (before.to_vec(), err));
+            let hopeless = [&whole[..], &over.to_le_bytes()].concat();
+            assert_eq!(feed(&hopeless, &cuts), (frames, Err("a hopeless length prefix")));
+        }
+    }
+
     // Byte soup written straight into the sockets by a foreign peer —
     // where the inbox id goes (`named == 0`) or, behind a valid id,
-    // where the length prefix and frames go — must never panic a reader
-    // thread, and whatever the readers do deliver must fail frame decoding
+    // where the length prefix and frames go — must never panic the I/O
+    // thread, and whatever it does deliver must fail frame decoding
     // with typed errors, not crashes. The bound inbox has to keep serving
     // well-formed peers afterwards.
     mod junk_resilience {
@@ -972,7 +1074,7 @@ mod tests {
                 let mut host = host(TransportConfig::Tcp);
                 let rx = host.bind("inbox").unwrap();
                 let mut raw = TcpStream::connect(addr(&host)).unwrap();
-                // Raw bytes, no framing: the reader either hangs up on an
+                // Raw bytes, no framing: the loop either hangs up on an
                 // id it does not know, assembles a bogus frame, or hangs
                 // up on an absurd length.
                 raw.write_all(&soup(named == 1, &junk)).unwrap();

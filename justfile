@@ -180,7 +180,7 @@ bench-ab base workload *args:
 
 # Code lines (non-blank, non-comment) of the runtime crate, unit tests
 # included: the simplicity budget ROADMAP holds every change to (its
-# control-plane and wire-format items aim at 7,600). CI fails above 8,083;
+# control-plane and wire-format items aim at 7,600). CI fails above 8,081;
 # the ceiling only ratchets down.
 runtime-loc:
     find crates/runtime/src -name '*.rs' | xargs grep -cvE '^\s*(//|$)' | awk -F: '{ s += $2 } END { print s }'
@@ -188,10 +188,11 @@ runtime-loc:
 # Lines of the runtime crate that read the wall clock or sleep
 # (`Instant::now`, `sleep(`), unit tests included. The node cores and the
 # sample pump read no clock and ARQ retransmits from the same `drive`;
-# what remains is the process supervisor's handshake and reap timeouts
-# and the role heartbeat's sleep, the socket layer, the chaos delay
-# sleep and `SimClock::start`. CI fails above 13; the ceiling only
-# ratchets down.
+# the socket layer waits in poll(2), the role heartbeat on a stop channel
+# and the reap on the child's stdout closing. What remains is the process
+# supervisor's handshake and report deadlines, the transport tests'
+# disconnect wait, the chaos delay sleep and `SimClock::start`. CI fails
+# above 8; the ceiling only ratchets down.
 clock-sites:
     grep -rE 'Instant::now|sleep\(' crates/runtime/src | wc -l
 
