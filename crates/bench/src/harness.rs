@@ -103,7 +103,7 @@ pub fn train_and_evaluate(
 }
 
 /// Renders rows as an aligned text table with a header, the way every
-/// experiment binary reports its paper artifact.
+/// paper experiment reports its artifact.
 pub fn format_table(header: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
     for row in rows {
@@ -135,20 +135,6 @@ pub fn format_table(header: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Reads the training epoch budget for an experiment binary: first CLI
-/// argument, else the `DDNN_EPOCHS` environment variable, else `default`.
-///
-/// The paper trains for 100 epochs; the experiment binaries default to a
-/// smaller budget that reaches the same qualitative shape in minutes on a
-/// single core (see `EXPERIMENTS.md`).
-pub fn epochs_from_args(default: usize) -> usize {
-    std::env::args()
-        .nth(1)
-        .or_else(|| std::env::var("DDNN_EPOCHS").ok())
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
-
 /// Formats a fraction as a percentage with one decimal, e.g. `"60.8"`.
 pub fn pct(x: f32) -> String {
     format!("{:.1}", x * 100.0)
@@ -177,13 +163,6 @@ mod tests {
         assert_eq!(pct(0.608), "60.8");
         assert_eq!(pct(1.0), "100.0");
         assert_eq!(pct(0.0), "0.0");
-    }
-
-    #[test]
-    fn epochs_default_used_without_args() {
-        // Test binaries receive harness args; just assert the default path
-        // works when the first CLI arg is not a number.
-        assert!(epochs_from_args(40) >= 1);
     }
 
     #[test]

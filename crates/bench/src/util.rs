@@ -1,7 +1,6 @@
-//! Shared measurement utilities for the bench binaries: latency
+//! Measurement utilities for the `transport` sweep binary: latency
 //! percentiles, smoke-mode detection and the `results/` JSON artifact
-//! convention — hoisted here so each sweep binary stops carrying its own
-//! copy.
+//! convention.
 
 use ddnn_runtime::{SampleOutcome, SimReport};
 

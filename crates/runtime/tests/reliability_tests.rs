@@ -40,7 +40,7 @@ fn lossy_plan(seed: u64) -> ChaosPlan {
 fn arq_reproduces_the_fault_free_run_for_undegraded_samples() {
     // The ISSUE acceptance scenario: under 20% drops and 5% corruption,
     // ARQ recovery must make every sample that was neither degraded nor
-    // timed out classify exactly like the fault-free legacy run.
+    // timed out classify exactly like the fault-free run.
     let model = small_model();
     let n = 10;
     let views = random_views(n, 3, 30);
@@ -113,14 +113,14 @@ fn arq_runs_are_deterministic_for_a_fixed_seed() {
 }
 
 #[test]
-fn arq_without_faults_matches_the_legacy_run() {
-    // A clean ARQ run pays header and ack overhead but must classify
-    // identically to the legacy path, with nothing degraded.
+fn arq_without_faults_matches_the_crc_only_run() {
+    // A clean ARQ run pays ack overhead but must classify identically to
+    // the default CRC-only run, with nothing degraded.
     let model = small_model();
     let views = random_views(8, 3, 32);
     let labels = vec![2usize; 8];
     let part = model.partition();
-    let legacy =
+    let crc_only =
         HierarchyConfig { local_threshold: ExitThreshold::new(0.5), ..HierarchyConfig::default() };
     let arq = HierarchyConfig {
         local_threshold: ExitThreshold::new(0.5),
@@ -128,7 +128,7 @@ fn arq_without_faults_matches_the_legacy_run() {
         reliability: ReliabilityConfig::arq(),
         ..HierarchyConfig::default()
     };
-    let a = run_distributed_inference(&part, &views, &labels, &legacy).unwrap();
+    let a = run_distributed_inference(&part, &views, &labels, &crc_only).unwrap();
     let b = run_distributed_inference(&part, &views, &labels, &arq).unwrap();
     assert_eq!(a.predictions, b.predictions);
     assert_eq!(a.exits, b.exits);
@@ -171,7 +171,7 @@ fn crc_mode_discards_corruption_into_degradation() {
 }
 
 #[test]
-fn truncation_faults_are_caught_by_the_checked_format() {
+fn truncated_frames_are_discarded() {
     let model = small_model();
     let views = random_views(8, 3, 34);
     let labels = vec![0usize; 8];
@@ -188,7 +188,7 @@ fn truncation_faults_are_caught_by_the_checked_format() {
 }
 
 #[test]
-fn the_baseline_runs_under_the_checked_format_too() {
+fn arq_retransmits_the_cloud_only_baselines_corrupt_frames() {
     // The cloud-offload baseline ships large raw-image frames, so a
     // modest corruption rate hits nearly every frame. Seed 18 is chosen
     // so the per-link fault streams corrupt at least one primary on

@@ -5,13 +5,15 @@
 //! runtime's tiers hand it) must equal convolving each sample alone —
 //! across odd geometries (patch widths off word boundaries, padding/stride
 //! combinations), batch sizes 1..8, and every SIMD dispatch tier the
-//! machine supports.
+//! machine supports. The XNOR GEMM under the binary FC layers
+//! ([`binary_matmul`]) is held to the f32 GEMM on every tier the same
+//! way, at the paper's shapes.
 //!
 //! Tiers are pinned with the thread-local [`simd::with_tier`] override
 //! rather than `DDNN_SIMD`, so concurrently running tests cannot race on
 //! process-global environment state.
 
-use ddnn_tensor::bitmatrix::binary_conv2d;
+use ddnn_tensor::bitmatrix::{binary_conv2d, binary_matmul};
 use ddnn_tensor::conv::{conv2d, Conv2dSpec};
 use ddnn_tensor::rng::rng_from_seed;
 use ddnn_tensor::{simd, Tensor};
@@ -129,6 +131,23 @@ fn paper_shape_batch8_all_tiers() {
     for tier in simd::supported_tiers() {
         let got = simd::with_tier(tier, || binary_conv2d(&x, &w, &spec).expect("fused"));
         assert_eq!(got, expect, "tier {}", tier.name());
+    }
+}
+
+/// The XNOR GEMM behind the binary FC layers at paper scale, on every
+/// tier: a flattened 4×16×16 device map over a 256-sample batch into the
+/// 3-class exit head, and into a 256-wide FC block whose work clears the
+/// pool's cut-off, so `DDNN_THREADS=4` fans it out.
+#[test]
+fn paper_shape_binary_matmul_all_tiers() {
+    for (m, seed) in [(3, 21), (256, 22)] {
+        let x = random_signs(&[256, 1024], seed);
+        let w = random_weights(&[m, 1024], seed);
+        let expect = x.matmul(&binarize(&w).transpose().expect("transpose")).expect("f32 gemm");
+        for tier in simd::supported_tiers() {
+            let got = simd::with_tier(tier, || binary_matmul(&x, &w).expect("xnor gemm"));
+            assert_eq!(got, expect, "256x1024x{m} on tier {}", tier.name());
+        }
     }
 }
 

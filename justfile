@@ -39,79 +39,35 @@ chaos-matrix:
     DDNN_THREADS=1 cargo test -p ddnn-runtime --test chaos_plan_tests --test chaos_tests --test frame_integrity_proptest --test reliability_tests --test obs_tests --test churn_tests --test proc_chaos_tests -q
     DDNN_THREADS=4 cargo test -p ddnn-runtime --test chaos_plan_tests --test chaos_tests --test frame_integrity_proptest --test reliability_tests --test obs_tests --test churn_tests --test proc_chaos_tests -q
 
-# Observability overhead + chaos timeline -> results/BENCH_obs.json and
-# results/obs_timeline.jsonl
-obs-smoke:
-    cargo run --release -p ddnn-bench --bin obs_overhead -- --smoke
-
-bench-obs:
-    cargo run --release -p ddnn-bench --bin obs_overhead
-
 build:
     cargo build --workspace --release
 
-# XNOR vs f32 kernel matrix: every supported DDNN_SIMD tier x
-# DDNN_THREADS {1,4} in one run -> combined results/BENCH_kernels.json
-bench-kernels:
-    cargo run --release -p ddnn-bench --bin kernels_binary
-
-bench-kernels-smoke:
-    cargo run --release -p ddnn-bench --bin kernels_binary -- --smoke
-
-# The kernel equivalence sweep: `binary_conv2d` (the fused plan, stacked
-# batches, the f32 route for rows wider than a word) must be
-# bit-identical to the f32 sign path on every dispatch tier at every
-# pool size (tiers above what the CPU supports clamp down, so this is
-# safe on any x86-64 or non-x86 host); the frozen inference form, whose
-# XNOR front end is that kernel, must be bit-identical to the layer
-# stack's f32 `Mode::Eval` on every tier and pool size; and the
-# clipped-row window kernels (im2col, col2im, max pooling) must be
-# bit-identical to the bounds-checked per-tap walk at every pool size;
-# and the register-tiled f32 GEMM (`matmul`, both conv backward halves)
-# must be bit-identical to the former `ikj` loop and per-sample backward
-# loops on every tier and pool size.
+# The kernel equivalence sweep, the same loops CI's kernel-matrix step
+# runs: `binary_conv2d` (the fused plan, stacked batches, the f32 route
+# for rows wider than a word) and the XNOR GEMM `binary_matmul` at the
+# paper's FC shapes must be bit-identical to the f32 sign path on every
+# dispatch tier at every pool size (tiers above what the CPU supports
+# clamp down, so this is safe on any x86-64 or non-x86 host); the frozen
+# inference form, whose XNOR front end is that kernel, must be
+# bit-identical to the layer stack's f32 `Mode::Eval` on every tier and
+# pool size; the clipped-row window kernels (im2col, col2im, max
+# pooling) must be bit-identical to the bounds-checked per-tap walk at
+# every pool size; and the register-tiled f32 GEMM (`matmul`, both conv
+# backward halves) must be bit-identical to the former `ikj` loop and
+# per-sample backward loops on every tier and pool size.
 kernel-matrix:
-    DDNN_THREADS=1 cargo test -p ddnn-tensor --test window_kernels -q
-    DDNN_THREADS=4 cargo test -p ddnn-tensor --test window_kernels -q
-    DDNN_SIMD=scalar DDNN_THREADS=1 cargo test -p ddnn-tensor --test binary_conv_equivalence -q
-    DDNN_SIMD=scalar DDNN_THREADS=1 cargo test -p ddnn-core --test frozen -q
-    DDNN_SIMD=scalar DDNN_THREADS=1 cargo test -p ddnn-tensor --test gemm_tiers -q
-    DDNN_SIMD=scalar DDNN_THREADS=4 cargo test -p ddnn-tensor --test binary_conv_equivalence -q
-    DDNN_SIMD=scalar DDNN_THREADS=4 cargo test -p ddnn-core --test frozen -q
-    DDNN_SIMD=scalar DDNN_THREADS=4 cargo test -p ddnn-tensor --test gemm_tiers -q
-    DDNN_SIMD=sse2 DDNN_THREADS=1 cargo test -p ddnn-tensor --test binary_conv_equivalence -q
-    DDNN_SIMD=sse2 DDNN_THREADS=1 cargo test -p ddnn-core --test frozen -q
-    DDNN_SIMD=sse2 DDNN_THREADS=1 cargo test -p ddnn-tensor --test gemm_tiers -q
-    DDNN_SIMD=sse2 DDNN_THREADS=4 cargo test -p ddnn-tensor --test binary_conv_equivalence -q
-    DDNN_SIMD=sse2 DDNN_THREADS=4 cargo test -p ddnn-core --test frozen -q
-    DDNN_SIMD=sse2 DDNN_THREADS=4 cargo test -p ddnn-tensor --test gemm_tiers -q
-    DDNN_SIMD=avx2 DDNN_THREADS=1 cargo test -p ddnn-tensor --test binary_conv_equivalence -q
-    DDNN_SIMD=avx2 DDNN_THREADS=1 cargo test -p ddnn-core --test frozen -q
-    DDNN_SIMD=avx2 DDNN_THREADS=1 cargo test -p ddnn-tensor --test gemm_tiers -q
-    DDNN_SIMD=avx2 DDNN_THREADS=4 cargo test -p ddnn-tensor --test binary_conv_equivalence -q
-    DDNN_SIMD=avx2 DDNN_THREADS=4 cargo test -p ddnn-core --test frozen -q
-    DDNN_SIMD=avx2 DDNN_THREADS=4 cargo test -p ddnn-tensor --test gemm_tiers -q
-    DDNN_SIMD=avx512 DDNN_THREADS=1 cargo test -p ddnn-tensor --test binary_conv_equivalence -q
-    DDNN_SIMD=avx512 DDNN_THREADS=1 cargo test -p ddnn-core --test frozen -q
-    DDNN_SIMD=avx512 DDNN_THREADS=1 cargo test -p ddnn-tensor --test gemm_tiers -q
-    DDNN_SIMD=avx512 DDNN_THREADS=4 cargo test -p ddnn-tensor --test binary_conv_equivalence -q
-    DDNN_SIMD=avx512 DDNN_THREADS=4 cargo test -p ddnn-core --test frozen -q
-    DDNN_SIMD=avx512 DDNN_THREADS=4 cargo test -p ddnn-tensor --test gemm_tiers -q
-
-# Degrade-only vs ARQ under drop+corruption -> results/BENCH_reliability.json
-bench-reliability:
-    cargo run --release -p ddnn-bench --bin reliability
-
-bench-reliability-smoke:
-    cargo run --release -p ddnn-bench --bin reliability -- --smoke
-
-# Accuracy + tail latency vs membership-churn rate, CRC-only vs ARQ ->
-# results/BENCH_churn.json
-bench-churn:
-    cargo run --release -p ddnn-bench --bin churn
-
-bench-churn-smoke:
-    cargo run --release -p ddnn-bench --bin churn -- --smoke
+    #!/usr/bin/env bash
+    set -euo pipefail
+    for t in 1 4; do
+      DDNN_THREADS=$t cargo test -p ddnn-tensor --test window_kernels -q
+    done
+    for simd in scalar sse2 avx2 avx512; do
+      for t in 1 4; do
+        DDNN_SIMD=$simd DDNN_THREADS=$t cargo test -p ddnn-tensor --test binary_conv_equivalence -q
+        DDNN_SIMD=$simd DDNN_THREADS=$t cargo test -p ddnn-core --test frozen -q
+        DDNN_SIMD=$simd DDNN_THREADS=$t cargo test -p ddnn-tensor --test gemm_tiers -q
+      done
+    done
 
 # The streaming conservation suite across worker-pool sizes and
 # transports (fixed seeds, so every leg is deterministic). A shortcut:
@@ -148,16 +104,6 @@ bench-transport-smoke:
 proc-chaos-smoke:
     cargo run --release -p ddnn-runtime --bin ddnn-node -- demo --transport tcp --samples 8 --kill gateway@3
     cargo run --release -p ddnn-runtime --bin ddnn-node -- demo --transport udp --samples 8 --kill devices@2 --respawn-after 3
-
-# Graceful degradation vs kill set (fault-free -> kill-all -> respawn)
-# on TCP and UDP+ARQ -> results/BENCH_proc_chaos.json
-bench-proc-chaos:
-    cargo build --release -p ddnn-runtime --bin ddnn-node
-    cargo run --release -p ddnn-bench --bin proc_chaos
-
-bench-proc-chaos-smoke:
-    cargo build --release -p ddnn-runtime --bin ddnn-node
-    cargo run --release -p ddnn-bench --bin proc_chaos -- --smoke
 
 # The one repeatable benchmark (BENCHMARK.json, benchmark/README.md).
 # Smoke: every workload's code path in under 10 s with the in-run oracles
