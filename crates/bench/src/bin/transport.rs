@@ -13,7 +13,9 @@
 //! clock, never the math.
 //!
 //! Emits `results/BENCH_transport.json`. Pass `--smoke` (or set
-//! `DDNN_BENCH_SMOKE=1`) for a seconds-long run on fewer samples.
+//! `DDNN_BENCH_SMOKE=1`) for a seconds-long run on fewer samples, which
+//! writes `target/smoke/BENCH_transport.json` instead, so a smoke run never
+//! overwrites the committed full-run artifact.
 
 use ddnn_bench::harness::format_table;
 use ddnn_bench::util::{classified_latencies, percentile, smoke_mode, write_results_json};
@@ -25,6 +27,9 @@ use ddnn_runtime::{
 use ddnn_tensor::rng::rng_from_seed;
 use ddnn_tensor::Tensor;
 use std::time::Instant;
+
+/// Where a smoke run's artifact goes: under the ignored build directory.
+const SMOKE_PATH: &str = "target/smoke/BENCH_transport.json";
 
 struct Cell {
     transport: TransportConfig,
@@ -180,5 +185,6 @@ fn main() {
         ));
     }
     json.push_str("  ]\n}\n");
-    write_results_json("results/BENCH_transport.json", &json);
+    let path = if smoke { SMOKE_PATH } else { "results/BENCH_transport.json" };
+    write_results_json(path, &json);
 }

@@ -36,16 +36,17 @@ pub fn smoke_mode() -> bool {
         || std::env::var("DDNN_BENCH_SMOKE").is_ok_and(|v| v != "0")
 }
 
-/// Writes a hand-rolled JSON artifact under `results/` (creating the
-/// directory) and announces the path — the shared tail of every sweep
-/// binary.
+/// Writes a hand-rolled JSON artifact to `path` (creating its directory)
+/// and announces the path — the shared tail of every sweep binary.
 ///
 /// # Panics
 ///
 /// Panics when the directory or file cannot be written: a bench without
 /// its artifact is a failed bench.
 pub fn write_results_json(path: &str, json: &str) {
-    std::fs::create_dir_all("results").expect("create results dir");
+    if let Some(dir) = std::path::Path::new(path).parent() {
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("create {}: {e}", dir.display()));
+    }
     std::fs::write(path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
     println!("wrote {path}");
 }

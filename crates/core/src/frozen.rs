@@ -12,10 +12,11 @@
 //!   maps (an `AvgPool` aggregate is not a sign map) and
 //!   [`Precision::Float`](crate::Precision::Float) blocks.
 //!
-//! The back end takes each clipped pool window's max
-//! ([`max_pool2d_visit`]), applies batch norm's inference arithmetic
-//! through [`BnInference::apply`] — the function the layer stack's
-//! `Mode::Eval` calls — and writes the sign bit MSB-first. Every step
+//! The back end takes each clipped pool window's max, one pooled plane
+//! per filter ([`max_pool2d_visit`]), applies batch norm's inference
+//! arithmetic to every lane through [`BnInference::apply`] — the function
+//! the layer stack's `Mode::Eval` calls — and writes the sign bits
+//! MSB-first from compare masks of up to 32 lanes. Every step
 //! reproduces the f32 reference's values exactly (XNOR sums are exact
 //! integers, a max is a selection, the BN arithmetic is shared), so the
 //! frozen form is bit-identical to `Ddnn::forward(Mode::Eval)` by
@@ -157,39 +158,41 @@ impl SignMaps {
 /// MSB-first writer of the [`SignMaps`] layout.
 struct SignWriter {
     bytes: Vec<u8>,
-    cur: u8,
-    nbits: usize,
+    /// The bits not yet in `bytes` (fewer than 8) at the bottom of `acc`.
+    acc: u64,
+    pending: usize,
 }
 
 impl SignWriter {
     fn with_bits(n: usize) -> Self {
-        SignWriter { bytes: Vec::with_capacity(packed_len(n)), cur: 0, nbits: 0 }
+        SignWriter { bytes: Vec::with_capacity(packed_len(n)), acc: 0, pending: 0 }
     }
 
+    /// Appends the low `n` (`1 ≤ n ≤ 32`) bits of `bits`, most significant
+    /// first; no higher bit may be set.
     #[inline(always)]
-    fn push(&mut self, positive: bool) {
-        self.cur = self.cur << 1 | u8::from(positive);
-        self.nbits += 1;
-        if self.nbits.is_multiple_of(8) {
-            self.bytes.push(self.cur);
-            self.cur = 0;
+    fn push_bits(&mut self, bits: u32, n: usize) {
+        self.acc = self.acc << n | u64::from(bits);
+        self.pending += n;
+        while self.pending >= 8 {
+            self.pending -= 8;
+            self.bytes.push((self.acc >> self.pending) as u8);
         }
     }
 
     /// Appends the first `n` bits of an MSB-first stream (whole bytes at
     /// once while the writer is byte-aligned).
     fn extend(&mut self, bits: &[u8], n: usize) {
-        let whole = if self.nbits.is_multiple_of(8) { n / 8 } else { 0 };
+        let whole = if self.pending == 0 { n / 8 } else { 0 };
         self.bytes.extend_from_slice(&bits[..whole]);
-        self.nbits += whole * 8;
         for i in whole * 8..n {
-            self.push(bits[i / 8] >> (7 - i % 8) & 1 == 1);
+            self.push_bits(u32::from(bits[i / 8] >> (7 - i % 8) & 1), 1);
         }
     }
 
     fn finish(mut self) -> Arc<[u8]> {
-        if !self.nbits.is_multiple_of(8) {
-            self.bytes.push(self.cur << (8 - self.nbits % 8));
+        if self.pending > 0 {
+            self.bytes.push((self.acc << (8 - self.pending)) as u8);
         }
         self.bytes.into()
     }
@@ -281,7 +284,8 @@ impl FrozenConvP {
     }
 
     /// The fused back end: per sample and filter, each clipped pool
-    /// window's max, batch norm's inference arithmetic, the sign bit.
+    /// window's max, then batch norm's inference arithmetic on every lane
+    /// of the pooled plane and the lanes' sign bits from compare masks.
     fn back(&self, conv_out: &Tensor) -> Result<SignMaps> {
         let &[_, f, h, w] = conv_out.dims() else {
             return Err(TensorError::RankMismatch { expected: 4, actual: conv_out.rank() });
@@ -290,8 +294,14 @@ impl FrozenConvP {
         let samples = (conv_out.data().chunks(f * h * w))
             .map(|planes| {
                 let mut bits = SignWriter::with_bits(f * ph * pw);
-                max_pool2d_visit(planes, (f, h, w), &self.pool, |ch, v| {
-                    bits.push(self.bn.apply(ch, v) > 0.0);
+                max_pool2d_visit(planes, (f, h, w), &self.pool, |ch, pooled| {
+                    for lanes in pooled.chunks(32) {
+                        // Lane `i` at bit `i`, then reversed: MSB-first.
+                        let mask = (lanes.iter().enumerate()).fold(0u32, |mask, (i, &v)| {
+                            mask | u32::from(self.bn.apply(ch, v) > 0.0) << i
+                        });
+                        bits.push_bits(mask.reverse_bits() >> (32 - lanes.len()), lanes.len());
+                    }
                 })?;
                 Ok(bits.finish())
             })

@@ -1,14 +1,16 @@
 //! Convolution and pooling kernels for NCHW tensors.
 //!
-//! Convolutions are computed by lowering to matrix multiplication via
-//! `im2col`/`col2im`, the standard approach for CPU inference and training.
-//! Pooling is computed directly, recording argmax indices so the backward
-//! pass can scatter gradients.
+//! Convolutions run on the register-tiled GEMM of [`crate::gemm`]. The
+//! forward pass reads its taps straight from a zero-padded copy of each
+//! sample, with no column matrix; the backward pass lowers through a
+//! transposed `im2col` and its adjoint `col2im`. Pooling is computed
+//! directly, recording argmax indices so the backward pass can scatter
+//! gradients.
 
 use crate::error::{Result, TensorError};
 use crate::gemm;
 use crate::parallel;
-use crate::simd;
+use crate::simd::{self, SimdTier};
 use crate::tensor::Tensor;
 use std::ops::Range;
 
@@ -47,7 +49,7 @@ impl Conv2dSpec {
 
     /// Output spatial size for an `(h, w)` input, rejecting degenerate
     /// geometry — the only size arithmetic there is: the f32
-    /// conv/pool/im2col family below, the fused
+    /// conv/pool/lowering family below, the fused
     /// [`crate::bitmatrix::BinaryConvPlan`] and the layers above all go
     /// through it.
     ///
@@ -141,6 +143,22 @@ impl Lowering {
         self.oh * self.ow
     }
 
+    /// `(rows, columns)` of one channel of the zero-padded plane.
+    fn padded(&self) -> (usize, usize) {
+        (self.h + 2 * self.spec.padding, self.w + 2 * self.spec.padding)
+    }
+
+    /// Copies one image into the interior of its zero-padded plane. Only
+    /// the interior is written, so the border stays zero across samples.
+    fn pad(&self, image: &[f32], plane: &mut [f32]) {
+        let (p, (hp, wp)) = (self.spec.padding, self.padded());
+        for (ch, rows) in image.chunks_exact(self.h * self.w).enumerate() {
+            for (iy, row) in rows.chunks_exact(self.w).enumerate() {
+                plane[(ch * hp + iy + p) * wp + p..][..self.w].copy_from_slice(row);
+            }
+        }
+    }
+
     /// The column/row walk shared by every lowering: for every
     /// `(ch, ky, kx)` tap in that order and every output row `oy` the tap
     /// reaches, calls `f(r, oy, row, ox_range, ix0)` — `r` the tap's
@@ -168,23 +186,6 @@ impl Lowering {
         }
     }
 
-    /// Lowers one image into its `(rows, pixels)` column matrix.
-    fn im2col(&self, image: &[f32], dst: &mut [f32]) {
-        let (pixels, stride) = (self.pixels(), self.spec.stride);
-        self.for_each_tap_row(|r, oy, row, oxs, ix0| {
-            let src = &image[row..][..self.w];
-            let dst = &mut dst[r * pixels + oy * self.ow..][oxs];
-            if stride == 1 {
-                let len = dst.len();
-                dst.copy_from_slice(&src[ix0..ix0 + len]);
-            } else {
-                for (d, &s) in dst.iter_mut().zip(src[ix0..].iter().step_by(stride)) {
-                    *d = s;
-                }
-            }
-        });
-    }
-
     /// Lowers one image into the transpose of its column matrix,
     /// `(pixels, rows)`: the right-hand operand of `dY · colsᵀ` as the
     /// GEMM reads it, without a transpose pass.
@@ -201,7 +202,7 @@ impl Lowering {
     }
 
     /// Accumulates one `(rows, pixels)` column matrix back into its image
-    /// gradient — the adjoint of [`Lowering::im2col`]. Within one
+    /// gradient — the adjoint of the lowering. Within one
     /// `(ch, ky, kx)` tap every output pixel reaches a distinct input
     /// element, so walking the taps in that order hands each element its
     /// contributions in the per-tap loop's order.
@@ -223,38 +224,11 @@ impl Lowering {
     }
 }
 
-/// Lowers an NCHW batch into column matrices for convolution.
-///
-/// Returns a tensor of shape `(n, c*kh*kw, oh*ow)`: one column matrix per
-/// batch element, with each column holding the receptive field of one output
-/// pixel. Out-of-bounds taps read as zero (zero padding).
-///
-/// # Errors
-///
-/// Returns an error if `input` is not a non-empty rank-4 tensor or the
-/// geometry is degenerate.
-pub fn im2col(input: &Tensor, spec: &Conv2dSpec) -> Result<Tensor> {
-    let (n, c, h, w) = check_nchw(input, "im2col")?;
-    let low = Lowering::new(c, h, w, spec)?;
-    let (rows, cols) = (low.rows(), low.pixels());
-    let mut out = vec![0.0f32; n * rows * cols];
-    let data = input.data();
-    // Batch elements are independent: fan them out across the pool. Each
-    // worker writes only its own batch chunk, so the result is identical
-    // for any thread count.
-    parallel::par_item_chunks_mut(&mut out, rows * cols, n * rows * cols, |b0, chunk| {
-        for (bi, bchunk) in chunk.chunks_mut(rows * cols).enumerate() {
-            low.im2col(&data[(b0 + bi) * low.image_len()..][..low.image_len()], bchunk);
-        }
-    });
-    Tensor::from_vec(out, [n, rows, cols])
-}
-
 /// Inverse lowering: accumulates a `(n, c*kh*kw, oh*ow)` column tensor back
 /// into an NCHW gradient of shape `(n, c, h, w)`.
 ///
 /// Overlapping receptive fields *accumulate*, which is exactly the adjoint of
-/// [`im2col`] — required for correct convolution input gradients.
+/// the lowering — required for correct convolution input gradients.
 ///
 /// # Errors
 ///
@@ -305,21 +279,119 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, spec: &Conv2dSpec) -> Result<Tens
     }
     let low = Lowering::new(c, h, w, spec)?;
     let (rows, pixels) = (low.rows(), low.pixels());
-    let (tier, x, wdata) = (simd::active_tier(), input.data(), weight.data());
+    let (x, wdata) = (input.data(), weight.data());
+    let taps = TapRuns::new(&low, simd::active_tier());
     let mut out = vec![0.0f32; n * f * pixels];
     // Fan the batch out across the pool; each element is an independent
-    // `(f, rows) x (rows, pixels)` product on its own lowering, staged in
-    // one column buffer per worker. A single-element batch instead leaves
-    // the decision to the GEMM, which splits across output rows only if
-    // that one product clears the pool's cut-off.
+    // `(f, rows) x (rows, pixels)` product on its own padded copy, staged
+    // in one plane per worker. A single-element batch instead splits its
+    // filters across the pool if that one product clears the cut-off.
     parallel::par_item_chunks_mut(&mut out, f * pixels, n * f * rows * pixels, |b0, chunk| {
-        let mut cols = vec![0.0f32; rows * pixels];
+        let mut plane = vec![0.0f32; taps.plane_len];
         for (bi, res) in chunk.chunks_mut(f * pixels).enumerate() {
-            low.im2col(&x[(b0 + bi) * low.image_len()..][..low.image_len()], &mut cols);
-            gemm::gemm_auto(tier, wdata, &cols, f, rows, pixels, res);
+            low.pad(&x[(b0 + bi) * low.image_len()..][..low.image_len()], &mut plane);
+            parallel::par_item_chunks_mut(res, pixels, f * rows * pixels, |f0, part| {
+                taps.conv(&wdata[f0 * rows..], &plane, part);
+            });
         }
     });
     Tensor::from_vec(out, [n, f, low.oh, low.ow])
+}
+
+/// The forward GEMM's implicit right-hand operand: row `r = (c, ky, kx)`,
+/// column `(oy, ox)` is the sample's zero-padded copy at
+/// `(c, oy·stride + ky, ox·stride + kx)` — one run of the padded plane per
+/// tap and output row, with no column matrix in between. Every output
+/// element accumulates its taps in ascending `(c, ky, kx)` order from
+/// `0.0`, the padding taps included (`w · 0.0`, so an Inf or NaN weight
+/// still poisons a border pixel), as a GEMM over the former column matrix
+/// did.
+struct TapRuns {
+    tier: SimdTier,
+    /// Offset of each tap's run for output row 0, ascending in `r`.
+    starts: Vec<usize>,
+    /// Width of a padded plane row.
+    wp: usize,
+    stride: usize,
+    oh: usize,
+    ow: usize,
+    /// Output pixels per slab, when the runs are not read in place.
+    slab_cols: Option<usize>,
+    /// Floats of a padded plane, the zero tail the in-place reads may
+    /// reach included.
+    plane_len: usize,
+}
+
+/// Floats in one slab of copied runs: an L1-sized block of the operand.
+const SLAB_FLOATS: usize = 8 * 1024;
+
+impl TapRuns {
+    fn new(low: &Lowering, tier: SimdTier) -> Self {
+        let (spec, (hp, wp)) = (&low.spec, low.padded());
+        let (kh, kw) = (spec.kernel_h, spec.kernel_w);
+        let starts = (0..low.c * kh * kw)
+            .map(|r| (r / (kh * kw) * hp + r / kw % kh) * wp + r % kw)
+            .collect();
+        let nr = gemm::tile_cols(tier);
+        // At stride 1 a tap's run for one output row is contiguous, so
+        // the GEMM reads it in place; the last tile of a row may read up
+        // to `nr` floats past the row's end (dropped lanes), which for the
+        // last row the plane's zero tail holds. Other strides, and rows
+        // too narrow to fill a tile, copy blocks of runs into a slab.
+        let slab_cols = (spec.stride != 1 || low.ow < nr).then(|| {
+            let cols = (SLAB_FLOATS / low.rows()).max(1);
+            (cols - cols % nr).max(nr).min(low.pixels())
+        });
+        TapRuns {
+            tier,
+            starts,
+            wp,
+            stride: spec.stride,
+            oh: low.oh,
+            ow: low.ow,
+            slab_cols,
+            plane_len: low.c * hp * wp + nr,
+        }
+    }
+
+    /// `out += w · B` for the filters `w` (rows of `starts.len()` weights,
+    /// as many as `out` holds output maps) over one padded sample.
+    fn conv(&self, w: &[f32], plane: &[f32], out: &mut [f32]) {
+        let (rows, pixels) = (self.starts.len(), self.oh * self.ow);
+        let m = out.len() / pixels;
+        let Some(cols) = self.slab_cols else {
+            let runs = gemm::Operand { data: plane, rows: &self.starts[..] };
+            for oy in 0..self.oh {
+                let b = gemm::Operand { data: &plane[oy * self.wp..], ..runs };
+                let out = &mut out[oy * self.ow..];
+                gemm::gemm_into(self.tier, w, b, (m, rows, self.ow), out, pixels);
+            }
+            return;
+        };
+        let mut slab = vec![0.0f32; rows * cols];
+        for q0 in (0..pixels).step_by(cols) {
+            let width = cols.min(pixels - q0);
+            let (oy0, ox0) = (q0 / self.ow, q0 % self.ow);
+            for (&start, dst) in self.starts.iter().zip(slab.chunks_exact_mut(cols)) {
+                // The block's pixels, one output row's run at a time.
+                let (mut oy, mut ox, mut done) = (oy0, ox0, 0);
+                while done < width {
+                    let len = (self.ow - ox).min(width - done);
+                    let src = &plane[start + (oy * self.wp + ox) * self.stride..];
+                    let dst = &mut dst[done..][..len];
+                    if self.stride == 1 {
+                        dst.copy_from_slice(&src[..len]);
+                    } else {
+                        let taps = src.iter().step_by(self.stride);
+                        dst.iter_mut().zip(taps).for_each(|(d, &v)| *d = v);
+                    }
+                    (oy, ox, done) = (oy + 1, 0, done + len);
+                }
+            }
+            let b = gemm::Operand { data: &slab[..], rows: gemm::Strided(cols) };
+            gemm::gemm_into(self.tier, w, b, (m, rows, width), &mut out[q0..], pixels);
+        }
+    }
 }
 
 /// Gradients of [`conv2d`] given upstream `grad_out` of shape
@@ -545,14 +617,16 @@ fn pool(input: &Tensor, spec: &Conv2dSpec, record: bool) -> Result<(Tensor, Vec<
     Ok((Tensor::from_vec(out, [n, c, oh, ow])?, argmax))
 }
 
-/// Every pooled value of a `(c, h, w)` stack of planes, in output
-/// row-major order: `visit(channel, value)` once per output pixel — for
-/// inference, which reduces each pooled value on the spot instead of
-/// storing the map. Separable: per output row, the elementwise max down
-/// its clipped row window, then each clipped column window of that. The
-/// values equal [`max_pool2d`]'s (a max is a selection; NaN is never
-/// selected and a window with nothing to select yields `0.0`); only the
-/// sign of a zero may differ where a window holds both `+0.0` and `−0.0`.
+/// Every pooled plane of a `(c, h, w)` stack of planes, in channel order:
+/// `visit(channel, pooled)` once per channel, with its `oh·ow` pooled
+/// values in row-major order — for inference, which reduces each pooled
+/// plane on the spot instead of storing the map. Separable: per output
+/// row, the elementwise max down its clipped row window, across whole rows
+/// of lanes, into a row padded with `−∞`; then each column window's max
+/// of that row. The values equal [`max_pool2d`]'s (a max is a selection;
+/// NaN is never selected and a window with nothing to select yields
+/// `0.0`); only the sign of a zero may differ where a window holds both
+/// `+0.0` and `−0.0`.
 ///
 /// # Errors
 ///
@@ -562,32 +636,36 @@ pub fn max_pool2d_visit(
     data: &[f32],
     (c, h, w): (usize, usize, usize),
     spec: &Conv2dSpec,
-    mut visit: impl FnMut(usize, f32),
+    mut visit: impl FnMut(usize, &[f32]),
 ) -> Result<()> {
     if data.len() != c * h * w {
         return Err(TensorError::LengthMismatch { expected: c * h * w, actual: data.len() });
     }
     let (oh, ow) = spec.checked_output_size(h, w)?;
     // A compare-select from −∞ (one `maxps` lane): NaN never wins, and
-    // −∞ left over means nothing was selected.
+    // −∞ left over means nothing was selected. Every fold takes its taps
+    // in ascending order, so ties keep the first.
     let max = |best: f32, v: f32| if v > best { v } else { best };
-    let ixs: Vec<Range<usize>> =
-        (0..ow).map(|ox| window_range(ox * spec.stride, spec.kernel_w, w, spec.padding)).collect();
-    let mut column = vec![f32::NEG_INFINITY; w];
+    let (p, s) = (spec.padding, spec.stride);
+    // One output row's column maxima between `−∞` padding, which the
+    // windows read and never select.
+    let mut column = vec![f32::NEG_INFINITY; w + 2 * p];
+    let mut pooled = vec![0.0f32; oh * ow];
     for (ch, plane) in data.chunks_exact(h * w).enumerate() {
-        for oy in 0..oh {
-            // Down the window's rows first — whole contiguous rows, so this
-            // vectorizes — then across each column window of the result.
-            let ys = window_range(oy * spec.stride, spec.kernel_h, h, spec.padding);
-            column.fill(f32::NEG_INFINITY);
+        for (oy, out) in pooled.chunks_exact_mut(ow).enumerate() {
+            let ys = window_range(oy * s, spec.kernel_h, h, p);
+            let inner = &mut column[p..p + w];
+            inner.fill(f32::NEG_INFINITY);
             for row in plane[ys.start * w..ys.end * w].chunks_exact(w) {
-                column.iter_mut().zip(row).for_each(|(c, &v)| *c = max(*c, v));
+                inner.iter_mut().zip(row).for_each(|(c, &v)| *c = max(*c, v));
             }
-            for cols in &ixs {
-                let best = column[cols.clone()].iter().fold(f32::NEG_INFINITY, |b, &v| max(b, v));
-                visit(ch, if best == f32::NEG_INFINITY { 0.0 } else { best });
+            for (ox, o) in out.iter_mut().enumerate() {
+                let window = &column[ox * s..][..spec.kernel_w];
+                let best = window.iter().fold(f32::NEG_INFINITY, |b, &v| max(b, v));
+                *o = if best == f32::NEG_INFINITY { 0.0 } else { best };
             }
         }
+        visit(ch, &pooled);
     }
     Ok(())
 }
@@ -621,6 +699,17 @@ pub fn max_pool2d_backward(
 mod tests {
     use super::*;
 
+    /// One image's `(rows, pixels)` column matrix: the lowering the weight
+    /// gradient reads, transposed back.
+    fn im2col(image: &Tensor, spec: &Conv2dSpec) -> Result<Tensor> {
+        let (_, c, h, w) = check_nchw(image, "im2col")?;
+        let low = Lowering::new(c, h, w, spec)?;
+        let (rows, pixels) = (low.rows(), low.pixels());
+        let mut cols_t = vec![0.0f32; pixels * rows];
+        low.im2col_t(image.data(), &mut cols_t);
+        Tensor::from_vec(cols_t, [pixels, rows])?.transpose()?.reshape([1, rows, pixels])
+    }
+
     #[test]
     fn output_size_paper_geometries() {
         let size = |spec: Conv2dSpec, hw| spec.checked_output_size(hw, hw).unwrap();
@@ -642,7 +731,7 @@ mod tests {
         let input = Tensor::ones([1, 1, 2, 2]);
         let weight = Tensor::ones([1, 1, 5, 5]);
         assert!(conv2d(&input, &weight, &spec).is_err());
-        assert!(im2col(&input, &spec).is_err());
+        assert!(Lowering::new(1, 2, 2, &spec).is_err());
         assert!(max_pool2d(&input, &spec).is_err());
         // Padding that makes the kernel fit again is accepted.
         let padded = Conv2dSpec::new(5, 1, 2);
@@ -729,7 +818,10 @@ mod tests {
         for (c, h, w) in [(3, 16, 16), (2, 5, 7), (1, 1, 1)] {
             let x = Tensor::from_fn([1, c, h, w], |i| ((i * 7919) % 13) as f32 - 6.0);
             let mut seen = Vec::new();
-            max_pool2d_visit(x.data(), (c, h, w), &spec, |ch, v| seen.push((ch, v))).unwrap();
+            max_pool2d_visit(x.data(), (c, h, w), &spec, |ch, pooled| {
+                seen.extend(pooled.iter().map(|&v| (ch, v)));
+            })
+            .unwrap();
             let pooled = max_pool2d_values(&x, &spec).unwrap();
             let per = pooled.len() / c;
             let expect: Vec<_> =
@@ -744,7 +836,8 @@ mod tests {
         )
         .unwrap();
         let mut seen = Vec::new();
-        max_pool2d_visit(x.data(), (1, 2, 4), &spec, |_, v| seen.push(v)).unwrap();
+        max_pool2d_visit(x.data(), (1, 2, 4), &spec, |_, pooled| seen.extend_from_slice(pooled))
+            .unwrap();
         assert_eq!(seen, max_pool2d_values(&x, &spec).unwrap().data());
         assert_eq!(seen, [0.0, f32::INFINITY]);
         assert!(max_pool2d_visit(&[0.0; 3], (1, 2, 2), &spec, |_, _| ()).is_err());

@@ -1,17 +1,19 @@
 //! The register-tiled f32 GEMM against the loops it replaced, on every
-//! SIMD tier: `Tensor::matmul`, `conv2d_backward_weight` and
-//! `conv2d_backward_input` must stay **bit-identical** to the former `ikj`
-//! kernel and the former per-sample backward loops — every tile
-//! remainder, `k = 0`, signed zeros and IEEE specials included — at any
-//! pool size (run under `DDNN_THREADS=1` and `=4` by `just
-//! kernel-matrix`).
+//! SIMD tier: `Tensor::matmul`, `conv2d` (which reads its taps from a
+//! zero-padded plane), `conv2d_backward_weight` and `conv2d_backward_input`
+//! must stay **bit-identical** to the former `ikj` kernel, the former
+//! per-sample `im2col` + `ikj` forward and the former per-sample backward
+//! loops — every tile remainder, `k = 0`, signed zeros and IEEE specials
+//! included — at any pool size (run under `DDNN_THREADS=1` and `=4` by
+//! `just kernel-matrix`).
 //!
 //! The reference functions below are the former code, kept verbatim apart
 //! from calling [`reference_matmul`] (the former `ikj` kernel) where they
-//! called `matmul`.
+//! called `matmul` and [`reference_im2col`] (the former bounds-checked
+//! lowering) where they called `im2col`.
 
 use ddnn_tensor::conv::{
-    col2im, conv2d_backward_input, conv2d_backward_weight, im2col, Conv2dSpec,
+    col2im, conv2d, conv2d_backward_input, conv2d_backward_weight, Conv2dSpec,
 };
 use ddnn_tensor::rng::rng_from_seed;
 use ddnn_tensor::simd::{self, SimdTier};
@@ -72,12 +74,73 @@ fn reference_matmul(a: &Tensor, b: &Tensor) -> Tensor {
     Tensor::from_vec(out, [m, n]).unwrap()
 }
 
+/// The former `im2col`, verbatim: an `(n, c, h, w)` batch lowered to `n`
+/// `(c·kh·kw, oh·ow)` column matrices by the bounds-checked per-tap walk,
+/// padding taps left `0.0`.
+fn reference_im2col(
+    data: &[f32],
+    (n, c, h, w): (usize, usize, usize, usize),
+    spec: &Conv2dSpec,
+) -> Vec<f32> {
+    let (oh, ow) = spec.checked_output_size(h, w).unwrap();
+    let rows = c * spec.kernel_h * spec.kernel_w;
+    let cols = oh * ow;
+    let mut out = vec![0.0f32; n * rows * cols];
+    for (b, bchunk) in out.chunks_mut(rows * cols).enumerate() {
+        let in_base = b * c * h * w;
+        let mut r = 0;
+        for ch in 0..c {
+            for ky in 0..spec.kernel_h {
+                for kx in 0..spec.kernel_w {
+                    let row_off = r * cols;
+                    for oy in 0..oh {
+                        let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
+                        if iy < 0 || iy >= h as isize {
+                            continue;
+                        }
+                        let src_row = in_base + ch * h * w + iy as usize * w;
+                        for ox in 0..ow {
+                            let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
+                            if ix < 0 || ix >= w as isize {
+                                continue;
+                            }
+                            bchunk[row_off + oy * ow + ox] = data[src_row + ix as usize];
+                        }
+                    }
+                    r += 1;
+                }
+            }
+        }
+    }
+    out
+}
+
+/// The former `conv2d` forward, one sample after another: the sample's
+/// column matrix, then `(f, rows) x (rows, pixels)` by the `ikj` loop into
+/// a zeroed output.
+fn reference_conv2d(input: &Tensor, weight: &Tensor, spec: &Conv2dSpec) -> Tensor {
+    let &[n, c, h, w] = input.dims() else { panic!("rank 4") };
+    let f = weight.dims()[0];
+    let (oh, ow) = spec.checked_output_size(h, w).unwrap();
+    let (rows, pixels) = (c * spec.kernel_h * spec.kernel_w, oh * ow);
+    let cols = reference_im2col(input.data(), (n, c, h, w), spec);
+    let mut out = vec![0.0f32; n * f * pixels];
+    for (b, res) in out.chunks_mut(f * pixels).enumerate() {
+        let colmat = &cols[b * rows * pixels..][..rows * pixels];
+        reference_gemm(weight.data(), colmat, f, rows, pixels, res);
+    }
+    Tensor::from_vec(out, [n, f, oh, ow]).unwrap()
+}
+
 /// The former `conv2d_backward_weight` loop, one sample after another.
 fn reference_backward_weight(input: &Tensor, grad_out: &Tensor, spec: &Conv2dSpec) -> Tensor {
     let (n, c) = (input.dims()[0], input.dims()[1]);
     let (f, oh, ow) = (grad_out.dims()[1], grad_out.dims()[2], grad_out.dims()[3]);
     let rows = c * spec.kernel_h * spec.kernel_w;
-    let cols = im2col(input, spec).unwrap();
+    let (h, w) = (input.dims()[2], input.dims()[3]);
+    let cols =
+        Tensor::from_vec(reference_im2col(input.data(), (n, c, h, w), spec), [n, rows, oh * ow])
+            .unwrap();
     let mut grad_w = Tensor::zeros([f, rows]);
     for b in 0..n {
         let gmat = grad_out.index_axis0(b).unwrap().reshape([f, oh * ow]).unwrap();
@@ -205,5 +268,74 @@ fn conv_backward_matches_the_per_sample_loops() {
                 assert_eq!(sum_bits(got_x.data()), sum_bits(want_x.data()), "dX {at}");
             }
         }
+    }
+}
+
+#[test]
+fn conv2d_matches_the_im2col_ikj_loop_on_every_tier() {
+    let rect =
+        |kernel_h, kernel_w, stride, padding| Conv2dSpec { kernel_h, kernel_w, stride, padding };
+    // `(c, h, w, f, spec)`. Per-sample work runs from a few MACs to
+    // 24·9·32·1024 ≈ 7.1e6, so batches of 1, 3 and 40 fall on both sides
+    // of the pool's 2²¹ cut-off, and the widest single sample splits its
+    // filters across the pool.
+    let cases = [
+        // The device conv: output rows of whole tiles on every tier.
+        (3, 32, 32, 4, Conv2dSpec::paper_conv()),
+        // The edge and cloud shapes: rows narrower than a 32-wide tile.
+        (24, 16, 16, 16, Conv2dSpec::paper_conv()),
+        (16, 8, 8, 32, Conv2dSpec::paper_conv()),
+        (24, 32, 32, 32, Conv2dSpec::paper_conv()),
+        // Widths that are no multiple of any lane count.
+        (5, 9, 37, 7, Conv2dSpec::paper_conv()),
+        (2, 4, 21, 3, Conv2dSpec::paper_conv()),
+        // Stride 2, rectangular kernels.
+        (3, 11, 13, 5, Conv2dSpec::new(3, 2, 1)),
+        (3, 7, 19, 5, rect(2, 5, 1, 2)),
+        (2, 9, 6, 3, rect(3, 1, 2, 0)),
+        // Padding at and past the kernel: taps and whole rows of padding.
+        (2, 3, 4, 3, Conv2dSpec::new(2, 1, 2)),
+        (1, 2, 3, 2, Conv2dSpec::new(1, 1, 3)),
+        (2, 5, 5, 3, Conv2dSpec::new(3, 3, 4)),
+    ];
+    let mut seed = 500;
+    for (c, h, w, f, spec) in cases {
+        let (kh, kw) = (spec.kernel_h, spec.kernel_w);
+        let rows = (c * kh * kw) as u32;
+        for n in [1, 3, 40] {
+            seed += 1;
+            // Specials sparse enough that most outputs stay finite: about
+            // one per four receptive fields, and one per weight tensor.
+            let input =
+                Tensor::from_vec(operand(n * c * h * w, 4 * rows, seed), [n, c, h, w]).unwrap();
+            let weight =
+                Tensor::from_vec(operand(f * c * kh * kw, f as u32 * rows, !seed), [f, c, kh, kw])
+                    .unwrap();
+            let want = reference_conv2d(&input, &weight, &spec);
+            for tier in simd::supported_tiers() {
+                let got = simd::with_tier(tier, || conv2d(&input, &weight, &spec).unwrap());
+                let at = format!("{tier}: n={n} c={c} {h}x{w} f={f} {spec:?}");
+                assert_eq!(got.dims(), want.dims(), "{at}");
+                assert_eq!(sum_bits(got.data()), sum_bits(want.data()), "{at}");
+            }
+        }
+    }
+}
+
+#[test]
+fn conv2d_padding_taps_carry_an_infinite_weight_into_nan() {
+    // An Inf weight on a corner tap times a padding zero is NaN: every
+    // pixel whose window puts that tap in the border is NaN, the rest
+    // are +Inf, on every tier.
+    let input = Tensor::ones([1, 2, 5, 7]);
+    let mut weight = Tensor::ones([3, 2, 3, 3]);
+    weight.data_mut()[0] = f32::INFINITY;
+    let spec = Conv2dSpec::paper_conv();
+    let want = reference_conv2d(&input, &weight, &spec);
+    assert!(want.data()[..35].iter().any(|v| v.is_nan()));
+    assert!(want.data()[..35].contains(&f32::INFINITY));
+    for tier in simd::supported_tiers() {
+        let got = simd::with_tier(tier, || conv2d(&input, &weight, &spec).unwrap());
+        assert_eq!(sum_bits(got.data()), sum_bits(want.data()), "{tier}");
     }
 }

@@ -1,6 +1,6 @@
 //! Property-based tests of the tensor substrate.
 
-use ddnn_tensor::conv::{col2im, im2col, max_pool2d, Conv2dSpec};
+use ddnn_tensor::conv::{conv2d, conv2d_backward_input, max_pool2d, Conv2dSpec};
 use ddnn_tensor::{bits, Tensor};
 use proptest::prelude::*;
 
@@ -110,14 +110,23 @@ proptest! {
     }
 
     #[test]
-    fn im2col_col2im_adjoint(c in 1usize..3, h in 2usize..6, w in 2usize..6, seed in 0u64..30) {
+    fn conv2d_input_gradient_is_its_adjoint(
+        c in 1usize..3,
+        h in 2usize..6,
+        w in 2usize..6,
+        seed in 0u64..30,
+    ) {
+        // <conv2d(x, W), y> == <x, conv2d_backward_input(W, y)>: the forward
+        // reads the padded plane, the backward scatters through col2im.
         let spec = Conv2dSpec::paper_conv();
         let mut rng = ddnn_tensor::rng::rng_from_seed(seed);
         let x = Tensor::rand_uniform([1, c, h, w], -1.0, 1.0, &mut rng);
-        let cx = im2col(&x, &spec).unwrap();
+        let weight = Tensor::rand_uniform([2, c, 3, 3], -1.0, 1.0, &mut rng);
+        let cx = conv2d(&x, &weight, &spec).unwrap();
         let y = Tensor::rand_uniform(cx.dims().to_vec(), -1.0, 1.0, &mut rng);
         let lhs = cx.dot(&y).unwrap();
-        let rhs = x.dot(&col2im(&y, c, h, w, &spec).unwrap()).unwrap();
+        let back = conv2d_backward_input(x.dims(), &weight, &y, &spec).unwrap();
+        let rhs = x.dot(&back).unwrap();
         prop_assert!((lhs - rhs).abs() < 1e-2 * (1.0 + lhs.abs()));
     }
 

@@ -1,14 +1,16 @@
 //! The sliding-window kernels against the bounds-checked loops they
-//! replaced: [`im2col`], [`col2im`] and [`max_pool2d`] walk clipped
-//! contiguous rows, and must stay **bit-identical** to a per-tap
-//! bounds-checked walk — values, argmax indices, the all-padding `0.0` /
-//! `usize::MAX` sentinel, and NaN, ±inf, −0.0 and tie handling — on any
-//! geometry, padding at or beyond the kernel included.
+//! replaced: [`col2im`] and [`max_pool2d`] walk clipped contiguous rows and
+//! [`conv2d`] reads its taps from a zero-padded plane, and each must stay
+//! **bit-identical** to a per-tap bounds-checked walk — values, argmax
+//! indices, the all-padding `0.0` / `usize::MAX` sentinel, and NaN, ±inf,
+//! −0.0 and tie handling — on any geometry, padding at or beyond the
+//! kernel included.
 //!
 //! The reference functions below are the kernels' former loop nests,
-//! kept verbatim apart from running serially over the batch.
+//! kept verbatim apart from running serially over the batch; `conv2d`'s
+//! is the per-tap `im2col` walk followed by the `ikj` product.
 
-use ddnn_tensor::conv::{col2im, im2col, max_pool2d, max_pool2d_values, Conv2dSpec};
+use ddnn_tensor::conv::{col2im, conv2d, max_pool2d, max_pool2d_values, Conv2dSpec};
 use ddnn_tensor::rng::rng_from_seed;
 use ddnn_tensor::Tensor;
 use proptest::prelude::*;
@@ -78,6 +80,17 @@ fn reference_im2col(
         }
     }
     out
+}
+
+/// `(f, k) x (k, n)` accumulated into `out` in `ikj` order.
+fn reference_gemm(a: &[f32], b: &[f32], (m, k, n): (usize, usize, usize), out: &mut [f32]) {
+    for i in 0..m {
+        for p in 0..k {
+            for j in 0..n {
+                out[i * n + j] += a[i * k + p] * b[p * n + j];
+            }
+        }
+    }
 }
 
 fn reference_col2im(
@@ -164,27 +177,32 @@ fn reference_max_pool2d(
     (out, argmax)
 }
 
-/// Checks all three kernels against their references on one geometry;
+/// Checks all four kernels against their references on one geometry;
 /// a geometry the spec rejects must be rejected by every kernel.
 fn check(n: usize, c: usize, h: usize, w: usize, spec: Conv2dSpec, seed: u64) {
     let input = mixed(&[n, c, h, w], seed);
     let dims = (n, c, h, w);
     let Ok((oh, ow)) = spec.checked_output_size(h, w) else {
-        assert!(im2col(&input, &spec).is_err(), "{spec:?} on {h}x{w}");
+        let weight = Tensor::ones([1, c, spec.kernel_h, spec.kernel_w]);
+        assert!(conv2d(&input, &weight, &spec).is_err(), "{spec:?} on {h}x{w}");
         assert!(max_pool2d(&input, &spec).is_err(), "{spec:?} on {h}x{w}");
         assert!(max_pool2d_values(&input, &spec).is_err(), "{spec:?} on {h}x{w}");
         return;
     };
     let ctx = format!("{spec:?} on {dims:?}, seed {seed}");
 
-    let cols = im2col(&input, &spec).unwrap();
-    assert_eq!(
-        bits(cols.data()),
-        bits(&reference_im2col(input.data(), dims, &spec)),
-        "im2col {ctx}"
-    );
-
     let rows = c * spec.kernel_h * spec.kernel_w;
+    let f = 2;
+    let weight = mixed(&[f, c, spec.kernel_h, spec.kernel_w], seed ^ 0xf17);
+    let cols = reference_im2col(input.data(), dims, &spec);
+    let mut expected = vec![0.0f32; n * f * oh * ow];
+    for (b, res) in expected.chunks_mut(f * oh * ow).enumerate() {
+        let colmat = &cols[b * rows * oh * ow..][..rows * oh * ow];
+        reference_gemm(weight.data(), colmat, (f, rows, oh * ow), res);
+    }
+    let conv = conv2d(&input, &weight, &spec).unwrap();
+    assert_eq!(sum_bits(conv.data()), sum_bits(&expected), "conv2d {ctx}");
+
     let grad_cols = mixed(&[n, rows, oh * ow], seed ^ 0xc01);
     let back = col2im(&grad_cols, c, h, w, &spec).unwrap();
     let expected = reference_col2im(grad_cols.data(), dims, &spec);
@@ -230,7 +248,7 @@ proptest! {
 #[test]
 fn padding_at_or_beyond_the_kernel_matches_the_reference() {
     // Windows that fall wholly in padding: the pool's `0.0` / `usize::MAX`
-    // sentinel and im2col's all-zero rows.
+    // sentinel and the conv's taps that read only padding.
     for (kernel, stride, padding) in [(1, 1, 1), (1, 1, 3), (2, 1, 2), (2, 3, 3), (3, 2, 3)] {
         for hw in [1, 2, 5] {
             check(2, 2, hw, hw + 1, Conv2dSpec::new(kernel, stride, padding), hw as u64);

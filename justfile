@@ -50,11 +50,12 @@ build:
 # clamp down, so this is safe on any x86-64 or non-x86 host); the frozen
 # inference form, whose XNOR front end is that kernel, must be
 # bit-identical to the layer stack's f32 `Mode::Eval` on every tier and
-# pool size; the clipped-row window kernels (im2col, col2im, max
-# pooling) must be bit-identical to the bounds-checked per-tap walk at
-# every pool size; and the register-tiled f32 GEMM (`matmul`, both conv
-# backward halves) must be bit-identical to the former `ikj` loop and
-# per-sample backward loops on every tier and pool size.
+# pool size; the window kernels (the padded-plane conv2d forward, col2im,
+# max pooling) must be bit-identical to the bounds-checked per-tap walk
+# at every pool size; and the register-tiled f32 GEMM (`matmul`, the
+# conv2d forward, both conv backward halves) must be bit-identical to
+# the former `ikj` loop, the former per-sample im2col + ikj forward and
+# the per-sample backward loops on every tier and pool size.
 kernel-matrix:
     #!/usr/bin/env bash
     set -euo pipefail
@@ -95,6 +96,8 @@ multiproc-smoke:
 bench-transport:
     cargo run --release -p ddnn-bench --bin transport
 
+# The same cells on 48 samples -> target/smoke/BENCH_transport.json (the
+# committed artifact is left alone).
 bench-transport-smoke:
     cargo run --release -p ddnn-bench --bin transport -- --smoke
 
