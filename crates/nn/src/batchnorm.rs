@@ -99,6 +99,22 @@ impl BnInference {
     }
 }
 
+/// Visits every element of an `(n, c, inner)` batch of `len` values as
+/// `f(channel, offset)`: one sample at a time and, within it, position by
+/// position across the channels. Each channel's elements still come in
+/// `(sample, position)` order, so a per-channel sum keeps its bits, but
+/// the channels' add chains advance side by side instead of one whole
+/// chain after another.
+fn by_position(len: usize, c: usize, inner: usize, mut f: impl FnMut(usize, usize)) {
+    for base in (0..len).step_by(c * inner) {
+        for i in 0..inner {
+            for ch in 0..c {
+                f(ch, base + ch * inner + i);
+            }
+        }
+    }
+}
+
 /// `1/√(var + ε)` per channel, for batch and running statistics alike.
 fn inv_std(var: &[f32], eps: f32) -> Vec<f32> {
     var.iter().map(|&v| 1.0 / (v + eps).sqrt()).collect()
@@ -136,28 +152,17 @@ impl Layer for BatchNorm {
             return Tensor::from_vec(out, dims);
         }
 
+        let x = input.data();
         let mut mean = vec![0.0f32; c];
         let mut var = vec![0.0f32; c];
-        for b in 0..n {
-            for ch in 0..c {
-                let base = b * plane + ch * inner;
-                for i in 0..inner {
-                    mean[ch] += input.data()[base + i];
-                }
-            }
-        }
+        by_position(x.len(), c, inner, |ch, k| mean[ch] += x[k]);
         for m in &mut mean {
             *m /= group as f32;
         }
-        for b in 0..n {
-            for ch in 0..c {
-                let base = b * plane + ch * inner;
-                for i in 0..inner {
-                    let d = input.data()[base + i] - mean[ch];
-                    var[ch] += d * d;
-                }
-            }
-        }
+        by_position(x.len(), c, inner, |ch, k| {
+            let d = x[k] - mean[ch];
+            var[ch] += d * d;
+        });
         for v in &mut var {
             *v /= group as f32;
         }
@@ -214,15 +219,10 @@ impl Layer for BatchNorm {
         // Per-channel sums: Σdy and Σ(dy·x̂).
         let mut sum_dy = vec![0.0f32; c];
         let mut sum_dy_xh = vec![0.0f32; c];
-        for b in 0..n {
-            for ch in 0..c {
-                let base = b * plane + ch * inner;
-                for i in 0..inner {
-                    sum_dy[ch] += dy[base + i];
-                    sum_dy_xh[ch] += dy[base + i] * xh[base + i];
-                }
-            }
-        }
+        by_position(dy.len(), c, inner, |ch, k| {
+            sum_dy[ch] += dy[k];
+            sum_dy_xh[ch] += dy[k] * xh[k];
+        });
         self.gamma.grad.data_mut().iter_mut().zip(&sum_dy_xh).for_each(|(g, &s)| *g += s);
         self.beta.grad.data_mut().iter_mut().zip(&sum_dy).for_each(|(g, &s)| *g += s);
 

@@ -367,8 +367,8 @@ impl BitMatrix {
     /// producing an `(m,n)` tensor of exact integer-valued dot products.
     ///
     /// Note the rhs is taken row-major over `k` — the natural layout for
-    /// both linear-layer weights (`(out, in)`) and im2col patch rows — so
-    /// no transpose is ever materialised.
+    /// both linear-layer weights (`(out, in)`) and conv filters
+    /// (`(f, c·kh·kw)`) — so no transpose is ever materialised.
     ///
     /// # Errors
     ///

@@ -1,11 +1,11 @@
 //! Convolution and pooling kernels for NCHW tensors.
 //!
 //! Convolutions run on the register-tiled GEMM of [`crate::gemm`]. The
-//! forward pass reads its taps straight from a zero-padded copy of each
-//! sample, with no column matrix; the backward pass lowers through a
-//! transposed `im2col` and its adjoint `col2im`. Pooling is computed
-//! directly, recording argmax indices so the backward pass can scatter
-//! gradients.
+//! forward pass and the weight gradient read their taps straight from a
+//! zero-padded copy of each sample, with no column matrix; the input
+//! gradient scatters its product back through `col2im`, the lowering's
+//! adjoint. Pooling is computed directly, recording argmax indices so the
+//! backward pass can scatter gradients.
 
 use crate::error::{Result, TensorError};
 use crate::gemm;
@@ -111,10 +111,7 @@ fn window_range(start: usize, kernel: usize, size: usize, padding: usize) -> Ran
 }
 
 /// One sample's lowering geometry: a `(c, h, w)` image under `spec`, read
-/// as `rows = c·kh·kw` taps by `pixels = oh·ow` output positions. The
-/// lowerings below write only taps inside the image, so a buffer's
-/// padding entries keep what they held — zero on a fresh buffer, and
-/// still zero after lowering any number of samples into it.
+/// as `rows = c·kh·kw` taps by `pixels = oh·ow` output positions.
 #[derive(Debug, Clone, Copy)]
 struct Lowering {
     c: usize,
@@ -159,7 +156,7 @@ impl Lowering {
         }
     }
 
-    /// The column/row walk shared by every lowering: for every
+    /// The column/row walk of [`Lowering::col2im`]: for every
     /// `(ch, ky, kx)` tap in that order and every output row `oy` the tap
     /// reaches, calls `f(r, oy, row, ox_range, ix0)` — `r` the tap's
     /// column-matrix row and `row` the offset of its input row in the
@@ -184,21 +181,6 @@ impl Lowering {
                 }
             }
         }
-    }
-
-    /// Lowers one image into the transpose of its column matrix,
-    /// `(pixels, rows)`: the right-hand operand of `dY · colsᵀ` as the
-    /// GEMM reads it, without a transpose pass.
-    fn im2col_t(&self, image: &[f32], dst: &mut [f32]) {
-        let (rows, stride) = (self.rows(), self.spec.stride);
-        self.for_each_tap_row(|r, oy, row, oxs, ix0| {
-            let src = &image[row..][..self.w];
-            let first = oy * self.ow + oxs.start;
-            let dst = dst[first * rows + r..].iter_mut().step_by(rows);
-            for (d, &s) in dst.zip(src[ix0..].iter().step_by(stride)).take(oxs.len()) {
-                *d = s;
-            }
-        });
     }
 
     /// Accumulates one `(rows, pixels)` column matrix back into its image
@@ -392,6 +374,62 @@ impl TapRuns {
             gemm::gemm_into(self.tier, w, b, (m, rows, width), &mut out[q0..], pixels);
         }
     }
+
+    /// Row length of a weight-gradient partial: the taps, padded to whole
+    /// register tiles so that every column panel of the product is full.
+    fn grad_ld(&self) -> usize {
+        self.starts.len().next_multiple_of(gemm::tile_cols(self.tier))
+    }
+
+    /// Output pixels per weight-gradient block: an L1-sized slab of
+    /// [`TapRuns::grad_ld`]-float rows.
+    fn grad_block(&self) -> usize {
+        (SLAB_FLOATS / self.grad_ld()).clamp(1, self.oh * self.ow)
+    }
+
+    /// The implicit operand's columns from pixel `q0` on, pixel-major: row
+    /// `q` of `slab` (rows `ld` floats apart, as many as it holds) gets
+    /// pixel `q0 + q`'s taps in ascending `r` — the runs [`TapRuns::conv`]
+    /// copies tap-major, read across.
+    fn gather(&self, plane: &[f32], q0: usize, slab: &mut [f32], ld: usize) {
+        let (mut oy, mut ox) = (q0 / self.ow, q0 % self.ow);
+        for dst in slab.chunks_exact_mut(ld) {
+            let taps = &plane[(oy * self.wp + ox) * self.stride..];
+            dst.iter_mut().zip(&self.starts).for_each(|(d, &s)| *d = taps[s]);
+            (oy, ox) = if ox + 1 == self.ow { (oy + 1, 0) } else { (oy, ox + 1) };
+        }
+    }
+
+    /// `out += dy · Bᵀ` — the weight gradient's product — for the rows of
+    /// `dy` (`oh·ow` floats each, one per row of `out`, which are
+    /// [`TapRuns::grad_ld`] floats apart) over one padded sample. The
+    /// pixels go in consecutive blocks of `slab.len() / grad_ld`, each
+    /// gathered pixel-major into `slab` with its columns of `dy` copied
+    /// into `lhs`; every element of `out` carries its sum from one block
+    /// into the next, so it takes its products in ascending pixel order,
+    /// as one product over all pixels would. The slab's padding columns are
+    /// never written: they keep the zeros they were allocated with, and the
+    /// columns of `out` past the taps are the caller's to drop.
+    fn weight_grad(
+        &self,
+        dy: &[f32],
+        plane: &[f32],
+        out: &mut [f32],
+        slab: &mut [f32],
+        lhs: &mut [f32],
+    ) {
+        let (ld, pixels) = (self.grad_ld(), self.oh * self.ow);
+        let (m, block) = (out.len() / ld, slab.len() / ld);
+        for q0 in (0..pixels).step_by(block) {
+            let width = block.min(pixels - q0);
+            let (b, a) = (&mut slab[..width * ld], &mut lhs[..m * width]);
+            self.gather(plane, q0, b, ld);
+            for (dst, src) in a.chunks_exact_mut(width).zip(dy.chunks_exact(pixels)) {
+                dst.copy_from_slice(&src[q0..][..width]);
+            }
+            gemm::gemm(self.tier, a, b, m, width, ld, out);
+        }
+    }
 }
 
 /// Gradients of [`conv2d`] given upstream `grad_out` of shape
@@ -437,13 +475,16 @@ fn check_grad_out(n: usize, low: &Lowering, grad_out: &Tensor) -> Result<usize> 
     Ok(f)
 }
 
-/// The weight half of [`conv2d_backward`]: `dW = Σ_b dY_b · im2col(X_b)ᵀ`,
-/// shaped `(f, c, kh, kw)`, summed over the batch in order.
+/// The weight half of [`conv2d_backward`]: `dW = Σ_b dY_b · Bᵀ_b`, with
+/// `B_b` the `(c·kh·kw, oh·ow)` taps of sample `b` that [`conv2d`] reads,
+/// shaped `(f, c, kh, kw)` and summed over the batch in order.
 ///
-/// The per-sample partials fan out over the batch — each worker lowers its
-/// samples straight into the transposed layout the product reads — and
-/// are then added into `dW` one sample after another from zero, exactly as
-/// a serial loop over the batch adds them.
+/// The per-sample partials fan out over the batch. Each worker pads its
+/// samples one at a time and reads their taps from the zero-padded plane,
+/// an L1-sized block of output pixels at a time, with no column matrix.
+/// Each partial starts from `0.0` and takes its products in ascending
+/// pixel order; the partials are then added into `dW` one sample after
+/// another from zero, exactly as a serial loop over the batch adds them.
 ///
 /// # Errors
 ///
@@ -457,28 +498,24 @@ pub fn conv2d_backward_weight(
     let low = Lowering::new(c, h, w, spec)?;
     let f = check_grad_out(n, &low, grad_out)?;
     let (rows, pixels) = (low.rows(), low.pixels());
-    let (tier, x, dy) = (simd::active_tier(), input.data(), grad_out.data());
-    let mut partials = vec![0.0f32; n * f * rows];
-    parallel::par_item_chunks_mut(&mut partials, f * rows, n * f * pixels * rows, |b0, chunk| {
-        let mut cols_t = vec![0.0f32; pixels * rows];
-        for (bi, part) in chunk.chunks_mut(f * rows).enumerate() {
+    let (x, dy) = (input.data(), grad_out.data());
+    let taps = TapRuns::new(&low, simd::active_tier());
+    let (ld, block) = (taps.grad_ld(), taps.grad_block());
+    let mut partials = vec![0.0f32; n * f * ld];
+    parallel::par_item_chunks_mut(&mut partials, f * ld, n * f * pixels * rows, |b0, chunk| {
+        let mut plane = vec![0.0f32; taps.plane_len];
+        let (mut slab, mut lhs) = (vec![0.0f32; block * ld], vec![0.0f32; f * block]);
+        for (bi, part) in chunk.chunks_mut(f * ld).enumerate() {
             let b = b0 + bi;
-            low.im2col_t(&x[b * low.image_len()..][..low.image_len()], &mut cols_t);
-            gemm::gemm_auto(
-                tier,
-                &dy[b * f * pixels..][..f * pixels],
-                &cols_t,
-                f,
-                pixels,
-                rows,
-                part,
-            );
+            low.pad(&x[b * low.image_len()..][..low.image_len()], &mut plane);
+            let dy = &dy[b * f * pixels..][..f * pixels];
+            taps.weight_grad(dy, &plane, part, &mut slab, &mut lhs);
         }
     });
     let mut grad_w = vec![0.0f32; f * rows];
-    for part in partials.chunks_exact(f * rows) {
-        for (g, &p) in grad_w.iter_mut().zip(part) {
-            *g += p;
+    for part in partials.chunks_exact(f * ld) {
+        for (g, p) in grad_w.chunks_exact_mut(rows).zip(part.chunks_exact(ld)) {
+            g.iter_mut().zip(p).for_each(|(g, &p)| *g += p);
         }
     }
     Tensor::from_vec(grad_w, [f, c, spec.kernel_h, spec.kernel_w])
@@ -699,14 +736,18 @@ pub fn max_pool2d_backward(
 mod tests {
     use super::*;
 
-    /// One image's `(rows, pixels)` column matrix: the lowering the weight
-    /// gradient reads, transposed back.
+    /// One image's `(rows, pixels)` column matrix: the taps the weight
+    /// gradient gathers from the padded plane, all pixels in one block,
+    /// transposed back.
     fn im2col(image: &Tensor, spec: &Conv2dSpec) -> Result<Tensor> {
         let (_, c, h, w) = check_nchw(image, "im2col")?;
         let low = Lowering::new(c, h, w, spec)?;
         let (rows, pixels) = (low.rows(), low.pixels());
+        let taps = TapRuns::new(&low, SimdTier::Scalar);
+        let mut plane = vec![0.0f32; taps.plane_len];
+        low.pad(image.data(), &mut plane);
         let mut cols_t = vec![0.0f32; pixels * rows];
-        low.im2col_t(image.data(), &mut cols_t);
+        taps.gather(&plane, 0, &mut cols_t, rows);
         Tensor::from_vec(cols_t, [pixels, rows])?.transpose()?.reshape([1, rows, pixels])
     }
 

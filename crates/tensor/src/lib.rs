@@ -12,8 +12,9 @@
 //! * [`Tensor::matmul`] and friends — the linear algebra used by fully
 //!   connected layers, on one register-tiled f32 GEMM that the
 //!   convolutions share;
-//! * [`conv`] — `im2col`-based 2-D convolution and max pooling with exact
-//!   adjoint backward passes (verified against finite differences);
+//! * [`conv`] — 2-D convolution that reads its taps from a zero-padded
+//!   copy of each sample, and max pooling, with exact adjoint backward
+//!   passes (verified against finite differences);
 //! * [`bits`] — 1-bit packing of binarized activations, the wire format the
 //!   paper's communication-cost model (Eq. 1) counts;
 //! * [`cursor`] — bounds-checked little-endian reads, the decoder primitive

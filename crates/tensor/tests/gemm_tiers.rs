@@ -234,24 +234,55 @@ fn tiers_agree_on_a_training_sized_product() {
 
 #[test]
 fn conv_backward_matches_the_per_sample_loops() {
-    // Per-sample work is 8·36·256 ≈ 7.4e4 MACs, so a batch of 1 or 3 runs
-    // inline and a batch of 40 (≈ 2.9e6) clears the pool's 2²¹ cut-off.
+    let rect =
+        |kernel_h, kernel_w, stride, padding| Conv2dSpec { kernel_h, kernel_w, stride, padding };
+    // `(c, h, w, f, spec, batches)`. Per-sample work of the first shape is
+    // 8·36·256 ≈ 7.4e4 MACs, so a batch of 1 or 3 runs inline and a batch
+    // of 40 (≈ 2.9e6) clears the pool's 2²¹ cut-off.
+    let (small, paper) = (&[1, 3, 40][..], &[50][..]);
     let cases = [
-        (4, 16, 16, 8, Conv2dSpec::paper_conv()),
-        (3, 9, 7, 5, Conv2dSpec::new(3, 2, 1)),
-        (2, 6, 5, 3, Conv2dSpec::new(2, 1, 0)),
+        (4, 16, 16, 8, Conv2dSpec::paper_conv(), small),
+        (3, 9, 7, 5, Conv2dSpec::new(3, 2, 1), small),
+        (2, 6, 5, 3, Conv2dSpec::new(2, 1, 0), small),
+        // The paper's training shapes at its batch of 50: the device conv
+        // (27 taps, narrower than an AVX-512 tile) and the edge conv (216
+        // taps; its 256 pixels are no multiple of the weight gradient's
+        // pixel block on any tier).
+        (3, 32, 32, 4, Conv2dSpec::paper_conv(), paper),
+        (24, 16, 16, 16, Conv2dSpec::paper_conv(), paper),
+        // 27 taps over 17·19 = 323 pixels: a full block and a partial one.
+        (3, 17, 19, 5, Conv2dSpec::paper_conv(), small),
+        // Strides 2 and 3, rectangular kernels.
+        (3, 11, 13, 5, Conv2dSpec::new(3, 3, 1), small),
+        (3, 7, 19, 5, rect(2, 5, 1, 2), small),
+        (2, 9, 6, 3, rect(3, 1, 2, 0), small),
+        // Padding at and past the kernel: taps and whole rows of padding.
+        (2, 3, 4, 3, Conv2dSpec::new(2, 1, 2), small),
+        (1, 2, 3, 2, Conv2dSpec::new(1, 1, 3), small),
+        (2, 5, 5, 3, Conv2dSpec::new(3, 3, 4), small),
     ];
     let mut seed = 100;
-    for (c, h, w, f, spec) in cases {
+    for (c, h, w, f, spec, batches) in cases {
         let (oh, ow) = spec.checked_output_size(h, w).unwrap();
-        for n in [1, 3, 40] {
+        let (kh, kw) = (spec.kernel_h, spec.kernel_w);
+        for (&n, specials) in batches.iter().flat_map(|n| [(n, false), (n, true)]) {
             seed += 1;
-            let input = Tensor::from_vec(operand(n * c * h * w, 0, seed), [n, c, h, w]).unwrap();
-            let (kh, kw) = (spec.kernel_h, spec.kernel_w);
-            let weight =
-                Tensor::from_vec(operand(f * c * kh * kw, 0, !seed), [f, c, kh, kw]).unwrap();
-            let grad_out =
-                Tensor::from_vec(operand(n * f * oh * ow, 0, seed + 7), [n, f, oh, ow]).unwrap();
+            // With specials, about one per tensor: sparse enough that most
+            // sums stay finite.
+            let every = |len: usize| if specials { len as u32 } else { 0 };
+            let input =
+                Tensor::from_vec(operand(n * c * h * w, every(n * c * h * w), seed), [n, c, h, w])
+                    .unwrap();
+            let weight = Tensor::from_vec(
+                operand(f * c * kh * kw, every(f * c * kh * kw), !seed),
+                [f, c, kh, kw],
+            )
+            .unwrap();
+            let grad_out = Tensor::from_vec(
+                operand(n * f * oh * ow, every(n * f * oh * ow), seed + 7),
+                [n, f, oh, ow],
+            )
+            .unwrap();
             let want_w = reference_backward_weight(&input, &grad_out, &spec);
             let want_x = reference_backward_input(input.dims(), &weight, &grad_out, &spec);
             for tier in simd::supported_tiers() {
@@ -261,7 +292,7 @@ fn conv_backward_matches_the_per_sample_loops() {
                         conv2d_backward_input(input.dims(), &weight, &grad_out, &spec).unwrap(),
                     )
                 });
-                let at = format!("{tier}: n={n} c={c} {h}x{w} f={f} {spec:?}");
+                let at = format!("{tier}: n={n} c={c} {h}x{w} f={f} {spec:?} specials={specials}");
                 assert_eq!(got_w.dims(), want_w.dims(), "{at}");
                 assert_eq!(sum_bits(got_w.data()), sum_bits(want_w.data()), "dW {at}");
                 assert_eq!(got_x.dims(), want_x.dims(), "{at}");

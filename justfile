@@ -55,7 +55,9 @@ build:
 # at every pool size; and the register-tiled f32 GEMM (`matmul`, the
 # conv2d forward, both conv backward halves) must be bit-identical to
 # the former `ikj` loop, the former per-sample im2col + ikj forward and
-# the per-sample backward loops on every tier and pool size.
+# the per-sample backward loops on every tier and pool size; and one
+# short seeded training run (`seeded_training_is_pinned`: its losses and
+# checkpoint FNV) must give its pinned bits on every tier and pool size.
 kernel-matrix:
     #!/usr/bin/env bash
     set -euo pipefail
@@ -67,6 +69,7 @@ kernel-matrix:
         DDNN_SIMD=$simd DDNN_THREADS=$t cargo test -p ddnn-tensor --test binary_conv_equivalence -q
         DDNN_SIMD=$simd DDNN_THREADS=$t cargo test -p ddnn-core --test frozen -q
         DDNN_SIMD=$simd DDNN_THREADS=$t cargo test -p ddnn-tensor --test gemm_tiers -q
+        DDNN_SIMD=$simd DDNN_THREADS=$t cargo test -p ddnn-core --test properties seeded_training_is_pinned -q
       done
     done
 
