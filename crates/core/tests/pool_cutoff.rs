@@ -35,6 +35,13 @@ fn per_sample_kernels_run_inline_and_batches_fan_out() {
     assert_eq!(added(|| drop(binary_conv2d(&edge_in, &edge_w, &spec).unwrap())), 0);
     let (cloud_in, cloud_w) = (sign(uniform([8, 16, 8, 8])), uniform([32, 16, 3, 3]));
     assert_eq!(added(|| drop(binary_conv2d(&cloud_in, &cloud_w, &spec).unwrap())), 0);
+    // Every conv fans out over the batch only: a lone sample stays here
+    // even above the cut-off (16 filters over [1, 24, 32, 32] are 3.5e6
+    // MACs), in f32 and as signs.
+    let (big, big_w) = (uniform([1, 24, 32, 32]), uniform([16, 24, 3, 3]));
+    assert_eq!(added(|| drop(conv2d(&big, &big_w, &spec).unwrap())), 0);
+    let big = sign(big);
+    assert_eq!(added(|| drop(binary_conv2d(&big, &big_w, &spec).unwrap())), 0);
 
     let mut views = |n: usize| -> Vec<Tensor> { (0..6).map(|_| uniform([n, 3, 32, 32])).collect() };
     let (one, oracle, batch) = (views(1), views(57), views(50));

@@ -38,6 +38,13 @@
 //! equal to the float path on binarized operands — bit-identical, not just
 //! close — which is what lets the frozen inference form stand in for the
 //! f32 layers.
+//!
+//! Operands reach the kernels as bits. The frozen inference form hands
+//! over packed maps ([`BinaryConvPlan::run_rows`],
+//! [`BitMatrix::from_sign_bytes`]) and packs f32 signs only for its
+//! weights, once; [`BitMatrix::pack`], [`binary_matmul`] and
+//! [`binary_conv2d`] pack f32 operands with one portable loop, the strict
+//! `x > 0.0` test per bit.
 
 use crate::conv::{check_nchw, conv2d, Conv2dSpec};
 use crate::error::{Result, TensorError};
@@ -50,9 +57,10 @@ const WORD_BITS: usize = 64;
 
 /// What a *batched* convolution divides its tap-product count by before
 /// handing it to the worker pool as its work estimate. Cross-sample
-/// fan-out gives up the shared scratch and its warm caches, so its
-/// parallel form is dearer than the in-sample pixel partition's and has to
-/// clear the pool's cut-off by this much more.
+/// fan-out gives up the one plane buffer and the warm caches a serial loop
+/// over the batch keeps, so its parallel form has to clear the pool's
+/// cut-off by this much more: a tier's micro-batch of eight runs inline on
+/// the tier's own thread, an evaluation batch of dozens fans out.
 const BATCH_FANOUT_COST: usize = 8;
 
 /// Output pixels assembled per inner-loop iteration of the fused planar
@@ -60,156 +68,17 @@ const BATCH_FANOUT_COST: usize = 8;
 /// registers), so the per-lane extract loops vectorize to `vpsrlvq`.
 const CONV_TILE: usize = 8;
 
-/// Reusable buffers for the fused conv kernel, so streaming a batch
-/// through one plan allocates once instead of per sample.
-#[derive(Default)]
-struct ConvScratch {
-    /// Packed input rows, one pad-shifted word per `(channel, row)`.
-    plane: Vec<u64>,
-    /// Pixel-major `(pixels, f)` staging for the output transpose.
-    pm: Vec<f32>,
-}
-
-/// Branchless scalar packing of up to 64 values: bit `i` is set iff
-/// `chunk[i] > 0.0` (ordered compare — false for NaN and both zeros).
+/// Packs up to 64 values into one word, the one f32 → bit packer: bit `i`
+/// is set iff `chunk[i] > 0.0` (ordered compare — false for NaN and both
+/// zeros).
 #[inline(always)]
-fn pack_word_partial(chunk: &[f32]) -> u64 {
+fn pack_word(chunk: &[f32]) -> u64 {
+    debug_assert!(chunk.len() <= WORD_BITS);
     let mut word = 0u64;
     for (i, &x) in chunk.iter().enumerate() {
         word |= u64::from(x > 0.0) << i;
     }
     word
-}
-
-/// Packs one full 64-element group into a word. On x86-64 this uses the
-/// baseline SSE2 `cmpps`/`movmskps` pair (4 sign tests per instruction);
-/// `cmplt(0, x)` is the same ordered `x > 0.0` as the scalar path, so NaN
-/// and ±0.0 still pack as `−1`. Packing throughput matters: the activation
-/// matrix is re-packed on every kernel call, and for narrow outputs (an
-/// exit head has 3 rows) packing, not the GEMM, is the bulk of the work.
-#[inline(always)]
-fn pack_word64(chunk: &[f32]) -> u64 {
-    debug_assert_eq!(chunk.len(), WORD_BITS);
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: SSE2 is part of the x86-64 baseline, and each of the 16
-    // 4-wide loads stays inside the 64-element chunk.
-    unsafe {
-        use std::arch::x86_64::{_mm_cmplt_ps, _mm_loadu_ps, _mm_movemask_ps, _mm_setzero_ps};
-        let zero = _mm_setzero_ps();
-        let mut word = 0u64;
-        for g in 0..WORD_BITS / 4 {
-            let v = _mm_loadu_ps(chunk.as_ptr().add(g * 4));
-            word |= (_mm_movemask_ps(_mm_cmplt_ps(zero, v)) as u64) << (g * 4);
-        }
-        word
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    pack_word_partial(chunk)
-}
-
-/// AVX clone of [`pack_word64`]: 8 sign tests per `vcmpps`/`vmovmskps`
-/// pair. `_CMP_LT_OQ` is the same ordered `0 < x` compare, so NaN and
-/// ±0.0 still pack as `−1`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn pack_word64_avx(chunk: &[f32]) -> u64 {
-    debug_assert_eq!(chunk.len(), WORD_BITS);
-    use std::arch::x86_64::{
-        _mm256_cmp_ps, _mm256_loadu_ps, _mm256_movemask_ps, _mm256_setzero_ps, _CMP_LT_OQ,
-    };
-    let zero = _mm256_setzero_ps();
-    let mut word = 0u64;
-    for g in 0..WORD_BITS / 8 {
-        let v = _mm256_loadu_ps(chunk.as_ptr().add(g * 8));
-        word |= (_mm256_movemask_ps(_mm256_cmp_ps::<_CMP_LT_OQ>(zero, v)) as u32 as u64) << (g * 8);
-    }
-    word
-}
-
-/// SSE2 packing of a *partial* group (`len < 64`): 4-wide compares over
-/// the whole 4-chunks, scalar for the remainder. Same ordered `0 < x`
-/// predicate as every other packer.
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-fn pack_partial_sse2(chunk: &[f32]) -> u64 {
-    // SAFETY: SSE2 is part of the x86-64 baseline, and each 4-wide load
-    // stays inside the whole 4-chunks of the slice.
-    unsafe {
-        use std::arch::x86_64::{_mm_cmplt_ps, _mm_loadu_ps, _mm_movemask_ps, _mm_setzero_ps};
-        let zero = _mm_setzero_ps();
-        let mut word = 0u64;
-        let n4 = chunk.len() / 4 * 4;
-        for g in (0..n4).step_by(4) {
-            let v = _mm_loadu_ps(chunk.as_ptr().add(g));
-            word |= (_mm_movemask_ps(_mm_cmplt_ps(zero, v)) as u64) << g;
-        }
-        word | (pack_word_partial(&chunk[n4..]) << n4)
-    }
-}
-
-/// AVX clone of [`pack_partial_sse2`]: 8-wide compares, SSE2/scalar tail.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn pack_partial_avx(chunk: &[f32]) -> u64 {
-    use std::arch::x86_64::{
-        _mm256_cmp_ps, _mm256_loadu_ps, _mm256_movemask_ps, _mm256_setzero_ps, _CMP_LT_OQ,
-    };
-    let zero = _mm256_setzero_ps();
-    let mut word = 0u64;
-    let n8 = chunk.len() / 8 * 8;
-    for g in (0..n8).step_by(8) {
-        let v = _mm256_loadu_ps(chunk.as_ptr().add(g));
-        word |= (_mm256_movemask_ps(_mm256_cmp_ps::<_CMP_LT_OQ>(zero, v)) as u32 as u64) << g;
-    }
-    word | (pack_partial_sse2(&chunk[n8..]) << n8)
-}
-
-/// Packs up to 64 values with the widest compare the tier allows. Used by
-/// the fused conv kernel, whose planar rows are usually narrower than a
-/// word (a 16-pixel-wide feature map packs 6 144 elements per sample —
-/// scalar packing was the second-largest cost of the whole conv).
-#[inline(always)]
-fn pack_row_tier(chunk: &[f32], tier: SimdTier) -> u64 {
-    if chunk.len() == WORD_BITS {
-        return pack_word_tier(chunk, tier);
-    }
-    #[cfg(target_arch = "x86_64")]
-    {
-        match tier {
-            SimdTier::Scalar => pack_word_partial(chunk),
-            SimdTier::Sse2 => pack_partial_sse2(chunk),
-            // SAFETY: callers resolve the tier through `simd::active_tier`,
-            // which clamps to CPU support.
-            SimdTier::Avx2 | SimdTier::Avx512 => unsafe { pack_partial_avx(chunk) },
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = tier;
-        pack_word_partial(chunk)
-    }
-}
-
-/// Packs one full 64-element group with the instruction set of the given
-/// dispatch tier. All tiers implement the identical strictly-positive sign
-/// predicate; they differ only in compare width.
-#[inline(always)]
-fn pack_word_tier(chunk: &[f32], tier: SimdTier) -> u64 {
-    #[cfg(target_arch = "x86_64")]
-    {
-        match tier {
-            SimdTier::Scalar => pack_word_partial(chunk),
-            SimdTier::Sse2 => pack_word64(chunk),
-            // SAFETY: callers resolve the tier through `simd::active_tier`
-            // (or pass `detected_tier`), which clamps to CPU support.
-            SimdTier::Avx2 | SimdTier::Avx512 => unsafe { pack_word64_avx(chunk) },
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = tier;
-        pack_word_partial(chunk)
-    }
 }
 
 /// A ±1 matrix packed one bit per element into row-major `u64` words.
@@ -251,25 +120,11 @@ impl BitMatrix {
     /// Packs `rows * cols` row-major values by the same sign convention as
     /// [`BitMatrix::pack`], without requiring a rank-2 tensor.
     pub(crate) fn pack_slice(data: &[f32], rows: usize, cols: usize) -> BitMatrix {
-        Self::pack_slice_tier(data, rows, cols, simd::active_tier())
-    }
-
-    /// [`BitMatrix::pack_slice`] with an explicitly resolved dispatch tier
-    /// (entry points resolve once and thread the tier down, so overrides
-    /// reach pool workers).
-    fn pack_slice_tier(data: &[f32], rows: usize, cols: usize, tier: SimdTier) -> BitMatrix {
         let mut m = BitMatrix::zeros(rows, cols);
-        let wpr = m.words_per_row;
         for r in 0..rows {
-            let src = &data[r * cols..(r + 1) * cols];
-            let dst = &mut m.words[r * wpr..(r + 1) * wpr];
-            let mut chunks = src.chunks_exact(WORD_BITS);
-            for (w, chunk) in dst.iter_mut().zip(&mut chunks) {
-                *w = pack_word_tier(chunk, tier);
-            }
-            let rem = chunks.remainder();
-            if !rem.is_empty() {
-                dst[wpr - 1] = pack_word_partial(rem);
+            let src = &data[r * cols..][..cols];
+            for (w, chunk) in m.words[r * m.words_per_row..].iter_mut().zip(src.chunks(WORD_BITS)) {
+                *w = pack_word(chunk);
             }
         }
         m
@@ -498,12 +353,12 @@ impl RowBits<'_> {
 }
 
 /// A prepared binary convolution: weights packed once, geometry resolved
-/// once, then any number of same-shaped ±1 samples streamed through the
-/// fused pack-and-popcount kernel — the only bit-packed convolution in
-/// this crate.
+/// once, then any number of same-shaped ±1 samples, one packed `u64` per
+/// input row, streamed through the fused popcount kernel — the only
+/// bit-packed convolution in this crate.
 ///
-/// Nothing is materialised: each input row is packed into one `u64`,
-/// pre-shifted by the padding, and each output pixel's bit row is
+/// Nothing is materialised: each input row word is pre-shifted by the
+/// padding, and each output pixel's bit row is
 /// assembled tile-by-tile into a words-per-patch scratch (a handful of
 /// `u64`s, L1-resident) and immediately dotted against every filter.
 /// Out-of-bounds taps read zero bits, so the kernel runs the unmasked
@@ -658,37 +513,12 @@ impl BinaryConvPlan {
         })
     }
 
-    /// Runs the plan over an NCHW batch, streaming each sample through the
-    /// fused kernel (batch elements fan out across the worker pool; a
-    /// single sample pixel-partitions instead).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `input` is not rank 4 or its `(c, h, w)` differ
-    /// from the plan's.
-    pub fn run(&self, input: &Tensor) -> Result<Tensor> {
-        let (n, c, h, w) = check_nchw(input, "binary_conv2d")?;
-        if c != self.c || h != self.h || w != self.w {
-            return Err(TensorError::ShapeMismatch {
-                lhs: input.dims().to_vec(),
-                rhs: vec![n, self.c, self.h, self.w],
-                op: "binary_conv2d",
-            });
-        }
-        let data = input.data();
-        let chw = c * h * w;
-        // Pack each input row into one word, pre-shifted by the padding —
-        // the only pass over the f32s.
-        Ok(self.run_planes(n, |b, tier, plane| {
-            let rows = data[b * chw..][..chw].chunks_exact(w);
-            plane.extend(rows.map(|row| pack_row_tier(row, tier) << self.spec.padding));
-        }))
-    }
-
-    /// [`BinaryConvPlan::run`] over input that is already bit-packed: one
-    /// word per `(sample, channel, row)`, row-major, holding the row's
-    /// signs LSB-first (bit `x` set iff element `x` is `+1`). Bits at and
-    /// above the plan's input width are ignored.
+    /// Runs the plan over bit-packed input: one word per `(sample,
+    /// channel, row)`, row-major, holding the row's signs LSB-first (bit
+    /// `x` set iff element `x` is `+1`). Bits at and above the plan's input
+    /// width are ignored. Samples stream through the fused kernel one at a
+    /// time; a batch fans out across the worker pool, one sample whole per
+    /// worker, and a lone sample runs on the calling thread.
     ///
     /// # Errors
     ///
@@ -700,28 +530,22 @@ impl BinaryConvPlan {
             let expected = rows.len().div_ceil(per) * per;
             return Err(TensorError::LengthMismatch { expected, actual: rows.len() });
         }
+        let n = rows.len() / per;
         let mask = u64::MAX >> (WORD_BITS - self.w);
-        Ok(self.run_planes(rows.len() / per, |b, _, plane| {
-            plane.extend(rows[b * per..][..per].iter().map(|&r| (r & mask) << self.spec.padding));
-        }))
-    }
-
-    /// The batch loop under both entry points: `fill(b, tier, plane)`
-    /// appends sample `b`'s `c·h` pad-shifted row words to `plane`.
-    fn run_planes(&self, n: usize, fill: impl Fn(usize, SimdTier, &mut Vec<u64>) + Sync) -> Tensor {
         let tier = simd::active_tier();
         let fp = self.f * self.oh * self.ow;
         let mut out = vec![0.0f32; n * fp];
         let work = self.batch_work(n) / BATCH_FANOUT_COST;
         parallel::par_item_chunks_mut(&mut out, fp, work, |b0, chunk| {
-            let mut scratch = ConvScratch::default();
-            for (bi, res) in chunk.chunks_mut(fp).enumerate() {
-                scratch.plane.clear();
-                fill(b0 + bi, tier, &mut scratch.plane);
-                self.conv_sample(tier, &scratch.plane, res, &mut scratch.pm);
+            let mut plane = Vec::with_capacity(per);
+            for (sample, res) in rows[b0 * per..].chunks_exact(per).zip(chunk.chunks_mut(fp)) {
+                // Pre-shift each row by the padding (see `conv_sample`).
+                plane.clear();
+                plane.extend(sample.iter().map(|&r| (r & mask) << self.spec.padding));
+                self.conv_sample(tier, &plane, res);
             }
         });
-        Tensor::from_vec(out, [n, self.f, self.oh, self.ow]).expect("n·f·oh·ow outputs")
+        Ok(Tensor::from_vec(out, [n, self.f, self.oh, self.ow]).expect("n·f·oh·ow outputs"))
     }
 
     /// Tap-product count for an `n`-sample batch — its cost in the pool's
@@ -731,37 +555,14 @@ impl BinaryConvPlan {
     }
 
     /// Convolves one sample's pad-shifted row words (`c·h` of them) into
-    /// its `(f, oh*ow)` output slice. Parallelises over pixel tiles when
-    /// called outside the pool with enough work; inside pool workers this
-    /// degenerates to the serial loop (the nesting guard makes
-    /// `num_threads()` report 1), so every element is always computed by
-    /// the same instruction sequence.
+    /// its `(f, oh*ow)` output slice.
     ///
     /// The pad shift lands a zero bit at every out-of-bounds tap (left-pad
     /// taps read the low zeros, right ones read past the packed width),
     /// which is what lets the kernel below skip masking entirely.
-    fn conv_sample(&self, tier: SimdTier, plane_bits: &[u64], out: &mut [f32], pm: &mut Vec<f32>) {
+    fn conv_sample(&self, tier: SimdTier, plane_bits: &[u64], out: &mut [f32]) {
         let pixels = self.oh * self.ow;
-        let work = self.batch_work(1);
-        if parallel::fans_out(pixels, work) {
-            // Pixel-major scratch (pixels, f): workers own contiguous pixel
-            // ranges, then one serial transpose lands the (f, pixels)
-            // layout. Same arithmetic as the serial path — only the store
-            // order differs — so results stay bit-identical.
-            pm.clear();
-            pm.resize(pixels * self.f, 0.0);
-            let pm = &mut pm[..];
-            parallel::par_item_chunks_mut(pm, self.f, work, |j0, chunk| {
-                self.conv_pixels(tier, plane_bits, j0, chunk, false);
-            });
-            for j in 0..pixels {
-                for fi in 0..self.f {
-                    out[fi * pixels + j] = pm[j * self.f + fi];
-                }
-            }
-        } else {
-            self.conv_pixels(tier, plane_bits, 0, out, true);
-        }
+        self.conv_pixels(tier, plane_bits, out);
         // Border repair: the kernel ran the unmasked identity everywhere;
         // add the precomputed per-(masks, filter) delta on the few pixels
         // whose receptive field leaves the input. Both operands are exact
@@ -778,7 +579,7 @@ impl BinaryConvPlan {
         }
     }
 
-    /// The fused planar kernel over output pixels `j0..j0 + dst.len()/f`.
+    /// The fused planar kernel: fills the sample's `(f, oh*ow)` output.
     ///
     /// Works one output row at a time: the y-validity test is hoisted out
     /// of the pixel loop by materializing `srow` — the pad-shifted source
@@ -786,32 +587,22 @@ impl BinaryConvPlan {
     /// patch rows for [`CONV_TILE`] pixels are assembled together and
     /// dotted against every filter with the *unmasked* XNOR identity
     /// (invalid taps carry zero bits; `conv_sample` repairs the border
-    /// afterwards). The per-lane loops have fixed trip counts, which is
+    /// afterwards), and each tile's results store straight into their
+    /// filters' planes. The per-lane loops have fixed trip counts, which is
     /// the shape LLVM turns into variable-shift (`vpsrlvq`) and 8-lane
     /// popcount (`vpopcntq`) SIMD under the AVX2/AVX-512 clones; every
     /// tier runs this same body, so outputs are identical by construction.
-    ///
-    /// With `direct` set, `dst` is the whole `(f, oh*ow)` output and tile
-    /// results store straight into their final planes; otherwise `dst` is
-    /// a pixel-major `(span, f)` chunk (the parallel path's layout).
     #[inline(always)]
-    fn conv_pixels_generic(&self, plane_bits: &[u64], j0: usize, dst: &mut [f32], direct: bool) {
+    fn conv_pixels_generic(&self, plane_bits: &[u64], out: &mut [f32]) {
         const TILE: usize = CONV_TILE;
         let (kh, kw) = (self.spec.kernel_h, self.spec.kernel_w);
         let (stride, pad) = (self.spec.stride, self.spec.padding as isize);
         let kmask = (1u64 << kw) - 1;
         let kk = (self.c * kh * kw) as i64;
-        let f = self.f;
-        let groups = self.c * kh;
-        let span = dst.len() / f;
-        let end = j0 + span;
-        let mut srow = vec![0u64; groups];
+        let pixels = self.oh * self.ow;
+        let mut srow = vec![0u64; self.c * kh];
         let mut patchv = vec![0u64; self.wbits.words_per_row * TILE];
-        let mut j = j0;
-        while j < end {
-            let oy = j / self.ow;
-            let row_end = ((oy + 1) * self.ow).min(end);
-            let ymask = self.ymasks[oy];
+        for (oy, &ymask) in self.ymasks.iter().enumerate() {
             let iy0 = (oy * stride) as isize - pad;
             for ch in 0..self.c {
                 let prows = &plane_bits[ch * self.h..][..self.h];
@@ -823,9 +614,8 @@ impl BinaryConvPlan {
                     };
                 }
             }
-            while j < row_end {
-                let ox = j % self.ow;
-                let nl = TILE.min(row_end - j);
+            for ox in (0..self.ow).step_by(TILE) {
+                let nl = TILE.min(self.ow - ox);
                 // Per-lane shift counts; tail lanes repeat the last valid
                 // pixel (their results are discarded below), so every
                 // shift stays in range — the planar bound guarantees
@@ -851,7 +641,7 @@ impl BinaryConvPlan {
                         }
                     }
                 }
-                for fi in 0..f {
+                for fi in 0..self.f {
                     let wrow = self.wbits.row(fi);
                     let mut acc = [0i64; TILE];
                     for (wi, &wv) in wrow.iter().enumerate() {
@@ -860,18 +650,11 @@ impl BinaryConvPlan {
                             *a += i64::from((p ^ wv).count_ones());
                         }
                     }
-                    if direct {
-                        let orow = &mut dst[fi * span + j..][..nl];
-                        for (o, &a) in orow.iter_mut().zip(acc.iter()) {
-                            *o = (kk - 2 * a) as f32;
-                        }
-                    } else {
-                        for (l, &a) in acc.iter().take(nl).enumerate() {
-                            dst[(j - j0 + l) * f + fi] = (kk - 2 * a) as f32;
-                        }
+                    let orow = &mut out[fi * pixels + oy * self.ow + ox..][..nl];
+                    for (o, &a) in orow.iter_mut().zip(acc.iter()) {
+                        *o = (kk - 2 * a) as f32;
                     }
                 }
-                j += nl;
             }
         }
     }
@@ -879,39 +662,39 @@ impl BinaryConvPlan {
     /// `popcnt` clone of [`BinaryConvPlan::conv_pixels_generic`].
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "popcnt")]
-    unsafe fn conv_pixels_popcnt(&self, plane_bits: &[u64], j0: usize, dst: &mut [f32], d: bool) {
-        self.conv_pixels_generic(plane_bits, j0, dst, d)
+    unsafe fn conv_pixels_popcnt(&self, plane_bits: &[u64], out: &mut [f32]) {
+        self.conv_pixels_generic(plane_bits, out)
     }
 
     /// AVX2 clone: tile assembly vectorizes to `vpsrlvq`.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2,popcnt")]
-    unsafe fn conv_pixels_avx2(&self, plane_bits: &[u64], j0: usize, dst: &mut [f32], d: bool) {
-        self.conv_pixels_generic(plane_bits, j0, dst, d)
+    unsafe fn conv_pixels_avx2(&self, plane_bits: &[u64], out: &mut [f32]) {
+        self.conv_pixels_generic(plane_bits, out)
     }
 
     /// AVX-512 VPOPCNTDQ clone: `vpopcntq` across the 8 tile lanes.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f,avx512bw,avx512vpopcntdq,popcnt")]
-    unsafe fn conv_pixels_avx512(&self, plane_bits: &[u64], j0: usize, dst: &mut [f32], d: bool) {
-        self.conv_pixels_generic(plane_bits, j0, dst, d)
+    unsafe fn conv_pixels_avx512(&self, plane_bits: &[u64], out: &mut [f32]) {
+        self.conv_pixels_generic(plane_bits, out)
     }
 
     /// Tier-dispatched fused planar kernel.
     #[inline]
-    fn conv_pixels(&self, tier: SimdTier, plane_bits: &[u64], j0: usize, dst: &mut [f32], d: bool) {
+    fn conv_pixels(&self, tier: SimdTier, plane_bits: &[u64], out: &mut [f32]) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: the tier is clamped to the detected CPU features.
         match tier {
-            SimdTier::Scalar => self.conv_pixels_generic(plane_bits, j0, dst, d),
-            SimdTier::Sse2 => unsafe { self.conv_pixels_popcnt(plane_bits, j0, dst, d) },
-            SimdTier::Avx2 => unsafe { self.conv_pixels_avx2(plane_bits, j0, dst, d) },
-            SimdTier::Avx512 => unsafe { self.conv_pixels_avx512(plane_bits, j0, dst, d) },
+            SimdTier::Scalar => self.conv_pixels_generic(plane_bits, out),
+            SimdTier::Sse2 => unsafe { self.conv_pixels_popcnt(plane_bits, out) },
+            SimdTier::Avx2 => unsafe { self.conv_pixels_avx2(plane_bits, out) },
+            SimdTier::Avx512 => unsafe { self.conv_pixels_avx512(plane_bits, out) },
         }
         #[cfg(not(target_arch = "x86_64"))]
         {
             let _ = tier;
-            self.conv_pixels_generic(plane_bits, j0, dst, d)
+            self.conv_pixels_generic(plane_bits, out)
         }
     }
 }
@@ -923,13 +706,13 @@ impl BinaryConvPlan {
 /// master weights can be passed directly. On valid operands the result is
 /// bit-identical to `conv2d(input, &binarize(weight), spec)`.
 ///
-/// Builds a [`BinaryConvPlan`] and streams the batch through it: weights
-/// are packed once per call and bit-packing is fused into the conv inner
-/// loop, so a multi-sample batch (the runtime's micro-batched tiers stack
-/// their samples into one NCHW tensor) pays the weight and geometry setup
-/// once. Rows too wide for the plan ([`BinaryConvPlan::fits`]) take the
-/// f32 convolution on the sign-binarized operands instead, which sums the
-/// same exact small integers.
+/// Builds a [`BinaryConvPlan`], packs each input row into one word and
+/// streams the batch through [`BinaryConvPlan::run_rows`]: weights are
+/// packed once per call, so a multi-sample batch pays the weight and
+/// geometry setup once. Rows too wide for the plan
+/// ([`BinaryConvPlan::fits`]) take the f32 convolution on the
+/// sign-binarized operands instead, which sums the same exact small
+/// integers.
 ///
 /// # Errors
 ///
@@ -949,7 +732,9 @@ pub fn binary_conv2d(input: &Tensor, weight: &Tensor, spec: &Conv2dSpec) -> Resu
         let sign = |x: f32| if x > 0.0 { 1.0 } else { -1.0 };
         return conv2d(&input.map(sign), &weight.map(sign), spec);
     }
-    BinaryConvPlan::new(weight, spec, h, w)?.run(input)
+    let plan = BinaryConvPlan::new(weight, spec, h, w)?;
+    let rows: Vec<u64> = input.data().chunks_exact(w).map(pack_word).collect();
+    plan.run_rows(&rows)
 }
 
 #[cfg(test)]
@@ -1089,15 +874,14 @@ mod tests {
     }
 
     #[test]
-    fn run_rows_matches_run_on_the_packed_rows() {
+    fn run_rows_matches_binary_conv2d_on_the_packed_rows() {
         let spec = Conv2dSpec::paper_conv();
         let x = random_signs(&[3, 2, 5, 6], 17);
         let wf = Tensor::from_fn(vec![4, 2, 3, 3], |i| ((i * 37) % 11) as f32 / 5.0 - 1.0);
         let plan = BinaryConvPlan::new(&wf, &spec, 5, 6).unwrap();
         // Junk above the row width must not leak into the taps.
-        let rows: Vec<u64> =
-            x.data().chunks(6).map(|row| pack_word_partial(row) | !0u64 << 6).collect();
-        assert_eq!(plan.run_rows(&rows).unwrap(), plan.run(&x).unwrap());
+        let rows: Vec<u64> = x.data().chunks(6).map(|row| pack_word(row) | !0u64 << 6).collect();
+        assert_eq!(plan.run_rows(&rows).unwrap(), binary_conv2d(&x, &wf, &spec).unwrap());
         assert!(plan.run_rows(&rows[1..]).is_err());
     }
 

@@ -266,15 +266,12 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, spec: &Conv2dSpec) -> Result<Tens
     let mut out = vec![0.0f32; n * f * pixels];
     // Fan the batch out across the pool; each element is an independent
     // `(f, rows) x (rows, pixels)` product on its own padded copy, staged
-    // in one plane per worker. A single-element batch instead splits its
-    // filters across the pool if that one product clears the cut-off.
+    // in one plane per worker. A lone sample runs on the calling thread.
     parallel::par_item_chunks_mut(&mut out, f * pixels, n * f * rows * pixels, |b0, chunk| {
         let mut plane = vec![0.0f32; taps.plane_len];
         for (bi, res) in chunk.chunks_mut(f * pixels).enumerate() {
             low.pad(&x[(b0 + bi) * low.image_len()..][..low.image_len()], &mut plane);
-            parallel::par_item_chunks_mut(res, pixels, f * rows * pixels, |f0, part| {
-                taps.conv(&wdata[f0 * rows..], &plane, part);
-            });
+            taps.conv(wdata, &plane, res);
         }
     });
     Tensor::from_vec(out, [n, f, low.oh, low.ow])
@@ -523,7 +520,8 @@ pub fn conv2d_backward_weight(
 
 /// The input half of [`conv2d_backward`]: `dX_b = col2im(Wᵀ · dY_b)` for an
 /// input of shape `input_dims` `(n, c, h, w)`, fanned out over the batch
-/// with `Wᵀ` formed once per call.
+/// with `Wᵀ` formed once per call; a lone sample runs on the calling
+/// thread.
 ///
 /// # Errors
 ///
@@ -550,29 +548,17 @@ pub fn conv2d_backward_input(
     let (rows, pixels) = (low.rows(), low.pixels());
     let wmat_t = weight.reshape([f, rows])?.transpose()?;
     let (tier, wt, dy) = (simd::active_tier(), wmat_t.data(), grad_out.data());
-    let mut grad_in = vec![0.0f32; n * low.image_len()];
-    parallel::par_item_chunks_mut(
-        &mut grad_in,
-        low.image_len(),
-        n * rows * f * pixels,
-        |b0, chunk| {
-            let mut cols = vec![0.0f32; rows * pixels];
-            for (bi, dx) in chunk.chunks_mut(low.image_len()).enumerate() {
-                cols.fill(0.0);
-                let b = b0 + bi;
-                gemm::gemm_auto(
-                    tier,
-                    wt,
-                    &dy[b * f * pixels..][..f * pixels],
-                    rows,
-                    f,
-                    pixels,
-                    &mut cols,
-                );
-                low.col2im(&cols, dx);
-            }
-        },
-    );
+    let image = low.image_len();
+    let mut grad_in = vec![0.0f32; n * image];
+    parallel::par_item_chunks_mut(&mut grad_in, image, n * rows * f * pixels, |b0, chunk| {
+        let mut cols = vec![0.0f32; rows * pixels];
+        for (bi, dx) in chunk.chunks_mut(image).enumerate() {
+            cols.fill(0.0);
+            let dy = &dy[(b0 + bi) * f * pixels..][..f * pixels];
+            gemm::gemm(tier, wt, dy, rows, f, pixels, &mut cols);
+            low.col2im(&cols, dx);
+        }
+    });
     Tensor::from_vec(grad_in, [n, c, h, w])
 }
 
@@ -712,8 +698,10 @@ pub fn max_pool2d_visit(
 ///
 /// # Errors
 ///
-/// Returns an error if `grad_out` length differs from the recorded argmax
-/// table.
+/// Returns [`TensorError::LengthMismatch`] if `grad_out` length differs
+/// from the recorded argmax table, and [`TensorError::IndexOutOfBounds`]
+/// for an argmax index outside `input_shape` (other than the `usize::MAX`
+/// "no source" sentinel).
 pub fn max_pool2d_backward(
     grad_out: &Tensor,
     argmax: &[usize],
@@ -725,9 +713,16 @@ pub fn max_pool2d_backward(
     let mut grad_in = Tensor::zeros(input_shape.to_vec());
     let gi = grad_in.data_mut();
     for (g, &idx) in grad_out.data().iter().zip(argmax) {
-        if idx != usize::MAX {
-            gi[idx] += g;
+        if idx == usize::MAX {
+            continue;
         }
+        let Some(slot) = gi.get_mut(idx) else {
+            return Err(TensorError::IndexOutOfBounds {
+                index: vec![idx],
+                shape: input_shape.to_vec(),
+            });
+        };
+        *slot += g;
     }
     Ok(grad_in)
 }
@@ -944,6 +939,20 @@ mod tests {
         assert_eq!(gin.data()[13], 1.0);
         assert_eq!(gin.data()[15], 1.0);
         assert_eq!(gin.sum(), 4.0);
+    }
+
+    #[test]
+    fn max_pool_backward_rejects_an_argmax_outside_the_input() {
+        let input = Tensor::from_vec((1..=16).map(|x| x as f32).collect(), [1, 1, 4, 4]).unwrap();
+        let res = max_pool2d(&input, &Conv2dSpec::paper_pool()).unwrap();
+        let gout = Tensor::ones([1, 1, 2, 2]);
+        // The argmax of a 4x4 input, [5, 7, 13, 15], read against a 3x3
+        // one: 13 is the first index past its nine elements.
+        let err = max_pool2d_backward(&gout, &res.argmax, &[1, 1, 3, 3]).unwrap_err();
+        assert_eq!(err, TensorError::IndexOutOfBounds { index: vec![13], shape: vec![1, 1, 3, 3] });
+        // The "no source" sentinel still scatters nothing.
+        let none = max_pool2d_backward(&gout, &[usize::MAX; 4], &[1, 1, 3, 3]).unwrap();
+        assert_eq!(none.sum(), 0.0);
     }
 
     #[test]

@@ -109,14 +109,6 @@ fn fan_out(count: usize, work: usize) -> usize {
     num_threads().min(count)
 }
 
-/// Whether a call over `count` items worth `work` would leave the calling
-/// thread — for the one kernel whose parallel form differs from its
-/// inline form (it stages through a scratch layout) and must pick before
-/// it calls.
-pub(crate) fn fans_out(count: usize, work: usize) -> bool {
-    fan_out(count, work) > 1
-}
-
 static POOLED_DISPATCHES: AtomicUsize = AtomicUsize::new(0);
 
 /// Calls that went through the pool since the process started — a relaxed

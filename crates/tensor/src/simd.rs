@@ -5,12 +5,15 @@
 //! generic (`#[inline(always)]`) body each, recompiled under several
 //! `#[target_feature]` sets. This module decides **which clone runs**:
 //!
-//! | tier     | packing              | popcount                         | f32 GEMM tile   |
-//! |----------|----------------------|----------------------------------|-----------------|
-//! | `scalar` | portable bit loop    | portable bit dance               | 4×8, baseline   |
-//! | `sse2`   | SSE2 `cmpps`/`movmsk`| hardware `popcnt`                | 4×8, baseline   |
-//! | `avx2`   | 8-wide `vcmpps`      | `vpshufb` nibble-LUT vectors     | 4×16, `ymm`     |
-//! | `avx512` | 8-wide `vcmpps`      | `vpopcntq` (AVX-512 VPOPCNTDQ)   | 4×32, `zmm`     |
+//! | tier     | popcount                         | f32 GEMM tile   |
+//! |----------|----------------------------------|-----------------|
+//! | `scalar` | portable bit dance               | 4×8, baseline   |
+//! | `sse2`   | hardware `popcnt`                | 4×8, baseline   |
+//! | `avx2`   | `vpshufb` nibble-LUT vectors     | 4×16, `ymm`     |
+//! | `avx512` | `vpopcntq` (AVX-512 VPOPCNTDQ)   | 4×32, `zmm`     |
+//!
+//! Packing f32 signs into bits has one portable loop on every tier
+//! ([`crate::bitmatrix`]).
 //!
 //! Every tier computes the same results — exact integers for the XNOR
 //! kernels, the bits of the plain `ikj` loop for the f32 GEMM; tiers differ
@@ -22,8 +25,7 @@
 //! 1. a thread-local override installed by [`with_tier`] (used by tests,
 //!    which must not race on process-global environment variables);
 //! 2. the `DDNN_SIMD` environment variable (`scalar`|`sse2`|`avx2`|
-//!    `avx512`, re-read on every call so benches can sweep tiers in one
-//!    process);
+//!    `avx512`), read once per process;
 //! 3. the best tier the CPU supports ([`detected_tier`], probed once).
 //!
 //! Both overrides are clamped down to [`detected_tier`] — asking for
@@ -31,11 +33,12 @@
 //! faulting on illegal instructions.
 //!
 //! Kernels resolve the tier **once per public entry point** on the calling
-//! thread and pass it down into their worker closures by value; pool
-//! workers (fresh threads per [`crate::parallel`] call) would otherwise
-//! miss the caller's thread-local override.
+//! thread and pass it down into their worker closures by value; the
+//! persistent pool workers of [`crate::parallel`] would otherwise miss the
+//! caller's thread-local override.
 
 use std::cell::Cell;
+use std::sync::OnceLock;
 
 /// A SIMD capability level for the bit-packed kernels and the f32 GEMM,
 /// ordered from portable to widest.
@@ -43,9 +46,9 @@ use std::cell::Cell;
 pub enum SimdTier {
     /// Portable Rust only: no explicit intrinsics, no `popcnt` feature.
     Scalar,
-    /// The pre-AVX x86-64 path: SSE2 sign packing plus hardware `popcnt`.
+    /// The pre-AVX x86-64 path: the SSE2 baseline plus hardware `popcnt`.
     Sse2,
-    /// AVX2: 8-wide packing compares, vectorized nibble-LUT popcounts.
+    /// AVX2: vectorized nibble-LUT popcounts.
     Avx2,
     /// AVX-512 with VPOPCNTDQ: native 8×64-bit vector popcount.
     Avx512,
@@ -95,7 +98,6 @@ impl std::fmt::Display for SimdTier {
 pub fn detected_tier() -> SimdTier {
     #[cfg(target_arch = "x86_64")]
     {
-        use std::sync::OnceLock;
         static DETECTED: OnceLock<SimdTier> = OnceLock::new();
         *DETECTED.get_or_init(|| {
             if std::arch::is_x86_feature_detected!("avx512f")
@@ -118,6 +120,13 @@ pub fn detected_tier() -> SimdTier {
     SimdTier::Scalar
 }
 
+/// The tier `DDNN_SIMD` asks for, read once per process: `None` when it is
+/// unset or names no tier.
+fn env_tier() -> Option<SimdTier> {
+    static ENV: OnceLock<Option<SimdTier>> = OnceLock::new();
+    *ENV.get_or_init(|| std::env::var("DDNN_SIMD").ok().as_deref().and_then(SimdTier::parse))
+}
+
 /// Every tier the current CPU supports, narrowest first — the sweep axis
 /// for benches and equivalence tests.
 pub fn supported_tiers() -> Vec<SimdTier> {
@@ -134,10 +143,7 @@ thread_local! {
 /// thread-local override, else `DDNN_SIMD`, else [`detected_tier`] —
 /// always clamped to what the CPU supports.
 pub fn active_tier() -> SimdTier {
-    let want = TIER_OVERRIDE
-        .with(Cell::get)
-        .or_else(|| std::env::var("DDNN_SIMD").ok().as_deref().and_then(SimdTier::parse))
-        .unwrap_or_else(detected_tier);
+    let want = TIER_OVERRIDE.with(Cell::get).or_else(env_tier).unwrap_or_else(detected_tier);
     want.min(detected_tier())
 }
 

@@ -152,8 +152,8 @@ fn paper_shape_binary_matmul_all_tiers() {
 }
 
 /// Shapes heavy enough to clear the worker pool's cut-off, so that under
-/// `DDNN_THREADS=4` each parallel form runs: the in-sample pixel partition
-/// (one 3.5e6-tap sample), the plan's cross-sample fan-out (six of them),
+/// `DDNN_THREADS=4` both forms run: a lone 3.5e6-tap sample, which stays
+/// on the calling thread, the plan's cross-sample fan-out (six of them),
 /// and both sides of the width rule: the widest row the plan takes (62 + 2
 /// padding bits fill the word) and the f32 convolution behind a wider one.
 #[test]

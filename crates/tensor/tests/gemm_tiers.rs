@@ -308,8 +308,8 @@ fn conv2d_matches_the_im2col_ikj_loop_on_every_tier() {
         |kernel_h, kernel_w, stride, padding| Conv2dSpec { kernel_h, kernel_w, stride, padding };
     // `(c, h, w, f, spec)`. Per-sample work runs from a few MACs to
     // 24·9·32·1024 ≈ 7.1e6, so batches of 1, 3 and 40 fall on both sides
-    // of the pool's 2²¹ cut-off, and the widest single sample splits its
-    // filters across the pool.
+    // of the pool's 2²¹ cut-off, and the widest single sample runs inline
+    // above it.
     let cases = [
         // The device conv: output rows of whole tiles on every tier.
         (3, 32, 32, 4, Conv2dSpec::paper_conv()),

@@ -155,7 +155,16 @@ experiments:
     cargo run --release -p ddnn-bench --bin paper
 
 # The regenerator at one epoch per model: every experiment's code path,
-# artifacts written (CI's paper-smoke job). It overwrites the committed
-# results/*.txt; `git checkout results` restores them.
+# artifacts written (CI's paper-smoke job), then again on the scalar tier
+# and one thread; fails unless both runs write byte-identical trees. It
+# overwrites the committed results/*.txt; `git checkout results` restores
+# them.
 paper-smoke:
+    #!/usr/bin/env bash
+    set -euo pipefail
     DDNN_EPOCHS=1 cargo run --release -p ddnn-bench --bin paper
+    first=$(mktemp -d)
+    trap 'rm -rf "$first"' EXIT
+    cp -r results "$first/"
+    DDNN_SIMD=scalar DDNN_THREADS=1 DDNN_EPOCHS=1 cargo run --release -p ddnn-bench --bin paper
+    diff -r "$first/results" results
