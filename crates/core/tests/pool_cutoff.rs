@@ -5,7 +5,7 @@
 
 use ddnn_core::{train, Ddnn, DdnnConfig, EdgeConfig, ExitThreshold, TrainConfig};
 use ddnn_tensor::bitmatrix::binary_conv2d;
-use ddnn_tensor::conv::{conv2d, Conv2dSpec};
+use ddnn_tensor::conv::{conv2d, max_pool2d, max_pool2d_values, Conv2dSpec};
 use ddnn_tensor::parallel::{self, pooled_dispatches};
 use ddnn_tensor::rng::rng_from_seed;
 use ddnn_tensor::Tensor;
@@ -40,6 +40,14 @@ fn per_sample_kernels_run_inline_and_batches_fan_out() {
     // MACs), in f32 and as signs.
     let (big, big_w) = (uniform([1, 24, 32, 32]), uniform([16, 24, 3, 3]));
     assert_eq!(added(|| drop(conv2d(&big, &big_w, &spec).unwrap())), 0);
+    // So does the max-pool: a lone sample's planes stay here above the
+    // cut-off (24 planes pooled to 16x16 are 5.5e4 window taps, 3.5e6
+    // MAC-equivalents), and a batch's fan out.
+    let pool = Conv2dSpec::paper_pool();
+    assert_eq!(added(|| drop(max_pool2d_values(&big, &pool).unwrap())), 0);
+    assert_eq!(added(|| drop(max_pool2d(&big, &pool).unwrap())), 0);
+    let batch_maps = uniform([50, 16, 16, 16]);
+    assert!(added(|| drop(max_pool2d(&batch_maps, &pool).unwrap())) > 0);
     let big = sign(big);
     assert_eq!(added(|| drop(binary_conv2d(&big, &big_w, &spec).unwrap())), 0);
 

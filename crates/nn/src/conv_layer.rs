@@ -3,6 +3,7 @@
 use crate::init;
 use crate::layer::{Layer, Mode, Param};
 use crate::linear::binarize;
+use ddnn_tensor::bitmatrix::binary_conv2d_signs;
 use ddnn_tensor::conv::{
     conv2d, conv2d_backward, conv2d_backward_weight, max_pool2d, max_pool2d_values, Conv2dSpec,
 };
@@ -126,6 +127,15 @@ impl Layer for Conv2d {
         }
         // Only training caches its input.
         self.cached_input = (mode == Mode::Train).then(|| input.clone());
+        // A binarized layer fed ±1 activations trains on the XNOR plan: its
+        // sums are exact small integers, so the output is the f32 path's
+        // bit for bit. `Eval` keeps the f32 path, the reference the frozen
+        // inference form is held to.
+        if self.binary && mode == Mode::Train {
+            if let Some(out) = binary_conv2d_signs(input, &self.weight.value, &self.spec)? {
+                return Ok(out);
+            }
+        }
         conv2d(input, &self.effective_weight(), &self.spec)
     }
 

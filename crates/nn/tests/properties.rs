@@ -1,12 +1,18 @@
 //! Property-based tests of the layer library's structural invariants.
 
 use ddnn_nn::{
-    binarize, Adam, BatchNorm, BinaryActivation, Layer, Linear, Mode, Optimizer, Param,
+    binarize, Adam, BatchNorm, BinaryActivation, Conv2d, Layer, Linear, Mode, Optimizer, Param,
     SoftmaxCrossEntropy,
 };
+use ddnn_tensor::conv::{conv2d, Conv2dSpec};
 use ddnn_tensor::rng::rng_from_seed;
 use ddnn_tensor::Tensor;
 use proptest::prelude::*;
+use rand::Rng;
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|x| x.to_bits()).collect()
+}
 
 proptest! {
     #[test]
@@ -119,6 +125,39 @@ proptest! {
         prop_assert!(p.value.all_finite());
         prop_assert!(p.value.max().unwrap() <= 1.0);
         prop_assert!(p.value.min().unwrap() >= -1.0);
+    }
+
+    #[test]
+    fn binarized_conv_train_forward_equals_the_f32_sign_path(
+        seed in 0u64..1_000_000,
+        n in 1usize..4,
+        c in 1usize..5,
+        f in 1usize..5,
+        h in 3usize..13,
+        w in 3usize..13,
+        kernel in 1usize..4,
+        stride in 1usize..3,
+        padding in 0usize..2,
+        kind in 0usize..8,
+    ) {
+        // A binarized layer's Train forward on an input of exact signs
+        // takes the XNOR plan; one planted 0.5, −0.0, +0.0 or NaN must send
+        // it down the f32 path, where the plan would read a sign. Either
+        // way the output is `conv2d(x, binarize(W))` bit for bit, as is a
+        // float layer's on the same signs.
+        let mut rng = rng_from_seed(seed);
+        let spec = Conv2dSpec::new(kernel, stride, padding);
+        let mut x = binarize(&Tensor::rand_uniform([n, c, h, w], -1.0, 1.0, &mut rng));
+        if let Some(&planted) = [0.5, -0.0, 0.0, f32::NAN].get(kind) {
+            let at = rng.gen_range(0..x.len());
+            x.data_mut()[at] = planted;
+        }
+        let mut binary = Conv2d::binarized(c, f, spec, &mut rng);
+        let expect = conv2d(&x, &binary.effective_weight(), &spec).unwrap();
+        prop_assert_eq!(bits(&binary.forward(&x, Mode::Train).unwrap()), bits(&expect));
+        let mut float = Conv2d::new(c, f, spec, &mut rng);
+        let expect = conv2d(&x, &float.effective_weight(), &spec).unwrap();
+        prop_assert_eq!(bits(&float.forward(&x, Mode::Train).unwrap()), bits(&expect));
     }
 
     #[test]

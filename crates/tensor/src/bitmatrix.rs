@@ -42,9 +42,12 @@
 //! Operands reach the kernels as bits. The frozen inference form hands
 //! over packed maps ([`BinaryConvPlan::run_rows`],
 //! [`BitMatrix::from_sign_bytes`]) and packs f32 signs only for its
-//! weights, once; [`BitMatrix::pack`], [`binary_matmul`] and
-//! [`binary_conv2d`] pack f32 operands with one portable loop, the strict
-//! `x > 0.0` test per bit.
+//! weights, once; [`BitMatrix::pack`], [`binary_matmul`],
+//! [`binary_conv2d`] and [`binary_conv2d_signs`] pack f32 operands with one
+//! portable packer, the strict `x > 0.0` test per bit, in fixed 64-value
+//! blocks whose lanes the compiler vectorizes on every tier. The same pass
+//! reports whether every value was exactly ±1, which is how a training
+//! forward learns that its input can take the plan.
 
 use crate::conv::{check_nchw, conv2d, Conv2dSpec};
 use crate::error::{Result, TensorError};
@@ -68,17 +71,84 @@ const BATCH_FANOUT_COST: usize = 8;
 /// registers), so the per-lane extract loops vectorize to `vpsrlvq`.
 const CONV_TILE: usize = 8;
 
-/// Packs up to 64 values into one word, the one f32 → bit packer: bit `i`
-/// is set iff `chunk[i] > 0.0` (ordered compare — false for NaN and both
-/// zeros).
+/// The bits of `1.0` and `−1.0` with the sign cleared: a value is exactly
+/// ±1 iff its bits outside the sign equal these.
+const ONE_BITS: u32 = 0x3f80_0000;
+
+/// Gathers the low bit of each byte of a word into its top byte, byte `i`
+/// to bit `56 + i`: every partial product lands on a bit of its own, so
+/// the multiply carries nothing into the top byte.
+const BYTE_GATHER: u64 = 0x0102_0408_1020_4080;
+
+/// Packs one block of 64 values by sign — bit `i` is set iff
+/// `block[i] > 0.0` (ordered compare: false for NaN and both zeros) — and
+/// returns the word beside the OR of every value's bits outside the sign
+/// XOR [`ONE_BITS`], which is zero iff all 64 are exactly ±1. The lanes
+/// are fixed, so both tests vectorize; each eight compare bytes become one
+/// byte of the word by one multiply.
 #[inline(always)]
-fn pack_word(chunk: &[f32]) -> u64 {
-    debug_assert!(chunk.len() <= WORD_BITS);
-    let mut word = 0u64;
-    for (i, &x) in chunk.iter().enumerate() {
-        word |= u64::from(x > 0.0) << i;
+fn pack_block(block: &[f32; WORD_BITS]) -> (u64, u32) {
+    let mut bytes = [0u8; WORD_BITS];
+    let mut off = 0u32;
+    for (b, &x) in bytes.iter_mut().zip(block) {
+        *b = u8::from(x > 0.0);
+        off |= (x.to_bits() & 0x7fff_ffff) ^ ONE_BITS;
     }
-    word
+    let word = bytes.chunks_exact(8).enumerate().fold(0u64, |word, (k, group)| {
+        let group = u64::from_le_bytes(group.try_into().expect("eight bytes"));
+        word | (group.wrapping_mul(BYTE_GATHER) >> 56) << (8 * k)
+    });
+    (word, off)
+}
+
+/// The one f32 → bit packer: packs `src` by sign into `dst`, 64 values per
+/// word LSB-first (the last word zero above `src`'s end), and reports
+/// whether every value was exactly ±1. `dst` holds `src.len().div_ceil(64)`
+/// words.
+#[inline(always)]
+fn pack_into(src: &[f32], dst: &mut [u64]) -> bool {
+    debug_assert_eq!(dst.len(), src.len().div_ceil(WORD_BITS));
+    let mut off = 0u32;
+    let mut blocks = src.chunks_exact(WORD_BITS);
+    for (word, block) in dst.iter_mut().zip(blocks.by_ref()) {
+        let (bits, o) = pack_block(block.try_into().expect("64 values"));
+        (*word, off) = (bits, off | o);
+    }
+    let tail = blocks.remainder();
+    if let Some(last) = dst.get_mut(src.len() / WORD_BITS) {
+        // `−1.0` packs as a clear bit and passes the ±1 test, so the
+        // padding changes neither answer.
+        let mut block = [-1.0f32; WORD_BITS];
+        block[..tail.len()].copy_from_slice(tail);
+        let (bits, o) = pack_block(&block);
+        (*last, off) = (bits, off | o);
+    }
+    off == 0
+}
+
+/// One word per `w`-value row of `data` (`w ≤ 64`), packed by sign, for
+/// data made of whole `sample`-value samples (a multiple of `w`). Each
+/// sample is packed as one bit stream and its rows cut out of it. With
+/// `signs_only`, `None` as soon as a sample holds a value that is not
+/// exactly ±1.
+fn pack_rows(data: &[f32], w: usize, sample: usize, signs_only: bool) -> Option<Vec<u64>> {
+    let mask = u64::MAX >> (WORD_BITS - w);
+    let mut stream = vec![0u64; sample.div_ceil(WORD_BITS)];
+    let mut rows = Vec::with_capacity(data.len() / w);
+    for values in data.chunks_exact(sample) {
+        if !pack_into(values, &mut stream) && signs_only {
+            return None;
+        }
+        rows.extend((0..sample / w).map(|r| {
+            let (k, shift) = (r * w / WORD_BITS, r * w % WORD_BITS);
+            // A row that straddles two words takes its high bits from the
+            // second (`shift > 0` there, so the shift is in range).
+            let spill =
+                if shift + w > WORD_BITS { stream[k + 1] << (WORD_BITS - shift) } else { 0 };
+            (stream[k] >> shift | spill) & mask
+        }));
+    }
+    Some(rows)
 }
 
 /// A ±1 matrix packed one bit per element into row-major `u64` words.
@@ -121,10 +191,10 @@ impl BitMatrix {
     /// [`BitMatrix::pack`], without requiring a rank-2 tensor.
     pub(crate) fn pack_slice(data: &[f32], rows: usize, cols: usize) -> BitMatrix {
         let mut m = BitMatrix::zeros(rows, cols);
-        for r in 0..rows {
-            let src = &data[r * cols..][..cols];
-            for (w, chunk) in m.words[r * m.words_per_row..].iter_mut().zip(src.chunks(WORD_BITS)) {
-                *w = pack_word(chunk);
+        if cols > 0 {
+            let src = data[..rows * cols].chunks_exact(cols);
+            for (words, row) in m.words.chunks_exact_mut(m.words_per_row).zip(src) {
+                pack_into(row, words);
             }
         }
         m
@@ -706,19 +776,53 @@ impl BinaryConvPlan {
 /// master weights can be passed directly. On valid operands the result is
 /// bit-identical to `conv2d(input, &binarize(weight), spec)`.
 ///
-/// Builds a [`BinaryConvPlan`], packs each input row into one word and
-/// streams the batch through [`BinaryConvPlan::run_rows`]: weights are
-/// packed once per call, so a multi-sample batch pays the weight and
-/// geometry setup once. Rows too wide for the plan
-/// ([`BinaryConvPlan::fits`]) take the f32 convolution on the
-/// sign-binarized operands instead, which sums the same exact small
-/// integers.
+/// Packs each input row into one word and streams the batch through a
+/// [`BinaryConvPlan`]'s [`BinaryConvPlan::run_rows`]: weights are packed
+/// once per call, so a multi-sample batch pays the weight and geometry
+/// setup once. Rows too wide for the plan ([`BinaryConvPlan::fits`]) take
+/// the f32 convolution on the sign-binarized operands instead, which sums
+/// the same exact small integers.
 ///
 /// # Errors
 ///
 /// Returns an error for non-rank-4 operands, mismatched channel counts or
 /// degenerate geometry.
 pub fn binary_conv2d(input: &Tensor, weight: &Tensor, spec: &Conv2dSpec) -> Result<Tensor> {
+    if let Some(out) = xnor_conv(input, weight, spec, false)? {
+        return Ok(out);
+    }
+    let sign = |x: f32| if x > 0.0 { 1.0 } else { -1.0 };
+    conv2d(&input.map(sign), &weight.map(sign), spec)
+}
+
+/// [`binary_conv2d`] for an input that is exactly ±1 everywhere — where it
+/// equals `conv2d(input, &binarize(weight), spec)` bit for bit — and
+/// `Ok(None)` for any other input: one value that is not `1.0` or `−1.0`
+/// (`±0.0` and NaN included), or rows too wide for the plan. The ±1 test
+/// rides in the pass that packs the rows, which stops at the first sample
+/// that fails it, so an input of anything else costs one sample's packing.
+/// This is how a training forward with ±1 activations takes the XNOR plan
+/// and every other input keeps the caller's f32 path.
+///
+/// # Errors
+///
+/// As [`binary_conv2d`].
+pub fn binary_conv2d_signs(
+    input: &Tensor,
+    weight: &Tensor,
+    spec: &Conv2dSpec,
+) -> Result<Option<Tensor>> {
+    xnor_conv(input, weight, spec, true)
+}
+
+/// The one entry into the XNOR plan: `None` when the rows do not fit it,
+/// or, with `signs_only`, when the input is not exactly ±1 everywhere.
+fn xnor_conv(
+    input: &Tensor,
+    weight: &Tensor,
+    spec: &Conv2dSpec,
+    signs_only: bool,
+) -> Result<Option<Tensor>> {
     let (_, c, h, w) = check_nchw(input, "binary_conv2d")?;
     let (_, wc, _, _) = check_nchw(weight, "binary_conv2d")?;
     if wc != c {
@@ -729,12 +833,12 @@ pub fn binary_conv2d(input: &Tensor, weight: &Tensor, spec: &Conv2dSpec) -> Resu
         });
     }
     if !BinaryConvPlan::fits(spec, w) {
-        let sign = |x: f32| if x > 0.0 { 1.0 } else { -1.0 };
-        return conv2d(&input.map(sign), &weight.map(sign), spec);
+        return Ok(None);
     }
-    let plan = BinaryConvPlan::new(weight, spec, h, w)?;
-    let rows: Vec<u64> = input.data().chunks_exact(w).map(pack_word).collect();
-    plan.run_rows(&rows)
+    let Some(rows) = pack_rows(input.data(), w, c * h * w, signs_only) else {
+        return Ok(None);
+    };
+    BinaryConvPlan::new(weight, spec, h, w)?.run_rows(&rows).map(Some)
 }
 
 #[cfg(test)]
@@ -785,6 +889,51 @@ mod tests {
         assert!(!m.get(0, 1));
         assert!(m.get(0, 2));
         assert!(!m.get(0, 3));
+    }
+
+    #[test]
+    fn packer_matches_the_per_value_sign_test() {
+        // Every length up to two words and a tail, IEEE specials planted:
+        // bit `i` is `x > 0.0`, and the flag is "all exactly ±1".
+        let specials = [f32::NAN, -f32::NAN, f32::INFINITY, -0.0, 0.0, 0.5, -1.0, 1.0];
+        let mut rng = rng_from_seed(31);
+        for len in 0..=130 {
+            let signs: Vec<f32> =
+                (0..len).map(|_| if rng.gen::<bool>() { 1.0 } else { -1.0 }).collect();
+            let mut planted = signs.clone();
+            if len > 0 {
+                planted[rng.gen_range(0..len)] = specials[len % specials.len()];
+            }
+            for src in [&signs, &planted] {
+                let mut expect = vec![0u64; len.div_ceil(64)];
+                for (i, &x) in src.iter().enumerate() {
+                    expect[i / 64] |= u64::from(x > 0.0) << (i % 64);
+                }
+                let all_signs = src.iter().all(|&x| x == 1.0 || x == -1.0);
+                let mut got = vec![!0u64; expect.len()];
+                assert_eq!(pack_into(src, &mut got), all_signs, "len {len}");
+                assert_eq!(got, expect, "len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn binary_conv2d_signs_takes_only_inputs_of_exact_signs() {
+        let spec = Conv2dSpec::paper_conv();
+        let wf = Tensor::from_fn(vec![3, 2, 3, 3], |i| ((i * 31) % 13) as f32 / 6.0 - 1.0);
+        let x = random_signs(&[3, 2, 6, 5], 41);
+        let expect = conv2d(&x, &binarize(&wf), &spec).unwrap();
+        assert_eq!(binary_conv2d_signs(&x, &wf, &spec).unwrap(), Some(expect));
+        // One value other than ±1 in the last sample sends it back.
+        for planted in [0.5, 0.0, -0.0, f32::NAN] {
+            let mut y = x.clone();
+            y.data_mut()[170] = planted;
+            assert_eq!(binary_conv2d_signs(&y, &wf, &spec).unwrap(), None, "{planted}");
+        }
+        // So do rows too wide for the plan.
+        let wide = random_signs(&[1, 2, 3, 70], 43);
+        assert_eq!(binary_conv2d_signs(&wide, &wf, &spec).unwrap(), None);
+        assert!(binary_conv2d_signs(&x, &Tensor::ones([3, 1, 3, 3]), &spec).is_err());
     }
 
     #[test]
@@ -880,7 +1029,11 @@ mod tests {
         let wf = Tensor::from_fn(vec![4, 2, 3, 3], |i| ((i * 37) % 11) as f32 / 5.0 - 1.0);
         let plan = BinaryConvPlan::new(&wf, &spec, 5, 6).unwrap();
         // Junk above the row width must not leak into the taps.
-        let rows: Vec<u64> = x.data().chunks(6).map(|row| pack_word(row) | !0u64 << 6).collect();
+        let rows: Vec<u64> = pack_rows(x.data(), 6, 12, false)
+            .unwrap()
+            .iter()
+            .map(|&row| row | !0u64 << 6)
+            .collect();
         assert_eq!(plan.run_rows(&rows).unwrap(), binary_conv2d(&x, &wf, &spec).unwrap());
         assert!(plan.run_rows(&rows[1..]).is_err());
     }

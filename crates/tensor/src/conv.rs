@@ -2,10 +2,13 @@
 //!
 //! Convolutions run on the register-tiled GEMM of [`crate::gemm`]. The
 //! forward pass and the weight gradient read their taps straight from a
-//! zero-padded copy of each sample, with no column matrix; the input
-//! gradient scatters its product back through `col2im`, the lowering's
-//! adjoint. Pooling is computed directly, recording argmax indices so the
-//! backward pass can scatter gradients.
+//! zero-padded copy of each sample, with no column matrix (the weight
+//! gradient copies each pixel's `(c, ky)` runs of the paper's 3 taps as
+//! fixed-width arrays); the input gradient scatters its product back
+//! through `col2im`, the lowering's adjoint. Pooling is computed directly,
+//! recording argmax indices so the backward pass can scatter gradients.
+//! Every pass fans out over the batch only, the max-pool included, and a
+//! lone sample stays on the calling thread.
 
 use crate::error::{Result, TensorError};
 use crate::gemm;
@@ -291,6 +294,8 @@ struct TapRuns {
     starts: Vec<usize>,
     /// Width of a padded plane row.
     wp: usize,
+    /// Taps per `(c, ky)` run: the kernel width.
+    kw: usize,
     stride: usize,
     oh: usize,
     ow: usize,
@@ -325,6 +330,7 @@ impl TapRuns {
             tier,
             starts,
             wp,
+            kw,
             stride: spec.stride,
             oh: low.oh,
             ow: low.ow,
@@ -387,12 +393,35 @@ impl TapRuns {
     /// The implicit operand's columns from pixel `q0` on, pixel-major: row
     /// `q` of `slab` (rows `ld` floats apart, as many as it holds) gets
     /// pixel `q0 + q`'s taps in ascending `r` — the runs [`TapRuns::conv`]
-    /// copies tap-major, read across.
+    /// copies tap-major, read across. A pixel's `kw` taps of one `(c, ky)`
+    /// are adjacent in the padded plane, so at the paper's width of 3 each
+    /// such run is one fixed-width copy; other widths read tap by tap.
     fn gather(&self, plane: &[f32], q0: usize, slab: &mut [f32], ld: usize) {
+        if self.kw == 3 {
+            return self.gather_runs::<3>(plane, q0, slab, ld);
+        }
         let (mut oy, mut ox) = (q0 / self.ow, q0 % self.ow);
         for dst in slab.chunks_exact_mut(ld) {
             let taps = &plane[(oy * self.wp + ox) * self.stride..];
             dst.iter_mut().zip(&self.starts).for_each(|(d, &s)| *d = taps[s]);
+            (oy, ox) = if ox + 1 == self.ow { (oy + 1, 0) } else { (oy, ox + 1) };
+        }
+    }
+
+    /// [`TapRuns::gather`] for a kernel `KW` taps wide, one `[f32; KW]`
+    /// copy per `(c, ky)` run. A copy of a width known only at run time
+    /// (a `memcpy` call, or a loop of unknown trip count) measured slower
+    /// than the tap-by-tap reads; the fixed width is what pays: a
+    /// training step at the paper's shapes runs some 11 % faster with it
+    /// than with the tap-by-tap reads alone (EXPERIMENTS.md E35).
+    fn gather_runs<const KW: usize>(&self, plane: &[f32], q0: usize, slab: &mut [f32], ld: usize) {
+        let (mut oy, mut ox) = (q0 / self.ow, q0 % self.ow);
+        for dst in slab.chunks_exact_mut(ld) {
+            let taps = &plane[(oy * self.wp + ox) * self.stride..];
+            for (run, &s) in dst.chunks_exact_mut(KW).zip(self.starts.iter().step_by(KW)) {
+                let run: &mut [f32; KW] = run.try_into().expect("a run of KW taps");
+                *run = taps[s..s + KW].try_into().expect("a run of KW taps");
+            }
             (oy, ox) = if ox + 1 == self.ow { (oy + 1, 0) } else { (oy, ox + 1) };
         }
     }
@@ -597,23 +626,35 @@ pub fn max_pool2d_values(input: &Tensor, spec: &Conv2dSpec) -> Result<Tensor> {
     Ok(pool(input, spec, false)?.0)
 }
 
+/// What one window tap of [`max_pool2d`] counts in the pool's
+/// MAC-equivalents, as an XNOR word counts 64. The scan is a scalar
+/// compare-select with a data-dependent branch, about 3 ns a tap, against
+/// about 21 MACs a ns for the f32 GEMM the cut-off was set by: a tap costs
+/// some 64 MACs.
+const POOL_TAP_COST: usize = 64;
+
 /// Max pooling with the argmax table filled when `record` is set (left
 /// empty otherwise). Each window is clipped to the input once per output
 /// row and column, then scanned ky-then-kx with a strict `>`, so ties keep
-/// the first tap and NaN is never selected.
+/// the first tap and NaN is never selected. The batch fans out over the
+/// pool, each sample's planes whole in one share, and a lone sample runs on
+/// the calling thread, as every conv pass does; argmax entries are flat
+/// indices into the whole input.
 fn pool(input: &Tensor, spec: &Conv2dSpec, record: bool) -> Result<(Tensor, Vec<usize>)> {
     let (n, c, h, w) = check_nchw(input, "max_pool2d")?;
     let (oh, ow) = spec.checked_output_size(h, w)?;
-    let mut out = vec![0.0f32; n * c * oh * ow];
-    let mut argmax = if record { vec![usize::MAX; n * c * oh * ow] } else { Vec::new() };
+    let per_sample = c * oh * ow;
+    let mut out = vec![0.0f32; n * per_sample];
+    let mut argmax = if record { vec![usize::MAX; n * per_sample] } else { Vec::new() };
     let data = input.data();
     let ixs: Vec<Range<usize>> =
         (0..ow).map(|ox| window_range(ox * spec.stride, spec.kernel_w, w, spec.padding)).collect();
-    for plane in 0..n * c {
+    // One plane: its pooled values into `out` and, when recorded, the flat
+    // input index of each into `argmax`.
+    let scan = |plane: usize, out: &mut [f32], mut argmax: Option<&mut [usize]>| {
         let in_plane = plane * h * w;
         for oy in 0..oh {
             let iys = window_range(oy * spec.stride, spec.kernel_h, h, spec.padding);
-            let o_row = (plane * oh + oy) * ow;
             for (ox, cols) in ixs.iter().enumerate() {
                 let mut best = f32::NEG_INFINITY;
                 let mut best_idx = usize::MAX;
@@ -629,14 +670,24 @@ fn pool(input: &Tensor, spec: &Conv2dSpec, record: bool) -> Result<(Tensor, Vec<
                 // A window wholly in padding (or of NaN/−inf only) selects
                 // nothing: output 0.0, argmax sentinel `usize::MAX`.
                 if best_idx != usize::MAX {
-                    out[o_row + ox] = best;
-                    if record {
-                        argmax[o_row + ox] = best_idx;
+                    out[oy * ow + ox] = best;
+                    if let Some(argmax) = argmax.as_deref_mut() {
+                        argmax[oy * ow + ox] = best_idx;
                     }
                 }
             }
         }
-    }
+    };
+    let mut argmax_samples = argmax.chunks_mut(per_sample);
+    let mut samples: Vec<(&mut [f32], Option<&mut [usize]>)> =
+        out.chunks_mut(per_sample).map(|o| (o, argmax_samples.next())).collect();
+    let work = n * per_sample * spec.kernel_h * spec.kernel_w * POOL_TAP_COST;
+    parallel::par_map_mut(&mut samples, work, |b, (out, argmax)| {
+        for (ch, plane) in out.chunks_mut(oh * ow).enumerate() {
+            let argmax = argmax.as_deref_mut().map(|a| &mut a[ch * oh * ow..][..oh * ow]);
+            scan(b * c + ch, plane, argmax);
+        }
+    });
     Ok((Tensor::from_vec(out, [n, c, oh, ow])?, argmax))
 }
 

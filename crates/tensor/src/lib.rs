@@ -22,11 +22,12 @@
 //! * [`bitmatrix`] — `u64`-word packed ±1 matrices with XNOR–popcount
 //!   GEMM and the fused binary convolution plan, the kernels of the
 //!   frozen inference form, which take their operands as bits (f32 signs
-//!   pack with one portable loop);
+//!   pack with one portable packer, which also tells a training forward
+//!   whether its input is exactly ±1 and can take the plan);
 //! * [`parallel`] — deterministic data parallelism on one persistent
 //!   worker pool (`DDNN_THREADS`) behind one work cut-off, used by the
-//!   f32 and binary kernels alike; convolutions fan out over the batch
-//!   only, so a lone sample runs on the calling thread;
+//!   f32 and binary kernels alike; convolutions and the max-pool fan out
+//!   over the batch only, so a lone sample runs on the calling thread;
 //! * [`simd`] — runtime SIMD dispatch tiers (`DDNN_SIMD`, read once per
 //!   process) selecting the scalar/SSE2/AVX2/AVX-512 clones of the
 //!   popcount kernels and the f32 GEMM;

@@ -12,7 +12,7 @@
 //! | `avx2`   | `vpshufb` nibble-LUT vectors     | 4×16, `ymm`     |
 //! | `avx512` | `vpopcntq` (AVX-512 VPOPCNTDQ)   | 4×32, `zmm`     |
 //!
-//! Packing f32 signs into bits has one portable loop on every tier
+//! Packing f32 signs into bits has one portable packer on every tier
 //! ([`crate::bitmatrix`]).
 //!
 //! Every tier computes the same results — exact integers for the XNOR
@@ -93,7 +93,8 @@ impl std::fmt::Display for SimdTier {
 ///
 /// `Sse2` requires the `popcnt` instruction (not part of the x86-64
 /// baseline); `Avx2` additionally requires AVX2; `Avx512` requires
-/// AVX-512F plus the VPOPCNTDQ extension. Non-x86-64 targets report
+/// AVX-512F plus the VPOPCNTDQ and BW extensions (the popcount kernels'
+/// `avx512` clones are compiled with BW). Non-x86-64 targets report
 /// `Scalar`.
 pub fn detected_tier() -> SimdTier {
     #[cfg(target_arch = "x86_64")]
@@ -102,6 +103,7 @@ pub fn detected_tier() -> SimdTier {
         *DETECTED.get_or_init(|| {
             if std::arch::is_x86_feature_detected!("avx512f")
                 && std::arch::is_x86_feature_detected!("avx512vpopcntdq")
+                && std::arch::is_x86_feature_detected!("avx512bw")
                 && std::arch::is_x86_feature_detected!("popcnt")
             {
                 SimdTier::Avx512

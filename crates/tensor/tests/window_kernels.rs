@@ -261,6 +261,11 @@ fn paper_geometries_match_the_reference() {
     check(3, 3, 32, 32, Conv2dSpec::paper_conv(), 1);
     check(3, 4, 32, 32, Conv2dSpec::paper_pool(), 2);
     check(2, 16, 16, 16, Conv2dSpec::paper_pool(), 3);
+    // Training's batch of 50 at the device and edge pool shapes: above the
+    // pool's cut-off, so the max-pool fans out over the batch whenever
+    // the pool has more than one thread.
+    check(50, 4, 32, 32, Conv2dSpec::paper_pool(), 4);
+    check(50, 16, 16, 16, Conv2dSpec::paper_pool(), 5);
 }
 
 #[test]

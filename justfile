@@ -156,9 +156,10 @@ experiments:
 
 # The regenerator at one epoch per model: every experiment's code path,
 # artifacts written (CI's paper-smoke job), then again on the scalar tier
-# and one thread; fails unless both runs write byte-identical trees. It
-# overwrites the committed results/*.txt; `git checkout results` restores
-# them.
+# and one thread, and on the native tier at four threads (the batch
+# fan-outs, the max-pool's included, only partition with more than one);
+# fails unless all three runs write byte-identical trees. It overwrites
+# the committed results/*.txt; `git checkout results` restores them.
 paper-smoke:
     #!/usr/bin/env bash
     set -euo pipefail
@@ -167,4 +168,6 @@ paper-smoke:
     trap 'rm -rf "$first"' EXIT
     cp -r results "$first/"
     DDNN_SIMD=scalar DDNN_THREADS=1 DDNN_EPOCHS=1 cargo run --release -p ddnn-bench --bin paper
+    diff -r "$first/results" results
+    DDNN_THREADS=4 DDNN_EPOCHS=1 cargo run --release -p ddnn-bench --bin paper
     diff -r "$first/results" results
